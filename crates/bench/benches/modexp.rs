@@ -1,6 +1,7 @@
 //! Microbenchmarks for the `whopay-num` arithmetic backbone: Montgomery
-//! multiplication, windowed single/double/triple exponentiation, the
-//! fixed-base generator table, and modular inversion. These are the
+//! multiplication and squaring, windowed single/double exponentiation, the
+//! one-base-two-exponent chain behind `pow_member`, the fixed-base
+//! generator table, and modular inversion. These are the
 //! primitives every Table 2 / §6.2 cost bottoms out in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,9 +28,10 @@ fn bench_modexp(c: &mut Criterion) {
     g.bench_function("pow_160bit_exp", |bch| bch.iter(|| black_box(ring.pow(&a, &x))));
     g.bench_function("pow_naive_160bit_exp", |bch| bch.iter(|| black_box(ring.pow_naive(&a, &x))));
     g.bench_function("pow2_160bit_exps", |bch| bch.iter(|| black_box(ring.pow2(&a, &x, &b, &y))));
-    g.bench_function("pow3_160bit_exps", |bch| {
-        bch.iter(|| black_box(ring.pow3(&a, &x, &b, &y, group.generator(), &x)))
-    });
+    g.bench_function("pow_dual_160bit_exps", |bch| bch.iter(|| black_box(ring.pow_dual(&a, &x, &y))));
+    g.bench_function("mont_sqr", |bch| bch.iter(|| black_box(mont.mont_sqr(&am))));
+    g.bench_function("is_element", |bch| bch.iter(|| black_box(group.is_element(&a))));
+    g.bench_function("pow_member", |bch| bch.iter(|| black_box(group.pow_member(&a, &x))));
     g.bench_function("pow_g_fixed_base", |bch| bch.iter(|| black_box(group.pow_g(&x))));
     g.bench_function("scalar_inv", |bch| {
         bch.iter(|| black_box(scalar.inv(&x).expect("prime modulus")))

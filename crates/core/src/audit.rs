@@ -18,6 +18,8 @@
 //! preserved.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::types::{ChainId, CoinId};
 
@@ -84,6 +86,10 @@ pub struct Auditor {
     /// redemption.
     chain_settled: HashMap<ChainId, (u64, u64)>,
     violations: Vec<Violation>,
+    /// Bumped once per recorded violation when this auditor reports into
+    /// a count shared with its siblings (see
+    /// [`Auditor::share_violation_count`]).
+    shared_count: Option<Arc<AtomicUsize>>,
 }
 
 impl Auditor {
@@ -195,10 +201,22 @@ impl Auditor {
 
     fn record(&mut self, invariant: Invariant, coin: Option<CoinId>, detail: String) {
         self.violations.push(Violation { invariant, coin, detail });
+        if let Some(count) = &self.shared_count {
+            count.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     fn record_chain(&mut self, invariant: Invariant, detail: String) {
-        self.violations.push(Violation { invariant, coin: None, detail });
+        self.record(invariant, None, detail);
+    }
+
+    /// Makes this auditor bump `count` for every violation it records,
+    /// starting with the ones it already holds. A sharded broker hands all
+    /// its shards one count, so "did anything new go wrong?" is a single
+    /// atomic load instead of a lock on every shard.
+    pub(crate) fn share_violation_count(&mut self, count: Arc<AtomicUsize>) {
+        count.fetch_add(self.violations.len(), Ordering::SeqCst);
+        self.shared_count = Some(count);
     }
 
     /// Coins minted since the baseline.

@@ -7,6 +7,7 @@
 //! measures.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -254,6 +255,13 @@ impl Broker {
     /// The always-on invariant auditor (see [`crate::audit`]).
     pub fn audit(&self) -> &Auditor {
         &self.audit
+    }
+
+    /// Points this broker's auditor at a violation count shared with
+    /// other shards, so the sharded broker can tell without locking
+    /// anything whether any of them recorded a violation.
+    pub(crate) fn share_violation_count(&mut self, count: Arc<AtomicUsize>) {
+        self.audit.share_violation_count(count);
     }
 
     /// Fraud incidents detected so far.
@@ -785,8 +793,7 @@ impl Broker {
         if let Err(e) = verdict {
             return self.reject(e);
         }
-        let holder_key = DsaPublicKey::from_element(presented.holder_pk().clone());
-        if !group.is_element(presented.holder_pk()) || !holder_key.verify(&group, msg, holder_sig) {
+        if !DsaPublicKey::verify_member(&group, presented.holder_pk(), msg, holder_sig) {
             return self.reject(CoreError::BadSignature);
         }
         if !self.gpk.verify(&group, msg, group_sig) {

@@ -247,8 +247,7 @@ impl Binding {
             Self::signed_bytes(&self.coin_pk, &self.holder_pk, self.seq, self.expires, self.signer);
         match self.signer {
             BindingSigner::CoinKey => {
-                group.is_element(&self.coin_pk)
-                    && DsaPublicKey::from_element(self.coin_pk.clone()).verify(group, &msg, &self.sig)
+                DsaPublicKey::verify_member(group, &self.coin_pk, &msg, &self.sig)
             }
             BindingSigner::Broker => broker.verify(group, &msg, &self.sig),
         }

@@ -145,11 +145,7 @@ impl LayeredCoin {
                 i as u64,
                 &layer.new_holder_pk,
             );
-            if !group.is_element(&prev_holder) {
-                return Err(CoreError::BadSignature);
-            }
-            let key = DsaPublicKey::from_element(prev_holder.clone());
-            if !key.verify(group, &msg, &layer.relinquish_sig) {
+            if !DsaPublicKey::verify_member(group, &prev_holder, &msg, &layer.relinquish_sig) {
                 return Err(CoreError::BadSignature);
             }
             if !gpk.verify(group, &msg, &layer.group_sig) {

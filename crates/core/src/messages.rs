@@ -5,7 +5,7 @@
 //! fairness (judge-openable anonymity). The canonical signed bytes for
 //! every message are defined here so signer and verifier cannot drift.
 
-use whopay_crypto::dsa::{DsaKeyPair, DsaSignature};
+use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_crypto::hashio::Transcript;
 use whopay_num::{BigUint, SchnorrGroup};
@@ -94,18 +94,14 @@ impl CoinGrant {
 
     /// Verifies the challenge response against whichever key signed the
     /// binding (coin key in normal operation, broker during downtime).
-    pub fn verify_proof(
-        &self,
-        group: &SchnorrGroup,
-        broker: &whopay_crypto::dsa::DsaPublicKey,
-        nonce: &Nonce,
-    ) -> bool {
+    pub fn verify_proof(&self, group: &SchnorrGroup, broker: &DsaPublicKey, nonce: &Nonce) -> bool {
         let msg = Self::proof_bytes(self.minted.coin_pk(), self.binding.holder_pk(), nonce);
         match self.binding.signer() {
-            BindingSigner::CoinKey => whopay_crypto::dsa::DsaPublicKey::from_element(
-                self.minted.coin_pk().clone(),
-            )
-            .verify(group, &msg, &self.ownership_proof),
+            BindingSigner::CoinKey => DsaPublicKey::from_element(self.minted.coin_pk().clone()).verify(
+                group,
+                &msg,
+                &self.ownership_proof,
+            ),
             BindingSigner::Broker => broker.verify(group, &msg, &self.ownership_proof),
         }
     }
@@ -147,10 +143,7 @@ impl TransferRequest {
     /// Verifies both the holdership signature and the group signature.
     pub fn verify(&self, group: &SchnorrGroup, gpk: &GroupPublicKey) -> bool {
         let msg = Self::signed_bytes(&self.current, &self.new_holder_pk, &self.nonce);
-        let holder_key =
-            whopay_crypto::dsa::DsaPublicKey::from_element(self.current.holder_pk().clone());
-        group.is_element(self.current.holder_pk())
-            && holder_key.verify(group, &msg, &self.holder_sig)
+        DsaPublicKey::verify_member(group, self.current.holder_pk(), &msg, &self.holder_sig)
             && gpk.verify(group, &msg, &self.group_sig)
     }
 }
@@ -181,10 +174,7 @@ impl RenewalRequest {
     /// Verifies both signatures.
     pub fn verify(&self, group: &SchnorrGroup, gpk: &GroupPublicKey) -> bool {
         let msg = Self::signed_bytes(&self.current);
-        let holder_key =
-            whopay_crypto::dsa::DsaPublicKey::from_element(self.current.holder_pk().clone());
-        group.is_element(self.current.holder_pk())
-            && holder_key.verify(group, &msg, &self.holder_sig)
+        DsaPublicKey::verify_member(group, self.current.holder_pk(), &msg, &self.holder_sig)
             && gpk.verify(group, &msg, &self.group_sig)
     }
 }
@@ -217,10 +207,7 @@ impl DepositRequest {
     /// Verifies both signatures.
     pub fn verify(&self, group: &SchnorrGroup, gpk: &GroupPublicKey) -> bool {
         let msg = Self::signed_bytes(&self.binding);
-        let holder_key =
-            whopay_crypto::dsa::DsaPublicKey::from_element(self.binding.holder_pk().clone());
-        group.is_element(self.binding.holder_pk())
-            && holder_key.verify(group, &msg, &self.holder_sig)
+        DsaPublicKey::verify_member(group, self.binding.holder_pk(), &msg, &self.holder_sig)
             && gpk.verify(group, &msg, &self.group_sig)
     }
 
@@ -235,12 +222,10 @@ impl DepositRequest {
         cache: &crate::sigcache::SigCache,
     ) -> bool {
         let msg = Self::signed_bytes(&self.binding);
-        let holder_key =
-            whopay_crypto::dsa::DsaPublicKey::from_element(self.binding.holder_pk().clone());
+        let holder_key = DsaPublicKey::from_element(self.binding.holder_pk().clone());
         let key = crate::sigcache::cache_key(group, &holder_key, &msg, &self.holder_sig);
         cache.verify_with(key, || {
-            group.is_element(self.binding.holder_pk())
-                && holder_key.verify(group, &msg, &self.holder_sig)
+            DsaPublicKey::verify_member(group, self.binding.holder_pk(), &msg, &self.holder_sig)
         }) && gpk.verify(group, &msg, &self.group_sig)
     }
 }

@@ -240,24 +240,27 @@ pub fn attach_broker_obs(
     id
 }
 
-/// [`surface_violations`] for the sharded broker: aggregates per-shard
-/// auditor violations and cross-ledger handoff violations. The seen
-/// counter is shared across shard endpoints, so each violation surfaces
+/// [`surface_violations`] for the sharded broker: per-shard auditor
+/// violations and cross-ledger handoff violations. This runs after every
+/// dispatch on every shard endpoint, so the common case is one atomic
+/// load ([`ShardedBroker::violation_count`]) — no shard lock is touched
+/// unless something new was recorded. `seen` is shared across the shard
+/// endpoints and advanced with `fetch_max`, so each violation surfaces
 /// once no matter which endpoint's dispatch notices it.
 fn surface_sharded_violations(sharded: &ShardedBroker, obs: &Obs, seen: &AtomicUsize) {
-    let violations = sharded.violations();
-    let prev = seen.load(Ordering::SeqCst);
-    if violations.len() <= prev {
+    let count = sharded.violation_count();
+    let prev = seen.fetch_max(count, Ordering::SeqCst);
+    if count <= prev {
         return;
     }
-    for v in &violations[prev..] {
+    let violations = sharded.violations();
+    for v in &violations[violations.len().saturating_sub(count - prev)..] {
         obs.observe(Event::new(Role::Broker, OpKind::Other).failed().with_detail(format!(
             "invariant violation: {} ({})",
             v.invariant.label(),
             v.detail
         )));
     }
-    seen.store(violations.len(), Ordering::SeqCst);
     if let Some(dump) = obs.flight_dump() {
         eprintln!("--- flight recorder: invariant violation ---");
         eprint!("{dump}");

@@ -33,6 +33,7 @@
 //! (same `Arc`, so live endpoints see the recovered state) while the
 //! others keep serving.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::Rng;
@@ -90,6 +91,9 @@ pub struct CrossLedger {
     prepared: u64,
     committed: u64,
     violations: Vec<Violation>,
+    /// The sharded broker's violation count (shared with every shard's
+    /// auditor), bumped once per violation recorded here.
+    violation_count: Arc<AtomicUsize>,
 }
 
 impl CrossLedger {
@@ -107,6 +111,7 @@ impl CrossLedger {
                     "cross-shard batch handoff lost value: {prepared} prepared, {committed} committed"
                 ),
             });
+            self.violation_count.fetch_add(1, Ordering::SeqCst);
         }
     }
 }
@@ -136,6 +141,9 @@ pub struct ShardedBroker {
     gpk: GroupPublicKey,
     keys: DsaKeyPair,
     cross: Mutex<CrossLedger>,
+    /// Violations recorded so far by any shard's auditor or the cross
+    /// ledger: bumped where they record, read without a lock.
+    violation_count: Arc<AtomicUsize>,
     /// Test hook: the next commit acknowledgment from this shard is
     /// dropped (the mutation still applies), so the ledger must detect
     /// the loss.
@@ -165,15 +173,22 @@ impl ShardedBroker {
         shards: usize,
     ) -> Self {
         assert!(shards > 0, "a sharded broker needs at least one shard");
+        let violation_count = Arc::new(AtomicUsize::new(0));
         let shards = (0..shards)
-            .map(|_| Arc::new(Mutex::new(Broker::with_keys(params.clone(), gpk.clone(), keys.clone()))))
+            .map(|_| {
+                let mut shard = Broker::with_keys(params.clone(), gpk.clone(), keys.clone());
+                shard.share_violation_count(violation_count.clone());
+                Arc::new(Mutex::new(shard))
+            })
             .collect();
+        let cross = CrossLedger { violation_count: violation_count.clone(), ..CrossLedger::default() };
         ShardedBroker {
             shards,
             params,
             gpk,
             keys,
-            cross: Mutex::new(CrossLedger::default()),
+            cross: Mutex::new(cross),
+            violation_count,
             lose_commit_from: Mutex::new(None),
         }
     }
@@ -455,6 +470,15 @@ impl ShardedBroker {
         all
     }
 
+    /// How many violations the shard auditors and the cross ledger have
+    /// recorded since construction, without taking any lock. It only
+    /// grows — a recovered shard adds what its replay flagged — so a
+    /// caller that remembers the last value it saw knows whether
+    /// [`ShardedBroker::violations`] is worth collecting.
+    pub fn violation_count(&self) -> usize {
+        self.violation_count.load(Ordering::SeqCst)
+    }
+
     /// True when no invariant — per-shard or cross-shard — has been
     /// violated.
     pub fn audit_ok(&self) -> bool {
@@ -523,8 +547,9 @@ impl ShardedBroker {
     /// holding shard handles serve the recovered state with no rewiring.
     /// Other shards are untouched and keep serving throughout.
     pub fn recover_shard(&self, i: usize, journal: &Journal) {
-        let recovered =
+        let mut recovered =
             Broker::recover(self.params.clone(), self.gpk.clone(), self.keys.clone(), journal);
+        recovered.share_violation_count(self.violation_count.clone());
         *self.shards[i].lock().expect("shard lock poisoned") = recovered;
     }
 }

@@ -8,9 +8,16 @@
 //! or deposited exactly once, and no double spend slips through the
 //! races.
 
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use whopay_core::{Broker, CoreError, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay_core::service::{
+    attach_client, attach_shard_endpoints, binding_proof_via, purchase_via, shared_clock,
+};
+use whopay_core::{
+    Broker, CoreError, Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp,
+};
 use whopay_crypto::testing::{test_rng, tiny_group};
 
 #[test]
@@ -122,4 +129,63 @@ fn parallel_payment_chains_conserve_coins() {
     for coin in &coins {
         assert!(!broker.is_circulating(coin));
     }
+}
+
+/// A shard endpoint's dispatch touches only the shard that owns the
+/// request: the per-dispatch violation check reads a shared atomic count
+/// instead of locking every shard, so a request for shard *i* completes
+/// while another thread sits on every other shard's lock.
+#[test]
+fn shard_dispatch_completes_while_other_shards_are_locked() {
+    let mut rng = test_rng(0x5A4D);
+    let params = SystemParams::new(tiny_group().clone());
+    let mut judge = Judge::new(params.group().clone(), &mut rng);
+    let sharded = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 4, &mut rng));
+    let gk = judge.enroll(PeerId(1), &mut rng);
+    let mut buyer = Peer::new(
+        PeerId(1),
+        params,
+        sharded.public_key().clone(),
+        judge.public_key().clone(),
+        gk,
+        &mut rng,
+    );
+    sharded.register_peer(PeerId(1), buyer.public_key().clone());
+
+    let mut net = whopay_net::Network::new();
+    let now = Timestamp(0);
+    let shard_eps = attach_shard_endpoints(&mut net, sharded.clone(), shared_clock(now), 7);
+    let client = attach_client(&mut net, "buyer");
+    let coin = purchase_via(
+        &mut net,
+        client,
+        shard_eps[0],
+        &mut buyer,
+        PurchaseMode::Identified,
+        now,
+        &mut rng,
+    )
+    .expect("purchase");
+    let owner = sharded.shard_of_coin(&coin);
+
+    let (held_tx, held_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let shards = &sharded;
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(move || {
+            let _others: Vec<_> = (0..shards.shard_count())
+                .filter(|&j| j != owner)
+                .map(|j| shards.lock_shard(j))
+                .collect();
+            held_tx.send(()).expect("main thread waits for the locks");
+            // `true` only if the dispatch finished while the locks were held.
+            done_rx.recv_timeout(Duration::from_secs(20)).is_ok()
+        });
+        held_rx.recv().expect("helper takes the locks");
+        let proof = binding_proof_via(&mut net, client, shard_eps[owner], coin);
+        done_tx.send(()).expect("helper waits for the dispatch");
+        assert!(helper.join().expect("helper thread"), "dispatch waited for another shard's lock");
+        assert_eq!(proof.expect("proof from the unlocked shard").leaf.coin, coin);
+    });
+    assert!(sharded.audit_ok());
 }

@@ -12,10 +12,11 @@ const HOT_THRESHOLD: u32 = 3;
 
 /// Lazily built fixed-base table for one public-key element.
 ///
-/// Long-lived verifying keys — the broker key checks every coin a peer
-/// receives — pay hundreds of Montgomery multiplications per `y^u` inside
-/// `pow2`. A fixed-base table trades a one-time build for ~`bits/k`
-/// multiplications per exponentiation afterwards. The threshold keeps the
+/// Long-lived keys — the broker key checks every coin a peer receives, the
+/// judge key is raised to a fresh exponent by every group signature and
+/// every group verification — pay hundreds of Montgomery multiplications
+/// per `y^u` from scratch. A fixed-base table trades a one-time build for
+/// ~`bits/k` multiplications per exponentiation afterwards. The threshold keeps the
 /// build cost off one-shot keys (a holder key decoded from one transfer
 /// message), so it is only spent where it amortizes.
 ///
@@ -27,10 +28,24 @@ pub(crate) struct KeyAccel {
     table: OnceLock<(BigUint, FixedBaseTable)>,
 }
 
+/// The table is derived from the key and never part of its identity: key
+/// types derive `PartialEq` / `Hash` over their element and this.
+impl PartialEq for KeyAccel {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for KeyAccel {}
+
+impl std::hash::Hash for KeyAccel {
+    fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
+}
+
 impl KeyAccel {
     /// `y^e mod p` through the cached table once the key is hot; `None`
     /// means "not hot yet" or "table inapplicable" and the caller should
-    /// take its ordinary `pow2` path.
+    /// take its ordinary from-scratch path.
     ///
     /// Racing threads may each count a use or each build the table; both
     /// are harmless (the `OnceLock` keeps exactly one table).

@@ -21,24 +21,10 @@ const DOMAIN: &str = "whopay/dsa/v1";
 /// Carries a lazily built per-key fixed-base table (shared across clones)
 /// that kicks in once the key has verified a few signatures — see
 /// [`crate::accel`]. Equality and hashing consider only `y`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DsaPublicKey {
     y: BigUint,
     accel: Arc<KeyAccel>,
-}
-
-impl PartialEq for DsaPublicKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.y == other.y
-    }
-}
-
-impl Eq for DsaPublicKey {}
-
-impl std::hash::Hash for DsaPublicKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.y.hash(state);
-    }
 }
 
 /// A DSA signing key (the secret scalar `x`, plus the public half).
@@ -140,27 +126,55 @@ impl DsaPublicKey {
     /// assert!(!kp.public().verify(&group, b"pay 2 coins", &sig));
     /// ```
     pub fn verify(&self, group: &SchnorrGroup, message: &[u8], sig: &DsaSignature) -> bool {
-        let q = group.order();
-        if sig.r.is_zero() || &sig.r >= q || sig.s.is_zero() || &sig.s >= q {
+        let Some((u1, u2)) = verify_exponents(group, message, sig) else {
             return false;
-        }
-        let scalar = group.scalar_ring();
-        let h = hash_message(group, message);
-        let w = match scalar.inv(&sig.s) {
-            Some(w) => w,
-            None => return false,
         };
-        let u1 = scalar.mul(&h, &w);
-        let u2 = scalar.mul(&sig.r, &w);
         // Hot keys compute y^u2 from the per-key table and g^u1 from the
         // group's generator table; cold keys share one pow2 squaring chain.
         let elem = group.elem_ring();
         let v = match self.accel.pow(group, &self.y, &u2) {
             Some(y_u2) => elem.mul(&group.pow_g(&u1), &y_u2),
             None => elem.pow2(group.generator(), &u1, &self.y, &u2),
-        } % q;
-        v == sig.r
+        };
+        v % group.order() == sig.r
     }
+
+    /// Verifies `sig` over `message` under the untrusted element `y`:
+    /// exactly `group.is_element(y) && from_element(y).verify(..)`, with
+    /// the membership chain `y^q` shared with the `y^u2` the verification
+    /// needs ([`SchnorrGroup::pow_member`]) and `g^u1` taken from the
+    /// generator table. This is how a key that arrived in a message (a
+    /// holder key, a coin key) is checked.
+    pub fn verify_member(
+        group: &SchnorrGroup,
+        y: &BigUint,
+        message: &[u8],
+        sig: &DsaSignature,
+    ) -> bool {
+        let Some((u1, u2)) = verify_exponents(group, message, sig) else {
+            // Out-of-range signatures are rejected without touching `y`.
+            return false;
+        };
+        group.pow_member(y, &u2).is_some_and(|y_u2| {
+            group.elem_ring().mul(&group.pow_g(&u1), &y_u2) % group.order() == sig.r
+        })
+    }
+}
+
+/// The exponents `(u1, u2) = (h·s⁻¹, r·s⁻¹)` of the DSA check
+/// `(g^u1 · y^u2 mod p) mod q = r`, or `None` when `(r, s)` is out of range.
+fn verify_exponents(
+    group: &SchnorrGroup,
+    message: &[u8],
+    sig: &DsaSignature,
+) -> Option<(BigUint, BigUint)> {
+    let q = group.order();
+    if sig.r.is_zero() || &sig.r >= q || sig.s.is_zero() || &sig.s >= q {
+        return None;
+    }
+    let scalar = group.scalar_ring();
+    let w = scalar.inv(&sig.s)?;
+    Some((scalar.mul(&hash_message(group, message), &w), scalar.mul(&sig.r, &w)))
 }
 
 impl DsaKeyPair {

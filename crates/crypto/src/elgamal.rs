@@ -4,13 +4,23 @@
 //! signer's member key under the judge's ElGamal key so that only the judge
 //! can recover the signer identity.
 
+use std::sync::Arc;
+
 use rand::Rng;
 use whopay_num::{BigUint, SchnorrGroup};
 
+use crate::accel::KeyAccel;
+
 /// An ElGamal public key `y = g^x mod p`.
+///
+/// Like [`crate::dsa::DsaPublicKey`], carries a lazily built per-key
+/// fixed-base table shared across clones — the judge key is raised to a
+/// fresh exponent in every group signature and every verification.
+/// Equality and hashing consider only `y`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ElGamalPublicKey {
     y: BigUint,
+    accel: Arc<KeyAccel>,
 }
 
 /// An ElGamal key pair.
@@ -36,7 +46,13 @@ impl ElGamalPublicKey {
     /// Constructs a key from a raw group element (caller validates
     /// membership for untrusted inputs).
     pub fn from_element(y: BigUint) -> Self {
-        ElGamalPublicKey { y }
+        ElGamalPublicKey { y, accel: Arc::default() }
+    }
+
+    /// `y^e mod p`: from the per-key table once the key is hot, a plain
+    /// exponentiation before that.
+    pub fn pow(&self, group: &SchnorrGroup, e: &BigUint) -> BigUint {
+        self.accel.pow(group, &self.y, e).unwrap_or_else(|| group.elem_ring().pow(&self.y, e))
     }
 
     /// Encrypts a group element `m` (must be in the order-`q` subgroup for
@@ -65,7 +81,7 @@ impl ElGamalPublicKey {
     /// group-signature proof, which must prove knowledge of `r`).
     pub fn encrypt_with(&self, group: &SchnorrGroup, m: &BigUint, r: &BigUint) -> ElGamalCiphertext {
         let elem = group.elem_ring();
-        ElGamalCiphertext { c1: group.pow_g(r), c2: elem.mul(m, &elem.pow(&self.y, r)) }
+        ElGamalCiphertext { c1: group.pow_g(r), c2: elem.mul(m, &self.pow(group, r)) }
     }
 }
 
@@ -74,14 +90,14 @@ impl ElGamalKeyPair {
     pub fn generate<R: Rng + ?Sized>(group: &SchnorrGroup, rng: &mut R) -> Self {
         let x = group.random_scalar(rng);
         let y = group.pow_g(&x);
-        ElGamalKeyPair { x, public: ElGamalPublicKey { y } }
+        ElGamalKeyPair { x, public: ElGamalPublicKey::from_element(y) }
     }
 
     /// Reconstructs a key pair from the secret scalar (used after Shamir
     /// recovery of the judge master key).
     pub fn from_secret(group: &SchnorrGroup, x: BigUint) -> Self {
         let y = group.pow_g(&x);
-        ElGamalKeyPair { x, public: ElGamalPublicKey { y } }
+        ElGamalKeyPair { x, public: ElGamalPublicKey::from_element(y) }
     }
 
     /// The public half.

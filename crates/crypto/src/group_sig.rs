@@ -149,18 +149,19 @@ impl GroupPublicKey {
             return false;
         }
         let elem = group.elem_ring();
-        let scalar = group.scalar_ring();
-        if !group.is_element(sig.ct.c1()) || !group.is_element(sig.ct.c2()) {
+        let neg_e = group.scalar_ring().neg(&sig.e);
+        // Membership of c1 and c2 rides the chains that raise them to -e;
+        // the fixed bases g and y_J come from their tables.
+        let Some(c1_e) = group.pow_member(sig.ct.c1(), &neg_e) else {
             return false;
-        }
-        let neg_e = scalar.neg(&sig.e);
+        };
+        let Some(c2_e) = group.pow_member(sig.ct.c2(), &neg_e) else {
+            return false;
+        };
         // a1' = g^{z_r} · c1^{-e}
-        let a1 = elem.pow2(group.generator(), &sig.z_r, sig.ct.c1(), &neg_e);
-        // a2' = g^{z_x} · y_J^{z_r} · c2^{-e}, as one three-way
-        // simultaneous exponentiation (a shared squaring chain) instead of
-        // pow2 + pow + mul.
-        let a2 =
-            elem.pow3(group.generator(), &sig.z_x, self.judge.element(), &sig.z_r, sig.ct.c2(), &neg_e);
+        let a1 = elem.mul(&group.pow_g(&sig.z_r), &c1_e);
+        // a2' = g^{z_x} · y_J^{z_r} · c2^{-e}
+        let a2 = elem.mul(&elem.mul(&group.pow_g(&sig.z_x), &self.judge.pow(group, &sig.z_r)), &c2_e);
         challenge(group, self, &sig.ct, &a1, &a2, message) == sig.e
     }
 }
@@ -197,7 +198,7 @@ impl GroupMemberKey {
         let rho_r = group.random_scalar(rng);
         let rho_x = group.random_scalar(rng);
         let a1 = group.pow_g(&rho_r);
-        let a2 = elem.pow2(group.generator(), &rho_x, gpk.judge.element(), &rho_r);
+        let a2 = elem.mul(&group.pow_g(&rho_x), &gpk.judge.pow(group, &rho_r));
 
         let e = challenge(group, gpk, &ct, &a1, &a2, message);
         let z_r = scalar.add(&rho_r, &scalar.mul(&e, &r));

@@ -22,24 +22,10 @@ const DOMAIN: &str = "whopay/schnorr/v1";
 /// Like [`crate::dsa::DsaPublicKey`], carries a lazily built per-key
 /// fixed-base table shared across clones; equality and hashing consider
 /// only `y`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SchnorrPublicKey {
     y: BigUint,
     accel: Arc<KeyAccel>,
-}
-
-impl PartialEq for SchnorrPublicKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.y == other.y
-    }
-}
-
-impl Eq for SchnorrPublicKey {}
-
-impl std::hash::Hash for SchnorrPublicKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.y.hash(state);
-    }
 }
 
 /// A Schnorr signing key.

@@ -65,12 +65,7 @@ impl SignedRecord {
     pub fn verify(&self, group: &SchnorrGroup, broker: &DsaPublicKey) -> bool {
         let msg = Self::signed_bytes(&self.subject, &self.value, self.version, self.writer);
         match self.writer {
-            Writer::Subject => {
-                if !group.is_element(&self.subject) {
-                    return false;
-                }
-                DsaPublicKey::from_element(self.subject.clone()).verify(group, &msg, &self.signature)
-            }
+            Writer::Subject => DsaPublicKey::verify_member(group, &self.subject, &msg, &self.signature),
             Writer::Broker => broker.verify(group, &msg, &self.signature),
         }
     }

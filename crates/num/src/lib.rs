@@ -33,6 +33,7 @@
 //! ```
 
 mod biguint;
+mod kernels;
 pub mod limbs;
 mod modring;
 pub mod montgomery;

@@ -195,26 +195,19 @@ impl ModRing {
         acc
     }
 
-    /// Simultaneous `g1^e1 * g2^e2 * g3^e3 mod m` (three-way Shamir's
-    /// trick) — one shared squaring chain instead of three separate
-    /// exponentiations. Used by group-signature verification.
-    pub fn pow3(
-        &self,
-        g1: &BigUint,
-        e1: &BigUint,
-        g2: &BigUint,
-        e2: &BigUint,
-        g3: &BigUint,
-        e3: &BigUint,
-    ) -> BigUint {
+    /// `(base^e1, base^e2) mod m` — one base, two exponents, one shared
+    /// squaring chain ([`MontgomeryRing::pow_dual`]); even moduli fall back
+    /// to two [`ModRing::pow_naive`] calls. The subgroup-membership test
+    /// `x^q = 1` rides along with the power a verifier needs anyway.
+    pub fn pow_dual(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
         match &self.mont {
-            Some(mont) => mont.pow3(&self.reduce(g1), e1, &self.reduce(g2), e2, &self.reduce(g3), e3),
-            None => self.mul(&self.pow2_naive(g1, e1, g2, e2), &self.pow_naive(g3, e3)),
+            Some(mont) => mont.pow_dual(&self.reduce(base), e1, e2),
+            None => (self.pow_naive(base, e1), self.pow_naive(base, e2)),
         }
     }
 
     /// Simultaneous product `∏ gᵢ^eᵢ mod m` over arbitrarily many pairs —
-    /// the n-base generalization of [`ModRing::pow2`]/[`ModRing::pow3`].
+    /// the n-base generalization of [`ModRing::pow2`].
     ///
     /// Odd moduli dispatch through
     /// [`MontgomeryRing::multi_pow`](crate::montgomery::MontgomeryRing::multi_pow)

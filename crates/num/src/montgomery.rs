@@ -1,18 +1,28 @@
-//! Montgomery-form modular arithmetic (CIOS) and fixed-base tables.
+//! Montgomery-form modular arithmetic (FIOS) and fixed-base tables.
 //!
 //! This module is the fast path under [`crate::ModRing`]: for an odd
 //! modulus `m` of `n` limbs it keeps residues in Montgomery form
 //! (`aR mod m` with `R = 2^(64n)`), where a modular multiplication is a
-//! single CIOS (coarsely integrated operand scanning) pass — two
+//! single FIOS (finely integrated operand scanning) pass — two
 //! schoolbook-sized multiplications fused with the reduction and **no
 //! division**. Conversion in and out of Montgomery form costs one
 //! multiplication each and is amortized across a whole exponentiation.
 //!
+//! At the limb counts the protocol runs on
+//! ([`MontgomeryRing::FIXED_WIDTHS`]: a 160-bit `q`, a 512- or 1024-bit
+//! `p`) products go through fixed-width kernels, and every squaring in an
+//! exponentiation chain through a dedicated squaring that computes each
+//! cross product once. Other widths use the dynamic-width multiply, which
+//! is also the reference the fixed kernels are differentially tested
+//! against.
+//!
 //! Exponentiation uses fixed windows (width chosen from the exponent
-//! size, up to 5 bits), and [`FixedBaseTable`] precomputes digit-aligned
-//! powers of a fixed base (the group generator) so that a full
-//! exponentiation costs only `ceil(bits/k)` multiplications and **zero
-//! squarings**.
+//! size, up to 5 bits); [`MontgomeryRing::pow_dual`] raises one base to
+//! two exponents over a single squaring chain; and [`FixedBaseTable`]
+//! precomputes digit-aligned powers of a fixed base (the group generator,
+//! a long-lived key) so that a full exponentiation costs only
+//! `ceil(bits/k)` multiplications and **zero squarings**. Window and
+//! fixed-base tables are one flat limb vector each.
 //!
 //! Everything here is variable-time; like the rest of this crate it
 //! reproduces the paper's performance envelope and is not hardened
@@ -20,7 +30,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{limbs, BigUint};
+use crate::{kernels, limbs, BigUint};
 
 /// Montgomery multiplication context for a fixed odd modulus.
 ///
@@ -43,7 +53,7 @@ use crate::{limbs, BigUint};
 pub struct MontgomeryRing {
     /// Modulus, fixed width `n`, top limb nonzero.
     m: Vec<u64>,
-    /// `-m^{-1} mod 2^64` (the CIOS per-iteration quotient factor).
+    /// `-m^{-1} mod 2^64` (the FIOS per-iteration quotient factor).
     n0inv: u64,
     /// `R^2 mod m`, the to-Montgomery conversion factor.
     r2: Vec<u64>,
@@ -51,7 +61,21 @@ pub struct MontgomeryRing {
     one: Vec<u64>,
 }
 
+/// Borrows a residue as the `[u64; N]` a fixed-width kernel takes.
+fn fixed<const N: usize>(x: &[u64]) -> &[u64; N] {
+    x.try_into().expect("residue as wide as the modulus")
+}
+
+/// Mutable counterpart of [`fixed`].
+fn fixed_mut<const N: usize>(x: &mut [u64]) -> &mut [u64; N] {
+    x.try_into().expect("residue as wide as the modulus")
+}
+
 impl MontgomeryRing {
+    /// Modulus limb counts with fixed-width multiply and squaring kernels:
+    /// a 160-bit subgroup order and 512- / 1024-bit element moduli.
+    pub const FIXED_WIDTHS: [usize; 3] = [3, 8, 16];
+
     /// Builds a context for `modulus`, or `None` when `modulus` is even
     /// or smaller than 3 (Montgomery reduction requires `gcd(m, R) = 1`).
     pub fn new(modulus: &BigUint) -> Option<Self> {
@@ -104,56 +128,69 @@ impl MontgomeryRing {
 
     /// Montgomery product `a * b * R^{-1} mod m` as a fresh vector.
     pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut t = vec![0u64; self.m.len() + 1];
-        self.mont_mul_into(a, b, &mut t);
-        t.truncate(self.m.len());
-        t
+        let mut out = vec![0u64; self.m.len()];
+        self.mul_into(a, b, &mut out);
+        out
     }
 
-    /// Finely-integrated Montgomery multiplication (FIOS): one pass per
-    /// limb of `a` computes both the partial product `a_i·b` and the
-    /// quotient correction `mu·m`, with the two carry chains kept in
-    /// registers. Writes `a·b·R^{-1} mod m` into `t[..n]`.
-    ///
-    /// `a` and `b` may alias each other but not `t`; `t` needs `n + 1`
-    /// limbs.
-    fn mont_mul_into(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
-        let m = &self.m[..];
-        let n = m.len();
-        assert!(a.len() == n && b.len() == n && t.len() == n + 1);
-        t.fill(0);
-        for &ai in a {
-            // Limb 0: derive mu so the sum becomes divisible by 2^64; its
-            // low limb is exactly zero and is shifted away.
-            let v1 = t[0] as u128 + ai as u128 * b[0] as u128;
-            let mu = (v1 as u64).wrapping_mul(self.n0inv);
-            let v2 = (v1 as u64) as u128 + mu as u128 * m[0] as u128;
-            debug_assert_eq!(v2 as u64, 0);
-            let mut c_ab = (v1 >> 64) as u64;
-            let mut c_mm = (v2 >> 64) as u64;
-            for j in 1..n {
-                let v1 = t[j] as u128 + ai as u128 * b[j] as u128 + c_ab as u128;
-                c_ab = (v1 >> 64) as u64;
-                let v2 = (v1 as u64) as u128 + mu as u128 * m[j] as u128 + c_mm as u128;
-                c_mm = (v2 >> 64) as u64;
-                t[j - 1] = v2 as u64;
-            }
-            let v = t[n] as u128 + c_ab as u128 + c_mm as u128;
-            t[n - 1] = v as u64;
-            t[n] = (v >> 64) as u64;
+    /// Montgomery square `a * a * R^{-1} mod m` as a fresh vector (the
+    /// dedicated squaring kernel at a fixed width, the multiply otherwise).
+    pub fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.m.len()];
+        self.sqr_into(a, &mut out);
+        out
+    }
+
+    /// [`MontgomeryRing::mont_mul`] through the dynamic-width kernel
+    /// whatever the modulus width — the reference the fixed-width kernels
+    /// are differentially tested against.
+    pub fn mont_mul_dynamic(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.m.len()];
+        kernels::mul(a, b, &self.m, self.n0inv, &mut out);
+        out
+    }
+
+    /// Writes the Montgomery product of `a` and `b` into `out`; all three
+    /// are `n` limbs.
+    fn mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        let (m, n0inv) = (&self.m[..], self.n0inv);
+        match m.len() {
+            3 => kernels::mul_fixed::<3>(fixed(a), fixed(b), fixed(m), n0inv, fixed_mut(out)),
+            8 => kernels::mul_fixed::<8>(fixed(a), fixed(b), fixed(m), n0inv, fixed_mut(out)),
+            16 => kernels::mul_fixed::<16>(fixed(a), fixed(b), fixed(m), n0inv, fixed_mut(out)),
+            _ => kernels::mul(a, b, m, n0inv, out),
         }
-        // Invariant: t < 2m, so at most one final subtraction is needed.
-        if t[n] != 0 || limbs::cmp(&t[..n], m) != Ordering::Less {
-            let mut borrow = 0u64;
-            for (tj, &mj) in t[..n].iter_mut().zip(m.iter()) {
-                let (d1, b1) = tj.overflowing_sub(mj);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                *tj = d2;
-                borrow = b1 as u64 + b2 as u64;
-            }
-            t[n] = t[n].wrapping_sub(borrow);
+    }
+
+    /// Writes the Montgomery square of `a` into `out`.
+    fn sqr_into(&self, a: &[u64], out: &mut [u64]) {
+        let (m, n0inv) = (&self.m[..], self.n0inv);
+        match m.len() {
+            3 => kernels::sqr_fixed::<3>(fixed(a), fixed(m), n0inv, fixed_mut(out)),
+            8 => kernels::sqr_fixed::<8>(fixed(a), fixed(m), n0inv, fixed_mut(out)),
+            16 => kernels::sqr_fixed::<16>(fixed(a), fixed(m), n0inv, fixed_mut(out)),
+            _ => kernels::mul(a, a, m, n0inv, out),
         }
-        debug_assert_eq!(t[n], 0);
+    }
+
+    /// `table[dst] = table[a] * table[b]` on a flat table of `n`-limb
+    /// Montgomery residues; `dst` must lie after both factors.
+    fn mul_entries(&self, table: &mut [u64], dst: usize, a: usize, b: usize) {
+        let n = self.m.len();
+        let (done, rest) = table.split_at_mut(dst * n);
+        self.mul_into(entry(done, a, n), entry(done, b, n), &mut rest[..n]);
+    }
+
+    /// Appends `base^1 .. base^count` (Montgomery form, `n` limbs each) to
+    /// the flat `table`.
+    fn push_powers(&self, table: &mut Vec<u64>, base: &[u64], count: usize) {
+        let n = self.m.len();
+        let start = table.len();
+        table.extend_from_slice(base);
+        table.resize(start + count * n, 0);
+        for j in 1..count {
+            self.mul_entries(&mut table[start..], j, j - 1, 0);
+        }
     }
 
     /// `(a * b) mod m` on ordinary integers (both must be reduced).
@@ -170,36 +207,80 @@ impl MontgomeryRing {
     /// `base` must already be reduced mod `m`. `0^0 = 1`.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let ebits = exp.bits();
-        if ebits == 0 {
-            return BigUint::one() % &self.modulus();
-        }
         let n = self.m.len();
         let k = window_size(ebits);
-        let base_m = self.to_mont(base);
-        // table[j - 1] = base^j in Montgomery form, j = 1 .. 2^k - 1.
-        let mut table = Vec::with_capacity((1usize << k) - 1);
-        table.push(base_m.clone());
-        for _ in 2..(1usize << k) {
-            table.push(self.mont_mul(table.last().unwrap(), &base_m));
-        }
-        let digits = ebits.div_ceil(k);
-        let top = exp_digit(exp, digits - 1, k);
-        let mut acc = vec![0u64; n + 1];
-        let mut tmp = vec![0u64; n + 1];
-        // The top digit is nonzero (it holds the exponent's leading bit).
-        acc[..n].copy_from_slice(&table[top - 1]);
-        for i in (0..digits - 1).rev() {
-            for _ in 0..k {
-                self.mont_mul_into(&acc[..n], &acc[..n], &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
+        // table[(j - 1) * n ..] = base^j in Montgomery form, j = 1 .. 2^k - 1.
+        let mut table = Vec::new();
+        self.push_powers(&mut table, &self.to_mont(base), (1usize << k) - 1);
+        let mut acc = Chain::new(self);
+        for i in (0..ebits.div_ceil(k)).rev() {
+            acc.sqr_times(k);
             let d = exp_digit(exp, i, k);
             if d != 0 {
-                self.mont_mul_into(&acc[..n], &table[d - 1], &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc.mul(entry(&table, d - 1, n));
             }
         }
-        self.from_mont(&acc[..n])
+        acc.finish()
+    }
+
+    /// `(base^e1, base^e2) mod m` over one shared squaring chain (Yao's
+    /// right-to-left 2⁴-ary method): the powers `base^(16^i)` are computed
+    /// once, each exponent drops the current power into the bucket of its
+    /// `i`-th digit, and a suffix sweep per exponent turns its buckets
+    /// into `∏ bucket_d^d`. Two 160-bit exponents cost ≈260 products, 156
+    /// of them squarings, against ≈428 for two [`MontgomeryRing::pow`]
+    /// chains.
+    ///
+    /// `base` must already be reduced mod `m`. `0^0 = 1`.
+    pub fn pow_dual(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
+        const K: usize = 4;
+        const SPAN: usize = (1 << K) - 1;
+        let n = self.m.len();
+        let exps = [e1, e2];
+        // buckets[(s * SPAN + d - 1) * n ..] = ∏ base^(16^i) over the digit
+        // positions i where exponent s has digit d; bit d of filled[s]
+        // says whether that bucket holds anything yet.
+        let mut buckets = vec![0u64; 2 * SPAN * n];
+        let mut filled = [0u32; 2];
+        let mut power = Chain::new(self);
+        power.mul(&self.to_mont(base));
+        let mut tmp = vec![0u64; n];
+        for i in 0..e1.bits().max(e2.bits()).div_ceil(K) {
+            if i > 0 {
+                power.sqr_times(K);
+            }
+            for (s, e) in exps.iter().enumerate() {
+                let d = exp_digit(e, i, K);
+                if d == 0 {
+                    continue;
+                }
+                let bucket = &mut buckets[(s * SPAN + d - 1) * n..][..n];
+                if filled[s] & 1 << d == 0 {
+                    bucket.copy_from_slice(&power.cur);
+                    filled[s] |= 1 << d;
+                } else {
+                    self.mul_into(bucket, &power.cur, &mut tmp);
+                    bucket.copy_from_slice(&tmp);
+                }
+            }
+        }
+        // Suffix sweep: after visiting buckets d.. the running product
+        // holds ∏_{j ≥ d} bucket_j, and folding it into the total once per
+        // step contributes bucket_j exactly j times.
+        let sweep = |s: usize| {
+            let mut running = Chain::new(self);
+            let mut total = Chain::new(self);
+            for d in (1..=SPAN).rev() {
+                if filled[s] & 1 << d != 0 {
+                    running.mul(entry(&buckets, s * SPAN + d - 1, n));
+                }
+                if running.started {
+                    total.mul(&running.cur);
+                }
+            }
+            total.finish()
+        };
+        (sweep(0), sweep(1))
     }
 
     /// Simultaneous `g1^e1 * g2^e2 mod m` with interleaved 2-bit windows:
@@ -207,106 +288,32 @@ impl MontgomeryRing {
     ///
     /// Both bases must already be reduced mod `m`.
     pub fn pow2(&self, g1: &BigUint, e1: &BigUint, g2: &BigUint, e2: &BigUint) -> BigUint {
-        let bits = e1.bits().max(e2.bits());
-        if bits == 0 {
-            return BigUint::one() % &self.modulus();
-        }
         let n = self.m.len();
-        // joint[i + 4*j] = g1^i * g2^j in Montgomery form (i, j in 0..4).
-        let g1m = self.to_mont(g1);
-        let g2m = self.to_mont(g2);
-        let mut p1 = vec![self.one.clone(), g1m.clone()];
-        p1.push(self.mont_mul(&g1m, &g1m));
-        p1.push(self.mont_mul(&p1[2], &g1m));
-        let mut joint = p1;
-        for j in 1..4usize {
-            let g2j = if j == 1 { g2m.clone() } else { self.mont_mul(&joint[4 * (j - 1)], &g2m) };
-            joint.push(g2j.clone());
-            for i in 1..4usize {
-                joint.push(self.mont_mul(&joint[i], &g2j));
+        // joint[(i + 4*j) * n ..] = g1^i * g2^j in Montgomery form (i, j in 0..4).
+        let mut joint = vec![0u64; 16 * n];
+        joint[..n].copy_from_slice(&self.one);
+        joint[n..2 * n].copy_from_slice(&self.to_mont(g1));
+        joint[4 * n..5 * n].copy_from_slice(&self.to_mont(g2));
+        for i in 2..4 {
+            self.mul_entries(&mut joint, i, i - 1, 1);
+        }
+        for j in 1..4 {
+            if j > 1 {
+                self.mul_entries(&mut joint, 4 * j, 4 * (j - 1), 4);
+            }
+            for i in 1..4 {
+                self.mul_entries(&mut joint, 4 * j + i, i, 4 * j);
             }
         }
-        let digits = bits.div_ceil(2);
-        let mut acc = vec![0u64; n + 1];
-        let mut tmp = vec![0u64; n + 1];
-        acc[..n].copy_from_slice(&self.one);
-        let mut started = false;
-        for i in (0..digits).rev() {
-            if started {
-                for _ in 0..2 {
-                    self.mont_mul_into(&acc[..n], &acc[..n], &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-            }
+        let mut acc = Chain::new(self);
+        for i in (0..e1.bits().max(e2.bits()).div_ceil(2)).rev() {
+            acc.sqr_times(2);
             let d = exp_digit(e1, i, 2) + 4 * exp_digit(e2, i, 2);
             if d != 0 {
-                if started {
-                    self.mont_mul_into(&acc[..n], &joint[d], &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                } else {
-                    acc[..n].copy_from_slice(&joint[d]);
-                    started = true;
-                }
+                acc.mul(entry(&joint, d, n));
             }
         }
-        self.from_mont(&acc[..n])
-    }
-
-    /// Simultaneous `g1^e1 * g2^e2 * g3^e3 mod m` (three-way Shamir):
-    /// one shared squaring chain over a table of the 7 subset products.
-    ///
-    /// All bases must already be reduced mod `m`.
-    pub fn pow3(
-        &self,
-        g1: &BigUint,
-        e1: &BigUint,
-        g2: &BigUint,
-        e2: &BigUint,
-        g3: &BigUint,
-        e3: &BigUint,
-    ) -> BigUint {
-        let bits = e1.bits().max(e2.bits()).max(e3.bits());
-        if bits == 0 {
-            return BigUint::one() % &self.modulus();
-        }
-        let n = self.m.len();
-        // subset[b] = product of the bases selected by the bits of b.
-        let g1m = self.to_mont(g1);
-        let g2m = self.to_mont(g2);
-        let g3m = self.to_mont(g3);
-        let g12m = self.mont_mul(&g1m, &g2m);
-        let g123m = self.mont_mul(&g12m, &g3m);
-        let subset: Vec<Vec<u64>> = vec![
-            self.one.clone(),
-            g1m.clone(),
-            g2m.clone(),
-            g12m,
-            g3m.clone(),
-            self.mont_mul(&g1m, &g3m),
-            self.mont_mul(&g2m, &g3m),
-            g123m,
-        ];
-        let mut acc = vec![0u64; n + 1];
-        let mut tmp = vec![0u64; n + 1];
-        acc[..n].copy_from_slice(&self.one);
-        let mut started = false;
-        for i in (0..bits).rev() {
-            if started {
-                self.mont_mul_into(&acc[..n], &acc[..n], &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            let b = e1.bit(i) as usize | (e2.bit(i) as usize) << 1 | (e3.bit(i) as usize) << 2;
-            if b != 0 {
-                if started {
-                    self.mont_mul_into(&acc[..n], &subset[b], &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                } else {
-                    acc[..n].copy_from_slice(&subset[b]);
-                    started = true;
-                }
-            }
-        }
-        self.from_mont(&acc[..n])
+        acc.finish()
     }
 
     /// Simultaneous product `∏ gᵢ^eᵢ mod m` over an arbitrary number of
@@ -339,48 +346,26 @@ impl MontgomeryRing {
     /// as a differential-testing surface.
     pub fn multi_pow_straus(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
         let bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
-        if bits == 0 {
-            return BigUint::one() % &self.modulus();
-        }
         let n = self.m.len();
         let k = straus_window(pairs.len(), bits);
-        // tables[b][j - 1] = g_b^j in Montgomery form, j = 1 .. 2^k - 1.
-        let mut tables = Vec::with_capacity(pairs.len());
+        let span = (1usize << k) - 1;
+        // tables[(b * span + j - 1) * n ..] = g_b^j in Montgomery form,
+        // j = 1 .. 2^k - 1.
+        let mut tables = Vec::with_capacity(pairs.len() * span * n);
         for (g, _) in pairs {
-            let gm = self.to_mont(g);
-            let mut t = Vec::with_capacity((1usize << k) - 1);
-            t.push(gm.clone());
-            for _ in 2..(1usize << k) {
-                t.push(self.mont_mul(t.last().unwrap(), &gm));
-            }
-            tables.push(t);
+            self.push_powers(&mut tables, &self.to_mont(g), span);
         }
-        let digits = bits.div_ceil(k);
-        let mut acc = vec![0u64; n + 1];
-        let mut tmp = vec![0u64; n + 1];
-        acc[..n].copy_from_slice(&self.one);
-        let mut started = false;
-        for i in (0..digits).rev() {
-            if started {
-                for _ in 0..k {
-                    self.mont_mul_into(&acc[..n], &acc[..n], &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-            }
-            for (table, (_, e)) in tables.iter().zip(pairs) {
+        let mut acc = Chain::new(self);
+        for i in (0..bits.div_ceil(k)).rev() {
+            acc.sqr_times(k);
+            for (b, (_, e)) in pairs.iter().enumerate() {
                 let d = exp_digit(e, i, k);
                 if d != 0 {
-                    if started {
-                        self.mont_mul_into(&acc[..n], &table[d - 1], &mut tmp);
-                        std::mem::swap(&mut acc, &mut tmp);
-                    } else {
-                        acc[..n].copy_from_slice(&table[d - 1]);
-                        started = true;
-                    }
+                    acc.mul(entry(&tables, b * span + d - 1, n));
                 }
             }
         }
-        self.from_mont(&acc[..n])
+        acc.finish()
     }
 
     /// Pippenger (bucket) multi-exponentiation: exponents are scanned in
@@ -393,62 +378,88 @@ impl MontgomeryRing {
     /// [`MontgomeryRing::multi_pow`].
     pub fn multi_pow_pippenger(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
         let bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
-        if bits == 0 {
-            return BigUint::one() % &self.modulus();
-        }
         let c = pippenger_window(pairs.len(), bits);
-        let bases: Vec<Vec<u64>> = pairs.iter().map(|(g, _)| self.to_mont(g)).collect();
-        let digits = bits.div_ceil(c);
-        let mut acc: Option<Vec<u64>> = None;
-        let mut buckets: Vec<Option<Vec<u64>>> = vec![None; (1usize << c) - 1];
-        for i in (0..digits).rev() {
-            if let Some(a) = &acc {
-                let mut sq = a.clone();
-                for _ in 0..c {
-                    sq = self.mont_mul(&sq, &sq);
-                }
-                acc = Some(sq);
-            }
-            buckets.iter_mut().for_each(|b| *b = None);
-            for (base, (_, e)) in bases.iter().zip(pairs) {
+        let n = self.m.len();
+        let mut bases = Vec::with_capacity(pairs.len() * n);
+        for (g, _) in pairs {
+            bases.extend_from_slice(&self.to_mont(g));
+        }
+        let mut acc = Chain::new(self);
+        let mut buckets: Vec<Chain> = (1..1usize << c).map(|_| Chain::new(self)).collect();
+        let mut running = Chain::new(self);
+        let mut window = Chain::new(self);
+        for i in (0..bits.div_ceil(c)).rev() {
+            acc.sqr_times(c);
+            buckets.iter_mut().for_each(|b| b.started = false);
+            for (base, (_, e)) in bases.chunks_exact(n).zip(pairs) {
                 let d = exp_digit(e, i, c);
                 if d != 0 {
-                    let slot = &mut buckets[d - 1];
-                    *slot = Some(match slot.take() {
-                        None => base.clone(),
-                        Some(cur) => self.mont_mul(&cur, base),
-                    });
+                    buckets[d - 1].mul(base);
                 }
             }
             // Suffix sweep: after visiting buckets d.. the running product
             // holds ∏_{j ≥ d} bucket_j, and folding it into the window
             // total once per step contributes bucket_j exactly j times.
-            let mut running: Option<Vec<u64>> = None;
-            let mut window: Option<Vec<u64>> = None;
+            running.started = false;
+            window.started = false;
             for bucket in buckets.iter().rev() {
-                if let Some(b) = bucket {
-                    running = Some(match running {
-                        None => b.clone(),
-                        Some(r) => self.mont_mul(&r, b),
-                    });
+                if bucket.started {
+                    running.mul(&bucket.cur);
                 }
-                if let Some(r) = &running {
-                    window = Some(match window {
-                        None => r.clone(),
-                        Some(w) => self.mont_mul(&w, r),
-                    });
+                if running.started {
+                    window.mul(&running.cur);
                 }
             }
-            if let Some(w) = window {
-                acc = Some(match acc {
-                    None => w,
-                    Some(a) => self.mont_mul(&a, &w),
-                });
+            if window.started {
+                acc.mul(&window.cur);
             }
         }
-        match acc {
-            None => BigUint::one() % &self.modulus(),
-            Some(a) => self.from_mont(&a),
+        acc.finish()
+    }
+}
+
+/// A running Montgomery-form product: `1` until the first factor arrives
+/// (so leading squarings and the first multiplication are free), then
+/// `cur`, with `tmp` receiving each kernel result before the swap.
+struct Chain<'r> {
+    ring: &'r MontgomeryRing,
+    cur: Vec<u64>,
+    tmp: Vec<u64>,
+    started: bool,
+}
+
+impl<'r> Chain<'r> {
+    fn new(ring: &'r MontgomeryRing) -> Self {
+        let n = ring.m.len();
+        Chain { ring, cur: vec![0u64; n], tmp: vec![0u64; n], started: false }
+    }
+
+    fn mul(&mut self, b: &[u64]) {
+        if self.started {
+            self.ring.mul_into(&self.cur, b, &mut self.tmp);
+            std::mem::swap(&mut self.cur, &mut self.tmp);
+        } else {
+            self.cur.copy_from_slice(b);
+            self.started = true;
+        }
+    }
+
+    /// Squares the product `times` times.
+    fn sqr_times(&mut self, times: usize) {
+        if self.started {
+            for _ in 0..times {
+                self.ring.sqr_into(&self.cur, &mut self.tmp);
+                std::mem::swap(&mut self.cur, &mut self.tmp);
+            }
+        }
+    }
+
+    /// The product as an ordinary integer.
+    fn finish(self) -> BigUint {
+        if self.started {
+            self.ring.from_mont(&self.cur)
+        } else {
+            BigUint::one() % &self.ring.modulus()
         }
     }
 }
@@ -483,14 +494,21 @@ fn window_size(bits: usize) -> usize {
     }
 }
 
-/// The `i`-th `k`-bit digit of `e` (little-endian digit order).
+/// The `i`-th `k`-bit digit of `e` (little-endian digit order), `k ≤ 8`.
 fn exp_digit(e: &BigUint, i: usize, k: usize) -> usize {
-    let lo = i * k;
-    let mut d = 0usize;
-    for b in 0..k {
-        d |= (e.bit(lo + b) as usize) << b;
+    let limbs = e.limbs();
+    let (limb, shift) = (i * k / 64, i * k % 64);
+    let mut d = limbs.get(limb).map_or(0, |l| l >> shift);
+    if shift + k > 64 {
+        // The digit straddles a limb boundary (only when k ∤ 64).
+        d |= limbs.get(limb + 1).map_or(0, |l| l << (64 - shift));
     }
-    d
+    (d & ((1 << k) - 1)) as usize
+}
+
+/// Entry `i` of a flat table of `n`-limb residues.
+fn entry(table: &[u64], i: usize, n: usize) -> &[u64] {
+    &table[i * n..][..n]
 }
 
 /// Fixed-width copy of `x` padded to `n` limbs.
@@ -507,14 +525,15 @@ fn pad(x: &BigUint, n: usize) -> Vec<u64> {
 /// Montgomery form for every digit position `i` and digit value
 /// `j ∈ 1..2^k`, so `g^e` is just the product of one table entry per
 /// nonzero digit of `e` — no squarings at all. Memory is
-/// `ceil(bits/k) · (2^k - 1)` residues (≈ 75 KiB for a 160-bit exponent
-/// range over a 1024-bit modulus at `k = 4`).
+/// `ceil(bits/k) · (2^k - 1)` residues in one flat vector (≈ 75 KiB for a
+/// 160-bit exponent range over a 1024-bit modulus at `k = 4`).
 #[derive(Debug, Clone)]
 pub struct FixedBaseTable {
     k: usize,
     digits: usize,
-    /// `table[i * (2^k - 1) + (j - 1)] = g^(j << (k*i))` in Montgomery form.
-    table: Vec<Vec<u64>>,
+    /// `table[(i * (2^k - 1) + j - 1) * n ..] = g^(j << (k*i))` in
+    /// Montgomery form, `n` limbs per entry.
+    table: Vec<u64>,
 }
 
 impl FixedBaseTable {
@@ -528,18 +547,14 @@ impl FixedBaseTable {
         assert!((1..=8).contains(&k), "window width out of range");
         let digits = max_bits.div_ceil(k).max(1);
         let span = (1usize << k) - 1;
-        let mut table = Vec::with_capacity(digits * span);
-        let mut cur = ring.to_mont(base); // g^(2^(k*i)) for the current i
+        let mut table = Vec::with_capacity(digits * span * ring.num_limbs());
+        let mut cur = Chain::new(ring); // g^(2^(k*i)) for the current i
+        cur.mul(&ring.to_mont(base));
         for i in 0..digits {
-            table.push(cur.clone());
-            for _ in 2..=span {
-                table.push(ring.mont_mul(table.last().unwrap(), &cur));
+            if i > 0 {
+                cur.sqr_times(k);
             }
-            if i + 1 < digits {
-                for _ in 0..k {
-                    cur = ring.mont_mul(&cur, &cur);
-                }
-            }
+            ring.push_powers(&mut table, &cur.cur, span);
         }
         FixedBaseTable { k, digits, table }
     }
@@ -555,23 +570,16 @@ impl FixedBaseTable {
         if e.bits() > self.max_bits() {
             return None;
         }
+        let n = ring.num_limbs();
         let span = (1usize << self.k) - 1;
-        let mut acc: Option<Vec<u64>> = None;
+        let mut acc = Chain::new(ring);
         for i in 0..self.digits {
             let d = exp_digit(e, i, self.k);
-            if d == 0 {
-                continue;
+            if d != 0 {
+                acc.mul(entry(&self.table, i * span + d - 1, n));
             }
-            let entry = &self.table[i * span + (d - 1)];
-            acc = Some(match acc {
-                None => entry.clone(),
-                Some(a) => ring.mont_mul(&a, entry),
-            });
         }
-        Some(match acc {
-            None => BigUint::one() % &ring.modulus(), // e == 0
-            Some(a) => ring.from_mont(&a),
-        })
+        Some(acc.finish())
     }
 }
 

@@ -282,6 +282,18 @@ impl SchnorrGroup {
         !x.is_zero() && x < &self.p && self.elem_ring().pow(x, &self.q).is_one()
     }
 
+    /// `x^e mod p` iff `x` is a subgroup member (`0 < x < p` and
+    /// `x^q = 1`), else `None`: [`SchnorrGroup::is_element`] and the power
+    /// a verifier wants from the same untrusted element, over one shared
+    /// squaring chain ([`ModRing::pow_dual`]).
+    pub fn pow_member(&self, x: &BigUint, e: &BigUint) -> Option<BigUint> {
+        if x.is_zero() || x >= &self.p {
+            return None;
+        }
+        let (x_q, x_e) = self.elem_ring().pow_dual(x, &self.q, e);
+        x_q.is_one().then_some(x_e)
+    }
+
     /// Samples a uniformly random exponent in `[1, q)` (a private scalar).
     pub fn random_scalar<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         BigUint::random_range(rng, &BigUint::one(), &self.q)

@@ -1,8 +1,9 @@
 //! Differential tests for the Montgomery/fixed-window arithmetic backbone.
 //!
 //! Every fast path — FIOS Montgomery multiplication, fixed-window
-//! exponentiation, the interleaved `pow2`/`pow3` multi-exponentiations, and
-//! the fixed-base table — is checked against the naive division-based
+//! exponentiation, the interleaved `pow2` multi-exponentiation, the
+//! one-base-two-exponent `pow_dual`, and the fixed-base table — is checked
+//! against the naive division-based
 //! square-and-multiply reference (`ModRing::pow_naive` / `pow2_naive`) over
 //! random odd moduli from one limb up to ~1100 bits, plus the degenerate
 //! inputs the window logic has to get right: zero exponents, bases at or
@@ -95,19 +96,14 @@ proptest! {
     }
 
     #[test]
-    fn pow3_matches_product_of_naive_pows(
-        g1 in value(), e1 in exponent(),
-        g2 in value(), e2 in exponent(),
-        g3 in value(), e3 in exponent(),
-        m in odd_modulus()
-    ) {
+    fn pow_dual_matches_two_pows(a in value(), e1 in exponent(), e2 in exponent(), m in odd_modulus()) {
+        // `exponent()` yields 0..=3 limbs, so zero, one-limb and
+        // unequal-length exponent pairs all occur.
+        let mont = MontgomeryRing::new(&m).expect("odd modulus");
+        let base = &a % &m;
+        prop_assert_eq!(mont.pow_dual(&base, &e1, &e2), (mont.pow(&base, &e1), mont.pow(&base, &e2)));
         let ring = ModRing::new(m);
-        let lhs = ring.pow3(&g1, &e1, &g2, &e2, &g3, &e3);
-        let rhs = ring.mul(
-            &ring.mul(&ring.pow_naive(&g1, &e1), &ring.pow_naive(&g2, &e2)),
-            &ring.pow_naive(&g3, &e3),
-        );
-        prop_assert_eq!(lhs, rhs);
+        prop_assert_eq!(ring.pow_dual(&a, &e1, &e2), (ring.pow_naive(&a, &e1), ring.pow_naive(&a, &e2)));
     }
 
     #[test]
@@ -160,6 +156,11 @@ fn edge_cases_match_naive() {
                 let want = ring.pow_naive(base, exp);
                 assert_eq!(ring.pow(base, exp), want, "pow base={base} exp={exp} m={m}");
                 assert_eq!(mont.pow(&(base % m), exp), want, "mont base={base} exp={exp} m={m}");
+                // Paired with every other edge exponent, in both slots.
+                for other in &exps {
+                    let pair = (want.clone(), ring.pow_naive(base, other));
+                    assert_eq!(ring.pow_dual(base, exp, other), pair, "dual base={base} m={m}");
+                }
             }
         }
         // exp == 0 must yield 1 even when the base is 0 (the crypto layer's

@@ -15,11 +15,14 @@ cargo test -q --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
 
-echo "==> cargo test -p whopay-num --release (arithmetic differential suite)"
+echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, pow_dual, pow_member)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo test -p whopay-crypto --release (batch soundness + differential suite)"
+echo "==> cargo test -p whopay-crypto --release (batch soundness, verify_member / group-verify parity, differential suite)"
 cargo test -p whopay-crypto -q --release --offline
+
+echo "==> cargo test -p whopay-core --release (membership-fused verify parity + shard-lock independence of dispatch)"
+cargo test -p whopay-core -q --release --offline --test member_parity --test concurrent
 
 echo "==> cargo test -p whopay-core --release (wire fast-path: props, alloc guard [<2 allocs/request, tracing disabled], reconciliation)"
 cargo test -p whopay-core -q --release --offline --test wire_props --test alloc_regression --test wire_reconcile
@@ -99,6 +102,9 @@ cargo build --release --offline -p whopay-bench --bin bench_micropay_json
 
 echo "==> cargo build --release --bin bench_merkle_json (state-commitment bench stays buildable)"
 cargo build --release --offline -p whopay-bench --bin bench_merkle_json
+
+echo "==> benchmark/run.sh --quick (end-to-end benchmark smoke: every workload, every correctness gate)"
+benchmark/run.sh --quick
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"

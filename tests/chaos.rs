@@ -676,12 +676,23 @@ fn lost_cross_shard_commit_raises_violation_and_dumps_flight() {
 
     // The violation surfaced through the endpoint's dispatch as a failed
     // event, and the flight recorder holds the dump material.
-    let events = flight.snapshot();
-    assert!(
-        events.iter().any(|e| e.outcome == Outcome::Error
-            && e.detail.as_deref().is_some_and(|d| d.contains("value_conservation"))),
-        "violation event missing from flight record"
-    );
+    let surfaced = |flight: &FlightRecorder| {
+        flight
+            .snapshot()
+            .iter()
+            .filter(|e| {
+                e.outcome == Outcome::Error
+                    && e.detail.as_deref().is_some_and(|d| d.contains("value_conservation"))
+            })
+            .count()
+    };
+    assert_eq!(surfaced(&flight), 1, "violation event missing from flight record");
+
+    // Later dispatches, on any shard's endpoint, do not surface it again.
+    for &ep in &shard_eps {
+        let _ = whopay_core::service::binding_proof_via_obs(&mut net, holder_ep, ep, coins[0], &obs);
+    }
+    assert_eq!(surfaced(&flight), 1, "violation surfaced more than once");
 }
 
 // ---------------------------------------------------------------------------
