@@ -8,14 +8,27 @@
 //! membership test shared between the first two. The per-signature
 //! baseline runs the exact serial semantics the chain replaces — per
 //! item, a subgroup-membership check and a signature verification, fused
-//! into one `verify_member` chain where both concern the same key. `scripts/bench.sh` invokes this after the crypto bench;
-//! EXPERIMENTS.md records the tracked speedups.
+//! into one `verify_member` chain where both concern the same key.
+//!
+//! A second table, `groups`, is the shape a broker shard settles per
+//! drain cycle: `n` signatures, each under its own cold key, against `n`
+//! `verify_member` calls. Three ways: `members` — the keys are proven
+//! members already (a minted coin's key, a holder key a renewal verified
+//! under) and one reduced-exponent combination settles the signatures;
+//! `proven` — each key is first proven by `is_element`, which is what a
+//! shard does for a holder key it sees for the first time; `merged` — the
+//! membership rides in the combination on the key's own base, which the
+//! peers' chain verification does and the broker does not (DESIGN.md §9).
+//! Plus the cost of finding one forgery among the `members` claims.
+//! `scripts/bench.sh` invokes this after the crypto bench; EXPERIMENTS.md
+//! records the tracked speedups.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use whopay_bench::{bench_group, time_it};
 use whopay_core::{BindingChain, VerifyPool};
+use whopay_crypto::batch::{verify_dsa_members, verify_dsa_with_elements, DsaBatchItem};
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey};
 use whopay_crypto::testing::test_rng;
 use whopay_num::{BigUint, SchnorrGroup};
@@ -24,6 +37,8 @@ use whopay_num::{BigUint, SchnorrGroup};
 const CHAIN_LENS: [usize; 3] = [4, 16, 64];
 /// Pool widths for the parallel rows.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Signatures a shard settles together in one drain cycle.
+const GROUP_SIZES: [usize; 3] = [4, 16, 64];
 
 /// One deposit's worth of verification work, as plain data.
 struct Item {
@@ -114,6 +129,43 @@ fn main() {
         rows.push((len, items.len(), serial, by_threads));
     }
 
+    // Drain-cycle groups: n holder signatures, each key cold.
+    let mut groups = Vec::new();
+    for &n in &GROUP_SIZES {
+        let iters = (256 / n).max(4) as u32;
+        let mut rng = test_rng(0x6A0B ^ n as u64);
+        let items: Vec<DsaBatchItem> = (0..n)
+            .map(|i| {
+                let key = DsaKeyPair::generate(group, &mut rng);
+                let message = format!("bench/group/{i}").into_bytes();
+                let sig = key.sign(group, &message, &mut rng);
+                DsaBatchItem { key: key.public().clone(), message, sig }
+            })
+            .collect();
+        let elements: Vec<BigUint> = items.iter().map(|it| it.key.element().clone()).collect();
+        let serial = time_it(iters, || {
+            for it in &items {
+                assert!(DsaPublicKey::verify_member(group, it.key.element(), &it.message, &it.sig));
+            }
+        });
+        let all_hold = |settled: whopay_crypto::batch::BatchOutcome| {
+            assert!(settled.combined_checks == 1 && settled.signatures.iter().all(|&ok| ok));
+        };
+        let members = time_it(iters, || all_hold(verify_dsa_members(group, &items)));
+        let proven = time_it(iters, || {
+            assert!(elements.iter().all(|x| group.is_element(x)));
+            all_hold(verify_dsa_members(group, &items));
+        });
+        let merged = time_it(iters, || all_hold(verify_dsa_with_elements(group, &items, &elements)));
+        let mut forged = items.clone();
+        forged[n / 3].message.push(0xA5);
+        let one_forgery = time_it(iters, || {
+            let settled = verify_dsa_members(group, &forged);
+            assert_eq!(settled.signatures.iter().filter(|&&ok| !ok).count(), 1);
+        });
+        groups.push((n, serial, [members, proven, merged, one_forgery]));
+    }
+
     let speedup = |base: Duration, d: Duration| base.as_secs_f64() / d.as_secs_f64();
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::new();
@@ -147,6 +199,28 @@ fn main() {
             .unwrap();
         }
         writeln!(json, "    }}{}", if row_idx + 1 < rows.len() { "," } else { "" }).unwrap();
+    }
+    writeln!(json, "  ],").unwrap();
+    writeln!(json, "  \"groups\": [").unwrap();
+    for (i, (n, serial, [members, proven, merged, one_forgery])) in groups.iter().enumerate() {
+        let per_sig = |d: &Duration| d.as_nanos() / *n as u128;
+        writeln!(
+            json,
+            "    {{ \"n\": {n}, \"verify_member_ns_per_sig\": {}, \"members_batch_ns_per_sig\": {}, \
+             \"members_batch_speedup\": {:.2}, \"proven_batch_ns_per_sig\": {}, \
+             \"proven_batch_speedup\": {:.2}, \"merged_batch_ns_per_sig\": {}, \
+             \"merged_batch_speedup\": {:.2}, \"one_forgery_ns_per_sig\": {} }}{}",
+            per_sig(serial),
+            per_sig(members),
+            speedup(*serial, *members),
+            per_sig(proven),
+            speedup(*serial, *proven),
+            per_sig(merged),
+            speedup(*serial, *merged),
+            per_sig(one_forgery),
+            if i + 1 < groups.len() { "," } else { "" }
+        )
+        .unwrap();
     }
     writeln!(json, "  ]").unwrap();
     writeln!(json, "}}").unwrap();

@@ -8,10 +8,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::Rng;
-use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey};
+use whopay_crypto::batch;
+use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupPublicKey, GroupSignature};
 use whopay_crypto::payword::{Payword, SkipVerifier};
 use whopay_crypto::sha256::Digest;
@@ -29,9 +30,9 @@ use crate::messages::{
 use crate::micropay::{RedeemChainRequest, RedemptionReceipt};
 use crate::params::SystemParams;
 use crate::replay::ServedOp;
-use crate::sigcache::SigCache;
+use crate::sigcache::{self, SigCache};
 use crate::types::{ChainId, CoinId, PeerId, Timestamp};
-use crate::vpool::VerifyPool;
+use crate::wire::Request;
 
 /// Per-coin broker state.
 #[derive(Debug)]
@@ -39,6 +40,12 @@ struct CoinRecord {
     minted: MintedCoin,
     /// Broker-signed binding for coins it manages during owner downtime.
     downtime_binding: Option<Binding>,
+    /// Whether `downtime_binding`'s holder key has been proven a subgroup
+    /// member (a renewal accepted a signature under it and kept the key),
+    /// so that [`Broker::prepare`] need not prove it again before combining
+    /// a signature under it. Working state, not committed state: a
+    /// recovered broker starts from `false`.
+    holder_member: bool,
     /// Set when the coin is redeemed; any later spend attempt is fraud.
     deposited: bool,
     /// The last mutating op served for this coin — the replay memo that
@@ -100,6 +107,65 @@ pub struct BrokerStats {
     pub redemptions: u64,
 }
 
+/// One request a drain cycle is about to hand the broker, as
+/// [`Broker::prepare`] sees it.
+#[derive(Debug, Clone, Copy)]
+pub enum Upcoming<'a> {
+    /// A coin purchase.
+    Purchase(&'a PurchaseRequest),
+    /// A deposit.
+    Deposit(&'a DepositRequest),
+    /// A downtime transfer.
+    Transfer(&'a TransferRequest),
+    /// A downtime renewal.
+    Renewal(&'a RenewalRequest),
+}
+
+impl<'a> Upcoming<'a> {
+    /// `request` as [`Broker::prepare`] sees it; `None` for the kinds it
+    /// has nothing to settle for (and for requests the broker does not
+    /// serve at all).
+    pub fn of(request: &'a Request) -> Option<Self> {
+        match request {
+            Request::Purchase(request) => Some(Upcoming::Purchase(request)),
+            Request::Deposit(request) => Some(Upcoming::Deposit(request)),
+            Request::Transfer { request, downtime: true } => Some(Upcoming::Transfer(request)),
+            Request::Renewal { request, downtime: true } => Some(Upcoming::Renewal(request)),
+            _ => None,
+        }
+    }
+}
+
+/// Requests a group must hold before [`Broker::prepare`] proves a
+/// first-seen holder key (`is_element`, 15 µs at 512/160) in order to
+/// combine the signature under it: what the combination then saves on
+/// that signature, against `verify_member`, covers the proof from about
+/// five combined signatures up (BENCH_verify.json, `proven` rows).
+const PROVE_KEYS_FROM: usize = 6;
+
+/// What one [`Broker::prepare`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrepareReport {
+    /// Signatures a combined check settled.
+    pub settled: u64,
+    /// Requests that owed nothing: the state machine answers them before
+    /// any signature check, or every verdict they need is already known.
+    pub skipped: u64,
+    /// Signatures settled one at a time (no witness, or what a failing
+    /// combined check was bisected down to).
+    pub fallbacks: u64,
+}
+
+/// How one [`Broker::prepare`] proves a holder key it has not seen
+/// verify before.
+#[derive(Clone, Copy)]
+struct ProveKeys<'a> {
+    group: &'a SchnorrGroup,
+    /// Whether the group is large enough for such a proof to pay
+    /// ([`PROVE_KEYS_FROM`]).
+    unseen: bool,
+}
+
 /// The WhoPay broker.
 #[derive(Debug)]
 pub struct Broker {
@@ -113,8 +179,10 @@ pub struct Broker {
     stats: BrokerStats,
     /// Verdict cache; primed with own mint signatures so deposits hit.
     sig_cache: Arc<SigCache>,
-    /// Fan-out pool for batch verification (serial by default).
-    vpool: VerifyPool,
+    /// Verdicts the last [`Broker::prepare`] settled, by cache key. The
+    /// handlers consult it before verifying; it never feeds `sig_cache`
+    /// except through the lookups the handlers would make anyway.
+    prepared: HashMap<Digest, bool>,
     /// Crash-recovery journal; `None` until [`Broker::enable_journal`].
     journal: Option<Journal>,
     /// Always-on invariant auditor observing every committed mutation
@@ -124,6 +192,10 @@ pub struct Broker {
     /// on by default, `None` only via the bench-only
     /// [`Broker::set_ledger_enabled`] knob.
     ledger: Option<StateLedger>,
+    /// The last signed `(root, seq)`, made by the first proof that needed
+    /// it; [`Broker::signed_root`] reuses it for as long as the ledger
+    /// still commits to that pair.
+    root_sig: Mutex<Option<SignedRoot>>,
 }
 
 impl Broker {
@@ -149,10 +221,11 @@ impl Broker {
             fraud: Vec::new(),
             stats: BrokerStats::default(),
             sig_cache: Arc::new(SigCache::default()),
-            vpool: VerifyPool::serial(),
+            prepared: HashMap::new(),
             journal: None,
             audit: Auditor::new(),
             ledger: Some(StateLedger::new()),
+            root_sig: Mutex::new(None),
         }
     }
 
@@ -208,16 +281,41 @@ impl Broker {
     /// obsolete and the broker releases it. (Sync no longer clears the
     /// stored binding — the owner may re-fetch it after a crash — so this
     /// rule is what lets post-downtime protocol flow resume.)
-    fn supersedes(
-        group: &SchnorrGroup,
-        broker_pk: &DsaPublicKey,
-        cache: &SigCache,
-        stored: &Binding,
-        presented: &Binding,
-    ) -> bool {
+    fn supersedes(&self, group: &SchnorrGroup, stored: &Binding, presented: &Binding) -> bool {
         presented.seq() > stored.seq()
             && presented.signer() == BindingSigner::CoinKey
-            && presented.verify_cached(group, broker_pk, cache)
+            && self.binding_verifies(group, presented)
+    }
+
+    /// The verdict cache's answer for `key`; on a miss the verdict comes
+    /// from the last [`Broker::prepare`] if it settled `key`, else from
+    /// `verify`. The cache sees the same lookup either way.
+    fn cached_verdict(&self, key: Digest, verify: impl FnOnce() -> bool) -> bool {
+        self.sig_cache.verify_with(key, || self.prepared.get(&key).copied().unwrap_or_else(verify))
+    }
+
+    /// [`Binding::verify_cached`] against the broker's cache (see
+    /// [`Broker::cached_verdict`]).
+    fn binding_verifies(&self, group: &SchnorrGroup, binding: &Binding) -> bool {
+        let pk = self.keys.public();
+        self.cached_verdict(binding.cache_key(group, pk), || binding.verify(group, pk))
+    }
+
+    /// What the last [`Broker::prepare`] settled for the check of `sig`
+    /// over `msg` under `signer`, if anything. While the table is empty —
+    /// outside a drain cycle, and for every group of one — asking costs
+    /// no hashing.
+    fn settled(
+        &self,
+        group: &SchnorrGroup,
+        signer: &DsaPublicKey,
+        msg: &[u8],
+        sig: &DsaSignature,
+    ) -> Option<bool> {
+        if self.prepared.is_empty() {
+            return None;
+        }
+        self.prepared.get(&sigcache::cache_key(group, signer, msg, sig)).copied()
     }
 
     /// The broker's signature-verdict cache.
@@ -229,12 +327,6 @@ impl Broker {
     /// [`SigCache::with_metrics`]).
     pub fn use_sig_cache(&mut self, cache: Arc<SigCache>) {
         self.sig_cache = cache;
-    }
-
-    /// Installs a verify pool for [`Broker::handle_deposit_batch`] fan-out
-    /// (the default is serial, which keeps single-threaded semantics).
-    pub fn use_vpool(&mut self, pool: VerifyPool) {
-        self.vpool = pool;
     }
 
     /// The broker's public key (verifies coins and downtime bindings).
@@ -316,23 +408,24 @@ impl Broker {
             return self.reject(CoreError::Malformed);
         }
         let msg = PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
-        match request.owner {
-            OwnerTag::Identified(peer) => {
-                let ok = {
-                    let key = self.registered.get(&peer).ok_or(CoreError::UnknownPeer(peer))?;
-                    let sig = request.identity_sig.as_ref().ok_or(CoreError::BadSignature)?;
-                    key.verify(&group, &msg, sig)
-                };
-                if !ok {
-                    return self.reject(CoreError::BadSignature);
+        let refusal = match request.owner {
+            OwnerTag::Identified(peer) => match (self.registered.get(&peer), &request.identity_sig) {
+                (None, _) => Some(CoreError::UnknownPeer(peer)),
+                (Some(_), None) => Some(CoreError::BadSignature),
+                (Some(key), Some(sig)) => {
+                    let ok = self
+                        .settled(&group, key, &msg, sig)
+                        .unwrap_or_else(|| key.verify(&group, &msg, sig));
+                    (!ok).then_some(CoreError::BadSignature)
                 }
-            }
-            OwnerTag::Anonymous | OwnerTag::AnonymousWithHandle(_) => {
-                let sig = request.group_sig.as_ref().ok_or(CoreError::BadGroupSignature)?;
-                if !self.gpk.verify(&group, &msg, sig) {
-                    return self.reject(CoreError::BadGroupSignature);
-                }
-            }
+            },
+            OwnerTag::Anonymous | OwnerTag::AnonymousWithHandle(_) => match &request.group_sig {
+                Some(sig) if self.gpk.verify(&group, &msg, sig) => None,
+                _ => Some(CoreError::BadGroupSignature),
+            },
+        };
+        if let Some(err) = refusal {
+            return self.reject(err);
         }
         let mint_msg = MintedCoin::signed_bytes(&request.owner, &request.coin_pk);
         let sig = self.keys.sign(&group, &mint_msg, rng);
@@ -346,6 +439,7 @@ impl Broker {
             CoinRecord {
                 minted: minted.clone(),
                 downtime_binding: None,
+                holder_member: false,
                 deposited: false,
                 last_served: Some(served.clone()),
             },
@@ -392,29 +486,36 @@ impl Broker {
             self.jrecord(JournalOp::Counters);
             return Ok(receipt);
         }
-        if !request.minted.verify_cached(&group, self.keys.public(), &self.sig_cache)
-            || request.binding.coin_pk() != request.minted.coin_pk()
-            || !request.binding.verify_cached(&group, self.keys.public(), &self.sig_cache)
-        {
+        let pk = self.keys.public();
+        let minted_ok = self.cached_verdict(request.minted.mint_cache_key(&group, pk), || {
+            request.minted.verify(&group, pk)
+        });
+        if !minted_ok || request.binding.coin_pk() != request.minted.coin_pk() {
             return self.reject(CoreError::BadSignature);
         }
-        if let Some(downtime) = self.coins[&id].downtime_binding.clone() {
-            if downtime != request.binding
-                && !Self::supersedes(
-                    &group,
-                    self.keys.public(),
-                    &self.sig_cache,
-                    &downtime,
-                    &request.binding,
-                )
-            {
-                return self.reject(CoreError::StaleBinding {
-                    expected_seq: downtime.seq(),
-                    presented_seq: request.binding.seq(),
-                });
+        // The paper's bit-by-bit comparison comes first: the broker signed
+        // the stored binding itself, so one presented bit for bit needs no
+        // verification — only a binding that differs is checked, and must
+        // then supersede the stored one.
+        let stored = self.coins[&id].downtime_binding.clone();
+        if stored.as_ref() != Some(&request.binding) {
+            if !self.binding_verifies(&group, &request.binding) {
+                return self.reject(CoreError::BadSignature);
+            }
+            if let Some(downtime) = stored {
+                if !self.supersedes(&group, &downtime, &request.binding) {
+                    return self.reject(CoreError::StaleBinding {
+                        expected_seq: downtime.seq(),
+                        presented_seq: request.binding.seq(),
+                    });
+                }
             }
         }
-        if !request.verify_cached(&group, &self.gpk, &self.sig_cache) {
+        let msg = DepositRequest::signed_bytes(&request.binding);
+        let holder_ok = self.cached_verdict(request.holder_cache_key(&group), || {
+            DsaPublicKey::verify_member(&group, request.binding.holder_pk(), &msg, &request.holder_sig)
+        });
+        if !(holder_ok && self.gpk.verify(&group, &msg, &request.group_sig)) {
             return self.reject(CoreError::BadSignature);
         }
         if request.binding.is_expired(now) {
@@ -439,6 +540,7 @@ impl Broker {
         let record = self.coins.get_mut(&id).expect("checked above");
         record.deposited = true;
         record.downtime_binding = None;
+        record.holder_member = false;
         record.last_served = Some(served.clone());
         self.stats.deposits += 1;
         self.audit.on_deposit(id);
@@ -447,17 +549,9 @@ impl Broker {
         Ok(receipt)
     }
 
-    /// Redeems a flood of coins: the batched fast path for
-    /// [`Broker::handle_deposit`].
-    ///
-    /// Phase one gathers every DSA check the serial path would perform —
-    /// mint signature, binding signature, holder signature — for the
-    /// circulating coins, settles them with one randomized batch check
-    /// per verify-pool chunk ([`BindingChain`]), and primes the verdict
-    /// cache. Phase two replays the ordinary serial state machine, which
-    /// now answers its signature checks from the cache; results are
-    /// therefore index-aligned and identical to calling
-    /// [`Broker::handle_deposit`] in a loop.
+    /// Redeems a flood of coins: [`Broker::prepare`] over the batch, then
+    /// [`Broker::handle_deposit`] per request. Results are index-aligned
+    /// and identical to calling [`Broker::handle_deposit`] in a loop.
     pub fn handle_deposit_batch(
         &mut self,
         requests: &[DepositRequest],
@@ -467,34 +561,203 @@ impl Broker {
         requests.iter().map(|request| self.handle_deposit(request, now)).collect()
     }
 
-    /// Phase one of [`Broker::handle_deposit_batch`] on its own: settles
-    /// the batch's signature checks and primes the verdict cache without
-    /// mutating any coin state. Because it only reads, the sharded broker
-    /// runs prepares for different shards concurrently and commits
-    /// serially afterwards (see [`crate::shard`]).
-    pub fn prepare_deposit_batch(&self, requests: &[DepositRequest]) {
+    /// [`Broker::prepare`] over a batch of deposits. It mutates no coin
+    /// state, so the sharded broker prepares every involved shard first
+    /// (concurrently, each behind its own lock) and commits serially
+    /// afterwards (see [`crate::shard`]).
+    pub fn prepare_deposit_batch(&mut self, requests: &[DepositRequest]) {
+        let upcoming: Vec<Upcoming<'_>> = requests.iter().map(Upcoming::Deposit).collect();
+        self.prepare(&upcoming);
+    }
+
+    // --- drain-cycle preparation ---
+
+    /// Settles, with one combined check, the DSA signatures the broker is
+    /// about to verify for a group of requests: holder signatures,
+    /// coin-key and broker-key bindings, identity signatures. The
+    /// verdicts wait in a table the handlers consult by cache key; the
+    /// next call replaces it.
+    ///
+    /// A combined check is sound for keys inside the subgroup and says
+    /// nothing exact about a key's membership (DESIGN.md §9), so only
+    /// signatures under *proven* members are combined and no membership
+    /// check ever is: the broker's own key and the keys of minted coins
+    /// are proven already, registered identity keys are the registrar's
+    /// to vet (per-request service verifies under them without a
+    /// membership check too); a holder key is proven by the
+    /// renewal that verified under it before, or — in a group of
+    /// `PROVE_KEYS_FROM` (six) requests or more — here, by
+    /// [`SchnorrGroup::is_element`]; one that is not proven is left, with
+    /// its signature, to the handler. The purchased coin key's membership
+    /// is the purchase handler's to check.
+    ///
+    /// Advisory: no coin state changes, nothing is journalled, the shared
+    /// verdict cache is only peeked. Whatever the state machine would
+    /// answer before any signature check (an unknown coin, a replay memo,
+    /// a stored binding presented bit for bit, a stale one) owes nothing,
+    /// and a request that arrives after all without its verdict — or a
+    /// group of one, which builds no batch — is verified by its handler
+    /// as ever. Group signatures are not combined (DESIGN.md §9).
+    pub fn prepare(&mut self, upcoming: &[Upcoming<'_>]) -> PrepareReport {
+        self.prepared.clear();
+        let mut report = PrepareReport::default();
+        if upcoming.len() < batch::MIN_BATCH {
+            report.skipped = upcoming.len() as u64;
+            return report;
+        }
         let group = self.params.group().clone();
-        let mut chain = BindingChain::new(group, self.keys.public().clone());
-        for request in requests {
-            let id = request.minted.id();
-            // The serial path rejects unknown coins before any signature
-            // check; don't spend batch work on them.
-            if !self.coins.contains_key(&id) {
-                continue;
+        let mut chain = BindingChain::new(group.clone(), self.keys.public().clone());
+        let keys = ProveKeys { group: &group, unseen: upcoming.len() >= PROVE_KEYS_FROM };
+        for request in upcoming {
+            let before = chain.len();
+            match *request {
+                Upcoming::Purchase(request) => self.owed_by_purchase(request, &mut chain),
+                Upcoming::Deposit(request) => self.owed_by_deposit(keys, request, &mut chain),
+                Upcoming::Transfer(request) => {
+                    let msg = TransferRequest::signed_bytes(
+                        &request.current,
+                        &request.new_holder_pk,
+                        &request.nonce,
+                    );
+                    let replayed = |s: &ServedOp| s.replay_transfer(request).is_some();
+                    self.owed_by_downtime(
+                        keys,
+                        &request.current,
+                        replayed,
+                        msg,
+                        &request.holder_sig,
+                        &mut chain,
+                    )
+                }
+                Upcoming::Renewal(request) => {
+                    let msg = RenewalRequest::signed_bytes(&request.current);
+                    let replayed = |s: &ServedOp| s.replay_renewal(request).is_some();
+                    self.owed_by_downtime(
+                        keys,
+                        &request.current,
+                        replayed,
+                        msg,
+                        &request.holder_sig,
+                        &mut chain,
+                    )
+                }
             }
-            chain.push_minted(&request.minted);
-            if request.binding.coin_pk() == request.minted.coin_pk() {
-                chain.push_binding(&request.binding);
-                let msg = DepositRequest::signed_bytes(&request.binding);
-                chain.push_signature(
-                    DsaPublicKey::from_element(request.binding.holder_pk().clone()),
-                    msg,
-                    request.holder_sig.clone(),
-                    Some(request.binding.holder_pk().clone()),
-                );
+            if chain.len() == before {
+                report.skipped += 1;
             }
         }
-        chain.verify_each(Some(&self.sig_cache), &self.vpool);
+        let (verdicts, cost) = chain.settle_unknown(&self.sig_cache);
+        report.fallbacks = cost.serial_checks as u64;
+        report.settled = cost.signatures.len() as u64 - report.fallbacks;
+        self.prepared.extend(verdicts);
+        report
+    }
+
+    /// Queues `binding`'s signature if its signer is a proven member: the
+    /// broker itself, or the key of `record`'s coin, whose membership
+    /// [`Broker::handle_purchase`] checked before minting it.
+    fn owe_binding(&self, record: &CoinRecord, binding: &Binding, chain: &mut BindingChain) {
+        if binding.signer() == BindingSigner::Broker || binding.coin_pk() == record.minted.coin_pk() {
+            let (signer, msg) = binding.signed_claim(self.keys.public());
+            chain.push_signature(signer, msg, binding.raw_sig().clone(), None);
+        }
+    }
+
+    /// Queues the holder signature `sig` over `msg` under `binding`'s
+    /// holder key if that key is a subgroup member — `proven` by an
+    /// earlier verification, or else by `keys`.
+    fn owe_holder_sig(
+        keys: ProveKeys<'_>,
+        binding: &Binding,
+        proven: bool,
+        msg: Vec<u8>,
+        sig: &DsaSignature,
+        chain: &mut BindingChain,
+    ) {
+        if proven || (keys.unseen && keys.group.is_element(binding.holder_pk())) {
+            let key = DsaPublicKey::from_element(binding.holder_pk().clone());
+            chain.push_signature(key, msg, sig.clone(), None);
+        }
+    }
+
+    /// What [`Broker::handle_purchase`] will check for `request` under a
+    /// proven key: the identity signature.
+    fn owed_by_purchase(&self, request: &PurchaseRequest, chain: &mut BindingChain) {
+        if self.coins.contains_key(&CoinId::from_pk(&request.coin_pk)) {
+            return;
+        }
+        if let (OwnerTag::Identified(peer), Some(sig)) = (&request.owner, &request.identity_sig) {
+            if let Some(key) = self.registered.get(peer) {
+                let msg = PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
+                chain.push_signature(key.clone(), msg, sig.clone(), None);
+            }
+        }
+    }
+
+    /// What [`Broker::handle_deposit`] will check for `request`.
+    fn owed_by_deposit(&self, keys: ProveKeys<'_>, request: &DepositRequest, chain: &mut BindingChain) {
+        let group = keys.group;
+        let Some(record) = self.coins.get(&request.minted.id()) else { return };
+        if record.last_served.as_ref().is_some_and(|s| s.replay_deposit(request).is_some()) {
+            return;
+        }
+        let minted = &request.minted;
+        // Primed at mint time, so nearly always known already. The check
+        // covers the coin key's membership too, which only the recorded
+        // key is known to have.
+        if minted.coin_pk() == record.minted.coin_pk()
+            && self.sig_cache.peek(&minted.mint_cache_key(group, self.keys.public())).is_none()
+        {
+            let msg = MintedCoin::signed_bytes(minted.owner(), minted.coin_pk());
+            chain.push_signature(self.keys.public().clone(), msg, minted.broker_sig().clone(), None);
+        }
+        if request.binding.coin_pk() != minted.coin_pk() {
+            return;
+        }
+        let stored = record.downtime_binding.as_ref() == Some(&request.binding);
+        if !stored {
+            self.owe_binding(record, &request.binding, chain);
+        }
+        Self::owe_holder_sig(
+            keys,
+            &request.binding,
+            stored && record.holder_member,
+            DepositRequest::signed_bytes(&request.binding),
+            &request.holder_sig,
+            chain,
+        );
+    }
+
+    /// What [`Broker::verify_downtime_request`] will check for a downtime
+    /// transfer or renewal presenting `current`, whose holder signature
+    /// covers `msg`.
+    fn owed_by_downtime(
+        &self,
+        keys: ProveKeys<'_>,
+        current: &Binding,
+        replayed: impl Fn(&ServedOp) -> bool,
+        msg: Vec<u8>,
+        holder_sig: &DsaSignature,
+        chain: &mut BindingChain,
+    ) {
+        let Some(record) = self.coins.get(&current.coin_id()) else { return };
+        if record.last_served.as_ref().is_some_and(replayed) {
+            return;
+        }
+        let stored = match &record.downtime_binding {
+            Some(stored) if stored == current => true,
+            Some(stored)
+                if current.seq() > stored.seq() && current.signer() == BindingSigner::CoinKey =>
+            {
+                false
+            }
+            Some(_) => return,
+            None => false,
+        };
+        if !stored {
+            self.owe_binding(record, current, chain);
+        }
+        Self::owe_holder_sig(keys, current, stored && record.holder_member, msg, holder_sig, chain);
     }
 
     // --- micropayment redemption ---
@@ -671,6 +934,8 @@ impl Broker {
         let served = ServedOp::Transfer { request: request.clone(), grant: grant.clone() };
         let record = self.coins.get_mut(&id).expect("checked above");
         record.downtime_binding = Some(binding.clone());
+        // Nothing has been verified under the new holder's key yet.
+        record.holder_member = false;
         record.last_served = Some(served.clone());
         self.stats.downtime_transfers += 1;
         self.audit.on_binding(id, seq);
@@ -735,6 +1000,10 @@ impl Broker {
         let served = ServedOp::Renewal { request: request.clone(), binding: binding.clone() };
         let record = self.coins.get_mut(&id).expect("checked above");
         record.downtime_binding = Some(binding.clone());
+        // The holder key stays, and a signature under it was just accepted
+        // — by `verify_member`, or by a combined check `prepare` ran after
+        // proving the key.
+        record.holder_member = true;
         record.last_served = Some(served.clone());
         self.stats.downtime_renewals += 1;
         self.audit.on_binding(id, seq);
@@ -749,51 +1018,35 @@ impl Broker {
         id: &CoinId,
         presented: &Binding,
         msg: &[u8],
-        holder_sig: &whopay_crypto::dsa::DsaSignature,
+        holder_sig: &DsaSignature,
         group_sig: &GroupSignature,
     ) -> Result<(), CoreError> {
         let group = self.params.group().clone();
-        let verdict = {
-            let record = self.coins.get(id).expect("caller checked existence");
-            match &record.downtime_binding {
-                // Flavor two: bit-by-bit comparison against stored state —
-                // unless the presented binding *supersedes* it (a newer
-                // coin-key-signed binding means the owner came back and
-                // kept serving; the parked state is obsolete).
-                Some(stored) if stored == presented => Ok(()),
-                Some(stored)
-                    if Self::supersedes(
-                        &group,
-                        self.keys.public(),
-                        &self.sig_cache,
-                        stored,
-                        presented,
-                    ) =>
-                {
-                    Ok(())
-                }
-                Some(stored) => {
-                    // A mismatching-but-valid binding pair is double-spend
-                    // evidence against whoever signed them.
-                    Err(CoreError::StaleBinding {
-                        expected_seq: stored.seq(),
-                        presented_seq: presented.seq(),
-                    })
-                }
-                // Flavor one: verify the owner's coin-key signature.
-                None => {
-                    if presented.verify_cached(&group, self.keys.public(), &self.sig_cache) {
-                        Ok(())
-                    } else {
-                        Err(CoreError::BadSignature)
-                    }
-                }
-            }
+        let verdict = match &self.coins.get(id).expect("caller checked existence").downtime_binding {
+            // Flavor two: bit-by-bit comparison against stored state —
+            // unless the presented binding *supersedes* it (a newer
+            // coin-key-signed binding means the owner came back and
+            // kept serving; the parked state is obsolete).
+            Some(stored) if stored == presented => Ok(()),
+            Some(stored) if self.supersedes(&group, stored, presented) => Ok(()),
+            // A mismatching-but-valid binding pair is double-spend
+            // evidence against whoever signed them.
+            Some(stored) => Err(CoreError::StaleBinding {
+                expected_seq: stored.seq(),
+                presented_seq: presented.seq(),
+            }),
+            // Flavor one: verify the owner's coin-key signature.
+            None if self.binding_verifies(&group, presented) => Ok(()),
+            None => Err(CoreError::BadSignature),
         };
         if let Err(e) = verdict {
             return self.reject(e);
         }
-        if !DsaPublicKey::verify_member(&group, presented.holder_pk(), msg, holder_sig) {
+        let holder_key = DsaPublicKey::from_element(presented.holder_pk().clone());
+        let holder_ok = self.settled(&group, &holder_key, msg, holder_sig).unwrap_or_else(|| {
+            DsaPublicKey::verify_member(&group, presented.holder_pk(), msg, holder_sig)
+        });
+        if !holder_ok {
             return self.reject(CoreError::BadSignature);
         }
         if !self.gpk.verify(&group, msg, group_sig) {
@@ -822,14 +1075,12 @@ impl Broker {
         &mut self,
         peer: PeerId,
         challenge: &[u8],
-        response: &whopay_crypto::dsa::DsaSignature,
+        response: &DsaSignature,
     ) -> Result<Vec<Binding>, CoreError> {
-        let ok = {
-            let group = self.params.group();
-            let key = self.registered.get(&peer).ok_or(CoreError::UnknownPeer(peer))?;
-            key.verify(group, challenge, response)
+        let Some(key) = self.registered.get(&peer) else {
+            return self.reject(CoreError::UnknownPeer(peer));
         };
-        if !ok {
+        if !key.verify(self.params.group(), challenge, response) {
             return self.reject(CoreError::BadSignature);
         }
         let mut out = Vec::new();
@@ -856,11 +1107,11 @@ impl Broker {
         &mut self,
         coin_pk: &BigUint,
         challenge: &[u8],
-        response: &whopay_crypto::dsa::DsaSignature,
+        response: &DsaSignature,
     ) -> Result<Option<Binding>, CoreError> {
         let id = CoinId::from_pk(coin_pk);
         if !self.coins.contains_key(&id) {
-            return Err(CoreError::NotCirculating(id));
+            return self.reject(CoreError::NotCirculating(id));
         }
         let key = DsaPublicKey::from_element(coin_pk.clone());
         if !key.verify(self.params.group(), challenge, response) {
@@ -1029,6 +1280,7 @@ impl Broker {
                         CoinRecord {
                             minted: snap.minted.clone(),
                             downtime_binding: snap.downtime_binding.clone(),
+                            holder_member: false,
                             deposited: snap.deposited,
                             last_served: snap.last_served.clone(),
                         },
@@ -1077,6 +1329,7 @@ impl Broker {
                     CoinRecord {
                         minted: minted.clone(),
                         downtime_binding: None,
+                        holder_member: false,
                         deposited: false,
                         last_served: Some(served.clone()),
                     },
@@ -1095,6 +1348,7 @@ impl Broker {
             JournalOp::DowntimeBinding { coin, binding, served } => {
                 if let Some(record) = self.coins.get_mut(coin) {
                     record.downtime_binding = Some(binding.clone());
+                    record.holder_member = false;
                     record.last_served = Some(served.clone());
                     self.audit.on_binding(*coin, binding.seq());
                     self.ledger_coin(*coin);
@@ -1145,16 +1399,26 @@ impl Broker {
         self.ledger.as_ref().map(|l| (l.root(), l.seq()))
     }
 
-    /// Signs the current `(root, seq)` commitment — the anchor payees
-    /// verify binding inclusion proofs against.
+    /// The signed `(root, seq)` commitment — the anchor payees verify
+    /// binding inclusion proofs against. Signed once per committed state:
+    /// every call between two commits returns the same signature, and
+    /// only the first draws from `rng`. Whatever moves the ledger on — a
+    /// commit, a checkpoint, the ledger switching — changes the pair, and
+    /// the held signature no longer matches it.
     pub fn signed_root<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<SignedRoot> {
         let ledger = self.ledger.as_ref()?;
-        Some(SignedRoot::sign(self.params.group(), &self.keys, ledger.root(), ledger.seq(), rng))
+        let (root, seq) = (ledger.root(), ledger.seq());
+        let mut held = self.root_sig.lock().expect("root signature lock poisoned");
+        if !held.as_ref().is_some_and(|signed| signed.root == root && signed.seq == seq) {
+            *held = Some(SignedRoot::sign(self.params.group(), &self.keys, root, seq, rng));
+        }
+        held.clone()
     }
 
     /// Builds a payee-verifiable inclusion proof for a coin's committed
-    /// state: the public leaf, the Merkle path, and a freshly signed
-    /// root. `None` when the coin is unknown or the ledger is disabled.
+    /// state: the public leaf, the Merkle path, and the signed root
+    /// ([`Broker::signed_root`]). `None` when the coin is unknown or the
+    /// ledger is disabled.
     pub fn binding_proof<R: Rng + ?Sized>(&self, coin: &CoinId, rng: &mut R) -> Option<BindingProof> {
         let ledger = self.ledger.as_ref()?;
         let record = self.coins.get(coin)?;
@@ -1166,8 +1430,7 @@ impl Broker {
             record.deposited,
             record.last_served.as_ref(),
         );
-        let root = SignedRoot::sign(self.params.group(), &self.keys, ledger.root(), ledger.seq(), rng);
-        Some(BindingProof { leaf, proof, root })
+        Some(BindingProof { leaf, proof, root: self.signed_root(rng)? })
     }
 
     /// The state ledger, when enabled.

@@ -17,10 +17,11 @@
 //!    resulting verdicts are primed back into the cache.
 //!
 //! Verdicts are always the exact ground truth serial verification would
-//! produce: the batch layer falls back to per-signature checks whenever a
-//! combined check fails or a witness is missing.
+//! produce: the batch layer settles per signature whatever a combined
+//! check cannot accept (a missing witness, or the obligation a failing
+//! check is bisected down to).
 
-use whopay_crypto::batch::{self, DsaBatchItem};
+use whopay_crypto::batch::{self, BatchOutcome, DsaBatchItem};
 use whopay_crypto::dsa::{DsaPublicKey, DsaSignature};
 use whopay_crypto::sha256::Digest;
 use whopay_num::{BigUint, SchnorrGroup};
@@ -83,25 +84,12 @@ impl BindingChain {
     /// under the coin key itself for [`BindingSigner::CoinKey`] — with the
     /// membership check — or under the broker key for downtime bindings).
     pub fn push_binding(&mut self, binding: &Binding) {
-        let message = Binding::signed_bytes(
-            binding.coin_pk(),
-            binding.holder_pk(),
-            binding.seq(),
-            binding.expires(),
-            binding.signer(),
-        );
-        let (signer, element) = match binding.signer() {
-            BindingSigner::CoinKey => {
-                (DsaPublicKey::from_element(binding.coin_pk().clone()), Some(binding.coin_pk().clone()))
-            }
-            BindingSigner::Broker => (self.broker.clone(), None),
+        let (signer, message) = binding.signed_claim(&self.broker);
+        let element = match binding.signer() {
+            BindingSigner::CoinKey => Some(binding.coin_pk().clone()),
+            BindingSigner::Broker => None,
         };
-        let cache_key = sigcache::cache_key(&self.group, &signer, &message, binding.raw_sig());
-        self.jobs.push(Job {
-            item: DsaBatchItem { key: signer, message, sig: binding.raw_sig().clone() },
-            cache_key,
-            element,
-        });
+        self.push_signature(signer, message, binding.raw_sig().clone(), element);
     }
 
     /// Queues an arbitrary DSA check, optionally guarded by a membership
@@ -125,44 +113,17 @@ impl BindingChain {
     /// Settles every queued check and returns index-aligned verdicts,
     /// identical to what the corresponding serial `verify` calls would
     /// produce. Known verdicts come from `cache` (and fresh ones are
-    /// primed back into it); the rest are batch-verified across `pool`.
+    /// primed back into it); the rest are batch-verified across `pool`,
+    /// one combined check per pool chunk.
     pub fn verify_each(&self, cache: Option<&SigCache>, pool: &VerifyPool) -> Vec<bool> {
         let n = self.jobs.len();
         let mut verdicts: Vec<Option<bool>> = match cache {
             Some(cache) => self.jobs.iter().map(|j| cache.lookup(&j.cache_key)).collect(),
             None => vec![None; n],
         };
-
-        // Batch-verify the cache misses, one randomized combined check per
-        // pool chunk. Membership obligations are deduplicated within each
-        // chunk (chains share a coin key, so this is typically one element
-        // total) and folded into the same combined check as extra
-        // multi-exponentiation bases instead of standalone `q`-bit pows.
-        let group = &self.group;
         let miss_idx: Vec<usize> = (0..n).filter(|&i| verdicts[i].is_none()).collect();
-        let miss_jobs: Vec<Job> = miss_idx.iter().map(|&i| self.jobs[i].clone()).collect();
-        let settled = pool.map_chunks(&miss_jobs, |chunk| {
-            let mut elements: Vec<BigUint> = Vec::new();
-            for job in chunk {
-                if let Some(el) = &job.element {
-                    if !elements.contains(el) {
-                        elements.push(el.clone());
-                    }
-                }
-            }
-            let items: Vec<DsaBatchItem> = chunk.iter().map(|j| j.item.clone()).collect();
-            let (sig_ok, element_ok) = batch::verify_dsa_with_elements(group, &items, &elements);
-            chunk
-                .iter()
-                .zip(sig_ok)
-                .map(|(job, ok)| {
-                    ok && job.element.as_ref().is_none_or(|el| {
-                        let i = elements.iter().position(|e| e == el).expect("element collected above");
-                        element_ok[i]
-                    })
-                })
-                .collect()
-        });
+        let miss_jobs: Vec<&Job> = miss_idx.iter().map(|&i| &self.jobs[i]).collect();
+        let settled = pool.map_chunks(&miss_jobs, |chunk| settle_jobs(&self.group, chunk));
         for (verdict, &i) in settled.into_iter().zip(&miss_idx) {
             if let Some(cache) = cache {
                 cache.prime(self.jobs[i].cache_key, verdict);
@@ -172,10 +133,64 @@ impl BindingChain {
         verdicts.into_iter().map(|v| v.expect("all verdicts settled")).collect()
     }
 
+    /// Settles, with one combined check, the queued checks that owe no
+    /// membership and that `cache` holds no verdict for, and returns each
+    /// one's cache key and verdict plus what the settlement cost. Queuing
+    /// a check without a membership obligation says its key is a *proven*
+    /// subgroup member — the only keys a combined check is exact under
+    /// (DESIGN.md §9) — so a check that still owes one is left out, and
+    /// stays with the caller. The cache itself is only peeked: no counter
+    /// moves and nothing is primed — the caller owns the verdicts. Fewer
+    /// than [`batch::MIN_BATCH`] such checks settle nothing.
+    pub fn settle_unknown(&self, cache: &SigCache) -> (Vec<(Digest, bool)>, BatchOutcome) {
+        let unknown: Vec<&Job> = self
+            .jobs
+            .iter()
+            .filter(|job| job.element.is_none() && cache.peek(&job.cache_key).is_none())
+            .collect();
+        if unknown.len() < batch::MIN_BATCH {
+            return (Vec::new(), BatchOutcome::default());
+        }
+        let items: Vec<DsaBatchItem> = unknown.iter().map(|job| job.item.clone()).collect();
+        let settled = batch::verify_dsa_members(&self.group, &items);
+        (
+            unknown.iter().map(|job| job.cache_key).zip(settled.signatures.iter().copied()).collect(),
+            settled,
+        )
+    }
+
     /// Settles every queued check, `true` iff all of them hold.
     pub fn verify_batch(&self, cache: Option<&SigCache>, pool: &VerifyPool) -> bool {
         self.verify_each(cache, pool).into_iter().all(|ok| ok)
     }
+}
+
+/// Settles `jobs` with one combined check and returns their verdicts
+/// (signature and, where owed, membership).
+/// Membership obligations are deduplicated first — chains share a coin
+/// key, so that is typically one element in all — and ride in the
+/// combined check on the base of the key they vouch for instead of
+/// costing standalone `q`-bit exponentiations.
+fn settle_jobs(group: &SchnorrGroup, jobs: &[&Job]) -> Vec<bool> {
+    let mut elements: Vec<BigUint> = Vec::new();
+    let element_of: Vec<Option<usize>> = jobs
+        .iter()
+        .map(|job| {
+            let el = job.element.as_ref()?;
+            Some(elements.iter().position(|e| e == el).unwrap_or_else(|| {
+                elements.push(el.clone());
+                elements.len() - 1
+            }))
+        })
+        .collect();
+    let items: Vec<DsaBatchItem> = jobs.iter().map(|j| j.item.clone()).collect();
+    let settled = batch::verify_dsa_with_elements(group, &items, &elements);
+    settled
+        .signatures
+        .iter()
+        .zip(&element_of)
+        .map(|(&ok, el)| ok && el.is_none_or(|i| settled.elements[i]))
+        .collect()
 }
 
 #[cfg(test)]

@@ -253,18 +253,32 @@ impl Binding {
         }
     }
 
-    /// [`Binding::verify`] through a verdict cache. The signer key the key
-    /// digest commits to is the coin key or the broker key, matching
-    /// whoever the plain path would check against.
+    /// [`Binding::verify`] through a verdict cache.
     pub fn verify_cached(&self, group: &SchnorrGroup, broker: &DsaPublicKey, cache: &SigCache) -> bool {
+        cache.verify_with(self.cache_key(group, broker), || self.verify(group, broker))
+    }
+
+    /// The key this binding's signature is checked under — the coin key or
+    /// the broker key, matching [`Binding::verify`] — and the bytes it
+    /// covers.
+    pub fn signed_claim(&self, broker: &DsaPublicKey) -> (DsaPublicKey, Vec<u8>) {
         let msg =
             Self::signed_bytes(&self.coin_pk, &self.holder_pk, self.seq, self.expires, self.signer);
         let signer = match self.signer {
             BindingSigner::CoinKey => DsaPublicKey::from_element(self.coin_pk.clone()),
             BindingSigner::Broker => broker.clone(),
         };
-        let key = sigcache::cache_key(group, &signer, &msg, &self.sig);
-        cache.verify_with(key, || self.verify(group, broker))
+        (signer, msg)
+    }
+
+    /// The cache key of this binding's signature.
+    pub fn cache_key(
+        &self,
+        group: &SchnorrGroup,
+        broker: &DsaPublicKey,
+    ) -> whopay_crypto::sha256::Digest {
+        let (signer, msg) = self.signed_claim(broker);
+        sigcache::cache_key(group, &signer, &msg, &self.sig)
     }
 
     /// Encodes the *public state* of the binding — `(holder_pk, seq,

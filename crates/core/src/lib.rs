@@ -108,7 +108,7 @@ pub mod vpool;
 pub mod wire;
 
 pub use audit::{Auditor, Invariant, Violation};
-pub use broker::{Broker, BrokerStats, FraudCase};
+pub use broker::{Broker, BrokerStats, FraudCase, PrepareReport, Upcoming};
 pub use chain::BindingChain;
 pub use coin::{Binding, BindingSigner, DoubleSpendEvidence, MintedCoin, OwnerTag, PublicBindingState};
 pub use error::CoreError;

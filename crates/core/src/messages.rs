@@ -211,10 +211,22 @@ impl DepositRequest {
             && gpk.verify(group, &msg, &self.group_sig)
     }
 
+    /// The verdict-cache key of the holder signature.
+    pub fn holder_cache_key(&self, group: &SchnorrGroup) -> whopay_crypto::sha256::Digest {
+        let holder_key = DsaPublicKey::from_element(self.binding.holder_pk().clone());
+        crate::sigcache::cache_key(
+            group,
+            &holder_key,
+            &Self::signed_bytes(&self.binding),
+            &self.holder_sig,
+        )
+    }
+
     /// [`DepositRequest::verify`] with the holder-key half answered
     /// through a verdict cache (group signatures use a different scheme
-    /// and always verify directly). The batch deposit path primes exactly
-    /// this entry, so deposit floods pay for each holder signature once.
+    /// and always verify directly), under
+    /// [`DepositRequest::holder_cache_key`] — the entry the broker's
+    /// deposit path looks up too.
     pub fn verify_cached(
         &self,
         group: &SchnorrGroup,
@@ -222,9 +234,7 @@ impl DepositRequest {
         cache: &crate::sigcache::SigCache,
     ) -> bool {
         let msg = Self::signed_bytes(&self.binding);
-        let holder_key = DsaPublicKey::from_element(self.binding.holder_pk().clone());
-        let key = crate::sigcache::cache_key(group, &holder_key, &msg, &self.holder_sig);
-        cache.verify_with(key, || {
+        cache.verify_with(self.holder_cache_key(group), || {
             DsaPublicKey::verify_member(group, self.binding.holder_pk(), &msg, &self.holder_sig)
         }) && gpk.verify(group, &msg, &self.group_sig)
     }

@@ -31,12 +31,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rand::SeedableRng;
-use whopay_net::{Classify, EndpointId, ErrorClass, Network, RequestError, RetryPolicy};
-use whopay_obs::{Event, Obs, OpKind, Role, Span, TraceContext};
+use whopay_net::{Classify, Endpoint, EndpointId, ErrorClass, Network, RequestError, RetryPolicy};
+use whopay_obs::{Counter, Event, Histogram, Obs, OpKind, Role, Span, TraceContext};
 
 use whopay_crypto::payword::Payword;
 
-use crate::broker::Broker;
+use crate::broker::{Broker, Upcoming};
 use crate::codec;
 use crate::error::CoreError;
 use crate::ledger::BindingProof;
@@ -276,7 +276,10 @@ fn surface_sharded_violations(sharded: &ShardedBroker, obs: &Obs, seen: &AtomicU
 /// full broker request set — the router inside [`ShardedBroker`] locks
 /// the owning shard regardless of which endpoint the request arrived at
 /// — but clients that route with [`ShardedBroker::shard_for`] keep each
-/// request on its owning shard's endpoint and its lock uncontended.
+/// request on its owning shard's endpoint and its lock uncontended, and
+/// only those requests are verified a drain cycle at a time: the
+/// endpoint's [`Endpoint::prepare`] hands the group it owns to
+/// [`Broker::prepare`].
 pub fn attach_shard_endpoints(
     net: &mut Network,
     sharded: Arc<ShardedBroker>,
@@ -289,7 +292,12 @@ pub fn attach_shard_endpoints(
 /// [`attach_shard_endpoints`] with an observability context: dispatch
 /// spans carry the serving shard's label (see `whopay_obs::Span::set_shard`),
 /// and invariant violations — per-shard or cross-ledger — surface as
-/// failed events with a flight-recorder dump.
+/// failed events with a flight-recorder dump. Each prepared group is one
+/// span labelled `prepare` (a child of the group's first traced request);
+/// a metrics-backed `obs` also gets the `broker.prepare_batch` histogram
+/// (requests per drain cycle and shard) and the
+/// `broker.prepare.{settled,skipped,fallbacks}` counters
+/// (see [`crate::broker::PrepareReport`]).
 pub fn attach_shard_endpoints_obs(
     net: &mut Network,
     sharded: Arc<ShardedBroker>,
@@ -298,111 +306,182 @@ pub fn attach_shard_endpoints_obs(
     obs: Obs,
 ) -> Vec<EndpointId> {
     let audited = Arc::new(AtomicUsize::new(0));
+    let probes = obs.metrics().map(|m| PrepareProbes {
+        batch: m.histogram("broker.prepare_batch"),
+        settled: m.counter("broker.prepare.settled"),
+        skipped: m.counter("broker.prepare.skipped"),
+        fallbacks: m.counter("broker.prepare.fallbacks"),
+    });
     (0..sharded.shard_count())
         .map(|i| {
-            let sharded = sharded.clone();
-            let clock = clock.clone();
-            let obs = obs.clone();
-            let audited = audited.clone();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-            let id = net.register_parallel(
-                &format!("broker-shard-{i}"),
-                move |bytes: &[u8], out: &mut Vec<u8>| {
-                    let now = Timestamp(clock.load(Ordering::SeqCst));
-                    let (payload, caller) = TraceContext::split(bytes);
-                    let mut span = match &caller {
-                        Some(parent) => obs.child_span(Role::Broker, OpKind::Other, parent),
-                        None => obs.span(Role::Broker, OpKind::Other),
-                    };
-                    let parsed = RequestView::parse(payload);
-                    if let Ok(view) = &parsed {
-                        span.set_op(view.op_kind());
-                        // Label the span with the owning shard — the
-                        // router's verdict — falling back to the serving
-                        // endpoint for fan-out requests.
-                        span.set_shard(sharded.shard_for(view).unwrap_or(i as u16));
-                    }
-                    let response = match parsed {
-                        Err(e) => Response::Error(e.to_string()),
-                        Ok(RequestView::Purchase { owner, coin_pk, identity_sig, group_sig }) => {
-                            let req = PurchaseRequest {
-                                owner,
-                                coin_pk: coin_pk.to_biguint(),
-                                identity_sig: identity_sig.map(|s| s.to_sig()),
-                                group_sig: group_sig.map(|g| g.to_gsig()),
-                            };
-                            match sharded.handle_purchase(&req, &mut rng) {
-                                Ok(minted) => Response::Minted(minted),
-                                Err(e) => Response::Error(e.to_string()),
-                            }
-                        }
-                        Ok(RequestView::Deposit(d)) => {
-                            match sharded.handle_deposit(&d.to_deposit(), now) {
-                                Ok(receipt) => Response::Receipt(receipt),
-                                Err(e) => Response::Error(e.to_string()),
-                            }
-                        }
-                        Ok(RequestView::DepositBatch(ds)) => {
-                            span.set_batch(ds.len() as u64);
-                            let reqs: Vec<_> = ds.iter().map(|d| d.to_deposit()).collect();
-                            let outcomes = sharded.handle_deposit_batch(&reqs, now);
-                            Response::Receipts(
-                                outcomes.into_iter().map(|r| r.map_err(|e| e.to_string())).collect(),
-                            )
-                        }
-                        Ok(view @ RequestView::Transfer { downtime: true, .. }) => {
-                            let Request::Transfer { request, .. } = view.to_owned_request() else {
-                                unreachable!("transfer view materializes a transfer")
-                            };
-                            match sharded.handle_downtime_transfer(&request, now, &mut rng) {
-                                Ok(grant) => Response::Grant(Box::new(grant)),
-                                Err(e) => Response::Error(e.to_string()),
-                            }
-                        }
-                        Ok(view @ RequestView::Renewal { downtime: true, .. }) => {
-                            let Request::Renewal { request, .. } = view.to_owned_request() else {
-                                unreachable!("renewal view materializes a renewal")
-                            };
-                            match sharded.handle_downtime_renewal(&request, now, &mut rng) {
-                                Ok(binding) => Response::Binding(binding),
-                                Err(e) => Response::Error(e.to_string()),
-                            }
-                        }
-                        Ok(RequestView::Sync { peer, challenge, response }) => {
-                            match sharded.sync_for_owner(peer, challenge, &response.to_sig()) {
-                                Ok(bindings) => Response::Bindings(bindings),
-                                Err(e) => Response::Error(e.to_string()),
-                            }
-                        }
-                        Ok(RequestView::RedeemChain { commitment, payword }) => {
-                            let request =
-                                RedeemChainRequest { commitment: commitment.to_commitment(), payword };
-                            match sharded.handle_redeem_chain(&request) {
-                                Ok(receipt) => Response::Redeemed(receipt),
-                                Err(e) => Response::Error(e.to_string()),
-                            }
-                        }
-                        Ok(RequestView::BindingProof { coin }) => {
-                            match sharded.binding_proof(&coin, &mut rng) {
-                                Some(proof) => Response::Proof(Box::new(proof)),
-                                None => Response::Error(CoreError::UnknownCoin(coin).to_string()),
-                            }
-                        }
-                        Ok(_) => Response::Error("request not handled by the broker".into()),
-                    };
-                    let reply = if caller.is_some() { span.context() } else { None };
-                    finish_dispatch(span, &response);
-                    surface_sharded_violations(&sharded, &obs, &audited);
-                    response.encode_into(out);
-                    if let Some(ctx) = reply {
-                        ctx.append_to(out);
-                    }
-                },
-            );
+            let endpoint = ShardEndpoint {
+                shard: i as u16,
+                sharded: sharded.clone(),
+                clock: clock.clone(),
+                obs: obs.clone(),
+                probes: probes.clone(),
+                audited: audited.clone(),
+                rng: rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(i as u64)),
+            };
+            let id = net.register_parallel(&format!("broker-shard-{i}"), endpoint);
             net.set_role(id, Role::Broker);
             id
         })
         .collect()
+}
+
+/// The registry instruments of [`ShardEndpoint::prepare`].
+#[derive(Clone)]
+struct PrepareProbes {
+    batch: Arc<Histogram>,
+    settled: Arc<Counter>,
+    skipped: Arc<Counter>,
+    fallbacks: Arc<Counter>,
+}
+
+/// The endpoint of one shard of a [`ShardedBroker`].
+struct ShardEndpoint {
+    shard: u16,
+    sharded: Arc<ShardedBroker>,
+    clock: SharedClock,
+    obs: Obs,
+    /// `None` unless `obs` carries a metrics registry.
+    probes: Option<PrepareProbes>,
+    /// Violations surfaced so far, shared by all the shard endpoints.
+    audited: Arc<AtomicUsize>,
+    rng: rand::rngs::StdRng,
+}
+
+impl Endpoint for ShardEndpoint {
+    fn serve(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
+        let (sharded, rng) = (&self.sharded, &mut self.rng);
+        let now = Timestamp(self.clock.load(Ordering::SeqCst));
+        let (payload, caller) = TraceContext::split(bytes);
+        let mut span = match &caller {
+            Some(parent) => self.obs.child_span(Role::Broker, OpKind::Other, parent),
+            None => self.obs.span(Role::Broker, OpKind::Other),
+        };
+        let parsed = RequestView::parse(payload);
+        if let Ok(view) = &parsed {
+            span.set_op(view.op_kind());
+            // Label the span with the owning shard — the router's verdict
+            // — falling back to the serving endpoint for fan-out requests.
+            span.set_shard(sharded.shard_for(view).unwrap_or(self.shard));
+        }
+        let response = match parsed {
+            Err(e) => Response::Error(e.to_string()),
+            Ok(RequestView::Purchase { owner, coin_pk, identity_sig, group_sig }) => {
+                let req = PurchaseRequest {
+                    owner,
+                    coin_pk: coin_pk.to_biguint(),
+                    identity_sig: identity_sig.map(|s| s.to_sig()),
+                    group_sig: group_sig.map(|g| g.to_gsig()),
+                };
+                match sharded.handle_purchase(&req, rng) {
+                    Ok(minted) => Response::Minted(minted),
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            Ok(RequestView::Deposit(d)) => match sharded.handle_deposit(&d.to_deposit(), now) {
+                Ok(receipt) => Response::Receipt(receipt),
+                Err(e) => Response::Error(e.to_string()),
+            },
+            Ok(RequestView::DepositBatch(ds)) => {
+                span.set_batch(ds.len() as u64);
+                let reqs: Vec<_> = ds.iter().map(|d| d.to_deposit()).collect();
+                let outcomes = sharded.handle_deposit_batch(&reqs, now);
+                Response::Receipts(outcomes.into_iter().map(|r| r.map_err(|e| e.to_string())).collect())
+            }
+            Ok(view @ RequestView::Transfer { downtime: true, .. }) => {
+                let Request::Transfer { request, .. } = view.to_owned_request() else {
+                    unreachable!("transfer view materializes a transfer")
+                };
+                match sharded.handle_downtime_transfer(&request, now, rng) {
+                    Ok(grant) => Response::Grant(Box::new(grant)),
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            Ok(view @ RequestView::Renewal { downtime: true, .. }) => {
+                let Request::Renewal { request, .. } = view.to_owned_request() else {
+                    unreachable!("renewal view materializes a renewal")
+                };
+                match sharded.handle_downtime_renewal(&request, now, rng) {
+                    Ok(binding) => Response::Binding(binding),
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            Ok(RequestView::Sync { peer, challenge, response }) => {
+                match sharded.sync_for_owner(peer, challenge, &response.to_sig()) {
+                    Ok(bindings) => Response::Bindings(bindings),
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            Ok(RequestView::RedeemChain { commitment, payword }) => {
+                let request = RedeemChainRequest { commitment: commitment.to_commitment(), payword };
+                match sharded.handle_redeem_chain(&request) {
+                    Ok(receipt) => Response::Redeemed(receipt),
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            Ok(RequestView::BindingProof { coin }) => match sharded.binding_proof(&coin, rng) {
+                Some(proof) => Response::Proof(Box::new(proof)),
+                None => Response::Error(CoreError::UnknownCoin(coin).to_string()),
+            },
+            Ok(_) => Response::Error("request not handled by the broker".into()),
+        };
+        let reply = if caller.is_some() { span.context() } else { None };
+        finish_dispatch(span, &response);
+        surface_sharded_violations(sharded, &self.obs, &self.audited);
+        response.encode_into(out);
+        if let Some(ctx) = reply {
+            ctx.append_to(out);
+        }
+    }
+
+    /// Hands the requests of this drain cycle that the endpoint's own
+    /// shard owns to [`Broker::prepare`]. Requests routed here for another
+    /// shard, fan-out requests and frames that do not parse are left to
+    /// `serve`; so is a group of one.
+    fn prepare(&mut self, upcoming: &[&[u8]]) {
+        if let Some(probes) = &self.probes {
+            probes.batch.record_nanos(upcoming.len() as u64);
+        }
+        if upcoming.len() < 2 {
+            return;
+        }
+        let mut first_caller = None;
+        let owned: Vec<Request> = upcoming
+            .iter()
+            .filter_map(|bytes| {
+                let (payload, caller) = TraceContext::split(bytes);
+                first_caller = first_caller.or(caller);
+                let view = RequestView::parse(payload).ok()?;
+                (self.sharded.shard_for(&view) == Some(self.shard)).then(|| view.to_owned_request())
+            })
+            .collect();
+        let group: Vec<Upcoming<'_>> = owned.iter().filter_map(Upcoming::of).collect();
+        let unprepared = (upcoming.len() - group.len()) as u64;
+        if group.len() < 2 {
+            if let Some(probes) = &self.probes {
+                probes.skipped.add(upcoming.len() as u64);
+            }
+            return;
+        }
+        let mut span = match &first_caller {
+            Some(parent) => self.obs.child_span(Role::Broker, OpKind::Other, parent),
+            None => self.obs.span(Role::Broker, OpKind::Other),
+        };
+        span.set_detail("prepare");
+        span.set_shard(self.shard);
+        span.set_batch(group.len() as u64);
+        let report = self.sharded.lock_shard(self.shard as usize).prepare(&group);
+        span.finish();
+        if let Some(probes) = &self.probes {
+            probes.settled.add(report.settled);
+            probes.skipped.add(report.skipped + unprepared);
+            probes.fallbacks.add(report.fallbacks);
+        }
+    }
 }
 
 /// Attaches a micropayment host (the *payee* side of streaming PayWord

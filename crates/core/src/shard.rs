@@ -18,8 +18,9 @@
 //!   bindings (each shard checks the identity signature itself).
 //! * **Deposit batches** go through a two-step *prepare/commit*
 //!   handoff: prepare settles each involved shard's signature checks
-//!   concurrently through the read-only [`Broker::prepare_deposit_batch`]
-//!   and registers the item count with the [`CrossLedger`]; commit
+//!   concurrently through [`Broker::prepare_deposit_batch`] (which
+//!   changes no coin state) and registers the item count with the
+//!   [`CrossLedger`]; commit
 //!   replays the serial deposit state machine shard by shard and
 //!   acknowledges each shard's items back to the ledger. The ledger
 //!   verifies the handoff conserves value — every prepared item must be
@@ -360,11 +361,11 @@ impl ShardedBroker {
     ///
     /// Prepare runs concurrently (one scoped thread per involved shard
     /// when more than one is involved): each shard settles its items'
-    /// signature checks through the read-only
-    /// [`Broker::prepare_deposit_batch`] and its item count is
-    /// registered with the [`CrossLedger`]. Commit then replays the
-    /// serial deposit state machine shard by shard in shard order —
-    /// answering signature checks from the just-primed caches — and
+    /// signature checks through [`Broker::prepare_deposit_batch`] and its
+    /// item count is registered with the [`CrossLedger`]. Commit then
+    /// replays the serial deposit state machine shard by shard in shard
+    /// order — answering signature checks from the just-settled
+    /// verdicts — and
     /// acknowledges each shard's items back to the ledger, which checks
     /// the handoff conserved every item. Outcomes are index-aligned with
     /// `requests` and identical to [`Broker::handle_deposit`] per item.

@@ -253,6 +253,15 @@ impl SigCache {
         None
     }
 
+    /// The cached verdict for `key`, if any, leaving the cache exactly as
+    /// it was: no counter ticks and nothing is promoted. For callers that
+    /// only want to know whether work can be skipped — the lookup that
+    /// counts happens when the verdict is actually used.
+    pub fn peek(&self, key: &Digest) -> Option<bool> {
+        let inner = self.shard(key).lock().expect("sigcache poisoned");
+        inner.current.get(key).or_else(|| inner.previous.get(key)).copied()
+    }
+
     /// Seeds a verdict the caller has established out of band — e.g. the
     /// broker priming its own mint signature at signing time, so the first
     /// deposit already hits. Does not count as a hit or miss.

@@ -192,3 +192,29 @@ fn fast_wire_path_allocates_at_least_5x_less_than_legacy() {
         "steady-state fast path should be (near) allocation-free per request: {fast} allocations over {ITERS} requests"
     );
 }
+
+#[test]
+fn a_disabled_obs_instruments_a_prepared_group_without_allocating() {
+    // What a shard endpoint does around each group it prepares: ask for
+    // the registry (its four `broker.prepare*` probes exist only when
+    // there is one) and wrap the work in one labelled span. With
+    // observability disabled none of it may reach the allocator.
+    use whopay_obs::{Obs, OpKind, Role};
+
+    let obs = Obs::disabled();
+    let parent = TraceContext::root();
+    let before = allocs();
+    for shard in 0..200u16 {
+        assert!(obs.metrics().is_none());
+        let mut span = match shard % 2 {
+            0 => obs.span(Role::Broker, OpKind::Other),
+            _ => obs.child_span(Role::Broker, OpKind::Other, &parent),
+        };
+        span.set_detail("prepare");
+        span.set_shard(shard);
+        span.set_batch(16);
+        assert!(span.context().is_none());
+        span.finish();
+    }
+    assert_eq!(allocs() - before, 0);
+}

@@ -30,15 +30,47 @@
 //! group). The coefficients are derived Fiat–Shamir-style from a hash of
 //! the whole batch, so verification stays deterministic and needs no RNG.
 //!
-//! **Failure never lies:** when a batch check fails — or any item lacks a
-//! witness, e.g. it crossed the wire in the compact format — the verifier
-//! falls back to ordinary per-signature verification, so the per-item
-//! verdicts returned by [`verify_dsa_each`]/[`verify_schnorr_each`] are
-//! always the ground truth a caller would have computed serially. Batching
-//! is purely a fast path for the all-valid case, which dominates honest
-//! workloads (deposit floods, chain re-verification, DSD sweeps).
+//! Three things keep the combination cheap for the small groups a broker
+//! shard sees per drain cycle:
+//!
+//! * **Merged bases.** Claims under one key share one base, and a key
+//!   whose subgroup membership is owed too carries that obligation on
+//!   the *same* base, under the integer exponent `Σ b·z + q·z′`.
+//! * **One inversion.** Every DSA claim needs `s⁻¹ mod q`; the whole
+//!   batch shares a single inversion (Montgomery's trick).
+//! * **Bisection.** A failing combination is split in halves, reusing
+//!   the coefficients and deriving one half from the other, so `k`
+//!   forgeries among `n` cost `≤ k·⌈log₂ n⌉ + 1` evaluations plus at
+//!   most `2k` serial checks.
+//!
+//! **What an acceptance means.** The `2^(−λ)` bound is about the
+//! order-`q` subgroup. `Z_p*` also has the subgroup of order
+//! `m = (p − 1)/q`, and a random combination sees a component of small
+//! order `d | m` only through one exponent mod `d`: a key `−y`, or a
+//! witness `−R` that the signer derived `(r, s)` from, gets past a
+//! combination with probability `1/d`. Neither forges anything — making
+//! one takes the signing key — but both are things serial verification
+//! refuses. So a caller that needs *exact* verdicts proves a key a
+//! subgroup member ([`SchnorrGroup::is_element`]) before combining
+//! claims under it and does not fold membership obligations in (the
+//! broker's drain-cycle path, DESIGN.md §9); what then remains is the
+//! witness, which only a `q`-bit exponentiation per signature — the cost
+//! batching exists to avoid — could pin down. Keys and witnesses that
+//! are not units of `Z_p` (zero, `p` or more) never join a combination:
+//! a zero factor would make both sides zero and every equation true.
+//!
+//! **Failure never lies:** a combined check can only ever *accept* a
+//! subset. Whatever it cannot accept — an item without a witness (it
+//! crossed the wire in the compact format), or the single obligation
+//! bisection narrows a failure down to — is settled by ordinary
+//! per-signature verification, so the verdicts are always the ground truth
+//! a caller would have computed serially. Batching is purely a fast path
+//! for the all-valid case, which dominates honest workloads (drain
+//! cycles, deposit floods, chain re-verification, DSD sweeps).
 
-use whopay_num::{BigUint, SchnorrGroup};
+use std::collections::HashMap;
+
+use whopay_num::{BigUint, ModRing, SchnorrGroup};
 
 use crate::dsa::{self, DsaPublicKey, DsaSignature};
 use crate::hashio::Transcript;
@@ -77,6 +109,19 @@ pub struct SchnorrBatchItem {
     pub sig: SchnorrSignature,
 }
 
+/// The verdicts of one settled batch and what settling it cost.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchOutcome {
+    /// Signature verdicts, index-aligned with the items.
+    pub signatures: Vec<bool>,
+    /// Membership verdicts, index-aligned with the elements.
+    pub elements: Vec<bool>,
+    /// Random linear combinations evaluated (1 for an all-valid batch).
+    pub combined_checks: usize,
+    /// Obligations settled by ordinary per-item verification.
+    pub serial_checks: usize,
+}
+
 /// A normalized claim `g^a · y^b == r (mod p)`.
 struct GroupClaim {
     y: BigUint,
@@ -85,45 +130,72 @@ struct GroupClaim {
     r: BigUint,
 }
 
-/// Verifies every DSA item, using one randomized batch check when all
-/// items carry witnesses and the batch is big enough; falls back to
-/// per-signature verification otherwise (or when the batch check fails,
-/// to attribute blame). The verdict vector is index-aligned with `items`
-/// and identical to what serial verification would produce.
+/// Verifies every DSA item, using one randomized batch check over the
+/// items that carry witnesses; the rest (and whatever a failing check is
+/// narrowed down to) take per-signature verification. The verdict vector
+/// is index-aligned with `items` and identical to what serial
+/// verification would produce.
 pub fn verify_dsa_each(group: &SchnorrGroup, items: &[DsaBatchItem]) -> Vec<bool> {
-    verify_dsa_with_elements(group, items, &[]).0
+    verify_dsa_with_elements(group, items, &[]).signatures
 }
 
 /// [`verify_dsa_each`] with subgroup-membership obligations folded into
 /// the same combined check: alongside the signature claims, each
-/// `x ∈ elements` contributes the claim `x^q ≡ 1 (mod p)` as one more
-/// multi-exponentiation base `x^(q·zⱼ)` — with a *full integer* exponent,
-/// since `x`'s order is exactly what is in question — instead of costing
-/// a standalone `q`-bit exponentiation. Returns
-/// `(signature verdicts, membership verdicts)`, index-aligned with
-/// `items` and `elements` respectively and identical to serial
-/// [`DsaPublicKey::verify`] / [`SchnorrGroup::is_element`] results: on
-/// any combined-check failure (or a non-canonical element) both sides
-/// fall back to per-item verification.
+/// `x ∈ elements` contributes the claim `x^q ≡ 1 (mod p)` under the
+/// exponent `q·zⱼ` — a *full integer*, since `x`'s order is exactly what
+/// is in question — on the base it shares with any signature claims
+/// under `x`, instead of costing a standalone `q`-bit exponentiation.
+/// The verdicts are index-aligned with `items` and `elements` and
+/// identical to serial [`DsaPublicKey::verify`] /
+/// [`SchnorrGroup::is_element`] results.
 pub fn verify_dsa_with_elements(
     group: &SchnorrGroup,
     items: &[DsaBatchItem],
     elements: &[BigUint],
-) -> (Vec<bool>, Vec<bool>) {
-    let p = group.modulus();
-    let canonical = elements.iter().all(|x| !x.is_zero() && x < p);
-    if canonical && items.len() + elements.len() >= MIN_BATCH {
-        let claims: Option<Vec<GroupClaim>> = items.iter().map(|it| dsa_claim(group, it)).collect();
-        if let Some(claims) = claims {
-            if combined_check(group, &claims, elements) {
-                return (vec![true; items.len()], vec![true; elements.len()]);
-            }
-        }
-    }
-    (
-        items.iter().map(|it| it.key.verify(group, &it.message, &it.sig)).collect(),
-        elements.iter().map(|x| group.is_element(x)).collect(),
-    )
+) -> BatchOutcome {
+    settle_dsa(group, items, elements, false)
+}
+
+/// [`verify_dsa_each`] for items whose keys the caller has *proven*
+/// members of the order-`q` subgroup (by [`SchnorrGroup::is_element`], or
+/// because it made or vetted them itself). Under such keys a combined
+/// check is exact up to the witnesses (see the module docs), and a key's
+/// exponent `Σ b·z` can be reduced mod `q` — a third off the left-hand
+/// side's work. The verdicts are those of serial [`DsaPublicKey::verify`].
+pub fn verify_dsa_members(group: &SchnorrGroup, items: &[DsaBatchItem]) -> BatchOutcome {
+    settle_dsa(group, items, &[], true)
+}
+
+/// Normalizes DSA items into claims (one shared inversion) and settles
+/// them; `members` as in [`Settling::members`].
+fn settle_dsa(
+    group: &SchnorrGroup,
+    items: &[DsaBatchItem],
+    elements: &[BigUint],
+    members: bool,
+) -> BatchOutcome {
+    let scalar = group.scalar_ring();
+    let joinable: Vec<bool> = items.iter().map(|it| dsa_joinable(group, it)).collect();
+    let s_values: Vec<&BigUint> =
+        items.iter().zip(&joinable).filter(|(_, &ok)| ok).map(|(it, _)| it.sig.s()).collect();
+    let mut inverses = invert_all(scalar, &s_values).into_iter();
+    let claims = items
+        .iter()
+        .zip(&joinable)
+        .map(|(it, &ok)| {
+            let w = ok.then(|| inverses.next().expect("one inverse per joinable item"))?;
+            let h = dsa::hash_message(group, &it.message);
+            Some(GroupClaim {
+                y: it.key.element().clone(),
+                a: scalar.mul(&h, &w),
+                b: scalar.mul(it.sig.r(), &w),
+                r: it.sig.witness().expect("joinable items carry a witness").clone(),
+            })
+        })
+        .collect();
+    settle(group, claims, elements, members, |i| {
+        items[i].key.verify(group, &items[i].message, &items[i].sig)
+    })
 }
 
 /// Batch-verifies DSA items, `true` iff every signature is valid.
@@ -133,15 +205,9 @@ pub fn verify_dsa_all(group: &SchnorrGroup, items: &[DsaBatchItem]) -> bool {
 
 /// Verifies every Schnorr item; same contract as [`verify_dsa_each`].
 pub fn verify_schnorr_each(group: &SchnorrGroup, items: &[SchnorrBatchItem]) -> Vec<bool> {
-    if items.len() >= MIN_BATCH {
-        let claims: Option<Vec<GroupClaim>> = items.iter().map(|it| schnorr_claim(group, it)).collect();
-        if let Some(claims) = claims {
-            if combined_check(group, &claims, &[]) {
-                return vec![true; items.len()];
-            }
-        }
-    }
-    items.iter().map(|it| it.key.verify(group, &it.message, &it.sig)).collect()
+    let claims = items.iter().map(|it| schnorr_claim(group, it)).collect();
+    settle(group, claims, &[], false, |i| items[i].key.verify(group, &items[i].message, &items[i].sig))
+        .signatures
 }
 
 /// Batch-verifies Schnorr items, `true` iff every signature is valid.
@@ -149,28 +215,47 @@ pub fn verify_schnorr_all(group: &SchnorrGroup, items: &[SchnorrBatchItem]) -> b
     verify_schnorr_each(group, items).into_iter().all(|ok| ok)
 }
 
-/// Normalizes one DSA item into a group claim, or `None` when the item
-/// cannot join a batch (no witness, or a cheap consistency check already
-/// fails — in which case the per-item fallback will assign the verdict).
-fn dsa_claim(group: &SchnorrGroup, item: &DsaBatchItem) -> Option<GroupClaim> {
-    let q = group.order();
-    let sig = &item.sig;
-    let big_r = sig.witness()?;
-    if sig.r().is_zero() || sig.r() >= q || sig.s().is_zero() || sig.s() >= q {
-        return None;
+/// Whether `x` is a unit of `Z_p` in canonical form, `0 < x < p`. Only
+/// such values are ever a base of a combination: a side of a combination
+/// is then a product of units, never zero, which is what lets bisection
+/// derive one half's sides from the other's.
+fn is_unit(group: &SchnorrGroup, x: &BigUint) -> bool {
+    !x.is_zero() && x < group.modulus()
+}
+
+/// Whether a DSA item can join a batch: its key is a unit, its signature
+/// carries a witness and the cheap consistency checks hold. Anything else
+/// is left to the per-item path, which assigns the verdict.
+fn dsa_joinable(group: &SchnorrGroup, item: &DsaBatchItem) -> bool {
+    let (q, sig) = (group.order(), &item.sig);
+    let Some(big_r) = sig.witness() else { return false };
+    let in_range = |x: &BigUint| !x.is_zero() && x < q;
+    is_unit(group, item.key.element())
+        && in_range(sig.r())
+        && in_range(sig.s())
+        && is_unit(group, big_r)
+        && &(big_r % q) == sig.r()
+}
+
+/// Inverts every `x` (nonzero, below the prime modulus) with one ring
+/// inversion: prefix products forward, one inverse, peeled off backwards.
+fn invert_all(ring: &ModRing, xs: &[&BigUint]) -> Vec<BigUint> {
+    let mut prefix = Vec::with_capacity(xs.len());
+    let mut acc = BigUint::one();
+    for x in xs {
+        acc = ring.mul(&acc, x);
+        prefix.push(acc.clone());
     }
-    if big_r.is_zero() || big_r >= group.modulus() || &(big_r % q) != sig.r() {
-        return None;
+    let mut inv = ring.inv(&acc).expect("nonzero residues of a prime modulus are invertible");
+    let mut out = vec![BigUint::zero(); xs.len()];
+    for i in (1..xs.len()).rev() {
+        out[i] = ring.mul(&inv, &prefix[i - 1]);
+        inv = ring.mul(&inv, xs[i]);
     }
-    let scalar = group.scalar_ring();
-    let w = scalar.inv(sig.s())?;
-    let h = dsa::hash_message(group, &item.message);
-    Some(GroupClaim {
-        y: item.key.element().clone(),
-        a: scalar.mul(&h, &w),
-        b: scalar.mul(sig.r(), &w),
-        r: big_r.clone(),
-    })
+    if let Some(first) = out.first_mut() {
+        *first = inv;
+    }
+    out
 }
 
 /// Normalizes one Schnorr item into a group claim; the challenge-hash
@@ -183,7 +268,7 @@ fn schnorr_claim(group: &SchnorrGroup, item: &SchnorrBatchItem) -> Option<GroupC
     if sig.e() >= q || sig.s() >= q {
         return None;
     }
-    if big_r.is_zero() || big_r >= group.modulus() {
+    if !is_unit(group, big_r) || !is_unit(group, item.key.element()) {
         return None;
     }
     if &schnorr::challenge(group, item.key.element(), big_r, &item.message) != sig.e() {
@@ -198,55 +283,186 @@ fn schnorr_claim(group: &SchnorrGroup, item: &SchnorrBatchItem) -> Option<GroupC
     })
 }
 
-/// Evaluates the random linear combination over all claims, plus the
-/// membership claims `x^q ≡ 1` for each `x ∈ elements`. Membership
-/// exponents `q·zⱼ` are taken over the integers (never reduced mod `q`),
-/// so for order-`q` elements the term contributes exactly `1` and for
-/// anything else a nontrivial residue the random coefficient makes
-/// overwhelmingly unlikely to cancel.
-fn combined_check(group: &SchnorrGroup, claims: &[GroupClaim], elements: &[BigUint]) -> bool {
-    let scalar = group.scalar_ring();
-    let elem = group.elem_ring();
-    let zs = coefficients(group, claims, elements);
-    let mut a_sum = BigUint::zero();
-    let mut lhs_pairs = Vec::with_capacity(claims.len() + elements.len());
-    let mut rhs_pairs = Vec::with_capacity(claims.len());
-    for (claim, z) in claims.iter().zip(&zs) {
-        a_sum = scalar.add(&a_sum, &scalar.mul(&claim.a, z));
-        lhs_pairs.push((claim.y.clone(), scalar.mul(&claim.b, z)));
-        rhs_pairs.push((claim.r.clone(), z.clone()));
+/// Settles `claims.len()` signature obligations and `elements.len()`
+/// membership obligations. Obligation `i < claims.len()` is signature `i`
+/// (`None` when it cannot join a combination); obligation
+/// `claims.len() + j` is the membership of `elements[j]`.
+fn settle(
+    group: &SchnorrGroup,
+    claims: Vec<Option<GroupClaim>>,
+    elements: &[BigUint],
+    members: bool,
+    serial_signature: impl Fn(usize) -> bool,
+) -> BatchOutcome {
+    let n = claims.len();
+    // Out-of-range elements are no members and never enter a combination.
+    let mut live: Vec<usize> = (0..n)
+        .filter(|&i| claims[i].is_some())
+        .chain((0..elements.len()).filter(|&j| is_unit(group, &elements[j])).map(|j| n + j))
+        .collect();
+    // A key's obligations stay adjacent, so halving a failing
+    // combination keeps them on one merged base.
+    let mut first_seen: HashMap<&BigUint, usize> = HashMap::with_capacity(live.len());
+    live.sort_by_cached_key(|&id| {
+        let y = match id.checked_sub(n) {
+            None => &claims[id].as_ref().expect("live claims are joinable").y,
+            Some(j) => &elements[j],
+        };
+        let next = first_seen.len();
+        *first_seen.entry(y).or_insert(next)
+    });
+    let mut settling = Settling {
+        group,
+        claims: &claims,
+        elements,
+        members,
+        zs: coefficients(group, &claims, elements, &live),
+        serial_signature,
+        verdicts: vec![false; n + elements.len()],
+        combined_checks: 0,
+        serial_checks: 0,
+    };
+    if live.len() >= MIN_BATCH {
+        let sides = settling.combine(&live);
+        settling.bisect(&live, sides);
+    } else {
+        live.iter().for_each(|&id| settling.serial(id));
     }
-    let q = group.order();
-    for (x, z) in elements.iter().zip(&zs[claims.len()..]) {
-        lhs_pairs.push((x.clone(), q * z));
-    }
-    let lhs = elem.mul(&group.pow_g(&a_sum), &elem.multi_pow(&lhs_pairs));
-    let rhs = elem.multi_pow(&rhs_pairs);
-    lhs == rhs
+    (0..n).filter(|&i| claims[i].is_none()).for_each(|i| settling.serial(i));
+    let Settling { mut verdicts, combined_checks, serial_checks, .. } = settling;
+    let elements = verdicts.split_off(n);
+    BatchOutcome { signatures: verdicts, elements, combined_checks, serial_checks }
 }
 
-/// Derives the per-item coefficients `zᵢ` from a Fiat–Shamir transcript
-/// over the whole batch: an adversary must commit to every signature and
-/// witness before learning any coefficient.
-fn coefficients(group: &SchnorrGroup, claims: &[GroupClaim], elements: &[BigUint]) -> Vec<BigUint> {
-    let mut t = Transcript::new(DOMAIN).int(group.modulus()).int(group.order()).int(group.generator());
-    for claim in claims {
-        t = t.int(&claim.y).int(&claim.a).int(&claim.b).int(&claim.r);
+/// One batch being settled: its obligations, their coefficients, and the
+/// verdicts and costs so far.
+struct Settling<'a, F> {
+    group: &'a SchnorrGroup,
+    claims: &'a [Option<GroupClaim>],
+    elements: &'a [BigUint],
+    /// Every claim's key is a proven subgroup member (and no membership
+    /// is owed), so `y^e = y^(e mod q)` and exponents are kept reduced.
+    members: bool,
+    /// Coefficient per obligation id (zero for obligations never combined).
+    zs: Vec<BigUint>,
+    serial_signature: F,
+    verdicts: Vec<bool>,
+    combined_checks: usize,
+    serial_checks: usize,
+}
+
+impl<F: Fn(usize) -> bool> Settling<'_, F> {
+    /// Settles one obligation by ordinary verification.
+    fn serial(&mut self, id: usize) {
+        self.serial_checks += 1;
+        self.verdicts[id] = match id.checked_sub(self.claims.len()) {
+            None => (self.serial_signature)(id),
+            Some(j) => self.group.is_element(&self.elements[j]),
+        };
     }
-    if !elements.is_empty() {
-        t = t.u64(elements.len() as u64);
-        for x in elements {
-            t = t.int(x);
+
+    /// Settles `ids`, whose combination has the two `sides`: accepted
+    /// whole when they agree, otherwise halved. Only the first half is
+    /// evaluated — a combination is the product of its halves', so the
+    /// second half's sides follow by cross-multiplication — and a failing
+    /// pair or single obligation is settled serially, so `k` forgeries
+    /// among `n` cost at most `k·⌈log₂ n⌉ + 1` evaluations.
+    ///
+    /// Cross-multiplying by the first half's sides says something about
+    /// the second half only while those sides are invertible. Every base
+    /// is a unit (see [`is_unit`]), so they are; should one ever be zero
+    /// all the same, the second half is evaluated on its own rather than
+    /// waved through on `0 == 0`.
+    fn bisect(&mut self, ids: &[usize], (lhs, rhs): (BigUint, BigUint)) {
+        if lhs == rhs && !lhs.is_zero() {
+            return ids.iter().for_each(|&id| self.verdicts[id] = true);
         }
+        if ids.len() <= 2 {
+            return ids.iter().for_each(|&id| self.serial(id));
+        }
+        let (first, second) = ids.split_at(ids.len().div_ceil(2));
+        let (first_lhs, first_rhs) = self.combine(first);
+        let second_sides = if first_lhs.is_zero() || first_rhs.is_zero() {
+            self.combine(second)
+        } else {
+            let elem = self.group.elem_ring();
+            (elem.mul(&lhs, &first_rhs), elem.mul(&rhs, &first_lhs))
+        };
+        self.bisect(first, (first_lhs, first_rhs));
+        self.bisect(second, second_sides);
+    }
+
+    /// Evaluates both sides of the random linear combination over the
+    /// obligations in `ids`:
+    /// `g^(Σ a·z) · ∏ y^(Σ b·z + q·Σ z′)` and `∏ R^z`. Every distinct key
+    /// is one base, and unless the keys are proven members its exponent
+    /// is an integer, never reduced mod `q`: the signature terms then
+    /// mean exactly `(y^b)^z` whatever `y`'s order, an order-`q` key's
+    /// membership term contributes exactly `1` and anything else a
+    /// residue the random coefficient makes overwhelmingly unlikely to
+    /// cancel. Either way the sides of a union are exactly the products
+    /// of its parts' sides.
+    fn combine(&mut self, ids: &[usize]) -> (BigUint, BigUint) {
+        self.combined_checks += 1;
+        let scalar = self.group.scalar_ring();
+        let elem = self.group.elem_ring();
+        let q = self.group.order();
+        let mut a_sum = BigUint::zero();
+        let mut lhs: Vec<(BigUint, BigUint)> = Vec::with_capacity(ids.len());
+        let mut base_of: HashMap<&BigUint, usize> = HashMap::with_capacity(ids.len());
+        let mut rhs = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let z = &self.zs[id];
+            let (y, exponent) = match id.checked_sub(self.claims.len()) {
+                None => {
+                    let claim = self.claims[id].as_ref().expect("only joinable claims are combined");
+                    a_sum = scalar.add(&a_sum, &scalar.mul(&claim.a, z));
+                    rhs.push((claim.r.clone(), z.clone()));
+                    (&claim.y, if self.members { scalar.mul(&claim.b, z) } else { &claim.b * z })
+                }
+                Some(j) => (&self.elements[j], q * z),
+            };
+            match base_of.get(y) {
+                Some(&at) if self.members => lhs[at].1 = scalar.add(&lhs[at].1, &exponent),
+                Some(&at) => lhs[at].1 = &lhs[at].1 + &exponent,
+                None => {
+                    base_of.insert(y, lhs.len());
+                    lhs.push((y.clone(), exponent));
+                }
+            }
+        }
+        (elem.mul(&self.group.pow_g(&a_sum), &elem.multi_pow(&lhs)), elem.multi_pow(&rhs))
+    }
+}
+
+/// Derives one coefficient per live obligation from a Fiat–Shamir
+/// transcript over the whole batch: an adversary must commit to every
+/// signature, witness and element before learning any coefficient, and
+/// the sub-combinations bisection evaluates reuse these same values.
+fn coefficients(
+    group: &SchnorrGroup,
+    claims: &[Option<GroupClaim>],
+    elements: &[BigUint],
+    live: &[usize],
+) -> Vec<BigUint> {
+    let mut t = Transcript::new(DOMAIN).int(group.modulus()).int(group.order()).int(group.generator());
+    for &id in live {
+        t = match id.checked_sub(claims.len()) {
+            None => {
+                let claim = claims[id].as_ref().expect("live claims are joinable");
+                t.u64(0).int(&claim.y).int(&claim.a).int(&claim.b).int(&claim.r)
+            }
+            Some(j) => t.u64(1).int(&elements[j]),
+        };
     }
     let seed = t.finish();
-    (0..claims.len() + elements.len())
-        .map(|i| {
-            let d = Transcript::new("whopay/batch/coeff/v1").bytes(&seed).u64(i as u64).finish();
-            let z = u64::from_le_bytes(d[..8].try_into().expect("8-byte prefix"));
-            BigUint::from(z.max(1))
-        })
-        .collect()
+    let mut zs = vec![BigUint::zero(); claims.len() + elements.len()];
+    for &id in live {
+        let d = Transcript::new("whopay/batch/coeff/v1").bytes(&seed).u64(id as u64).finish();
+        let z = u64::from_le_bytes(d[..8].try_into().expect("8-byte prefix"));
+        zs[id] = BigUint::from(z.max(1));
+    }
+    zs
 }
 
 #[cfg(test)]

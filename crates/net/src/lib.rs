@@ -20,8 +20,9 @@
 //! * [`queue`] — the event-queue delivery path: [`Network::submit`]
 //!   enqueues requests, [`Network::drain`] delivers them via a worker
 //!   pool sized by `WHOPAY_NET_THREADS` (default 1, which is
-//!   bit-identical to the synchronous path). Endpoints registered with
-//!   [`Network::register_parallel`] may execute on worker threads.
+//!   bit-identical to the synchronous path). An [`Endpoint`] registered
+//!   with [`Network::register_parallel`] is shown each drain cycle's
+//!   requests up front and may execute on worker threads.
 //! * [`faults`] — a deterministic, seed-driven fault injector
 //!   ([`FaultPlan`] / [`FaultInjector`]) that drops, duplicates,
 //!   corrupts, delays, or partitions deliveries on the fabric, with
@@ -61,7 +62,7 @@ pub use faults::{
     PartitionWindow,
 };
 pub use indirection::{Handle, IndirectionLayer};
-pub use network::{Classifier, EndpointId, Network, ParallelHandler, RequestError};
+pub use network::{Classifier, Endpoint, EndpointId, Network, ParallelHandler, RequestError};
 pub use queue::{Delivery, EventId, NET_THREADS_ENV};
 pub use retry::{Classify, ErrorClass, RetryPolicy, RetryStats};
 pub use stats::{TrafficBreakdown, TrafficStats};

@@ -79,11 +79,37 @@ impl std::error::Error for RequestError {}
 /// `encode_into` allocate nothing on the wire).
 pub type Handler = Box<dyn FnMut(&mut Network, &[u8], &mut Vec<u8>)>;
 
-/// A `Send` request handler for endpoints registered via
-/// [`Network::register_parallel`]: no `&mut Network` access (and hence no
-/// nested requests), which is what lets [`Network::drain`] run it on a
-/// worker thread while the coordinator owns the fabric.
-pub type ParallelHandler = Box<dyn FnMut(&[u8], &mut Vec<u8>) + Send>;
+/// What [`Network::register_parallel`] registers: a request handler with
+/// no `&mut Network` access (and hence no nested requests), which is what
+/// lets [`Network::drain`] run it on a worker thread while the
+/// coordinator owns the fabric.
+///
+/// Every `FnMut(&[u8], &mut Vec<u8>)` closure is an endpoint whose
+/// [`Endpoint::prepare`] does nothing.
+pub trait Endpoint {
+    /// Answers one request into `out` (which arrives cleared).
+    fn serve(&mut self, request: &[u8], out: &mut Vec<u8>);
+
+    /// Shows the endpoint what the current [`Network::drain`] is about to
+    /// hand it: the requests, in delivery order, exactly as
+    /// [`Endpoint::serve`] will receive them (a request corrupted in
+    /// flight appears corrupted; one delivered twice appears once).
+    /// Purely advisory — the endpoint may precompute over the group, but
+    /// `serve` must answer every request the same whether or not, and
+    /// over whatever bytes, `prepare` ran.
+    fn prepare(&mut self, upcoming: &[&[u8]]) {
+        let _ = upcoming;
+    }
+}
+
+impl<F: FnMut(&[u8], &mut Vec<u8>)> Endpoint for F {
+    fn serve(&mut self, request: &[u8], out: &mut Vec<u8>) {
+        self(request, out)
+    }
+}
+
+/// The boxed [`Endpoint`] of a parallel endpoint.
+pub type ParallelHandler = Box<dyn Endpoint + Send>;
 
 /// Maps a request payload to a stable message-kind label for the
 /// per-kind traffic breakdown (installed via [`Network::set_classifier`]).
@@ -291,14 +317,16 @@ impl Network {
         id
     }
 
-    /// Registers an endpoint whose handler is `Send` and takes no network
-    /// access: [`Network::drain`] can then run its deliveries on a worker
+    /// Registers an [`Endpoint`] that is `Send` and takes no network
+    /// access: [`Network::drain`] shows it each cycle's requests up front
+    /// ([`Endpoint::prepare`]) and can run its deliveries on a worker
     /// thread, concurrently with other parallel endpoints. Synchronous
     /// [`Network::request`] calls to the endpoint still work (delivered
-    /// inline); the handler itself can never issue nested requests.
-    pub fn register_parallel<F>(&mut self, name: &str, handler: F) -> EndpointId
+    /// inline, never prepared); the handler itself can never issue nested
+    /// requests.
+    pub fn register_parallel<E>(&mut self, name: &str, handler: E) -> EndpointId
     where
-        F: FnMut(&[u8], &mut Vec<u8>) + Send + 'static,
+        E: Endpoint + Send + 'static,
     {
         let id = EndpointId(self.endpoints.len() as u64);
         self.endpoints.push(EndpointSlot {
@@ -486,7 +514,7 @@ impl Network {
         response.clear();
         match &mut took {
             Took::Classic(handler) => handler(self, request, response),
-            Took::Parallel(handler) => handler(request, response),
+            Took::Parallel(handler) => handler.serve(request, response),
         }
         self.account(to, from, response.len());
         if let Some(kind) = kind {
@@ -555,9 +583,11 @@ impl Network {
         if envelopes.is_empty() {
             return Vec::new();
         }
-        // Phase 1: resolve every event's fate in submission order.
+        // Phase 1: resolve every event's fate in submission order. A
+        // request its fate corrupts is corrupted here, once, so `prepare`,
+        // the handler and the accounting all see the bytes that arrive.
         let fates: Vec<Fate> = envelopes
-            .iter()
+            .iter_mut()
             .map(|env| {
                 if env.to.0 as usize >= self.endpoints.len() {
                     return Fate::Fail(RequestError::UnknownEndpoint(env.to));
@@ -565,48 +595,74 @@ impl Network {
                 if !self.endpoints[env.to.0 as usize].online {
                     return Fate::Fail(RequestError::Offline(env.to));
                 }
-                let kind = self.classifier.as_ref().map(|classify| classify(&env.request));
-                let fault = match self.faults.as_mut() {
+                let classify =
+                    |request: &[u8]| self.classifier.as_ref().map(|classify| classify(request));
+                let mut kind = classify(&env.request);
+                let mut fault = match self.faults.as_mut() {
                     Some(inj) => inj.decide(env.from, env.to, kind),
                     None => None,
                 };
+                if let Some(FaultKind::Corrupt { in_request: true, bit }) = fault {
+                    flip_bit(&mut env.request, bit);
+                    kind = classify(&env.request);
+                    fault = None;
+                }
                 Fate::Deliver { fault, kind }
             })
             .collect();
 
-        // Phase 2a: fan parallel-endpoint deliveries across workers.
+        // Phase 2a: group what will reach a parallel endpoint by target,
+        // in submission order. Drop and partition never reach a handler.
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (index, (env, fate)) in envelopes.iter().zip(&fates).enumerate() {
+            let Fate::Deliver { fault, .. } = fate else { continue };
+            if matches!(fault, Some(FaultKind::Drop | FaultKind::Partition)) {
+                continue;
+            }
+            let slot_index = env.to.0 as usize;
+            if !self.endpoints[slot_index].is_parallel {
+                continue;
+            }
+            match groups.iter_mut().find(|(s, _)| *s == slot_index) {
+                Some((_, indices)) => indices.push(index),
+                None => groups.push((slot_index, vec![index])),
+            }
+        }
+
+        // Phase 2b: every target sees its group once. At one thread that
+        // is all that happens here — delivery follows inline, in strict
+        // submission order; otherwise each target's handler moves to a
+        // worker with its requests, which prepares and then serves them.
         let threads = self.drain_threads();
-        let mut records: Vec<Option<WorkRecord>> = (0..envelopes.len()).map(|_| None).collect();
-        if threads > 1 {
-            let mut groups: Vec<(usize, Vec<WorkItem>)> = Vec::new();
-            for (index, (env, fate)) in envelopes.iter_mut().zip(&fates).enumerate() {
-                let Fate::Deliver { fault, .. } = fate else { continue };
-                // Drop/partition never reach a handler; corrupt, duplicate
-                // and timeout semantics are applied inside the worker.
-                if matches!(fault, Some(FaultKind::Drop | FaultKind::Partition)) {
-                    continue;
-                }
-                let slot_index = env.to.0 as usize;
-                if !self.endpoints[slot_index].is_parallel {
-                    continue;
-                }
-                let trace = TraceContext::strip(&env.request).map(|(ctx, _)| ctx);
-                let item = WorkItem {
-                    index,
-                    to: env.to,
-                    request: std::mem::take(&mut env.request),
-                    fault: *fault,
-                    trace,
-                };
-                match groups.iter_mut().find(|(s, _)| *s == slot_index) {
-                    Some((_, items)) => items.push(item),
-                    None => groups.push((slot_index, vec![item])),
+        let mut records: Vec<Option<WorkRecord>> = Vec::new();
+        if threads == 1 {
+            for (slot_index, indices) in &groups {
+                if let Some(handler) = self.endpoints[*slot_index].parallel.as_mut() {
+                    let upcoming: Vec<&[u8]> =
+                        indices.iter().map(|&i| envelopes[i].request.as_slice()).collect();
+                    handler.prepare(&upcoming);
                 }
             }
+        } else {
+            records.resize_with(envelopes.len(), || None);
             let mut taken: Vec<(usize, ParallelHandler, Vec<WorkItem>)> = Vec::new();
-            for (slot_index, items) in groups {
+            for (slot_index, indices) in groups {
+                let items = indices.into_iter().map(|index| {
+                    let env = &mut envelopes[index];
+                    let Fate::Deliver { fault, .. } = fates[index] else {
+                        unreachable!("only deliverable events are grouped")
+                    };
+                    let trace = TraceContext::strip(&env.request).map(|(ctx, _)| ctx);
+                    WorkItem {
+                        index,
+                        to: env.to,
+                        request: std::mem::take(&mut env.request),
+                        fault,
+                        trace,
+                    }
+                });
                 match self.endpoints[slot_index].parallel.take() {
-                    Some(handler) => taken.push((slot_index, handler, items)),
+                    Some(handler) => taken.push((slot_index, handler, items.collect())),
                     None => {
                         for item in items {
                             records[item.index] = Some(WorkRecord {
@@ -635,6 +691,9 @@ impl Network {
                                 bucket
                                     .into_iter()
                                     .map(|(slot_index, mut handler, items)| {
+                                        let upcoming: Vec<&[u8]> =
+                                            items.iter().map(|item| item.request.as_slice()).collect();
+                                        handler.prepare(&upcoming);
                                         let recs: Vec<WorkRecord> = items
                                             .into_iter()
                                             .map(|item| run_item(&mut handler, item, timed))
@@ -656,7 +715,7 @@ impl Network {
             }
         }
 
-        // Phases 2b + 3: remaining deliveries inline, and all accounting,
+        // Phases 2c + 3: remaining deliveries inline, and all accounting,
         // in submission order.
         let mut deliveries = Vec::with_capacity(envelopes.len());
         for (index, (env, fate)) in envelopes.into_iter().zip(fates).enumerate() {
@@ -669,7 +728,7 @@ impl Network {
                     }
                     Err(err)
                 }
-                Fate::Deliver { fault, kind } => match records[index].take() {
+                Fate::Deliver { fault, kind } => match records.get_mut(index).and_then(Option::take) {
                     Some(rec) => {
                         self.replay_record(env.from, env.to, kind, &rec);
                         rec.result

@@ -6,22 +6,29 @@
 //! OS thread. The queue decouples submission from delivery:
 //! [`Network::submit`] enqueues an envelope and returns an [`EventId`];
 //! [`Network::drain`] delivers everything queued and returns the
-//! responses. Draining proceeds in three phases:
+//! responses. Draining proceeds in four phases:
 //!
 //! 1. **Fate** — in submission order, the coordinator resolves
 //!    unknown/offline targets and consults the fault injector. Fault
 //!    draws key on the delivery index (see [`crate::faults`]), so this
 //!    up-front evaluation produces the identical schedule a sequential
-//!    delivery loop would.
-//! 2. **Delivery** — events whose target registered via
-//!    [`Network::register_parallel`] are grouped by target and fanned
-//!    across `min(WHOPAY_NET_THREADS, groups)` scoped workers; each
-//!    worker preserves its targets' per-endpoint submission order.
-//!    Events for classic (non-`Send`) endpoints run inline on the
-//!    coordinator. At one thread everything runs inline, in strict
-//!    submission order — byte- and counter-identical to calling
-//!    [`Network::request_into`] per event.
-//! 3. **Accounting** — the coordinator applies traffic counters,
+//!    delivery loop would. A request its fate corrupts is corrupted
+//!    here, so every later phase sees the bytes that arrive.
+//! 2. **Prepare** — events whose target registered via
+//!    [`Network::register_parallel`] and whose fate reaches a handler are
+//!    grouped by target, and each target is shown its group once
+//!    ([`Endpoint::prepare`]) before anything in it is served. The call
+//!    is advisory: an endpoint that verifies signatures can settle the
+//!    whole group's at once, and must answer each request the same
+//!    whether or not it did.
+//! 3. **Delivery** — at one thread every event then runs inline on the
+//!    coordinator in strict submission order: byte- and
+//!    counter-identical to calling [`Network::request_into`] per event.
+//!    At more, the groups are fanned across
+//!    `min(WHOPAY_NET_THREADS, groups)` scoped workers (a worker prepares
+//!    and then serves its targets, preserving each one's submission
+//!    order) while events for classic (non-`Send`) endpoints run inline.
+//! 4. **Accounting** — the coordinator applies traffic counters,
 //!    per-kind breakdown, and obs events for worker deliveries in
 //!    submission order, so stats and event streams are deterministic at
 //!    any thread count.
@@ -32,6 +39,7 @@
 //! the one observable difference from interleaved sequential delivery,
 //! and only when queue and nested sync calls mix under faults.
 //!
+//! [`Endpoint::prepare`]: crate::Endpoint::prepare
 //! [`Network::request_into`]: crate::Network::request_into
 //! [`Network::submit`]: crate::Network::submit
 //! [`Network::drain`]: crate::Network::drain
@@ -156,7 +164,7 @@ pub(crate) fn run_item(handler: &mut ParallelHandler, item: WorkItem, timed: boo
     let mut deliver = |request: &[u8], response: &mut Vec<u8>| {
         let start = timed.then(Instant::now);
         response.clear();
-        handler(request, response);
+        handler.serve(request, response);
         legs.push(Leg {
             request_len: request.len(),
             response_len: response.len(),
@@ -164,14 +172,10 @@ pub(crate) fn run_item(handler: &mut ParallelHandler, item: WorkItem, timed: boo
         });
     };
     let result = match item.fault {
-        None => {
+        // A corrupted request arrives already corrupted: phase one applied
+        // the flip before any endpoint saw the bytes.
+        None | Some(FaultKind::Corrupt { in_request: true, .. }) => {
             deliver(&item.request, &mut response);
-            Ok(())
-        }
-        Some(FaultKind::Corrupt { in_request: true, bit }) => {
-            let mut corrupted = item.request.clone();
-            flip_bit(&mut corrupted, bit);
-            deliver(&corrupted, &mut response);
             Ok(())
         }
         Some(FaultKind::Corrupt { in_request: false, bit }) => {

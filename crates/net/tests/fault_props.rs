@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use whopay_net::faults::{FaultInjector, FaultPlan, FaultRates};
-use whopay_net::Network;
+use whopay_net::{Endpoint, Network};
 
 /// Decodes one generated op into `(account, amount)` — the vendored
 /// proptest has no tuple strategies, so both ride in a single `u16`.
@@ -137,6 +137,25 @@ fn run_parallel_schedule(
     (history, net.stats(), final_ledger, transcript)
 }
 
+/// An endpoint that echoes, and logs each `prepare` group and each
+/// served request.
+struct Recording {
+    prepared: Arc<Mutex<Vec<Vec<Vec<u8>>>>>,
+    served: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl Endpoint for Recording {
+    fn serve(&mut self, request: &[u8], out: &mut Vec<u8>) {
+        self.served.lock().expect("log lock").push(request.to_vec());
+        out.extend_from_slice(request);
+    }
+
+    fn prepare(&mut self, upcoming: &[&[u8]]) {
+        let group = upcoming.iter().map(|request| request.to_vec()).collect();
+        self.prepared.lock().expect("log lock").push(group);
+    }
+}
+
 proptest! {
     #[test]
     fn same_seed_same_faults_same_ledger(
@@ -213,6 +232,59 @@ proptest! {
             prop_assert_eq!(sync.1, queued.1, "traffic stats at threads={}", threads);
             prop_assert_eq!(sync.2, queued.2, "final ledger at threads={}", threads);
             prop_assert_eq!(&sync.3, &queued.3, "outcomes at threads={}", threads);
+        }
+    }
+
+    #[test]
+    fn prepare_sees_exactly_the_bytes_that_are_then_served(
+        seed in 0u64..1_000_000,
+        ops in proptest::collection::vec(0u16..800, 1..60),
+    ) {
+        // Whatever the fault plan does to a drain cycle, the target is
+        // shown its group once, and the group is what arrives: a
+        // corrupted request appears corrupted, a duplicated one once (it
+        // is then served twice), a timed-out one is still served, a
+        // dropped or partitioned one neither shown nor served.
+        for threads in [1usize, 2] {
+            let prepared = Arc::new(Mutex::new(Vec::new()));
+            let served = Arc::new(Mutex::new(Vec::new()));
+            let mut net = Network::new();
+            net.set_drain_threads(threads);
+            let server = net.register_parallel(
+                "recording",
+                Recording { prepared: prepared.clone(), served: served.clone() },
+            );
+            let client = net.register("client", |_: &[u8]| Vec::new());
+            let plan = FaultPlan::new()
+                .with_default(FaultRates { drop: 0.15, duplicate: 0.15, corrupt: 0.15, timeout: 0.15 })
+                .partition(client, server, 3, 6);
+            net.install_faults(FaultInjector::new(plan, seed));
+            // Serial numbers keep every request distinct, corrupted or not
+            // (one flipped bit cannot turn one 4-byte serial into another
+            // and also match its payload).
+            for (i, &op) in ops.iter().enumerate() {
+                let (account, amount) = decode_op(op);
+                let serial = (i as u16).to_be_bytes();
+                net.submit(client, server, vec![serial[0], serial[1], account, amount, !serial[1], !serial[0]]);
+            }
+            let drained = net.drain();
+            let reached = drained
+                .iter()
+                .filter(|d| !matches!(
+                    d.result,
+                    Err(whopay_net::RequestError::Lost(_) | whopay_net::RequestError::Partitioned(_))
+                ))
+                .count();
+            let prepared = prepared.lock().expect("log lock");
+            let mut served = served.lock().expect("log lock").clone();
+            served.dedup();
+            if reached == 0 {
+                prop_assert!(prepared.is_empty() && served.is_empty());
+            } else {
+                prop_assert_eq!(prepared.len(), 1, "one prepare per drain at threads={}", threads);
+                prop_assert_eq!(prepared[0].len(), reached);
+                prop_assert_eq!(&prepared[0], &served, "threads={}", threads);
+            }
         }
     }
 }

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-use whopay_net::{EndpointId, Network};
+use whopay_net::{Endpoint, EndpointId, Network};
 
 /// A world mixing a classic (non-`Send`, `Rc`-backed) counter endpoint
 /// with a parallel (`Send`, `Mutex`-backed) one, plus a client.
@@ -136,4 +136,74 @@ fn empty_drain_is_a_no_op() {
     let (mut net, _, _, _, _, _) = mixed_world();
     assert!(net.drain().is_empty());
     assert_eq!(net.stats(), Network::new().stats());
+}
+
+/// What a [`Recording`] endpoint saw, in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Seen {
+    Prepare(Vec<Vec<u8>>),
+    Serve(Vec<u8>),
+}
+
+/// An endpoint that implements [`Endpoint`] itself (closures get the
+/// trait through the blanket impl): echoes each request and logs every
+/// call it receives.
+struct Recording(Arc<Mutex<Vec<Seen>>>);
+
+impl Endpoint for Recording {
+    fn serve(&mut self, request: &[u8], out: &mut Vec<u8>) {
+        self.0.lock().expect("log lock").push(Seen::Serve(request.to_vec()));
+        out.extend_from_slice(request);
+    }
+
+    fn prepare(&mut self, upcoming: &[&[u8]]) {
+        let group = upcoming.iter().map(|request| request.to_vec()).collect();
+        self.0.lock().expect("log lock").push(Seen::Prepare(group));
+    }
+}
+
+#[test]
+fn each_target_is_shown_its_group_once_before_it_is_served() {
+    for threads in [1usize, 2] {
+        let mut net = Network::new();
+        net.set_drain_threads(threads);
+        let logs: Vec<Arc<Mutex<Vec<Seen>>>> = (0..3).map(|_| Arc::default()).collect();
+        let targets: Vec<EndpointId> = logs
+            .iter()
+            .enumerate()
+            .map(|(i, log)| net.register_parallel(&format!("recording-{i}"), Recording(log.clone())))
+            .collect();
+        let classic = net.register("classic", |req: &[u8]| req.to_vec());
+        let client = net.register("client", |_: &[u8]| Vec::new());
+
+        // A synchronous request is served unprepared.
+        assert_eq!(net.request(client, targets[0], vec![9]).unwrap(), vec![9]);
+        assert_eq!(*logs[0].lock().unwrap(), vec![Seen::Serve(vec![9])]);
+        logs[0].lock().unwrap().clear();
+
+        // Two drains; the third target gets nothing in the first.
+        for round in 0u8..2 {
+            let mut sent: Vec<Vec<Vec<u8>>> = vec![Vec::new(); 3];
+            for i in 0u8..12 {
+                let to = usize::from(i % 4);
+                let request = vec![round, i];
+                if to == 3 {
+                    net.submit(client, classic, request);
+                } else if to < 2 || round == 1 {
+                    sent[to].push(request.clone());
+                    net.submit(client, targets[to], request);
+                }
+            }
+            let drained = net.drain();
+            assert!(drained.iter().all(|d| d.result.as_ref().is_ok_and(|r| r[0] == round)));
+            for (log, sent) in logs.iter().zip(sent) {
+                let mut want = Vec::new();
+                if !sent.is_empty() {
+                    want.push(Seen::Prepare(sent.clone()));
+                    want.extend(sent.into_iter().map(Seen::Serve));
+                }
+                assert_eq!(std::mem::take(&mut *log.lock().unwrap()), want, "threads {threads}");
+            }
+        }
+    }
 }

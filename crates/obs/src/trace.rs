@@ -268,6 +268,13 @@ impl Span<'_> {
         }
     }
 
+    /// Labels an operation [`OpKind`] has no variant for.
+    pub fn set_detail(&mut self, detail: &'static str) {
+        if self.obs.enabled() {
+            self.detail = Some(detail.into());
+        }
+    }
+
     /// Overrides the operation kind (for dispatch sites that only learn
     /// the kind after decoding the request).
     pub fn set_op(&mut self, op: OpKind) {

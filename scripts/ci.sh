@@ -18,11 +18,14 @@ cargo test -q --workspace --offline
 echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, pow_dual, pow_member)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo test -p whopay-crypto --release (batch soundness, verify_member / group-verify parity, differential suite)"
+echo "==> cargo test -p whopay-crypto --release (batch soundness incl. merged bases + bisection cost, verify_member / group-verify parity, differential suite)"
 cargo test -p whopay-crypto -q --release --offline
 
 echo "==> cargo test -p whopay-core --release (membership-fused verify parity + shard-lock independence of dispatch)"
 cargo test -p whopay-core -q --release --offline --test member_parity --test concurrent
+
+echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories; sign-once roots, compare-first deposits, every refusal counted)"
+cargo test -p whopay-core -q --release --offline --test prepare_equiv --test broker_accounting
 
 echo "==> cargo test -p whopay-core --release (wire fast-path: props, alloc guard [<2 allocs/request, tracing disabled], reconciliation)"
 cargo test -p whopay-core -q --release --offline --test wire_props --test alloc_regression --test wire_reconcile
@@ -46,7 +49,7 @@ cargo test -q --release --offline --test chaos streaming_micropay
 echo "==> WHOPAY_NET_THREADS=1 cargo test -q --release (event-queue single-thread equivalence pass)"
 WHOPAY_NET_THREADS=1 cargo test -q --release --offline
 
-echo "==> cargo test -p whopay-net --release (fault-schedule determinism + queue/sync equivalence props)"
+echo "==> cargo test -p whopay-net --release (fault-schedule determinism + queue/sync equivalence props + one prepare per target per drain, over the post-fate bytes)"
 cargo test -p whopay-net -q --release --offline --test fault_props --test queue_equiv
 
 echo "==> cargo test -p whopay-core --release --test recovery_lazy (lazy sig-cache re-priming on recovery)"
@@ -90,6 +93,9 @@ cargo test -q --release --offline --test chaos adversarial
 
 echo "==> cargo bench --no-run (benches stay compilable)"
 cargo bench --no-run --offline
+
+echo "==> cargo build --release --bin bench_verify_json (verify bench, incl. the drain-cycle group rows, stays buildable)"
+cargo build --release --offline -p whopay-bench --bin bench_verify_json
 
 echo "==> cargo build --release --bin bench_shard_json (shard-scaling bench stays buildable)"
 cargo build --release --offline -p whopay-bench --bin bench_shard_json
