@@ -1,12 +1,13 @@
 //! Microbenchmarks for the `whopay-num` arithmetic backbone: Montgomery
 //! multiplication and squaring, windowed single/double exponentiation, the
-//! one-base-two-exponent chain behind `pow_member`, the fixed-base
-//! generator table, and modular inversion. These are the
+//! one-base-many-exponents chain behind `pow_member`, the fixed-base comb
+//! in both shapes (build and use), and modular inversion. These are the
 //! primitives every Table 2 / §6.2 cost bottoms out in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use whopay_bench::dsa_1024_group;
+use whopay_num::FixedBaseTable;
 
 fn bench_modexp(c: &mut Criterion) {
     let group = dsa_1024_group();
@@ -29,12 +30,32 @@ fn bench_modexp(c: &mut Criterion) {
     g.bench_function("pow_naive_160bit_exp", |bch| bch.iter(|| black_box(ring.pow_naive(&a, &x))));
     g.bench_function("pow2_160bit_exps", |bch| bch.iter(|| black_box(ring.pow2(&a, &x, &b, &y))));
     g.bench_function("pow_dual_160bit_exps", |bch| bch.iter(|| black_box(ring.pow_dual(&a, &x, &y))));
+    g.bench_function("pow_each_3x160bit_exps", |bch| {
+        bch.iter(|| black_box(ring.pow_each(&a, &[&x, &y, group.order()])))
+    });
     g.bench_function("mont_sqr", |bch| bch.iter(|| black_box(mont.mont_sqr(&am))));
     g.bench_function("is_element", |bch| bch.iter(|| black_box(group.is_element(&a))));
     g.bench_function("pow_member", |bch| bch.iter(|| black_box(group.pow_member(&a, &x))));
     g.bench_function("pow_g_fixed_base", |bch| bch.iter(|| black_box(group.pow_g(&x))));
+    let bits = group.order().bits();
+    let for_generator = FixedBaseTable::for_generator(mont, &a, bits);
+    let for_key = FixedBaseTable::for_key(mont, &a, bits);
+    g.bench_function("comb_generator_pow", |bch| bch.iter(|| black_box(for_generator.pow(mont, &x))));
+    g.bench_function("comb_key_pow", |bch| bch.iter(|| black_box(for_key.pow(mont, &x))));
+    g.bench_function("comb_generator_build", |bch| {
+        bch.iter(|| black_box(FixedBaseTable::for_generator(mont, &a, bits)))
+    });
+    g.bench_function("comb_key_build", |bch| {
+        bch.iter(|| black_box(FixedBaseTable::for_key(mont, &a, bits)))
+    });
     g.bench_function("scalar_inv", |bch| {
         bch.iter(|| black_box(scalar.inv(&x).expect("prime modulus")))
+    });
+    g.bench_function("scalar_inv_euclid", |bch| {
+        bch.iter(|| black_box(scalar.inv_euclid(&x).expect("prime modulus")))
+    });
+    g.bench_function("scalar_inv_each_3", |bch| {
+        bch.iter(|| black_box(scalar.inv_each(&[&x, &y, &x]).expect("prime modulus")))
     });
     g.bench_function("scalar_mul", |bch| bch.iter(|| black_box(scalar.mul(&x, &y))));
     g.finish();

@@ -117,8 +117,8 @@ pub use judge::{Judge, RevealedIdentity};
 pub use ledger::{BindingProof, CoinLeaf, SignedRoot, StateLedger};
 pub use merkle::{InclusionProof, MerkleTree};
 pub use messages::{
-    CoinGrant, DepositReceipt, DepositRequest, PaymentInvite, PurchaseRequest, ReceiveSession,
-    RenewalRequest, TransferRequest,
+    CoinGrant, DepositReceipt, DepositRequest, GrantVerdicts, PaymentInvite, PurchaseRequest,
+    ReceiveSession, RenewalRequest, TransferRequest,
 };
 pub use micropay::{
     ChainCommitment, MicropayHost, MicropayReceiver, MicropaySender, RedeemChainRequest,

@@ -5,12 +5,13 @@
 //! fairness (judge-openable anonymity). The canonical signed bytes for
 //! every message are defined here so signer and verifier cannot drift.
 
-use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
+use whopay_crypto::dsa::{DsaCheck, DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_crypto::hashio::Transcript;
 use whopay_num::{BigUint, SchnorrGroup};
 
 use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
+use crate::sigcache::SigCache;
 use crate::types::PeerId;
 
 /// A payment nonce: freshness challenge from payee to payer.
@@ -93,18 +94,116 @@ impl CoinGrant {
     }
 
     /// Verifies the challenge response against whichever key signed the
-    /// binding (coin key in normal operation, broker during downtime).
+    /// binding (coin key in normal operation, broker during downtime). A
+    /// coin key is untrusted input: its subgroup membership is part of the
+    /// verdict.
     pub fn verify_proof(&self, group: &SchnorrGroup, broker: &DsaPublicKey, nonce: &Nonce) -> bool {
         let msg = Self::proof_bytes(self.minted.coin_pk(), self.binding.holder_pk(), nonce);
         match self.binding.signer() {
-            BindingSigner::CoinKey => DsaPublicKey::from_element(self.minted.coin_pk().clone()).verify(
-                group,
-                &msg,
-                &self.ownership_proof,
-            ),
+            BindingSigner::CoinKey => {
+                DsaPublicKey::verify_member(group, self.minted.coin_pk(), &msg, &self.ownership_proof)
+            }
             BindingSigner::Broker => broker.verify(group, &msg, &self.ownership_proof),
         }
     }
+
+    /// Everything a payee checks about a grant's signatures:
+    /// [`MintedCoin::verify_cached`], then [`Binding::verify_cached`] and
+    /// that the binding is about the minted coin, then
+    /// [`CoinGrant::verify_proof`] — the same verdicts, cache keys, cache
+    /// lookups and insertions, in the same order.
+    ///
+    /// A coin-key-signed binding about the minted coin is the normal case,
+    /// and there the fresh coin key is what all three lean on: the mint
+    /// needs its membership, the binding and the proof are signed under
+    /// it. They share one squaring chain over `pkC`
+    /// ([`DsaPublicKey::member_passes_each`]: `pkC^q` computed in full,
+    /// `pkC^u2` for each signature) and one inversion for the three `s⁻¹`.
+    pub fn verify_cached(
+        &self,
+        group: &SchnorrGroup,
+        broker: &DsaPublicKey,
+        nonce: &Nonce,
+        cache: &SigCache,
+    ) -> GrantVerdicts {
+        const REFUSED: GrantVerdicts = GrantVerdicts { custody: false, proof: false };
+        let coin_pk = self.minted.coin_pk();
+        if self.binding.signer() != BindingSigner::CoinKey || self.binding.coin_pk() != coin_pk {
+            // Nothing under the coin key to share a chain with.
+            let custody = self.minted.verify_cached(group, broker, cache)
+                && self.binding.verify_cached(group, broker, cache)
+                && self.binding.coin_pk() == coin_pk;
+            return GrantVerdicts {
+                custody,
+                proof: custody && self.verify_proof(group, broker, nonce),
+            };
+        }
+        let mint_key = self.minted.mint_cache_key(group, broker);
+        let minted_cached = cache.lookup(&mint_key);
+        if minted_cached == Some(false) {
+            return REFUSED;
+        }
+        // The binding's lookup counts only once the mint is known good.
+        let binding_key = self.binding.cache_key(group, broker);
+        let binding_cached = cache.peek(&binding_key);
+
+        let mint_msg = MintedCoin::signed_bytes(self.minted.owner(), coin_pk);
+        let binding_msg = Binding::signed_bytes(
+            coin_pk,
+            self.binding.holder_pk(),
+            self.binding.seq(),
+            self.binding.expires(),
+            BindingSigner::CoinKey,
+        );
+        let proof_msg = Self::proof_bytes(coin_pk, self.binding.holder_pk(), nonce);
+        let [mint_check, binding_check, proof_check]: [Option<DsaCheck>; 3] = DsaCheck::each(
+            group,
+            &[
+                (&mint_msg, self.minted.broker_sig()),
+                (&binding_msg, self.binding.raw_sig()),
+                (&proof_msg, &self.ownership_proof),
+            ],
+        )
+        .try_into()
+        .expect("one check per claim");
+        // The broker's half of the mint first: both its tables are hot, and
+        // a coin it never signed is refused before any chain over `pkC`.
+        if minted_cached.is_none() && !mint_check.is_some_and(|check| broker.passes(group, &check)) {
+            cache.prime(mint_key, false);
+            return REFUSED;
+        }
+        let under_coin_key = [binding_check.filter(|_| binding_cached.is_none()), proof_check];
+        let passes = DsaPublicKey::member_passes_each(group, coin_pk, &under_coin_key);
+        if minted_cached.is_none() {
+            cache.prime(mint_key, passes.is_some());
+            if passes.is_none() {
+                return REFUSED;
+            }
+        }
+        let passes = passes.unwrap_or_else(|| vec![false; 2]);
+        let binding = cache.lookup(&binding_key).unwrap_or_else(|| {
+            // A verdict that was there to peek at and is gone now was
+            // rotated out by the mint's insertion: verify it after all.
+            let valid = match binding_cached {
+                None => passes[0],
+                Some(_) => self.binding.verify(group, broker),
+            };
+            cache.prime(binding_key, valid);
+            valid
+        });
+        GrantVerdicts { custody: binding, proof: binding && passes[1] }
+    }
+}
+
+/// What [`CoinGrant::verify_cached`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GrantVerdicts {
+    /// The mint signature and the binding both verify and name the same
+    /// coin: the chain of custody from the broker to the new holder key.
+    pub custody: bool,
+    /// Custody holds and the ownership challenge was answered by the key
+    /// that signed the binding.
+    pub proof: bool,
 }
 
 /// A holder's request to move a coin to a new holder key — sent to the

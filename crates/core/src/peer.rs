@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::Rng;
-use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey};
+use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey};
 use whopay_net::Handle;
 use whopay_num::BigUint;
@@ -23,7 +23,7 @@ use crate::chain::BindingChain;
 use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag, PublicBindingState};
 use crate::error::CoreError;
 use crate::messages::{
-    CoinGrant, PaymentInvite, PurchaseRequest, ReceiveSession, RenewalRequest, TransferRequest,
+    CoinGrant, Nonce, PaymentInvite, PurchaseRequest, ReceiveSession, RenewalRequest, TransferRequest,
 };
 use crate::params::SystemParams;
 use crate::sigcache::SigCache;
@@ -295,13 +295,9 @@ impl Peer {
         session: ReceiveSession,
         now: Timestamp,
     ) -> Result<CoinId, CoreError> {
-        let group = self.params.group();
-        if !grant.minted.verify_cached(group, &self.broker_pk, &self.sig_cache) {
-            return Err(CoreError::BadSignature);
-        }
-        if !grant.binding.verify_cached(group, &self.broker_pk, &self.sig_cache)
-            || grant.binding.coin_pk() != grant.minted.coin_pk()
-        {
+        let verdicts =
+            grant.verify_cached(self.params.group(), &self.broker_pk, &session.nonce, &self.sig_cache);
+        if !verdicts.custody {
             return Err(CoreError::BadSignature);
         }
         if grant.binding.holder_pk() != session.holder_keys.public().element() {
@@ -310,7 +306,7 @@ impl Peer {
         if grant.binding.is_expired(now) {
             return Err(CoreError::Expired { expired_at: grant.binding.expires() });
         }
-        if !grant.verify_proof(group, &self.broker_pk, &session.nonce) {
+        if !verdicts.proof {
             return Err(CoreError::BadOwnershipProof);
         }
         let id = grant.minted.id();
@@ -378,21 +374,10 @@ impl Peer {
             }
             return Err(CoreError::NotHolder(coin));
         }
-        let seq = owned.binding.seq() + 1;
-        let binding = Self::sign_binding_static(
-            &self.params,
-            &owned.coin_keys,
-            owned.minted.coin_pk().clone(),
-            invite.holder_pk.clone(),
-            seq,
-            now,
-            rng,
-        );
+        let (binding, ownership_proof) =
+            Self::sign_rebinding(&self.params, owned, &invite.holder_pk, &invite.nonce, now, rng);
         owned.binding = binding.clone();
         owned.issued = true;
-        let proof_msg =
-            CoinGrant::proof_bytes(owned.minted.coin_pk(), &invite.holder_pk, &invite.nonce);
-        let ownership_proof = owned.coin_keys.sign(&group, &proof_msg, rng);
         let grant = CoinGrant { minted: owned.minted.clone(), binding, ownership_proof };
         owned.last_served = Some(crate::replay::ServedOp::Issue {
             holder_pk: invite.holder_pk.clone(),
@@ -560,21 +545,10 @@ impl Peer {
         if !self.gpk.verify(&group, &msg, &request.group_sig) {
             return Err(CoreError::BadGroupSignature);
         }
-        let seq = owned.binding.seq() + 1;
-        let binding = Self::sign_binding_static(
-            &self.params,
-            &owned.coin_keys,
-            owned.minted.coin_pk().clone(),
-            request.new_holder_pk.clone(),
-            seq,
-            now,
-            rng,
-        );
+        let (binding, ownership_proof) =
+            Self::sign_rebinding(&self.params, owned, &request.new_holder_pk, &request.nonce, now, rng);
         owned.binding = binding.clone();
         owned.issued = true;
-        let proof_msg =
-            CoinGrant::proof_bytes(owned.minted.coin_pk(), &request.new_holder_pk, &request.nonce);
-        let ownership_proof = owned.coin_keys.sign(&group, &proof_msg, rng);
         let minted = owned.minted.clone();
         let grant = CoinGrant { minted, binding, ownership_proof };
         owned.last_served =
@@ -687,21 +661,10 @@ impl Peer {
         if !self.gpk.verify(&group, &msg, &request.group_sig) {
             return Err(CoreError::BadGroupSignature);
         }
-        let seq = owned.binding.seq() + 1;
-        let binding = Self::sign_binding_static(
-            &self.params,
-            &owned.coin_keys,
-            owned.minted.coin_pk().clone(),
-            request.new_holder_pk.clone(),
-            seq,
-            now,
-            rng,
-        );
+        let (binding, ownership_proof) =
+            Self::sign_rebinding(&self.params, owned, &request.new_holder_pk, &request.nonce, now, rng);
         owned.binding = binding.clone();
         owned.issued = true;
-        let proof_msg =
-            CoinGrant::proof_bytes(owned.minted.coin_pk(), &request.new_holder_pk, &request.nonce);
-        let ownership_proof = owned.coin_keys.sign(&group, &proof_msg, rng);
         let minted = owned.minted.clone();
         self.relinquish_log.push(request);
         Ok(CoinGrant { minted, binding, ownership_proof })
@@ -777,7 +740,7 @@ impl Peer {
         &self,
         challenge: &[u8],
         rng: &mut R,
-    ) -> whopay_crypto::dsa::DsaSignature {
+    ) -> DsaSignature {
         self.user_keys.sign(self.params.group(), challenge, rng)
     }
 
@@ -793,7 +756,7 @@ impl Peer {
         coin: CoinId,
         challenge: &[u8],
         rng: &mut R,
-    ) -> Result<whopay_crypto::dsa::DsaSignature, CoreError> {
+    ) -> Result<DsaSignature, CoreError> {
         let owned = self.owned.get(&coin).ok_or(CoreError::NotOwner(coin))?;
         Ok(owned.coin_keys.sign(self.params.group(), challenge, rng))
     }
@@ -822,6 +785,35 @@ impl Peer {
         rng: &mut R,
     ) -> Binding {
         Self::sign_binding_static(&self.params, coin_keys, coin_pk, holder_pk, seq, now, rng)
+    }
+
+    /// The owner's two coin-key signatures of an issue or transfer — the
+    /// next binding, naming `holder_pk`, and the answer to the payee's
+    /// ownership challenge — signed together so they share one inversion.
+    fn sign_rebinding<R: Rng + ?Sized>(
+        params: &SystemParams,
+        owned: &OwnedCoin,
+        holder_pk: &BigUint,
+        nonce: &Nonce,
+        now: Timestamp,
+        rng: &mut R,
+    ) -> (Binding, DsaSignature) {
+        let coin_pk = owned.minted.coin_pk();
+        let seq = owned.binding.seq() + 1;
+        let expires = now.plus(params.renewal_period_secs());
+        let binding_msg =
+            Binding::signed_bytes(coin_pk, holder_pk, seq, expires, BindingSigner::CoinKey);
+        let proof_msg = CoinGrant::proof_bytes(coin_pk, holder_pk, nonce);
+        let [sig, proof] = owned.coin_keys.sign_each(params.group(), [&binding_msg, &proof_msg], rng);
+        let binding = Binding::from_parts(
+            coin_pk.clone(),
+            holder_pk.clone(),
+            seq,
+            expires,
+            BindingSigner::CoinKey,
+            sig,
+        );
+        (binding, proof)
     }
 
     fn sign_binding_static<R: Rng + ?Sized>(

@@ -9,11 +9,18 @@
 //! case where the signer publishes the non-member `−y` and signs so the
 //! plain DSA equation holds under it, which only the membership check
 //! rejects.
+//!
+//! `Peer::accept_grant` checks a grant's three signatures over one chain
+//! on the coin key; it must refuse exactly what the three separate checks
+//! it replaced refused, with the same error, the same wallet and the same
+//! verdict-cache traffic.
+
+use std::sync::Arc;
 
 use whopay_core::sigcache::SigCache;
 use whopay_core::{
-    Binding, BindingSigner, DepositRequest, Judge, MintedCoin, OwnerTag, PeerId, RenewalRequest,
-    Timestamp, TransferRequest,
+    Binding, BindingSigner, CoinGrant, CoinId, CoreError, DepositRequest, Judge, MintedCoin, OwnerTag,
+    Peer, PeerId, ReceiveSession, RenewalRequest, SystemParams, Timestamp, TransferRequest,
 };
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey};
@@ -208,4 +215,338 @@ fn coin_key_bindings_verify_exactly_when_the_spelled_out_check_does() {
         }
     }
     assert!(only_membership_rejected > 0, "some twisted-key bindings satisfy the plain equation");
+}
+
+/// `Peer::accept_grant` as it stood before the three checks shared a
+/// chain: mint, binding and proof each verified on its own, the proof
+/// under the coin key taken as given.
+fn accept_grant_spec(
+    w: &World,
+    cache: &SigCache,
+    grant: &CoinGrant,
+    session: &ReceiveSession,
+    now: Timestamp,
+) -> Result<CoinId, CoreError> {
+    let (group, broker) = (&w.group, w.broker.public());
+    if !grant.minted.verify_cached(group, broker, cache) {
+        return Err(CoreError::BadSignature);
+    }
+    if !grant.binding.verify_cached(group, broker, cache)
+        || grant.binding.coin_pk() != grant.minted.coin_pk()
+    {
+        return Err(CoreError::BadSignature);
+    }
+    if grant.binding.holder_pk() != session.holder_keys.public().element() {
+        return Err(CoreError::HolderKeyMismatch);
+    }
+    if grant.binding.is_expired(now) {
+        return Err(CoreError::Expired { expired_at: grant.binding.expires() });
+    }
+    let msg = CoinGrant::proof_bytes(grant.minted.coin_pk(), grant.binding.holder_pk(), &session.nonce);
+    let proven =
+        match grant.binding.signer() {
+            BindingSigner::CoinKey => DsaPublicKey::from_element(grant.minted.coin_pk().clone())
+                .verify(group, &msg, &grant.ownership_proof),
+            BindingSigner::Broker => broker.verify(group, &msg, &grant.ownership_proof),
+        };
+    if !proven {
+        return Err(CoreError::BadOwnershipProof);
+    }
+    Ok(grant.minted.id())
+}
+
+/// Who signs what in a grant built by [`grant_with`], and under which
+/// names.
+struct GrantPlan {
+    /// The coin key the mint names.
+    minted_pk: BigUint,
+    /// The coin key the binding names.
+    binding_pk: BigUint,
+    signer: BindingSigner,
+    /// The holder key the binding names (`None`: the session's).
+    holder_pk: Option<BigUint>,
+    expires: Timestamp,
+    forge_mint: bool,
+    forge_binding: bool,
+    forge_proof: bool,
+}
+
+/// A grant following `plan`, every signature made with the real secrets
+/// (the coin's, or the broker's for a downtime binding) over the bytes
+/// that name the plan's keys — so under the twisted key `−y` the plain
+/// equations hold whenever `u2` is even — and then forged where asked by
+/// signing other bytes.
+fn grant_with(w: &mut World, plan: &GrantPlan, session: &ReceiveSession) -> CoinGrant {
+    let group = w.group.clone();
+    let owner = OwnerTag::Identified(PeerId(7));
+    let forged = |msg: Vec<u8>, forge: bool| if forge { [msg, vec![0xF0]].concat() } else { msg };
+    let mint_msg = forged(MintedCoin::signed_bytes(&owner, &plan.minted_pk), plan.forge_mint);
+    let minted = MintedCoin::from_parts(
+        owner,
+        plan.minted_pk.clone(),
+        w.broker.sign(&group, &mint_msg, &mut w.rng),
+    );
+    let holder_pk =
+        plan.holder_pk.clone().unwrap_or_else(|| session.holder_keys.public().element().clone());
+    let signing_key = match plan.signer {
+        BindingSigner::CoinKey => w.coin.clone(),
+        BindingSigner::Broker => w.broker.clone(),
+    };
+    let binding_msg = forged(
+        Binding::signed_bytes(&plan.binding_pk, &holder_pk, 4, plan.expires, plan.signer),
+        plan.forge_binding,
+    );
+    let binding = Binding::from_parts(
+        plan.binding_pk.clone(),
+        holder_pk.clone(),
+        4,
+        plan.expires,
+        plan.signer,
+        signing_key.sign(&group, &binding_msg, &mut w.rng),
+    );
+    let proof_msg =
+        forged(CoinGrant::proof_bytes(&plan.minted_pk, &holder_pk, &session.nonce), plan.forge_proof);
+    let ownership_proof = signing_key.sign(&group, &proof_msg, &mut w.rng);
+    CoinGrant { minted, binding, ownership_proof }
+}
+
+fn payee(w: &mut World) -> Peer {
+    let params = SystemParams::new(w.group.clone());
+    Peer::new(PeerId(1), params, w.broker.public().clone(), w.gpk.clone(), w.member.clone(), &mut w.rng)
+}
+
+fn session(w: &mut World, round: u8) -> ReceiveSession {
+    ReceiveSession { holder_keys: DsaKeyPair::generate(&w.group, &mut w.rng), nonce: [round; 32] }
+}
+
+/// The same session again (`ReceiveSession` is deliberately not `Clone`).
+fn again(session: &ReceiveSession) -> ReceiveSession {
+    ReceiveSession { holder_keys: session.holder_keys.clone(), nonce: session.nonce }
+}
+
+fn traffic(cache: &SigCache) -> (u64, u64, u64, usize) {
+    (cache.hits(), cache.misses(), cache.evictions(), cache.len())
+}
+
+const NOW: Timestamp = Timestamp(100);
+
+/// Every way a grant can be wrong, one at a time, and the honest one.
+fn grant_cases(w: &mut World) -> Vec<(&'static str, GrantPlan, Result<(), CoreError>)> {
+    let p = w.group.modulus().clone();
+    let y = w.coin.public().element().clone();
+    let other = w.group.pow_g(&w.group.random_scalar(&mut w.rng));
+    let honest = |pk: &BigUint| GrantPlan {
+        minted_pk: pk.clone(),
+        binding_pk: pk.clone(),
+        signer: BindingSigner::CoinKey,
+        holder_pk: None,
+        expires: Timestamp(900),
+        forge_mint: false,
+        forge_binding: false,
+        forge_proof: false,
+    };
+    let bad_sig = Err(CoreError::BadSignature);
+    vec![
+        ("honest", honest(&y), Ok(())),
+        ("downtime", GrantPlan { signer: BindingSigner::Broker, ..honest(&y) }, Ok(())),
+        ("forged mint", GrantPlan { forge_mint: true, ..honest(&y) }, bad_sig.clone()),
+        ("forged binding", GrantPlan { forge_binding: true, ..honest(&y) }, bad_sig.clone()),
+        (
+            "forged downtime binding",
+            GrantPlan { signer: BindingSigner::Broker, forge_binding: true, ..honest(&y) },
+            bad_sig.clone(),
+        ),
+        (
+            "forged proof",
+            GrantPlan { forge_proof: true, ..honest(&y) },
+            Err(CoreError::BadOwnershipProof),
+        ),
+        (
+            "forged downtime proof",
+            GrantPlan { signer: BindingSigner::Broker, forge_proof: true, ..honest(&y) },
+            Err(CoreError::BadOwnershipProof),
+        ),
+        ("twisted coin key", honest(&w.group.elem_ring().neg(&y)), bad_sig.clone()),
+        ("zero coin key", honest(&BigUint::zero()), bad_sig.clone()),
+        ("coin key = p", honest(&p), bad_sig.clone()),
+        ("coin key above p", honest(&(&p + &y)), bad_sig.clone()),
+        ("order-two coin key", honest(&(&p - &BigUint::one())), bad_sig.clone()),
+        (
+            "binding about another coin",
+            GrantPlan { binding_pk: other.clone(), ..honest(&y) },
+            bad_sig.clone(),
+        ),
+        ("mint of another coin", GrantPlan { minted_pk: other.clone(), ..honest(&y) }, bad_sig.clone()),
+        (
+            "wrong holder key",
+            GrantPlan { holder_pk: Some(other), ..honest(&y) },
+            Err(CoreError::HolderKeyMismatch),
+        ),
+        (
+            "expired",
+            GrantPlan { expires: Timestamp(100), ..honest(&y) },
+            Err(CoreError::Expired { expired_at: Timestamp(100) }),
+        ),
+        (
+            "expired with a forged proof",
+            GrantPlan { expires: Timestamp(50), forge_proof: true, ..honest(&y) },
+            Err(CoreError::Expired { expired_at: Timestamp(50) }),
+        ),
+        (
+            "wrong holder key on a forged binding",
+            GrantPlan { holder_pk: Some(y.clone()), forge_binding: true, ..honest(&y) },
+            bad_sig,
+        ),
+    ]
+}
+
+#[test]
+fn accept_grant_refuses_exactly_what_the_three_separate_checks_refused() {
+    let mut w = world(0xACCE97);
+    let mut only_membership_rejected = 0;
+    for round in 0..12u8 {
+        for (label, plan, want) in grant_cases(&mut w) {
+            let session = session(&mut w, round);
+            let grant = grant_with(&mut w, &plan, &session);
+            if label == "twisted coin key" {
+                // The case the membership power decides alone.
+                let plain = DsaPublicKey::from_element(plan.binding_pk.clone());
+                let (_, msg) = grant.binding.signed_claim(w.broker.public());
+                only_membership_rejected +=
+                    plain.verify(&w.group, &msg, grant.binding.raw_sig()) as usize;
+            }
+            // A cold cache, the same grant again on the warm one, and a
+            // cache so small every insertion rotates a generation out.
+            for capacity in [64, 2] {
+                let mut peer = payee(&mut w);
+                let (cache, spec_cache) = (Arc::new(SigCache::new(capacity)), SigCache::new(capacity));
+                peer.use_sig_cache(cache.clone());
+                for pass in ["cold", "warm"] {
+                    let got = peer.accept_grant(grant.clone(), again(&session), NOW);
+                    let spec = accept_grant_spec(&w, &spec_cache, &grant, &session, NOW);
+                    assert_eq!(got, spec, "{label}, {pass}, capacity {capacity}");
+                    assert_eq!(got.clone().map(|_| ()), want, "{label}, {pass}");
+                    assert_eq!(
+                        traffic(&cache),
+                        traffic(&spec_cache),
+                        "{label}, {pass}, capacity {capacity}"
+                    );
+                    assert_eq!(
+                        peer.held_coins(),
+                        got.into_iter().collect::<Vec<_>>(),
+                        "{label}, {pass}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(only_membership_rejected > 0, "some twisted-key bindings satisfy the plain equation");
+}
+
+/// Cached verdicts enter in every combination: the mint's, the
+/// binding's, both, and a binding verdict the mint's own insertion
+/// rotates out between the moment it is seen and the moment it is used.
+#[test]
+fn accept_grant_uses_cached_verdicts_exactly_as_the_separate_checks_did() {
+    let mut w = world(0xCAC4ED);
+    let broker_pk = w.broker.public().clone();
+    for round in 0..6u8 {
+        for (label, plan, want) in grant_cases(&mut w) {
+            let session = session(&mut w, round);
+            let grant = grant_with(&mut w, &plan, &session);
+            for (warm_mint, warm_binding, capacity) in [
+                (true, false, 64),
+                (false, true, 64),
+                (true, true, 64),
+                (false, true, 2),
+                (true, true, 2),
+            ] {
+                let mut peer = payee(&mut w);
+                let (cache, spec_cache) = (Arc::new(SigCache::new(capacity)), SigCache::new(capacity));
+                peer.use_sig_cache(cache.clone());
+                for cache in [&*cache, &spec_cache] {
+                    if warm_binding {
+                        grant.binding.verify_cached(&w.group, &broker_pk, cache);
+                    }
+                    if warm_mint {
+                        grant.minted.verify_cached(&w.group, &broker_pk, cache);
+                    }
+                    if capacity == 2 {
+                        // Fill the young generation: the next insertion
+                        // drops whatever the old one holds.
+                        cache.prime([round; 32], true);
+                    }
+                }
+                let got = peer.accept_grant(grant.clone(), again(&session), NOW);
+                let spec = accept_grant_spec(&w, &spec_cache, &grant, &session, NOW);
+                let setting =
+                    format!("{label}, mint {warm_mint}, binding {warm_binding}, capacity {capacity}");
+                assert_eq!(got, spec, "{setting}");
+                assert_eq!(got.map(|_| ()), want, "{setting}");
+                assert_eq!(traffic(&cache), traffic(&spec_cache), "{setting}");
+            }
+        }
+    }
+}
+
+#[test]
+fn accept_grants_gives_the_results_of_serial_acceptance() {
+    let mut w = world(0xBA7C4);
+    let cases = grant_cases(&mut w);
+    let mut grants = Vec::new();
+    for (round, (_, plan, _)) in cases.iter().enumerate() {
+        let session = session(&mut w, round as u8);
+        let grant = grant_with(&mut w, plan, &session);
+        grants.push((grant, session));
+    }
+    // Every grant is for the same coin, so acceptance is compared one
+    // result at a time rather than through the wallet.
+    let spec_cache = SigCache::new(256);
+    let want: Vec<_> = grants
+        .iter()
+        .map(|(grant, session)| accept_grant_spec(&w, &spec_cache, grant, session, NOW))
+        .collect();
+    let mut peer = payee(&mut w);
+    let got = peer.accept_grants(grants, NOW);
+    assert_eq!(got, want);
+    assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 2);
+    assert_eq!(got.iter().map(|r| r.clone().map(|_| ())).collect::<Vec<_>>(), {
+        cases.into_iter().map(|(_, _, want)| want).collect::<Vec<_>>()
+    });
+}
+
+/// `CoinGrant::verify_proof` stands on its own: a proof under a coin key
+/// that is no group element is refused without anyone having checked the
+/// mint first.
+#[test]
+fn verify_proof_checks_the_coin_key_it_verifies_under() {
+    let mut w = world(0x9400F);
+    let broker_pk = w.broker.public().clone();
+    let mut plain_accepts = 0;
+    for round in 0..32u8 {
+        let session = session(&mut w, round);
+        let y = w.coin.public().element().clone();
+        for (coin_pk, member) in [(y.clone(), true), (w.group.elem_ring().neg(&y), false)] {
+            let plan = GrantPlan {
+                minted_pk: coin_pk.clone(),
+                binding_pk: coin_pk.clone(),
+                signer: BindingSigner::CoinKey,
+                holder_pk: None,
+                expires: Timestamp(900),
+                forge_mint: false,
+                forge_binding: false,
+                forge_proof: false,
+            };
+            let grant = grant_with(&mut w, &plan, &session);
+            assert_eq!(grant.verify_proof(&w.group, &broker_pk, &session.nonce), member);
+            assert!(!grant.verify_proof(&w.group, &broker_pk, &[0xEE; 32]));
+            if !member {
+                let msg = CoinGrant::proof_bytes(&coin_pk, grant.binding.holder_pk(), &session.nonce);
+                plain_accepts +=
+                    DsaPublicKey::from_element(coin_pk).verify(&w.group, &msg, &grant.ownership_proof)
+                        as usize;
+            }
+        }
+    }
+    assert!(plain_accepts > 0, "some twisted-key proofs satisfy the plain equation");
 }

@@ -5,20 +5,29 @@ use std::sync::OnceLock;
 
 use whopay_num::{BigUint, FixedBaseTable, SchnorrGroup};
 
-/// Exponentiations a key must serve before its table is built. Long-lived
-/// keys clear this within one protocol exchange; keys decoded from a single
-/// message never do.
-const HOT_THRESHOLD: u32 = 3;
+/// Exponentiations a key must serve cold before its table is built: rent
+/// until the rent paid equals the price. Building the two-block comb is
+/// ≈ 650 products, mostly multiplications; a use from it saves ≈ 190,
+/// mostly squarings (29 against a cold chain's ≈ 215). Measured, the
+/// table has paid for itself after 4.2 uses at 1024 bits
+/// (`cargo bench --bench modexp`: `comb_key_build` / (`pow_160bit_exp` −
+/// `comb_key_pow`) = 236 / (66.4 − 10.5) µs) and 4.3 at 512
+/// (54.7 / (15.4 − 2.6) µs). Long-lived keys clear this within a few
+/// protocol exchanges; a key decoded from a single message never does, and
+/// a key dropped right after its table was built has cost about twice
+/// what never building would have.
+const HOT_THRESHOLD: u32 = 4;
 
 /// Lazily built fixed-base table for one public-key element.
 ///
 /// Long-lived keys — the broker key checks every coin a peer receives, the
 /// judge key is raised to a fresh exponent by every group signature and
 /// every group verification — pay hundreds of Montgomery multiplications
-/// per `y^u` from scratch. A fixed-base table trades a one-time build for
-/// ~`bits/k` multiplications per exponentiation afterwards. The threshold keeps the
-/// build cost off one-shot keys (a holder key decoded from one transfer
-/// message), so it is only spent where it amortizes.
+/// per `y^u` from scratch. A fixed-base comb ([`FixedBaseTable::for_key`])
+/// trades a one-time build for one multiplication per eight exponent bits
+/// afterwards. The threshold keeps the build cost off one-shot keys (a
+/// holder key decoded from one transfer message), so it is only spent
+/// where it amortizes.
 ///
 /// Public keys are group-agnostic, so the cache remembers which modulus the
 /// table was built for and declines to serve a different group.
@@ -59,7 +68,7 @@ impl KeyAccel {
         let mont = group.elem_ring().montgomery()?;
         let (modulus, table) = self.table.get_or_init(|| {
             let base = group.elem_ring().reduce(y);
-            let table = FixedBaseTable::new(mont, &base, group.order().bits(), FixedBaseTable::WINDOW);
+            let table = FixedBaseTable::for_key(mont, &base, group.order().bits());
             (group.modulus().clone(), table)
         });
         if modulus != group.modulus() {

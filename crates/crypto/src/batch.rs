@@ -70,7 +70,7 @@
 
 use std::collections::HashMap;
 
-use whopay_num::{BigUint, ModRing, SchnorrGroup};
+use whopay_num::{BigUint, SchnorrGroup};
 
 use crate::dsa::{self, DsaPublicKey, DsaSignature};
 use crate::hashio::Transcript;
@@ -178,7 +178,10 @@ fn settle_dsa(
     let joinable: Vec<bool> = items.iter().map(|it| dsa_joinable(group, it)).collect();
     let s_values: Vec<&BigUint> =
         items.iter().zip(&joinable).filter(|(_, &ok)| ok).map(|(it, _)| it.sig.s()).collect();
-    let mut inverses = invert_all(scalar, &s_values).into_iter();
+    let mut inverses = scalar
+        .inv_each(&s_values)
+        .expect("nonzero residues of a prime modulus are invertible")
+        .into_iter();
     let claims = items
         .iter()
         .zip(&joinable)
@@ -235,27 +238,6 @@ fn dsa_joinable(group: &SchnorrGroup, item: &DsaBatchItem) -> bool {
         && in_range(sig.s())
         && is_unit(group, big_r)
         && &(big_r % q) == sig.r()
-}
-
-/// Inverts every `x` (nonzero, below the prime modulus) with one ring
-/// inversion: prefix products forward, one inverse, peeled off backwards.
-fn invert_all(ring: &ModRing, xs: &[&BigUint]) -> Vec<BigUint> {
-    let mut prefix = Vec::with_capacity(xs.len());
-    let mut acc = BigUint::one();
-    for x in xs {
-        acc = ring.mul(&acc, x);
-        prefix.push(acc.clone());
-    }
-    let mut inv = ring.inv(&acc).expect("nonzero residues of a prime modulus are invertible");
-    let mut out = vec![BigUint::zero(); xs.len()];
-    for i in (1..xs.len()).rev() {
-        out[i] = ring.mul(&inv, &prefix[i - 1]);
-        inv = ring.mul(&inv, xs[i]);
-    }
-    if let Some(first) = out.first_mut() {
-        *first = inv;
-    }
-    out
 }
 
 /// Normalizes one Schnorr item into a group claim; the challenge-hash

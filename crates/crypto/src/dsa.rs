@@ -126,17 +126,24 @@ impl DsaPublicKey {
     /// assert!(!kp.public().verify(&group, b"pay 2 coins", &sig));
     /// ```
     pub fn verify(&self, group: &SchnorrGroup, message: &[u8], sig: &DsaSignature) -> bool {
-        let Some((u1, u2)) = verify_exponents(group, message, sig) else {
-            return false;
-        };
+        DsaCheck::each(group, &[(message, sig)])[0]
+            .as_ref()
+            .is_some_and(|check| self.passes(group, check))
+    }
+
+    /// Whether this key satisfies `check`: [`DsaPublicKey::verify`] with
+    /// the inversion already paid, so a caller holding signatures under
+    /// several keys can share one ([`DsaCheck::each`]).
+    pub fn passes(&self, group: &SchnorrGroup, check: &DsaCheck) -> bool {
         // Hot keys compute y^u2 from the per-key table and g^u1 from the
         // group's generator table; cold keys share one pow2 squaring chain.
-        let elem = group.elem_ring();
-        let v = match self.accel.pow(group, &self.y, &u2) {
-            Some(y_u2) => elem.mul(&group.pow_g(&u1), &y_u2),
-            None => elem.pow2(group.generator(), &u1, &self.y, &u2),
-        };
-        v % group.order() == sig.r
+        match self.accel.pow(group, &self.y, &check.u2) {
+            Some(y_u2) => check.holds_for(group, &y_u2),
+            None => {
+                let v = group.elem_ring().pow2(group.generator(), &check.u1, &self.y, &check.u2);
+                v % group.order() == check.r
+            }
+        }
     }
 
     /// Verifies `sig` over `message` under the untrusted element `y`:
@@ -151,30 +158,92 @@ impl DsaPublicKey {
         message: &[u8],
         sig: &DsaSignature,
     ) -> bool {
-        let Some((u1, u2)) = verify_exponents(group, message, sig) else {
+        Self::verify_member_each(group, y, &[(message, sig)])[0]
+    }
+
+    /// [`DsaPublicKey::verify_member`] for every `(message, signature)` in
+    /// `claims` under the one untrusted element `y`: one squaring chain
+    /// over `y` yields the membership power `y^q` and every `y^u2`, and
+    /// one inversion every `s⁻¹`. The verdicts are exactly those of
+    /// verifying each claim on its own.
+    pub fn verify_member_each(
+        group: &SchnorrGroup,
+        y: &BigUint,
+        claims: &[(&[u8], &DsaSignature)],
+    ) -> Vec<bool> {
+        let checks = DsaCheck::each(group, claims);
+        if checks.iter().all(Option::is_none) {
             // Out-of-range signatures are rejected without touching `y`.
-            return false;
-        };
-        group.pow_member(y, &u2).is_some_and(|y_u2| {
-            group.elem_ring().mul(&group.pow_g(&u1), &y_u2) % group.order() == sig.r
-        })
+            return vec![false; claims.len()];
+        }
+        Self::member_passes_each(group, y, &checks).unwrap_or_else(|| vec![false; claims.len()])
+    }
+
+    /// Whether the untrusted element `y` is a subgroup member, and if so
+    /// which of `checks` it satisfies (`None` entries — out-of-range
+    /// signatures — never pass): `None` iff `group.is_element(y)` is
+    /// false. One squaring chain over `y` carries `q` and every `u2`
+    /// ([`SchnorrGroup::pow_member_each`]), so the membership verdict is
+    /// exact and comes with the signature verdicts instead of before them.
+    pub fn member_passes_each(
+        group: &SchnorrGroup,
+        y: &BigUint,
+        checks: &[Option<DsaCheck>],
+    ) -> Option<Vec<bool>> {
+        let exps: Vec<&BigUint> = checks.iter().flatten().map(|check| &check.u2).collect();
+        let mut powers = group.pow_member_each(y, &exps)?.into_iter();
+        let verdicts = checks.iter().map(|check| {
+            check.as_ref().is_some_and(|check| {
+                check.holds_for(group, &powers.next().expect("one power per in-range check"))
+            })
+        });
+        Some(verdicts.collect())
     }
 }
 
-/// The exponents `(u1, u2) = (h·s⁻¹, r·s⁻¹)` of the DSA check
-/// `(g^u1 · y^u2 mod p) mod q = r`, or `None` when `(r, s)` is out of range.
-fn verify_exponents(
-    group: &SchnorrGroup,
-    message: &[u8],
-    sig: &DsaSignature,
-) -> Option<(BigUint, BigUint)> {
-    let q = group.order();
-    if sig.r.is_zero() || &sig.r >= q || sig.s.is_zero() || &sig.s >= q {
-        return None;
+/// What one signature asks of its key: `(g^u1 · y^u2 mod p) mod q = r`,
+/// with `(u1, u2) = (h·s⁻¹, r·s⁻¹)` already computed.
+#[derive(Debug, Clone)]
+pub struct DsaCheck {
+    u1: BigUint,
+    u2: BigUint,
+    r: BigUint,
+}
+
+impl DsaCheck {
+    /// The check of every `(message, signature)` in `claims`, `None`
+    /// where `(r, s)` is out of range. All the `s` are inverted by one
+    /// ring inversion (Montgomery's trick), whichever keys the claims are
+    /// made under.
+    pub fn each(group: &SchnorrGroup, claims: &[(&[u8], &DsaSignature)]) -> Vec<Option<DsaCheck>> {
+        let q = group.order();
+        let scalar = group.scalar_ring();
+        let in_range =
+            |sig: &DsaSignature| !sig.r.is_zero() && &sig.r < q && !sig.s.is_zero() && &sig.s < q;
+        let s_values: Vec<&BigUint> =
+            claims.iter().filter(|(_, sig)| in_range(sig)).map(|(_, sig)| &sig.s).collect();
+        let mut inverses = scalar
+            .inv_each(&s_values)
+            .expect("nonzero residues of a prime modulus are invertible")
+            .into_iter();
+        claims
+            .iter()
+            .map(|(message, sig)| {
+                let w = in_range(sig).then(|| inverses.next().expect("one inverse per in-range s"))?;
+                Some(DsaCheck {
+                    u1: scalar.mul(&hash_message(group, message), &w),
+                    u2: scalar.mul(&sig.r, &w),
+                    r: sig.r.clone(),
+                })
+            })
+            .collect()
     }
-    let scalar = group.scalar_ring();
-    let w = scalar.inv(&sig.s)?;
-    Some((scalar.mul(&hash_message(group, message), &w), scalar.mul(&sig.r, &w)))
+
+    /// Evaluates the check given `y^u2`, with `g^u1` from the generator
+    /// table.
+    fn holds_for(&self, group: &SchnorrGroup, y_u2: &BigUint) -> bool {
+        group.elem_ring().mul(&group.pow_g(&self.u1), y_u2) % group.order() == self.r
+    }
 }
 
 impl DsaKeyPair {
@@ -203,24 +272,48 @@ impl DsaKeyPair {
         message: &[u8],
         rng: &mut R,
     ) -> DsaSignature {
+        let [sig] = self.sign_each(group, [message], rng);
+        sig
+    }
+
+    /// Signs every message, in order, with one shared inversion of the
+    /// nonces `k` (Montgomery's trick). The signatures and the draws from
+    /// `rng` are exactly those of calling [`DsaKeyPair::sign`] on each
+    /// message in turn.
+    pub fn sign_each<R: Rng + ?Sized, const N: usize>(
+        &self,
+        group: &SchnorrGroup,
+        messages: [&[u8]; N],
+        rng: &mut R,
+    ) -> [DsaSignature; N] {
         let q = group.order();
         let scalar = group.scalar_ring();
-        let h = hash_message(group, message);
-        loop {
-            let k = group.random_scalar(rng);
-            let big_r = group.pow_g(&k);
-            let r = &big_r % q;
-            if r.is_zero() {
-                continue;
+        // (k, R, r, h + x·r) per message.
+        let drawn = messages.map(|message| {
+            let h = hash_message(group, message);
+            loop {
+                let k = group.random_scalar(rng);
+                let big_r = group.pow_g(&k);
+                let r = &big_r % q;
+                if r.is_zero() {
+                    continue;
+                }
+                // s = k^-1 (h + x r) mod q is zero exactly when h + x r is:
+                // redraw before any later message draws its nonce.
+                let t = scalar.add(&h, &scalar.mul(&self.x, &r));
+                if t.is_zero() {
+                    continue;
+                }
+                return (k, big_r, r, t);
             }
-            // s = k^-1 (h + x r) mod q; k in [1, q) over prime q is invertible.
-            let k_inv = scalar.inv(&k).expect("k invertible mod prime q");
-            let s = scalar.mul(&k_inv, &scalar.add(&h, &scalar.mul(&self.x, &r)));
-            if s.is_zero() {
-                continue;
-            }
-            return DsaSignature { r, s, witness: Some(big_r) };
-        }
+        });
+        let nonces = drawn.each_ref().map(|(k, ..)| k);
+        let mut inverses =
+            scalar.inv_each(&nonces).expect("k in [1, q) over prime q is invertible").into_iter();
+        drawn.map(|(_, big_r, r, t)| {
+            let k_inv = inverses.next().expect("one inverse per nonce");
+            DsaSignature { r, s: scalar.mul(&k_inv, &t), witness: Some(big_r) }
+        })
     }
 }
 

@@ -8,7 +8,10 @@
 //! — kept here as a test-local reference. The inputs are the ones where a
 //! dropped or weakened membership check would show: keys and ciphertext
 //! halves multiplied by the order-2 element `p − 1`, `0`, `p`, and random
-//! non-members.
+//! non-members. `DsaPublicKey::verify_member_each` (every claim under one
+//! key over one chain and one inversion) must give the verdict of
+//! `verify_member` on each claim, and `DsaKeyPair::sign_each` the
+//! signatures and the draws of `sign` on each message.
 
 use rand::RngExt;
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
@@ -90,6 +93,76 @@ fn verify_member_rejects_a_signature_plain_verify_accepts_under_a_twisted_key() 
         assert!(!DsaPublicKey::verify_member(group, &twisted, &msg, &sig));
     }
     assert!(accepted_by_plain > 0, "about half the signatures have an even u2");
+}
+
+#[test]
+fn verify_member_each_matches_verify_member_on_every_claim() {
+    let group = tiny_group();
+    let (p, q) = (group.modulus(), group.order());
+    let mut rng = test_rng(0xEAC4);
+    let (mut accepted, mut refused) = (0, 0);
+    for round in 0..60 {
+        let kp = DsaKeyPair::generate(group, &mut rng);
+        let other = DsaKeyPair::generate(group, &mut rng);
+        let y = kp.public().element().clone();
+        // Zero to four claims, each valid, over other bytes, by another
+        // key, or out of range in r or in s.
+        let claims: Vec<(Vec<u8>, DsaSignature)> = (0..rng.random_range(0..5usize))
+            .map(|i| {
+                let msg = format!("claim {round}/{i}").into_bytes();
+                let sig = kp.sign(group, &msg, &mut rng);
+                match rng.random_range(0..8usize) {
+                    0..=2 => (msg, sig),
+                    3 => (b"other bytes".to_vec(), sig),
+                    4 => (msg.clone(), other.sign(group, &msg, &mut rng)),
+                    5 => (msg, DsaSignature::from_parts(sig.r() + q, sig.s().clone())),
+                    6 => (msg, DsaSignature::from_parts(sig.r().clone(), BigUint::zero())),
+                    _ => (msg, DsaSignature::from_parts(BigUint::zero(), q.clone())),
+                }
+            })
+            .collect();
+        let claims: Vec<(&[u8], &DsaSignature)> = claims.iter().map(|(m, s)| (&m[..], s)).collect();
+        let keys = [
+            y.clone(),
+            group.elem_ring().neg(&y),
+            BigUint::zero(),
+            p.clone(),
+            p + &y,
+            p - &BigUint::one(),
+            BigUint::random_below(&mut rng, p),
+        ];
+        for key in &keys {
+            let want: Vec<bool> =
+                claims.iter().map(|(m, s)| DsaPublicKey::verify_member(group, key, m, s)).collect();
+            let spec: Vec<bool> = claims.iter().map(|(m, s)| dsa_spec(group, key, m, s)).collect();
+            assert_eq!(want, spec, "key {key}");
+            assert_eq!(DsaPublicKey::verify_member_each(group, key, &claims), want, "key {key}");
+            accepted += want.iter().filter(|&&ok| ok).count();
+            refused += want.iter().filter(|&&ok| !ok).count();
+        }
+    }
+    assert!(accepted > 20 && refused > 200, "both verdicts must occur ({accepted} / {refused})");
+}
+
+#[test]
+fn sign_each_is_sign_on_each_message_in_turn() {
+    let group = tiny_group();
+    let mut rng = test_rng(0x516E);
+    let kp = DsaKeyPair::generate(group, &mut rng);
+    for round in 0..20u64 {
+        let (a, b, c) = (format!("first {round}"), format!("second {round}"), format!("third {round}"));
+        let messages = [a.as_bytes(), b.as_bytes(), c.as_bytes()];
+        let (mut one_by_one, mut together) = (test_rng(round), test_rng(round));
+        let want = messages.map(|m| kp.sign(group, m, &mut one_by_one));
+        let got = kp.sign_each(group, messages, &mut together);
+        for ((want, got), message) in want.iter().zip(&got).zip(messages) {
+            assert_eq!(want, got);
+            assert_eq!(want.witness(), got.witness());
+            assert!(kp.public().verify(group, message, got));
+        }
+        // The same number of draws, too.
+        assert_eq!(one_by_one.random::<u64>(), together.random::<u64>());
+    }
 }
 
 /// The group-signature verifier as it was before the fused chains: two
@@ -220,8 +293,8 @@ fn judge_key_table_cold_and_hot_paths_agree() {
     let mut rng = test_rng(0x401D);
     let mut judge = GroupManager::new(group.clone(), &mut rng);
     let member = judge.enroll((), &mut rng);
-    // A fresh clone-family of the judge key: its table builds after three
-    // uses, so the first rounds run cold and the rest hot.
+    // A fresh clone-family of the judge key: its table builds after a few
+    // uses, so the first round runs cold and the rest hot.
     let gpk = judge.public_key();
     let y_j = gpk.judge_key().element().clone();
     for round in 0..8 {

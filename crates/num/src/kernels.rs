@@ -139,3 +139,76 @@ pub(crate) fn sqr_fixed<const N: usize>(a: &[u64; N], m: &[u64; N], n0inv: u64, 
     rows!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
     reduce_once(out, hi, m);
 }
+
+/// Fixed-width modular inverse: `a⁻¹ mod m` for odd `m` and `0 < a < m`,
+/// or `None` when `gcd(a, m) ≠ 1`, by the binary extended Euclidean
+/// algorithm. Each round strips the factors of two from `u` — dividing
+/// its cofactor by the same power of two mod `m`, exactly, the way a
+/// Montgomery reduction step does — and subtracts the smaller of `u`, `v`
+/// from the larger. Everything stays in `[u64; N]`: no allocation, no
+/// division.
+pub(crate) fn inv_fixed<const N: usize>(a: &[u64; N], m: &[u64; N], n0inv: u64) -> Option<[u64; N]> {
+    // Invariant: u ≡ x·a and v ≡ y·a (mod m); v is odd; x, y < m.
+    let (mut u, mut v) = (*a, *m);
+    let (mut x, mut y) = ([0u64; N], [0u64; N]);
+    x[0] = 1;
+    loop {
+        // u is nonzero here, so this ends with u odd.
+        loop {
+            let t = u[0].trailing_zeros().min(63);
+            if t == 0 {
+                break;
+            }
+            for j in 0..N {
+                let above = if j + 1 < N { u[j + 1] } else { 0 };
+                u[j] = u[j] >> t | above << (64 - t);
+            }
+            // x·2^-t mod m: x + k·m is divisible by 2^t for
+            // k = -x·m⁻¹ mod 2^t, and (x + k·m) / 2^t < m.
+            let k = x[0].wrapping_mul(n0inv) & ((1u64 << t) - 1);
+            let mut carry = 0u64;
+            let mut below = 0u64;
+            for j in 0..N {
+                let s = x[j] as u128 + k as u128 * m[j] as u128 + carry as u128;
+                carry = (s >> 64) as u64;
+                if j > 0 {
+                    x[j - 1] = below >> t | (s as u64) << (64 - t);
+                }
+                below = s as u64;
+            }
+            x[N - 1] = below >> t | carry << (64 - t);
+        }
+        if u.iter().rev().lt(v.iter().rev()) {
+            std::mem::swap(&mut u, &mut v);
+            std::mem::swap(&mut x, &mut y);
+        }
+        sub_fixed(&mut u, &v);
+        if sub_fixed(&mut x, &y) {
+            // x − y went negative: wrap back into [0, m).
+            let mut carry = 0u64;
+            for (xj, &mj) in x.iter_mut().zip(m) {
+                let s = *xj as u128 + mj as u128 + carry as u128;
+                *xj = s as u64;
+                carry = (s >> 64) as u64;
+            }
+        }
+        if u == [0u64; N] {
+            break;
+        }
+    }
+    // v = gcd(a, m) and v ≡ y·a.
+    (v[0] == 1 && v[1..].iter().all(|&limb| limb == 0)).then_some(y)
+}
+
+/// `a ← a − b` over `[u64; N]`, wrapping; returns whether it borrowed.
+#[inline(always)]
+fn sub_fixed<const N: usize>(a: &mut [u64; N], b: &[u64; N]) -> bool {
+    let mut borrow = false;
+    for (aj, &bj) in a.iter_mut().zip(b) {
+        let (d1, b1) = aj.overflowing_sub(bj);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *aj = d2;
+        borrow = b1 | b2;
+    }
+    borrow
+}

@@ -29,9 +29,6 @@ use crate::BigUint;
 pub struct ModRing {
     modulus: BigUint,
     mont: Option<MontgomeryRing>,
-    /// Caller-asserted primality of the modulus (see [`ModRing::new_prime`]);
-    /// enables the Fermat inversion fast path for small moduli.
-    prime: bool,
 }
 
 impl PartialEq for ModRing {
@@ -53,19 +50,7 @@ impl ModRing {
     pub fn new(modulus: BigUint) -> Self {
         assert!(modulus > BigUint::one(), "modulus must be at least 2");
         let mont = MontgomeryRing::new(&modulus);
-        ModRing { modulus, mont, prime: false }
-    }
-
-    /// Creates a ring whose modulus the caller asserts to be prime.
-    ///
-    /// Primality is not checked here; it only unlocks the Fermat-based
-    /// [`ModRing::inv`] fast path (`a^{m-2}`), which is sound exactly when
-    /// the modulus is prime. Protocol code constructs these from validated
-    /// [`crate::SchnorrGroup`] parameters.
-    pub fn new_prime(modulus: BigUint) -> Self {
-        let mut ring = Self::new(modulus);
-        ring.prime = true;
-        ring
+        ModRing { modulus, mont }
     }
 
     /// The modulus `m`.
@@ -195,15 +180,23 @@ impl ModRing {
         acc
     }
 
-    /// `(base^e1, base^e2) mod m` — one base, two exponents, one shared
-    /// squaring chain ([`MontgomeryRing::pow_dual`]); even moduli fall back
-    /// to two [`ModRing::pow_naive`] calls. The subgroup-membership test
-    /// `x^q = 1` rides along with the power a verifier needs anyway.
-    pub fn pow_dual(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
+    /// `base^e mod m` for every `e` in `exps` — one base, one shared
+    /// squaring chain ([`MontgomeryRing::pow_each`]); even moduli fall back
+    /// to a [`ModRing::pow_naive`] call per exponent. The
+    /// subgroup-membership test `x^q = 1` rides along with the powers a
+    /// verifier needs anyway.
+    pub fn pow_each(&self, base: &BigUint, exps: &[&BigUint]) -> Vec<BigUint> {
         match &self.mont {
-            Some(mont) => mont.pow_dual(&self.reduce(base), e1, e2),
-            None => (self.pow_naive(base, e1), self.pow_naive(base, e2)),
+            Some(mont) => mont.pow_each(&self.reduce(base), exps),
+            None => exps.iter().map(|e| self.pow_naive(base, e)).collect(),
         }
+    }
+
+    /// `(base^e1, base^e2) mod m`: [`ModRing::pow_each`] for two exponents.
+    pub fn pow_dual(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
+        let [p1, p2]: [BigUint; 2] =
+            self.pow_each(base, &[e1, e2]).try_into().expect("one power per exponent");
+        (p1, p2)
     }
 
     /// Simultaneous product `∏ gᵢ^eᵢ mod m` over arbitrarily many pairs —
@@ -243,22 +236,53 @@ impl ModRing {
     /// Modular inverse: returns `x` with `a * x ≡ 1 (mod m)`, or `None` if
     /// `gcd(a, m) != 1`.
     ///
-    /// For small prime moduli (declared via [`ModRing::new_prime`]) this
-    /// computes `a^{m-2}` with the Montgomery fast path — cheaper than the
-    /// allocation-heavy Euclidean loop below that size. Everything else
-    /// uses the extended Euclidean algorithm with a sign-tracked Bézout
-    /// coefficient.
+    /// Odd moduli of at most four limbs — the 160-bit scalar ring, where
+    /// every DSA signature and verification spends an inversion — run the
+    /// binary extended Euclidean algorithm on fixed-width limbs, with no
+    /// allocation in the loop; everything else takes
+    /// [`ModRing::inv_euclid`].
     pub fn inv(&self, a: &BigUint) -> Option<BigUint> {
+        match &self.mont {
+            Some(mont) if mont.num_limbs() <= MontgomeryRing::INV_MAX_LIMBS => {
+                mont.inv(&self.reduce(a))
+            }
+            _ => self.inv_euclid(a),
+        }
+    }
+
+    /// Inverts every `x` in `xs` with one ring inversion (Montgomery's
+    /// trick: prefix products forward, one inverse, peeled off
+    /// backwards), or `None` when any of them is not invertible. Each
+    /// value after the first costs three multiplications.
+    pub fn inv_each(&self, xs: &[&BigUint]) -> Option<Vec<BigUint>> {
+        let Some((first, rest)) = xs.split_first() else {
+            return Some(Vec::new());
+        };
+        // prefix[i] = x_0 · … · x_i.
+        let mut prefix = Vec::with_capacity(xs.len());
+        prefix.push(self.reduce(first));
+        for x in rest {
+            let next = self.mul(&prefix[prefix.len() - 1], x);
+            prefix.push(next);
+        }
+        let mut inv = self.inv(&prefix[xs.len() - 1])?;
+        let mut out = vec![BigUint::zero(); xs.len()];
+        for i in (1..xs.len()).rev() {
+            out[i] = self.mul(&inv, &prefix[i - 1]);
+            inv = self.mul(&inv, xs[i]);
+        }
+        out[0] = inv;
+        Some(out)
+    }
+
+    /// [`ModRing::inv`] by the extended Euclidean algorithm with a
+    /// sign-tracked Bézout coefficient, whatever the modulus — the path of
+    /// wide and even moduli, and the reference the fixed-width inverse is
+    /// differentially tested against.
+    pub fn inv_euclid(&self, a: &BigUint) -> Option<BigUint> {
         let a = self.reduce(a);
         if a.is_zero() {
             return None;
-        }
-        // Fermat pays off only while the exponentiation's ~1.25·bits
-        // multiplications stay cheap; past 4 limbs Euclid wins.
-        if self.prime && self.modulus.limbs().len() <= 4 {
-            if let Some(mont) = &self.mont {
-                return Some(mont.pow(&a, &(&self.modulus - &BigUint::from(2u64))));
-            }
         }
         // Invariant: old_r = old_s * a (mod m), r = s * a (mod m),
         // with s coefficients tracked as (magnitude, negative?).

@@ -17,11 +17,11 @@
 //! against.
 //!
 //! Exponentiation uses fixed windows (width chosen from the exponent
-//! size, up to 5 bits); [`MontgomeryRing::pow_dual`] raises one base to
-//! two exponents over a single squaring chain; and [`FixedBaseTable`]
-//! precomputes digit-aligned powers of a fixed base (the group generator,
-//! a long-lived key) so that a full exponentiation costs only
-//! `ceil(bits/k)` multiplications and **zero squarings**. Window and
+//! size, up to 5 bits); [`MontgomeryRing::pow_each`] raises one base to
+//! any number of exponents over a single squaring chain; and
+//! [`FixedBaseTable`] is a Lim–Lee comb over a fixed base (the group
+//! generator, a long-lived key), so that a full exponentiation costs only
+//! `ceil(bits/8)` multiplications and a handful of squarings. Window and
 //! fixed-base tables are one flat limb vector each.
 //!
 //! Everything here is variable-time; like the rest of this crate it
@@ -202,6 +202,32 @@ impl MontgomeryRing {
         self.from_mont(&self.mont_mul(&self.to_mont(a), &self.to_mont(b)))
     }
 
+    /// Widest modulus, in limbs, [`MontgomeryRing::inv`] handles: the
+    /// binary algorithm's bit-at-a-time rounds lose to Euclid's divisions
+    /// beyond it.
+    pub(crate) const INV_MAX_LIMBS: usize = 4;
+
+    /// `a⁻¹ mod m` on ordinary integers by the fixed-width binary extended
+    /// Euclidean algorithm, `None` when `gcd(a, m) ≠ 1`. `a` must already
+    /// be reduced, and the modulus at most
+    /// [`MontgomeryRing::INV_MAX_LIMBS`] wide.
+    pub(crate) fn inv(&self, a: &BigUint) -> Option<BigUint> {
+        fn run<const N: usize>(ring: &MontgomeryRing, a: &BigUint) -> Option<BigUint> {
+            let a: [u64; N] = pad(a, N).try_into().expect("padded to N limbs");
+            kernels::inv_fixed(&a, fixed(&ring.m), ring.n0inv).map(|x| BigUint::from_limbs(x.to_vec()))
+        }
+        if a.is_zero() {
+            return None;
+        }
+        match self.m.len() {
+            1 => run::<1>(self, a),
+            2 => run::<2>(self, a),
+            3 => run::<3>(self, a),
+            4 => run::<4>(self, a),
+            n => panic!("fixed-width inverse of a {n}-limb modulus"),
+        }
+    }
+
     /// `base^exp mod m` by fixed-window exponentiation in Montgomery form.
     ///
     /// `base` must already be reduced mod `m`. `0^0 = 1`.
@@ -223,29 +249,30 @@ impl MontgomeryRing {
         acc.finish()
     }
 
-    /// `(base^e1, base^e2) mod m` over one shared squaring chain (Yao's
-    /// right-to-left 2⁴-ary method): the powers `base^(16^i)` are computed
-    /// once, each exponent drops the current power into the bucket of its
-    /// `i`-th digit, and a suffix sweep per exponent turns its buckets
-    /// into `∏ bucket_d^d`. Two 160-bit exponents cost ≈260 products, 156
-    /// of them squarings, against ≈428 for two [`MontgomeryRing::pow`]
-    /// chains.
+    /// `base^e mod m` for every `e` in `exps` over one shared squaring
+    /// chain (Yao's right-to-left 2⁴-ary method): the powers
+    /// `base^(16^i)` are computed once, each exponent drops the current
+    /// power into the bucket of its `i`-th digit, and a suffix sweep per
+    /// exponent turns its buckets into `∏ bucket_d^d`. Each 160-bit
+    /// exponent adds ≈52 products to the 156 squarings they share: two
+    /// cost ≈260 and three ≈312, against ≈214 for every
+    /// [`MontgomeryRing::pow`] chain of its own.
     ///
     /// `base` must already be reduced mod `m`. `0^0 = 1`.
-    pub fn pow_dual(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
+    pub fn pow_each(&self, base: &BigUint, exps: &[&BigUint]) -> Vec<BigUint> {
         const K: usize = 4;
         const SPAN: usize = (1 << K) - 1;
         let n = self.m.len();
-        let exps = [e1, e2];
         // buckets[(s * SPAN + d - 1) * n ..] = ∏ base^(16^i) over the digit
         // positions i where exponent s has digit d; bit d of filled[s]
         // says whether that bucket holds anything yet.
-        let mut buckets = vec![0u64; 2 * SPAN * n];
-        let mut filled = [0u32; 2];
+        let mut buckets = vec![0u64; exps.len() * SPAN * n];
+        let mut filled = vec![0u32; exps.len()];
         let mut power = Chain::new(self);
         power.mul(&self.to_mont(base));
         let mut tmp = vec![0u64; n];
-        for i in 0..e1.bits().max(e2.bits()).div_ceil(K) {
+        let bits = exps.iter().map(|e| e.bits()).max().unwrap_or(0);
+        for i in 0..bits.div_ceil(K) {
             if i > 0 {
                 power.sqr_times(K);
             }
@@ -280,7 +307,7 @@ impl MontgomeryRing {
             }
             total.finish()
         };
-        (sweep(0), sweep(1))
+        (0..exps.len()).map(sweep).collect()
     }
 
     /// Simultaneous `g1^e1 * g2^e2 mod m` with interleaved 2-bit windows:
@@ -519,49 +546,86 @@ fn pad(x: &BigUint, n: usize) -> Vec<u64> {
     v
 }
 
-/// Precomputed digit-aligned powers of one fixed base.
+/// A Lim–Lee comb over one fixed base `g`.
 ///
-/// For a base `g` and window width `k`, stores `g^(j·2^(k·i))` in
-/// Montgomery form for every digit position `i` and digit value
-/// `j ∈ 1..2^k`, so `g^e` is just the product of one table entry per
-/// nonzero digit of `e` — no squarings at all. Memory is
-/// `ceil(bits/k) · (2^k - 1)` residues in one flat vector (≈ 75 KiB for a
-/// 160-bit exponent range over a 1024-bit modulus at `k = 4`).
+/// The exponent is cut into [`FixedBaseTable::ROWS`] rows of `a = v·b`
+/// bits and every row into `v` blocks of `b` bits. For block `j` and
+/// every non-empty set `u` of rows the table holds
+/// `∏_{i ∈ u} g^(2^(i·a + j·b))`, so one entry carries one bit of each
+/// row at once: `g^e` is `b − 1` squarings and at most `v·b = ⌈bits/8⌉`
+/// multiplications — 29 products for a 160-bit exponent at `v = 2`, 24 at
+/// `v = 4`, where a table of 4-bit digits with no squarings paid 40.
+/// Memory is `v · 255` residues in one flat vector: 31.9 KiB at `v = 2`
+/// and 63.8 KiB at `v = 4` over a 512-bit modulus, twice that over 1024
+/// bits. Building costs one squaring chain over the whole exponent range
+/// plus 247 multiplications per block (≈ 650 / ≈ 1 150 products).
+///
+/// The shape follows from how long the base lives and is picked by the
+/// constructor: [`FixedBaseTable::for_generator`] spends the memory of
+/// four blocks once per group, [`FixedBaseTable::for_key`] keeps the many
+/// per-key tables at two.
 #[derive(Debug, Clone)]
 pub struct FixedBaseTable {
-    k: usize,
-    digits: usize,
-    /// `table[(i * (2^k - 1) + j - 1) * n ..] = g^(j << (k*i))` in
-    /// Montgomery form, `n` limbs per entry.
+    /// Blocks per row (`v`).
+    blocks: usize,
+    /// Bits per block (`b`).
+    block_bits: usize,
+    /// `table[(j * SPAN + u - 1) * n ..] = ∏_{i ∈ u} g^(2^(i·a + j·b))` in
+    /// Montgomery form, `n` limbs per entry; bit `i` of `u` selects row `i`.
     table: Vec<u64>,
 }
 
 impl FixedBaseTable {
-    /// Window width used for the generator tables.
-    pub const WINDOW: usize = 4;
+    /// Rows of the comb (`h`): bits of the exponent one table entry covers.
+    pub const ROWS: usize = 8;
 
-    /// Builds the table for exponents up to `max_bits` bits.
+    /// Entries per block: the non-empty subsets of the rows.
+    const SPAN: usize = (1 << Self::ROWS) - 1;
+
+    /// The table for a base that lives as long as its group (the
+    /// generator): four blocks, covering exponents up to `max_bits` bits.
     ///
     /// `base` must already be reduced mod the ring's modulus.
-    pub fn new(ring: &MontgomeryRing, base: &BigUint, max_bits: usize, k: usize) -> Self {
-        assert!((1..=8).contains(&k), "window width out of range");
-        let digits = max_bits.div_ceil(k).max(1);
-        let span = (1usize << k) - 1;
-        let mut table = Vec::with_capacity(digits * span * ring.num_limbs());
-        let mut cur = Chain::new(ring); // g^(2^(k*i)) for the current i
+    pub fn for_generator(ring: &MontgomeryRing, base: &BigUint, max_bits: usize) -> Self {
+        Self::build(ring, base, max_bits, 4)
+    }
+
+    /// The table for a base that lives as long as one key: two blocks,
+    /// covering exponents up to `max_bits` bits.
+    ///
+    /// `base` must already be reduced mod the ring's modulus.
+    pub fn for_key(ring: &MontgomeryRing, base: &BigUint, max_bits: usize) -> Self {
+        Self::build(ring, base, max_bits, 2)
+    }
+
+    fn build(ring: &MontgomeryRing, base: &BigUint, max_bits: usize, blocks: usize) -> Self {
+        let n = ring.num_limbs();
+        let block_bits = max_bits.div_ceil(Self::ROWS).div_ceil(blocks).max(1);
+        let mut table = vec![0u64; blocks * Self::SPAN * n];
+        // Row i of block j is g^(2^((i·v + j)·b)): one squaring chain
+        // visits them in that order, b squarings apart.
+        let mut cur = Chain::new(ring);
         cur.mul(&ring.to_mont(base));
-        for i in 0..digits {
-            if i > 0 {
-                cur.sqr_times(k);
+        for step in 0..Self::ROWS * blocks {
+            if step > 0 {
+                cur.sqr_times(block_bits);
             }
-            ring.push_powers(&mut table, &cur.cur, span);
+            let (i, j) = (step / blocks, step % blocks);
+            table[(j * Self::SPAN + (1 << i) - 1) * n..][..n].copy_from_slice(&cur.cur);
         }
-        FixedBaseTable { k, digits, table }
+        // Every other set of rows is its lowest row times the rest.
+        for block in table.chunks_exact_mut(Self::SPAN * n) {
+            for u in (1..=Self::SPAN).filter(|u| !u.is_power_of_two()) {
+                let lowest = 1 << u.trailing_zeros();
+                ring.mul_entries(block, u - 1, (u ^ lowest) - 1, lowest - 1);
+            }
+        }
+        FixedBaseTable { blocks, block_bits, table }
     }
 
     /// Largest exponent bit-length this table covers.
     pub fn max_bits(&self) -> usize {
-        self.digits * self.k
+        Self::ROWS * self.blocks * self.block_bits
     }
 
     /// `base^e mod m`, or `None` when `e` is too large for the table
@@ -571,12 +635,17 @@ impl FixedBaseTable {
             return None;
         }
         let n = ring.num_limbs();
-        let span = (1usize << self.k) - 1;
+        let row_bits = self.blocks * self.block_bits;
         let mut acc = Chain::new(ring);
-        for i in 0..self.digits {
-            let d = exp_digit(e, i, self.k);
-            if d != 0 {
-                acc.mul(entry(&self.table, i * span + d - 1, n));
+        for k in (0..self.block_bits).rev() {
+            acc.sqr_times(1);
+            for j in 0..self.blocks {
+                let column = j * self.block_bits + k;
+                let u =
+                    (0..Self::ROWS).fold(0, |u, i| u | usize::from(e.bit(i * row_bits + column)) << i);
+                if u != 0 {
+                    acc.mul(entry(&self.table, j * Self::SPAN + u - 1, n));
+                }
             }
         }
         Some(acc.finish())
@@ -646,13 +715,16 @@ mod tests {
         let mring = ModRing::new(m.clone());
         let mont = mring.montgomery().unwrap();
         let g = BigUint::random_below(&mut rng, &m);
-        let table = FixedBaseTable::new(mont, &g, 160, FixedBaseTable::WINDOW);
-        for _ in 0..10 {
-            let e = BigUint::random_bits(&mut rng, 160);
-            assert_eq!(table.pow(mont, &e).unwrap(), mring.pow(&g, &e));
+        for table in
+            [FixedBaseTable::for_generator(mont, &g, 160), FixedBaseTable::for_key(mont, &g, 160)]
+        {
+            for _ in 0..10 {
+                let e = BigUint::random_bits(&mut rng, 160);
+                assert_eq!(table.pow(mont, &e).unwrap(), mring.pow(&g, &e));
+            }
+            assert!(table.pow(mont, &e_too_big()).is_none());
+            assert!(table.pow(mont, &BigUint::zero()).unwrap().is_one());
         }
-        assert!(table.pow(mont, &e_too_big()).is_none());
-        assert!(table.pow(mont, &BigUint::zero()).unwrap().is_one());
     }
 
     fn e_too_big() -> BigUint {

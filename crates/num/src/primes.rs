@@ -246,30 +246,29 @@ impl SchnorrGroup {
     }
 
     /// Ring of integers mod `p` (group element arithmetic), built once
-    /// per group and shared across clones. Both group moduli are prime by
-    /// construction/validation, so the rings get the prime-modulus
-    /// inversion fast path (which self-gates on modulus size).
+    /// per group and shared across clones.
     pub fn elem_ring(&self) -> &ModRing {
-        self.cache.elem_ring.get_or_init(|| ModRing::new_prime(self.p.clone()))
+        self.cache.elem_ring.get_or_init(|| ModRing::new(self.p.clone()))
     }
 
     /// Ring of integers mod `q` (exponent arithmetic), built once per
     /// group and shared across clones.
     pub fn scalar_ring(&self) -> &ModRing {
-        self.cache.scalar_ring.get_or_init(|| ModRing::new_prime(self.q.clone()))
+        self.cache.scalar_ring.get_or_init(|| ModRing::new(self.q.clone()))
     }
 
     /// `g^e mod p`.
     ///
-    /// Scalars up to `q`'s bit length hit a lazily built fixed-base table
-    /// (only multiplications, no squarings); larger exponents fall back to
-    /// generic windowed exponentiation.
+    /// Scalars up to `q`'s bit length hit a lazily built fixed-base comb
+    /// (one multiplication per eight exponent bits and a few squarings);
+    /// larger exponents fall back to generic windowed exponentiation.
     pub fn pow_g(&self, e: &BigUint) -> BigUint {
         let ring = self.elem_ring();
         if let Some(mont) = ring.montgomery() {
-            let table = self.cache.g_table.get_or_init(|| {
-                FixedBaseTable::new(mont, &self.g, self.q.bits(), FixedBaseTable::WINDOW)
-            });
+            let table = self
+                .cache
+                .g_table
+                .get_or_init(|| FixedBaseTable::for_generator(mont, &self.g, self.q.bits()));
             if let Some(r) = table.pow(mont, e) {
                 return r;
             }
@@ -282,16 +281,24 @@ impl SchnorrGroup {
         !x.is_zero() && x < &self.p && self.elem_ring().pow(x, &self.q).is_one()
     }
 
-    /// `x^e mod p` iff `x` is a subgroup member (`0 < x < p` and
-    /// `x^q = 1`), else `None`: [`SchnorrGroup::is_element`] and the power
-    /// a verifier wants from the same untrusted element, over one shared
-    /// squaring chain ([`ModRing::pow_dual`]).
-    pub fn pow_member(&self, x: &BigUint, e: &BigUint) -> Option<BigUint> {
+    /// `x^e mod p` for every `e` in `exps` iff `x` is a subgroup member
+    /// (`0 < x < p` and `x^q = 1`), else `None`:
+    /// [`SchnorrGroup::is_element`] and the powers a verifier wants from
+    /// the same untrusted element, over one shared squaring chain
+    /// ([`ModRing::pow_each`], with `q` as one more exponent).
+    pub fn pow_member_each(&self, x: &BigUint, exps: &[&BigUint]) -> Option<Vec<BigUint>> {
         if x.is_zero() || x >= &self.p {
             return None;
         }
-        let (x_q, x_e) = self.elem_ring().pow_dual(x, &self.q, e);
-        x_q.is_one().then_some(x_e)
+        let with_q: Vec<&BigUint> = exps.iter().copied().chain([&self.q]).collect();
+        let mut powers = self.elem_ring().pow_each(x, &with_q);
+        powers.pop().is_some_and(|x_q| x_q.is_one()).then_some(powers)
+    }
+
+    /// `x^e mod p` iff `x` is a subgroup member:
+    /// [`SchnorrGroup::pow_member_each`] for one exponent.
+    pub fn pow_member(&self, x: &BigUint, e: &BigUint) -> Option<BigUint> {
+        self.pow_member_each(x, &[e])?.pop()
     }
 
     /// Samples a uniformly random exponent in `[1, q)` (a private scalar).

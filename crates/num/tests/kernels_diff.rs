@@ -7,7 +7,8 @@
 //! and on the values where a carry or the final subtraction is most likely
 //! to go wrong: `0`, `1`, `m − 1` and `R mod m`. One limb either side of
 //! each width checks the dispatch itself. `SchnorrGroup::pow_member` must
-//! be exactly `is_element(x).then(|| pow(x, e))`.
+//! be exactly `is_element(x).then(|| pow(x, e))`, and its slice form
+//! `pow_member_each` the same over every exponent at once.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -97,6 +98,11 @@ fn pow_member_spec(group: &SchnorrGroup, x: &BigUint, e: &BigUint) -> Option<Big
     group.is_element(x).then(|| group.elem_ring().pow(x, e))
 }
 
+/// The specification `pow_member_each` must match.
+fn pow_member_each_spec(group: &SchnorrGroup, x: &BigUint, exps: &[&BigUint]) -> Option<Vec<BigUint>> {
+    group.is_element(x).then(|| exps.iter().map(|e| group.elem_ring().pow(x, e)).collect())
+}
+
 #[test]
 fn pow_member_on_the_boundary_values() {
     let group = test_group();
@@ -112,6 +118,12 @@ fn pow_member_on_the_boundary_values() {
         for x in [one.clone(), group.generator().clone()] {
             assert_eq!(group.pow_member(&x, e), Some(group.elem_ring().pow(&x, e)), "x={x} e={e}");
         }
+    }
+    // The slice form over all of them at once, and over none (membership alone).
+    let all: Vec<&BigUint> = exps.iter().collect();
+    for x in [BigUint::zero(), p.clone(), p + &one, order_two, one.clone(), group.generator().clone()] {
+        assert_eq!(group.pow_member_each(&x, &all), pow_member_each_spec(&group, &x, &all), "x={x}");
+        assert_eq!(group.pow_member_each(&x, &[]), group.is_element(&x).then(Vec::new), "x={x}");
     }
 }
 
@@ -139,6 +151,22 @@ proptest! {
             let twisted = group.elem_ring().neg(&member);
             prop_assert_eq!(group.pow_member(&twisted, &e), None);
             prop_assert_eq!(pow_member_spec(&group, &twisted, &e), None);
+        }
+    }
+
+    #[test]
+    fn pow_member_each_is_is_element_then_every_pow(
+        raw_x in proptest::collection::vec(any::<u64>(), 4..5),
+        raw_exps in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..3), 0..5),
+        k in any::<u64>(),
+    ) {
+        let group = test_group();
+        let exps: Vec<BigUint> = raw_exps.into_iter().map(BigUint::from_limbs).collect();
+        let exps: Vec<&BigUint> = exps.iter().collect();
+        let member = group.pow_g(&BigUint::from(k));
+        let twisted = group.elem_ring().neg(&member);
+        for x in [BigUint::from_limbs(raw_x), member, twisted] {
+            prop_assert_eq!(group.pow_member_each(&x, &exps), pow_member_each_spec(&group, &x, &exps));
         }
     }
 }

@@ -2,15 +2,17 @@
 //!
 //! Every fast path — FIOS Montgomery multiplication, fixed-window
 //! exponentiation, the interleaved `pow2` multi-exponentiation, the
-//! one-base-two-exponent `pow_dual`, and the fixed-base table — is checked
-//! against the naive division-based
+//! one-base-many-exponents `pow_each`, and the fixed-base comb in both of
+//! its shapes — is checked against the naive division-based
 //! square-and-multiply reference (`ModRing::pow_naive` / `pow2_naive`) over
 //! random odd moduli from one limb up to ~1100 bits, plus the degenerate
 //! inputs the window logic has to get right: zero exponents, bases at or
-//! above the modulus, zero bases, and the smallest odd modulus.
+//! above the modulus, zero bases, and the smallest odd modulus. The
+//! fixed-width inverse is checked against the extended Euclid it replaced.
 
 use proptest::prelude::*;
-use whopay_num::{BigUint, FixedBaseTable, ModRing, MontgomeryRing};
+use rand::SeedableRng;
+use whopay_num::{BigUint, FixedBaseTable, ModRing, MontgomeryRing, SchnorrGroup};
 
 /// Strategy: a random odd modulus >= 3 spanning 1..=17 limbs (64–1088 bits).
 fn odd_modulus() -> impl Strategy<Value = BigUint> {
@@ -96,32 +98,139 @@ proptest! {
     }
 
     #[test]
-    fn pow_dual_matches_two_pows(a in value(), e1 in exponent(), e2 in exponent(), m in odd_modulus()) {
+    fn pow_each_matches_separate_pows(
+        a in value(),
+        exps in proptest::collection::vec(exponent(), 5..6),
+        m in odd_modulus(),
+    ) {
         // `exponent()` yields 0..=3 limbs, so zero, one-limb and
-        // unequal-length exponent pairs all occur.
+        // unequal-length exponents all occur side by side.
         let mont = MontgomeryRing::new(&m).expect("odd modulus");
+        let ring = ModRing::new(m.clone());
         let base = &a % &m;
-        prop_assert_eq!(mont.pow_dual(&base, &e1, &e2), (mont.pow(&base, &e1), mont.pow(&base, &e2)));
-        let ring = ModRing::new(m);
-        prop_assert_eq!(ring.pow_dual(&a, &e1, &e2), (ring.pow_naive(&a, &e1), ring.pow_naive(&a, &e2)));
+        for n in [1usize, 2, 3, 5] {
+            let exps: Vec<&BigUint> = exps[..n].iter().collect();
+            let want: Vec<BigUint> = exps.iter().map(|e| ring.pow_naive(&a, e)).collect();
+            prop_assert_eq!(&mont.pow_each(&base, &exps), &want, "n={}", n);
+            prop_assert_eq!(&ring.pow_each(&a, &exps), &want, "n={}", n);
+        }
+        prop_assert_eq!(
+            ring.pow_dual(&a, &exps[0], &exps[1]),
+            (ring.pow_naive(&a, &exps[0]), ring.pow_naive(&a, &exps[1]))
+        );
+        prop_assert_eq!(mont.pow_each(&base, &[]), Vec::<BigUint>::new());
     }
 
     #[test]
-    fn fixed_base_table_matches_pow(base in value(), e in exponent(), m in odd_modulus()) {
+    fn fixed_base_comb_matches_naive(
+        base in value(),
+        e in exponent(),
+        m in odd_modulus(),
+        max_bits in 1usize..200,
+    ) {
         let mont = MontgomeryRing::new(&m).expect("odd modulus");
+        let ring = ModRing::new(m.clone());
         let b = &base % &m;
-        let table = FixedBaseTable::new(&mont, &b, 192, FixedBaseTable::WINDOW);
-        let got = table.pow(&mont, &e).expect("exponent within table width");
-        prop_assert_eq!(got, mont.pow(&b, &e));
+        let one = BigUint::one();
+        for table in both_shapes(&mont, &b, max_bits) {
+            let covered = table.max_bits();
+            prop_assert!(covered >= max_bits);
+            // Random within range, the two smallest, every covered bit set.
+            let widest = (&one << covered) - &one;
+            for e in [&e % &(&widest + &one), BigUint::zero(), one.clone(), widest] {
+                prop_assert_eq!(table.pow(&mont, &e), Some(ring.pow_naive(&b, &e)), "e={}", e);
+            }
+            prop_assert_eq!(table.pow(&mont, &(&one << covered)), None);
+        }
     }
 
     #[test]
-    fn fixed_base_table_declines_oversized_exponents(m in small_odd_modulus()) {
+    fn fixed_base_comb_declines_oversized_exponents(m in small_odd_modulus()) {
         let mont = MontgomeryRing::new(&m).expect("odd modulus");
-        let table = FixedBaseTable::new(&mont, &BigUint::from(2u64), 64, FixedBaseTable::WINDOW);
-        let too_wide = BigUint::one() << 200;
-        prop_assert_eq!(table.pow(&mont, &too_wide), None);
+        for table in both_shapes(&mont, &BigUint::from(2u64), 64) {
+            let too_wide = BigUint::one() << 200;
+            prop_assert_eq!(table.pow(&mont, &too_wide), None);
+        }
     }
+
+    #[test]
+    fn fixed_width_inverse_matches_euclid(a in value(), m in small_odd_modulus()) {
+        let ring = ModRing::new(m.clone());
+        let got = ring.inv(&a);
+        prop_assert_eq!(&got, &ring.inv_euclid(&a));
+        if let Some(x) = got {
+            prop_assert!(ring.mul(&a, &x).is_one());
+        }
+        // A product of two odd factors: multiples of either have no inverse.
+        // (Up to three limbs of `m` keep the product on the fixed-width side.)
+        let composite = ModRing::new(&m * &BigUint::from(0xFFFF_FFFBu64));
+        let multiple = &m * &(&a % &BigUint::from(0xFFFF_FFFBu64));
+        prop_assert_eq!(composite.inv(&multiple), None);
+        prop_assert_eq!(composite.inv(&a), composite.inv_euclid(&a));
+    }
+
+    #[test]
+    fn shared_inversion_matches_one_at_a_time(
+        xs in proptest::collection::vec(value(), 0..6),
+        m in small_odd_modulus(),
+    ) {
+        let ring = ModRing::new(m);
+        let refs: Vec<&BigUint> = xs.iter().collect();
+        let each: Option<Vec<BigUint>> = xs.iter().map(|x| ring.inv(x)).collect();
+        prop_assert_eq!(ring.inv_each(&refs), each);
+    }
+}
+
+/// The comb in every shape shipped.
+fn both_shapes(mont: &MontgomeryRing, base: &BigUint, max_bits: usize) -> [FixedBaseTable; 2] {
+    [FixedBaseTable::for_generator(mont, base, max_bits), FixedBaseTable::for_key(mont, base, max_bits)]
+}
+
+#[test]
+fn fixed_base_comb_on_a_schnorr_group() {
+    // The shapes the protocol builds: exponents up to q's width, q − 1
+    // (the inverse of the base) among them.
+    let group = SchnorrGroup::generate(192, 96, &mut rand::rngs::StdRng::seed_from_u64(0xC0B));
+    let ring = group.elem_ring();
+    let mont = ring.montgomery().expect("odd modulus");
+    let (g, q) = (group.generator(), group.order());
+    let one = BigUint::one();
+    for table in both_shapes(mont, g, q.bits()) {
+        assert_eq!(table.max_bits(), 96);
+        for e in [BigUint::zero(), one.clone(), q - &one, q.clone(), (&one << 96) - &one] {
+            assert_eq!(table.pow(mont, &e), Some(ring.pow_naive(g, &e)), "e={e}");
+        }
+        assert!(ring.mul(&table.pow(mont, &(q - &one)).unwrap(), g).is_one());
+        assert_eq!(table.pow(mont, &(&one << 96)), None);
+    }
+}
+
+#[test]
+fn inverse_edge_cases() {
+    let one = BigUint::one();
+    for m in [
+        BigUint::from(3u64),
+        BigUint::from(u64::MAX), // 3·5·17·257·641·65537·6700417
+        (BigUint::one() << 160) + BigUint::from(7u64), // three limbs, top limb 2^32
+        (BigUint::one() << 255) + BigUint::from(0x15u64), // four limbs, top bit set
+        (BigUint::one() << 256) + BigUint::one(), // five limbs: Euclid's side of the gate
+    ] {
+        let ring = ModRing::new(m.clone());
+        assert_eq!(ring.inv(&BigUint::zero()), None, "m={m}");
+        assert_eq!(ring.inv(&m), None, "m={m}");
+        assert_eq!(ring.inv(&one), Some(one.clone()), "m={m}");
+        assert_eq!(ring.inv(&(&m + &one)), Some(one.clone()), "m={m}");
+        // (m − 1)² = 1.
+        assert_eq!(ring.inv(&(&m - &one)), Some(&m - &one), "m={m}");
+        for a in [2u64, 3, 0xFFFF_FFFF, 1 << 63] {
+            let a = BigUint::from(a);
+            assert_eq!(ring.inv(&a), ring.inv_euclid(&a), "a={a} m={m}");
+        }
+    }
+    let ring = ModRing::new(BigUint::from(u64::MAX));
+    assert_eq!(ring.inv(&BigUint::from(641u64 * 3)), None);
+    assert!(ring.inv(&BigUint::from(641u64 * 3 + 1)).is_some());
+    assert!(ring.inv_each(&[&BigUint::from(2u64), &BigUint::from(641u64)]).is_none());
 }
 
 /// The inputs that break sloppy window splitting, collected deterministically.
@@ -156,10 +265,11 @@ fn edge_cases_match_naive() {
                 let want = ring.pow_naive(base, exp);
                 assert_eq!(ring.pow(base, exp), want, "pow base={base} exp={exp} m={m}");
                 assert_eq!(mont.pow(&(base % m), exp), want, "mont base={base} exp={exp} m={m}");
-                // Paired with every other edge exponent, in both slots.
+                // Beside every other edge exponent, in both slots, and
+                // beside itself.
                 for other in &exps {
-                    let pair = (want.clone(), ring.pow_naive(base, other));
-                    assert_eq!(ring.pow_dual(base, exp, other), pair, "dual base={base} m={m}");
+                    let powers = vec![want.clone(), ring.pow_naive(base, other), want.clone()];
+                    assert_eq!(ring.pow_each(base, &[exp, other, exp]), powers, "base={base} m={m}");
                 }
             }
         }
