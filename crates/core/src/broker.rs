@@ -14,7 +14,7 @@ use rand::Rng;
 use whopay_crypto::batch;
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupPublicKey, GroupSignature};
-use whopay_crypto::payword::{Payword, SkipVerifier};
+use whopay_crypto::payword::{skip_verify, Payword};
 use whopay_crypto::sha256::Digest;
 use whopay_num::{BigUint, SchnorrGroup};
 
@@ -27,7 +27,7 @@ use crate::ledger::{coin_leaf, BindingProof, SignedRoot, StateLedger};
 use crate::messages::{
     CoinGrant, DepositReceipt, DepositRequest, PurchaseRequest, RenewalRequest, TransferRequest,
 };
-use crate::micropay::{RedeemChainRequest, RedemptionReceipt};
+use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
 use crate::params::SystemParams;
 use crate::replay::ServedOp;
 use crate::sigcache::{self, SigCache};
@@ -56,12 +56,14 @@ struct CoinRecord {
 /// Per-chain broker state for streaming micropayment redemption.
 ///
 /// The broker never replays the whole hash chain: it keeps the word at
-/// the settled frontier and resumes a [`SkipVerifier`] from it, so each
+/// the settled frontier and [`skip_verify`]s from it, so each
 /// incremental redemption costs `O(gap mod checkpoint_every + 1)`
 /// SHA-256 evaluations regardless of chain length.
 #[derive(Debug)]
 struct ChainRecord {
-    commitment: crate::micropay::ChainCommitment,
+    /// The signed commitment, shared with the replay memo below and the
+    /// journal entry of the redemption that presented it.
+    commitment: Arc<ChainCommitment>,
     /// Units settled (credited) so far — the payword index frontier.
     settled: u64,
     /// The chain word at index `settled`, the verifier's resume anchor.
@@ -768,7 +770,7 @@ impl Broker {
     ///
     /// Only the *commitment's* group signature is ever verified (once,
     /// then served from the verdict cache); advancing the frontier costs
-    /// a handful of SHA-256 evaluations via [`SkipVerifier::resume`].
+    /// a handful of SHA-256 evaluations via [`skip_verify`].
     /// A byte-identical re-delivery is answered from the replay memo.
     ///
     /// # Errors
@@ -788,7 +790,7 @@ impl Broker {
         let commitment = &request.commitment;
         let id = commitment.chain_id();
         if let Some(record) = self.chains.get(&id) {
-            if record.commitment != *commitment {
+            if *record.commitment != *commitment {
                 return self.reject(CoreError::ChainMismatch(id));
             }
             // Exactly the redemption we already credited: a retried or
@@ -805,8 +807,11 @@ impl Broker {
         if !commitment.shape_ok() {
             return self.reject(CoreError::Malformed);
         }
-        let key = commitment.cache_key(&self.gpk);
-        if !self.sig_cache.verify_with(key, || commitment.verify(&group, &self.gpk)) {
+        // One transcript pass over the checkpoints serves the cache key
+        // and, on a miss, the verification.
+        let msg = commitment.signed_message();
+        let key = commitment.cache_key_over(&self.gpk, &msg);
+        if !self.sig_cache.verify_with(key, || commitment.verify_over(&group, &self.gpk, &msg)) {
             return self.reject(CoreError::BadGroupSignature);
         }
         if request.payword.index > commitment.capacity {
@@ -815,7 +820,8 @@ impl Broker {
                 presented: request.payword.index,
             });
         }
-        let best = match self.chains.get(&id) {
+        let known = self.chains.get(&id);
+        let best = match known {
             Some(record) => Payword { index: record.settled, word: record.best_word },
             None => Payword { index: 0, word: commitment.root },
         };
@@ -828,21 +834,32 @@ impl Broker {
                 presented_seq: request.payword.index,
             });
         }
-        let mut verifier = SkipVerifier::resume(
-            commitment.root,
+        let (extends, _hashes) = skip_verify(
             commitment.capacity,
             commitment.checkpoint_every,
-            commitment.checkpoints.clone(),
-            best,
+            &commitment.checkpoints,
+            &best,
+            &request.payword,
         );
-        let Some(credited) = verifier.receive(request.payword) else {
+        if !extends {
             return self.reject(CoreError::BadSignature);
+        }
+        let total = request.payword.index;
+        let receipt = RedemptionReceipt { chain: id, credited: total - best.index, total };
+        // The one copy of the commitment this redemption makes (none for
+        // a chain already on record): the record, its replay memo and
+        // the journal entry all hold this allocation.
+        let shared = match known {
+            Some(record) => Arc::clone(&record.commitment),
+            None => Arc::new(commitment.clone()),
         };
-        let total = verifier.best().index;
-        let receipt = RedemptionReceipt { chain: id, credited, total };
-        let served = ServedOp::RedeemChain { request: request.clone(), receipt };
+        let served = ServedOp::RedeemChain {
+            commitment: Arc::clone(&shared),
+            payword: request.payword,
+            receipt,
+        };
         let record = self.chains.entry(id).or_insert_with(|| ChainRecord {
-            commitment: commitment.clone(),
+            commitment: shared,
             settled: 0,
             best_word: commitment.root,
             last_served: None,
@@ -1217,7 +1234,7 @@ impl Broker {
                 (
                     *id,
                     ChainSnapshot {
-                        commitment: r.commitment.clone(),
+                        commitment: ChainCommitment::clone(&r.commitment),
                         settled: r.settled,
                         best_word: r.best_word,
                         last_served: r.last_served.clone(),
@@ -1292,7 +1309,7 @@ impl Broker {
                     self.chains.insert(
                         *id,
                         ChainRecord {
-                            commitment: snap.commitment.clone(),
+                            commitment: Arc::new(snap.commitment.clone()),
                             settled: snap.settled,
                             best_word: snap.best_word,
                             last_served: snap.last_served.clone(),
@@ -1361,16 +1378,16 @@ impl Broker {
                 }
             }
             JournalOp::ChainRedeem { chain, served } => {
-                if let ServedOp::RedeemChain { request, receipt } = served {
-                    self.audit.on_chain_redeem(*chain, receipt.total, request.commitment.capacity);
+                if let ServedOp::RedeemChain { commitment, payword, receipt } = served {
+                    self.audit.on_chain_redeem(*chain, receipt.total, commitment.capacity);
                     let record = self.chains.entry(*chain).or_insert_with(|| ChainRecord {
-                        commitment: request.commitment.clone(),
+                        commitment: Arc::clone(commitment),
                         settled: 0,
-                        best_word: request.commitment.root,
+                        best_word: commitment.root,
                         last_served: None,
                     });
                     record.settled = receipt.total;
-                    record.best_word = request.payword.word;
+                    record.best_word = payword.word;
                     record.last_served = Some(served.clone());
                     self.ledger_chain(*chain);
                 }

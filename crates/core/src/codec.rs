@@ -56,6 +56,14 @@ impl Writer {
         self
     }
 
+    /// Appends already-encoded bytes verbatim: a fixed-shape run of
+    /// fields assembled on the stack goes in with one copy instead of
+    /// one growth check per field.
+    pub fn raw(&mut self, encoded: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(encoded);
+        self
+    }
+
     /// Finishes, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -178,6 +186,18 @@ impl<'a> Reader<'a> {
         let (head, rest) = self.buf.split_at(8);
         self.buf = rest;
         Ok(u64::from_be_bytes(head.try_into().expect("eight bytes")))
+    }
+
+    /// Reads the next `N` bytes as they are (the counterpart of
+    /// [`Writer::raw`]).
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] if fewer than `N` bytes remain.
+    pub fn raw<const N: usize>(&mut self) -> Result<&'a [u8; N], DecodeError> {
+        let (head, rest) = self.buf.split_first_chunk::<N>().ok_or(DecodeError)?;
+        self.buf = rest;
+        Ok(head)
     }
 
     /// Reads a length-prefixed byte string.

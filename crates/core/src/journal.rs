@@ -20,6 +20,8 @@
 //! live. The broker's secret key is deliberately *not* journalled;
 //! [`crate::Broker::export_keys`] hands it to the operator out of band.
 
+use std::sync::Arc;
+
 use whopay_crypto::dsa::DsaPublicKey;
 
 use crate::broker::{BrokerStats, FraudCase};
@@ -29,7 +31,7 @@ use crate::error::CoreError;
 use whopay_crypto::sha256::Digest;
 
 use crate::messages::{DepositReceipt, PurchaseRequest, RenewalRequest, TransferRequest};
-use crate::micropay::{ChainCommitment, RedeemChainRequest};
+use crate::micropay::ChainCommitment;
 use crate::replay::ServedOp;
 use crate::types::{ChainId, CoinId, PeerId};
 use crate::wire::{
@@ -419,10 +421,10 @@ pub(crate) fn put_served(w: &mut Writer, op: &ServedOp) {
             put_deposit(w, request);
             put_receipt(w, receipt);
         }
-        ServedOp::RedeemChain { request, receipt } => {
+        ServedOp::RedeemChain { commitment, payword, receipt } => {
             w.u64(5);
-            put_commitment(w, &request.commitment);
-            put_payword(w, &request.payword);
+            put_commitment(w, commitment);
+            put_payword(w, payword);
             put_redemption_receipt(w, receipt);
         }
     }
@@ -436,7 +438,8 @@ fn get_served(r: &mut Reader<'_>) -> Result<ServedOp, DecodeError> {
         3 => Ok(ServedOp::Renewal { request: get_renewal(r)?, binding: get_binding(r)? }),
         4 => Ok(ServedOp::Deposit { request: get_deposit(r)?, receipt: get_receipt(r)? }),
         5 => Ok(ServedOp::RedeemChain {
-            request: RedeemChainRequest { commitment: get_commitment(r)?, payword: get_payword(r)? },
+            commitment: Arc::new(get_commitment(r)?),
+            payword: get_payword(r)?,
             receipt: get_redemption_receipt(r)?,
         }),
         _ => Err(DecodeError),

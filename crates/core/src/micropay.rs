@@ -85,22 +85,37 @@ impl ChainCommitment {
             && self.checkpoints.len() as u64 == self.capacity / self.checkpoint_every
     }
 
+    /// The message the payer group-signed — [`Self::signed_bytes`] of
+    /// this commitment, one transcript pass over every checkpoint. A
+    /// verifier that wants both [`Self::cache_key`] and [`Self::verify`]
+    /// computes it once and uses the `_over` forms.
+    pub(crate) fn signed_message(&self) -> Vec<u8> {
+        Self::signed_bytes(&self.root, self.capacity, self.checkpoint_every, &self.checkpoints)
+    }
+
     /// Verifies the group signature (does not check [`Self::shape_ok`]).
     pub fn verify(&self, group: &SchnorrGroup, gpk: &GroupPublicKey) -> bool {
-        let msg =
-            Self::signed_bytes(&self.root, self.capacity, self.checkpoint_every, &self.checkpoints);
-        gpk.verify(group, &msg, &self.group_sig)
+        self.verify_over(group, gpk, &self.signed_message())
+    }
+
+    /// [`Self::verify`] given this commitment's [`Self::signed_message`].
+    pub(crate) fn verify_over(&self, group: &SchnorrGroup, gpk: &GroupPublicKey, msg: &[u8]) -> bool {
+        gpk.verify(group, msg, &self.group_sig)
     }
 
     /// A collision-resistant cache key for memoizing [`Self::verify`]
     /// results in a `SigCache`: binds the verifying group key, the
     /// signed message, and every signature component.
     pub fn cache_key(&self, gpk: &GroupPublicKey) -> Digest {
-        let msg =
-            Self::signed_bytes(&self.root, self.capacity, self.checkpoint_every, &self.checkpoints);
+        self.cache_key_over(gpk, &self.signed_message())
+    }
+
+    /// [`Self::cache_key`] given this commitment's
+    /// [`Self::signed_message`].
+    pub(crate) fn cache_key_over(&self, gpk: &GroupPublicKey, msg: &[u8]) -> Digest {
         Transcript::new("whopay/micropay-sigcache/v1")
             .int(gpk.judge_key().element())
-            .bytes(&msg)
+            .bytes(msg)
             .int(self.group_sig.ciphertext().c1())
             .int(self.group_sig.ciphertext().c2())
             .int(self.group_sig.challenge_scalar())
@@ -321,6 +336,17 @@ pub struct RedemptionReceipt {
     pub total: u64,
 }
 
+/// What a tick or a batch of ticks did to its chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TicksApplied {
+    /// Units newly credited.
+    pub(crate) gained: u64,
+    /// The chain's verified running total.
+    pub(crate) total: u64,
+    /// SHA-256 evaluations the verification spent.
+    pub(crate) hashes: u64,
+}
+
 /// Receiver-side host for the micropayment wire endpoint: tracks every
 /// open chain by id and serves `OpenChain` / `Tick` / `TickBatch`.
 #[derive(Debug)]
@@ -359,6 +385,20 @@ impl MicropayHost {
         Ok(id)
     }
 
+    /// Applies ticks to one open chain: a single `chains` lookup serves
+    /// the verification, the running total and the hash-cost reading
+    /// (the receiver's hash counter delta around `apply`).
+    pub(crate) fn apply_ticks(
+        &mut self,
+        chain: ChainId,
+        apply: impl FnOnce(&mut MicropayReceiver) -> Result<u64, CoreError>,
+    ) -> Result<TicksApplied, CoreError> {
+        let receiver = self.chains.get_mut(&chain).ok_or(CoreError::UnknownChain(chain))?;
+        let before = receiver.hashes();
+        let gained = apply(receiver)?;
+        Ok(TicksApplied { gained, total: receiver.total(), hashes: receiver.hashes() - before })
+    }
+
     /// Applies one tick. Returns `(gained, total)`.
     ///
     /// # Errors
@@ -366,9 +406,7 @@ impl MicropayHost {
     /// [`CoreError::UnknownChain`] if no such chain is open; otherwise
     /// whatever [`MicropayReceiver::receive`] raises.
     pub fn tick(&mut self, chain: ChainId, payword: Payword) -> Result<(u64, u64), CoreError> {
-        let receiver = self.chains.get_mut(&chain).ok_or(CoreError::UnknownChain(chain))?;
-        let gained = receiver.receive(payword)?;
-        Ok((gained, receiver.total()))
+        self.apply_ticks(chain, |r| r.receive(payword)).map(|t| (t.gained, t.total))
     }
 
     /// Applies a batch of ticks. Returns `(gained, total)`.
@@ -381,9 +419,7 @@ impl MicropayHost {
         chain: ChainId,
         paywords: &[Payword],
     ) -> Result<(u64, u64), CoreError> {
-        let receiver = self.chains.get_mut(&chain).ok_or(CoreError::UnknownChain(chain))?;
-        let gained = receiver.receive_batch(paywords);
-        Ok((gained, receiver.total()))
+        self.apply_ticks(chain, |r| Ok(r.receive_batch(paywords))).map(|t| (t.gained, t.total))
     }
 
     /// The receiver state for one chain.

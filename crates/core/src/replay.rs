@@ -15,13 +15,16 @@
 //! request against the same coin still takes the normal verification
 //! path and is rejected as stale or double-spent as before.
 
+use std::sync::Arc;
+
+use whopay_crypto::payword::Payword;
 use whopay_num::BigUint;
 
 use crate::coin::{Binding, MintedCoin};
 use crate::messages::{
     CoinGrant, DepositReceipt, DepositRequest, Nonce, PurchaseRequest, RenewalRequest, TransferRequest,
 };
-use crate::micropay::{RedeemChainRequest, RedemptionReceipt};
+use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
 
 /// The last mutating operation a handler served for one coin: the
 /// honoured request plus the response it produced.
@@ -72,8 +75,12 @@ pub enum ServedOp {
     },
     /// The broker settled this micropayment chain redemption.
     RedeemChain {
-        /// The redemption request that was honoured.
-        request: RedeemChainRequest,
+        /// The commitment of the redemption request that was honoured —
+        /// one copy, shared with the broker's chain record and the
+        /// journal entry of the redemption.
+        commitment: Arc<ChainCommitment>,
+        /// The payword of that request.
+        payword: Payword,
         /// The receipt returned to the redeemer.
         receipt: RedemptionReceipt,
     },
@@ -130,7 +137,11 @@ impl ServedOp {
     /// `request`.
     pub fn replay_redeem_chain(&self, request: &RedeemChainRequest) -> Option<&RedemptionReceipt> {
         match self {
-            ServedOp::RedeemChain { request: served, receipt } if served == request => Some(receipt),
+            ServedOp::RedeemChain { commitment, payword, receipt }
+                if *payword == request.payword && **commitment == request.commitment =>
+            {
+                Some(receipt)
+            }
             _ => None,
         }
     }

@@ -41,12 +41,14 @@ use crate::codec;
 use crate::error::CoreError;
 use crate::ledger::BindingProof;
 use crate::messages::{CoinGrant, DepositReceipt, PaymentInvite, PurchaseRequest};
-use crate::micropay::{ChainCommitment, MicropayHost, RedeemChainRequest, RedemptionReceipt};
+use crate::micropay::{
+    ChainCommitment, MicropayHost, RedeemChainRequest, RedemptionReceipt, TicksApplied,
+};
 use crate::peer::{Peer, PurchaseMode};
 use crate::shard::ShardedBroker;
 use crate::types::{ChainId, CoinId, Timestamp};
-use crate::view::RequestView;
-use crate::wire::{wire_kind, Request, Response};
+use crate::view::{self, RequestView, ResponseView};
+use crate::wire::{self, wire_kind, Request, Response};
 
 /// A shared protocol clock for networked services.
 pub type Clock = Rc<Cell<Timestamp>>;
@@ -514,62 +516,55 @@ pub fn attach_micropay_host_obs(
         if let Ok(view) = &parsed {
             span.set_op(view.op_kind());
         }
-        // Hash cost per verification = the receiver's hash counter delta
-        // around the dispatch.
-        let hashes_before =
-            |host: &MicropayHost, chain: &ChainId| host.receiver(chain).map_or(0, |r| r.hashes());
-        let response = match parsed {
-            Err(e) => Response::Error(e.to_string()),
+        // The answer goes straight into `out`, an ack from its two
+        // fields; only a refusal builds its message.
+        let ack = |out: &mut Vec<u8>,
+                   ticks: u64,
+                   applied: Result<TicksApplied, CoreError>|
+         -> Result<(), String> {
+            let TicksApplied { gained, total, hashes } = applied.map_err(|e| e.to_string())?;
+            if let Some(m) = &metrics {
+                m.counter("micropay.ticks").add(ticks);
+                m.counter("micropay.units").add(gained);
+                m.histogram("micropay.tick_verify_hashes").record_nanos(hashes);
+            }
+            wire::frame_into(out, |w| wire::put_tick_ack(w, gained, total));
+            Ok(())
+        };
+        let answered = match parsed {
+            Err(e) => Err(e.to_string()),
             Ok(RequestView::OpenChain(c)) => match host.borrow_mut().open(&c.to_commitment()) {
                 Ok(chain) => {
                     if let Some(m) = &metrics {
                         m.counter("micropay.opens").inc();
                     }
-                    Response::ChainAccepted(chain)
+                    Response::ChainAccepted(chain).encode_into(out);
+                    Ok(())
                 }
-                Err(e) => Response::Error(e.to_string()),
+                Err(e) => Err(e.to_string()),
             },
             Ok(RequestView::Tick { chain, payword }) => {
-                let mut h = host.borrow_mut();
-                let before = hashes_before(&h, &chain);
-                match h.tick(chain, payword) {
-                    Ok((gained, total)) => {
-                        if let Some(m) = &metrics {
-                            m.counter("micropay.ticks").inc();
-                            m.counter("micropay.units").add(gained);
-                            m.histogram("micropay.tick_verify_hashes")
-                                .record_nanos(hashes_before(&h, &chain) - before);
-                        }
-                        Response::TickAck { gained, total }
-                    }
-                    Err(e) => Response::Error(e.to_string()),
-                }
+                let applied = host.borrow_mut().apply_ticks(chain, |r| r.receive(payword));
+                ack(out, 1, applied)
             }
             Ok(RequestView::TickBatch { chain, paywords }) => {
                 span.set_batch(paywords.len() as u64);
-                let mut h = host.borrow_mut();
-                let before = hashes_before(&h, &chain);
-                match h.tick_batch(chain, &paywords) {
-                    Ok((gained, total)) => {
-                        if let Some(m) = &metrics {
-                            m.counter("micropay.ticks").add(paywords.len() as u64);
-                            m.counter("micropay.units").add(gained);
-                            m.histogram("micropay.tick_verify_hashes")
-                                .record_nanos(hashes_before(&h, &chain) - before);
-                        }
-                        Response::TickAck { gained, total }
-                    }
-                    Err(e) => Response::Error(e.to_string()),
-                }
+                let applied = host.borrow_mut().apply_ticks(chain, |r| Ok(r.receive_batch(&paywords)));
+                let ticks = paywords.len() as u64;
+                view::recycle_paywords(paywords);
+                ack(out, ticks, applied)
             }
-            Ok(_) => Response::Error("request not handled by a micropayment host".into()),
+            Ok(_) => Err("request not handled by a micropayment host".into()),
         };
-        if let (Some(m), Response::Error(_)) = (&metrics, &response) {
-            m.counter("micropay.rejections").inc();
-        }
         let reply = if caller.is_some() { span.context() } else { None };
-        finish_dispatch(span, &response);
-        response.encode_into(out);
+        if let Err(refusal) = answered {
+            if let Some(m) = &metrics {
+                m.counter("micropay.rejections").inc();
+            }
+            wire::frame_into(out, |w| wire::put_error(w, &refusal));
+            span.fail(refusal);
+        }
+        span.finish();
         if let Some(ctx) = reply {
             ctx.append_to(out);
         }
@@ -729,18 +724,21 @@ impl Classify for CallError {
 
 /// One request/response exchange, attributing both directions' traffic
 /// to the caller's span (2 messages, request + response payload bytes —
-/// the exact units `whopay_net::TrafficStats` counts).
-fn call_traced(
+/// the exact units `whopay_net::TrafficStats` counts). `encode` writes
+/// the request frame; `read` gets the reply frame, trace trailer already
+/// split off, and decides what the caller receives.
+fn exchange<T>(
     net: &mut Network,
     from: EndpointId,
     to: EndpointId,
-    request: &Request,
     span: &mut Span<'_>,
-) -> Result<Response, CallError> {
+    encode: impl FnOnce(&mut Vec<u8>),
+    read: impl FnOnce(&[u8]) -> Result<T, CallError>,
+) -> Result<T, CallError> {
     // Encode into, and receive into, recycled pool buffers: a steady-state
     // exchange allocates nothing on the wire itself.
     let mut req_buf = codec::pooled();
-    request.encode_into(&mut req_buf);
+    encode(&mut req_buf);
     // A traced span stamps its context after the frame so the server
     // dispatch (and any failure the network reports) joins this trace.
     if let Some(ctx) = span.context() {
@@ -752,10 +750,44 @@ fn call_traced(
     // trailers included — so span totals reconcile with `TrafficStats`.
     span.add_traffic(2, (req_buf.len() + resp_buf.len()) as u64);
     let (reply, _server_ctx) = TraceContext::split(&resp_buf);
-    match Response::decode(reply).map_err(CallError::Protocol)? {
-        Response::Error(e) => Err(CallError::Remote(e)),
-        other => Ok(other),
-    }
+    read(reply)
+}
+
+/// [`exchange`] of an owned request for an owned response.
+fn call_traced(
+    net: &mut Network,
+    from: EndpointId,
+    to: EndpointId,
+    request: &Request,
+    span: &mut Span<'_>,
+) -> Result<Response, CallError> {
+    let encode = |out: &mut Vec<u8>| request.encode_into(out);
+    exchange(net, from, to, span, encode, |reply| {
+        match Response::decode(reply).map_err(CallError::Protocol)? {
+            Response::Error(e) => Err(CallError::Remote(e)),
+            other => Ok(other),
+        }
+    })
+}
+
+/// [`exchange`] of a tick frame for its ack, read through a borrowed
+/// view: a streamed payment materialises neither a [`Request`] nor a
+/// [`Response`]. Returns `(gained, total)`.
+fn tick_exchange(
+    net: &mut Network,
+    from: EndpointId,
+    to: EndpointId,
+    span: &mut Span<'_>,
+    put: impl FnOnce(&mut codec::Writer),
+) -> Result<(u64, u64), CallError> {
+    let encode = |out: &mut Vec<u8>| wire::frame_into(out, put);
+    exchange(net, from, to, span, encode, |reply| {
+        match ResponseView::parse(reply).map_err(CallError::Protocol)? {
+            ResponseView::TickAck { gained, total } => Ok((gained, total)),
+            ResponseView::Error(e) => Err(CallError::Remote(String::from_utf8_lossy(e).into_owned())),
+            _ => Err(CallError::Protocol(CoreError::Malformed)),
+        }
+    })
 }
 
 /// Marks the span failed on error, then finishes it.
@@ -1523,11 +1555,7 @@ pub fn tick_via_obs(
     obs: &Obs,
 ) -> Result<(u64, u64), CallError> {
     let mut span = obs.span(Role::Peer, OpKind::MicropayTick);
-    let result = match call_traced(net, me, host_ep, &Request::Tick { chain, payword }, &mut span) {
-        Ok(Response::TickAck { gained, total }) => Ok((gained, total)),
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
-    };
+    let result = tick_exchange(net, me, host_ep, &mut span, |w| wire::put_tick(w, &chain, &payword));
     finish_call(span, &result);
     result
 }
@@ -1561,12 +1589,8 @@ pub fn tick_batch_via_obs(
 ) -> Result<(u64, u64), CallError> {
     let mut span = obs.span(Role::Peer, OpKind::MicropayTick);
     span.set_batch(paywords.len() as u64);
-    let request = Request::TickBatch { chain, paywords };
-    let result = match call_traced(net, me, host_ep, &request, &mut span) {
-        Ok(Response::TickAck { gained, total }) => Ok((gained, total)),
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
-    };
+    let result =
+        tick_exchange(net, me, host_ep, &mut span, |w| wire::put_tick_batch(w, &chain, &paywords));
     finish_call(span, &result);
     result
 }

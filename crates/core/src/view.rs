@@ -28,6 +28,8 @@
 //!   `Receipts` allocate their item vectors, length-capped exactly like
 //!   the owned decoder).
 
+use std::cell::Cell;
+
 use whopay_crypto::dsa::DsaSignature;
 use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::GroupSignature;
@@ -46,7 +48,7 @@ use crate::messages::{
 };
 use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
 use crate::types::{ChainId, CoinId, PeerId, Timestamp};
-use crate::wire::{Request, Response, MAX_WIRE_CHECKPOINTS, MAX_WIRE_SIBLINGS};
+use crate::wire::{Request, Response, MAX_WIRE_CHECKPOINTS, MAX_WIRE_SIBLINGS, PAYWORD_WIRE_LEN};
 use whopay_crypto::payword::Payword;
 
 /// A big integer still sitting in the wire buffer: the minimal big-endian
@@ -363,8 +365,32 @@ fn parse_digest32(r: &mut Reader<'_>) -> Result<[u8; 32], DecodeError> {
     r.bytes()?.try_into().map_err(|_| DecodeError)
 }
 
+/// Reads `u64(index).bytes(&word)` as one fixed-width field: a payword
+/// decodes exactly when its length prefix says 32 and all 48 bytes are
+/// there, which is when the field-by-field owned decoder accepts it.
 fn parse_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
-    Ok(Payword { index: r.u64()?, word: parse_digest32(r)? })
+    let encoded = r.raw::<PAYWORD_WIRE_LEN>()?;
+    let (index, rest) = encoded.split_first_chunk::<8>().expect("48 >= 8");
+    let (len, word) = rest.split_first_chunk::<8>().expect("40 >= 8");
+    if u64::from_be_bytes(*len) != 32 {
+        return Err(DecodeError);
+    }
+    Ok(Payword { index: u64::from_be_bytes(*index), word: word.try_into().expect("32 bytes remain") })
+}
+
+thread_local! {
+    /// The vector the last [`recycle_paywords`] handed back, for the next
+    /// [`RequestView::TickBatch`] this thread parses.
+    static PAYWORD_SCRATCH: Cell<Vec<Payword>> = const { Cell::new(Vec::new()) };
+}
+
+/// Hands a served [`RequestView::TickBatch`]'s payword vector back to
+/// this thread's parser, which fills it again for the next batch instead
+/// of allocating one: a host that recycles parses a steady stream of
+/// batches without touching the allocator. Not recycling costs nothing
+/// but that allocation.
+pub fn recycle_paywords(paywords: Vec<Payword>) {
+    PAYWORD_SCRATCH.set(paywords);
 }
 
 /// A chain commitment by reference. Every field is fixed-width (digests
@@ -688,7 +714,9 @@ impl<'a> RequestView<'a> {
                 if n > 4096 {
                     return Err(DecodeError); // same cap as the owned decoder
                 }
-                let mut paywords = Vec::with_capacity(n);
+                let mut paywords = PAYWORD_SCRATCH.take();
+                paywords.clear();
+                paywords.reserve(n);
                 for _ in 0..n {
                     paywords.push(parse_payword(r)?);
                 }

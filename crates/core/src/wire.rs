@@ -296,8 +296,17 @@ pub(crate) fn get_digest32(r: &mut Reader<'_>) -> Result<[u8; 32], DecodeError> 
     r.bytes()?.try_into().map_err(|_| DecodeError)
 }
 
+/// Encoded size of a payword: index, length prefix, 32-byte word.
+pub(crate) const PAYWORD_WIRE_LEN: usize = 48;
+
 pub(crate) fn put_payword(w: &mut Writer, p: &Payword) {
-    w.u64(p.index).bytes(&p.word);
+    // `u64(index).bytes(&word)`, assembled first: a batch carries up to
+    // 4096 of these.
+    let mut encoded = [0u8; PAYWORD_WIRE_LEN];
+    encoded[..8].copy_from_slice(&p.index.to_be_bytes());
+    encoded[8..16].copy_from_slice(&(p.word.len() as u64).to_be_bytes());
+    encoded[16..].copy_from_slice(&p.word);
+    w.raw(&encoded);
 }
 
 pub(crate) fn get_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
@@ -413,6 +422,43 @@ pub(crate) fn get_redemption_receipt(r: &mut Reader<'_>) -> Result<RedemptionRec
 
 // --- request/response encoding ---
 
+/// Encodes one frame into `out`: cleared first, capacity kept, so a
+/// recycled buffer (see [`crate::codec::pooled`]) makes steady-state
+/// encoding allocation-free.
+pub(crate) fn frame_into(out: &mut Vec<u8>, put: impl FnOnce(&mut Writer)) {
+    let mut w = Writer::with_buf(std::mem::take(out));
+    put(&mut w);
+    *out = w.finish();
+}
+
+// The streaming frames, written from their fields: a tick costs one hash,
+// so neither side builds a `Request`/`Response` value to send one. The
+// enum encoders below call the same functions — one definition per frame.
+
+/// The body of a [`Request::Tick`] frame.
+pub(crate) fn put_tick(w: &mut Writer, chain: &ChainId, payword: &Payword) {
+    w.u64(8).bytes(&chain.0);
+    put_payword(w, payword);
+}
+
+/// The body of a [`Request::TickBatch`] frame.
+pub(crate) fn put_tick_batch(w: &mut Writer, chain: &ChainId, paywords: &[Payword]) {
+    w.u64(9).bytes(&chain.0).u64(paywords.len() as u64);
+    for p in paywords {
+        put_payword(w, p);
+    }
+}
+
+/// The body of a [`Response::TickAck`] frame.
+pub(crate) fn put_tick_ack(w: &mut Writer, gained: u64, total: u64) {
+    w.u64(8).u64(gained).u64(total);
+}
+
+/// The body of a [`Response::Error`] frame.
+pub(crate) fn put_error(w: &mut Writer, message: &str) {
+    w.u64(5).bytes(message.as_bytes());
+}
+
 /// Classifies an encoded request by its wire tag without fully decoding
 /// it — the message-kind labels the `whopay-net` traffic breakdown uses
 /// (`Network::set_classifier`). Downtime flags are folded into the
@@ -512,16 +558,8 @@ impl Request {
                 w.u64(7);
                 put_commitment(&mut w, c);
             }
-            Request::Tick { chain, payword } => {
-                w.u64(8).bytes(&chain.0);
-                put_payword(&mut w, payword);
-            }
-            Request::TickBatch { chain, paywords } => {
-                w.u64(9).bytes(&chain.0).u64(paywords.len() as u64);
-                for p in paywords {
-                    put_payword(&mut w, p);
-                }
-            }
+            Request::Tick { chain, payword } => put_tick(&mut w, chain, payword),
+            Request::TickBatch { chain, paywords } => put_tick_batch(&mut w, chain, paywords),
             Request::RedeemChain(req) => {
                 w.u64(10);
                 put_commitment(&mut w, &req.commitment);
@@ -662,9 +700,7 @@ impl Response {
                     put_binding(&mut w, b);
                 }
             }
-            Response::Error(e) => {
-                w.u64(5).bytes(e.as_bytes());
-            }
+            Response::Error(e) => put_error(&mut w, e),
             Response::Receipts(rs) => {
                 w.u64(6).u64(rs.len() as u64);
                 for outcome in rs {
@@ -681,9 +717,7 @@ impl Response {
             Response::ChainAccepted(chain) => {
                 w.u64(7).bytes(&chain.0);
             }
-            Response::TickAck { gained, total } => {
-                w.u64(8).u64(*gained).u64(*total);
-            }
+            Response::TickAck { gained, total } => put_tick_ack(&mut w, *gained, *total),
             Response::Redeemed(rc) => {
                 w.u64(9);
                 put_redemption_receipt(&mut w, rc);

@@ -218,3 +218,70 @@ fn a_disabled_obs_instruments_a_prepared_group_without_allocating() {
     }
     assert_eq!(allocs() - before, 0);
 }
+
+#[test]
+fn a_steady_state_tick_or_batch_allocates_nothing_on_either_side() {
+    // A streamed payment is one hash plus two small frames: with
+    // observability disabled neither the caller (`tick_via`,
+    // `tick_batch_via`) nor the host endpoint may reach the allocator once
+    // the buffer pool and the batch scratch are warm. Both sides run on
+    // this thread, so one counter sees them both.
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use whopay_core::micropay::{MicropayHost, MicropaySender};
+    use whopay_core::service::{
+        attach_client, attach_micropay_host, open_chain_via, tick_batch_via, tick_via,
+    };
+    use whopay_crypto::group_sig::GroupManager;
+    use whopay_crypto::payword::Payword;
+    use whopay_crypto::testing::{test_rng, tiny_group};
+
+    const TICKS: u64 = 200;
+    const BATCHES: usize = 20;
+    const BATCH: usize = 16;
+
+    let mut rng = test_rng(90);
+    let group = tiny_group().clone();
+    let mut judge: GroupManager<u64> = GroupManager::new(group.clone(), &mut rng);
+    let gk = judge.enroll(1, &mut rng);
+    let gpk = judge.public_key().clone();
+    let mut net = Network::new();
+    let host = Rc::new(RefCell::new(MicropayHost::new(group.clone(), gpk.clone(), 1 << 20)));
+    let host_ep = attach_micropay_host(&mut net, host);
+    let me = attach_client(&mut net, "payer");
+    let (mut sender, commitment) = MicropaySender::open(&group, &gpk, &gk, 1024, 8, &mut rng);
+    let chain = open_chain_via(&mut net, me, host_ep, commitment).unwrap();
+
+    // The caller owns each batch's vector; build them all up front so the
+    // measured region sees only what the exchange itself does.
+    let next_batch = |sender: &mut MicropaySender| -> Vec<Payword> {
+        (0..BATCH).map(|_| sender.pay(1).unwrap()).collect()
+    };
+    for _ in 0..4 {
+        let word = sender.pay(1).unwrap();
+        tick_via(&mut net, me, host_ep, chain, word).unwrap(); // warm-up: fill the buffer pool
+    }
+    let warm = next_batch(&mut sender);
+    tick_batch_via(&mut net, me, host_ep, chain, warm).unwrap(); // and the batch scratch
+
+    let before = allocs();
+    let mut total = sender.spent();
+    for _ in 0..TICKS {
+        let word = sender.pay(1).unwrap();
+        total += 1;
+        assert_eq!(tick_via(&mut net, me, host_ep, chain, word).unwrap(), (1, total));
+    }
+    assert_eq!(allocs() - before, 0, "single ticks");
+
+    let batches: Vec<Vec<Payword>> = (0..BATCHES).map(|_| next_batch(&mut sender)).collect();
+    let stale = batches[0].clone();
+    let before = allocs();
+    for batch in batches {
+        total += BATCH as u64;
+        assert_eq!(tick_batch_via(&mut net, me, host_ep, chain, batch).unwrap(), (BATCH as u64, total));
+    }
+    // A replayed batch gains nothing and costs no allocation either.
+    assert_eq!(tick_batch_via(&mut net, me, host_ep, chain, stale).unwrap(), (0, total));
+    assert_eq!(allocs() - before, 0, "batched ticks");
+}

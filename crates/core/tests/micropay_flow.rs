@@ -224,3 +224,76 @@ fn call_error_classifies_redemption_rejections_as_fatal() {
     let call = CallError::Remote(whopay_core::CoreError::BadSignature.to_string());
     assert_eq!(whopay_net::Classify::class(&call), whopay_net::ErrorClass::Retryable);
 }
+
+#[test]
+fn host_answers_every_tick_outcome_with_the_owned_encoders_bytes() {
+    // The host endpoint writes acks and refusals straight into the reply
+    // buffer; whatever it writes must be the frame `Response::encode`
+    // builds for the same outcome, byte for byte.
+    use whopay_core::wire::{Request, Response};
+    use whopay_core::{ChainId, CoreError};
+
+    let (params, judge, _broker, gk, mut rng) = world(85);
+    let group = params.group().clone();
+    let gpk = judge.public_key().clone();
+    let mut net = Network::new();
+    let host = Rc::new(RefCell::new(MicropayHost::new(group.clone(), gpk.clone(), 8)));
+    let host_ep = attach_micropay_host(&mut net, host.clone());
+    let payer_ep = attach_client(&mut net, "payer");
+    let (mut sender, commitment) = MicropaySender::open(&group, &gpk, &gk, 32, 4, &mut rng);
+    let chain = open_chain_via(&mut net, payer_ep, host_ep, commitment).unwrap();
+
+    let mut reply = Vec::new();
+    let mut ask = |net: &mut Network, frame: &[u8]| {
+        net.request_into(payer_ep, host_ep, frame, &mut reply).unwrap();
+        reply.clone()
+    };
+    let tick = |chain, payword| Request::Tick { chain, payword }.encode();
+    let ack = |gained, total| Response::TickAck { gained, total }.encode();
+    let refusal = |e: CoreError| Response::Error(e.to_string()).encode();
+
+    let p1 = sender.pay(2).unwrap();
+    let p2 = sender.pay(3).unwrap();
+    assert_eq!(ask(&mut net, &tick(chain, p2)), ack(5, 5));
+    // Stale and duplicate ticks are idempotent acks of nothing.
+    assert_eq!(ask(&mut net, &tick(chain, p1)), ack(0, 5), "stale");
+    assert_eq!(ask(&mut net, &tick(chain, p2)), ack(0, 5), "duplicate");
+    let over = Payword { index: 33, word: p2.word };
+    assert_eq!(
+        ask(&mut net, &tick(chain, over)),
+        refusal(CoreError::ChainOverCapacity { capacity: 32, presented: 33 })
+    );
+    let unknown = ChainId([9; 32]);
+    assert_eq!(ask(&mut net, &tick(unknown, p2)), refusal(CoreError::UnknownChain(unknown)));
+    let forged = Payword { index: 9, word: [0xAB; 32] };
+    assert_eq!(ask(&mut net, &tick(chain, forged)), refusal(CoreError::BadSignature));
+
+    // Batches: the same shapes, plus a batch that gains nothing.
+    let batch: Vec<Payword> = (0..3).map(|_| sender.pay(1).unwrap()).collect();
+    let frame = Request::TickBatch { chain, paywords: batch.clone() }.encode();
+    assert_eq!(ask(&mut net, &frame), ack(3, 8));
+    assert_eq!(ask(&mut net, &frame), ack(0, 8), "replayed batch");
+    let frame = Request::TickBatch { chain, paywords: vec![forged, over] }.encode();
+    assert_eq!(ask(&mut net, &frame), ack(0, 8), "a batch skips what it cannot verify");
+    let frame = Request::TickBatch { chain: unknown, paywords: batch }.encode();
+    assert_eq!(ask(&mut net, &frame), refusal(CoreError::UnknownChain(unknown)));
+
+    // Not a frame at all, and a frame for someone else.
+    assert_eq!(ask(&mut net, b"\x00\x01garbage"), refusal(CoreError::Malformed));
+    let elsewhere = Request::BindingProof { coin: whopay_core::CoinId([1; 32]) }.encode();
+    assert_eq!(
+        ask(&mut net, &elsewhere),
+        Response::Error("request not handled by a micropayment host".into()).encode()
+    );
+
+    // The client calls read those frames back as the same outcomes.
+    assert_eq!(tick_via(&mut net, payer_ep, host_ep, chain, p1).unwrap(), (0, 8));
+    match tick_via(&mut net, payer_ep, host_ep, chain, forged) {
+        Err(CallError::Remote(msg)) => assert_eq!(msg, CoreError::BadSignature.to_string()),
+        other => panic!("forged tick: {other:?}"),
+    }
+    match tick_batch_via(&mut net, payer_ep, host_ep, unknown, vec![p1]) {
+        Err(CallError::Remote(msg)) => assert_eq!(msg, CoreError::UnknownChain(unknown).to_string()),
+        other => panic!("unknown chain: {other:?}"),
+    }
+}

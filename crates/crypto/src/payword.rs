@@ -83,7 +83,10 @@ impl PaywordChain {
     /// Spends `units` more, returning the payword proving the new
     /// cumulative total, or `None` if the chain is exhausted.
     pub fn spend(&mut self, units: u64) -> Option<Payword> {
-        let target = self.next - 1 + units as usize;
+        // Checked: a wrapped sum would land back inside the spent prefix,
+        // re-reveal an old payword and roll `spent()` backwards.
+        let target =
+            usize::try_from(units).ok().and_then(|units| (self.next - 1).checked_add(units))?;
         if units == 0 || target > self.capacity() {
             return None;
         }
@@ -212,24 +215,8 @@ impl SkipVerifier {
     ///
     /// Panics if `every == 0`.
     pub fn new(root: Digest, capacity: u64, every: u64, checkpoints: Vec<Digest>) -> Self {
-        Self::resume(root, capacity, every, checkpoints, Payword { index: 0, word: root })
-    }
-
-    /// Resumes verification mid-chain from an already-verified best
-    /// payword — how the broker re-anchors a partially settled chain
-    /// from its journaled state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn resume(
-        root: Digest,
-        capacity: u64,
-        every: u64,
-        checkpoints: Vec<Digest>,
-        best: Payword,
-    ) -> Self {
         assert!(every > 0, "checkpoint interval must be positive");
+        let best = Payword { index: 0, word: root };
         SkipVerifier { root, capacity, every, checkpoints, best, hashes: 0 }
     }
 
@@ -261,28 +248,10 @@ impl SkipVerifier {
 
     /// Whether `payword` extends the chain, without recording it.
     pub fn check(&mut self, payword: Payword) -> bool {
-        if payword.index <= self.best.index || payword.index > self.capacity {
-            return false;
-        }
-        // Anchor at the nearest checkpoint at or below the payword when
-        // it beats the best verified word; otherwise walk down to best.
-        let ck = payword.index / self.every;
-        let ck_index = ck * self.every;
-        if ck >= 1 && ck as usize <= self.checkpoints.len() && ck_index > self.best.index {
-            let mut cur = payword.word;
-            for _ in 0..payword.index - ck_index {
-                cur = Sha256::digest(&cur);
-            }
-            self.hashes += payword.index - ck_index + 1;
-            checkpoint_digest(&cur) == self.checkpoints[ck as usize - 1]
-        } else {
-            let mut cur = payword.word;
-            for _ in 0..payword.index - self.best.index {
-                cur = Sha256::digest(&cur);
-            }
-            self.hashes += payword.index - self.best.index;
-            cur == self.best.word
-        }
+        let (extends, hashes) =
+            skip_verify(self.capacity, self.every, &self.checkpoints, &self.best, &payword);
+        self.hashes += hashes;
+        extends
     }
 
     /// Verifies and records a payword. Returns the newly received units
@@ -304,16 +273,64 @@ impl SkipVerifier {
     /// the next. Duplicates and stale entries are skipped for free.
     /// Returns the total units gained.
     pub fn receive_batch(&mut self, paywords: &[Payword]) -> u64 {
-        let mut order: Vec<usize> = (0..paywords.len()).collect();
-        order.sort_by(|&a, &b| paywords[b].index.cmp(&paywords[a].index));
-        let mut gained = 0;
-        for i in order {
-            gained += self.receive(paywords[i]).unwrap_or(0);
-            if gained > 0 {
-                break;
-            }
+        // The honest batch is settled by its highest index (the first of
+        // equals, as a stable descending sort would order them): one pass
+        // to find it, one skip-verification, nothing allocated. A replayed
+        // batch ends here too — its best candidate is already stale.
+        let Some(top) = (0..paywords.len()).rev().max_by_key(|&i| paywords[i].index) else {
+            return 0;
+        };
+        if paywords[top].index <= self.best.index {
+            return 0;
         }
-        gained
+        if let Some(gained) = self.receive(paywords[top]) {
+            return gained;
+        }
+        // The best candidate was forged or over capacity: fall back to the
+        // others that could still extend the chain, highest index first.
+        let mut rest: Vec<usize> =
+            (0..paywords.len()).filter(|&i| i != top && paywords[i].index > self.best.index).collect();
+        rest.sort_by(|&a, &b| paywords[b].index.cmp(&paywords[a].index));
+        rest.into_iter().find_map(|i| self.receive(paywords[i])).unwrap_or(0)
+    }
+}
+
+/// The stateless core of [`SkipVerifier`]: whether `payword` extends a
+/// chain already verified up to `best`, given the chain's signed
+/// `capacity` and its checkpoint digests (`checkpoints[m-1] = H'(w_{m·every})`),
+/// borrowed — a verifier that keeps its own frontier (the broker does, in
+/// its chain records) need not copy the checkpoint vector to ask.
+/// Returns the verdict and the SHA-256 evaluations spent reaching it
+/// (a checkpoint digest comparison counts as one; stale and
+/// over-capacity paywords are refused unhashed).
+///
+/// # Panics
+///
+/// Panics if `every == 0`.
+pub fn skip_verify(
+    capacity: u64,
+    every: u64,
+    checkpoints: &[Digest],
+    best: &Payword,
+    payword: &Payword,
+) -> (bool, u64) {
+    if payword.index <= best.index || payword.index > capacity {
+        return (false, 0);
+    }
+    // Anchor at the nearest checkpoint at or below the payword when it
+    // beats the best verified word; otherwise walk down to best.
+    let ck = payword.index / every;
+    let ck_index = ck * every;
+    let at_checkpoint = ck >= 1 && ck as usize <= checkpoints.len() && ck_index > best.index;
+    let steps = payword.index - if at_checkpoint { ck_index } else { best.index };
+    let mut cur = payword.word;
+    for _ in 0..steps {
+        cur = Sha256::digest(&cur);
+    }
+    if at_checkpoint {
+        (checkpoint_digest(&cur) == checkpoints[ck as usize - 1], steps + 1)
+    } else {
+        (cur == best.word, steps)
     }
 }
 
@@ -387,6 +404,23 @@ mod tests {
         assert!(chain.spend(3).is_some());
     }
 
+    /// A unit count that wraps `usize` must be refused, not land back
+    /// inside the spent prefix: unchecked, `spend(u64::MAX)` after three
+    /// units re-revealed payword #2 and rolled `spent()` back to 2 in
+    /// release builds.
+    #[test]
+    fn wrapping_spend_is_refused_and_spends_nothing() {
+        let mut rng = test_rng(62);
+        let mut chain = PaywordChain::generate(8, &mut rng);
+        let third = chain.spend(3).unwrap();
+        for units in [u64::MAX, u64::MAX - 1, u64::MAX - 2, (usize::MAX as u64) - 1] {
+            assert_eq!(chain.spend(units), None, "units {units}");
+            assert_eq!(chain.spent(), 3, "units {units}");
+        }
+        let fourth = chain.spend(1).unwrap();
+        assert_eq!((third.index, fourth.index), (3, 4));
+    }
+
     #[test]
     fn checkpoints_cover_every_kth_link() {
         let mut rng = test_rng(56);
@@ -444,18 +478,23 @@ mod tests {
     }
 
     #[test]
-    fn skip_verifier_resumes_mid_chain() {
+    fn skip_verify_resumes_from_any_verified_frontier() {
         let mut rng = test_rng(60);
         let mut chain = PaywordChain::generate(100, &mut rng);
         let cks = chain.checkpoints(8);
         let mut first = SkipVerifier::new(chain.root(), 100, 8, cks.clone());
         let p1 = chain.spend(37).unwrap();
         assert_eq!(first.receive(p1), Some(37));
-        // Resume from the settled point, as the broker does after a crash.
-        let mut resumed = SkipVerifier::resume(chain.root(), 100, 8, cks, first.best());
+        // Resume from the settled point alone, as the broker does from
+        // its chain record: no verifier state, borrowed checkpoints.
         let p2 = chain.spend(50).unwrap();
-        assert_eq!(resumed.receive(p2), Some(50));
-        assert_eq!(resumed.best().index, 87);
+        let (extends, hashes) = skip_verify(100, 8, &cks, &first.best(), &p2);
+        assert!(extends);
+        assert!(hashes <= 8, "a 50-unit gap cost {hashes} hashes");
+        assert_eq!(first.receive(p2), Some(50));
+        let forged = Payword { index: 95, word: [0xEE; 32] };
+        assert!(!skip_verify(100, 8, &cks, &first.best(), &forged).0);
+        assert_eq!(skip_verify(100, 8, &cks, &first.best(), &p1), (false, 0), "stale costs nothing");
     }
 
     #[test]

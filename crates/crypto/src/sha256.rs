@@ -9,6 +9,13 @@
 //! The broker's Merkle-committed state ledger hashes a handful of small
 //! blocks per committed mutation, so compression throughput is directly
 //! the price of tamper evidence — see `bench_merkle_json`.
+//!
+//! [`Sha256::digest`] additionally picks its kernel from the input
+//! length it already sees: a 32-byte input — every PayWord chain link —
+//! is one block whose padding words and initial state are constants, so
+//! it runs with no staging block and no state round trip through memory;
+//! any other length runs one loop that keeps the working state packed in
+//! registers across blocks.
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
@@ -69,22 +76,38 @@ impl Sha256 {
     /// Compresses straight from the input slice — no block buffer, no
     /// length bookkeeping — so the small hashes the Merkle ledger and
     /// PayWord chains live on pay only the compression function itself.
+    /// On the hardware path a 32-byte input takes the fixed-shape
+    /// one-block kernel and every other length the packed multi-block
+    /// loop (see the module docs); the result is the same on every path.
+    #[inline]
     pub fn digest(data: &[u8]) -> Digest {
+        #[cfg(target_arch = "x86_64")]
+        if ni::available() {
+            // SAFETY: `ni::available()` just confirmed the cpu features
+            // both kernels are compiled for.
+            return unsafe {
+                match <&[u8; 32]>::try_from(data) {
+                    Ok(word) => ni::digest32(word),
+                    Err(_) => ni::digest(data),
+                }
+            };
+        }
+        Self::digest_portable(data)
+    }
+
+    /// [`Sha256::digest`] on the portable compression function: the
+    /// fallback for hosts without the SHA extensions and the oracle the
+    /// differential suite holds the hardware kernels to.
+    fn digest_portable(data: &[u8]) -> Digest {
         let mut state = H0;
         let mut blocks = data.chunks_exact(64);
         for block in blocks.by_ref() {
-            Self::compress_state(&mut state, block.try_into().unwrap());
+            Self::compress_portable_state(&mut state, block.try_into().expect("64-byte chunk"));
         }
-        let rem = blocks.remainder();
-        let mut block = [0u8; 64];
-        block[..rem.len()].copy_from_slice(rem);
-        block[rem.len()] = 0x80;
-        if rem.len() >= 56 {
-            Self::compress_state(&mut state, &block);
-            block = [0; 64];
+        let (tail, used) = padded_tail(blocks.remainder(), data.len());
+        for block in tail[..used].chunks_exact(64) {
+            Self::compress_portable_state(&mut state, block.try_into().expect("64-byte chunk"));
         }
-        block[56..].copy_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
-        Self::compress_state(&mut state, &block);
         let mut out = [0u8; 32];
         for (i, word) in state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -201,6 +224,20 @@ impl Sha256 {
     }
 }
 
+/// The final one or two blocks of a one-shot digest: the input's last
+/// partial block `rem`, the `0x80` marker, zeros, and the 64-bit
+/// big-endian bit length of the whole `total_len`-byte input. Returns
+/// the buffer and how many of its bytes (64 or 128) are in use.
+fn padded_tail(rem: &[u8], total_len: usize) -> ([u8; 128], usize) {
+    debug_assert!(rem.len() < 64);
+    let mut tail = [0u8; 128];
+    tail[..rem.len()].copy_from_slice(rem);
+    tail[rem.len()] = 0x80;
+    let used = if rem.len() < 56 { 64 } else { 128 };
+    tail[used - 8..used].copy_from_slice(&(total_len as u64).wrapping_mul(8).to_be_bytes());
+    (tail, used)
+}
+
 /// The x86-64 SHA-extensions compression path.
 ///
 /// Lane bookkeeping follows the canonical `SHA256RNDS2` layout: the
@@ -208,11 +245,17 @@ impl Sha256 {
 /// message schedule advances four words at a time through
 /// `SHA256MSG1`/`SHA256MSG2`, and each four-round group feeds the low
 /// then high halves of `w + K` to `SHA256RNDS2`.
+///
+/// Every function here is a safe `#[target_feature]` function: calling
+/// one from code compiled without those features is the `unsafe` step,
+/// and its condition is [`available`]. Inside, the only `unsafe` left is
+/// the unaligned vector loads and stores, each through a reference whose
+/// type bounds it.
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use core::arch::x86_64::*;
 
-    use super::K;
+    use super::{padded_tail, Digest, H0, K};
 
     /// Whether the host supports every instruction this path issues
     /// (`is_x86_feature_detected!` caches, so this is a load + test).
@@ -223,55 +266,165 @@ mod ni {
             && is_x86_feature_detected!("ssse3")
     }
 
-    /// Runs one compression round on `state`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified [`available`].
-    #[target_feature(enable = "sha,sse4.1,ssse3,sse2")]
-    pub unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        // Big-endian words -> little-endian lanes, one 32-bit lane at a
-        // time.
-        let swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0bu64 as i64, 0x0405_0607_0001_0203);
+    /// The working state packed the way `SHA256RNDS2` wants it.
+    #[derive(Clone, Copy)]
+    struct Packed {
+        abef: __m128i,
+        cdgh: __m128i,
+    }
 
-        // Pack [a,b,c,d,e,f,g,h] into ABEF / CDGH.
-        let dcba = _mm_loadu_si128(state.as_ptr().cast());
-        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+    /// Four 32-bit lanes, lowest first.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lanes(w: [u32; 4]) -> __m128i {
+        _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
+    }
+
+    /// Sixteen bytes of input as four little-endian lanes of big-endian
+    /// words (`pshufb` by the byte-reversing mask; the swap is its own
+    /// inverse, so the same function turns state lanes into digest
+    /// bytes).
+    #[inline]
+    #[target_feature(enable = "ssse3,sse2")]
+    fn swap_bytes(v: __m128i) -> __m128i {
+        _mm_shuffle_epi8(v, _mm_set_epi64x(0x0c0d_0e0f_0809_0a0bu64 as i64, 0x0405_0607_0001_0203))
+    }
+
+    #[inline]
+    #[target_feature(enable = "ssse3,sse2")]
+    fn load_words(bytes: &[u8; 16]) -> __m128i {
+        // SAFETY: an unaligned 16-byte load through a reference to
+        // exactly 16 readable bytes.
+        swap_bytes(unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) })
+    }
+
+    /// The initial hash state, packed: two constants, no memory round
+    /// trip.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn packed_h0() -> Packed {
+        let [a, b, c, d, e, f, g, h] = H0;
+        Packed { abef: lanes([f, e, b, a]), cdgh: lanes([h, g, d, c]) }
+    }
+
+    /// Packs `[a,b,c,d]`, `[e,f,g,h]` lanes into `ABEF` / `CDGH`.
+    #[inline]
+    #[target_feature(enable = "sse4.1,ssse3,sse2")]
+    fn pack(dcba: __m128i, hgfe: __m128i) -> Packed {
         let badc = _mm_shuffle_epi32(dcba, 0xB1);
         let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-        let mut abef = _mm_alignr_epi8(badc, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, badc, 0xF0);
-        let (abef_save, cdgh_save) = (abef, cdgh);
+        Packed { abef: _mm_alignr_epi8(badc, efgh, 8), cdgh: _mm_blend_epi16(efgh, badc, 0xF0) }
+    }
 
-        // Sixteen four-round groups. Groups 0-3 load the block; groups
-        // 4-15 extend the schedule: w[g] = msg2(msg1(w[g-4], w[g-3]) +
-        // alignr(w[g-1], w[g-2], 4), w[g-1]), all mod-4 in `msgs`.
-        let mut msgs = [_mm_setzero_si128(); 4];
-        for g in 0..16 {
-            let w = if g < 4 {
-                let raw = _mm_loadu_si128(block.as_ptr().add(16 * g).cast());
-                _mm_shuffle_epi8(raw, swap)
-            } else {
-                let shifted = _mm_alignr_epi8(msgs[(g + 3) % 4], msgs[(g + 2) % 4], 4);
-                let fed = _mm_sha256msg1_epu32(msgs[g % 4], msgs[(g + 1) % 4]);
-                _mm_sha256msg2_epu32(_mm_add_epi32(fed, shifted), msgs[(g + 3) % 4])
-            };
-            msgs[g % 4] = w;
-            let wk = _mm_add_epi32(w, _mm_loadu_si128(K.as_ptr().add(4 * g).cast()));
-            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    /// Unpacks `ABEF` / `CDGH` back to `[a,b,c,d]`, `[e,f,g,h]` lanes.
+    #[inline]
+    #[target_feature(enable = "sse4.1,ssse3,sse2")]
+    fn unpack(p: Packed) -> (__m128i, __m128i) {
+        let feba = _mm_shuffle_epi32(p.abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(p.cdgh, 0xB1);
+        (_mm_blend_epi16(feba, dchg, 0xF0), _mm_alignr_epi8(dchg, feba, 8))
+    }
+
+    /// The big-endian digest bytes of a packed final state, straight
+    /// from the registers.
+    #[inline]
+    #[target_feature(enable = "sse4.1,ssse3,sse2")]
+    fn digest_bytes(p: Packed) -> Digest {
+        let (dcba, hgfe) = unpack(p);
+        let mut out = [0u8; 32];
+        let (front, back) = out.split_at_mut(16);
+        // SAFETY: two unaligned 16-byte stores, each into a 16-byte half
+        // of `out`.
+        unsafe {
+            _mm_storeu_si128(front.as_mut_ptr().cast(), swap_bytes(dcba));
+            _mm_storeu_si128(back.as_mut_ptr().cast(), swap_bytes(hgfe));
         }
+        out
+    }
 
-        abef = _mm_add_epi32(abef, abef_save);
-        cdgh = _mm_add_epi32(cdgh, cdgh_save);
+    /// The sixteen message words of one block as four vectors.
+    #[inline]
+    #[target_feature(enable = "ssse3,sse2")]
+    fn load_block(block: &[u8; 64]) -> [__m128i; 4] {
+        let (chunks, []) = block.as_chunks::<16>() else { unreachable!("64 = 4 × 16") };
+        [load_words(&chunks[0]), load_words(&chunks[1]), load_words(&chunks[2]), load_words(&chunks[3])]
+    }
 
-        // Unpack ABEF / CDGH back to [a..=d], [e..=h].
-        let feba = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
-        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
-        _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
-        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
+    /// One compression: sixty-four rounds over the block whose message
+    /// words are `msgs`, plus the feed-forward addition.
+    ///
+    /// Sixteen four-round groups. Groups 0-3 consume the block; groups
+    /// 4-15 extend the schedule: w[g] = msg2(msg1(w[g-4], w[g-3]) +
+    /// alignr(w[g-1], w[g-2], 4), w[g-1]), all mod-4 in `msgs`.
+    #[inline]
+    #[target_feature(enable = "sha,sse4.1,ssse3,sse2")]
+    fn rounds(state: Packed, mut msgs: [__m128i; 4]) -> Packed {
+        let Packed { mut abef, mut cdgh } = state;
+        // Spelled out per group so every `msgs` index is a constant and
+        // the schedule stays in registers (as a loop it round-trips the
+        // stack through variable indices).
+        macro_rules! four_rounds {
+            ($($g:literal)*) => {$({
+                const G: usize = $g;
+                if G >= 4 {
+                    let shifted = _mm_alignr_epi8(msgs[(G + 3) % 4], msgs[(G + 2) % 4], 4);
+                    let fed = _mm_sha256msg1_epu32(msgs[G % 4], msgs[(G + 1) % 4]);
+                    msgs[G % 4] = _mm_sha256msg2_epu32(_mm_add_epi32(fed, shifted), msgs[(G + 3) % 4]);
+                }
+                let k = lanes([K[4 * G], K[4 * G + 1], K[4 * G + 2], K[4 * G + 3]]);
+                let wk = _mm_add_epi32(msgs[G % 4], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            })*};
+        }
+        four_rounds!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+        Packed { abef: _mm_add_epi32(abef, state.abef), cdgh: _mm_add_epi32(cdgh, state.cdgh) }
+    }
+
+    /// Runs one compression round on `state` (the streaming hasher's
+    /// path: its state lives in memory between calls).
+    #[target_feature(enable = "sha,sse4.1,ssse3,sse2")]
+    pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let [a, b, c, d, e, f, g, h] = *state;
+        let (dcba, hgfe) =
+            unpack(rounds(pack(lanes([a, b, c, d]), lanes([e, f, g, h])), load_block(block)));
+        let (front, back) = state.split_at_mut(4);
+        // SAFETY: two unaligned 16-byte stores, each into four `u32`s.
+        unsafe {
+            _mm_storeu_si128(front.as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(back.as_mut_ptr().cast(), hgfe);
+        }
+    }
+
+    /// One-shot digest of any input: the state stays packed in registers
+    /// from `H0` through every block, padding included.
+    #[target_feature(enable = "sha,sse4.1,ssse3,sse2")]
+    pub fn digest(data: &[u8]) -> Digest {
+        let mut state = packed_h0();
+        let (blocks, rem) = data.as_chunks::<64>();
+        for block in blocks {
+            state = rounds(state, load_block(block));
+        }
+        let (tail, used) = padded_tail(rem, data.len());
+        for block in tail[..used].as_chunks::<64>().0 {
+            state = rounds(state, load_block(block));
+        }
+        digest_bytes(state)
+    }
+
+    /// One-shot digest of exactly 32 bytes — a PayWord link, a Merkle
+    /// child, a key. The input is half of the single block; the other
+    /// half (the `0x80` marker, zeros, and the bit length 256) is two
+    /// constant vectors, and so is the initial state.
+    #[target_feature(enable = "sha,sse4.1,ssse3,sse2")]
+    pub fn digest32(word: &[u8; 32]) -> Digest {
+        let (halves, []) = word.as_chunks::<16>() else { unreachable!("32 = 2 × 16") };
+        let marker = lanes([0x8000_0000, 0, 0, 0]);
+        let bit_len = lanes([0, 0, 0, 256]);
+        digest_bytes(rounds(
+            packed_h0(),
+            [load_words(&halves[0]), load_words(&halves[1]), marker, bit_len],
+        ))
     }
 }
 
@@ -316,21 +469,124 @@ mod tests {
         );
     }
 
-    /// Differential check: the SHA-extensions compression and the
-    /// portable one must walk identical state sequences over random
-    /// chained blocks. (The NIST vectors above pin whichever path the
-    /// host dispatches to; this pins the two paths to each other.)
+    /// The FIPS 180-4 four-block vector: the packed multi-block loop
+    /// carries its state across three full blocks and two of padding.
+    #[test]
+    fn four_block_vector() {
+        let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                    hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+        assert_eq!(
+            hex(&Sha256::digest(msg)),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
+    }
+
+    /// Known answers at exactly 32 bytes — the fixed-shape kernel's only
+    /// input length (values from an independent implementation).
+    #[test]
+    fn thirty_two_byte_vectors() {
+        assert_eq!(
+            hex(&Sha256::digest(&[0u8; 32])),
+            "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"
+        );
+        let counting: [u8; 32] = core::array::from_fn(|i| i as u8);
+        assert_eq!(
+            hex(&Sha256::digest(&counting)),
+            "630dcd2966c4336691125448bbb25b4ff412a49c732db2c8abc1b8581bd710dd"
+        );
+    }
+
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// Every way this module can hash `data`, each of which must give
+    /// `digest_portable`'s answer: the dispatching one-shot, the streaming
+    /// hasher split at `split`, a streaming hasher forced onto the
+    /// portable compression, and — where the host has them — both
+    /// hardware kernels called directly, so the multi-block loop also
+    /// sees 32-byte inputs the dispatcher would route to the fixed one.
+    fn assert_all_paths_agree(data: &[u8], split: usize) {
+        let expect = Sha256::digest_portable(data);
+        assert_eq!(Sha256::digest(data), expect, "one-shot, len {}", data.len());
+
+        let mut streamed = Sha256::new();
+        streamed.update(&data[..split]);
+        streamed.update(&data[split..]);
+        assert_eq!(streamed.finalize(), expect, "streaming, len {} split {split}", data.len());
+
+        let mut portable = Sha256::new();
+        let mut blocks = data.chunks_exact(64);
+        for block in blocks.by_ref() {
+            portable.compress_portable(block.try_into().unwrap());
+        }
+        let (tail, used) = padded_tail(blocks.remainder(), data.len());
+        for block in tail[..used].chunks_exact(64) {
+            portable.compress_portable(block.try_into().unwrap());
+        }
+        let words: Vec<u8> = portable.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        assert_eq!(words, expect, "portable compression, len {}", data.len());
+
+        #[cfg(target_arch = "x86_64")]
+        if ni::available() {
+            // SAFETY: `ni::available()` was just checked.
+            unsafe {
+                assert_eq!(ni::digest(data), expect, "multi-block kernel, len {}", data.len());
+                if let Ok(word) = <&[u8; 32]>::try_from(data) {
+                    assert_eq!(ni::digest32(word), expect, "fixed-shape kernel");
+                }
+            }
+        }
+    }
+
+    /// Differential suite, lengths: every input length from empty through
+    /// three blocks and a bit, so each padding shape (one tail block, two
+    /// tail blocks, exact block multiples, the 32-byte special case) is
+    /// hit on every path.
+    #[test]
+    fn all_paths_agree_at_every_length_to_200() {
+        let mut next = splitmix(0x5EED_0001);
+        let data: Vec<u8> = (0..200).map(|_| next() as u8).collect();
+        for len in 0..=200 {
+            for split in [0, len / 3, len / 2, len] {
+                assert_all_paths_agree(&data[..len], split);
+            }
+        }
+    }
+
+    /// Differential suite, values: ten thousand random PayWord-sized
+    /// inputs through the fixed-shape kernel against every other path.
+    #[test]
+    fn all_paths_agree_on_10k_random_32_byte_inputs() {
+        let mut next = splitmix(0x5EED_0002);
+        for _ in 0..10_000 {
+            let mut word = [0u8; 32];
+            for chunk in word.chunks_mut(8) {
+                chunk.copy_from_slice(&next().to_le_bytes());
+            }
+            assert_all_paths_agree(&word, 17);
+        }
+    }
+
+    /// Differential check on the streaming path: the SHA-extensions
+    /// compression and the portable one must walk identical state
+    /// sequences over random chained blocks. (The NIST vectors above pin
+    /// whichever path the host dispatches to; this pins the two paths to
+    /// each other.)
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn hardware_and_portable_compress_agree() {
         if !ni::available() {
             return;
         }
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            x = x.wrapping_mul(0xD120_2E87_92A9_623B).wrapping_add(0x2545_F491_4F6C_DD1D);
-            x
-        };
+        let mut next = splitmix(0x9E37_79B9_7F4A_7C15);
         let mut portable = Sha256::new();
         let mut state_hw = H0;
         for trial in 0..256 {
@@ -339,6 +595,7 @@ mod tests {
                 chunk.copy_from_slice(&next().to_le_bytes());
             }
             portable.compress_portable(&block);
+            // SAFETY: `ni::available()` was checked above.
             unsafe { ni::compress(&mut state_hw, &block) };
             assert_eq!(portable.state, state_hw, "diverged at block {trial}");
         }

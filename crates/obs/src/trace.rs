@@ -196,40 +196,47 @@ impl Obs {
     }
 
     fn span_with(&self, role: Role, op: OpKind, ctx: impl FnOnce() -> TraceContext) -> Span<'_> {
-        let (start, ctx) = if self.enabled() {
+        let live = self.enabled().then(|| {
             trace_epoch(); // pin the epoch before the first span starts
-            (Some(Instant::now()), Some(ctx()))
-        } else {
-            (None, None)
-        };
-        Span {
-            obs: self,
-            role,
-            op,
-            start,
-            ctx,
-            messages: 0,
-            bytes: 0,
-            batch: None,
-            retry: None,
-            outcome: Outcome::Ok,
-            shard: None,
-            partition: None,
-            detail: None,
-        }
+            Live {
+                start: Instant::now(),
+                ctx: ctx(),
+                role,
+                op,
+                messages: 0,
+                bytes: 0,
+                batch: None,
+                retry: None,
+                outcome: Outcome::Ok,
+                shard: None,
+                partition: None,
+                detail: None,
+            }
+        });
+        Span { obs: self, live }
     }
 }
 
 /// An in-progress operation: accumulates traffic and outcome, then
 /// reports one [`Event`] (with wall-clock duration) on
 /// [`Span::finish`].
+///
+/// A span of a disabled context is *inert*: it holds no state at all,
+/// so starting it, every setter, and dropping it are one untaken branch
+/// each — cheap enough for a path whose whole budget is one hash.
 #[derive(Debug)]
 pub struct Span<'a> {
     obs: &'a Obs,
+    /// What an enabled span accumulates; `None` for an inert one.
+    live: Option<Live>,
+}
+
+#[derive(Debug)]
+struct Live {
+    start: Instant,
+    ctx: TraceContext,
     role: Role,
     op: OpKind,
-    start: Option<Instant>,
-    ctx: Option<TraceContext>,
     messages: u64,
     bytes: u64,
     batch: Option<u64>,
@@ -243,82 +250,94 @@ pub struct Span<'a> {
 impl Span<'_> {
     /// Attributes `messages`/`bytes` of traffic to this operation.
     pub fn add_traffic(&mut self, messages: u64, bytes: u64) {
-        self.messages = self.messages.saturating_add(messages);
-        self.bytes = self.bytes.saturating_add(bytes);
+        if let Some(live) = &mut self.live {
+            live.messages = live.messages.saturating_add(messages);
+            live.bytes = live.bytes.saturating_add(bytes);
+        }
     }
 
     /// This span's trace context (`None` when the context is disabled).
     /// Callers append it to outgoing frames so the receiving side can
     /// parent its dispatch span under this one.
     pub fn context(&self) -> Option<TraceContext> {
-        self.ctx
+        self.live.as_ref().map(|live| live.ctx)
     }
 
     /// Marks this span as retry attempt `attempt` (1-based), caused by
     /// a predecessor that failed with `after`.
     pub fn mark_retry(&mut self, attempt: u32, after: &'static str) {
-        self.retry = Some(RetryNote { attempt, after });
+        if let Some(live) = &mut self.live {
+            live.retry = Some(RetryNote { attempt, after });
+        }
     }
 
     /// Marks the operation failed, with a short reason.
     pub fn fail(&mut self, detail: impl Into<String>) {
-        self.outcome = Outcome::Error;
-        if self.obs.enabled() {
-            self.detail = Some(detail.into());
+        if let Some(live) = &mut self.live {
+            live.outcome = Outcome::Error;
+            live.detail = Some(detail.into());
         }
     }
 
     /// Labels an operation [`OpKind`] has no variant for.
     pub fn set_detail(&mut self, detail: &'static str) {
-        if self.obs.enabled() {
-            self.detail = Some(detail.into());
+        if let Some(live) = &mut self.live {
+            live.detail = Some(detail.into());
         }
     }
 
     /// Overrides the operation kind (for dispatch sites that only learn
     /// the kind after decoding the request).
     pub fn set_op(&mut self, op: OpKind) {
-        self.op = op;
+        if let Some(live) = &mut self.live {
+            live.op = op;
+        }
     }
 
     /// Records how many items this operation settled together (batched
     /// dispatch sites).
     pub fn set_batch(&mut self, batch: u64) {
-        self.batch = Some(batch);
+        if let Some(live) = &mut self.live {
+            live.batch = Some(batch);
+        }
     }
 
     /// Attributes this operation to a broker shard (sharded dispatch
     /// sites; the label survives the queue hop into the event stream).
     pub fn set_shard(&mut self, shard: u16) {
-        self.shard = Some(shard);
+        if let Some(live) = &mut self.live {
+            live.shard = Some(shard);
+        }
     }
 
     /// Attributes this operation to a load-simulation partition
     /// (partitioned sub-simulation runners).
     pub fn set_partition(&mut self, partition: u32) {
-        self.partition = Some(partition);
+        if let Some(live) = &mut self.live {
+            live.partition = Some(partition);
+        }
     }
 
     /// Ends the span and reports the event. Inert when the context is
     /// disabled.
     pub fn finish(self) {
-        let Some(start) = self.start else { return };
-        let start_us = u64::try_from(start.saturating_duration_since(trace_epoch()).as_micros())
+        let Some(live) = self.live else { return };
+        let start_us = u64::try_from(live.start.saturating_duration_since(trace_epoch()).as_micros())
             .unwrap_or(u64::MAX);
         let event = Event {
-            role: self.role,
-            op: self.op,
-            outcome: self.outcome,
-            duration: Some(start.elapsed()),
-            messages: self.messages,
-            bytes: self.bytes,
-            batch: self.batch,
-            trace: self.ctx,
-            retry: self.retry,
+            role: live.role,
+            op: live.op,
+            outcome: live.outcome,
+            duration: Some(live.start.elapsed()),
+            messages: live.messages,
+            bytes: live.bytes,
+            batch: live.batch,
+            trace: Some(live.ctx),
+            retry: live.retry,
             start_us: Some(start_us),
-            shard: self.shard,
-            partition: self.partition,
-            detail: self.detail,
+            shard: live.shard,
+            partition: live.partition,
+            detail: live.detail,
         };
         self.obs.observe(event);
     }
@@ -334,7 +353,7 @@ mod tests {
         let obs = Obs::disabled();
         assert!(!obs.enabled());
         let mut span = obs.span(Role::Broker, OpKind::Purchase);
-        assert!(span.start.is_none(), "no clock read when disabled");
+        assert!(span.live.is_none(), "no clock read, no state when disabled");
         span.add_traffic(2, 100);
         span.finish(); // must not panic, must not record
     }

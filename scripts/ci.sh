@@ -18,7 +18,7 @@ cargo test -q --workspace --offline
 echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo test -p whopay-crypto --release (batch soundness incl. merged bases + bisection cost, verify_member[_each] / sign_each / group-verify parity, differential suite)"
+echo "==> cargo test -p whopay-crypto --release (batch soundness incl. merged bases + bisection cost, verify_member[_each] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
 cargo test -p whopay-crypto -q --release --offline
 
 echo "==> cargo test -p whopay-core --release (membership-fused verify parity, accept_grant shared-chain parity incl. cache traffic + shard-lock independence of dispatch)"
@@ -27,7 +27,7 @@ cargo test -p whopay-core -q --release --offline --test member_parity --test con
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories; sign-once roots, compare-first deposits, every refusal counted)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test broker_accounting
 
-echo "==> cargo test -p whopay-core --release (wire fast-path: props, alloc guard [<2 allocs/request, tracing disabled], reconciliation)"
+echo "==> cargo test -p whopay-core --release (wire fast-path: props, alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side], reconciliation)"
 cargo test -p whopay-core -q --release --offline --test wire_props --test alloc_regression --test wire_reconcile
 
 echo "==> WHOPAY_VPOOL_THREADS=1 cargo test -q (serial-pool determinism pass)"
@@ -73,10 +73,10 @@ cargo test -p whopay-eval -q --release --offline --test arena_equiv --test parti
 echo "==> cargo test -p whopay-eval --release --test scale_smoke (pinned-seed 100k-peer partitioned run, < 30 s budget)"
 cargo test -p whopay-eval -q --release --offline --test scale_smoke -- --ignored
 
-echo "==> cargo test -p whopay-crypto --release --test payword_props (hash-chain / skip-verification differential props)"
-cargo test -p whopay-crypto -q --release --offline --test payword_props
+echo "==> cargo test -p whopay-crypto --release --test payword_props --test payword_batch_props (hash-chain / skip-verification differential props; best-first receive_batch ≡ descending-sort semantics)"
+cargo test -p whopay-crypto -q --release --offline --test payword_props --test payword_batch_props
 
-echo "==> cargo test -p whopay-core --release (micropay flow + differential props)"
+echo "==> cargo test -p whopay-core --release (micropay flow incl. byte-identical tick ack / refusal frames + differential props)"
 cargo test -p whopay-core -q --release --offline --test micropay_flow --test micropay_props
 
 echo "==> cargo test -p whopay-eval --release --lib streaming (pinned-seed streaming smoke: conservation, churn, partition invariance)"

@@ -6,12 +6,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use whopay::core::micropay::{MicropayHost, MicropaySender};
 use whopay::core::service::{
-    attach_broker_obs, attach_client, attach_peer_obs, clock, deposit_via_obs, install_wire_classifier,
-    purchase_via_obs, request_issue_via_obs, request_renewal_via_obs, request_transfer_via_obs,
-    send_invite_obs, sync_via_obs,
+    attach_broker_obs, attach_client, attach_micropay_host_obs, attach_peer_obs, clock,
+    deposit_via_obs, install_wire_classifier, open_chain_via_obs, purchase_via_obs,
+    request_issue_via_obs, request_renewal_via_obs, request_transfer_via_obs, send_invite_obs,
+    sync_via_obs, tick_batch_via_obs, tick_via_obs,
 };
-use whopay::core::{dsd, Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay::core::{dsd, Broker, ChainId, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay::crypto::payword::Payword;
 use whopay::crypto::testing::{test_rng, tiny_group};
 use whopay::dht::{Dht, DhtConfig, RingId};
 use whopay::net::Network;
@@ -344,4 +347,97 @@ fn jsonl_recorder_streams_protocol_events() {
         assert!(line.contains("\"op\":\"") && line.contains("\"outcome\":\""), "{line}");
         assert!(line.contains("\"messages\":2"), "exchange traffic recorded: {line}");
     }
+}
+
+/// The streaming host's registry view of a PayWord stream: the tick
+/// counters count what was acked, refusals count as rejections, and the
+/// `micropay.tick_verify_hashes` samples add up to the receiver's own
+/// hash counter over every acked verification — while a traced tick
+/// still parents the host's dispatch span under the caller's.
+#[test]
+fn streaming_host_metrics_reconcile_with_the_receivers_hash_counter() {
+    let mut rng = test_rng(7);
+    let group = tiny_group().clone();
+    let mut judge = Judge::new(group.clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let gk = judge.enroll(PeerId(1), &mut rng);
+
+    let host_metrics = Arc::new(Metrics::new());
+    let host_events = Arc::new(MemoryRecorder::new());
+    let host_obs = Obs::new(Tracer::new(host_events.clone()), host_metrics.clone());
+    let client_events = Arc::new(MemoryRecorder::new());
+    let client_obs = Obs::with_tracer(Tracer::new(client_events.clone()));
+
+    let mut net = Network::new();
+    let host = Rc::new(RefCell::new(MicropayHost::new(group.clone(), gpk.clone(), 64)));
+    let host_ep = attach_micropay_host_obs(&mut net, host.clone(), host_obs);
+    let me = attach_client(&mut net, "payer");
+    let (mut sender, commitment) = MicropaySender::open(&group, &gpk, &gk, 256, 8, &mut rng);
+    let chain = open_chain_via_obs(&mut net, me, host_ep, commitment, &client_obs).expect("open");
+
+    // Acked traffic: ten single ticks, one 20-unit gap (checkpointed skip),
+    // a batch of six, the same batch again, and a stale single tick.
+    let mut acked_ticks = 0u64;
+    let mut acked_dispatches = 0u64;
+    let first = sender.pay(1).unwrap();
+    assert_eq!(tick_via_obs(&mut net, me, host_ep, chain, first, &client_obs).unwrap(), (1, 1));
+    for total in 2..=10u64 {
+        let word = sender.pay(1).unwrap();
+        assert_eq!(tick_via_obs(&mut net, me, host_ep, chain, word, &client_obs).unwrap(), (1, total));
+    }
+    let gap = sender.pay(20).unwrap();
+    assert_eq!(tick_via_obs(&mut net, me, host_ep, chain, gap, &client_obs).unwrap(), (20, 30));
+    let batch: Vec<Payword> = (0..6).map(|_| sender.pay(3).unwrap()).collect();
+    for gained in [18, 0] {
+        let acked = tick_batch_via_obs(&mut net, me, host_ep, chain, batch.clone(), &client_obs);
+        assert_eq!(acked.unwrap(), (gained, 48));
+    }
+    assert_eq!(tick_via_obs(&mut net, me, host_ep, chain, first, &client_obs).unwrap(), (0, 48));
+    acked_ticks += 10 + 1 + 6 + 6 + 1;
+    acked_dispatches += 10 + 1 + 2 + 1;
+
+    let hashes = host.borrow().receiver(&chain).unwrap().hashes();
+    let samples = host_metrics.histogram("micropay.tick_verify_hashes");
+    assert_eq!(samples.sum_nanos(), hashes, "histogram total = the receiver's hash counter");
+    assert_eq!(samples.count(), acked_dispatches);
+    assert!((11..48).contains(&hashes), "skip-verification, not a walk: {hashes} hashes");
+
+    // Refusals: forged, over capacity, unknown chain. Each is a rejection
+    // and a failed span, none is a tick or a histogram sample — the
+    // forged word's hash work shows on the receiver alone.
+    let forged = Payword { index: 60, word: [0xAB; 32] };
+    let over = Payword { index: 257, word: first.word };
+    assert!(tick_via_obs(&mut net, me, host_ep, chain, forged, &client_obs).is_err());
+    assert!(tick_via_obs(&mut net, me, host_ep, chain, over, &client_obs).is_err());
+    assert!(tick_via_obs(&mut net, me, host_ep, ChainId([9; 32]), first, &client_obs).is_err());
+    assert_eq!(samples.sum_nanos(), hashes);
+    assert!(host.borrow().receiver(&chain).unwrap().hashes() > hashes);
+
+    let report = host_metrics.report();
+    assert_eq!(report.counters.get("micropay.opens").copied(), Some(1));
+    assert_eq!(report.counters.get("micropay.ticks").copied(), Some(acked_ticks));
+    assert_eq!(report.counters.get("micropay.units").copied(), Some(48));
+    assert_eq!(report.counters.get("micropay.rejections").copied(), Some(3));
+    let row = host_metrics.op_snapshot(Role::Peer, OpKind::MicropayTick);
+    assert_eq!((row.count, row.errors), (acked_dispatches + 3, 3));
+
+    // Every traced exchange: the host's dispatch span is a child of the
+    // caller's span, one hop deeper in the same trace.
+    let calls = client_events.events();
+    let dispatches = host_events.events();
+    assert_eq!(calls.len(), dispatches.len());
+    for (call, dispatch) in calls.iter().zip(&dispatches) {
+        let (caller, served) = (call.trace.unwrap(), dispatch.trace.unwrap());
+        assert_eq!(served.trace_id, caller.trace_id);
+        assert_eq!(served.parent_span_id, caller.span_id);
+        assert_eq!(served.hop, caller.hop + 1);
+        assert_eq!(dispatch.op, call.op);
+        assert_eq!(dispatch.messages, 0, "server spans carry no traffic");
+        assert_eq!(call.messages, 2);
+    }
+    let batches: Vec<_> = dispatches.iter().filter_map(|e| e.batch).collect();
+    assert_eq!(batches, [6, 6]);
+    let refused: Vec<_> = dispatches.iter().filter_map(|e| e.detail.clone()).collect();
+    assert_eq!(refused.len(), 3);
+    assert_eq!(refused[0], whopay::core::CoreError::BadSignature.to_string());
 }
