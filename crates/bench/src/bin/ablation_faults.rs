@@ -10,14 +10,17 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use rand::SeedableRng;
 use whopay_bench::print_setup_banner;
 use whopay_core::service::{
-    attach_broker, attach_client, attach_peer, clock, deposit_via_retry, install_wire_classifier,
-    purchase_via_retry, request_issue_via_retry, request_transfer_via_retry,
+    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via_retry,
+    install_wire_classifier, purchase_via_retry, request_issue_via_retry, request_transfer_via_retry,
+    shared_clock, SharedClock,
 };
-use whopay_core::{Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay_core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay_crypto::testing::tiny_group;
 use whopay_net::{EndpointId, FaultInjector, FaultPlan, FaultRates, Network, RetryPolicy};
 use whopay_obs::{Metrics, Obs};
@@ -27,7 +30,7 @@ const SEED: u64 = 0xFA17;
 
 struct World {
     net: Network,
-    broker: Rc<RefCell<Broker>>,
+    broker: Arc<ShardedBroker>,
     broker_ep: EndpointId,
     owner: Rc<RefCell<Peer>>,
     owner_ep: EndpointId,
@@ -36,6 +39,8 @@ struct World {
     payee: Peer,
     payee_ep: EndpointId,
     clk: whopay_core::service::Clock,
+    /// The broker's clock.
+    sclk: SharedClock,
     rng: rand::rngs::StdRng,
 }
 
@@ -43,8 +48,8 @@ fn world(rate: f64) -> World {
     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -57,15 +62,15 @@ fn world(rate: f64) -> World {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner = mk(0, &mut judge, &mut broker, &mut rng);
-    let payer = mk(1, &mut judge, &mut broker, &mut rng);
-    let payee = mk(2, &mut judge, &mut broker, &mut rng);
+    let owner = mk(0, &mut judge, &broker, &mut rng);
+    let payer = mk(1, &mut judge, &broker, &mut rng);
+    let payee = mk(2, &mut judge, &broker, &mut rng);
 
     let mut net = Network::new();
     install_wire_classifier(&mut net);
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clk.clone(), 1000);
+    let sclk = shared_clock(Timestamp(0));
+    let broker_ep = attach_shard_endpoints(&mut net, broker.clone(), sclk.clone(), 1000)[0];
     let owner = Rc::new(RefCell::new(owner));
     let owner_ep = attach_peer(&mut net, owner.clone(), clk.clone(), 2000);
     let payer_ep = attach_client(&mut net, "payer");
@@ -74,7 +79,7 @@ fn world(rate: f64) -> World {
         let plan = FaultPlan::new().with_default(FaultRates::uniform(rate));
         net.install_faults(FaultInjector::new(plan, SEED ^ 0xC0FFEE));
     }
-    World { net, broker, broker_ep, owner, owner_ep, payer, payer_ep, payee, payee_ep, clk, rng }
+    World { net, broker, broker_ep, owner, owner_ep, payer, payer_ep, payee, payee_ep, clk, sclk, rng }
 }
 
 /// One sweep point: `LIFECYCLES` full payment chains under `rate`.
@@ -85,6 +90,7 @@ fn run(rate: f64, policy: &RetryPolicy) -> (u64, World) {
     for i in 0..LIFECYCLES {
         let now = Timestamp(100 * i);
         w.clk.set(now);
+        w.sclk.store(now.0, Ordering::SeqCst);
         let coin = {
             let mut owner = w.owner.borrow_mut();
             match purchase_via_retry(
@@ -144,7 +150,7 @@ fn main() {
         let (ok, w) = run(rate, &policy);
         let rstats = policy.stats();
         let fstats = w.net.fault_stats();
-        let bstats = w.broker.borrow().stats();
+        let bstats = w.broker.stats();
         println!(
             "{:>6.2} {:>6}/{:<2} {:>9} {:>9} {:>11} {:>8} {:>9} {:>9}",
             rate,

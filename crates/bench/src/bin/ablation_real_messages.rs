@@ -9,12 +9,13 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use whopay_core::service::{
-    attach_broker, attach_client, attach_peer, clock, deposit_via, purchase_via, request_issue_via,
-    request_renewal_via, request_transfer_via, send_invite, sync_via,
+    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via, purchase_via,
+    request_issue_via, request_renewal_via, request_transfer_via, send_invite, shared_clock, sync_via,
 };
-use whopay_core::{Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay_core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay_crypto::testing::{test_rng, tiny_group};
 use whopay_eval::cost::{broker_messages, peer_messages};
 use whopay_eval::Op;
@@ -24,9 +25,9 @@ fn main() {
     let mut rng = test_rng(0xAB1A);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker_obj = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
 
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -39,14 +40,13 @@ fn main() {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner_obj = mk(0, &mut judge, &mut broker_obj, &mut rng);
-    let mut payer = mk(1, &mut judge, &mut broker_obj, &mut rng);
-    let mut payee = mk(2, &mut judge, &mut broker_obj, &mut rng);
+    let owner_obj = mk(0, &mut judge, &broker, &mut rng);
+    let mut payer = mk(1, &mut judge, &broker, &mut rng);
+    let mut payee = mk(2, &mut judge, &broker, &mut rng);
 
     let mut net = Network::new();
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker_obj));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clk.clone(), 1);
+    let broker_ep = attach_shard_endpoints(&mut net, broker, shared_clock(Timestamp(0)), 1)[0];
     let owner = Rc::new(RefCell::new(owner_obj));
     let owner_ep = attach_peer(&mut net, owner.clone(), clk.clone(), 2);
     let payer_ep = attach_client(&mut net, "payer");

@@ -224,6 +224,22 @@ impl<'a> Reader<'a> {
         Ok(BigUint::from_be_bytes(self.bytes()?))
     }
 
+    /// Reads the count prefix of a list whose items each encode to at
+    /// least `min_item` bytes, so the caller may reserve room for that
+    /// many items before reading the first.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on truncation, on a count above `cap`, and on a
+    /// count the bytes that are left could not hold.
+    pub fn count(&mut self, cap: usize, min_item: usize) -> Result<usize, DecodeError> {
+        let n = self.u64()?;
+        if n > cap as u64 || n > (self.buf.len() / min_item) as u64 {
+            return Err(DecodeError);
+        }
+        Ok(n as usize)
+    }
+
     /// Asserts the input is fully consumed.
     ///
     /// # Errors

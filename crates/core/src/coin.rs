@@ -52,19 +52,6 @@ impl MintedCoin {
         t.int(coin_pk).finish().to_vec()
     }
 
-    /// [`MintedCoin::signed_bytes`] with the coin key still in wire form
-    /// (its big-endian magnitude); identical output, no `BigUint`
-    /// materialized. The zero-copy entry for borrowed decode views.
-    pub fn signed_bytes_wire(owner: &OwnerTag, coin_pk_be: &[u8]) -> Vec<u8> {
-        let t = Transcript::new("whopay/coin/v1");
-        let t = match owner {
-            OwnerTag::Identified(peer) => t.u64(0).u64(peer.0),
-            OwnerTag::Anonymous => t.u64(1).u64(0),
-            OwnerTag::AnonymousWithHandle(h) => t.u64(2).bytes(&h.0),
-        };
-        t.int_be_bytes(coin_pk_be).finish().to_vec()
-    }
-
     /// Assembles a coin (broker side).
     pub fn from_parts(owner: OwnerTag, coin_pk: BigUint, broker_sig: DsaSignature) -> Self {
         MintedCoin { owner, coin_pk, broker_sig }
@@ -157,29 +144,6 @@ impl Binding {
         Transcript::new("whopay/binding/v1")
             .int(coin_pk)
             .int(holder_pk)
-            .u64(seq)
-            .u64(expires.0)
-            .u64(tag)
-            .finish()
-            .to_vec()
-    }
-
-    /// [`Binding::signed_bytes`] with the keys still in wire form;
-    /// identical output, no `BigUint` materialized.
-    pub fn signed_bytes_wire(
-        coin_pk_be: &[u8],
-        holder_pk_be: &[u8],
-        seq: u64,
-        expires: Timestamp,
-        signer: BindingSigner,
-    ) -> Vec<u8> {
-        let tag = match signer {
-            BindingSigner::CoinKey => 0u64,
-            BindingSigner::Broker => 1u64,
-        };
-        Transcript::new("whopay/binding/v1")
-            .int_be_bytes(coin_pk_be)
-            .int_be_bytes(holder_pk_be)
             .u64(seq)
             .u64(expires.0)
             .u64(tag)

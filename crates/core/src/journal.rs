@@ -30,15 +30,19 @@ use crate::coin::{Binding, MintedCoin};
 use crate::error::CoreError;
 use whopay_crypto::sha256::Digest;
 
-use crate::messages::{DepositReceipt, PurchaseRequest, RenewalRequest, TransferRequest};
+use crate::messages::PurchaseRequest;
 use crate::micropay::ChainCommitment;
 use crate::replay::ServedOp;
 use crate::types::{ChainId, CoinId, PeerId};
+use crate::view::{
+    parse_digest32, parse_nonce, parse_owner_tag, parse_payword, parse_receipt,
+    parse_redemption_receipt, BindingRef, CommitmentRef, DepositRef, GrantRef, GroupSigRef, IntRef,
+    MintedRef, RenewalRef, SigRef, TransferRef,
+};
 use crate::wire::{
-    get_binding, get_commitment, get_deposit, get_digest32, get_grant, get_gsig, get_minted, get_nonce,
-    get_owner_tag, get_payword, get_redemption_receipt, get_sig, put_binding, put_commitment,
-    put_deposit, put_grant, put_gsig, put_minted, put_nonce, put_owner_tag, put_payword,
-    put_redemption_receipt, put_sig,
+    put_binding, put_commitment, put_deposit, put_grant, put_gsig, put_minted, put_nonce,
+    put_owner_tag, put_payword, put_receipt, put_redemption_receipt, put_renewal, put_sig,
+    put_transfer,
 };
 
 /// One coin's complete broker-side state, as frozen by a checkpoint.
@@ -277,7 +281,7 @@ fn decode_entry(frame: &[u8]) -> Result<JournalEntry, DecodeError> {
     let mut r = Reader::new(frame);
     let seq = r.u64()?;
     let stats = get_stats(&mut r)?;
-    let root: Digest = r.bytes()?.try_into().map_err(|_| DecodeError)?;
+    let root = parse_digest32(&mut r)?;
     let op = get_op(&mut r)?;
     r.finish()?;
     Ok(JournalEntry { seq, stats, root, op })
@@ -314,8 +318,7 @@ fn put_coin_id(w: &mut Writer, id: &CoinId) {
 }
 
 fn get_coin_id(r: &mut Reader<'_>) -> Result<CoinId, DecodeError> {
-    let b = r.bytes()?;
-    Ok(CoinId(b.try_into().map_err(|_| DecodeError)?))
+    Ok(CoinId(parse_digest32(r)?))
 }
 
 fn put_purchase(w: &mut Writer, p: &PurchaseRequest) {
@@ -342,56 +345,19 @@ fn put_purchase(w: &mut Writer, p: &PurchaseRequest) {
 }
 
 fn get_purchase(r: &mut Reader<'_>) -> Result<PurchaseRequest, DecodeError> {
-    let owner = get_owner_tag(r)?;
-    let coin_pk = r.int()?;
+    let owner = parse_owner_tag(r)?;
+    let coin_pk = IntRef::parse(r)?.to_biguint();
     let identity_sig = match r.u64()? {
         0 => None,
-        1 => Some(get_sig(r)?),
+        1 => Some(SigRef::parse(r)?.to_sig()),
         _ => return Err(DecodeError),
     };
     let group_sig = match r.u64()? {
         0 => None,
-        1 => Some(get_gsig(r)?),
+        1 => Some(GroupSigRef::parse(r)?.to_gsig()),
         _ => return Err(DecodeError),
     };
     Ok(PurchaseRequest { owner, coin_pk, identity_sig, group_sig })
-}
-
-fn put_transfer(w: &mut Writer, t: &TransferRequest) {
-    put_binding(w, &t.current);
-    w.int(&t.new_holder_pk);
-    put_nonce(w, &t.nonce);
-    put_sig(w, &t.holder_sig);
-    put_gsig(w, &t.group_sig);
-}
-
-fn get_transfer(r: &mut Reader<'_>) -> Result<TransferRequest, DecodeError> {
-    Ok(TransferRequest {
-        current: get_binding(r)?,
-        new_holder_pk: r.int()?,
-        nonce: get_nonce(r)?,
-        holder_sig: get_sig(r)?,
-        group_sig: get_gsig(r)?,
-    })
-}
-
-fn put_renewal(w: &mut Writer, t: &RenewalRequest) {
-    put_binding(w, &t.current);
-    put_sig(w, &t.holder_sig);
-    put_gsig(w, &t.group_sig);
-}
-
-fn get_renewal(r: &mut Reader<'_>) -> Result<RenewalRequest, DecodeError> {
-    Ok(RenewalRequest { current: get_binding(r)?, holder_sig: get_sig(r)?, group_sig: get_gsig(r)? })
-}
-
-fn put_receipt(w: &mut Writer, receipt: &DepositReceipt) {
-    put_coin_id(w, &receipt.coin);
-    w.u64(receipt.value);
-}
-
-fn get_receipt(r: &mut Reader<'_>) -> Result<DepositReceipt, DecodeError> {
-    Ok(DepositReceipt { coin: get_coin_id(r)?, value: r.u64()? })
 }
 
 pub(crate) fn put_served(w: &mut Writer, op: &ServedOp) {
@@ -432,15 +398,31 @@ pub(crate) fn put_served(w: &mut Writer, op: &ServedOp) {
 
 fn get_served(r: &mut Reader<'_>) -> Result<ServedOp, DecodeError> {
     match r.u64()? {
-        0 => Ok(ServedOp::Purchase { request: get_purchase(r)?, minted: get_minted(r)? }),
-        1 => Ok(ServedOp::Issue { holder_pk: r.int()?, nonce: get_nonce(r)?, grant: get_grant(r)? }),
-        2 => Ok(ServedOp::Transfer { request: get_transfer(r)?, grant: get_grant(r)? }),
-        3 => Ok(ServedOp::Renewal { request: get_renewal(r)?, binding: get_binding(r)? }),
-        4 => Ok(ServedOp::Deposit { request: get_deposit(r)?, receipt: get_receipt(r)? }),
+        0 => Ok(ServedOp::Purchase {
+            request: get_purchase(r)?,
+            minted: MintedRef::parse(r)?.to_minted(),
+        }),
+        1 => Ok(ServedOp::Issue {
+            holder_pk: IntRef::parse(r)?.to_biguint(),
+            nonce: parse_nonce(r)?,
+            grant: GrantRef::parse(r)?.to_grant(),
+        }),
+        2 => Ok(ServedOp::Transfer {
+            request: TransferRef::parse(r)?.to_transfer(),
+            grant: GrantRef::parse(r)?.to_grant(),
+        }),
+        3 => Ok(ServedOp::Renewal {
+            request: RenewalRef::parse(r)?.to_renewal(),
+            binding: BindingRef::parse(r)?.to_binding(),
+        }),
+        4 => Ok(ServedOp::Deposit {
+            request: DepositRef::parse(r)?.to_deposit(),
+            receipt: parse_receipt(r)?,
+        }),
         5 => Ok(ServedOp::RedeemChain {
-            commitment: Arc::new(get_commitment(r)?),
-            payword: get_payword(r)?,
-            receipt: get_redemption_receipt(r)?,
+            commitment: Arc::new(CommitmentRef::parse(r)?.into_commitment()),
+            payword: parse_payword(r)?,
+            receipt: parse_redemption_receipt(r)?,
         }),
         _ => Err(DecodeError),
     }
@@ -481,7 +463,7 @@ fn get_fraud(r: &mut Reader<'_>) -> Result<FraudCase, DecodeError> {
     let n = r.u64()? as usize;
     let mut group_sigs = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        group_sigs.push(get_gsig(r)?);
+        group_sigs.push(GroupSigRef::parse(r)?.to_gsig());
     }
     Ok(FraudCase { coin, description, group_sigs })
 }
@@ -525,17 +507,17 @@ fn get_checkpoint(r: &mut Reader<'_>) -> Result<CheckpointState, DecodeError> {
     let mut registered = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         let peer = PeerId(r.u64()?);
-        let key = DsaPublicKey::from_element(r.int()?);
+        let key = DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint());
         registered.push((peer, key));
     }
     let n = r.u64()? as usize;
     let mut coins = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         let id = get_coin_id(r)?;
-        let minted = get_minted(r)?;
+        let minted = MintedRef::parse(r)?.to_minted();
         let downtime_binding = match r.u64()? {
             0 => None,
-            1 => Some(get_binding(r)?),
+            1 => Some(BindingRef::parse(r)?.to_binding()),
             _ => return Err(DecodeError),
         };
         let deposited = match r.u64()? {
@@ -554,10 +536,10 @@ fn get_checkpoint(r: &mut Reader<'_>) -> Result<CheckpointState, DecodeError> {
     let n = r.u64()? as usize;
     let mut chains = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        let id = ChainId(get_digest32(r)?);
-        let commitment = get_commitment(r)?;
+        let id = ChainId(parse_digest32(r)?);
+        let commitment = CommitmentRef::parse(r)?.into_commitment();
         let settled = r.u64()?;
-        let best_word = get_digest32(r)?;
+        let best_word = parse_digest32(r)?;
         let last_served = get_opt_served(r)?;
         chains.push((id, ChainSnapshot { commitment, settled, best_word, last_served }));
     }
@@ -607,19 +589,19 @@ fn get_op(r: &mut Reader<'_>) -> Result<JournalOp, DecodeError> {
     match r.u64()? {
         0 => Ok(JournalOp::Register {
             peer: PeerId(r.u64()?),
-            key: DsaPublicKey::from_element(r.int()?),
+            key: DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint()),
         }),
-        1 => Ok(JournalOp::Mint { minted: get_minted(r)?, served: get_served(r)? }),
+        1 => Ok(JournalOp::Mint { minted: MintedRef::parse(r)?.to_minted(), served: get_served(r)? }),
         2 => Ok(JournalOp::Deposit { coin: get_coin_id(r)?, served: get_served(r)? }),
         3 => Ok(JournalOp::DowntimeBinding {
             coin: get_coin_id(r)?,
-            binding: get_binding(r)?,
+            binding: BindingRef::parse(r)?.to_binding(),
             served: get_served(r)?,
         }),
         4 => Ok(JournalOp::Fraud { case: get_fraud(r)? }),
         5 => Ok(JournalOp::Counters),
         6 => Ok(JournalOp::Checkpoint(get_checkpoint(r)?)),
-        7 => Ok(JournalOp::ChainRedeem { chain: ChainId(get_digest32(r)?), served: get_served(r)? }),
+        7 => Ok(JournalOp::ChainRedeem { chain: ChainId(parse_digest32(r)?), served: get_served(r)? }),
         _ => Err(DecodeError),
     }
 }

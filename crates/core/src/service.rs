@@ -7,9 +7,10 @@
 //! communication cost model, and the basis of the `real message counts`
 //! ablation in `whopay-bench`.
 //!
-//! Entities are shared via `Rc<RefCell<…>>` between the test/driver code
-//! and the endpoint handler closures; the shared [`Clock`] supplies `now`
-//! to request handling.
+//! The broker is an `Arc<ShardedBroker>` behind one `Send` endpoint per
+//! shard; peers and micropayment hosts are shared via `Rc<RefCell<…>>`
+//! between the driver code and their handler closures. A [`SharedClock`]
+//! (broker) or [`Clock`] (peers) supplies `now` to request handling.
 //!
 //! # Observability
 //!
@@ -36,11 +37,16 @@ use whopay_obs::{Counter, Event, Histogram, Obs, OpKind, Role, Span, TraceContex
 
 use whopay_crypto::payword::Payword;
 
+use crate::audit::Violation;
 use crate::broker::{Broker, Upcoming};
 use crate::codec;
+use crate::coin::Binding;
 use crate::error::CoreError;
 use crate::ledger::BindingProof;
-use crate::messages::{CoinGrant, DepositReceipt, PaymentInvite, PurchaseRequest};
+use crate::messages::{
+    CoinGrant, DepositReceipt, DepositRequest, PaymentInvite, PurchaseRequest, RenewalRequest,
+    TransferRequest,
+};
 use crate::micropay::{
     ChainCommitment, MicropayHost, RedeemChainRequest, RedemptionReceipt, TicksApplied,
 };
@@ -73,31 +79,65 @@ pub fn install_wire_classifier(net: &mut Network) {
     net.set_classifier(wire_kind);
 }
 
-/// Marks the span failed when the response is an error, then finishes it.
-fn finish_dispatch(mut span: Span<'_>, response: &Response) {
-    if let Response::Error(e) = response {
-        span.fail(e.clone());
+/// The frame-level half of every handler, around its `answer`: splits
+/// the caller's trace trailer off `bytes`, opens the dispatch span (a
+/// child of the caller's when the request was traced), parses the frame
+/// and labels the span with its operation. `answer` writes its response
+/// frame into `out`, or returns the refusal this writes as an error
+/// frame and records on the span. The span's context is echoed after the
+/// reply only to callers that traced the request: untraced callers keep
+/// byte-identical responses.
+// Always inlined: out of line, a tick pays for moving its parsed view into
+// `answer` (+2.6 % tick p50 on `micropay_stream`; EXPERIMENTS.md, PR 16).
+#[inline(always)]
+fn serve_frame(
+    obs: &Obs,
+    role: Role,
+    bytes: &[u8],
+    out: &mut Vec<u8>,
+    answer: impl FnOnce(RequestView<'_>, &mut Span<'_>, &mut Vec<u8>) -> Result<(), String>,
+) {
+    let (payload, caller) = TraceContext::split(bytes);
+    let mut span = match &caller {
+        Some(parent) => obs.child_span(role, OpKind::Other, parent),
+        None => obs.span(role, OpKind::Other),
+    };
+    // Dispatch runs over a borrowed view of the wire bytes; `answer`
+    // materializes only the message it handles.
+    let answered = match RequestView::parse(payload) {
+        Ok(view) => {
+            span.set_op(view.op_kind());
+            answer(view, &mut span, out)
+        }
+        Err(e) => Err(e.to_string()),
+    };
+    let reply = if caller.is_some() { span.context() } else { None };
+    if let Err(refusal) = answered {
+        wire::frame_into(out, |w| wire::put_error(w, &refusal));
+        span.fail(refusal);
     }
     span.finish();
+    if let Some(ctx) = reply {
+        ctx.append_to(out);
+    }
 }
 
-/// Surfaces invariant violations the broker's auditor detected during
-/// the dispatch that just ran: each new violation becomes a failed
-/// broker event, and the flight recorder (when one backs `obs`) dumps
-/// the events leading up to it to stderr.
-fn surface_violations(broker: &Broker, obs: &Obs, seen: &Cell<usize>) {
-    let violations = broker.audit().violations();
-    if violations.len() <= seen.get() {
-        return;
-    }
-    for v in &violations[seen.get()..] {
+/// Encodes a handler's response into `out`, or names its refusal.
+fn respond(response: Result<Response, CoreError>, out: &mut Vec<u8>) -> Result<(), String> {
+    response.map(|r| r.encode_into(out)).map_err(|e| e.to_string())
+}
+
+/// Reports auditor violations: each becomes a failed broker event on
+/// `obs`, and the flight recorder (when one backs `obs`) dumps the
+/// events leading up to them to stderr.
+fn report_violations(obs: &Obs, violations: &[Violation]) {
+    for v in violations {
         obs.observe(Event::new(Role::Broker, OpKind::Other).failed().with_detail(format!(
             "invariant violation: {} ({})",
             v.invariant.label(),
             v.detail
         )));
     }
-    seen.set(violations.len());
     if let Some(dump) = obs.flight_dump() {
         eprintln!("--- flight recorder: invariant violation ---");
         eprint!("{dump}");
@@ -114,163 +154,32 @@ fn surface_violations(broker: &Broker, obs: &Obs, seen: &Cell<usize>) {
 /// [`crate::audit::Invariant::StateCommitment`] root mismatch) or a
 /// replayed double-commit.
 pub fn surface_recovery_violations(broker: &Broker, obs: &Obs) -> usize {
-    let seen = Cell::new(0);
-    surface_violations(broker, obs, &seen);
-    seen.get()
+    let violations = broker.audit().violations();
+    if !violations.is_empty() {
+        report_violations(obs, violations);
+    }
+    violations.len()
 }
 
-/// Attaches a broker to the network. All broker-side operations
-/// (purchase, deposit, downtime transfer/renewal, sync) become available
-/// at the returned endpoint.
-pub fn attach_broker(
-    net: &mut Network,
-    broker: Rc<RefCell<Broker>>,
-    clock: Clock,
-    seed: u64,
-) -> EndpointId {
-    attach_broker_obs(net, broker, clock, seed, Obs::disabled())
-}
-
-/// [`attach_broker`] with an observability context: each dispatched
-/// request is timed under its operation kind ([`Role::Broker`], no
-/// traffic — the client side owns the byte accounting), and rejections
-/// are recorded as failed spans.
-pub fn attach_broker_obs(
-    net: &mut Network,
-    broker: Rc<RefCell<Broker>>,
-    clock: Clock,
-    seed: u64,
-    obs: Obs,
-) -> EndpointId {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let audited = Cell::new(0usize);
-    let id = net.register_writer("broker", move |_net, bytes: &[u8], out: &mut Vec<u8>| {
-        let now = clock.get();
-        // A traced client appends a context trailer after the frame; the
-        // dispatch span joins that trace so client and server halves of
-        // the exchange link up. Untagged frames dispatch under a fresh
-        // (or disabled) span exactly as before.
-        let (payload, caller) = TraceContext::split(bytes);
-        let mut span = match &caller {
-            Some(parent) => obs.child_span(Role::Broker, OpKind::Other, parent),
-            None => obs.span(Role::Broker, OpKind::Other),
-        };
-        // Parse a borrowed view: classification and dispatch run over the
-        // wire bytes; each arm materializes only the message it handles.
-        let parsed = RequestView::parse(payload);
-        if let Ok(view) = &parsed {
-            span.set_op(view.op_kind());
-        }
-        let response = match parsed {
-            Err(e) => Response::Error(e.to_string()),
-            Ok(RequestView::Purchase { owner, coin_pk, identity_sig, group_sig }) => {
-                let req = PurchaseRequest {
-                    owner,
-                    coin_pk: coin_pk.to_biguint(),
-                    identity_sig: identity_sig.map(|s| s.to_sig()),
-                    group_sig: group_sig.map(|g| g.to_gsig()),
-                };
-                match broker.borrow_mut().handle_purchase(&req, &mut rng) {
-                    Ok(minted) => Response::Minted(minted),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Ok(RequestView::Deposit(d)) => {
-                match broker.borrow_mut().handle_deposit(&d.to_deposit(), now) {
-                    Ok(receipt) => Response::Receipt(receipt),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Ok(RequestView::DepositBatch(ds)) => {
-                span.set_batch(ds.len() as u64);
-                let reqs: Vec<_> = ds.iter().map(|d| d.to_deposit()).collect();
-                let outcomes = broker.borrow_mut().handle_deposit_batch(&reqs, now);
-                Response::Receipts(outcomes.into_iter().map(|r| r.map_err(|e| e.to_string())).collect())
-            }
-            Ok(view @ RequestView::Transfer { downtime: true, .. }) => {
-                let Request::Transfer { request, .. } = view.to_owned_request() else {
-                    unreachable!("transfer view materializes a transfer")
-                };
-                match broker.borrow_mut().handle_downtime_transfer(&request, now, &mut rng) {
-                    Ok(grant) => Response::Grant(Box::new(grant)),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Ok(view @ RequestView::Renewal { downtime: true, .. }) => {
-                let Request::Renewal { request, .. } = view.to_owned_request() else {
-                    unreachable!("renewal view materializes a renewal")
-                };
-                match broker.borrow_mut().handle_downtime_renewal(&request, now, &mut rng) {
-                    Ok(binding) => Response::Binding(binding),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Ok(RequestView::Sync { peer, challenge, response }) => {
-                // The challenge never leaves the wire buffer.
-                match broker.borrow_mut().sync_for_owner(peer, challenge, &response.to_sig()) {
-                    Ok(bindings) => Response::Bindings(bindings),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Ok(RequestView::RedeemChain { commitment, payword }) => {
-                let request = RedeemChainRequest { commitment: commitment.to_commitment(), payword };
-                match broker.borrow_mut().handle_redeem_chain(&request) {
-                    Ok(receipt) => Response::Redeemed(receipt),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Ok(RequestView::BindingProof { coin }) => {
-                match broker.borrow().binding_proof(&coin, &mut rng) {
-                    Some(proof) => Response::Proof(Box::new(proof)),
-                    None => Response::Error(CoreError::UnknownCoin(coin).to_string()),
-                }
-            }
-            Ok(_) => Response::Error("request not handled by the broker".into()),
-        };
-        // Echo the dispatch span's context on the response, but only to
-        // callers that traced the request — untraced callers keep
-        // byte-identical responses.
-        let reply = if caller.is_some() { span.context() } else { None };
-        finish_dispatch(span, &response);
-        surface_violations(&broker.borrow(), &obs, &audited);
-        response.encode_into(out);
-        if let Some(ctx) = reply {
-            ctx.append_to(out);
-        }
-    });
-    net.set_role(id, Role::Broker);
-    id
-}
-
-/// [`surface_violations`] for the sharded broker: per-shard auditor
-/// violations and cross-ledger handoff violations. This runs after every
-/// dispatch on every shard endpoint, so the common case is one atomic
-/// load ([`ShardedBroker::violation_count`]) — no shard lock is touched
-/// unless something new was recorded. `seen` is shared across the shard
-/// endpoints and advanced with `fetch_max`, so each violation surfaces
-/// once no matter which endpoint's dispatch notices it.
+/// Surfaces the violations — per-shard auditor violations and
+/// cross-ledger handoff violations — recorded since the last call. This
+/// runs after every dispatch on every shard endpoint, so the common case
+/// is one atomic load ([`ShardedBroker::violation_count`]): no shard lock
+/// is touched unless something new was recorded. `seen` is shared across
+/// the shard endpoints and advanced with `fetch_max`, so each violation
+/// surfaces once no matter which endpoint's dispatch notices it.
 fn surface_sharded_violations(sharded: &ShardedBroker, obs: &Obs, seen: &AtomicUsize) {
     let count = sharded.violation_count();
     let prev = seen.fetch_max(count, Ordering::SeqCst);
-    if count <= prev {
-        return;
-    }
-    let violations = sharded.violations();
-    for v in &violations[violations.len().saturating_sub(count - prev)..] {
-        obs.observe(Event::new(Role::Broker, OpKind::Other).failed().with_detail(format!(
-            "invariant violation: {} ({})",
-            v.invariant.label(),
-            v.detail
-        )));
-    }
-    if let Some(dump) = obs.flight_dump() {
-        eprintln!("--- flight recorder: invariant violation ---");
-        eprint!("{dump}");
+    if count > prev {
+        let violations = sharded.violations();
+        report_violations(obs, &violations[violations.len().saturating_sub(count - prev)..]);
     }
 }
 
-/// Attaches one endpoint per shard of a [`ShardedBroker`] and returns
-/// their ids, index-aligned with the shard numbers.
+/// Attaches the broker to the network: one endpoint per shard of a
+/// [`ShardedBroker`] (an unpartitioned broker is one shard), their ids
+/// returned index-aligned with the shard numbers.
 ///
 /// Each endpoint is a *parallel* endpoint (`Send` handler), so an event
 /// queue drained with `WHOPAY_NET_THREADS > 1` serves different shards
@@ -291,13 +200,16 @@ pub fn attach_shard_endpoints(
     attach_shard_endpoints_obs(net, sharded, clock, seed, Obs::disabled())
 }
 
-/// [`attach_shard_endpoints`] with an observability context: dispatch
-/// spans carry the serving shard's label (see `whopay_obs::Span::set_shard`),
-/// and invariant violations — per-shard or cross-ledger — surface as
-/// failed events with a flight-recorder dump. Each prepared group is one
-/// span labelled `prepare` (a child of the group's first traced request);
-/// a metrics-backed `obs` also gets the `broker.prepare_batch` histogram
-/// (requests per drain cycle and shard) and the
+/// [`attach_shard_endpoints`] with an observability context: each
+/// dispatched request is timed under its operation kind
+/// ([`Role::Broker`], no traffic — the client side owns the byte
+/// accounting) and the owning shard's label (see
+/// `whopay_obs::Span::set_shard`), rejections are recorded as failed
+/// spans, and invariant violations — per-shard or cross-ledger — surface
+/// as failed events with a flight-recorder dump. Each prepared group is
+/// one span labelled `prepare` (a child of the group's first traced
+/// request); a metrics-backed `obs` also gets the `broker.prepare_batch`
+/// histogram (requests per drain cycle and shard) and the
 /// `broker.prepare.{settled,skipped,fallbacks}` counters
 /// (see [`crate::broker::PrepareReport`]).
 pub fn attach_shard_endpoints_obs(
@@ -341,7 +253,7 @@ struct PrepareProbes {
     fallbacks: Arc<Counter>,
 }
 
-/// The endpoint of one shard of a [`ShardedBroker`].
+/// The broker endpoint: one shard of a [`ShardedBroker`].
 struct ShardEndpoint {
     shard: u16,
     sharded: Arc<ShardedBroker>,
@@ -358,86 +270,55 @@ impl Endpoint for ShardEndpoint {
     fn serve(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
         let (sharded, rng) = (&self.sharded, &mut self.rng);
         let now = Timestamp(self.clock.load(Ordering::SeqCst));
-        let (payload, caller) = TraceContext::split(bytes);
-        let mut span = match &caller {
-            Some(parent) => self.obs.child_span(Role::Broker, OpKind::Other, parent),
-            None => self.obs.span(Role::Broker, OpKind::Other),
-        };
-        let parsed = RequestView::parse(payload);
-        if let Ok(view) = &parsed {
-            span.set_op(view.op_kind());
+        serve_frame(&self.obs, Role::Broker, bytes, out, |view, span, out| {
             // Label the span with the owning shard — the router's verdict
             // — falling back to the serving endpoint for fan-out requests.
-            span.set_shard(sharded.shard_for(view).unwrap_or(self.shard));
-        }
-        let response = match parsed {
-            Err(e) => Response::Error(e.to_string()),
-            Ok(RequestView::Purchase { owner, coin_pk, identity_sig, group_sig }) => {
-                let req = PurchaseRequest {
-                    owner,
-                    coin_pk: coin_pk.to_biguint(),
-                    identity_sig: identity_sig.map(|s| s.to_sig()),
-                    group_sig: group_sig.map(|g| g.to_gsig()),
-                };
-                match sharded.handle_purchase(&req, rng) {
-                    Ok(minted) => Response::Minted(minted),
-                    Err(e) => Response::Error(e.to_string()),
+            span.set_shard(sharded.shard_for(&view).unwrap_or(self.shard));
+            let response = match view {
+                RequestView::Purchase { owner, coin_pk, identity_sig, group_sig } => {
+                    let req = PurchaseRequest {
+                        owner,
+                        coin_pk: coin_pk.to_biguint(),
+                        identity_sig: identity_sig.map(|s| s.to_sig()),
+                        group_sig: group_sig.map(|g| g.to_gsig()),
+                    };
+                    sharded.handle_purchase(&req, rng).map(Response::Minted)
                 }
-            }
-            Ok(RequestView::Deposit(d)) => match sharded.handle_deposit(&d.to_deposit(), now) {
-                Ok(receipt) => Response::Receipt(receipt),
-                Err(e) => Response::Error(e.to_string()),
-            },
-            Ok(RequestView::DepositBatch(ds)) => {
-                span.set_batch(ds.len() as u64);
-                let reqs: Vec<_> = ds.iter().map(|d| d.to_deposit()).collect();
-                let outcomes = sharded.handle_deposit_batch(&reqs, now);
-                Response::Receipts(outcomes.into_iter().map(|r| r.map_err(|e| e.to_string())).collect())
-            }
-            Ok(view @ RequestView::Transfer { downtime: true, .. }) => {
-                let Request::Transfer { request, .. } = view.to_owned_request() else {
-                    unreachable!("transfer view materializes a transfer")
-                };
-                match sharded.handle_downtime_transfer(&request, now, rng) {
-                    Ok(grant) => Response::Grant(Box::new(grant)),
-                    Err(e) => Response::Error(e.to_string()),
+                RequestView::Deposit(d) => {
+                    sharded.handle_deposit(&d.to_deposit(), now).map(Response::Receipt)
                 }
-            }
-            Ok(view @ RequestView::Renewal { downtime: true, .. }) => {
-                let Request::Renewal { request, .. } = view.to_owned_request() else {
-                    unreachable!("renewal view materializes a renewal")
-                };
-                match sharded.handle_downtime_renewal(&request, now, rng) {
-                    Ok(binding) => Response::Binding(binding),
-                    Err(e) => Response::Error(e.to_string()),
+                RequestView::DepositBatch(ds) => {
+                    span.set_batch(ds.len() as u64);
+                    let reqs: Vec<_> = ds.iter().map(|d| d.to_deposit()).collect();
+                    let outcomes = sharded.handle_deposit_batch(&reqs, now);
+                    Ok(Response::Receipts(
+                        outcomes.into_iter().map(|r| r.map_err(|e| e.to_string())).collect(),
+                    ))
                 }
-            }
-            Ok(RequestView::Sync { peer, challenge, response }) => {
-                match sharded.sync_for_owner(peer, challenge, &response.to_sig()) {
-                    Ok(bindings) => Response::Bindings(bindings),
-                    Err(e) => Response::Error(e.to_string()),
+                RequestView::Transfer { downtime: true, request } => sharded
+                    .handle_downtime_transfer(&request.to_transfer(), now, rng)
+                    .map(|grant| Response::Grant(Box::new(grant))),
+                RequestView::Renewal { downtime: true, request } => sharded
+                    .handle_downtime_renewal(&request.to_renewal(), now, rng)
+                    .map(Response::Binding),
+                // The challenge never leaves the wire buffer.
+                RequestView::Sync { peer, challenge, response } => {
+                    sharded.sync_for_owner(peer, challenge, &response.to_sig()).map(Response::Bindings)
                 }
-            }
-            Ok(RequestView::RedeemChain { commitment, payword }) => {
-                let request = RedeemChainRequest { commitment: commitment.to_commitment(), payword };
-                match sharded.handle_redeem_chain(&request) {
-                    Ok(receipt) => Response::Redeemed(receipt),
-                    Err(e) => Response::Error(e.to_string()),
+                RequestView::RedeemChain { commitment, payword } => {
+                    let request =
+                        RedeemChainRequest { commitment: commitment.into_commitment(), payword };
+                    sharded.handle_redeem_chain(&request).map(Response::Redeemed)
                 }
-            }
-            Ok(RequestView::BindingProof { coin }) => match sharded.binding_proof(&coin, rng) {
-                Some(proof) => Response::Proof(Box::new(proof)),
-                None => Response::Error(CoreError::UnknownCoin(coin).to_string()),
-            },
-            Ok(_) => Response::Error("request not handled by the broker".into()),
-        };
-        let reply = if caller.is_some() { span.context() } else { None };
-        finish_dispatch(span, &response);
+                RequestView::BindingProof { coin } => sharded
+                    .binding_proof(&coin, rng)
+                    .map(|proof| Response::Proof(Box::new(proof)))
+                    .ok_or(CoreError::UnknownCoin(coin)),
+                _ => return Err("request not handled by the broker".into()),
+            };
+            respond(response, out)
+        });
         surface_sharded_violations(sharded, &self.obs, &self.audited);
-        response.encode_into(out);
-        if let Some(ctx) = reply {
-            ctx.append_to(out);
-        }
     }
 
     /// Hands the requests of this drain cycle that the endpoint's own
@@ -507,67 +388,49 @@ pub fn attach_micropay_host_obs(
 ) -> EndpointId {
     let metrics = obs.metrics().cloned();
     let id = net.register_writer("micropay-host", move |_net, bytes: &[u8], out: &mut Vec<u8>| {
-        let (payload, caller) = TraceContext::split(bytes);
-        let mut span = match &caller {
-            Some(parent) => obs.child_span(Role::Peer, OpKind::Other, parent),
-            None => obs.span(Role::Peer, OpKind::Other),
-        };
-        let parsed = RequestView::parse(payload);
-        if let Ok(view) = &parsed {
-            span.set_op(view.op_kind());
-        }
-        // The answer goes straight into `out`, an ack from its two
-        // fields; only a refusal builds its message.
-        let ack = |out: &mut Vec<u8>,
-                   ticks: u64,
-                   applied: Result<TicksApplied, CoreError>|
-         -> Result<(), String> {
-            let TicksApplied { gained, total, hashes } = applied.map_err(|e| e.to_string())?;
-            if let Some(m) = &metrics {
-                m.counter("micropay.ticks").add(ticks);
-                m.counter("micropay.units").add(gained);
-                m.histogram("micropay.tick_verify_hashes").record_nanos(hashes);
-            }
-            wire::frame_into(out, |w| wire::put_tick_ack(w, gained, total));
-            Ok(())
-        };
-        let answered = match parsed {
-            Err(e) => Err(e.to_string()),
-            Ok(RequestView::OpenChain(c)) => match host.borrow_mut().open(&c.to_commitment()) {
-                Ok(chain) => {
-                    if let Some(m) = &metrics {
+        serve_frame(&obs, Role::Peer, bytes, out, |view, span, out| {
+            // The answer goes straight into `out`, an ack from its two
+            // fields; only a refusal builds its message.
+            let ack = |out: &mut Vec<u8>,
+                       ticks: u64,
+                       applied: Result<TicksApplied, CoreError>|
+             -> Result<(), String> {
+                let TicksApplied { gained, total, hashes } = applied.map_err(|e| e.to_string())?;
+                if let Some(m) = &metrics {
+                    m.counter("micropay.ticks").add(ticks);
+                    m.counter("micropay.units").add(gained);
+                    m.histogram("micropay.tick_verify_hashes").record_nanos(hashes);
+                }
+                wire::frame_into(out, |w| wire::put_tick_ack(w, gained, total));
+                Ok(())
+            };
+            let answered = match view {
+                RequestView::OpenChain(c) => {
+                    let opened = host.borrow_mut().open(&c.into_commitment());
+                    if let (Ok(_), Some(m)) = (&opened, &metrics) {
                         m.counter("micropay.opens").inc();
                     }
-                    Response::ChainAccepted(chain).encode_into(out);
-                    Ok(())
+                    respond(opened.map(Response::ChainAccepted), out)
                 }
-                Err(e) => Err(e.to_string()),
-            },
-            Ok(RequestView::Tick { chain, payword }) => {
-                let applied = host.borrow_mut().apply_ticks(chain, |r| r.receive(payword));
-                ack(out, 1, applied)
-            }
-            Ok(RequestView::TickBatch { chain, paywords }) => {
-                span.set_batch(paywords.len() as u64);
-                let applied = host.borrow_mut().apply_ticks(chain, |r| Ok(r.receive_batch(&paywords)));
-                let ticks = paywords.len() as u64;
-                view::recycle_paywords(paywords);
-                ack(out, ticks, applied)
-            }
-            Ok(_) => Err("request not handled by a micropayment host".into()),
-        };
-        let reply = if caller.is_some() { span.context() } else { None };
-        if let Err(refusal) = answered {
-            if let Some(m) = &metrics {
+                RequestView::Tick { chain, payword } => {
+                    let applied = host.borrow_mut().apply_ticks(chain, |r| r.receive(payword));
+                    ack(out, 1, applied)
+                }
+                RequestView::TickBatch { chain, paywords } => {
+                    span.set_batch(paywords.len() as u64);
+                    let applied =
+                        host.borrow_mut().apply_ticks(chain, |r| Ok(r.receive_batch(&paywords)));
+                    let ticks = paywords.len() as u64;
+                    view::recycle_paywords(paywords);
+                    ack(out, ticks, applied)
+                }
+                _ => Err("request not handled by a micropayment host".into()),
+            };
+            if let (Err(_), Some(m)) = (&answered, &metrics) {
                 m.counter("micropay.rejections").inc();
             }
-            wire::frame_into(out, |w| wire::put_error(w, &refusal));
-            span.fail(refusal);
-        }
-        span.finish();
-        if let Some(ctx) = reply {
-            ctx.append_to(out);
-        }
+            answered
+        });
     });
     net.set_role(id, Role::Peer);
     id
@@ -580,7 +443,8 @@ pub fn attach_peer(net: &mut Network, peer: Rc<RefCell<Peer>>, clock: Clock, see
 }
 
 /// [`attach_peer`] with an observability context (see
-/// [`attach_broker_obs`]; spans are attributed to [`Role::Peer`]).
+/// [`attach_shard_endpoints_obs`]; spans are attributed to
+/// [`Role::Peer`]).
 pub fn attach_peer_obs(
     net: &mut Network,
     peer: Rc<RefCell<Peer>>,
@@ -592,49 +456,22 @@ pub fn attach_peer_obs(
     let name = format!("peer-{}", peer.borrow().id());
     let id = net.register_writer(&name, move |_net, bytes: &[u8], out: &mut Vec<u8>| {
         let now = clock.get();
-        let (payload, caller) = TraceContext::split(bytes);
-        let mut span = match &caller {
-            Some(parent) => obs.child_span(Role::Peer, OpKind::Other, parent),
-            None => obs.span(Role::Peer, OpKind::Other),
-        };
-        let parsed = RequestView::parse(payload);
-        if let Ok(view) = &parsed {
-            span.set_op(view.op_kind());
-        }
-        let response = match parsed {
-            Err(e) => Response::Error(e.to_string()),
-            Ok(RequestView::Issue { coin, invite }) => {
-                match peer.borrow_mut().issue_coin(coin, &invite.to_invite(), now, &mut rng) {
-                    Ok(grant) => Response::Grant(Box::new(grant)),
-                    Err(e) => Response::Error(e.to_string()),
+        serve_frame(&obs, Role::Peer, bytes, out, |view, _span, out| {
+            let mut peer = peer.borrow_mut();
+            let response = match view {
+                RequestView::Issue { coin, invite } => peer
+                    .issue_coin(coin, &invite.to_invite(), now, &mut rng)
+                    .map(|grant| Response::Grant(Box::new(grant))),
+                RequestView::Transfer { downtime: false, request } => peer
+                    .handle_transfer(request.to_transfer(), now, &mut rng)
+                    .map(|grant| Response::Grant(Box::new(grant))),
+                RequestView::Renewal { downtime: false, request } => {
+                    peer.handle_renewal(request.to_renewal(), now, &mut rng).map(Response::Binding)
                 }
-            }
-            Ok(view @ RequestView::Transfer { downtime: false, .. }) => {
-                let Request::Transfer { request, .. } = view.to_owned_request() else {
-                    unreachable!("transfer view materializes a transfer")
-                };
-                match peer.borrow_mut().handle_transfer(request, now, &mut rng) {
-                    Ok(grant) => Response::Grant(Box::new(grant)),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Ok(view @ RequestView::Renewal { downtime: false, .. }) => {
-                let Request::Renewal { request, .. } = view.to_owned_request() else {
-                    unreachable!("renewal view materializes a renewal")
-                };
-                match peer.borrow_mut().handle_renewal(request, now, &mut rng) {
-                    Ok(binding) => Response::Binding(binding),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Ok(_) => Response::Error("request not handled by a peer".into()),
-        };
-        let reply = if caller.is_some() { span.context() } else { None };
-        finish_dispatch(span, &response);
-        response.encode_into(out);
-        if let Some(ctx) = reply {
-            ctx.append_to(out);
-        }
+                _ => return Err("request not handled by a peer".into()),
+            };
+            respond(response, out)
+        });
     });
     net.set_role(id, Role::Peer);
     id
@@ -669,21 +506,17 @@ impl std::fmt::Display for CallError {
 
 impl std::error::Error for CallError {}
 
-/// Whether a remote rejection message is *verification-shaped* — the
-/// rejection a request corrupted in flight produces at the server — and
-/// therefore worth retrying with the intact request. State-shaped
-/// rejections (double spend, stale binding, unknown coin, …) describe
-/// the protocol state itself, which a resend cannot change.
-fn remote_is_retryable(msg: &str) -> bool {
-    [
-        CoreError::Malformed,
-        CoreError::BadSignature,
-        CoreError::BadGroupSignature,
-        CoreError::BadOwnershipProof,
-    ]
-    .iter()
-    .any(|e| msg == e.to_string())
-}
+/// The *verification-shaped* errors: what a frame corrupted in flight
+/// produces at whoever reads it, and therefore worth a resend of the
+/// intact request. State-shaped errors (double spend, stale binding,
+/// unknown coin, …) describe the protocol state itself, which a resend
+/// cannot change.
+const IN_FLIGHT_DAMAGE: [CoreError; 4] = [
+    CoreError::Malformed,
+    CoreError::BadSignature,
+    CoreError::BadGroupSignature,
+    CoreError::BadOwnershipProof,
+];
 
 impl Classify for CallError {
     fn class(&self) -> ErrorClass {
@@ -691,33 +524,24 @@ impl Classify for CallError {
             CallError::Network(e) => e.class(),
             // The remote saw garbage where the client sent a well-formed
             // request: the corruption happened in flight, resend.
-            CallError::Remote(msg) if remote_is_retryable(msg) => ErrorClass::Retryable,
-            CallError::Remote(_) => ErrorClass::Fatal,
+            CallError::Remote(msg) if IN_FLIGHT_DAMAGE.iter().any(|e| *msg == e.to_string()) => {
+                ErrorClass::Retryable
+            }
             // The response failed to decode or verify locally: response
             // corrupted in flight, the remote's mutation (if any) is
             // memoised, resend and collect the replay.
-            CallError::Protocol(
-                CoreError::Malformed
-                | CoreError::BadSignature
-                | CoreError::BadGroupSignature
-                | CoreError::BadOwnershipProof,
-            ) => ErrorClass::Retryable,
-            CallError::Protocol(_) => ErrorClass::Fatal,
+            CallError::Protocol(e) if IN_FLIGHT_DAMAGE.contains(e) => ErrorClass::Retryable,
+            CallError::Remote(_) | CallError::Protocol(_) => ErrorClass::Fatal,
         }
     }
 
     fn label(&self) -> &'static str {
-        match self.class() {
-            ErrorClass::Retryable => match self {
-                CallError::Network(e) => e.label(),
-                CallError::Remote(_) => "remote verification failure",
-                CallError::Protocol(_) => "response corrupted",
-            },
-            ErrorClass::Fatal => match self {
-                CallError::Network(e) => e.label(),
-                CallError::Remote(_) => "remote rejection",
-                CallError::Protocol(_) => "protocol failure",
-            },
+        match (self, self.class()) {
+            (CallError::Network(e), _) => e.label(),
+            (CallError::Remote(_), ErrorClass::Retryable) => "remote verification failure",
+            (CallError::Remote(_), ErrorClass::Fatal) => "remote rejection",
+            (CallError::Protocol(_), ErrorClass::Retryable) => "response corrupted",
+            (CallError::Protocol(_), ErrorClass::Fatal) => "protocol failure",
         }
     }
 }
@@ -753,23 +577,6 @@ fn exchange<T>(
     read(reply)
 }
 
-/// [`exchange`] of an owned request for an owned response.
-fn call_traced(
-    net: &mut Network,
-    from: EndpointId,
-    to: EndpointId,
-    request: &Request,
-    span: &mut Span<'_>,
-) -> Result<Response, CallError> {
-    let encode = |out: &mut Vec<u8>| request.encode_into(out);
-    exchange(net, from, to, span, encode, |reply| {
-        match Response::decode(reply).map_err(CallError::Protocol)? {
-            Response::Error(e) => Err(CallError::Remote(e)),
-            other => Ok(other),
-        }
-    })
-}
-
 /// [`exchange`] of a tick frame for its ack, read through a borrowed
 /// view: a streamed payment materialises neither a [`Request`] nor a
 /// [`Response`]. Returns `(gained, total)`.
@@ -796,6 +603,83 @@ fn finish_call<T>(mut span: Span<'_>, result: &Result<T, CallError>) {
         span.fail(e.to_string());
     }
     span.finish();
+}
+
+/// A response of the wrong kind, or naming something other than what was
+/// asked for: with no signature of its own to check, it can only be a
+/// corrupted or misdirected response, and is classified (and retried)
+/// like one.
+fn unexpected<T>() -> Result<T, CallError> {
+    Err(CallError::Protocol(CoreError::Malformed))
+}
+
+/// One client operation, stated once: the `(Role, OpKind)` its spans are
+/// recorded under, its request, and how its response is read. A plain
+/// call, a traced call (`obs` enabled) and a retried call all go through
+/// [`Call::run`] and differ in nothing else.
+struct Call<F> {
+    cell: (Role, OpKind),
+    request: Request,
+    /// Reads the response, which is never [`Response::Error`].
+    read: F,
+}
+
+impl<T, F: FnMut(Response) -> Result<T, CallError>> Call<F> {
+    /// Makes the call from `from` to `to`: once, or under `retry` (a
+    /// policy and the source of its backoff jitter) until it succeeds,
+    /// fails fatally, or the policy gives up. The request is built once
+    /// and the identical bytes are resent on every attempt, which is what
+    /// makes retries safe: the server-side replay memos (`crate::replay`)
+    /// key on the whole request, so an attempt whose mutation applied but
+    /// whose response was lost is answered from the memo instead of
+    /// double-applying.
+    ///
+    /// Each attempt is one span and one [`exchange`] — an abandoned
+    /// attempt is a real failed operation in the traces. When tracing is
+    /// enabled the attempts chain causally: attempt N is a child of the
+    /// failed attempt N-1, tagged with the retry ordinal and the label of
+    /// the error that killed its predecessor, so a trace viewer
+    /// reconstructs the whole retry story.
+    fn run(
+        mut self,
+        net: &mut Network,
+        from: EndpointId,
+        to: EndpointId,
+        retry: Option<(&RetryPolicy, &mut dyn rand::Rng)>,
+        obs: &Obs,
+    ) -> Result<T, CallError> {
+        let (role, op) = self.cell;
+        let mut prev: Option<(TraceContext, &'static str)> = None;
+        let mut attempt = |n: u32| {
+            let mut span = match &prev {
+                Some((ctx, after)) => {
+                    let mut span = obs.child_span(role, op, ctx);
+                    span.mark_retry(n, after);
+                    span
+                }
+                None => obs.span(role, op),
+            };
+            if let Request::DepositBatch(requests) = &self.request {
+                span.set_batch(requests.len() as u64);
+            }
+            let encode = |out: &mut Vec<u8>| self.request.encode_into(out);
+            let result = exchange(net, from, to, &mut span, encode, |reply| {
+                match Response::decode(reply).map_err(CallError::Protocol)? {
+                    Response::Error(e) => Err(CallError::Remote(e)),
+                    other => (self.read)(other),
+                }
+            });
+            if let (Err(e), Some(ctx)) = (&result, span.context()) {
+                prev = Some((ctx, e.label()));
+            }
+            finish_call(span, &result);
+            result
+        };
+        match retry {
+            Some((policy, rng)) => policy.run(rng, attempt),
+            None => attempt(0),
+        }
+    }
 }
 
 /// Delivers a payment invite from the payee's endpoint to the payer's
@@ -834,6 +718,39 @@ pub fn send_invite_obs(
     result
 }
 
+// ---------------------------------------------------------------------
+// The client operations. Each is one private function stating the
+// `Call` (or, where the peer's state brackets the exchange, running it)
+// and three public forwardings: `x_via` (observability disabled),
+// `x_via_obs`, and `x_via_retry` (resilient: see `Call::run`).
+// ---------------------------------------------------------------------
+
+#[allow(clippy::too_many_arguments)]
+fn purchase<R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    me: EndpointId,
+    broker_ep: EndpointId,
+    peer: &mut Peer,
+    mode: PurchaseMode,
+    now: Timestamp,
+    policy: Option<&RetryPolicy>,
+    mut rng: &mut R,
+    obs: &Obs,
+) -> Result<CoinId, CallError> {
+    let (req, pending) = peer.create_purchase_request(mode, rng);
+    let call = Call {
+        cell: (Role::Broker, OpKind::Purchase),
+        request: Request::Purchase(req),
+        read: |response| match response {
+            Response::Minted(minted) => Ok(minted),
+            _ => unexpected(),
+        },
+    };
+    let retry = policy.map(|policy| (policy, &mut rng as &mut dyn rand::Rng));
+    let minted = call.run(net, me, broker_ep, retry, obs)?;
+    peer.complete_purchase(minted, pending, now, rng).map_err(CallError::Protocol)
+}
+
 /// Purchases a coin over the network.
 ///
 /// # Errors
@@ -848,7 +765,7 @@ pub fn purchase_via<R: rand::Rng + ?Sized>(
     now: Timestamp,
     rng: &mut R,
 ) -> Result<CoinId, CallError> {
-    purchase_via_obs(net, me, broker_ep, peer, mode, now, rng, &Obs::disabled())
+    purchase(net, me, broker_ep, peer, mode, now, None, rng, &Obs::disabled())
 }
 
 /// [`purchase_via`] with an observability context.
@@ -863,17 +780,45 @@ pub fn purchase_via_obs<R: rand::Rng + ?Sized>(
     rng: &mut R,
     obs: &Obs,
 ) -> Result<CoinId, CallError> {
-    let mut span = obs.span(Role::Broker, OpKind::Purchase);
-    let (req, pending) = peer.create_purchase_request(mode, rng);
-    let result = match call_traced(net, me, broker_ep, &Request::Purchase(req), &mut span) {
-        Ok(Response::Minted(minted)) => {
-            peer.complete_purchase(minted, pending, now, rng).map_err(CallError::Protocol)
-        }
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
-    };
-    finish_call(span, &result);
-    result
+    purchase(net, me, broker_ep, peer, mode, now, None, rng, obs)
+}
+
+/// [`purchase_via_obs`] with resilient retries: the purchase request is
+/// created once and resent verbatim until it succeeds, fails fatally, or
+/// `policy` gives up.
+///
+/// # Errors
+///
+/// The terminal [`CallError`] of an abandoned call.
+#[allow(clippy::too_many_arguments)]
+pub fn purchase_via_retry<R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    me: EndpointId,
+    broker_ep: EndpointId,
+    peer: &mut Peer,
+    mode: PurchaseMode,
+    now: Timestamp,
+    policy: &RetryPolicy,
+    rng: &mut R,
+    obs: &Obs,
+) -> Result<CoinId, CallError> {
+    purchase(net, me, broker_ep, peer, mode, now, Some(policy), rng, obs)
+}
+
+fn issue(
+    coin: CoinId,
+    invite: &PaymentInvite,
+) -> Call<impl FnMut(Response) -> Result<CoinGrant, CallError>> {
+    let request = Request::Issue { coin, invite: invite.clone() };
+    Call { cell: (Role::Peer, OpKind::Issue), request, read: grant }
+}
+
+/// Reads the grant an issue or a transfer is answered with.
+fn grant(response: Response) -> Result<CoinGrant, CallError> {
+    match response {
+        Response::Grant(grant) => Ok(*grant),
+        _ => unexpected(),
+    }
 }
 
 /// Requests an issue from a (shop or owner) peer endpoint and returns the
@@ -901,15 +846,39 @@ pub fn request_issue_via_obs(
     invite: &PaymentInvite,
     obs: &Obs,
 ) -> Result<CoinGrant, CallError> {
-    let mut span = obs.span(Role::Peer, OpKind::Issue);
-    let request = Request::Issue { coin, invite: invite.clone() };
-    let result = match call_traced(net, me, owner_ep, &request, &mut span) {
-        Ok(Response::Grant(grant)) => Ok(*grant),
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
+    issue(coin, invite).run(net, me, owner_ep, None, obs)
+}
+
+/// [`request_issue_via_obs`] with resilient retries.
+///
+/// # Errors
+///
+/// The terminal [`CallError`] of an abandoned call.
+#[allow(clippy::too_many_arguments)]
+pub fn request_issue_via_retry<R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    me: EndpointId,
+    owner_ep: EndpointId,
+    coin: CoinId,
+    invite: &PaymentInvite,
+    policy: &RetryPolicy,
+    mut rng: &mut R,
+    obs: &Obs,
+) -> Result<CoinGrant, CallError> {
+    issue(coin, invite).run(net, me, owner_ep, Some((policy, &mut rng)), obs)
+}
+
+fn transfer(
+    request: TransferRequest,
+    downtime: bool,
+) -> Call<impl FnMut(Response) -> Result<CoinGrant, CallError>> {
+    // A peer-served transfer, or a broker-served downtime transfer.
+    let cell = if downtime {
+        (Role::Broker, OpKind::DowntimeTransfer)
+    } else {
+        (Role::Peer, OpKind::Transfer)
     };
-    finish_call(span, &result);
-    result
+    Call { cell, request: Request::Transfer { request, downtime }, read: grant }
 }
 
 /// Sends a transfer request to the owner (or the broker when `downtime`)
@@ -922,7 +891,7 @@ pub fn request_transfer_via(
     net: &mut Network,
     me: EndpointId,
     target_ep: EndpointId,
-    request: crate::messages::TransferRequest,
+    request: TransferRequest,
     downtime: bool,
 ) -> Result<CoinGrant, CallError> {
     request_transfer_via_obs(net, me, target_ep, request, downtime, &Obs::disabled())
@@ -934,24 +903,46 @@ pub fn request_transfer_via_obs(
     net: &mut Network,
     me: EndpointId,
     target_ep: EndpointId,
-    request: crate::messages::TransferRequest,
+    request: TransferRequest,
     downtime: bool,
     obs: &Obs,
 ) -> Result<CoinGrant, CallError> {
-    let (role, op) = if downtime {
-        (Role::Broker, OpKind::DowntimeTransfer)
-    } else {
-        (Role::Peer, OpKind::Transfer)
-    };
-    let mut span = obs.span(role, op);
-    let result =
-        match call_traced(net, me, target_ep, &Request::Transfer { request, downtime }, &mut span) {
-            Ok(Response::Grant(grant)) => Ok(*grant),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-    finish_call(span, &result);
-    result
+    transfer(request, downtime).run(net, me, target_ep, None, obs)
+}
+
+/// [`request_transfer_via_obs`] with resilient retries.
+///
+/// # Errors
+///
+/// The terminal [`CallError`] of an abandoned call.
+#[allow(clippy::too_many_arguments)]
+pub fn request_transfer_via_retry<R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    me: EndpointId,
+    target_ep: EndpointId,
+    request: TransferRequest,
+    downtime: bool,
+    policy: &RetryPolicy,
+    mut rng: &mut R,
+    obs: &Obs,
+) -> Result<CoinGrant, CallError> {
+    transfer(request, downtime).run(net, me, target_ep, Some((policy, &mut rng)), obs)
+}
+
+fn renewal(
+    request: RenewalRequest,
+    downtime: bool,
+) -> Call<impl FnMut(Response) -> Result<Binding, CallError>> {
+    let cell =
+        if downtime { (Role::Broker, OpKind::DowntimeRenewal) } else { (Role::Peer, OpKind::Renewal) };
+    Call {
+        cell,
+        request: Request::Renewal { request, downtime },
+        read: |response| match response {
+            Response::Binding(binding) => Ok(binding),
+            _ => unexpected(),
+        },
+    }
 }
 
 /// Sends a renewal request to the owner (or broker) and returns the
@@ -964,9 +955,9 @@ pub fn request_renewal_via(
     net: &mut Network,
     me: EndpointId,
     target_ep: EndpointId,
-    request: crate::messages::RenewalRequest,
+    request: RenewalRequest,
     downtime: bool,
-) -> Result<crate::coin::Binding, CallError> {
+) -> Result<Binding, CallError> {
     request_renewal_via_obs(net, me, target_ep, request, downtime, &Obs::disabled())
 }
 
@@ -975,33 +966,56 @@ pub fn request_renewal_via_obs(
     net: &mut Network,
     me: EndpointId,
     target_ep: EndpointId,
-    request: crate::messages::RenewalRequest,
+    request: RenewalRequest,
     downtime: bool,
     obs: &Obs,
-) -> Result<crate::coin::Binding, CallError> {
-    let (role, op) =
-        if downtime { (Role::Broker, OpKind::DowntimeRenewal) } else { (Role::Peer, OpKind::Renewal) };
-    let mut span = obs.span(role, op);
-    let result =
-        match call_traced(net, me, target_ep, &Request::Renewal { request, downtime }, &mut span) {
-            Ok(Response::Binding(binding)) => Ok(binding),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-    finish_call(span, &result);
-    result
+) -> Result<Binding, CallError> {
+    renewal(request, downtime).run(net, me, target_ep, None, obs)
+}
+
+/// [`request_renewal_via_obs`] with resilient retries.
+///
+/// # Errors
+///
+/// The terminal [`CallError`] of an abandoned call.
+#[allow(clippy::too_many_arguments)]
+pub fn request_renewal_via_retry<R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    me: EndpointId,
+    target_ep: EndpointId,
+    request: RenewalRequest,
+    downtime: bool,
+    policy: &RetryPolicy,
+    mut rng: &mut R,
+    obs: &Obs,
+) -> Result<Binding, CallError> {
+    renewal(request, downtime).run(net, me, target_ep, Some((policy, &mut rng)), obs)
+}
+
+fn deposit(request: DepositRequest) -> Call<impl FnMut(Response) -> Result<DepositReceipt, CallError>> {
+    let coin = request.minted.id();
+    Call {
+        cell: (Role::Broker, OpKind::Deposit),
+        request: Request::Deposit(request),
+        read: move |response| match response {
+            Response::Receipt(receipt) if receipt.coin == coin => Ok(receipt),
+            _ => unexpected(),
+        },
+    }
 }
 
 /// Deposits a coin over the network.
 ///
 /// # Errors
 ///
-/// [`CallError`] on delivery or rejection.
+/// [`CallError`] on delivery, rejection, or a receipt naming any coin
+/// other than the deposited one (receipts carry no signature to check,
+/// so that can only be a corrupted response).
 pub fn deposit_via(
     net: &mut Network,
     me: EndpointId,
     broker_ep: EndpointId,
-    request: crate::messages::DepositRequest,
+    request: DepositRequest,
 ) -> Result<DepositReceipt, CallError> {
     deposit_via_obs(net, me, broker_ep, request, &Obs::disabled())
 }
@@ -1011,17 +1025,30 @@ pub fn deposit_via_obs(
     net: &mut Network,
     me: EndpointId,
     broker_ep: EndpointId,
-    request: crate::messages::DepositRequest,
+    request: DepositRequest,
     obs: &Obs,
 ) -> Result<DepositReceipt, CallError> {
-    let mut span = obs.span(Role::Broker, OpKind::Deposit);
-    let result = match call_traced(net, me, broker_ep, &Request::Deposit(request), &mut span) {
-        Ok(Response::Receipt(receipt)) => Ok(receipt),
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
-    };
-    finish_call(span, &result);
-    result
+    deposit(request).run(net, me, broker_ep, None, obs)
+}
+
+/// [`deposit_via_obs`] with resilient retries: a deposit whose receipt
+/// was lost in flight is resent and answered from the broker's replay
+/// memo — credited exactly once.
+///
+/// # Errors
+///
+/// The terminal [`CallError`] of an abandoned call.
+#[allow(clippy::too_many_arguments)]
+pub fn deposit_via_retry<R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    me: EndpointId,
+    broker_ep: EndpointId,
+    request: DepositRequest,
+    policy: &RetryPolicy,
+    mut rng: &mut R,
+    obs: &Obs,
+) -> Result<DepositReceipt, CallError> {
+    deposit(request).run(net, me, broker_ep, Some((policy, &mut rng)), obs)
 }
 
 /// Deposits a batch of coins over the network in one exchange. The
@@ -1039,7 +1066,7 @@ pub fn deposit_batch_via(
     net: &mut Network,
     me: EndpointId,
     broker_ep: EndpointId,
-    requests: Vec<crate::messages::DepositRequest>,
+    requests: Vec<DepositRequest>,
 ) -> Result<Vec<Result<DepositReceipt, CallError>>, CallError> {
     deposit_batch_via_obs(net, me, broker_ep, requests, &Obs::disabled())
 }
@@ -1050,21 +1077,32 @@ pub fn deposit_batch_via_obs(
     net: &mut Network,
     me: EndpointId,
     broker_ep: EndpointId,
-    requests: Vec<crate::messages::DepositRequest>,
+    requests: Vec<DepositRequest>,
     obs: &Obs,
 ) -> Result<Vec<Result<DepositReceipt, CallError>>, CallError> {
-    let mut span = obs.span(Role::Broker, OpKind::Deposit);
-    span.set_batch(requests.len() as u64);
     let expected = requests.len();
-    let result = match call_traced(net, me, broker_ep, &Request::DepositBatch(requests), &mut span) {
-        Ok(Response::Receipts(outcomes)) if outcomes.len() == expected => {
-            Ok(outcomes.into_iter().map(|r| r.map_err(CallError::Remote)).collect::<Vec<_>>())
-        }
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
+    let call = Call {
+        cell: (Role::Broker, OpKind::Deposit),
+        request: Request::DepositBatch(requests),
+        read: |response| match response {
+            Response::Receipts(outcomes) if outcomes.len() == expected => {
+                Ok(outcomes.into_iter().map(|r| r.map_err(CallError::Remote)).collect())
+            }
+            _ => unexpected(),
+        },
     };
-    finish_call(span, &result);
-    result
+    call.run(net, me, broker_ep, None, obs)
+}
+
+fn binding_proof(coin: CoinId) -> Call<impl FnMut(Response) -> Result<BindingProof, CallError>> {
+    Call {
+        cell: (Role::Broker, OpKind::BindingProof),
+        request: Request::BindingProof { coin },
+        read: move |response| match response {
+            Response::Proof(proof) if proof.leaf.coin == coin => Ok(*proof),
+            _ => unexpected(),
+        },
+    }
 }
 
 /// Fetches a Merkle inclusion proof for a coin's committed state from
@@ -1095,14 +1133,59 @@ pub fn binding_proof_via_obs(
     coin: CoinId,
     obs: &Obs,
 ) -> Result<BindingProof, CallError> {
-    let mut span = obs.span(Role::Broker, OpKind::BindingProof);
-    let result = match call_traced(net, me, broker_ep, &Request::BindingProof { coin }, &mut span) {
-        Ok(Response::Proof(proof)) if proof.leaf.coin == coin => Ok(*proof),
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
+    binding_proof(coin).run(net, me, broker_ep, None, obs)
+}
+
+/// [`binding_proof_via_obs`] with resilient retries: proof fetches are
+/// read-only on the broker, so re-asking is always safe.
+///
+/// # Errors
+///
+/// The terminal [`CallError`] of an abandoned call.
+#[allow(clippy::too_many_arguments)]
+pub fn binding_proof_via_retry<R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    me: EndpointId,
+    broker_ep: EndpointId,
+    coin: CoinId,
+    policy: &RetryPolicy,
+    mut rng: &mut R,
+    obs: &Obs,
+) -> Result<BindingProof, CallError> {
+    binding_proof(coin).run(net, me, broker_ep, Some((policy, &mut rng)), obs)
+}
+
+fn sync<R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    me: EndpointId,
+    broker_ep: EndpointId,
+    peer: &mut Peer,
+    policy: Option<&RetryPolicy>,
+    mut rng: &mut R,
+    obs: &Obs,
+) -> Result<usize, CallError> {
+    // The identity challenge is signed once; adoption runs on the first
+    // successful response (sync is read-only on the broker, so
+    // re-serving it is safe).
+    let mut challenge = [0u8; 32];
+    rng.fill_bytes(&mut challenge);
+    let response = peer.sign_identity_challenge(&challenge, rng);
+    let call = Call {
+        cell: (Role::Broker, OpKind::Sync),
+        request: Request::Sync { peer: peer.id(), challenge: challenge.to_vec(), response },
+        read: |response| match response {
+            Response::Bindings(bindings) => Ok(bindings),
+            _ => unexpected(),
+        },
     };
-    finish_call(span, &result);
-    result
+    let mut adopted = 0;
+    let retry = policy.map(|policy| (policy, &mut rng as &mut dyn rand::Rng));
+    for binding in call.run(net, me, broker_ep, retry, obs)? {
+        if peer.adopt_broker_binding(binding).map_err(CallError::Protocol)? {
+            adopted += 1;
+        }
+    }
+    Ok(adopted)
 }
 
 /// Proactively synchronizes a peer with the broker over the network,
@@ -1120,7 +1203,7 @@ pub fn sync_via<R: rand::Rng + ?Sized>(
     peer: &mut Peer,
     rng: &mut R,
 ) -> Result<usize, CallError> {
-    sync_via_obs(net, me, broker_ep, peer, rng, &Obs::disabled())
+    sync(net, me, broker_ep, peer, None, rng, &Obs::disabled())
 }
 
 /// [`sync_via`] with an observability context.
@@ -1132,292 +1215,10 @@ pub fn sync_via_obs<R: rand::Rng + ?Sized>(
     rng: &mut R,
     obs: &Obs,
 ) -> Result<usize, CallError> {
-    let mut span = obs.span(Role::Broker, OpKind::Sync);
-    let mut challenge = [0u8; 32];
-    rng.fill_bytes(&mut challenge);
-    let response = peer.sign_identity_challenge(&challenge, rng);
-    let req = Request::Sync { peer: peer.id(), challenge: challenge.to_vec(), response };
-    let result = match call_traced(net, me, broker_ep, &req, &mut span) {
-        Ok(Response::Bindings(bindings)) => {
-            let mut adopted = 0;
-            let mut failure = None;
-            for b in bindings {
-                match peer.adopt_broker_binding(b) {
-                    Ok(true) => adopted += 1,
-                    Ok(false) => {}
-                    Err(e) => {
-                        failure = Some(CallError::Protocol(e));
-                        break;
-                    }
-                }
-            }
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(adopted),
-            }
-        }
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
-    };
-    finish_call(span, &result);
-    result
+    sync(net, me, broker_ep, peer, None, rng, obs)
 }
 
-// ---------------------------------------------------------------------
-// Resilient calls: the retry-wrapped client helpers.
-//
-// Each helper builds its request ONCE and resends the identical bytes on
-// every attempt, which is what makes retries safe: the server-side
-// replay memos (`crate::replay`) key on the whole request, so an attempt
-// whose mutation applied but whose response was lost is answered from
-// the memo instead of double-applying. Each attempt gets its own span —
-// an abandoned attempt is a real failed operation in the traces — and
-// when tracing is enabled the attempts chain causally: attempt N is a
-// child of the failed attempt N-1, tagged with the error class that
-// killed it, so a trace viewer reconstructs the whole retry story.
-// ---------------------------------------------------------------------
-
-/// Opens the span for one retry attempt: a fresh root span for the first
-/// attempt, or a child of the failed predecessor tagged with the retry
-/// ordinal and the predecessor's failure label.
-fn attempt_span<'a>(
-    obs: &'a Obs,
-    role: Role,
-    op: OpKind,
-    attempt: u32,
-    prev: &Option<(TraceContext, &'static str)>,
-) -> Span<'a> {
-    match prev {
-        Some((ctx, after)) => {
-            let mut span = obs.child_span(role, op, ctx);
-            span.mark_retry(attempt, after);
-            span
-        }
-        None => obs.span(role, op),
-    }
-}
-
-/// Records a failed attempt's context and failure label so the next
-/// attempt can chain under it.
-fn note_attempt_failure<T>(
-    prev: &mut Option<(TraceContext, &'static str)>,
-    span: &Span<'_>,
-    result: &Result<T, CallError>,
-) {
-    if let Err(e) = result {
-        if let Some(ctx) = span.context() {
-            *prev = Some((ctx, e.label()));
-        }
-    }
-}
-// ---------------------------------------------------------------------
-
-/// [`purchase_via_obs`] with resilient retries: the purchase request is
-/// created once and resent verbatim until it succeeds, fails fatally, or
-/// `policy` gives up.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn purchase_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    peer: &mut Peer,
-    mode: PurchaseMode,
-    now: Timestamp,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    obs: &Obs,
-) -> Result<CoinId, CallError> {
-    let (req, pending) = peer.create_purchase_request(mode, rng);
-    let request = Request::Purchase(req);
-    let mut prev = None;
-    let minted = policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, Role::Broker, OpKind::Purchase, attempt, &prev);
-        let result = match call_traced(net, me, broker_ep, &request, &mut span) {
-            Ok(Response::Minted(minted)) => Ok(minted),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })?;
-    peer.complete_purchase(minted, pending, now, rng).map_err(CallError::Protocol)
-}
-
-/// [`request_issue_via_obs`] with resilient retries.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn request_issue_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    owner_ep: EndpointId,
-    coin: CoinId,
-    invite: &PaymentInvite,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    obs: &Obs,
-) -> Result<CoinGrant, CallError> {
-    let request = Request::Issue { coin, invite: invite.clone() };
-    let mut prev = None;
-    policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, Role::Peer, OpKind::Issue, attempt, &prev);
-        let result = match call_traced(net, me, owner_ep, &request, &mut span) {
-            Ok(Response::Grant(grant)) => Ok(*grant),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })
-}
-
-/// [`request_transfer_via_obs`] with resilient retries.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn request_transfer_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    target_ep: EndpointId,
-    request: crate::messages::TransferRequest,
-    downtime: bool,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    obs: &Obs,
-) -> Result<CoinGrant, CallError> {
-    let (role, op) = if downtime {
-        (Role::Broker, OpKind::DowntimeTransfer)
-    } else {
-        (Role::Peer, OpKind::Transfer)
-    };
-    let request = Request::Transfer { request, downtime };
-    let mut prev = None;
-    policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, role, op, attempt, &prev);
-        let result = match call_traced(net, me, target_ep, &request, &mut span) {
-            Ok(Response::Grant(grant)) => Ok(*grant),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })
-}
-
-/// [`request_renewal_via_obs`] with resilient retries.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn request_renewal_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    target_ep: EndpointId,
-    request: crate::messages::RenewalRequest,
-    downtime: bool,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    obs: &Obs,
-) -> Result<crate::coin::Binding, CallError> {
-    let (role, op) =
-        if downtime { (Role::Broker, OpKind::DowntimeRenewal) } else { (Role::Peer, OpKind::Renewal) };
-    let request = Request::Renewal { request, downtime };
-    let mut prev = None;
-    policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, role, op, attempt, &prev);
-        let result = match call_traced(net, me, target_ep, &request, &mut span) {
-            Ok(Response::Binding(binding)) => Ok(binding),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })
-}
-
-/// [`deposit_via_obs`] with resilient retries: a deposit whose receipt
-/// was lost in flight is resent and answered from the broker's replay
-/// memo — credited exactly once. A receipt naming any coin other than
-/// the deposited one can only be a corrupted response (receipts carry
-/// no signature to check) and is retried like one.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn deposit_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    request: crate::messages::DepositRequest,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    obs: &Obs,
-) -> Result<DepositReceipt, CallError> {
-    let coin = request.minted.id();
-    let request = Request::Deposit(request);
-    let mut prev = None;
-    policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, Role::Broker, OpKind::Deposit, attempt, &prev);
-        let result = match call_traced(net, me, broker_ep, &request, &mut span) {
-            Ok(Response::Receipt(receipt)) if receipt.coin == coin => Ok(receipt),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })
-}
-
-/// [`binding_proof_via_obs`] with resilient retries: proof fetches are
-/// read-only on the broker, so re-asking is always safe; a proof naming
-/// a different coin is treated as a corrupted response and retried.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn binding_proof_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    coin: CoinId,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    obs: &Obs,
-) -> Result<BindingProof, CallError> {
-    let request = Request::BindingProof { coin };
-    let mut prev = None;
-    policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, Role::Broker, OpKind::BindingProof, attempt, &prev);
-        let result = match call_traced(net, me, broker_ep, &request, &mut span) {
-            Ok(Response::Proof(proof)) if proof.leaf.coin == coin => Ok(*proof),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })
-}
-
-/// [`sync_via_obs`] with resilient retries: the identity challenge is
-/// signed once and resent verbatim; adoption runs on the first successful
-/// response (sync is read-only on the broker, so re-serving it is safe).
+/// [`sync_via_obs`] with resilient retries.
 ///
 /// # Errors
 ///
@@ -1432,34 +1233,24 @@ pub fn sync_via_retry<R: rand::Rng + ?Sized>(
     rng: &mut R,
     obs: &Obs,
 ) -> Result<usize, CallError> {
-    let mut challenge = [0u8; 32];
-    rng.fill_bytes(&mut challenge);
-    let response = peer.sign_identity_challenge(&challenge, rng);
-    let req = Request::Sync { peer: peer.id(), challenge: challenge.to_vec(), response };
-    let mut prev = None;
-    let bindings = policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, Role::Broker, OpKind::Sync, attempt, &prev);
-        let result = match call_traced(net, me, broker_ep, &req, &mut span) {
-            Ok(Response::Bindings(bindings)) => Ok(bindings),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })?;
-    let mut adopted = 0;
-    for b in bindings {
-        if peer.adopt_broker_binding(b).map_err(CallError::Protocol)? {
-            adopted += 1;
-        }
-    }
-    Ok(adopted)
+    sync(net, me, broker_ep, peer, Some(policy), rng, obs)
 }
 
 // ---------------------------------------------------------------------
 // Streaming micropayments: the client side of the PayWord path.
 // ---------------------------------------------------------------------
+
+fn open_chain(commitment: ChainCommitment) -> Call<impl FnMut(Response) -> Result<ChainId, CallError>> {
+    let expected = commitment.chain_id();
+    Call {
+        cell: (Role::Peer, OpKind::MicropayOpen),
+        request: Request::OpenChain(commitment),
+        read: move |response| match response {
+            Response::ChainAccepted(chain) if chain == expected => Ok(chain),
+            _ => unexpected(),
+        },
+    }
+}
 
 /// Opens a micropayment chain at a host endpoint: sends the group-signed
 /// commitment and returns the accepted chain id.
@@ -1485,20 +1276,11 @@ pub fn open_chain_via_obs(
     commitment: ChainCommitment,
     obs: &Obs,
 ) -> Result<ChainId, CallError> {
-    let mut span = obs.span(Role::Peer, OpKind::MicropayOpen);
-    let expected = commitment.chain_id();
-    let result = match call_traced(net, me, host_ep, &Request::OpenChain(commitment), &mut span) {
-        Ok(Response::ChainAccepted(chain)) if chain == expected => Ok(chain),
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
-    };
-    finish_call(span, &result);
-    result
+    open_chain(commitment).run(net, me, host_ep, None, obs)
 }
 
 /// [`open_chain_via_obs`] with resilient retries: opening is idempotent
-/// on the host (re-presenting the identical commitment re-acks), so the
-/// commitment is encoded once and resent verbatim.
+/// on the host (re-presenting the identical commitment re-acks).
 ///
 /// # Errors
 ///
@@ -1509,23 +1291,10 @@ pub fn open_chain_via_retry<R: rand::Rng + ?Sized>(
     host_ep: EndpointId,
     commitment: ChainCommitment,
     policy: &RetryPolicy,
-    rng: &mut R,
+    mut rng: &mut R,
     obs: &Obs,
 ) -> Result<ChainId, CallError> {
-    let expected = commitment.chain_id();
-    let request = Request::OpenChain(commitment);
-    let mut prev = None;
-    policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, Role::Peer, OpKind::MicropayOpen, attempt, &prev);
-        let result = match call_traced(net, me, host_ep, &request, &mut span) {
-            Ok(Response::ChainAccepted(chain)) if chain == expected => Ok(chain),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })
+    open_chain(commitment).run(net, me, host_ep, Some((policy, &mut rng)), obs)
 }
 
 /// Streams one payment tick to a host endpoint. Returns
@@ -1595,6 +1364,20 @@ pub fn tick_batch_via_obs(
     result
 }
 
+fn redeem_chain(
+    request: RedeemChainRequest,
+) -> Call<impl FnMut(Response) -> Result<RedemptionReceipt, CallError>> {
+    let chain = request.commitment.chain_id();
+    Call {
+        cell: (Role::Broker, OpKind::MicropayRedeem),
+        request: Request::RedeemChain(request),
+        read: move |response| match response {
+            Response::Redeemed(receipt) if receipt.chain == chain => Ok(receipt),
+            _ => unexpected(),
+        },
+    }
+}
+
 /// Redeems a micropayment chain at the broker: presents the commitment
 /// plus the best received payword and returns the settlement receipt.
 ///
@@ -1619,15 +1402,7 @@ pub fn redeem_chain_via_obs(
     request: RedeemChainRequest,
     obs: &Obs,
 ) -> Result<RedemptionReceipt, CallError> {
-    let mut span = obs.span(Role::Broker, OpKind::MicropayRedeem);
-    let chain = request.commitment.chain_id();
-    let result = match call_traced(net, me, broker_ep, &Request::RedeemChain(request), &mut span) {
-        Ok(Response::Redeemed(receipt)) if receipt.chain == chain => Ok(receipt),
-        Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-        Err(e) => Err(e),
-    };
-    finish_call(span, &result);
-    result
+    redeem_chain(request).run(net, me, broker_ep, None, obs)
 }
 
 /// [`redeem_chain_via_obs`] with resilient retries: a redemption whose
@@ -1643,21 +1418,8 @@ pub fn redeem_chain_via_retry<R: rand::Rng + ?Sized>(
     broker_ep: EndpointId,
     request: RedeemChainRequest,
     policy: &RetryPolicy,
-    rng: &mut R,
+    mut rng: &mut R,
     obs: &Obs,
 ) -> Result<RedemptionReceipt, CallError> {
-    let chain = request.commitment.chain_id();
-    let request = Request::RedeemChain(request);
-    let mut prev = None;
-    policy.run(rng, |attempt| {
-        let mut span = attempt_span(obs, Role::Broker, OpKind::MicropayRedeem, attempt, &prev);
-        let result = match call_traced(net, me, broker_ep, &request, &mut span) {
-            Ok(Response::Redeemed(receipt)) if receipt.chain == chain => Ok(receipt),
-            Ok(_) => Err(CallError::Protocol(CoreError::Malformed)),
-            Err(e) => Err(e),
-        };
-        note_attempt_failure(&mut prev, &span, &result);
-        finish_call(span, &result);
-        result
-    })
+    redeem_chain(request).run(net, me, broker_ep, Some((policy, &mut rng)), obs)
 }

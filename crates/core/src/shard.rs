@@ -224,9 +224,11 @@ impl ShardedBroker {
         let coin = match view {
             RequestView::Purchase { coin_pk, .. } => CoinId::from_pk(&coin_pk.to_biguint()),
             RequestView::Deposit(d) => CoinId::from_pk(&d.minted.coin_pk.to_biguint()),
-            RequestView::Transfer { downtime: true, current, .. }
-            | RequestView::Renewal { downtime: true, current, .. } => {
-                CoinId::from_pk(&current.coin_pk.to_biguint())
+            RequestView::Transfer { downtime: true, request } => {
+                CoinId::from_pk(&request.current.coin_pk.to_biguint())
+            }
+            RequestView::Renewal { downtime: true, request } => {
+                CoinId::from_pk(&request.current.coin_pk.to_biguint())
             }
             RequestView::DepositBatch(ds) => {
                 let mut shards =

@@ -59,9 +59,7 @@ const DOMAIN: &str = "whopay/sigcache/v1";
 /// makes, yet [`cache_key`] used to re-hash all three 512-to-3072-bit
 /// integers per call. A `CacheKeyer` hashes them once into a reusable
 /// transcript prefix; each key then costs one SHA-256 over the
-/// per-signature fields only, and the wire entry point
-/// [`CacheKeyer::key_wire`] hashes signature components straight from
-/// their wire slices without materializing `BigUint`s.
+/// per-signature fields only.
 #[derive(Debug, Clone)]
 pub struct CacheKeyer {
     group: SchnorrGroup,
@@ -81,43 +79,10 @@ impl CacheKeyer {
         &self.group
     }
 
-    /// The key for a verification question over owned components;
-    /// bit-identical to [`cache_key`] on the same inputs.
+    /// The key for a verification question; bit-identical to
+    /// [`cache_key`] on the same inputs.
     pub fn key(&self, signer: &DsaPublicKey, message: &[u8], sig: &DsaSignature) -> Digest {
         self.prefix.clone().int(signer.element()).bytes(message).int(sig.r()).int(sig.s()).finish()
-    }
-
-    /// The key with the signature components still in wire form (raw
-    /// big-endian magnitudes, attacker padding tolerated) — the
-    /// zero-materialization entry for borrowed decode views. Produces the
-    /// same digest as [`CacheKeyer::key`] on the materialized values.
-    pub fn key_wire(&self, signer: &DsaPublicKey, message: &[u8], r_be: &[u8], s_be: &[u8]) -> Digest {
-        self.prefix
-            .clone()
-            .int(signer.element())
-            .bytes(message)
-            .int_be_bytes(r_be)
-            .int_be_bytes(s_be)
-            .finish()
-    }
-
-    /// [`CacheKeyer::key_wire`] with the *signer* element also still in
-    /// wire form — used when the verification key itself rides in the
-    /// message, e.g. a coin-key-signed binding.
-    pub fn key_wire_signer(
-        &self,
-        signer_be: &[u8],
-        message: &[u8],
-        r_be: &[u8],
-        s_be: &[u8],
-    ) -> Digest {
-        self.prefix
-            .clone()
-            .int_be_bytes(signer_be)
-            .bytes(message)
-            .int_be_bytes(r_be)
-            .int_be_bytes(s_be)
-            .finish()
     }
 }
 
@@ -427,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn keyer_matches_cache_key_and_wire_entries_agree() {
+    fn keyer_matches_cache_key() {
         use whopay_crypto::dsa::DsaKeyPair;
         use whopay_crypto::testing::{test_rng, tiny_group};
 
@@ -436,20 +401,8 @@ mod tests {
         let signer = DsaKeyPair::generate(group, &mut rng);
         let sig = signer.sign(group, b"msg", &mut rng);
 
-        let keyer = CacheKeyer::new(group);
         let direct = cache_key(group, signer.public(), b"msg", &sig);
-        assert_eq!(keyer.key(signer.public(), b"msg", &sig), direct);
-
-        // Wire entries accept raw (even zero-padded) magnitudes.
-        let r_be = sig.r().to_be_bytes();
-        let s_be = sig.s().to_be_bytes();
-        assert_eq!(keyer.key_wire(signer.public(), b"msg", &r_be, &s_be), direct);
-        let mut padded = vec![0u8; 3];
-        padded.extend_from_slice(&r_be);
-        assert_eq!(keyer.key_wire(signer.public(), b"msg", &padded, &s_be), direct);
-        let signer_be = signer.public().element().to_be_bytes();
-        assert_eq!(keyer.key_wire_signer(&signer_be, b"msg", &r_be, &s_be), direct);
-
+        assert_eq!(CacheKeyer::new(group).key(signer.public(), b"msg", &sig), direct);
         // Different messages still produce different keys.
         assert_ne!(cache_key(group, signer.public(), b"other", &sig), direct);
     }

@@ -1,32 +1,21 @@
-//! Borrowed decode views over the wire encoding.
+//! The wire decoder: borrowed views over the wire encoding.
 //!
-//! [`crate::wire::Request::decode`] materializes every big-integer field
-//! into an owned `BigUint` — a heap allocation per field — even when the
-//! receiver only classifies the message, compares a field, or hashes it
-//! into a cache key. On the broker's hot paths (transfers, renewals,
-//! deposit floods) that is the dominant wire-layer cost now that
-//! signature verification itself is cached and batched.
+//! This is the one place frames are read. [`RequestView::parse`] and
+//! [`ResponseView::parse`] validate the full wire structure but keep
+//! every variable-length field as a borrowed slice of the input
+//! ([`IntRef`]), so dispatch, classification ([`RequestView::kind`]
+//! matches [`crate::wire::wire_kind`] exactly) and routing run directly
+//! over the wire bytes; an owned `BigUint` — a heap allocation per field
+//! — is materialized (`to_*`) only where a handler actually computes
+//! with it. [`crate::wire::Request::decode`] is `parse` followed by
+//! [`RequestView::to_owned_request`], and the journal reads its entries
+//! through the same `*Ref::parse` functions.
 //!
-//! This module parses the same bytes into *views*: structs that validate
-//! the full wire structure but keep every variable-length field as a
-//! borrowed slice of the input ([`IntRef`]). Dispatch, classification
-//! ([`RequestView::kind`] matches [`crate::wire::wire_kind`] exactly),
-//! equality checks, and SigCache key hashing run directly over the wire
-//! bytes; owned messages are materialized with
-//! [`RequestView::to_owned_request`] only where a handler actually
-//! computes with them.
-//!
-//! # View-vs-owned contract
-//!
-//! For every byte string `b`:
-//!
-//! * `RequestView::parse(b)` succeeds iff `Request::decode(b)` does, and
-//!   `view.to_owned_request()` equals the decoded request (same for
-//!   responses).
-//! * Parsing never panics on arbitrary bytes and never allocates
-//!   proportionally to field sizes (only `DepositBatch`/`Bindings`/
-//!   `Receipts` allocate their item vectors, length-capped exactly like
-//!   the owned decoder).
+//! Parsing never panics on arbitrary bytes and never allocates
+//! proportionally to field sizes. The item lists (`DepositBatch`,
+//! `TickBatch`, `Bindings`, `Receipts`, checkpoints, siblings) reserve
+//! their vectors from a count prefix that [`Reader::count`] has checked
+//! against both a fixed cap and the bytes that are left.
 
 use std::cell::Cell;
 
@@ -48,7 +37,9 @@ use crate::messages::{
 };
 use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
 use crate::types::{ChainId, CoinId, PeerId, Timestamp};
-use crate::wire::{Request, Response, MAX_WIRE_CHECKPOINTS, MAX_WIRE_SIBLINGS, PAYWORD_WIRE_LEN};
+use crate::wire::{
+    Request, Response, MAX_WIRE_CHECKPOINTS, MAX_WIRE_ITEMS, MAX_WIRE_SIBLINGS, PAYWORD_WIRE_LEN,
+};
 use whopay_crypto::payword::Payword;
 
 /// A big integer still sitting in the wire buffer: the minimal big-endian
@@ -60,7 +51,10 @@ pub struct IntRef<'a> {
 }
 
 impl<'a> IntRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+    /// Least encoded size: the length prefix of an empty magnitude.
+    const MIN_WIRE_LEN: usize = 8;
+
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         let raw = r.bytes()?;
         Ok(IntRef { be: &raw[raw.iter().take_while(|&&b| b == 0).count()..] })
     }
@@ -102,7 +96,9 @@ impl PartialEq for SigRef<'_> {
 impl Eq for SigRef<'_> {}
 
 impl<'a> SigRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN + 8;
+
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         let sig_r = IntRef::parse(r)?;
         let sig_s = IntRef::parse(r)?;
         let witness = match r.u64()? {
@@ -139,7 +135,9 @@ pub struct GroupSigRef<'a> {
 }
 
 impl<'a> GroupSigRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+    const MIN_WIRE_LEN: usize = 5 * IntRef::MIN_WIRE_LEN;
+
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(GroupSigRef {
             c1: IntRef::parse(r)?,
             c2: IntRef::parse(r)?,
@@ -160,11 +158,11 @@ impl<'a> GroupSigRef<'a> {
     }
 }
 
-fn parse_nonce<'a>(r: &mut Reader<'a>) -> Result<Nonce, DecodeError> {
+pub(crate) fn parse_nonce(r: &mut Reader<'_>) -> Result<Nonce, DecodeError> {
     r.bytes()?.try_into().map_err(|_| DecodeError)
 }
 
-fn parse_owner_tag(r: &mut Reader<'_>) -> Result<OwnerTag, DecodeError> {
+pub(crate) fn parse_owner_tag(r: &mut Reader<'_>) -> Result<OwnerTag, DecodeError> {
     match r.u64()? {
         0 => Ok(OwnerTag::Identified(PeerId(r.u64()?))),
         1 => {
@@ -192,7 +190,10 @@ pub struct MintedRef<'a> {
 }
 
 impl<'a> MintedRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+    /// The shortest owner tag is two words.
+    const MIN_WIRE_LEN: usize = 16 + IntRef::MIN_WIRE_LEN + SigRef::MIN_WIRE_LEN;
+
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(MintedRef {
             owner: parse_owner_tag(r)?,
             coin_pk: IntRef::parse(r)?,
@@ -203,18 +204,6 @@ impl<'a> MintedRef<'a> {
     /// Materializes the owned coin.
     pub fn to_minted(&self) -> MintedCoin {
         MintedCoin::from_parts(self.owner, self.coin_pk.to_biguint(), self.broker_sig.to_sig())
-    }
-
-    /// The mint-signature cache key, hashed straight from the wire slices
-    /// — bit-identical to [`MintedCoin::mint_cache_key`] on the
-    /// materialized coin, with no `BigUint` allocated.
-    pub fn mint_cache_key(
-        &self,
-        keyer: &crate::sigcache::CacheKeyer,
-        broker: &whopay_crypto::dsa::DsaPublicKey,
-    ) -> whopay_crypto::sha256::Digest {
-        let msg = MintedCoin::signed_bytes_wire(&self.owner, self.coin_pk.be_bytes());
-        keyer.key_wire(broker, &msg, self.broker_sig.r.be_bytes(), self.broker_sig.s.be_bytes())
     }
 }
 
@@ -236,7 +225,10 @@ pub struct BindingRef<'a> {
 }
 
 impl<'a> BindingRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+    /// Two keys, three words (`seq`, `expires`, signer) and the signature.
+    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN + 24 + SigRef::MIN_WIRE_LEN;
+
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         let coin_pk = IntRef::parse(r)?;
         let holder_pk = IntRef::parse(r)?;
         let seq = r.u64()?;
@@ -259,41 +251,6 @@ impl<'a> BindingRef<'a> {
             self.signer,
             self.sig.to_sig(),
         )
-    }
-
-    /// The binding-signature cache key, hashed straight from the wire
-    /// slices — bit-identical to the key `Binding::verify_cached` derives
-    /// from the materialized binding.
-    pub fn cache_key(
-        &self,
-        keyer: &crate::sigcache::CacheKeyer,
-        broker: &whopay_crypto::dsa::DsaPublicKey,
-    ) -> whopay_crypto::sha256::Digest {
-        let msg = Binding::signed_bytes_wire(
-            self.coin_pk.be_bytes(),
-            self.holder_pk.be_bytes(),
-            self.seq,
-            self.expires,
-            self.signer,
-        );
-        let (r, s) = (self.sig.r.be_bytes(), self.sig.s.be_bytes());
-        match self.signer {
-            // The verification key is the coin key — itself a wire slice.
-            BindingSigner::CoinKey => keyer.key_wire_signer(self.coin_pk.be_bytes(), &msg, r, s),
-            BindingSigner::Broker => keyer.key_wire(broker, &msg, r, s),
-        }
-    }
-
-    /// Field-by-field equality against an owned binding, straight over
-    /// the wire bytes: no `BigUint` is materialized.
-    pub fn matches(&self, b: &Binding) -> bool {
-        self.seq == b.seq()
-            && self.expires == b.expires()
-            && self.signer == b.signer()
-            && self.coin_pk.eq_big(b.coin_pk())
-            && self.holder_pk.eq_big(b.holder_pk())
-            && self.sig.r.eq_big(b.raw_sig().r())
-            && self.sig.s.eq_big(b.raw_sig().s())
     }
 }
 
@@ -341,7 +298,12 @@ pub struct DepositRef<'a> {
 }
 
 impl<'a> DepositRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+    const MIN_WIRE_LEN: usize = MintedRef::MIN_WIRE_LEN
+        + BindingRef::MIN_WIRE_LEN
+        + SigRef::MIN_WIRE_LEN
+        + GroupSigRef::MIN_WIRE_LEN;
+
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(DepositRef {
             minted: MintedRef::parse(r)?,
             binding: BindingRef::parse(r)?,
@@ -361,14 +323,145 @@ impl<'a> DepositRef<'a> {
     }
 }
 
-fn parse_digest32(r: &mut Reader<'_>) -> Result<[u8; 32], DecodeError> {
+/// A transfer request by reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TransferRef<'a> {
+    /// The holder's current binding.
+    pub current: BindingRef<'a>,
+    /// The payee's fresh holder key.
+    pub new_holder_pk: IntRef<'a>,
+    /// The payee's challenge nonce.
+    pub nonce: Nonce,
+    /// The holder's signature.
+    pub holder_sig: SigRef<'a>,
+    /// The holder's group signature.
+    pub group_sig: GroupSigRef<'a>,
+}
+
+impl<'a> TransferRef<'a> {
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+        Ok(TransferRef {
+            current: BindingRef::parse(r)?,
+            new_holder_pk: IntRef::parse(r)?,
+            nonce: parse_nonce(r)?,
+            holder_sig: SigRef::parse(r)?,
+            group_sig: GroupSigRef::parse(r)?,
+        })
+    }
+
+    /// Materializes the owned transfer request.
+    pub fn to_transfer(&self) -> TransferRequest {
+        TransferRequest {
+            current: self.current.to_binding(),
+            new_holder_pk: self.new_holder_pk.to_biguint(),
+            nonce: self.nonce,
+            holder_sig: self.holder_sig.to_sig(),
+            group_sig: self.group_sig.to_gsig(),
+        }
+    }
+}
+
+/// A renewal request by reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RenewalRef<'a> {
+    /// The holder's current binding.
+    pub current: BindingRef<'a>,
+    /// The holder's signature.
+    pub holder_sig: SigRef<'a>,
+    /// The holder's group signature.
+    pub group_sig: GroupSigRef<'a>,
+}
+
+impl<'a> RenewalRef<'a> {
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+        Ok(RenewalRef {
+            current: BindingRef::parse(r)?,
+            holder_sig: SigRef::parse(r)?,
+            group_sig: GroupSigRef::parse(r)?,
+        })
+    }
+
+    /// Materializes the owned renewal request.
+    pub fn to_renewal(&self) -> RenewalRequest {
+        RenewalRequest {
+            current: self.current.to_binding(),
+            holder_sig: self.holder_sig.to_sig(),
+            group_sig: self.group_sig.to_gsig(),
+        }
+    }
+}
+
+/// A coin grant by reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GrantRef<'a> {
+    /// The broker-signed coin.
+    pub minted: MintedRef<'a>,
+    /// The new binding.
+    pub binding: BindingRef<'a>,
+    /// The ownership proof.
+    pub ownership_proof: SigRef<'a>,
+}
+
+impl<'a> GrantRef<'a> {
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+        Ok(GrantRef {
+            minted: MintedRef::parse(r)?,
+            binding: BindingRef::parse(r)?,
+            ownership_proof: SigRef::parse(r)?,
+        })
+    }
+
+    /// Materializes the owned grant.
+    pub fn to_grant(&self) -> CoinGrant {
+        CoinGrant {
+            minted: self.minted.to_minted(),
+            binding: self.binding.to_binding(),
+            ownership_proof: self.ownership_proof.to_sig(),
+        }
+    }
+}
+
+pub(crate) fn parse_digest32(r: &mut Reader<'_>) -> Result<[u8; 32], DecodeError> {
     r.bytes()?.try_into().map_err(|_| DecodeError)
+}
+
+/// Reads a count-prefixed list of at most `cap` items, each at least
+/// `min_item` bytes on the wire: nothing is reserved for a count the
+/// bytes that are left could not hold.
+// Inlined with `ResponseView::parse_inner` (see there): left to the
+// compiler it stays out of line and takes the tick-ack reader with it.
+#[inline(always)]
+fn parse_list<'a, T>(
+    r: &mut Reader<'a>,
+    cap: usize,
+    min_item: usize,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let n = r.count(cap, min_item)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
+/// A count-prefixed list of digests (checkpoints, siblings).
+fn parse_digests(r: &mut Reader<'_>, cap: usize) -> Result<Vec<[u8; 32]>, DecodeError> {
+    parse_list(r, cap, 8 + 32, parse_digest32)
+}
+
+pub(crate) fn parse_receipt(r: &mut Reader<'_>) -> Result<DepositReceipt, DecodeError> {
+    Ok(DepositReceipt { coin: CoinId(parse_digest32(r)?), value: r.u64()? })
+}
+
+pub(crate) fn parse_redemption_receipt(r: &mut Reader<'_>) -> Result<RedemptionReceipt, DecodeError> {
+    Ok(RedemptionReceipt { chain: ChainId(parse_digest32(r)?), credited: r.u64()?, total: r.u64()? })
 }
 
 /// Reads `u64(index).bytes(&word)` as one fixed-width field: a payword
 /// decodes exactly when its length prefix says 32 and all 48 bytes are
-/// there, which is when the field-by-field owned decoder accepts it.
-fn parse_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
+/// there.
+pub(crate) fn parse_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
     let encoded = r.raw::<PAYWORD_WIRE_LEN>()?;
     let (index, rest) = encoded.split_first_chunk::<8>().expect("48 >= 8");
     let (len, word) = rest.split_first_chunk::<8>().expect("40 >= 8");
@@ -395,8 +488,8 @@ pub fn recycle_paywords(paywords: Vec<Payword>) {
 
 /// A chain commitment by reference. Every field is fixed-width (digests
 /// and counters) except the group signature, which stays borrowed; the
-/// checkpoint digests are collected into a length-capped vector exactly
-/// like the other item lists.
+/// checkpoint digests are collected into a length-capped vector like the
+/// other item lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitmentRef<'a> {
     /// PayWord chain root `w_0`.
@@ -412,23 +505,12 @@ pub struct CommitmentRef<'a> {
 }
 
 impl<'a> CommitmentRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let root = parse_digest32(r)?;
-        let capacity = r.u64()?;
-        let checkpoint_every = r.u64()?;
-        let n = r.u64()? as usize;
-        if n > MAX_WIRE_CHECKPOINTS {
-            return Err(DecodeError); // same cap as the owned decoder
-        }
-        let mut checkpoints = Vec::with_capacity(n);
-        for _ in 0..n {
-            checkpoints.push(parse_digest32(r)?);
-        }
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(CommitmentRef {
-            root,
-            capacity,
-            checkpoint_every,
-            checkpoints,
+            root: parse_digest32(r)?,
+            capacity: r.u64()?,
+            checkpoint_every: r.u64()?,
+            checkpoints: parse_digests(r, MAX_WIRE_CHECKPOINTS)?,
             group_sig: GroupSigRef::parse(r)?,
         })
     }
@@ -440,11 +522,17 @@ impl<'a> CommitmentRef<'a> {
 
     /// Materializes the owned commitment.
     pub fn to_commitment(&self) -> ChainCommitment {
+        self.clone().into_commitment()
+    }
+
+    /// Materializes the owned commitment, handing over the checkpoint
+    /// vector instead of copying it.
+    pub fn into_commitment(self) -> ChainCommitment {
         ChainCommitment {
             root: self.root,
             capacity: self.capacity,
             checkpoint_every: self.checkpoint_every,
-            checkpoints: self.checkpoints.clone(),
+            checkpoints: self.checkpoints,
             group_sig: self.group_sig.to_gsig(),
         }
     }
@@ -518,20 +606,15 @@ pub struct ProofRef<'a> {
 
 impl<'a> ProofRef<'a> {
     fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let leaf = CoinLeafRef::parse(r)?;
-        let leaves = r.u64()?;
-        let index = r.u64()?;
-        let n = r.u64()? as usize;
-        if n > MAX_WIRE_SIBLINGS {
-            return Err(DecodeError); // same cap as the owned decoder
-        }
-        let mut siblings = Vec::with_capacity(n);
-        for _ in 0..n {
-            siblings.push(parse_digest32(r)?);
-        }
-        let root = parse_digest32(r)?;
-        let root_seq = r.u64()?;
-        Ok(ProofRef { leaf, leaves, index, siblings, root, root_seq, root_sig: SigRef::parse(r)? })
+        Ok(ProofRef {
+            leaf: CoinLeafRef::parse(r)?,
+            leaves: r.u64()?,
+            index: r.u64()?,
+            siblings: parse_digests(r, MAX_WIRE_SIBLINGS)?,
+            root: parse_digest32(r)?,
+            root_seq: r.u64()?,
+            root_sig: SigRef::parse(r)?,
+        })
     }
 
     /// Materializes the owned proof.
@@ -574,27 +657,15 @@ pub enum RequestView<'a> {
     Transfer {
         /// Broker downtime path?
         downtime: bool,
-        /// The holder's current binding.
-        current: BindingRef<'a>,
-        /// The payee's fresh holder key.
-        new_holder_pk: IntRef<'a>,
-        /// The payee's challenge nonce.
-        nonce: Nonce,
-        /// The holder's signature.
-        holder_sig: SigRef<'a>,
-        /// The holder's group signature.
-        group_sig: GroupSigRef<'a>,
+        /// The holder's signed request.
+        request: TransferRef<'a>,
     },
     /// Renew a held coin.
     Renewal {
         /// Broker downtime path?
         downtime: bool,
-        /// The holder's current binding.
-        current: BindingRef<'a>,
-        /// The holder's signature.
-        holder_sig: SigRef<'a>,
-        /// The holder's group signature.
-        group_sig: GroupSigRef<'a>,
+        /// The holder's signed request.
+        request: RenewalRef<'a>,
     },
     /// Redeem a coin.
     Deposit(DepositRef<'a>),
@@ -644,11 +715,17 @@ impl<'a> RequestView<'a> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Malformed`] exactly when [`Request::decode`] fails.
+    /// [`CoreError::Malformed`] on any structural problem: truncation,
+    /// trailing bytes, an unknown tag, an over-long list.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, CoreError> {
         let mut r = Reader::new(bytes);
         let view = Self::parse_inner(&mut r).map_err(|_| CoreError::Malformed)?;
-        r.finish().map_err(|_| CoreError::Malformed)?;
+        if r.finish().is_err() {
+            if let RequestView::TickBatch { paywords, .. } = view {
+                recycle_paywords(paywords);
+            }
+            return Err(CoreError::Malformed);
+        }
         Ok(view)
     }
 
@@ -665,60 +742,33 @@ impl<'a> RequestView<'a> {
                 };
                 RequestView::Purchase { owner, coin_pk, identity_sig, group_sig }
             }
-            1 => {
-                let coin = CoinId(r.bytes()?.try_into().map_err(|_| DecodeError)?);
-                RequestView::Issue { coin, invite: InviteRef::parse(r)? }
-            }
-            2 => {
-                let downtime = r.u64()? != 0;
-                RequestView::Transfer {
-                    downtime,
-                    current: BindingRef::parse(r)?,
-                    new_holder_pk: IntRef::parse(r)?,
-                    nonce: parse_nonce(r)?,
-                    holder_sig: SigRef::parse(r)?,
-                    group_sig: GroupSigRef::parse(r)?,
-                }
-            }
-            3 => {
-                let downtime = r.u64()? != 0;
-                RequestView::Renewal {
-                    downtime,
-                    current: BindingRef::parse(r)?,
-                    holder_sig: SigRef::parse(r)?,
-                    group_sig: GroupSigRef::parse(r)?,
-                }
-            }
+            1 => RequestView::Issue { coin: CoinId(parse_digest32(r)?), invite: InviteRef::parse(r)? },
+            2 => RequestView::Transfer { downtime: r.u64()? != 0, request: TransferRef::parse(r)? },
+            3 => RequestView::Renewal { downtime: r.u64()? != 0, request: RenewalRef::parse(r)? },
             4 => RequestView::Deposit(DepositRef::parse(r)?),
             5 => RequestView::Sync {
                 peer: PeerId(r.u64()?),
                 challenge: r.bytes()?,
                 response: SigRef::parse(r)?,
             },
-            6 => {
-                let n = r.u64()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError); // same cap as the owned decoder
-                }
-                let mut ds = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ds.push(DepositRef::parse(r)?);
-                }
-                RequestView::DepositBatch(ds)
-            }
+            6 => RequestView::DepositBatch(parse_list(
+                r,
+                MAX_WIRE_ITEMS,
+                DepositRef::MIN_WIRE_LEN,
+                DepositRef::parse,
+            )?),
             7 => RequestView::OpenChain(CommitmentRef::parse(r)?),
             8 => RequestView::Tick { chain: ChainId(parse_digest32(r)?), payword: parse_payword(r)? },
             9 => {
                 let chain = ChainId(parse_digest32(r)?);
-                let n = r.u64()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError); // same cap as the owned decoder
-                }
+                let n = r.count(MAX_WIRE_ITEMS, PAYWORD_WIRE_LEN)?;
                 let mut paywords = PAYWORD_SCRATCH.take();
                 paywords.clear();
                 paywords.reserve(n);
-                for _ in 0..n {
-                    paywords.push(parse_payword(r)?);
+                let filled = (0..n).try_for_each(|_| parse_payword(r).map(|p| paywords.push(p)));
+                if let Err(malformed) = filled {
+                    recycle_paywords(paywords);
+                    return Err(malformed);
                 }
                 RequestView::TickBatch { chain, paywords }
             }
@@ -771,8 +821,7 @@ impl<'a> RequestView<'a> {
         }
     }
 
-    /// Materializes the owned request — bit-identical to what
-    /// [`Request::decode`] returns on the same bytes.
+    /// Materializes the owned request.
     pub fn to_owned_request(&self) -> Request {
         match self {
             RequestView::Purchase { owner, coin_pk, identity_sig, group_sig } => {
@@ -786,31 +835,12 @@ impl<'a> RequestView<'a> {
             RequestView::Issue { coin, invite } => {
                 Request::Issue { coin: *coin, invite: invite.to_invite() }
             }
-            RequestView::Transfer {
-                downtime,
-                current,
-                new_holder_pk,
-                nonce,
-                holder_sig,
-                group_sig,
-            } => Request::Transfer {
-                request: TransferRequest {
-                    current: current.to_binding(),
-                    new_holder_pk: new_holder_pk.to_biguint(),
-                    nonce: *nonce,
-                    holder_sig: holder_sig.to_sig(),
-                    group_sig: group_sig.to_gsig(),
-                },
-                downtime: *downtime,
-            },
-            RequestView::Renewal { downtime, current, holder_sig, group_sig } => Request::Renewal {
-                request: RenewalRequest {
-                    current: current.to_binding(),
-                    holder_sig: holder_sig.to_sig(),
-                    group_sig: group_sig.to_gsig(),
-                },
-                downtime: *downtime,
-            },
+            RequestView::Transfer { downtime, request } => {
+                Request::Transfer { request: request.to_transfer(), downtime: *downtime }
+            }
+            RequestView::Renewal { downtime, request } => {
+                Request::Renewal { request: request.to_renewal(), downtime: *downtime }
+            }
             RequestView::Deposit(d) => Request::Deposit(d.to_deposit()),
             RequestView::DepositBatch(ds) => {
                 Request::DepositBatch(ds.iter().map(|d| d.to_deposit()).collect())
@@ -842,27 +872,16 @@ pub enum ResponseView<'a> {
     /// A freshly minted coin.
     Minted(MintedRef<'a>),
     /// A coin grant.
-    Grant {
-        /// The broker-signed coin.
-        minted: MintedRef<'a>,
-        /// The new binding.
-        binding: BindingRef<'a>,
-        /// The ownership proof.
-        ownership_proof: SigRef<'a>,
-    },
+    Grant(GrantRef<'a>),
     /// A renewed binding.
     Binding(BindingRef<'a>),
     /// A deposit receipt.
-    Receipt {
-        /// The redeemed coin.
-        coin: CoinId,
-        /// Its value.
-        value: u64,
-    },
+    Receipt(DepositReceipt),
     /// Broker-held bindings (sync result).
     Bindings(Vec<BindingRef<'a>>),
-    /// Per-request deposit-batch outcomes.
-    Receipts(Vec<Result<(CoinId, u64), &'a [u8]>>),
+    /// Per-request deposit-batch outcomes (a refusal as its raw message
+    /// bytes).
+    Receipts(Vec<Result<DepositReceipt, &'a [u8]>>),
     /// The request was refused (raw message bytes).
     Error(&'a [u8]),
     /// A micropayment chain is open and accepted.
@@ -885,7 +904,13 @@ impl<'a> ResponseView<'a> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Malformed`] exactly when [`Response::decode`] fails.
+    /// [`CoreError::Malformed`] on any structural problem (see
+    /// [`RequestView::parse`]).
+    // Always inlined, with `parse_inner`: the tick-ack reader sits on the
+    // ~250 ns streaming round trip, and since `Response::decode` is a
+    // second caller the compiler would otherwise stop inlining it there
+    // (−4 % `micropay_stream` ops/s; EXPERIMENTS.md, PR 16).
+    #[inline(always)]
     pub fn parse(bytes: &'a [u8]) -> Result<Self, CoreError> {
         let mut r = Reader::new(bytes);
         let view = Self::parse_inner(&mut r).map_err(|_| CoreError::Malformed)?;
@@ -893,86 +918,47 @@ impl<'a> ResponseView<'a> {
         Ok(view)
     }
 
+    #[inline(always)]
     fn parse_inner(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(match r.u64()? {
             0 => ResponseView::Minted(MintedRef::parse(r)?),
-            1 => ResponseView::Grant {
-                minted: MintedRef::parse(r)?,
-                binding: BindingRef::parse(r)?,
-                ownership_proof: SigRef::parse(r)?,
-            },
+            1 => ResponseView::Grant(GrantRef::parse(r)?),
             2 => ResponseView::Binding(BindingRef::parse(r)?),
-            3 => {
-                let coin = CoinId(r.bytes()?.try_into().map_err(|_| DecodeError)?);
-                ResponseView::Receipt { coin, value: r.u64()? }
-            }
-            4 => {
-                let n = r.u64()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError);
-                }
-                let mut bs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    bs.push(BindingRef::parse(r)?);
-                }
-                ResponseView::Bindings(bs)
-            }
+            3 => ResponseView::Receipt(parse_receipt(r)?),
+            4 => ResponseView::Bindings(parse_list(
+                r,
+                MAX_WIRE_ITEMS,
+                BindingRef::MIN_WIRE_LEN,
+                BindingRef::parse,
+            )?),
             5 => ResponseView::Error(r.bytes()?),
-            6 => {
-                let n = r.u64()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError);
-                }
-                let mut rs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rs.push(match r.u64()? {
-                        0 => {
-                            let coin = CoinId(r.bytes()?.try_into().map_err(|_| DecodeError)?);
-                            Ok((coin, r.u64()?))
-                        }
-                        1 => Err(r.bytes()?),
-                        _ => return Err(DecodeError),
-                    });
-                }
-                ResponseView::Receipts(rs)
-            }
+            // The shortest outcome is a tag and an empty refusal.
+            6 => ResponseView::Receipts(parse_list(r, MAX_WIRE_ITEMS, 16, |r| match r.u64()? {
+                0 => Ok(Ok(parse_receipt(r)?)),
+                1 => Ok(Err(r.bytes()?)),
+                _ => Err(DecodeError),
+            })?),
             7 => ResponseView::ChainAccepted(ChainId(parse_digest32(r)?)),
             8 => ResponseView::TickAck { gained: r.u64()?, total: r.u64()? },
-            9 => ResponseView::Redeemed(RedemptionReceipt {
-                chain: ChainId(parse_digest32(r)?),
-                credited: r.u64()?,
-                total: r.u64()?,
-            }),
+            9 => ResponseView::Redeemed(parse_redemption_receipt(r)?),
             10 => ResponseView::Proof(ProofRef::parse(r)?),
             _ => return Err(DecodeError),
         })
     }
 
-    /// Materializes the owned response — bit-identical to what
-    /// [`Response::decode`] returns on the same bytes.
+    /// Materializes the owned response.
     pub fn to_owned_response(&self) -> Response {
         match self {
             ResponseView::Minted(m) => Response::Minted(m.to_minted()),
-            ResponseView::Grant { minted, binding, ownership_proof } => {
-                Response::Grant(Box::new(CoinGrant {
-                    minted: minted.to_minted(),
-                    binding: binding.to_binding(),
-                    ownership_proof: ownership_proof.to_sig(),
-                }))
-            }
+            ResponseView::Grant(g) => Response::Grant(Box::new(g.to_grant())),
             ResponseView::Binding(b) => Response::Binding(b.to_binding()),
-            ResponseView::Receipt { coin, value } => {
-                Response::Receipt(DepositReceipt { coin: *coin, value: *value })
-            }
+            ResponseView::Receipt(rc) => Response::Receipt(rc.clone()),
             ResponseView::Bindings(bs) => {
                 Response::Bindings(bs.iter().map(|b| b.to_binding()).collect())
             }
             ResponseView::Receipts(rs) => Response::Receipts(
                 rs.iter()
-                    .map(|o| match o {
-                        Ok((coin, value)) => Ok(DepositReceipt { coin: *coin, value: *value }),
-                        Err(e) => Err(String::from_utf8_lossy(e).into_owned()),
-                    })
+                    .map(|o| o.clone().map_err(|e| String::from_utf8_lossy(e).into_owned()))
                     .collect(),
             ),
             ResponseView::Error(e) => Response::Error(String::from_utf8_lossy(e).into_owned()),
@@ -1023,10 +1009,7 @@ mod tests {
             }
             other => panic!("wrong view {other:?}"),
         }
-        match (view.to_owned_request(), Request::decode(&bytes).unwrap()) {
-            (Request::Sync { peer: a, .. }, Request::Sync { peer: b, .. }) => assert_eq!(a, b),
-            other => panic!("wrong variants {other:?}"),
-        }
+        assert_eq!(view.to_owned_request(), req);
     }
 
     #[test]
@@ -1037,93 +1020,6 @@ mod tests {
             assert!(ResponseView::parse(bytes).is_err());
             assert!(Response::decode(bytes).is_err());
         }
-    }
-
-    #[test]
-    fn wire_slice_cache_keys_match_owned_path() {
-        use whopay_crypto::dsa::DsaKeyPair;
-        use whopay_crypto::testing::{test_rng, tiny_group};
-
-        let group = tiny_group();
-        let mut rng = test_rng(42);
-        let broker = DsaKeyPair::generate(group, &mut rng);
-        let coin_keys = DsaKeyPair::generate(group, &mut rng);
-        let pk = coin_keys.public().element().clone();
-        let owner = OwnerTag::Identified(crate::types::PeerId(3));
-        let mint_sig = broker.sign(group, &MintedCoin::signed_bytes(&owner, &pk), &mut rng);
-        let minted = MintedCoin::from_parts(owner, pk.clone(), mint_sig);
-
-        let holder = DsaKeyPair::generate(group, &mut rng);
-        let msg = Binding::signed_bytes(
-            &pk,
-            holder.public().element(),
-            1,
-            crate::types::Timestamp(50),
-            BindingSigner::CoinKey,
-        );
-        let bsig = coin_keys.sign(group, &msg, &mut rng);
-        let binding = Binding::from_parts(
-            pk.clone(),
-            holder.public().element().clone(),
-            1,
-            crate::types::Timestamp(50),
-            BindingSigner::CoinKey,
-            bsig.clone(),
-        );
-
-        let keyer = crate::sigcache::CacheKeyer::new(group);
-
-        // Round-trip the minted coin and binding through the wire and
-        // compare view-derived keys against owned-path keys.
-        let resp = Response::Grant(Box::new(CoinGrant {
-            minted: minted.clone(),
-            binding: binding.clone(),
-            ownership_proof: bsig.clone(),
-        }));
-        let bytes = resp.encode();
-        let ResponseView::Grant { minted: mv, binding: bv, .. } = ResponseView::parse(&bytes).unwrap()
-        else {
-            panic!("wrong view")
-        };
-
-        assert_eq!(
-            mv.mint_cache_key(&keyer, broker.public()),
-            minted.mint_cache_key(group, broker.public())
-        );
-        let owned_key = crate::sigcache::cache_key(
-            group,
-            &whopay_crypto::dsa::DsaPublicKey::from_element(pk.clone()),
-            &msg,
-            &bsig,
-        );
-        assert_eq!(bv.cache_key(&keyer, broker.public()), owned_key);
-        assert!(bv.matches(&binding));
-
-        // Broker-signed binding exercises the other signer arm.
-        let msg2 = Binding::signed_bytes(
-            &pk,
-            holder.public().element(),
-            2,
-            crate::types::Timestamp(60),
-            BindingSigner::Broker,
-        );
-        let bsig2 = broker.sign(group, &msg2, &mut rng);
-        let binding2 = Binding::from_parts(
-            pk.clone(),
-            holder.public().element().clone(),
-            2,
-            crate::types::Timestamp(60),
-            BindingSigner::Broker,
-            bsig2.clone(),
-        );
-        let bytes2 = Response::Binding(binding2).encode();
-        let ResponseView::Binding(bv2) = ResponseView::parse(&bytes2).unwrap() else {
-            panic!("wrong view")
-        };
-        assert_eq!(
-            bv2.cache_key(&keyer, broker.public()),
-            crate::sigcache::cache_key(group, broker.public(), &msg2, &bsig2)
-        );
     }
 
     #[test]
@@ -1151,7 +1047,7 @@ mod tests {
             let bytes = req.encode();
             let view = RequestView::parse(&bytes).unwrap();
             assert_eq!(view.kind(), wire_kind(&bytes));
-            assert_eq!(view.to_owned_request(), Request::decode(&bytes).unwrap());
+            assert_eq!(view.to_owned_request(), *req);
         }
         assert_eq!(RequestView::parse(&reqs[0].encode()).unwrap().op_kind(), OpKind::MicropayOpen);
         assert_eq!(RequestView::parse(&reqs[1].encode()).unwrap().op_kind(), OpKind::MicropayTick);
@@ -1170,8 +1066,7 @@ mod tests {
         ];
         for resp in &resps {
             let bytes = resp.encode();
-            let view = ResponseView::parse(&bytes).unwrap();
-            assert_eq!(view.to_owned_response(), Response::decode(&bytes).unwrap());
+            assert_eq!(ResponseView::parse(&bytes).unwrap().to_owned_response(), *resp);
         }
     }
 
@@ -1190,7 +1085,7 @@ mod tests {
         let view = RequestView::parse(&bytes).unwrap();
         assert_eq!(view.kind(), wire_kind(&bytes));
         assert_eq!(view.op_kind(), OpKind::BindingProof);
-        assert_eq!(view.to_owned_request(), Request::decode(&bytes).unwrap());
+        assert_eq!(view.to_owned_request(), req);
 
         let proof = BindingProof {
             leaf: CoinLeaf {
@@ -1207,9 +1102,7 @@ mod tests {
             root: SignedRoot::sign(group, &broker, [9; 32], 40, &mut rng),
         };
         let bytes = Response::Proof(Box::new(proof.clone())).encode();
-        let view = ResponseView::parse(&bytes).unwrap();
-        assert_eq!(view.to_owned_response(), Response::decode(&bytes).unwrap());
-        match view {
+        match ResponseView::parse(&bytes).unwrap() {
             ResponseView::Proof(p) => assert_eq!(p.to_proof(), proof),
             other => panic!("wrong view {other:?}"),
         }

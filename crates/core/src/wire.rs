@@ -3,17 +3,17 @@
 //! Everything a peer or the broker sends over the network encodes through
 //! the length-prefixed [`crate::codec`], so the protocol can run over
 //! `whopay-net`'s byte transport (see [`crate::service`]) with real
-//! message and byte accounting. Decoding is strict: trailing bytes,
-//! truncation, or unknown tags yield [`CoreError::Malformed`], never a
-//! panic — wire input is attacker-controlled by definition.
+//! message and byte accounting. This module defines the owned messages
+//! and writes them; [`crate::view`] reads them, and decoding here is its
+//! parser followed by materialization. Decoding is strict: trailing
+//! bytes, truncation, or unknown tags yield [`CoreError::Malformed`],
+//! never a panic — wire input is attacker-controlled by definition.
 
 use whopay_crypto::dsa::DsaSignature;
-use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::GroupSignature;
-use whopay_net::Handle;
 
-use crate::codec::{DecodeError, Reader, Writer};
-use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag, PublicBindingState};
+use crate::codec::{Reader, Writer};
+use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
 use crate::error::CoreError;
 use crate::ledger::{BindingProof, CoinLeaf, SignedRoot};
 use crate::merkle::InclusionProof;
@@ -22,8 +22,13 @@ use crate::messages::{
     TransferRequest,
 };
 use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
-use crate::types::{ChainId, CoinId, PeerId, Timestamp};
+use crate::types::{ChainId, CoinId, PeerId};
+use crate::view::{RequestView, ResponseView};
 use whopay_crypto::payword::Payword;
+
+/// Decode-time cap on the items of a batch or list frame (`DepositBatch`,
+/// `TickBatch`, `Bindings`, `Receipts`).
+pub const MAX_WIRE_ITEMS: usize = 4096;
 
 /// Decode-time cap on a commitment's checkpoint vector (64 Ki digests =
 /// 2 MiB): far above any sane `capacity / checkpoint_every`, far below
@@ -157,17 +162,6 @@ pub(crate) fn put_sig(w: &mut Writer, sig: &DsaSignature) {
     }
 }
 
-pub(crate) fn get_sig(r: &mut Reader<'_>) -> Result<DsaSignature, DecodeError> {
-    let sig_r = r.int()?;
-    let sig_s = r.int()?;
-    let witness = match r.u64()? {
-        0 => None,
-        1 => Some(r.int()?),
-        _ => return Err(DecodeError),
-    };
-    Ok(DsaSignature::from_parts_with_witness(sig_r, sig_s, witness))
-}
-
 pub(crate) fn put_gsig(w: &mut Writer, sig: &GroupSignature) {
     w.int(sig.ciphertext().c1())
         .int(sig.ciphertext().c2())
@@ -176,18 +170,8 @@ pub(crate) fn put_gsig(w: &mut Writer, sig: &GroupSignature) {
         .int(sig.z_x());
 }
 
-pub(crate) fn get_gsig(r: &mut Reader<'_>) -> Result<GroupSignature, DecodeError> {
-    let ct = ElGamalCiphertext::from_parts(r.int()?, r.int()?);
-    Ok(GroupSignature::from_parts(ct, r.int()?, r.int()?, r.int()?))
-}
-
 pub(crate) fn put_nonce(w: &mut Writer, nonce: &Nonce) {
     w.bytes(nonce);
-}
-
-pub(crate) fn get_nonce(r: &mut Reader<'_>) -> Result<Nonce, DecodeError> {
-    let b = r.bytes()?;
-    b.try_into().map_err(|_| DecodeError)
 }
 
 pub(crate) fn put_owner_tag(w: &mut Writer, tag: &OwnerTag) {
@@ -204,33 +188,10 @@ pub(crate) fn put_owner_tag(w: &mut Writer, tag: &OwnerTag) {
     }
 }
 
-pub(crate) fn get_owner_tag(r: &mut Reader<'_>) -> Result<OwnerTag, DecodeError> {
-    match r.u64()? {
-        0 => Ok(OwnerTag::Identified(PeerId(r.u64()?))),
-        1 => {
-            r.u64()?;
-            Ok(OwnerTag::Anonymous)
-        }
-        2 => {
-            let b = r.bytes()?;
-            let arr: [u8; 32] = b.try_into().map_err(|_| DecodeError)?;
-            Ok(OwnerTag::AnonymousWithHandle(Handle(arr)))
-        }
-        _ => Err(DecodeError),
-    }
-}
-
 pub(crate) fn put_minted(w: &mut Writer, m: &MintedCoin) {
     put_owner_tag(w, m.owner());
     w.int(m.coin_pk());
     put_sig(w, m.broker_sig());
-}
-
-pub(crate) fn get_minted(r: &mut Reader<'_>) -> Result<MintedCoin, DecodeError> {
-    let owner = get_owner_tag(r)?;
-    let pk = r.int()?;
-    let sig = get_sig(r)?;
-    Ok(MintedCoin::from_parts(owner, pk, sig))
 }
 
 pub(crate) fn put_binding(w: &mut Writer, b: &Binding) {
@@ -242,28 +203,10 @@ pub(crate) fn put_binding(w: &mut Writer, b: &Binding) {
     put_sig(w, b.raw_sig());
 }
 
-pub(crate) fn get_binding(r: &mut Reader<'_>) -> Result<Binding, DecodeError> {
-    let coin_pk = r.int()?;
-    let holder_pk = r.int()?;
-    let seq = r.u64()?;
-    let expires = Timestamp(r.u64()?);
-    let signer = match r.u64()? {
-        0 => BindingSigner::CoinKey,
-        1 => BindingSigner::Broker,
-        _ => return Err(DecodeError),
-    };
-    let sig = get_sig(r)?;
-    Ok(Binding::from_parts(coin_pk, holder_pk, seq, expires, signer, sig))
-}
-
 pub(crate) fn put_invite(w: &mut Writer, i: &PaymentInvite) {
     w.int(&i.holder_pk);
     put_nonce(w, &i.nonce);
     put_gsig(w, &i.group_sig);
-}
-
-pub(crate) fn get_invite(r: &mut Reader<'_>) -> Result<PaymentInvite, DecodeError> {
-    Ok(PaymentInvite { holder_pk: r.int()?, nonce: get_nonce(r)?, group_sig: get_gsig(r)? })
 }
 
 pub(crate) fn put_grant(w: &mut Writer, g: &CoinGrant) {
@@ -272,28 +215,29 @@ pub(crate) fn put_grant(w: &mut Writer, g: &CoinGrant) {
     put_sig(w, &g.ownership_proof);
 }
 
+pub(crate) fn put_transfer(w: &mut Writer, t: &TransferRequest) {
+    put_binding(w, &t.current);
+    w.int(&t.new_holder_pk);
+    put_nonce(w, &t.nonce);
+    put_sig(w, &t.holder_sig);
+    put_gsig(w, &t.group_sig);
+}
+
+pub(crate) fn put_renewal(w: &mut Writer, t: &RenewalRequest) {
+    put_binding(w, &t.current);
+    put_sig(w, &t.holder_sig);
+    put_gsig(w, &t.group_sig);
+}
+
+pub(crate) fn put_receipt(w: &mut Writer, rc: &DepositReceipt) {
+    w.bytes(&rc.coin.0).u64(rc.value);
+}
+
 pub(crate) fn put_deposit(w: &mut Writer, d: &DepositRequest) {
     put_minted(w, &d.minted);
     put_binding(w, &d.binding);
     put_sig(w, &d.holder_sig);
     put_gsig(w, &d.group_sig);
-}
-
-pub(crate) fn get_deposit(r: &mut Reader<'_>) -> Result<DepositRequest, DecodeError> {
-    Ok(DepositRequest {
-        minted: get_minted(r)?,
-        binding: get_binding(r)?,
-        holder_sig: get_sig(r)?,
-        group_sig: get_gsig(r)?,
-    })
-}
-
-pub(crate) fn get_grant(r: &mut Reader<'_>) -> Result<CoinGrant, DecodeError> {
-    Ok(CoinGrant { minted: get_minted(r)?, binding: get_binding(r)?, ownership_proof: get_sig(r)? })
-}
-
-pub(crate) fn get_digest32(r: &mut Reader<'_>) -> Result<[u8; 32], DecodeError> {
-    r.bytes()?.try_into().map_err(|_| DecodeError)
 }
 
 /// Encoded size of a payword: index, length prefix, 32-byte word.
@@ -309,31 +253,12 @@ pub(crate) fn put_payword(w: &mut Writer, p: &Payword) {
     w.raw(&encoded);
 }
 
-pub(crate) fn get_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
-    Ok(Payword { index: r.u64()?, word: get_digest32(r)? })
-}
-
 pub(crate) fn put_commitment(w: &mut Writer, c: &ChainCommitment) {
     w.bytes(&c.root).u64(c.capacity).u64(c.checkpoint_every).u64(c.checkpoints.len() as u64);
     for ck in &c.checkpoints {
         w.bytes(ck);
     }
     put_gsig(w, &c.group_sig);
-}
-
-pub(crate) fn get_commitment(r: &mut Reader<'_>) -> Result<ChainCommitment, DecodeError> {
-    let root = get_digest32(r)?;
-    let capacity = r.u64()?;
-    let checkpoint_every = r.u64()?;
-    let n = r.u64()? as usize;
-    if n > MAX_WIRE_CHECKPOINTS {
-        return Err(DecodeError); // refuse absurd allocations
-    }
-    let mut checkpoints = Vec::with_capacity(n);
-    for _ in 0..n {
-        checkpoints.push(get_digest32(r)?);
-    }
-    Ok(ChainCommitment { root, capacity, checkpoint_every, checkpoints, group_sig: get_gsig(r)? })
 }
 
 pub(crate) fn put_coin_leaf(w: &mut Writer, leaf: &CoinLeaf) {
@@ -349,25 +274,6 @@ pub(crate) fn put_coin_leaf(w: &mut Writer, leaf: &CoinLeaf) {
     w.bytes(&leaf.aux);
 }
 
-pub(crate) fn get_coin_leaf(r: &mut Reader<'_>) -> Result<CoinLeaf, DecodeError> {
-    let coin = CoinId(get_digest32(r)?);
-    let deposited = match r.u64()? {
-        0 => false,
-        1 => true,
-        _ => return Err(DecodeError),
-    };
-    let binding = match r.u64()? {
-        0 => None,
-        1 => Some(PublicBindingState {
-            holder_pk: r.int()?,
-            seq: r.u64()?,
-            expires: Timestamp(r.u64()?),
-        }),
-        _ => return Err(DecodeError),
-    };
-    Ok(CoinLeaf { coin, deposited, binding, aux: get_digest32(r)? })
-}
-
 pub(crate) fn put_inclusion_proof(w: &mut Writer, p: &InclusionProof) {
     w.u64(p.leaves).u64(p.index).u64(p.siblings.len() as u64);
     for sib in &p.siblings {
@@ -375,27 +281,9 @@ pub(crate) fn put_inclusion_proof(w: &mut Writer, p: &InclusionProof) {
     }
 }
 
-pub(crate) fn get_inclusion_proof(r: &mut Reader<'_>) -> Result<InclusionProof, DecodeError> {
-    let leaves = r.u64()?;
-    let index = r.u64()?;
-    let n = r.u64()? as usize;
-    if n > MAX_WIRE_SIBLINGS {
-        return Err(DecodeError); // refuse absurd allocations
-    }
-    let mut siblings = Vec::with_capacity(n);
-    for _ in 0..n {
-        siblings.push(get_digest32(r)?);
-    }
-    Ok(InclusionProof { leaves, index, siblings })
-}
-
 pub(crate) fn put_signed_root(w: &mut Writer, s: &SignedRoot) {
     w.bytes(&s.root).u64(s.seq);
     put_sig(w, &s.sig);
-}
-
-pub(crate) fn get_signed_root(r: &mut Reader<'_>) -> Result<SignedRoot, DecodeError> {
-    Ok(SignedRoot { root: get_digest32(r)?, seq: r.u64()?, sig: get_sig(r)? })
 }
 
 pub(crate) fn put_binding_proof(w: &mut Writer, p: &BindingProof) {
@@ -404,20 +292,8 @@ pub(crate) fn put_binding_proof(w: &mut Writer, p: &BindingProof) {
     put_signed_root(w, &p.root);
 }
 
-pub(crate) fn get_binding_proof(r: &mut Reader<'_>) -> Result<BindingProof, DecodeError> {
-    Ok(BindingProof {
-        leaf: get_coin_leaf(r)?,
-        proof: get_inclusion_proof(r)?,
-        root: get_signed_root(r)?,
-    })
-}
-
 pub(crate) fn put_redemption_receipt(w: &mut Writer, rc: &RedemptionReceipt) {
     w.bytes(&rc.chain.0).u64(rc.credited).u64(rc.total);
-}
-
-pub(crate) fn get_redemption_receipt(r: &mut Reader<'_>) -> Result<RedemptionReceipt, DecodeError> {
-    Ok(RedemptionReceipt { chain: ChainId(get_digest32(r)?), credited: r.u64()?, total: r.u64()? })
 }
 
 // --- request/response encoding ---
@@ -528,17 +404,11 @@ impl Request {
             }
             Request::Transfer { request, downtime } => {
                 w.u64(2).u64(*downtime as u64);
-                put_binding(&mut w, &request.current);
-                w.int(&request.new_holder_pk);
-                put_nonce(&mut w, &request.nonce);
-                put_sig(&mut w, &request.holder_sig);
-                put_gsig(&mut w, &request.group_sig);
+                put_transfer(&mut w, request);
             }
             Request::Renewal { request, downtime } => {
                 w.u64(3).u64(*downtime as u64);
-                put_binding(&mut w, &request.current);
-                put_sig(&mut w, &request.holder_sig);
-                put_gsig(&mut w, &request.group_sig);
+                put_renewal(&mut w, request);
             }
             Request::Deposit(d) => {
                 w.u64(4);
@@ -572,96 +442,13 @@ impl Request {
         *out = w.finish();
     }
 
-    /// Decodes a request.
+    /// Decodes a request: [`RequestView::parse`], materialized.
     ///
     /// # Errors
     ///
     /// [`CoreError::Malformed`] on any structural problem.
     pub fn decode(bytes: &[u8]) -> Result<Request, CoreError> {
-        let mut r = Reader::new(bytes);
-        let req = Self::decode_inner(&mut r).map_err(|_| CoreError::Malformed)?;
-        r.finish().map_err(|_| CoreError::Malformed)?;
-        Ok(req)
-    }
-
-    fn decode_inner(r: &mut Reader<'_>) -> Result<Request, DecodeError> {
-        Ok(match r.u64()? {
-            0 => {
-                let owner = get_owner_tag(r)?;
-                let coin_pk = r.int()?;
-                let (identity_sig, group_sig) = match r.u64()? {
-                    0 => (Some(get_sig(r)?), None),
-                    1 => (None, Some(get_gsig(r)?)),
-                    2 => (None, None),
-                    _ => return Err(DecodeError),
-                };
-                Request::Purchase(PurchaseRequest { owner, coin_pk, identity_sig, group_sig })
-            }
-            1 => {
-                let id = r.bytes()?;
-                let coin = CoinId(id.try_into().map_err(|_| DecodeError)?);
-                Request::Issue { coin, invite: get_invite(r)? }
-            }
-            2 => {
-                let downtime = r.u64()? != 0;
-                let current = get_binding(r)?;
-                let new_holder_pk = r.int()?;
-                let nonce = get_nonce(r)?;
-                let holder_sig = get_sig(r)?;
-                let group_sig = get_gsig(r)?;
-                Request::Transfer {
-                    request: TransferRequest { current, new_holder_pk, nonce, holder_sig, group_sig },
-                    downtime,
-                }
-            }
-            3 => {
-                let downtime = r.u64()? != 0;
-                let current = get_binding(r)?;
-                let holder_sig = get_sig(r)?;
-                let group_sig = get_gsig(r)?;
-                Request::Renewal {
-                    request: RenewalRequest { current, holder_sig, group_sig },
-                    downtime,
-                }
-            }
-            4 => Request::Deposit(get_deposit(r)?),
-            5 => Request::Sync {
-                peer: PeerId(r.u64()?),
-                challenge: r.bytes()?.to_vec(),
-                response: get_sig(r)?,
-            },
-            6 => {
-                let n = r.u64()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError); // refuse absurd allocations
-                }
-                let mut ds = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ds.push(get_deposit(r)?);
-                }
-                Request::DepositBatch(ds)
-            }
-            7 => Request::OpenChain(get_commitment(r)?),
-            8 => Request::Tick { chain: ChainId(get_digest32(r)?), payword: get_payword(r)? },
-            9 => {
-                let chain = ChainId(get_digest32(r)?);
-                let n = r.u64()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError); // refuse absurd allocations
-                }
-                let mut paywords = Vec::with_capacity(n);
-                for _ in 0..n {
-                    paywords.push(get_payword(r)?);
-                }
-                Request::TickBatch { chain, paywords }
-            }
-            10 => Request::RedeemChain(RedeemChainRequest {
-                commitment: get_commitment(r)?,
-                payword: get_payword(r)?,
-            }),
-            11 => Request::BindingProof { coin: CoinId(get_digest32(r)?) },
-            _ => return Err(DecodeError),
-        })
+        Ok(RequestView::parse(bytes)?.to_owned_request())
     }
 }
 
@@ -692,7 +479,8 @@ impl Response {
                 put_binding(&mut w, b);
             }
             Response::Receipt(rc) => {
-                w.u64(3).bytes(&rc.coin.0).u64(rc.value);
+                w.u64(3);
+                put_receipt(&mut w, rc);
             }
             Response::Bindings(bs) => {
                 w.u64(4).u64(bs.len() as u64);
@@ -706,7 +494,8 @@ impl Response {
                 for outcome in rs {
                     match outcome {
                         Ok(rc) => {
-                            w.u64(0).bytes(&rc.coin.0).u64(rc.value);
+                            w.u64(0);
+                            put_receipt(&mut w, rc);
                         }
                         Err(e) => {
                             w.u64(1).bytes(e.as_bytes());
@@ -730,71 +519,20 @@ impl Response {
         *out = w.finish();
     }
 
-    /// Decodes a response.
+    /// Decodes a response: [`ResponseView::parse`], materialized.
     ///
     /// # Errors
     ///
     /// [`CoreError::Malformed`] on any structural problem.
     pub fn decode(bytes: &[u8]) -> Result<Response, CoreError> {
-        let mut r = Reader::new(bytes);
-        let resp = Self::decode_inner(&mut r).map_err(|_| CoreError::Malformed)?;
-        r.finish().map_err(|_| CoreError::Malformed)?;
-        Ok(resp)
-    }
-
-    fn decode_inner(r: &mut Reader<'_>) -> Result<Response, DecodeError> {
-        Ok(match r.u64()? {
-            0 => Response::Minted(get_minted(r)?),
-            1 => Response::Grant(Box::new(get_grant(r)?)),
-            2 => Response::Binding(get_binding(r)?),
-            3 => {
-                let id = r.bytes()?;
-                let coin = CoinId(id.try_into().map_err(|_| DecodeError)?);
-                Response::Receipt(DepositReceipt { coin, value: r.u64()? })
-            }
-            4 => {
-                let n = r.u64()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError); // refuse absurd allocations
-                }
-                let mut bs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    bs.push(get_binding(r)?);
-                }
-                Response::Bindings(bs)
-            }
-            5 => Response::Error(String::from_utf8_lossy(r.bytes()?).into_owned()),
-            6 => {
-                let n = r.u64()? as usize;
-                if n > 4096 {
-                    return Err(DecodeError); // refuse absurd allocations
-                }
-                let mut rs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rs.push(match r.u64()? {
-                        0 => {
-                            let id = r.bytes()?;
-                            let coin = CoinId(id.try_into().map_err(|_| DecodeError)?);
-                            Ok(DepositReceipt { coin, value: r.u64()? })
-                        }
-                        1 => Err(String::from_utf8_lossy(r.bytes()?).into_owned()),
-                        _ => return Err(DecodeError),
-                    });
-                }
-                Response::Receipts(rs)
-            }
-            7 => Response::ChainAccepted(ChainId(get_digest32(r)?)),
-            8 => Response::TickAck { gained: r.u64()?, total: r.u64()? },
-            9 => Response::Redeemed(get_redemption_receipt(r)?),
-            10 => Response::Proof(Box::new(get_binding_proof(r)?)),
-            _ => return Err(DecodeError),
-        })
+        Ok(ResponseView::parse(bytes)?.to_owned_response())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Timestamp;
     use whopay_crypto::dsa::DsaKeyPair;
     use whopay_crypto::group_sig::GroupManager;
     use whopay_crypto::testing::{test_rng, tiny_group};

@@ -28,24 +28,31 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    ALLOC_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 // Counts allocation *events* (fresh allocations and growth reallocations)
-// on the calling thread. `Cell<u64>` has no destructor and the thread
-// local is const-initialized, so the bookkeeping itself never allocates.
+// and the bytes they asked for, on the calling thread. `Cell<u64>` has no
+// destructor and the thread locals are const-initialized, so the
+// bookkeeping itself never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -59,6 +66,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(Cell::get)
 }
 
 fn int(seed: u64) -> BigUint {
@@ -284,4 +295,85 @@ fn a_steady_state_tick_or_batch_allocates_nothing_on_either_side() {
     // A replayed batch gains nothing and costs no allocation either.
     assert_eq!(tick_batch_via(&mut net, me, host_ep, chain, stale).unwrap(), (0, total));
     assert_eq!(allocs() - before, 0, "batched ticks");
+}
+
+#[test]
+fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
+    // Every list on the wire is reserved from its count prefix. A frame of
+    // a few dozen bytes promising the cap's worth of items must be refused
+    // on the arithmetic alone — remaining bytes / least encoded item size
+    // — not after reserving 4 096 deposits (1.3 MiB) or 65 536 checkpoints
+    // (2 MiB) for it.
+    use whopay_core::codec::Writer;
+    use whopay_core::CoreError;
+
+    let list = |tag: u64, count: u64| {
+        let mut w = Writer::new();
+        w.u64(tag).u64(count);
+        w.finish()
+    };
+    let commitment = |tag: u64| {
+        let mut w = Writer::new();
+        w.u64(tag).bytes(&[7; 32]).u64(1 << 20).u64(16).u64(1 << 16);
+        w.finish()
+    };
+    let tick_batch = {
+        let mut w = Writer::new();
+        w.u64(9).bytes(&[7; 32]).u64(4096);
+        w.finish()
+    };
+    let proof = {
+        let mut w = Writer::new();
+        w.u64(10).bytes(&[7; 32]).u64(0).u64(0).bytes(&[8; 32]).u64(9).u64(3).u64(64);
+        w.finish()
+    };
+    let requests = [("deposit batch", list(6, 4096)), ("tick batch", tick_batch)]
+        .into_iter()
+        .chain([("open chain", commitment(7)), ("redeem chain", commitment(10))]);
+    for (what, frame) in requests {
+        let before = alloc_bytes();
+        assert_eq!(RequestView::parse(&frame).unwrap_err(), CoreError::Malformed, "{what}");
+        assert_eq!(Request::decode(&frame).unwrap_err(), CoreError::Malformed, "{what}");
+        assert!(alloc_bytes() - before < 4096, "{what}: {} bytes", alloc_bytes() - before);
+    }
+    for (what, frame) in [("bindings", list(4, 4096)), ("receipts", list(6, 4096)), ("proof", proof)] {
+        let before = alloc_bytes();
+        assert_eq!(ResponseView::parse(&frame).unwrap_err(), CoreError::Malformed, "{what}");
+        assert_eq!(Response::decode(&frame).unwrap_err(), CoreError::Malformed, "{what}");
+        assert!(alloc_bytes() - before < 4096, "{what}: {} bytes", alloc_bytes() - before);
+    }
+}
+
+#[test]
+fn a_malformed_tick_batch_hands_the_recycled_payword_vector_back() {
+    use whopay_core::types::ChainId;
+    use whopay_core::view::recycle_paywords;
+    use whopay_crypto::payword::Payword;
+
+    let chain = ChainId([3; 32]);
+    let paywords: Vec<Payword> = (0..16).map(|i| Payword { index: i, word: [i as u8; 32] }).collect();
+    let good = Request::TickBatch { chain, paywords }.encode();
+    // The same batch with the last payword's length prefix damaged, and
+    // with a byte too many: refused while, and after, filling the vector.
+    let mut bad_word = good.clone();
+    let at = bad_word.len() - 33;
+    bad_word[at] ^= 1;
+    let mut trailing = good.clone();
+    trailing.push(0);
+
+    // Warm this thread's scratch vector.
+    let Ok(RequestView::TickBatch { paywords, .. }) = RequestView::parse(&good) else {
+        panic!("a valid batch parses")
+    };
+    recycle_paywords(paywords);
+
+    let before = allocs();
+    for frame in [&bad_word, &trailing, &bad_word] {
+        assert!(RequestView::parse(frame).is_err());
+    }
+    let Ok(RequestView::TickBatch { paywords, .. }) = RequestView::parse(&good) else {
+        panic!("a valid batch parses")
+    };
+    assert_eq!(paywords.len(), 16);
+    assert_eq!(allocs() - before, 0, "the scratch vector survived three refusals");
 }

@@ -4,11 +4,12 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use whopay_core::micropay::MicropaySender;
 use whopay_core::service::{
-    attach_broker, attach_client, attach_micropay_host, clock, open_chain_via, redeem_chain_via,
-    tick_batch_via, tick_via, CallError,
+    attach_client, attach_micropay_host, attach_shard_endpoints, open_chain_via, redeem_chain_via,
+    shared_clock, tick_batch_via, tick_via, CallError,
 };
 use whopay_core::{
     Broker, Journal, Judge, MicropayHost, PeerId, RedeemChainRequest, ShardedBroker, SystemParams,
@@ -34,9 +35,9 @@ fn streaming_session_over_the_wire() {
     let gpk = judge.public_key().clone();
 
     let mut net = Network::new();
-    let clk = clock(whopay_core::Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clk, 9001);
+    let clk = shared_clock(whopay_core::Timestamp(0));
+    let broker = Arc::new(ShardedBroker::with_keys(params, gpk.clone(), broker.export_keys(), 1));
+    let broker_ep = attach_shard_endpoints(&mut net, broker.clone(), clk, 9001)[0];
     let host = Rc::new(RefCell::new(MicropayHost::new(group.clone(), gpk.clone(), 8)));
     let host_ep = attach_micropay_host(&mut net, host.clone());
     let payer_ep = attach_client(&mut net, "payer");
@@ -69,8 +70,8 @@ fn streaming_session_over_the_wire() {
     // A byte-identical re-redemption is served from the replay memo.
     let again = redeem_chain_via(&mut net, payer_ep, broker_ep, request).unwrap();
     assert_eq!(again, receipt);
-    assert_eq!(broker.borrow().stats().replays, 1);
-    assert_eq!(broker.borrow().stats().redemptions, 1);
+    assert_eq!(broker.stats().replays, 1);
+    assert_eq!(broker.stats().redemptions, 1);
 
     // More streaming, then an *incremental* redemption: only the delta
     // since the settled frontier is credited.
@@ -81,8 +82,8 @@ fn streaming_session_over_the_wire() {
     let request = host.borrow().receiver(&chain).unwrap().redeem_request();
     let receipt = redeem_chain_via(&mut net, payer_ep, broker_ep, request).unwrap();
     assert_eq!((receipt.credited, receipt.total), (7, 24));
-    assert_eq!(broker.borrow().settled_micropay_value(), 24);
-    assert!(broker.borrow().audit().ok());
+    assert_eq!(broker.settled_micropay_value(), 24);
+    assert!(broker.audit_ok());
 }
 
 #[test]

@@ -4,18 +4,26 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use whopay_core::service::{
-    attach_broker, attach_client, attach_peer, clock, deposit_via, purchase_via, request_issue_via,
-    request_renewal_via, request_transfer_via, send_invite, sync_via, CallError,
+    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via, deposit_via_obs,
+    deposit_via_retry, purchase_via, request_issue_via, request_renewal_via, request_transfer_via,
+    send_invite, shared_clock, sync_via, CallError, SharedClock,
 };
-use whopay_core::{Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay_core::wire::{Request, Response};
+use whopay_core::{
+    CoinId, CoreError, DepositReceipt, DepositRequest, Judge, Peer, PeerId, PurchaseMode,
+    ShardedBroker, SystemParams, Timestamp,
+};
 use whopay_crypto::testing::{test_rng, tiny_group};
-use whopay_net::Network;
+use whopay_net::{FaultInjector, FaultKind, FaultPlan, Network, RetryPolicy};
+use whopay_obs::Obs;
 
 struct NetWorld {
     net: Network,
-    broker: Rc<RefCell<Broker>>,
+    broker: Arc<ShardedBroker>,
     broker_ep: whopay_net::EndpointId,
     owner: Rc<RefCell<Peer>>,
     owner_ep: whopay_net::EndpointId,
@@ -24,6 +32,8 @@ struct NetWorld {
     payee: Peer,
     payee_ep: whopay_net::EndpointId,
     clk: whopay_core::service::Clock,
+    /// The broker's clock (its endpoint may serve from a worker thread).
+    sclk: SharedClock,
     rng: rand::rngs::StdRng,
 }
 
@@ -31,8 +41,8 @@ fn networld(seed: u64) -> NetWorld {
     let mut rng = test_rng(seed);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -45,19 +55,32 @@ fn networld(seed: u64) -> NetWorld {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner = mk(0, &mut judge, &mut broker, &mut rng);
-    let payer = mk(1, &mut judge, &mut broker, &mut rng);
-    let payee = mk(2, &mut judge, &mut broker, &mut rng);
+    let owner = mk(0, &mut judge, &broker, &mut rng);
+    let payer = mk(1, &mut judge, &broker, &mut rng);
+    let payee = mk(2, &mut judge, &broker, &mut rng);
 
     let mut net = Network::new();
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clk.clone(), 1000 + seed);
+    let sclk = shared_clock(Timestamp(0));
+    let broker_ep = attach_shard_endpoints(&mut net, broker.clone(), sclk.clone(), 1000 + seed)[0];
     let owner = Rc::new(RefCell::new(owner));
     let owner_ep = attach_peer(&mut net, owner.clone(), clk.clone(), 2000 + seed);
     let payer_ep = attach_client(&mut net, "payer");
     let payee_ep = attach_client(&mut net, "payee");
-    NetWorld { net, broker, broker_ep, owner, owner_ep, payer, payer_ep, payee, payee_ep, clk, rng }
+    NetWorld {
+        net,
+        broker,
+        broker_ep,
+        owner,
+        owner_ep,
+        payer,
+        payer_ep,
+        payee,
+        payee_ep,
+        clk,
+        sclk,
+        rng,
+    }
 }
 
 #[test]
@@ -96,6 +119,7 @@ fn full_lifecycle_over_the_wire() {
 
     // Payee renews via the owner, then deposits at the broker.
     w.clk.set(Timestamp(100));
+    w.sclk.store(100, Ordering::SeqCst);
     let rreq = w.payee.request_renewal(coin, &mut w.rng).unwrap();
     let renewed = request_renewal_via(&mut w.net, w.payee_ep, w.owner_ep, rreq, false).unwrap();
     w.payee.apply_renewal(coin, renewed).unwrap();
@@ -188,6 +212,79 @@ fn remote_rejections_surface_as_remote_errors() {
     let raw = w.net.request(w.payer_ep, w.broker_ep, vec![0xde, 0xad]).unwrap();
     let resp = whopay_core::wire::Response::decode(&raw).unwrap();
     assert!(matches!(resp, whopay_core::wire::Response::Error(_)));
+}
 
-    let _ = w.broker;
+/// Drives a fresh coin to the payer, who is ready to deposit it.
+fn coin_ready_to_deposit(w: &mut NetWorld) -> (CoinId, DepositRequest) {
+    let now = Timestamp(0);
+    let coin = {
+        let mut owner = w.owner.borrow_mut();
+        let mode = PurchaseMode::Identified;
+        purchase_via(&mut w.net, w.owner_ep, w.broker_ep, &mut owner, mode, now, &mut w.rng).unwrap()
+    };
+    let (invite, session) = w.payer.begin_receive(&mut w.rng);
+    let grant = request_issue_via(&mut w.net, w.payer_ep, w.owner_ep, coin, &invite).unwrap();
+    w.payer.accept_grant(grant, session, now).unwrap();
+    let request = w.payer.request_deposit(coin, &mut w.rng).unwrap();
+    (coin, request)
+}
+
+fn is_corrupted_response<T: std::fmt::Debug>(result: &Result<T, CallError>) -> bool {
+    matches!(result, Err(CallError::Protocol(CoreError::Malformed)))
+}
+
+#[test]
+fn a_receipt_for_another_coin_is_refused_on_every_call_path() {
+    let mut w = networld(4);
+    let (coin, request) = coin_ready_to_deposit(&mut w);
+    let other = CoinId([9; 32]);
+    assert_ne!(coin, other);
+    // An endpoint that answers any deposit with a receipt naming `other`.
+    // Receipts carry no signature, so the coin they name is all a client
+    // can check.
+    let liar = w.net.register("liar", move |bytes| {
+        assert!(matches!(Request::decode(bytes), Ok(Request::Deposit(_))));
+        Response::Receipt(DepositReceipt { coin: other, value: 1 }).encode()
+    });
+
+    let plain = deposit_via(&mut w.net, w.payer_ep, liar, request.clone());
+    assert!(is_corrupted_response(&plain), "plain call: {plain:?}");
+    let traced = deposit_via_obs(&mut w.net, w.payer_ep, liar, request.clone(), &Obs::disabled());
+    assert!(is_corrupted_response(&traced), "obs call: {traced:?}");
+    let policy = RetryPolicy::new(3);
+    let obs = Obs::disabled();
+    let retried = deposit_via_retry(&mut w.net, w.payer_ep, liar, request, &policy, &mut w.rng, &obs);
+    assert!(is_corrupted_response(&retried), "retried call: {retried:?}");
+    assert_eq!(policy.stats().attempts, 3, "a corrupted response is worth a resend");
+}
+
+#[test]
+fn a_receipt_corrupted_in_flight_is_refused_and_the_resend_collects_the_replay() {
+    let mut w = networld(5);
+    let (coin, request) = coin_ready_to_deposit(&mut w);
+    // Corrupt every payer→broker delivery, under a seed whose first draw
+    // flips a bit of the *response* inside the receipt's coin id (frame
+    // layout: tag, length prefix, 32 id bytes, value).
+    let rates = whopay_net::FaultRates { corrupt: 1.0, ..Default::default() };
+    let plan = FaultPlan::new().link(w.payer_ep, w.broker_ep, rates);
+    let receipt_len = Response::Receipt(DepositReceipt { coin, value: 1 }).encode().len() as u64;
+    let seed = (0..u64::MAX)
+        .find(|&seed| {
+            let fate = FaultInjector::new(plan.clone(), seed).decide(w.payer_ep, w.broker_ep, None);
+            matches!(fate, Some(FaultKind::Corrupt { in_request: false, bit })
+                if (16..48).contains(&(bit % (receipt_len * 8) / 8)))
+        })
+        .expect("some seed corrupts the coin id");
+    w.net.install_faults(FaultInjector::new(plan, seed));
+
+    let damaged = deposit_via(&mut w.net, w.payer_ep, w.broker_ep, request.clone());
+    assert!(is_corrupted_response(&damaged), "{damaged:?}");
+    assert_eq!(w.broker.stats().deposits, 1, "the deposit itself applied");
+
+    // The intact resend is answered from the replay memo: credited once.
+    w.net.clear_faults();
+    let receipt = deposit_via(&mut w.net, w.payer_ep, w.broker_ep, request).unwrap();
+    assert_eq!(receipt.coin, coin);
+    assert_eq!(w.broker.stats().deposits, 1);
+    assert_eq!(w.broker.stats().replays, 1);
 }

@@ -1,11 +1,149 @@
 //! Fuzz-style property tests for the wire layer: arbitrary bytes never
-//! panic the decoder, and encode/decode is the identity on the encodable
-//! space.
+//! panic the decoder — through the owned entries, through the views,
+//! and through a shard endpoint's `prepare` — and encode/decode is the
+//! identity on the encodable space. The mutation arms start from real
+//! frames of a small protocol run and grow them up to 4 KiB.
+
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use whopay_core::wire::{Request, Response};
-use whopay_core::{CoreError, PeerId, PurchaseRequest};
+use rand::rngs::StdRng;
+use whopay_core::micropay::MicropaySender;
+use whopay_core::service::{attach_client, attach_shard_endpoints, shared_clock};
+use whopay_core::view::{RequestView, ResponseView};
+use whopay_core::wire::{wire_kind, Request, Response};
+use whopay_core::{
+    CoreError, DepositReceipt, Judge, Peer, PeerId, PurchaseMode, PurchaseRequest, RedeemChainRequest,
+    ShardedBroker, SystemParams, Timestamp,
+};
+use whopay_crypto::testing::{test_rng, tiny_group};
+use whopay_net::Network;
 use whopay_num::BigUint;
+
+/// A broker of two shards with one coin in circulation, and one real
+/// frame of every request and response kind from the run that put it
+/// there.
+struct Seeds {
+    sharded: Arc<ShardedBroker>,
+    requests: Vec<Vec<u8>>,
+    responses: Vec<Vec<u8>>,
+}
+
+fn seeds() -> Seeds {
+    let mut rng = test_rng(0xF022);
+    let params = SystemParams::new(tiny_group().clone());
+    let group = params.group().clone();
+    let mut judge = Judge::new(group.clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let sharded = Arc::new(ShardedBroker::new(params.clone(), gpk.clone(), 2, &mut rng));
+    let mut mk = |id: u64| {
+        let gk = judge.enroll(PeerId(id), &mut rng);
+        let p = Peer::new(
+            PeerId(id),
+            params.clone(),
+            sharded.public_key().clone(),
+            gpk.clone(),
+            gk,
+            &mut rng,
+        );
+        sharded.register_peer(PeerId(id), p.public_key().clone());
+        p
+    };
+    let (mut owner, mut holder) = (mk(0), mk(1));
+    let payer_key = judge.enroll(PeerId(2), &mut rng);
+    let now = Timestamp(0);
+
+    let (purchase, pending) = owner.create_purchase_request(PurchaseMode::Identified, &mut rng);
+    let minted = sharded.handle_purchase(&purchase, &mut rng).unwrap();
+    let coin = owner.complete_purchase(minted.clone(), pending, now, &mut rng).unwrap();
+    let (invite, session) = holder.begin_receive(&mut rng);
+    let grant = owner.issue_coin(coin, &invite, now, &mut rng).unwrap();
+    holder.accept_grant(grant.clone(), session, now).unwrap();
+    let (invite2, _) = owner.begin_receive(&mut rng);
+    let transfer = holder.request_transfer(coin, &invite2, &mut rng).unwrap();
+    let renewal = holder.request_renewal(coin, &mut rng).unwrap();
+    let deposit = holder.request_deposit(coin, &mut rng).unwrap();
+    let challenge = vec![7u8; 32];
+    let response = owner.sign_identity_challenge(&challenge, &mut rng);
+    let (mut sender, commitment) = MicropaySender::open(&group, &gpk, &payer_key, 32, 4, &mut rng);
+    let chain = commitment.chain_id();
+    let paywords: Vec<_> = (0..5).map(|_| sender.pay(1).unwrap()).collect();
+    let payword = paywords[4];
+    let proof = sharded.binding_proof(&coin, &mut rng).unwrap();
+    let receipt = DepositReceipt { coin, value: 1 };
+
+    let requests = [
+        Request::Purchase(purchase),
+        Request::Issue { coin, invite },
+        Request::Transfer { request: transfer, downtime: true },
+        Request::Renewal { request: renewal, downtime: true },
+        Request::Deposit(deposit.clone()),
+        Request::DepositBatch(vec![deposit.clone(), deposit]),
+        Request::Sync { peer: PeerId(0), challenge, response },
+        Request::OpenChain(commitment.clone()),
+        Request::Tick { chain, payword },
+        Request::TickBatch { chain, paywords },
+        Request::RedeemChain(RedeemChainRequest { commitment, payword }),
+        Request::BindingProof { coin },
+    ];
+    let responses = [
+        Response::Minted(minted),
+        Response::Binding(grant.binding.clone()),
+        Response::Bindings(vec![grant.binding.clone(), grant.binding.clone()]),
+        Response::Grant(Box::new(grant)),
+        Response::Receipt(receipt.clone()),
+        Response::Receipts(vec![Ok(receipt), Err("double spend".into())]),
+        Response::Error("stale binding".into()),
+        Response::ChainAccepted(chain),
+        Response::TickAck { gained: 1, total: 5 },
+        Response::Proof(Box::new(proof)),
+    ];
+    Seeds {
+        sharded,
+        requests: requests.iter().map(Request::encode).collect(),
+        responses: responses.iter().map(Response::encode).collect(),
+    }
+}
+
+/// One damaged copy of a frame: bytes overwritten, then the frame cut or
+/// grown with a tail, up to 4 KiB.
+#[derive(Debug, Clone)]
+struct Damage {
+    pick: prop::sample::Index,
+    pokes: Vec<(prop::sample::Index, u8)>,
+    cut: Option<prop::sample::Index>,
+    tail: Vec<u8>,
+}
+
+impl Damage {
+    fn apply(&self, frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut frame = frames[self.pick.index(frames.len())].clone();
+        for (at, byte) in &self.pokes {
+            let i = at.index(frame.len());
+            frame[i] = *byte;
+        }
+        if let Some(cut) = &self.cut {
+            frame.truncate(cut.index(frame.len()));
+        }
+        frame.extend_from_slice(&self.tail);
+        frame.truncate(4096);
+        frame
+    }
+}
+
+impl Arbitrary for Damage {
+    fn arbitrary(rng: &mut StdRng) -> Self {
+        let pokes = (0..u8::arbitrary(rng) % 4)
+            .map(|_| (prop::sample::Index::arbitrary(rng), u8::arbitrary(rng)))
+            .collect();
+        let cut = bool::arbitrary(rng).then(|| prop::sample::Index::arbitrary(rng));
+        // Half the frames keep their length, so overwritten bytes are
+        // the only damage.
+        let tail_len = if bool::arbitrary(rng) { 0 } else { u16::arbitrary(rng) % 4096 };
+        let tail = (0..tail_len).map(|_| u8::arbitrary(rng)).collect();
+        Damage { pick: prop::sample::Index::arbitrary(rng), pokes, cut, tail }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -36,6 +174,106 @@ proptest! {
         match Response::decode(&frame[..i]) {
             Ok(_) | Err(CoreError::Malformed) => {}
             Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn random_bytes_never_panic_the_views(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
+        match RequestView::parse(&bytes) {
+            Ok(view) => {
+                prop_assert_eq!(view.kind(), wire_kind(&bytes));
+                view.to_owned_request();
+            }
+            Err(e) => prop_assert_eq!(e, CoreError::Malformed),
+        }
+        match ResponseView::parse(&bytes) {
+            Ok(view) => drop(view.to_owned_response()),
+            Err(e) => prop_assert_eq!(e, CoreError::Malformed),
+        }
+    }
+
+    #[test]
+    fn damaged_real_frames_never_panic_the_views(damage in any::<Damage>()) {
+        static SEEDS: OnceLock<Seeds> = OnceLock::new();
+        let seeds = SEEDS.get_or_init(seeds);
+        let frame = damage.apply(&seeds.requests);
+        match RequestView::parse(&frame) {
+            Ok(view) => {
+                prop_assert_eq!(view.kind(), wire_kind(&frame));
+                view.to_owned_request();
+            }
+            Err(e) => prop_assert_eq!(e, CoreError::Malformed),
+        }
+        let frame = damage.apply(&seeds.responses);
+        match ResponseView::parse(&frame) {
+            Ok(view) => drop(view.to_owned_response()),
+            Err(e) => prop_assert_eq!(e, CoreError::Malformed),
+        }
+    }
+
+    #[test]
+    fn tick_batches_parse_exactly_when_count_and_paywords_agree(
+        n in 0u64..90,
+        lie in any::<u64>(),
+        mode in 0u8..4,
+        poke in any::<prop::sample::Index>(),
+    ) {
+        // `n` well-formed paywords under a count prefix that is honest
+        // (mode 0), one too many (1) or arbitrary (2), or honest over a
+        // payword whose length prefix is damaged (3).
+        let declared = match mode {
+            1 => n + 1,
+            2 => lie,
+            _ => n,
+        };
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&9u64.to_be_bytes());
+        frame.extend_from_slice(&32u64.to_be_bytes());
+        frame.extend_from_slice(&[0xC4; 32]);
+        frame.extend_from_slice(&declared.to_be_bytes());
+        let body = frame.len();
+        for i in 0..n {
+            frame.extend_from_slice(&i.to_be_bytes());
+            frame.extend_from_slice(&32u64.to_be_bytes());
+            frame.extend_from_slice(&[i as u8; 32]);
+        }
+        let damaged = mode == 3 && n > 0;
+        if damaged {
+            frame[body + poke.index(n as usize) * 48 + 15] ^= 1;
+        }
+        match RequestView::parse(&frame) {
+            Ok(RequestView::TickBatch { paywords, .. }) => {
+                prop_assert!(declared == n && !damaged);
+                prop_assert_eq!(paywords.len() as u64, n);
+                whopay_core::view::recycle_paywords(paywords);
+            }
+            Ok(other) => prop_assert!(false, "a tick batch parsed as {other:?}"),
+            Err(e) => {
+                prop_assert!(declared != n || damaged);
+                prop_assert_eq!(e, CoreError::Malformed);
+            }
+        }
+    }
+
+    #[test]
+    fn prepare_never_panics_on_groups_of_damaged_frames(
+        group in proptest::collection::vec(any::<Damage>(), 2..12),
+    ) {
+        // A drain cycle hands each shard endpoint its group up front, and
+        // the endpoint parses it under the shard lock before serving:
+        // whatever the bytes, every request gets an answer that parses.
+        let seeds = seeds();
+        let mut net = Network::new();
+        let eps = attach_shard_endpoints(&mut net, seeds.sharded, shared_clock(Timestamp(0)), 5);
+        let client = attach_client(&mut net, "client");
+        for (i, damage) in group.iter().enumerate() {
+            net.submit(client, eps[i % 2], damage.apply(&seeds.requests));
+        }
+        let deliveries = net.drain();
+        prop_assert_eq!(deliveries.len(), group.len());
+        for delivery in deliveries {
+            let reply = delivery.result.expect("no faults installed");
+            prop_assert!(ResponseView::parse(&reply).is_ok(), "unparseable reply {reply:?}");
         }
     }
 

@@ -1,7 +1,11 @@
-//! Properties of the zero-copy wire path: borrowed views accept exactly
-//! the byte strings the owned decoder accepts, materialize to identical
-//! messages, never panic on garbage, and the buffer-reusing encoder is
-//! byte-identical to the allocating one.
+//! Properties of the wire decoder (`whopay_core::view`, the one place
+//! frames are read): whatever the bytes — random, a valid frame with a
+//! bit flipped, a valid frame cut short — parsing never panics and
+//! whatever is not accepted is refused as `Malformed`; whatever is
+//! accepted materializes to a message that encodes and parses back to
+//! itself; and every generated message survives encode → parse →
+//! `to_owned` → encode byte-identically, through the buffer-reusing
+//! encoder as much as the allocating one.
 
 use proptest::prelude::*;
 use whopay_core::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
@@ -11,7 +15,7 @@ use whopay_core::messages::{
 };
 use whopay_core::view::{RequestView, ResponseView};
 use whopay_core::wire::{wire_kind, Request, Response};
-use whopay_core::{CoinId, PeerId, Timestamp};
+use whopay_core::{CoinId, CoreError, PeerId, Timestamp};
 use whopay_crypto::dsa::DsaSignature;
 use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::GroupSignature;
@@ -160,27 +164,53 @@ fn build_response(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Response {
     }
 }
 
+/// What holds of the request parser on any input: a refusal is
+/// `Malformed`; an accepted frame is labelled as `wire_kind` labels it,
+/// decodes (`Request::decode` is parse + `to_owned`) to what the view
+/// materializes, and that message's own encoding parses back to it
+/// (the input itself may differ from it by zero-padded integers, which
+/// the parser strips).
+fn check_request_bytes(bytes: &[u8]) {
+    match RequestView::parse(bytes) {
+        Ok(view) => {
+            assert_eq!(view.kind(), wire_kind(bytes));
+            let owned = view.to_owned_request();
+            assert_eq!(&Request::decode(bytes).unwrap(), &owned);
+            let canonical = owned.encode();
+            assert_eq!(RequestView::parse(&canonical).unwrap().to_owned_request(), owned);
+        }
+        Err(e) => {
+            assert_eq!(&e, &CoreError::Malformed);
+            assert_eq!(Request::decode(bytes).unwrap_err(), e);
+        }
+    }
+}
+
+/// [`check_request_bytes`] for the response parser.
+fn check_response_bytes(bytes: &[u8]) {
+    match ResponseView::parse(bytes) {
+        Ok(view) => {
+            let owned = view.to_owned_response();
+            assert_eq!(&Response::decode(bytes).unwrap(), &owned);
+            let canonical = owned.encode();
+            assert_eq!(ResponseView::parse(&canonical).unwrap().to_owned_response(), owned);
+        }
+        Err(e) => {
+            assert_eq!(&e, &CoreError::Malformed);
+            assert_eq!(Response::decode(bytes).unwrap_err(), e);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn views_and_owned_decoder_agree_on_random_bytes(
+    fn random_bytes_parse_or_are_refused_as_malformed(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        // Exact accept/reject agreement, and identical materialization.
-        match (RequestView::parse(&bytes), Request::decode(&bytes)) {
-            (Ok(view), Ok(req)) => {
-                prop_assert_eq!(view.to_owned_request(), req);
-                prop_assert_eq!(view.kind(), wire_kind(&bytes));
-            }
-            (Err(_), Err(_)) => {}
-            (v, d) => prop_assert!(false, "request view/decoder disagree: {v:?} vs {d:?}"),
-        }
-        match (ResponseView::parse(&bytes), Response::decode(&bytes)) {
-            (Ok(view), Ok(resp)) => prop_assert_eq!(view.to_owned_response(), resp),
-            (Err(_), Err(_)) => {}
-            (v, d) => prop_assert!(false, "response view/decoder disagree: {v:?} vs {d:?}"),
-        }
+        check_request_bytes(&bytes);
+        check_response_bytes(&bytes);
     }
 
     #[test]
@@ -198,12 +228,15 @@ proptest! {
         req.encode_into(&mut reused);
         prop_assert_eq!(&reused, &fresh);
 
-        // decode and view agree with each other and with the original.
-        let decoded = Request::decode(&fresh).unwrap();
+        // encode → parse → to_owned is the identity, and so encodes back
+        // to the same bytes.
         let view = RequestView::parse(&fresh).unwrap();
-        prop_assert_eq!(view.to_owned_request(), decoded);
         prop_assert_eq!(view.kind(), wire_kind(&fresh));
-        prop_assert_eq!(Request::decode(&fresh).unwrap().encode(), fresh.clone());
+        let owned = view.to_owned_request();
+        prop_assert_eq!(&owned, &req);
+        owned.encode_into(&mut reused);
+        prop_assert_eq!(&reused, &fresh);
+        prop_assert_eq!(Request::decode(&fresh).unwrap(), req);
     }
 
     #[test]
@@ -219,41 +252,47 @@ proptest! {
         resp.encode_into(&mut reused);
         prop_assert_eq!(&reused, &fresh);
 
-        let decoded = Response::decode(&fresh).unwrap();
-        let view = ResponseView::parse(&fresh).unwrap();
-        prop_assert_eq!(view.to_owned_response(), decoded);
-        prop_assert_eq!(Response::decode(&fresh).unwrap().encode(), fresh);
+        let owned = ResponseView::parse(&fresh).unwrap().to_owned_response();
+        prop_assert_eq!(&owned, &resp);
+        owned.encode_into(&mut reused);
+        prop_assert_eq!(&reused, &fresh);
+        prop_assert_eq!(Response::decode(&fresh).unwrap(), resp);
     }
 
     #[test]
-    fn corrupted_frames_never_split_the_decoders(
+    fn corrupted_frames_parse_or_are_refused_as_malformed(
         kind in 0u64..7,
         flags in any::<u64>(),
         pool in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 8..9),
         poke in any::<prop::sample::Index>(),
         bit in 0u8..8,
     ) {
-        // Flip one bit anywhere in a valid frame: the view parser and the
-        // owned decoder must still agree on accept/reject and value.
+        // Flip one bit anywhere in a valid frame.
         let mut frame = build_request(kind, flags, &mut Ints { pool: &pool, next: 0 }).encode();
         let i = poke.index(frame.len());
         frame[i] ^= 1 << bit;
-        match (RequestView::parse(&frame), Request::decode(&frame)) {
-            (Ok(view), Ok(req)) => prop_assert_eq!(view.to_owned_request(), req),
-            (Err(_), Err(_)) => {}
-            (v, d) => prop_assert!(false, "corrupt-frame disagreement: {v:?} vs {d:?}"),
-        }
+        check_request_bytes(&frame);
+        let mut frame = build_response(kind, flags, &mut Ints { pool: &pool, next: 0 }).encode();
+        let i = poke.index(frame.len());
+        frame[i] ^= 1 << bit;
+        check_response_bytes(&frame);
     }
 
     #[test]
-    fn truncated_frames_never_split_the_decoders(
+    fn truncated_frames_are_refused_as_malformed(
         kind in 0u64..7,
         flags in any::<u64>(),
         pool in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 8..9),
         cut in any::<prop::sample::Index>(),
     ) {
+        // The parser reads a frame front to back and accepts only when it
+        // has consumed every byte, so no strict prefix of a valid frame is
+        // one.
         let frame = build_request(kind, flags, &mut Ints { pool: &pool, next: 0 }).encode();
         let frame = &frame[..cut.index(frame.len())];
-        prop_assert!(RequestView::parse(frame).is_err() == Request::decode(frame).is_err());
+        prop_assert_eq!(RequestView::parse(frame).unwrap_err(), CoreError::Malformed);
+        let frame = build_response(kind, flags, &mut Ints { pool: &pool, next: 0 }).encode();
+        let frame = &frame[..cut.index(frame.len())];
+        prop_assert_eq!(ResponseView::parse(frame).unwrap_err(), CoreError::Malformed);
     }
 }

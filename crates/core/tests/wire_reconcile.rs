@@ -7,13 +7,15 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use whopay_core::service::{
-    attach_broker, attach_client, attach_peer, clock, deposit_via, install_wire_classifier,
-    purchase_via, request_issue_via, request_renewal_via, request_transfer_via, send_invite, sync_via,
+    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via, install_wire_classifier,
+    purchase_via, request_issue_via, request_renewal_via, request_transfer_via, send_invite,
+    shared_clock, sync_via,
 };
-use whopay_core::{codec, Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay_core::{codec, Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay_crypto::testing::{test_rng, tiny_group};
 use whopay_net::Network;
 use whopay_obs::{MemoryRecorder, Metrics, Obs, OpKind, Outcome, Tracer};
@@ -23,8 +25,8 @@ fn scratch_path_reconciles_stats_breakdown_events_and_pool_bytes() {
     let mut rng = test_rng(77);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -37,9 +39,9 @@ fn scratch_path_reconciles_stats_breakdown_events_and_pool_bytes() {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner = mk(0, &mut judge, &mut broker, &mut rng);
-    let mut payer = mk(1, &mut judge, &mut broker, &mut rng);
-    let mut payee = mk(2, &mut judge, &mut broker, &mut rng);
+    let owner = mk(0, &mut judge, &broker, &mut rng);
+    let mut payer = mk(1, &mut judge, &broker, &mut rng);
+    let mut payee = mk(2, &mut judge, &broker, &mut rng);
 
     let recorder = Arc::new(MemoryRecorder::new());
     let mut net = Network::new();
@@ -47,8 +49,8 @@ fn scratch_path_reconciles_stats_breakdown_events_and_pool_bytes() {
     install_wire_classifier(&mut net);
 
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clk.clone(), 11);
+    let sclk = shared_clock(Timestamp(0));
+    let broker_ep = attach_shard_endpoints(&mut net, broker, sclk.clone(), 11)[0];
     let owner = Rc::new(RefCell::new(owner));
     let owner_ep = attach_peer(&mut net, owner.clone(), clk.clone(), 12);
     let payer_ep = attach_client(&mut net, "payer");
@@ -78,6 +80,7 @@ fn scratch_path_reconciles_stats_breakdown_events_and_pool_bytes() {
     payer.complete_transfer(coin);
 
     clk.set(Timestamp(100));
+    sclk.store(100, Ordering::SeqCst);
     let rreq = payee.request_renewal(coin, &mut rng).expect("renewal request");
     let renewed = request_renewal_via(&mut net, payee_ep, owner_ep, rreq, false).expect("renewal");
     payee.apply_renewal(coin, renewed).expect("renewal applied");

@@ -60,14 +60,6 @@ impl Transcript {
         self
     }
 
-    /// Appends a big integer given as its raw big-endian wire bytes,
-    /// producing the same digest as [`Transcript::int`] on the
-    /// materialized value. Leading zero bytes are stripped so attacker
-    /// padding cannot create a second encoding of the same integer.
-    pub fn int_be_bytes(self, be: &[u8]) -> Self {
-        self.bytes(&be[be.iter().take_while(|&&b| b == 0).count()..])
-    }
-
     /// Appends a u64.
     pub fn u64(self, v: u64) -> Self {
         self.bytes(&v.to_be_bytes())
@@ -122,18 +114,6 @@ mod tests {
             let via_bytes = Transcript::new("t").bytes(&v.to_be_bytes()).finish();
             assert_eq!(streamed, via_bytes, "bits={bits}");
         }
-    }
-
-    #[test]
-    fn int_be_bytes_strips_padding_and_matches_int() {
-        let v = BigUint::from(0xBEEFu64);
-        let canonical = Transcript::new("t").int(&v).finish();
-        assert_eq!(Transcript::new("t").int_be_bytes(&[0xBE, 0xEF]).finish(), canonical);
-        assert_eq!(Transcript::new("t").int_be_bytes(&[0, 0, 0xBE, 0xEF]).finish(), canonical);
-        assert_eq!(
-            Transcript::new("t").int_be_bytes(&[]).finish(),
-            Transcript::new("t").int(&BigUint::zero()).finish()
-        );
     }
 
     #[test]

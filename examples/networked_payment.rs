@@ -11,12 +11,13 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use whopay::core::service::{
-    attach_broker, attach_client, attach_peer, clock, deposit_via, purchase_via, request_issue_via,
-    request_transfer_via, send_invite,
+    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via, purchase_via,
+    request_issue_via, request_transfer_via, send_invite, shared_clock,
 };
-use whopay::core::{Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay::core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay::crypto::testing;
 use whopay::net::Network;
 
@@ -24,9 +25,10 @@ fn main() {
     let mut rng = testing::test_rng(31);
     let params = SystemParams::new(testing::tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
+    // The broker is a `ShardedBroker`; unpartitioned, it has one shard.
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
 
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -39,15 +41,14 @@ fn main() {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner = mk(0, &mut judge, &mut broker, &mut rng);
-    let mut payer = mk(1, &mut judge, &mut broker, &mut rng);
-    let mut payee = mk(2, &mut judge, &mut broker, &mut rng);
+    let owner = mk(0, &mut judge, &broker, &mut rng);
+    let mut payer = mk(1, &mut judge, &broker, &mut rng);
+    let mut payee = mk(2, &mut judge, &broker, &mut rng);
 
     // Wire everything to the network.
     let mut net = Network::new();
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clk.clone(), 1);
+    let broker_ep = attach_shard_endpoints(&mut net, broker, shared_clock(Timestamp(0)), 1)[0];
     let owner = Rc::new(RefCell::new(owner));
     let owner_ep = attach_peer(&mut net, owner.clone(), clk.clone(), 2);
     let payer_ep = attach_client(&mut net, "payer");

@@ -27,8 +27,8 @@ cargo test -p whopay-core -q --release --offline --test member_parity --test con
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories; sign-once roots, compare-first deposits, every refusal counted)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test broker_accounting
 
-echo "==> cargo test -p whopay-core --release (wire fast-path: props, alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side], reconciliation)"
-cargo test -p whopay-core -q --release --offline --test wire_props --test alloc_regression --test wire_reconcile
+echo "==> cargo test -p whopay-core --release (the one wire decoder: props, fuzz [views, TickBatch, prepare groups, 4 KiB damaged real frames], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, parent-commit journal fixture)"
+cargo test -p whopay-core -q --release --offline --test wire_props --test wire_fuzz --test alloc_regression --test wire_reconcile --test networked --test journal_fixture
 
 echo "==> WHOPAY_VPOOL_THREADS=1 cargo test -q (serial-pool determinism pass)"
 WHOPAY_VPOOL_THREADS=1 cargo test -q --offline
@@ -46,8 +46,8 @@ cargo test -q --release --offline --test chaos lost_cross_shard
 echo "==> cargo test --release --test chaos streaming (PayWord stream: faults + mid-stream shard crash)"
 cargo test -q --release --offline --test chaos streaming_micropay
 
-echo "==> WHOPAY_NET_THREADS=1 cargo test -q --release (event-queue single-thread equivalence pass)"
-WHOPAY_NET_THREADS=1 cargo test -q --release --offline
+echo "==> cargo test -q --release (root suite with overflow checks off)"
+cargo test -q --release --offline
 
 echo "==> cargo test -p whopay-net --release (fault-schedule determinism + queue/sync equivalence props + one prepare per target per drain, over the post-fate bytes)"
 cargo test -p whopay-net -q --release --offline --test fault_props --test queue_equiv

@@ -22,15 +22,15 @@
 //! accepted the hostile record, the test says so — that contrast is the
 //! point of the proof-checked path.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use whopay::core::codec::Writer as WireWriter;
 use whopay::core::service::{
-    attach_broker, attach_client, binding_proof_via_retry, clock, install_wire_classifier,
+    attach_client, attach_shard_endpoints, binding_proof_via_retry, install_wire_classifier,
+    shared_clock,
 };
 use whopay::core::{
-    dsd, Broker, CoreError, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp,
+    dsd, CoreError, Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp,
 };
 use whopay::crypto::dsa::DsaKeyPair;
 use whopay::crypto::testing::{test_rng, tiny_group};
@@ -44,7 +44,8 @@ use whopay::obs::Obs;
 
 struct World {
     params: SystemParams,
-    broker: Broker,
+    /// One shard: the broker is not partitioned here.
+    broker: Arc<ShardedBroker>,
     peers: Vec<Peer>,
     dht: Dht,
     entry: RingId,
@@ -55,7 +56,7 @@ fn world(seed: u64) -> World {
     let mut rng = test_rng(seed);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
     let peers: Vec<Peer> = (0..3u64)
         .map(|i| {
             let gk = judge.enroll(PeerId(i), &mut rng);
@@ -100,7 +101,7 @@ fn coin_with_committed_binding(w: &mut World) -> (whopay::core::types::CoinId, B
     let (invite2, session2) = w.peers[2].begin_receive(&mut w.rng);
     let treq = w.peers[1].request_transfer(coin, &invite2, &mut w.rng).unwrap();
     let grant2 = w.broker.handle_downtime_transfer(&treq, Timestamp(10), &mut w.rng).unwrap();
-    w.broker.publish_binding(&grant2.binding, &mut w.dht, w.entry, &mut w.rng).unwrap();
+    w.broker.lock_shard(0).publish_binding(&grant2.binding, &mut w.dht, w.entry, &mut w.rng).unwrap();
     w.peers[2].accept_grant(grant2, session2, Timestamp(10)).unwrap();
     w.peers[1].complete_transfer(coin);
 
@@ -162,8 +163,8 @@ fn proof_fetch_over_a_faulty_network_succeeds_with_retries() {
 
     let mut net = Network::new();
     install_wire_classifier(&mut net);
-    let broker = Rc::new(RefCell::new(w.broker));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clock(Timestamp(20)), 77);
+    let broker_ep =
+        attach_shard_endpoints(&mut net, w.broker.clone(), shared_clock(Timestamp(20)), 77)[0];
     let payee_ep = attach_client(&mut net, "payee");
     let plan = FaultPlan::new().with_default(FaultRates {
         drop: 0.02,
@@ -185,9 +186,7 @@ fn proof_fetch_over_a_faulty_network_succeeds_with_retries() {
     )
     .expect("retries beat a 2% fault storm");
     assert_eq!(proof.leaf.coin, coin);
-    proof
-        .verify(w.params.group(), broker.borrow().public_key())
-        .expect("network-fetched proof verifies");
+    proof.verify(w.params.group(), w.broker.public_key()).expect("network-fetched proof verifies");
 
     let state = dsd::read_public_state_verified(
         &mut w.dht,
@@ -195,7 +194,7 @@ fn proof_fetch_over_a_faulty_network_succeeds_with_retries() {
         &coin_pk,
         &proof,
         w.params.group(),
-        broker.borrow().public_key(),
+        w.broker.public_key(),
     )
     .expect("verified lookup with a network-fetched proof");
     assert_eq!(Some(state), proof.leaf.binding);
@@ -222,7 +221,7 @@ fn stale_replay_is_rejected_where_plain_read_accepts_it() {
     let (invite2, session2) = w.peers[2].begin_receive(&mut w.rng);
     let treq = w.peers[1].request_transfer(coin, &invite2, &mut w.rng).unwrap();
     let grant2 = w.broker.handle_downtime_transfer(&treq, Timestamp(10), &mut w.rng).unwrap();
-    w.broker.publish_binding(&grant2.binding, &mut w.dht, w.entry, &mut w.rng).unwrap();
+    w.broker.lock_shard(0).publish_binding(&grant2.binding, &mut w.dht, w.entry, &mut w.rng).unwrap();
     w.peers[2].accept_grant(grant2, session2, Timestamp(10)).unwrap();
     w.peers[1].complete_transfer(coin);
 

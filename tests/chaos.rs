@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use whopay::core::micropay::{MicropayHost, MicropaySender};
 use whopay::core::service::{
-    attach_broker, attach_client, attach_micropay_host, attach_peer, attach_shard_endpoints,
+    attach_client, attach_micropay_host, attach_peer, attach_shard_endpoints,
     attach_shard_endpoints_obs, clock, deposit_batch_via_obs, deposit_via_retry,
     install_wire_classifier, open_chain_via_retry, purchase_via_retry, redeem_chain_via,
     redeem_chain_via_retry, request_issue_via_retry, request_renewal_via_retry,
@@ -59,9 +59,8 @@ fn chaos_seed() -> u64 {
 
 struct ChaosWorld {
     net: Network,
-    params: SystemParams,
-    judge: Judge,
-    broker: Rc<RefCell<Broker>>,
+    /// One shard: this run's broker is not partitioned.
+    broker: Arc<ShardedBroker>,
     broker_ep: EndpointId,
     owner: Rc<RefCell<Peer>>,
     owner_ep: EndpointId,
@@ -70,6 +69,8 @@ struct ChaosWorld {
     payee: Peer,
     payee_ep: EndpointId,
     clk: whopay::core::service::Clock,
+    /// The broker's clock.
+    sclk: SharedClock,
     rng: rand::rngs::StdRng,
 }
 
@@ -77,8 +78,8 @@ fn chaos_world(seed: u64) -> ChaosWorld {
     let mut rng = test_rng(seed);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -91,16 +92,16 @@ fn chaos_world(seed: u64) -> ChaosWorld {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner = mk(0, &mut judge, &mut broker, &mut rng);
-    let payer = mk(1, &mut judge, &mut broker, &mut rng);
-    let payee = mk(2, &mut judge, &mut broker, &mut rng);
-    broker.enable_journal();
+    let owner = mk(0, &mut judge, &broker, &mut rng);
+    let payer = mk(1, &mut judge, &broker, &mut rng);
+    let payee = mk(2, &mut judge, &broker, &mut rng);
+    broker.enable_journals();
 
     let mut net = Network::new();
     install_wire_classifier(&mut net);
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clk.clone(), 1000 + seed);
+    let sclk = shared_clock(Timestamp(0));
+    let broker_ep = attach_shard_endpoints(&mut net, broker.clone(), sclk.clone(), 1000 + seed)[0];
     let owner = Rc::new(RefCell::new(owner));
     let owner_ep = attach_peer(&mut net, owner.clone(), clk.clone(), 2000 + seed);
     let payer_ep = attach_client(&mut net, "payer");
@@ -115,8 +116,6 @@ fn chaos_world(seed: u64) -> ChaosWorld {
 
     ChaosWorld {
         net,
-        params,
-        judge,
         broker,
         broker_ep,
         owner,
@@ -126,6 +125,7 @@ fn chaos_world(seed: u64) -> ChaosWorld {
         payee,
         payee_ep,
         clk,
+        sclk,
         rng,
     }
 }
@@ -138,25 +138,6 @@ enum Stranded {
     Payee(CoinId, DepositRequest),
     /// The payer holds it (transfer or acceptance abandoned).
     Payer(CoinId),
-}
-
-/// Crash the broker and rebuild it from its journal, asserting the
-/// recovered state equals the pre-crash state field by field.
-fn crash_and_recover(w: &mut ChaosWorld) {
-    let (pre_snapshot, pre_stats, journal_bytes, keys) = {
-        let b = w.broker.borrow();
-        (b.snapshot(), b.stats(), b.journal().expect("journalling enabled").to_bytes(), b.export_keys())
-    };
-    // The journal survives the crash as bytes (the durable artifact); the
-    // keys come from the operator's out-of-band config.
-    let journal = Journal::from_bytes(&journal_bytes).expect("journal decodes");
-    let recovered = Broker::recover(w.params.clone(), w.judge.public_key().clone(), keys, &journal);
-    let post = recovered.snapshot();
-    assert_eq!(post.registered, pre_snapshot.registered, "registered peers survive recovery");
-    assert_eq!(post.coins, pre_snapshot.coins, "coin records survive recovery exactly");
-    assert_eq!(post.fraud, pre_snapshot.fraud, "fraud cases survive recovery");
-    assert_eq!(recovered.stats(), pre_stats, "counters survive recovery");
-    *w.broker.borrow_mut() = recovered;
 }
 
 #[test]
@@ -177,6 +158,7 @@ fn lifecycles_under_faults_conserve_value() {
     for i in 0..LIFECYCLES {
         let now = Timestamp(100 * i);
         w.clk.set(now);
+        w.sclk.store(now.0, Ordering::SeqCst);
 
         // Purchase: owner buys a coin from the broker.
         let coin = {
@@ -259,15 +241,15 @@ fn lifecycles_under_faults_conserve_value() {
         }
 
         if i == CHECKPOINT_AT {
-            w.broker.borrow_mut().checkpoint_journal();
+            w.broker.checkpoint_journals();
             assert_eq!(
-                w.broker.borrow().journal().unwrap().len(),
+                w.broker.lock_shard(0).journal().unwrap().len(),
                 1,
                 "checkpoint folds the journal to one entry"
             );
         }
         if i == CRASH_AT {
-            crash_and_recover(&mut w);
+            crash_and_recover_shard(&w.broker, 0);
         }
     }
 
@@ -282,6 +264,7 @@ fn lifecycles_under_faults_conserve_value() {
     // Fault-free drain: every accepted payment is eventually depositable.
     let now = Timestamp(100 * LIFECYCLES);
     w.clk.set(now);
+    w.sclk.store(now.0, Ordering::SeqCst);
     for s in stranded {
         match s {
             Stranded::Payee(coin, dreq) => {
@@ -322,7 +305,7 @@ fn lifecycles_under_faults_conserve_value() {
     // is deposited exactly once or still circulating, the deposited set
     // matches the client-side ledger, and no fraud case was raised (the
     // only re-presentations were idempotent replays).
-    let broker = w.broker.borrow();
+    let broker = w.broker.lock_shard(0);
     let stats = broker.stats();
     let snap = broker.snapshot();
     let deposited_broker = snap.coins.iter().filter(|(_, s)| s.deposited).count();
@@ -905,6 +888,7 @@ fn same_seed_same_outcome() {
         for i in 0..8 {
             let now = Timestamp(100 * i);
             w.clk.set(now);
+            w.sclk.store(now.0, Ordering::SeqCst);
             let mut owner = w.owner.borrow_mut();
             if purchase_via_retry(
                 &mut w.net,
@@ -922,7 +906,7 @@ fn same_seed_same_outcome() {
                 ok += 1;
             }
         }
-        let stats = w.broker.borrow().stats();
+        let stats = w.broker.stats();
         (ok, stats.purchases, w.net.fault_stats().decisions, policy.stats().attempts)
     }
     assert_eq!(run(7), run(7));

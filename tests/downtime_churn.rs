@@ -10,12 +10,14 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use whopay::core::service::{
-    attach_broker, attach_client, attach_peer, clock, request_renewal_via, request_transfer_via,
-    sync_via,
+    attach_client, attach_peer, attach_shard_endpoints, clock, request_renewal_via,
+    request_transfer_via, shared_clock, sync_via,
 };
-use whopay::core::{Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay::core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay::crypto::testing::{test_rng, tiny_group};
 use whopay::net::Network;
 use whopay::sim::{churn::ChurnProcess, SimTime};
@@ -32,8 +34,8 @@ fn downtime_protocol_under_churn() {
 
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -46,14 +48,13 @@ fn downtime_protocol_under_churn() {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner = mk(0, &mut judge, &mut broker, &mut rng);
-    let mut traders =
-        [mk(1, &mut judge, &mut broker, &mut rng), mk(2, &mut judge, &mut broker, &mut rng)];
+    let owner = mk(0, &mut judge, &broker, &mut rng);
+    let mut traders = [mk(1, &mut judge, &broker, &mut rng), mk(2, &mut judge, &broker, &mut rng)];
 
     let mut net = Network::new();
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker(&mut net, broker.clone(), clk.clone(), 1000 + seed);
+    let sclk = shared_clock(Timestamp(0));
+    let broker_ep = attach_shard_endpoints(&mut net, broker.clone(), sclk.clone(), 1000 + seed)[0];
     let owner = Rc::new(RefCell::new(owner));
     let owner_ep = attach_peer(&mut net, owner.clone(), clk.clone(), 2000 + seed);
     let trader_eps = [attach_client(&mut net, "trader-1"), attach_client(&mut net, "trader-2")];
@@ -68,7 +69,7 @@ fn downtime_protocol_under_churn() {
     let coin = {
         let mut o = owner.borrow_mut();
         let (req, pending) = o.create_purchase_request(PurchaseMode::Identified, &mut rng);
-        let minted = broker.borrow_mut().handle_purchase(&req, &mut rng).unwrap();
+        let minted = broker.handle_purchase(&req, &mut rng).unwrap();
         let coin = o.complete_purchase(minted, pending, t0, &mut rng).unwrap();
         let (invite, session) = traders[0].begin_receive(&mut rng);
         let grant = o.issue_coin(coin, &invite, t0, &mut rng).unwrap();
@@ -86,6 +87,7 @@ fn downtime_protocol_under_churn() {
         let t = SimTime::from_mins((round + 1) * 30);
         let now = Timestamp(t.as_millis());
         clk.set(now);
+        sclk.store(now.0, Ordering::SeqCst);
 
         // Drive the owner's endpoint from the churn process.
         let online = churn.advance_to(t, &mut churn_rng);
@@ -144,7 +146,7 @@ fn downtime_protocol_under_churn() {
 
     // The schedule produced genuine offline windows, the broker stood in
     // for the owner during them, and the owner served ops when online.
-    let stats = broker.borrow().stats();
+    let stats = broker.stats();
     assert!(offline_windows >= 1, "churn produced no offline window");
     assert!(stats.downtime_transfers >= 1, "no downtime transfers: {stats:?}");
     assert!(stats.downtime_renewals >= 1, "no downtime renewals: {stats:?}");
@@ -165,8 +167,6 @@ fn downtime_protocol_under_churn() {
     // And the coin still deposits cleanly at the end of the chain (at the
     // last round's clock, inside the binding's validity window).
     let dreq = traders[holder].request_deposit(coin, &mut rng).unwrap();
-    let receipt = broker
-        .borrow_mut()
-        .handle_deposit(&dreq, Timestamp(SimTime::from_mins(ROUNDS * 30).as_millis()));
+    let receipt = broker.handle_deposit(&dreq, Timestamp(SimTime::from_mins(ROUNDS * 30).as_millis()));
     assert_eq!(receipt.unwrap().coin, coin);
 }

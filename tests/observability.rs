@@ -4,16 +4,19 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use whopay::core::micropay::{MicropayHost, MicropaySender};
 use whopay::core::service::{
-    attach_broker_obs, attach_client, attach_micropay_host_obs, attach_peer_obs, clock,
+    attach_client, attach_micropay_host_obs, attach_peer_obs, attach_shard_endpoints_obs, clock,
     deposit_via_obs, install_wire_classifier, open_chain_via_obs, purchase_via_obs,
     request_issue_via_obs, request_renewal_via_obs, request_transfer_via_obs, send_invite_obs,
-    sync_via_obs, tick_batch_via_obs, tick_via_obs,
+    shared_clock, sync_via_obs, tick_batch_via_obs, tick_via_obs, SharedClock,
 };
-use whopay::core::{dsd, Broker, ChainId, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay::core::{
+    dsd, Broker, ChainId, Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp,
+};
 use whopay::crypto::payword::Payword;
 use whopay::crypto::testing::{test_rng, tiny_group};
 use whopay::dht::{Dht, DhtConfig, RingId};
@@ -30,6 +33,8 @@ struct NetWorld {
     payee: Peer,
     payee_ep: whopay::net::EndpointId,
     clk: whopay::core::service::Clock,
+    /// The broker's clock.
+    sclk: SharedClock,
     rng: rand::rngs::StdRng,
 }
 
@@ -40,8 +45,8 @@ fn networld(seed: u64, server_obs: Obs) -> NetWorld {
     let mut rng = test_rng(seed);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -54,20 +59,21 @@ fn networld(seed: u64, server_obs: Obs) -> NetWorld {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner = mk(0, &mut judge, &mut broker, &mut rng);
-    let payer = mk(1, &mut judge, &mut broker, &mut rng);
-    let payee = mk(2, &mut judge, &mut broker, &mut rng);
+    let owner = mk(0, &mut judge, &broker, &mut rng);
+    let payer = mk(1, &mut judge, &broker, &mut rng);
+    let payee = mk(2, &mut judge, &broker, &mut rng);
 
     let mut net = Network::new();
     install_wire_classifier(&mut net);
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker_obs(&mut net, broker, clk.clone(), 1000 + seed, server_obs.clone());
+    let sclk = shared_clock(Timestamp(0));
+    let broker_ep =
+        attach_shard_endpoints_obs(&mut net, broker, sclk.clone(), 1000 + seed, server_obs.clone())[0];
     let owner = Rc::new(RefCell::new(owner));
     let owner_ep = attach_peer_obs(&mut net, owner.clone(), clk.clone(), 2000 + seed, server_obs);
     let payer_ep = attach_client(&mut net, "payer");
     let payee_ep = attach_client(&mut net, "payee");
-    NetWorld { net, broker_ep, owner, owner_ep, payer, payer_ep, payee, payee_ep, clk, rng }
+    NetWorld { net, broker_ep, owner, owner_ep, payer, payer_ep, payee, payee_ep, clk, sclk, rng }
 }
 
 /// Runs one full coin lifecycle (purchase, issue, invite, transfer,
@@ -102,6 +108,7 @@ fn run_lifecycle(w: &mut NetWorld, obs: &Obs) {
     w.payer.complete_transfer(coin);
 
     w.clk.set(Timestamp(100));
+    w.sclk.store(100, Ordering::SeqCst);
     let rreq = w.payee.request_renewal(coin, &mut w.rng).unwrap();
     let renewed =
         request_renewal_via_obs(&mut w.net, w.payee_ep, w.owner_ep, rreq, false, obs).unwrap();

@@ -5,13 +5,15 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use whopay::core::service::{
-    attach_broker, attach_client, attach_peer, clock, deposit_via_retry, install_wire_classifier,
-    purchase_via_retry, request_issue_via_retry, request_renewal_via_retry, request_transfer_via_retry,
+    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via_retry,
+    install_wire_classifier, purchase_via_retry, request_issue_via_retry, request_renewal_via_retry,
+    request_transfer_via_retry, shared_clock, SharedClock,
 };
-use whopay::core::{Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp};
+use whopay::core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay::crypto::testing::{test_rng, tiny_group};
 use whopay::net::{FaultInjector, FaultPlan, FaultRates, Network, RetryPolicy};
 use whopay::obs::{Event, MemoryRecorder, Obs, OpKind, Role, Tracer};
@@ -26,6 +28,8 @@ struct World {
     payee: Peer,
     payee_ep: whopay::net::EndpointId,
     clk: whopay::core::service::Clock,
+    /// The broker's clock.
+    sclk: SharedClock,
     rng: rand::rngs::StdRng,
 }
 
@@ -33,8 +37,8 @@ fn world(seed: u64) -> World {
     let mut rng = test_rng(seed);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
-    let mut broker = Broker::new(params.clone(), judge.public_key().clone(), &mut rng);
-    let mk = |id: u64, judge: &mut Judge, broker: &mut Broker, rng: &mut rand::rngs::StdRng| {
+    let broker = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 1, &mut rng));
+    let mk = |id: u64, judge: &mut Judge, broker: &ShardedBroker, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
             PeerId(id),
@@ -47,15 +51,15 @@ fn world(seed: u64) -> World {
         broker.register_peer(PeerId(id), p.public_key().clone());
         p
     };
-    let owner = mk(0, &mut judge, &mut broker, &mut rng);
-    let payer = mk(1, &mut judge, &mut broker, &mut rng);
-    let payee = mk(2, &mut judge, &mut broker, &mut rng);
+    let owner = mk(0, &mut judge, &broker, &mut rng);
+    let payer = mk(1, &mut judge, &broker, &mut rng);
+    let payee = mk(2, &mut judge, &broker, &mut rng);
 
     let mut net = Network::new();
     install_wire_classifier(&mut net);
     let clk = clock(Timestamp(0));
-    let broker = Rc::new(RefCell::new(broker));
-    let broker_ep = attach_broker(&mut net, broker, clk.clone(), 1000 + seed);
+    let sclk = shared_clock(Timestamp(0));
+    let broker_ep = attach_shard_endpoints(&mut net, broker, sclk.clone(), 1000 + seed)[0];
     let owner = Rc::new(RefCell::new(owner));
     let owner_ep = attach_peer(&mut net, owner.clone(), clk.clone(), 2000 + seed);
     let payer_ep = attach_client(&mut net, "payer");
@@ -66,13 +70,14 @@ fn world(seed: u64) -> World {
     let rates = FaultRates { drop: 0.02, duplicate: 0.02, corrupt: 0.02, timeout: 0.02 };
     net.install_faults(FaultInjector::new(FaultPlan::new().with_default(rates), seed ^ 0x7A3E));
 
-    World { net, broker_ep, owner, owner_ep, payer, payer_ep, payee, payee_ep, clk, rng }
+    World { net, broker_ep, owner, owner_ep, payer, payer_ep, payee, payee_ep, clk, sclk, rng }
 }
 
 /// One best-effort coin lifecycle through the retry-wrapped helpers.
 fn run_lifecycle(w: &mut World, i: u64, policy: &RetryPolicy, obs: &Obs) {
     let now = Timestamp(100 * i);
     w.clk.set(now);
+    w.sclk.store(now.0, Ordering::SeqCst);
     let coin = {
         let mut owner = w.owner.borrow_mut();
         match purchase_via_retry(
