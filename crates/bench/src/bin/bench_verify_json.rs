@@ -12,14 +12,23 @@
 //!
 //! A second table, `groups`, is the shape a broker shard settles per
 //! drain cycle: `n` signatures, each under its own cold key, against `n`
-//! `verify_member` calls. Three ways: `members` — the keys are proven
+//! `verify_member` calls. Five ways: `members` — the keys are proven
 //! members already (a minted coin's key, a holder key a renewal verified
 //! under) and one reduced-exponent combination settles the signatures;
-//! `proven` — each key is first proven by `is_element`, which is what a
-//! shard does for a holder key it sees for the first time; `merged` — the
+//! `proven` — each key is first proven by `is_element`; `merged` — the
 //! membership rides in the combination on the key's own base, which the
-//! peers' chain verification does and the broker does not (DESIGN.md §9).
-//! Plus the cost of finding one forgery among the `members` claims.
+//! peers' chain verification does and the broker does not (DESIGN.md §9);
+//! `lanes` — `verify_member_many`, every key's membership-and-power chain
+//! walked exactly, eight to a lane call, which is what a shard does for a
+//! holder key nothing vouches for yet; `lane_proven` — the keys proven by
+//! `pow_member_many`, then the `members` combination. Plus the cost of
+//! finding one forgery among the `members` claims.
+//!
+//! A third table, `group_sigs`: `n` group signatures through
+//! `GroupPublicKey::verify` one at a time against `verify_each`, whose
+//! `2n` chains ride lanes from four chains up. On a host without
+//! `avx512ifma` (`"ifma": false`) every lane column runs the serial
+//! engine and reads as its serial neighbour.
 //! `scripts/bench.sh` invokes this after the crypto bench; EXPERIMENTS.md
 //! records the tracked speedups.
 
@@ -29,9 +38,10 @@ use std::time::Duration;
 use whopay_bench::{bench_group, time_it};
 use whopay_core::{BindingChain, VerifyPool};
 use whopay_crypto::batch::{verify_dsa_members, verify_dsa_with_elements, DsaBatchItem};
-use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey};
+use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature, MemberClaims};
+use whopay_crypto::group_sig::{GroupManager, GroupSignature};
 use whopay_crypto::testing::test_rng;
-use whopay_num::{BigUint, SchnorrGroup};
+use whopay_num::{BigUint, Powers, SchnorrGroup};
 
 /// Deposit counts settled together (the "chain lengths").
 const CHAIN_LENS: [usize; 3] = [4, 16, 64];
@@ -39,6 +49,8 @@ const CHAIN_LENS: [usize; 3] = [4, 16, 64];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Signatures a shard settles together in one drain cycle.
 const GROUP_SIZES: [usize; 3] = [4, 16, 64];
+/// Group signatures verified together.
+const GROUP_SIG_COUNTS: [usize; 5] = [1, 2, 4, 16, 64];
 
 /// One deposit's worth of verification work, as plain data.
 struct Item {
@@ -157,13 +169,46 @@ fn main() {
             all_hold(verify_dsa_members(group, &items));
         });
         let merged = time_it(iters, || all_hold(verify_dsa_with_elements(group, &items, &elements)));
+        let claims: Vec<[(&[u8], &DsaSignature); 1]> =
+            items.iter().map(|it| [(&it.message[..], &it.sig)]).collect();
+        let keys: Vec<MemberClaims<'_>> =
+            items.iter().zip(&claims).map(|(it, claim)| (it.key.element(), &claim[..])).collect();
+        let lanes = time_it(iters, || {
+            let verdicts = DsaPublicKey::verify_member_many(group, &keys);
+            assert!(verdicts.iter().all(|v| v.as_deref() == Some(&[true][..])));
+        });
+        let bare: Vec<Powers<'_>> = elements.iter().map(|x| (x, &[][..])).collect();
+        let lane_proven = time_it(iters, || {
+            assert!(group.pow_member_many(&bare).iter().all(Option::is_some));
+            all_hold(verify_dsa_members(group, &items));
+        });
         let mut forged = items.clone();
         forged[n / 3].message.push(0xA5);
         let one_forgery = time_it(iters, || {
             let settled = verify_dsa_members(group, &forged);
             assert_eq!(settled.signatures.iter().filter(|&&ok| !ok).count(), 1);
         });
-        groups.push((n, serial, [members, proven, merged, one_forgery]));
+        groups.push((n, serial, [members, proven, merged, lanes, lane_proven, one_forgery]));
+    }
+
+    // Group signatures: one at a time against all their chains at once.
+    let mut judge = GroupManager::new(group.clone(), &mut rng);
+    let member = judge.enroll((), &mut rng);
+    let gpk = judge.public_key();
+    let mut group_sigs = Vec::new();
+    for &n in &GROUP_SIG_COUNTS {
+        let iters = (256 / n).max(4) as u32;
+        let signed: Vec<(Vec<u8>, GroupSignature)> = (0..n)
+            .map(|i| {
+                let message = format!("bench/group-sig/{i}").into_bytes();
+                let sig = member.sign(group, gpk, &message, &mut rng);
+                (message, sig)
+            })
+            .collect();
+        let claims: Vec<(&[u8], &GroupSignature)> = signed.iter().map(|(m, s)| (&m[..], s)).collect();
+        let serial = time_it(iters, || assert!(claims.iter().all(|(m, s)| gpk.verify(group, m, s))));
+        let each = time_it(iters, || assert!(gpk.verify_each(group, &claims).iter().all(|&ok| ok)));
+        group_sigs.push((n, serial, each));
     }
 
     let speedup = |base: Duration, d: Duration| base.as_secs_f64() / d.as_secs_f64();
@@ -173,6 +218,7 @@ fn main() {
     writeln!(json, "  \"generated_by\": \"crates/bench/src/bin/bench_verify_json.rs\",").unwrap();
     writeln!(json, "  \"group\": \"512/160\",").unwrap();
     writeln!(json, "  \"host_cpus\": {host_cpus},").unwrap();
+    writeln!(json, "  \"ifma\": {},", group.lane_plan(8).0 > 0).unwrap();
     writeln!(json, "  \"chains\": [").unwrap();
     for (row_idx, (len, sigs, serial, by_threads)) in rows.iter().enumerate() {
         writeln!(json, "    {{").unwrap();
@@ -202,23 +248,45 @@ fn main() {
     }
     writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"groups\": [").unwrap();
-    for (i, (n, serial, [members, proven, merged, one_forgery])) in groups.iter().enumerate() {
+    for (i, (n, serial, [members, proven, merged, lanes, lane_proven, one_forgery])) in
+        groups.iter().enumerate()
+    {
         let per_sig = |d: &Duration| d.as_nanos() / *n as u128;
+        write!(json, "    {{ \"n\": {n}, \"verify_member_ns_per_sig\": {}", per_sig(serial)).unwrap();
+        for (label, d) in [
+            ("members_batch", members),
+            ("proven_batch", proven),
+            ("merged_batch", merged),
+            ("lanes", lanes),
+            ("lane_proven_batch", lane_proven),
+        ] {
+            write!(
+                json,
+                ", \"{label}_ns_per_sig\": {}, \"{label}_speedup\": {:.2}",
+                per_sig(d),
+                speedup(*serial, *d)
+            )
+            .unwrap();
+        }
         writeln!(
             json,
-            "    {{ \"n\": {n}, \"verify_member_ns_per_sig\": {}, \"members_batch_ns_per_sig\": {}, \
-             \"members_batch_speedup\": {:.2}, \"proven_batch_ns_per_sig\": {}, \
-             \"proven_batch_speedup\": {:.2}, \"merged_batch_ns_per_sig\": {}, \
-             \"merged_batch_speedup\": {:.2}, \"one_forgery_ns_per_sig\": {} }}{}",
-            per_sig(serial),
-            per_sig(members),
-            speedup(*serial, *members),
-            per_sig(proven),
-            speedup(*serial, *proven),
-            per_sig(merged),
-            speedup(*serial, *merged),
+            ", \"one_forgery_ns_per_sig\": {} }}{}",
             per_sig(one_forgery),
             if i + 1 < groups.len() { "," } else { "" }
+        )
+        .unwrap();
+    }
+    writeln!(json, "  ],").unwrap();
+    writeln!(json, "  \"group_sigs\": [").unwrap();
+    for (i, (n, serial, each)) in group_sigs.iter().enumerate() {
+        writeln!(
+            json,
+            "    {{ \"n\": {n}, \"verify_ns_per_sig\": {}, \"verify_each_ns_per_sig\": {}, \
+             \"verify_each_speedup\": {:.2} }}{}",
+            serial.as_nanos() / *n as u128,
+            each.as_nanos() / *n as u128,
+            speedup(*serial, *each),
+            if i + 1 < group_sigs.len() { "," } else { "" }
         )
         .unwrap();
     }

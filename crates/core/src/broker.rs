@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 use whopay_crypto::batch;
-use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
+use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature, MemberClaims};
 use whopay_crypto::group_sig::{GroupPublicKey, GroupSignature};
 use whopay_crypto::payword::{skip_verify, Payword};
 use whopay_crypto::sha256::Digest;
@@ -42,8 +42,8 @@ struct CoinRecord {
     downtime_binding: Option<Binding>,
     /// Whether `downtime_binding`'s holder key has been proven a subgroup
     /// member (a renewal accepted a signature under it and kept the key),
-    /// so that [`Broker::prepare`] need not prove it again before combining
-    /// a signature under it. Working state, not committed state: a
+    /// so that [`Broker::prepare`] may put the next signature under it in
+    /// the combined check. Working state, not committed state: a
     /// recovered broker starts from `false`.
     holder_member: bool,
     /// Set when the coin is redeemed; any later spend attempt is fraud.
@@ -138,13 +138,6 @@ impl<'a> Upcoming<'a> {
     }
 }
 
-/// Requests a group must hold before [`Broker::prepare`] proves a
-/// first-seen holder key (`is_element`, 15 µs at 512/160) in order to
-/// combine the signature under it: what the combination then saves on
-/// that signature, against `verify_member`, covers the proof from about
-/// five combined signatures up (BENCH_verify.json, `proven` rows).
-const PROVE_KEYS_FROM: usize = 6;
-
 /// What one [`Broker::prepare`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrepareReport {
@@ -156,16 +149,31 @@ pub struct PrepareReport {
     /// Signatures settled one at a time (no witness, or what a failing
     /// combined check was bisected down to).
     pub fallbacks: u64,
+    /// Calls of the lane engine ([`SchnorrGroup::pow_member_many`]).
+    pub lane_calls: u64,
+    /// Chains handed to those calls, eight to a call at most.
+    pub lanes_filled: u64,
 }
 
-/// How one [`Broker::prepare`] proves a holder key it has not seen
-/// verify before.
-#[derive(Clone, Copy)]
-struct ProveKeys<'a> {
-    group: &'a SchnorrGroup,
-    /// Whether the group is large enough for such a proof to pay
-    /// ([`PROVE_KEYS_FROM`]).
-    unseen: bool,
+/// The chains one [`Broker::prepare`] walks exactly, eight to a lane call
+/// where the host has the engine: every untrusted group element of its
+/// requests that no earlier verification vouches for.
+#[derive(Default)]
+struct OwedChains<'a> {
+    /// Holder signatures under keys not yet proven subgroup members:
+    /// `(key, message, signature)`.
+    holder_sigs: Vec<(&'a BigUint, Vec<u8>, &'a DsaSignature)>,
+    /// Purchased coin keys, whose membership the purchase handler asks
+    /// about before anything else.
+    coin_keys: Vec<&'a BigUint>,
+    /// Group signatures and the messages they cover.
+    group_sigs: Vec<(Vec<u8>, &'a GroupSignature)>,
+}
+
+impl OwedChains<'_> {
+    fn len(&self) -> usize {
+        self.holder_sigs.len() + self.coin_keys.len() + self.group_sigs.len()
+    }
 }
 
 /// The WhoPay broker.
@@ -181,9 +189,11 @@ pub struct Broker {
     stats: BrokerStats,
     /// Verdict cache; primed with own mint signatures so deposits hit.
     sig_cache: Arc<SigCache>,
-    /// Verdicts the last [`Broker::prepare`] settled, by cache key. The
-    /// handlers consult it before verifying; it never feeds `sig_cache`
-    /// except through the lookups the handlers would make anyway.
+    /// Verdicts the last [`Broker::prepare`] settled: a signature's by its
+    /// cache key ([`sigcache::cache_key`], [`sigcache::group_cache_key`]),
+    /// a purchased key's subgroup membership by its coin id. The handlers
+    /// consult it before verifying; it never feeds `sig_cache` except
+    /// through the lookups the handlers would make anyway.
     prepared: HashMap<Digest, bool>,
     /// Crash-recovery journal; `None` until [`Broker::enable_journal`].
     journal: Option<Journal>,
@@ -277,6 +287,29 @@ impl Broker {
         Err(err)
     }
 
+    /// Refuses a fully verified request to spend the deposited `coin`
+    /// again: files the fraud case, with the requester's group signature
+    /// for the judge to open, and counts and journals the rejection.
+    fn double_spend(
+        &mut self,
+        coin: CoinId,
+        description: &str,
+        group_sig: &GroupSignature,
+    ) -> CoreError {
+        let case = FraudCase {
+            coin,
+            description: description.to_string(),
+            group_sigs: vec![group_sig.clone()],
+        };
+        self.fraud.push(case.clone());
+        if let Some(ledger) = self.ledger.as_mut() {
+            ledger.push_fraud(&case);
+        }
+        self.stats.rejections += 1;
+        self.jrecord(JournalOp::Fraud { case });
+        CoreError::DoubleSpend(coin)
+    }
+
     /// Whether `presented` supersedes stored downtime state: a strictly
     /// newer, coin-key-signed, valid binding can only come from the coin
     /// owner serving transfers again, so the parked downtime state is
@@ -318,6 +351,14 @@ impl Broker {
             return None;
         }
         self.prepared.get(&sigcache::cache_key(group, signer, msg, sig)).copied()
+    }
+
+    /// [`GroupPublicKey::verify`], answered by the last
+    /// [`Broker::prepare`] if it settled this very check.
+    fn group_sig_verifies(&self, group: &SchnorrGroup, msg: &[u8], sig: &GroupSignature) -> bool {
+        let settled = (!self.prepared.is_empty())
+            .then(|| self.prepared.get(&sigcache::group_cache_key(&self.gpk, msg, sig)).copied());
+        settled.flatten().unwrap_or_else(|| self.gpk.verify(group, msg, sig))
     }
 
     /// The broker's signature-verdict cache.
@@ -392,10 +433,11 @@ impl Broker {
         rng: &mut R,
     ) -> Result<MintedCoin, CoreError> {
         let group = self.params.group().clone();
-        if !group.is_element(&request.coin_pk) {
+        let id = CoinId::from_pk(&request.coin_pk);
+        let member = self.prepared.get(&id.0).copied();
+        if !member.unwrap_or_else(|| group.is_element(&request.coin_pk)) {
             return self.reject(CoreError::Malformed);
         }
-        let id = CoinId::from_pk(&request.coin_pk);
         if let Some(record) = self.coins.get(&id) {
             // Exactly the request we already honoured: a retried or
             // duplicated delivery. Return the original coin.
@@ -422,7 +464,7 @@ impl Broker {
                 }
             },
             OwnerTag::Anonymous | OwnerTag::AnonymousWithHandle(_) => match &request.group_sig {
-                Some(sig) if self.gpk.verify(&group, &msg, sig) => None,
+                Some(sig) if self.group_sig_verifies(&group, &msg, sig) => None,
                 _ => Some(CoreError::BadGroupSignature),
             },
         };
@@ -517,25 +559,14 @@ impl Broker {
         let holder_ok = self.cached_verdict(request.holder_cache_key(&group), || {
             DsaPublicKey::verify_member(&group, request.binding.holder_pk(), &msg, &request.holder_sig)
         });
-        if !(holder_ok && self.gpk.verify(&group, &msg, &request.group_sig)) {
+        if !(holder_ok && self.group_sig_verifies(&group, &msg, &request.group_sig)) {
             return self.reject(CoreError::BadSignature);
         }
         if request.binding.is_expired(now) {
             return self.reject(CoreError::Expired { expired_at: request.binding.expires() });
         }
         if self.coins[&id].deposited {
-            let case = FraudCase {
-                coin: id,
-                description: "coin deposited twice".to_string(),
-                group_sigs: vec![request.group_sig.clone()],
-            };
-            self.fraud.push(case.clone());
-            if let Some(ledger) = self.ledger.as_mut() {
-                ledger.push_fraud(&case);
-            }
-            self.stats.rejections += 1;
-            self.jrecord(JournalOp::Fraud { case });
-            return Err(CoreError::DoubleSpend(id));
+            return Err(self.double_spend(id, "coin deposited twice", &request.group_sig));
         }
         let receipt = DepositReceipt { coin: id, value: 1 };
         let served = ServedOp::Deposit { request: request.clone(), receipt: receipt.clone() };
@@ -574,24 +605,28 @@ impl Broker {
 
     // --- drain-cycle preparation ---
 
-    /// Settles, with one combined check, the DSA signatures the broker is
-    /// about to verify for a group of requests: holder signatures,
-    /// coin-key and broker-key bindings, identity signatures. The
-    /// verdicts wait in a table the handlers consult by cache key; the
-    /// next call replaces it.
+    /// Settles what the broker is about to verify for a group of requests
+    /// and parks the verdicts in a table the handlers consult; the next
+    /// call replaces it. Two ways, by what vouches for the key:
     ///
-    /// A combined check is sound for keys inside the subgroup and says
-    /// nothing exact about a key's membership (DESIGN.md §9), so only
-    /// signatures under *proven* members are combined and no membership
-    /// check ever is: the broker's own key and the keys of minted coins
-    /// are proven already, registered identity keys are the registrar's
-    /// to vet (per-request service verifies under them without a
-    /// membership check too); a holder key is proven by the
-    /// renewal that verified under it before, or — in a group of
-    /// `PROVE_KEYS_FROM` (six) requests or more — here, by
-    /// [`SchnorrGroup::is_element`]; one that is not proven is left, with
-    /// its signature, to the handler. The purchased coin key's membership
-    /// is the purchase handler's to check.
+    /// * **One combined check** over the DSA signatures under *proven*
+    ///   subgroup members — the broker's own key and the keys of minted
+    ///   coins; registered identity keys, the registrar's to vet
+    ///   (per-request service verifies under them without a membership
+    ///   check too); a holder key a renewal verified under before. A
+    ///   combined check is sound for keys inside the subgroup and says
+    ///   nothing exact about a key's membership (DESIGN.md §9), so no
+    ///   membership check is ever folded into it.
+    /// * **One exact chain per untrusted element**, walked eight to a lane
+    ///   call ([`SchnorrGroup::pow_member_many`]): a holder signature under
+    ///   a key nothing vouches for yet ([`DsaPublicKey::verify_member`]'s
+    ///   verdict, membership included), a purchased coin key's membership,
+    ///   and both ciphertext halves of the group signature a request will
+    ///   be asked for ([`GroupPublicKey::verify_each`]). Nothing is
+    ///   combined across lanes: each verdict is the one the handler would
+    ///   have computed. Chains too few to fill a lane call
+    ///   ([`SchnorrGroup::lane_plan`]) — and every chain on a host without
+    ///   the engine — stay with the handlers.
     ///
     /// Advisory: no coin state changes, nothing is journalled, the shared
     /// verdict cache is only peeked. Whatever the state machine would
@@ -599,7 +634,7 @@ impl Broker {
     /// a stored binding presented bit for bit, a stale one) owes nothing,
     /// and a request that arrives after all without its verdict — or a
     /// group of one, which builds no batch — is verified by its handler
-    /// as ever. Group signatures are not combined (DESIGN.md §9).
+    /// as ever.
     pub fn prepare(&mut self, upcoming: &[Upcoming<'_>]) -> PrepareReport {
         self.prepared.clear();
         let mut report = PrepareReport::default();
@@ -609,12 +644,12 @@ impl Broker {
         }
         let group = self.params.group().clone();
         let mut chain = BindingChain::new(group.clone(), self.keys.public().clone());
-        let keys = ProveKeys { group: &group, unseen: upcoming.len() >= PROVE_KEYS_FROM };
+        let mut chains = OwedChains::default();
         for request in upcoming {
-            let before = chain.len();
+            let before = chain.len() + chains.len();
             match *request {
-                Upcoming::Purchase(request) => self.owed_by_purchase(request, &mut chain),
-                Upcoming::Deposit(request) => self.owed_by_deposit(keys, request, &mut chain),
+                Upcoming::Purchase(request) => self.owed_by_purchase(request, &mut chain, &mut chains),
+                Upcoming::Deposit(request) => self.owed_by_deposit(request, &mut chain, &mut chains),
                 Upcoming::Transfer(request) => {
                     let msg = TransferRequest::signed_bytes(
                         &request.current,
@@ -622,29 +657,31 @@ impl Broker {
                         &request.nonce,
                     );
                     let replayed = |s: &ServedOp| s.replay_transfer(request).is_some();
+                    let sigs = (&request.holder_sig, &request.group_sig);
                     self.owed_by_downtime(
-                        keys,
                         &request.current,
                         replayed,
                         msg,
-                        &request.holder_sig,
+                        sigs,
                         &mut chain,
+                        &mut chains,
                     )
                 }
                 Upcoming::Renewal(request) => {
                     let msg = RenewalRequest::signed_bytes(&request.current);
                     let replayed = |s: &ServedOp| s.replay_renewal(request).is_some();
+                    let sigs = (&request.holder_sig, &request.group_sig);
                     self.owed_by_downtime(
-                        keys,
                         &request.current,
                         replayed,
                         msg,
-                        &request.holder_sig,
+                        sigs,
                         &mut chain,
+                        &mut chains,
                     )
                 }
             }
-            if chain.len() == before {
+            if chain.len() + chains.len() == before {
                 report.skipped += 1;
             }
         }
@@ -652,7 +689,49 @@ impl Broker {
         report.fallbacks = cost.serial_checks as u64;
         report.settled = cost.signatures.len() as u64 - report.fallbacks;
         self.prepared.extend(verdicts);
+        self.settle_chains(&group, &chains, &mut report);
         report
+    }
+
+    /// Walks `chains` through [`SchnorrGroup::pow_member_many`] — keys in
+    /// one call, group signatures in another — wherever the lane plan has
+    /// a call for them, and parks the verdicts.
+    fn settle_chains(
+        &mut self,
+        group: &SchnorrGroup,
+        chains: &OwedChains<'_>,
+        report: &mut PrepareReport,
+    ) {
+        let mut planned = |chains: usize| {
+            let (calls, filled) = group.lane_plan(chains);
+            report.lane_calls += calls as u64;
+            report.lanes_filled += filled as u64;
+            calls > 0
+        };
+        if planned(chains.holder_sigs.len() + chains.coin_keys.len()) {
+            let claims: Vec<[(&[u8], &DsaSignature); 1]> =
+                chains.holder_sigs.iter().map(|(_, msg, sig)| [(&msg[..], *sig)]).collect();
+            let holders =
+                chains.holder_sigs.iter().zip(&claims).map(|((key, ..), claim)| (*key, &claim[..]));
+            let keys: Vec<MemberClaims<'_>> =
+                holders.chain(chains.coin_keys.iter().map(|key| (*key, &[][..]))).collect();
+            let mut verdicts = DsaPublicKey::verify_member_many(group, &keys).into_iter();
+            for ((key, msg, sig), verdict) in chains.holder_sigs.iter().zip(verdicts.by_ref()) {
+                let signer = DsaPublicKey::from_element((*key).clone());
+                let valid = verdict.is_some_and(|passed| passed[0]);
+                self.prepared.insert(sigcache::cache_key(group, &signer, msg, sig), valid);
+            }
+            for (key, verdict) in chains.coin_keys.iter().zip(verdicts) {
+                self.prepared.insert(CoinId::from_pk(key).0, verdict.is_some());
+            }
+        }
+        if planned(2 * chains.group_sigs.len()) {
+            let claims: Vec<(&[u8], &GroupSignature)> =
+                chains.group_sigs.iter().map(|(msg, sig)| (&msg[..], *sig)).collect();
+            for ((msg, sig), valid) in claims.iter().zip(self.gpk.verify_each(group, &claims)) {
+                self.prepared.insert(sigcache::group_cache_key(&self.gpk, msg, sig), valid);
+            }
+        }
     }
 
     /// Queues `binding`'s signature if its signer is a proven member: the
@@ -665,40 +744,63 @@ impl Broker {
         }
     }
 
-    /// Queues the holder signature `sig` over `msg` under `binding`'s
-    /// holder key if that key is a subgroup member — `proven` by an
-    /// earlier verification, or else by `keys`.
-    fn owe_holder_sig(
-        keys: ProveKeys<'_>,
-        binding: &Binding,
+    /// Queues what a holder-role request is asked for after its binding:
+    /// the holder signature `sigs.0` over `msg` under `binding`'s holder
+    /// key — in the combined check if an earlier verification `proven`
+    /// that key a subgroup member, else on a chain of its own — and the
+    /// group signature `sigs.1` over the same message.
+    fn owe_holder_sigs<'a>(
+        binding: &'a Binding,
         proven: bool,
         msg: Vec<u8>,
-        sig: &DsaSignature,
+        sigs: (&'a DsaSignature, &'a GroupSignature),
         chain: &mut BindingChain,
+        chains: &mut OwedChains<'a>,
     ) {
-        if proven || (keys.unseen && keys.group.is_element(binding.holder_pk())) {
+        chains.group_sigs.push((msg.clone(), sigs.1));
+        if proven {
             let key = DsaPublicKey::from_element(binding.holder_pk().clone());
-            chain.push_signature(key, msg, sig.clone(), None);
+            chain.push_signature(key, msg, sigs.0.clone(), None);
+        } else {
+            chains.holder_sigs.push((binding.holder_pk(), msg, sigs.0));
         }
     }
 
-    /// What [`Broker::handle_purchase`] will check for `request` under a
-    /// proven key: the identity signature.
-    fn owed_by_purchase(&self, request: &PurchaseRequest, chain: &mut BindingChain) {
+    /// What [`Broker::handle_purchase`] will check for `request`: the
+    /// coin key's membership, then the identity signature (under a
+    /// registered key) or the group signature.
+    fn owed_by_purchase<'a>(
+        &self,
+        request: &'a PurchaseRequest,
+        chain: &mut BindingChain,
+        chains: &mut OwedChains<'a>,
+    ) {
+        chains.coin_keys.push(&request.coin_pk);
         if self.coins.contains_key(&CoinId::from_pk(&request.coin_pk)) {
             return;
         }
-        if let (OwnerTag::Identified(peer), Some(sig)) = (&request.owner, &request.identity_sig) {
-            if let Some(key) = self.registered.get(peer) {
-                let msg = PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
-                chain.push_signature(key.clone(), msg, sig.clone(), None);
+        let msg = || PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
+        match (&request.owner, &request.identity_sig, &request.group_sig) {
+            (OwnerTag::Identified(peer), Some(sig), _) => {
+                if let Some(key) = self.registered.get(peer) {
+                    chain.push_signature(key.clone(), msg(), sig.clone(), None);
+                }
             }
+            (OwnerTag::Anonymous | OwnerTag::AnonymousWithHandle(_), _, Some(sig)) => {
+                chains.group_sigs.push((msg(), sig));
+            }
+            _ => {}
         }
     }
 
     /// What [`Broker::handle_deposit`] will check for `request`.
-    fn owed_by_deposit(&self, keys: ProveKeys<'_>, request: &DepositRequest, chain: &mut BindingChain) {
-        let group = keys.group;
+    fn owed_by_deposit<'a>(
+        &self,
+        request: &'a DepositRequest,
+        chain: &mut BindingChain,
+        chains: &mut OwedChains<'a>,
+    ) {
+        let group = self.params.group();
         let Some(record) = self.coins.get(&request.minted.id()) else { return };
         if record.last_served.as_ref().is_some_and(|s| s.replay_deposit(request).is_some()) {
             return;
@@ -720,27 +822,27 @@ impl Broker {
         if !stored {
             self.owe_binding(record, &request.binding, chain);
         }
-        Self::owe_holder_sig(
-            keys,
+        Self::owe_holder_sigs(
             &request.binding,
             stored && record.holder_member,
             DepositRequest::signed_bytes(&request.binding),
-            &request.holder_sig,
+            (&request.holder_sig, &request.group_sig),
             chain,
+            chains,
         );
     }
 
     /// What [`Broker::verify_downtime_request`] will check for a downtime
-    /// transfer or renewal presenting `current`, whose holder signature
-    /// covers `msg`.
-    fn owed_by_downtime(
+    /// transfer or renewal presenting `current`, whose holder and group
+    /// signatures `sigs` cover `msg`.
+    fn owed_by_downtime<'a>(
         &self,
-        keys: ProveKeys<'_>,
-        current: &Binding,
+        current: &'a Binding,
         replayed: impl Fn(&ServedOp) -> bool,
         msg: Vec<u8>,
-        holder_sig: &DsaSignature,
+        sigs: (&'a DsaSignature, &'a GroupSignature),
         chain: &mut BindingChain,
+        chains: &mut OwedChains<'a>,
     ) {
         let Some(record) = self.coins.get(&current.coin_id()) else { return };
         if record.last_served.as_ref().is_some_and(replayed) {
@@ -759,7 +861,7 @@ impl Broker {
         if !stored {
             self.owe_binding(record, current, chain);
         }
-        Self::owe_holder_sig(keys, current, stored && record.holder_member, msg, holder_sig, chain);
+        Self::owe_holder_sigs(current, stored && record.holder_member, msg, sigs, chain, chains);
     }
 
     // --- micropayment redemption ---
@@ -896,7 +998,9 @@ impl Broker {
     /// # Errors
     ///
     /// Verification failures as usual; [`CoreError::StaleBinding`] for
-    /// replays (the downtime double-spend defence).
+    /// replays (the downtime double-spend defence);
+    /// [`CoreError::DoubleSpend`] for a coin already deposited (a
+    /// [`FraudCase`] is recorded, as for a second deposit).
     pub fn handle_downtime_transfer<R: Rng + ?Sized>(
         &mut self,
         request: &TransferRequest,
@@ -1018,8 +1122,8 @@ impl Broker {
         let record = self.coins.get_mut(&id).expect("checked above");
         record.downtime_binding = Some(binding.clone());
         // The holder key stays, and a signature under it was just accepted
-        // — by `verify_member`, or by a combined check `prepare` ran after
-        // proving the key.
+        // — by `verify_member` (the handler's, or the one `prepare` walked
+        // in a lane), or combined because the key was proven already.
         record.holder_member = true;
         record.last_served = Some(served.clone());
         self.stats.downtime_renewals += 1;
@@ -1066,8 +1170,20 @@ impl Broker {
         if !holder_ok {
             return self.reject(CoreError::BadSignature);
         }
-        if !self.gpk.verify(&group, msg, group_sig) {
+        if !self.group_sig_verifies(&group, msg, group_sig) {
             return self.reject(CoreError::BadGroupSignature);
+        }
+        // A deposit clears the stored binding, so every binding the coin
+        // ever had passes for flavor one again. As in a double deposit,
+        // the check comes once the signatures are known to be the
+        // requester's: a fraud case carries no message, so the judge
+        // could not tell a transplanted group signature from a real one.
+        if self.coins[id].deposited {
+            return Err(self.double_spend(
+                *id,
+                "deposited coin spent down the downtime path",
+                group_sig,
+            ));
         }
         Ok(())
     }

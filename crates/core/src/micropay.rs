@@ -113,15 +113,7 @@ impl ChainCommitment {
     /// [`Self::cache_key`] given this commitment's
     /// [`Self::signed_message`].
     pub(crate) fn cache_key_over(&self, gpk: &GroupPublicKey, msg: &[u8]) -> Digest {
-        Transcript::new("whopay/micropay-sigcache/v1")
-            .int(gpk.judge_key().element())
-            .bytes(msg)
-            .int(self.group_sig.ciphertext().c1())
-            .int(self.group_sig.ciphertext().c2())
-            .int(self.group_sig.challenge_scalar())
-            .int(self.group_sig.z_r())
-            .int(self.group_sig.z_x())
-            .finish()
+        crate::sigcache::group_cache_key(gpk, msg, &self.group_sig)
     }
 }
 

@@ -210,8 +210,8 @@ pub fn attach_shard_endpoints(
 /// one span labelled `prepare` (a child of the group's first traced
 /// request); a metrics-backed `obs` also gets the `broker.prepare_batch`
 /// histogram (requests per drain cycle and shard) and the
-/// `broker.prepare.{settled,skipped,fallbacks}` counters
-/// (see [`crate::broker::PrepareReport`]).
+/// `broker.prepare.{settled,skipped,fallbacks,lane_calls,lanes_filled}`
+/// counters (see [`crate::broker::PrepareReport`]).
 pub fn attach_shard_endpoints_obs(
     net: &mut Network,
     sharded: Arc<ShardedBroker>,
@@ -225,6 +225,8 @@ pub fn attach_shard_endpoints_obs(
         settled: m.counter("broker.prepare.settled"),
         skipped: m.counter("broker.prepare.skipped"),
         fallbacks: m.counter("broker.prepare.fallbacks"),
+        lane_calls: m.counter("broker.prepare.lane_calls"),
+        lanes_filled: m.counter("broker.prepare.lanes_filled"),
     });
     (0..sharded.shard_count())
         .map(|i| {
@@ -251,6 +253,8 @@ struct PrepareProbes {
     settled: Arc<Counter>,
     skipped: Arc<Counter>,
     fallbacks: Arc<Counter>,
+    lane_calls: Arc<Counter>,
+    lanes_filled: Arc<Counter>,
 }
 
 /// The broker endpoint: one shard of a [`ShardedBroker`].
@@ -363,6 +367,8 @@ impl Endpoint for ShardEndpoint {
             probes.settled.add(report.settled);
             probes.skipped.add(report.skipped + unprepared);
             probes.fallbacks.add(report.fallbacks);
+            probes.lane_calls.add(report.lane_calls);
+            probes.lanes_filled.add(report.lanes_filled);
         }
     }
 }

@@ -36,6 +36,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use whopay_crypto::dsa::{DsaPublicKey, DsaSignature};
+use whopay_crypto::group_sig::{GroupPublicKey, GroupSignature};
 use whopay_crypto::hashio::Transcript;
 use whopay_crypto::sha256::Digest;
 use whopay_num::SchnorrGroup;
@@ -113,6 +114,20 @@ pub fn cache_key(
         }
         memo.as_ref().expect("memo just filled").key(signer, message, sig)
     })
+}
+
+/// The cache key of a group-signature check: a digest binding the master
+/// public key, the message and the signature.
+pub fn group_cache_key(gpk: &GroupPublicKey, message: &[u8], sig: &GroupSignature) -> Digest {
+    Transcript::new("whopay/micropay-sigcache/v1")
+        .int(gpk.judge_key().element())
+        .bytes(message)
+        .int(sig.ciphertext().c1())
+        .int(sig.ciphertext().c2())
+        .int(sig.challenge_scalar())
+        .int(sig.z_r())
+        .int(sig.z_x())
+        .finish()
 }
 
 #[derive(Debug)]

@@ -6,6 +6,8 @@
 //!   signed and stored verifies no binding; one that differs is verified.
 //! * Every refusal, whichever handler and whichever reason, bumps
 //!   `BrokerStats::rejections` exactly once and survives recovery.
+//! * A deposited coin is spent on the downtime path too: no binding it
+//!   ever had buys a transfer or a renewal again.
 
 use whopay_core::micropay::MicropaySender;
 use whopay_core::{
@@ -379,4 +381,72 @@ fn every_refusal_counts_once_and_survives_recovery() {
     assert_eq!(recovered.stats(), w.broker.stats());
     assert_eq!(recovered.snapshot(), w.broker.snapshot());
     assert!(recovered.audit().ok());
+}
+
+#[test]
+fn a_deposited_coin_is_dead_on_the_downtime_path_too() {
+    let mut w = world(0xDEAD);
+    let coin = w.coin_held_by_peer_1();
+    // Peer 1 signs twice more for the owner-signed binding it is about to
+    // transfer away; peer 2 ends up with a broker-signed one, and signs
+    // for it three times over.
+    let (invite, _) = w.peers[3].begin_receive(&mut w.rng);
+    let old_renewal = w.peers[1].request_renewal(coin, &mut w.rng).expect("holder");
+    let old_transfer = w.peers[1].request_transfer(coin, &invite, &mut w.rng).expect("holder");
+    w.downtime_transfer(coin, 1, 2);
+    let deposit = w.peers[2].request_deposit(coin, &mut w.rng).expect("holder");
+    let renewal = w.peers[2].request_renewal(coin, &mut w.rng).expect("holder");
+    let transfer = w.peers[2].request_transfer(coin, &invite, &mut w.rng).expect("holder");
+
+    // While the coin circulates the stored binding keeps the old one out.
+    let stale = w.broker.handle_downtime_transfer(&old_transfer, NOW, &mut w.rng);
+    assert!(matches!(stale, Err(CoreError::StaleBinding { .. })), "{stale:?}");
+    w.broker.handle_deposit(&deposit, NOW).expect("deposit");
+    assert!(!w.broker.is_circulating(&coin));
+
+    // The deposit cleared the stored binding and took over the replay
+    // memo, so every binding the coin ever had would pass for flavor one:
+    // the owner-signed one peer 1 gave up, and the one that was deposited.
+    let served = w.broker.stats();
+    let spent = Some(CoreError::DoubleSpend(coin));
+    assert_eq!(w.broker.handle_downtime_transfer(&old_transfer, NOW, &mut w.rng).err(), spent);
+    assert_eq!(w.broker.handle_downtime_renewal(&old_renewal, NOW, &mut w.rng).err(), spent);
+    assert_eq!(w.broker.handle_downtime_transfer(&transfer, NOW, &mut w.rng).err(), spent);
+    assert_eq!(w.broker.handle_downtime_renewal(&renewal, NOW, &mut w.rng).err(), spent);
+    // A forged one is a bad request, not evidence against anybody.
+    let forged = TransferRequest { holder_sig: tampered(&transfer.holder_sig), ..transfer };
+    assert_eq!(
+        w.broker.handle_downtime_transfer(&forged, NOW, &mut w.rng).err(),
+        Some(CoreError::BadSignature)
+    );
+
+    // Refused and counted, nothing issued, and each refusal filed with
+    // the group signature of whoever asked.
+    let stats = w.broker.stats();
+    assert_eq!(whopay_core::BrokerStats { rejections: served.rejections + 5, ..served }, stats);
+    let snapshot = w.broker.snapshot();
+    let (_, record) = snapshot.coins.iter().find(|(id, _)| *id == coin).expect("known coin");
+    assert!(record.deposited && record.downtime_binding.is_none());
+    let cases = w.broker.fraud_cases();
+    assert_eq!(cases.len(), 4);
+    assert!(cases.iter().all(|case| case.coin == coin));
+    let asked_by: Vec<PeerId> = cases
+        .iter()
+        .map(|case| match w.judge.reveal_parties(case)[..] {
+            [whopay_core::RevealedIdentity::Peer(peer)] => peer,
+            ref other => panic!("one enrolled requester per case, not {other:?}"),
+        })
+        .collect();
+    assert_eq!(asked_by, [PeerId(1), PeerId(1), PeerId(2), PeerId(2)]);
+
+    let journal =
+        Journal::from_bytes(&w.broker.journal().expect("journalling").to_bytes()).expect("decodes");
+    let recovered = Broker::recover(w.params.clone(), w.gpk.clone(), w.broker.export_keys(), &journal);
+    assert_eq!(recovered.stats(), stats);
+    assert_eq!(recovered.snapshot(), snapshot);
+    // Replay recomputes every entry's `(root, seq)` — a mismatch is an
+    // audit violation — and checkpoints once on top.
+    let seq = |broker: &Broker| broker.committed_root().expect("ledger on").1;
+    assert_eq!(seq(&recovered), seq(&w.broker) + 1);
+    assert!(recovered.audit().ok() && w.broker.audit().ok());
 }

@@ -5,14 +5,19 @@
 //! the subgroup (zero, the modulus, random elements, and a real key
 //! multiplied by `−1` or another small-order element, signed for by
 //! whoever holds the real secret so that the claim a combined check would
-//! evaluate holds exactly), stale and superseding bindings, double
-//! deposits, coins the broker never minted — is cut into arbitrary groups
-//! and run through
-//! three identically seeded sharded brokers:
+//! evaluate holds exactly), group signatures with a ciphertext half
+//! outside it (zero, the modulus, a random element, and a half its own
+//! signer twisted so that both verification equations hold all the same),
+//! forged responses and scalars out of range, stale and superseding
+//! bindings, double deposits, coins the broker never minted — is cut into
+//! arbitrary groups, from one request to a round of two dozen, so that a
+//! shard's share straddles the four chains a lane call takes, and run
+//! through three identically seeded sharded brokers:
 //!
 //! * **batched**: every group is submitted and drained, so each shard
-//!   endpoint sees its share in `prepare` and settles it with one
-//!   combined check before serving;
+//!   endpoint sees its share in `prepare` and settles it — one combined
+//!   check, and one exact chain per untrusted element, eight to a lane
+//!   call where the host has the engine — before serving;
 //! * **per request**: every request goes through `request_into`, which
 //!   never prepares;
 //! * **mixed**: each group's first request goes through `request_into`
@@ -34,8 +39,9 @@ use whopay_core::{
     SystemParams, Timestamp, TransferRequest,
 };
 use whopay_crypto::dsa::{DsaKeyPair, DsaSignature};
+use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
-use whopay_crypto::testing::{test_rng, tiny_group};
+use whopay_crypto::testing::{small_order_element, test_rng, tiny_group, twisted_group_signature};
 use whopay_net::{EndpointId, Network};
 use whopay_num::BigUint;
 
@@ -193,12 +199,10 @@ fn reexpired(b: &Binding) -> Binding {
 impl Clients {
     /// A key outside the order-`q` subgroup, by `pick`: zero, the
     /// modulus, past the modulus, a random element of `Z_p*`, or a real
-    /// key twisted by `−1` or by an element of the smallest odd order
-    /// `Z_p*` has (by `−1` again if it has none).
+    /// key twisted by [`small_order_element`].
     fn non_member(&mut self, pick: u8) -> (BigUint, Option<Twisted>) {
         let group = self.params.group().clone();
         let p = group.modulus().clone();
-        let elem = group.elem_ring();
         let eta = match pick % 6 {
             0 => return (BigUint::zero(), None),
             1 => return (p, None),
@@ -209,26 +213,47 @@ impl Clients {
                     return (x, None);
                 }
             },
-            4 => elem.neg(&BigUint::one()),
-            _ => {
-                let p_minus_1 = &p - &BigUint::one();
-                let cofactor = &p_minus_1 / group.order();
-                (3u64..1000)
-                    .step_by(2)
-                    .map(BigUint::from)
-                    .find(|d| (&cofactor % d).is_zero())
-                    .and_then(|d| {
-                        (2u64..50)
-                            .map(|h| elem.pow(&BigUint::from(h), &(&p_minus_1 / &d)))
-                            .find(|eta| !eta.is_one())
-                    })
-                    .unwrap_or_else(|| elem.neg(&BigUint::one()))
-            }
+            pick => small_order_element(&group, pick == 5),
         };
         let real = DsaKeyPair::generate(&group, &mut self.rng);
-        let key = elem.mul(real.public().element(), &eta);
+        let key = group.elem_ring().mul(real.public().element(), &eta);
         assert!(!group.is_element(&key));
         (key, Some(Twisted { real, eta }))
+    }
+
+    /// A group signature the broker must refuse where it is asked for
+    /// `sig` over `msg`: one over another message, `sig` with a forged
+    /// response or a scalar out of range, with a ciphertext half that is
+    /// no unit or no member — or one whose signer twisted a half so that
+    /// its membership is the only thing wrong with it.
+    fn refused_group_sig(&mut self, msg: &[u8], sig: &GroupSignature) -> GroupSignature {
+        let group = self.params.group().clone();
+        let (p, q, one) = (group.modulus(), group.order(), BigUint::one());
+        let (c1, c2) = (sig.ciphertext().c1().clone(), sig.ciphertext().c2().clone());
+        let (e, z_r, z_x) = (sig.challenge_scalar().clone(), sig.z_r().clone(), sig.z_x().clone());
+        let with = |c1: BigUint, c2: BigUint, e: &BigUint, z_r: &BigUint, z_x: BigUint| {
+            GroupSignature::from_parts(
+                ElGamalCiphertext::from_parts(c1, c2),
+                e.clone(),
+                z_r.clone(),
+                z_x,
+            )
+        };
+        match rand::RngExt::random_range(&mut self.rng, 0..10u8) {
+            0 => self.foreign_gsig.clone(),
+            1 => with(c1, c2, &e, &z_r, group.scalar_ring().add(&z_x, &one)),
+            2 => with(c1, c2, &e, &(&z_r + q), z_x),
+            3 => with(c1, c2, &(&e + q), &z_r, z_x),
+            4 => with(BigUint::zero(), c2, &e, &z_r, z_x),
+            5 => with(c1, p.clone(), &e, &z_r, z_x),
+            6 => with(BigUint::random_below(&mut self.rng, p), c2, &e, &z_r, z_x),
+            7 => with(c1, group.elem_ring().neg(&c2), &e, &z_r, z_x),
+            pick => {
+                let eta = small_order_element(&group, pick == 9);
+                let twists = if pick == 9 { [&eta, &one] } else { [&one, &eta] };
+                twisted_group_signature(&group, &self.gpk, msg, twists, &mut self.rng)
+            }
+        }
     }
 
     /// A well-formed holder signature over `msg` for a coin bound to a
@@ -268,8 +293,9 @@ impl Clients {
                 match mutation {
                     3 => request.identity_sig = request.identity_sig.as_ref().map(tampered),
                     4 => {
+                        let msg = PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
                         request.group_sig =
-                            request.group_sig.as_ref().map(|_| self.foreign_gsig.clone())
+                            request.group_sig.as_ref().map(|sig| self.refused_group_sig(&msg, sig))
                     }
                     5 => {
                         // A coin key outside the subgroup, identity-signed.
@@ -303,7 +329,14 @@ impl Clients {
                             .expect("holder holds the coin");
                         match mutation {
                             3 => request.holder_sig = tampered(&request.holder_sig),
-                            4 => request.group_sig = self.foreign_gsig.clone(),
+                            4 => {
+                                let msg = TransferRequest::signed_bytes(
+                                    &request.current,
+                                    &request.new_holder_pk,
+                                    &request.nonce,
+                                );
+                                request.group_sig = self.refused_group_sig(&msg, &request.group_sig)
+                            }
                             5 => request.current = reexpired(&request.current),
                             6 => out.push((
                                 id,
@@ -346,7 +379,10 @@ impl Clients {
                             .expect("holder holds the coin");
                         match mutation {
                             3 => request.holder_sig = tampered(&request.holder_sig),
-                            4 => request.group_sig = self.foreign_gsig.clone(),
+                            4 => {
+                                let msg = RenewalRequest::signed_bytes(&request.current);
+                                request.group_sig = self.refused_group_sig(&msg, &request.group_sig)
+                            }
                             5 => request.current = reexpired(&request.current),
                             6 => out.push((
                                 id,
@@ -386,7 +422,10 @@ impl Clients {
                             .expect("holder holds the coin");
                         match mutation {
                             3 => request.holder_sig = tampered(&request.holder_sig),
-                            4 => request.group_sig = self.foreign_gsig.clone(),
+                            4 => {
+                                let msg = DepositRequest::signed_bytes(&request.binding);
+                                request.group_sig = self.refused_group_sig(&msg, &request.group_sig)
+                            }
                             5 => request.binding = reexpired(&request.binding),
                             6 => out.push((id, Request::Deposit(request.clone()))),
                             10 => {

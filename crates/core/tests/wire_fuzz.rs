@@ -1,20 +1,24 @@
 //! Fuzz-style property tests for the wire layer: arbitrary bytes never
 //! panic the decoder — through the owned entries, through the views,
-//! and through a shard endpoint's `prepare` — and encode/decode is the
-//! identity on the encodable space. The mutation arms start from real
-//! frames of a small protocol run and grow them up to 4 KiB.
+//! and through a shard endpoint's `prepare`, down to the lane calls that
+//! walk whatever group elements the damaged frames carry — and
+//! encode/decode is the identity on the encodable space. The mutation
+//! arms start from real frames of a small protocol run and grow them up
+//! to 4 KiB.
 
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use whopay_core::micropay::MicropaySender;
-use whopay_core::service::{attach_client, attach_shard_endpoints, shared_clock};
+use whopay_core::service::{
+    attach_client, attach_shard_endpoints, attach_shard_endpoints_obs, shared_clock,
+};
 use whopay_core::view::{RequestView, ResponseView};
 use whopay_core::wire::{wire_kind, Request, Response};
 use whopay_core::{
-    CoreError, DepositReceipt, Judge, Peer, PeerId, PurchaseMode, PurchaseRequest, RedeemChainRequest,
-    ShardedBroker, SystemParams, Timestamp,
+    CoinId, CoreError, DepositReceipt, Judge, Peer, PeerId, PurchaseMode, PurchaseRequest,
+    RedeemChainRequest, ShardedBroker, SystemParams, Timestamp,
 };
 use whopay_crypto::testing::{test_rng, tiny_group};
 use whopay_net::Network;
@@ -25,6 +29,7 @@ use whopay_num::BigUint;
 /// there.
 struct Seeds {
     sharded: Arc<ShardedBroker>,
+    coin: CoinId,
     requests: Vec<Vec<u8>>,
     responses: Vec<Vec<u8>>,
 }
@@ -100,6 +105,7 @@ fn seeds() -> Seeds {
     ];
     Seeds {
         sharded,
+        coin,
         requests: requests.iter().map(Request::encode).collect(),
         responses: responses.iter().map(Response::encode).collect(),
     }
@@ -328,5 +334,54 @@ proptest! {
             }
             other => prop_assert!(false, "wrong variant {other:?}"),
         }
+    }
+}
+
+/// The requests a shard settles in lanes — holder and group signatures of
+/// a transfer, a renewal and a deposit, a purchased key — with a few bytes
+/// overwritten and nothing cut, so that most frames still parse and what
+/// is damaged is a key, a ciphertext half or a scalar. Sent to the coin's
+/// own shard eight and more at a time, they must reach the lane engine
+/// (where the host has one) and come back as answers that parse.
+#[test]
+fn prepare_walks_damaged_group_elements_through_the_lanes() {
+    use whopay_obs::{Metrics, Obs};
+
+    let mut rng = test_rng(0x1A7E_F022);
+    let metrics = Arc::new(Metrics::new());
+    let mut on_the_wire = 0;
+    for _ in 0..48 {
+        let seeds = seeds();
+        // Purchase, transfer, renewal, deposit: what `prepare` walks.
+        let walked: Vec<Vec<u8>> = [0, 2, 3, 4].map(|kind| seeds.requests[kind].clone()).into();
+        let owner = seeds.sharded.shard_of_coin(&seeds.coin);
+        let mut net = Network::new();
+        let obs = Obs::with_metrics(metrics.clone());
+        let eps =
+            attach_shard_endpoints_obs(&mut net, seeds.sharded, shared_clock(Timestamp(0)), 5, obs);
+        let client = attach_client(&mut net, "client");
+        let group = 8 + usize::arbitrary(&mut rng) % 9;
+        for _ in 0..group {
+            let damage = Damage { cut: None, tail: Vec::new(), ..Damage::arbitrary(&mut rng) };
+            net.submit(client, eps[owner], damage.apply(&walked));
+        }
+        let deliveries = net.drain();
+        assert_eq!(deliveries.len(), group);
+        for delivery in deliveries {
+            let reply = delivery.result.expect("no faults installed");
+            assert!(ResponseView::parse(&reply).is_ok(), "unparseable reply {reply:?}");
+        }
+        on_the_wire += group;
+    }
+    let filled = metrics.report().counters.get("broker.prepare.lanes_filled").copied().unwrap_or(0);
+    if tiny_group().lane_plan(8).0 == 0 {
+        // Past the harness's capture: a run that could not reach the
+        // engine must not pass silently.
+        use std::io::Write;
+        let note = "wire_fuzz: no avx512ifma on this host, prepare's lane calls were NOT exercised";
+        writeln!(std::io::stderr(), "{note}").expect("stderr");
+        assert_eq!(filled, 0);
+    } else {
+        assert!(filled as usize > on_the_wire, "{filled} chains in lanes for {on_the_wire} frames");
     }
 }

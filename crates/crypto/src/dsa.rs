@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use whopay_num::{BigUint, SchnorrGroup};
+use whopay_num::{BigUint, Powers, SchnorrGroup};
 
 use crate::accel::KeyAccel;
 use crate::hashio::Transcript;
@@ -190,16 +190,36 @@ impl DsaPublicKey {
         y: &BigUint,
         checks: &[Option<DsaCheck>],
     ) -> Option<Vec<bool>> {
-        let exps: Vec<&BigUint> = checks.iter().flatten().map(|check| &check.u2).collect();
-        let mut powers = group.pow_member_each(y, &exps)?.into_iter();
-        let verdicts = checks.iter().map(|check| {
-            check.as_ref().is_some_and(|check| {
-                check.holds_for(group, &powers.next().expect("one power per in-range check"))
-            })
-        });
-        Some(verdicts.collect())
+        let powers = group.pow_member_each(y, &DsaCheck::key_exponents(checks))?;
+        Some(DsaCheck::verdicts(group, checks, powers))
+    }
+
+    /// [`DsaPublicKey::member_passes_each`] for every untrusted element
+    /// and the claims made under it, index-aligned; an element with no
+    /// claims is only asked whether it is a member. One inversion serves
+    /// every signature and the chains walk together
+    /// ([`SchnorrGroup::pow_member_many`]) — each verdict is exactly what
+    /// [`DsaPublicKey::verify_member`] gives that element and claim alone.
+    pub fn verify_member_many(
+        group: &SchnorrGroup,
+        keys: &[MemberClaims<'_>],
+    ) -> Vec<Option<Vec<bool>>> {
+        let claims: Vec<(&[u8], &DsaSignature)> =
+            keys.iter().flat_map(|(_, claims)| claims.iter().copied()).collect();
+        let mut checks = DsaCheck::each(group, &claims).into_iter();
+        let checks: Vec<Vec<Option<DsaCheck>>> =
+            keys.iter().map(|(_, claims)| checks.by_ref().take(claims.len()).collect()).collect();
+        let exps: Vec<Vec<&BigUint>> = checks.iter().map(|c| DsaCheck::key_exponents(c)).collect();
+        let chains: Vec<Powers<'_>> =
+            keys.iter().zip(&exps).map(|((y, _), exps)| (*y, &exps[..])).collect();
+        let powers = group.pow_member_many(&chains);
+        powers.into_iter().zip(&checks).map(|(p, c)| Some(DsaCheck::verdicts(group, c, p?))).collect()
     }
 }
+
+/// One untrusted key element and the `(message, signature)` claims made
+/// under it: an item of [`DsaPublicKey::verify_member_many`].
+pub type MemberClaims<'a> = (&'a BigUint, &'a [(&'a [u8], &'a DsaSignature)]);
 
 /// What one signature asks of its key: `(g^u1 · y^u2 mod p) mod q = r`,
 /// with `(u1, u2) = (h·s⁻¹, r·s⁻¹)` already computed.
@@ -237,6 +257,24 @@ impl DsaCheck {
                 })
             })
             .collect()
+    }
+
+    /// The exponents the key behind `checks` is raised to: `u2` of every
+    /// in-range signature.
+    fn key_exponents(checks: &[Option<DsaCheck>]) -> Vec<&BigUint> {
+        checks.iter().flatten().map(|check| &check.u2).collect()
+    }
+
+    /// The verdict of every check in `checks` under the key whose
+    /// [`DsaCheck::key_exponents`] powers are `powers`.
+    fn verdicts(group: &SchnorrGroup, checks: &[Option<DsaCheck>], powers: Vec<BigUint>) -> Vec<bool> {
+        let mut powers = powers.into_iter();
+        let verdict = |check: &Option<DsaCheck>| {
+            check.as_ref().is_some_and(|check| {
+                check.holds_for(group, &powers.next().expect("one power per in-range check"))
+            })
+        };
+        checks.iter().map(verdict).collect()
     }
 
     /// Evaluates the check given `y^u2`, with `g^u1` from the generator

@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 
 use rand::Rng;
-use whopay_num::{BigUint, SchnorrGroup};
+use whopay_num::{BigUint, Powers, SchnorrGroup};
 
 use crate::elgamal::{ElGamalCiphertext, ElGamalKeyPair, ElGamalPublicKey};
 use crate::hashio::Transcript;
@@ -93,6 +93,12 @@ impl GroupSignature {
     pub fn from_parts(ct: ElGamalCiphertext, e: BigUint, z_r: BigUint, z_x: BigUint) -> Self {
         GroupSignature { ct, e, z_r, z_x }
     }
+
+    /// Whether the challenge and both responses are reduced mod `q`.
+    fn in_range(&self, group: &SchnorrGroup) -> bool {
+        let q = group.order();
+        &self.e < q && &self.z_r < q && &self.z_x < q
+    }
 }
 
 /// Result of the judge opening a signature.
@@ -144,24 +150,64 @@ impl GroupPublicKey {
     /// this signature and encrypted that key to the judge; it says nothing
     /// about who. Combine with [`GroupManager::open`] for attribution.
     pub fn verify(&self, group: &SchnorrGroup, message: &[u8], sig: &GroupSignature) -> bool {
-        let q = group.order();
-        if &sig.e >= q || &sig.z_r >= q || &sig.z_x >= q {
+        if !sig.in_range(group) {
             return false;
         }
-        let elem = group.elem_ring();
+        // Membership of c1 and c2 rides the chains that raise them to -e.
         let neg_e = group.scalar_ring().neg(&sig.e);
-        // Membership of c1 and c2 rides the chains that raise them to -e;
-        // the fixed bases g and y_J come from their tables.
         let Some(c1_e) = group.pow_member(sig.ct.c1(), &neg_e) else {
             return false;
         };
         let Some(c2_e) = group.pow_member(sig.ct.c2(), &neg_e) else {
             return false;
         };
+        self.accepts(group, message, sig, &c1_e, &c2_e)
+    }
+
+    /// [`GroupPublicKey::verify`] for every `(message, signature)` in
+    /// `claims`, index-aligned. The two chains of each signature are
+    /// independent of every other's, so all of them go to
+    /// [`SchnorrGroup::pow_member_many`] at once — eight to a lane call
+    /// where the host has the engine. Nothing is combined across
+    /// signatures: each verdict is exactly `verify`'s.
+    pub fn verify_each(&self, group: &SchnorrGroup, claims: &[(&[u8], &GroupSignature)]) -> Vec<bool> {
+        let checked: Vec<usize> = (0..claims.len()).filter(|&i| claims[i].1.in_range(group)).collect();
+        let neg_es: Vec<BigUint> =
+            checked.iter().map(|&i| group.scalar_ring().neg(&claims[i].1.e)).collect();
+        let exps: Vec<[&BigUint; 1]> = neg_es.iter().map(|neg_e| [neg_e]).collect();
+        let halves: Vec<Powers<'_>> = checked
+            .iter()
+            .zip(&exps)
+            .flat_map(|(&i, exps)| [claims[i].1.ct.c1(), claims[i].1.ct.c2()].map(|c| (c, &exps[..])))
+            .collect();
+        let mut verdicts = vec![false; claims.len()];
+        let mut powers = group.pow_member_many(&halves).into_iter();
+        for &i in &checked {
+            let (message, sig) = claims[i];
+            let mut half = || powers.next().expect("two chains per checked signature")?.pop();
+            if let (Some(c1_e), Some(c2_e)) = (half(), half()) {
+                verdicts[i] = self.accepts(group, message, sig, &c1_e, &c2_e);
+            }
+        }
+        verdicts
+    }
+
+    /// Whether `sig`, in range and with both ciphertext halves proven
+    /// members and raised to `-e`, answers its own challenge.
+    fn accepts(
+        &self,
+        group: &SchnorrGroup,
+        message: &[u8],
+        sig: &GroupSignature,
+        c1_e: &BigUint,
+        c2_e: &BigUint,
+    ) -> bool {
+        let elem = group.elem_ring();
+        // The fixed bases g and y_J come from their tables.
         // a1' = g^{z_r} · c1^{-e}
-        let a1 = elem.mul(&group.pow_g(&sig.z_r), &c1_e);
+        let a1 = elem.mul(&group.pow_g(&sig.z_r), c1_e);
         // a2' = g^{z_x} · y_J^{z_r} · c2^{-e}
-        let a2 = elem.mul(&elem.mul(&group.pow_g(&sig.z_x), &self.judge.pow(group, &sig.z_r)), &c2_e);
+        let a2 = elem.mul(&elem.mul(&group.pow_g(&sig.z_x), &self.judge.pow(group, &sig.z_r)), c2_e);
         challenge(group, self, &sig.ct, &a1, &a2, message) == sig.e
     }
 }
@@ -281,7 +327,7 @@ impl<I> GroupManager<I> {
 }
 
 /// Fiat–Shamir challenge binding statement, commitments, and message.
-fn challenge(
+pub(crate) fn challenge(
     group: &SchnorrGroup,
     gpk: &GroupPublicKey,
     ct: &ElGamalCiphertext,

@@ -8,8 +8,11 @@
 
 use std::sync::OnceLock;
 
-use rand::SeedableRng;
-use whopay_num::SchnorrGroup;
+use rand::{Rng, SeedableRng};
+use whopay_num::{BigUint, SchnorrGroup};
+
+use crate::elgamal::ElGamalCiphertext;
+use crate::group_sig::{self, GroupPublicKey, GroupSignature};
 
 /// A deterministic RNG for reproducible tests and simulations.
 pub fn test_rng(seed: u64) -> rand::rngs::StdRng {
@@ -30,4 +33,58 @@ pub fn tiny_group() -> &'static SchnorrGroup {
 pub fn small_group() -> &'static SchnorrGroup {
     static GROUP: OnceLock<SchnorrGroup> = OnceLock::new();
     GROUP.get_or_init(|| SchnorrGroup::generate(512, 160, &mut test_rng(0xBEEF)))
+}
+
+/// An element of `Z_p*` outside the order-`q` subgroup whose order is
+/// small: `−1`, or (`odd`) an element of the smallest odd order below
+/// 1000 that divides the cofactor `(p − 1)/q` — `−1` again if none does.
+pub fn small_order_element(group: &SchnorrGroup, odd: bool) -> BigUint {
+    let elem = group.elem_ring();
+    let p_minus_1 = group.modulus() - &BigUint::one();
+    let cofactor = &p_minus_1 / group.order();
+    let odd_order = (3u64..1000).step_by(2).map(BigUint::from).find(|d| (&cofactor % d).is_zero());
+    odd_order
+        .filter(|_| odd)
+        .and_then(|d| {
+            (2u64..50)
+                .map(|h| elem.pow(&BigUint::from(h), &(&p_minus_1 / &d)))
+                .find(|eta| !eta.is_one())
+        })
+        .unwrap_or_else(|| elem.neg(&BigUint::one()))
+}
+
+/// A group signature over `message` by a signer who multiplied the halves
+/// of their own escrow ciphertext by `twists` — elements of small order,
+/// outside the order-`q` subgroup — and redrew their randomness until
+/// `twist^(−e mod q) = 1` for both, so that `c₁^(−e)` and `c₂^(−e)` come
+/// out as if nothing had been twisted and both verification equations
+/// hold. The one thing wrong with it is that a half is no subgroup
+/// member: [`GroupPublicKey::verify`] refuses it, a verifier that skipped
+/// a half's membership check would not. With both twists `1` it is an
+/// ordinary signature by an unregistered key.
+pub fn twisted_group_signature<R: Rng + ?Sized>(
+    group: &SchnorrGroup,
+    gpk: &GroupPublicKey,
+    message: &[u8],
+    twists: [&BigUint; 2],
+    rng: &mut R,
+) -> GroupSignature {
+    let (elem, scalar) = (group.elem_ring(), group.scalar_ring());
+    let judge = gpk.judge_key();
+    let x = group.random_scalar(rng);
+    loop {
+        let (r, rho_r, rho_x) =
+            (group.random_scalar(rng), group.random_scalar(rng), group.random_scalar(rng));
+        let ct = judge.encrypt_with(group, &group.pow_g(&x), &r);
+        let ct =
+            ElGamalCiphertext::from_parts(elem.mul(ct.c1(), twists[0]), elem.mul(ct.c2(), twists[1]));
+        let a1 = group.pow_g(&rho_r);
+        let a2 = elem.mul(&group.pow_g(&rho_x), &judge.pow(group, &rho_r));
+        let e = group_sig::challenge(group, gpk, &ct, &a1, &a2, message);
+        if twists.iter().all(|twist| elem.pow(twist, &scalar.neg(&e)).is_one()) {
+            let z_r = scalar.add(&rho_r, &scalar.mul(&e, &r));
+            let z_x = scalar.add(&rho_x, &scalar.mul(&e, &x));
+            return GroupSignature::from_parts(ct, e, z_r, z_x);
+        }
+    }
 }

@@ -10,8 +10,10 @@
 //! halves multiplied by the order-2 element `p − 1`, `0`, `p`, and random
 //! non-members. `DsaPublicKey::verify_member_each` (every claim under one
 //! key over one chain and one inversion) must give the verdict of
-//! `verify_member` on each claim, and `DsaKeyPair::sign_each` the
-//! signatures and the draws of `sign` on each message.
+//! `verify_member` on each claim, `DsaPublicKey::verify_member_many` (many
+//! keys, their chains walked together) the same for every key and claim,
+//! and `DsaKeyPair::sign_each` the signatures and the draws of `sign` on
+//! each message.
 
 use rand::RngExt;
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
@@ -142,6 +144,66 @@ fn verify_member_each_matches_verify_member_on_every_claim() {
         }
     }
     assert!(accepted > 20 && refused > 200, "both verdicts must occur ({accepted} / {refused})");
+}
+
+/// A message and a signature over it (or not).
+type OwnedClaim = (Vec<u8>, DsaSignature);
+
+#[test]
+fn verify_member_many_matches_verify_member_on_every_key_and_claim() {
+    let mut rng = test_rng(0x3A27);
+    for (group, rounds) in [(tiny_group(), 12), (small_group(), 2)] {
+        let (p, q) = (group.modulus(), group.order());
+        let (mut members, mut strangers) = (0, 0);
+        for round in 0..rounds {
+            // One key to two full lane calls and a chain.
+            for n in (1..=9).chain([16, 17]) {
+                // Each key a member, twisted, no unit or random, under zero
+                // to two claims, valid, over other bytes or out of range.
+                let keys: Vec<(BigUint, Vec<OwnedClaim>)> = (0..n)
+                    .map(|i| {
+                        let kp = DsaKeyPair::generate(group, &mut rng);
+                        let y = kp.public().element().clone();
+                        let claims = (0..rng.random_range(0..3usize)).map(|j| {
+                            let msg = format!("key {round}/{i} claim {j}").into_bytes();
+                            let sig = kp.sign(group, &msg, &mut rng);
+                            match rng.random_range(0..5usize) {
+                                0..=2 => (msg, sig),
+                                3 => (b"other bytes".to_vec(), sig),
+                                _ => (msg, DsaSignature::from_parts(sig.r() + q, sig.s().clone())),
+                            }
+                        });
+                        let claims = claims.collect();
+                        let key = match rng.random_range(0..8usize) {
+                            0..=3 => y,
+                            4 => group.elem_ring().neg(&y),
+                            5 => BigUint::zero(),
+                            6 => p + &y,
+                            _ => BigUint::random_below(&mut rng, p),
+                        };
+                        (key, claims)
+                    })
+                    .collect();
+                let claims: Vec<Vec<(&[u8], &DsaSignature)>> = keys
+                    .iter()
+                    .map(|(_, claims)| claims.iter().map(|(m, s)| (&m[..], s)).collect())
+                    .collect();
+                let items: Vec<_> = keys.iter().zip(&claims).map(|((y, _), c)| (y, &c[..])).collect();
+                let got = DsaPublicKey::verify_member_many(group, &items);
+                for ((y, claims), got) in items.iter().zip(&got) {
+                    assert_eq!(got.is_some(), group.is_element(y), "key {y}");
+                    let want: Vec<bool> = claims
+                        .iter()
+                        .map(|(m, s)| DsaPublicKey::verify_member(group, y, m, s))
+                        .collect();
+                    assert_eq!(got.clone().unwrap_or(vec![false; claims.len()]), want, "key {y}");
+                    members += got.is_some() as usize;
+                    strangers += got.is_none() as usize;
+                }
+            }
+        }
+        assert!(members > 20 && strangers > 20, "both verdicts must occur ({members} / {strangers})");
+    }
 }
 
 #[test]

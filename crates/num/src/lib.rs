@@ -7,7 +7,10 @@
 //! contexts ([`ModRing`]) with a Montgomery/fixed-window fast path for odd
 //! moduli ([`montgomery`]), and primality / parameter generation
 //! ([`primes`], [`primes::SchnorrGroup`]). Everything is implemented from
-//! scratch on `u64` limbs — no external bignum or crypto crates.
+//! scratch on `u64` limbs — no external bignum or crypto crates. On
+//! x86-64 hosts with AVX-512 IFMA, `lanes` walks eight independent
+//! membership-and-power chains as one
+//! ([`SchnorrGroup::pow_member_many`] picks the engine).
 //!
 //! # Examples
 //!
@@ -34,6 +37,8 @@
 
 mod biguint;
 mod kernels;
+#[cfg(target_arch = "x86_64")]
+pub mod lanes;
 pub mod limbs;
 mod modring;
 pub mod montgomery;
@@ -43,6 +48,10 @@ pub use biguint::{BigUint, ParseBigUintError};
 pub use modring::ModRing;
 pub use montgomery::{FixedBaseTable, MontgomeryRing};
 pub use primes::SchnorrGroup;
+
+/// One base and the exponents to raise it to: an item of
+/// [`SchnorrGroup::pow_member_many`].
+pub type Powers<'a> = (&'a BigUint, &'a [&'a BigUint]);
 
 /// Deterministic RNG for tests and reproducible simulations.
 #[cfg(test)]

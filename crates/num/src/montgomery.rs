@@ -84,18 +84,11 @@ impl MontgomeryRing {
         }
         let m = modulus.limbs().to_vec();
         let n = m.len();
-        // Newton–Hensel inversion of m[0] mod 2^64: each step doubles the
-        // number of correct low bits, and x = m0 seeds 3 of them.
-        let m0 = m[0];
-        let mut inv = m0;
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(m0.wrapping_mul(inv), 1);
+        let n0inv = neg_inv_word(m[0]);
         let r = BigUint::one() << (64 * n);
         let one = pad(&(&r % modulus), n);
         let r2 = pad(&((&r * &r) % modulus), n);
-        Some(MontgomeryRing { m, n0inv: inv.wrapping_neg(), r2, one })
+        Some(MontgomeryRing { m, n0inv, r2, one })
     }
 
     /// Width of the fixed-size residue representation, in limbs.
@@ -521,8 +514,19 @@ fn window_size(bits: usize) -> usize {
     }
 }
 
+/// `-m0⁻¹ mod 2^64` for odd `m0`, by Newton–Hensel inversion: each step
+/// doubles the number of correct low bits, and `x = m0` seeds 3 of them.
+pub(crate) fn neg_inv_word(m0: u64) -> u64 {
+    let mut inv = m0;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+    }
+    debug_assert_eq!(m0.wrapping_mul(inv), 1);
+    inv.wrapping_neg()
+}
+
 /// The `i`-th `k`-bit digit of `e` (little-endian digit order), `k ≤ 8`.
-fn exp_digit(e: &BigUint, i: usize, k: usize) -> usize {
+pub(crate) fn exp_digit(e: &BigUint, i: usize, k: usize) -> usize {
     let limbs = e.limbs();
     let (limb, shift) = (i * k / 64, i * k % 64);
     let mut d = limbs.get(limb).map_or(0, |l| l >> shift);

@@ -10,8 +10,10 @@ use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::LaneRing;
 use crate::montgomery::FixedBaseTable;
-use crate::{BigUint, ModRing};
+use crate::{BigUint, ModRing, Powers};
 
 /// Small primes used for fast trial-division screening of candidates.
 const SMALL_PRIMES: [u64; 46] = [
@@ -149,6 +151,9 @@ struct GroupCache {
     elem_ring: OnceLock<ModRing>,
     scalar_ring: OnceLock<ModRing>,
     g_table: OnceLock<FixedBaseTable>,
+    /// The lane engine's context, `None` where it cannot run.
+    #[cfg(target_arch = "x86_64")]
+    lanes: OnceLock<Option<LaneRing>>,
 }
 
 impl PartialEq for SchnorrGroup {
@@ -299,6 +304,79 @@ impl SchnorrGroup {
     /// [`SchnorrGroup::pow_member_each`] for one exponent.
     pub fn pow_member(&self, x: &BigUint, e: &BigUint) -> Option<BigUint> {
         self.pow_member_each(x, &[e])?.pop()
+    }
+
+    /// [`SchnorrGroup::pow_member_each`] for every `(x, exps)` in `items`
+    /// (no exponents: [`SchnorrGroup::is_element`]), index-aligned. The
+    /// chains are independent and the same shape, so where the host and
+    /// the modulus allow ([`SchnorrGroup::lane_ring`]) they walk eight to
+    /// a lane call, as [`SchnorrGroup::lane_plan`] spreads them; every
+    /// other chain is walked by `pow_member_each` itself. Each verdict and
+    /// power is exactly what `pow_member_each` gives for that item alone.
+    pub fn pow_member_many(&self, items: &[Powers<'_>]) -> Vec<Option<Vec<BigUint>>> {
+        let (_, in_lanes) = self.lane_plan(items.len());
+        // Most exponents first: a lane call costs what its busiest lane
+        // does, and the chains left to walk alone are the cheapest.
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(items[i].1.len()));
+        let (lanes, alone) = order.split_at(in_lanes);
+        let mut out = vec![None; items.len()];
+        #[cfg(target_arch = "x86_64")]
+        if !lanes.is_empty() {
+            let ring = self.lane_ring().expect("the plan put chains in lanes");
+            let picked: Vec<Powers<'_>> = lanes.iter().map(|&i| items[i]).collect();
+            for (&i, powers) in lanes.iter().zip(self.pow_member_lanes(ring, &picked)) {
+                out[i] = powers;
+            }
+        }
+        for &i in alone {
+            out[i] = self.pow_member_each(items[i].0, items[i].1);
+        }
+        out
+    }
+
+    /// Chains a lane call must carry before it is made: a call costs the
+    /// same however many of its eight lanes are filled — what 1.6 lone
+    /// chains do on the host this was measured on, with two IFMA ports
+    /// (EXPERIMENTS.md, "PR 17") — and four leaves room for a host with
+    /// one, where a call costs twice that.
+    pub const LANE_MIN: usize = 4;
+
+    /// How [`SchnorrGroup::pow_member_many`] spreads `chains` chains: the
+    /// lane calls it makes and the chains that ride them — full calls of
+    /// eight, and a last partial one if it carries
+    /// [`SchnorrGroup::LANE_MIN`]. `(0, 0)` without a lane engine.
+    pub fn lane_plan(&self, chains: usize) -> (usize, usize) {
+        #[cfg(target_arch = "x86_64")]
+        if chains >= Self::LANE_MIN && self.lane_ring().is_some() {
+            let lanes = crate::lanes::LANES;
+            let filled = if chains % lanes < Self::LANE_MIN { chains - chains % lanes } else { chains };
+            return (filled.div_ceil(lanes), filled);
+        }
+        (0, 0)
+    }
+
+    /// The lane engine's context for this group's modulus, built on first
+    /// use and shared across clones; `None` where the engine cannot run
+    /// (see [`LaneRing::new`]).
+    #[cfg(target_arch = "x86_64")]
+    pub fn lane_ring(&self) -> Option<&LaneRing> {
+        self.cache.lanes.get_or_init(|| LaneRing::new(&self.p)).as_ref()
+    }
+
+    /// [`SchnorrGroup::pow_member_many`] with every chain in a lane of
+    /// `ring`, however few there are: one of its two engines, and the
+    /// surface the differential suite enters it through.
+    #[cfg(target_arch = "x86_64")]
+    pub fn pow_member_lanes(&self, ring: &LaneRing, items: &[Powers<'_>]) -> Vec<Option<Vec<BigUint>>> {
+        let units: Vec<usize> =
+            (0..items.len()).filter(|&i| !items[i].0.is_zero() && items[i].0 < &self.p).collect();
+        let picked: Vec<Powers<'_>> = units.iter().map(|&i| items[i]).collect();
+        let mut out = vec![None; items.len()];
+        for (&i, (x_q, powers)) in units.iter().zip(ring.pow_each(&self.q, &picked)) {
+            out[i] = x_q.is_one().then_some(powers);
+        }
+        out
     }
 
     /// Samples a uniformly random exponent in `[1, q)` (a private scalar).

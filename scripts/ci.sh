@@ -15,16 +15,16 @@ cargo test -q --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
 
-echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid)"
+echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo test -p whopay-crypto --release (batch soundness incl. merged bases + bisection cost, verify_member[_each] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
+echo "==> cargo test -p whopay-crypto --release (batch soundness incl. merged bases + bisection cost + verify_each ≡ verify on damaged and self-twisted group signatures in every lane, verify_member[_each|_many] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
 cargo test -p whopay-crypto -q --release --offline
 
 echo "==> cargo test -p whopay-core --release (membership-fused verify parity, accept_grant shared-chain parity incl. cache traffic + shard-lock independence of dispatch)"
 cargo test -p whopay-core -q --release --offline --test member_parity --test concurrent
 
-echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories; sign-once roots, compare-first deposits, every refusal counted)"
+echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories incl. group signatures with a half outside the subgroup, in lanes where the host has them; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test broker_accounting
 
 echo "==> cargo test -p whopay-core --release (the one wire decoder: props, fuzz [views, TickBatch, prepare groups, 4 KiB damaged real frames], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, parent-commit journal fixture)"
