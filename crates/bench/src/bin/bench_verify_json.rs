@@ -1,28 +1,21 @@
 //! Machine-readable verification benchmark: emits `BENCH_verify.json`
-//! comparing per-signature, batched (1 thread), and batched+parallel
-//! deposit-chain verification at the 512-bit bench security level.
+//! comparing per-signature and chained deposit verification at the
+//! 512-bit bench security level.
 //!
 //! The workload is the broker's deposit-flood shape: a [`BindingChain`]
 //! holding `len` deposits, each contributing three DSA checks (mint
-//! signature, binding signature, holder signature) with the coin's
-//! membership test shared between the first two. The per-signature
+//! signature, binding signature, holder signature). The per-signature
 //! baseline runs the exact serial semantics the chain replaces — per
 //! item, a subgroup-membership check and a signature verification, fused
-//! into one `verify_member` chain where both concern the same key.
+//! into one `verify_member` chain where both concern the same key. The
+//! chain walks the `verify_member` checks together, one exact chain per
+//! key, and verifies the mint signatures as the baseline does.
 //!
 //! A second table, `groups`, is the shape a broker shard settles per
-//! drain cycle: `n` signatures, each under its own cold key, against `n`
-//! `verify_member` calls. Five ways: `members` — the keys are proven
-//! members already (a minted coin's key, a holder key a renewal verified
-//! under) and one reduced-exponent combination settles the signatures;
-//! `proven` — each key is first proven by `is_element`; `merged` — the
-//! membership rides in the combination on the key's own base, which the
-//! peers' chain verification does and the broker does not (DESIGN.md §9);
-//! `lanes` — `verify_member_many`, every key's membership-and-power chain
-//! walked exactly, eight to a lane call, which is what a shard does for a
-//! holder key nothing vouches for yet; `lane_proven` — the keys proven by
-//! `pow_member_many`, then the `members` combination. Plus the cost of
-//! finding one forgery among the `members` claims.
+//! drain cycle: `n` signatures, each under its own cold key, as `n`
+//! `verify_member` calls against one `verify_member_many` (`lanes`) —
+//! every key's membership-and-power chain walked exactly, eight to a lane
+//! call.
 //!
 //! A third table, `group_sigs`: `n` group signatures through
 //! `GroupPublicKey::verify` one at a time against `verify_each`, whose
@@ -36,17 +29,15 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use whopay_bench::{bench_group, time_it};
-use whopay_core::{BindingChain, VerifyPool};
-use whopay_crypto::batch::{verify_dsa_members, verify_dsa_with_elements, DsaBatchItem};
+use whopay_core::BindingChain;
+use whopay_crypto::batch::DsaBatchItem;
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature, MemberClaims};
 use whopay_crypto::group_sig::{GroupManager, GroupSignature};
 use whopay_crypto::testing::test_rng;
-use whopay_num::{BigUint, Powers, SchnorrGroup};
+use whopay_num::{BigUint, SchnorrGroup};
 
 /// Deposit counts settled together (the "chain lengths").
 const CHAIN_LENS: [usize; 3] = [4, 16, 64];
-/// Pool widths for the parallel rows.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Signatures a shard settles together in one drain cycle.
 const GROUP_SIZES: [usize; 3] = [4, 16, 64];
 /// Group signatures verified together.
@@ -129,16 +120,8 @@ fn main() {
             }
         });
 
-        // Batched (and batched+parallel) through the chain.
-        let mut by_threads: Vec<(usize, Duration)> = Vec::new();
-        for &t in &THREADS {
-            let pool = VerifyPool::new(t);
-            let d = time_it(iters, || {
-                assert!(chain.verify_each(None, &pool).iter().all(|&ok| ok));
-            });
-            by_threads.push((t, d));
-        }
-        rows.push((len, items.len(), serial, by_threads));
+        let batched = time_it(iters, || assert!(chain.verify_batch(None)));
+        rows.push((len, items.len(), serial, batched));
     }
 
     // Drain-cycle groups: n holder signatures, each key cold.
@@ -154,21 +137,11 @@ fn main() {
                 DsaBatchItem { key: key.public().clone(), message, sig }
             })
             .collect();
-        let elements: Vec<BigUint> = items.iter().map(|it| it.key.element().clone()).collect();
         let serial = time_it(iters, || {
             for it in &items {
                 assert!(DsaPublicKey::verify_member(group, it.key.element(), &it.message, &it.sig));
             }
         });
-        let all_hold = |settled: whopay_crypto::batch::BatchOutcome| {
-            assert!(settled.combined_checks == 1 && settled.signatures.iter().all(|&ok| ok));
-        };
-        let members = time_it(iters, || all_hold(verify_dsa_members(group, &items)));
-        let proven = time_it(iters, || {
-            assert!(elements.iter().all(|x| group.is_element(x)));
-            all_hold(verify_dsa_members(group, &items));
-        });
-        let merged = time_it(iters, || all_hold(verify_dsa_with_elements(group, &items, &elements)));
         let claims: Vec<[(&[u8], &DsaSignature); 1]> =
             items.iter().map(|it| [(&it.message[..], &it.sig)]).collect();
         let keys: Vec<MemberClaims<'_>> =
@@ -177,18 +150,7 @@ fn main() {
             let verdicts = DsaPublicKey::verify_member_many(group, &keys);
             assert!(verdicts.iter().all(|v| v.as_deref() == Some(&[true][..])));
         });
-        let bare: Vec<Powers<'_>> = elements.iter().map(|x| (x, &[][..])).collect();
-        let lane_proven = time_it(iters, || {
-            assert!(group.pow_member_many(&bare).iter().all(Option::is_some));
-            all_hold(verify_dsa_members(group, &items));
-        });
-        let mut forged = items.clone();
-        forged[n / 3].message.push(0xA5);
-        let one_forgery = time_it(iters, || {
-            let settled = verify_dsa_members(group, &forged);
-            assert_eq!(settled.signatures.iter().filter(|&&ok| !ok).count(), 1);
-        });
-        groups.push((n, serial, [members, proven, merged, lanes, lane_proven, one_forgery]));
+        groups.push((n, serial, lanes));
     }
 
     // Group signatures: one at a time against all their chains at once.
@@ -220,58 +182,28 @@ fn main() {
     writeln!(json, "  \"host_cpus\": {host_cpus},").unwrap();
     writeln!(json, "  \"ifma\": {},", group.lane_plan(8).0 > 0).unwrap();
     writeln!(json, "  \"chains\": [").unwrap();
-    for (row_idx, (len, sigs, serial, by_threads)) in rows.iter().enumerate() {
-        writeln!(json, "    {{").unwrap();
-        writeln!(json, "      \"len\": {len},").unwrap();
-        writeln!(json, "      \"signatures\": {sigs},").unwrap();
-        writeln!(json, "      \"per_signature_ns\": {},", serial.as_nanos()).unwrap();
-        for (i, (t, d)) in by_threads.iter().enumerate() {
-            let label = if *t == 1 { "batched".to_string() } else { format!("batched_parallel_{t}t") };
-            // A multi-thread row timed on a single-CPU host says nothing
-            // about parallel speedup; mark it so downstream tooling never
-            // treats the (serialized) number as evidence.
-            let unproven = if *t > 1 && host_cpus == 1 {
-                format!(", \"{label}_unproven\": true")
-            } else {
-                String::new()
-            };
-            writeln!(
-                json,
-                "      \"{label}_ns\": {}, \"{label}_speedup\": {:.2}{unproven}{}",
-                d.as_nanos(),
-                speedup(*serial, *d),
-                if i + 1 < by_threads.len() { "," } else { "" }
-            )
-            .unwrap();
-        }
-        writeln!(json, "    }}{}", if row_idx + 1 < rows.len() { "," } else { "" }).unwrap();
+    for (i, (len, sigs, serial, batched)) in rows.iter().enumerate() {
+        writeln!(
+            json,
+            "    {{ \"len\": {len}, \"signatures\": {sigs}, \"per_signature_ns\": {}, \
+             \"batched_ns\": {}, \"batched_speedup\": {:.2} }}{}",
+            serial.as_nanos(),
+            batched.as_nanos(),
+            speedup(*serial, *batched),
+            if i + 1 < rows.len() { "," } else { "" }
+        )
+        .unwrap();
     }
     writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"groups\": [").unwrap();
-    for (i, (n, serial, [members, proven, merged, lanes, lane_proven, one_forgery])) in
-        groups.iter().enumerate()
-    {
-        let per_sig = |d: &Duration| d.as_nanos() / *n as u128;
-        write!(json, "    {{ \"n\": {n}, \"verify_member_ns_per_sig\": {}", per_sig(serial)).unwrap();
-        for (label, d) in [
-            ("members_batch", members),
-            ("proven_batch", proven),
-            ("merged_batch", merged),
-            ("lanes", lanes),
-            ("lane_proven_batch", lane_proven),
-        ] {
-            write!(
-                json,
-                ", \"{label}_ns_per_sig\": {}, \"{label}_speedup\": {:.2}",
-                per_sig(d),
-                speedup(*serial, *d)
-            )
-            .unwrap();
-        }
+    for (i, (n, serial, lanes)) in groups.iter().enumerate() {
         writeln!(
             json,
-            ", \"one_forgery_ns_per_sig\": {} }}{}",
-            per_sig(one_forgery),
+            "    {{ \"n\": {n}, \"verify_member_ns_per_sig\": {}, \"lanes_ns_per_sig\": {}, \
+             \"lanes_speedup\": {:.2} }}{}",
+            serial.as_nanos() / *n as u128,
+            lanes.as_nanos() / *n as u128,
+            speedup(*serial, *lanes),
             if i + 1 < groups.len() { "," } else { "" }
         )
         .unwrap();

@@ -208,6 +208,7 @@ fn main() {
     writeln!(json, "  \"generated_by\": \"crates/bench/src/bin/bench_wire_json.rs\",").unwrap();
     writeln!(json, "  \"host_cpus\": {},", std::thread::available_parallelism().map_or(1, |n| n.get()))
         .unwrap();
+    writeln!(json, "  \"ifma\": {},", whopay_bench::bench_group().lane_plan(8).0 > 0).unwrap();
     writeln!(json, "  \"workload\": \"downtime transfer request (512-bit magnitudes) answered with a coin grant\",").unwrap();
     writeln!(
         json,

@@ -11,7 +11,6 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 
 use rand::Rng;
-use whopay_crypto::batch;
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature, MemberClaims};
 use whopay_crypto::group_sig::{GroupPublicKey, GroupSignature};
 use whopay_crypto::payword::{skip_verify, Payword};
@@ -19,7 +18,6 @@ use whopay_crypto::sha256::Digest;
 use whopay_num::{BigUint, SchnorrGroup};
 
 use crate::audit::Auditor;
-use crate::chain::BindingChain;
 use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
 use crate::error::CoreError;
 use crate::journal::{ChainSnapshot, CheckpointState, CoinSnapshot, Journal, JournalEntry, JournalOp};
@@ -40,12 +38,6 @@ struct CoinRecord {
     minted: MintedCoin,
     /// Broker-signed binding for coins it manages during owner downtime.
     downtime_binding: Option<Binding>,
-    /// Whether `downtime_binding`'s holder key has been proven a subgroup
-    /// member (a renewal accepted a signature under it and kept the key),
-    /// so that [`Broker::prepare`] may put the next signature under it in
-    /// the combined check. Working state, not committed state: a
-    /// recovered broker starts from `false`.
-    holder_member: bool,
     /// Set when the coin is redeemed; any later spend attempt is fraud.
     deposited: bool,
     /// The last mutating op served for this coin — the replay memo that
@@ -141,28 +133,37 @@ impl<'a> Upcoming<'a> {
 /// What one [`Broker::prepare`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrepareReport {
-    /// Signatures a combined check settled.
+    /// Verdicts parked for the handlers.
     pub settled: u64,
     /// Requests that owed nothing: the state machine answers them before
     /// any signature check, or every verdict they need is already known.
     pub skipped: u64,
-    /// Signatures settled one at a time (no witness, or what a failing
-    /// combined check was bisected down to).
-    pub fallbacks: u64,
     /// Calls of the lane engine ([`SchnorrGroup::pow_member_many`]).
     pub lane_calls: u64,
     /// Chains handed to those calls, eight to a call at most.
     pub lanes_filled: u64,
 }
 
-/// The chains one [`Broker::prepare`] walks exactly, eight to a lane call
-/// where the host has the engine: every untrusted group element of its
-/// requests that no earlier verification vouches for.
+/// A DSA signature [`Broker::prepare`] owes a verdict for.
+struct OwedSig<'a> {
+    key: &'a BigUint,
+    msg: Vec<u8>,
+    sig: &'a DsaSignature,
+    /// Where the handler looks the verdict up ([`sigcache::cache_key`]).
+    parked_at: Digest,
+    /// The key is a registered identity key: the handler verifies under
+    /// it without asking membership, so a key that turns out to be no
+    /// member has no verdict here and is left to the handler.
+    registered: bool,
+}
+
+/// What one [`Broker::prepare`] owes: every untrusted group element of
+/// its requests that no earlier verification vouches for, each on one
+/// exact chain, eight chains to a lane call.
 #[derive(Default)]
 struct OwedChains<'a> {
-    /// Holder signatures under keys not yet proven subgroup members:
-    /// `(key, message, signature)`.
-    holder_sigs: Vec<(&'a BigUint, Vec<u8>, &'a DsaSignature)>,
+    /// Holder signatures, coin-key-signed bindings, identity signatures.
+    sigs: Vec<OwedSig<'a>>,
     /// Purchased coin keys, whose membership the purchase handler asks
     /// about before anything else.
     coin_keys: Vec<&'a BigUint>,
@@ -172,7 +173,7 @@ struct OwedChains<'a> {
 
 impl OwedChains<'_> {
     fn len(&self) -> usize {
-        self.holder_sigs.len() + self.coin_keys.len() + self.group_sigs.len()
+        self.sigs.len() + self.coin_keys.len() + self.group_sigs.len()
     }
 }
 
@@ -189,11 +190,12 @@ pub struct Broker {
     stats: BrokerStats,
     /// Verdict cache; primed with own mint signatures so deposits hit.
     sig_cache: Arc<SigCache>,
-    /// Verdicts the last [`Broker::prepare`] settled: a signature's by its
+    /// Verdicts the last [`Broker::prepare`] parked: a signature's by its
     /// cache key ([`sigcache::cache_key`], [`sigcache::group_cache_key`]),
-    /// a purchased key's subgroup membership by its coin id. The handlers
-    /// consult it before verifying; it never feeds `sig_cache` except
-    /// through the lookups the handlers would make anyway.
+    /// a purchased key's subgroup membership by its coin id. A handler
+    /// *takes* the verdict it uses, and the next `prepare` discards what
+    /// is left; the table never feeds `sig_cache` except through the
+    /// lookups the handlers would make anyway.
     prepared: HashMap<Digest, bool>,
     /// Crash-recovery journal; `None` until [`Broker::enable_journal`].
     journal: Option<Journal>,
@@ -310,54 +312,57 @@ impl Broker {
         CoreError::DoubleSpend(coin)
     }
 
-    /// Whether `presented` supersedes stored downtime state: a strictly
-    /// newer, coin-key-signed, valid binding can only come from the coin
-    /// owner serving transfers again, so the parked downtime state is
-    /// obsolete and the broker releases it. (Sync no longer clears the
-    /// stored binding — the owner may re-fetch it after a crash — so this
-    /// rule is what lets post-downtime protocol flow resume.)
-    fn supersedes(&self, group: &SchnorrGroup, stored: &Binding, presented: &Binding) -> bool {
-        presented.seq() > stored.seq()
+    /// Whether `presented` supersedes stored downtime state of sequence
+    /// number `stored_seq`: a strictly newer, coin-key-signed, valid
+    /// binding can only come from the coin owner serving transfers again,
+    /// so the parked downtime state is obsolete and the broker releases
+    /// it. (Sync no longer clears the stored binding — the owner may
+    /// re-fetch it after a crash — so this rule is what lets
+    /// post-downtime protocol flow resume.)
+    fn supersedes(&mut self, group: &SchnorrGroup, stored_seq: u64, presented: &Binding) -> bool {
+        presented.seq() > stored_seq
             && presented.signer() == BindingSigner::CoinKey
             && self.binding_verifies(group, presented)
     }
 
-    /// The verdict cache's answer for `key`; on a miss the verdict comes
-    /// from the last [`Broker::prepare`] if it settled `key`, else from
-    /// `verify`. The cache sees the same lookup either way.
-    fn cached_verdict(&self, key: Digest, verify: impl FnOnce() -> bool) -> bool {
-        self.sig_cache.verify_with(key, || self.prepared.get(&key).copied().unwrap_or_else(verify))
+    /// The verdict cache's answer for `key`; on a miss the verdict is the
+    /// one the last [`Broker::prepare`] parked for `key`, else `verify`'s.
+    /// The cache sees the same lookup either way, and the parked verdict
+    /// is taken whichever answers.
+    fn cached_verdict(&mut self, key: Digest, verify: impl FnOnce(&Self) -> bool) -> bool {
+        let parked = self.prepared.remove(&key);
+        self.sig_cache.verify_with(key, || parked.unwrap_or_else(|| verify(self)))
     }
 
     /// [`Binding::verify_cached`] against the broker's cache (see
     /// [`Broker::cached_verdict`]).
-    fn binding_verifies(&self, group: &SchnorrGroup, binding: &Binding) -> bool {
-        let pk = self.keys.public();
-        self.cached_verdict(binding.cache_key(group, pk), || binding.verify(group, pk))
+    fn binding_verifies(&mut self, group: &SchnorrGroup, binding: &Binding) -> bool {
+        let key = binding.cache_key(group, self.keys.public());
+        self.cached_verdict(key, |broker| binding.verify(group, broker.keys.public()))
     }
 
-    /// What the last [`Broker::prepare`] settled for the check of `sig`
-    /// over `msg` under `signer`, if anything. While the table is empty —
-    /// outside a drain cycle, and for every group of one — asking costs
-    /// no hashing.
-    fn settled(
-        &self,
+    /// Takes what the last [`Broker::prepare`] parked in `prepared` for
+    /// the check of `sig` over `msg` under `signer`, if anything. While
+    /// the table is empty — no verdict of the current drain cycle is
+    /// waiting — asking costs no hashing.
+    fn take_settled(
+        prepared: &mut HashMap<Digest, bool>,
         group: &SchnorrGroup,
         signer: &DsaPublicKey,
         msg: &[u8],
         sig: &DsaSignature,
     ) -> Option<bool> {
-        if self.prepared.is_empty() {
+        if prepared.is_empty() {
             return None;
         }
-        self.prepared.get(&sigcache::cache_key(group, signer, msg, sig)).copied()
+        prepared.remove(&sigcache::cache_key(group, signer, msg, sig))
     }
 
     /// [`GroupPublicKey::verify`], answered by the last
     /// [`Broker::prepare`] if it settled this very check.
-    fn group_sig_verifies(&self, group: &SchnorrGroup, msg: &[u8], sig: &GroupSignature) -> bool {
+    fn group_sig_verifies(&mut self, group: &SchnorrGroup, msg: &[u8], sig: &GroupSignature) -> bool {
         let settled = (!self.prepared.is_empty())
-            .then(|| self.prepared.get(&sigcache::group_cache_key(&self.gpk, msg, sig)).copied());
+            .then(|| self.prepared.remove(&sigcache::group_cache_key(&self.gpk, msg, sig)));
         settled.flatten().unwrap_or_else(|| self.gpk.verify(group, msg, sig))
     }
 
@@ -434,7 +439,7 @@ impl Broker {
     ) -> Result<MintedCoin, CoreError> {
         let group = self.params.group().clone();
         let id = CoinId::from_pk(&request.coin_pk);
-        let member = self.prepared.get(&id.0).copied();
+        let member = self.prepared.remove(&id.0);
         if !member.unwrap_or_else(|| group.is_element(&request.coin_pk)) {
             return self.reject(CoreError::Malformed);
         }
@@ -457,8 +462,7 @@ impl Broker {
                 (None, _) => Some(CoreError::UnknownPeer(peer)),
                 (Some(_), None) => Some(CoreError::BadSignature),
                 (Some(key), Some(sig)) => {
-                    let ok = self
-                        .settled(&group, key, &msg, sig)
+                    let ok = Self::take_settled(&mut self.prepared, &group, key, &msg, sig)
                         .unwrap_or_else(|| key.verify(&group, &msg, sig));
                     (!ok).then_some(CoreError::BadSignature)
                 }
@@ -483,7 +487,6 @@ impl Broker {
             CoinRecord {
                 minted: minted.clone(),
                 downtime_binding: None,
-                holder_member: false,
                 deposited: false,
                 last_served: Some(served.clone()),
             },
@@ -531,7 +534,7 @@ impl Broker {
             return Ok(receipt);
         }
         let pk = self.keys.public();
-        let minted_ok = self.cached_verdict(request.minted.mint_cache_key(&group, pk), || {
+        let minted_ok = self.sig_cache.verify_with(request.minted.mint_cache_key(&group, pk), || {
             request.minted.verify(&group, pk)
         });
         if !minted_ok || request.binding.coin_pk() != request.minted.coin_pk() {
@@ -541,22 +544,23 @@ impl Broker {
         // the stored binding itself, so one presented bit for bit needs no
         // verification — only a binding that differs is checked, and must
         // then supersede the stored one.
-        let stored = self.coins[&id].downtime_binding.clone();
-        if stored.as_ref() != Some(&request.binding) {
+        let stored = self.coins[&id].downtime_binding.as_ref();
+        if stored != Some(&request.binding) {
+            let stored_seq = stored.map(Binding::seq);
             if !self.binding_verifies(&group, &request.binding) {
                 return self.reject(CoreError::BadSignature);
             }
-            if let Some(downtime) = stored {
-                if !self.supersedes(&group, &downtime, &request.binding) {
+            if let Some(expected_seq) = stored_seq {
+                if !self.supersedes(&group, expected_seq, &request.binding) {
                     return self.reject(CoreError::StaleBinding {
-                        expected_seq: downtime.seq(),
+                        expected_seq,
                         presented_seq: request.binding.seq(),
                     });
                 }
             }
         }
         let msg = DepositRequest::signed_bytes(&request.binding);
-        let holder_ok = self.cached_verdict(request.holder_cache_key(&group), || {
+        let holder_ok = self.cached_verdict(request.holder_cache_key(&group), |_| {
             DsaPublicKey::verify_member(&group, request.binding.holder_pk(), &msg, &request.holder_sig)
         });
         if !(holder_ok && self.group_sig_verifies(&group, &msg, &request.group_sig)) {
@@ -573,7 +577,6 @@ impl Broker {
         let record = self.coins.get_mut(&id).expect("checked above");
         record.deposited = true;
         record.downtime_binding = None;
-        record.holder_member = false;
         record.last_served = Some(served.clone());
         self.stats.deposits += 1;
         self.audit.on_deposit(id);
@@ -606,50 +609,46 @@ impl Broker {
     // --- drain-cycle preparation ---
 
     /// Settles what the broker is about to verify for a group of requests
-    /// and parks the verdicts in a table the handlers consult; the next
-    /// call replaces it. Two ways, by what vouches for the key:
+    /// and parks the verdicts in a table the handlers take them from; the
+    /// next call discards what is left of it.
     ///
-    /// * **One combined check** over the DSA signatures under *proven*
-    ///   subgroup members — the broker's own key and the keys of minted
-    ///   coins; registered identity keys, the registrar's to vet
-    ///   (per-request service verifies under them without a membership
-    ///   check too); a holder key a renewal verified under before. A
-    ///   combined check is sound for keys inside the subgroup and says
-    ///   nothing exact about a key's membership (DESIGN.md §9), so no
-    ///   membership check is ever folded into it.
-    /// * **One exact chain per untrusted element**, walked eight to a lane
-    ///   call ([`SchnorrGroup::pow_member_many`]): a holder signature under
-    ///   a key nothing vouches for yet ([`DsaPublicKey::verify_member`]'s
-    ///   verdict, membership included), a purchased coin key's membership,
-    ///   and both ciphertext halves of the group signature a request will
-    ///   be asked for ([`GroupPublicKey::verify_each`]). Nothing is
-    ///   combined across lanes: each verdict is the one the handler would
-    ///   have computed. Chains too few to fill a lane call
-    ///   ([`SchnorrGroup::lane_plan`]) — and every chain on a host without
-    ///   the engine — stay with the handlers.
+    /// Every untrusted group element of the group is owed **one exact
+    /// chain**, and the chains walk eight to a lane call
+    /// ([`SchnorrGroup::pow_member_many`]): a holder signature or a
+    /// coin-key-signed binding under the key that arrived with it
+    /// ([`DsaPublicKey::verify_member`]'s verdict, membership included),
+    /// an identity signature under a registered key, a purchased coin
+    /// key's membership, and both ciphertext halves of the group
+    /// signature a request will be asked for
+    /// ([`GroupPublicKey::verify_each`]). Nothing is combined across
+    /// lanes: each verdict is the one the handler would have computed.
+    /// Signatures under the broker's own key are not owed: a mint
+    /// signature was cached when it was made, a stored binding is
+    /// compared bit for bit, and any other costs the handler one pass
+    /// over the key's comb table. Chains too few to fill a lane call
+    /// ([`SchnorrGroup::lane_plan`]) — and every chain on a host without
+    /// the engine — stay with the handlers.
     ///
     /// Advisory: no coin state changes, nothing is journalled, the shared
     /// verdict cache is only peeked. Whatever the state machine would
     /// answer before any signature check (an unknown coin, a replay memo,
     /// a stored binding presented bit for bit, a stale one) owes nothing,
     /// and a request that arrives after all without its verdict — or a
-    /// group of one, which builds no batch — is verified by its handler
-    /// as ever.
+    /// group of one, which owes too few chains for a lane call — is
+    /// verified by its handler as ever.
     pub fn prepare(&mut self, upcoming: &[Upcoming<'_>]) -> PrepareReport {
         self.prepared.clear();
         let mut report = PrepareReport::default();
-        if upcoming.len() < batch::MIN_BATCH {
+        if upcoming.len() < 2 {
             report.skipped = upcoming.len() as u64;
             return report;
         }
-        let group = self.params.group().clone();
-        let mut chain = BindingChain::new(group.clone(), self.keys.public().clone());
-        let mut chains = OwedChains::default();
+        let mut owed = OwedChains::default();
         for request in upcoming {
-            let before = chain.len() + chains.len();
+            let before = owed.len();
             match *request {
-                Upcoming::Purchase(request) => self.owed_by_purchase(request, &mut chain, &mut chains),
-                Upcoming::Deposit(request) => self.owed_by_deposit(request, &mut chain, &mut chains),
+                Upcoming::Purchase(request) => self.owed_by_purchase(request, &mut owed),
+                Upcoming::Deposit(request) => self.owed_by_deposit(request, &mut owed),
                 Upcoming::Transfer(request) => {
                     let msg = TransferRequest::signed_bytes(
                         &request.current,
@@ -658,124 +657,109 @@ impl Broker {
                     );
                     let replayed = |s: &ServedOp| s.replay_transfer(request).is_some();
                     let sigs = (&request.holder_sig, &request.group_sig);
-                    self.owed_by_downtime(
-                        &request.current,
-                        replayed,
-                        msg,
-                        sigs,
-                        &mut chain,
-                        &mut chains,
-                    )
+                    self.owed_by_downtime(&request.current, replayed, msg, sigs, &mut owed)
                 }
                 Upcoming::Renewal(request) => {
                     let msg = RenewalRequest::signed_bytes(&request.current);
                     let replayed = |s: &ServedOp| s.replay_renewal(request).is_some();
                     let sigs = (&request.holder_sig, &request.group_sig);
-                    self.owed_by_downtime(
-                        &request.current,
-                        replayed,
-                        msg,
-                        sigs,
-                        &mut chain,
-                        &mut chains,
-                    )
+                    self.owed_by_downtime(&request.current, replayed, msg, sigs, &mut owed)
                 }
             }
-            if chain.len() + chains.len() == before {
+            if owed.len() == before {
                 report.skipped += 1;
             }
         }
-        let (verdicts, cost) = chain.settle_unknown(&self.sig_cache);
-        report.fallbacks = cost.serial_checks as u64;
-        report.settled = cost.signatures.len() as u64 - report.fallbacks;
-        self.prepared.extend(verdicts);
-        self.settle_chains(&group, &chains, &mut report);
+        let parked = self.settle_chains(&owed, &mut report);
+        report.settled = parked.len() as u64;
+        self.prepared.extend(parked);
         report
     }
 
-    /// Walks `chains` through [`SchnorrGroup::pow_member_many`] — keys in
+    /// Walks `owed` through [`SchnorrGroup::pow_member_many`] — keys in
     /// one call, group signatures in another — wherever the lane plan has
-    /// a call for them, and parks the verdicts.
-    fn settle_chains(
-        &mut self,
-        group: &SchnorrGroup,
-        chains: &OwedChains<'_>,
-        report: &mut PrepareReport,
-    ) {
+    /// a call for them, and returns the verdicts to park.
+    fn settle_chains(&self, owed: &OwedChains<'_>, report: &mut PrepareReport) -> Vec<(Digest, bool)> {
+        let group = self.params.group();
         let mut planned = |chains: usize| {
             let (calls, filled) = group.lane_plan(chains);
             report.lane_calls += calls as u64;
             report.lanes_filled += filled as u64;
             calls > 0
         };
-        if planned(chains.holder_sigs.len() + chains.coin_keys.len()) {
+        let mut parked = Vec::new();
+        if planned(owed.sigs.len() + owed.coin_keys.len()) {
             let claims: Vec<[(&[u8], &DsaSignature); 1]> =
-                chains.holder_sigs.iter().map(|(_, msg, sig)| [(&msg[..], *sig)]).collect();
-            let holders =
-                chains.holder_sigs.iter().zip(&claims).map(|((key, ..), claim)| (*key, &claim[..]));
+                owed.sigs.iter().map(|owed| [(&owed.msg[..], owed.sig)]).collect();
+            let signers = owed.sigs.iter().zip(&claims).map(|(owed, claim)| (owed.key, &claim[..]));
             let keys: Vec<MemberClaims<'_>> =
-                holders.chain(chains.coin_keys.iter().map(|key| (*key, &[][..]))).collect();
+                signers.chain(owed.coin_keys.iter().map(|key| (*key, &[][..]))).collect();
             let mut verdicts = DsaPublicKey::verify_member_many(group, &keys).into_iter();
-            for ((key, msg, sig), verdict) in chains.holder_sigs.iter().zip(verdicts.by_ref()) {
-                let signer = DsaPublicKey::from_element((*key).clone());
-                let valid = verdict.is_some_and(|passed| passed[0]);
-                self.prepared.insert(sigcache::cache_key(group, &signer, msg, sig), valid);
+            for (owed, verdict) in owed.sigs.iter().zip(verdicts.by_ref()) {
+                match verdict {
+                    Some(passed) => parked.push((owed.parked_at, passed[0])),
+                    None if owed.registered => {}
+                    None => parked.push((owed.parked_at, false)),
+                }
             }
-            for (key, verdict) in chains.coin_keys.iter().zip(verdicts) {
-                self.prepared.insert(CoinId::from_pk(key).0, verdict.is_some());
+            for (key, verdict) in owed.coin_keys.iter().zip(verdicts) {
+                parked.push((CoinId::from_pk(key).0, verdict.is_some()));
             }
         }
-        if planned(2 * chains.group_sigs.len()) {
+        if planned(2 * owed.group_sigs.len()) {
             let claims: Vec<(&[u8], &GroupSignature)> =
-                chains.group_sigs.iter().map(|(msg, sig)| (&msg[..], *sig)).collect();
+                owed.group_sigs.iter().map(|(msg, sig)| (&msg[..], *sig)).collect();
             for ((msg, sig), valid) in claims.iter().zip(self.gpk.verify_each(group, &claims)) {
-                self.prepared.insert(sigcache::group_cache_key(&self.gpk, msg, sig), valid);
+                parked.push((sigcache::group_cache_key(&self.gpk, msg, sig), valid));
             }
         }
+        parked
     }
 
-    /// Queues `binding`'s signature if its signer is a proven member: the
-    /// broker itself, or the key of `record`'s coin, whose membership
-    /// [`Broker::handle_purchase`] checked before minting it.
-    fn owe_binding(&self, record: &CoinRecord, binding: &Binding, chain: &mut BindingChain) {
-        if binding.signer() == BindingSigner::Broker || binding.coin_pk() == record.minted.coin_pk() {
-            let (signer, msg) = binding.signed_claim(self.keys.public());
-            chain.push_signature(signer, msg, binding.raw_sig().clone(), None);
+    /// Owes `sig` over `msg` under `key` unless the verdict cache answers
+    /// that check already; the verdict is parked under the check's cache
+    /// key, where the handler asking about it looks.
+    fn owe_sig<'a>(
+        &self,
+        key: &'a BigUint,
+        msg: Vec<u8>,
+        sig: &'a DsaSignature,
+        registered: bool,
+        owed: &mut OwedChains<'a>,
+    ) {
+        let signer = DsaPublicKey::from_element(key.clone());
+        let parked_at = sigcache::cache_key(self.params.group(), &signer, &msg, sig);
+        if self.sig_cache.peek(&parked_at).is_none() {
+            owed.sigs.push(OwedSig { key, msg, sig, parked_at, registered });
         }
     }
 
-    /// Queues what a holder-role request is asked for after its binding:
-    /// the holder signature `sigs.0` over `msg` under `binding`'s holder
-    /// key — in the combined check if an earlier verification `proven`
-    /// that key a subgroup member, else on a chain of its own — and the
-    /// group signature `sigs.1` over the same message.
-    fn owe_holder_sigs<'a>(
+    /// Owes what a holder-role request is asked for after its mint
+    /// signature: `binding`'s own signature if it is a coin-key-signed one
+    /// that is not the one on record (`stored`), the holder signature
+    /// `sigs.0` over `msg` under `binding`'s holder key, and the group
+    /// signature `sigs.1` over the same message.
+    fn owe_holder_role<'a>(
+        &self,
         binding: &'a Binding,
-        proven: bool,
+        stored: bool,
         msg: Vec<u8>,
         sigs: (&'a DsaSignature, &'a GroupSignature),
-        chain: &mut BindingChain,
-        chains: &mut OwedChains<'a>,
+        owed: &mut OwedChains<'a>,
     ) {
-        chains.group_sigs.push((msg.clone(), sigs.1));
-        if proven {
-            let key = DsaPublicKey::from_element(binding.holder_pk().clone());
-            chain.push_signature(key, msg, sigs.0.clone(), None);
-        } else {
-            chains.holder_sigs.push((binding.holder_pk(), msg, sigs.0));
+        if !stored && binding.signer() == BindingSigner::CoinKey {
+            let (_, signed) = binding.signed_claim(self.keys.public());
+            self.owe_sig(binding.coin_pk(), signed, binding.raw_sig(), false, owed);
         }
+        owed.group_sigs.push((msg.clone(), sigs.1));
+        self.owe_sig(binding.holder_pk(), msg, sigs.0, false, owed);
     }
 
     /// What [`Broker::handle_purchase`] will check for `request`: the
     /// coin key's membership, then the identity signature (under a
     /// registered key) or the group signature.
-    fn owed_by_purchase<'a>(
-        &self,
-        request: &'a PurchaseRequest,
-        chain: &mut BindingChain,
-        chains: &mut OwedChains<'a>,
-    ) {
-        chains.coin_keys.push(&request.coin_pk);
+    fn owed_by_purchase<'a>(&'a self, request: &'a PurchaseRequest, owed: &mut OwedChains<'a>) {
+        owed.coin_keys.push(&request.coin_pk);
         if self.coins.contains_key(&CoinId::from_pk(&request.coin_pk)) {
             return;
         }
@@ -783,52 +767,32 @@ impl Broker {
         match (&request.owner, &request.identity_sig, &request.group_sig) {
             (OwnerTag::Identified(peer), Some(sig), _) => {
                 if let Some(key) = self.registered.get(peer) {
-                    chain.push_signature(key.clone(), msg(), sig.clone(), None);
+                    self.owe_sig(key.element(), msg(), sig, true, owed);
                 }
             }
             (OwnerTag::Anonymous | OwnerTag::AnonymousWithHandle(_), _, Some(sig)) => {
-                chains.group_sigs.push((msg(), sig));
+                owed.group_sigs.push((msg(), sig));
             }
             _ => {}
         }
     }
 
-    /// What [`Broker::handle_deposit`] will check for `request`.
-    fn owed_by_deposit<'a>(
-        &self,
-        request: &'a DepositRequest,
-        chain: &mut BindingChain,
-        chains: &mut OwedChains<'a>,
-    ) {
-        let group = self.params.group();
+    /// What [`Broker::handle_deposit`] will check for `request` once its
+    /// mint signature, which is the broker's own, has passed.
+    fn owed_by_deposit<'a>(&self, request: &'a DepositRequest, owed: &mut OwedChains<'a>) {
         let Some(record) = self.coins.get(&request.minted.id()) else { return };
         if record.last_served.as_ref().is_some_and(|s| s.replay_deposit(request).is_some()) {
             return;
         }
-        let minted = &request.minted;
-        // Primed at mint time, so nearly always known already. The check
-        // covers the coin key's membership too, which only the recorded
-        // key is known to have.
-        if minted.coin_pk() == record.minted.coin_pk()
-            && self.sig_cache.peek(&minted.mint_cache_key(group, self.keys.public())).is_none()
-        {
-            let msg = MintedCoin::signed_bytes(minted.owner(), minted.coin_pk());
-            chain.push_signature(self.keys.public().clone(), msg, minted.broker_sig().clone(), None);
-        }
-        if request.binding.coin_pk() != minted.coin_pk() {
+        if request.binding.coin_pk() != request.minted.coin_pk() {
             return;
         }
-        let stored = record.downtime_binding.as_ref() == Some(&request.binding);
-        if !stored {
-            self.owe_binding(record, &request.binding, chain);
-        }
-        Self::owe_holder_sigs(
+        self.owe_holder_role(
             &request.binding,
-            stored && record.holder_member,
+            record.downtime_binding.as_ref() == Some(&request.binding),
             DepositRequest::signed_bytes(&request.binding),
             (&request.holder_sig, &request.group_sig),
-            chain,
-            chains,
+            owed,
         );
     }
 
@@ -841,8 +805,7 @@ impl Broker {
         replayed: impl Fn(&ServedOp) -> bool,
         msg: Vec<u8>,
         sigs: (&'a DsaSignature, &'a GroupSignature),
-        chain: &mut BindingChain,
-        chains: &mut OwedChains<'a>,
+        owed: &mut OwedChains<'a>,
     ) {
         let Some(record) = self.coins.get(&current.coin_id()) else { return };
         if record.last_served.as_ref().is_some_and(replayed) {
@@ -858,10 +821,7 @@ impl Broker {
             Some(_) => return,
             None => false,
         };
-        if !stored {
-            self.owe_binding(record, current, chain);
-        }
-        Self::owe_holder_sigs(current, stored && record.holder_member, msg, sigs, chain, chains);
+        self.owe_holder_role(current, stored, msg, sigs, owed);
     }
 
     // --- micropayment redemption ---
@@ -1055,8 +1015,6 @@ impl Broker {
         let served = ServedOp::Transfer { request: request.clone(), grant: grant.clone() };
         let record = self.coins.get_mut(&id).expect("checked above");
         record.downtime_binding = Some(binding.clone());
-        // Nothing has been verified under the new holder's key yet.
-        record.holder_member = false;
         record.last_served = Some(served.clone());
         self.stats.downtime_transfers += 1;
         self.audit.on_binding(id, seq);
@@ -1121,10 +1079,6 @@ impl Broker {
         let served = ServedOp::Renewal { request: request.clone(), binding: binding.clone() };
         let record = self.coins.get_mut(&id).expect("checked above");
         record.downtime_binding = Some(binding.clone());
-        // The holder key stays, and a signature under it was just accepted
-        // — by `verify_member` (the handler's, or the one `prepare` walked
-        // in a lane), or combined because the key was proven already.
-        record.holder_member = true;
         record.last_served = Some(served.clone());
         self.stats.downtime_renewals += 1;
         self.audit.on_binding(id, seq);
@@ -1143,30 +1097,31 @@ impl Broker {
         group_sig: &GroupSignature,
     ) -> Result<(), CoreError> {
         let group = self.params.group().clone();
-        let verdict = match &self.coins.get(id).expect("caller checked existence").downtime_binding {
+        let stored = self.coins.get(id).expect("caller checked existence").downtime_binding.as_ref();
+        let refusal = match stored.map(Binding::seq) {
             // Flavor two: bit-by-bit comparison against stored state —
             // unless the presented binding *supersedes* it (a newer
             // coin-key-signed binding means the owner came back and
             // kept serving; the parked state is obsolete).
-            Some(stored) if stored == presented => Ok(()),
-            Some(stored) if self.supersedes(&group, stored, presented) => Ok(()),
+            _ if stored == Some(presented) => None,
+            Some(stored_seq) if self.supersedes(&group, stored_seq, presented) => None,
             // A mismatching-but-valid binding pair is double-spend
             // evidence against whoever signed them.
-            Some(stored) => Err(CoreError::StaleBinding {
-                expected_seq: stored.seq(),
-                presented_seq: presented.seq(),
-            }),
+            Some(expected_seq) => {
+                Some(CoreError::StaleBinding { expected_seq, presented_seq: presented.seq() })
+            }
             // Flavor one: verify the owner's coin-key signature.
-            None if self.binding_verifies(&group, presented) => Ok(()),
-            None => Err(CoreError::BadSignature),
+            None if self.binding_verifies(&group, presented) => None,
+            None => Some(CoreError::BadSignature),
         };
-        if let Err(e) = verdict {
+        if let Some(e) = refusal {
             return self.reject(e);
         }
         let holder_key = DsaPublicKey::from_element(presented.holder_pk().clone());
-        let holder_ok = self.settled(&group, &holder_key, msg, holder_sig).unwrap_or_else(|| {
-            DsaPublicKey::verify_member(&group, presented.holder_pk(), msg, holder_sig)
-        });
+        let holder_ok = Self::take_settled(&mut self.prepared, &group, &holder_key, msg, holder_sig)
+            .unwrap_or_else(|| {
+                DsaPublicKey::verify_member(&group, presented.holder_pk(), msg, holder_sig)
+            });
         if !holder_ok {
             return self.reject(CoreError::BadSignature);
         }
@@ -1413,7 +1368,6 @@ impl Broker {
                         CoinRecord {
                             minted: snap.minted.clone(),
                             downtime_binding: snap.downtime_binding.clone(),
-                            holder_member: false,
                             deposited: snap.deposited,
                             last_served: snap.last_served.clone(),
                         },
@@ -1462,7 +1416,6 @@ impl Broker {
                     CoinRecord {
                         minted: minted.clone(),
                         downtime_binding: None,
-                        holder_member: false,
                         deposited: false,
                         last_served: Some(served.clone()),
                     },
@@ -1481,7 +1434,6 @@ impl Broker {
             JournalOp::DowntimeBinding { coin, binding, served } => {
                 if let Some(record) = self.coins.get_mut(coin) {
                     record.downtime_binding = Some(binding.clone());
-                    record.holder_member = false;
                     record.last_served = Some(served.clone());
                     self.audit.on_binding(*coin, binding.seq());
                     self.ledger_coin(*coin);

@@ -1,34 +1,30 @@
-//! Chain-level batched verification of mint and binding signatures.
+//! Chain-level verification of mint and binding signatures.
 //!
-//! A transfer chain, a layered coin, or a flood of deposits all reduce to
-//! the same shape: many DSA signatures under a handful of keys (the
-//! broker's key plus one coin key per coin), where the common case is
-//! *everything valid*. [`BindingChain`] collects those checks as plain
-//! data and settles them in one pass:
+//! A transfer chain, a layered coin, or a sweep over published records
+//! all reduce to the same shape: many DSA signatures under a handful of
+//! keys (the broker's key plus one coin key per coin), most of them under
+//! keys that arrived with the signature. [`BindingChain`] collects those
+//! checks as plain data and settles them in one pass:
 //!
 //! 1. verdicts already known to the [`SigCache`] are taken as-is
 //!    (exact hit/miss counters keep the cache accounting honest);
-//! 2. group-membership checks (`pkC ∈ ⟨g⟩`, a full `q`-bit
-//!    exponentiation buried inside [`Binding::verify`]) are deduplicated —
-//!    a chain of 64 bindings over one coin pays for **one** membership
-//!    check instead of 64;
-//! 3. the remaining signatures go through randomized batch verification
-//!    ([`whopay_crypto::batch`]) fanned across a [`VerifyPool`], and the
-//!    resulting verdicts are primed back into the cache.
+//! 2. of the rest, the signatures under a key that owes its own
+//!    membership go through [`whopay_crypto::batch::verify_dsa_each`] —
+//!    one exact chain per distinct key, carrying its membership and every
+//!    signature under it, eight chains to a lane call where the host has
+//!    the engine — the few under the broker's key are verified as they
+//!    stand, and the verdicts are primed back into the cache.
 //!
-//! Verdicts are always the exact ground truth serial verification would
-//! produce: the batch layer settles per signature whatever a combined
-//! check cannot accept (a missing witness, or the obligation a failing
-//! check is bisected down to).
+//! Every verdict is the one the corresponding serial `verify` computes:
+//! nothing is combined across signatures.
 
-use whopay_crypto::batch::{self, BatchOutcome, DsaBatchItem};
+use whopay_crypto::batch::{self, DsaBatchItem};
 use whopay_crypto::dsa::{DsaPublicKey, DsaSignature};
 use whopay_crypto::sha256::Digest;
 use whopay_num::{BigUint, SchnorrGroup};
 
 use crate::coin::{Binding, BindingSigner, MintedCoin};
 use crate::sigcache::{self, SigCache};
-use crate::vpool::VerifyPool;
 
 /// One queued check: a DSA verification job plus the group-membership
 /// obligation [`Binding::verify`]/[`MintedCoin::verify`] would perform.
@@ -38,6 +34,21 @@ struct Job {
     cache_key: Digest,
     /// Element whose membership in ⟨g⟩ the full verdict requires, if any.
     element: Option<BigUint>,
+}
+
+impl Job {
+    /// Whether the check is [`DsaPublicKey::verify_member`] under the
+    /// job's own key, which is what [`batch::verify_dsa_each`] answers.
+    fn is_verify_member(&self) -> bool {
+        self.element.as_ref() == Some(self.item.key.element())
+    }
+
+    /// Any other check: the signature under a key taken as given — the
+    /// broker's — and the membership of whatever element it vouches for.
+    fn verify_under_trusted_key(&self, group: &SchnorrGroup) -> bool {
+        let DsaBatchItem { key, message, sig } = &self.item;
+        self.element.as_ref().is_none_or(|x| group.is_element(x)) && key.verify(group, message, sig)
+    }
 }
 
 /// A batch of mint/binding signature checks sharing one group and broker.
@@ -72,12 +83,8 @@ impl BindingChain {
     /// [`MintedCoin::verify`], including the `pkC` membership check).
     pub fn push_minted(&mut self, coin: &MintedCoin) {
         let message = MintedCoin::signed_bytes(coin.owner(), coin.coin_pk());
-        let cache_key = sigcache::cache_key(&self.group, &self.broker, &message, coin.broker_sig());
-        self.jobs.push(Job {
-            item: DsaBatchItem { key: self.broker.clone(), message, sig: coin.broker_sig().clone() },
-            cache_key,
-            element: Some(coin.coin_pk().clone()),
-        });
+        let element = Some(coin.coin_pk().clone());
+        self.push_signature(self.broker.clone(), message, coin.broker_sig().clone(), element);
     }
 
     /// Queues a binding signature (the semantics of [`Binding::verify`]:
@@ -113,84 +120,37 @@ impl BindingChain {
     /// Settles every queued check and returns index-aligned verdicts,
     /// identical to what the corresponding serial `verify` calls would
     /// produce. Known verdicts come from `cache` (and fresh ones are
-    /// primed back into it); the rest are batch-verified across `pool`,
-    /// one combined check per pool chunk.
-    pub fn verify_each(&self, cache: Option<&SigCache>, pool: &VerifyPool) -> Vec<bool> {
-        let n = self.jobs.len();
+    /// primed back into it); of the rest, every `verify_member` — a
+    /// signature under a key that owes its own membership — goes through
+    /// [`batch::verify_dsa_each`], and what is under the broker's key is
+    /// verified as it stands.
+    pub fn verify_each(&self, cache: Option<&SigCache>) -> Vec<bool> {
         let mut verdicts: Vec<Option<bool>> = match cache {
             Some(cache) => self.jobs.iter().map(|j| cache.lookup(&j.cache_key)).collect(),
-            None => vec![None; n],
+            None => vec![None; self.jobs.len()],
         };
-        let miss_idx: Vec<usize> = (0..n).filter(|&i| verdicts[i].is_none()).collect();
-        let miss_jobs: Vec<&Job> = miss_idx.iter().map(|&i| &self.jobs[i]).collect();
-        let settled = pool.map_chunks(&miss_jobs, |chunk| settle_jobs(&self.group, chunk));
-        for (verdict, &i) in settled.into_iter().zip(&miss_idx) {
+        let misses: Vec<usize> = (0..self.jobs.len()).filter(|&i| verdicts[i].is_none()).collect();
+        let shared: Vec<usize> =
+            misses.iter().copied().filter(|&i| self.jobs[i].is_verify_member()).collect();
+        let items: Vec<DsaBatchItem> = shared.iter().map(|&i| self.jobs[i].item.clone()).collect();
+        for (i, verdict) in shared.into_iter().zip(batch::verify_dsa_each(&self.group, &items)) {
+            verdicts[i] = Some(verdict);
+        }
+        for i in misses {
+            let job = &self.jobs[i];
+            let verdict = verdicts[i].unwrap_or_else(|| job.verify_under_trusted_key(&self.group));
             if let Some(cache) = cache {
-                cache.prime(self.jobs[i].cache_key, verdict);
+                cache.prime(job.cache_key, verdict);
             }
             verdicts[i] = Some(verdict);
         }
         verdicts.into_iter().map(|v| v.expect("all verdicts settled")).collect()
     }
 
-    /// Settles, with one combined check, the queued checks that owe no
-    /// membership and that `cache` holds no verdict for, and returns each
-    /// one's cache key and verdict plus what the settlement cost. Queuing
-    /// a check without a membership obligation says its key is a *proven*
-    /// subgroup member — the only keys a combined check is exact under
-    /// (DESIGN.md §9) — so a check that still owes one is left out, and
-    /// stays with the caller. The cache itself is only peeked: no counter
-    /// moves and nothing is primed — the caller owns the verdicts. Fewer
-    /// than [`batch::MIN_BATCH`] such checks settle nothing.
-    pub fn settle_unknown(&self, cache: &SigCache) -> (Vec<(Digest, bool)>, BatchOutcome) {
-        let unknown: Vec<&Job> = self
-            .jobs
-            .iter()
-            .filter(|job| job.element.is_none() && cache.peek(&job.cache_key).is_none())
-            .collect();
-        if unknown.len() < batch::MIN_BATCH {
-            return (Vec::new(), BatchOutcome::default());
-        }
-        let items: Vec<DsaBatchItem> = unknown.iter().map(|job| job.item.clone()).collect();
-        let settled = batch::verify_dsa_members(&self.group, &items);
-        (
-            unknown.iter().map(|job| job.cache_key).zip(settled.signatures.iter().copied()).collect(),
-            settled,
-        )
-    }
-
     /// Settles every queued check, `true` iff all of them hold.
-    pub fn verify_batch(&self, cache: Option<&SigCache>, pool: &VerifyPool) -> bool {
-        self.verify_each(cache, pool).into_iter().all(|ok| ok)
+    pub fn verify_batch(&self, cache: Option<&SigCache>) -> bool {
+        self.verify_each(cache).into_iter().all(|ok| ok)
     }
-}
-
-/// Settles `jobs` with one combined check and returns their verdicts
-/// (signature and, where owed, membership).
-/// Membership obligations are deduplicated first — chains share a coin
-/// key, so that is typically one element in all — and ride in the
-/// combined check on the base of the key they vouch for instead of
-/// costing standalone `q`-bit exponentiations.
-fn settle_jobs(group: &SchnorrGroup, jobs: &[&Job]) -> Vec<bool> {
-    let mut elements: Vec<BigUint> = Vec::new();
-    let element_of: Vec<Option<usize>> = jobs
-        .iter()
-        .map(|job| {
-            let el = job.element.as_ref()?;
-            Some(elements.iter().position(|e| e == el).unwrap_or_else(|| {
-                elements.push(el.clone());
-                elements.len() - 1
-            }))
-        })
-        .collect();
-    let items: Vec<DsaBatchItem> = jobs.iter().map(|j| j.item.clone()).collect();
-    let settled = batch::verify_dsa_with_elements(group, &items, &elements);
-    settled
-        .signatures
-        .iter()
-        .zip(&element_of)
-        .map(|(&ok, el)| ok && el.is_none_or(|i| settled.elements[i]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -250,16 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_match_serial_verification_at_any_thread_count() {
+    fn verdicts_match_serial_verification() {
         let fx = fixture(6, 31);
         let chain = chain_of(&fx);
         let mut expect = vec![fx.minted.verify(&fx.group, &fx.broker_key)];
         expect.extend(fx.bindings.iter().map(|b| b.verify(&fx.group, &fx.broker_key)));
-        for threads in [1usize, 2, 4] {
-            let pool = VerifyPool::new(threads);
-            assert_eq!(chain.verify_each(None, &pool), expect, "threads={threads}");
-            assert!(chain.verify_batch(None, &pool));
-        }
+        assert_eq!(chain.verify_each(None), expect);
+        assert!(chain.verify_batch(None));
     }
 
     #[test]
@@ -283,11 +240,10 @@ mod tests {
                 chain.push_binding(b);
             }
         }
-        let pool = VerifyPool::new(3);
-        let verdicts = chain.verify_each(None, &pool);
+        let verdicts = chain.verify_each(None);
         let expect: Vec<bool> = (0..6).map(|i| i != 3).collect();
         assert_eq!(verdicts, expect);
-        assert!(!chain.verify_batch(None, &pool));
+        assert!(!chain.verify_batch(None));
     }
 
     #[test]
@@ -295,11 +251,10 @@ mod tests {
         let fx = fixture(4, 33);
         let chain = chain_of(&fx);
         let cache = SigCache::new(64);
-        let pool = VerifyPool::serial();
-        assert!(chain.verify_batch(Some(&cache), &pool));
+        assert!(chain.verify_batch(Some(&cache)));
         assert_eq!((cache.hits(), cache.misses()), (0, 5));
         // Second pass: everything answered from the cache.
-        assert!(chain.verify_batch(Some(&cache), &pool));
+        assert!(chain.verify_batch(Some(&cache)));
         assert_eq!((cache.hits(), cache.misses()), (5, 5));
     }
 
@@ -308,7 +263,7 @@ mod tests {
         let fx = fixture(3, 34);
         let chain = chain_of(&fx);
         let cache = SigCache::new(64);
-        chain.verify_each(Some(&cache), &VerifyPool::new(2));
+        chain.verify_each(Some(&cache));
         // The verdicts the batch primed must satisfy the per-item cached
         // verifiers without recomputation.
         let before = cache.misses();
@@ -323,6 +278,6 @@ mod tests {
     fn empty_chain_verifies_trivially() {
         let chain = BindingChain::new(tiny_group().clone(), fixture(0, 35).broker_key.clone());
         assert!(chain.is_empty());
-        assert!(chain.verify_batch(None, &VerifyPool::new(4)));
+        assert!(chain.verify_batch(None));
     }
 }

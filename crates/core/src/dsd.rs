@@ -28,7 +28,6 @@ use crate::messages::CoinGrant;
 use crate::peer::Peer;
 use crate::sigcache::SigCache;
 use crate::types::CoinId;
-use crate::vpool::VerifyPool;
 
 /// The DHT key a coin's public binding lives under.
 pub fn binding_key(coin_pk: &BigUint) -> RingId {
@@ -275,16 +274,15 @@ pub fn verify_grant_published_obs(
 /// Bulk write-proof verification for published binding records — the
 /// sweep an auditor (or a node replaying a peer's public list) runs over
 /// many [`SignedRecord`]s at once. Each record's check has the exact
-/// semantics of [`SignedRecord::verify`], but the DSA signatures settle
-/// as one randomized batch check per verify-pool chunk and repeated
-/// subjects pay for a single group-membership test. Verdicts are
-/// index-aligned with `records`.
+/// semantics of [`SignedRecord::verify`], but the records a subject wrote
+/// share one chain over that subject's key — its membership and every
+/// signature under it ([`BindingChain`]). Verdicts are index-aligned with
+/// `records`.
 pub fn verify_records_bulk(
     group: &SchnorrGroup,
     broker: &DsaPublicKey,
     records: &[SignedRecord],
     cache: Option<&SigCache>,
-    pool: &VerifyPool,
 ) -> Vec<bool> {
     let mut chain = BindingChain::new(group.clone(), broker.clone());
     for record in records {
@@ -298,7 +296,7 @@ pub fn verify_records_bulk(
         };
         chain.push_signature(signer, msg, record.signature.clone(), element);
     }
-    chain.verify_each(cache, pool)
+    chain.verify_each(cache)
 }
 
 /// Holder-side monitor: subscribes to the public bindings of held coins
@@ -453,17 +451,12 @@ mod tests {
         records[4].version += 1;
         let expect: Vec<bool> = records.iter().map(|r| r.verify(&group, broker.public())).collect();
         assert_eq!(expect, vec![true, true, true, true, false, true]);
-        for threads in [1usize, 4] {
-            let pool = VerifyPool::new(threads);
-            let got = verify_records_bulk(&group, broker.public(), &records, None, &pool);
-            assert_eq!(got, expect, "threads={threads}");
-        }
+        assert_eq!(verify_records_bulk(&group, broker.public(), &records, None), expect);
         // Cached path: second sweep is all hits.
         let cache = SigCache::new(64);
-        let pool = VerifyPool::new(2);
-        verify_records_bulk(&group, broker.public(), &records, Some(&cache), &pool);
+        verify_records_bulk(&group, broker.public(), &records, Some(&cache));
         let misses = cache.misses();
-        let got = verify_records_bulk(&group, broker.public(), &records, Some(&cache), &pool);
+        let got = verify_records_bulk(&group, broker.public(), &records, Some(&cache));
         assert_eq!(got, expect);
         assert_eq!(cache.misses(), misses, "no new misses on the second sweep");
     }

@@ -25,7 +25,6 @@ use crate::coin::Binding;
 use crate::error::CoreError;
 use crate::messages::CoinGrant;
 use crate::sigcache::SigCache;
-use crate::vpool::VerifyPool;
 
 /// One relinquishment layer: the previous holder signs the hand-off to
 /// the next holder key with both its holder key and its group key.
@@ -156,13 +155,12 @@ impl LayeredCoin {
         Ok(())
     }
 
-    /// [`LayeredCoin::verify`] through the batch machinery: every DSA
-    /// check in the chain — mint, base binding, and each relinquishment —
-    /// settles as one randomized batch check per verify-pool chunk (with
-    /// the coin's membership test deduplicated), and the layers' group
-    /// signatures fan out across the pool. The verdicts are then replayed
-    /// in the serial order, so the returned error is exactly what
-    /// [`LayeredCoin::verify`] would report.
+    /// [`LayeredCoin::verify`] with the chain's checks made together:
+    /// every DSA check — mint, base binding, and each relinquishment —
+    /// through one [`BindingChain`], the layers' group signatures through
+    /// [`GroupPublicKey::verify_each`]. Each verdict is the serial one,
+    /// and they are replayed in the serial order, so the returned error
+    /// is exactly what [`LayeredCoin::verify`] would report.
     pub fn verify_batch(
         &self,
         group: &SchnorrGroup,
@@ -170,7 +168,6 @@ impl LayeredCoin {
         gpk: &GroupPublicKey,
         max_layers: usize,
         cache: Option<&SigCache>,
-        pool: &VerifyPool,
     ) -> Result<(), CoreError> {
         if self.layers.len() > max_layers {
             return Err(CoreError::TooManyLayers { max: max_layers });
@@ -196,10 +193,13 @@ impl LayeredCoin {
             layer_msgs.push(msg);
             prev_holder = layer.new_holder_pk.clone();
         }
-        let dsa_ok = chain.verify_each(cache, pool);
-        let layer_idx: Vec<usize> = (0..self.layers.len()).collect();
-        let gsig_ok: Vec<bool> =
-            pool.map(&layer_idx, |&i| gpk.verify(group, &layer_msgs[i], &self.layers[i].group_sig));
+        let dsa_ok = chain.verify_each(cache);
+        let group_claims: Vec<(&[u8], &GroupSignature)> = layer_msgs
+            .iter()
+            .zip(&self.layers)
+            .map(|(msg, layer)| (&msg[..], &layer.group_sig))
+            .collect();
+        let gsig_ok = gpk.verify_each(group, &group_claims);
         if !dsa_ok[0] || !dsa_ok[1] {
             return Err(CoreError::BadSignature);
         }

@@ -104,7 +104,6 @@ pub mod shop;
 pub mod sigcache;
 pub mod types;
 pub mod view;
-pub mod vpool;
 pub mod wire;
 
 pub use audit::{Auditor, Invariant, Violation};
@@ -132,4 +131,3 @@ pub use shop::CoinShop;
 pub use sigcache::{CacheKeyer, SigCache};
 pub use types::{ChainId, CoinId, PeerId, Timestamp};
 pub use view::{RequestView, ResponseView};
-pub use vpool::VerifyPool;

@@ -28,7 +28,6 @@ use crate::messages::{
 use crate::params::SystemParams;
 use crate::sigcache::SigCache;
 use crate::types::{CoinId, PeerId, Timestamp};
-use crate::vpool::VerifyPool;
 
 /// Owner-side state for one coin this peer owns.
 #[derive(Debug)]
@@ -85,8 +84,6 @@ pub struct Peer {
     relinquish_log: Vec<TransferRequest>,
     /// Verdict cache for the broker-signed material this peer re-checks.
     sig_cache: Arc<SigCache>,
-    /// Fan-out pool for batched grant acceptance (serial by default).
-    vpool: VerifyPool,
 }
 
 impl Peer {
@@ -112,7 +109,6 @@ impl Peer {
             wallet: HashMap::new(),
             relinquish_log: Vec::new(),
             sig_cache: Arc::new(SigCache::default()),
-            vpool: VerifyPool::serial(),
         }
     }
 
@@ -125,12 +121,6 @@ impl Peer {
     /// to a metrics registry via [`SigCache::with_metrics`]).
     pub fn use_sig_cache(&mut self, cache: Arc<SigCache>) {
         self.sig_cache = cache;
-    }
-
-    /// Installs a verify pool for [`Peer::accept_grants`] fan-out (the
-    /// default is serial, which keeps single-threaded semantics).
-    pub fn use_vpool(&mut self, pool: VerifyPool) {
-        self.vpool = pool;
     }
 
     /// This peer's registered identity.
@@ -319,8 +309,8 @@ impl Peer {
 
     /// Accepts many granted coins at once — a payee draining a burst of
     /// incoming payments. The mint and binding signatures of all grants
-    /// are settled with one randomized batch check per verify-pool chunk
-    /// ([`BindingChain`]) and primed into the verdict cache; each grant
+    /// are settled together, one exact chain per coin key
+    /// ([`BindingChain`]), and primed into the verdict cache; each grant
     /// then runs through the ordinary [`Peer::accept_grant`] state
     /// machine, so the index-aligned results are identical to serial
     /// acceptance.
@@ -337,7 +327,7 @@ impl Peer {
                 chain.push_binding(&grant.binding);
             }
         }
-        chain.verify_each(Some(&self.sig_cache), &self.vpool);
+        chain.verify_each(Some(&self.sig_cache));
         grants.into_iter().map(|(grant, session)| self.accept_grant(grant, session, now)).collect()
     }
 
@@ -631,14 +621,7 @@ impl Peer {
         rng: &mut R,
     ) -> Result<CoinGrant, CoreError> {
         let group = self.params.group().clone();
-        layered.verify_batch(
-            &group,
-            &self.broker_pk,
-            &self.gpk,
-            max_layers,
-            Some(&self.sig_cache),
-            &self.vpool,
-        )?;
+        layered.verify_batch(&group, &self.broker_pk, &self.gpk, max_layers, Some(&self.sig_cache))?;
         let coin = request.current.coin_id();
         let owned = self.owned.get_mut(&coin).ok_or(CoreError::NotOwner(coin))?;
         if request.current != owned.binding || layered.base_binding() != &owned.binding {

@@ -210,8 +210,8 @@ pub fn attach_shard_endpoints(
 /// one span labelled `prepare` (a child of the group's first traced
 /// request); a metrics-backed `obs` also gets the `broker.prepare_batch`
 /// histogram (requests per drain cycle and shard) and the
-/// `broker.prepare.{settled,skipped,fallbacks,lane_calls,lanes_filled}`
-/// counters (see [`crate::broker::PrepareReport`]).
+/// `broker.prepare.{settled,skipped,lane_calls,lanes_filled}` counters
+/// (see [`crate::broker::PrepareReport`]).
 pub fn attach_shard_endpoints_obs(
     net: &mut Network,
     sharded: Arc<ShardedBroker>,
@@ -224,7 +224,6 @@ pub fn attach_shard_endpoints_obs(
         batch: m.histogram("broker.prepare_batch"),
         settled: m.counter("broker.prepare.settled"),
         skipped: m.counter("broker.prepare.skipped"),
-        fallbacks: m.counter("broker.prepare.fallbacks"),
         lane_calls: m.counter("broker.prepare.lane_calls"),
         lanes_filled: m.counter("broker.prepare.lanes_filled"),
     });
@@ -252,7 +251,6 @@ struct PrepareProbes {
     batch: Arc<Histogram>,
     settled: Arc<Counter>,
     skipped: Arc<Counter>,
-    fallbacks: Arc<Counter>,
     lane_calls: Arc<Counter>,
     lanes_filled: Arc<Counter>,
 }
@@ -328,16 +326,16 @@ impl Endpoint for ShardEndpoint {
     /// Hands the requests of this drain cycle that the endpoint's own
     /// shard owns to [`Broker::prepare`]. Requests routed here for another
     /// shard, fan-out requests and frames that do not parse are left to
-    /// `serve`; so is a group of one.
+    /// `serve`; a cycle of one is not parsed at all. The broker is called
+    /// whatever is left — an empty group too — because the call is also
+    /// what discards the verdicts the last cycle parked and nobody took.
     fn prepare(&mut self, upcoming: &[&[u8]]) {
         if let Some(probes) = &self.probes {
             probes.batch.record_nanos(upcoming.len() as u64);
         }
-        if upcoming.len() < 2 {
-            return;
-        }
         let mut first_caller = None;
-        let owned: Vec<Request> = upcoming
+        let parsed = if upcoming.len() < 2 { &[] } else { upcoming };
+        let owned: Vec<Request> = parsed
             .iter()
             .filter_map(|bytes| {
                 let (payload, caller) = TraceContext::split(bytes);
@@ -348,25 +346,23 @@ impl Endpoint for ShardEndpoint {
             .collect();
         let group: Vec<Upcoming<'_>> = owned.iter().filter_map(Upcoming::of).collect();
         let unprepared = (upcoming.len() - group.len()) as u64;
-        if group.len() < 2 {
-            if let Some(probes) = &self.probes {
-                probes.skipped.add(upcoming.len() as u64);
-            }
-            return;
-        }
-        let mut span = match &first_caller {
-            Some(parent) => self.obs.child_span(Role::Broker, OpKind::Other, parent),
-            None => self.obs.span(Role::Broker, OpKind::Other),
-        };
-        span.set_detail("prepare");
-        span.set_shard(self.shard);
-        span.set_batch(group.len() as u64);
+        let span = (group.len() >= 2).then(|| {
+            let mut span = match &first_caller {
+                Some(parent) => self.obs.child_span(Role::Broker, OpKind::Other, parent),
+                None => self.obs.span(Role::Broker, OpKind::Other),
+            };
+            span.set_detail("prepare");
+            span.set_shard(self.shard);
+            span.set_batch(group.len() as u64);
+            span
+        });
         let report = self.sharded.lock_shard(self.shard as usize).prepare(&group);
-        span.finish();
+        if let Some(span) = span {
+            span.finish();
+        }
         if let Some(probes) = &self.probes {
             probes.settled.add(report.settled);
             probes.skipped.add(report.skipped + unprepared);
-            probes.fallbacks.add(report.fallbacks);
             probes.lane_calls.add(report.lane_calls);
             probes.lanes_filled.add(report.lanes_filled);
         }

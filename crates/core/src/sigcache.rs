@@ -19,9 +19,9 @@
 //! [`MAX_SHARDS`] independently locked shards keyed by the first byte of
 //! the cache key (a SHA-256 digest, so the byte is uniform), and each
 //! shard runs its own two-generation rotation over `capacity / shards`
-//! entries. Concurrent verifiers — the verify pool fans verification
-//! across cores — therefore contend only when their keys land in the
-//! same shard. Hit/miss/eviction counters are shared atomics and stay
+//! entries. Concurrent verifiers — brokers and peers handed one cache
+//! (`use_sig_cache`) and served on different threads — therefore contend
+//! only when their keys land in the same shard. Hit/miss/eviction counters are shared atomics and stay
 //! exact regardless of sharding.
 //!
 //! Negative verdicts are cached too: verification is deterministic, and

@@ -76,46 +76,24 @@ impl<'a> IntRef<'a> {
 }
 
 /// A DSA signature by reference.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SigRef<'a> {
     /// `r` component.
     pub r: IntRef<'a>,
     /// `s` component.
     pub s: IntRef<'a>,
-    /// Optional batching witness `R`.
-    pub witness: Option<IntRef<'a>>,
 }
-
-// Like `DsaSignature`, equality ignores the optional batching witness.
-impl PartialEq for SigRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.r == other.r && self.s == other.s
-    }
-}
-
-impl Eq for SigRef<'_> {}
 
 impl<'a> SigRef<'a> {
-    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN + 8;
+    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN;
 
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let sig_r = IntRef::parse(r)?;
-        let sig_s = IntRef::parse(r)?;
-        let witness = match r.u64()? {
-            0 => None,
-            1 => Some(IntRef::parse(r)?),
-            _ => return Err(DecodeError),
-        };
-        Ok(SigRef { r: sig_r, s: sig_s, witness })
+        Ok(SigRef { r: IntRef::parse(r)?, s: IntRef::parse(r)? })
     }
 
     /// Materializes the owned signature.
     pub fn to_sig(&self) -> DsaSignature {
-        DsaSignature::from_parts_with_witness(
-            self.r.to_biguint(),
-            self.s.to_biguint(),
-            self.witness.map(|w| w.to_biguint()),
-        )
+        DsaSignature::from_parts(self.r.to_biguint(), self.s.to_biguint())
     }
 }
 
@@ -165,10 +143,12 @@ pub(crate) fn parse_nonce(r: &mut Reader<'_>) -> Result<Nonce, DecodeError> {
 pub(crate) fn parse_owner_tag(r: &mut Reader<'_>) -> Result<OwnerTag, DecodeError> {
     match r.u64()? {
         0 => Ok(OwnerTag::Identified(PeerId(r.u64()?))),
-        1 => {
-            r.u64()?;
-            Ok(OwnerTag::Anonymous)
-        }
+        // The word an anonymous tag pads with says nothing, so it must
+        // say it one way: a frame or journal has no bit free to vary.
+        1 => match r.u64()? {
+            0 => Ok(OwnerTag::Anonymous),
+            _ => Err(DecodeError),
+        },
         2 => {
             let arr: [u8; 32] = r.bytes()?.try_into().map_err(|_| DecodeError)?;
             Ok(OwnerTag::AnonymousWithHandle(Handle(arr)))

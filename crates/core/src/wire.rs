@@ -150,16 +150,6 @@ pub enum Response {
 
 pub(crate) fn put_sig(w: &mut Writer, sig: &DsaSignature) {
     w.int(sig.r()).int(sig.s());
-    // The witness `R = g^k mod p` rides along when present so receivers
-    // can batch-verify; signatures compare equal with or without it.
-    match sig.witness() {
-        Some(big_r) => {
-            w.u64(1).int(big_r);
-        }
-        None => {
-            w.u64(0);
-        }
-    }
 }
 
 pub(crate) fn put_gsig(w: &mut Writer, sig: &GroupSignature) {
@@ -715,35 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn signatures_round_trip_with_witness() {
-        let (_, binding, _, sig, _) = sample_parts();
-        // A freshly produced signature carries its witness across the wire…
-        assert!(sig.witness().is_some());
-        let resp = Response::Binding(binding.clone());
-        match Response::decode(&resp.encode()).unwrap() {
-            Response::Binding(b) => {
-                assert_eq!(b, binding);
-                assert_eq!(b.raw_sig().witness(), binding.raw_sig().witness());
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
-        // …and a stripped signature stays witness-free.
-        let bare = DsaSignature::from_parts(sig.r().clone(), sig.s().clone());
-        let stripped = Binding::from_parts(
-            binding.coin_pk().clone(),
-            binding.holder_pk().clone(),
-            binding.seq(),
-            binding.expires(),
-            binding.signer(),
-            bare,
-        );
-        match Response::decode(&Response::Binding(stripped).encode()).unwrap() {
-            Response::Binding(b) => assert!(b.raw_sig().witness().is_none()),
-            other => panic!("wrong variant {other:?}"),
-        }
-    }
-
-    #[test]
     fn deposit_batch_round_trips() {
         let (minted, binding, _, sig, gsig) = sample_parts();
         let dep = DepositRequest { minted, binding, holder_sig: sig, group_sig: gsig };
@@ -754,7 +715,6 @@ mod tests {
                 assert_eq!(ds[0].minted, dep.minted);
                 assert_eq!(ds[0].binding, dep.binding);
                 assert_eq!(ds[1].holder_sig, dep.holder_sig);
-                assert_eq!(ds[0].holder_sig.witness(), dep.holder_sig.witness());
             }
             other => panic!("wrong variant {other:?}"),
         }

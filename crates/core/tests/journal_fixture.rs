@@ -1,11 +1,14 @@
-//! Journals written before the wire and the journal shared one decoder
-//! still recover to the same broker.
+//! Journals written by an earlier commit still recover to the same
+//! broker.
 //!
 //! `tests/fixtures/journal_shard{0,1}.bin` are the two shard journals of
-//! the [`history`] below, serialised by the commit *before* the journal's
-//! readers were routed through [`whopay_core::view`] (`9ba7516`; the
-//! writers did not change). Next to them sit that commit's own answers:
-//! the recovered broker folded back into a one-entry checkpoint journal —
+//! the [`history`] below, serialised by the commit that made a DSA
+//! signature its two scalars on the wire and in the journal (PR 19, "a
+//! signature is (r, s)": the writers stopped appending the 80-byte
+//! batching witness, so the journal format changed there and the
+//! fixtures of `9ba7516` were rewritten with the recipe at the bottom of
+//! this comment). Next to them sit that commit's own answers: the
+//! recovered broker folded back into a one-entry checkpoint journal —
 //! seq, stats, root and the whole snapshot in the journal's canonical
 //! encoding (`journal_shard{0,1}.recovered.bin`) — and,
 //! in `journal_expect.txt`, the committed `(root, seq)`, the auditor's
@@ -191,9 +194,9 @@ fn answers(identity: &Identity, shard: usize, bytes: &[u8]) -> String {
     line("torn.seq", seq.to_string());
     line("torn.violations", behind.audit().violations().len().to_string());
 
-    // One flipped bit: refused by the decoder (`m`), flagged by replay
-    // verification (`v`), or accepted (`c`: nothing commits to a
-    // signature's advisory batching witness).
+    // One flipped bit: refused by the decoder (`m`) or flagged by replay
+    // verification (`v`). Accepted (`c`) would be a bit nothing commits
+    // to, and the journal has none.
     let bits = bytes.len() * 8;
     let flips: String = (0..FLIPS)
         .map(|i| {
@@ -207,6 +210,7 @@ fn answers(identity: &Identity, shard: usize, bytes: &[u8]) -> String {
             }
         })
         .collect();
+    assert!(!flips.contains('c'), "shard {shard}: a flipped bit went unnoticed ({flips})");
     line("flips", flips);
     out
 }

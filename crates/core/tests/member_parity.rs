@@ -14,17 +14,27 @@
 //! on the coin key; it must refuse exactly what the three separate checks
 //! it replaced refused, with the same error, the same wallet and the same
 //! verdict-cache traffic.
+//!
+//! The callers that verify many signatures together — `Peer::accept_grants`,
+//! `dsd::verify_records_bulk`, `LayeredCoin::verify_batch`, and
+//! `verify_dsa_each` underneath them — must give each item the verdict of
+//! its serial twin, in particular where the key an item is checked under
+//! is a real key multiplied by an element of order 2, 3 or 4 and the
+//! signature is made so that membership is the only thing wrong with it.
 
 use std::sync::Arc;
 
+use whopay_core::layered::{Layer, LayeredCoin};
 use whopay_core::sigcache::SigCache;
 use whopay_core::{
-    Binding, BindingSigner, CoinGrant, CoinId, CoreError, DepositRequest, Judge, MintedCoin, OwnerTag,
-    Peer, PeerId, ReceiveSession, RenewalRequest, SystemParams, Timestamp, TransferRequest,
+    dsd, Binding, BindingSigner, CoinGrant, CoinId, CoreError, DepositRequest, Judge, MintedCoin,
+    OwnerTag, Peer, PeerId, ReceiveSession, RenewalRequest, SystemParams, Timestamp, TransferRequest,
 };
+use whopay_crypto::batch::{verify_dsa_each, DsaBatchItem};
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey};
-use whopay_crypto::testing::{test_rng, tiny_group};
+use whopay_crypto::testing::{element_of_order, small_group, test_rng, tiny_group};
+use whopay_dht::{SignedRecord, Writer};
 use whopay_num::{BigUint, SchnorrGroup};
 
 struct World {
@@ -38,8 +48,12 @@ struct World {
 }
 
 fn world(seed: u64) -> World {
+    world_over(tiny_group(), seed)
+}
+
+fn world_over(group: &SchnorrGroup, seed: u64) -> World {
     let mut rng = test_rng(seed);
-    let group = tiny_group().clone();
+    let group = group.clone();
     let mut judge = Judge::new(group.clone(), &mut rng);
     let member = judge.enroll(PeerId(1), &mut rng);
     World {
@@ -330,12 +344,9 @@ fn traffic(cache: &SigCache) -> (u64, u64, u64, usize) {
 
 const NOW: Timestamp = Timestamp(100);
 
-/// Every way a grant can be wrong, one at a time, and the honest one.
-fn grant_cases(w: &mut World) -> Vec<(&'static str, GrantPlan, Result<(), CoreError>)> {
-    let p = w.group.modulus().clone();
-    let y = w.coin.public().element().clone();
-    let other = w.group.pow_g(&w.group.random_scalar(&mut w.rng));
-    let honest = |pk: &BigUint| GrantPlan {
+/// An honest coin-key-signed grant of the coin `pk`, to the session's key.
+fn honest(pk: &BigUint) -> GrantPlan {
+    GrantPlan {
         minted_pk: pk.clone(),
         binding_pk: pk.clone(),
         signer: BindingSigner::CoinKey,
@@ -344,7 +355,14 @@ fn grant_cases(w: &mut World) -> Vec<(&'static str, GrantPlan, Result<(), CoreEr
         forge_mint: false,
         forge_binding: false,
         forge_proof: false,
-    };
+    }
+}
+
+/// Every way a grant can be wrong, one at a time, and the honest one.
+fn grant_cases(w: &mut World) -> Vec<(&'static str, GrantPlan, Result<(), CoreError>)> {
+    let p = w.group.modulus().clone();
+    let y = w.coin.public().element().clone();
+    let other = w.group.pow_g(&w.group.random_scalar(&mut w.rng));
     let bad_sig = Err(CoreError::BadSignature);
     vec![
         ("honest", honest(&y), Ok(())),
@@ -527,17 +545,7 @@ fn verify_proof_checks_the_coin_key_it_verifies_under() {
         let session = session(&mut w, round);
         let y = w.coin.public().element().clone();
         for (coin_pk, member) in [(y.clone(), true), (w.group.elem_ring().neg(&y), false)] {
-            let plan = GrantPlan {
-                minted_pk: coin_pk.clone(),
-                binding_pk: coin_pk.clone(),
-                signer: BindingSigner::CoinKey,
-                holder_pk: None,
-                expires: Timestamp(900),
-                forge_mint: false,
-                forge_binding: false,
-                forge_proof: false,
-            };
-            let grant = grant_with(&mut w, &plan, &session);
+            let grant = grant_with(&mut w, &honest(&coin_pk), &session);
             assert_eq!(grant.verify_proof(&w.group, &broker_pk, &session.nonce), member);
             assert!(!grant.verify_proof(&w.group, &broker_pk, &[0xEE; 32]));
             if !member {
@@ -549,4 +557,221 @@ fn verify_proof_checks_the_coin_key_it_verifies_under() {
         }
     }
     assert!(plain_accepts > 0, "some twisted-key proofs satisfy the plain equation");
+}
+
+/// Items checked under a twisted key in each of the sweeps below.
+const TWISTED: usize = 16;
+
+/// The world of the twisted-key sweeps — over the 512/160 group, whose
+/// cofactor 2, 3 and 4 all divide — and an element of each order.
+fn twisting_world(seed: u64) -> (World, [BigUint; 3]) {
+    let w = world_over(small_group(), seed);
+    let etas = [2, 3, 4].map(|d| element_of_order(&w.group, d).expect("d divides the cofactor"));
+    assert!(etas.iter().all(|eta| !w.group.is_element(eta)));
+    (w, etas)
+}
+
+/// `make()` again and again until the signature it returns over `msg`
+/// satisfies the plain DSA equation under `key` — for a signature by the
+/// secret of `y` under the key `y·eta`, until `eta^u2 = 1` — so that the
+/// membership of `key` is the only thing left to refuse it for.
+fn until_plainly_valid<T>(
+    group: &SchnorrGroup,
+    key: &BigUint,
+    mut make: impl FnMut() -> (T, Vec<u8>, DsaSignature),
+) -> T {
+    let plain = DsaPublicKey::from_element(key.clone());
+    loop {
+        let (made, msg, sig) = make();
+        if plain.verify(group, &msg, &sig) {
+            return made;
+        }
+    }
+}
+
+#[test]
+fn accept_grants_refuses_every_twisted_coin_key_as_serial_acceptance_does() {
+    let (mut w, etas) = twisting_world(0x7A157ED);
+    let broker_pk = w.broker.public().clone();
+    let mut grants = Vec::new();
+    let mut twisted_at = Vec::new();
+    for i in 0..2 * TWISTED {
+        w.coin = DsaKeyPair::generate(&w.group, &mut w.rng);
+        let y = w.coin.public().element().clone();
+        let session = session(&mut w, i as u8);
+        let grant = if i % 2 == 0 {
+            grant_with(&mut w, &honest(&y), &session)
+        } else {
+            twisted_at.push(i);
+            let coin_pk = w.group.elem_ring().mul(&y, &etas[i / 2 % 3]);
+            assert!(!w.group.is_element(&coin_pk));
+            let group = w.group.clone();
+            until_plainly_valid(&group, &coin_pk, || {
+                let grant = grant_with(&mut w, &honest(&coin_pk), &session);
+                let (_, msg) = grant.binding.signed_claim(&broker_pk);
+                let sig = grant.binding.raw_sig().clone();
+                (grant, msg, sig)
+            })
+        };
+        grants.push((grant, session));
+    }
+    assert_eq!(twisted_at.len(), TWISTED);
+    let mut one_by_one = payee(&mut w);
+    let want: Vec<_> = grants
+        .iter()
+        .map(|(grant, session)| one_by_one.accept_grant(grant.clone(), again(session), NOW))
+        .collect();
+    let mut together = payee(&mut w);
+    let got = together.accept_grants(grants, NOW);
+    assert_eq!(got, want);
+    for (i, result) in got.iter().enumerate() {
+        match twisted_at.contains(&i) {
+            true => assert_eq!(result, &Err(CoreError::BadSignature), "grant {i}"),
+            false => assert!(result.is_ok(), "grant {i}: {result:?}"),
+        }
+    }
+    let held = |peer: &Peer| {
+        let mut coins = peer.held_coins();
+        coins.sort_by_key(|id| id.0);
+        coins
+    };
+    assert_eq!(held(&together), held(&one_by_one));
+    assert_eq!(held(&together).len(), TWISTED);
+}
+
+#[test]
+fn verify_records_bulk_refuses_every_twisted_subject_as_record_verify_does() {
+    let (mut w, etas) = twisting_world(0x5B1EC7);
+    let group = w.group.clone();
+    let broker_pk = w.broker.public().clone();
+    let mut records = Vec::new();
+    for i in 0..TWISTED as u64 {
+        let keys = DsaKeyPair::generate(&group, &mut w.rng);
+        let y = keys.public().element().clone();
+        let record = |subject: &BigUint, writer: Writer, w: &mut World| {
+            let value = vec![i as u8; 5];
+            let msg = SignedRecord::signed_bytes(subject, &value, i, writer);
+            let signer = if writer == Writer::Subject { &keys } else { &w.broker };
+            let signature = signer.sign(&group, &msg, &mut w.rng);
+            let record =
+                SignedRecord { subject: subject.clone(), value, version: i, writer, signature };
+            (record.clone(), msg, record.signature)
+        };
+        let twisted = group.elem_ring().mul(&y, &etas[i as usize % 3]);
+        records
+            .push(until_plainly_valid(&group, &twisted, || record(&twisted, Writer::Subject, &mut w)));
+        // Next to it: the same subject written honestly, and by the broker.
+        records.push(record(&y, Writer::Subject, &mut w).0);
+        records.push(record(&y, Writer::Broker, &mut w).0);
+    }
+    let want: Vec<bool> = records.iter().map(|r| r.verify(&group, &broker_pk)).collect();
+    assert_eq!(want, [false, true, true].repeat(TWISTED));
+    assert_eq!(dsd::verify_records_bulk(&group, &broker_pk, &records, None), want);
+    // Through a cache: the verdicts primed are the same ones.
+    let cache = SigCache::new(256);
+    for pass in ["cold", "warm"] {
+        assert_eq!(
+            dsd::verify_records_bulk(&group, &broker_pk, &records, Some(&cache)),
+            want,
+            "{pass}"
+        );
+    }
+}
+
+#[test]
+fn layered_verify_batch_refuses_every_twisted_relinquishing_key_as_verify_does() {
+    let (mut w, etas) = twisting_world(0x1A7E2ED);
+    let group = w.group.clone();
+    let (broker_pk, gpk) = (w.broker.public().clone(), w.gpk.clone());
+    for i in 0..2 * TWISTED {
+        w.coin = DsaKeyPair::generate(&group, &mut w.rng);
+        let coin_pk = w.coin.public().element().clone();
+        let session = session(&mut w, i as u8);
+        let mut layered = LayeredCoin::new(grant_with(&mut w, &honest(&coin_pk), &session));
+        // The first hop hands the coin to a middle key — twisted in every
+        // other coin — and the second is signed for with the real secret
+        // behind it.
+        let middle = DsaKeyPair::generate(&group, &mut w.rng);
+        let twist = (i % 2 == 1).then(|| &etas[i / 2 % 3]);
+        let middle_pk = match twist {
+            Some(eta) => group.elem_ring().mul(middle.public().element(), eta),
+            None => middle.public().element().clone(),
+        };
+        layered
+            .add_layer(&group, &gpk, &session.holder_keys, &w.member, middle_pk.clone(), 4, &mut w.rng)
+            .expect("the session's key holds the coin");
+        let last_pk = DsaKeyPair::generate(&group, &mut w.rng).public().element().clone();
+        let msg = Layer::signed_bytes(&coin_pk, layered.base.binding.seq(), 1, &last_pk);
+        let group_sig = w.member.sign(&group, &gpk, &msg, &mut w.rng);
+        layered.layers.push(until_plainly_valid(&group, &middle_pk, || {
+            let relinquish_sig = middle.sign(&group, &msg, &mut w.rng);
+            let layer = Layer {
+                new_holder_pk: last_pk.clone(),
+                relinquish_sig: relinquish_sig.clone(),
+                group_sig: group_sig.clone(),
+            };
+            (layer, msg.clone(), relinquish_sig)
+        }));
+        let want = layered.verify(&group, &broker_pk, &gpk, 4);
+        assert_eq!(want, twist.map_or(Ok(()), |_| Err(CoreError::BadSignature)), "coin {i}");
+        assert_eq!(layered.verify_batch(&group, &broker_pk, &gpk, 4, None), want, "coin {i}");
+        let cache = SigCache::new(64);
+        for pass in ["cold", "warm"] {
+            assert_eq!(
+                layered.verify_batch(&group, &broker_pk, &gpk, 4, Some(&cache)),
+                want,
+                "coin {i}, {pass}"
+            );
+        }
+    }
+}
+
+/// `verify_dsa_each` against `verify_member` item by item: 1 to 17 items
+/// (an empty batch too) under one key, three keys and a key each, with
+/// forgeries and with keys that are no members — zero, `p`, a random
+/// element, a real key twisted — signed for where anybody can.
+#[test]
+fn verify_dsa_each_gives_each_item_the_verdict_of_verify_member() {
+    let (mut w, etas) = twisting_world(0xEAC4);
+    let group = w.group.clone();
+    assert!(verify_dsa_each(&group, &[]).is_empty());
+    let (mut accepted, mut refused, mut membership_alone) = (0, 0, 0);
+    for n in 1..=17usize {
+        for keys in [1, 3, n] {
+            let pairs: Vec<DsaKeyPair> =
+                (0..keys).map(|_| DsaKeyPair::generate(&group, &mut w.rng)).collect();
+            let items: Vec<DsaBatchItem> = (0..n)
+                .map(|i| {
+                    let pair = &pairs[i % keys];
+                    let y = pair.public().element();
+                    let mut message = format!("{n} items, {keys} keys, item {i}").into_bytes();
+                    let sig = pair.sign(&group, &message, &mut w.rng);
+                    let key = match (n + keys + i) % 9 {
+                        0 => BigUint::zero(),
+                        1 => group.modulus().clone(),
+                        2 => BigUint::random_below(&mut w.rng, group.modulus()),
+                        3 => group.elem_ring().mul(y, &etas[i % 3]),
+                        4 => {
+                            message.push(0xA5);
+                            y.clone()
+                        }
+                        _ => y.clone(),
+                    };
+                    DsaBatchItem { key: DsaPublicKey::from_element(key), message, sig }
+                })
+                .collect();
+            let want: Vec<bool> = items
+                .iter()
+                .map(|it| DsaPublicKey::verify_member(&group, it.key.element(), &it.message, &it.sig))
+                .collect();
+            assert_eq!(verify_dsa_each(&group, &items), want, "{n} items under {keys} keys");
+            for (item, ok) in items.iter().zip(&want) {
+                accepted += *ok as usize;
+                refused += !*ok as usize;
+                membership_alone += (!ok && item.key.verify(&group, &item.message, &item.sig)) as usize;
+            }
+        }
+    }
+    assert!(accepted > 100 && refused > 100, "both verdicts must occur ({accepted} / {refused})");
+    assert!(membership_alone > 3, "{membership_alone} items refused for their key's membership alone");
 }

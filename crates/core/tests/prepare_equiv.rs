@@ -1,12 +1,15 @@
 //! `prepare` is advisory, `serve` authoritative.
 //!
-//! A generated history of broker requests — honest ones, re-deliveries,
+//! A generated history of broker requests — honest ones, re-deliveries
+//! (of refused requests too, whose verdict the first delivery took),
 //! forged holder / binding / identity / group signatures, keys outside
 //! the subgroup (zero, the modulus, random elements, and a real key
 //! multiplied by `−1` or another small-order element, signed for by
-//! whoever holds the real secret so that the claim a combined check would
-//! evaluate holds exactly), group signatures with a ciphertext half
-//! outside it (zero, the modulus, a random element, and a half its own
+//! whoever holds the real secret so that the plain signature equation
+//! holds exactly) as purchased coin keys, as the holder key of a
+//! broker-signed or a coin-key-signed binding and as the key a peer is
+//! registered under, group signatures with a ciphertext half outside the
+//! subgroup (zero, the modulus, a random element, and a half its own
 //! signer twisted so that both verification equations hold all the same),
 //! forged responses and scalars out of range, stale and superseding
 //! bindings, double deposits, coins the broker never minted — is cut into
@@ -15,18 +18,18 @@
 //! through three identically seeded sharded brokers:
 //!
 //! * **batched**: every group is submitted and drained, so each shard
-//!   endpoint sees its share in `prepare` and settles it — one combined
-//!   check, and one exact chain per untrusted element, eight to a lane
-//!   call where the host has the engine — before serving;
+//!   endpoint sees its share in `prepare` and settles it — one exact
+//!   chain per untrusted element, eight to a lane call where the host has
+//!   the engine — before serving;
 //! * **per request**: every request goes through `request_into`, which
 //!   never prepares;
 //! * **mixed**: each group's first request goes through `request_into`
 //!   right after the *previous* group's `prepare` — a verdict table built
 //!   over other bytes — and the rest are drained.
 //!
-//! All three must agree byte for byte on every response, and at the end
-//! on every shard's snapshot, counters, journal, committed `(root, seq)`
-//! and verdict-cache accounting.
+//! All three agree byte for byte on every response, and at the end on
+//! every shard's snapshot, counters, journal, committed `(root, seq)` and
+//! verdict-cache accounting. No history is excepted.
 
 use std::sync::Arc;
 
@@ -38,7 +41,7 @@ use whopay_core::{
     PendingPurchase, PurchaseMode, PurchaseRequest, ReceiveSession, RenewalRequest, ShardedBroker,
     SystemParams, Timestamp, TransferRequest,
 };
-use whopay_crypto::dsa::{DsaKeyPair, DsaSignature};
+use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_crypto::testing::{small_order_element, test_rng, tiny_group, twisted_group_signature};
@@ -113,8 +116,13 @@ impl Server {
 
 /// Where a coin stands, as its clients know it.
 enum Stage {
-    /// Purchase request built, not yet answered.
-    Buying(PendingPurchase),
+    /// Purchase request built, not yet answered. `poison`: once minted,
+    /// the owner issues the coin to a key outside the subgroup (picked as
+    /// [`Clients::non_member`] picks).
+    Buying {
+        pending: PendingPurchase,
+        poison: Option<u8>,
+    },
     /// `holder` holds it; `owner` minted it.
     Held {
         holder: usize,
@@ -139,7 +147,8 @@ enum Stage {
     Done,
 }
 
-/// A coin the broker bound to a key outside the subgroup.
+/// A coin bound to a key outside the subgroup, by the broker or by its
+/// owner.
 struct Poison {
     minted: MintedCoin,
     current: Binding,
@@ -178,11 +187,7 @@ struct Clients {
 }
 
 fn tampered(sig: &DsaSignature) -> DsaSignature {
-    DsaSignature::from_parts_with_witness(
-        sig.r().clone(),
-        sig.s() + &BigUint::one(),
-        sig.witness().cloned(),
-    )
+    DsaSignature::from_parts(sig.r().clone(), sig.s() + &BigUint::one())
 }
 
 fn reexpired(b: &Binding) -> Binding {
@@ -291,7 +296,13 @@ impl Clients {
                 let id = CoinId::from_pk(&request.coin_pk);
                 self.coins[at].id = Some(id);
                 match mutation {
-                    3 => request.identity_sig = request.identity_sig.as_ref().map(tampered),
+                    2 | 3 => {
+                        request.identity_sig = request.identity_sig.as_ref().map(tampered);
+                        if mutation == 2 {
+                            // Refused, and delivered twice.
+                            out.push((id, Request::Purchase(request.clone())));
+                        }
+                    }
                     4 => {
                         let msg = PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
                         request.group_sig =
@@ -315,7 +326,7 @@ impl Clients {
                     _ => {}
                 }
                 out.push((id, Request::Purchase(request)));
-                Stage::Buying(pending)
+                Stage::Buying { pending, poison: (mutation == 7).then_some(tag / 48) }
             }
             Stage::Held { holder } => {
                 let id = self.coins[at].id.expect("held coins are minted");
@@ -328,7 +339,15 @@ impl Clients {
                             .request_transfer(id, &invite, &mut self.rng)
                             .expect("holder holds the coin");
                         match mutation {
-                            3 => request.holder_sig = tampered(&request.holder_sig),
+                            2 | 3 => {
+                                request.holder_sig = tampered(&request.holder_sig);
+                                if mutation == 2 {
+                                    out.push((
+                                        id,
+                                        Request::Transfer { request: request.clone(), downtime: true },
+                                    ));
+                                }
+                            }
                             4 => {
                                 let msg = TransferRequest::signed_bytes(
                                     &request.current,
@@ -378,7 +397,15 @@ impl Clients {
                             .request_renewal(id, &mut self.rng)
                             .expect("holder holds the coin");
                         match mutation {
-                            3 => request.holder_sig = tampered(&request.holder_sig),
+                            2 | 3 => {
+                                request.holder_sig = tampered(&request.holder_sig);
+                                if mutation == 2 {
+                                    out.push((
+                                        id,
+                                        Request::Renewal { request: request.clone(), downtime: true },
+                                    ));
+                                }
+                            }
                             4 => {
                                 let msg = RenewalRequest::signed_bytes(&request.current);
                                 request.group_sig = self.refused_group_sig(&msg, &request.group_sig)
@@ -421,7 +448,12 @@ impl Clients {
                             .request_deposit(id, &mut self.rng)
                             .expect("holder holds the coin");
                         match mutation {
-                            3 => request.holder_sig = tampered(&request.holder_sig),
+                            2 | 3 => {
+                                request.holder_sig = tampered(&request.holder_sig);
+                                if mutation == 2 {
+                                    out.push((id, Request::Deposit(request.clone())));
+                                }
+                            }
                             4 => {
                                 let msg = DepositRequest::signed_bytes(&request.binding);
                                 request.group_sig = self.refused_group_sig(&msg, &request.group_sig)
@@ -518,18 +550,36 @@ impl Clients {
         let id = self.coins[at].id.expect("a request was sent");
         let stage = std::mem::replace(&mut self.coins[at].stage, Stage::Done);
         self.coins[at].stage = match (stage, response) {
-            (Stage::Buying(pending), Response::Minted(minted)) => {
+            (Stage::Buying { pending, poison }, Response::Minted(minted)) => {
                 self.peers[owner]
                     .complete_purchase(minted, pending, NOW, &mut self.rng)
                     .expect("own coin");
                 let holder = (owner + 1) % PEERS;
-                let (invite, session) = self.peers[holder].begin_receive(&mut self.rng);
+                let (mut invite, session) = self.peers[holder].begin_receive(&mut self.rng);
+                let twist = poison.map(|pick| {
+                    // The binding the broker will be shown is the owner's
+                    // own, to a key nothing signed under is taken for.
+                    let (holder_pk, twist) = self.non_member(pick);
+                    let msg = PaymentInvite::signed_bytes(&holder_pk, &invite.nonce);
+                    let group = self.params.group();
+                    let group_sig = self.spare.sign(group, &self.gpk, &msg, &mut self.rng);
+                    invite = PaymentInvite { holder_pk, nonce: invite.nonce, group_sig };
+                    twist
+                });
                 let grant =
                     self.peers[owner].issue_coin(id, &invite, NOW, &mut self.rng).expect("issue");
-                self.peers[holder].accept_grant(grant, session, NOW).expect("issued grant");
-                Stage::Held { holder }
+                match twist {
+                    Some(twist) => {
+                        let (minted, current) = (grant.minted, grant.binding);
+                        Stage::Poisoned(Box::new(Poison { minted, current, twist }))
+                    }
+                    None => {
+                        self.peers[holder].accept_grant(grant, session, NOW).expect("issued grant");
+                        Stage::Held { holder }
+                    }
+                }
             }
-            (Stage::Buying(_), _) => {
+            (Stage::Buying { .. }, _) => {
                 // Refused: start over with a fresh key.
                 self.coins[at].id = None;
                 Stage::Done
@@ -582,8 +632,12 @@ fn shard_state(server: &Server, i: usize) -> String {
 }
 
 /// Runs the history `tags` encodes; returns the broker counters summed
-/// over shards (for the coverage check).
-fn run(tags: &[u8], threads: usize) -> whopay_core::BrokerStats {
+/// over shards (for the coverage check). With `twisted_registrations`
+/// the first two peers are on the brokers' books under their identity
+/// key times an element of small order — of order two, and of the least
+/// odd order there is: no subgroup member, and yet the key their identity
+/// signatures are verified under, as they stand.
+fn run(tags: &[u8], threads: usize, twisted_registrations: bool) -> whopay_core::BrokerStats {
     let mut rng = test_rng(0x9E7A1);
     let params = SystemParams::new(tiny_group().clone());
     let group = params.group().clone();
@@ -603,9 +657,16 @@ fn run(tags: &[u8], threads: usize) -> whopay_core::BrokerStats {
             // The last peer stays unregistered: its identified purchases
             // are refused as coming from an unknown peer.
             if (id as usize) < PEERS - 1 {
-                servers
-                    .iter()
-                    .for_each(|s| s.sharded.register_peer(PeerId(id), peer.public_key().clone()));
+                let key = match twisted_registrations && id < 2 {
+                    true => DsaPublicKey::from_element(
+                        group
+                            .elem_ring()
+                            .mul(peer.public_key().element(), &small_order_element(&group, id == 1)),
+                    ),
+                    false => peer.public_key().clone(),
+                };
+                assert_eq!(group.is_element(key.element()), !(twisted_registrations && id < 2));
+                servers.iter().for_each(|s| s.sharded.register_peer(PeerId(id), key.clone()));
             }
             peer
         })
@@ -677,8 +738,9 @@ proptest! {
     fn prepared_and_per_request_service_agree(
         tags in proptest::collection::vec(any::<u8>(), 28..168),
         two_threads in any::<bool>(),
+        twisted_registrations in any::<bool>(),
     ) {
-        run(&tags, if two_threads { 2 } else { 1 });
+        run(&tags, if two_threads { 2 } else { 1 }, twisted_registrations);
     }
 }
 
@@ -688,7 +750,7 @@ proptest! {
 #[test]
 fn the_generated_histories_reach_every_kind_of_outcome() {
     let tags: Vec<u8> = (0..1680u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
-    let stats = run(&tags, 1);
+    let stats = run(&tags, 1, false);
     assert!(stats.purchases > 10, "{stats:?}");
     assert!(stats.deposits > 3, "{stats:?}");
     assert!(stats.downtime_transfers > 10, "{stats:?}");
@@ -697,12 +759,11 @@ fn the_generated_histories_reach_every_kind_of_outcome() {
     assert!(stats.rejections > 20, "{stats:?}");
 }
 
-/// The group a combined check must not be fooled by: coins bound to the
-/// null key and to a twisted key `−y` (whose holder signs so that the
-/// combined claim holds exactly), deposited and transferred in the same
-/// drain cycles as deposits and transfers of other coins under forged
-/// holder signatures that keep their witnesses consistent. Every one of
-/// them is refused, batched or not.
+/// Coins bound to the null key and to a twisted key `−y` (whose holder
+/// signs so that the plain equation holds exactly), deposited and
+/// transferred in the same drain cycles as deposits and transfers of
+/// other coins under forged holder signatures. Every one of them is
+/// refused, batched or not.
 #[test]
 fn a_null_or_twisted_holder_key_next_to_forgeries_changes_no_verdict() {
     // One tag per coin, then the two cut bytes (zero: one group per round,
@@ -743,12 +804,32 @@ fn a_null_or_twisted_holder_key_next_to_forgeries_changes_no_verdict() {
         [TRANSFER, DEPOSIT, FT, FT, FT, FT, FT, FD, FD, FD, FD, FD, 0, 0],
     ];
     for threads in [1, 2] {
-        let stats = run(&tags.concat(), threads);
+        let stats = run(&tags.concat(), threads, false);
         assert_eq!(
             (stats.purchases, stats.downtime_transfers, stats.downtime_renewals),
             (12, 2, 10),
             "{stats:?}"
         );
         assert_eq!((stats.deposits, stats.rejections, stats.replays), (0, 24, 0), "{stats:?}");
+    }
+}
+
+/// Peers registered under a key outside the subgroup buy coins, four
+/// rounds of one group each. The handler verifies an identity signature
+/// under the registered key as it stands, so some of these purchases go
+/// through and some do not — and `prepare`, whose chain over such a key
+/// ends in "no member", has no verdict to park for either kind.
+#[test]
+fn a_registered_key_outside_the_subgroup_verifies_as_it_stands() {
+    // Every tag zero: an identified purchase for a slot without a coin,
+    // an honest downtime transfer for a held one; no cuts.
+    let tags = [0u8; 4 * (COINS + 2)];
+    for threads in [1, 2] {
+        let stats = run(&tags, threads, true);
+        // Minted: the honestly registered peer's three coins and, a round
+        // or three late, all six of the other two's. Refused: the
+        // unregistered peer's three purchases each round, and five
+        // identity signatures the twist did not cancel out of.
+        assert_eq!((stats.purchases, stats.rejections), (3 + 6, 4 * 3 + 5), "{stats:?}");
     }
 }

@@ -36,13 +36,8 @@ impl Ints<'_> {
         v
     }
 
-    fn sig(&mut self, witness: bool) -> DsaSignature {
-        let (r, s) = (self.int(), self.int());
-        if witness {
-            DsaSignature::from_parts_with_witness(r, s, Some(self.int()))
-        } else {
-            DsaSignature::from_parts(r, s)
-        }
+    fn sig(&mut self) -> DsaSignature {
+        DsaSignature::from_parts(self.int(), self.int())
     }
 
     fn gsig(&mut self) -> GroupSignature {
@@ -54,26 +49,19 @@ impl Ints<'_> {
         )
     }
 
-    fn minted(&mut self, owner: OwnerTag, witness: bool) -> MintedCoin {
-        MintedCoin::from_parts(owner, self.int(), self.sig(witness))
+    fn minted(&mut self, owner: OwnerTag) -> MintedCoin {
+        MintedCoin::from_parts(owner, self.int(), self.sig())
     }
 
-    fn binding(&mut self, seq: u64, signer: BindingSigner, witness: bool) -> Binding {
-        Binding::from_parts(
-            self.int(),
-            self.int(),
-            seq,
-            Timestamp(seq ^ 0x5A),
-            signer,
-            self.sig(witness),
-        )
+    fn binding(&mut self, seq: u64, signer: BindingSigner) -> Binding {
+        Binding::from_parts(self.int(), self.int(), seq, Timestamp(seq ^ 0x5A), signer, self.sig())
     }
 
-    fn deposit(&mut self, owner: OwnerTag, witness: bool) -> DepositRequest {
+    fn deposit(&mut self, owner: OwnerTag) -> DepositRequest {
         DepositRequest {
-            minted: self.minted(owner, witness),
-            binding: self.binding(7, BindingSigner::CoinKey, witness),
-            holder_sig: self.sig(witness),
+            minted: self.minted(owner),
+            binding: self.binding(7, BindingSigner::CoinKey),
+            holder_sig: self.sig(),
             group_sig: self.gsig(),
         }
     }
@@ -88,13 +76,12 @@ fn owner_tag(kind: u64) -> OwnerTag {
 }
 
 fn build_request(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Request {
-    let witness = flags & 1 != 0;
     let downtime = flags & 2 != 0;
     match kind % 7 {
         0 => Request::Purchase(PurchaseRequest {
             owner: owner_tag(flags >> 2),
             coin_pk: ints.int(),
-            identity_sig: if flags & 4 != 0 { Some(ints.sig(witness)) } else { None },
+            identity_sig: if flags & 4 != 0 { Some(ints.sig()) } else { None },
             group_sig: if flags & 4 == 0 && flags & 8 != 0 { Some(ints.gsig()) } else { None },
         }),
         1 => Request::Issue {
@@ -107,47 +94,44 @@ fn build_request(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Request {
         },
         2 => Request::Transfer {
             request: TransferRequest {
-                current: ints.binding(flags, BindingSigner::CoinKey, witness),
+                current: ints.binding(flags, BindingSigner::CoinKey),
                 new_holder_pk: ints.int(),
                 nonce: [flags as u8; 32],
-                holder_sig: ints.sig(witness),
+                holder_sig: ints.sig(),
                 group_sig: ints.gsig(),
             },
             downtime,
         },
         3 => Request::Renewal {
             request: RenewalRequest {
-                current: ints.binding(flags, BindingSigner::Broker, witness),
-                holder_sig: ints.sig(witness),
+                current: ints.binding(flags, BindingSigner::Broker),
+                holder_sig: ints.sig(),
                 group_sig: ints.gsig(),
             },
             downtime,
         },
-        4 => Request::Deposit(ints.deposit(owner_tag(flags), witness)),
+        4 => Request::Deposit(ints.deposit(owner_tag(flags))),
         5 => Request::Sync {
             peer: PeerId(flags),
             challenge: vec![flags as u8; (flags % 40) as usize],
-            response: ints.sig(witness),
+            response: ints.sig(),
         },
-        _ => {
-            Request::DepositBatch((0..flags % 4).map(|i| ints.deposit(owner_tag(i), witness)).collect())
-        }
+        _ => Request::DepositBatch((0..flags % 4).map(|i| ints.deposit(owner_tag(i))).collect()),
     }
 }
 
 fn build_response(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Response {
-    let witness = flags & 1 != 0;
     match kind % 7 {
-        0 => Response::Minted(ints.minted(owner_tag(flags), witness)),
+        0 => Response::Minted(ints.minted(owner_tag(flags))),
         1 => Response::Grant(Box::new(CoinGrant {
-            minted: ints.minted(owner_tag(flags), witness),
-            binding: ints.binding(flags, BindingSigner::CoinKey, witness),
-            ownership_proof: ints.sig(witness),
+            minted: ints.minted(owner_tag(flags)),
+            binding: ints.binding(flags, BindingSigner::CoinKey),
+            ownership_proof: ints.sig(),
         })),
-        2 => Response::Binding(ints.binding(flags, BindingSigner::Broker, witness)),
+        2 => Response::Binding(ints.binding(flags, BindingSigner::Broker)),
         3 => Response::Receipt(DepositReceipt { coin: CoinId([flags as u8; 32]), value: flags }),
         4 => Response::Bindings(
-            (0..flags % 4).map(|i| ints.binding(i, BindingSigner::CoinKey, witness)).collect(),
+            (0..flags % 4).map(|i| ints.binding(i, BindingSigner::CoinKey)).collect(),
         ),
         5 => Response::Receipts(
             (0..flags % 5)
@@ -295,4 +279,56 @@ proptest! {
         let frame = &frame[..cut.index(frame.len())];
         prop_assert_eq!(ResponseView::parse(frame).unwrap_err(), CoreError::Malformed);
     }
+}
+
+/// Dead bytes cannot creep back into the format: a DSA signature is its
+/// two 160-bit scalars, each behind an 8-byte length, and one real
+/// downtime transfer — request and grant, over the 512/160 group — frames
+/// to exactly the bytes its fields take.
+#[test]
+fn a_signature_and_a_real_transfer_frame_have_their_golden_sizes() {
+    use whopay_core::{Broker, Judge, Peer, PurchaseMode, SystemParams};
+    use whopay_crypto::testing::{small_group, test_rng};
+
+    let mut rng = test_rng(0x601D);
+    let params = SystemParams::new(small_group().clone());
+    let mut judge = Judge::new(params.group().clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let mut broker = Broker::new(params.clone(), gpk.clone(), &mut rng);
+    let mut peer = |id: u64, rng: &mut rand::rngs::StdRng| {
+        let gk = judge.enroll(PeerId(id), rng);
+        let peer =
+            Peer::new(PeerId(id), params.clone(), broker.public_key().clone(), gpk.clone(), gk, rng);
+        broker.register_peer(peer.id(), peer.public_key().clone());
+        peer
+    };
+    let (mut owner, mut holder, payee) = (peer(0, &mut rng), peer(1, &mut rng), peer(2, &mut rng));
+    let now = Timestamp(0);
+    let (request, pending) = owner.create_purchase_request(PurchaseMode::Identified, &mut rng);
+    let minted = broker.handle_purchase(&request, &mut rng).expect("purchase");
+    let coin = owner.complete_purchase(minted, pending, now, &mut rng).expect("minted");
+    let (invite, session) = holder.begin_receive(&mut rng);
+    let grant = owner.issue_coin(coin, &invite, now, &mut rng).expect("issue");
+    holder.accept_grant(grant, session, now).expect("grant");
+    let (invite, _) = payee.begin_receive(&mut rng);
+    let transfer = holder.request_transfer(coin, &invite, &mut rng).expect("transfer request");
+    let grant = broker.handle_downtime_transfer(&transfer, now, &mut rng).expect("transfer");
+
+    // Kind, peer id and an empty challenge's length around the signature.
+    let sig = transfer.holder_sig.clone();
+    let sync = Request::Sync { peer: PeerId(0), challenge: Vec::new(), response: sig };
+    assert_eq!(sync.encode().len() - 3 * 8, 2 * (8 + 20));
+    // Kind and downtime flag; a binding (two 512-bit keys, seq, expiry,
+    // signer, signature); the new holder key; the nonce; the holder's
+    // signature; the group signature (two 512-bit halves, three scalars).
+    // One integer of this request has a leading zero byte, which the
+    // encoding drops.
+    let request = Request::Transfer { request: transfer, downtime: true };
+    let full = 2 * 8 + (2 * 72 + 3 * 8 + 56) + 72 + 40 + 56 + (2 * 72 + 3 * 28);
+    assert_eq!((request.encode().len(), full), (635, 636));
+    // Kind; the minted coin (owner tag, key, signature); a binding; the
+    // ownership proof.
+    let response = Response::Grant(Box::new(grant));
+    assert_eq!(response.encode().len(), 8 + (16 + 72 + 56) + (2 * 72 + 3 * 8 + 56) + 56);
+    assert_eq!(response.encode().len(), 432);
 }

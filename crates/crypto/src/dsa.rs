@@ -34,36 +34,12 @@ pub struct DsaKeyPair {
     public: DsaPublicKey,
 }
 
-/// A DSA signature `(r, s)`, optionally carrying the full commitment
-/// `R = g^k mod p` (the *witness*) from which `r = R mod q` was derived.
-///
-/// The witness is what makes randomized batch verification possible
-/// ([`crate::batch`]): plain DSA discards `R`, and a verifier cannot
-/// recover it from `r` alone. Signatures produced by [`DsaKeyPair::sign`]
-/// carry it; signatures reassembled from bare wire components do not and
-/// simply take the per-signature verification path. The witness is advisory
-/// — [`DsaPublicKey::verify`] ignores it entirely, and equality/hashing
-/// consider only `(r, s)`.
-#[derive(Debug, Clone)]
+/// A DSA signature `(r, s)`: the two scalars, nothing else, so two
+/// signatures are equal exactly when they are the same bits.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DsaSignature {
     r: BigUint,
     s: BigUint,
-    witness: Option<BigUint>,
-}
-
-impl PartialEq for DsaSignature {
-    fn eq(&self, other: &Self) -> bool {
-        self.r == other.r && self.s == other.s
-    }
-}
-
-impl Eq for DsaSignature {}
-
-impl std::hash::Hash for DsaSignature {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.r.hash(state);
-        self.s.hash(state);
-    }
 }
 
 impl DsaSignature {
@@ -77,25 +53,10 @@ impl DsaSignature {
         &self.s
     }
 
-    /// The batch-verification witness `R = g^k mod p`, if this signature
-    /// carries one.
-    pub fn witness(&self) -> Option<&BigUint> {
-        self.witness.as_ref()
-    }
-
     /// Reassembles a signature from its components (e.g. after wire
     /// decoding). Invalid components simply fail verification.
     pub fn from_parts(r: BigUint, s: BigUint) -> Self {
-        DsaSignature { r, s, witness: None }
-    }
-
-    /// Reassembles a signature including its batch witness (e.g. after
-    /// wire decoding a witness-carrying signature). A bogus witness can
-    /// never make an invalid signature pass — the batch verifier checks
-    /// consistency and falls back to witness-free verification — so this
-    /// is safe on untrusted input.
-    pub fn from_parts_with_witness(r: BigUint, s: BigUint, witness: Option<BigUint>) -> Self {
-        DsaSignature { r, s, witness }
+        DsaSignature { r, s }
     }
 }
 
@@ -326,13 +287,12 @@ impl DsaKeyPair {
     ) -> [DsaSignature; N] {
         let q = group.order();
         let scalar = group.scalar_ring();
-        // (k, R, r, h + x·r) per message.
+        // (k, r, h + x·r) per message.
         let drawn = messages.map(|message| {
             let h = hash_message(group, message);
             loop {
                 let k = group.random_scalar(rng);
-                let big_r = group.pow_g(&k);
-                let r = &big_r % q;
+                let r = group.pow_g(&k) % q;
                 if r.is_zero() {
                     continue;
                 }
@@ -342,21 +302,21 @@ impl DsaKeyPair {
                 if t.is_zero() {
                     continue;
                 }
-                return (k, big_r, r, t);
+                return (k, r, t);
             }
         });
         let nonces = drawn.each_ref().map(|(k, ..)| k);
         let mut inverses =
             scalar.inv_each(&nonces).expect("k in [1, q) over prime q is invertible").into_iter();
-        drawn.map(|(_, big_r, r, t)| {
+        drawn.map(|(_, r, t)| {
             let k_inv = inverses.next().expect("one inverse per nonce");
-            DsaSignature { r, s: scalar.mul(&k_inv, &t), witness: Some(big_r) }
+            DsaSignature { r, s: scalar.mul(&k_inv, &t) }
         })
     }
 }
 
 /// Hashes a message to a scalar, domain-bound to DSA and these parameters.
-pub(crate) fn hash_message(group: &SchnorrGroup, message: &[u8]) -> BigUint {
+fn hash_message(group: &SchnorrGroup, message: &[u8]) -> BigUint {
     Transcript::new(DOMAIN)
         .int(group.modulus())
         .int(group.order())

@@ -59,7 +59,7 @@ pub mod sha256;
 pub mod shamir;
 pub mod testing;
 
-pub use batch::{DsaBatchItem, SchnorrBatchItem};
+pub use batch::DsaBatchItem;
 pub use dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 pub use elgamal::{ElGamalCiphertext, ElGamalKeyPair, ElGamalPublicKey};
 pub use group_sig::{GroupManager, GroupMemberKey, GroupPublicKey, GroupSignature, OpenOutcome};

@@ -35,34 +35,11 @@ pub struct SchnorrKeyPair {
     public: SchnorrPublicKey,
 }
 
-/// A Schnorr signature `(e, s)` with `e = H(g^k || m)` and `s = k + x·e`,
-/// optionally carrying the commitment `R = g^k mod p` (the *witness*).
-///
-/// Plain Schnorr verification recomputes `R' = g^s·y^{-e}`; carrying `R`
-/// explicitly lets [`crate::batch`] replace that per-signature
-/// double-exponentiation with one shared multi-exponentiation. The witness
-/// is advisory — [`SchnorrPublicKey::verify`] ignores it, and
-/// equality/hashing consider only `(e, s)`.
-#[derive(Debug, Clone)]
+/// A Schnorr signature `(e, s)` with `e = H(g^k || m)` and `s = k + x·e`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SchnorrSignature {
     e: BigUint,
     s: BigUint,
-    witness: Option<BigUint>,
-}
-
-impl PartialEq for SchnorrSignature {
-    fn eq(&self, other: &Self) -> bool {
-        self.e == other.e && self.s == other.s
-    }
-}
-
-impl Eq for SchnorrSignature {}
-
-impl std::hash::Hash for SchnorrSignature {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.e.hash(state);
-        self.s.hash(state);
-    }
 }
 
 impl SchnorrSignature {
@@ -76,22 +53,10 @@ impl SchnorrSignature {
         &self.s
     }
 
-    /// The batch-verification witness `R = g^k mod p`, if carried.
-    pub fn witness(&self) -> Option<&BigUint> {
-        self.witness.as_ref()
-    }
-
     /// Reassembles a signature from its components. Invalid components
     /// simply fail verification.
     pub fn from_parts(e: BigUint, s: BigUint) -> Self {
-        SchnorrSignature { e, s, witness: None }
-    }
-
-    /// Reassembles a signature including its batch witness. A bogus
-    /// witness cannot make an invalid signature pass (see
-    /// [`crate::batch`]), so this is safe on untrusted input.
-    pub fn from_parts_with_witness(e: BigUint, s: BigUint, witness: Option<BigUint>) -> Self {
-        SchnorrSignature { e, s, witness }
+        SchnorrSignature { e, s }
     }
 }
 
@@ -165,12 +130,12 @@ impl SchnorrKeyPair {
         let r = group.pow_g(&k);
         let e = challenge(group, &self.public.y, &r, message);
         let s = scalar.add(&k, &scalar.mul(&self.x, &e));
-        SchnorrSignature { e, s, witness: Some(r) }
+        SchnorrSignature { e, s }
     }
 }
 
 /// Fiat–Shamir challenge `H(params || y || R || m) mod q`.
-pub(crate) fn challenge(group: &SchnorrGroup, y: &BigUint, r: &BigUint, message: &[u8]) -> BigUint {
+fn challenge(group: &SchnorrGroup, y: &BigUint, r: &BigUint, message: &[u8]) -> BigUint {
     Transcript::new(DOMAIN)
         .int(group.modulus())
         .int(y)

@@ -35,22 +35,28 @@ pub fn small_group() -> &'static SchnorrGroup {
     GROUP.get_or_init(|| SchnorrGroup::generate(512, 160, &mut test_rng(0xBEEF)))
 }
 
+/// An element of `Z_p*` of order exactly `d`, if there is one (`d`
+/// divides `p − 1`). For `d` prime to `q` it lies outside the order-`q`
+/// subgroup.
+pub fn element_of_order(group: &SchnorrGroup, d: u64) -> Option<BigUint> {
+    let elem = group.elem_ring();
+    let p_minus_1 = group.modulus() - &BigUint::one();
+    let big_d = BigUint::from(d);
+    if d < 2 || !(&p_minus_1 % &big_d).is_zero() {
+        return None;
+    }
+    let exact = |eta: &BigUint| {
+        (1..d).filter(|k| d.is_multiple_of(*k)).all(|k| !elem.pow(eta, &BigUint::from(k)).is_one())
+    };
+    (2u64..50).map(|h| elem.pow(&BigUint::from(h), &(&p_minus_1 / &big_d))).find(exact)
+}
+
 /// An element of `Z_p*` outside the order-`q` subgroup whose order is
 /// small: `−1`, or (`odd`) an element of the smallest odd order below
 /// 1000 that divides the cofactor `(p − 1)/q` — `−1` again if none does.
 pub fn small_order_element(group: &SchnorrGroup, odd: bool) -> BigUint {
-    let elem = group.elem_ring();
-    let p_minus_1 = group.modulus() - &BigUint::one();
-    let cofactor = &p_minus_1 / group.order();
-    let odd_order = (3u64..1000).step_by(2).map(BigUint::from).find(|d| (&cofactor % d).is_zero());
-    odd_order
-        .filter(|_| odd)
-        .and_then(|d| {
-            (2u64..50)
-                .map(|h| elem.pow(&BigUint::from(h), &(&p_minus_1 / &d)))
-                .find(|eta| !eta.is_one())
-        })
-        .unwrap_or_else(|| elem.neg(&BigUint::one()))
+    let odd_order = || (3u64..1000).step_by(2).find_map(|d| element_of_order(group, d));
+    odd.then(odd_order).flatten().unwrap_or_else(|| group.elem_ring().neg(&BigUint::one()))
 }
 
 /// A group signature over `message` by a signer who multiplied the halves

@@ -394,6 +394,40 @@ pub(crate) fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `run(index, item)` for every item on up to `threads` scoped worker
+/// threads (worker `w` takes items `w`, `w + workers`, …), the results in
+/// item order. One thread, or one item, runs inline on the caller.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    run: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.max(1).min(items.len());
+    if workers <= 1 {
+        return items.iter().enumerate().map(|(i, item)| run(i, item)).collect();
+    }
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    (w..items.len())
+                        .step_by(workers)
+                        .map(|i| (i, run(i, &items[i])))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, result) in handle.join().expect("sim worker panicked") {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots.into_iter().map(|s| s.expect("every item ran")).collect()
+}
+
 /// Runs `cfg` as `partitions` independent sub-simulations on up to
 /// [`sim_threads`] scoped worker threads and merges the results.
 ///
@@ -417,35 +451,7 @@ pub fn run_partitioned_threads(
 ) -> RunResult {
     let configs = partition_configs(cfg, partitions);
     let load = BrokerLoad::new();
-    let workers = threads.max(1).min(partitions);
-    let results: Vec<RunResult> = if workers == 1 {
-        configs.iter().enumerate().map(|(p, sub)| run_partition(sub, p as u32, &load, obs)).collect()
-    } else {
-        let mut slots: Vec<Option<RunResult>> = (0..partitions).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let configs = &configs;
-            let load = &load;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut p = w;
-                        while p < configs.len() {
-                            out.push((p, run_partition(&configs[p], p as u32, load, obs)));
-                            p += workers;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (p, result) in handle.join().expect("sim worker panicked") {
-                    slots[p] = Some(result);
-                }
-            }
-        });
-        slots.into_iter().map(|s| s.expect("every partition ran")).collect()
-    };
+    let results = fan_out(&configs, threads, |p, sub| run_partition(sub, p as u32, &load, obs));
     let merged = RunResult::merged(&results);
     debug_assert_eq!(load.snapshot(), merged.counts, "accumulator and merge must agree");
     merged

@@ -2,19 +2,18 @@
 //!
 //! Each `figNN_*` function reproduces the data series behind one figure of
 //! the paper's evaluation; the binaries in `whopay-bench` print them. All
-//! sweeps fan their configurations across the shared [`VerifyPool`]
-//! (sized by `WHOPAY_VPOOL_THREADS`), with results bit-identical to a
-//! serial run at any width.
+//! sweeps fan their configurations across the simulator's worker-thread
+//! budget ([`sim_threads`]), with results bit-identical to a serial run
+//! at any width.
 
 use std::sync::Arc;
 
-use whopay_core::VerifyPool;
 use whopay_obs::{Metrics, MetricsReport, Obs};
 use whopay_sim::SimTime;
 
 use crate::config::{setup_a, setup_b, SimConfig};
 use crate::cost::MicroWeights;
-use crate::loadsim::{run, run_with_obs, RunResult};
+use crate::loadsim::{fan_out, run, run_with_obs, sim_threads, RunResult};
 use crate::ops::Op;
 use crate::policy::{Policy, SyncStrategy};
 
@@ -35,19 +34,14 @@ pub const FOUR_CONFIGS: [(Policy, SyncStrategy); 4] = [
     (Policy::III, SyncStrategy::Lazy),
 ];
 
-/// Runs a batch of configurations through the shared verify pool
-/// (`WHOPAY_VPOOL_THREADS` controls the width), preserving order.
+/// Runs a batch of configurations on up to [`sim_threads`] worker
+/// threads, preserving order.
 ///
 /// Each run seeds its own RNG from `SimConfig::seed`, so the results are
 /// bit-identical regardless of thread count — `run_batch` at any width
 /// equals mapping [`run`] serially.
 pub fn run_batch(cfgs: &[SimConfig]) -> Vec<RunResult> {
-    run_batch_on(cfgs, &VerifyPool::from_env())
-}
-
-/// [`run_batch`] on an explicit pool (for callers that already sized one).
-pub fn run_batch_on(cfgs: &[SimConfig], pool: &VerifyPool) -> Vec<RunResult> {
-    pool.map(cfgs, run)
+    fan_out(cfgs, sim_threads(), |_, cfg| run(cfg))
 }
 
 /// Runs one configuration with a fresh metrics registry attached and
@@ -282,9 +276,9 @@ mod tests {
         }
         let serial: Vec<RunResult> = cfgs.iter().map(run).collect();
         for threads in [1usize, 2, 4] {
-            let pool = whopay_core::VerifyPool::new(threads);
-            assert_eq!(run_batch_on(&cfgs, &pool), serial, "threads={threads}");
+            assert_eq!(fan_out(&cfgs, threads, |_, cfg| run(cfg)), serial, "threads={threads}");
         }
+        assert_eq!(run_batch(&cfgs), serial);
     }
 
     #[test]

@@ -358,34 +358,7 @@ pub fn run_stream_partitioned_threads(
     obs: &Obs,
 ) -> StreamResult {
     let configs = partition_stream_configs(cfg, partitions);
-    let workers = threads.max(1).min(partitions);
-    let results: Vec<StreamResult> = if workers == 1 {
-        configs.iter().map(|sub| run_stream_with_obs(sub, obs)).collect()
-    } else {
-        let mut slots: Vec<Option<StreamResult>> = (0..partitions).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let configs = &configs;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut p = w;
-                        while p < configs.len() {
-                            out.push((p, run_stream_with_obs(&configs[p], obs)));
-                            p += workers;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (p, result) in handle.join().expect("stream worker panicked") {
-                    slots[p] = Some(result);
-                }
-            }
-        });
-        slots.into_iter().map(|s| s.expect("every partition ran")).collect()
-    };
+    let results = crate::loadsim::fan_out(&configs, threads, |_, sub| run_stream_with_obs(sub, obs));
     StreamResult::merged(&results)
 }
 

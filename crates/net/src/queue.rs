@@ -57,10 +57,10 @@ use crate::network::{EndpointId, ParallelHandler, RequestError};
 /// means single-threaded, preserving synchronous semantics exactly).
 pub const NET_THREADS_ENV: &str = "WHOPAY_NET_THREADS";
 
-/// Resolves the drain worker count from [`NET_THREADS_ENV`]. Unlike the
-/// verify pool, the *default is 1*: multi-threaded delivery is an
-/// explicit opt-in because it reorders classic-endpoint handlers
-/// relative to parallel ones within a drain.
+/// Resolves the drain worker count from [`NET_THREADS_ENV`]. The
+/// *default is 1*: multi-threaded delivery is an explicit opt-in because
+/// it reorders classic-endpoint handlers relative to parallel ones within
+/// a drain.
 pub(crate) fn net_threads_from_env() -> usize {
     std::env::var(NET_THREADS_ENV)
         .ok()

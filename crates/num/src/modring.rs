@@ -199,40 +199,6 @@ impl ModRing {
         (p1, p2)
     }
 
-    /// Simultaneous product `∏ gᵢ^eᵢ mod m` over arbitrarily many pairs —
-    /// the n-base generalization of [`ModRing::pow2`].
-    ///
-    /// Odd moduli dispatch through
-    /// [`MontgomeryRing::multi_pow`](crate::montgomery::MontgomeryRing::multi_pow)
-    /// (Straus interleaving for few bases, Pippenger buckets for many);
-    /// even moduli fall back to [`ModRing::multi_pow_naive`]. An empty
-    /// product is `1`.
-    pub fn multi_pow(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
-        match &self.mont {
-            Some(mont) => {
-                if pairs.iter().all(|(g, _)| g < &self.modulus) {
-                    mont.multi_pow(pairs)
-                } else {
-                    let reduced: Vec<(BigUint, BigUint)> =
-                        pairs.iter().map(|(g, e)| (self.reduce(g), e.clone())).collect();
-                    mont.multi_pow(&reduced)
-                }
-            }
-            None => self.multi_pow_naive(pairs),
-        }
-    }
-
-    /// `∏ gᵢ^eᵢ mod m` as a fold of independent naive exponentiations —
-    /// the reference oracle the Straus and Pippenger paths are
-    /// differentially tested against.
-    pub fn multi_pow_naive(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
-        let mut acc = BigUint::one() % &self.modulus;
-        for (g, e) in pairs {
-            acc = self.mul(&acc, &self.pow_naive(g, e));
-        }
-        acc
-    }
-
     /// Modular inverse: returns `x` with `a * x ≡ 1 (mod m)`, or `None` if
     /// `gcd(a, m) != 1`.
     ///
@@ -397,32 +363,6 @@ mod tests {
         let combined = r.pow2(&g1, &e1, &g2, &e2);
         let separate = r.mul(&r.pow(&g1, &e1), &r.pow(&g2, &e2));
         assert_eq!(combined, separate);
-    }
-
-    #[test]
-    fn multi_pow_matches_separate_pows() {
-        // Odd (Montgomery) and even (naive-fallback) moduli.
-        for m in [1_000_003u64, 1_000_006] {
-            let r = ring(m);
-            let pairs: Vec<_> = [(3u64, 101u64), (5, 202), (7, 303), (11, 404)]
-                .iter()
-                .map(|&(g, e)| (BigUint::from(g), BigUint::from(e)))
-                .collect();
-            let mut expect = BigUint::one();
-            for (g, e) in &pairs {
-                expect = r.mul(&expect, &r.pow(g, e));
-            }
-            assert_eq!(r.multi_pow(&pairs), expect, "m={m}");
-            assert_eq!(r.multi_pow_naive(&pairs), expect, "m={m}");
-        }
-        assert!(ring(97).multi_pow(&[]).is_one());
-    }
-
-    #[test]
-    fn multi_pow_reduces_unreduced_bases() {
-        let r = ring(97);
-        let pairs = vec![(BigUint::from(1000u64), BigUint::from(5u64))];
-        assert_eq!(r.multi_pow(&pairs), r.pow(&BigUint::from(1000u64), &BigUint::from(5u64)));
     }
 
     #[test]

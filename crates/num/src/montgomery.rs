@@ -335,107 +335,6 @@ impl MontgomeryRing {
         }
         acc.finish()
     }
-
-    /// Simultaneous product `∏ gᵢ^eᵢ mod m` over an arbitrary number of
-    /// `(base, exponent)` pairs.
-    ///
-    /// Dispatches on the number of bases: below
-    /// [`MontgomeryRing::PIPPENGER_MIN`] the Straus interleaved-window
-    /// method wins (its per-base tables are cheap and every nonzero digit
-    /// costs exactly one multiplication); at or above it the Pippenger
-    /// bucket method wins (bucket aggregation costs `2·(2^c − 1)` per
-    /// window *regardless* of the base count). Bases must already be
-    /// reduced mod `m`. An empty product is `1`.
-    pub fn multi_pow(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
-        if pairs.len() >= Self::PIPPENGER_MIN {
-            self.multi_pow_pippenger(pairs)
-        } else {
-            self.multi_pow_straus(pairs)
-        }
-    }
-
-    /// Base count at which [`MontgomeryRing::multi_pow`] switches from
-    /// Straus to Pippenger.
-    pub const PIPPENGER_MIN: usize = 32;
-
-    /// Straus (interleaved fixed-window) multi-exponentiation: one table
-    /// of `2^k − 1` powers per base, one shared squaring chain, and one
-    /// multiplication per nonzero digit of each exponent.
-    ///
-    /// Exposed (rather than private behind [`MontgomeryRing::multi_pow`])
-    /// as a differential-testing surface.
-    pub fn multi_pow_straus(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
-        let bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
-        let n = self.m.len();
-        let k = straus_window(pairs.len(), bits);
-        let span = (1usize << k) - 1;
-        // tables[(b * span + j - 1) * n ..] = g_b^j in Montgomery form,
-        // j = 1 .. 2^k - 1.
-        let mut tables = Vec::with_capacity(pairs.len() * span * n);
-        for (g, _) in pairs {
-            self.push_powers(&mut tables, &self.to_mont(g), span);
-        }
-        let mut acc = Chain::new(self);
-        for i in (0..bits.div_ceil(k)).rev() {
-            acc.sqr_times(k);
-            for (b, (_, e)) in pairs.iter().enumerate() {
-                let d = exp_digit(e, i, k);
-                if d != 0 {
-                    acc.mul(entry(&tables, b * span + d - 1, n));
-                }
-            }
-        }
-        acc.finish()
-    }
-
-    /// Pippenger (bucket) multi-exponentiation: exponents are scanned in
-    /// `c`-bit windows top-down; within a window every base lands in the
-    /// bucket of its digit value (one multiplication per base), and the
-    /// suffix-product sweep turns the buckets into `∏ bucket_d^d` with
-    /// `2·(2^c − 1)` multiplications — independent of the base count.
-    ///
-    /// Exposed as a differential-testing surface; callers should prefer
-    /// [`MontgomeryRing::multi_pow`].
-    pub fn multi_pow_pippenger(&self, pairs: &[(BigUint, BigUint)]) -> BigUint {
-        let bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
-        let c = pippenger_window(pairs.len(), bits);
-        let n = self.m.len();
-        let mut bases = Vec::with_capacity(pairs.len() * n);
-        for (g, _) in pairs {
-            bases.extend_from_slice(&self.to_mont(g));
-        }
-        let mut acc = Chain::new(self);
-        let mut buckets: Vec<Chain> = (1..1usize << c).map(|_| Chain::new(self)).collect();
-        let mut running = Chain::new(self);
-        let mut window = Chain::new(self);
-        for i in (0..bits.div_ceil(c)).rev() {
-            acc.sqr_times(c);
-            buckets.iter_mut().for_each(|b| b.started = false);
-            for (base, (_, e)) in bases.chunks_exact(n).zip(pairs) {
-                let d = exp_digit(e, i, c);
-                if d != 0 {
-                    buckets[d - 1].mul(base);
-                }
-            }
-            // Suffix sweep: after visiting buckets d.. the running product
-            // holds ∏_{j ≥ d} bucket_j, and folding it into the window
-            // total once per step contributes bucket_j exactly j times.
-            running.started = false;
-            window.started = false;
-            for bucket in buckets.iter().rev() {
-                if bucket.started {
-                    running.mul(&bucket.cur);
-                }
-                if running.started {
-                    window.mul(&running.cur);
-                }
-            }
-            if window.started {
-                acc.mul(&window.cur);
-            }
-        }
-        acc.finish()
-    }
 }
 
 /// A running Montgomery-form product: `1` until the first factor arrives
@@ -482,22 +381,6 @@ impl<'r> Chain<'r> {
             BigUint::one() % &self.ring.modulus()
         }
     }
-}
-
-/// Straus window width for `n` bases and `bits`-bit exponents: minimizes
-/// table building (`2^k − 2` per base) plus `bits` shared squarings plus
-/// one multiplication per digit per base.
-fn straus_window(n: usize, bits: usize) -> usize {
-    let n = n.max(1);
-    (1..=6).min_by_key(|&k| n * ((1usize << k) - 2) + bits + n * bits.div_ceil(k)).unwrap()
-}
-
-/// Pippenger window width for `n` bases and `bits`-bit exponents:
-/// minimizes per-window work (`n` bucket insertions plus `2·(2^c − 1)`
-/// aggregation multiplications) times the window count, plus `bits`
-/// shared squarings.
-fn pippenger_window(n: usize, bits: usize) -> usize {
-    (1..=8).min_by_key(|&c| bits.div_ceil(c) * (n + (1usize << (c + 1))) + bits).unwrap()
 }
 
 /// Fixed-window width for an exponent of `bits` bits, balancing the
@@ -733,60 +616,5 @@ mod tests {
 
     fn e_too_big() -> BigUint {
         BigUint::one() << 200
-    }
-
-    fn random_pairs(
-        rng: &mut impl Rng,
-        m: &BigUint,
-        n: usize,
-        ebits: usize,
-    ) -> Vec<(BigUint, BigUint)> {
-        (0..n).map(|_| (BigUint::random_below(rng, m), BigUint::random_bits(rng, ebits))).collect()
-    }
-
-    #[test]
-    fn multi_pow_variants_match_each_other_and_naive() {
-        let mut rng = crate::test_rng(0xA3);
-        for bits in [65usize, 256] {
-            let m = odd_modulus(&mut rng, bits);
-            let ring = MontgomeryRing::new(&m).unwrap();
-            let mring = ModRing::new(m.clone());
-            for n in [1usize, 2, 3, 7, 31, 32, 40] {
-                let pairs = random_pairs(&mut rng, &m, n, 96);
-                let expect = mring.multi_pow_naive(&pairs);
-                assert_eq!(ring.multi_pow_straus(&pairs), expect, "straus n={n} bits={bits}");
-                assert_eq!(ring.multi_pow_pippenger(&pairs), expect, "pippenger n={n} bits={bits}");
-                assert_eq!(ring.multi_pow(&pairs), expect, "dispatch n={n} bits={bits}");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_pow_edge_cases() {
-        let mut rng = crate::test_rng(0xA4);
-        let m = odd_modulus(&mut rng, 128);
-        let ring = MontgomeryRing::new(&m).unwrap();
-        // Empty product and all-zero exponents are 1.
-        assert!(ring.multi_pow(&[]).is_one());
-        let zeros = vec![(BigUint::random_below(&mut rng, &m), BigUint::zero()); 5];
-        assert!(ring.multi_pow_straus(&zeros).is_one());
-        assert!(ring.multi_pow_pippenger(&zeros).is_one());
-        // Zero bases collapse the product to zero once their digit lands.
-        let pairs = vec![(BigUint::zero(), BigUint::from(3u64))];
-        assert!(ring.multi_pow(&pairs).is_zero());
-        // Single pair agrees with plain pow, including 64-bit-boundary exps.
-        for ebits in [1usize, 63, 64, 65] {
-            let g = BigUint::random_below(&mut rng, &m);
-            let e = BigUint::random_bits(&mut rng, ebits);
-            let pairs = vec![(g.clone(), e.clone())];
-            assert_eq!(ring.multi_pow_straus(&pairs), ring.pow(&g, &e));
-            assert_eq!(ring.multi_pow_pippenger(&pairs), ring.pow(&g, &e));
-        }
-        // Mixed exponent widths (the batch-verify shape: one long, rest short).
-        let mut pairs = random_pairs(&mut rng, &m, 8, 64);
-        pairs[0].1 = BigUint::random_bits(&mut rng, 160);
-        let mring = ModRing::new(m.clone());
-        assert_eq!(ring.multi_pow_straus(&pairs), mring.multi_pow_naive(&pairs));
-        assert_eq!(ring.multi_pow_pippenger(&pairs), mring.multi_pow_naive(&pairs));
     }
 }

@@ -15,18 +15,17 @@ cd "$(dirname "$0")/.."
 CPUS="$(nproc 2>/dev/null || echo 1)"
 if [ "$CPUS" -le 1 ]; then
     echo "!!> WARNING: only $CPUS CPU visible to this run." >&2
-    echo "!!> Threaded rows (parallel verify / vpool / partitioned-sim entries)" >&2
+    echo "!!> Threaded rows (shard scaling / partitioned-sim entries)" >&2
     echo "!!> measure time-sliced scheduling, NOT parallel speedup. Check host_cpus" >&2
     echo "!!> in the BENCH_*.json files before citing any threaded number." >&2
 fi
 
 # On the first multi-core run, re-assert every number that an earlier
 # single-CPU host had to record as unproven: bench_shard_json's ≥1.6×
-# two-shard gate and bench_verify_json's threaded speedup rows only
-# assert when host_cpus > 1 (ROADMAP open item 1).
+# two-shard gate only asserts when host_cpus > 1 (ROADMAP open item 4).
 reassert_multicore_gates() {
     [ "$CPUS" -gt 1 ] || return 0
-    for b in shard verify; do
+    for b in shard; do
         if [ ! -f "BENCH_${b}.json" ] \
             || grep -q '"scaling_asserted": false' "BENCH_${b}.json" \
             || grep -q '_unproven' "BENCH_${b}.json"; then

@@ -18,20 +18,17 @@ cargo test -q --workspace --offline
 echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo test -p whopay-crypto --release (batch soundness incl. merged bases + bisection cost + verify_each ≡ verify on damaged and self-twisted group signatures in every lane, verify_member[_each|_many] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
+echo "==> cargo test -p whopay-crypto --release (batch_soundness: verify_each ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
 cargo test -p whopay-crypto -q --release --offline
 
-echo "==> cargo test -p whopay-core --release (membership-fused verify parity, accept_grant shared-chain parity incl. cache traffic + shard-lock independence of dispatch)"
+echo "==> cargo test -p whopay-core --release (membership-fused verify parity, accept_grant shared-chain parity incl. cache traffic, accept_grants / verify_records_bulk / LayeredCoin::verify_batch / verify_dsa_each ≡ their serial twins on keys twisted by elements of order 2, 3, 4 + shard-lock independence of dispatch)"
 cargo test -p whopay-core -q --release --offline --test member_parity --test concurrent
 
-echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories incl. group signatures with a half outside the subgroup, in lanes where the host has them; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path)"
+echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — in lanes where the host has them; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test broker_accounting
 
-echo "==> cargo test -p whopay-core --release (the one wire decoder: props, fuzz [views, TickBatch, prepare groups, 4 KiB damaged real frames], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, parent-commit journal fixture)"
+echo "==> cargo test -p whopay-core --release (the one wire decoder: props, fuzz [views, TickBatch, prepare groups, 4 KiB damaged real frames], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, golden frame sizes, journal fixture of the last format change with no uncommitted bit)"
 cargo test -p whopay-core -q --release --offline --test wire_props --test wire_fuzz --test alloc_regression --test wire_reconcile --test networked --test journal_fixture
-
-echo "==> WHOPAY_VPOOL_THREADS=1 cargo test -q (serial-pool determinism pass)"
-WHOPAY_VPOOL_THREADS=1 cargo test -q --offline
 
 echo "==> cargo test --release --test chaos (chaos suite, pinned seed)"
 cargo test -q --release --offline --test chaos
@@ -94,7 +91,7 @@ cargo test -q --release --offline --test chaos adversarial
 echo "==> cargo bench --no-run (benches stay compilable)"
 cargo bench --no-run --offline
 
-echo "==> cargo build --release --bin bench_verify_json (verify bench, incl. the drain-cycle group rows, stays buildable)"
+echo "==> cargo build --release --bin bench_verify_json (verify bench: deposit chains, drain-cycle groups in lanes, group signatures — stays buildable)"
 cargo build --release --offline -p whopay-bench --bin bench_verify_json
 
 echo "==> cargo build --release --bin bench_shard_json (shard-scaling bench stays buildable)"
