@@ -1527,8 +1527,8 @@ impl Broker {
     /// on, re-baselining from a canonical snapshot with the sequence
     /// counter restarted). With the ledger off, journal entries record a
     /// zero root and verified recovery is unavailable — the knob exists
-    /// so `bench_merkle_json` can measure the deposit path's commitment
-    /// overhead, not for production use.
+    /// so `benchmark/`'s `ledger.off_speedup` flood can measure the
+    /// deposit path's commitment overhead, not for production use.
     pub fn set_ledger_enabled(&mut self, enabled: bool) {
         if enabled {
             if self.ledger.is_none() {

@@ -156,8 +156,7 @@ impl MerkleTree {
 }
 
 /// Builds the root of `leaves` from scratch — the O(n) oracle the
-/// incremental tree is differentially tested against, and the cost
-/// baseline `bench_merkle_json` compares incremental updates to.
+/// incremental tree is differentially tested against.
 pub fn root_of<I: IntoIterator<Item = T>, T: AsRef<[u8]>>(leaves: I) -> Digest {
     let mut level: Vec<Digest> = leaves.into_iter().map(|l| leaf_hash(l.as_ref())).collect();
     if level.is_empty() {

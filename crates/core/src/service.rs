@@ -182,7 +182,7 @@ fn surface_sharded_violations(sharded: &ShardedBroker, obs: &Obs, seen: &AtomicU
 /// returned index-aligned with the shard numbers.
 ///
 /// Each endpoint is a *parallel* endpoint (`Send` handler), so an event
-/// queue drained with `WHOPAY_NET_THREADS > 1` serves different shards
+/// queue drained on more than one thread serves different shards
 /// on different worker threads concurrently. Every endpoint accepts the
 /// full broker request set — the router inside [`ShardedBroker`] locks
 /// the owning shard regardless of which endpoint the request arrived at

@@ -331,4 +331,13 @@ fn a_signature_and_a_real_transfer_frame_have_their_golden_sizes() {
     let response = Response::Grant(Box::new(grant));
     assert_eq!(response.encode().len(), 8 + (16 + 72 + 56) + (2 * 72 + 3 * 8 + 56) + 56);
     assert_eq!(response.encode().len(), 432);
+    // Kind; the coin's public leaf (id, deposited flag, the downtime
+    // binding's flag, holder key, seq and expiry, the digest of the rest);
+    // the path (width, index, count, one 40-byte sibling per level — this
+    // ledger has one); the signed root.
+    let proof = broker.binding_proof(&coin, &mut rng).expect("committed coin");
+    assert_eq!(proof.proof.siblings.len(), 1);
+    let response = Response::Proof(Box::new(proof));
+    assert_eq!(response.encode().len(), 8 + (40 + 4 * 8 + 72 + 40) + (3 * 8 + 40) + (40 + 8 + 56));
+    assert_eq!(response.encode().len(), 360);
 }

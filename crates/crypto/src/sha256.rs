@@ -8,7 +8,7 @@
 //! the portable implementation as the fallback and differential oracle).
 //! The broker's Merkle-committed state ledger hashes a handful of small
 //! blocks per committed mutation, so compression throughput is directly
-//! the price of tamper evidence — see `bench_merkle_json`.
+//! the price of tamper evidence (`ledger.*` rows of `benchmark/`).
 //!
 //! [`Sha256::digest`] additionally picks its kernel from the input
 //! length it already sees: a 32-byte input — every PayWord chain link —

@@ -30,7 +30,7 @@
 //!   O(1)-amortized calendar queue (see `crates/sim/src/queue.rs`).
 //! * **Partitioned runner.** [`run_partitioned`] splits the peers into
 //!   K independent sub-simulations (payments stay within a partition)
-//!   on scoped worker threads — `WHOPAY_SIM_THREADS` caps the pool —
+//!   on scoped worker threads — [`sim_threads`] of them at most —
 //!   sharing one [`BrokerLoad`] accumulator, and merges the results
 //!   deterministically.
 //!
@@ -350,17 +350,13 @@ pub fn run_with_obs(cfg: &SimConfig, obs: &Obs) -> RunResult {
     LoadSim::new(cfg, obs, None).run()
 }
 
-/// The worker-thread budget for partitioned runs: `WHOPAY_SIM_THREADS`
-/// when set (minimum 1), else the host's available parallelism.
+/// The worker-thread budget for partitioned runs: the host's available
+/// parallelism.
 ///
 /// Thread count never changes results — it only bounds concurrency
 /// (see [`run_partitioned_threads`]).
 pub fn sim_threads() -> usize {
-    std::env::var("WHOPAY_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Splits `cfg` into `partitions` independent sub-configurations: the

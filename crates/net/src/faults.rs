@@ -9,7 +9,7 @@
 //! therefore independent of how many decisions were made before it, of
 //! payload contents, and of which faults actually trigger — which is what
 //! lets the event queue evaluate fates for a batch up front and reach the
-//! identical schedule at any `WHOPAY_NET_THREADS` worker count (the
+//! identical schedule at any drain worker count (the
 //! `fault_props` suite pins this).
 //!
 //! Fault semantics against the fabric's accounting invariants:

@@ -19,7 +19,7 @@
 //!   the owner from a forwarder.
 //! * [`queue`] — the event-queue delivery path: [`Network::submit`]
 //!   enqueues requests, [`Network::drain`] delivers them via a worker
-//!   pool sized by `WHOPAY_NET_THREADS` (default 1, which is
+//!   pool sized by [`Network::set_drain_threads`] (default 1, which is
 //!   bit-identical to the synchronous path). An [`Endpoint`] registered
 //!   with [`Network::register_parallel`] is shown each drain cycle's
 //!   requests up front and may execute on worker threads.
@@ -63,7 +63,7 @@ pub use faults::{
 };
 pub use indirection::{Handle, IndirectionLayer};
 pub use network::{Classifier, Endpoint, EndpointId, Network, ParallelHandler, RequestError};
-pub use queue::{Delivery, EventId, NET_THREADS_ENV};
+pub use queue::{Delivery, EventId};
 pub use retry::{Classify, ErrorClass, RetryPolicy, RetryStats};
 pub use stats::{TrafficBreakdown, TrafficStats};
 pub use tamper::{InjectedTamper, TamperInjector, TamperPlan, TamperTarget};

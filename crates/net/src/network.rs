@@ -6,9 +6,7 @@ use std::time::Instant;
 use whopay_obs::{Event, Metrics, Obs, OpKind, Role, TraceContext};
 
 use crate::faults::{flip_bit, FaultInjector, FaultKind, FaultStats};
-use crate::queue::{
-    net_threads_from_env, run_item, Delivery, Envelope, EventId, Fate, WorkItem, WorkRecord,
-};
+use crate::queue::{run_item, Delivery, Envelope, EventId, Fate, WorkItem, WorkRecord};
 use crate::retry::Classify;
 use crate::stats::{TrafficBreakdown, TrafficStats};
 
@@ -194,7 +192,7 @@ impl Network {
             faults: None,
             queue: Vec::new(),
             next_event: 0,
-            drain_threads: net_threads_from_env(),
+            drain_threads: 1,
         }
     }
 
@@ -545,17 +543,18 @@ impl Network {
 
     // --- event queue ---
 
-    /// Worker count [`Network::drain`] fans deliveries across (resolved
-    /// from `WHOPAY_NET_THREADS` at construction; at least 1).
+    /// Worker count [`Network::drain`] fans deliveries across: 1 until
+    /// [`Network::set_drain_threads`] says otherwise.
     pub fn drain_threads(&self) -> usize {
         self.drain_threads.max(1)
     }
 
-    /// Overrides the drain worker count (`0` re-resolves from the
-    /// environment). At 1 the drain is bit-identical to a synchronous
-    /// [`Network::request_into`] loop over the queue.
+    /// Sets the drain worker count (`0` means 1). At 1 the drain is
+    /// bit-identical to a synchronous [`Network::request_into`] loop over
+    /// the queue; more is an explicit opt-in because it reorders
+    /// classic-endpoint handlers relative to parallel ones within a drain.
     pub fn set_drain_threads(&mut self, threads: usize) {
-        self.drain_threads = if threads == 0 { net_threads_from_env() } else { threads };
+        self.drain_threads = threads;
     }
 
     /// Events currently queued for the next [`Network::drain`].

@@ -25,7 +25,7 @@
 //!    coordinator in strict submission order: byte- and
 //!    counter-identical to calling [`Network::request_into`] per event.
 //!    At more, the groups are fanned across
-//!    `min(WHOPAY_NET_THREADS, groups)` scoped workers (a worker prepares
+//!    `min(drain_threads, groups)` scoped workers (a worker prepares
 //!    and then serves its targets, preserving each one's submission
 //!    order) while events for classic (non-`Send`) endpoints run inline.
 //! 4. **Accounting** — the coordinator applies traffic counters,
@@ -52,22 +52,6 @@ use whopay_obs::TraceContext;
 
 use crate::faults::{flip_bit, FaultKind};
 use crate::network::{EndpointId, ParallelHandler, RequestError};
-
-/// Environment variable overriding the drain worker count (`0` or unset
-/// means single-threaded, preserving synchronous semantics exactly).
-pub const NET_THREADS_ENV: &str = "WHOPAY_NET_THREADS";
-
-/// Resolves the drain worker count from [`NET_THREADS_ENV`]. The
-/// *default is 1*: multi-threaded delivery is an explicit opt-in because
-/// it reorders classic-endpoint handlers relative to parallel ones within
-/// a drain.
-pub(crate) fn net_threads_from_env() -> usize {
-    std::env::var(NET_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
 
 /// Identifies one submitted event, in submission order per network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

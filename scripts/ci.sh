@@ -91,20 +91,17 @@ cargo test -q --release --offline --test chaos adversarial
 echo "==> cargo bench --no-run (benches stay compilable)"
 cargo bench --no-run --offline
 
-echo "==> cargo build --release --bin bench_verify_json (verify bench: deposit chains, drain-cycle groups in lanes, group signatures — stays buildable)"
-cargo build --release --offline -p whopay-bench --bin bench_verify_json
-
-echo "==> cargo build --release --bin bench_shard_json (shard-scaling bench stays buildable)"
-cargo build --release --offline -p whopay-bench --bin bench_shard_json
-
 echo "==> cargo build --release --bin bench_loadsim_json (load-sim scaling bench stays buildable)"
 cargo build --release --offline -p whopay-bench --bin bench_loadsim_json
 
 echo "==> cargo build --release --bin bench_micropay_json (streaming-micropay bench stays buildable)"
 cargo build --release --offline -p whopay-bench --bin bench_micropay_json
 
-echo "==> cargo build --release --bin bench_merkle_json (state-commitment bench stays buildable)"
-cargo build --release --offline -p whopay-bench --bin bench_merkle_json
+echo "==> every BENCH_*.json, bench_*_json and --bench <name> the docs and scripts mention exists"
+for f in $(grep -ohE -- 'BENCH_[a-z]+\.json|bench_[a-z]+_json|--bench [a-z0-9_]+' README.md DESIGN.md .claude/skills/verify/SKILL.md scripts/*.sh \
+    | sed -E 's|^bench_(.*)|crates/bench/src/bin/bench_\1.rs|; s|^--bench (.*)|crates/bench/benches/\1.rs|' | sort -u); do
+    [ -f "$f" ] || { echo "ci.sh: $f is mentioned but does not exist" >&2; exit 1; }
+done
 
 echo "==> benchmark/run.sh --quick (end-to-end benchmark smoke: every workload, every correctness gate)"
 benchmark/run.sh --quick

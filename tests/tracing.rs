@@ -16,7 +16,9 @@ use whopay::core::service::{
 use whopay::core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay::crypto::testing::{test_rng, tiny_group};
 use whopay::net::{FaultInjector, FaultPlan, FaultRates, Network, RetryPolicy};
-use whopay::obs::{Event, MemoryRecorder, Obs, OpKind, Role, Tracer};
+use whopay::obs::{
+    chrome_trace, Event, FlightRecorder, MemoryRecorder, Obs, OpKind, Recorder, Role, Tracer,
+};
 
 struct World {
     net: Network,
@@ -177,6 +179,25 @@ fn retry_attempts_form_fault_labelled_span_chains() {
                 .find(|e| e.trace.is_some_and(|t| t.span_id == ctx.parent_span_id))
                 .expect("predecessor attempt is recorded in the same trace");
             assert_eq!(parent.outcome, whopay::obs::Outcome::Error, "predecessor failed");
+        }
+    }
+
+    // A flight dump and a chrome trace each rebuild every retried
+    // lifecycle: each attempt's record names its span, and a retry's also
+    // names the failed predecessor it replaces and the fault that killed it
+    // (the chrome document is split so that it too is one record a line).
+    let flight = FlightRecorder::with_shape(1, events.len());
+    events.iter().for_each(|e| flight.record(e));
+    let exports = [flight.dump_jsonl(), chrome_trace(&flight.snapshot()).replace("}},{", "}}\n{")];
+    for event in traces.values().filter(|attempts| attempts.len() > 1).flatten() {
+        let ctx = event.trace.unwrap();
+        let span = format!("\"span\":\"{:016x}\"", ctx.span_id);
+        for export in &exports {
+            let record = export.lines().find(|l| l.contains(&span)).expect("every attempt exported");
+            if let Some(note) = event.retry {
+                assert!(record.contains(&format!("\"parent\":\"{:016x}\"", ctx.parent_span_id)));
+                assert!(record.contains(&format!("\"after\":\"{}\"", note.after)));
+            }
         }
     }
 }
