@@ -12,7 +12,6 @@ use whopay_bench::{bench_group, print_setup_banner};
 use whopay_core::{Broker, Judge, Peer, PeerId, PurchaseMode, SigCache, SystemParams, Timestamp};
 use whopay_crypto::dsa::DsaKeyPair;
 use whopay_crypto::group_sig::GroupManager;
-use whopay_crypto::schnorr::SchnorrKeyPair;
 use whopay_crypto::testing::test_rng;
 use whopay_eval::report::{run_with_metrics, sweep_setup_a};
 use whopay_eval::{MicroWeights, Policy, SyncStrategy};
@@ -88,7 +87,6 @@ fn crypto_op_table() {
     const ITERS: u32 = 15;
 
     let dsa = DsaKeyPair::generate(group, &mut rng);
-    let schnorr = SchnorrKeyPair::generate(group, &mut rng);
     let mut manager = GroupManager::new(group.clone(), &mut rng);
     let member = manager.enroll(&PeerId(1), &mut rng);
     let gpk = manager.public_key().clone();
@@ -100,13 +98,6 @@ fn crypto_op_table() {
     let dsa_sig = dsa.sign(group, msg, &mut rng);
     timed(&metrics, "crypto.dsa.verify", ITERS, || {
         assert!(dsa.public().verify(group, msg, &dsa_sig));
-    });
-    timed(&metrics, "crypto.schnorr.sign", ITERS, || {
-        std::hint::black_box(schnorr.sign(group, msg, &mut rng));
-    });
-    let schnorr_sig = schnorr.sign(group, msg, &mut rng);
-    timed(&metrics, "crypto.schnorr.verify", ITERS, || {
-        assert!(schnorr.public().verify(group, msg, &schnorr_sig));
     });
     timed(&metrics, "crypto.group.sign", ITERS, || {
         std::hint::black_box(member.sign(group, &gpk, msg, &mut rng));

@@ -585,27 +585,6 @@ impl Broker {
         Ok(receipt)
     }
 
-    /// Redeems a flood of coins: [`Broker::prepare`] over the batch, then
-    /// [`Broker::handle_deposit`] per request. Results are index-aligned
-    /// and identical to calling [`Broker::handle_deposit`] in a loop.
-    pub fn handle_deposit_batch(
-        &mut self,
-        requests: &[DepositRequest],
-        now: Timestamp,
-    ) -> Vec<Result<DepositReceipt, CoreError>> {
-        self.prepare_deposit_batch(requests);
-        requests.iter().map(|request| self.handle_deposit(request, now)).collect()
-    }
-
-    /// [`Broker::prepare`] over a batch of deposits. It mutates no coin
-    /// state, so the sharded broker prepares every involved shard first
-    /// (concurrently, each behind its own lock) and commits serially
-    /// afterwards (see [`crate::shard`]).
-    pub fn prepare_deposit_batch(&mut self, requests: &[DepositRequest]) {
-        let upcoming: Vec<Upcoming<'_>> = requests.iter().map(Upcoming::Deposit).collect();
-        self.prepare(&upcoming);
-    }
-
     // --- drain-cycle preparation ---
 
     /// Settles what the broker is about to verify for a group of requests
@@ -1171,17 +1150,22 @@ impl Broker {
         if !key.verify(self.params.group(), challenge, response) {
             return self.reject(CoreError::BadSignature);
         }
-        let mut out = Vec::new();
-        for record in self.coins.values() {
-            if record.minted.owner() == &OwnerTag::Identified(peer) {
-                if let Some(binding) = &record.downtime_binding {
-                    out.push(binding.clone());
-                }
-            }
-        }
         self.stats.syncs += 1;
         self.jrecord(JournalOp::Counters);
-        Ok(out)
+        Ok(self.downtime_bindings_of(peer))
+    }
+
+    /// The downtime bindings held for `peer`'s coins: what a sync answers
+    /// once the identity is proven. Touches neither stats nor journal, so
+    /// the sharded broker verifies and counts a sync on one shard and
+    /// collects the rest through this.
+    pub(crate) fn downtime_bindings_of(&self, peer: PeerId) -> Vec<Binding> {
+        let owner = OwnerTag::Identified(peer);
+        self.coins
+            .values()
+            .filter(|record| record.minted.owner() == &owner)
+            .filter_map(|record| record.downtime_binding.clone())
+            .collect()
     }
 
     /// Sync for a single anonymous coin: the claimant proves ownership by

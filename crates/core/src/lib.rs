@@ -126,7 +126,7 @@ pub use micropay::{
 pub use params::SystemParams;
 pub use peer::{HeldCoin, OwnedCoin, Peer, PendingPurchase, PurchaseMode};
 pub use replay::ServedOp;
-pub use shard::{shard_of, shard_of_chain, CrossStats, ShardedBroker};
+pub use shard::{shard_of, shard_of_chain, ShardedBroker};
 pub use shop::CoinShop;
 pub use sigcache::{CacheKeyer, SigCache};
 pub use types::{ChainId, CoinId, PeerId, Timestamp};

@@ -161,13 +161,13 @@ pub fn surface_recovery_violations(broker: &Broker, obs: &Obs) -> usize {
     violations.len()
 }
 
-/// Surfaces the violations — per-shard auditor violations and
-/// cross-ledger handoff violations — recorded since the last call. This
-/// runs after every dispatch on every shard endpoint, so the common case
-/// is one atomic load ([`ShardedBroker::violation_count`]): no shard lock
-/// is touched unless something new was recorded. `seen` is shared across
-/// the shard endpoints and advanced with `fetch_max`, so each violation
-/// surfaces once no matter which endpoint's dispatch notices it.
+/// Surfaces the violations any shard's auditor recorded since the last
+/// call. This runs after every dispatch on every shard endpoint, so the
+/// common case is one atomic load ([`ShardedBroker::violation_count`]):
+/// no shard lock is touched unless something new was recorded. `seen` is
+/// shared across the shard endpoints and advanced with `fetch_max`, so
+/// each violation surfaces once no matter which endpoint's dispatch
+/// notices it.
 fn surface_sharded_violations(sharded: &ShardedBroker, obs: &Obs, seen: &AtomicUsize) {
     let count = sharded.violation_count();
     let prev = seen.fetch_max(count, Ordering::SeqCst);
@@ -205,11 +205,11 @@ pub fn attach_shard_endpoints(
 /// ([`Role::Broker`], no traffic — the client side owns the byte
 /// accounting) and the owning shard's label (see
 /// `whopay_obs::Span::set_shard`), rejections are recorded as failed
-/// spans, and invariant violations — per-shard or cross-ledger — surface
-/// as failed events with a flight-recorder dump. Each prepared group is
-/// one span labelled `prepare` (a child of the group's first traced
-/// request); a metrics-backed `obs` also gets the `broker.prepare_batch`
-/// histogram (requests per drain cycle and shard) and the
+/// spans, and invariant violations surface as failed events with a
+/// flight-recorder dump. Each prepared group is one span labelled
+/// `prepare` (a child of the group's first traced request); a
+/// metrics-backed `obs` also gets the `broker.prepare_batch` histogram
+/// (requests per drain cycle and shard) and the
 /// `broker.prepare.{settled,skipped,lane_calls,lanes_filled}` counters
 /// (see [`crate::broker::PrepareReport`]).
 pub fn attach_shard_endpoints_obs(
@@ -288,14 +288,6 @@ impl Endpoint for ShardEndpoint {
                 }
                 RequestView::Deposit(d) => {
                     sharded.handle_deposit(&d.to_deposit(), now).map(Response::Receipt)
-                }
-                RequestView::DepositBatch(ds) => {
-                    span.set_batch(ds.len() as u64);
-                    let reqs: Vec<_> = ds.iter().map(|d| d.to_deposit()).collect();
-                    let outcomes = sharded.handle_deposit_batch(&reqs, now);
-                    Ok(Response::Receipts(
-                        outcomes.into_iter().map(|r| r.map_err(|e| e.to_string())).collect(),
-                    ))
                 }
                 RequestView::Transfer { downtime: true, request } => sharded
                     .handle_downtime_transfer(&request.to_transfer(), now, rng)
@@ -661,9 +653,6 @@ impl<T, F: FnMut(Response) -> Result<T, CallError>> Call<F> {
                 }
                 None => obs.span(role, op),
             };
-            if let Request::DepositBatch(requests) = &self.request {
-                span.set_batch(requests.len() as u64);
-            }
             let encode = |out: &mut Vec<u8>| self.request.encode_into(out);
             let result = exchange(net, from, to, &mut span, encode, |reply| {
                 match Response::decode(reply).map_err(CallError::Protocol)? {
@@ -1051,49 +1040,6 @@ pub fn deposit_via_retry<R: rand::Rng + ?Sized>(
     obs: &Obs,
 ) -> Result<DepositReceipt, CallError> {
     deposit(request).run(net, me, broker_ep, Some((policy, &mut rng)), obs)
-}
-
-/// Deposits a batch of coins over the network in one exchange. The
-/// broker settles the batch's signatures together (see
-/// [`Broker::handle_deposit_batch`]); outcomes are index-aligned with
-/// `requests`, remote per-item rejections surfacing as
-/// [`CallError::Remote`].
-///
-/// # Errors
-///
-/// [`CallError`] on delivery, whole-batch rejection, or a malformed
-/// response (including a receipt count that does not match the request
-/// count).
-pub fn deposit_batch_via(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    requests: Vec<DepositRequest>,
-) -> Result<Vec<Result<DepositReceipt, CallError>>, CallError> {
-    deposit_batch_via_obs(net, me, broker_ep, requests, &Obs::disabled())
-}
-
-/// [`deposit_batch_via`] with an observability context: the single
-/// exchange is one [`OpKind::Deposit`] span carrying the batch size.
-pub fn deposit_batch_via_obs(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    requests: Vec<DepositRequest>,
-    obs: &Obs,
-) -> Result<Vec<Result<DepositReceipt, CallError>>, CallError> {
-    let expected = requests.len();
-    let call = Call {
-        cell: (Role::Broker, OpKind::Deposit),
-        request: Request::DepositBatch(requests),
-        read: |response| match response {
-            Response::Receipts(outcomes) if outcomes.len() == expected => {
-                Ok(outcomes.into_iter().map(|r| r.map_err(CallError::Remote)).collect())
-            }
-            _ => unexpected(),
-        },
-    };
-    call.run(net, me, broker_ep, None, obs)
 }
 
 fn binding_proof(coin: CoinId) -> Call<impl FnMut(Response) -> Result<BindingProof, CallError>> {

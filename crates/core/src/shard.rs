@@ -12,22 +12,9 @@
 //!
 //! Single-coin operations lock one shard; shards behind different locks
 //! serve requests concurrently when the network drains them on worker
-//! threads (see `whopay_net::queue`). Two operations span shards:
-//!
-//! * **Sync** fans out read-only to every shard and concatenates the
-//!   bindings (each shard checks the identity signature itself).
-//! * **Deposit batches** go through a two-step *prepare/commit*
-//!   handoff: prepare settles each involved shard's signature checks
-//!   concurrently through [`Broker::prepare_deposit_batch`] (which
-//!   changes no coin state) and registers the item count with the
-//!   [`CrossLedger`]; commit
-//!   replays the serial deposit state machine shard by shard and
-//!   acknowledges each shard's items back to the ledger. The ledger
-//!   verifies the handoff conserves value — every prepared item must be
-//!   committed exactly once — and records a
-//!   [`Invariant::ValueConservation`] violation when a commit goes
-//!   missing ([`ShardedBroker::inject_lost_commit`] exists to prove the
-//!   detection fires; see `tests/chaos.rs`).
+//! threads (see `whopay_net::queue`). One operation spans shards:
+//! **sync** checks the identity signature once and concatenates the
+//! bindings every shard holds for the owner, read-only.
 //!
 //! Per-shard journals recover independently:
 //! [`ShardedBroker::recover_shard`] rebuilds one crashed shard in place
@@ -42,7 +29,7 @@ use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::GroupPublicKey;
 use whopay_obs::Metrics;
 
-use crate::audit::{Invariant, Violation};
+use crate::audit::Violation;
 use crate::broker::{Broker, BrokerStats};
 use crate::coin::{Binding, MintedCoin};
 use crate::error::CoreError;
@@ -78,56 +65,6 @@ pub fn shard_of_chain(chain: &ChainId, shards: usize) -> usize {
     (u64::from_be_bytes(prefix) % shards as u64) as usize
 }
 
-/// The cross-shard conservation ledger.
-///
-/// Every multi-shard deposit batch registers how many items each
-/// involved shard *prepared* and how many it later *committed*. The two
-/// totals must match per batch — a prepared item that never commits (a
-/// shard crash mid-handoff, a lost acknowledgment) would silently strand
-/// value, so the mismatch is recorded as a violation exactly like the
-/// per-shard auditors record theirs.
-#[derive(Debug, Default)]
-pub struct CrossLedger {
-    batches: u64,
-    prepared: u64,
-    committed: u64,
-    violations: Vec<Violation>,
-    /// The sharded broker's violation count (shared with every shard's
-    /// auditor), bumped once per violation recorded here.
-    violation_count: Arc<AtomicUsize>,
-}
-
-impl CrossLedger {
-    /// Settles one batch's handoff counts, recording a violation when
-    /// they disagree.
-    fn settle(&mut self, prepared: u64, committed: u64) {
-        self.batches += 1;
-        self.prepared += prepared;
-        self.committed += committed;
-        if prepared != committed {
-            self.violations.push(Violation {
-                invariant: Invariant::ValueConservation,
-                coin: None,
-                detail: format!(
-                    "cross-shard batch handoff lost value: {prepared} prepared, {committed} committed"
-                ),
-            });
-            self.violation_count.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Counters the cross-shard ledger keeps (see [`CrossLedger`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrossStats {
-    /// Deposit batches that went through the prepare/commit handoff.
-    pub batches: u64,
-    /// Items prepared across all batches.
-    pub prepared: u64,
-    /// Items committed across all batches.
-    pub committed: u64,
-}
-
 /// N independent brokers behind one identity, routed by coin-key hash.
 ///
 /// All shards share the broker's signing keys: a coin minted by shard A
@@ -141,14 +78,9 @@ pub struct ShardedBroker {
     params: SystemParams,
     gpk: GroupPublicKey,
     keys: DsaKeyPair,
-    cross: Mutex<CrossLedger>,
-    /// Violations recorded so far by any shard's auditor or the cross
-    /// ledger: bumped where they record, read without a lock.
+    /// Violations recorded so far by any shard's auditor: bumped where
+    /// they record, read without a lock.
     violation_count: Arc<AtomicUsize>,
-    /// Test hook: the next commit acknowledgment from this shard is
-    /// dropped (the mutation still applies), so the ledger must detect
-    /// the loss.
-    lose_commit_from: Mutex<Option<usize>>,
 }
 
 impl ShardedBroker {
@@ -182,16 +114,7 @@ impl ShardedBroker {
                 Arc::new(Mutex::new(shard))
             })
             .collect();
-        let cross = CrossLedger { violation_count: violation_count.clone(), ..CrossLedger::default() };
-        ShardedBroker {
-            shards,
-            params,
-            gpk,
-            keys,
-            cross: Mutex::new(cross),
-            violation_count,
-            lose_commit_from: Mutex::new(None),
-        }
+        ShardedBroker { shards, params, gpk, keys, violation_count }
     }
 
     /// Number of shards.
@@ -216,9 +139,8 @@ impl ShardedBroker {
 
     /// The thin router: classifies a parsed request and names the shard
     /// that owns it, without materializing the request. `None` means the
-    /// request has no single owning shard — sync fans out, and a deposit
-    /// batch may span shards — so any shard endpoint can serve it (the
-    /// cross-shard paths coordinate internally).
+    /// request has no single owning shard — sync fans out — so any shard
+    /// endpoint can serve it.
     pub fn shard_for(&self, view: &RequestView<'_>) -> Option<u16> {
         let n = self.shards.len();
         let coin = match view {
@@ -229,12 +151,6 @@ impl ShardedBroker {
             }
             RequestView::Renewal { downtime: true, request } => {
                 CoinId::from_pk(&request.current.coin_pk.to_biguint())
-            }
-            RequestView::DepositBatch(ds) => {
-                let mut shards =
-                    ds.iter().map(|d| shard_of(&CoinId::from_pk(&d.minted.coin_pk.to_biguint()), n));
-                let first = shards.next()?;
-                return shards.all(|s| s == first).then_some(first as u16);
             }
             RequestView::RedeemChain { commitment, .. } => {
                 return Some(shard_of_chain(&commitment.chain_id(), n) as u16);
@@ -338,103 +254,22 @@ impl ShardedBroker {
             .sum()
     }
 
-    /// Proactive sync, fanned out read-only across every shard: each
-    /// shard re-checks the identity signature and contributes the
-    /// bindings it manages for `peer`. Shard order makes the
-    /// concatenation deterministic.
+    /// Proactive sync, fanned out read-only across every shard. Shard 0
+    /// (every shard knows every registered peer) checks the identity
+    /// signature and carries the sync — or the rejection — in its stats
+    /// and journal; the other shards only contribute the bindings they
+    /// hold for `peer`, in shard order.
     pub fn sync_for_owner(
         &self,
         peer: PeerId,
         challenge: &[u8],
         response: &DsaSignature,
     ) -> Result<Vec<Binding>, CoreError> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            all.extend(
-                shard.lock().expect("shard lock poisoned").sync_for_owner(peer, challenge, response)?,
-            );
+        let mut all = self.lock_shard(0).sync_for_owner(peer, challenge, response)?;
+        for shard in &self.shards[1..] {
+            all.extend(shard.lock().expect("shard lock poisoned").downtime_bindings_of(peer));
         }
         Ok(all)
-    }
-
-    // --- the cross-shard deposit batch ---
-
-    /// Redeems a batch that may span shards, via prepare/commit.
-    ///
-    /// Prepare runs concurrently (one scoped thread per involved shard
-    /// when more than one is involved): each shard settles its items'
-    /// signature checks through [`Broker::prepare_deposit_batch`] and its
-    /// item count is registered with the [`CrossLedger`]. Commit then
-    /// replays the serial deposit state machine shard by shard in shard
-    /// order — answering signature checks from the just-settled
-    /// verdicts — and
-    /// acknowledges each shard's items back to the ledger, which checks
-    /// the handoff conserved every item. Outcomes are index-aligned with
-    /// `requests` and identical to [`Broker::handle_deposit`] per item.
-    pub fn handle_deposit_batch(
-        &self,
-        requests: &[DepositRequest],
-        now: Timestamp,
-    ) -> Vec<Result<DepositReceipt, CoreError>> {
-        let n = self.shards.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, request) in requests.iter().enumerate() {
-            by_shard[shard_of(&request.minted.id(), n)].push(i);
-        }
-        let involved: Vec<usize> = (0..n).filter(|&s| !by_shard[s].is_empty()).collect();
-
-        // Single-shard batches skip the handoff: one lock, the ordinary
-        // batched fast path, nothing for the cross ledger to verify.
-        if let [only] = involved[..] {
-            return self.lock_shard(only).handle_deposit_batch(requests, now);
-        }
-
-        // Prepare: signature settlement per shard, concurrently.
-        let subs: Vec<Vec<DepositRequest>> =
-            by_shard.iter().map(|idxs| idxs.iter().map(|&i| requests[i].clone()).collect()).collect();
-        let mut prepared = 0u64;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(involved.len());
-            for &s in &involved {
-                let shard = &self.shards[s];
-                let sub = &subs[s];
-                handles.push(scope.spawn(move || {
-                    shard.lock().expect("shard lock poisoned").prepare_deposit_batch(sub);
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("prepare worker panicked");
-            }
-        });
-        for &s in &involved {
-            prepared += by_shard[s].len() as u64;
-        }
-
-        // Commit: the serial state machine, shard by shard.
-        let lost = self.lose_commit_from.lock().expect("hook lock poisoned").take();
-        let mut outcomes: Vec<Option<Result<DepositReceipt, CoreError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut committed = 0u64;
-        for &s in &involved {
-            let mut broker = self.lock_shard(s);
-            for &i in &by_shard[s] {
-                outcomes[i] = Some(broker.handle_deposit(&requests[i], now));
-            }
-            if lost != Some(s) {
-                committed += by_shard[s].len() as u64;
-            }
-        }
-        self.cross.lock().expect("cross ledger poisoned").settle(prepared, committed);
-        outcomes.into_iter().map(|o| o.expect("every item assigned to a shard")).collect()
-    }
-
-    /// Arms the lost-commit fault: the next cross-shard batch drops
-    /// shard `shard`'s commit acknowledgment (the deposits still apply),
-    /// so the [`CrossLedger`] must record a value-conservation
-    /// violation. Test hook for the auditor coverage.
-    pub fn inject_lost_commit(&self, shard: usize) {
-        assert!(shard < self.shards.len());
-        *self.lose_commit_from.lock().expect("hook lock poisoned") = Some(shard);
     }
 
     // --- aggregation ---
@@ -456,34 +291,25 @@ impl ShardedBroker {
         total
     }
 
-    /// Cross-shard handoff counters.
-    pub fn cross_stats(&self) -> CrossStats {
-        let ledger = self.cross.lock().expect("cross ledger poisoned");
-        CrossStats { batches: ledger.batches, prepared: ledger.prepared, committed: ledger.committed }
-    }
-
-    /// Every violation any auditor detected: per-shard invariant
-    /// violations in shard order, then cross-ledger handoff violations.
+    /// Every violation any shard's auditor detected, in shard order.
     pub fn violations(&self) -> Vec<Violation> {
         let mut all = Vec::new();
         for shard in &self.shards {
             all.extend_from_slice(shard.lock().expect("shard lock poisoned").audit().violations());
         }
-        all.extend_from_slice(&self.cross.lock().expect("cross ledger poisoned").violations);
         all
     }
 
-    /// How many violations the shard auditors and the cross ledger have
-    /// recorded since construction, without taking any lock. It only
-    /// grows — a recovered shard adds what its replay flagged — so a
-    /// caller that remembers the last value it saw knows whether
-    /// [`ShardedBroker::violations`] is worth collecting.
+    /// How many violations the shard auditors have recorded since
+    /// construction, without taking any lock. It only grows — a recovered
+    /// shard adds what its replay flagged — so a caller that remembers the
+    /// last value it saw knows whether [`ShardedBroker::violations`] is
+    /// worth collecting.
     pub fn violation_count(&self) -> usize {
         self.violation_count.load(Ordering::SeqCst)
     }
 
-    /// True when no invariant — per-shard or cross-shard — has been
-    /// violated.
+    /// True when no shard's auditor has recorded a violation.
     pub fn audit_ok(&self) -> bool {
         self.violations().is_empty()
     }
@@ -498,9 +324,7 @@ impl ShardedBroker {
         self.shards.iter().map(|s| s.lock().expect("shard lock poisoned").audit().deposited()).sum()
     }
 
-    /// Exports per-shard operation counters under
-    /// `broker.shard<N>.<op>`, plus the cross-ledger counters under
-    /// `broker.cross.*`.
+    /// Exports per-shard operation counters under `broker.shard<N>.<op>`.
     pub fn export_metrics(&self, metrics: &Metrics) {
         for (i, shard) in self.shards.iter().enumerate() {
             let s = shard.lock().expect("shard lock poisoned").stats();
@@ -517,10 +341,6 @@ impl ShardedBroker {
                 metrics.counter(&format!("broker.shard{i}.{op}")).add(value);
             }
         }
-        let cross = self.cross_stats();
-        metrics.counter("broker.cross.batches").add(cross.batches);
-        metrics.counter("broker.cross.prepared").add(cross.prepared);
-        metrics.counter("broker.cross.committed").add(cross.committed);
     }
 
     // --- journals and recovery ---

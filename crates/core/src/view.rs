@@ -12,10 +12,10 @@
 //! through the same `*Ref::parse` functions.
 //!
 //! Parsing never panics on arbitrary bytes and never allocates
-//! proportionally to field sizes. The item lists (`DepositBatch`,
-//! `TickBatch`, `Bindings`, `Receipts`, checkpoints, siblings) reserve
-//! their vectors from a count prefix that [`Reader::count`] has checked
-//! against both a fixed cap and the bytes that are left.
+//! proportionally to field sizes. The item lists (`TickBatch`,
+//! `Bindings`, checkpoints, siblings) reserve their vectors from a count
+//! prefix that [`Reader::count`] has checked against both a fixed cap and
+//! the bytes that are left.
 
 use std::cell::Cell;
 
@@ -113,8 +113,6 @@ pub struct GroupSigRef<'a> {
 }
 
 impl<'a> GroupSigRef<'a> {
-    const MIN_WIRE_LEN: usize = 5 * IntRef::MIN_WIRE_LEN;
-
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(GroupSigRef {
             c1: IntRef::parse(r)?,
@@ -170,9 +168,6 @@ pub struct MintedRef<'a> {
 }
 
 impl<'a> MintedRef<'a> {
-    /// The shortest owner tag is two words.
-    const MIN_WIRE_LEN: usize = 16 + IntRef::MIN_WIRE_LEN + SigRef::MIN_WIRE_LEN;
-
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(MintedRef {
             owner: parse_owner_tag(r)?,
@@ -278,11 +273,6 @@ pub struct DepositRef<'a> {
 }
 
 impl<'a> DepositRef<'a> {
-    const MIN_WIRE_LEN: usize = MintedRef::MIN_WIRE_LEN
-        + BindingRef::MIN_WIRE_LEN
-        + SigRef::MIN_WIRE_LEN
-        + GroupSigRef::MIN_WIRE_LEN;
-
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(DepositRef {
             minted: MintedRef::parse(r)?,
@@ -649,8 +639,6 @@ pub enum RequestView<'a> {
     },
     /// Redeem a coin.
     Deposit(DepositRef<'a>),
-    /// Redeem many coins in one exchange.
-    DepositBatch(Vec<DepositRef<'a>>),
     /// Proactive synchronization.
     Sync {
         /// The rejoining owner.
@@ -731,12 +719,7 @@ impl<'a> RequestView<'a> {
                 challenge: r.bytes()?,
                 response: SigRef::parse(r)?,
             },
-            6 => RequestView::DepositBatch(parse_list(
-                r,
-                MAX_WIRE_ITEMS,
-                DepositRef::MIN_WIRE_LEN,
-                DepositRef::parse,
-            )?),
+            // Tag 6 is retired in both tag spaces (it was DepositBatch / Receipts): never reused, Malformed.
             7 => RequestView::OpenChain(CommitmentRef::parse(r)?),
             8 => RequestView::Tick { chain: ChainId(parse_digest32(r)?), payword: parse_payword(r)? },
             9 => {
@@ -772,7 +755,6 @@ impl<'a> RequestView<'a> {
             RequestView::Renewal { downtime: false, .. } => "renewal",
             RequestView::Renewal { downtime: true, .. } => "downtime_renewal",
             RequestView::Deposit(_) => "deposit",
-            RequestView::DepositBatch(_) => "deposit_batch",
             RequestView::Sync { .. } => "sync",
             RequestView::OpenChain(_) => "micropay_open",
             RequestView::Tick { .. } => "micropay_tick",
@@ -792,7 +774,7 @@ impl<'a> RequestView<'a> {
             RequestView::Transfer { downtime: true, .. } => OpKind::DowntimeTransfer,
             RequestView::Renewal { downtime: false, .. } => OpKind::Renewal,
             RequestView::Renewal { downtime: true, .. } => OpKind::DowntimeRenewal,
-            RequestView::Deposit(_) | RequestView::DepositBatch(_) => OpKind::Deposit,
+            RequestView::Deposit(_) => OpKind::Deposit,
             RequestView::Sync { .. } => OpKind::Sync,
             RequestView::OpenChain(_) => OpKind::MicropayOpen,
             RequestView::Tick { .. } | RequestView::TickBatch { .. } => OpKind::MicropayTick,
@@ -822,9 +804,6 @@ impl<'a> RequestView<'a> {
                 Request::Renewal { request: request.to_renewal(), downtime: *downtime }
             }
             RequestView::Deposit(d) => Request::Deposit(d.to_deposit()),
-            RequestView::DepositBatch(ds) => {
-                Request::DepositBatch(ds.iter().map(|d| d.to_deposit()).collect())
-            }
             RequestView::Sync { peer, challenge, response } => Request::Sync {
                 peer: *peer,
                 challenge: challenge.to_vec(),
@@ -859,9 +838,6 @@ pub enum ResponseView<'a> {
     Receipt(DepositReceipt),
     /// Broker-held bindings (sync result).
     Bindings(Vec<BindingRef<'a>>),
-    /// Per-request deposit-batch outcomes (a refusal as its raw message
-    /// bytes).
-    Receipts(Vec<Result<DepositReceipt, &'a [u8]>>),
     /// The request was refused (raw message bytes).
     Error(&'a [u8]),
     /// A micropayment chain is open and accepted.
@@ -912,12 +888,7 @@ impl<'a> ResponseView<'a> {
                 BindingRef::parse,
             )?),
             5 => ResponseView::Error(r.bytes()?),
-            // The shortest outcome is a tag and an empty refusal.
-            6 => ResponseView::Receipts(parse_list(r, MAX_WIRE_ITEMS, 16, |r| match r.u64()? {
-                0 => Ok(Ok(parse_receipt(r)?)),
-                1 => Ok(Err(r.bytes()?)),
-                _ => Err(DecodeError),
-            })?),
+            // Tag 6 is retired in both tag spaces (it was DepositBatch / Receipts): never reused, Malformed.
             7 => ResponseView::ChainAccepted(ChainId(parse_digest32(r)?)),
             8 => ResponseView::TickAck { gained: r.u64()?, total: r.u64()? },
             9 => ResponseView::Redeemed(parse_redemption_receipt(r)?),
@@ -936,11 +907,6 @@ impl<'a> ResponseView<'a> {
             ResponseView::Bindings(bs) => {
                 Response::Bindings(bs.iter().map(|b| b.to_binding()).collect())
             }
-            ResponseView::Receipts(rs) => Response::Receipts(
-                rs.iter()
-                    .map(|o| o.clone().map_err(|e| String::from_utf8_lossy(e).into_owned()))
-                    .collect(),
-            ),
             ResponseView::Error(e) => Response::Error(String::from_utf8_lossy(e).into_owned()),
             ResponseView::ChainAccepted(c) => Response::ChainAccepted(*c),
             ResponseView::TickAck { gained, total } => {

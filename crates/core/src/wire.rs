@@ -26,8 +26,7 @@ use crate::types::{ChainId, CoinId, PeerId};
 use crate::view::{RequestView, ResponseView};
 use whopay_crypto::payword::Payword;
 
-/// Decode-time cap on the items of a batch or list frame (`DepositBatch`,
-/// `TickBatch`, `Bindings`, `Receipts`).
+/// Decode-time cap on the items of a list frame (`TickBatch`, `Bindings`).
 pub const MAX_WIRE_ITEMS: usize = 4096;
 
 /// Decode-time cap on a commitment's checkpoint vector (64 Ki digests =
@@ -68,9 +67,6 @@ pub enum Request {
     },
     /// Redeem a coin (broker).
     Deposit(DepositRequest),
-    /// Redeem many coins in one exchange (broker): the batched fast path
-    /// served by [`crate::Broker::handle_deposit_batch`].
-    DepositBatch(Vec<DepositRequest>),
     /// Proactive synchronization (broker).
     Sync {
         /// The rejoining owner.
@@ -123,9 +119,6 @@ pub enum Response {
     Receipt(DepositReceipt),
     /// Sync result: broker-held bindings.
     Bindings(Vec<Binding>),
-    /// Per-request outcomes of a [`Request::DepositBatch`],
-    /// index-aligned with the submitted requests.
-    Receipts(Vec<Result<DepositReceipt, String>>),
     /// The request was refused.
     Error(String),
     /// A micropayment chain is open and accepted.
@@ -346,7 +339,7 @@ pub fn wire_kind(bytes: &[u8]) -> &'static str {
         },
         Ok(4) => "deposit",
         Ok(5) => "sync",
-        Ok(6) => "deposit_batch",
+        // Tag 6 is retired in both tag spaces (it was DepositBatch / Receipts): never reused, Malformed.
         Ok(7) => "micropay_open",
         Ok(8) => "micropay_tick",
         Ok(9) => "micropay_tick_batch",
@@ -407,12 +400,6 @@ impl Request {
             Request::Sync { peer, challenge, response } => {
                 w.u64(5).u64(peer.0).bytes(challenge);
                 put_sig(&mut w, response);
-            }
-            Request::DepositBatch(ds) => {
-                w.u64(6).u64(ds.len() as u64);
-                for d in ds {
-                    put_deposit(&mut w, d);
-                }
             }
             Request::OpenChain(c) => {
                 w.u64(7);
@@ -479,20 +466,6 @@ impl Response {
                 }
             }
             Response::Error(e) => put_error(&mut w, e),
-            Response::Receipts(rs) => {
-                w.u64(6).u64(rs.len() as u64);
-                for outcome in rs {
-                    match outcome {
-                        Ok(rc) => {
-                            w.u64(0);
-                            put_receipt(&mut w, rc);
-                        }
-                        Err(e) => {
-                            w.u64(1).bytes(e.as_bytes());
-                        }
-                    }
-                }
-            }
             Response::ChainAccepted(chain) => {
                 w.u64(7).bytes(&chain.0);
             }
@@ -688,8 +661,6 @@ mod tests {
         assert_eq!(wire_kind(&dep.encode()), "deposit");
         let sync = Request::Sync { peer: PeerId(1), challenge: vec![1], response: sig };
         assert_eq!(wire_kind(&sync.encode()), "sync");
-        let batch = Request::DepositBatch(Vec::new());
-        assert_eq!(wire_kind(&batch.encode()), "deposit_batch");
         let commitment = sample_commitment();
         let open = Request::OpenChain(commitment.clone());
         assert_eq!(wire_kind(&open.encode()), "micropay_open");
@@ -702,42 +673,6 @@ mod tests {
         assert_eq!(wire_kind(&redeem.encode()), "micropay_redeem");
         assert_eq!(wire_kind(&[]), "malformed");
         assert_eq!(wire_kind(&[0xff; 16]), "malformed");
-    }
-
-    #[test]
-    fn deposit_batch_round_trips() {
-        let (minted, binding, _, sig, gsig) = sample_parts();
-        let dep = DepositRequest { minted, binding, holder_sig: sig, group_sig: gsig };
-        let req = Request::DepositBatch(vec![dep.clone(), dep.clone()]);
-        match Request::decode(&req.encode()).unwrap() {
-            Request::DepositBatch(ds) => {
-                assert_eq!(ds.len(), 2);
-                assert_eq!(ds[0].minted, dep.minted);
-                assert_eq!(ds[0].binding, dep.binding);
-                assert_eq!(ds[1].holder_sig, dep.holder_sig);
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
-    }
-
-    #[test]
-    fn receipts_response_round_trips() {
-        let outcomes = vec![
-            Ok(DepositReceipt { coin: CoinId([7; 32]), value: 1 }),
-            Err("double spend".to_string()),
-        ];
-        let resp = Response::Receipts(outcomes.clone());
-        match Response::decode(&resp.encode()).unwrap() {
-            Response::Receipts(rs) => assert_eq!(rs, outcomes),
-            other => panic!("wrong variant {other:?}"),
-        }
-    }
-
-    #[test]
-    fn absurd_deposit_batch_length_rejected() {
-        let mut w = Writer::new();
-        w.u64(6).u64(u64::MAX);
-        assert!(matches!(Request::decode(&w.finish()), Err(CoreError::Malformed)));
     }
 
     #[test]

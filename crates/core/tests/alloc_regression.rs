@@ -302,8 +302,8 @@ fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
     // Every list on the wire is reserved from its count prefix. A frame of
     // a few dozen bytes promising the cap's worth of items must be refused
     // on the arithmetic alone — remaining bytes / least encoded item size
-    // — not after reserving 4 096 deposits (1.3 MiB) or 65 536 checkpoints
-    // (2 MiB) for it.
+    // — not after reserving 4 096 bindings or 65 536 checkpoints (2 MiB)
+    // for it.
     use whopay_core::codec::Writer;
     use whopay_core::CoreError;
 
@@ -327,16 +327,15 @@ fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
         w.u64(10).bytes(&[7; 32]).u64(0).u64(0).bytes(&[8; 32]).u64(9).u64(3).u64(64);
         w.finish()
     };
-    let requests = [("deposit batch", list(6, 4096)), ("tick batch", tick_batch)]
-        .into_iter()
-        .chain([("open chain", commitment(7)), ("redeem chain", commitment(10))]);
-    for (what, frame) in requests {
+    for (what, frame) in
+        [("tick batch", tick_batch), ("open chain", commitment(7)), ("redeem chain", commitment(10))]
+    {
         let before = alloc_bytes();
         assert_eq!(RequestView::parse(&frame).unwrap_err(), CoreError::Malformed, "{what}");
         assert_eq!(Request::decode(&frame).unwrap_err(), CoreError::Malformed, "{what}");
         assert!(alloc_bytes() - before < 4096, "{what}: {} bytes", alloc_bytes() - before);
     }
-    for (what, frame) in [("bindings", list(4, 4096)), ("receipts", list(6, 4096)), ("proof", proof)] {
+    for (what, frame) in [("bindings", list(4, 4096)), ("proof", proof)] {
         let before = alloc_bytes();
         assert_eq!(ResponseView::parse(&frame).unwrap_err(), CoreError::Malformed, "{what}");
         assert_eq!(Response::decode(&frame).unwrap_err(), CoreError::Malformed, "{what}");

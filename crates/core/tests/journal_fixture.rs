@@ -139,7 +139,12 @@ fn history() -> (Identity, Vec<Vec<u8>>) {
     mk(4, &mut judge, &mut rng);
     let challenge = [0x5C; 32];
     let response = owner.sign_identity_challenge(&challenge, &mut rng);
-    sharded.sync_for_owner(PeerId(0), &challenge, &response).expect("sync");
+    // The fixtures' writer counted and journalled a sync on every shard
+    // (since PR 21 the sharded broker does on shard 0 alone), so the
+    // history asks each shard, as it did.
+    for shard in 0..SHARDS {
+        sharded.lock_shard(shard).sync_for_owner(PeerId(0), &challenge, &response).expect("sync");
+    }
     let (mut sender, commitment) = MicropaySender::open(&group, &gpk, &streamer, 40, 5, &mut rng);
     for upto in [7u64, 12] {
         let payword = (sender.spent()..upto).map(|_| sender.pay(1).unwrap()).last().unwrap();

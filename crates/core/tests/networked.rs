@@ -288,3 +288,87 @@ fn a_receipt_corrupted_in_flight_is_refused_and_the_resend_collects_the_replay()
     assert_eq!(w.broker.stats().deposits, 1);
     assert_eq!(w.broker.stats().replays, 1);
 }
+
+/// One owner sync on a four-shard broker is one sync: verified, counted
+/// and journalled once, however many shards contribute bindings.
+#[test]
+fn a_sync_on_a_sharded_broker_is_verified_counted_and_journalled_once() {
+    const SHARDS: usize = 4;
+    let mut rng = test_rng(0x5C4D);
+    let params = SystemParams::new(tiny_group().clone());
+    let mut judge = Judge::new(params.group().clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let sharded = Arc::new(ShardedBroker::new(params.clone(), gpk.clone(), SHARDS, &mut rng));
+    let mut mk = |id: u64, rng: &mut rand::rngs::StdRng| {
+        let gk = judge.enroll(PeerId(id), rng);
+        Peer::new(PeerId(id), params.clone(), sharded.public_key().clone(), gpk.clone(), gk, rng)
+    };
+    let (mut owner, mut payer, mut payee) = (mk(0, &mut rng), mk(1, &mut rng), mk(2, &mut rng));
+    // Claims the owner's id under a key the broker never registered.
+    let mut impostor = mk(0, &mut rng);
+    for peer in [&owner, &payer, &payee] {
+        sharded.register_peer(peer.id(), peer.public_key().clone());
+    }
+
+    // Six of the owner's coins change hands through the broker while the
+    // owner is away, leaving a downtime binding on each coin's shard.
+    let now = Timestamp(0);
+    let mut held = Vec::new();
+    for _ in 0..6 {
+        let (request, pending) = owner.create_purchase_request(PurchaseMode::Identified, &mut rng);
+        let minted = sharded.handle_purchase(&request, &mut rng).expect("purchase");
+        let coin = owner.complete_purchase(minted, pending, now, &mut rng).expect("own coin");
+        let (invite, session) = payer.begin_receive(&mut rng);
+        let grant = owner.issue_coin(coin, &invite, now, &mut rng).expect("issue");
+        payer.accept_grant(grant, session, now).expect("grant");
+        let (invite, session) = payee.begin_receive(&mut rng);
+        let transfer = payer.request_transfer(coin, &invite, &mut rng).expect("payer holds");
+        let grant = sharded.handle_downtime_transfer(&transfer, now, &mut rng).expect("downtime");
+        held.push(grant.binding.clone());
+        payee.accept_grant(grant, session, now).expect("grant");
+    }
+    let shard_of = |binding: &whopay_core::coin::Binding| sharded.shard_of_coin(&binding.coin_id());
+    let spanned: std::collections::BTreeSet<usize> = held.iter().map(shard_of).collect();
+    assert!(spanned.len() >= 2, "bindings must span shards: {spanned:?}");
+
+    sharded.enable_journals();
+    let journalled = || -> usize {
+        (0..SHARDS).map(|i| sharded.lock_shard(i).journal().expect("journalling").len()).sum()
+    };
+    let mut net = Network::new();
+    let eps = attach_shard_endpoints(&mut net, sharded.clone(), shared_clock(now), 7);
+    let owner_ep = attach_client(&mut net, "owner");
+    let (stats, entries) = (sharded.stats(), journalled());
+
+    // The wire answer: every shard's bindings, in shard order.
+    let challenge = vec![9u8; 32];
+    let response = owner.sign_identity_challenge(&challenge, &mut rng);
+    let frame = Request::Sync { peer: owner.id(), challenge, response }.encode();
+    let reply = net.request(owner_ep, eps[1], frame).expect("delivered");
+    let Response::Bindings(bindings) = Response::decode(&reply).expect("decodes") else {
+        panic!("a sync is answered with bindings")
+    };
+    assert!(bindings.windows(2).all(|pair| shard_of(&pair[0]) <= shard_of(&pair[1])), "shard order");
+    let by_coin = |bindings: &[whopay_core::coin::Binding]| {
+        let mut sorted = bindings.to_vec();
+        sorted.sort_by_key(|binding| binding.coin_id());
+        sorted
+    };
+    assert_eq!(by_coin(&bindings), by_coin(&held));
+    assert_eq!(sharded.stats().syncs, stats.syncs + 1, "one sync, counted once");
+    assert_eq!(journalled(), entries + 1, "one sync, journalled once");
+
+    // The client call: the same, and every binding adopted.
+    let adopted = sync_via(&mut net, owner_ep, eps[2], &mut owner, &mut rng).expect("sync");
+    assert_eq!(adopted, held.len());
+    assert_eq!(sharded.stats().syncs, stats.syncs + 2);
+    assert_eq!(journalled(), entries + 2);
+
+    // A forged sync is one rejection and no sync.
+    let refused = sync_via(&mut net, owner_ep, eps[3], &mut impostor, &mut rng);
+    assert!(matches!(refused, Err(CallError::Remote(_))), "{refused:?}");
+    let after = sharded.stats();
+    assert_eq!((after.rejections, after.syncs), (stats.rejections + 1, stats.syncs + 2));
+    assert_eq!(journalled(), entries + 3, "the rejection is journalled once too");
+    assert!(sharded.audit_ok());
+}

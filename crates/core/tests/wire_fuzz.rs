@@ -82,8 +82,7 @@ fn seeds() -> Seeds {
         Request::Issue { coin, invite },
         Request::Transfer { request: transfer, downtime: true },
         Request::Renewal { request: renewal, downtime: true },
-        Request::Deposit(deposit.clone()),
-        Request::DepositBatch(vec![deposit.clone(), deposit]),
+        Request::Deposit(deposit),
         Request::Sync { peer: PeerId(0), challenge, response },
         Request::OpenChain(commitment.clone()),
         Request::Tick { chain, payword },
@@ -96,8 +95,7 @@ fn seeds() -> Seeds {
         Response::Binding(grant.binding.clone()),
         Response::Bindings(vec![grant.binding.clone(), grant.binding.clone()]),
         Response::Grant(Box::new(grant)),
-        Response::Receipt(receipt.clone()),
-        Response::Receipts(vec![Ok(receipt), Err("double spend".into())]),
+        Response::Receipt(receipt),
         Response::Error("stale binding".into()),
         Response::ChainAccepted(chain),
         Response::TickAck { gained: 1, total: 5 },
@@ -384,4 +382,43 @@ fn prepare_walks_damaged_group_elements_through_the_lanes() {
     } else {
         assert!(filled as usize > on_the_wire, "{filled} chains in lanes for {on_the_wire} frames");
     }
+}
+
+/// Tag 6 carried the client-declared deposit batch and its receipts; it is
+/// retired in both tag spaces. Empty, or with the body those frames had,
+/// it is `Malformed` to every decoder, and a live shard endpoint answers
+/// it with an error frame without any handler seeing a request.
+#[test]
+fn the_retired_tag_six_is_malformed_everywhere() {
+    let seeds = seeds();
+    let word = |n: u64| n.to_be_bytes();
+    // Two deposits under a count prefix; a receipt and a refusal under one.
+    let deposit_body = &seeds.requests[4][8..];
+    let batch = [&word(6)[..], &word(2), deposit_body, deposit_body].concat();
+    let receipt_body = &seeds.responses[4][8..];
+    let refusal = [&word(1)[..], &word(12), b"double spend"].concat();
+    let receipts = [&word(6)[..], &word(2), &word(0), receipt_body, &refusal].concat();
+    let empty = [word(6), word(0)].concat();
+
+    for frame in [&word(6)[..], &empty, &batch, &receipts] {
+        assert_eq!(Request::decode(frame).unwrap_err(), CoreError::Malformed);
+        assert_eq!(RequestView::parse(frame).unwrap_err(), CoreError::Malformed);
+        assert_eq!(wire_kind(frame), "malformed");
+        assert_eq!(Response::decode(frame).unwrap_err(), CoreError::Malformed);
+        assert_eq!(ResponseView::parse(frame).unwrap_err(), CoreError::Malformed);
+    }
+
+    let mut net = Network::new();
+    let eps = attach_shard_endpoints(&mut net, seeds.sharded.clone(), shared_clock(Timestamp(0)), 5);
+    let client = attach_client(&mut net, "client");
+    let before = seeds.sharded.stats();
+    for frame in [empty, batch] {
+        let reply = net.request(client, eps[0], frame).expect("no faults installed");
+        assert!(matches!(Response::decode(&reply), Ok(Response::Error(_))), "{reply:?}");
+    }
+    assert_eq!(seeds.sharded.stats(), before, "a frame that does not parse reaches no handler");
+    assert!(seeds
+        .sharded
+        .lock_shard(seeds.sharded.shard_of_coin(&seeds.coin))
+        .is_circulating(&seeds.coin));
 }

@@ -77,7 +77,7 @@ fn owner_tag(kind: u64) -> OwnerTag {
 
 fn build_request(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Request {
     let downtime = flags & 2 != 0;
-    match kind % 7 {
+    match kind % 6 {
         0 => Request::Purchase(PurchaseRequest {
             owner: owner_tag(flags >> 2),
             coin_pk: ints.int(),
@@ -111,17 +111,16 @@ fn build_request(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Request {
             downtime,
         },
         4 => Request::Deposit(ints.deposit(owner_tag(flags))),
-        5 => Request::Sync {
+        _ => Request::Sync {
             peer: PeerId(flags),
             challenge: vec![flags as u8; (flags % 40) as usize],
             response: ints.sig(),
         },
-        _ => Request::DepositBatch((0..flags % 4).map(|i| ints.deposit(owner_tag(i))).collect()),
     }
 }
 
 fn build_response(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Response {
-    match kind % 7 {
+    match kind % 6 {
         0 => Response::Minted(ints.minted(owner_tag(flags))),
         1 => Response::Grant(Box::new(CoinGrant {
             minted: ints.minted(owner_tag(flags)),
@@ -132,17 +131,6 @@ fn build_response(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Response {
         3 => Response::Receipt(DepositReceipt { coin: CoinId([flags as u8; 32]), value: flags }),
         4 => Response::Bindings(
             (0..flags % 4).map(|i| ints.binding(i, BindingSigner::CoinKey)).collect(),
-        ),
-        5 => Response::Receipts(
-            (0..flags % 5)
-                .map(|i| {
-                    if i % 2 == 0 {
-                        Ok(DepositReceipt { coin: CoinId([i as u8; 32]), value: i })
-                    } else {
-                        Err(format!("rejected #{i}"))
-                    }
-                })
-                .collect(),
         ),
         _ => Response::Error(format!("failure {flags}")),
     }
@@ -199,7 +187,7 @@ proptest! {
 
     #[test]
     fn generated_requests_survive_the_full_fast_path(
-        kind in 0u64..7,
+        kind in 0u64..6,
         flags in any::<u64>(),
         pool in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 8..9),
     ) {
@@ -225,7 +213,7 @@ proptest! {
 
     #[test]
     fn generated_responses_survive_the_full_fast_path(
-        kind in 0u64..7,
+        kind in 0u64..6,
         flags in any::<u64>(),
         pool in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 8..9),
     ) {
@@ -245,7 +233,7 @@ proptest! {
 
     #[test]
     fn corrupted_frames_parse_or_are_refused_as_malformed(
-        kind in 0u64..7,
+        kind in 0u64..6,
         flags in any::<u64>(),
         pool in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 8..9),
         poke in any::<prop::sample::Index>(),
@@ -264,7 +252,7 @@ proptest! {
 
     #[test]
     fn truncated_frames_are_refused_as_malformed(
-        kind in 0u64..7,
+        kind in 0u64..6,
         flags in any::<u64>(),
         pool in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 8..9),
         cut in any::<prop::sample::Index>(),

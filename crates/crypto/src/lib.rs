@@ -7,7 +7,7 @@
 //!
 //! * a hash function — [`sha256`];
 //! * "regular" digital signatures for brokers, coin owners, and coin keys —
-//!   [`dsa`] (what the paper benchmarks in Table 2) and [`schnorr`];
+//!   [`dsa`] (what the paper benchmarks in Table 2);
 //! * public-key encryption to a judge — [`elgamal`];
 //! * **group signatures** for fairness: anonymous to everyone, openable by
 //!   the judge — [`group_sig`];
@@ -54,7 +54,6 @@ pub mod elgamal;
 pub mod group_sig;
 pub mod hashio;
 pub mod payword;
-pub mod schnorr;
 pub mod sha256;
 pub mod shamir;
 pub mod testing;

@@ -10,7 +10,6 @@ use whopay_crypto::dsa::DsaKeyPair;
 use whopay_crypto::elgamal::ElGamalKeyPair;
 use whopay_crypto::group_sig::{GroupManager, OpenOutcome};
 use whopay_crypto::payword::{PaywordChain, PaywordReceiver};
-use whopay_crypto::schnorr::SchnorrKeyPair;
 use whopay_crypto::sha256::Sha256;
 use whopay_crypto::testing::tiny_group;
 use whopay_crypto::{shamir, Transcript};
@@ -42,17 +41,6 @@ proptest! {
         let i = flip % tampered.len();
         tampered[i] ^= 1;
         prop_assert!(!kp.public().verify(group, &tampered, &sig));
-    }
-
-    #[test]
-    fn schnorr_completeness_and_key_binding(seed in any::<u64>(), msg in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let group = tiny_group();
-        let mut rng = rng_from(seed);
-        let kp1 = SchnorrKeyPair::generate(group, &mut rng);
-        let kp2 = SchnorrKeyPair::generate(group, &mut rng);
-        let sig = kp1.sign(group, &msg, &mut rng);
-        prop_assert!(kp1.public().verify(group, &msg, &sig));
-        prop_assert!(!kp2.public().verify(group, &msg, &sig));
     }
 
     #[test]

@@ -13,11 +13,7 @@
 
 use std::collections::HashMap;
 
-use rand::Rng;
-use whopay_obs::{Obs, OpKind, Role, TraceContext, TRACE_TRAILER_LEN};
-
 use crate::network::{EndpointId, Network, RequestError};
-use crate::retry::{Classify, RetryPolicy};
 
 /// An opaque indirection handle (an i3 trigger identifier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,91 +137,6 @@ impl IndirectionLayer {
     pub fn is_reachable(&self, net: &Network, handle: Handle) -> bool {
         self.triggers.get(&handle).is_some_and(|&t| net.is_online(t))
     }
-
-    /// [`IndirectionLayer::request_via_into`] wrapped in a
-    /// [`RetryPolicy`]: transient delivery faults (lost / timed-out /
-    /// partitioned) are retried with backoff, while fatal outcomes —
-    /// dangling handles, offline or unknown targets, re-entrant cycles —
-    /// return immediately.
-    ///
-    /// # Errors
-    ///
-    /// The last error once the policy gives up, or the first fatal one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_via_retry<R: Rng>(
-        &self,
-        net: &mut Network,
-        from: EndpointId,
-        handle: Handle,
-        request: &[u8],
-        response: &mut Vec<u8>,
-        policy: &RetryPolicy,
-        rng: &mut R,
-    ) -> Result<(), IndirectionError> {
-        policy.run(rng, |_| self.request_via_into(net, from, handle, request, response))
-    }
-
-    /// [`IndirectionLayer::request_via_retry`] with causal tracing: each
-    /// attempt runs under its own span, carries that span's
-    /// [`TraceContext`] as a frame trailer, and — when a transient fault
-    /// kills an attempt — the next one is parented under it and tagged
-    /// with the fault's `Classify` label, so the retry chain
-    /// reconstructs from the event stream. With a disabled `obs` this is
-    /// byte-for-byte `request_via_retry` (no trailer, no allocation).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IndirectionLayer::request_via_retry`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_via_traced<R: Rng>(
-        &self,
-        net: &mut Network,
-        from: EndpointId,
-        handle: Handle,
-        request: &[u8],
-        response: &mut Vec<u8>,
-        policy: &RetryPolicy,
-        rng: &mut R,
-        obs: &Obs,
-    ) -> Result<(), IndirectionError> {
-        if !obs.enabled() {
-            return self.request_via_retry(net, from, handle, request, response, policy, rng);
-        }
-        let mut framed = Vec::with_capacity(request.len() + TRACE_TRAILER_LEN);
-        framed.extend_from_slice(request);
-        let mut prev: Option<(TraceContext, &'static str)> = None;
-        policy.run(rng, |attempt| {
-            let mut span = match prev {
-                Some((ctx, label)) => {
-                    let mut s = obs.child_span(Role::Client, OpKind::NetRequest, &ctx);
-                    s.mark_retry(attempt, label);
-                    s
-                }
-                None => obs.span(Role::Client, OpKind::NetRequest),
-            };
-            framed.truncate(request.len());
-            if let Some(ctx) = span.context() {
-                ctx.append_to(&mut framed);
-            }
-            let result = self.request_via_into(net, from, handle, &framed, response);
-            match &result {
-                Ok(()) => {
-                    // Traffic is attributed before stripping any server
-                    // trailer, matching the transport's own accounting.
-                    span.add_traffic(2, (framed.len() + response.len()) as u64);
-                    if let Some((_, payload_len)) = TraceContext::strip(response) {
-                        response.truncate(payload_len);
-                    }
-                }
-                Err(e) => {
-                    prev = span.context().map(|ctx| (ctx, e.label()));
-                    span.fail(e.label());
-                }
-            }
-            span.finish();
-            result
-        })
-    }
 }
 
 #[cfg(test)]
@@ -300,64 +211,5 @@ mod tests {
     fn random_handles_differ() {
         let mut rng = rand::rng();
         assert_ne!(Handle::random(&mut rng), Handle::random(&mut rng));
-    }
-
-    #[test]
-    fn traced_relay_chains_retry_spans_and_strips_trailers() {
-        use std::sync::Arc;
-
-        use rand::SeedableRng;
-        use whopay_obs::{MemoryRecorder, Outcome, Tracer};
-
-        use crate::faults::{FaultInjector, FaultPlan, FaultRates};
-
-        let mut net = Network::new();
-        let owner = net.register("owner", |req: &[u8]| req.to_vec());
-        let payer = net.register("payer", |_: &[u8]| Vec::new());
-        let mut i3 = IndirectionLayer::new();
-        let handle = Handle::from_bytes(b"traced");
-        i3.register_trigger(handle, owner);
-        let rates = FaultRates { drop: 0.4, duplicate: 0.0, corrupt: 0.0, timeout: 0.0 };
-        net.install_faults(FaultInjector::new(FaultPlan::new().with_default(rates), 42));
-
-        let recorder = Arc::new(MemoryRecorder::new());
-        let obs = Obs::with_tracer(Tracer::new(recorder.clone()));
-        let policy = RetryPolicy::new(16);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut response = Vec::new();
-        for _ in 0..50 {
-            if i3
-                .request_via_traced(
-                    &mut net,
-                    payer,
-                    handle,
-                    b"ping",
-                    &mut response,
-                    &policy,
-                    &mut rng,
-                    &obs,
-                )
-                .is_ok()
-            {
-                // The echo handler returned payload + trailer; the traced
-                // relay must hand back the bare payload.
-                assert_eq!(response, b"ping");
-            }
-        }
-
-        let events = recorder.events();
-        let retried: Vec<_> = events.iter().filter(|e| e.retry.is_some()).collect();
-        assert!(!retried.is_empty(), "drop rate 0.4 over 50 calls must force retries");
-        for attempt in &retried {
-            let trace = attempt.trace.expect("retry attempts are traced");
-            assert_eq!(attempt.retry.unwrap().after, "lost");
-            // The attempt is parented under the failed attempt it replaces.
-            let predecessor = events
-                .iter()
-                .find(|e| e.trace.is_some_and(|t| t.span_id == trace.parent_span_id))
-                .expect("predecessor span recorded");
-            assert_eq!(predecessor.outcome, Outcome::Error);
-            assert_eq!(predecessor.trace.unwrap().trace_id, trace.trace_id);
-        }
     }
 }

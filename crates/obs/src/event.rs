@@ -221,7 +221,7 @@ pub struct Event {
     /// Payload bytes attributed to this operation.
     pub bytes: u64,
     /// Number of items settled together when the operation processed a
-    /// batch (e.g. a `DepositBatch` dispatch); `None` for single-item
+    /// batch (e.g. a `TickBatch` dispatch); `None` for single-item
     /// operations.
     pub batch: Option<u64>,
     /// The event's place in a causal trace, when tracing was active.

@@ -30,11 +30,12 @@ use std::sync::Arc;
 use whopay::core::micropay::{MicropayHost, MicropaySender};
 use whopay::core::service::{
     attach_client, attach_micropay_host, attach_peer, attach_shard_endpoints,
-    attach_shard_endpoints_obs, clock, deposit_batch_via_obs, deposit_via_retry,
-    install_wire_classifier, open_chain_via_retry, purchase_via_retry, redeem_chain_via,
-    redeem_chain_via_retry, request_issue_via_retry, request_renewal_via_retry,
-    request_transfer_via_retry, shared_clock, surface_recovery_violations, tick_via, SharedClock,
+    attach_shard_endpoints_obs, clock, deposit_via_retry, install_wire_classifier,
+    open_chain_via_retry, purchase_via_retry, redeem_chain_via, redeem_chain_via_retry,
+    request_issue_via_retry, request_renewal_via_retry, request_transfer_via_retry, shared_clock,
+    surface_recovery_violations, tick_via, SharedClock,
 };
+use whopay::core::wire::{Request, Response};
 use whopay::core::{
     dsd, shard_of_chain, Broker, CheckpointState, CoinId, DepositRequest, Invariant, Journal,
     JournalOp, Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp,
@@ -582,13 +583,14 @@ fn sharded_lifecycles_survive_faults_and_shard_crash() {
     assert!(shards_touched.len() >= 2, "coins all hashed to one shard: {shards_touched:?}");
 }
 
-#[test]
-fn lost_cross_shard_commit_raises_violation_and_dumps_flight() {
-    let seed = chaos_seed() ^ 0x10_57;
+/// A four-shard journalling broker and a holder whose wallet has eight
+/// coins in it, spread over at least two shards by the coin-id hash.
+fn wallet_spanning_shards(seed: u64) -> (Arc<ShardedBroker>, Peer, Vec<CoinId>, rand::rngs::StdRng) {
     let mut rng = test_rng(seed);
     let params = SystemParams::new(tiny_group().clone());
     let mut judge = Judge::new(params.group().clone(), &mut rng);
     let sharded = Arc::new(ShardedBroker::new(params.clone(), judge.public_key().clone(), 4, &mut rng));
+    sharded.enable_journals();
     let mk = |id: u64, judge: &mut Judge, rng: &mut rand::rngs::StdRng| {
         let gk = judge.enroll(PeerId(id), rng);
         let p = Peer::new(
@@ -605,8 +607,6 @@ fn lost_cross_shard_commit_raises_violation_and_dumps_flight() {
     let mut owner = mk(1, &mut judge, &mut rng);
     let mut holder = mk(2, &mut judge, &mut rng);
 
-    // Mint a handful of coins straight into the holder's wallet; the
-    // coin-id hash spreads them over several shards.
     let now = Timestamp(0);
     let coins: Vec<CoinId> = (0..8)
         .map(|_| {
@@ -621,59 +621,103 @@ fn lost_cross_shard_commit_raises_violation_and_dumps_flight() {
         .collect();
     let shards_touched: std::collections::BTreeSet<usize> =
         coins.iter().map(|c| sharded.shard_of_coin(c)).collect();
-    assert!(shards_touched.len() >= 2, "batch must cross shards: {shards_touched:?}");
+    assert!(shards_touched.len() >= 2, "coins must span shards: {shards_touched:?}");
+    (sharded, holder, coins, rng)
+}
+
+#[test]
+fn eight_deposits_spanning_shards_settle_in_one_drain_cycle() {
+    // A holder with many coins to redeem submits one `Deposit` per coin,
+    // each to its owning shard's endpoint, and drains once: every shard
+    // prepares its own group, whatever the drain's worker count.
+    for threads in [1, 2] {
+        let seed = chaos_seed() ^ 0x10_57;
+        let (sharded, holder, coins, mut rng) = wallet_spanning_shards(seed);
+        let mut net = Network::new();
+        net.set_drain_threads(threads);
+        let shard_eps =
+            attach_shard_endpoints(&mut net, sharded.clone(), shared_clock(Timestamp(0)), seed);
+        let holder_ep = attach_client(&mut net, "holder");
+
+        for &coin in &coins {
+            let request = Request::Deposit(holder.request_deposit(coin, &mut rng).unwrap());
+            net.submit(holder_ep, shard_eps[sharded.shard_of_coin(&coin)], request.encode());
+        }
+        let deliveries = net.drain();
+        assert_eq!(deliveries.len(), coins.len());
+        for (delivery, coin) in deliveries.into_iter().zip(&coins) {
+            let reply = delivery.result.expect("no faults installed");
+            match Response::decode(&reply).expect("reply decodes") {
+                Response::Receipt(receipt) => assert_eq!(receipt.coin, *coin),
+                other => panic!("{threads} drain thread(s): deposit answered {other:?}"),
+            }
+        }
+        assert_eq!(sharded.stats().deposits, coins.len() as u64, "every deposit applied");
+        assert_eq!(sharded.stats().rejections, 0);
+        assert!(sharded.audit_ok(), "violations: {:?}", sharded.violations());
+        for coin in &coins {
+            let shard = sharded.lock_shard(sharded.shard_of_coin(coin));
+            assert!(!shard.is_circulating(coin), "deposited coin still circulating");
+        }
+    }
+}
+
+#[test]
+fn a_shard_violation_surfaces_once_and_dumps_flight() {
+    let seed = chaos_seed() ^ 0x10_57;
+    let (sharded, _holder, coins, _rng) = wallet_spanning_shards(seed);
 
     let mut net = Network::new();
     install_wire_classifier(&mut net);
     let flight = std::sync::Arc::new(FlightRecorder::new());
     let obs = Obs::with_tracer(Tracer::new(flight.clone()));
-    let sclk = shared_clock(now);
+    let sclk = shared_clock(Timestamp(0));
     let shard_eps = attach_shard_endpoints_obs(&mut net, sharded.clone(), sclk, seed, obs.clone());
     let holder_ep = attach_client(&mut net, "holder");
-
-    // Sabotage the next cross-shard batch: one shard's commit count is
-    // dropped on the way back to the cross-shard ledger. The deposits
-    // themselves still apply — the depositor sees nothing wrong.
-    let victim = sharded.shard_of_coin(&coins[0]);
-    sharded.inject_lost_commit(victim);
-
-    let requests: Vec<DepositRequest> =
-        coins.iter().map(|&c| holder.request_deposit(c, &mut rng).unwrap()).collect();
-    let outcomes =
-        deposit_batch_via_obs(&mut net, holder_ep, shard_eps[0], requests, &obs).expect("batch call");
-    assert_eq!(outcomes.len(), coins.len());
-    for outcome in &outcomes {
-        assert!(outcome.is_ok(), "lost commit must not surface to the depositor: {outcome:?}");
-    }
-    assert_eq!(sharded.stats().deposits, coins.len() as u64, "every deposit applied");
-
-    // …but the cross-shard ledger caught the handoff losing value.
-    let violations = sharded.violations();
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.invariant == Invariant::ValueConservation && v.detail.contains("cross-shard")),
-        "lost commit not detected: {violations:?}"
-    );
-    assert!(!sharded.audit_ok(), "audit must fail after a lost commit");
-
-    // The violation surfaced through the endpoint's dispatch as a failed
-    // event, and the flight recorder holds the dump material.
     let surfaced = |flight: &FlightRecorder| {
         flight
             .snapshot()
             .iter()
             .filter(|e| {
                 e.outcome == Outcome::Error
-                    && e.detail.as_deref().is_some_and(|d| d.contains("value_conservation"))
+                    && e.detail.as_deref().is_some_and(|d| d.contains("state_commitment"))
             })
             .count()
     };
+    let mut dispatch_on = |ep: EndpointId| {
+        let _ = whopay_core::service::binding_proof_via_obs(&mut net, holder_ep, ep, coins[0], &obs);
+    };
+
+    dispatch_on(shard_eps[0]);
+    assert_eq!(surfaced(&flight), 0, "a clean broker surfaces nothing");
+
+    // One shard crashes and comes back from a journal whose last
+    // committed root was tampered with: its own auditor records the
+    // mismatch during replay and re-joins the shared violation count.
+    let victim = sharded.shard_of_coin(&coins[0]);
+    let journal = Journal::from_bytes(&sharded.journal_bytes(victim).expect("journalling enabled"))
+        .expect("shard journal decodes");
+    let mut tampered = Journal::new();
+    for mut entry in journal.entries().iter().cloned() {
+        if Some(entry.seq) == journal.last_seq() {
+            entry.root[0] ^= 1;
+        }
+        tampered.append(entry);
+    }
+    sharded.recover_shard(victim, &tampered);
+    let violations = sharded.violations();
+    assert_eq!(violations.len(), 1, "one tampered entry, one violation: {violations:?}");
+    assert_eq!(violations[0].invariant, Invariant::StateCommitment);
+    assert!(!sharded.audit_ok(), "audit must fail after a forged journal");
+
+    // The next dispatch — on another shard's endpoint — surfaces it as a
+    // failed event, and the flight recorder holds the dump material.
+    dispatch_on(shard_eps[(victim + 1) % shard_eps.len()]);
     assert_eq!(surfaced(&flight), 1, "violation event missing from flight record");
 
     // Later dispatches, on any shard's endpoint, do not surface it again.
     for &ep in &shard_eps {
-        let _ = whopay_core::service::binding_proof_via_obs(&mut net, holder_ep, ep, coins[0], &obs);
+        dispatch_on(ep);
     }
     assert_eq!(surfaced(&flight), 1, "violation surfaced more than once");
 }
