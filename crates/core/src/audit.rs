@@ -194,7 +194,8 @@ impl Auditor {
 
     /// Records a state-commitment failure: a replayed journal entry
     /// whose recomputed Merkle `(root, seq)` disagrees with the recorded
-    /// one. Called from [`crate::Broker::recover`]'s verification pass.
+    /// one, or whose op does not fit the state it is replayed onto.
+    /// Called from [`crate::Broker::recover`]'s verification pass.
     pub fn on_root_mismatch(&mut self, detail: String) {
         self.record(Invariant::StateCommitment, None, detail);
     }

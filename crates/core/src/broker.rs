@@ -6,7 +6,7 @@
 //! else is peer-to-peer — that is the scalability claim the evaluation
 //! measures.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 
@@ -25,44 +25,12 @@ use crate::ledger::{coin_leaf, BindingProof, SignedRoot, StateLedger};
 use crate::messages::{
     CoinGrant, DepositReceipt, DepositRequest, PurchaseRequest, RenewalRequest, TransferRequest,
 };
-use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
+use crate::micropay::{RedeemChainRequest, RedemptionReceipt};
 use crate::params::SystemParams;
 use crate::replay::ServedOp;
 use crate::sigcache::{self, SigCache};
 use crate::types::{ChainId, CoinId, PeerId, Timestamp};
 use crate::wire::Request;
-
-/// Per-coin broker state.
-#[derive(Debug)]
-struct CoinRecord {
-    minted: MintedCoin,
-    /// Broker-signed binding for coins it manages during owner downtime.
-    downtime_binding: Option<Binding>,
-    /// Set when the coin is redeemed; any later spend attempt is fraud.
-    deposited: bool,
-    /// The last mutating op served for this coin — the replay memo that
-    /// makes re-delivered requests idempotent (see [`crate::replay`]).
-    last_served: Option<ServedOp>,
-}
-
-/// Per-chain broker state for streaming micropayment redemption.
-///
-/// The broker never replays the whole hash chain: it keeps the word at
-/// the settled frontier and [`skip_verify`]s from it, so each
-/// incremental redemption costs `O(gap mod checkpoint_every + 1)`
-/// SHA-256 evaluations regardless of chain length.
-#[derive(Debug)]
-struct ChainRecord {
-    /// The signed commitment, shared with the replay memo below and the
-    /// journal entry of the redemption that presented it.
-    commitment: Arc<ChainCommitment>,
-    /// Units settled (credited) so far — the payword index frontier.
-    settled: u64,
-    /// The chain word at index `settled`, the verifier's resume anchor.
-    best_word: Digest,
-    /// The last redemption served — the replay memo (see [`crate::replay`]).
-    last_served: Option<ServedOp>,
-}
 
 /// A fraud incident the broker can hand to the judge.
 ///
@@ -99,6 +67,71 @@ pub struct BrokerStats {
     pub replays: u64,
     /// Micropayment chain redemptions settled.
     pub redemptions: u64,
+}
+
+impl BrokerStats {
+    /// The counters by name in their one order — the order the journal and
+    /// the ledger's stats leaf encode them in, and so part of every
+    /// committed root. Whatever sums, exports, encodes or decodes the
+    /// counters walks this list, so none of them can miss a counter.
+    pub(crate) fn counters_mut(&mut self) -> [(&'static str, &mut u64); 8] {
+        [
+            ("purchases", &mut self.purchases),
+            ("deposits", &mut self.deposits),
+            ("downtime_transfers", &mut self.downtime_transfers),
+            ("downtime_renewals", &mut self.downtime_renewals),
+            ("syncs", &mut self.syncs),
+            ("rejections", &mut self.rejections),
+            ("replays", &mut self.replays),
+            ("redemptions", &mut self.redemptions),
+        ]
+    }
+
+    /// [`BrokerStats::counters_mut`], by value.
+    pub(crate) fn counters(mut self) -> [(&'static str, u64); 8] {
+        self.counters_mut().map(|(name, value)| (name, *value))
+    }
+}
+
+/// A downtime transfer or renewal, wherever the broker treats the two
+/// alike.
+#[derive(Clone, Copy)]
+enum Downtime<'a> {
+    Transfer(&'a TransferRequest),
+    Renewal(&'a RenewalRequest),
+}
+
+impl<'a> Downtime<'a> {
+    /// The binding the requester presents as the coin's current one.
+    fn current(self) -> &'a Binding {
+        match self {
+            Downtime::Transfer(request) => &request.current,
+            Downtime::Renewal(request) => &request.current,
+        }
+    }
+
+    /// The bytes the requester's holder and group signatures cover, and
+    /// the two signatures.
+    fn signed(self) -> (Vec<u8>, &'a DsaSignature, &'a GroupSignature) {
+        match self {
+            Downtime::Transfer(r) => (
+                TransferRequest::signed_bytes(&r.current, &r.new_holder_pk, &r.nonce),
+                &r.holder_sig,
+                &r.group_sig,
+            ),
+            Downtime::Renewal(r) => {
+                (RenewalRequest::signed_bytes(&r.current), &r.holder_sig, &r.group_sig)
+            }
+        }
+    }
+
+    /// Whether `memo` records exactly this request.
+    fn served_as(self, memo: &ServedOp) -> bool {
+        match self {
+            Downtime::Transfer(request) => memo.replay_transfer(request).is_some(),
+            Downtime::Renewal(request) => memo.replay_renewal(request).is_some(),
+        }
+    }
 }
 
 /// One request a drain cycle is about to hand the broker, as
@@ -184,8 +217,8 @@ pub struct Broker {
     keys: DsaKeyPair,
     gpk: GroupPublicKey,
     registered: HashMap<PeerId, DsaPublicKey>,
-    coins: HashMap<CoinId, CoinRecord>,
-    chains: HashMap<ChainId, ChainRecord>,
+    coins: HashMap<CoinId, CoinSnapshot>,
+    chains: HashMap<ChainId, ChainSnapshot>,
     fraud: Vec<FraudCase>,
     stats: BrokerStats,
     /// Verdict cache; primed with own mint signatures so deposits hit.
@@ -243,49 +276,157 @@ impl Broker {
         }
     }
 
-    /// Commits a mutation: advances the state ledger (post-op stats leaf
-    /// plus sequence number) and appends a journal entry carrying the
-    /// resulting `(root, seq)` pair. Every entry carries the post-op
-    /// stats, so recovery restores counters by adopting the last entry's
-    /// snapshot rather than re-deriving them — and recomputes the root
-    /// per entry, so tampered bytes never replay silently.
-    fn jrecord(&mut self, op: JournalOp) {
-        let (root, seq) = match self.ledger.as_mut() {
+    /// Applies one mutation — the only place the broker's state changes,
+    /// live and on replay: the registrations, the coin and chain records
+    /// and the fraud list, the auditor, the ledger's leaves, the counters
+    /// (bumped by the op's kind, then overridden by the stats `adopted`
+    /// from the journal entry a recovery replays) and last the ledger's
+    /// stats leaf and sequence number, whose `(root, seq)` it returns.
+    ///
+    /// A handler hands an op over once it has verified and signed all
+    /// there is to it. An op that does not fit the state all the same — a
+    /// memo for a coin this broker never minted, the mint of a coin on
+    /// record, a chain under another commitment, a memo only a peer
+    /// serves: a journal that is not this broker's — changes no record
+    /// and is an [`crate::Invariant::StateCommitment`] violation. Nothing
+    /// is skipped in silence.
+    fn commit(&mut self, op: &JournalOp, adopted: Option<BrokerStats>) -> (Digest, u64) {
+        let mut ledger = self.ledger.as_mut();
+        let misfit = match op {
+            JournalOp::Register { peer, key } => {
+                self.registered.insert(*peer, key.clone());
+                if let Some(ledger) = &mut ledger {
+                    ledger.upsert_peer(*peer, key);
+                }
+                None
+            }
+            JournalOp::Fraud { case } => {
+                self.fraud.push(case.clone());
+                if let Some(ledger) = &mut ledger {
+                    ledger.push_fraud(case);
+                }
+                None
+            }
+            JournalOp::Counters | JournalOp::Checkpoint(_) => None,
+            JournalOp::Served(ServedOp::Issue { .. }) => Some("a memo only a peer serves".to_string()),
+            JournalOp::Served(served @ ServedOp::RedeemChain { commitment, payword, receipt }) => {
+                let id = commitment.chain_id();
+                let record = self.chains.entry(id).or_insert_with(|| ChainSnapshot {
+                    commitment: Arc::clone(commitment),
+                    settled: 0,
+                    best_word: commitment.root,
+                    last_served: None,
+                });
+                if record.commitment == *commitment {
+                    record.settled = receipt.total;
+                    record.best_word = payword.word;
+                    record.last_served = Some(served.clone());
+                    self.stats.redemptions += 1;
+                    self.audit.on_chain_redeem(id, receipt.total, commitment.capacity);
+                    if let Some(ledger) = &mut ledger {
+                        ledger.upsert_chain(id, commitment, receipt.total, &payword.word, Some(served));
+                    }
+                    None
+                } else {
+                    Some(format!("chain {id} redeemed under a commitment other than the one on record"))
+                }
+            }
+            JournalOp::Served(served) => {
+                // What the memo says of its coin: the mint its record
+                // starts from, or else the downtime binding it leaves the
+                // coin with (a deposit leaves none), and the counter it moves.
+                let s = &mut self.stats;
+                let (id, minted, binding, count) = match served {
+                    ServedOp::Purchase { minted, .. } => {
+                        (minted.id(), Some(minted), None, &mut s.purchases)
+                    }
+                    ServedOp::Deposit { request, .. } => {
+                        (request.minted.id(), None, None, &mut s.deposits)
+                    }
+                    ServedOp::Transfer { grant: CoinGrant { binding, .. }, .. } => {
+                        (binding.coin_id(), None, Some(binding), &mut s.downtime_transfers)
+                    }
+                    ServedOp::Renewal { binding, .. } => {
+                        (binding.coin_id(), None, Some(binding), &mut s.downtime_renewals)
+                    }
+                    ServedOp::Issue { .. } | ServedOp::RedeemChain { .. } => {
+                        unreachable!("matched above")
+                    }
+                };
+                let record = match (self.coins.entry(id), minted) {
+                    (Entry::Vacant(slot), Some(minted)) => Ok(slot.insert(CoinSnapshot {
+                        minted: minted.clone(),
+                        downtime_binding: None,
+                        deposited: false,
+                        last_served: None,
+                    })),
+                    (Entry::Occupied(slot), None) => Ok(slot.into_mut()),
+                    (Entry::Occupied(_), Some(_)) => Err(format!("{id:?} minted twice")),
+                    (Entry::Vacant(_), None) => Err(format!("{id:?} served but never minted")),
+                };
+                match record {
+                    Ok(record) => {
+                        match (minted, binding) {
+                            (Some(_), _) => self.audit.on_mint(id),
+                            (None, Some(binding)) => self.audit.on_binding(id, binding.seq()),
+                            (None, None) => {
+                                record.deposited = true;
+                                self.audit.on_deposit(id);
+                            }
+                        }
+                        record.downtime_binding = binding.cloned();
+                        record.last_served = Some(served.clone());
+                        *count += 1;
+                        if let Some(ledger) = &mut ledger {
+                            let deposited = record.deposited;
+                            ledger.upsert_coin(id, &record.minted, binding, deposited, Some(served));
+                        }
+                        None
+                    }
+                    Err(misfit) => Some(misfit),
+                }
+            }
+        };
+        if let Some(misfit) = misfit {
+            self.audit
+                .on_root_mismatch(format!("committed an op that does not fit the state: {misfit}"));
+        }
+        if let Some(stats) = adopted {
+            self.stats = stats;
+        }
+        match ledger {
             Some(ledger) => ledger.commit_stats(&self.stats),
             None => ([0u8; 32], 0),
-        };
+        }
+    }
+
+    /// Commits a mutation a handler served and appends it to the journal
+    /// under the `(root, seq)` it led to, with the post-op stats — so
+    /// recovery restores the counters by adopting the last entry's
+    /// snapshot, and recomputes the root entry by entry, so tampered bytes
+    /// never replay silently.
+    fn record(&mut self, op: JournalOp) {
+        let (root, seq) = self.commit(&op, None);
         if let Some(journal) = &mut self.journal {
             journal.append(JournalEntry { seq, stats: self.stats, root, op });
         }
     }
 
-    /// Refreshes the ledger leaf for a coin from its current record.
-    /// Call after every committed coin mutation, before [`Broker::jrecord`].
-    fn ledger_coin(&mut self, id: CoinId) {
-        let Some(ledger) = self.ledger.as_mut() else { return };
-        if let Some(r) = self.coins.get(&id) {
-            ledger.upsert_coin(
-                id,
-                &r.minted,
-                r.downtime_binding.as_ref(),
-                r.deposited,
-                r.last_served.as_ref(),
-            );
+    /// A replay memo's answer to a retried or duplicated delivery of
+    /// exactly the request it records, passed through: counted and
+    /// journalled as a replay, and nothing is applied again.
+    fn replayed<T>(&mut self, memo: Option<T>) -> Option<T> {
+        if memo.is_some() {
+            self.stats.replays += 1;
+            self.record(JournalOp::Counters);
         }
-    }
-
-    /// Refreshes the ledger leaf for a micropayment chain.
-    fn ledger_chain(&mut self, id: ChainId) {
-        let Some(ledger) = self.ledger.as_mut() else { return };
-        if let Some(r) = self.chains.get(&id) {
-            ledger.upsert_chain(id, &r.commitment, r.settled, &r.best_word, r.last_served.as_ref());
-        }
+        memo
     }
 
     /// Counts and journals a rejection, then returns the error.
     fn reject<T>(&mut self, err: CoreError) -> Result<T, CoreError> {
         self.stats.rejections += 1;
-        self.jrecord(JournalOp::Counters);
+        self.record(JournalOp::Counters);
         Err(err)
     }
 
@@ -298,17 +439,8 @@ impl Broker {
         description: &str,
         group_sig: &GroupSignature,
     ) -> CoreError {
-        let case = FraudCase {
-            coin,
-            description: description.to_string(),
-            group_sigs: vec![group_sig.clone()],
-        };
-        self.fraud.push(case.clone());
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.push_fraud(&case);
-        }
         self.stats.rejections += 1;
-        self.jrecord(JournalOp::Fraud { case });
+        self.report_fraud(coin, description.to_string(), vec![group_sig.clone()]);
         CoreError::DoubleSpend(coin)
     }
 
@@ -385,11 +517,7 @@ impl Broker {
     /// Registers a peer's identity key (needed for identified purchases
     /// and proactive sync).
     pub fn register_peer(&mut self, id: PeerId, key: DsaPublicKey) {
-        self.registered.insert(id, key.clone());
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.upsert_peer(id, &key);
-        }
-        self.jrecord(JournalOp::Register { peer: id, key });
+        self.record(JournalOp::Register { peer: id, key });
     }
 
     /// The always-on invariant auditor (see [`crate::audit`]).
@@ -446,10 +574,8 @@ impl Broker {
         if let Some(record) = self.coins.get(&id) {
             // Exactly the request we already honoured: a retried or
             // duplicated delivery. Return the original coin.
-            if let Some(minted) = record.last_served.as_ref().and_then(|s| s.replay_purchase(request)) {
-                let minted = minted.clone();
-                self.stats.replays += 1;
-                self.jrecord(JournalOp::Counters);
+            let memo = record.last_served.as_ref().and_then(|s| s.replay_purchase(request)).cloned();
+            if let Some(minted) = self.replayed(memo) {
                 return Ok(minted);
             }
             // Key collision or replay; the paper assumes collisions are
@@ -481,20 +607,10 @@ impl Broker {
         // A signature we just produced is known-valid; priming means the
         // deposit-side re-verification of this coin is a cache hit.
         self.sig_cache.prime(minted.mint_cache_key(&group, self.keys.public()), true);
-        let served = ServedOp::Purchase { request: request.clone(), minted: minted.clone() };
-        self.coins.insert(
-            id,
-            CoinRecord {
-                minted: minted.clone(),
-                downtime_binding: None,
-                deposited: false,
-                last_served: Some(served.clone()),
-            },
-        );
-        self.stats.purchases += 1;
-        self.audit.on_mint(id);
-        self.ledger_coin(id);
-        self.jrecord(JournalOp::Mint { minted: minted.clone(), served });
+        self.record(JournalOp::Served(ServedOp::Purchase {
+            request: request.clone(),
+            minted: minted.clone(),
+        }));
         Ok(minted)
     }
 
@@ -525,12 +641,9 @@ impl Broker {
         // Exactly the deposit we already credited: a retried or duplicated
         // delivery. Return the original receipt instead of calling it a
         // double spend.
-        if let Some(receipt) =
-            self.coins[&id].last_served.as_ref().and_then(|s| s.replay_deposit(request))
-        {
-            let receipt = receipt.clone();
-            self.stats.replays += 1;
-            self.jrecord(JournalOp::Counters);
+        let memo =
+            self.coins[&id].last_served.as_ref().and_then(|s| s.replay_deposit(request)).cloned();
+        if let Some(receipt) = self.replayed(memo) {
             return Ok(receipt);
         }
         let pk = self.keys.public();
@@ -573,15 +686,10 @@ impl Broker {
             return Err(self.double_spend(id, "coin deposited twice", &request.group_sig));
         }
         let receipt = DepositReceipt { coin: id, value: 1 };
-        let served = ServedOp::Deposit { request: request.clone(), receipt: receipt.clone() };
-        let record = self.coins.get_mut(&id).expect("checked above");
-        record.deposited = true;
-        record.downtime_binding = None;
-        record.last_served = Some(served.clone());
-        self.stats.deposits += 1;
-        self.audit.on_deposit(id);
-        self.ledger_coin(id);
-        self.jrecord(JournalOp::Deposit { coin: id, served });
+        self.record(JournalOp::Served(ServedOp::Deposit {
+            request: request.clone(),
+            receipt: receipt.clone(),
+        }));
         Ok(receipt)
     }
 
@@ -629,20 +737,10 @@ impl Broker {
                 Upcoming::Purchase(request) => self.owed_by_purchase(request, &mut owed),
                 Upcoming::Deposit(request) => self.owed_by_deposit(request, &mut owed),
                 Upcoming::Transfer(request) => {
-                    let msg = TransferRequest::signed_bytes(
-                        &request.current,
-                        &request.new_holder_pk,
-                        &request.nonce,
-                    );
-                    let replayed = |s: &ServedOp| s.replay_transfer(request).is_some();
-                    let sigs = (&request.holder_sig, &request.group_sig);
-                    self.owed_by_downtime(&request.current, replayed, msg, sigs, &mut owed)
+                    self.owed_by_downtime(Downtime::Transfer(request), &mut owed)
                 }
                 Upcoming::Renewal(request) => {
-                    let msg = RenewalRequest::signed_bytes(&request.current);
-                    let replayed = |s: &ServedOp| s.replay_renewal(request).is_some();
-                    let sigs = (&request.holder_sig, &request.group_sig);
-                    self.owed_by_downtime(&request.current, replayed, msg, sigs, &mut owed)
+                    self.owed_by_downtime(Downtime::Renewal(request), &mut owed)
                 }
             }
             if owed.len() == before {
@@ -776,18 +874,11 @@ impl Broker {
     }
 
     /// What [`Broker::verify_downtime_request`] will check for a downtime
-    /// transfer or renewal presenting `current`, whose holder and group
-    /// signatures `sigs` cover `msg`.
-    fn owed_by_downtime<'a>(
-        &self,
-        current: &'a Binding,
-        replayed: impl Fn(&ServedOp) -> bool,
-        msg: Vec<u8>,
-        sigs: (&'a DsaSignature, &'a GroupSignature),
-        owed: &mut OwedChains<'a>,
-    ) {
+    /// transfer or renewal.
+    fn owed_by_downtime<'a>(&self, request: Downtime<'a>, owed: &mut OwedChains<'a>) {
+        let current = request.current();
         let Some(record) = self.coins.get(&current.coin_id()) else { return };
-        if record.last_served.as_ref().is_some_and(replayed) {
+        if record.last_served.as_ref().is_some_and(|memo| request.served_as(memo)) {
             return;
         }
         let stored = match &record.downtime_binding {
@@ -800,7 +891,8 @@ impl Broker {
             Some(_) => return,
             None => false,
         };
-        self.owe_holder_role(current, stored, msg, sigs, owed);
+        let (msg, holder_sig, group_sig) = request.signed();
+        self.owe_holder_role(current, stored, msg, (holder_sig, group_sig), owed);
     }
 
     // --- micropayment redemption ---
@@ -836,12 +928,9 @@ impl Broker {
             }
             // Exactly the redemption we already credited: a retried or
             // duplicated delivery. Return the original receipt.
-            if let Some(receipt) =
-                record.last_served.as_ref().and_then(|s| s.replay_redeem_chain(request))
-            {
-                let receipt = *receipt;
-                self.stats.replays += 1;
-                self.jrecord(JournalOp::Counters);
+            let memo =
+                record.last_served.as_ref().and_then(|s| s.replay_redeem_chain(request)).copied();
+            if let Some(receipt) = self.replayed(memo) {
                 return Ok(receipt);
             }
         }
@@ -890,28 +979,15 @@ impl Broker {
         // The one copy of the commitment this redemption makes (none for
         // a chain already on record): the record, its replay memo and
         // the journal entry all hold this allocation.
-        let shared = match known {
+        let commitment = match known {
             Some(record) => Arc::clone(&record.commitment),
             None => Arc::new(commitment.clone()),
         };
-        let served = ServedOp::RedeemChain {
-            commitment: Arc::clone(&shared),
+        self.record(JournalOp::Served(ServedOp::RedeemChain {
+            commitment,
             payword: request.payword,
             receipt,
-        };
-        let record = self.chains.entry(id).or_insert_with(|| ChainRecord {
-            commitment: shared,
-            settled: 0,
-            best_word: commitment.root,
-            last_served: None,
-        });
-        record.settled = total;
-        record.best_word = request.payword.word;
-        record.last_served = Some(served.clone());
-        self.stats.redemptions += 1;
-        self.audit.on_chain_redeem(id, total, commitment.capacity);
-        self.ledger_chain(id);
-        self.jrecord(JournalOp::ChainRedeem { chain: id, served });
+        }));
         Ok(receipt)
     }
 
@@ -946,60 +1022,9 @@ impl Broker {
         now: Timestamp,
         rng: &mut R,
     ) -> Result<CoinGrant, CoreError> {
-        let group = self.params.group().clone();
-        let id = request.current.coin_id();
-        if !self.coins.contains_key(&id) {
-            return self.reject(CoreError::NotCirculating(id));
-        }
-        // Exactly the transfer we already served: return the original
-        // grant (the stored binding already reflects it).
-        if let Some(grant) =
-            self.coins[&id].last_served.as_ref().and_then(|s| s.replay_transfer(request))
-        {
-            let grant = grant.clone();
-            self.stats.replays += 1;
-            self.jrecord(JournalOp::Counters);
-            return Ok(grant);
-        }
-        self.verify_downtime_request(
-            &id,
-            &request.current,
-            &TransferRequest::signed_bytes(&request.current, &request.new_holder_pk, &request.nonce),
-            &request.holder_sig,
-            &request.group_sig,
-        )?;
-        let minted = self.coins[&id].minted.clone();
-        let seq = request.current.seq() + 1;
-        let expires = now.plus(self.params.renewal_period_secs());
-        let msg = Binding::signed_bytes(
-            minted.coin_pk(),
-            &request.new_holder_pk,
-            seq,
-            expires,
-            BindingSigner::Broker,
-        );
-        let sig = self.keys.sign(&group, &msg, rng);
-        let binding = Binding::from_parts(
-            minted.coin_pk().clone(),
-            request.new_holder_pk.clone(),
-            seq,
-            expires,
-            BindingSigner::Broker,
-            sig,
-        );
-        let proof_msg =
-            CoinGrant::proof_bytes(minted.coin_pk(), &request.new_holder_pk, &request.nonce);
-        let ownership_proof = self.keys.sign(&group, &proof_msg, rng);
-        let grant = CoinGrant { minted, binding: binding.clone(), ownership_proof };
-        let served = ServedOp::Transfer { request: request.clone(), grant: grant.clone() };
-        let record = self.coins.get_mut(&id).expect("checked above");
-        record.downtime_binding = Some(binding.clone());
-        record.last_served = Some(served.clone());
-        self.stats.downtime_transfers += 1;
-        self.audit.on_binding(id, seq);
-        self.ledger_coin(id);
-        self.jrecord(JournalOp::DowntimeBinding { coin: id, binding, served });
-        Ok(grant)
+        let id = self.serve_downtime(Downtime::Transfer(request), now, rng)?;
+        let memo = self.coins[&id].last_served.as_ref().and_then(|s| s.replay_transfer(request));
+        Ok(memo.expect("served: the memo holds the grant").clone())
     }
 
     /// Downtime renewal: extends a binding for a coin whose owner is
@@ -1014,56 +1039,59 @@ impl Broker {
         now: Timestamp,
         rng: &mut R,
     ) -> Result<Binding, CoreError> {
-        let group = self.params.group().clone();
-        let id = request.current.coin_id();
-        if !self.coins.contains_key(&id) {
+        let id = self.serve_downtime(Downtime::Renewal(request), now, rng)?;
+        let memo = self.coins[&id].last_served.as_ref().and_then(|s| s.replay_renewal(request));
+        Ok(memo.expect("served: the memo holds the binding").clone())
+    }
+
+    /// Serves a downtime transfer or renewal of the coin it names.
+    /// Afterwards the coin's replay memo records `request` and holds its
+    /// answer, whether this call put it there or an earlier delivery of
+    /// exactly this request did (the stored binding already reflects it).
+    fn serve_downtime<R: Rng + ?Sized>(
+        &mut self,
+        request: Downtime<'_>,
+        now: Timestamp,
+        rng: &mut R,
+    ) -> Result<CoinId, CoreError> {
+        let current = request.current();
+        let id = current.coin_id();
+        let Some(record) = self.coins.get(&id) else {
             return self.reject(CoreError::NotCirculating(id));
+        };
+        let again = record.last_served.as_ref().is_some_and(|memo| request.served_as(memo));
+        if let Some(id) = self.replayed(again.then_some(id)) {
+            return Ok(id);
         }
-        // Exactly the renewal we already served: return the original
-        // binding.
-        if let Some(binding) =
-            self.coins[&id].last_served.as_ref().and_then(|s| s.replay_renewal(request))
-        {
-            let binding = binding.clone();
-            self.stats.replays += 1;
-            self.jrecord(JournalOp::Counters);
-            return Ok(binding);
-        }
-        self.verify_downtime_request(
-            &id,
-            &request.current,
-            &RenewalRequest::signed_bytes(&request.current),
-            &request.holder_sig,
-            &request.group_sig,
-        )?;
-        let coin_pk = self.coins[&id].minted.coin_pk().clone();
-        let seq = request.current.seq() + 1;
+        let (msg, holder_sig, group_sig) = request.signed();
+        self.verify_downtime_request(&id, current, &msg, holder_sig, group_sig)?;
+        // The next binding: a transfer names the new holder, a renewal
+        // keeps the current one. The binding is signed first, then a
+        // transfer's ownership proof.
+        let group = self.params.group();
+        let minted = &self.coins[&id].minted;
+        let holder_pk = match request {
+            Downtime::Transfer(request) => &request.new_holder_pk,
+            Downtime::Renewal(_) => current.holder_pk(),
+        };
+        let seq = current.seq() + 1;
         let expires = now.plus(self.params.renewal_period_secs());
-        let msg = Binding::signed_bytes(
-            &coin_pk,
-            request.current.holder_pk(),
-            seq,
-            expires,
-            BindingSigner::Broker,
-        );
-        let sig = self.keys.sign(&group, &msg, rng);
-        let binding = Binding::from_parts(
-            coin_pk,
-            request.current.holder_pk().clone(),
-            seq,
-            expires,
-            BindingSigner::Broker,
-            sig,
-        );
-        let served = ServedOp::Renewal { request: request.clone(), binding: binding.clone() };
-        let record = self.coins.get_mut(&id).expect("checked above");
-        record.downtime_binding = Some(binding.clone());
-        record.last_served = Some(served.clone());
-        self.stats.downtime_renewals += 1;
-        self.audit.on_binding(id, seq);
-        self.ledger_coin(id);
-        self.jrecord(JournalOp::DowntimeBinding { coin: id, binding: binding.clone(), served });
-        Ok(binding)
+        let signer = BindingSigner::Broker;
+        let msg = Binding::signed_bytes(minted.coin_pk(), holder_pk, seq, expires, signer);
+        let sig = self.keys.sign(group, &msg, rng);
+        let binding =
+            Binding::from_parts(minted.coin_pk().clone(), holder_pk.clone(), seq, expires, signer, sig);
+        let served = match request {
+            Downtime::Transfer(request) => {
+                let proof_msg = CoinGrant::proof_bytes(minted.coin_pk(), holder_pk, &request.nonce);
+                let ownership_proof = self.keys.sign(group, &proof_msg, rng);
+                let grant = CoinGrant { minted: minted.clone(), binding, ownership_proof };
+                ServedOp::Transfer { request: request.clone(), grant }
+            }
+            Downtime::Renewal(request) => ServedOp::Renewal { request: request.clone(), binding },
+        };
+        self.record(JournalOp::Served(served));
+        Ok(id)
     }
 
     /// Shared validation for downtime requests.
@@ -1151,7 +1179,7 @@ impl Broker {
             return self.reject(CoreError::BadSignature);
         }
         self.stats.syncs += 1;
-        self.jrecord(JournalOp::Counters);
+        self.record(JournalOp::Counters);
         Ok(self.downtime_bindings_of(peer))
     }
 
@@ -1190,60 +1218,49 @@ impl Broker {
             return self.reject(CoreError::BadSignature);
         }
         self.stats.syncs += 1;
-        self.jrecord(JournalOp::Counters);
+        self.record(JournalOp::Counters);
         Ok(self.coins[&id].downtime_binding.clone())
     }
 
     /// Records externally supplied double-spend evidence (e.g. from the
     /// real-time detection layer) as a fraud case for the judge.
     pub fn report_fraud(&mut self, coin: CoinId, description: String, group_sigs: Vec<GroupSignature>) {
-        let case = FraudCase { coin, description, group_sigs };
-        self.fraud.push(case.clone());
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.push_fraud(&case);
-        }
-        self.jrecord(JournalOp::Fraud { case });
+        self.record(JournalOp::Fraud { case: FraudCase { coin, description, group_sigs } });
     }
 
     // --- crash recovery ---
 
-    /// Canonicalizes the state ledger against a fresh snapshot and
-    /// commits the checkpoint mutation, returning the `(root, seq)` pair
-    /// the checkpoint entry records. Checkpoints are the points where
-    /// the live broker and a recovering one re-align on identical leaf
-    /// layouts (sorted order), so the root sequences they derive match.
-    fn ledger_checkpoint(&mut self, state: &CheckpointState) -> (Digest, u64) {
-        match self.ledger.as_mut() {
-            Some(ledger) => {
-                ledger.rebuild(&self.stats, state);
-                ledger.commit_stats(&self.stats)
-            }
-            None => ([0u8; 32], 0),
-        }
-    }
-
     /// Turns on journalling: records an initial checkpoint of the current
-    /// state (carrying the canonical ledger `(root, seq)`), then appends
-    /// an entry for every mutation. Pair with [`Broker::recover`] after a
-    /// crash.
+    /// state, then appends an entry for every mutation. Pair with
+    /// [`Broker::recover`] after a crash.
     pub fn enable_journal(&mut self) {
-        let state = self.snapshot();
-        let (root, seq) = self.ledger_checkpoint(&state);
-        let mut journal = Journal::new();
-        journal.checkpoint(seq, self.stats, root, state);
-        self.journal = Some(journal);
+        self.journal = Some(Journal::new());
+        self.checkpoint_journal();
     }
 
     /// Folds the journal down to a single checkpoint entry (truncation,
     /// bounding its growth). No-op while journalling is off.
+    ///
+    /// The state ledger is canonicalized against the snapshot and the
+    /// checkpoint committed as one more mutation; the entry records the
+    /// resulting `(root, seq)`. Checkpoints are the points where the live
+    /// broker and a recovering one re-align on identical leaf layouts
+    /// (sorted order), so the root sequences they derive match.
     pub fn checkpoint_journal(&mut self) {
-        if self.journal.is_some() {
-            let state = self.snapshot();
-            let (root, seq) = self.ledger_checkpoint(&state);
-            let stats = self.stats;
-            if let Some(journal) = &mut self.journal {
-                journal.checkpoint(seq, stats, root, state);
+        if self.journal.is_none() {
+            return;
+        }
+        let state = self.snapshot();
+        let (root, seq) = match self.ledger.as_mut() {
+            Some(ledger) => {
+                ledger.rebuild(&self.stats, &state);
+                ledger.commit_stats(&self.stats)
             }
+            None => ([0u8; 32], 0),
+        };
+        let stats = self.stats;
+        if let Some(journal) = &mut self.journal {
+            journal.checkpoint(seq, stats, root, state);
         }
     }
 
@@ -1263,42 +1280,18 @@ impl Broker {
     /// a checkpoint, and the field-by-field oracle the recovery tests
     /// compare against.
     pub fn snapshot(&self) -> CheckpointState {
-        let mut registered: Vec<(PeerId, DsaPublicKey)> =
-            self.registered.iter().map(|(p, k)| (*p, k.clone())).collect();
-        registered.sort_by_key(|(p, _)| *p);
-        let mut coins: Vec<(CoinId, CoinSnapshot)> = self
-            .coins
-            .iter()
-            .map(|(id, r)| {
-                (
-                    *id,
-                    CoinSnapshot {
-                        minted: r.minted.clone(),
-                        downtime_binding: r.downtime_binding.clone(),
-                        deposited: r.deposited,
-                        last_served: r.last_served.clone(),
-                    },
-                )
-            })
-            .collect();
-        coins.sort_by_key(|(id, _)| id.0);
-        let mut chains: Vec<(ChainId, ChainSnapshot)> = self
-            .chains
-            .iter()
-            .map(|(id, r)| {
-                (
-                    *id,
-                    ChainSnapshot {
-                        commitment: ChainCommitment::clone(&r.commitment),
-                        settled: r.settled,
-                        best_word: r.best_word,
-                        last_served: r.last_served.clone(),
-                    },
-                )
-            })
-            .collect();
-        chains.sort_by_key(|(id, _)| id.0);
-        CheckpointState { registered, coins, fraud: self.fraud.clone(), chains }
+        fn sorted<K: Copy + Ord, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
+            let mut records: Vec<(K, V)> =
+                map.iter().map(|(id, record)| (*id, record.clone())).collect();
+            records.sort_by_key(|(id, _)| *id);
+            records
+        }
+        CheckpointState {
+            registered: sorted(&self.registered),
+            coins: sorted(&self.coins),
+            fraud: self.fraud.clone(),
+            chains: sorted(&self.chains),
+        }
     }
 
     /// Rebuilds a broker from its journal after a crash.
@@ -1337,125 +1330,41 @@ impl Broker {
         broker
     }
 
-    /// Applies one journal entry during recovery, then verifies the
-    /// recomputed ledger `(root, seq)` against the entry's recorded
-    /// commitment. Signature caches are deliberately *not* primed here —
-    /// see [`Broker::recover`].
+    /// Replays one journal entry during recovery: [`Broker::commit`] on
+    /// its op under its stats, then the recomputed ledger `(root, seq)`
+    /// against the commitment the entry recorded. A checkpoint first
+    /// replaces the state wholesale. Signature caches are deliberately
+    /// *not* primed here — see [`Broker::recover`].
     fn apply(&mut self, entry: &JournalEntry) {
-        match &entry.op {
-            JournalOp::Checkpoint(state) => {
-                self.registered = state.registered.iter().cloned().collect();
-                self.coins.clear();
-                for (id, snap) in &state.coins {
-                    self.coins.insert(
-                        *id,
-                        CoinRecord {
-                            minted: snap.minted.clone(),
-                            downtime_binding: snap.downtime_binding.clone(),
-                            deposited: snap.deposited,
-                            last_served: snap.last_served.clone(),
-                        },
-                    );
-                }
-                self.fraud = state.fraud.clone();
-                self.chains.clear();
-                for (id, snap) in &state.chains {
-                    self.chains.insert(
-                        *id,
-                        ChainRecord {
-                            commitment: Arc::new(snap.commitment.clone()),
-                            settled: snap.settled,
-                            best_word: snap.best_word,
-                            last_served: snap.last_served.clone(),
-                        },
-                    );
-                }
-                // The auditor re-baselines on the checkpoint summary and
-                // then re-audits the tail of the journal as it replays.
-                self.audit.rebuild(state.coins.iter().map(|(id, snap)| {
-                    (*id, snap.deposited, snap.downtime_binding.as_ref().map(Binding::seq))
-                }));
-                self.audit.rebuild_chains(
-                    state.chains.iter().map(|(id, snap)| (*id, snap.settled, snap.commitment.capacity)),
-                );
-                // The ledger canonicalizes on the snapshot, exactly as
-                // the live broker did when it wrote this checkpoint, and
-                // re-bases its sequence counter so the commit below
-                // reproduces the checkpoint's own (root, seq).
-                if let Some(ledger) = self.ledger.as_mut() {
-                    ledger.rebuild(&entry.stats, state);
-                    ledger.set_seq(entry.seq.wrapping_sub(1));
-                }
+        if let JournalOp::Checkpoint(state) = &entry.op {
+            self.registered = state.registered.iter().cloned().collect();
+            self.coins = state.coins.iter().cloned().collect();
+            self.fraud = state.fraud.clone();
+            self.chains = state.chains.iter().cloned().collect();
+            // The auditor re-baselines on the checkpoint summary and
+            // then re-audits the tail of the journal as it replays.
+            self.audit.rebuild(state.coins.iter().map(|(id, snap)| {
+                (*id, snap.deposited, snap.downtime_binding.as_ref().map(Binding::seq))
+            }));
+            self.audit.rebuild_chains(
+                state.chains.iter().map(|(id, snap)| (*id, snap.settled, snap.commitment.capacity)),
+            );
+            // The ledger canonicalizes on the snapshot, exactly as
+            // the live broker did when it wrote this checkpoint, and
+            // re-bases its sequence counter so the commit below
+            // reproduces the checkpoint's own (root, seq).
+            if let Some(ledger) = self.ledger.as_mut() {
+                ledger.rebuild(&entry.stats, state);
+                ledger.set_seq(entry.seq.wrapping_sub(1));
             }
-            JournalOp::Register { peer, key } => {
-                self.registered.insert(*peer, key.clone());
-                if let Some(ledger) = self.ledger.as_mut() {
-                    ledger.upsert_peer(*peer, key);
-                }
-            }
-            JournalOp::Mint { minted, served } => {
-                self.audit.on_mint(minted.id());
-                self.coins.insert(
-                    minted.id(),
-                    CoinRecord {
-                        minted: minted.clone(),
-                        downtime_binding: None,
-                        deposited: false,
-                        last_served: Some(served.clone()),
-                    },
-                );
-                self.ledger_coin(minted.id());
-            }
-            JournalOp::Deposit { coin, served } => {
-                if let Some(record) = self.coins.get_mut(coin) {
-                    record.deposited = true;
-                    record.downtime_binding = None;
-                    record.last_served = Some(served.clone());
-                    self.audit.on_deposit(*coin);
-                    self.ledger_coin(*coin);
-                }
-            }
-            JournalOp::DowntimeBinding { coin, binding, served } => {
-                if let Some(record) = self.coins.get_mut(coin) {
-                    record.downtime_binding = Some(binding.clone());
-                    record.last_served = Some(served.clone());
-                    self.audit.on_binding(*coin, binding.seq());
-                    self.ledger_coin(*coin);
-                }
-            }
-            JournalOp::Fraud { case } => {
-                self.fraud.push(case.clone());
-                if let Some(ledger) = self.ledger.as_mut() {
-                    ledger.push_fraud(case);
-                }
-            }
-            JournalOp::ChainRedeem { chain, served } => {
-                if let ServedOp::RedeemChain { commitment, payword, receipt } = served {
-                    self.audit.on_chain_redeem(*chain, receipt.total, commitment.capacity);
-                    let record = self.chains.entry(*chain).or_insert_with(|| ChainRecord {
-                        commitment: Arc::clone(commitment),
-                        settled: 0,
-                        best_word: commitment.root,
-                        last_served: None,
-                    });
-                    record.settled = receipt.total;
-                    record.best_word = payword.word;
-                    record.last_served = Some(served.clone());
-                    self.ledger_chain(*chain);
-                }
-            }
-            JournalOp::Counters => {}
         }
-        self.stats = entry.stats;
-        if let Some(ledger) = self.ledger.as_mut() {
-            let (root, seq) = ledger.commit_stats(&self.stats);
-            if root != entry.root || seq != entry.seq {
-                self.audit.on_root_mismatch(format!(
-                    "replayed journal entry seq {} recomputed (root {:02x}{:02x}.., seq {}) \
-                     but the entry committed (root {:02x}{:02x}.., seq {})",
-                    entry.seq, root[0], root[1], seq, entry.root[0], entry.root[1], entry.seq,
-                ));
-            }
+        let (root, seq) = self.commit(&entry.op, Some(entry.stats));
+        if (root, seq) != (entry.root, entry.seq) {
+            self.audit.on_root_mismatch(format!(
+                "replayed journal entry seq {} recomputed (root {:02x}{:02x}.., seq {}) \
+                 but the entry committed (root {:02x}{:02x}.., seq {})",
+                entry.seq, root[0], root[1], seq, entry.root[0], entry.root[1], entry.seq,
+            ));
         }
     }
 

@@ -1,12 +1,18 @@
 //! The broker's append-only crash-recovery journal.
 //!
-//! Every state mutation the broker performs — registrations, mints,
-//! deposits, downtime bindings, fraud findings, and bare counter bumps —
-//! is appended as a [`JournalEntry`] before the response leaves the
-//! broker. Each entry carries the *post-op* [`BrokerStats`], so recovery
-//! never has to reconstruct counters from the ops: replaying entry by
-//! entry and adopting the last stats snapshot yields exactly the
-//! pre-crash numbers, rejections included.
+//! Every state mutation the broker performs is appended as a
+//! [`JournalEntry`] before the response leaves the broker, and the entry
+//! *is* what the broker committed: a registration, a fraud finding, a
+//! bare counter bump, or — for a mint, a deposit, a downtime transfer or
+//! renewal and a chain redemption — the served operation itself
+//! ([`JournalOp::Served`]), the same request-and-answer memo the coin's
+//! or chain's record keeps. The coin, the minted coin, the new binding
+//! and the chain are read off that memo, so an entry states nothing
+//! twice, and `Broker::commit` — the one function that applies an op —
+//! runs on it live and on replay alike. Each entry carries the *post-op*
+//! [`BrokerStats`], so recovery never has to reconstruct counters from
+//! the ops: replaying entry by entry and adopting the last stats
+//! snapshot yields exactly the pre-crash numbers, rejections included.
 //!
 //! A [`JournalOp::Checkpoint`] folds the whole current state into one
 //! entry and truncates everything before it, bounding journal growth;
@@ -35,7 +41,7 @@ use crate::micropay::ChainCommitment;
 use crate::replay::ServedOp;
 use crate::types::{ChainId, CoinId, PeerId};
 use crate::view::{
-    parse_digest32, parse_nonce, parse_owner_tag, parse_payword, parse_receipt,
+    parse_digest32, parse_list, parse_nonce, parse_owner_tag, parse_payword, parse_receipt,
     parse_redemption_receipt, BindingRef, CommitmentRef, DepositRef, GrantRef, GroupSigRef, IntRef,
     MintedRef, RenewalRef, SigRef, TransferRef,
 };
@@ -45,7 +51,8 @@ use crate::wire::{
     put_transfer,
 };
 
-/// One coin's complete broker-side state, as frozen by a checkpoint.
+/// One coin's complete broker-side state: the broker's own record of
+/// the coin, and what a checkpoint freezes of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoinSnapshot {
     /// The broker-signed coin.
@@ -58,13 +65,20 @@ pub struct CoinSnapshot {
     pub last_served: Option<ServedOp>,
 }
 
-/// One micropayment chain's complete broker-side state, as frozen by a
-/// checkpoint.
+/// One micropayment chain's complete broker-side state: the broker's
+/// own record of the chain, and what a checkpoint freezes of it.
+///
+/// The broker never replays the whole hash chain: it keeps the word at
+/// the settled frontier and skip-verifies from it, so each incremental
+/// redemption costs `O(gap mod checkpoint_every + 1)` SHA-256
+/// evaluations regardless of chain length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainSnapshot {
-    /// The group-signed commitment presented at first redemption.
-    pub commitment: ChainCommitment,
-    /// Units settled (credited) so far.
+    /// The group-signed commitment presented at first redemption, shared
+    /// with the replay memo and the journal entry of every redemption
+    /// served since.
+    pub commitment: Arc<ChainCommitment>,
+    /// Units settled (credited) so far — the payword index frontier.
     pub settled: u64,
     /// The chain word at index `settled` — the resume anchor for the
     /// next incremental redemption.
@@ -87,7 +101,12 @@ pub struct CheckpointState {
     pub chains: Vec<(ChainId, ChainSnapshot)>,
 }
 
-/// One journalled broker mutation.
+/// One journalled broker mutation: what `Broker::commit` was handed.
+///
+/// Most entries of a journal are served ops, so the largest variant's
+/// footprint is what an entry costs either way — boxing it would only add
+/// an allocation to every append.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalOp {
     /// A peer registered an identity key.
@@ -97,41 +116,18 @@ pub enum JournalOp {
         /// Its identity key.
         key: DsaPublicKey,
     },
-    /// A coin was minted.
-    Mint {
-        /// The minted coin.
-        minted: MintedCoin,
-        /// The replay memo set on the new record.
-        served: ServedOp,
-    },
-    /// A coin was redeemed.
-    Deposit {
-        /// The redeemed coin.
-        coin: CoinId,
-        /// The replay memo set on the record.
-        served: ServedOp,
-    },
-    /// A downtime transfer/renewal updated the broker-managed binding.
-    DowntimeBinding {
-        /// The coin whose binding changed.
-        coin: CoinId,
-        /// The new broker-signed binding.
-        binding: Binding,
-        /// The replay memo set on the record.
-        served: ServedOp,
-    },
+    /// A mint, a deposit, a downtime transfer or renewal, or a chain
+    /// redemption, as the replay memo the record now holds. The memo
+    /// names what it changed — a purchase its minted coin, a deposit the
+    /// coin it redeems, a transfer or renewal the new broker-signed
+    /// binding, a redemption its chain, commitment and frontier — so the
+    /// entry carries nothing beside it. [`ServedOp::Issue`], which only a
+    /// peer serves, does not decode here.
+    Served(ServedOp),
     /// A fraud case was recorded.
     Fraud {
         /// The recorded case.
         case: FraudCase,
-    },
-    /// A micropayment chain redemption settled value.
-    ChainRedeem {
-        /// The redeemed chain.
-        chain: ChainId,
-        /// The replay memo set on the record (carries the commitment
-        /// and receipt, so recovery can rebuild the chain record).
-        served: ServedOp,
     },
     /// No structural change — only the stats snapshot riding on the
     /// entry matters (rejections, syncs, replays).
@@ -290,27 +286,17 @@ fn decode_entry(frame: &[u8]) -> Result<JournalEntry, DecodeError> {
 // --- field encodings ---
 
 pub(crate) fn put_stats(w: &mut Writer, s: &BrokerStats) {
-    w.u64(s.purchases)
-        .u64(s.deposits)
-        .u64(s.downtime_transfers)
-        .u64(s.downtime_renewals)
-        .u64(s.syncs)
-        .u64(s.rejections)
-        .u64(s.replays)
-        .u64(s.redemptions);
+    for (_, value) in s.counters() {
+        w.u64(value);
+    }
 }
 
 fn get_stats(r: &mut Reader<'_>) -> Result<BrokerStats, DecodeError> {
-    Ok(BrokerStats {
-        purchases: r.u64()?,
-        deposits: r.u64()?,
-        downtime_transfers: r.u64()?,
-        downtime_renewals: r.u64()?,
-        syncs: r.u64()?,
-        rejections: r.u64()?,
-        replays: r.u64()?,
-        redemptions: r.u64()?,
-    })
+    let mut stats = BrokerStats::default();
+    for (_, value) in stats.counters_mut() {
+        *value = r.u64()?;
+    }
+    Ok(stats)
 }
 
 fn put_coin_id(w: &mut Writer, id: &CoinId) {
@@ -321,42 +307,35 @@ fn get_coin_id(r: &mut Reader<'_>) -> Result<CoinId, DecodeError> {
     Ok(CoinId(parse_digest32(r)?))
 }
 
+/// An optional field: a presence flag, then the value if there is one.
+pub(crate) fn put_opt<T>(w: &mut Writer, value: Option<&T>, put: impl FnOnce(&mut Writer, &T)) {
+    w.u64(u64::from(value.is_some()));
+    if let Some(value) = value {
+        put(w, value);
+    }
+}
+
 fn put_purchase(w: &mut Writer, p: &PurchaseRequest) {
     put_owner_tag(w, &p.owner);
     w.int(&p.coin_pk);
-    match &p.identity_sig {
-        Some(sig) => {
-            w.u64(1);
-            put_sig(w, sig);
-        }
-        None => {
-            w.u64(0);
-        }
-    }
-    match &p.group_sig {
-        Some(sig) => {
-            w.u64(1);
-            put_gsig(w, sig);
-        }
-        None => {
-            w.u64(0);
-        }
+    put_opt(w, p.identity_sig.as_ref(), put_sig);
+    put_opt(w, p.group_sig.as_ref(), put_gsig);
+}
+
+/// A presence or boolean flag: 0 or 1, nothing else.
+fn get_flag(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
+    match r.u64()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(DecodeError),
     }
 }
 
 fn get_purchase(r: &mut Reader<'_>) -> Result<PurchaseRequest, DecodeError> {
     let owner = parse_owner_tag(r)?;
     let coin_pk = IntRef::parse(r)?.to_biguint();
-    let identity_sig = match r.u64()? {
-        0 => None,
-        1 => Some(SigRef::parse(r)?.to_sig()),
-        _ => return Err(DecodeError),
-    };
-    let group_sig = match r.u64()? {
-        0 => None,
-        1 => Some(GroupSigRef::parse(r)?.to_gsig()),
-        _ => return Err(DecodeError),
-    };
+    let identity_sig = get_flag(r)?.then(|| SigRef::parse(r)).transpose()?.map(|s| s.to_sig());
+    let group_sig = get_flag(r)?.then(|| GroupSigRef::parse(r)).transpose()?.map(|s| s.to_gsig());
     Ok(PurchaseRequest { owner, coin_pk, identity_sig, group_sig })
 }
 
@@ -428,24 +407,8 @@ fn get_served(r: &mut Reader<'_>) -> Result<ServedOp, DecodeError> {
     }
 }
 
-fn put_opt_served(w: &mut Writer, op: &Option<ServedOp>) {
-    match op {
-        Some(op) => {
-            w.u64(1);
-            put_served(w, op);
-        }
-        None => {
-            w.u64(0);
-        }
-    }
-}
-
 fn get_opt_served(r: &mut Reader<'_>) -> Result<Option<ServedOp>, DecodeError> {
-    match r.u64()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_served(r)?)),
-        _ => Err(DecodeError),
-    }
+    get_flag(r)?.then(|| get_served(r)).transpose()
 }
 
 pub(crate) fn put_fraud(w: &mut Writer, case: &FraudCase) {
@@ -460,11 +423,7 @@ pub(crate) fn put_fraud(w: &mut Writer, case: &FraudCase) {
 fn get_fraud(r: &mut Reader<'_>) -> Result<FraudCase, DecodeError> {
     let coin = get_coin_id(r)?;
     let description = String::from_utf8(r.bytes()?.to_vec()).map_err(|_| DecodeError)?;
-    let n = r.u64()? as usize;
-    let mut group_sigs = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        group_sigs.push(GroupSigRef::parse(r)?.to_gsig());
-    }
+    let group_sigs = parse_list(r, usize::MAX, MIN_GSIG, |r| Ok(GroupSigRef::parse(r)?.to_gsig()))?;
     Ok(FraudCase { coin, description, group_sigs })
 }
 
@@ -477,17 +436,9 @@ fn put_checkpoint(w: &mut Writer, state: &CheckpointState) {
     for (id, snap) in &state.coins {
         put_coin_id(w, id);
         put_minted(w, &snap.minted);
-        match &snap.downtime_binding {
-            Some(b) => {
-                w.u64(1);
-                put_binding(w, b);
-            }
-            None => {
-                w.u64(0);
-            }
-        }
+        put_opt(w, snap.downtime_binding.as_ref(), put_binding);
         w.u64(u64::from(snap.deposited));
-        put_opt_served(w, &snap.last_served);
+        put_opt(w, snap.last_served.as_ref(), put_served);
     }
     w.u64(state.fraud.len() as u64);
     for case in &state.fraud {
@@ -498,74 +449,53 @@ fn put_checkpoint(w: &mut Writer, state: &CheckpointState) {
         w.bytes(&id.0);
         put_commitment(w, &snap.commitment);
         w.u64(snap.settled).bytes(&snap.best_word);
-        put_opt_served(w, &snap.last_served);
+        put_opt(w, snap.last_served.as_ref(), put_served);
     }
 }
 
+// The least one item of each journal list can encode to: what bounds a
+// count prefix by the bytes that are left ([`Reader::count`]) before
+// anything is reserved for it. A real checkpoint may hold any number of
+// items, so the bytes are the only cap. An integer or a flag is 8 bytes
+// at least, a digest 40, an owner tag 16, a DSA signature two integers
+// and a group signature five.
+const MIN_PEER: usize = 8 + 8;
+const MIN_GSIG: usize = 5 * 8;
+const MIN_COIN: usize = 40 + (16 + 8 + 16) + 8 + 8 + 8;
+const MIN_FRAUD: usize = 40 + 8 + 8;
+const MIN_CHAIN: usize = 40 + (40 + 8 + 8 + 8 + MIN_GSIG) + 8 + 40 + 8;
+
 fn get_checkpoint(r: &mut Reader<'_>) -> Result<CheckpointState, DecodeError> {
-    let n = r.u64()? as usize;
-    let mut registered = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let peer = PeerId(r.u64()?);
-        let key = DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint());
-        registered.push((peer, key));
-    }
-    let n = r.u64()? as usize;
-    let mut coins = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
+    let registered = parse_list(r, usize::MAX, MIN_PEER, |r| {
+        Ok((PeerId(r.u64()?), DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint())))
+    })?;
+    let coins = parse_list(r, usize::MAX, MIN_COIN, |r| {
         let id = get_coin_id(r)?;
         let minted = MintedRef::parse(r)?.to_minted();
-        let downtime_binding = match r.u64()? {
-            0 => None,
-            1 => Some(BindingRef::parse(r)?.to_binding()),
-            _ => return Err(DecodeError),
-        };
-        let deposited = match r.u64()? {
-            0 => false,
-            1 => true,
-            _ => return Err(DecodeError),
-        };
+        let downtime_binding = get_flag(r)?.then(|| BindingRef::parse(r)).transpose()?;
+        let downtime_binding = downtime_binding.map(|b| b.to_binding());
+        let deposited = get_flag(r)?;
         let last_served = get_opt_served(r)?;
-        coins.push((id, CoinSnapshot { minted, downtime_binding, deposited, last_served }));
-    }
-    let n = r.u64()? as usize;
-    let mut fraud = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        fraud.push(get_fraud(r)?);
-    }
-    let n = r.u64()? as usize;
-    let mut chains = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
+        Ok((id, CoinSnapshot { minted, downtime_binding, deposited, last_served }))
+    })?;
+    let fraud = parse_list(r, usize::MAX, MIN_FRAUD, get_fraud)?;
+    let chains = parse_list(r, usize::MAX, MIN_CHAIN, |r| {
         let id = ChainId(parse_digest32(r)?);
-        let commitment = CommitmentRef::parse(r)?.into_commitment();
+        let commitment = Arc::new(CommitmentRef::parse(r)?.into_commitment());
         let settled = r.u64()?;
         let best_word = parse_digest32(r)?;
         let last_served = get_opt_served(r)?;
-        chains.push((id, ChainSnapshot { commitment, settled, best_word, last_served }));
-    }
+        Ok((id, ChainSnapshot { commitment, settled, best_word, last_served }))
+    })?;
     Ok(CheckpointState { registered, coins, fraud, chains })
 }
 
+// Tags 1, 2, 3 and 7 are retired (they were Mint / Deposit / DowntimeBinding / ChainRedeem: a
+// served op next to fields copied out of it): never reused, Malformed.
 fn put_op(w: &mut Writer, op: &JournalOp) {
     match op {
         JournalOp::Register { peer, key } => {
             w.u64(0).u64(peer.0).int(key.element());
-        }
-        JournalOp::Mint { minted, served } => {
-            w.u64(1);
-            put_minted(w, minted);
-            put_served(w, served);
-        }
-        JournalOp::Deposit { coin, served } => {
-            w.u64(2);
-            put_coin_id(w, coin);
-            put_served(w, served);
-        }
-        JournalOp::DowntimeBinding { coin, binding, served } => {
-            w.u64(3);
-            put_coin_id(w, coin);
-            put_binding(w, binding);
-            put_served(w, served);
         }
         JournalOp::Fraud { case } => {
             w.u64(4);
@@ -578,8 +508,8 @@ fn put_op(w: &mut Writer, op: &JournalOp) {
             w.u64(6);
             put_checkpoint(w, state);
         }
-        JournalOp::ChainRedeem { chain, served } => {
-            w.u64(7).bytes(&chain.0);
+        JournalOp::Served(served) => {
+            w.u64(8);
             put_served(w, served);
         }
     }
@@ -591,17 +521,13 @@ fn get_op(r: &mut Reader<'_>) -> Result<JournalOp, DecodeError> {
             peer: PeerId(r.u64()?),
             key: DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint()),
         }),
-        1 => Ok(JournalOp::Mint { minted: MintedRef::parse(r)?.to_minted(), served: get_served(r)? }),
-        2 => Ok(JournalOp::Deposit { coin: get_coin_id(r)?, served: get_served(r)? }),
-        3 => Ok(JournalOp::DowntimeBinding {
-            coin: get_coin_id(r)?,
-            binding: BindingRef::parse(r)?.to_binding(),
-            served: get_served(r)?,
-        }),
         4 => Ok(JournalOp::Fraud { case: get_fraud(r)? }),
         5 => Ok(JournalOp::Counters),
         6 => Ok(JournalOp::Checkpoint(get_checkpoint(r)?)),
-        7 => Ok(JournalOp::ChainRedeem { chain: ChainId(parse_digest32(r)?), served: get_served(r)? }),
+        8 => match get_served(r)? {
+            ServedOp::Issue { .. } => Err(DecodeError),
+            served => Ok(JournalOp::Served(served)),
+        },
         _ => Err(DecodeError),
     }
 }

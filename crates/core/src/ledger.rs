@@ -33,7 +33,7 @@ use crate::broker::{BrokerStats, FraudCase};
 use crate::codec::Writer;
 use crate::coin::{Binding, MintedCoin, PublicBindingState};
 use crate::error::CoreError;
-use crate::journal::{put_fraud, put_served, put_stats, CheckpointState};
+use crate::journal::{put_fraud, put_opt, put_served, put_stats, CheckpointState};
 use crate::merkle::{InclusionProof, MerkleTree};
 use crate::micropay::ChainCommitment;
 use crate::replay::ServedOp;
@@ -96,7 +96,7 @@ pub fn minted_digest(minted: &MintedCoin) -> Digest {
 }
 
 /// Builds the committed leaf for one coin record from its parts (the
-/// same parts a [`crate::journal::CoinSnapshot`] carries).
+/// fields of a [`crate::journal::CoinSnapshot`], the broker's record).
 pub fn coin_leaf(
     coin: CoinId,
     minted: &MintedCoin,
@@ -120,24 +120,8 @@ pub fn coin_leaf_from_digest(
 ) -> CoinLeaf {
     let mut w = Writer::new();
     w.bytes(minted);
-    match downtime_binding {
-        Some(b) => {
-            w.u64(1);
-            put_binding(&mut w, b);
-        }
-        None => {
-            w.u64(0);
-        }
-    }
-    match last_served {
-        Some(op) => {
-            w.u64(1);
-            put_served(&mut w, op);
-        }
-        None => {
-            w.u64(0);
-        }
-    }
+    put_opt(&mut w, downtime_binding, put_binding);
+    put_opt(&mut w, last_served, put_served);
     let aux = Sha256::digest(&w.finish());
     let binding = downtime_binding.map(|b| PublicBindingState {
         holder_pk: b.holder_pk().clone(),
@@ -176,15 +160,7 @@ fn chain_leaf_bytes(
 ) -> Vec<u8> {
     let mut aux = Writer::new();
     put_commitment(&mut aux, commitment);
-    match last_served {
-        Some(op) => {
-            aux.u64(1);
-            put_served(&mut aux, op);
-        }
-        None => {
-            aux.u64(0);
-        }
-    }
+    put_opt(&mut aux, last_served, put_served);
     let aux = Sha256::digest(&aux.finish());
     let mut w = Writer::new();
     w.u64(LEAF_CHAIN).bytes(&chain.0).u64(settled).bytes(best_word).bytes(&aux);

@@ -14,6 +14,10 @@
 //! genuinely new — and genuinely conflicting — operation. A *different*
 //! request against the same coin still takes the normal verification
 //! path and is rejected as stale or double-spent as before.
+//!
+//! At the broker the memo is also the unit of mutation: the served op is
+//! what a handler hands `Broker::commit` and what the journal entry of
+//! that mutation holds ([`crate::journal::JournalOp::Served`]).
 
 use std::sync::Arc;
 

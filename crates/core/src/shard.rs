@@ -279,14 +279,9 @@ impl ShardedBroker {
         let mut total = BrokerStats::default();
         for shard in &self.shards {
             let s = shard.lock().expect("shard lock poisoned").stats();
-            total.purchases += s.purchases;
-            total.deposits += s.deposits;
-            total.downtime_transfers += s.downtime_transfers;
-            total.downtime_renewals += s.downtime_renewals;
-            total.syncs += s.syncs;
-            total.rejections += s.rejections;
-            total.replays += s.replays;
-            total.redemptions += s.redemptions;
+            for ((_, total), (_, value)) in total.counters_mut().into_iter().zip(s.counters()) {
+                *total += value;
+            }
         }
         total
     }
@@ -328,16 +323,7 @@ impl ShardedBroker {
     pub fn export_metrics(&self, metrics: &Metrics) {
         for (i, shard) in self.shards.iter().enumerate() {
             let s = shard.lock().expect("shard lock poisoned").stats();
-            for (op, value) in [
-                ("purchases", s.purchases),
-                ("deposits", s.deposits),
-                ("downtime_transfers", s.downtime_transfers),
-                ("downtime_renewals", s.downtime_renewals),
-                ("syncs", s.syncs),
-                ("rejections", s.rejections),
-                ("replays", s.replays),
-                ("redemptions", s.redemptions),
-            ] {
+            for (op, value) in s.counters() {
                 metrics.counter(&format!("broker.shard{i}.{op}")).add(value);
             }
         }

@@ -401,7 +401,7 @@ pub(crate) fn parse_digest32(r: &mut Reader<'_>) -> Result<[u8; 32], DecodeError
 // Inlined with `ResponseView::parse_inner` (see there): left to the
 // compiler it stays out of line and takes the tick-ack reader with it.
 #[inline(always)]
-fn parse_list<'a, T>(
+pub(crate) fn parse_list<'a, T>(
     r: &mut Reader<'a>,
     cap: usize,
     min_item: usize,

@@ -341,6 +341,34 @@ fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
         assert_eq!(Response::decode(&frame).unwrap_err(), CoreError::Malformed, "{what}");
         assert!(alloc_bytes() - before < 4096, "{what}: {} bytes", alloc_bytes() - before);
     }
+    // The journal's lists likewise: one frame of a few hundred bytes — a
+    // checkpoint promising 65 536 peers, coins (896 B each in memory),
+    // fraud cases or chains, and a fraud case promising as many group
+    // signatures — is refused on what is left of the frame.
+    let journal_frame = |op: &[u64]| {
+        let mut entry = Writer::new();
+        // seq, eight counters, the root, then the op's fields.
+        for field in [1].iter().chain(&[0; 8]) {
+            entry.u64(*field);
+        }
+        entry.bytes(&[7; 32]);
+        for field in op {
+            entry.u64(*field);
+        }
+        let mut w = Writer::new();
+        w.bytes(&entry.finish());
+        w.finish()
+    };
+    let n = 1 << 16;
+    // Tag 4, a 32-byte coin id, an empty description, the count.
+    let fraud_sigs = [4, 32, 0, 0, 0, 0, 0, n];
+    let frames: [&[u64]; 5] = [&[6, n], &[6, 0, n], &[6, 0, 0, n], &[6, 0, 0, 0, n], &fraud_sigs];
+    for (i, op) in frames.into_iter().enumerate() {
+        let frame = journal_frame(op);
+        let before = alloc_bytes();
+        assert_eq!(whopay_core::Journal::from_bytes(&frame).unwrap_err(), CoreError::Malformed);
+        assert!(alloc_bytes() - before < 4096, "journal list {i}: {} bytes", alloc_bytes() - before);
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! indirection, lazy sync), and the §7 layered-coin offline transfer.
 
 use whopay_core::{
-    dsd, layered::LayeredCoin, Broker, CoinShop, CoreError, Judge, Peer, PeerId, PurchaseMode,
+    dsd, layered::LayeredCoin, Broker, CoinShop, CoreError, Journal, Judge, Peer, PeerId, PurchaseMode,
     SystemParams, Timestamp,
 };
 use whopay_crypto::dsa::DsaKeyPair;
@@ -187,6 +187,67 @@ fn lazy_sync_adopts_newer_public_state() {
     let renew = w.peers[2].request_renewal(coin, &mut w.rng).unwrap();
     let renewed = w.peers[0].handle_renewal(renew, Timestamp(10), &mut w.rng).unwrap();
     w.peers[2].apply_renewal(coin, renewed).unwrap();
+}
+
+#[test]
+fn recovered_broker_republishes_its_downtime_bindings() {
+    let mut w = world(3, 25);
+    let mut rng = test_rng(250);
+    let (mut dht, entry) = dht_for(&w, 8, &mut rng);
+    let t0 = Timestamp(0);
+    w.broker.enable_journal();
+
+    // Two coins, each moved from holder 1 to holder 2 through the broker
+    // while their owner is offline: the broker stores both new bindings.
+    let grants: Vec<_> = (0..2)
+        .map(|_| {
+            let (req, pending) =
+                w.peers[0].create_purchase_request(PurchaseMode::Identified, &mut w.rng);
+            let minted = w.broker.handle_purchase(&req, &mut w.rng).unwrap();
+            let coin = w.peers[0].complete_purchase(minted, pending, t0, &mut w.rng).unwrap();
+            w_issue(&mut w, 0, 1, coin, t0);
+            let (invite, session) = w.peers[2].begin_receive(&mut w.rng);
+            let treq = w.peers[1].request_transfer(coin, &invite, &mut w.rng).unwrap();
+            let grant = w.broker.handle_downtime_transfer(&treq, Timestamp(5), &mut w.rng).unwrap();
+            w.peers[2].accept_grant(grant.clone(), session, Timestamp(5)).unwrap();
+            w.peers[1].complete_transfer(coin);
+            (coin, grant)
+        })
+        .collect();
+
+    // The second coin's binding reaches the public list, and then its
+    // owner comes back, adopts it and serves a renewal: the list now holds
+    // an owner-signed record newer than the binding the broker stores.
+    let (coin, grant) = &grants[1];
+    w.broker.publish_binding(&grant.binding, &mut dht, entry, &mut rng).unwrap();
+    let state = dsd::read_public_state(&mut dht, entry, grant.minted.coin_pk()).unwrap();
+    assert!(w.peers[0].adopt_public_state(*coin, &state, &mut w.rng).unwrap());
+    let renew = w.peers[2].request_renewal(*coin, &mut w.rng).unwrap();
+    let renewed = w.peers[0].handle_renewal(renew, Timestamp(10), &mut w.rng).unwrap();
+    w.peers[2].apply_renewal(*coin, renewed).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], *coin, &mut dht, entry, &mut w.rng).unwrap();
+    let newer = dsd::read_public_state(&mut dht, entry, grant.minted.coin_pk()).unwrap();
+    assert_eq!(newer.seq, grant.binding.seq() + 1);
+
+    // The broker crashes and comes back from its journal bytes.
+    let journal = Journal::from_bytes(&w.broker.journal().unwrap().to_bytes()).unwrap();
+    let gpk = w.judge.public_key().clone();
+    let recovered = Broker::recover(w.params.clone(), gpk, w.broker.export_keys(), &journal);
+    assert!(recovered.audit().ok(), "{:?}", recovered.audit().violations());
+
+    // Onto an empty public list every stored binding goes, and a payee's
+    // §5.1 check of the grants the crashed broker handed out passes.
+    let (mut empty, first) = dht_for(&w, 8, &mut rng);
+    assert_eq!(recovered.republish_downtime_bindings(&mut empty, first, &mut rng), 2);
+    for (_, grant) in &grants {
+        dsd::verify_grant_published(&mut empty, first, grant).unwrap();
+    }
+
+    // On the list that outlived the crash the owner's newer record stays:
+    // that binding is skipped, not an error, and the other one published.
+    assert_eq!(recovered.republish_downtime_bindings(&mut dht, entry, &mut rng), 1);
+    dsd::verify_grant_published(&mut dht, entry, &grants[0].1).unwrap();
+    assert_eq!(dsd::read_public_state(&mut dht, entry, grant.minted.coin_pk()).unwrap(), newer);
 }
 
 fn w_issue(w: &mut World, owner: usize, payee: usize, coin: whopay_core::CoinId, now: Timestamp) {

@@ -2,12 +2,15 @@
 //! broker.
 //!
 //! `tests/fixtures/journal_shard{0,1}.bin` are the two shard journals of
-//! the [`history`] below, serialised by the commit that made a DSA
-//! signature its two scalars on the wire and in the journal (PR 19, "a
-//! signature is (r, s)": the writers stopped appending the 80-byte
-//! batching witness, so the journal format changed there and the
-//! fixtures of `9ba7516` were rewritten with the recipe at the bottom of
-//! this comment). Next to them sit that commit's own answers: the
+//! the [`history`] below, serialised by the commit that made the served
+//! op the journal entry (PR 23, "a broker mutation is stated once": a
+//! mint, deposit, downtime binding or chain redemption is journalled as
+//! its replay memo alone, without the coin id, minted coin, binding or
+//! chain id copied out of it, so the journal format changed there and the
+//! fixtures of PR 19 were rewritten with the recipe at the bottom of this
+//! comment; the recovered checkpoints, roots and sequence numbers came
+//! out byte-identical to PR 19's). Next to them sit that commit's own
+//! answers: the
 //! recovered broker folded back into a one-entry checkpoint journal —
 //! seq, stats, root and the whole snapshot in the journal's canonical
 //! encoding (`journal_shard{0,1}.recovered.bin`) — and,

@@ -30,6 +30,14 @@
 //! All three agree byte for byte on every response, and at the end on
 //! every shard's snapshot, counters, journal, committed `(root, seq)` and
 //! verdict-cache accounting. No history is excepted.
+//!
+//! The same histories have one more reader: after every round each shard
+//! of the batched world is recovered from its journal bytes, and the
+//! replayed broker must hold the live one's records and counters with no
+//! auditor violation — which is the statement that every replayed entry,
+//! accepted, refused, replayed or delivered twice, recomputed the root
+//! the live broker committed (`recover` re-canonicalises the leaf layout
+//! afterwards, so the final root itself is not comparable).
 
 use std::sync::Arc;
 
@@ -37,9 +45,9 @@ use proptest::prelude::*;
 use whopay_core::service::{attach_client, attach_shard_endpoints, shared_clock};
 use whopay_core::wire::{Request, Response};
 use whopay_core::{
-    Binding, CoinId, DepositRequest, Judge, MintedCoin, OwnerTag, PaymentInvite, Peer, PeerId,
-    PendingPurchase, PurchaseMode, PurchaseRequest, ReceiveSession, RenewalRequest, ShardedBroker,
-    SystemParams, Timestamp, TransferRequest,
+    Binding, Broker, CoinId, DepositRequest, Journal, Judge, MintedCoin, OwnerTag, PaymentInvite, Peer,
+    PeerId, PendingPurchase, PurchaseMode, PurchaseRequest, ReceiveSession, RenewalRequest,
+    ShardedBroker, SystemParams, Timestamp, TransferRequest,
 };
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::elgamal::ElGamalCiphertext;
@@ -720,6 +728,17 @@ fn run(tags: &[u8], threads: usize, twisted_registrations: bool) -> whopay_core:
             if let Some(at) = asked {
                 clients.apply(at, Response::decode(&bytes).expect("own server's encoding"));
             }
+        }
+        // Live ≡ replay: the history so far, read back from the journal.
+        for i in 0..SHARDS {
+            let bytes = servers[0].sharded.journal_bytes(i).expect("journals are on");
+            let journal = Journal::from_bytes(&bytes).expect("own journal decodes");
+            let replayed =
+                Broker::recover(clients.params.clone(), clients.gpk.clone(), keys.clone(), &journal);
+            let live = servers[0].sharded.lock_shard(i);
+            assert_eq!(replayed.snapshot(), live.snapshot(), "shard {i}: replayed records");
+            assert_eq!(replayed.stats(), live.stats(), "shard {i}: replayed counters");
+            assert!(replayed.audit().ok(), "shard {i}: {:?}", replayed.audit().violations());
         }
     }
     for i in 0..SHARDS {

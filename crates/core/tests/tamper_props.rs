@@ -17,6 +17,10 @@
 //!   tolerant decoder recovers cleanly: the tail is dropped and counted,
 //!   replay of the surviving entries verifies, and the strict decoder
 //!   rejects the same bytes.
+//!
+//! And one forgery that is not a bit flip: a well-formed entry for a coin
+//! the broker never minted, under the root a replay that skipped it would
+//! reach, is flagged all the same — replay never skips.
 
 use std::sync::OnceLock;
 
@@ -237,4 +241,64 @@ fn torn_tail_is_tolerated_at_every_chop_offset() {
         // checkpoint commit.
         assert_eq!(recovered.committed_root().map(|(_, s)| s), Some(prev_seq + 1));
     }
+}
+
+/// Replay never skips: an entry naming a coin the broker never minted is
+/// a violation, even when it carries the very `(root, seq)` a replay that
+/// dropped it would compute — which anyone can work out, no key needed.
+#[test]
+fn a_forged_deposit_of_a_never_minted_coin_is_flagged_on_replay() {
+    use whopay_core::{JournalEntry, JournalOp, StateLedger};
+
+    // A broker that journals from the start: an empty checkpoint, then two
+    // registrations, a mint and that coin's deposit.
+    let mut rng = test_rng(0x7A4);
+    let params = SystemParams::new(tiny_group().clone());
+    let mut judge = Judge::new(params.group().clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let mut broker = Broker::new(params.clone(), gpk.clone(), &mut rng);
+    broker.enable_journal();
+    let mut enroll = |id: PeerId, rng: &mut rand::rngs::StdRng| {
+        let gk = judge.enroll(id, rng);
+        Peer::new(id, params.clone(), broker.public_key().clone(), gpk.clone(), gk, rng)
+    };
+    let mut owner = enroll(PeerId(1), &mut rng);
+    let mut holder = enroll(PeerId(2), &mut rng);
+    broker.register_peer(owner.id(), owner.public_key().clone());
+    let now = Timestamp(0);
+    let (req, pending) = owner.create_purchase_request(PurchaseMode::Identified, &mut rng);
+    let minted = broker.handle_purchase(&req, &mut rng).unwrap();
+    let coin = owner.complete_purchase(minted, pending, now, &mut rng).unwrap();
+    let (invite, session) = holder.begin_receive(&mut rng);
+    let grant = owner.issue_coin(coin, &invite, now, &mut rng).unwrap();
+    holder.accept_grant(grant, session, now).unwrap();
+    let deposit = holder.request_deposit(coin, &mut rng).unwrap();
+    broker.handle_deposit(&deposit, now).unwrap();
+
+    // The forgery: the checkpoint, then the deposit entry alone — no mint
+    // before it — claiming one deposit more than the checkpoint counted,
+    // under the root a replay reaches when it leaves the state alone.
+    let entries = broker.journal().unwrap().entries();
+    let (checkpoint, deposited) = (entries[0].clone(), entries.last().unwrap().clone());
+    let JournalOp::Checkpoint(state) = &checkpoint.op else {
+        panic!("a journal starts at a checkpoint")
+    };
+    assert!(state.coins.is_empty(), "the checkpoint knows no coin");
+    let mut stats = checkpoint.stats;
+    stats.deposits += 1;
+    let mut ledger = StateLedger::new();
+    ledger.rebuild(&checkpoint.stats, state);
+    let (root, _) = ledger.commit_stats(&stats);
+    let mut forged = Journal::new();
+    forged.append(checkpoint.clone());
+    forged.append(JournalEntry { seq: checkpoint.seq + 1, stats, root, op: deposited.op });
+    let forged = Journal::from_bytes(&forged.to_bytes()).expect("well formed");
+
+    let recovered = Broker::recover(params, gpk, broker.export_keys(), &forged);
+    let violations = recovered.audit().violations();
+    assert!(
+        violations.iter().any(|v| v.invariant == Invariant::StateCommitment),
+        "a deposit of a coin never minted replayed in silence: {violations:?}"
+    );
+    assert_eq!(recovered.snapshot().coins, state.coins, "and it changed no record");
 }

@@ -27,7 +27,7 @@ cargo test -p whopay-core -q --release --offline --test member_parity --test con
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — in lanes where the host has them; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test broker_accounting
 
-echo "==> cargo test -p whopay-core --release (the one wire decoder: props, fuzz [views, TickBatch, prepare groups, 4 KiB damaged real frames], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, golden frame sizes, journal fixture of the last format change with no uncommitted bit)"
+echo "==> cargo test -p whopay-core --release (the one wire decoder: props, fuzz [views, TickBatch, prepare groups, 4 KiB damaged real frames], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, golden frame sizes, journal fixture of the last format change — PR 23, the served op is the entry: recovered checkpoints byte-identical to the format before it, no uncommitted bit)"
 cargo test -p whopay-core -q --release --offline --test wire_props --test wire_fuzz --test alloc_regression --test wire_reconcile --test networked --test journal_fixture
 
 echo "==> cargo test --release --test chaos (chaos suite, pinned seed)"
@@ -104,7 +104,7 @@ done
 
 echo "==> no retired identifier in the docs, scripts, examples or crate sources (the comment that retires wire tag 6 excepted)"
 # One bracketed letter per name, so that this file does not match itself.
-retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced'
+retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord'
 tag6='// Tag 6 is retired in both tag spaces \(it was Deposit[B]atch / Receipts\): never reused, Malformed\.$'
 if grep -rnE "$retired" README.md DESIGN.md .claude/skills/verify/SKILL.md scripts examples crates/*/src \
     | grep -vE "(wire|view)\.rs:[0-9]+: *$tag6"; then
