@@ -1,11 +1,17 @@
-//! A minimal, self-describing binary codec.
+//! A minimal binary codec: one format, stated by field class.
 //!
 //! Coin bindings must cross trust boundaries as bytes (they are stored in
 //! the DHT and compared bit-for-bit by the broker), and the allowed
-//! dependency set contains no serde *format* crate. This module provides
-//! the small length-prefixed encoding the protocol needs: `u64`s,
-//! byte strings, and big integers, written and read in a fixed field
-//! order by each message type.
+//! dependency set contains no serde *format* crate. Each message type
+//! writes and reads its fields in a fixed order, and every field is of one
+//! class, as wide as what it carries: a one-byte tag, a `u64`, a bare
+//! fixed-width value, a big integer behind a `u16` length, a blob behind
+//! a `u32` length, a `u32` list count (DESIGN.md §10 has the table).
+//!
+//! No field has a second encoding: a flag is 0 or 1, an integer has no
+//! leading zero byte, a length the bytes left cannot hold is refused. A
+//! writer asserts what its class cannot frame — it never truncates — and
+//! no decoded value can trip such an assertion.
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
@@ -34,33 +40,53 @@ impl Writer {
         Writer { buf }
     }
 
-    /// Appends a fixed-width u64 (big-endian).
+    /// Appends a one-byte tag: a kind, an enum discriminant.
+    pub fn tag(&mut self, v: u8) -> &mut Self {
+        self.buf.push(v);
+        self
+    }
+
+    /// Appends a boolean or presence flag as the tag 0 or 1.
+    pub fn flag(&mut self, v: bool) -> &mut Self {
+        self.tag(u8::from(v))
+    }
+
+    /// Appends a 64-bit quantity (big-endian).
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
-    /// Appends a length-prefixed byte string.
-    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
-        self.u64(b.len() as u64);
+    /// Appends a fixed-width value bare — a 32-byte id, nonce or digest,
+    /// or a fixed-shape run of fields assembled on the stack, which goes
+    /// in with one copy instead of one growth check per field.
+    pub fn fixed<const N: usize>(&mut self, v: &[u8; N]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
+    /// Appends a list's item count, asserted to fit its `u32`.
+    pub fn count(&mut self, n: usize) -> &mut Self {
+        let n = u32::try_from(n).expect("a list or blob frames at most u32::MAX");
+        self.buf.extend_from_slice(&n.to_be_bytes());
+        self
+    }
+
+    /// Appends a variable-length blob behind its `u32` length (asserted
+    /// to fit).
+    pub fn blob(&mut self, b: &[u8]) -> &mut Self {
+        self.count(b.len());
         self.buf.extend_from_slice(b);
         self
     }
 
-    /// Appends a big integer (length-prefixed big-endian magnitude),
-    /// streaming the limbs directly into the buffer — no temporary
-    /// byte-vector per field.
+    /// Appends a big integer: a `u16` length (asserted to fit), then the
+    /// minimal big-endian magnitude, streamed from the limbs — no
+    /// temporary byte-vector per field.
     pub fn int(&mut self, v: &BigUint) -> &mut Self {
-        self.u64(v.be_len() as u64);
+        let len = u16::try_from(v.be_len()).expect("an integer frames at most u16::MAX bytes");
+        self.buf.extend_from_slice(&len.to_be_bytes());
         v.extend_be_bytes(&mut self.buf);
-        self
-    }
-
-    /// Appends already-encoded bytes verbatim: a fixed-shape run of
-    /// fields assembled on the stack goes in with one copy instead of
-    /// one growth check per field.
-    pub fn raw(&mut self, encoded: &[u8]) -> &mut Self {
-        self.buf.extend_from_slice(encoded);
         self
     }
 
@@ -174,22 +200,39 @@ impl<'a> Reader<'a> {
         Reader { buf }
     }
 
-    /// Reads a fixed-width u64.
+    /// Reads a one-byte tag.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] if nothing remains.
+    pub fn tag(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.raw::<1>()?[0])
+    }
+
+    /// Reads a boolean or presence flag.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on truncation and on any tag but 0 and 1.
+    pub fn flag(&mut self) -> Result<bool, DecodeError> {
+        match self.tag()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError),
+        }
+    }
+
+    /// Reads a 64-bit quantity.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] if fewer than 8 bytes remain.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        if self.buf.len() < 8 {
-            return Err(DecodeError);
-        }
-        let (head, rest) = self.buf.split_at(8);
-        self.buf = rest;
-        Ok(u64::from_be_bytes(head.try_into().expect("eight bytes")))
+        Ok(u64::from_be_bytes(*self.raw()?))
     }
 
     /// Reads the next `N` bytes as they are (the counterpart of
-    /// [`Writer::raw`]).
+    /// [`Writer::fixed`]).
     ///
     /// # Errors
     ///
@@ -200,28 +243,35 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
-    /// Reads a length-prefixed byte string.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on truncation.
-    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.u64()? as usize;
-        if self.buf.len() < len {
-            return Err(DecodeError);
-        }
-        let (head, rest) = self.buf.split_at(len);
+    fn take(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self.buf.split_at_checked(len).ok_or(DecodeError)?;
         self.buf = rest;
         Ok(head)
     }
 
-    /// Reads a big integer.
+    /// Reads a blob.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on truncation.
-    pub fn int(&mut self) -> Result<BigUint, DecodeError> {
-        Ok(BigUint::from_be_bytes(self.bytes()?))
+    pub fn blob(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = u32::from_be_bytes(*self.raw()?);
+        self.take(len as usize)
+    }
+
+    /// Reads a big integer as its big-endian magnitude, where it lies:
+    /// the one integer reader.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on truncation and on a leading zero byte — an
+    /// integer has one encoding.
+    pub fn int(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = u16::from_be_bytes(*self.raw()?);
+        match self.take(len as usize)? {
+            [0, ..] => Err(DecodeError),
+            be => Ok(be),
+        }
     }
 
     /// Reads the count prefix of a list whose items each encode to at
@@ -233,11 +283,16 @@ impl<'a> Reader<'a> {
     /// [`DecodeError`] on truncation, on a count above `cap`, and on a
     /// count the bytes that are left could not hold.
     pub fn count(&mut self, cap: usize, min_item: usize) -> Result<usize, DecodeError> {
-        let n = self.u64()?;
-        if n > cap as u64 || n > (self.buf.len() / min_item) as u64 {
+        let n = u32::from_be_bytes(*self.raw()?) as usize;
+        if n > cap || n > self.buf.len() / min_item {
             return Err(DecodeError);
         }
-        Ok(n as usize)
+        Ok(n)
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
     }
 
     /// Asserts the input is fully consumed.
@@ -259,27 +314,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_mixed_fields() {
+    fn round_trips_a_field_of_every_class() {
         let mut w = Writer::new();
-        w.u64(7).bytes(b"hello").int(&BigUint::from(1u128 << 100)).u64(0);
+        w.tag(7).flag(true).u64(9).fixed(&[3; 32]).blob(b"hello").int(&BigUint::from(1u128 << 100));
         let enc = w.finish();
+        assert_eq!(enc.len(), 1 + 1 + 8 + 32 + (4 + 5) + (2 + 13));
 
         let mut r = Reader::new(&enc);
-        assert_eq!(r.u64().unwrap(), 7);
-        assert_eq!(r.bytes().unwrap(), b"hello");
-        assert_eq!(r.int().unwrap(), BigUint::from(1u128 << 100));
-        assert_eq!(r.u64().unwrap(), 0);
+        assert_eq!(r.tag().unwrap(), 7);
+        assert!(r.flag().unwrap());
+        assert_eq!(r.u64().unwrap(), 9);
+        assert_eq!(r.raw::<32>().unwrap(), &[3; 32]);
+        assert_eq!(r.blob().unwrap(), b"hello");
+        assert_eq!(r.int().unwrap(), BigUint::from(1u128 << 100).to_be_bytes());
         r.finish().unwrap();
     }
 
     #[test]
     fn truncation_detected() {
         let mut w = Writer::new();
-        w.bytes(b"abc");
+        w.blob(b"abc");
         let mut enc = w.finish();
         enc.pop();
-        let mut r = Reader::new(&enc);
-        assert_eq!(r.bytes(), Err(DecodeError));
+        assert_eq!(Reader::new(&enc).blob(), Err(DecodeError));
+        assert_eq!(Reader::new(&enc[..3]).blob(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0, 2, 1]).int(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0; 7]).u64(), Err(DecodeError));
+        assert_eq!(Reader::new(&[]).tag(), Err(DecodeError));
     }
 
     #[test]
@@ -295,23 +356,38 @@ mod tests {
 
     #[test]
     fn absurd_length_prefix_is_rejected() {
-        let mut enc = Vec::new();
-        enc.extend_from_slice(&u64::MAX.to_be_bytes());
-        let mut r = Reader::new(&enc);
-        assert_eq!(r.bytes(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0xff; 4]).blob(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0xff; 2]).int(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0xff; 4]).count(usize::MAX, 1), Err(DecodeError));
+    }
+
+    #[test]
+    fn a_field_has_one_encoding() {
+        // A padded integer and a flag that is neither 0 nor 1 are refused.
+        assert_eq!(Reader::new(&[0, 3, 0, 0, 9]).int(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0, 1, 0]).int(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0, 1, 9]).int(), Ok(&[9][..]));
+        assert_eq!(Reader::new(&[0, 0]).int(), Ok(&[][..]));
+        assert_eq!(Reader::new(&[2]).flag(), Err(DecodeError));
+    }
+
+    #[test]
+    #[should_panic(expected = "u16::MAX")]
+    fn an_integer_too_long_for_its_class_is_never_truncated() {
+        Writer::new().int(&(BigUint::one() << (8 * usize::from(u16::MAX))));
     }
 
     #[test]
     fn with_buf_reuses_capacity_and_encodes_identically() {
         let mut w = Writer::new();
-        w.u64(7).bytes(b"hello").int(&BigUint::from(1u128 << 100));
+        w.u64(7).blob(b"hello").int(&BigUint::from(1u128 << 100));
         let fresh = w.finish();
 
         let recycled = Vec::with_capacity(256);
         let cap = recycled.capacity();
         let ptr = recycled.as_ptr();
         let mut w = Writer::with_buf(recycled);
-        w.u64(7).bytes(b"hello").int(&BigUint::from(1u128 << 100));
+        w.u64(7).blob(b"hello").int(&BigUint::from(1u128 << 100));
         let reused = w.finish();
         assert_eq!(reused, fresh);
         assert_eq!(reused.capacity(), cap);
@@ -324,9 +400,8 @@ mod tests {
         {
             let mut w = Writer::new();
             w.int(&v);
-            let mut expect = Writer::new();
-            expect.bytes(&v.to_be_bytes());
-            assert_eq!(w.finish(), expect.finish());
+            let be = v.to_be_bytes();
+            assert_eq!(w.finish(), [&(be.len() as u16).to_be_bytes()[..], &be].concat());
         }
     }
 
@@ -372,7 +447,7 @@ mod tests {
         w.int(&BigUint::zero());
         let enc = w.finish();
         let mut r = Reader::new(&enc);
-        assert!(r.int().unwrap().is_zero());
+        assert!(r.int().unwrap().is_empty());
         r.finish().unwrap();
     }
 }

@@ -261,7 +261,7 @@ impl Binding {
     /// [`DecodeError`] on truncated or trailing bytes.
     pub fn decode_public_state(bytes: &[u8]) -> Result<PublicBindingState, DecodeError> {
         let mut r = Reader::new(bytes);
-        let holder_pk = r.int()?;
+        let holder_pk = BigUint::from_be_bytes(r.int()?);
         let seq = r.u64()?;
         let expires = Timestamp(r.u64()?);
         r.finish()?;

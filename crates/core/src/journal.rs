@@ -21,7 +21,7 @@
 //! asserts this field by field).
 //!
 //! Persistence itself is out of scope — the journal serialises to the
-//! repo's length-prefixed binary codec ([`Journal::to_bytes`] /
+//! repo's field-class binary codec ([`Journal::to_bytes`] /
 //! [`Journal::from_bytes`]) and the operator decides where the bytes
 //! live. The broker's secret key is deliberately *not* journalled;
 //! [`crate::Broker::export_keys`] hands it to the operator out of band.
@@ -41,14 +41,13 @@ use crate::micropay::ChainCommitment;
 use crate::replay::ServedOp;
 use crate::types::{ChainId, CoinId, PeerId};
 use crate::view::{
-    parse_digest32, parse_list, parse_nonce, parse_owner_tag, parse_payword, parse_receipt,
+    parse_digest32, parse_list, parse_owner_tag, parse_payword, parse_receipt,
     parse_redemption_receipt, BindingRef, CommitmentRef, DepositRef, GrantRef, GroupSigRef, IntRef,
     MintedRef, RenewalRef, SigRef, TransferRef,
 };
 use crate::wire::{
-    put_binding, put_commitment, put_deposit, put_grant, put_gsig, put_minted, put_nonce,
-    put_owner_tag, put_payword, put_receipt, put_redemption_receipt, put_renewal, put_sig,
-    put_transfer,
+    put_binding, put_commitment, put_deposit, put_grant, put_gsig, put_minted, put_owner_tag,
+    put_payword, put_receipt, put_redemption_receipt, put_renewal, put_sig, put_transfer,
 };
 
 /// One coin's complete broker-side state: the broker's own record of
@@ -200,9 +199,9 @@ impl Journal {
         self.entries.is_empty()
     }
 
-    /// Serialises the journal with the repo's length-prefixed codec.
+    /// Serialises the journal with the repo's codec.
     ///
-    /// Each entry is an independent length-prefixed *frame*, so a crash
+    /// Each entry is an independent *frame* behind a `u32` length, so a crash
     /// mid-append leaves an incomplete trailing frame that decode can
     /// distinguish from corruption *inside* a complete frame: the former
     /// is a torn tail (tolerable), the latter is tampering (fatal).
@@ -212,9 +211,9 @@ impl Journal {
             let mut inner = Writer::new();
             inner.u64(entry.seq);
             put_stats(&mut inner, &entry.stats);
-            inner.bytes(&entry.root);
+            inner.fixed(&entry.root);
             put_op(&mut inner, &entry.op);
-            w.bytes(&inner.finish());
+            w.blob(&inner.finish());
         }
         w.finish()
     }
@@ -250,24 +249,14 @@ impl Journal {
     /// [`CoreError::Malformed`] when a complete frame fails to decode.
     pub fn from_bytes_tolerant(bytes: &[u8]) -> Result<(Journal, u64), CoreError> {
         let mut entries = Vec::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            // Frame header: a u64 length prefix. Fewer than 8 bytes left,
-            // or fewer payload bytes than promised → torn tail.
-            let Some(head) = bytes.get(pos..pos + 8) else {
-                return Ok((Journal { entries }, (bytes.len() - pos) as u64));
-            };
-            let len = u64::from_be_bytes(head.try_into().expect("eight bytes")) as usize;
-            let Some(frame) = bytes
-                .len()
-                .checked_sub(pos + 8)
-                .filter(|&r| r >= len)
-                .map(|_| &bytes[pos + 8..pos + 8 + len])
-            else {
-                return Ok((Journal { entries }, (bytes.len() - pos) as u64));
+        let mut r = Reader::new(bytes);
+        // A frame is a blob: too few bytes left for its length, or fewer
+        // payload bytes than that promises → torn tail.
+        while let left @ 1.. = r.remaining() {
+            let Ok(frame) = r.blob() else {
+                return Ok((Journal { entries }, left as u64));
             };
             entries.push(decode_entry(frame).map_err(|DecodeError| CoreError::Malformed)?);
-            pos += 8 + len;
         }
         Ok((Journal { entries }, 0))
     }
@@ -299,17 +288,9 @@ fn get_stats(r: &mut Reader<'_>) -> Result<BrokerStats, DecodeError> {
     Ok(stats)
 }
 
-fn put_coin_id(w: &mut Writer, id: &CoinId) {
-    w.bytes(&id.0);
-}
-
-fn get_coin_id(r: &mut Reader<'_>) -> Result<CoinId, DecodeError> {
-    Ok(CoinId(parse_digest32(r)?))
-}
-
 /// An optional field: a presence flag, then the value if there is one.
 pub(crate) fn put_opt<T>(w: &mut Writer, value: Option<&T>, put: impl FnOnce(&mut Writer, &T)) {
-    w.u64(u64::from(value.is_some()));
+    w.flag(value.is_some());
     if let Some(value) = value {
         put(w, value);
     }
@@ -322,52 +303,42 @@ fn put_purchase(w: &mut Writer, p: &PurchaseRequest) {
     put_opt(w, p.group_sig.as_ref(), put_gsig);
 }
 
-/// A presence or boolean flag: 0 or 1, nothing else.
-fn get_flag(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
-    match r.u64()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(DecodeError),
-    }
-}
-
 fn get_purchase(r: &mut Reader<'_>) -> Result<PurchaseRequest, DecodeError> {
     let owner = parse_owner_tag(r)?;
     let coin_pk = IntRef::parse(r)?.to_biguint();
-    let identity_sig = get_flag(r)?.then(|| SigRef::parse(r)).transpose()?.map(|s| s.to_sig());
-    let group_sig = get_flag(r)?.then(|| GroupSigRef::parse(r)).transpose()?.map(|s| s.to_gsig());
+    let identity_sig = r.flag()?.then(|| SigRef::parse(r)).transpose()?.map(|s| s.to_sig());
+    let group_sig = r.flag()?.then(|| GroupSigRef::parse(r)).transpose()?.map(|s| s.to_gsig());
     Ok(PurchaseRequest { owner, coin_pk, identity_sig, group_sig })
 }
 
 pub(crate) fn put_served(w: &mut Writer, op: &ServedOp) {
     match op {
         ServedOp::Purchase { request, minted } => {
-            w.u64(0);
+            w.tag(0);
             put_purchase(w, request);
             put_minted(w, minted);
         }
         ServedOp::Issue { holder_pk, nonce, grant } => {
-            w.u64(1).int(holder_pk);
-            put_nonce(w, nonce);
+            w.tag(1).int(holder_pk).fixed(nonce);
             put_grant(w, grant);
         }
         ServedOp::Transfer { request, grant } => {
-            w.u64(2);
+            w.tag(2);
             put_transfer(w, request);
             put_grant(w, grant);
         }
         ServedOp::Renewal { request, binding } => {
-            w.u64(3);
+            w.tag(3);
             put_renewal(w, request);
             put_binding(w, binding);
         }
         ServedOp::Deposit { request, receipt } => {
-            w.u64(4);
+            w.tag(4);
             put_deposit(w, request);
             put_receipt(w, receipt);
         }
         ServedOp::RedeemChain { commitment, payword, receipt } => {
-            w.u64(5);
+            w.tag(5);
             put_commitment(w, commitment);
             put_payword(w, payword);
             put_redemption_receipt(w, receipt);
@@ -376,14 +347,14 @@ pub(crate) fn put_served(w: &mut Writer, op: &ServedOp) {
 }
 
 fn get_served(r: &mut Reader<'_>) -> Result<ServedOp, DecodeError> {
-    match r.u64()? {
+    match r.tag()? {
         0 => Ok(ServedOp::Purchase {
             request: get_purchase(r)?,
             minted: MintedRef::parse(r)?.to_minted(),
         }),
         1 => Ok(ServedOp::Issue {
             holder_pk: IntRef::parse(r)?.to_biguint(),
-            nonce: parse_nonce(r)?,
+            nonce: parse_digest32(r)?,
             grant: GrantRef::parse(r)?.to_grant(),
         }),
         2 => Ok(ServedOp::Transfer {
@@ -408,47 +379,45 @@ fn get_served(r: &mut Reader<'_>) -> Result<ServedOp, DecodeError> {
 }
 
 fn get_opt_served(r: &mut Reader<'_>) -> Result<Option<ServedOp>, DecodeError> {
-    get_flag(r)?.then(|| get_served(r)).transpose()
+    r.flag()?.then(|| get_served(r)).transpose()
 }
 
 pub(crate) fn put_fraud(w: &mut Writer, case: &FraudCase) {
-    put_coin_id(w, &case.coin);
-    w.bytes(case.description.as_bytes());
-    w.u64(case.group_sigs.len() as u64);
+    w.fixed(&case.coin.0).blob(case.description.as_bytes()).count(case.group_sigs.len());
     for sig in &case.group_sigs {
         put_gsig(w, sig);
     }
 }
 
 fn get_fraud(r: &mut Reader<'_>) -> Result<FraudCase, DecodeError> {
-    let coin = get_coin_id(r)?;
-    let description = String::from_utf8(r.bytes()?.to_vec()).map_err(|_| DecodeError)?;
+    let coin = CoinId(parse_digest32(r)?);
+    let description = String::from_utf8(r.blob()?.to_vec()).map_err(|_| DecodeError)?;
     let group_sigs = parse_list(r, usize::MAX, MIN_GSIG, |r| Ok(GroupSigRef::parse(r)?.to_gsig()))?;
     Ok(FraudCase { coin, description, group_sigs })
 }
 
 fn put_checkpoint(w: &mut Writer, state: &CheckpointState) {
-    w.u64(state.registered.len() as u64);
+    w.count(state.registered.len());
     for (peer, key) in &state.registered {
         w.u64(peer.0).int(key.element());
     }
-    w.u64(state.coins.len() as u64);
+    w.count(state.coins.len());
     for (id, snap) in &state.coins {
-        put_coin_id(w, id);
+        w.fixed(&id.0);
         put_minted(w, &snap.minted);
         put_opt(w, snap.downtime_binding.as_ref(), put_binding);
-        w.u64(u64::from(snap.deposited));
+        w.flag(snap.deposited);
         put_opt(w, snap.last_served.as_ref(), put_served);
     }
-    w.u64(state.fraud.len() as u64);
+    w.count(state.fraud.len());
     for case in &state.fraud {
         put_fraud(w, case);
     }
-    w.u64(state.chains.len() as u64);
+    w.count(state.chains.len());
     for (id, snap) in &state.chains {
-        w.bytes(&id.0);
+        w.fixed(&id.0);
         put_commitment(w, &snap.commitment);
-        w.u64(snap.settled).bytes(&snap.best_word);
+        w.u64(snap.settled).fixed(&snap.best_word);
         put_opt(w, snap.last_served.as_ref(), put_served);
     }
 }
@@ -456,25 +425,25 @@ fn put_checkpoint(w: &mut Writer, state: &CheckpointState) {
 // The least one item of each journal list can encode to: what bounds a
 // count prefix by the bytes that are left ([`Reader::count`]) before
 // anything is reserved for it. A real checkpoint may hold any number of
-// items, so the bytes are the only cap. An integer or a flag is 8 bytes
-// at least, a digest 40, an owner tag 16, a DSA signature two integers
-// and a group signature five.
-const MIN_PEER: usize = 8 + 8;
-const MIN_GSIG: usize = 5 * 8;
-const MIN_COIN: usize = 40 + (16 + 8 + 16) + 8 + 8 + 8;
-const MIN_FRAUD: usize = 40 + 8 + 8;
-const MIN_CHAIN: usize = 40 + (40 + 8 + 8 + 8 + MIN_GSIG) + 8 + 40 + 8;
+// items, so the bytes are the only cap. A flag or an owner tag is 1 byte
+// at least, an integer 2, a count or a blob 4, a digest 32, a DSA
+// signature two integers and a group signature five.
+const MIN_PEER: usize = 8 + 2;
+const MIN_GSIG: usize = 5 * 2;
+const MIN_COIN: usize = 32 + (1 + 2 + 4) + 1 + 1 + 1;
+const MIN_FRAUD: usize = 32 + 4 + 4;
+const MIN_CHAIN: usize = 32 + (32 + 8 + 8 + 4 + MIN_GSIG) + 8 + 32 + 1;
 
 fn get_checkpoint(r: &mut Reader<'_>) -> Result<CheckpointState, DecodeError> {
     let registered = parse_list(r, usize::MAX, MIN_PEER, |r| {
         Ok((PeerId(r.u64()?), DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint())))
     })?;
     let coins = parse_list(r, usize::MAX, MIN_COIN, |r| {
-        let id = get_coin_id(r)?;
+        let id = CoinId(parse_digest32(r)?);
         let minted = MintedRef::parse(r)?.to_minted();
-        let downtime_binding = get_flag(r)?.then(|| BindingRef::parse(r)).transpose()?;
+        let downtime_binding = r.flag()?.then(|| BindingRef::parse(r)).transpose()?;
         let downtime_binding = downtime_binding.map(|b| b.to_binding());
-        let deposited = get_flag(r)?;
+        let deposited = r.flag()?;
         let last_served = get_opt_served(r)?;
         Ok((id, CoinSnapshot { minted, downtime_binding, deposited, last_served }))
     })?;
@@ -495,28 +464,28 @@ fn get_checkpoint(r: &mut Reader<'_>) -> Result<CheckpointState, DecodeError> {
 fn put_op(w: &mut Writer, op: &JournalOp) {
     match op {
         JournalOp::Register { peer, key } => {
-            w.u64(0).u64(peer.0).int(key.element());
+            w.tag(0).u64(peer.0).int(key.element());
         }
         JournalOp::Fraud { case } => {
-            w.u64(4);
+            w.tag(4);
             put_fraud(w, case);
         }
         JournalOp::Counters => {
-            w.u64(5);
+            w.tag(5);
         }
         JournalOp::Checkpoint(state) => {
-            w.u64(6);
+            w.tag(6);
             put_checkpoint(w, state);
         }
         JournalOp::Served(served) => {
-            w.u64(8);
+            w.tag(8);
             put_served(w, served);
         }
     }
 }
 
 fn get_op(r: &mut Reader<'_>) -> Result<JournalOp, DecodeError> {
-    match r.u64()? {
+    match r.tag()? {
         0 => Ok(JournalOp::Register {
             peer: PeerId(r.u64()?),
             key: DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint()),

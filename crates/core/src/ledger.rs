@@ -38,15 +38,15 @@ use crate::merkle::{InclusionProof, MerkleTree};
 use crate::micropay::ChainCommitment;
 use crate::replay::ServedOp;
 use crate::types::{ChainId, CoinId, PeerId};
-use crate::wire::{put_binding, put_commitment, put_minted};
+use crate::wire::{put_binding, put_coin_leaf, put_commitment, put_minted};
 
 // Leaf kind tags (first field of every leaf payload, so no leaf of one
 // kind can collide with another).
-const LEAF_STATS: u64 = 0;
-const LEAF_PEER: u64 = 1;
-const LEAF_COIN: u64 = 2;
-const LEAF_FRAUD: u64 = 3;
-const LEAF_CHAIN: u64 = 4;
+const LEAF_STATS: u8 = 0;
+const LEAF_PEER: u8 = 1;
+const LEAF_COIN: u8 = 2;
+const LEAF_FRAUD: u8 = 3;
+const LEAF_CHAIN: u8 = 4;
 
 /// The public part of a committed coin leaf — what an inclusion proof
 /// reveals to a payee: the coin, whether it is spent, the broker-managed
@@ -71,16 +71,8 @@ pub struct CoinLeaf {
 /// commitment format.
 pub fn coin_leaf_bytes(leaf: &CoinLeaf) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64(LEAF_COIN).bytes(&leaf.coin.0).u64(u64::from(leaf.deposited));
-    match &leaf.binding {
-        Some(state) => {
-            w.u64(1).int(&state.holder_pk).u64(state.seq).u64(state.expires.0);
-        }
-        None => {
-            w.u64(0);
-        }
-    }
-    w.bytes(&leaf.aux);
+    w.tag(LEAF_COIN);
+    put_coin_leaf(&mut w, leaf);
     w.finish()
 }
 
@@ -119,7 +111,7 @@ pub fn coin_leaf_from_digest(
     last_served: Option<&ServedOp>,
 ) -> CoinLeaf {
     let mut w = Writer::new();
-    w.bytes(minted);
+    w.fixed(minted);
     put_opt(&mut w, downtime_binding, put_binding);
     put_opt(&mut w, last_served, put_served);
     let aux = Sha256::digest(&w.finish());
@@ -133,20 +125,20 @@ pub fn coin_leaf_from_digest(
 
 fn stats_leaf_bytes(stats: &BrokerStats) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64(LEAF_STATS);
+    w.tag(LEAF_STATS);
     put_stats(&mut w, stats);
     w.finish()
 }
 
 fn peer_leaf_bytes(peer: PeerId, key: &DsaPublicKey) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64(LEAF_PEER).u64(peer.0).int(key.element());
+    w.tag(LEAF_PEER).u64(peer.0).int(key.element());
     w.finish()
 }
 
 fn fraud_leaf_bytes(case: &FraudCase) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64(LEAF_FRAUD);
+    w.tag(LEAF_FRAUD);
     put_fraud(&mut w, case);
     w.finish()
 }
@@ -163,7 +155,7 @@ fn chain_leaf_bytes(
     put_opt(&mut aux, last_served, put_served);
     let aux = Sha256::digest(&aux.finish());
     let mut w = Writer::new();
-    w.u64(LEAF_CHAIN).bytes(&chain.0).u64(settled).bytes(best_word).bytes(&aux);
+    w.tag(LEAF_CHAIN).fixed(&chain.0).u64(settled).fixed(best_word).fixed(&aux);
     w.finish()
 }
 
@@ -370,11 +362,18 @@ pub struct SignedRoot {
 }
 
 impl SignedRoot {
-    /// The canonical signed message for a `(root, seq)` pair.
+    /// The canonical signed message for a `(root, seq)` pair: a signing
+    /// message, not a frame — label and root each behind a `u64` length,
+    /// as a [`whopay_crypto::hashio::Transcript`] frames its items.
     pub fn signed_bytes(root: &Digest, seq: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(b"whopay/ledger-root/v1").bytes(root).u64(seq);
-        w.finish()
+        const LABEL: &[u8] = b"whopay/ledger-root/v1";
+        let mut msg = Vec::with_capacity(8 + LABEL.len() + 8 + root.len() + 8);
+        for item in [LABEL, root] {
+            msg.extend_from_slice(&(item.len() as u64).to_be_bytes());
+            msg.extend_from_slice(item);
+        }
+        msg.extend_from_slice(&seq.to_be_bytes());
+        msg
     }
 
     /// Signs a `(root, seq)` pair with the broker's keys.
@@ -474,6 +473,6 @@ mod tests {
         let stats = stats_leaf_bytes(&BrokerStats::default());
         let peer =
             peer_leaf_bytes(PeerId(0), &DsaPublicKey::from_element(whopay_num::BigUint::from(5u64)));
-        assert_ne!(stats[..8], peer[..8]);
+        assert_ne!(stats[0], peer[0]);
     }
 }

@@ -212,9 +212,15 @@ impl Peer {
         rng: &mut R,
     ) -> Result<CoinId, CoreError> {
         let group = self.params.group();
-        if !minted.verify_cached(group, &self.broker_pk, &self.sig_cache)
-            || minted.coin_pk() != pending.coin_keys.public().element()
+        // Compared first, `pkC` is the key this peer generated — a group
+        // element by construction — so of `MintedCoin::verify` only the
+        // broker's signature is left to check, filed under the same key.
+        if minted.coin_pk() != pending.coin_keys.public().element()
             || minted.owner() != &pending.owner
+            || !self.sig_cache.verify_with(minted.mint_cache_key(group, &self.broker_pk), || {
+                let msg = MintedCoin::signed_bytes(minted.owner(), minted.coin_pk());
+                self.broker_pk.verify(group, &msg, minted.broker_sig())
+            })
         {
             return Err(CoreError::BadSignature);
         }

@@ -585,7 +585,7 @@ fn tick_exchange(
     exchange(net, from, to, span, encode, |reply| {
         match ResponseView::parse(reply).map_err(CallError::Protocol)? {
             ResponseView::TickAck { gained, total } => Ok((gained, total)),
-            ResponseView::Error(e) => Err(CallError::Remote(String::from_utf8_lossy(e).into_owned())),
+            ResponseView::Error(e) => Err(CallError::Remote(e.to_owned())),
             _ => Err(CallError::Protocol(CoreError::Malformed)),
         }
     })

@@ -43,8 +43,8 @@ use crate::wire::{
 use whopay_crypto::payword::Payword;
 
 /// A big integer still sitting in the wire buffer: the minimal big-endian
-/// magnitude, with any (attacker-supplied) leading zero bytes stripped at
-/// parse time so equality and hashing are canonical.
+/// magnitude — a padded one does not parse — so equality and hashing are
+/// canonical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IntRef<'a> {
     be: &'a [u8],
@@ -52,11 +52,10 @@ pub struct IntRef<'a> {
 
 impl<'a> IntRef<'a> {
     /// Least encoded size: the length prefix of an empty magnitude.
-    const MIN_WIRE_LEN: usize = 8;
+    const MIN_WIRE_LEN: usize = 2;
 
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let raw = r.bytes()?;
-        Ok(IntRef { be: &raw[raw.iter().take_while(|&&b| b == 0).count()..] })
+        Ok(IntRef { be: r.int()? })
     }
 
     /// The canonical big-endian magnitude (empty for zero).
@@ -134,23 +133,11 @@ impl<'a> GroupSigRef<'a> {
     }
 }
 
-pub(crate) fn parse_nonce(r: &mut Reader<'_>) -> Result<Nonce, DecodeError> {
-    r.bytes()?.try_into().map_err(|_| DecodeError)
-}
-
 pub(crate) fn parse_owner_tag(r: &mut Reader<'_>) -> Result<OwnerTag, DecodeError> {
-    match r.u64()? {
+    match r.tag()? {
         0 => Ok(OwnerTag::Identified(PeerId(r.u64()?))),
-        // The word an anonymous tag pads with says nothing, so it must
-        // say it one way: a frame or journal has no bit free to vary.
-        1 => match r.u64()? {
-            0 => Ok(OwnerTag::Anonymous),
-            _ => Err(DecodeError),
-        },
-        2 => {
-            let arr: [u8; 32] = r.bytes()?.try_into().map_err(|_| DecodeError)?;
-            Ok(OwnerTag::AnonymousWithHandle(Handle(arr)))
-        }
+        1 => Ok(OwnerTag::Anonymous),
+        2 => Ok(OwnerTag::AnonymousWithHandle(Handle(r.blob()?.try_into().map_err(|_| DecodeError)?))),
         _ => Err(DecodeError),
     }
 }
@@ -200,15 +187,15 @@ pub struct BindingRef<'a> {
 }
 
 impl<'a> BindingRef<'a> {
-    /// Two keys, three words (`seq`, `expires`, signer) and the signature.
-    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN + 24 + SigRef::MIN_WIRE_LEN;
+    /// Two keys, `seq`, `expires`, the signer tag and the signature.
+    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN + 17 + SigRef::MIN_WIRE_LEN;
 
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         let coin_pk = IntRef::parse(r)?;
         let holder_pk = IntRef::parse(r)?;
         let seq = r.u64()?;
         let expires = Timestamp(r.u64()?);
-        let signer = match r.u64()? {
+        let signer = match r.tag()? {
             0 => BindingSigner::CoinKey,
             1 => BindingSigner::Broker,
             _ => return Err(DecodeError),
@@ -244,7 +231,7 @@ impl<'a> InviteRef<'a> {
     fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(InviteRef {
             holder_pk: IntRef::parse(r)?,
-            nonce: parse_nonce(r)?,
+            nonce: parse_digest32(r)?,
             group_sig: GroupSigRef::parse(r)?,
         })
     }
@@ -313,7 +300,7 @@ impl<'a> TransferRef<'a> {
         Ok(TransferRef {
             current: BindingRef::parse(r)?,
             new_holder_pk: IntRef::parse(r)?,
-            nonce: parse_nonce(r)?,
+            nonce: parse_digest32(r)?,
             holder_sig: SigRef::parse(r)?,
             group_sig: GroupSigRef::parse(r)?,
         })
@@ -392,7 +379,7 @@ impl<'a> GrantRef<'a> {
 }
 
 pub(crate) fn parse_digest32(r: &mut Reader<'_>) -> Result<[u8; 32], DecodeError> {
-    r.bytes()?.try_into().map_err(|_| DecodeError)
+    r.raw().copied()
 }
 
 /// Reads a count-prefixed list of at most `cap` items, each at least
@@ -417,7 +404,7 @@ pub(crate) fn parse_list<'a, T>(
 
 /// A count-prefixed list of digests (checkpoints, siblings).
 fn parse_digests(r: &mut Reader<'_>, cap: usize) -> Result<Vec<[u8; 32]>, DecodeError> {
-    parse_list(r, cap, 8 + 32, parse_digest32)
+    parse_list(r, cap, 32, parse_digest32)
 }
 
 pub(crate) fn parse_receipt(r: &mut Reader<'_>) -> Result<DepositReceipt, DecodeError> {
@@ -428,16 +415,10 @@ pub(crate) fn parse_redemption_receipt(r: &mut Reader<'_>) -> Result<RedemptionR
     Ok(RedemptionReceipt { chain: ChainId(parse_digest32(r)?), credited: r.u64()?, total: r.u64()? })
 }
 
-/// Reads `u64(index).bytes(&word)` as one fixed-width field: a payword
-/// decodes exactly when its length prefix says 32 and all 48 bytes are
-/// there.
+/// Reads `u64(index).fixed(&word)` as one fixed-width field.
 pub(crate) fn parse_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
     let encoded = r.raw::<PAYWORD_WIRE_LEN>()?;
-    let (index, rest) = encoded.split_first_chunk::<8>().expect("48 >= 8");
-    let (len, word) = rest.split_first_chunk::<8>().expect("40 >= 8");
-    if u64::from_be_bytes(*len) != 32 {
-        return Err(DecodeError);
-    }
+    let (index, word) = encoded.split_first_chunk::<8>().expect("40 >= 8");
     Ok(Payword { index: u64::from_be_bytes(*index), word: word.try_into().expect("32 bytes remain") })
 }
 
@@ -525,15 +506,10 @@ pub struct CoinLeafRef<'a> {
 impl<'a> CoinLeafRef<'a> {
     fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         let coin = CoinId(parse_digest32(r)?);
-        let deposited = match r.u64()? {
-            0 => false,
-            1 => true,
-            _ => return Err(DecodeError),
-        };
-        let binding = match r.u64()? {
-            0 => None,
-            1 => Some((IntRef::parse(r)?, r.u64()?, Timestamp(r.u64()?))),
-            _ => return Err(DecodeError),
+        let deposited = r.flag()?;
+        let binding = match r.flag()? {
+            false => None,
+            true => Some((IntRef::parse(r)?, r.u64()?, Timestamp(r.u64()?))),
         };
         Ok(CoinLeafRef { coin, deposited, binding, aux: parse_digest32(r)? })
     }
@@ -698,11 +674,11 @@ impl<'a> RequestView<'a> {
     }
 
     fn parse_inner(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(match r.u64()? {
+        Ok(match r.tag()? {
             0 => {
                 let owner = parse_owner_tag(r)?;
                 let coin_pk = IntRef::parse(r)?;
-                let (identity_sig, group_sig) = match r.u64()? {
+                let (identity_sig, group_sig) = match r.tag()? {
                     0 => (Some(SigRef::parse(r)?), None),
                     1 => (None, Some(GroupSigRef::parse(r)?)),
                     2 => (None, None),
@@ -711,12 +687,12 @@ impl<'a> RequestView<'a> {
                 RequestView::Purchase { owner, coin_pk, identity_sig, group_sig }
             }
             1 => RequestView::Issue { coin: CoinId(parse_digest32(r)?), invite: InviteRef::parse(r)? },
-            2 => RequestView::Transfer { downtime: r.u64()? != 0, request: TransferRef::parse(r)? },
-            3 => RequestView::Renewal { downtime: r.u64()? != 0, request: RenewalRef::parse(r)? },
+            2 => RequestView::Transfer { downtime: r.flag()?, request: TransferRef::parse(r)? },
+            3 => RequestView::Renewal { downtime: r.flag()?, request: RenewalRef::parse(r)? },
             4 => RequestView::Deposit(DepositRef::parse(r)?),
             5 => RequestView::Sync {
                 peer: PeerId(r.u64()?),
-                challenge: r.bytes()?,
+                challenge: r.blob()?,
                 response: SigRef::parse(r)?,
             },
             // Tag 6 is retired in both tag spaces (it was DepositBatch / Receipts): never reused, Malformed.
@@ -838,8 +814,8 @@ pub enum ResponseView<'a> {
     Receipt(DepositReceipt),
     /// Broker-held bindings (sync result).
     Bindings(Vec<BindingRef<'a>>),
-    /// The request was refused (raw message bytes).
-    Error(&'a [u8]),
+    /// The request was refused (the message text, borrowed).
+    Error(&'a str),
     /// A micropayment chain is open and accepted.
     ChainAccepted(ChainId),
     /// A tick (or batch) landed.
@@ -876,7 +852,7 @@ impl<'a> ResponseView<'a> {
 
     #[inline(always)]
     fn parse_inner(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(match r.u64()? {
+        Ok(match r.tag()? {
             0 => ResponseView::Minted(MintedRef::parse(r)?),
             1 => ResponseView::Grant(GrantRef::parse(r)?),
             2 => ResponseView::Binding(BindingRef::parse(r)?),
@@ -887,7 +863,7 @@ impl<'a> ResponseView<'a> {
                 BindingRef::MIN_WIRE_LEN,
                 BindingRef::parse,
             )?),
-            5 => ResponseView::Error(r.bytes()?),
+            5 => ResponseView::Error(std::str::from_utf8(r.blob()?).map_err(|_| DecodeError)?),
             // Tag 6 is retired in both tag spaces (it was DepositBatch / Receipts): never reused, Malformed.
             7 => ResponseView::ChainAccepted(ChainId(parse_digest32(r)?)),
             8 => ResponseView::TickAck { gained: r.u64()?, total: r.u64()? },
@@ -907,7 +883,7 @@ impl<'a> ResponseView<'a> {
             ResponseView::Bindings(bs) => {
                 Response::Bindings(bs.iter().map(|b| b.to_binding()).collect())
             }
-            ResponseView::Error(e) => Response::Error(String::from_utf8_lossy(e).into_owned()),
+            ResponseView::Error(e) => Response::Error((*e).to_owned()),
             ResponseView::ChainAccepted(c) => Response::ChainAccepted(*c),
             ResponseView::TickAck { gained, total } => {
                 Response::TickAck { gained: *gained, total: *total }
@@ -924,12 +900,10 @@ mod tests {
     use crate::wire::wire_kind;
 
     #[test]
-    fn intref_strips_padding_and_compares_by_value() {
-        let mut w = crate::codec::Writer::new();
-        w.bytes(&[0, 0, 1, 2]);
-        let enc = w.finish();
-        let mut r = Reader::new(&enc);
-        let i = IntRef::parse(&mut r).unwrap();
+    fn intref_refuses_padding_and_compares_by_value() {
+        assert_eq!(IntRef::parse(&mut Reader::new(&[0, 4, 0, 0, 1, 2])), Err(DecodeError));
+        assert_eq!(IntRef::parse(&mut Reader::new(&[0, 1, 0])), Err(DecodeError));
+        let i = IntRef::parse(&mut Reader::new(&[0, 2, 1, 2])).unwrap();
         assert_eq!(i.be_bytes(), &[1, 2]);
         assert!(i.eq_big(&BigUint::from(0x0102u64)));
         assert!(!i.eq_big(&BigUint::from(0x0103u64)));
@@ -1059,7 +1033,7 @@ mod tests {
         let resp = Response::Error("nope".into());
         let bytes = resp.encode();
         match ResponseView::parse(&bytes).unwrap() {
-            ResponseView::Error(e) => assert_eq!(e, b"nope"),
+            ResponseView::Error(e) => assert_eq!(e, "nope"),
             other => panic!("wrong view {other:?}"),
         }
     }

@@ -1,7 +1,7 @@
 //! Binary wire encoding for the WhoPay protocol messages.
 //!
 //! Everything a peer or the broker sends over the network encodes through
-//! the length-prefixed [`crate::codec`], so the protocol can run over
+//! the field-class [`crate::codec`], so the protocol can run over
 //! `whopay-net`'s byte transport (see [`crate::service`]) with real
 //! message and byte accounting. This module defines the owned messages
 //! and writes them; [`crate::view`] reads them, and decoding here is its
@@ -18,7 +18,7 @@ use crate::error::CoreError;
 use crate::ledger::{BindingProof, CoinLeaf, SignedRoot};
 use crate::merkle::InclusionProof;
 use crate::messages::{
-    CoinGrant, DepositReceipt, DepositRequest, Nonce, PaymentInvite, PurchaseRequest, RenewalRequest,
+    CoinGrant, DepositReceipt, DepositRequest, PaymentInvite, PurchaseRequest, RenewalRequest,
     TransferRequest,
 };
 use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
@@ -153,20 +153,16 @@ pub(crate) fn put_gsig(w: &mut Writer, sig: &GroupSignature) {
         .int(sig.z_x());
 }
 
-pub(crate) fn put_nonce(w: &mut Writer, nonce: &Nonce) {
-    w.bytes(nonce);
-}
-
 pub(crate) fn put_owner_tag(w: &mut Writer, tag: &OwnerTag) {
     match tag {
         OwnerTag::Identified(p) => {
-            w.u64(0).u64(p.0);
+            w.tag(0).u64(p.0);
         }
         OwnerTag::Anonymous => {
-            w.u64(1).u64(0);
+            w.tag(1);
         }
         OwnerTag::AnonymousWithHandle(h) => {
-            w.u64(2).bytes(&h.0);
+            w.tag(2).blob(&h.0);
         }
     }
 }
@@ -179,7 +175,7 @@ pub(crate) fn put_minted(w: &mut Writer, m: &MintedCoin) {
 
 pub(crate) fn put_binding(w: &mut Writer, b: &Binding) {
     w.int(b.coin_pk()).int(b.holder_pk()).u64(b.seq()).u64(b.expires().0);
-    w.u64(match b.signer() {
+    w.tag(match b.signer() {
         BindingSigner::CoinKey => 0,
         BindingSigner::Broker => 1,
     });
@@ -187,8 +183,7 @@ pub(crate) fn put_binding(w: &mut Writer, b: &Binding) {
 }
 
 pub(crate) fn put_invite(w: &mut Writer, i: &PaymentInvite) {
-    w.int(&i.holder_pk);
-    put_nonce(w, &i.nonce);
+    w.int(&i.holder_pk).fixed(&i.nonce);
     put_gsig(w, &i.group_sig);
 }
 
@@ -200,8 +195,7 @@ pub(crate) fn put_grant(w: &mut Writer, g: &CoinGrant) {
 
 pub(crate) fn put_transfer(w: &mut Writer, t: &TransferRequest) {
     put_binding(w, &t.current);
-    w.int(&t.new_holder_pk);
-    put_nonce(w, &t.nonce);
+    w.int(&t.new_holder_pk).fixed(&t.nonce);
     put_sig(w, &t.holder_sig);
     put_gsig(w, &t.group_sig);
 }
@@ -213,7 +207,7 @@ pub(crate) fn put_renewal(w: &mut Writer, t: &RenewalRequest) {
 }
 
 pub(crate) fn put_receipt(w: &mut Writer, rc: &DepositReceipt) {
-    w.bytes(&rc.coin.0).u64(rc.value);
+    w.fixed(&rc.coin.0).u64(rc.value);
 }
 
 pub(crate) fn put_deposit(w: &mut Writer, d: &DepositRequest) {
@@ -223,49 +217,43 @@ pub(crate) fn put_deposit(w: &mut Writer, d: &DepositRequest) {
     put_gsig(w, &d.group_sig);
 }
 
-/// Encoded size of a payword: index, length prefix, 32-byte word.
-pub(crate) const PAYWORD_WIRE_LEN: usize = 48;
+/// Encoded size of a payword: index, 32-byte word.
+pub(crate) const PAYWORD_WIRE_LEN: usize = 40;
 
 pub(crate) fn put_payword(w: &mut Writer, p: &Payword) {
-    // `u64(index).bytes(&word)`, assembled first: a batch carries up to
+    // `u64(index).fixed(&word)`, assembled first: a batch carries up to
     // 4096 of these.
     let mut encoded = [0u8; PAYWORD_WIRE_LEN];
     encoded[..8].copy_from_slice(&p.index.to_be_bytes());
-    encoded[8..16].copy_from_slice(&(p.word.len() as u64).to_be_bytes());
-    encoded[16..].copy_from_slice(&p.word);
-    w.raw(&encoded);
+    encoded[8..].copy_from_slice(&p.word);
+    w.fixed(&encoded);
 }
 
 pub(crate) fn put_commitment(w: &mut Writer, c: &ChainCommitment) {
-    w.bytes(&c.root).u64(c.capacity).u64(c.checkpoint_every).u64(c.checkpoints.len() as u64);
+    w.fixed(&c.root).u64(c.capacity).u64(c.checkpoint_every).count(c.checkpoints.len());
     for ck in &c.checkpoints {
-        w.bytes(ck);
+        w.fixed(ck);
     }
     put_gsig(w, &c.group_sig);
 }
 
 pub(crate) fn put_coin_leaf(w: &mut Writer, leaf: &CoinLeaf) {
-    w.bytes(&leaf.coin.0).u64(u64::from(leaf.deposited));
-    match &leaf.binding {
-        Some(state) => {
-            w.u64(1).int(&state.holder_pk).u64(state.seq).u64(state.expires.0);
-        }
-        None => {
-            w.u64(0);
-        }
+    w.fixed(&leaf.coin.0).flag(leaf.deposited).flag(leaf.binding.is_some());
+    if let Some(state) = &leaf.binding {
+        w.int(&state.holder_pk).u64(state.seq).u64(state.expires.0);
     }
-    w.bytes(&leaf.aux);
+    w.fixed(&leaf.aux);
 }
 
 pub(crate) fn put_inclusion_proof(w: &mut Writer, p: &InclusionProof) {
-    w.u64(p.leaves).u64(p.index).u64(p.siblings.len() as u64);
+    w.u64(p.leaves).u64(p.index).count(p.siblings.len());
     for sib in &p.siblings {
-        w.bytes(sib);
+        w.fixed(sib);
     }
 }
 
 pub(crate) fn put_signed_root(w: &mut Writer, s: &SignedRoot) {
-    w.bytes(&s.root).u64(s.seq);
+    w.fixed(&s.root).u64(s.seq);
     put_sig(w, &s.sig);
 }
 
@@ -276,7 +264,7 @@ pub(crate) fn put_binding_proof(w: &mut Writer, p: &BindingProof) {
 }
 
 pub(crate) fn put_redemption_receipt(w: &mut Writer, rc: &RedemptionReceipt) {
-    w.bytes(&rc.chain.0).u64(rc.credited).u64(rc.total);
+    w.fixed(&rc.chain.0).u64(rc.credited).u64(rc.total);
 }
 
 // --- request/response encoding ---
@@ -296,13 +284,13 @@ pub(crate) fn frame_into(out: &mut Vec<u8>, put: impl FnOnce(&mut Writer)) {
 
 /// The body of a [`Request::Tick`] frame.
 pub(crate) fn put_tick(w: &mut Writer, chain: &ChainId, payword: &Payword) {
-    w.u64(8).bytes(&chain.0);
+    w.tag(8).fixed(&chain.0);
     put_payword(w, payword);
 }
 
 /// The body of a [`Request::TickBatch`] frame.
 pub(crate) fn put_tick_batch(w: &mut Writer, chain: &ChainId, paywords: &[Payword]) {
-    w.u64(9).bytes(&chain.0).u64(paywords.len() as u64);
+    w.tag(9).fixed(&chain.0).count(paywords.len());
     for p in paywords {
         put_payword(w, p);
     }
@@ -310,12 +298,12 @@ pub(crate) fn put_tick_batch(w: &mut Writer, chain: &ChainId, paywords: &[Paywor
 
 /// The body of a [`Response::TickAck`] frame.
 pub(crate) fn put_tick_ack(w: &mut Writer, gained: u64, total: u64) {
-    w.u64(8).u64(gained).u64(total);
+    w.tag(8).u64(gained).u64(total);
 }
 
 /// The body of a [`Response::Error`] frame.
 pub(crate) fn put_error(w: &mut Writer, message: &str) {
-    w.u64(5).bytes(message.as_bytes());
+    w.tag(5).blob(message.as_bytes());
 }
 
 /// Classifies an encoded request by its wire tag without fully decoding
@@ -324,17 +312,17 @@ pub(crate) fn put_error(w: &mut Writer, message: &str) {
 /// transfer/renewal labels so the split matches the §6.2 operation list.
 pub fn wire_kind(bytes: &[u8]) -> &'static str {
     let mut r = Reader::new(bytes);
-    match r.u64() {
+    match r.tag() {
         Ok(0) => "purchase",
         Ok(1) => "issue",
-        Ok(2) => match r.u64() {
-            Ok(0) => "transfer",
-            Ok(_) => "downtime_transfer",
+        Ok(2) => match r.flag() {
+            Ok(false) => "transfer",
+            Ok(true) => "downtime_transfer",
             Err(_) => "malformed",
         },
-        Ok(3) => match r.u64() {
-            Ok(0) => "renewal",
-            Ok(_) => "downtime_renewal",
+        Ok(3) => match r.flag() {
+            Ok(false) => "renewal",
+            Ok(true) => "downtime_renewal",
             Err(_) => "malformed",
         },
         Ok(4) => "deposit",
@@ -364,56 +352,56 @@ impl Request {
         let mut w = Writer::with_buf(std::mem::take(out));
         match self {
             Request::Purchase(p) => {
-                w.u64(0);
+                w.tag(0);
                 put_owner_tag(&mut w, &p.owner);
                 w.int(&p.coin_pk);
                 match (&p.identity_sig, &p.group_sig) {
                     (Some(sig), _) => {
-                        w.u64(0);
+                        w.tag(0);
                         put_sig(&mut w, sig);
                     }
                     (None, Some(gsig)) => {
-                        w.u64(1);
+                        w.tag(1);
                         put_gsig(&mut w, gsig);
                     }
                     (None, None) => {
-                        w.u64(2);
+                        w.tag(2);
                     }
                 }
             }
             Request::Issue { coin, invite } => {
-                w.u64(1).bytes(&coin.0);
+                w.tag(1).fixed(&coin.0);
                 put_invite(&mut w, invite);
             }
             Request::Transfer { request, downtime } => {
-                w.u64(2).u64(*downtime as u64);
+                w.tag(2).flag(*downtime);
                 put_transfer(&mut w, request);
             }
             Request::Renewal { request, downtime } => {
-                w.u64(3).u64(*downtime as u64);
+                w.tag(3).flag(*downtime);
                 put_renewal(&mut w, request);
             }
             Request::Deposit(d) => {
-                w.u64(4);
+                w.tag(4);
                 put_deposit(&mut w, d);
             }
             Request::Sync { peer, challenge, response } => {
-                w.u64(5).u64(peer.0).bytes(challenge);
+                w.tag(5).u64(peer.0).blob(challenge);
                 put_sig(&mut w, response);
             }
             Request::OpenChain(c) => {
-                w.u64(7);
+                w.tag(7);
                 put_commitment(&mut w, c);
             }
             Request::Tick { chain, payword } => put_tick(&mut w, chain, payword),
             Request::TickBatch { chain, paywords } => put_tick_batch(&mut w, chain, paywords),
             Request::RedeemChain(req) => {
-                w.u64(10);
+                w.tag(10);
                 put_commitment(&mut w, &req.commitment);
                 put_payword(&mut w, &req.payword);
             }
             Request::BindingProof { coin } => {
-                w.u64(11).bytes(&coin.0);
+                w.tag(11).fixed(&coin.0);
             }
         }
         *out = w.finish();
@@ -444,38 +432,38 @@ impl Response {
         let mut w = Writer::with_buf(std::mem::take(out));
         match self {
             Response::Minted(m) => {
-                w.u64(0);
+                w.tag(0);
                 put_minted(&mut w, m);
             }
             Response::Grant(g) => {
-                w.u64(1);
+                w.tag(1);
                 put_grant(&mut w, g);
             }
             Response::Binding(b) => {
-                w.u64(2);
+                w.tag(2);
                 put_binding(&mut w, b);
             }
             Response::Receipt(rc) => {
-                w.u64(3);
+                w.tag(3);
                 put_receipt(&mut w, rc);
             }
             Response::Bindings(bs) => {
-                w.u64(4).u64(bs.len() as u64);
+                w.tag(4).count(bs.len());
                 for b in bs {
                     put_binding(&mut w, b);
                 }
             }
             Response::Error(e) => put_error(&mut w, e),
             Response::ChainAccepted(chain) => {
-                w.u64(7).bytes(&chain.0);
+                w.tag(7).fixed(&chain.0);
             }
             Response::TickAck { gained, total } => put_tick_ack(&mut w, *gained, *total),
             Response::Redeemed(rc) => {
-                w.u64(9);
+                w.tag(9);
                 put_redemption_receipt(&mut w, rc);
             }
             Response::Proof(p) => {
-                w.u64(10);
+                w.tag(10);
                 put_binding_proof(&mut w, p);
             }
         }
@@ -689,7 +677,7 @@ mod tests {
     #[test]
     fn absurd_bindings_length_rejected() {
         let mut w = Writer::new();
-        w.u64(4).u64(u64::MAX);
+        w.tag(4).fixed(&[0xff; 4]);
         assert!(matches!(Response::decode(&w.finish()), Err(CoreError::Malformed)));
     }
 
@@ -795,17 +783,24 @@ mod tests {
     fn absurd_sibling_path_length_rejected() {
         // A proof claiming more siblings than any 2^64-leaf tree can have.
         let mut w = Writer::new();
-        w.u64(10).bytes(&[0; 32]).u64(0).u64(0).bytes(&[0; 32]).u64(1).u64(0).u64(u64::MAX);
+        w.tag(10)
+            .fixed(&[0; 32])
+            .flag(false)
+            .flag(false)
+            .fixed(&[0; 32])
+            .u64(1)
+            .u64(0)
+            .fixed(&[0xff; 4]);
         assert!(matches!(Response::decode(&w.finish()), Err(CoreError::Malformed)));
     }
 
     #[test]
     fn absurd_checkpoint_and_tick_batch_lengths_rejected() {
         let mut w = Writer::new();
-        w.u64(7).bytes(&[0; 32]).u64(8).u64(2).u64(u64::MAX);
+        w.tag(7).fixed(&[0; 32]).u64(8).u64(2).fixed(&[0xff; 4]);
         assert!(matches!(Request::decode(&w.finish()), Err(CoreError::Malformed)));
         let mut w = Writer::new();
-        w.u64(9).bytes(&[0; 32]).u64(u64::MAX);
+        w.tag(9).fixed(&[0; 32]).fixed(&[0xff; 4]);
         assert!(matches!(Request::decode(&w.finish()), Err(CoreError::Malformed)));
     }
 }

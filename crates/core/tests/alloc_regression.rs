@@ -307,24 +307,25 @@ fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
     use whopay_core::codec::Writer;
     use whopay_core::CoreError;
 
-    let list = |tag: u64, count: u64| {
+    let list = |tag: u8, count: u32| {
         let mut w = Writer::new();
-        w.u64(tag).u64(count);
+        w.tag(tag).count(count as usize);
         w.finish()
     };
-    let commitment = |tag: u64| {
+    let commitment = |tag: u8| {
         let mut w = Writer::new();
-        w.u64(tag).bytes(&[7; 32]).u64(1 << 20).u64(16).u64(1 << 16);
+        w.tag(tag).fixed(&[7; 32]).u64(1 << 20).u64(16).count(1 << 16);
         w.finish()
     };
     let tick_batch = {
         let mut w = Writer::new();
-        w.u64(9).bytes(&[7; 32]).u64(4096);
+        w.tag(9).fixed(&[7; 32]).count(4096);
         w.finish()
     };
     let proof = {
+        // A leaf with no downtime binding, width, index, the count.
         let mut w = Writer::new();
-        w.u64(10).bytes(&[7; 32]).u64(0).u64(0).bytes(&[8; 32]).u64(9).u64(3).u64(64);
+        w.tag(10).fixed(&[7; 32]).flag(false).flag(false).fixed(&[8; 32]).u64(9).u64(3).count(64);
         w.finish()
     };
     for (what, frame) in
@@ -345,26 +346,38 @@ fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
     // checkpoint promising 65 536 peers, coins (896 B each in memory),
     // fraud cases or chains, and a fraud case promising as many group
     // signatures — is refused on what is left of the frame.
-    let journal_frame = |op: &[u64]| {
+    let journal_frame = |op: &[u8]| {
         let mut entry = Writer::new();
         // seq, eight counters, the root, then the op's fields.
         for field in [1].iter().chain(&[0; 8]) {
             entry.u64(*field);
         }
-        entry.bytes(&[7; 32]);
-        for field in op {
-            entry.u64(*field);
-        }
+        entry.fixed(&[7; 32]);
         let mut w = Writer::new();
-        w.bytes(&entry.finish());
+        w.blob(&[&entry.finish(), op].concat());
         w.finish()
     };
     let n = 1 << 16;
-    // Tag 4, a 32-byte coin id, an empty description, the count.
-    let fraud_sigs = [4, 32, 0, 0, 0, 0, 0, n];
-    let frames: [&[u64]; 5] = [&[6, n], &[6, 0, n], &[6, 0, 0, n], &[6, 0, 0, 0, n], &fraud_sigs];
+    // A checkpoint (op 6) whose list of peers, coins, fraud cases or
+    // chains follows the empty lists before it.
+    let checkpoint = |empty_lists: usize| {
+        let mut w = Writer::new();
+        w.tag(6);
+        for _ in 0..empty_lists {
+            w.count(0);
+        }
+        w.count(n);
+        w.finish()
+    };
+    // A fraud case (op 4): a coin id, an empty description, the count.
+    let fraud_sigs = {
+        let mut w = Writer::new();
+        w.tag(4).fixed(&[0; 32]).blob(&[]).count(n);
+        w.finish()
+    };
+    let frames = [checkpoint(0), checkpoint(1), checkpoint(2), checkpoint(3), fraud_sigs];
     for (i, op) in frames.into_iter().enumerate() {
-        let frame = journal_frame(op);
+        let frame = journal_frame(&op);
         let before = alloc_bytes();
         assert_eq!(whopay_core::Journal::from_bytes(&frame).unwrap_err(), CoreError::Malformed);
         assert!(alloc_bytes() - before < 4096, "journal list {i}: {} bytes", alloc_bytes() - before);
@@ -380,11 +393,9 @@ fn a_malformed_tick_batch_hands_the_recycled_payword_vector_back() {
     let chain = ChainId([3; 32]);
     let paywords: Vec<Payword> = (0..16).map(|i| Payword { index: i, word: [i as u8; 32] }).collect();
     let good = Request::TickBatch { chain, paywords }.encode();
-    // The same batch with the last payword's length prefix damaged, and
-    // with a byte too many: refused while, and after, filling the vector.
-    let mut bad_word = good.clone();
-    let at = bad_word.len() - 33;
-    bad_word[at] ^= 1;
+    // The same batch a byte short and a byte too long: refused before,
+    // and after, filling the vector.
+    let bad_word = &good[..good.len() - 1];
     let mut trailing = good.clone();
     trailing.push(0);
 
@@ -395,7 +406,7 @@ fn a_malformed_tick_batch_hands_the_recycled_payword_vector_back() {
     recycle_paywords(paywords);
 
     let before = allocs();
-    for frame in [&bad_word, &trailing, &bad_word] {
+    for frame in [bad_word, &trailing, bad_word] {
         assert!(RequestView::parse(frame).is_err());
     }
     let Ok(RequestView::TickBatch { paywords, .. }) = RequestView::parse(&good) else {

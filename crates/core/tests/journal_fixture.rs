@@ -2,46 +2,44 @@
 //! broker.
 //!
 //! `tests/fixtures/journal_shard{0,1}.bin` are the two shard journals of
-//! the [`history`] below, serialised by the commit that made the served
-//! op the journal entry (PR 23, "a broker mutation is stated once": a
-//! mint, deposit, downtime binding or chain redemption is journalled as
-//! its replay memo alone, without the coin id, minted coin, binding or
-//! chain id copied out of it, so the journal format changed there and the
-//! fixtures of PR 19 were rewritten with the recipe at the bottom of this
-//! comment; the recovered checkpoints, roots and sequence numbers came
-//! out byte-identical to PR 19's). Next to them sit that commit's own
-//! answers: the
+//! the [`history`] below, serialised by the commit of the last format
+//! change (PR 24, "a frame carries its fields, not their padding": tags,
+//! flags and discriminants one byte, integers behind two-byte lengths and
+//! refused with a leading zero byte, 32-byte values bare, counts and frame
+//! lengths `u32` — every journal byte moved, and with the leaf encodings
+//! every root, so the fixtures of PR 23 were rewritten with the recipe at
+//! the bottom of this comment; today's readers refuse PR 23's files as
+//! `Malformed`). Next to them sit that commit's own answers: the
 //! recovered broker folded back into a one-entry checkpoint journal —
 //! seq, stats, root and the whole snapshot in the journal's canonical
 //! encoding (`journal_shard{0,1}.recovered.bin`) — and,
 //! in `journal_expect.txt`, the committed `(root, seq)`, the auditor's
-//! counts, what a torn tail left, and what each of 64 single-bit flips
-//! led to. Today's readers must reach every one of those answers from the
-//! same bytes.
+//! counts, what a torn tail left, and what every single-bit flip led to.
+//! Today's readers must reach every one of those answers from the same
+//! bytes.
 //!
 //! `cargo test -p whopay-core --test journal_fixture -- --ignored`
 //! rewrites the fixtures from the current build (do that only on a commit
 //! whose journal format is meant to change).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use whopay_core::micropay::MicropaySender;
+use whopay_core::wire::{wire_kind, Request, Response};
 use whopay_core::{
     Broker, Journal, Judge, Peer, PeerId, PurchaseMode, RedeemChainRequest, ShardedBroker,
     SystemParams, Timestamp,
 };
 use whopay_crypto::dsa::DsaKeyPair;
 use whopay_crypto::group_sig::GroupPublicKey;
-use whopay_crypto::testing::{test_rng, tiny_group};
+use whopay_crypto::testing::{small_group, test_rng, tiny_group};
 use whopay_net::Handle;
 
 const SHARDS: usize = 2;
 /// Bytes cut off the end of each journal for the torn-tail case.
 const TORN: usize = 5;
-/// Single-bit flips tried per journal, spread evenly over its bits.
-const FLIPS: usize = 64;
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -202,24 +200,23 @@ fn answers(identity: &Identity, shard: usize, bytes: &[u8]) -> String {
     line("torn.seq", seq.to_string());
     line("torn.violations", behind.audit().violations().len().to_string());
 
-    // One flipped bit: refused by the decoder (`m`) or flagged by replay
-    // verification (`v`). Accepted (`c`) would be a bit nothing commits
-    // to, and the journal has none.
-    let bits = bytes.len() * 8;
-    let flips: String = (0..FLIPS)
-        .map(|i| {
-            let bit = i * bits / FLIPS + 3;
-            let mut damaged = bytes.to_vec();
-            damaged[bit / 8] ^= 1 << (bit % 8);
-            match Journal::from_bytes(&damaged) {
-                Err(_) => 'm',
-                Ok(journal) if identity.recover(&journal).audit().ok() => 'c',
-                Ok(_) => 'v',
+    // Every bit, flipped alone: refused by the decoder or flagged by
+    // replay verification. Accepted would be a bit nothing commits to, and
+    // the journal has none.
+    let (mut refused, mut flagged) = (0, 0);
+    let mut damaged = bytes.to_vec();
+    for bit in 0..bytes.len() * 8 {
+        damaged[bit / 8] ^= 1 << (bit % 8);
+        match Journal::from_bytes(&damaged) {
+            Err(_) => refused += 1,
+            Ok(journal) => {
+                assert!(!identity.recover(&journal).audit().ok(), "shard {shard}: bit {bit} is free");
+                flagged += 1;
             }
-        })
-        .collect();
-    assert!(!flips.contains('c'), "shard {shard}: a flipped bit went unnoticed ({flips})");
-    line("flips", flips);
+        }
+        damaged[bit / 8] ^= 1 << (bit % 8);
+    }
+    line("flips", format!("{refused} refused, {flagged} flagged by replay, 0 unnoticed"));
     out
 }
 
@@ -270,5 +267,107 @@ fn journals_written_at_the_parent_commit_recover_to_the_same_broker() {
             let (key, value) = line.split_once(' ').expect("key value");
             assert_eq!(expect.get(key), Some(&value), "{key}");
         }
+    }
+}
+
+/// One real frame of every request and every response kind, from a short
+/// run over the 512/160 group.
+fn frames() -> (Vec<Request>, Vec<Response>) {
+    let mut rng = test_rng(0xF1C6);
+    let params = SystemParams::new(small_group().clone());
+    let group = params.group().clone();
+    let mut judge = Judge::new(group.clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let mut broker = Broker::new(params.clone(), gpk.clone(), &mut rng);
+    let mut mk = |id: u64, rng: &mut rand::rngs::StdRng| {
+        let gk = judge.enroll(PeerId(id), rng);
+        let p =
+            Peer::new(PeerId(id), params.clone(), broker.public_key().clone(), gpk.clone(), gk, rng);
+        broker.register_peer(PeerId(id), p.public_key().clone());
+        p
+    };
+    let (mut owner, mut holder, mut payee) = (mk(0, &mut rng), mk(1, &mut rng), mk(2, &mut rng));
+    let streamer = judge.enroll(PeerId(3), &mut rng);
+    let now = Timestamp(0);
+
+    let (purchase, pending) = owner.create_purchase_request(PurchaseMode::Identified, &mut rng);
+    let minted = broker.handle_purchase(&purchase, &mut rng).expect("purchase");
+    let coin = owner.complete_purchase(minted.clone(), pending, now, &mut rng).expect("minted");
+    let (invite, session) = holder.begin_receive(&mut rng);
+    let issued = owner.issue_coin(coin, &invite, now, &mut rng).expect("issue");
+    holder.accept_grant(issued.clone(), session, now).expect("grant");
+    let (invite2, session) = payee.begin_receive(&mut rng);
+    let transfer = holder.request_transfer(coin, &invite2, &mut rng).expect("transfer request");
+    let grant = broker.handle_downtime_transfer(&transfer, now, &mut rng).expect("transfer");
+    payee.accept_grant(grant.clone(), session, now).expect("downtime grant");
+    let proof = broker.binding_proof(&coin, &mut rng).expect("committed coin");
+    let renewal = payee.request_renewal(coin, &mut rng).expect("renewal request");
+    let renewed = broker.handle_downtime_renewal(&renewal, Timestamp(1), &mut rng).expect("renewal");
+    payee.apply_renewal(coin, renewed.clone()).expect("renewed");
+    let challenge = vec![0x5C; 32];
+    let response = owner.sign_identity_challenge(&challenge, &mut rng);
+    let held = broker.sync_for_owner(PeerId(0), &challenge, &response).expect("sync");
+    let deposit = payee.request_deposit(coin, &mut rng).expect("deposit request");
+    let receipt = broker.handle_deposit(&deposit, Timestamp(2)).expect("deposit");
+    let (mut sender, commitment) = MicropaySender::open(&group, &gpk, &streamer, 40, 5, &mut rng);
+    let chain = commitment.chain_id();
+    let paywords: Vec<_> = (0..7).map(|_| sender.pay(1).unwrap()).collect();
+    let payword = paywords[6];
+    let redeem = RedeemChainRequest { commitment: commitment.clone(), payword };
+    let redeemed = broker.handle_redeem_chain(&redeem).expect("redeem");
+
+    let requests = vec![
+        Request::Purchase(purchase),
+        Request::Issue { coin, invite },
+        Request::Transfer { request: transfer, downtime: true },
+        Request::Renewal { request: renewal, downtime: false },
+        Request::Deposit(deposit),
+        Request::Sync { peer: PeerId(0), challenge, response },
+        Request::OpenChain(commitment),
+        Request::Tick { chain, payword },
+        Request::TickBatch { chain, paywords },
+        Request::RedeemChain(redeem),
+        Request::BindingProof { coin },
+    ];
+    let responses = vec![
+        Response::Minted(minted),
+        Response::Grant(Box::new(grant)),
+        Response::Binding(renewed),
+        Response::Receipt(receipt),
+        Response::Bindings(held),
+        Response::Error("stale binding".into()),
+        Response::ChainAccepted(chain),
+        Response::TickAck { gained: 1, total: 7 },
+        Response::Redeemed(redeemed),
+        Response::Proof(Box::new(proof)),
+    ];
+    (requests, responses)
+}
+
+/// The journal's sweep, on the wire: every bit of one real 512/160 frame of
+/// each request and each response kind, flipped alone, is refused or
+/// decodes to a different message — never to the one that was sent, so no
+/// frame has a bit free to vary.
+#[test]
+fn no_single_bit_flip_of_a_real_frame_of_any_kind_decodes_to_the_same_message() {
+    let (requests, responses) = frames();
+    let kinds: BTreeSet<&str> = requests.iter().map(|r| wire_kind(&r.encode())).collect();
+    assert_eq!((kinds.len(), responses.len()), (11, 10), "a frame of every kind");
+    assert!(matches!(&responses[4], Response::Bindings(held) if !held.is_empty()));
+
+    fn sweep<T: PartialEq + std::fmt::Debug>(sent: &T, frame: Vec<u8>, decode: fn(&[u8]) -> Option<T>) {
+        assert_eq!(decode(&frame).as_ref(), Some(sent));
+        let mut damaged = frame.clone();
+        for bit in 0..frame.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(decode(&damaged).as_ref(), Some(sent), "bit {bit} of {sent:?} is free");
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+    for request in &requests {
+        sweep(request, request.encode(), |bytes| Request::decode(bytes).ok());
+    }
+    for response in &responses {
+        sweep(response, response.encode(), |bytes| Response::decode(bytes).ok());
     }
 }

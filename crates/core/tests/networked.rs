@@ -264,7 +264,7 @@ fn a_receipt_corrupted_in_flight_is_refused_and_the_resend_collects_the_replay()
     let (coin, request) = coin_ready_to_deposit(&mut w);
     // Corrupt every payer→broker delivery, under a seed whose first draw
     // flips a bit of the *response* inside the receipt's coin id (frame
-    // layout: tag, length prefix, 32 id bytes, value).
+    // layout: kind byte, 32 id bytes, value).
     let rates = whopay_net::FaultRates { corrupt: 1.0, ..Default::default() };
     let plan = FaultPlan::new().link(w.payer_ep, w.broker_ep, rates);
     let receipt_len = Response::Receipt(DepositReceipt { coin, value: 1 }).encode().len() as u64;
@@ -272,7 +272,7 @@ fn a_receipt_corrupted_in_flight_is_refused_and_the_resend_collects_the_replay()
         .find(|&seed| {
             let fate = FaultInjector::new(plan.clone(), seed).decide(w.payer_ep, w.broker_ep, None);
             matches!(fate, Some(FaultKind::Corrupt { in_request: false, bit })
-                if (16..48).contains(&(bit % (receipt_len * 8) / 8)))
+                if (1..33).contains(&(bit % (receipt_len * 8) / 8)))
         })
         .expect("some seed corrupts the coin id");
     w.net.install_faults(FaultInjector::new(plan, seed));

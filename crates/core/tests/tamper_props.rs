@@ -201,9 +201,9 @@ fn torn_tail_is_tolerated_at_every_chop_offset() {
     let mut pos = 0usize;
     let mut tail_start = 0usize;
     while pos < full.len() {
-        let len = u64::from_be_bytes(full[pos..pos + 8].try_into().expect("framed journal")) as usize;
+        let len = u32::from_be_bytes(full[pos..pos + 4].try_into().expect("framed journal")) as usize;
         tail_start = pos;
-        pos += 8 + len;
+        pos += 4 + len;
     }
     assert_eq!(pos, full.len(), "fixture journal is well framed");
     let (intact, _) = Journal::from_bytes_tolerant(full).unwrap();

@@ -217,38 +217,35 @@ proptest! {
 
     #[test]
     fn tick_batches_parse_exactly_when_count_and_paywords_agree(
-        n in 0u64..90,
-        lie in any::<u64>(),
+        n in 0u32..90,
+        lie in any::<u32>(),
         mode in 0u8..4,
         poke in any::<prop::sample::Index>(),
     ) {
         // `n` well-formed paywords under a count prefix that is honest
         // (mode 0), one too many (1) or arbitrary (2), or honest over a
-        // payword whose length prefix is damaged (3).
+        // batch one of whose paywords has lost a byte (3).
         let declared = match mode {
             1 => n + 1,
             2 => lie,
             _ => n,
         };
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&9u64.to_be_bytes());
-        frame.extend_from_slice(&32u64.to_be_bytes());
+        let mut frame = vec![9];
         frame.extend_from_slice(&[0xC4; 32]);
         frame.extend_from_slice(&declared.to_be_bytes());
         let body = frame.len();
         for i in 0..n {
-            frame.extend_from_slice(&i.to_be_bytes());
-            frame.extend_from_slice(&32u64.to_be_bytes());
+            frame.extend_from_slice(&u64::from(i).to_be_bytes());
             frame.extend_from_slice(&[i as u8; 32]);
         }
         let damaged = mode == 3 && n > 0;
         if damaged {
-            frame[body + poke.index(n as usize) * 48 + 15] ^= 1;
+            frame.remove(body + poke.index(n as usize) * 40 + 15);
         }
         match RequestView::parse(&frame) {
             Ok(RequestView::TickBatch { paywords, .. }) => {
                 prop_assert!(declared == n && !damaged);
-                prop_assert_eq!(paywords.len() as u64, n);
+                prop_assert_eq!(paywords.len() as u32, n);
                 whopay_core::view::recycle_paywords(paywords);
             }
             Ok(other) => prop_assert!(false, "a tick batch parsed as {other:?}"),
@@ -384,35 +381,76 @@ fn prepare_walks_damaged_group_elements_through_the_lanes() {
     }
 }
 
-/// Tag 6 carried the client-declared deposit batch and its receipts; it is
-/// retired in both tag spaces. Empty, or with the body those frames had,
-/// it is `Malformed` to every decoder, and a live shard endpoint answers
-/// it with an error frame without any handler seeing a request.
+/// Every kind byte that is not assigned — in the request space, the
+/// response space and the journal's op space; 6 in the first two and 1, 2,
+/// 3 and 7 in the third are retired, never reused — is `Malformed` to
+/// every decoder, alone or in front of the body of a real frame, and a
+/// live shard endpoint answers it with an error frame without any handler
+/// seeing a request.
 #[test]
-fn the_retired_tag_six_is_malformed_everywhere() {
-    let seeds = seeds();
-    let word = |n: u64| n.to_be_bytes();
-    // Two deposits under a count prefix; a receipt and a refusal under one.
-    let deposit_body = &seeds.requests[4][8..];
-    let batch = [&word(6)[..], &word(2), deposit_body, deposit_body].concat();
-    let receipt_body = &seeds.responses[4][8..];
-    let refusal = [&word(1)[..], &word(12), b"double spend"].concat();
-    let receipts = [&word(6)[..], &word(2), &word(0), receipt_body, &refusal].concat();
-    let empty = [word(6), word(0)].concat();
+fn every_unassigned_kind_byte_is_malformed_everywhere() {
+    use whopay_core::{BrokerStats, Journal, JournalEntry, JournalOp};
 
-    for frame in [&word(6)[..], &empty, &batch, &receipts] {
-        assert_eq!(Request::decode(frame).unwrap_err(), CoreError::Malformed);
-        assert_eq!(RequestView::parse(frame).unwrap_err(), CoreError::Malformed);
-        assert_eq!(wire_kind(frame), "malformed");
-        assert_eq!(Response::decode(frame).unwrap_err(), CoreError::Malformed);
-        assert_eq!(ResponseView::parse(frame).unwrap_err(), CoreError::Malformed);
+    let seeds = seeds();
+    let assigned_request = |kind: u8| kind <= 11 && kind != 6;
+    let assigned_response = |kind: u8| kind <= 10 && kind != 6;
+    let assigned_op = |kind: u8| matches!(kind, 0 | 4 | 5 | 6 | 8);
+    let with_kind = |frame: &[u8], kind: u8| [&[kind][..], &frame[1..]].concat();
+
+    // A registration and a bare counter bump, and where their op kinds lie:
+    // ahead of a peer id and a key behind its two-byte length, and last.
+    let key = seeds.sharded.public_key().clone();
+    let key_len = key.element().be_len();
+    let entry = |op| JournalEntry { seq: 1, stats: BrokerStats::default(), root: [7; 32], op };
+    let ops = [JournalOp::Register { peer: PeerId(3), key }, JournalOp::Counters];
+    let journals = ops.map(|op| {
+        let mut journal = Journal::new();
+        journal.append(entry(op));
+        journal.to_bytes()
+    });
+    let op_kind_at = [journals[0].len() - key_len - 2 - 8 - 1, journals[1].len() - 1];
+    assert_eq!((journals[0][op_kind_at[0]], journals[1][op_kind_at[1]]), (0, 5));
+    assert!(journals.iter().all(|journal| Journal::from_bytes(journal).is_ok()));
+
+    let mut unassigned = Vec::new();
+    for kind in 0..=u8::MAX {
+        let bare = [kind];
+        if !assigned_request(kind) {
+            for frame in std::iter::once(&bare[..]).chain(seeds.requests.iter().map(Vec::as_slice)) {
+                let frame = with_kind(frame, kind);
+                assert_eq!(Request::decode(&frame).unwrap_err(), CoreError::Malformed, "{kind}");
+                assert_eq!(RequestView::parse(&frame).unwrap_err(), CoreError::Malformed, "{kind}");
+                assert_eq!(wire_kind(&frame), "malformed", "{kind}");
+            }
+            unassigned.push(with_kind(&seeds.requests[4], kind));
+            unassigned.push(bare.to_vec());
+        }
+        if !assigned_response(kind) {
+            for frame in std::iter::once(&bare[..]).chain(seeds.responses.iter().map(Vec::as_slice)) {
+                let frame = with_kind(frame, kind);
+                assert_eq!(Response::decode(&frame).unwrap_err(), CoreError::Malformed, "{kind}");
+                assert_eq!(ResponseView::parse(&frame).unwrap_err(), CoreError::Malformed, "{kind}");
+            }
+        }
+        if !assigned_op(kind) {
+            for (journal, at) in journals.iter().zip(op_kind_at) {
+                let mut journal = journal.clone();
+                journal[at] = kind;
+                assert_eq!(
+                    Journal::from_bytes(&journal).unwrap_err(),
+                    CoreError::Malformed,
+                    "op {kind}"
+                );
+                assert_eq!(Journal::from_bytes_tolerant(&journal).unwrap_err(), CoreError::Malformed);
+            }
+        }
     }
 
     let mut net = Network::new();
     let eps = attach_shard_endpoints(&mut net, seeds.sharded.clone(), shared_clock(Timestamp(0)), 5);
     let client = attach_client(&mut net, "client");
     let before = seeds.sharded.stats();
-    for frame in [empty, batch] {
+    for frame in unassigned {
         let reply = net.request(client, eps[0], frame).expect("no faults installed");
         assert!(matches!(Response::decode(&reply), Ok(Response::Error(_))), "{reply:?}");
     }

@@ -1034,9 +1034,9 @@ fn frame_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let len = u64::from_be_bytes(bytes[pos..pos + 8].try_into().expect("framed journal")) as usize;
-        spans.push(pos..pos + 8 + len);
-        pos += 8 + len;
+        let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("framed journal")) as usize;
+        spans.push(pos..pos + 4 + len);
+        pos += 4 + len;
     }
     assert_eq!(pos, bytes.len(), "journal is well framed");
     spans
