@@ -23,8 +23,11 @@
 //! ops to [`Role::Peer`]). Server-side handler spans measure dispatch
 //! latency and rejections with *no* traffic attached; feed them a
 //! separate registry (or the same one, accepting that each operation
-//! then counts once per side) — traffic totals stay reconcilable with
-//! `TrafficStats` either way because only client spans carry traffic.
+//! then counts once per side). Without faults, client spans reconcile
+//! with `TrafficStats` either way because only they carry traffic.
+//! Under faults they do not: a duplicated request is 4 messages on the
+//! wire and 2 on its span, a timed-out attempt 2 and 0. What reconciles
+//! then is the fabric's own `NetRequest` events (one per handler call).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;

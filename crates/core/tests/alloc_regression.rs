@@ -133,7 +133,7 @@ fn fast_wire_path_allocates_at_least_5x_less_than_legacy() {
     let mut legacy_net = Network::new();
     legacy_net.set_classifier(wire_kind);
     let legacy_resp = grant_response();
-    let server = legacy_net.register_with_net("broker", move |_net, bytes| {
+    let server = legacy_net.register("broker", move |bytes: &[u8]| {
         let decoded = Request::decode(bytes).expect("valid frame");
         assert!(matches!(decoded, Request::Transfer { downtime: true, .. }));
         legacy_resp.encode()

@@ -262,20 +262,33 @@ proptest! {
     ) {
         // A drain cycle hands each shard endpoint its group up front, and
         // the endpoint parses it under the shard lock before serving:
-        // whatever the bytes, every request gets an answer that parses.
-        let seeds = seeds();
-        let mut net = Network::new();
-        let eps = attach_shard_endpoints(&mut net, seeds.sharded, shared_clock(Timestamp(0)), 5);
-        let client = attach_client(&mut net, "client");
-        for (i, damage) in group.iter().enumerate() {
-            net.submit(client, eps[i % 2], damage.apply(&seeds.requests));
+        // whatever the bytes, every request gets an answer that parses,
+        // inline or on worker threads. Both endpoints serve one broker,
+        // and a damaged frame reaches whichever shard it names, so only
+        // within one endpoint is submission order a total order: there a
+        // fresh world must answer byte for byte the same at any thread
+        // count.
+        let mut replies = Vec::new();
+        for (threads, split) in [(1usize, true), (2, true), (1, false), (2, false)] {
+            let seeds = seeds();
+            let mut net = Network::new();
+            net.set_drain_threads(threads);
+            let eps = attach_shard_endpoints(&mut net, seeds.sharded, shared_clock(Timestamp(0)), 5);
+            let client = attach_client(&mut net, "client");
+            for (i, damage) in group.iter().enumerate() {
+                let to = if split { eps[i % 2] } else { eps[group.len() % 2] };
+                net.submit(client, to, damage.apply(&seeds.requests));
+            }
+            let deliveries = net.drain();
+            prop_assert_eq!(deliveries.len(), group.len());
+            let world: Vec<Vec<u8>> =
+                deliveries.into_iter().map(|d| d.result.expect("no faults installed")).collect();
+            for reply in &world {
+                prop_assert!(ResponseView::parse(reply).is_ok(), "unparseable reply {reply:?}, threads {threads}");
+            }
+            replies.push(world);
         }
-        let deliveries = net.drain();
-        prop_assert_eq!(deliveries.len(), group.len());
-        for delivery in deliveries {
-            let reply = delivery.result.expect("no faults installed");
-            prop_assert!(ResponseView::parse(&reply).is_ok(), "unparseable reply {reply:?}");
-        }
+        prop_assert_eq!(&replies[2], &replies[3], "inline and worker drains answer alike");
     }
 
     #[test]

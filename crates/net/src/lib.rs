@@ -62,7 +62,7 @@ pub use faults::{
     PartitionWindow,
 };
 pub use indirection::{Handle, IndirectionLayer};
-pub use network::{Classifier, Endpoint, EndpointId, Network, ParallelHandler, RequestError};
+pub use network::{Classifier, Endpoint, EndpointId, Network, RequestError};
 pub use queue::{Delivery, EventId};
 pub use retry::{Classify, ErrorClass, RetryPolicy, RetryStats};
 pub use stats::{TrafficBreakdown, TrafficStats};

@@ -6,14 +6,18 @@
 //! OS thread. The queue decouples submission from delivery:
 //! [`Network::submit`] enqueues an envelope and returns an [`EventId`];
 //! [`Network::drain`] delivers everything queued and returns the
-//! responses. Draining proceeds in four phases:
+//! responses. Both paths are built from the same three steps — `fate`
+//! decides a delivery, [`serve_under`] serves it under its fault, and
+//! `settle` books it — so a drain and a loop of synchronous requests
+//! count the same by construction. Draining proceeds in four phases:
 //!
-//! 1. **Fate** — in submission order, the coordinator resolves
-//!    unknown/offline targets and consults the fault injector. Fault
-//!    draws key on the delivery index (see [`crate::faults`]), so this
-//!    up-front evaluation produces the identical schedule a sequential
-//!    delivery loop would. A request its fate corrupts is corrupted
-//!    here, so every later phase sees the bytes that arrive.
+//! 1. **Fate** — in submission order, the coordinator calls `fate` per
+//!    event: an unknown or offline target, then the keyed fault draw,
+//!    under which a drop or partition fails. Fault draws key on the
+//!    delivery index (see [`crate::faults`]), so this up-front
+//!    evaluation produces the identical schedule a sequential delivery
+//!    loop would. A request its fate corrupts is corrupted here, in
+//!    place, so every later phase sees the bytes that arrive.
 //! 2. **Prepare** — events whose target registered via
 //!    [`Network::register_parallel`] and whose fate reaches a handler are
 //!    grouped by target, and each target is shown its group once
@@ -21,23 +25,26 @@
 //!    is advisory: an endpoint that verifies signatures can settle the
 //!    whole group's at once, and must answer each request the same
 //!    whether or not it did.
-//! 3. **Delivery** — at one thread every event then runs inline on the
-//!    coordinator in strict submission order: byte- and
-//!    counter-identical to calling [`Network::request_into`] per event.
-//!    At more, the groups are fanned across
-//!    `min(drain_threads, groups)` scoped workers (a worker prepares
-//!    and then serves its targets, preserving each one's submission
-//!    order) while events for classic (non-`Send`) endpoints run inline.
-//! 4. **Accounting** — the coordinator applies traffic counters,
-//!    per-kind breakdown, and obs events for worker deliveries in
-//!    submission order, so stats and event streams are deterministic at
-//!    any thread count.
+//! 3. **Serve** — at one thread every event then runs through
+//!    [`serve_under`] inline on the coordinator in strict submission
+//!    order, exactly as [`Network::request_into`] runs it. At more, the
+//!    groups are fanned across `min(drain_threads, groups)` scoped
+//!    workers, each of which prepares and then serves its targets through
+//!    the same [`serve_under`], preserving each one's submission order;
+//!    events for coordinator-only endpoints run inline afterwards. Every
+//!    worker is joined and every handler a finished worker hands back is
+//!    restored before a handler's panic resumes on the coordinator.
+//! 4. **Settle** — the coordinator books every event with `settle` in
+//!    submission order: traffic counters, per-kind breakdown and obs
+//!    events are applied by the one function the synchronous path uses,
+//!    so they are deterministic at any thread count.
 //!
 //! Semantics note: fates for a drained batch are all decided before any
-//! handler runs. A classic handler that issues *nested* synchronous
-//! requests during the drain draws fault decisions after the batch's —
-//! the one observable difference from interleaved sequential delivery,
-//! and only when queue and nested sync calls mix under faults.
+//! handler runs. A coordinator-only handler that issues *nested*
+//! synchronous requests during the drain draws fault decisions after
+//! the batch's — the one observable difference from interleaved
+//! sequential delivery, and only when queue and nested sync calls mix
+//! under faults.
 //!
 //! [`Endpoint::prepare`]: crate::Endpoint::prepare
 //! [`Network::request_into`]: crate::Network::request_into
@@ -48,10 +55,8 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use whopay_obs::TraceContext;
-
 use crate::faults::{flip_bit, FaultKind};
-use crate::network::{EndpointId, ParallelHandler, RequestError};
+use crate::network::{Endpoint, EndpointId, RequestError};
 
 /// Identifies one submitted event, in submission order per network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,89 +102,111 @@ pub struct Delivery {
     pub result: Result<Vec<u8>, RequestError>,
 }
 
-/// What phase-one decided for one event (fault fates and errors resolved
-/// before any handler runs).
-#[derive(Debug)]
-pub(crate) enum Fate {
-    /// Deliver to the target, applying `fault` semantics if set.
-    Deliver { fault: Option<FaultKind>, kind: Option<&'static str> },
-    /// Fail without delivering (unknown/offline/drop/partition).
-    Fail(RequestError),
-}
-
-/// One accounted leg of a worker delivery: request and response byte
-/// counts plus the handler's wall time (measured only when obs is on).
-#[derive(Debug)]
+/// One handler call: request and response byte counts plus the
+/// handler's wall time (measured only when obs is on).
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Leg {
     pub request_len: usize,
     pub response_len: usize,
     pub duration: Duration,
 }
 
-/// What a worker did for one event, replayed into the coordinator's
-/// accounting in submission order.
+/// What one delivery did at its target — at most two handler calls (a
+/// duplicate is served twice) — and what its caller gets.
 #[derive(Debug)]
-pub(crate) struct WorkRecord {
-    pub index: usize,
-    pub legs: Vec<Leg>,
-    pub result: Result<Vec<u8>, RequestError>,
-    /// Causal context stripped from the request before it moved into the
-    /// worker, so replayed obs events parent correctly.
-    pub trace: Option<TraceContext>,
+pub(crate) struct Served {
+    legs: [Leg; 2],
+    calls: usize,
+    pub result: Result<(), RequestError>,
 }
 
-/// One event assigned to a worker (fate already decided as `Deliver`).
-#[derive(Debug)]
-pub(crate) struct WorkItem {
-    pub index: usize,
-    pub to: EndpointId,
-    pub request: Vec<u8>,
-    pub fault: Option<FaultKind>,
-    pub trace: Option<TraceContext>,
+impl Served {
+    /// A delivery that reached no handler.
+    pub fn failed(err: RequestError) -> Self {
+        Served { legs: [Leg::default(); 2], calls: 0, result: Err(err) }
+    }
+
+    /// The handler calls, in order.
+    pub fn legs(&self) -> &[Leg] {
+        &self.legs[..self.calls]
+    }
 }
 
-/// Runs one parallel-endpoint delivery with full fault semantics,
-/// mirroring the synchronous path's `request_into` match arm for arm.
-/// The handler sees the same payloads in the same per-endpoint order; the
-/// coordinator later replays the returned legs into the shared counters.
-pub(crate) fn run_item(handler: &mut ParallelHandler, item: WorkItem, timed: bool) -> WorkRecord {
-    let mut legs = Vec::with_capacity(1);
-    let mut response = Vec::new();
-    let mut deliver = |request: &[u8], response: &mut Vec<u8>| {
+/// Serves one delivery to `to` under the fault that reaches its handler
+/// — the one place a duplicate, a timeout or a corrupted response takes
+/// effect, whether `serve` runs on the coordinator or on a drain worker.
+/// `fate` has already failed a drop or a partition, and the caller has
+/// already damaged a corrupted request.
+#[inline]
+pub(crate) fn serve_under(
+    to: EndpointId,
+    fault: Option<FaultKind>,
+    timed: bool,
+    request: &[u8],
+    response: &mut Vec<u8>,
+    mut serve: impl FnMut(&[u8], &mut Vec<u8>),
+) -> Served {
+    let mut served = Served { legs: [Leg::default(); 2], calls: 0, result: Ok(()) };
+    let mut call = |response: &mut Vec<u8>| {
         let start = timed.then(Instant::now);
         response.clear();
-        handler.serve(request, response);
-        legs.push(Leg {
+        serve(request, response);
+        served.legs[served.calls] = Leg {
             request_len: request.len(),
             response_len: response.len(),
             duration: start.map(|s| s.elapsed()).unwrap_or_default(),
-        });
+        };
+        served.calls += 1;
     };
-    let result = match item.fault {
-        // A corrupted request arrives already corrupted: phase one applied
-        // the flip before any endpoint saw the bytes.
-        None | Some(FaultKind::Corrupt { in_request: true, .. }) => {
-            deliver(&item.request, &mut response);
-            Ok(())
+    match fault {
+        // The request reaches the target twice; the caller sees the
+        // second response.
+        Some(FaultKind::Duplicate) => {
+            call(response);
+            call(response);
+        }
+        // Applied, but the response arrives too late: the caller gets
+        // nothing.
+        Some(FaultKind::Timeout) => {
+            call(response);
+            response.clear();
+            served.result = Err(RequestError::TimedOut(to));
         }
         Some(FaultKind::Corrupt { in_request: false, bit }) => {
-            deliver(&item.request, &mut response);
-            flip_bit(&mut response, bit);
-            Ok(())
+            call(response);
+            flip_bit(response, bit);
         }
-        Some(FaultKind::Duplicate) => {
-            deliver(&item.request, &mut response);
-            deliver(&item.request, &mut response);
-            Ok(())
-        }
-        Some(FaultKind::Timeout) => {
-            deliver(&item.request, &mut response);
-            response.clear();
-            Err(RequestError::TimedOut(item.to))
-        }
-        // Drop and Partition never reach a worker: phase one fails them.
-        Some(FaultKind::Drop) => Err(RequestError::Lost(item.to)),
-        Some(FaultKind::Partition) => Err(RequestError::Partitioned(item.to)),
-    };
-    WorkRecord { index: item.index, legs, result: result.map(|()| response), trace: item.trace }
+        _ => call(response),
+    }
+    served
+}
+
+/// The events of one drain target that reach its handler: indices into
+/// the drained envelopes, with their faults, in submission order.
+pub(crate) type Group = Vec<(usize, Option<FaultKind>)>;
+
+/// The requests `group` shows its target up front.
+pub(crate) fn upcoming<'a>(envelopes: &'a [Envelope], group: &Group) -> Vec<&'a [u8]> {
+    group.iter().map(|&(index, _)| &envelopes[index].request[..]).collect()
+}
+
+/// A drain worker's share of one target (its slot, handler and group):
+/// prepares the group, then serves it through [`serve_under`] in
+/// submission order, and hands the handler back with what it served.
+#[allow(clippy::type_complexity)]
+pub(crate) fn serve_group(
+    (slot, mut endpoint, group): (usize, Box<dyn Endpoint + Send>, Group),
+    envelopes: &[Envelope],
+    timed: bool,
+) -> (usize, Box<dyn Endpoint + Send>, Vec<(usize, Served, Vec<u8>)>) {
+    endpoint.prepare(&upcoming(envelopes, &group));
+    let served = group
+        .into_iter()
+        .map(|(index, fault)| {
+            let (env, mut response) = (&envelopes[index], Vec::new());
+            let serve = |req: &[u8], out: &mut Vec<u8>| endpoint.serve(req, out);
+            (index, serve_under(env.to, fault, timed, &env.request, &mut response, serve), response)
+        })
+        .collect();
+    (slot, endpoint, served)
 }

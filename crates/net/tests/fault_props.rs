@@ -13,8 +13,9 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use whopay_net::faults::{FaultInjector, FaultPlan, FaultRates};
-use whopay_net::{Endpoint, Network};
+use whopay_net::faults::{FaultInjector, FaultPlan, FaultRates, FaultStats};
+use whopay_net::{Endpoint, Network, TrafficBreakdown, TrafficStats};
+use whopay_obs::{MemoryRecorder, Obs, Outcome, Role, Tracer};
 
 /// Decodes one generated op into `(account, amount)` — the vendored
 /// proptest has no tuple strategies, so both ride in a single `u16`.
@@ -97,17 +98,31 @@ enum Mode {
     Queue(usize),
 }
 
+/// Everything a run of [`run_parallel_schedule`] books, and what it did:
+/// the observables of [`run_schedule`] plus each endpoint's sent and
+/// received stats, the per-kind breakdown, the fault counters and the
+/// `NetRequest` event stream as (role, outcome, messages, bytes, detail)
+/// — durations are wall time, so they are dropped.
+struct Book {
+    history: Vec<String>,
+    stats: TrafficStats,
+    ledger: [u64; 8],
+    transcript: Vec<Result<Vec<u8>, String>>,
+    per_endpoint: Vec<(TrafficStats, TrafficStats)>,
+    breakdown: TrafficBreakdown,
+    faults: FaultStats,
+    events: Vec<(Role, Outcome, u64, u64, Option<String>)>,
+}
+
 /// Runs `ops` against the parallel ledger under a uniform fault rate
-/// plus a partition window, in the given delivery mode. Returns the same
-/// observables as [`run_schedule`].
-#[allow(clippy::type_complexity)]
-fn run_parallel_schedule(
-    rate: f64,
-    seed: u64,
-    ops: &[u16],
-    mode: Mode,
-) -> (Vec<String>, whopay_net::TrafficStats, [u64; 8], Vec<Result<Vec<u8>, String>>) {
+/// plus a partition window, in the given delivery mode, with a
+/// message-kind classifier and a recorder installed.
+fn run_parallel_schedule(rate: f64, seed: u64, ops: &[u16], mode: Mode) -> Book {
     let (mut net, server, client, ledger) = parallel_ledger_world();
+    let recorder = Arc::new(MemoryRecorder::new());
+    net.set_obs(Obs::with_tracer(Tracer::new(recorder.clone())));
+    net.set_role(server, Role::Broker);
+    net.set_classifier(|req| if req.first().is_some_and(|a| a % 2 == 0) { "even" } else { "odd" });
     // Partition windows key on the delivery index, which the queue
     // assigns in submission order — so the window must land on the same
     // deliveries in every mode.
@@ -131,10 +146,24 @@ fn run_parallel_schedule(
             net.drain().into_iter().map(|d| d.result.map_err(|e| e.to_string())).collect()
         }
     };
+    let faults = net.fault_stats();
     let injector = net.clear_faults().expect("installed above");
     let history = injector.history().iter().map(|f| format!("{f:?}")).collect();
     let final_ledger = *ledger.lock().expect("ledger lock");
-    (history, net.stats(), final_ledger, transcript)
+    Book {
+        history,
+        stats: net.stats(),
+        ledger: final_ledger,
+        transcript,
+        per_endpoint: [server, client].map(|ep| (net.sent_stats(ep), net.received_stats(ep))).to_vec(),
+        breakdown: net.breakdown().clone(),
+        faults,
+        events: recorder
+            .take()
+            .into_iter()
+            .map(|e| (e.role, e.outcome, e.messages, e.bytes, e.detail))
+            .collect(),
+    }
 }
 
 /// An endpoint that echoes, and logs each `prepare` group and each
@@ -221,17 +250,25 @@ proptest! {
         ops in proptest::collection::vec(0u16..800, 1..60),
     ) {
         // Fault draws key on (plan, seed, event id), not global draw
-        // order, so the schedule — and therefore the ledger, traffic,
-        // and caller-visible outcomes — must be identical whether the
-        // ops run synchronously, through a single-threaded drain, or
-        // fanned across a worker pool.
+        // order, so the schedule — and therefore the ledger, the whole
+        // book of traffic and events, and caller-visible outcomes — must
+        // be identical whether the ops run synchronously, through a
+        // single-threaded drain, or fanned across a worker pool.
         let sync = run_parallel_schedule(0.08, seed, &ops, Mode::Sync);
+        let event_traffic = sync.events.iter().fold(TrafficStats::default(), |sum, e| {
+            sum.merged(TrafficStats { messages: e.2, bytes: e.3 })
+        });
+        prop_assert_eq!(event_traffic, sync.stats, "NetRequest events reconcile with TrafficStats");
         for threads in [1usize, 4, 8] {
             let queued = run_parallel_schedule(0.08, seed, &ops, Mode::Queue(threads));
-            prop_assert_eq!(&sync.0, &queued.0, "fault history at threads={}", threads);
-            prop_assert_eq!(sync.1, queued.1, "traffic stats at threads={}", threads);
-            prop_assert_eq!(sync.2, queued.2, "final ledger at threads={}", threads);
-            prop_assert_eq!(&sync.3, &queued.3, "outcomes at threads={}", threads);
+            prop_assert_eq!(&sync.history, &queued.history, "fault history at threads={}", threads);
+            prop_assert_eq!(sync.stats, queued.stats, "traffic stats at threads={}", threads);
+            prop_assert_eq!(sync.ledger, queued.ledger, "final ledger at threads={}", threads);
+            prop_assert_eq!(&sync.transcript, &queued.transcript, "outcomes at threads={}", threads);
+            prop_assert_eq!(&sync.per_endpoint, &queued.per_endpoint, "endpoints at threads={}", threads);
+            prop_assert_eq!(&sync.breakdown, &queued.breakdown, "breakdown at threads={}", threads);
+            prop_assert_eq!(sync.faults, queued.faults, "fault stats at threads={}", threads);
+            prop_assert_eq!(&sync.events, &queued.events, "event stream at threads={}", threads);
         }
     }
 

@@ -207,3 +207,31 @@ fn each_target_is_shown_its_group_once_before_it_is_served() {
         }
     }
 }
+
+#[test]
+fn a_handler_panic_unwinds_the_drain_the_same_at_any_thread_count() {
+    // DESIGN.md §14: a higher thread count may only change wall-clock,
+    // never outcomes — a panicking handler included. The drain resumes
+    // the handler's own panic, and an endpoint whose handler did not
+    // panic keeps serving.
+    for threads in [1usize, 2] {
+        let mut net = Network::new();
+        net.set_drain_threads(threads);
+        let a = net.register_parallel("a", |req: &[u8], out: &mut Vec<u8>| out.extend_from_slice(req));
+        let b = net.register_parallel("b", |req: &[u8], out: &mut Vec<u8>| {
+            assert!(req != b"boom", "handler refused: {}", String::from_utf8_lossy(req));
+            out.extend_from_slice(req);
+        });
+        let client = net.register("client", |_: &[u8]| Vec::new());
+        net.submit(client, a, b"fine".to_vec());
+        net.submit(client, b, b"boom".to_vec());
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.drain()))
+            .expect_err("b's handler panics");
+        let text = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        assert_eq!(text.as_deref(), Some("handler refused: boom"), "threads {threads}");
+        assert_eq!(net.request(client, a, b"next".to_vec()), Ok(b"next".to_vec()), "threads {threads}");
+    }
+}
