@@ -11,6 +11,7 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 
 use rand::Rng;
+use whopay_crypto::batch;
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature, MemberClaims};
 use whopay_crypto::group_sig::{GroupPublicKey, GroupSignature};
 use whopay_crypto::payword::{skip_verify, Payword};
@@ -175,6 +176,11 @@ pub struct PrepareReport {
     pub lane_calls: u64,
     /// Chains handed to those calls, eight to a call at most.
     pub lanes_filled: u64,
+    /// Calls of the lane engine's comb for the fixed-base powers the
+    /// chains left to compute ([`SchnorrGroup::pow_table_many`]).
+    pub comb_calls: u64,
+    /// Powers handed to those calls, eight to a call at most.
+    pub comb_filled: u64,
 }
 
 /// A DSA signature [`Broker::prepare`] owes a verdict for.
@@ -706,9 +712,11 @@ impl Broker {
     /// ([`DsaPublicKey::verify_member`]'s verdict, membership included),
     /// an identity signature under a registered key, a purchased coin
     /// key's membership, and both ciphertext halves of the group
-    /// signature a request will be asked for
-    /// ([`GroupPublicKey::verify_each`]). Nothing is combined across
-    /// lanes: each verdict is the one the handler would have computed.
+    /// signature a request will be asked for — all on one list, settled by
+    /// one [`batch::verify_many`] call, whose fixed-base powers (`g^u1`,
+    /// `g^z_r`, `g^z_x`, `y_J^z_r`) ride the lanes too, eight to a call of
+    /// the base's comb. Nothing is combined across lanes: each verdict is
+    /// the one the handler would have computed.
     /// Signatures under the broker's own key are not owed: a mint
     /// signature was cached when it was made, a stored binding is
     /// compared bit for bit, and any other costs the handler one pass
@@ -753,42 +761,43 @@ impl Broker {
         report
     }
 
-    /// Walks `owed` through [`SchnorrGroup::pow_member_many`] — keys in
-    /// one call, group signatures in another — wherever the lane plan has
-    /// a call for them, and returns the verdicts to park.
+    /// Settles `owed` in one [`batch::verify_many`] call — keys and group
+    /// signatures on one list of chains, their fixed-base powers in one
+    /// comb pass per base — if the lane plan has a call for its chains,
+    /// and returns the verdicts to park.
     fn settle_chains(&self, owed: &OwedChains<'_>, report: &mut PrepareReport) -> Vec<(Digest, bool)> {
         let group = self.params.group();
-        let mut planned = |chains: usize| {
-            let (calls, filled) = group.lane_plan(chains);
-            report.lane_calls += calls as u64;
-            report.lanes_filled += filled as u64;
-            calls > 0
-        };
+        let chains = owed.sigs.len() + owed.coin_keys.len() + 2 * owed.group_sigs.len();
+        let (calls, filled) = group.lane_plan(chains);
+        if calls == 0 {
+            return Vec::new();
+        }
+        let claims: Vec<[(&[u8], &DsaSignature); 1]> =
+            owed.sigs.iter().map(|owed| [(&owed.msg[..], owed.sig)]).collect();
+        let signers = owed.sigs.iter().zip(&claims).map(|(owed, claim)| (owed.key, &claim[..]));
+        let keys: Vec<MemberClaims<'_>> =
+            signers.chain(owed.coin_keys.iter().map(|key| (*key, &[][..]))).collect();
+        let group_claims: Vec<(&[u8], &GroupSignature)> =
+            owed.group_sigs.iter().map(|(msg, sig)| (&msg[..], *sig)).collect();
+        let verdicts = batch::verify_many(group, &keys, Some((&self.gpk, &group_claims)));
+        report.lane_calls += calls as u64;
+        report.lanes_filled += filled as u64;
+        report.comb_calls += verdicts.comb_calls as u64;
+        report.comb_filled += verdicts.comb_filled as u64;
         let mut parked = Vec::new();
-        if planned(owed.sigs.len() + owed.coin_keys.len()) {
-            let claims: Vec<[(&[u8], &DsaSignature); 1]> =
-                owed.sigs.iter().map(|owed| [(&owed.msg[..], owed.sig)]).collect();
-            let signers = owed.sigs.iter().zip(&claims).map(|(owed, claim)| (owed.key, &claim[..]));
-            let keys: Vec<MemberClaims<'_>> =
-                signers.chain(owed.coin_keys.iter().map(|key| (*key, &[][..]))).collect();
-            let mut verdicts = DsaPublicKey::verify_member_many(group, &keys).into_iter();
-            for (owed, verdict) in owed.sigs.iter().zip(verdicts.by_ref()) {
-                match verdict {
-                    Some(passed) => parked.push((owed.parked_at, passed[0])),
-                    None if owed.registered => {}
-                    None => parked.push((owed.parked_at, false)),
-                }
-            }
-            for (key, verdict) in owed.coin_keys.iter().zip(verdicts) {
-                parked.push((CoinId::from_pk(key).0, verdict.is_some()));
+        let mut key_verdicts = verdicts.keys.into_iter();
+        for (owed, verdict) in owed.sigs.iter().zip(key_verdicts.by_ref()) {
+            match verdict {
+                Some(passed) => parked.push((owed.parked_at, passed[0])),
+                None if owed.registered => {}
+                None => parked.push((owed.parked_at, false)),
             }
         }
-        if planned(2 * owed.group_sigs.len()) {
-            let claims: Vec<(&[u8], &GroupSignature)> =
-                owed.group_sigs.iter().map(|(msg, sig)| (&msg[..], *sig)).collect();
-            for ((msg, sig), valid) in claims.iter().zip(self.gpk.verify_each(group, &claims)) {
-                parked.push((sigcache::group_cache_key(&self.gpk, msg, sig), valid));
-            }
+        for (key, verdict) in owed.coin_keys.iter().zip(key_verdicts) {
+            parked.push((CoinId::from_pk(key).0, verdict.is_some()));
+        }
+        for ((msg, sig), valid) in group_claims.iter().zip(verdicts.group_sigs) {
+            parked.push((sigcache::group_cache_key(&self.gpk, msg, sig), valid));
         }
         parked
     }

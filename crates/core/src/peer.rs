@@ -534,8 +534,10 @@ impl Peer {
         }
         let msg =
             TransferRequest::signed_bytes(&request.current, &request.new_holder_pk, &request.nonce);
-        let holder_key = DsaPublicKey::from_element(request.current.holder_pk().clone());
-        if !holder_key.verify(&group, &msg, &request.holder_sig) {
+        // The holder key came with an invite: its membership is part of the
+        // check, as at the broker.
+        if !DsaPublicKey::verify_member(&group, request.current.holder_pk(), &msg, &request.holder_sig)
+        {
             return Err(CoreError::BadSignature);
         }
         if !self.gpk.verify(&group, &msg, &request.group_sig) {
@@ -582,8 +584,8 @@ impl Peer {
             });
         }
         let msg = RenewalRequest::signed_bytes(&request.current);
-        let holder_key = DsaPublicKey::from_element(request.current.holder_pk().clone());
-        if !holder_key.verify(&group, &msg, &request.holder_sig) {
+        if !DsaPublicKey::verify_member(&group, request.current.holder_pk(), &msg, &request.holder_sig)
+        {
             return Err(CoreError::BadSignature);
         }
         if !self.gpk.verify(&group, &msg, &request.group_sig) {

@@ -213,7 +213,7 @@ pub fn attach_shard_endpoints(
 /// `prepare` (a child of the group's first traced request); a
 /// metrics-backed `obs` also gets the `broker.prepare_batch` histogram
 /// (requests per drain cycle and shard) and the
-/// `broker.prepare.{settled,skipped,lane_calls,lanes_filled}` counters
+/// `broker.prepare.{settled,skipped,lane_calls,lanes_filled,comb_calls,comb_filled}` counters
 /// (see [`crate::broker::PrepareReport`]).
 pub fn attach_shard_endpoints_obs(
     net: &mut Network,
@@ -229,6 +229,8 @@ pub fn attach_shard_endpoints_obs(
         skipped: m.counter("broker.prepare.skipped"),
         lane_calls: m.counter("broker.prepare.lane_calls"),
         lanes_filled: m.counter("broker.prepare.lanes_filled"),
+        comb_calls: m.counter("broker.prepare.comb_calls"),
+        comb_filled: m.counter("broker.prepare.comb_filled"),
     });
     (0..sharded.shard_count())
         .map(|i| {
@@ -256,6 +258,8 @@ struct PrepareProbes {
     skipped: Arc<Counter>,
     lane_calls: Arc<Counter>,
     lanes_filled: Arc<Counter>,
+    comb_calls: Arc<Counter>,
+    comb_filled: Arc<Counter>,
 }
 
 /// The broker endpoint: one shard of a [`ShardedBroker`].
@@ -360,6 +364,8 @@ impl Endpoint for ShardEndpoint {
             probes.skipped.add(report.skipped + unprepared);
             probes.lane_calls.add(report.lane_calls);
             probes.lanes_filled.add(report.lanes_filled);
+            probes.comb_calls.add(report.comb_calls);
+            probes.comb_filled.add(report.comb_filled);
         }
     }
 }

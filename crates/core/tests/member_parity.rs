@@ -8,7 +8,9 @@
 //! returns — on honest messages, on ordinary forgeries, and on the crafted
 //! case where the signer publishes the non-member `−y` and signs so the
 //! plain DSA equation holds under it, which only the membership check
-//! rejects.
+//! rejects. The owner serving those transfers and renewals
+//! (`Peer::handle_transfer` / `handle_renewal`) must refuse exactly the
+//! same ones.
 //!
 //! `Peer::accept_grant` checks a grant's three signatures over one chain
 //! on the coin key; it must refuse exactly what the three separate checks
@@ -27,8 +29,9 @@ use std::sync::Arc;
 use whopay_core::layered::{Layer, LayeredCoin};
 use whopay_core::sigcache::SigCache;
 use whopay_core::{
-    dsd, Binding, BindingSigner, CoinGrant, CoinId, CoreError, DepositRequest, Judge, MintedCoin,
-    OwnerTag, Peer, PeerId, ReceiveSession, RenewalRequest, SystemParams, Timestamp, TransferRequest,
+    dsd, Binding, BindingSigner, Broker, CoinGrant, CoinId, CoreError, DepositRequest, Judge,
+    MintedCoin, OwnerTag, PaymentInvite, Peer, PeerId, PurchaseMode, ReceiveSession, RenewalRequest,
+    SystemParams, Timestamp, TransferRequest,
 };
 use whopay_crypto::batch::{verify_dsa_each, DsaBatchItem};
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
@@ -168,6 +171,67 @@ fn requests_verify_exactly_when_the_spelled_out_check_does() {
     }
     assert_eq!(accepted, 24, "exactly the honest transfers verify");
     assert!(only_membership_rejected > 0, "some twisted-key signatures satisfy the plain equation");
+}
+
+/// The owner serves a holder's transfer and renewal under the holder key
+/// of the binding it issued, a key that came in a payee's invite. It must
+/// refuse exactly what the spelled-out check refuses: an owner that
+/// checked the plain equation alone served the holder of the twisted key
+/// `−y` whenever `u2` was even.
+#[test]
+fn the_owner_serves_holder_requests_exactly_when_the_spelled_out_check_does() {
+    let mut w = world(0x0317E5);
+    let params = SystemParams::new(w.group.clone());
+    let mut broker = Broker::new(params.clone(), w.gpk.clone(), &mut w.rng);
+    let (gpk, member) = (w.gpk.clone(), w.member.clone());
+    let mut owner = Peer::new(PeerId(2), params, broker.public_key().clone(), gpk, member, &mut w.rng);
+    broker.register_peer(PeerId(2), owner.public_key().clone());
+    let mut plainly_valid = 0;
+    for round in 0..24u8 {
+        for (label, key) in holder_key_cases(&mut w) {
+            for renew in [false, true] {
+                // A fresh coin, issued to an invite naming `key` that the
+                // payee group-signed.
+                let (purchase, pending) =
+                    owner.create_purchase_request(PurchaseMode::Identified, &mut w.rng);
+                let minted = broker.handle_purchase(&purchase, &mut w.rng).expect("registered owner");
+                let coin = owner.complete_purchase(minted, pending, NOW, &mut w.rng).expect("minted");
+                let nonce = [round; 32];
+                let invite_msg = PaymentInvite::signed_bytes(&key, &nonce);
+                let group_sig = w.member.sign(&w.group, &w.gpk, &invite_msg, &mut w.rng);
+                let invite = PaymentInvite { holder_pk: key.clone(), nonce, group_sig };
+                let current = owner.issue_coin(coin, &invite, NOW, &mut w.rng).expect("issued").binding;
+                assert_eq!(current.holder_pk(), &key);
+                // Signed with the secret of `y`, whatever key the binding names.
+                let msg = match renew {
+                    true => RenewalRequest::signed_bytes(&current),
+                    false => TransferRequest::signed_bytes(&current, &key, &nonce),
+                };
+                let holder_sig = w.holder.sign(&w.group, &msg, &mut w.rng);
+                let group_sig = w.member.sign(&w.group, &w.gpk, &msg, &mut w.rng);
+                let want = spec(&w, &key, &msg, &holder_sig);
+                assert_eq!(want, label == "honest", "spec verdict, {label} key");
+                let served = if renew {
+                    let request = RenewalRequest { current, holder_sig: holder_sig.clone(), group_sig };
+                    assert_eq!(request.verify(&w.group, &w.gpk), want, "renewal, {label} key");
+                    owner.handle_renewal(request, NOW, &mut w.rng).map(|_| ())
+                } else {
+                    let (new_holder_pk, holder_sig) = (key.clone(), holder_sig.clone());
+                    let request =
+                        TransferRequest { current, new_holder_pk, nonce, holder_sig, group_sig };
+                    assert_eq!(request.verify(&w.group, &w.gpk), want, "transfer, {label} key");
+                    owner.handle_transfer(request, NOW, &mut w.rng).map(|_| ())
+                };
+                let verdict = if want { Ok(()) } else { Err(CoreError::BadSignature) };
+                assert_eq!(served, verdict, "owner, {label} key, renewal {renew}");
+                if label == "twisted" {
+                    let plain = DsaPublicKey::from_element(key.clone());
+                    plainly_valid += plain.verify(&w.group, &msg, &holder_sig) as usize;
+                }
+            }
+        }
+    }
+    assert!(plainly_valid > 0, "some twisted-key holder signatures satisfy the plain equation");
 }
 
 #[test]

@@ -350,7 +350,8 @@ proptest! {
 /// overwritten and nothing cut, so that most frames still parse and what
 /// is damaged is a key, a ciphertext half or a scalar. Sent to the coin's
 /// own shard eight and more at a time, they must reach the lane engine
-/// (where the host has one) and come back as answers that parse.
+/// (where the host has one) — the chains and, for what the chains leave
+/// open, the comb — and come back as answers that parse.
 #[test]
 fn prepare_walks_damaged_group_elements_through_the_lanes() {
     use whopay_obs::{Metrics, Obs};
@@ -381,16 +382,20 @@ fn prepare_walks_damaged_group_elements_through_the_lanes() {
         }
         on_the_wire += group;
     }
-    let filled = metrics.report().counters.get("broker.prepare.lanes_filled").copied().unwrap_or(0);
+    let counters = metrics.report().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let (filled, combed) =
+        (counter("broker.prepare.lanes_filled"), counter("broker.prepare.comb_filled"));
     if tiny_group().lane_plan(8).0 == 0 {
         // Past the harness's capture: a run that could not reach the
         // engine must not pass silently.
         use std::io::Write;
         let note = "wire_fuzz: no avx512ifma on this host, prepare's lane calls were NOT exercised";
         writeln!(std::io::stderr(), "{note}").expect("stderr");
-        assert_eq!(filled, 0);
+        assert_eq!((filled, combed), (0, 0));
     } else {
         assert!(filled as usize > on_the_wire, "{filled} chains in lanes for {on_the_wire} frames");
+        assert!(combed > 0, "no fixed-base power of {on_the_wire} frames went through a comb call");
     }
 }
 

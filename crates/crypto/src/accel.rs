@@ -59,9 +59,28 @@ impl KeyAccel {
     /// Racing threads may each count a use or each build the table; both
     /// are harmless (the `OnceLock` keeps exactly one table).
     pub fn pow(&self, group: &SchnorrGroup, y: &BigUint, e: &BigUint) -> Option<BigUint> {
+        self.table(group, y, 1)?.pow(group.elem_ring().montgomery()?, e)
+    }
+
+    /// `y^e mod p` for every `e` in `exps` through the cached table, the
+    /// exponents spread over the lane engine's comb
+    /// ([`SchnorrGroup::pow_table_many`]); each exponent counts as one
+    /// use, and `None` means what it does for [`KeyAccel::pow`].
+    pub fn pow_many(
+        &self,
+        group: &SchnorrGroup,
+        y: &BigUint,
+        exps: &[&BigUint],
+    ) -> Option<Vec<BigUint>> {
+        let table = self.table(group, y, exps.len() as u32)?;
+        Some(group.pow_table_many(table, y, exps))
+    }
+
+    /// The table for `group`, once `uses` more uses have made the key hot.
+    fn table(&self, group: &SchnorrGroup, y: &BigUint, uses: u32) -> Option<&FixedBaseTable> {
         if self.table.get().is_none() {
             // Only counted while cold, so the counter cannot wrap.
-            if self.uses.fetch_add(1, Ordering::Relaxed) < HOT_THRESHOLD {
+            if self.uses.fetch_add(uses, Ordering::Relaxed) + uses <= HOT_THRESHOLD {
                 return None;
             }
         }
@@ -71,10 +90,7 @@ impl KeyAccel {
             let table = FixedBaseTable::for_key(mont, &base, group.order().bits());
             (group.modulus().clone(), table)
         });
-        if modulus != group.modulus() {
-            return None;
-        }
-        table.pow(mont, e)
+        (modulus == group.modulus()).then_some(table)
     }
 }
 
@@ -112,5 +128,20 @@ mod tests {
         while accel.pow(&group, &y, &e).is_none() {}
         // Hot for `group`, but the table must not answer for `other`.
         assert!(accel.pow(&other, &y, &e).is_none());
+        assert!(accel.pow_many(&other, &y, &[&e]).is_none());
+    }
+
+    #[test]
+    fn a_batch_counts_a_use_per_exponent() {
+        let mut rng = test_rng(42);
+        let group = test_group();
+        let y = group.pow_g(&group.random_scalar(&mut rng));
+        let accel = KeyAccel::default();
+        let owned: Vec<BigUint> = (0..9).map(|_| group.random_scalar(&mut rng)).collect();
+        let exps: Vec<&BigUint> = owned.iter().collect();
+        let plain: Vec<BigUint> = exps.iter().map(|e| group.elem_ring().pow(&y, e)).collect();
+        assert!(accel.pow_many(&group, &y, &exps[..HOT_THRESHOLD as usize]).is_none());
+        assert_eq!(accel.pow_many(&group, &y, &exps).as_ref(), Some(&plain));
+        assert_eq!(accel.pow_many(&group, &y, &[]), Some(Vec::new()));
     }
 }

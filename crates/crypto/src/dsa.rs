@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use whopay_num::{BigUint, Powers, SchnorrGroup};
+use whopay_num::{BigUint, SchnorrGroup};
 
 use crate::accel::KeyAccel;
 use crate::hashio::Transcript;
@@ -99,7 +99,7 @@ impl DsaPublicKey {
         // Hot keys compute y^u2 from the per-key table and g^u1 from the
         // group's generator table; cold keys share one pow2 squaring chain.
         match self.accel.pow(group, &self.y, &check.u2) {
-            Some(y_u2) => check.holds_for(group, &y_u2),
+            Some(y_u2) => check.holds_for(group, &group.pow_g(&check.u1), &y_u2),
             None => {
                 let v = group.elem_ring().pow2(group.generator(), &check.u1, &self.y, &check.u2);
                 v % group.order() == check.r
@@ -152,29 +152,23 @@ impl DsaPublicKey {
         checks: &[Option<DsaCheck>],
     ) -> Option<Vec<bool>> {
         let powers = group.pow_member_each(y, &DsaCheck::key_exponents(checks))?;
-        Some(DsaCheck::verdicts(group, checks, powers))
+        let g_powers = checks.iter().flatten().map(|check| group.pow_g(&check.u1));
+        Some(DsaCheck::verdicts(group, checks, powers, g_powers))
     }
 
     /// [`DsaPublicKey::member_passes_each`] for every untrusted element
     /// and the claims made under it, index-aligned; an element with no
     /// claims is only asked whether it is a member. One inversion serves
-    /// every signature and the chains walk together
-    /// ([`SchnorrGroup::pow_member_many`]) — each verdict is exactly what
+    /// every signature, the chains walk together
+    /// ([`SchnorrGroup::pow_member_many`]) and so do the generator's
+    /// powers ([`SchnorrGroup::pow_g_many`]) — [`crate::batch::verify_many`]
+    /// with keys alone. Each verdict is exactly what
     /// [`DsaPublicKey::verify_member`] gives that element and claim alone.
     pub fn verify_member_many(
         group: &SchnorrGroup,
         keys: &[MemberClaims<'_>],
     ) -> Vec<Option<Vec<bool>>> {
-        let claims: Vec<(&[u8], &DsaSignature)> =
-            keys.iter().flat_map(|(_, claims)| claims.iter().copied()).collect();
-        let mut checks = DsaCheck::each(group, &claims).into_iter();
-        let checks: Vec<Vec<Option<DsaCheck>>> =
-            keys.iter().map(|(_, claims)| checks.by_ref().take(claims.len()).collect()).collect();
-        let exps: Vec<Vec<&BigUint>> = checks.iter().map(|c| DsaCheck::key_exponents(c)).collect();
-        let chains: Vec<Powers<'_>> =
-            keys.iter().zip(&exps).map(|((y, _), exps)| (*y, &exps[..])).collect();
-        let powers = group.pow_member_many(&chains);
-        powers.into_iter().zip(&checks).map(|(p, c)| Some(DsaCheck::verdicts(group, c, p?))).collect()
+        crate::batch::verify_many(group, keys, None).keys
     }
 }
 
@@ -186,7 +180,8 @@ pub type MemberClaims<'a> = (&'a BigUint, &'a [(&'a [u8], &'a DsaSignature)]);
 /// with `(u1, u2) = (h·s⁻¹, r·s⁻¹)` already computed.
 #[derive(Debug, Clone)]
 pub struct DsaCheck {
-    u1: BigUint,
+    /// The generator's exponent.
+    pub(crate) u1: BigUint,
     u2: BigUint,
     r: BigUint,
 }
@@ -222,26 +217,32 @@ impl DsaCheck {
 
     /// The exponents the key behind `checks` is raised to: `u2` of every
     /// in-range signature.
-    fn key_exponents(checks: &[Option<DsaCheck>]) -> Vec<&BigUint> {
+    pub(crate) fn key_exponents(checks: &[Option<DsaCheck>]) -> Vec<&BigUint> {
         checks.iter().flatten().map(|check| &check.u2).collect()
     }
 
     /// The verdict of every check in `checks` under the key whose
-    /// [`DsaCheck::key_exponents`] powers are `powers`.
-    fn verdicts(group: &SchnorrGroup, checks: &[Option<DsaCheck>], powers: Vec<BigUint>) -> Vec<bool> {
+    /// [`DsaCheck::key_exponents`] powers are `powers`, `g_powers` yielding
+    /// `g^u1` of each in-range check in turn.
+    pub(crate) fn verdicts(
+        group: &SchnorrGroup,
+        checks: &[Option<DsaCheck>],
+        powers: Vec<BigUint>,
+        mut g_powers: impl Iterator<Item = BigUint>,
+    ) -> Vec<bool> {
         let mut powers = powers.into_iter();
         let verdict = |check: &Option<DsaCheck>| {
             check.as_ref().is_some_and(|check| {
-                check.holds_for(group, &powers.next().expect("one power per in-range check"))
+                let y_u2 = powers.next().expect("one power per in-range check");
+                check.holds_for(group, &g_powers.next().expect("one g^u1 per in-range check"), &y_u2)
             })
         };
         checks.iter().map(verdict).collect()
     }
 
-    /// Evaluates the check given `y^u2`, with `g^u1` from the generator
-    /// table.
-    fn holds_for(&self, group: &SchnorrGroup, y_u2: &BigUint) -> bool {
-        group.elem_ring().mul(&group.pow_g(&self.u1), y_u2) % group.order() == self.r
+    /// Evaluates the check given `g^u1` and `y^u2`.
+    fn holds_for(&self, group: &SchnorrGroup, g_u1: &BigUint, y_u2: &BigUint) -> bool {
+        group.elem_ring().mul(g_u1, y_u2) % group.order() == self.r
     }
 }
 

@@ -55,6 +55,17 @@ impl ElGamalPublicKey {
         self.accel.pow(group, &self.y, e).unwrap_or_else(|| group.elem_ring().pow(&self.y, e))
     }
 
+    /// [`ElGamalPublicKey::pow`] of every `e` in `exps`, index-aligned,
+    /// and whether the key's table served them — then eight to a lane
+    /// call of its comb where the host has the engine
+    /// ([`SchnorrGroup::pow_table_many`]).
+    pub fn pow_many(&self, group: &SchnorrGroup, exps: &[&BigUint]) -> (Vec<BigUint>, bool) {
+        match self.accel.pow_many(group, &self.y, exps) {
+            Some(powers) => (powers, true),
+            None => (exps.iter().map(|e| group.elem_ring().pow(&self.y, e)).collect(), false),
+        }
+    }
+
     /// Encrypts a group element `m` (must be in the order-`q` subgroup for
     /// semantic security; callers encrypt public keys, which are).
     ///

@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 
 use rand::Rng;
-use whopay_num::{BigUint, Powers, SchnorrGroup};
+use whopay_num::{BigUint, SchnorrGroup};
 
 use crate::elgamal::{ElGamalCiphertext, ElGamalKeyPair, ElGamalPublicKey};
 use crate::hashio::Transcript;
@@ -95,7 +95,7 @@ impl GroupSignature {
     }
 
     /// Whether the challenge and both responses are reduced mod `q`.
-    fn in_range(&self, group: &SchnorrGroup) -> bool {
+    pub(crate) fn in_range(&self, group: &SchnorrGroup) -> bool {
         let q = group.order();
         &self.e < q && &self.z_r < q && &self.z_x < q
     }
@@ -161,53 +161,40 @@ impl GroupPublicKey {
         let Some(c2_e) = group.pow_member(sig.ct.c2(), &neg_e) else {
             return false;
         };
-        self.accepts(group, message, sig, &c1_e, &c2_e)
+        // The fixed bases g and y_J come from their tables.
+        let fixed = [group.pow_g(&sig.z_r), group.pow_g(&sig.z_x), self.judge.pow(group, &sig.z_r)];
+        self.accepts(group, message, sig, &fixed, [&c1_e, &c2_e])
     }
 
     /// [`GroupPublicKey::verify`] for every `(message, signature)` in
-    /// `claims`, index-aligned. The two chains of each signature are
-    /// independent of every other's, so all of them go to
-    /// [`SchnorrGroup::pow_member_many`] at once — eight to a lane call
-    /// where the host has the engine. Nothing is combined across
-    /// signatures: each verdict is exactly `verify`'s.
+    /// `claims`, index-aligned: [`crate::batch::verify_many`] with group
+    /// signatures alone. The two chains of each signature are independent
+    /// of every other's, so all of them go to
+    /// [`SchnorrGroup::pow_member_many`] at once, and the three fixed-base
+    /// powers of each to the generator's and the judge key's combs — eight
+    /// to a lane call where the host has the engine. Nothing is combined
+    /// across signatures: each verdict is exactly `verify`'s.
     pub fn verify_each(&self, group: &SchnorrGroup, claims: &[(&[u8], &GroupSignature)]) -> Vec<bool> {
-        let checked: Vec<usize> = (0..claims.len()).filter(|&i| claims[i].1.in_range(group)).collect();
-        let neg_es: Vec<BigUint> =
-            checked.iter().map(|&i| group.scalar_ring().neg(&claims[i].1.e)).collect();
-        let exps: Vec<[&BigUint; 1]> = neg_es.iter().map(|neg_e| [neg_e]).collect();
-        let halves: Vec<Powers<'_>> = checked
-            .iter()
-            .zip(&exps)
-            .flat_map(|(&i, exps)| [claims[i].1.ct.c1(), claims[i].1.ct.c2()].map(|c| (c, &exps[..])))
-            .collect();
-        let mut verdicts = vec![false; claims.len()];
-        let mut powers = group.pow_member_many(&halves).into_iter();
-        for &i in &checked {
-            let (message, sig) = claims[i];
-            let mut half = || powers.next().expect("two chains per checked signature")?.pop();
-            if let (Some(c1_e), Some(c2_e)) = (half(), half()) {
-                verdicts[i] = self.accepts(group, message, sig, &c1_e, &c2_e);
-            }
-        }
-        verdicts
+        crate::batch::verify_many(group, &[], Some((self, claims))).group_sigs
     }
 
-    /// Whether `sig`, in range and with both ciphertext halves proven
-    /// members and raised to `-e`, answers its own challenge.
-    fn accepts(
+    /// Whether `sig`, in range, with `fixed = [g^{z_r}, g^{z_x},
+    /// y_J^{z_r}]` and both ciphertext halves proven members and raised to
+    /// `-e` (`halves_e`), answers its own challenge.
+    pub(crate) fn accepts(
         &self,
         group: &SchnorrGroup,
         message: &[u8],
         sig: &GroupSignature,
-        c1_e: &BigUint,
-        c2_e: &BigUint,
+        fixed: &[BigUint; 3],
+        halves_e: [&BigUint; 2],
     ) -> bool {
         let elem = group.elem_ring();
-        // The fixed bases g and y_J come from their tables.
+        let [g_z_r, g_z_x, y_j_z_r] = fixed;
         // a1' = g^{z_r} · c1^{-e}
-        let a1 = elem.mul(&group.pow_g(&sig.z_r), c1_e);
+        let a1 = elem.mul(g_z_r, halves_e[0]);
         // a2' = g^{z_x} · y_J^{z_r} · c2^{-e}
-        let a2 = elem.mul(&elem.mul(&group.pow_g(&sig.z_x), &self.judge.pow(group, &sig.z_r)), c2_e);
+        let a2 = elem.mul(&elem.mul(g_z_x, y_j_z_r), halves_e[1]);
         challenge(group, self, &sig.ct, &a1, &a2, message) == sig.e
     }
 }

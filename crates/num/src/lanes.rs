@@ -34,13 +34,20 @@
 //! (digit 0 a dump bucket that is never read), so a step is one select,
 //! one product and one deposit whatever the digits are.
 //!
+//! **The comb** is [`FixedBaseTable::pow`] with a lane per exponent: the
+//! same rows, blocks and entries ([`LaneComb`], the table re-expressed in
+//! this radix), one squaring per bit of a block shared by every lane, and
+//! per block one product with the entry each lane's own column picks —
+//! gathered from the table, the empty column picking an entry that holds
+//! one. Eight powers of a fixed base cost what one does.
+//!
 //! The engine exists only where the host has `avx512ifma`
 //! ([`LaneRing::new`] is the one place that asks), and only for moduli of
 //! at most 512 bits.
 
 use core::arch::x86_64::__m512i;
 
-use crate::montgomery::{exp_digit, neg_inv_word};
+use crate::montgomery::{exp_digit, neg_inv_word, FixedBaseTable, MontgomeryRing};
 use crate::{BigUint, Powers};
 
 /// Residues per call: the 64-bit lanes of a `zmm` register.
@@ -72,6 +79,73 @@ type Slab = [[u64; LANES]; LIMBS];
 
 /// One residue as 52-bit limbs, little-endian.
 type Limbs = [u64; LIMBS];
+
+/// Entries per block of a [`LaneComb`]: one per set of the comb's rows,
+/// the empty set included.
+const COMB_ENTRIES: usize = 1 << FixedBaseTable::ROWS;
+
+/// A [`FixedBaseTable`] as the lane engine reads it
+/// ([`FixedBaseTable::lanes`]): the same rows, blocks and entries, each in
+/// this radix and in Montgomery form with `R = 2⁵²⁰`, and in front of
+/// every block the entry of the empty set of rows — one — so that a lane
+/// whose column is empty multiplies by one and no lane waits for another.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneComb {
+    blocks: usize,
+    block_bits: usize,
+    /// `entries[j * COMB_ENTRIES + u]`: entry `u` of block `j`.
+    entries: Vec<Limbs>,
+}
+
+impl LaneComb {
+    pub(crate) fn new(ring: &LaneRing, mont: &MontgomeryRing, table: &FixedBaseTable) -> Self {
+        // An entry x is stored as x·2^(64n) mod p; one product with
+        // 2^(2·520 − 64n) mod p, eight at a time, makes it x·R mod p.
+        let stored: Vec<BigUint> = table.entries(mont).collect();
+        let radix_bits = 2 * LIMBS * LIMB_BITS - 64 * mont.num_limbs();
+        let factor = vec![(BigUint::one() << radix_bits) % &ring.modulus; stored.len()];
+        let mut lane_form = ring.mont_mul(&stored, &factor).into_iter();
+        let mut entries = Vec::with_capacity(table.blocks * COMB_ENTRIES);
+        for _ in 0..table.blocks {
+            entries.push(ring.one);
+            entries.extend(lane_form.by_ref().take(COMB_ENTRIES - 1).map(|x| split(&x)));
+        }
+        LaneComb { blocks: table.blocks, block_bits: table.block_bits, entries }
+    }
+
+    /// Largest exponent bit-length the comb covers: its table's.
+    fn max_bits(&self) -> usize {
+        FixedBaseTable::ROWS * self.blocks * self.block_bits
+    }
+
+    /// The sets of rows each of at most eight exponents picks, in the
+    /// order the walk multiplies them in — bit `k` of a block from the
+    /// top, and for each `k` block `j` from the first — exactly as
+    /// [`FixedBaseTable::pow`] reads them: bit `i` of the set of column
+    /// `c = j·b + k` is bit `i·a + c` of the exponent.
+    fn steps(&self, exps: &[&BigUint]) -> Vec<[u8; LANES]> {
+        let row_bits = self.blocks * self.block_bits;
+        let mut columns = vec![[0u8; LANES]; row_bits];
+        for (l, e) in exps.iter().enumerate() {
+            for (at, window) in columns.chunks_mut(64).enumerate() {
+                let rows: [u64; FixedBaseTable::ROWS] =
+                    std::array::from_fn(|i| bits_at(e, i * row_bits + 64 * at));
+                // Eight columns at a time: byte `i` of `square` is row `i`'s
+                // bits there, and transposed, byte `c` is column `c`'s set.
+                for (k, eight) in window.chunks_mut(8).enumerate() {
+                    let bytes = rows.iter().map(|row| row >> (8 * k) & 0xFF);
+                    let square =
+                        bytes.enumerate().fold(0, |square, (i, byte)| square | byte << (8 * i));
+                    for (column, set) in eight.iter_mut().zip(transpose_bits(square).to_le_bytes()) {
+                        column[l] = set;
+                    }
+                }
+            }
+        }
+        let walk = (0..self.block_bits).rev().flat_map(|k| (0..self.blocks).map(move |j| (j, k)));
+        walk.map(|(j, k)| columns[j * self.block_bits + k]).collect()
+    }
+}
 
 /// The lane engine's context for one odd modulus.
 #[derive(Debug, Clone)]
@@ -123,6 +197,21 @@ impl LaneRing {
         out
     }
 
+    /// `base^e` for every `e` in `exps`, `comb` the lane form of `base`'s
+    /// comb table over this modulus: eight exponents to a call of the
+    /// kernel (a last, partial call leaves its empty lanes at one). Every
+    /// exponent must fit the table; `base^0 = 1`.
+    pub(crate) fn pow_comb(&self, comb: &LaneComb, exps: &[&BigUint]) -> Vec<BigUint> {
+        let mut out = Vec::with_capacity(exps.len());
+        for chunk in exps.chunks(LANES) {
+            assert!(chunk.iter().all(|e| e.bits() <= comb.max_bits()), "exponents fit the table");
+            // SAFETY: as in `pow_each`.
+            let powers = unsafe { ifma::comb_chunk(self, comb, &comb.steps(chunk)) };
+            out.extend((0..chunk.len()).map(|l| self.canonical(&powers, l)));
+        }
+        out
+    }
+
     /// The Montgomery products `aᵢ·bᵢ·R⁻¹`, each below `2p` and congruent
     /// mod `p`, for inputs below `2p`; `R` is [`LaneRing::radix`]. The
     /// surface the kernel is differentially tested through.
@@ -156,8 +245,9 @@ impl LaneRing {
     /// Up to eight residues below `2p` as a slab, missing lanes zero.
     fn slab(&self, residues: &[BigUint]) -> Slab {
         let mut slab = [[0u64; LANES]; LIMBS];
+        let two_p = &self.modulus << 1;
         for (l, residue) in residues.iter().enumerate() {
-            assert!(residue < &(&self.modulus << 1), "lane inputs are below 2p");
+            assert!(residue < &two_p, "lane inputs are below 2p");
             put(&mut slab, l, &split(residue));
         }
         slab
@@ -217,17 +307,44 @@ fn digit(e: &BigUint, i: usize) -> u8 {
     exp_digit(e, i, K) as u8
 }
 
+/// The 8×8 bit matrix `x` (row `i` its byte `i`, column `j` bit `j` of
+/// each byte) transposed: bit `j` of byte `i` becomes bit `i` of byte
+/// `j`, by three rounds of swapping the off-diagonal halves of 2×2, 4×4
+/// and 8×8 blocks.
+fn transpose_bits(mut x: u64) -> u64 {
+    for (shift, mask) in
+        [(7, 0x00AA_00AA_00AA_00AA), (14, 0x0000_CCCC_0000_CCCC), (28, 0x0000_0000_F0F0_F0F0)]
+    {
+        let t = (x ^ (x >> shift)) & mask;
+        x ^= t ^ (t << shift);
+    }
+    x
+}
+
+/// The 64 bits of `e` from bit `at` up, zero past its end.
+fn bits_at(e: &BigUint, at: usize) -> u64 {
+    let limbs = e.limbs();
+    let (limb, shift) = (at / 64, at % 64);
+    let low = limbs.get(limb).map_or(0, |l| l >> shift);
+    match shift {
+        0 => low,
+        _ => low | limbs.get(limb + 1).map_or(0, |l| l << (64 - shift)),
+    }
+}
+
 /// The kernels. Every function is a safe `#[target_feature]` function:
 /// entering one from code compiled without the features is the `unsafe`
 /// step ([`LaneRing`]'s methods take it, on the strength of
 /// [`LaneRing::new`]'s detection). Inside, the only `unsafe` is where a
 /// register meets memory — [`load`] and [`store`], each through a
-/// reference to exactly one vector's worth of words.
+/// reference to exactly one vector's worth of words; the comb's gather is
+/// a [`load`] of eight limbs picked by checked indexing.
 mod ifma {
     use core::arch::x86_64::*;
 
     use super::{
-        broadcast, digit, put, split, LaneRing, Lanes, Limbs, Slab, BUCKETS, K, LANES, LIMBS, LIMB_MASK,
+        broadcast, digit, put, split, LaneComb, LaneRing, Lanes, Limbs, Slab, BUCKETS, COMB_ENTRIES, K,
+        LANES, LIMBS, LIMB_MASK,
     };
     use crate::{BigUint, Powers};
 
@@ -423,6 +540,49 @@ mod ifma {
         total
     }
 
+    /// `total` out of Montgomery form (a product with the integer 1), one
+    /// where it is the empty product.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn plain(ring: &LaneRing, total: Option<Lanes>, m: &Modulus) -> Slab {
+        let mut unit = [0u64; LIMBS];
+        unit[0] = 1;
+        store_slab(&mont_mul(&total.unwrap_or(every_lane(&ring.one)), &every_lane(&unit), m))
+    }
+
+    /// The entries `block[picked[l]]` each lane `l` picks.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn gather(block: &[Limbs; COMB_ENTRIES], picked: &[u8; LANES]) -> Lanes {
+        std::array::from_fn(|j| load(&std::array::from_fn(|l| block[picked[l] as usize][j])))
+    }
+
+    /// [`LaneRing::pow_comb`] for at most eight exponents, given as the
+    /// sets of rows each lane picks at each step ([`LaneComb::steps`]):
+    /// [`crate::FixedBaseTable::pow`]'s walk, a squaring before each bit of
+    /// a block but the first and one gathered product per block, skipped
+    /// only where every lane's set is empty. Until the first product the
+    /// running value is one, so the first entry is taken as it is and
+    /// squarings of one are not made.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn comb_chunk(ring: &LaneRing, comb: &LaneComb, steps: &[[u8; LANES]]) -> Slab {
+        let m = modulus_of(ring);
+        let mut total: Option<Lanes> = None;
+        for (step, picked) in steps.iter().enumerate() {
+            let j = step % comb.blocks;
+            if let (0, Some(t)) = (j, &mut total) {
+                *t = mont_sqr(t, &m);
+            }
+            if *picked != [0; LANES] {
+                let block =
+                    comb.entries[j * COMB_ENTRIES..][..COMB_ENTRIES].try_into().expect("one block");
+                let entry = gather(block, picked);
+                total = Some(total.map_or(entry, |t| mont_mul(&t, &entry, &m)));
+            }
+        }
+        plain(ring, total, &m)
+    }
+
     /// [`LaneRing::pow_each`] for at most eight items.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) fn pow_chunk(
@@ -432,7 +592,6 @@ mod ifma {
     ) -> Vec<(BigUint, Vec<BigUint>)> {
         debug_assert!(items.len() <= LANES);
         let m = modulus_of(ring);
-        let one = every_lane(&ring.one);
         let slots = items.iter().map(|(_, exps)| exps.len()).max().unwrap_or(0);
         let bits = items.iter().flat_map(|(_, exps)| exps.iter()).map(|e| e.bits()).max();
         let steps = bits.unwrap_or(0).max(shared.bits()).div_ceil(K);
@@ -470,14 +629,11 @@ mod ifma {
                 }
             }
         }
-        // Out of Montgomery form: a product with the integer 1.
-        let mut unit = [0u64; LIMBS];
-        unit[0] = 1;
-        let unit = every_lane(&unit);
-        let plain = |total: Option<Lanes>| store_slab(&mont_mul(&total.unwrap_or(one), &unit, &m));
-        let shared_power = plain(sweep(|d| shared_buckets[d], &m));
-        let powers: Vec<Slab> =
-            buckets.iter().map(|buckets| plain(sweep(|d| Some(load_slab(&buckets[d])), &m))).collect();
+        let shared_power = plain(ring, sweep(|d| shared_buckets[d], &m), &m);
+        let powers: Vec<Slab> = buckets
+            .iter()
+            .map(|buckets| plain(ring, sweep(|d| Some(load_slab(&buckets[d])), &m), &m))
+            .collect();
         items
             .iter()
             .enumerate()
@@ -502,6 +658,17 @@ mod tests {
             put(&mut slab, 3, &split(&x));
             assert_eq!(join(&slab, 3), x, "{bits} bits");
             assert!(split(&x).iter().all(|&limb| limb <= LIMB_MASK));
+        }
+    }
+
+    #[test]
+    fn bit_squares_transpose() {
+        let mut rng = crate::test_rng(0x7B);
+        for _ in 0..100 {
+            let x: u64 = rand::Rng::next_u64(&mut rng);
+            let bit = |x: u64, i: usize, j: usize| x >> (8 * i + j) & 1;
+            let t = transpose_bits(x);
+            assert!((0..8).all(|i| (0..8).all(|j| bit(t, j, i) == bit(x, i, j))), "{x:#x}");
         }
     }
 

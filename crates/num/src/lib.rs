@@ -10,7 +10,9 @@
 //! scratch on `u64` limbs — no external bignum or crypto crates. On
 //! x86-64 hosts with AVX-512 IFMA, `lanes` walks eight independent
 //! membership-and-power chains as one
-//! ([`SchnorrGroup::pow_member_many`] picks the engine).
+//! ([`SchnorrGroup::pow_member_many`] picks the engine), and eight powers
+//! of one fixed base through its comb table
+//! ([`SchnorrGroup::pow_table_many`], [`SchnorrGroup::pow_g_many`]).
 //!
 //! # Examples
 //!

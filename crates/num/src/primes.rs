@@ -268,17 +268,99 @@ impl SchnorrGroup {
     /// (one multiplication per eight exponent bits and a few squarings);
     /// larger exponents fall back to generic windowed exponentiation.
     pub fn pow_g(&self, e: &BigUint) -> BigUint {
-        let ring = self.elem_ring();
-        if let Some(mont) = ring.montgomery() {
-            let table = self
-                .cache
+        match self.g_table() {
+            Some(table) => self.pow_table(table, &self.g, e),
+            None => self.elem_ring().pow(&self.g, e),
+        }
+    }
+
+    /// [`SchnorrGroup::pow_g`] of every `e` in `exps`, index-aligned,
+    /// through [`SchnorrGroup::pow_table_many`]: the exponents the
+    /// generator's comb covers go eight to a lane call where the host has
+    /// the engine.
+    pub fn pow_g_many(&self, exps: &[&BigUint]) -> Vec<BigUint> {
+        match self.g_table() {
+            Some(table) => self.pow_table_many(table, &self.g, exps),
+            None => exps.iter().map(|e| self.pow_g(e)).collect(),
+        }
+    }
+
+    /// The generator's four-block comb, built on first use and shared
+    /// across clones; `None` where the modulus has no Montgomery form.
+    fn g_table(&self) -> Option<&FixedBaseTable> {
+        let mont = self.elem_ring().montgomery()?;
+        Some(
+            self.cache
                 .g_table
-                .get_or_init(|| FixedBaseTable::for_generator(mont, &self.g, self.q.bits()));
-            if let Some(r) = table.pow(mont, e) {
-                return r;
+                .get_or_init(|| FixedBaseTable::for_generator(mont, &self.g, self.q.bits())),
+        )
+    }
+
+    /// `base^e mod p` off `table`, the comb of `base` over this group's
+    /// modulus, or by windowed exponentiation where `e` is too wide for
+    /// it.
+    fn pow_table(&self, table: &FixedBaseTable, base: &BigUint, e: &BigUint) -> BigUint {
+        let ring = self.elem_ring();
+        let mont = ring.montgomery().expect("a comb table is built over a Montgomery ring");
+        table.pow(mont, e).unwrap_or_else(|| ring.pow(base, e))
+    }
+
+    /// `base^e mod p` for every `e` in `exps`, index-aligned, `table` the
+    /// comb of `base` over this group's modulus. The exponents the table
+    /// covers are spread the way [`SchnorrGroup::lane_plan`] spreads
+    /// chains — eight to a call of the lane engine's comb
+    /// ([`SchnorrGroup::pow_table_lanes`]), a last call only if it carries
+    /// [`SchnorrGroup::LANE_MIN`] — and every other exponent, and all of
+    /// them on a host without the engine, goes through
+    /// [`FixedBaseTable::pow`] alone (windowed exponentiation where it is
+    /// too wide for the table). Each power is exactly what that gives.
+    pub fn pow_table_many(
+        &self,
+        table: &FixedBaseTable,
+        base: &BigUint,
+        exps: &[&BigUint],
+    ) -> Vec<BigUint> {
+        let mut out = vec![None; exps.len()];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let fits: Vec<usize> =
+                (0..exps.len()).filter(|&i| exps[i].bits() <= table.max_bits()).collect();
+            let (_, in_lanes) = self.lane_plan(fits.len());
+            if in_lanes > 0 {
+                let ring = self.lane_ring().expect("the plan put exponents in lanes");
+                let lanes = &fits[..in_lanes];
+                let picked: Vec<&BigUint> = lanes.iter().map(|&i| exps[i]).collect();
+                for (&i, power) in lanes.iter().zip(self.pow_table_lanes(ring, table, base, &picked)) {
+                    out[i] = Some(power);
+                }
             }
         }
-        ring.pow(&self.g, e)
+        let done = exps.iter().zip(out);
+        done.map(|(e, power)| power.unwrap_or_else(|| self.pow_table(table, base, e))).collect()
+    }
+
+    /// [`SchnorrGroup::pow_table_many`] with every exponent the table
+    /// covers in a lane of `ring`, however few there are, and only the
+    /// wider ones walked alone: the comb's other engine, and the surface
+    /// the differential suite enters it through.
+    #[cfg(target_arch = "x86_64")]
+    pub fn pow_table_lanes(
+        &self,
+        ring: &LaneRing,
+        table: &FixedBaseTable,
+        base: &BigUint,
+        exps: &[&BigUint],
+    ) -> Vec<BigUint> {
+        let mont = self.elem_ring().montgomery().expect("a comb table is built over a Montgomery ring");
+        let fits: Vec<usize> =
+            (0..exps.len()).filter(|&i| exps[i].bits() <= table.max_bits()).collect();
+        let picked: Vec<&BigUint> = fits.iter().map(|&i| exps[i]).collect();
+        let mut out = vec![None; exps.len()];
+        for (&i, power) in fits.iter().zip(ring.pow_comb(table.lanes(ring, mont), &picked)) {
+            out[i] = Some(power);
+        }
+        let done = exps.iter().zip(out);
+        done.map(|(e, power)| power.unwrap_or_else(|| self.pow_table(table, base, e))).collect()
     }
 
     /// Tests subgroup membership: `x in <g>` iff `x != 0` and `x^q = 1`.
@@ -339,11 +421,22 @@ impl SchnorrGroup {
     /// same however many of its eight lanes are filled — what 1.6 lone
     /// chains do on the host this was measured on, with two IFMA ports
     /// (EXPERIMENTS.md, "PR 17") — and four leaves room for a host with
-    /// one, where a call costs twice that.
+    /// one, where a call costs twice that. Comb powers are spread by the
+    /// same rule.
+    ///
+    /// Two was tried and dropped (EXPERIMENTS.md, "Lone requests in lanes,
+    /// measured and dropped"): with a broker
+    /// preparing a lone deposit or downtime request and an owner putting
+    /// holder and group signature in one call, the lone requests took
+    /// 17–34 % less time, but a scalar chain run just after a lane call
+    /// slows by 14 % (22.3 → 25.5 µs, p50 of 300: the lower clock of
+    /// 512-bit instructions), so the peer steps around them lost most of
+    /// it back and `coin_lifecycle` moved by less than the host's spread.
     pub const LANE_MIN: usize = 4;
 
-    /// How [`SchnorrGroup::pow_member_many`] spreads `chains` chains: the
-    /// lane calls it makes and the chains that ride them — full calls of
+    /// How [`SchnorrGroup::pow_member_many`] spreads `chains` chains (and
+    /// [`SchnorrGroup::pow_table_many`] as many comb powers): the lane
+    /// calls it makes and the chains that ride them — full calls of
     /// eight, and a last partial one if it carries
     /// [`SchnorrGroup::LANE_MIN`]. `(0, 0)` without a lane engine.
     pub fn lane_plan(&self, chains: usize) -> (usize, usize) {

@@ -7,7 +7,12 @@
 //! inside and outside the subgroup (0, 1, `p − 1`, `p`, `p + 7`, random
 //! values, members twisted by an element of order 2, 3 and 4) and 0 to 3
 //! exponents each (0, 1, `q − 1`, `q`, wider than `q`, random), they must
-//! agree item for item — and so must the dispatching call. The Montgomery
+//! agree item for item — and so must the dispatching call. The comb has
+//! two engines the same way (`pow_table_lanes`, and `FixedBaseTable::pow`
+//! one exponent at a time): in both table shapes, at every occupancy,
+//! over 0, 1, `q − 1`, the widest exponent a table covers, one bit wider
+//! and random ones, they and `pow_table_many` / `pow_g_many` agree with
+//! the plain power. The Montgomery
 //! product and squaring are held to `ModRing::mul` on inputs up to
 //! `2p − 1`, over the group's prime and over arbitrary odd moduli up to
 //! the engine's width; a wider modulus gets no engine at all.
@@ -24,7 +29,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use whopay_num::lanes::{LaneRing, LANES, MAX_MODULUS_BITS};
-use whopay_num::{BigUint, ModRing, Powers, SchnorrGroup};
+use whopay_num::{BigUint, FixedBaseTable, ModRing, Powers, SchnorrGroup};
 
 /// The benchmark's 512/160 group; its cofactor `(p − 1)/q` holds `4·9`,
 /// so `Z_p*` has elements of order 2, 3 and 4.
@@ -177,6 +182,8 @@ fn a_modulus_too_wide_for_ten_limbs_takes_the_scalar_engine() {
     let want: Vec<_> = xs.iter().map(|x| group.pow_member_each(x, &exps)).collect();
     assert_eq!(group.pow_member_many(&items), want);
     assert_eq!(want.iter().filter(|v| v.is_some()).count(), 3);
+    let exps = [&e; 9];
+    assert_eq!(group.pow_g_many(&exps), vec![group.pow_g(&e); 9]);
 }
 
 #[test]
@@ -189,6 +196,71 @@ fn the_plan_fills_whole_calls_and_a_last_one_from_four_chains_up() {
     assert_eq!(plans[4..9], [(1, 4), (1, 5), (1, 6), (1, 7), (1, 8)]);
     assert_eq!(plans[9..13], [(1, 8), (1, 8), (1, 8), (2, 12)]);
     assert_eq!(plans[16..21], [(2, 16), (2, 16), (2, 16), (2, 16), (3, 20)]);
+}
+
+/// An exponent for a comb covering `max_bits` bits: 0, 1, `q − 1`, the
+/// widest it covers, one bit wider (the scalar fallback's), or random.
+fn comb_exponent(kind: usize, max_bits: usize, rng: &mut impl Rng) -> BigUint {
+    let (q, one) = (group().order(), BigUint::one());
+    match kind % 6 {
+        0 => BigUint::zero(),
+        1 => one,
+        2 => q - &one,
+        3 => (&one << max_bits) - &one,
+        4 => one << max_bits,
+        _ => BigUint::random_below(rng, q),
+    }
+}
+
+/// The comb in lanes is the scalar comb: over the generator's four-block
+/// table and a key's two-block one, at every occupancy from one exponent
+/// to two calls and a lane, with every exponent kind in every lane — the
+/// dispatching calls, `pow_g_many` included, and (where the host has the
+/// engine) the forced one, each power equal to `FixedBaseTable::pow`'s,
+/// or to the plain power for the exponent too wide for the table.
+#[test]
+fn the_comb_in_lanes_is_the_scalar_comb_at_every_occupancy_in_both_shapes() {
+    let (ring, group) = (engine(), group());
+    let (elem, mut rng) = (group.elem_ring(), StdRng::seed_from_u64(0xC0B8));
+    let mont = elem.montgomery().expect("odd modulus");
+    let key = group.pow_g(&group.random_scalar(&mut rng));
+    let q_bits = group.order().bits();
+    let shapes = [
+        (
+            "generator",
+            FixedBaseTable::for_generator(mont, group.generator(), q_bits),
+            group.generator(),
+        ),
+        ("key", FixedBaseTable::for_key(mont, &key, q_bits), &key),
+    ];
+    for (shape, table, base) in &shapes {
+        for n in 1..=2 * LANES + 1 {
+            for shift in 0..6 {
+                let owned: Vec<BigUint> =
+                    (0..n).map(|i| comb_exponent(i + shift, table.max_bits(), &mut rng)).collect();
+                let exps: Vec<&BigUint> = owned.iter().collect();
+                let want: Vec<BigUint> = exps
+                    .iter()
+                    .map(|e| {
+                        let plain = elem.pow(base, e);
+                        let combed = table.pow(mont, e);
+                        assert_eq!(combed.is_none(), e.bits() > table.max_bits(), "{shape}: {e}");
+                        assert_eq!(combed.as_ref().unwrap_or(&plain), &plain, "{shape}: {e}");
+                        plain
+                    })
+                    .collect();
+                let at = format!("{shape}, {n} exponents, shift {shift}");
+                assert_eq!(group.pow_table_many(table, base, &exps), want, "dispatch, {at}");
+                if *shape == "generator" {
+                    assert_eq!(group.pow_g_many(&exps), want, "pow_g_many, {at}");
+                }
+                if let Some(ring) = ring {
+                    assert_eq!(group.pow_table_lanes(ring, table, base, &exps), want, "{at}");
+                }
+            }
+        }
+    }
+    assert!(group.pow_g_many(&[]).is_empty());
 }
 
 /// Residues that stress carries and the `[0, 2p)` range, then random ones.

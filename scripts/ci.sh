@@ -15,13 +15,13 @@ cargo test -q --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
 
-echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran)"
+echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, the comb differential [pow_table_lanes / pow_table_many / pow_g_many ≡ FixedBaseTable::pow in both table shapes at every occupancy 1..=17, exponents 0, 1, q-1, the widest covered and one bit wider], lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo test -p whopay-crypto --release (batch_soundness: verify_each ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
+echo "==> cargo test -p whopay-crypto --release (batch_soundness: verify_each ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
 cargo test -p whopay-crypto -q --release --offline
 
-echo "==> cargo test -p whopay-core --release (membership-fused verify parity, accept_grant shared-chain parity incl. cache traffic, accept_grants / verify_records_bulk / LayeredCoin::verify_batch / verify_dsa_each ≡ their serial twins on keys twisted by elements of order 2, 3, 4 + shard-lock independence of dispatch)"
+echo "==> cargo test -p whopay-core --release (membership-fused verify parity, the owner-side twisted-holder case [Peer::handle_transfer / handle_renewal ≡ the spec on every holder_key_cases key], accept_grant shared-chain parity incl. cache traffic, accept_grants / verify_records_bulk / LayeredCoin::verify_batch / verify_dsa_each ≡ their serial twins on keys twisted by elements of order 2, 3, 4 + shard-lock independence of dispatch)"
 cargo test -p whopay-core -q --release --offline --test member_parity --test concurrent
 
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — in lanes where the host has them; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path)"
