@@ -90,6 +90,10 @@ pub struct Auditor {
     /// a count shared with its siblings (see
     /// [`Auditor::share_violation_count`]).
     shared_count: Option<Arc<AtomicUsize>>,
+    /// The value the shared count had before each violation bumped it —
+    /// its serial among all the siblings' violations — index-aligned with
+    /// `violations` once the count is shared.
+    serials: Vec<usize>,
 }
 
 impl Auditor {
@@ -145,41 +149,31 @@ impl Auditor {
     pub fn on_chain_redeem(&mut self, chain: ChainId, total: u64, capacity: u64) {
         if let Some(&(prev, _)) = self.chain_settled.get(&chain) {
             if total <= prev {
-                self.record_chain(
-                    Invariant::DoubleRedemption,
-                    format!("chain {chain} settled total {total} after {prev}"),
-                );
+                let detail = format!("chain {chain} settled total {total} after {prev}");
+                self.record(Invariant::DoubleRedemption, None, detail);
             }
         }
         if total > capacity {
-            self.record_chain(
-                Invariant::ChainOverCapacity,
-                format!("chain {chain} settled {total} > capacity {capacity}"),
-            );
+            let detail = format!("chain {chain} settled {total} > capacity {capacity}");
+            self.record(Invariant::ChainOverCapacity, None, detail);
         }
         self.chain_settled.insert(chain, (total, capacity));
     }
 
-    /// Re-baselines the chain-redemption history from checkpoint state:
-    /// `chains` yields each chain's id, settled total, and capacity.
-    /// Call after [`Auditor::rebuild`], which clears chain state too.
-    pub fn rebuild_chains<I: IntoIterator<Item = (ChainId, u64, u64)>>(&mut self, chains: I) {
-        self.chain_settled.clear();
-        for (id, total, capacity) in chains {
-            self.chain_settled.insert(id, (total, capacity));
-        }
-    }
-
-    /// Re-baselines the auditor from checkpoint state: `coins` yields
-    /// each coin's id, whether it is deposited, and its downtime binding
-    /// sequence if one is held. History before the checkpoint is
-    /// summarized, not replayed, so counters restart from the summary.
-    pub fn rebuild<I: IntoIterator<Item = (CoinId, bool, Option<u64>)>>(&mut self, coins: I) {
+    /// Re-baselines the auditor from checkpoint state: `coins` yields each
+    /// coin's id, whether it is deposited, and its downtime binding
+    /// sequence if one is held; `chains` each chain's id, settled total
+    /// and capacity. History before the checkpoint is summarized, not
+    /// replayed, so counters restart from the summary.
+    pub fn rebuild(
+        &mut self,
+        coins: impl IntoIterator<Item = (CoinId, bool, Option<u64>)>,
+        chains: impl IntoIterator<Item = (ChainId, u64, u64)>,
+    ) {
         self.minted = 0;
         self.deposited = 0;
         self.deposited_coins.clear();
         self.binding_seq.clear();
-        self.chain_settled.clear();
         for (id, deposited, seq) in coins {
             self.minted += 1;
             if deposited {
@@ -190,6 +184,7 @@ impl Auditor {
                 self.binding_seq.insert(id, seq);
             }
         }
+        self.chain_settled = chains.into_iter().map(|(id, total, cap)| (id, (total, cap))).collect();
     }
 
     /// Records a state-commitment failure: a replayed journal entry
@@ -203,21 +198,26 @@ impl Auditor {
     fn record(&mut self, invariant: Invariant, coin: Option<CoinId>, detail: String) {
         self.violations.push(Violation { invariant, coin, detail });
         if let Some(count) = &self.shared_count {
-            count.fetch_add(1, Ordering::SeqCst);
+            self.serials.push(count.fetch_add(1, Ordering::SeqCst));
         }
     }
 
-    fn record_chain(&mut self, invariant: Invariant, detail: String) {
-        self.record(invariant, None, detail);
+    /// Makes this auditor bump `count` for every violation it records,
+    /// starting with the ones it already holds, and keep the value each
+    /// bump took as that violation's serial. A sharded broker hands all
+    /// its shards one count, so "did anything new go wrong?" is a single
+    /// atomic load instead of a lock on every shard, and "what?" is the
+    /// violations whose serials lie between two loads.
+    pub(crate) fn share_violation_count(&mut self, count: Arc<AtomicUsize>) {
+        let first = count.fetch_add(self.violations.len(), Ordering::SeqCst);
+        self.serials = (first..first + self.violations.len()).collect();
+        self.shared_count = Some(count);
     }
 
-    /// Makes this auditor bump `count` for every violation it records,
-    /// starting with the ones it already holds. A sharded broker hands all
-    /// its shards one count, so "did anything new go wrong?" is a single
-    /// atomic load instead of a lock on every shard.
-    pub(crate) fn share_violation_count(&mut self, count: Arc<AtomicUsize>) {
-        count.fetch_add(self.violations.len(), Ordering::SeqCst);
-        self.shared_count = Some(count);
+    /// The violations recorded since the count was shared, each with its
+    /// serial.
+    pub(crate) fn numbered(&self) -> impl Iterator<Item = (usize, &Violation)> {
+        self.serials.iter().copied().zip(&self.violations)
     }
 
     /// Coins minted since the baseline.
@@ -307,11 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_chains_restores_the_monotonicity_floor() {
+    fn rebuild_restores_the_chain_monotonicity_floor() {
         let chain = ChainId([6; 32]);
         let mut a = Auditor::new();
-        a.rebuild(Vec::new());
-        a.rebuild_chains(vec![(chain, 40, 100)]);
+        a.rebuild([], [(chain, 40, 100)]);
         a.on_chain_redeem(chain, 40, 100);
         assert_eq!(a.violations()[0].invariant, Invariant::DoubleRedemption);
     }
@@ -329,14 +328,14 @@ mod tests {
         let mut a = Auditor::new();
         a.on_mint(coin(1));
         a.on_deposit(coin(1));
-        a.rebuild(vec![(coin(1), true, None), (coin(2), false, Some(4))]);
+        a.rebuild([(coin(1), true, None), (coin(2), false, Some(4))], []);
         assert_eq!((a.minted(), a.deposited()), (2, 1));
         // The checkpoint's deposited coin is known: re-deposit flags.
         a.on_deposit(coin(1));
         assert!(!a.ok());
         // And the checkpointed binding seq is the monotonicity floor.
         let mut b = Auditor::new();
-        b.rebuild(vec![(coin(2), false, Some(4))]);
+        b.rebuild([(coin(2), false, Some(4))], []);
         b.on_binding(coin(2), 4);
         assert!(!b.ok());
     }

@@ -21,8 +21,8 @@ use whopay_num::{BigUint, SchnorrGroup};
 use crate::audit::Auditor;
 use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
 use crate::error::CoreError;
-use crate::journal::{ChainSnapshot, CheckpointState, CoinSnapshot, Journal, JournalEntry, JournalOp};
-use crate::ledger::{coin_leaf, BindingProof, SignedRoot, StateLedger};
+use crate::journal::{ChainSnapshot, CoinSnapshot, Journal, JournalEntry, JournalOp, StateRecord};
+use crate::ledger::{BindingProof, SignedRoot, StateLedger};
 use crate::messages::{
     CoinGrant, DepositReceipt, DepositRequest, PurchaseRequest, RenewalRequest, TransferRequest,
 };
@@ -315,26 +315,19 @@ impl Broker {
             }
             JournalOp::Counters | JournalOp::Checkpoint(_) => None,
             JournalOp::Served(ServedOp::Issue { .. }) => Some("a memo only a peer serves".to_string()),
-            JournalOp::Served(served @ ServedOp::RedeemChain { commitment, payword, receipt }) => {
+            JournalOp::Served(served @ ServedOp::RedeemChain { commitment, receipt, .. }) => {
                 let id = commitment.chain_id();
-                let record = self.chains.entry(id).or_insert_with(|| ChainSnapshot {
-                    commitment: Arc::clone(commitment),
-                    settled: 0,
-                    best_word: commitment.root,
-                    last_served: None,
-                });
-                if record.commitment == *commitment {
-                    record.settled = receipt.total;
-                    record.best_word = payword.word;
-                    record.last_served = Some(served.clone());
+                if self.chains.get(&id).is_some_and(|record| record.commitment != *commitment) {
+                    Some(format!("chain {id} redeemed under a commitment other than the one on record"))
+                } else {
+                    let record = ChainSnapshot::redeemed(served).expect("matched a redemption");
                     self.stats.redemptions += 1;
                     self.audit.on_chain_redeem(id, receipt.total, commitment.capacity);
                     if let Some(ledger) = &mut ledger {
-                        ledger.upsert_chain(id, commitment, receipt.total, &payword.word, Some(served));
+                        ledger.upsert_chain(&record);
                     }
+                    self.chains.insert(id, record);
                     None
-                } else {
-                    Some(format!("chain {id} redeemed under a commitment other than the one on record"))
                 }
             }
             JournalOp::Served(served) => {
@@ -937,8 +930,7 @@ impl Broker {
             }
             // Exactly the redemption we already credited: a retried or
             // duplicated delivery. Return the original receipt.
-            let memo =
-                record.last_served.as_ref().and_then(|s| s.replay_redeem_chain(request)).copied();
+            let memo = record.last_served.replay_redeem_chain(request).copied();
             if let Some(receipt) = self.replayed(memo) {
                 return Ok(receipt);
             }
@@ -1250,26 +1242,27 @@ impl Broker {
     /// Folds the journal down to a single checkpoint entry (truncation,
     /// bounding its growth). No-op while journalling is off.
     ///
-    /// The state ledger is canonicalized against the snapshot and the
+    /// The state ledger is rebuilt from the snapshot's records and the
     /// checkpoint committed as one more mutation; the entry records the
-    /// resulting `(root, seq)`. Checkpoints are the points where the live
-    /// broker and a recovering one re-align on identical leaf layouts
-    /// (sorted order), so the root sequences they derive match.
+    /// records and the resulting `(root, seq)`. Checkpoints are the points
+    /// where the live broker and a recovering one re-align on identical
+    /// leaf layouts (sorted order), so the root sequences they derive
+    /// match.
     pub fn checkpoint_journal(&mut self) {
         if self.journal.is_none() {
             return;
         }
-        let state = self.snapshot();
+        let records = self.snapshot();
         let (root, seq) = match self.ledger.as_mut() {
             Some(ledger) => {
-                ledger.rebuild(&self.stats, &state);
+                ledger.rebuild(&self.stats, &records);
                 ledger.commit_stats(&self.stats)
             }
             None => ([0u8; 32], 0),
         };
         let stats = self.stats;
         if let Some(journal) = &mut self.journal {
-            journal.checkpoint(seq, stats, root, state);
+            journal.checkpoint(seq, stats, root, records);
         }
     }
 
@@ -1285,22 +1278,25 @@ impl Broker {
         self.keys.clone()
     }
 
-    /// The broker's full state in canonical (sorted) order — the body of
-    /// a checkpoint, and the field-by-field oracle the recovery tests
-    /// compare against.
-    pub fn snapshot(&self) -> CheckpointState {
-        fn sorted<K: Copy + Ord, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
-            let mut records: Vec<(K, V)> =
-                map.iter().map(|(id, record)| (*id, record.clone())).collect();
-            records.sort_by_key(|(id, _)| *id);
-            records
+    /// The broker's full state as records in leaf order — peers, coins
+    /// and chains each sorted by id, fraud cases in detection order, so two
+    /// snapshots of identical state compare equal: the body of a
+    /// checkpoint, and the field-by-field oracle the recovery tests compare
+    /// against. The one place records are sorted.
+    pub fn snapshot(&self) -> Vec<StateRecord> {
+        fn sorted<'a, K: Copy + Ord, V: Clone>(
+            map: &'a HashMap<K, V>,
+            record: impl Fn(K, V) -> StateRecord + 'a,
+        ) -> impl Iterator<Item = StateRecord> + 'a {
+            let mut entries: Vec<(&K, &V)> = map.iter().collect();
+            entries.sort_by_key(|(id, _)| **id);
+            entries.into_iter().map(move |(id, value)| record(*id, value.clone()))
         }
-        CheckpointState {
-            registered: sorted(&self.registered),
-            coins: sorted(&self.coins),
-            fraud: self.fraud.clone(),
-            chains: sorted(&self.chains),
-        }
+        sorted(&self.registered, StateRecord::Peer)
+            .chain(sorted(&self.coins, |_, coin| StateRecord::Coin(coin)))
+            .chain(self.fraud.iter().cloned().map(StateRecord::Fraud))
+            .chain(sorted(&self.chains, |_, chain| StateRecord::Chain(chain)))
+            .collect()
     }
 
     /// Rebuilds a broker from its journal after a crash.
@@ -1345,25 +1341,43 @@ impl Broker {
     /// replaces the state wholesale. Signature caches are deliberately
     /// *not* primed here — see [`Broker::recover`].
     fn apply(&mut self, entry: &JournalEntry) {
-        if let JournalOp::Checkpoint(state) = &entry.op {
-            self.registered = state.registered.iter().cloned().collect();
-            self.coins = state.coins.iter().cloned().collect();
-            self.fraud = state.fraud.clone();
-            self.chains = state.chains.iter().cloned().collect();
+        if let JournalOp::Checkpoint(records) = &entry.op {
+            self.registered.clear();
+            self.coins.clear();
+            self.fraud.clear();
+            self.chains.clear();
+            for record in records.iter().cloned() {
+                match record {
+                    StateRecord::Peer(peer, key) => _ = self.registered.insert(peer, key),
+                    StateRecord::Coin(coin) => _ = self.coins.insert(coin.minted.id(), coin),
+                    StateRecord::Fraud(case) => self.fraud.push(case),
+                    StateRecord::Chain(chain) => {
+                        _ = self.chains.insert(chain.commitment.chain_id(), chain)
+                    }
+                }
+            }
+            // A record stated twice leaves its leaf as once: the root
+            // cannot tell, the count can.
+            if self.registered.len() + self.coins.len() + self.fraud.len() + self.chains.len()
+                != records.len()
+            {
+                self.audit
+                    .on_root_mismatch(format!("checkpoint seq {} states a record twice", entry.seq));
+            }
             // The auditor re-baselines on the checkpoint summary and
             // then re-audits the tail of the journal as it replays.
-            self.audit.rebuild(state.coins.iter().map(|(id, snap)| {
-                (*id, snap.deposited, snap.downtime_binding.as_ref().map(Binding::seq))
-            }));
-            self.audit.rebuild_chains(
-                state.chains.iter().map(|(id, snap)| (*id, snap.settled, snap.commitment.capacity)),
+            self.audit.rebuild(
+                self.coins.iter().map(|(id, coin)| {
+                    (*id, coin.deposited, coin.downtime_binding.as_ref().map(Binding::seq))
+                }),
+                self.chains.iter().map(|(id, chain)| (*id, chain.settled, chain.commitment.capacity)),
             );
-            // The ledger canonicalizes on the snapshot, exactly as
-            // the live broker did when it wrote this checkpoint, and
+            // The ledger is rebuilt from the records in the order they
+            // came — the live broker's order when it wrote them — and
             // re-bases its sequence counter so the commit below
             // reproduces the checkpoint's own (root, seq).
             if let Some(ledger) = self.ledger.as_mut() {
-                ledger.rebuild(&entry.stats, state);
+                ledger.rebuild(&entry.stats, records);
                 ledger.set_seq(entry.seq.wrapping_sub(1));
             }
         }
@@ -1410,13 +1424,12 @@ impl Broker {
         let ledger = self.ledger.as_ref()?;
         let record = self.coins.get(coin)?;
         let proof = ledger.prove_coin(coin)?;
-        let leaf = coin_leaf(
+        let leaf = ledger.leaf_of_coin(
             *coin,
-            &record.minted,
             record.downtime_binding.as_ref(),
             record.deposited,
             record.last_served.as_ref(),
-        );
+        )?;
         Some(BindingProof { leaf, proof, root: self.signed_root(rng)? })
     }
 
@@ -1434,9 +1447,8 @@ impl Broker {
     pub fn set_ledger_enabled(&mut self, enabled: bool) {
         if enabled {
             if self.ledger.is_none() {
-                let state = self.snapshot();
                 let mut ledger = StateLedger::new();
-                ledger.rebuild(&self.stats, &state);
+                ledger.rebuild(&self.stats, &self.snapshot());
                 self.ledger = Some(ledger);
             }
         } else {

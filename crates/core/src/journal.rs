@@ -15,8 +15,13 @@
 //! snapshot yields exactly the pre-crash numbers, rejections included.
 //!
 //! A [`JournalOp::Checkpoint`] folds the whole current state into one
-//! entry and truncates everything before it, bounding journal growth;
-//! [`crate::Broker::recover`] replays checkpoint-then-tail to a state
+//! entry and truncates everything before it, bounding journal growth. Its
+//! body is the ledger's leaves after the stats leaf: one [`StateRecord`]
+//! per leaf, in leaf order, behind the leaf's kind tag, written and read
+//! by one `put_record` / `get_record` pair. Recovery rebuilds the ledger
+//! from the records as they came, so the checkpoint's own `(root, seq)`
+//! vouches for each record, its place and their count before any replay;
+//! [`crate::Broker::recover`] then replays the tail to a state
 //! bit-identical to the crashed broker (see `tests/chaos.rs`, which
 //! asserts this field by field).
 //!
@@ -36,10 +41,11 @@ use crate::coin::{Binding, MintedCoin};
 use crate::error::CoreError;
 use whopay_crypto::sha256::Digest;
 
+use crate::ledger::{LEAF_CHAIN, LEAF_COIN, LEAF_FRAUD, LEAF_PEER};
 use crate::messages::PurchaseRequest;
 use crate::micropay::ChainCommitment;
 use crate::replay::ServedOp;
-use crate::types::{ChainId, CoinId, PeerId};
+use crate::types::{CoinId, PeerId};
 use crate::view::{
     parse_digest32, parse_list, parse_owner_tag, parse_payword, parse_receipt,
     parse_redemption_receipt, BindingRef, CommitmentRef, DepositRef, GrantRef, GroupSigRef, IntRef,
@@ -51,7 +57,8 @@ use crate::wire::{
 };
 
 /// One coin's complete broker-side state: the broker's own record of
-/// the coin, and what a checkpoint freezes of it.
+/// the coin, and what a checkpoint freezes of it (its id is the minted
+/// coin's).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoinSnapshot {
     /// The broker-signed coin.
@@ -65,7 +72,8 @@ pub struct CoinSnapshot {
 }
 
 /// One micropayment chain's complete broker-side state: the broker's
-/// own record of the chain, and what a checkpoint freezes of it.
+/// own record of the chain, every field of it read off its last
+/// redemption memo — which is all a checkpoint freezes of it.
 ///
 /// The broker never replays the whole hash chain: it keeps the word at
 /// the settled frontier and skip-verifies from it, so each incremental
@@ -73,9 +81,9 @@ pub struct CoinSnapshot {
 /// evaluations regardless of chain length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainSnapshot {
-    /// The group-signed commitment presented at first redemption, shared
-    /// with the replay memo and the journal entry of every redemption
-    /// served since.
+    /// The group-signed commitment presented at first redemption, one
+    /// allocation shared with the replay memo and the journal entry of
+    /// every redemption served since, on recovery too.
     pub commitment: Arc<ChainCommitment>,
     /// Units settled (credited) so far — the payword index frontier.
     pub settled: u64,
@@ -83,21 +91,35 @@ pub struct ChainSnapshot {
     /// next incremental redemption.
     pub best_word: Digest,
     /// The last redemption served for this chain (the replay memo).
-    pub last_served: Option<ServedOp>,
+    pub last_served: ServedOp,
 }
 
-/// The broker's full state at a checkpoint, in canonical (sorted) order
-/// so two snapshots of identical state compare equal.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CheckpointState {
-    /// Registered peers and their identity keys, sorted by peer id.
-    pub registered: Vec<(PeerId, DsaPublicKey)>,
-    /// All coin records, sorted by coin id.
-    pub coins: Vec<(CoinId, CoinSnapshot)>,
-    /// Fraud cases, in detection order.
-    pub fraud: Vec<FraudCase>,
-    /// All micropayment chain records, sorted by chain id.
-    pub chains: Vec<(ChainId, ChainSnapshot)>,
+impl ChainSnapshot {
+    /// The record a chain redemption leaves its chain with; `None` for a
+    /// memo of any other kind.
+    pub(crate) fn redeemed(memo: &ServedOp) -> Option<ChainSnapshot> {
+        let ServedOp::RedeemChain { commitment, payword, receipt } = memo else { return None };
+        Some(ChainSnapshot {
+            commitment: Arc::clone(commitment),
+            settled: receipt.total,
+            best_word: payword.word,
+            last_served: memo.clone(),
+        })
+    }
+}
+
+/// One record of the broker's state: what one ledger leaf after the stats
+/// leaf commits to, and one item of a checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StateRecord {
+    /// A registered peer and its identity key.
+    Peer(PeerId, DsaPublicKey),
+    /// A coin record.
+    Coin(CoinSnapshot),
+    /// A fraud case.
+    Fraud(FraudCase),
+    /// A micropayment chain record.
+    Chain(ChainSnapshot),
 }
 
 /// One journalled broker mutation: what `Broker::commit` was handed.
@@ -131,8 +153,9 @@ pub enum JournalOp {
     /// No structural change — only the stats snapshot riding on the
     /// entry matters (rejections, syncs, replays).
     Counters,
-    /// A full-state checkpoint; everything before it has been truncated.
-    Checkpoint(CheckpointState),
+    /// A full-state checkpoint, its records in leaf order; everything
+    /// before it has been truncated.
+    Checkpoint(Vec<StateRecord>),
 }
 
 /// One journal entry: the op plus the broker's counters *after* it and
@@ -171,9 +194,9 @@ impl Journal {
 
     /// Folds the given full state into a single checkpoint entry and
     /// drops everything recorded before it. The checkpoint carries the
-    /// `(root, seq)` pair of the canonically rebuilt state ledger —
-    /// recovery verifies it before trusting the snapshot.
-    pub fn checkpoint(&mut self, seq: u64, stats: BrokerStats, root: Digest, state: CheckpointState) {
+    /// `(root, seq)` pair of the state ledger rebuilt from `state` —
+    /// recovery verifies it before trusting the records.
+    pub fn checkpoint(&mut self, seq: u64, stats: BrokerStats, root: Digest, state: Vec<StateRecord>) {
         self.entries.clear();
         self.entries.push(JournalEntry { seq, stats, root, op: JournalOp::Checkpoint(state) });
     }
@@ -378,8 +401,8 @@ fn get_served(r: &mut Reader<'_>) -> Result<ServedOp, DecodeError> {
     }
 }
 
-fn get_opt_served(r: &mut Reader<'_>) -> Result<Option<ServedOp>, DecodeError> {
-    r.flag()?.then(|| get_served(r)).transpose()
+fn get_peer(r: &mut Reader<'_>) -> Result<(PeerId, DsaPublicKey), DecodeError> {
+    Ok((PeerId(r.u64()?), DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint())))
 }
 
 pub(crate) fn put_fraud(w: &mut Writer, case: &FraudCase) {
@@ -396,71 +419,65 @@ fn get_fraud(r: &mut Reader<'_>) -> Result<FraudCase, DecodeError> {
     Ok(FraudCase { coin, description, group_sigs })
 }
 
-fn put_checkpoint(w: &mut Writer, state: &CheckpointState) {
-    w.count(state.registered.len());
-    for (peer, key) in &state.registered {
-        w.u64(peer.0).int(key.element());
-    }
-    w.count(state.coins.len());
-    for (id, snap) in &state.coins {
-        w.fixed(&id.0);
-        put_minted(w, &snap.minted);
-        put_opt(w, snap.downtime_binding.as_ref(), put_binding);
-        w.flag(snap.deposited);
-        put_opt(w, snap.last_served.as_ref(), put_served);
-    }
-    w.count(state.fraud.len());
-    for case in &state.fraud {
-        put_fraud(w, case);
-    }
-    w.count(state.chains.len());
-    for (id, snap) in &state.chains {
-        w.fixed(&id.0);
-        put_commitment(w, &snap.commitment);
-        w.u64(snap.settled).fixed(&snap.best_word);
-        put_opt(w, snap.last_served.as_ref(), put_served);
+/// A state record behind its leaf's kind tag: a peer or a fraud case as
+/// the bytes of its leaf, a coin as its minted coin, downtime binding,
+/// deposited flag and memo, a chain as its last redemption memo alone —
+/// nothing another field already states.
+pub(crate) fn put_record(w: &mut Writer, record: &StateRecord) {
+    match record {
+        StateRecord::Peer(peer, key) => {
+            w.tag(LEAF_PEER).u64(peer.0).int(key.element());
+        }
+        StateRecord::Coin(coin) => {
+            w.tag(LEAF_COIN);
+            put_minted(w, &coin.minted);
+            put_opt(w, coin.downtime_binding.as_ref(), put_binding);
+            w.flag(coin.deposited);
+            put_opt(w, coin.last_served.as_ref(), put_served);
+        }
+        StateRecord::Fraud(case) => {
+            w.tag(LEAF_FRAUD);
+            put_fraud(w, case);
+        }
+        StateRecord::Chain(chain) => {
+            w.tag(LEAF_CHAIN);
+            put_served(w, &chain.last_served);
+        }
     }
 }
 
-// The least one item of each journal list can encode to: what bounds a
-// count prefix by the bytes that are left ([`Reader::count`]) before
-// anything is reserved for it. A real checkpoint may hold any number of
-// items, so the bytes are the only cap. A flag or an owner tag is 1 byte
-// at least, an integer 2, a count or a blob 4, a digest 32, a DSA
-// signature two integers and a group signature five.
-const MIN_PEER: usize = 8 + 2;
+fn get_record(r: &mut Reader<'_>) -> Result<StateRecord, DecodeError> {
+    match r.tag()? {
+        LEAF_PEER => get_peer(r).map(|(peer, key)| StateRecord::Peer(peer, key)),
+        LEAF_COIN => Ok(StateRecord::Coin(CoinSnapshot {
+            minted: MintedRef::parse(r)?.to_minted(),
+            downtime_binding: r
+                .flag()?
+                .then(|| BindingRef::parse(r).map(|b| b.to_binding()))
+                .transpose()?,
+            deposited: r.flag()?,
+            last_served: r.flag()?.then(|| get_served(r)).transpose()?,
+        })),
+        LEAF_FRAUD => Ok(StateRecord::Fraud(get_fraud(r)?)),
+        LEAF_CHAIN => {
+            ChainSnapshot::redeemed(&get_served(r)?).map(StateRecord::Chain).ok_or(DecodeError)
+        }
+        _ => Err(DecodeError),
+    }
+}
+
+// The least one item of a journal list can encode to: what bounds a count
+// prefix by the bytes that are left ([`Reader::count`]) before anything is
+// reserved for it. A real checkpoint may hold any number of records, so
+// the bytes are the only cap. A record is its tag and at least a peer's id
+// and key (an integer is 2 bytes at least); a group signature is five
+// integers.
+const MIN_RECORD: usize = 1 + 8 + 2;
 const MIN_GSIG: usize = 5 * 2;
-const MIN_COIN: usize = 32 + (1 + 2 + 4) + 1 + 1 + 1;
-const MIN_FRAUD: usize = 32 + 4 + 4;
-const MIN_CHAIN: usize = 32 + (32 + 8 + 8 + 4 + MIN_GSIG) + 8 + 32 + 1;
-
-fn get_checkpoint(r: &mut Reader<'_>) -> Result<CheckpointState, DecodeError> {
-    let registered = parse_list(r, usize::MAX, MIN_PEER, |r| {
-        Ok((PeerId(r.u64()?), DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint())))
-    })?;
-    let coins = parse_list(r, usize::MAX, MIN_COIN, |r| {
-        let id = CoinId(parse_digest32(r)?);
-        let minted = MintedRef::parse(r)?.to_minted();
-        let downtime_binding = r.flag()?.then(|| BindingRef::parse(r)).transpose()?;
-        let downtime_binding = downtime_binding.map(|b| b.to_binding());
-        let deposited = r.flag()?;
-        let last_served = get_opt_served(r)?;
-        Ok((id, CoinSnapshot { minted, downtime_binding, deposited, last_served }))
-    })?;
-    let fraud = parse_list(r, usize::MAX, MIN_FRAUD, get_fraud)?;
-    let chains = parse_list(r, usize::MAX, MIN_CHAIN, |r| {
-        let id = ChainId(parse_digest32(r)?);
-        let commitment = Arc::new(CommitmentRef::parse(r)?.into_commitment());
-        let settled = r.u64()?;
-        let best_word = parse_digest32(r)?;
-        let last_served = get_opt_served(r)?;
-        Ok((id, ChainSnapshot { commitment, settled, best_word, last_served }))
-    })?;
-    Ok(CheckpointState { registered, coins, fraud, chains })
-}
 
 // Tags 1, 2, 3 and 7 are retired (they were Mint / Deposit / DowntimeBinding / ChainRedeem: a
-// served op next to fields copied out of it): never reused, Malformed.
+// served op next to fields copied out of it), and so is 6 (a checkpoint of four lists, each
+// record restating its id): never reused, Malformed.
 fn put_op(w: &mut Writer, op: &JournalOp) {
     match op {
         JournalOp::Register { peer, key } => {
@@ -473,30 +490,29 @@ fn put_op(w: &mut Writer, op: &JournalOp) {
         JournalOp::Counters => {
             w.tag(5);
         }
-        JournalOp::Checkpoint(state) => {
-            w.tag(6);
-            put_checkpoint(w, state);
-        }
         JournalOp::Served(served) => {
             w.tag(8);
             put_served(w, served);
+        }
+        JournalOp::Checkpoint(records) => {
+            w.tag(9).count(records.len());
+            for record in records {
+                put_record(w, record);
+            }
         }
     }
 }
 
 fn get_op(r: &mut Reader<'_>) -> Result<JournalOp, DecodeError> {
     match r.tag()? {
-        0 => Ok(JournalOp::Register {
-            peer: PeerId(r.u64()?),
-            key: DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint()),
-        }),
+        0 => get_peer(r).map(|(peer, key)| JournalOp::Register { peer, key }),
         4 => Ok(JournalOp::Fraud { case: get_fraud(r)? }),
         5 => Ok(JournalOp::Counters),
-        6 => Ok(JournalOp::Checkpoint(get_checkpoint(r)?)),
         8 => match get_served(r)? {
             ServedOp::Issue { .. } => Err(DecodeError),
             served => Ok(JournalOp::Served(served)),
         },
+        9 => Ok(JournalOp::Checkpoint(parse_list(r, usize::MAX, MIN_RECORD, get_record)?)),
         _ => Err(DecodeError),
     }
 }

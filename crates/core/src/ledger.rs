@@ -17,10 +17,14 @@
 //! binding, and the replay memo are folded into one SHA-256 `aux` digest
 //! — committed, but never shipped in a proof.
 //!
-//! Leaf order is insertion order between checkpoints and canonical
-//! (sorted, [`StateLedger::rebuild`]) at every checkpoint — the same
-//! discipline on the live broker and during recovery, so both sides walk
-//! identical root sequences.
+//! Leaf order is insertion order between checkpoints. A checkpoint is the
+//! leaves after the stats leaf as [`StateRecord`]s, in leaf order, each
+//! behind its leaf's kind tag — a peer or a fraud case *is* its leaf's
+//! bytes — and [`StateLedger::rebuild`] makes the tree from them in the
+//! order given: canonical (sorted by [`crate::Broker::snapshot`]) on the
+//! live broker, and exactly as written during recovery, so both sides walk
+//! identical root sequences and a checkpoint whose records were changed,
+//! dropped or reordered fails at its own root.
 
 use std::collections::HashMap;
 
@@ -33,20 +37,20 @@ use crate::broker::{BrokerStats, FraudCase};
 use crate::codec::Writer;
 use crate::coin::{Binding, MintedCoin, PublicBindingState};
 use crate::error::CoreError;
-use crate::journal::{put_fraud, put_opt, put_served, put_stats, CheckpointState};
+use crate::journal::{put_opt, put_record, put_served, put_stats, ChainSnapshot, StateRecord};
 use crate::merkle::{InclusionProof, MerkleTree};
-use crate::micropay::ChainCommitment;
 use crate::replay::ServedOp;
 use crate::types::{ChainId, CoinId, PeerId};
 use crate::wire::{put_binding, put_coin_leaf, put_commitment, put_minted};
 
 // Leaf kind tags (first field of every leaf payload, so no leaf of one
-// kind can collide with another).
+// kind can collide with another; a checkpoint's state records lead with
+// them too).
 const LEAF_STATS: u8 = 0;
-const LEAF_PEER: u8 = 1;
-const LEAF_COIN: u8 = 2;
-const LEAF_FRAUD: u8 = 3;
-const LEAF_CHAIN: u8 = 4;
+pub(crate) const LEAF_PEER: u8 = 1;
+pub(crate) const LEAF_COIN: u8 = 2;
+pub(crate) const LEAF_FRAUD: u8 = 3;
+pub(crate) const LEAF_CHAIN: u8 = 4;
 
 /// The public part of a committed coin leaf — what an inclusion proof
 /// reveals to a payee: the coin, whether it is spent, the broker-managed
@@ -76,34 +80,11 @@ pub fn coin_leaf_bytes(leaf: &CoinLeaf) -> Vec<u8> {
     w.finish()
 }
 
-/// Digest of a coin's serialized mint record — the immutable half of the
-/// coin leaf's `aux` digest. Minted coins never change after minting, so
-/// the ledger computes this once per coin and reuses it on every later
-/// leaf refresh (the deposit flood otherwise re-serializes and re-hashes
-/// the mint signature on each committed mutation).
-pub fn minted_digest(minted: &MintedCoin) -> Digest {
-    let mut w = Writer::new();
-    put_minted(&mut w, minted);
-    Sha256::digest(&w.finish())
-}
-
-/// Builds the committed leaf for one coin record from its parts (the
-/// fields of a [`crate::journal::CoinSnapshot`], the broker's record).
-pub fn coin_leaf(
-    coin: CoinId,
-    minted: &MintedCoin,
-    downtime_binding: Option<&Binding>,
-    deposited: bool,
-    last_served: Option<&ServedOp>,
-) -> CoinLeaf {
-    coin_leaf_from_digest(coin, &minted_digest(minted), downtime_binding, deposited, last_served)
-}
-
-/// [`coin_leaf`] with the mint record pre-digested: `aux` is SHA-256 over
-/// the minted digest followed by the mutable parts (binding, replay
-/// memo), so refreshing a committed coin's leaf only re-hashes what can
-/// actually have changed.
-pub fn coin_leaf_from_digest(
+/// The committed leaf of a coin record, its mint record pre-digested:
+/// `aux` is SHA-256 over the minted digest followed by the mutable parts
+/// (binding, replay memo), so refreshing a committed coin's leaf only
+/// re-hashes what can actually have changed.
+fn coin_leaf_from_digest(
     coin: CoinId,
     minted: &Digest,
     downtime_binding: Option<&Binding>,
@@ -130,37 +111,28 @@ fn stats_leaf_bytes(stats: &BrokerStats) -> Vec<u8> {
     w.finish()
 }
 
-fn peer_leaf_bytes(peer: PeerId, key: &DsaPublicKey) -> Vec<u8> {
+/// A state record as a checkpoint writes it — for a peer or a fraud case,
+/// its leaf.
+fn record_bytes(record: &StateRecord) -> Vec<u8> {
     let mut w = Writer::new();
-    w.tag(LEAF_PEER).u64(peer.0).int(key.element());
+    put_record(&mut w, record);
     w.finish()
 }
 
-fn fraud_leaf_bytes(case: &FraudCase) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.tag(LEAF_FRAUD);
-    put_fraud(&mut w, case);
-    w.finish()
-}
-
-fn chain_leaf_bytes(
-    chain: &ChainId,
-    commitment: &ChainCommitment,
-    settled: u64,
-    best_word: &Digest,
-    last_served: Option<&ServedOp>,
-) -> Vec<u8> {
+fn chain_leaf_bytes(chain: &ChainSnapshot) -> Vec<u8> {
     let mut aux = Writer::new();
-    put_commitment(&mut aux, commitment);
-    put_opt(&mut aux, last_served, put_served);
+    put_commitment(&mut aux, &chain.commitment);
+    // The memo behind a presence flag, as the leaf has always hashed it.
+    put_opt(&mut aux, Some(&chain.last_served), put_served);
     let aux = Sha256::digest(&aux.finish());
     let mut w = Writer::new();
-    w.tag(LEAF_CHAIN).fixed(&chain.0).u64(settled).fixed(best_word).fixed(&aux);
+    let id = chain.commitment.chain_id();
+    w.tag(LEAF_CHAIN).fixed(&id.0).u64(chain.settled).fixed(&chain.best_word).fixed(&aux);
     w.finish()
 }
 
 /// A committed coin's slot: its leaf index plus the cached digest of its
-/// immutable mint record (see [`minted_digest`]).
+/// immutable mint record.
 #[derive(Debug, Clone, Copy)]
 struct CoinSlot {
     index: usize,
@@ -210,11 +182,6 @@ impl StateLedger {
         self.seq
     }
 
-    /// Number of committed leaves.
-    pub fn leaves(&self) -> usize {
-        self.tree.len()
-    }
-
     /// Re-bases the sequence counter (recovery aligns it to the journal
     /// entry being replayed).
     pub(crate) fn set_seq(&mut self, seq: u64) {
@@ -232,20 +199,19 @@ impl StateLedger {
 
     /// Inserts or updates a peer leaf.
     pub fn upsert_peer(&mut self, peer: PeerId, key: &DsaPublicKey) {
-        let bytes = peer_leaf_bytes(peer, key);
+        let bytes = record_bytes(&StateRecord::Peer(peer, key.clone()));
         match self.peers.get(&peer) {
             Some(&i) => self.tree.update(i, &bytes),
-            None => {
-                let i = self.tree.push(&bytes);
-                self.peers.insert(peer, i);
-            }
+            None => _ = self.peers.insert(peer, self.tree.push(&bytes)),
         }
     }
 
     /// Inserts or updates a coin leaf from its record parts. The mint
     /// record is digested once on first insert and the digest reused on
     /// every refresh — sound because a [`MintedCoin`] is immutable once
-    /// the broker has recorded it.
+    /// the broker has recorded it (the deposit flood otherwise
+    /// re-serializes and re-hashes the mint signature on each committed
+    /// mutation).
     pub fn upsert_coin(
         &mut self,
         coin: CoinId,
@@ -256,7 +222,11 @@ impl StateLedger {
     ) {
         let (index, digest) = match self.coins.get(&coin) {
             Some(slot) => (Some(slot.index), slot.minted),
-            None => (None, minted_digest(minted)),
+            None => {
+                let mut w = Writer::new();
+                put_minted(&mut w, minted);
+                (None, Sha256::digest(&w.finish()))
+            }
         };
         let leaf = coin_leaf_from_digest(coin, &digest, downtime_binding, deposited, last_served);
         let bytes = coin_leaf_bytes(&leaf);
@@ -270,80 +240,60 @@ impl StateLedger {
     }
 
     /// Inserts or updates a micropayment chain leaf.
-    pub fn upsert_chain(
-        &mut self,
-        chain: ChainId,
-        commitment: &ChainCommitment,
-        settled: u64,
-        best_word: &Digest,
-        last_served: Option<&ServedOp>,
-    ) {
-        let bytes = chain_leaf_bytes(&chain, commitment, settled, best_word, last_served);
-        match self.chains.get(&chain) {
+    pub fn upsert_chain(&mut self, chain: &ChainSnapshot) {
+        let (id, bytes) = (chain.commitment.chain_id(), chain_leaf_bytes(chain));
+        match self.chains.get(&id) {
             Some(&i) => self.tree.update(i, &bytes),
-            None => {
-                let i = self.tree.push(&bytes);
-                self.chains.insert(chain, i);
-            }
+            None => _ = self.chains.insert(id, self.tree.push(&bytes)),
         }
     }
 
     /// Appends a fraud-case leaf (fraud findings are append-only).
     pub fn push_fraud(&mut self, case: &FraudCase) {
-        self.tree.push(&fraud_leaf_bytes(case));
+        self.tree.push(&record_bytes(&StateRecord::Fraud(case.clone())));
     }
 
-    /// Rebuilds the whole tree in canonical order from a checkpoint
-    /// snapshot: stats leaf, peers sorted by id, coins sorted by id,
-    /// fraud cases in detection order, chains sorted by id. Checkpoints
-    /// are the canonicalization points that keep a live broker and a
-    /// recovering one on identical leaf layouts; the sequence counter is
-    /// left untouched.
-    pub fn rebuild(&mut self, stats: &BrokerStats, state: &CheckpointState) {
-        self.tree = MerkleTree::new();
-        self.coins.clear();
-        self.chains.clear();
-        self.peers.clear();
-        self.tree.push(&stats_leaf_bytes(stats));
-        for (peer, key) in &state.registered {
-            let i = self.tree.push(&peer_leaf_bytes(*peer, key));
-            self.peers.insert(*peer, i);
-        }
-        for (id, snap) in &state.coins {
-            let digest = minted_digest(&snap.minted);
-            let leaf = coin_leaf_from_digest(
-                *id,
-                &digest,
-                snap.downtime_binding.as_ref(),
-                snap.deposited,
-                snap.last_served.as_ref(),
-            );
-            let i = self.tree.push(&coin_leaf_bytes(&leaf));
-            self.coins.insert(*id, CoinSlot { index: i, minted: digest });
-        }
-        for case in &state.fraud {
-            self.tree.push(&fraud_leaf_bytes(case));
-        }
-        for (id, snap) in &state.chains {
-            let i = self.tree.push(&chain_leaf_bytes(
-                id,
-                &snap.commitment,
-                snap.settled,
-                &snap.best_word,
-                snap.last_served.as_ref(),
-            ));
-            self.chains.insert(*id, i);
+    /// Rebuilds the whole tree from a checkpoint's records: the stats
+    /// leaf, then one leaf per record in the order given. Checkpoints are
+    /// the points where a live broker and a recovering one re-align on
+    /// identical leaf layouts; the sequence counter is left untouched.
+    pub fn rebuild(&mut self, stats: &BrokerStats, records: &[StateRecord]) {
+        *self = StateLedger { seq: self.seq, ..StateLedger::new() };
+        self.tree.update(0, &stats_leaf_bytes(stats));
+        for record in records {
+            match record {
+                StateRecord::Peer(peer, key) => self.upsert_peer(*peer, key),
+                StateRecord::Coin(coin) => self.upsert_coin(
+                    coin.minted.id(),
+                    &coin.minted,
+                    coin.downtime_binding.as_ref(),
+                    coin.deposited,
+                    coin.last_served.as_ref(),
+                ),
+                StateRecord::Fraud(case) => self.push_fraud(case),
+                StateRecord::Chain(chain) => self.upsert_chain(chain),
+            }
         }
     }
 
-    /// The committed leaf index of a coin, if the coin is committed.
-    pub fn coin_index(&self, coin: &CoinId) -> Option<usize> {
-        self.coins.get(coin).map(|slot| slot.index)
+    /// The leaf a committed coin's record parts make, under the mint
+    /// digest cached when the coin was first committed — the leaf
+    /// [`StateLedger::upsert_coin`] committed for them. `None` when the
+    /// coin is not committed.
+    pub(crate) fn leaf_of_coin(
+        &self,
+        coin: CoinId,
+        downtime_binding: Option<&Binding>,
+        deposited: bool,
+        last_served: Option<&ServedOp>,
+    ) -> Option<CoinLeaf> {
+        let slot = self.coins.get(&coin)?;
+        Some(coin_leaf_from_digest(coin, &slot.minted, downtime_binding, deposited, last_served))
     }
 
     /// An inclusion proof for a coin's leaf against the current root.
     pub fn prove_coin(&self, coin: &CoinId) -> Option<InclusionProof> {
-        self.coin_index(coin).map(|i| self.tree.prove(i))
+        self.coins.get(coin).map(|slot| self.tree.prove(slot.index))
     }
 }
 
@@ -471,8 +421,8 @@ mod tests {
         // A fraud leaf and a chain leaf can never encode identically:
         // the kind tag leads every payload.
         let stats = stats_leaf_bytes(&BrokerStats::default());
-        let peer =
-            peer_leaf_bytes(PeerId(0), &DsaPublicKey::from_element(whopay_num::BigUint::from(5u64)));
+        let key = DsaPublicKey::from_element(whopay_num::BigUint::from(5u64));
+        let peer = record_bytes(&StateRecord::Peer(PeerId(0), key));
         assert_ne!(stats[0], peer[0]);
     }
 }

@@ -111,7 +111,7 @@ pub use broker::{Broker, BrokerStats, FraudCase, PrepareReport, Upcoming};
 pub use chain::BindingChain;
 pub use coin::{Binding, BindingSigner, DoubleSpendEvidence, MintedCoin, OwnerTag, PublicBindingState};
 pub use error::CoreError;
-pub use journal::{ChainSnapshot, CheckpointState, CoinSnapshot, Journal, JournalEntry, JournalOp};
+pub use journal::{ChainSnapshot, CoinSnapshot, Journal, JournalEntry, JournalOp, StateRecord};
 pub use judge::{Judge, RevealedIdentity};
 pub use ledger::{BindingProof, CoinLeaf, SignedRoot, StateLedger};
 pub use merkle::{InclusionProof, MerkleTree};

@@ -134,6 +134,9 @@ fn respond(response: Result<Response, CoreError>, out: &mut Vec<u8>) -> Result<(
 /// `obs`, and the flight recorder (when one backs `obs`) dumps the
 /// events leading up to them to stderr.
 fn report_violations(obs: &Obs, violations: &[Violation]) {
+    if violations.is_empty() {
+        return;
+    }
     for v in violations {
         obs.observe(Event::new(Role::Broker, OpKind::Other).failed().with_detail(format!(
             "invariant violation: {} ({})",
@@ -158,9 +161,7 @@ fn report_violations(obs: &Obs, violations: &[Violation]) {
 /// replayed double-commit.
 pub fn surface_recovery_violations(broker: &Broker, obs: &Obs) -> usize {
     let violations = broker.audit().violations();
-    if !violations.is_empty() {
-        report_violations(obs, violations);
-    }
+    report_violations(obs, violations);
     violations.len()
 }
 
@@ -168,15 +169,15 @@ pub fn surface_recovery_violations(broker: &Broker, obs: &Obs) -> usize {
 /// call. This runs after every dispatch on every shard endpoint, so the
 /// common case is one atomic load ([`ShardedBroker::violation_count`]):
 /// no shard lock is touched unless something new was recorded. `seen` is
-/// shared across the shard endpoints and advanced with `fetch_max`, so
-/// each violation surfaces once no matter which endpoint's dispatch
-/// notices it.
+/// shared across the shard endpoints and advanced with `fetch_max`, and
+/// the violations reported are those the count numbered from the old
+/// `seen` up to the new one, so each surfaces once no matter which shard
+/// recorded it or which endpoint's dispatch notices it.
 fn surface_sharded_violations(sharded: &ShardedBroker, obs: &Obs, seen: &AtomicUsize) {
     let count = sharded.violation_count();
     let prev = seen.fetch_max(count, Ordering::SeqCst);
     if count > prev {
-        let violations = sharded.violations();
-        report_violations(obs, &violations[violations.len().saturating_sub(count - prev)..]);
+        report_violations(obs, &sharded.violations_numbered(prev..count));
     }
 }
 

@@ -21,6 +21,7 @@
 //! (same `Arc`, so live endpoints see the recovered state) while the
 //! others keep serving.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -286,22 +287,34 @@ impl ShardedBroker {
         total
     }
 
-    /// Every violation any shard's auditor detected, in shard order.
+    /// Every violation any shard's auditor detected, in the order they
+    /// were recorded.
     pub fn violations(&self) -> Vec<Violation> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            all.extend_from_slice(shard.lock().expect("shard lock poisoned").audit().violations());
-        }
-        all
+        self.violations_numbered(0..usize::MAX)
     }
 
     /// How many violations the shard auditors have recorded since
     /// construction, without taking any lock. It only grows — a recovered
     /// shard adds what its replay flagged — so a caller that remembers the
-    /// last value it saw knows whether [`ShardedBroker::violations`] is
-    /// worth collecting.
+    /// last value it saw knows whether anything new is worth collecting
+    /// ([`ShardedBroker::violations_numbered`]).
     pub fn violation_count(&self) -> usize {
         self.violation_count.load(Ordering::SeqCst)
+    }
+
+    /// The violations whose serials — the count's value when each was
+    /// recorded, whichever shard recorded it — lie in `serials`, in serial
+    /// order. A shard's recovery replaces its violations with those its
+    /// replay records.
+    pub(crate) fn violations_numbered(&self, serials: Range<usize>) -> Vec<Violation> {
+        let mut found = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.lock().expect("shard lock poisoned");
+            let numbered = shard.audit().numbered().filter(|(n, _)| serials.contains(n));
+            found.extend(numbered.map(|(n, v)| (n, v.clone())));
+        }
+        found.sort_by_key(|(n, _)| *n);
+        found.into_iter().map(|(_, v)| v).collect()
     }
 
     /// True when no shard's auditor has recorded a violation.
@@ -358,7 +371,10 @@ impl ShardedBroker {
     pub fn recover_shard(&self, i: usize, journal: &Journal) {
         let mut recovered =
             Broker::recover(self.params.clone(), self.gpk.clone(), self.keys.clone(), journal);
+        // Numbered under the shard's lock: whoever sees the count move
+        // takes this lock next and finds them there.
+        let mut shard = self.lock_shard(i);
         recovered.share_violation_count(self.violation_count.clone());
-        *self.shards[i].lock().expect("shard lock poisoned") = recovered;
+        *shard = recovered;
     }
 }

@@ -420,7 +420,13 @@ fn a_deposited_coin_is_dead_on_the_downtime_path_too() {
     let stats = w.broker.stats();
     assert_eq!(whopay_core::BrokerStats { rejections: served.rejections + 5, ..served }, stats);
     let snapshot = w.broker.snapshot();
-    let (_, record) = snapshot.coins.iter().find(|(id, _)| *id == coin).expect("known coin");
+    let record = snapshot
+        .iter()
+        .find_map(|record| match record {
+            whopay_core::StateRecord::Coin(record) if record.minted.id() == coin => Some(record),
+            _ => None,
+        })
+        .expect("known coin");
     assert!(record.deposited && record.downtime_binding.is_none());
     let cases = w.broker.fraud_cases();
     assert_eq!(cases.len(), 4);

@@ -3,17 +3,17 @@
 //!
 //! `tests/fixtures/journal_shard{0,1}.bin` are the two shard journals of
 //! the [`history`] below, serialised by the commit of the last format
-//! change (PR 24, "a frame carries its fields, not their padding": tags,
-//! flags and discriminants one byte, integers behind two-byte lengths and
-//! refused with a leading zero byte, 32-byte values bare, counts and frame
-//! lengths `u32` — every journal byte moved, and with the leaf encodings
-//! every root, so the fixtures of PR 23 were rewritten with the recipe at
-//! the bottom of this comment; today's readers refuse PR 23's files as
-//! `Malformed`). Next to them sit that commit's own answers: the
-//! recovered broker folded back into a one-entry checkpoint journal —
-//! seq, stats, root and the whole snapshot in the journal's canonical
-//! encoding (`journal_shard{0,1}.recovered.bin`) — and,
-//! in `journal_expect.txt`, the committed `(root, seq)`, the auditor's
+//! change (PR 27, "a checkpoint is the ledger's leaves": a checkpoint is
+//! op 9, one list of state records in leaf order, each behind its leaf's
+//! kind tag, and op 6 is retired — only the checkpoint frames moved; every
+//! other frame, every leaf and so every root are the earlier format's,
+//! whose fixtures were rewritten with the recipe at the bottom of this
+//! comment; today's readers refuse the earlier files as `Malformed`).
+//! Next to them sit that commit's own answers: the recovered broker
+//! folded back into a one-entry checkpoint journal — seq, stats, root and
+//! the whole snapshot in the journal's canonical encoding
+//! (`journal_shard{0,1}.recovered.bin`) — and, in `journal_expect.txt`,
+//! the committed `(root, seq)`, the auditor's
 //! counts, what a torn tail left, and what every single-bit flip led to.
 //! Today's readers must reach every one of those answers from the same
 //! bytes.

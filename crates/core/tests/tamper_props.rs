@@ -18,15 +18,18 @@
 //!   replay of the surviving entries verifies, and the strict decoder
 //!   rejects the same bytes.
 //!
-//! And one forgery that is not a bit flip: a well-formed entry for a coin
+//! And forgeries that are not bit flips: a well-formed entry for a coin
 //! the broker never minted, under the root a replay that skipped it would
-//! reach, is flagged all the same — replay never skips.
+//! reach, is flagged all the same — replay never skips; and a checkpoint
+//! whose records were reordered, duplicated or dropped is flagged at its
+//! own seq.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use whopay_core::{
-    Broker, Invariant, Journal, Judge, Peer, PeerId, PurchaseMode, SystemParams, Timestamp,
+    Broker, Invariant, Journal, JournalEntry, JournalOp, Judge, Peer, PeerId, PurchaseMode,
+    StateRecord, SystemParams, Timestamp,
 };
 use whopay_crypto::dsa::DsaKeyPair;
 use whopay_crypto::group_sig::GroupPublicKey;
@@ -46,7 +49,7 @@ struct Fixture {
     /// an operator keeps out of band.
     last_seq: u64,
     /// Pre-crash state, for the clean-recovery control.
-    snapshot: whopay_core::CheckpointState,
+    snapshot: Vec<StateRecord>,
 }
 
 /// One journalling broker shared by every case: mints `COINS` coins,
@@ -193,6 +196,51 @@ proptest! {
     }
 }
 
+/// A checkpoint's records stand for the ledger's leaves in leaf order, so
+/// every record, its place and its count are committed: the fixture's
+/// checkpoint with two coin records swapped, with one stated twice, or
+/// with one left out replays to a `StateCommitment` violation at the
+/// checkpoint's own seq — before any entry of the tail.
+#[test]
+fn a_checkpoint_with_a_record_reordered_duplicated_or_dropped_is_flagged_at_its_seq() {
+    let f = fixture();
+    let journal = Journal::from_bytes(&f.journal_bytes).unwrap();
+    let checkpoint = &journal.entries()[0];
+    let JournalOp::Checkpoint(records) = &checkpoint.op else {
+        panic!("the fixture journal starts at a checkpoint")
+    };
+    let last = records.len() - 1;
+    assert!(
+        matches!(records[last - 1..], [StateRecord::Coin(_), StateRecord::Coin(_)]),
+        "the checkpoint ends in two coin records"
+    );
+    let mut reordered = records.clone();
+    reordered.swap(last - 1, last);
+    let mut duplicated = records.clone();
+    duplicated.push(records[last].clone());
+    let mut dropped = records.clone();
+    dropped.pop();
+
+    for (what, records) in [("reordered", reordered), ("duplicated", duplicated), ("dropped", dropped)]
+    {
+        let mut forged = Journal::new();
+        forged.append(JournalEntry { op: JournalOp::Checkpoint(records), ..checkpoint.clone() });
+        for entry in &journal.entries()[1..] {
+            forged.append(entry.clone());
+        }
+        let forged = Journal::from_bytes(&forged.to_bytes()).expect("well formed");
+        let recovered = Broker::recover(f.params.clone(), f.gpk.clone(), f.keys.clone(), &forged);
+        let at = format!("seq {} ", checkpoint.seq);
+        let violations = recovered.audit().violations();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.invariant == Invariant::StateCommitment && v.detail.contains(&at)),
+            "{what}: not flagged at the checkpoint's {at}: {violations:?}"
+        );
+    }
+}
+
 #[test]
 fn torn_tail_is_tolerated_at_every_chop_offset() {
     let f = fixture();
@@ -248,7 +296,7 @@ fn torn_tail_is_tolerated_at_every_chop_offset() {
 /// dropped it would compute — which anyone can work out, no key needed.
 #[test]
 fn a_forged_deposit_of_a_never_minted_coin_is_flagged_on_replay() {
-    use whopay_core::{JournalEntry, JournalOp, StateLedger};
+    use whopay_core::StateLedger;
 
     // A broker that journals from the start: an empty checkpoint, then two
     // registrations, a mint and that coin's deposit.
@@ -283,7 +331,10 @@ fn a_forged_deposit_of_a_never_minted_coin_is_flagged_on_replay() {
     let JournalOp::Checkpoint(state) = &checkpoint.op else {
         panic!("a journal starts at a checkpoint")
     };
-    assert!(state.coins.is_empty(), "the checkpoint knows no coin");
+    let coins = |records: &[StateRecord]| {
+        records.iter().filter(|record| matches!(record, StateRecord::Coin(_))).count()
+    };
+    assert_eq!(coins(state), 0, "the checkpoint knows no coin");
     let mut stats = checkpoint.stats;
     stats.deposits += 1;
     let mut ledger = StateLedger::new();
@@ -300,5 +351,5 @@ fn a_forged_deposit_of_a_never_minted_coin_is_flagged_on_replay() {
         violations.iter().any(|v| v.invariant == Invariant::StateCommitment),
         "a deposit of a coin never minted replayed in silence: {violations:?}"
     );
-    assert_eq!(recovered.snapshot().coins, state.coins, "and it changed no record");
+    assert_eq!(coins(&recovered.snapshot()), 0, "and it changed no record");
 }

@@ -401,7 +401,7 @@ fn prepare_walks_damaged_group_elements_through_the_lanes() {
 
 /// Every kind byte that is not assigned — in the request space, the
 /// response space and the journal's op space; 6 in the first two and 1, 2,
-/// 3 and 7 in the third are retired, never reused — is `Malformed` to
+/// 3, 6 and 7 in the third are retired, never reused — is `Malformed` to
 /// every decoder, alone or in front of the body of a real frame, and a
 /// live shard endpoint answers it with an error frame without any handler
 /// seeing a request.
@@ -412,7 +412,7 @@ fn every_unassigned_kind_byte_is_malformed_everywhere() {
     let seeds = seeds();
     let assigned_request = |kind: u8| kind <= 11 && kind != 6;
     let assigned_response = |kind: u8| kind <= 10 && kind != 6;
-    let assigned_op = |kind: u8| matches!(kind, 0 | 4 | 5 | 6 | 8);
+    let assigned_op = |kind: u8| matches!(kind, 0 | 4 | 5 | 8 | 9);
     let with_kind = |frame: &[u8], kind: u8| [&[kind][..], &frame[1..]].concat();
 
     // A registration and a bare counter bump, and where their op kinds lie:

@@ -37,8 +37,8 @@ use whopay::core::service::{
 };
 use whopay::core::wire::{Request, Response};
 use whopay::core::{
-    dsd, shard_of_chain, Broker, CheckpointState, CoinId, DepositRequest, Invariant, Journal,
-    JournalOp, Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp,
+    dsd, shard_of_chain, Broker, CoinId, DepositRequest, Invariant, Journal, JournalOp, Judge, Peer,
+    PeerId, PurchaseMode, ShardedBroker, StateRecord, SystemParams, Timestamp,
 };
 use whopay::crypto::dsa::DsaKeyPair;
 use whopay::crypto::group_sig::GroupPublicKey;
@@ -308,9 +308,16 @@ fn lifecycles_under_faults_conserve_value() {
     // only re-presentations were idempotent replays).
     let broker = w.broker.lock_shard(0);
     let stats = broker.stats();
-    let snap = broker.snapshot();
-    let deposited_broker = snap.coins.iter().filter(|(_, s)| s.deposited).count();
-    assert_eq!(snap.coins.len() as u64, stats.purchases, "every mint has a record");
+    let coins: Vec<_> = broker
+        .snapshot()
+        .into_iter()
+        .filter_map(|record| match record {
+            StateRecord::Coin(coin) => Some(coin),
+            _ => None,
+        })
+        .collect();
+    let deposited_broker = coins.iter().filter(|s| s.deposited).count();
+    assert_eq!(coins.len() as u64, stats.purchases, "every mint has a record");
     assert_eq!(deposited_broker, deposited.len(), "broker and client ledgers agree");
     assert_eq!(stats.deposits as usize, deposited.len(), "each coin credited exactly once");
     let mut unique = deposited.clone();
@@ -674,37 +681,43 @@ fn a_shard_violation_surfaces_once_and_dumps_flight() {
     let sclk = shared_clock(Timestamp(0));
     let shard_eps = attach_shard_endpoints_obs(&mut net, sharded.clone(), sclk, seed, obs.clone());
     let holder_ep = attach_client(&mut net, "holder");
-    let surfaced = |flight: &FlightRecorder| {
+    let surfaced = |flight: &FlightRecorder| -> Vec<String> {
         flight
             .snapshot()
             .iter()
-            .filter(|e| {
-                e.outcome == Outcome::Error
-                    && e.detail.as_deref().is_some_and(|d| d.contains("state_commitment"))
-            })
-            .count()
+            .filter(|e| e.outcome == Outcome::Error)
+            .filter_map(|e| e.detail.clone())
+            .filter(|d| d.contains("state_commitment"))
+            .collect()
     };
     let mut dispatch_on = |ep: EndpointId| {
         let _ = whopay_core::service::binding_proof_via_obs(&mut net, holder_ep, ep, coins[0], &obs);
     };
 
     dispatch_on(shard_eps[0]);
-    assert_eq!(surfaced(&flight), 0, "a clean broker surfaces nothing");
+    assert_eq!(surfaced(&flight).len(), 0, "a clean broker surfaces nothing");
 
-    // One shard crashes and comes back from a journal whose last
-    // committed root was tampered with: its own auditor records the
-    // mismatch during replay and re-joins the shared violation count.
-    let victim = sharded.shard_of_coin(&coins[0]);
-    let journal = Journal::from_bytes(&sharded.journal_bytes(victim).expect("journalling enabled"))
-        .expect("shard journal decodes");
-    let mut tampered = Journal::new();
-    for mut entry in journal.entries().iter().cloned() {
-        if Some(entry.seq) == journal.last_seq() {
-            entry.root[0] ^= 1;
+    // A shard crashes and comes back from a journal whose last committed
+    // root was tampered with: its own auditor records the mismatch during
+    // replay and re-joins the shared violation count.
+    let crash_with_forged_root = |shard: usize| {
+        let bytes = sharded.journal_bytes(shard).expect("journalling enabled");
+        let journal = Journal::from_bytes(&bytes).expect("shard journal decodes");
+        let mut tampered = Journal::new();
+        for mut entry in journal.entries().iter().cloned() {
+            if Some(entry.seq) == journal.last_seq() {
+                entry.root[0] ^= 1;
+            }
+            tampered.append(entry);
         }
-        tampered.append(entry);
-    }
-    sharded.recover_shard(victim, &tampered);
+        sharded.recover_shard(shard, &tampered);
+    };
+    // The higher-numbered shard first, then a lower one: the shards'
+    // violations in shard order are not the order they were recorded in.
+    let touched: std::collections::BTreeSet<usize> =
+        coins.iter().map(|c| sharded.shard_of_coin(c)).collect();
+    let (low, high) = (*touched.first().unwrap(), *touched.last().unwrap());
+    crash_with_forged_root(high);
     let violations = sharded.violations();
     assert_eq!(violations.len(), 1, "one tampered entry, one violation: {violations:?}");
     assert_eq!(violations[0].invariant, Invariant::StateCommitment);
@@ -712,14 +725,29 @@ fn a_shard_violation_surfaces_once_and_dumps_flight() {
 
     // The next dispatch — on another shard's endpoint — surfaces it as a
     // failed event, and the flight recorder holds the dump material.
-    dispatch_on(shard_eps[(victim + 1) % shard_eps.len()]);
-    assert_eq!(surfaced(&flight), 1, "violation event missing from flight record");
+    dispatch_on(shard_eps[(high + 1) % shard_eps.len()]);
+    assert_eq!(surfaced(&flight).len(), 1, "violation event missing from flight record");
 
-    // Later dispatches, on any shard's endpoint, do not surface it again.
+    crash_with_forged_root(low);
+    let violations = sharded.violations();
+    assert_eq!(violations.len(), 2, "{violations:?}");
+    assert_ne!(violations[0].detail, violations[1].detail, "the two shards' violations differ");
+    dispatch_on(shard_eps[high]);
+    assert_eq!(surfaced(&flight).len(), 2, "the second violation surfaced");
+
+    // Later dispatches, on any shard's endpoint, surface neither again,
+    // and what surfaced is each violation once.
     for &ep in &shard_eps {
         dispatch_on(ep);
     }
-    assert_eq!(surfaced(&flight), 1, "violation surfaced more than once");
+    let mut got = surfaced(&flight);
+    let mut want: Vec<String> = violations
+        .iter()
+        .map(|v| format!("invariant violation: {} ({})", v.invariant.label(), v.detail))
+        .collect();
+    got.sort();
+    want.sort();
+    assert_eq!(got, want, "each violation surfaced exactly once");
 }
 
 // ---------------------------------------------------------------------------
@@ -977,7 +1005,7 @@ struct DurableWorld {
     keys: DsaKeyPair,
     journal_bytes: Vec<u8>,
     last_seq: u64,
-    snapshot: CheckpointState,
+    snapshot: Vec<StateRecord>,
 }
 
 /// Runs a journalling broker through enough lifecycle to leave a journal
