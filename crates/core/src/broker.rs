@@ -21,7 +21,9 @@ use whopay_num::{BigUint, SchnorrGroup};
 use crate::audit::Auditor;
 use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
 use crate::error::CoreError;
-use crate::journal::{ChainSnapshot, CoinSnapshot, Journal, JournalEntry, JournalOp, StateRecord};
+use crate::journal::{
+    served_coin, ChainSnapshot, CoinSnapshot, Journal, JournalEntry, JournalOp, StateRecord,
+};
 use crate::ledger::{BindingProof, SignedRoot, StateLedger};
 use crate::messages::{
     CoinGrant, DepositReceipt, DepositRequest, PurchaseRequest, RenewalRequest, TransferRequest,
@@ -91,6 +93,26 @@ impl BrokerStats {
     /// [`BrokerStats::counters_mut`], by value.
     pub(crate) fn counters(mut self) -> [(&'static str, u64); 8] {
         self.counters_mut().map(|(name, value)| (name, *value))
+    }
+
+    /// Moves the one counter `op` counts, if any — a checkpoint sets them
+    /// all — so the counters are a function of the ops committed, and the
+    /// journal, which holds the ops, need not restate them.
+    fn count(&mut self, op: &JournalOp) {
+        let counter = match op {
+            JournalOp::Served(ServedOp::Purchase { .. }) => &mut self.purchases,
+            JournalOp::Served(ServedOp::Deposit { .. }) => &mut self.deposits,
+            JournalOp::Served(ServedOp::Transfer { .. }) => &mut self.downtime_transfers,
+            JournalOp::Served(ServedOp::Renewal { .. }) => &mut self.downtime_renewals,
+            JournalOp::Served(ServedOp::RedeemChain { .. }) => &mut self.redemptions,
+            JournalOp::Synced => &mut self.syncs,
+            JournalOp::Refused | JournalOp::Fraud { refused: true, .. } => &mut self.rejections,
+            JournalOp::Replayed => &mut self.replays,
+            JournalOp::Checkpoint { stats, .. } => return *self = *stats,
+            JournalOp::Register { .. } | JournalOp::Fraud { refused: false, .. } => return,
+            JournalOp::Served(ServedOp::Issue { .. }) => return,
+        };
+        *counter += 1;
     }
 }
 
@@ -284,19 +306,19 @@ impl Broker {
 
     /// Applies one mutation — the only place the broker's state changes,
     /// live and on replay: the registrations, the coin and chain records
-    /// and the fraud list, the auditor, the ledger's leaves, the counters
-    /// (bumped by the op's kind, then overridden by the stats `adopted`
-    /// from the journal entry a recovery replays) and last the ledger's
-    /// stats leaf and sequence number, whose `(root, seq)` it returns.
+    /// and the fraud list, the auditor, the ledger's leaves, the counter
+    /// the op moves ([`BrokerStats::count`]; this is its one caller) and
+    /// last the ledger's stats leaf and sequence number, whose `(root,
+    /// seq)` it returns.
     ///
     /// A handler hands an op over once it has verified and signed all
     /// there is to it. An op that does not fit the state all the same — a
-    /// memo for a coin this broker never minted, the mint of a coin on
-    /// record, a chain under another commitment, a memo only a peer
-    /// serves: a journal that is not this broker's — changes no record
-    /// and is an [`crate::Invariant::StateCommitment`] violation. Nothing
-    /// is skipped in silence.
-    fn commit(&mut self, op: &JournalOp, adopted: Option<BrokerStats>) -> (Digest, u64) {
+    /// memo for a coin this broker never minted or saw deposited, the mint
+    /// of a coin on record, a chain under another commitment, a memo only a
+    /// peer serves: a journal that is not this broker's — changes no record
+    /// or counter and is an [`crate::Invariant::StateCommitment`]
+    /// violation. Nothing is skipped in silence.
+    fn commit(&mut self, op: &JournalOp) -> (Digest, u64) {
         let mut ledger = self.ledger.as_mut();
         let misfit = match op {
             JournalOp::Register { peer, key } => {
@@ -306,14 +328,22 @@ impl Broker {
                 }
                 None
             }
-            JournalOp::Fraud { case } => {
+            JournalOp::Fraud { case, .. } => {
                 self.fraud.push(case.clone());
                 if let Some(ledger) = &mut ledger {
                     ledger.push_fraud(case);
                 }
                 None
             }
-            JournalOp::Counters | JournalOp::Checkpoint(_) => None,
+            JournalOp::Refused | JournalOp::Replayed | JournalOp::Synced => None,
+            JournalOp::Checkpoint { stats, records } => {
+                // In the order given: the live broker's sorted snapshot,
+                // or a recovery's records as they came.
+                if let Some(ledger) = &mut ledger {
+                    ledger.rebuild(stats, records);
+                }
+                None
+            }
             JournalOp::Served(ServedOp::Issue { .. }) => Some("a memo only a peer serves".to_string()),
             JournalOp::Served(served @ ServedOp::RedeemChain { commitment, receipt, .. }) => {
                 let id = commitment.chain_id();
@@ -321,7 +351,6 @@ impl Broker {
                     Some(format!("chain {id} redeemed under a commitment other than the one on record"))
                 } else {
                     let record = ChainSnapshot::redeemed(served).expect("matched a redemption");
-                    self.stats.redemptions += 1;
                     self.audit.on_chain_redeem(id, receipt.total, commitment.capacity);
                     if let Some(ledger) = &mut ledger {
                         ledger.upsert_chain(&record);
@@ -331,67 +360,44 @@ impl Broker {
                 }
             }
             JournalOp::Served(served) => {
-                // What the memo says of its coin: the mint its record
-                // starts from, or else the downtime binding it leaves the
-                // coin with (a deposit leaves none), and the counter it moves.
-                let s = &mut self.stats;
-                let (id, minted, binding, count) = match served {
-                    ServedOp::Purchase { minted, .. } => {
-                        (minted.id(), Some(minted), None, &mut s.purchases)
+                // The memo names its coin: a purchase starts the coin's
+                // record, any other memo replaces the one it holds.
+                let id = served_coin(served).expect("every other memo is matched above");
+                let record = match (self.coins.entry(id), served) {
+                    (Entry::Vacant(slot), ServedOp::Purchase { minted, .. }) => {
+                        let minted = minted.clone();
+                        Ok(slot.insert(CoinSnapshot { minted, last_served: served.clone() }))
                     }
-                    ServedOp::Deposit { request, .. } => {
-                        (request.minted.id(), None, None, &mut s.deposits)
-                    }
-                    ServedOp::Transfer { grant: CoinGrant { binding, .. }, .. } => {
-                        (binding.coin_id(), None, Some(binding), &mut s.downtime_transfers)
-                    }
-                    ServedOp::Renewal { binding, .. } => {
-                        (binding.coin_id(), None, Some(binding), &mut s.downtime_renewals)
-                    }
-                    ServedOp::Issue { .. } | ServedOp::RedeemChain { .. } => {
-                        unreachable!("matched above")
+                    (Entry::Occupied(_), ServedOp::Purchase { .. }) => Err("minted twice"),
+                    (Entry::Vacant(_), _) => Err("served but never minted"),
+                    (Entry::Occupied(o), _) if o.get().deposited() => Err("served after its deposit"),
+                    (Entry::Occupied(slot), _) => {
+                        let record = slot.into_mut();
+                        record.last_served = served.clone();
+                        Ok(record)
                     }
                 };
-                let record = match (self.coins.entry(id), minted) {
-                    (Entry::Vacant(slot), Some(minted)) => Ok(slot.insert(CoinSnapshot {
-                        minted: minted.clone(),
-                        downtime_binding: None,
-                        deposited: false,
-                        last_served: None,
-                    })),
-                    (Entry::Occupied(slot), None) => Ok(slot.into_mut()),
-                    (Entry::Occupied(_), Some(_)) => Err(format!("{id:?} minted twice")),
-                    (Entry::Vacant(_), None) => Err(format!("{id:?} served but never minted")),
-                };
-                match record {
-                    Ok(record) => {
-                        match (minted, binding) {
-                            (Some(_), _) => self.audit.on_mint(id),
-                            (None, Some(binding)) => self.audit.on_binding(id, binding.seq()),
-                            (None, None) => {
-                                record.deposited = true;
-                                self.audit.on_deposit(id);
-                            }
+                record
+                    .map(|record| {
+                        let (binding, deposited) = (record.downtime_binding(), record.deposited());
+                        match (served, binding) {
+                            (ServedOp::Purchase { .. }, _) => self.audit.on_mint(id),
+                            (_, Some(binding)) => self.audit.on_binding(id, binding.seq()),
+                            (_, None) => self.audit.on_deposit(id),
                         }
-                        record.downtime_binding = binding.cloned();
-                        record.last_served = Some(served.clone());
-                        *count += 1;
                         if let Some(ledger) = &mut ledger {
-                            let deposited = record.deposited;
                             ledger.upsert_coin(id, &record.minted, binding, deposited, Some(served));
                         }
-                        None
-                    }
-                    Err(misfit) => Some(misfit),
-                }
+                    })
+                    .map_err(|misfit| format!("{id:?} {misfit}"))
+                    .err()
             }
         };
-        if let Some(misfit) = misfit {
-            self.audit
-                .on_root_mismatch(format!("committed an op that does not fit the state: {misfit}"));
-        }
-        if let Some(stats) = adopted {
-            self.stats = stats;
+        match misfit {
+            Some(misfit) => self
+                .audit
+                .on_root_mismatch(format!("committed an op that does not fit the state: {misfit}")),
+            None => self.stats.count(op),
         }
         match ledger {
             Some(ledger) => ledger.commit_stats(&self.stats),
@@ -400,46 +406,38 @@ impl Broker {
     }
 
     /// Commits a mutation a handler served and appends it to the journal
-    /// under the `(root, seq)` it led to, with the post-op stats — so
-    /// recovery restores the counters by adopting the last entry's
-    /// snapshot, and recomputes the root entry by entry, so tampered bytes
-    /// never replay silently.
+    /// under the `(root, seq)` it led to — so recovery, which commits the
+    /// same ops, derives the same counters and recomputes the root entry
+    /// by entry, and tampered bytes never replay silently.
     fn record(&mut self, op: JournalOp) {
-        let (root, seq) = self.commit(&op, None);
+        let (root, seq) = self.commit(&op);
         if let Some(journal) = &mut self.journal {
-            journal.append(JournalEntry { seq, stats: self.stats, root, op });
+            journal.append(JournalEntry { seq, root, op });
         }
     }
 
     /// A replay memo's answer to a retried or duplicated delivery of
-    /// exactly the request it records, passed through: counted and
-    /// journalled as a replay, and nothing is applied again.
+    /// exactly the request it records, passed through: committed as a
+    /// replay, and nothing is applied again.
     fn replayed<T>(&mut self, memo: Option<T>) -> Option<T> {
         if memo.is_some() {
-            self.stats.replays += 1;
-            self.record(JournalOp::Counters);
+            self.record(JournalOp::Replayed);
         }
         memo
     }
 
-    /// Counts and journals a rejection, then returns the error.
+    /// Commits a rejection, then returns the error.
     fn reject<T>(&mut self, err: CoreError) -> Result<T, CoreError> {
-        self.stats.rejections += 1;
-        self.record(JournalOp::Counters);
+        self.record(JournalOp::Refused);
         Err(err)
     }
 
     /// Refuses a fully verified request to spend the deposited `coin`
-    /// again: files the fraud case, with the requester's group signature
-    /// for the judge to open, and counts and journals the rejection.
-    fn double_spend(
-        &mut self,
-        coin: CoinId,
-        description: &str,
-        group_sig: &GroupSignature,
-    ) -> CoreError {
-        self.stats.rejections += 1;
-        self.report_fraud(coin, description.to_string(), vec![group_sig.clone()]);
+    /// again: files the fraud case — `what` was tried, with the requester's
+    /// group signature for the judge to open — as the refusal it is.
+    fn double_spend(&mut self, coin: CoinId, what: &str, group_sig: &GroupSignature) -> CoreError {
+        let case = FraudCase { coin, description: what.into(), group_sigs: vec![group_sig.clone()] };
+        self.record(JournalOp::Fraud { case, refused: true });
         CoreError::DoubleSpend(coin)
     }
 
@@ -543,7 +541,7 @@ impl Broker {
 
     /// Whether a coin is known and still circulating.
     pub fn is_circulating(&self, coin: &CoinId) -> bool {
-        self.coins.get(coin).is_some_and(|c| !c.deposited)
+        self.coins.get(coin).is_some_and(|c| !c.deposited())
     }
 
     // --- purchase ---
@@ -573,7 +571,7 @@ impl Broker {
         if let Some(record) = self.coins.get(&id) {
             // Exactly the request we already honoured: a retried or
             // duplicated delivery. Return the original coin.
-            let memo = record.last_served.as_ref().and_then(|s| s.replay_purchase(request)).cloned();
+            let memo = record.last_served.replay_purchase(request).cloned();
             if let Some(minted) = self.replayed(memo) {
                 return Ok(minted);
             }
@@ -640,8 +638,7 @@ impl Broker {
         // Exactly the deposit we already credited: a retried or duplicated
         // delivery. Return the original receipt instead of calling it a
         // double spend.
-        let memo =
-            self.coins[&id].last_served.as_ref().and_then(|s| s.replay_deposit(request)).cloned();
+        let memo = self.coins[&id].last_served.replay_deposit(request).cloned();
         if let Some(receipt) = self.replayed(memo) {
             return Ok(receipt);
         }
@@ -656,7 +653,7 @@ impl Broker {
         // the stored binding itself, so one presented bit for bit needs no
         // verification — only a binding that differs is checked, and must
         // then supersede the stored one.
-        let stored = self.coins[&id].downtime_binding.as_ref();
+        let stored = self.coins[&id].downtime_binding();
         if stored != Some(&request.binding) {
             let stored_seq = stored.map(Binding::seq);
             if !self.binding_verifies(&group, &request.binding) {
@@ -681,7 +678,7 @@ impl Broker {
         if request.binding.is_expired(now) {
             return self.reject(CoreError::Expired { expired_at: request.binding.expires() });
         }
-        if self.coins[&id].deposited {
+        if self.coins[&id].deposited() {
             return Err(self.double_spend(id, "coin deposited twice", &request.group_sig));
         }
         let receipt = DepositReceipt { coin: id, value: 1 };
@@ -860,7 +857,7 @@ impl Broker {
     /// mint signature, which is the broker's own, has passed.
     fn owed_by_deposit<'a>(&self, request: &'a DepositRequest, owed: &mut OwedChains<'a>) {
         let Some(record) = self.coins.get(&request.minted.id()) else { return };
-        if record.last_served.as_ref().is_some_and(|s| s.replay_deposit(request).is_some()) {
+        if record.last_served.replay_deposit(request).is_some() {
             return;
         }
         if request.binding.coin_pk() != request.minted.coin_pk() {
@@ -868,7 +865,7 @@ impl Broker {
         }
         self.owe_holder_role(
             &request.binding,
-            record.downtime_binding.as_ref() == Some(&request.binding),
+            record.downtime_binding() == Some(&request.binding),
             DepositRequest::signed_bytes(&request.binding),
             (&request.holder_sig, &request.group_sig),
             owed,
@@ -880,10 +877,10 @@ impl Broker {
     fn owed_by_downtime<'a>(&self, request: Downtime<'a>, owed: &mut OwedChains<'a>) {
         let current = request.current();
         let Some(record) = self.coins.get(&current.coin_id()) else { return };
-        if record.last_served.as_ref().is_some_and(|memo| request.served_as(memo)) {
+        if request.served_as(&record.last_served) {
             return;
         }
-        let stored = match &record.downtime_binding {
+        let stored = match record.downtime_binding() {
             Some(stored) if stored == current => true,
             Some(stored)
                 if current.seq() > stored.seq() && current.signer() == BindingSigner::CoinKey =>
@@ -1024,7 +1021,7 @@ impl Broker {
         rng: &mut R,
     ) -> Result<CoinGrant, CoreError> {
         let id = self.serve_downtime(Downtime::Transfer(request), now, rng)?;
-        let memo = self.coins[&id].last_served.as_ref().and_then(|s| s.replay_transfer(request));
+        let memo = self.coins[&id].last_served.replay_transfer(request);
         Ok(memo.expect("served: the memo holds the grant").clone())
     }
 
@@ -1041,7 +1038,7 @@ impl Broker {
         rng: &mut R,
     ) -> Result<Binding, CoreError> {
         let id = self.serve_downtime(Downtime::Renewal(request), now, rng)?;
-        let memo = self.coins[&id].last_served.as_ref().and_then(|s| s.replay_renewal(request));
+        let memo = self.coins[&id].last_served.replay_renewal(request);
         Ok(memo.expect("served: the memo holds the binding").clone())
     }
 
@@ -1060,7 +1057,7 @@ impl Broker {
         let Some(record) = self.coins.get(&id) else {
             return self.reject(CoreError::NotCirculating(id));
         };
-        let again = record.last_served.as_ref().is_some_and(|memo| request.served_as(memo));
+        let again = request.served_as(&record.last_served);
         if let Some(id) = self.replayed(again.then_some(id)) {
             return Ok(id);
         }
@@ -1105,7 +1102,7 @@ impl Broker {
         group_sig: &GroupSignature,
     ) -> Result<(), CoreError> {
         let group = self.params.group().clone();
-        let stored = self.coins.get(id).expect("caller checked existence").downtime_binding.as_ref();
+        let stored = self.coins.get(id).expect("caller checked existence").downtime_binding();
         let refusal = match stored.map(Binding::seq) {
             // Flavor two: bit-by-bit comparison against stored state —
             // unless the presented binding *supersedes* it (a newer
@@ -1141,7 +1138,7 @@ impl Broker {
         // the check comes once the signatures are known to be the
         // requester's: a fraud case carries no message, so the judge
         // could not tell a transplanted group signature from a real one.
-        if self.coins[id].deposited {
+        if self.coins[id].deposited() {
             return Err(self.double_spend(
                 *id,
                 "deposited coin spent down the downtime path",
@@ -1179,8 +1176,7 @@ impl Broker {
         if !key.verify(self.params.group(), challenge, response) {
             return self.reject(CoreError::BadSignature);
         }
-        self.stats.syncs += 1;
-        self.record(JournalOp::Counters);
+        self.record(JournalOp::Synced);
         Ok(self.downtime_bindings_of(peer))
     }
 
@@ -1193,7 +1189,7 @@ impl Broker {
         self.coins
             .values()
             .filter(|record| record.minted.owner() == &owner)
-            .filter_map(|record| record.downtime_binding.clone())
+            .filter_map(|record| record.downtime_binding().cloned())
             .collect()
     }
 
@@ -1218,15 +1214,15 @@ impl Broker {
         if !key.verify(self.params.group(), challenge, response) {
             return self.reject(CoreError::BadSignature);
         }
-        self.stats.syncs += 1;
-        self.record(JournalOp::Counters);
-        Ok(self.coins[&id].downtime_binding.clone())
+        self.record(JournalOp::Synced);
+        Ok(self.coins[&id].downtime_binding().cloned())
     }
 
     /// Records externally supplied double-spend evidence (e.g. from the
     /// real-time detection layer) as a fraud case for the judge.
     pub fn report_fraud(&mut self, coin: CoinId, description: String, group_sigs: Vec<GroupSignature>) {
-        self.record(JournalOp::Fraud { case: FraudCase { coin, description, group_sigs } });
+        let case = FraudCase { coin, description, group_sigs };
+        self.record(JournalOp::Fraud { case, refused: false });
     }
 
     // --- crash recovery ---
@@ -1242,27 +1238,14 @@ impl Broker {
     /// Folds the journal down to a single checkpoint entry (truncation,
     /// bounding its growth). No-op while journalling is off.
     ///
-    /// The state ledger is rebuilt from the snapshot's records and the
-    /// checkpoint committed as one more mutation; the entry records the
-    /// records and the resulting `(root, seq)`. Checkpoints are the points
-    /// where the live broker and a recovering one re-align on identical
-    /// leaf layouts (sorted order), so the root sequences they derive
-    /// match.
+    /// The checkpoint is committed as one more mutation, which rebuilds
+    /// the state ledger from the snapshot's records. Checkpoints are the
+    /// points where the live broker and a recovering one re-align on
+    /// identical leaf layouts (sorted order), so the root sequences they
+    /// derive match.
     pub fn checkpoint_journal(&mut self) {
-        if self.journal.is_none() {
-            return;
-        }
-        let records = self.snapshot();
-        let (root, seq) = match self.ledger.as_mut() {
-            Some(ledger) => {
-                ledger.rebuild(&self.stats, &records);
-                ledger.commit_stats(&self.stats)
-            }
-            None => ([0u8; 32], 0),
-        };
-        let stats = self.stats;
-        if let Some(journal) = &mut self.journal {
-            journal.checkpoint(seq, stats, root, records);
+        if self.journal.is_some() {
+            self.record(JournalOp::Checkpoint { stats: self.stats, records: self.snapshot() });
         }
     }
 
@@ -1336,24 +1319,19 @@ impl Broker {
     }
 
     /// Replays one journal entry during recovery: [`Broker::commit`] on
-    /// its op under its stats, then the recomputed ledger `(root, seq)`
-    /// against the commitment the entry recorded. A checkpoint first
-    /// replaces the state wholesale. Signature caches are deliberately
-    /// *not* primed here — see [`Broker::recover`].
+    /// its op, then the recomputed ledger `(root, seq)` against the
+    /// commitment the entry recorded. A checkpoint first replaces the
+    /// records wholesale. Signature caches are deliberately *not* primed
+    /// here — see [`Broker::recover`].
     fn apply(&mut self, entry: &JournalEntry) {
-        if let JournalOp::Checkpoint(records) = &entry.op {
-            self.registered.clear();
-            self.coins.clear();
-            self.fraud.clear();
-            self.chains.clear();
+        if let JournalOp::Checkpoint { records, .. } = &entry.op {
+            (self.registered, self.coins, self.fraud, self.chains) = Default::default();
             for record in records.iter().cloned() {
                 match record {
                     StateRecord::Peer(peer, key) => _ = self.registered.insert(peer, key),
                     StateRecord::Coin(coin) => _ = self.coins.insert(coin.minted.id(), coin),
                     StateRecord::Fraud(case) => self.fraud.push(case),
-                    StateRecord::Chain(chain) => {
-                        _ = self.chains.insert(chain.commitment.chain_id(), chain)
-                    }
+                    StateRecord::Chain(c) => _ = self.chains.insert(c.commitment.chain_id(), c),
                 }
             }
             // A record stated twice leaves its leaf as once: the root
@@ -1368,20 +1346,18 @@ impl Broker {
             // then re-audits the tail of the journal as it replays.
             self.audit.rebuild(
                 self.coins.iter().map(|(id, coin)| {
-                    (*id, coin.deposited, coin.downtime_binding.as_ref().map(Binding::seq))
+                    (*id, coin.deposited(), coin.downtime_binding().map(Binding::seq))
                 }),
                 self.chains.iter().map(|(id, chain)| (*id, chain.settled, chain.commitment.capacity)),
             );
-            // The ledger is rebuilt from the records in the order they
-            // came — the live broker's order when it wrote them — and
-            // re-bases its sequence counter so the commit below
-            // reproduces the checkpoint's own (root, seq).
+            // The ledger re-bases its sequence counter so the commit
+            // below, which rebuilds it, reproduces the checkpoint's own
+            // (root, seq).
             if let Some(ledger) = self.ledger.as_mut() {
-                ledger.rebuild(&entry.stats, records);
                 ledger.set_seq(entry.seq.wrapping_sub(1));
             }
         }
-        let (root, seq) = self.commit(&entry.op, Some(entry.stats));
+        let (root, seq) = self.commit(&entry.op);
         if (root, seq) != (entry.root, entry.seq) {
             self.audit.on_root_mismatch(format!(
                 "replayed journal entry seq {} recomputed (root {:02x}{:02x}.., seq {}) \
@@ -1424,12 +1400,7 @@ impl Broker {
         let ledger = self.ledger.as_ref()?;
         let record = self.coins.get(coin)?;
         let proof = ledger.prove_coin(coin)?;
-        let leaf = ledger.leaf_of_coin(
-            *coin,
-            record.downtime_binding.as_ref(),
-            record.deposited,
-            record.last_served.as_ref(),
-        )?;
+        let leaf = ledger.leaf_of_coin(*coin, record)?;
         Some(BindingProof { leaf, proof, root: self.signed_root(rng)? })
     }
 
@@ -1468,7 +1439,7 @@ impl Broker {
     ) -> usize {
         let mut published = 0;
         for record in self.coins.values() {
-            if let Some(binding) = &record.downtime_binding {
+            if let Some(binding) = record.downtime_binding() {
                 if self.publish_binding(binding, dht, entry, rng).is_ok() {
                     published += 1;
                 }

@@ -3,27 +3,28 @@
 //! Every state mutation the broker performs is appended as a
 //! [`JournalEntry`] before the response leaves the broker, and the entry
 //! *is* what the broker committed: a registration, a fraud finding, a
-//! bare counter bump, or — for a mint, a deposit, a downtime transfer or
-//! renewal and a chain redemption — the served operation itself
-//! ([`JournalOp::Served`]), the same request-and-answer memo the coin's
-//! or chain's record keeps. The coin, the minted coin, the new binding
-//! and the chain are read off that memo, so an entry states nothing
-//! twice, and `Broker::commit` — the one function that applies an op —
-//! runs on it live and on replay alike. Each entry carries the *post-op*
-//! [`BrokerStats`], so recovery never has to reconstruct counters from
-//! the ops: replaying entry by entry and adopting the last stats
-//! snapshot yields exactly the pre-crash numbers, rejections included.
+//! refusal, a replayed answer, a sync, or — for a mint, a deposit, a
+//! downtime transfer or renewal and a chain redemption — the served
+//! operation itself ([`JournalOp::Served`]), the same request-and-answer
+//! memo the coin's or chain's record keeps. The coin, the minted coin, the
+//! new binding and the chain are read off that memo, and every counter of
+//! [`BrokerStats`] is moved by the op that counts it, so an entry is its
+//! sequence number, its root and its op, and states nothing twice:
+//! `Broker::commit` — the one function that applies an op and the one
+//! writer of the counters — runs on it live and on replay alike.
 //!
 //! A [`JournalOp::Checkpoint`] folds the whole current state into one
 //! entry and truncates everything before it, bounding journal growth. Its
-//! body is the ledger's leaves after the stats leaf: one [`StateRecord`]
-//! per leaf, in leaf order, behind the leaf's kind tag, written and read
-//! by one `put_record` / `get_record` pair. Recovery rebuilds the ledger
-//! from the records as they came, so the checkpoint's own `(root, seq)`
-//! vouches for each record, its place and their count before any replay;
-//! [`crate::Broker::recover`] then replays the tail to a state
-//! bit-identical to the crashed broker (see `tests/chaos.rs`, which
-//! asserts this field by field).
+//! body is every leaf of the ledger: the stats leaf's counters, then one
+//! [`StateRecord`] per leaf after it, in leaf order, behind the leaf's
+//! kind tag, written and read by one `put_record` / `get_record` pair. A
+//! coin record is its minted coin and its memo, whose kind says whether
+//! the coin is deposited and which downtime binding it holds. Recovery
+//! rebuilds the ledger from the records as they came, so the checkpoint's
+//! own `(root, seq)` vouches for the counters, each record, its place and
+//! their count before any replay; [`crate::Broker::recover`] then replays
+//! the tail to a state bit-identical to the crashed broker (see
+//! `tests/chaos.rs`, which asserts this field by field).
 //!
 //! Persistence itself is out of scope — the journal serialises to the
 //! repo's field-class binary codec ([`Journal::to_bytes`] /
@@ -56,19 +57,53 @@ use crate::wire::{
     put_payword, put_receipt, put_redemption_receipt, put_renewal, put_sig, put_transfer,
 };
 
-/// One coin's complete broker-side state: the broker's own record of
-/// the coin, and what a checkpoint freezes of it (its id is the minted
-/// coin's).
+/// One coin's complete broker-side state: the broker's own record of the
+/// coin, and what a checkpoint freezes of it (its id is the minted coin's;
+/// its deposited flag and downtime binding are read off its memo).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoinSnapshot {
     /// The broker-signed coin.
     pub minted: MintedCoin,
-    /// Broker-managed downtime binding, if any.
-    pub downtime_binding: Option<Binding>,
-    /// Whether the coin has been redeemed.
-    pub deposited: bool,
-    /// The last mutating op served for this coin (the replay memo).
-    pub last_served: Option<ServedOp>,
+    /// The last mutating op served for this coin (the replay memo): its
+    /// purchase, a downtime transfer or renewal, or its deposit.
+    pub last_served: ServedOp,
+}
+
+impl CoinSnapshot {
+    /// The record `memo` leaves the coin `minted` with; `None` unless the
+    /// memo is a purchase, a downtime transfer or renewal, or a deposit of
+    /// that very coin.
+    pub(crate) fn served(minted: MintedCoin, memo: ServedOp) -> Option<CoinSnapshot> {
+        (served_coin(&memo) == Some(minted.id())).then_some(CoinSnapshot { minted, last_served: memo })
+    }
+
+    /// Whether the coin has been redeemed: its memo is its deposit.
+    pub fn deposited(&self) -> bool {
+        matches!(self.last_served, ServedOp::Deposit { .. })
+    }
+
+    /// The broker-signed downtime binding the coin holds: the one its
+    /// transfer or renewal memo names (none after a purchase or a deposit).
+    pub fn downtime_binding(&self) -> Option<&Binding> {
+        match &self.last_served {
+            ServedOp::Transfer { grant, .. } => Some(&grant.binding),
+            ServedOp::Renewal { binding, .. } => Some(binding),
+            _ => None,
+        }
+    }
+}
+
+/// The coin a memo the broker serves for a coin names: a purchase its
+/// minted coin, a deposit the coin it redeems, a transfer or renewal the
+/// new binding's coin; `None` for a memo of any other kind.
+pub(crate) fn served_coin(memo: &ServedOp) -> Option<CoinId> {
+    match memo {
+        ServedOp::Purchase { minted, .. } => Some(minted.id()),
+        ServedOp::Deposit { request, .. } => Some(request.minted.id()),
+        ServedOp::Transfer { grant, .. } => Some(grant.binding.coin_id()),
+        ServedOp::Renewal { binding, .. } => Some(binding.coin_id()),
+        ServedOp::Issue { .. } | ServedOp::RedeemChain { .. } => None,
+    }
 }
 
 /// One micropayment chain's complete broker-side state: the broker's
@@ -138,37 +173,45 @@ pub enum JournalOp {
         key: DsaPublicKey,
     },
     /// A mint, a deposit, a downtime transfer or renewal, or a chain
-    /// redemption, as the replay memo the record now holds. The memo
-    /// names what it changed — a purchase its minted coin, a deposit the
-    /// coin it redeems, a transfer or renewal the new broker-signed
-    /// binding, a redemption its chain, commitment and frontier — so the
-    /// entry carries nothing beside it. [`ServedOp::Issue`], which only a
-    /// peer serves, does not decode here.
+    /// redemption, as the replay memo the record now holds: the memo names
+    /// what it changed — its coin, or its chain and frontier — so the entry
+    /// carries nothing beside it. [`ServedOp::Issue`], which only a peer
+    /// serves, does not decode here.
     Served(ServedOp),
     /// A fraud case was recorded.
     Fraud {
         /// The recorded case.
         case: FraudCase,
+        /// Whether the finding refused a request (a double spend the
+        /// broker caught itself), and so counts as a rejection.
+        refused: bool,
     },
-    /// No structural change — only the stats snapshot riding on the
-    /// entry matters (rejections, syncs, replays).
-    Counters,
-    /// A full-state checkpoint, its records in leaf order; everything
-    /// before it has been truncated.
-    Checkpoint(Vec<StateRecord>),
+    /// A request was refused: one rejection.
+    Refused,
+    /// A retried or duplicated request was answered from its replay memo:
+    /// one replay.
+    Replayed,
+    /// A sync was served: one sync.
+    Synced,
+    /// A full-state checkpoint — the counters, then the records in leaf
+    /// order; everything before it has been truncated.
+    Checkpoint {
+        /// The counters at the checkpoint.
+        stats: BrokerStats,
+        /// One record per ledger leaf after the stats leaf.
+        records: Vec<StateRecord>,
+    },
 }
 
-/// One journal entry: the op plus the broker's counters *after* it and
-/// the tamper-evidence pair — the state-ledger `(root, seq)` the broker
-/// committed to immediately after the op (see [`crate::ledger`]).
-/// Recovery recomputes the root per replayed entry and flags any
-/// mismatch, so no byte of the journal can change without detection.
+/// One journal entry: the op plus the tamper-evidence pair — the
+/// state-ledger `(root, seq)` the broker committed to immediately after
+/// the op (see [`crate::ledger`]), its counters included. Recovery
+/// recomputes the root per replayed entry and flags any mismatch, so no
+/// byte of the journal can change without detection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
     /// Global mutation sequence number (monotonic across checkpoints).
     pub seq: u64,
-    /// Counters after the op applied.
-    pub stats: BrokerStats,
     /// The state-ledger Merkle root after the op committed.
     pub root: Digest,
     /// The mutation.
@@ -187,18 +230,12 @@ impl Journal {
         Journal::default()
     }
 
-    /// Appends one entry.
+    /// Appends one entry; a checkpoint drops everything before it.
     pub fn append(&mut self, entry: JournalEntry) {
+        if let JournalOp::Checkpoint { .. } = entry.op {
+            self.entries.clear();
+        }
         self.entries.push(entry);
-    }
-
-    /// Folds the given full state into a single checkpoint entry and
-    /// drops everything recorded before it. The checkpoint carries the
-    /// `(root, seq)` pair of the state ledger rebuilt from `state` —
-    /// recovery verifies it before trusting the records.
-    pub fn checkpoint(&mut self, seq: u64, stats: BrokerStats, root: Digest, state: Vec<StateRecord>) {
-        self.entries.clear();
-        self.entries.push(JournalEntry { seq, stats, root, op: JournalOp::Checkpoint(state) });
     }
 
     /// The sequence number of the last entry (`None` when empty) — the
@@ -232,9 +269,7 @@ impl Journal {
         let mut w = Writer::new();
         for entry in &self.entries {
             let mut inner = Writer::new();
-            inner.u64(entry.seq);
-            put_stats(&mut inner, &entry.stats);
-            inner.fixed(&entry.root);
+            inner.u64(entry.seq).fixed(&entry.root);
             put_op(&mut inner, &entry.op);
             w.blob(&inner.finish());
         }
@@ -288,11 +323,10 @@ impl Journal {
 fn decode_entry(frame: &[u8]) -> Result<JournalEntry, DecodeError> {
     let mut r = Reader::new(frame);
     let seq = r.u64()?;
-    let stats = get_stats(&mut r)?;
     let root = parse_digest32(&mut r)?;
     let op = get_op(&mut r)?;
     r.finish()?;
-    Ok(JournalEntry { seq, stats, root, op })
+    Ok(JournalEntry { seq, root, op })
 }
 
 // --- field encodings ---
@@ -420,20 +454,15 @@ fn get_fraud(r: &mut Reader<'_>) -> Result<FraudCase, DecodeError> {
 }
 
 /// A state record behind its leaf's kind tag: a peer or a fraud case as
-/// the bytes of its leaf, a coin as its minted coin, downtime binding,
-/// deposited flag and memo, a chain as its last redemption memo alone —
-/// nothing another field already states.
+/// the bytes of its leaf, a coin as its minted coin and memo, a chain as
+/// its last redemption memo alone — nothing another field already states.
 pub(crate) fn put_record(w: &mut Writer, record: &StateRecord) {
     match record {
-        StateRecord::Peer(peer, key) => {
-            w.tag(LEAF_PEER).u64(peer.0).int(key.element());
-        }
+        StateRecord::Peer(peer, key) => _ = w.tag(LEAF_PEER).u64(peer.0).int(key.element()),
         StateRecord::Coin(coin) => {
             w.tag(LEAF_COIN);
             put_minted(w, &coin.minted);
-            put_opt(w, coin.downtime_binding.as_ref(), put_binding);
-            w.flag(coin.deposited);
-            put_opt(w, coin.last_served.as_ref(), put_served);
+            put_served(w, &coin.last_served);
         }
         StateRecord::Fraud(case) => {
             w.tag(LEAF_FRAUD);
@@ -449,15 +478,10 @@ pub(crate) fn put_record(w: &mut Writer, record: &StateRecord) {
 fn get_record(r: &mut Reader<'_>) -> Result<StateRecord, DecodeError> {
     match r.tag()? {
         LEAF_PEER => get_peer(r).map(|(peer, key)| StateRecord::Peer(peer, key)),
-        LEAF_COIN => Ok(StateRecord::Coin(CoinSnapshot {
-            minted: MintedRef::parse(r)?.to_minted(),
-            downtime_binding: r
-                .flag()?
-                .then(|| BindingRef::parse(r).map(|b| b.to_binding()))
-                .transpose()?,
-            deposited: r.flag()?,
-            last_served: r.flag()?.then(|| get_served(r)).transpose()?,
-        })),
+        LEAF_COIN => {
+            let minted = MintedRef::parse(r)?.to_minted();
+            CoinSnapshot::served(minted, get_served(r)?).map(StateRecord::Coin).ok_or(DecodeError)
+        }
         LEAF_FRAUD => Ok(StateRecord::Fraud(get_fraud(r)?)),
         LEAF_CHAIN => {
             ChainSnapshot::redeemed(&get_served(r)?).map(StateRecord::Chain).ok_or(DecodeError)
@@ -476,26 +500,28 @@ const MIN_RECORD: usize = 1 + 8 + 2;
 const MIN_GSIG: usize = 5 * 2;
 
 // Tags 1, 2, 3 and 7 are retired (they were Mint / Deposit / DowntimeBinding / ChainRedeem: a
-// served op next to fields copied out of it), and so is 6 (a checkpoint of four lists, each
-// record restating its id): never reused, Malformed.
+// served op next to fields copied out of it), and so are 6 and 9 (checkpoints restating each
+// record's id, then the coin flags its memo states), 4 (a fraud case that did not say whether it
+// refused a request) and 5 (a bare entry for the counters every entry restated): never reused,
+// Malformed.
 fn put_op(w: &mut Writer, op: &JournalOp) {
     match op {
-        JournalOp::Register { peer, key } => {
-            w.tag(0).u64(peer.0).int(key.element());
-        }
-        JournalOp::Fraud { case } => {
-            w.tag(4);
-            put_fraud(w, case);
-        }
-        JournalOp::Counters => {
-            w.tag(5);
-        }
+        JournalOp::Register { peer, key } => _ = w.tag(0).u64(peer.0).int(key.element()),
         JournalOp::Served(served) => {
             w.tag(8);
             put_served(w, served);
         }
-        JournalOp::Checkpoint(records) => {
-            w.tag(9).count(records.len());
+        JournalOp::Fraud { case, refused } => {
+            w.tag(10).flag(*refused);
+            put_fraud(w, case);
+        }
+        JournalOp::Refused => _ = w.tag(11),
+        JournalOp::Replayed => _ = w.tag(12),
+        JournalOp::Synced => _ = w.tag(13),
+        JournalOp::Checkpoint { stats, records } => {
+            w.tag(14);
+            put_stats(w, stats);
+            w.count(records.len());
             for record in records {
                 put_record(w, record);
             }
@@ -506,13 +532,18 @@ fn put_op(w: &mut Writer, op: &JournalOp) {
 fn get_op(r: &mut Reader<'_>) -> Result<JournalOp, DecodeError> {
     match r.tag()? {
         0 => get_peer(r).map(|(peer, key)| JournalOp::Register { peer, key }),
-        4 => Ok(JournalOp::Fraud { case: get_fraud(r)? }),
-        5 => Ok(JournalOp::Counters),
         8 => match get_served(r)? {
             ServedOp::Issue { .. } => Err(DecodeError),
             served => Ok(JournalOp::Served(served)),
         },
-        9 => Ok(JournalOp::Checkpoint(parse_list(r, usize::MAX, MIN_RECORD, get_record)?)),
+        10 => Ok(JournalOp::Fraud { refused: r.flag()?, case: get_fraud(r)? }),
+        11 => Ok(JournalOp::Refused),
+        12 => Ok(JournalOp::Replayed),
+        13 => Ok(JournalOp::Synced),
+        14 => Ok(JournalOp::Checkpoint {
+            stats: get_stats(r)?,
+            records: parse_list(r, usize::MAX, MIN_RECORD, get_record)?,
+        }),
         _ => Err(DecodeError),
     }
 }

@@ -12,19 +12,21 @@
 //!
 //! Coin leaves split *public* fields from an opaque auxiliary digest:
 //! the deposited flag and the broker-managed downtime binding's public
-//! state are encoded in the clear (so an inclusion proof reveals exactly
-//! what the DHT already publishes), while the mint signature, the full
-//! binding, and the replay memo are folded into one SHA-256 `aux` digest
-//! — committed, but never shipped in a proof.
+//! state — both read off the coin's memo ([`CoinSnapshot`]) — are encoded
+//! in the clear (so an inclusion proof reveals exactly what the DHT
+//! already publishes), while the mint signature, the full binding, and the
+//! replay memo are folded into one SHA-256 `aux` digest — committed, but
+//! never shipped in a proof.
 //!
-//! Leaf order is insertion order between checkpoints. A checkpoint is the
-//! leaves after the stats leaf as [`StateRecord`]s, in leaf order, each
-//! behind its leaf's kind tag — a peer or a fraud case *is* its leaf's
-//! bytes — and [`StateLedger::rebuild`] makes the tree from them in the
+//! Leaf order is insertion order between checkpoints. A checkpoint is
+//! every leaf: the stats leaf's counters, then the leaves after it as
+//! [`StateRecord`]s, in leaf order, each behind its leaf's kind tag — a
+//! peer or a fraud case *is* its leaf's bytes, a coin is its mint and its
+//! memo — and [`StateLedger::rebuild`] makes the tree from them in the
 //! order given: canonical (sorted by [`crate::Broker::snapshot`]) on the
 //! live broker, and exactly as written during recovery, so both sides walk
-//! identical root sequences and a checkpoint whose records were changed,
-//! dropped or reordered fails at its own root.
+//! identical root sequences and a checkpoint whose counters or records
+//! were changed, dropped or reordered fails at its own root.
 
 use std::collections::HashMap;
 
@@ -37,7 +39,9 @@ use crate::broker::{BrokerStats, FraudCase};
 use crate::codec::Writer;
 use crate::coin::{Binding, MintedCoin, PublicBindingState};
 use crate::error::CoreError;
-use crate::journal::{put_opt, put_record, put_served, put_stats, ChainSnapshot, StateRecord};
+use crate::journal::{
+    put_opt, put_record, put_served, put_stats, ChainSnapshot, CoinSnapshot, StateRecord,
+};
 use crate::merkle::{InclusionProof, MerkleTree};
 use crate::replay::ServedOp;
 use crate::types::{ChainId, CoinId, PeerId};
@@ -263,32 +267,24 @@ impl StateLedger {
         for record in records {
             match record {
                 StateRecord::Peer(peer, key) => self.upsert_peer(*peer, key),
-                StateRecord::Coin(coin) => self.upsert_coin(
-                    coin.minted.id(),
-                    &coin.minted,
-                    coin.downtime_binding.as_ref(),
-                    coin.deposited,
-                    coin.last_served.as_ref(),
-                ),
+                StateRecord::Coin(c) => {
+                    let (binding, deposited) = (c.downtime_binding(), c.deposited());
+                    self.upsert_coin(c.minted.id(), &c.minted, binding, deposited, Some(&c.last_served))
+                }
                 StateRecord::Fraud(case) => self.push_fraud(case),
                 StateRecord::Chain(chain) => self.upsert_chain(chain),
             }
         }
     }
 
-    /// The leaf a committed coin's record parts make, under the mint
-    /// digest cached when the coin was first committed — the leaf
-    /// [`StateLedger::upsert_coin`] committed for them. `None` when the
-    /// coin is not committed.
-    pub(crate) fn leaf_of_coin(
-        &self,
-        coin: CoinId,
-        downtime_binding: Option<&Binding>,
-        deposited: bool,
-        last_served: Option<&ServedOp>,
-    ) -> Option<CoinLeaf> {
+    /// The leaf a committed coin's record makes, under the mint digest
+    /// cached when the coin was first committed — the leaf
+    /// [`StateLedger::upsert_coin`] committed for it. `None` when the coin
+    /// is not committed.
+    pub(crate) fn leaf_of_coin(&self, coin: CoinId, record: &CoinSnapshot) -> Option<CoinLeaf> {
         let slot = self.coins.get(&coin)?;
-        Some(coin_leaf_from_digest(coin, &slot.minted, downtime_binding, deposited, last_served))
+        let (binding, deposited) = (record.downtime_binding(), record.deposited());
+        Some(coin_leaf_from_digest(coin, &slot.minted, binding, deposited, Some(&record.last_served)))
     }
 
     /// An inclusion proof for a coin's leaf against the current root.

@@ -348,25 +348,28 @@ fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
     // the frame.
     let journal_frame = |op: &[u8]| {
         let mut entry = Writer::new();
-        // seq, eight counters, the root, then the op's fields.
-        for field in [1].iter().chain(&[0; 8]) {
-            entry.u64(*field);
-        }
-        entry.fixed(&[7; 32]);
+        // seq, the root, then the op's fields.
+        entry.u64(1).fixed(&[7; 32]);
         let mut w = Writer::new();
         w.blob(&[&entry.finish(), op].concat());
         w.finish()
     };
-    // A checkpoint (op 9): the count of its one list of records.
+    // A checkpoint (op 14): eight counters, then the count of its one list
+    // of records.
     let checkpoint = {
         let mut w = Writer::new();
-        w.tag(9).count(u32::MAX as usize);
+        w.tag(14);
+        for _ in 0..8 {
+            w.u64(0);
+        }
+        w.count(u32::MAX as usize);
         w.finish()
     };
-    // A fraud case (op 4): a coin id, an empty description, the count.
+    // A fraud case (op 10): the refusal flag, a coin id, an empty
+    // description, the count.
     let fraud_sigs = {
         let mut w = Writer::new();
-        w.tag(4).fixed(&[0; 32]).blob(&[]).count(1 << 16);
+        w.tag(10).flag(true).fixed(&[0; 32]).blob(&[]).count(1 << 16);
         w.finish()
     };
     let frames = [checkpoint, fraud_sigs];

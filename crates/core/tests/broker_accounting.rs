@@ -6,6 +6,7 @@
 //!   signed and stored verifies no binding; one that differs is verified.
 //! * Every refusal, whichever handler and whichever reason, bumps
 //!   `BrokerStats::rejections` exactly once and survives recovery.
+//! * A fraud case counts a rejection only when it refused a request.
 //! * A deposited coin is spent on the downtime path too: no binding it
 //!   ever had buys a transfer or a renewal again.
 
@@ -427,7 +428,7 @@ fn a_deposited_coin_is_dead_on_the_downtime_path_too() {
             _ => None,
         })
         .expect("known coin");
-    assert!(record.deposited && record.downtime_binding.is_none());
+    assert!(record.deposited() && record.downtime_binding().is_none());
     let cases = w.broker.fraud_cases();
     assert_eq!(cases.len(), 4);
     assert!(cases.iter().all(|case| case.coin == coin));
@@ -450,4 +451,30 @@ fn a_deposited_coin_is_dead_on_the_downtime_path_too() {
     let seq = |broker: &Broker| broker.committed_root().expect("ledger on").1;
     assert_eq!(seq(&recovered), seq(&w.broker) + 1);
     assert!(recovered.audit().ok() && w.broker.audit().ok());
+}
+
+/// A fraud case is a rejection when it refused a request, and only then:
+/// a double deposit the broker caught itself counts one, evidence reported
+/// from outside (as the real-time detection layer files it) counts none —
+/// live and after recovery alike, which derives the counters from the ops.
+#[test]
+fn a_refused_double_spend_counts_once_and_reported_fraud_not_at_all() {
+    let mut w = world(0xF4A0);
+    let coin = w.coin_held_by_peer_1();
+    let deposit = w.peers[1].request_deposit(coin, &mut w.rng).expect("holder");
+    w.broker.handle_deposit(&deposit, NOW).expect("deposit");
+    let served = w.broker.stats();
+    let again = w.peers[1].request_deposit(coin, &mut w.rng).expect("holder");
+    assert_eq!(w.broker.handle_deposit(&again, NOW).err(), Some(CoreError::DoubleSpend(coin)));
+    w.broker.report_fraud(coin, "public binding conflict".into(), Vec::new());
+
+    let stats = w.broker.stats();
+    assert_eq!(whopay_core::BrokerStats { rejections: served.rejections + 1, ..served }, stats);
+    assert_eq!(w.broker.fraud_cases().len(), 2);
+    let journal =
+        Journal::from_bytes(&w.broker.journal().expect("journalling").to_bytes()).expect("decodes");
+    let recovered = Broker::recover(w.params.clone(), w.gpk.clone(), w.broker.export_keys(), &journal);
+    assert_eq!(recovered.stats(), stats);
+    assert_eq!(recovered.fraud_cases(), w.broker.fraud_cases());
+    assert!(recovered.audit().ok(), "{:?}", recovered.audit().violations());
 }

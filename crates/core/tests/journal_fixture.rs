@@ -3,12 +3,16 @@
 //!
 //! `tests/fixtures/journal_shard{0,1}.bin` are the two shard journals of
 //! the [`history`] below, serialised by the commit of the last format
-//! change (PR 27, "a checkpoint is the ledger's leaves": a checkpoint is
-//! op 9, one list of state records in leaf order, each behind its leaf's
-//! kind tag, and op 6 is retired — only the checkpoint frames moved; every
-//! other frame, every leaf and so every root are the earlier format's,
-//! whose fixtures were rewritten with the recipe at the bottom of this
-//! comment; today's readers refuse the earlier files as `Malformed`).
+//! change ("a journal entry is its op, a coin record its mint and memo":
+//! an entry is its seq, root and op, the counters it used to restate are
+//! derived from the ops — refused, replayed and synced are ops 11 to 13,
+//! a fraud case, op 10, says whether it refused a request — and only a
+//! checkpoint, op 14, carries them, ahead of its records; a coin record is
+//! its minted coin and memo; ops 4, 5 and 9 are retired. Every leaf and
+//! so every root and seq are the earlier format's — the fixtures were
+//! rewritten with the recipe at the bottom of this comment, and only the
+//! torn-tail and bit-flip lines of `journal_expect.txt` moved; today's
+//! readers refuse the earlier files as `Malformed`).
 //! Next to them sit that commit's own answers: the recovered broker
 //! folded back into a one-entry checkpoint journal — seq, stats, root and
 //! the whole snapshot in the journal's canonical encoding

@@ -19,17 +19,20 @@
 //!   rejects the same bytes.
 //!
 //! And forgeries that are not bit flips: a well-formed entry for a coin
-//! the broker never minted, under the root a replay that skipped it would
-//! reach, is flagged all the same — replay never skips; and a checkpoint
-//! whose records were reordered, duplicated or dropped is flagged at its
-//! own seq.
+//! the broker never minted, or for a coin it saw deposited, under the root
+//! a replay that skipped it would reach, is flagged all the same — replay
+//! never skips; a checkpoint whose records were reordered, duplicated or
+//! dropped, or an entry whose counted op or fraud refusal was swapped, is
+//! flagged at its own seq; and a checkpoint coin record holding a memo that
+//! is not its coin's purchase, transfer, renewal or deposit does not
+//! decode.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use whopay_core::{
-    Broker, Invariant, Journal, JournalEntry, JournalOp, Judge, Peer, PeerId, PurchaseMode,
-    StateRecord, SystemParams, Timestamp,
+    Broker, CoinId, CoreError, Invariant, Journal, JournalEntry, JournalOp, Judge, Peer, PeerId,
+    PurchaseMode, StateRecord, SystemParams, Timestamp,
 };
 use whopay_crypto::dsa::DsaKeyPair;
 use whopay_crypto::group_sig::GroupPublicKey;
@@ -206,7 +209,7 @@ fn a_checkpoint_with_a_record_reordered_duplicated_or_dropped_is_flagged_at_its_
     let f = fixture();
     let journal = Journal::from_bytes(&f.journal_bytes).unwrap();
     let checkpoint = &journal.entries()[0];
-    let JournalOp::Checkpoint(records) = &checkpoint.op else {
+    let JournalOp::Checkpoint { stats, records } = &checkpoint.op else {
         panic!("the fixture journal starts at a checkpoint")
     };
     let last = records.len() - 1;
@@ -224,7 +227,8 @@ fn a_checkpoint_with_a_record_reordered_duplicated_or_dropped_is_flagged_at_its_
     for (what, records) in [("reordered", reordered), ("duplicated", duplicated), ("dropped", dropped)]
     {
         let mut forged = Journal::new();
-        forged.append(JournalEntry { op: JournalOp::Checkpoint(records), ..checkpoint.clone() });
+        let op = JournalOp::Checkpoint { stats: *stats, records };
+        forged.append(JournalEntry { op, ..checkpoint.clone() });
         for entry in &journal.entries()[1..] {
             forged.append(entry.clone());
         }
@@ -324,25 +328,23 @@ fn a_forged_deposit_of_a_never_minted_coin_is_flagged_on_replay() {
     broker.handle_deposit(&deposit, now).unwrap();
 
     // The forgery: the checkpoint, then the deposit entry alone — no mint
-    // before it — claiming one deposit more than the checkpoint counted,
-    // under the root a replay reaches when it leaves the state alone.
+    // before it — under the root a replay reaches when it leaves the state
+    // and the counters alone.
     let entries = broker.journal().unwrap().entries();
     let (checkpoint, deposited) = (entries[0].clone(), entries.last().unwrap().clone());
-    let JournalOp::Checkpoint(state) = &checkpoint.op else {
+    let JournalOp::Checkpoint { stats, records } = &checkpoint.op else {
         panic!("a journal starts at a checkpoint")
     };
     let coins = |records: &[StateRecord]| {
         records.iter().filter(|record| matches!(record, StateRecord::Coin(_))).count()
     };
-    assert_eq!(coins(state), 0, "the checkpoint knows no coin");
-    let mut stats = checkpoint.stats;
-    stats.deposits += 1;
+    assert_eq!(coins(records), 0, "the checkpoint knows no coin");
     let mut ledger = StateLedger::new();
-    ledger.rebuild(&checkpoint.stats, state);
-    let (root, _) = ledger.commit_stats(&stats);
+    ledger.rebuild(stats, records);
+    let (root, _) = ledger.commit_stats(stats);
     let mut forged = Journal::new();
     forged.append(checkpoint.clone());
-    forged.append(JournalEntry { seq: checkpoint.seq + 1, stats, root, op: deposited.op });
+    forged.append(JournalEntry { seq: checkpoint.seq + 1, root, op: deposited.op });
     let forged = Journal::from_bytes(&forged.to_bytes()).expect("well formed");
 
     let recovered = Broker::recover(params, gpk, broker.export_keys(), &forged);
@@ -351,5 +353,216 @@ fn a_forged_deposit_of_a_never_minted_coin_is_flagged_on_replay() {
         violations.iter().any(|v| v.invariant == Invariant::StateCommitment),
         "a deposit of a coin never minted replayed in silence: {violations:?}"
     );
+    assert!(
+        violations.iter().all(|v| v.detail.contains("does not fit")),
+        "the root the forgery carries is the one replay reaches: {violations:?}"
+    );
     assert_eq!(coins(&recovered.snapshot()), 0, "and it changed no record");
+    assert_eq!(recovered.stats(), *stats, "nor any counter");
+}
+
+/// A journalling broker that has served one of every counted op: a mint,
+/// its byte-identical retry (a replay), a refused sync, a served one, a
+/// downtime transfer, a deposit, a second deposit (a fraud case that
+/// refused it) and a fraud case reported from outside (one that refused
+/// nothing). Returns the coin too.
+fn counted_history() -> (SystemParams, GroupPublicKey, Broker, CoinId) {
+    let mut rng = test_rng(0x7A5);
+    let params = SystemParams::new(tiny_group().clone());
+    let mut judge = Judge::new(params.group().clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let mut broker = Broker::new(params.clone(), gpk.clone(), &mut rng);
+    broker.enable_journal();
+    let mut enroll = |id: PeerId, rng: &mut rand::rngs::StdRng| {
+        let gk = judge.enroll(id, rng);
+        Peer::new(id, params.clone(), broker.public_key().clone(), gpk.clone(), gk, rng)
+    };
+    let mut owner = enroll(PeerId(1), &mut rng);
+    let mut holder = enroll(PeerId(2), &mut rng);
+    let mut payee = enroll(PeerId(3), &mut rng);
+    broker.register_peer(owner.id(), owner.public_key().clone());
+    let now = Timestamp(0);
+    let (req, pending) = owner.create_purchase_request(PurchaseMode::Identified, &mut rng);
+    let minted = broker.handle_purchase(&req, &mut rng).unwrap();
+    assert_eq!(broker.handle_purchase(&req, &mut rng).unwrap(), minted, "replayed");
+    let coin = owner.complete_purchase(minted, pending, now, &mut rng).unwrap();
+    let challenge = [0x5C; 32];
+    let response = owner.sign_identity_challenge(&challenge, &mut rng);
+    broker.sync_for_owner(owner.id(), &[0x5D; 32], &response).expect_err("refused");
+    broker.sync_for_owner(owner.id(), &challenge, &response).expect("synced");
+    let (invite, session) = holder.begin_receive(&mut rng);
+    let grant = owner.issue_coin(coin, &invite, now, &mut rng).unwrap();
+    holder.accept_grant(grant, session, now).unwrap();
+    let (invite, session) = payee.begin_receive(&mut rng);
+    let transfer = holder.request_transfer(coin, &invite, &mut rng).unwrap();
+    let grant = broker.handle_downtime_transfer(&transfer, now, &mut rng).unwrap();
+    payee.accept_grant(grant, session, now).unwrap();
+    let deposit = payee.request_deposit(coin, &mut rng).unwrap();
+    broker.handle_deposit(&deposit, now).unwrap();
+    let again = payee.request_deposit(coin, &mut rng).unwrap();
+    broker.handle_deposit(&again, now).expect_err("double spend");
+    broker.report_fraud(coin, "reported from outside".into(), Vec::new());
+    (params, gpk, broker, coin)
+}
+
+/// The counters are the ops that moved them, and the stats leaf commits to
+/// them at every seq: an entry whose counted op is swapped for another
+/// (refused, replayed, synced), or whose fraud case changes its mind about
+/// refusing a request, replays to a `StateCommitment` violation at its own
+/// seq — the first one recovery raises.
+#[test]
+fn a_counted_op_swapped_or_a_fraud_refusal_flipped_is_flagged_at_its_seq() {
+    let (params, gpk, broker, _) = counted_history();
+    let journal = broker.journal().unwrap();
+    let counted = [JournalOp::Refused, JournalOp::Replayed, JournalOp::Synced];
+    let mut forgeries = Vec::new();
+    for (i, entry) in journal.entries().iter().enumerate() {
+        let swaps: Vec<JournalOp> = match &entry.op {
+            JournalOp::Fraud { case, refused } => {
+                vec![JournalOp::Fraud { case: case.clone(), refused: !refused }]
+            }
+            op if counted.contains(op) => {
+                counted.iter().filter(|other| *other != op).cloned().collect()
+            }
+            _ => Vec::new(),
+        };
+        forgeries.extend(swaps.into_iter().map(|op| (i, op)));
+    }
+    assert_eq!(forgeries.len(), 3 * 2 + 2, "every counted op swapped both ways, both frauds flipped");
+    let name = |op: &JournalOp| match op {
+        JournalOp::Fraud { refused, .. } => format!("Fraud {{ refused: {refused} }}"),
+        op => format!("{op:?}"),
+    };
+
+    for (i, op) in forgeries {
+        let mut entries = journal.entries().to_vec();
+        let seq = entries[i].seq;
+        let what = format!("{} → {}", name(&entries[i].op), name(&op));
+        entries[i].op = op;
+        let mut forged = Journal::new();
+        entries.into_iter().for_each(|entry| forged.append(entry));
+        let forged = Journal::from_bytes(&forged.to_bytes()).expect("well formed");
+        let recovered = Broker::recover(params.clone(), gpk.clone(), broker.export_keys(), &forged);
+        let first = recovered.audit().violations().first().cloned();
+        assert!(
+            first.as_ref().is_some_and(|v| v.invariant == Invariant::StateCommitment
+                && v.detail.contains(&format!("entry seq {seq} "))),
+            "{what}: first violation {first:?}, not at seq {seq}"
+        );
+    }
+}
+
+/// A deposited coin stays spent on replay: its record's memo is its
+/// deposit, so a memo the coin was served before, appended after the
+/// deposit under the root a replay that leaves the state alone reaches,
+/// would make it circulate again — it is a violation instead, and changes
+/// no record and no counter.
+#[test]
+fn a_memo_appended_after_its_coin_was_deposited_is_flagged_and_the_coin_stays_spent() {
+    let (params, gpk, broker, coin) = counted_history();
+    let entries = broker.journal().unwrap().entries();
+    let transfer = entries
+        .iter()
+        .find(|entry| matches!(entry.op, JournalOp::Served(whopay_core::ServedOp::Transfer { .. })))
+        .expect("a downtime transfer");
+    let last = entries.last().unwrap();
+    let mut forged = Journal::new();
+    entries.iter().for_each(|entry| forged.append(entry.clone()));
+    forged.append(JournalEntry { seq: last.seq + 1, root: last.root, op: transfer.op.clone() });
+    let forged = Journal::from_bytes(&forged.to_bytes()).expect("well formed");
+
+    let recovered = Broker::recover(params, gpk, broker.export_keys(), &forged);
+    let violations = recovered.audit().violations();
+    assert!(
+        !violations.is_empty()
+            && violations.iter().all(|v| v.invariant == Invariant::StateCommitment
+                && v.detail.contains("served after its deposit")),
+        "{violations:?}"
+    );
+    assert!(!recovered.is_circulating(&coin), "the coin circulates again");
+    assert_eq!(recovered.snapshot(), broker.snapshot());
+    assert_eq!(recovered.stats(), broker.stats());
+}
+
+/// A checkpoint's coin record is its mint and a memo the broker served
+/// for that coin, and nothing else decodes: a record holding a memo only a
+/// peer serves, a chain's memo, or another coin's purchase is `Malformed`,
+/// even in a checkpoint whose root was recomputed over it — which needs no
+/// key.
+#[test]
+fn a_checkpoint_coin_record_with_a_memo_not_of_its_coin_is_malformed() {
+    use whopay_core::micropay::MicropaySender;
+    use whopay_core::{RedeemChainRequest, ServedOp, StateLedger};
+
+    let mut rng = test_rng(0x7A6);
+    let params = SystemParams::new(tiny_group().clone());
+    let mut judge = Judge::new(params.group().clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let mut broker = Broker::new(params.clone(), gpk.clone(), &mut rng);
+    let mut enroll = |id: PeerId, rng: &mut rand::rngs::StdRng| {
+        let gk = judge.enroll(id, rng);
+        Peer::new(id, params.clone(), broker.public_key().clone(), gpk.clone(), gk, rng)
+    };
+    let mut owner = enroll(PeerId(1), &mut rng);
+    let holder = enroll(PeerId(2), &mut rng);
+    broker.register_peer(owner.id(), owner.public_key().clone());
+    let now = Timestamp(0);
+    let mut buy = |owner: &mut Peer, rng: &mut rand::rngs::StdRng| {
+        let (req, pending) = owner.create_purchase_request(PurchaseMode::Identified, rng);
+        let minted = broker.handle_purchase(&req, rng).unwrap();
+        owner.complete_purchase(minted, pending, now, rng).unwrap()
+    };
+    let (coin, other) = (buy(&mut owner, &mut rng), buy(&mut owner, &mut rng));
+    let (invite, _) = holder.begin_receive(&mut rng);
+    let grant = owner.issue_coin(coin, &invite, now, &mut rng).unwrap();
+    let streamer = judge.enroll(PeerId(3), &mut rng);
+    let (mut sender, commitment) =
+        MicropaySender::open(params.group(), &gpk, &streamer, 8, 4, &mut rng);
+    let payword = sender.pay(3).unwrap();
+    broker.handle_redeem_chain(&RedeemChainRequest { commitment, payword }).unwrap();
+    let (stats, records) = (broker.stats(), broker.snapshot());
+
+    let chain_memo = records.iter().find_map(|record| match record {
+        StateRecord::Chain(chain) => Some(chain.last_served.clone()),
+        _ => None,
+    });
+    let other_purchase = records.iter().find_map(|record| match record {
+        StateRecord::Coin(c) if c.minted.id() == other => Some(c.last_served.clone()),
+        _ => None,
+    });
+    let issue =
+        ServedOp::Issue { holder_pk: grant.binding.holder_pk().clone(), nonce: invite.nonce, grant };
+    // The checkpoint of the records with `coin`'s memo replaced, under the
+    // root a ledger rebuilt from them commits to.
+    let checkpoint_with = |memo: Option<&ServedOp>| {
+        let mut records = records.clone();
+        for record in &mut records {
+            if let (StateRecord::Coin(c), Some(memo)) = (record, memo) {
+                if c.minted.id() == coin {
+                    c.last_served = memo.clone();
+                }
+            }
+        }
+        let mut ledger = StateLedger::new();
+        ledger.rebuild(&stats, &records);
+        let (root, seq) = ledger.commit_stats(&stats);
+        let mut journal = Journal::new();
+        journal.append(JournalEntry { seq, root, op: JournalOp::Checkpoint { stats, records } });
+        journal.to_bytes()
+    };
+
+    // The control: the records as they are decode and recover cleanly.
+    let clean = Journal::from_bytes(&checkpoint_with(None)).expect("the records as they are");
+    let recovered = Broker::recover(params.clone(), gpk.clone(), broker.export_keys(), &clean);
+    assert!(recovered.audit().ok(), "{:?}", recovered.audit().violations());
+    assert_eq!(recovered.snapshot(), records);
+
+    for (what, memo) in [
+        ("a memo only a peer serves", issue),
+        ("a chain redemption", chain_memo.expect("a chain record")),
+        ("another coin's purchase", other_purchase.expect("a coin record")),
+    ] {
+        let bytes = checkpoint_with(Some(&memo));
+        assert_eq!(Journal::from_bytes(&bytes).unwrap_err(), CoreError::Malformed, "{what}");
+    }
 }

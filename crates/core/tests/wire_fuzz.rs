@@ -400,34 +400,47 @@ fn prepare_walks_damaged_group_elements_through_the_lanes() {
 }
 
 /// Every kind byte that is not assigned — in the request space, the
-/// response space and the journal's op space; 6 in the first two and 1, 2,
-/// 3, 6 and 7 in the third are retired, never reused — is `Malformed` to
+/// response space and the journal's op space; 6 in the first two and 1 to 7
+/// and 9 in the third are retired, never reused — is `Malformed` to
 /// every decoder, alone or in front of the body of a real frame, and a
 /// live shard endpoint answers it with an error frame without any handler
 /// seeing a request.
 #[test]
 fn every_unassigned_kind_byte_is_malformed_everywhere() {
-    use whopay_core::{BrokerStats, Journal, JournalEntry, JournalOp};
+    use whopay_core::{FraudCase, Journal, JournalEntry, JournalOp, StateRecord};
 
     let seeds = seeds();
     let assigned_request = |kind: u8| kind <= 11 && kind != 6;
     let assigned_response = |kind: u8| kind <= 10 && kind != 6;
-    let assigned_op = |kind: u8| matches!(kind, 0 | 4 | 5 | 8 | 9);
+    let assigned_op = |kind: u8| matches!(kind, 0 | 8 | 10..=14);
     let with_kind = |frame: &[u8], kind: u8| [&[kind][..], &frame[1..]].concat();
 
-    // A registration and a bare counter bump, and where their op kinds lie:
-    // ahead of a peer id and a key behind its two-byte length, and last.
+    // An entry of every op kind that needs no served request: a
+    // registration, a fraud case that refused a request and one that did
+    // not, the three counted ops and a checkpoint. Alone in a journal, an
+    // entry's op kind follows the frame's length, the seq and the root.
+    const OP_KIND_AT: usize = 4 + 8 + 32;
     let key = seeds.sharded.public_key().clone();
-    let key_len = key.element().be_len();
-    let entry = |op| JournalEntry { seq: 1, stats: BrokerStats::default(), root: [7; 32], op };
-    let ops = [JournalOp::Register { peer: PeerId(3), key }, JournalOp::Counters];
+    let case = FraudCase { coin: seeds.coin, description: "seed".into(), group_sigs: Vec::new() };
+    let ops = [
+        JournalOp::Register { peer: PeerId(3), key: key.clone() },
+        JournalOp::Fraud { case: case.clone(), refused: true },
+        JournalOp::Fraud { case, refused: false },
+        JournalOp::Refused,
+        JournalOp::Replayed,
+        JournalOp::Synced,
+        JournalOp::Checkpoint {
+            stats: seeds.sharded.stats(),
+            records: vec![StateRecord::Peer(PeerId(3), key)],
+        },
+    ];
     let journals = ops.map(|op| {
         let mut journal = Journal::new();
-        journal.append(entry(op));
+        journal.append(JournalEntry { seq: 1, root: [7; 32], op });
         journal.to_bytes()
     });
-    let op_kind_at = [journals[0].len() - key_len - 2 - 8 - 1, journals[1].len() - 1];
-    assert_eq!((journals[0][op_kind_at[0]], journals[1][op_kind_at[1]]), (0, 5));
+    let kinds = journals.each_ref().map(|journal| journal[OP_KIND_AT]);
+    assert_eq!(kinds, [0, 10, 10, 11, 12, 13, 14]);
     assert!(journals.iter().all(|journal| Journal::from_bytes(journal).is_ok()));
 
     let mut unassigned = Vec::new();
@@ -451,9 +464,9 @@ fn every_unassigned_kind_byte_is_malformed_everywhere() {
             }
         }
         if !assigned_op(kind) {
-            for (journal, at) in journals.iter().zip(op_kind_at) {
+            for journal in &journals {
                 let mut journal = journal.clone();
-                journal[at] = kind;
+                journal[OP_KIND_AT] = kind;
                 assert_eq!(
                     Journal::from_bytes(&journal).unwrap_err(),
                     CoreError::Malformed,

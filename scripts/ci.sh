@@ -27,7 +27,7 @@ cargo test -p whopay-core -q --release --offline --test member_parity --test con
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — in lanes where the host has them; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test broker_accounting
 
-echo "==> cargo test -p whopay-core --release (the one wire decoder: props incl. the canonical property [whatever Request::decode / Response::decode / Journal::from_bytes accepts re-encodes to the input byte for byte; a padded integer refused in a request, a response and a journal entry], fuzz [views, TickBatch, prepare groups — answered byte for byte alike by an inline and a two-thread worker drain — 4 KiB damaged real frames, every unassigned kind byte in all three tag spaces], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long u32 count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, golden frame sizes 44 / 534 / 357 / 285, journal fixture of the last format change — PR 27, a checkpoint is the ledger's leaves: every single-bit flip of both journals refused or flagged by replay, plus the per-kind flip sweep [one real 512/160 frame of each request and response kind: every flip Malformed or a different message])"
+echo "==> cargo test -p whopay-core --release (the one wire decoder: props incl. the canonical property [whatever Request::decode / Response::decode / Journal::from_bytes accepts re-encodes to the input byte for byte; a padded integer refused in a request, a response and a journal entry], fuzz [views, TickBatch, prepare groups — answered byte for byte alike by an inline and a two-thread worker drain — 4 KiB damaged real frames, every unassigned kind byte in all three tag spaces], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long u32 count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, golden frame sizes 44 / 534 / 357 / 285, journal fixture of the last format change — an entry is its seq, root and op, a coin record its mint and memo, the counters derived from the ops: every single-bit flip of both journals refused or flagged by replay, plus the per-kind flip sweep [one real 512/160 frame of each request and response kind: every flip Malformed or a different message])"
 cargo test -p whopay-core -q --release --offline --test wire_props --test wire_fuzz --test alloc_regression --test wire_reconcile --test networked --test journal_fixture
 
 echo "==> cargo test --release --test chaos (chaos suite, pinned seed)"
@@ -104,7 +104,7 @@ done
 
 echo "==> no retired identifier in the docs, scripts, examples or crate sources (the comment that retires wire tag 6 excepted)"
 # One bracketed letter per name, so that this file does not match itself.
-retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b'
+retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\('
 tag6='// Tag 6 is retired in both tag spaces \(it was Deposit[B]atch / Receipts\): never reused, Malformed\.$'
 if grep -rnE "$retired" README.md DESIGN.md .claude/skills/verify/SKILL.md scripts examples crates/*/src \
     | grep -vE "(wire|view)\.rs:[0-9]+: *$tag6"; then

@@ -316,7 +316,7 @@ fn lifecycles_under_faults_conserve_value() {
             _ => None,
         })
         .collect();
-    let deposited_broker = coins.iter().filter(|s| s.deposited).count();
+    let deposited_broker = coins.iter().filter(|s| s.deposited()).count();
     assert_eq!(coins.len() as u64, stats.purchases, "every mint has a record");
     assert_eq!(deposited_broker, deposited.len(), "broker and client ledgers agree");
     assert_eq!(stats.deposits as usize, deposited.len(), "each coin credited exactly once");
@@ -1078,7 +1078,7 @@ fn tamper_journal(w: &DurableWorld, inj: &mut TamperInjector) -> Vec<u8> {
     let mut bytes = w.journal_bytes.clone();
     for (i, span) in frame_spans(&w.journal_bytes).into_iter().enumerate() {
         let target = match journal.entries()[i].op {
-            JournalOp::Checkpoint(_) => TamperTarget::Snapshot,
+            JournalOp::Checkpoint { .. } => TamperTarget::Snapshot,
             _ => TamperTarget::Journal,
         };
         inj.tamper(target, i as u64, &mut bytes[span]);
