@@ -1,18 +1,7 @@
 //! Machine-readable load-simulator scaling benchmark: emits
 //! `BENCH_loadsim.json` measuring the arena engine
-//! (`whopay_eval::loadsim`) against the seed per-peer-object engine
-//! (`whopay_eval::legacy`) and across population scales 10³–10⁶.
+//! (`whopay_eval::loadsim`) across population scales 10³–10⁶.
 //!
-//! Three measurements:
-//!
-//! * **Engine gate** — both engines run the *same* 100k-peer
-//!   configuration (they consume identical random streams, so the event
-//!   sequences are identical) and must return equal `RunResult`s: the
-//!   one check here no host changes, and the only fatal one — it runs
-//!   before anything is written. Their events/sec ratio is one sample
-//!   whose run-to-run spread on a shared host straddles the 10× floor,
-//!   so it is a recorded row: `"asserted"` says whether *this* run
-//!   cleared it.
 //! * **Scale rows** — 1k/10k/100k/1M peers, horizons scaled to keep the
 //!   bench snappy, each run serially and partitioned. Peak RSS is the
 //!   counting-allocator high-water mark across the row. Broker CPU/comm
@@ -24,6 +13,9 @@
 //! * **Parallel speedup** — partitioned vs. serial events/sec per row,
 //!   asserted nowhere: `"parallel_proven"` says only that the row was
 //!   read on more than one CPU (on one, partitions serialize).
+//!
+//! That the arena engine equals the per-peer-object engine it replaced
+//! is a test, not a measurement: `crates/eval/tests/arena_equiv.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -32,19 +24,9 @@ use std::time::Instant;
 
 use whopay_eval::config::SimConfig;
 use whopay_eval::policy::{Policy, SyncStrategy};
-use whopay_eval::{legacy, loadsim, MicroWeights, RunResult};
+use whopay_eval::{loadsim, sim_threads, MicroWeights, RunResult};
+use whopay_obs::Obs;
 use whopay_sim::SimTime;
-
-/// Events/sec floor the arena-vs-seed engine ratio is compared to at
-/// the gate configuration (recorded, not fatal).
-const MIN_SPEEDUP: f64 = 10.0;
-/// The gate runs both engines at this scale. The horizon is short
-/// enough to keep the seed engine's O(coins)-per-join sync scan inside
-/// the bench budget — and a *shorter* horizon flatters the seed engine
-/// (the scan grows with the coin population), so the gate is
-/// conservative.
-const GATE_PEERS: usize = 100_000;
-const GATE_HORIZON_MINS: u64 = 180;
 
 // ---- counting allocator: live bytes + high-water mark ---------------
 
@@ -145,7 +127,7 @@ fn run_row(n_peers: usize, horizon: SimTime, partitions: usize) -> Row {
     let serial_elapsed = started.elapsed().as_secs_f64();
 
     let started = Instant::now();
-    let partitioned = loadsim::run_partitioned(&cfg, partitions);
+    let partitioned = loadsim::run_partitioned(&cfg, partitions, sim_threads(), &Obs::disabled());
     let partitioned_elapsed = started.elapsed().as_secs_f64();
 
     // The §6 extrapolation reference: 1000 peers (the paper's Setup B
@@ -184,26 +166,6 @@ fn main() {
         );
     }
 
-    // Engine gate: identical configuration, identical event streams.
-    let gate_cfg = {
-        let mut cfg = scale_cfg(GATE_PEERS, SimTime::from_mins(GATE_HORIZON_MINS));
-        cfg.seed = 0xBA5E;
-        cfg
-    };
-    eprintln!("gate: seed engine at {GATE_PEERS} peers / {GATE_HORIZON_MINS} min ...");
-    let started = Instant::now();
-    let old = legacy::run(&gate_cfg);
-    let legacy_elapsed = started.elapsed().as_secs_f64();
-    eprintln!("gate: arena engine, same configuration ...");
-    let started = Instant::now();
-    let new = loadsim::run(&gate_cfg);
-    let arena_elapsed = started.elapsed().as_secs_f64();
-    assert_eq!(new, old, "the engines must agree before their speeds mean anything");
-    let legacy_per_sec = old.events as f64 / legacy_elapsed;
-    let arena_per_sec = new.events as f64 / arena_elapsed;
-    let speedup = arena_per_sec / legacy_per_sec;
-    let cleared = speedup >= MIN_SPEEDUP;
-
     let partitions = host_cpus.clamp(2, 8);
     let rows: Vec<Row> = SCALES
         .iter()
@@ -217,21 +179,6 @@ fn main() {
     writeln!(json, "{{").unwrap();
     writeln!(json, "  \"generated_by\": \"crates/bench/src/bin/bench_loadsim_json.rs\",").unwrap();
     writeln!(json, "  \"host_cpus\": {host_cpus},").unwrap();
-    writeln!(json, "  \"gate\": {{").unwrap();
-    writeln!(
-        json,
-        "    \"n_peers\": {GATE_PEERS}, \"horizon_mins\": {GATE_HORIZON_MINS}, \"events\": {},",
-        new.events
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"legacy_events_per_sec\": {legacy_per_sec:.0}, \"arena_events_per_sec\": {arena_per_sec:.0},"
-    )
-    .unwrap();
-    writeln!(json, "    \"speedup\": {speedup:.2}, \"floor\": {MIN_SPEEDUP}, \"asserted\": {cleared}")
-        .unwrap();
-    writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"rows\": [").unwrap();
     for (i, row) in rows.iter().enumerate() {
         writeln!(json, "    {{").unwrap();
@@ -280,11 +227,6 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_loadsim.json");
     println!("wrote {out_path}:\n{json}");
 
-    println!(
-        "engines agree at {GATE_PEERS} peers; arena {speedup:.2}x the seed engine \
-         ({} its {MIN_SPEEDUP}x floor; both runs single-threaded, recorded not gated)",
-        if cleared { "clears" } else { "under" }
-    );
     if parallel_proven {
         println!("parallel rows recorded on a {host_cpus}-CPU host");
     } else {

@@ -30,7 +30,9 @@ use std::time::Instant;
 use whopay_core::micropay::{MicropayHost, MicropayReceiver, MicropaySender};
 use whopay_core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay_crypto::testing::{test_rng, tiny_group};
-use whopay_eval::streaming::{run_stream, run_stream_partitioned, StreamConfig, StreamResult};
+use whopay_eval::sim_threads;
+use whopay_eval::streaming::{self, run_stream, StreamConfig, StreamResult};
+use whopay_obs::Obs;
 use whopay_sim::SimTime;
 
 /// Single-thread payments/sec floor for sequential hash-tick ingestion.
@@ -200,7 +202,7 @@ fn run_row(n_peers: usize, horizon: SimTime, partitions: usize) -> Row {
     );
 
     let started = Instant::now();
-    let partitioned = run_stream_partitioned(&cfg, partitions);
+    let partitioned = streaming::run_partitioned(&cfg, partitions, sim_threads(), &Obs::disabled());
     let partitioned_secs = started.elapsed().as_secs_f64();
     assert_eq!(
         partitioned.ticks,

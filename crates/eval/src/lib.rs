@@ -16,13 +16,14 @@
 //! * [`loadsim`] — the discrete-event simulator itself: index-based
 //!   struct-of-arrays arenas over a calendar-queue scheduler, with a
 //!   partitioned parallel runner that scales to 10⁵–10⁶ peers;
-//! * [`legacy`] — the seed per-peer-object simulator, kept as the
-//!   differential-testing oracle and the measured performance baseline;
 //! * [`streaming`] — the relay-payment streaming workload over micropay
 //!   hash chains (§7): sessions, tick rate limits, budget exhaustion,
 //!   mid-stream churn, and periodic broker settlement, on the same
-//!   arena engine and partitioned runner;
+//!   arena idioms and partitioned runner;
 //! * [`report`] — figure-by-figure data series and text/CSV rendering.
+//!
+//! The per-peer-object engine the arena simulator replaced is the oracle
+//! of `tests/arena_equiv.rs`, and lives only there.
 //!
 //! # Example
 //!
@@ -37,7 +38,6 @@
 
 pub mod config;
 pub mod cost;
-pub mod legacy;
 pub mod loadsim;
 pub mod ops;
 pub mod policy;
@@ -46,13 +46,7 @@ pub mod streaming;
 
 pub use config::SimConfig;
 pub use cost::MicroWeights;
-pub use loadsim::{
-    partition_configs, run, run_partitioned, run_partitioned_threads, run_with_obs, sim_threads,
-    BrokerLoad, RunResult,
-};
+pub use loadsim::{run, run_partitioned, run_with_obs, sim_threads, split_population, RunResult};
 pub use ops::{Op, OpCounts};
 pub use policy::{PaymentMethod, Policy, SyncStrategy};
-pub use streaming::{
-    partition_stream_configs, run_stream, run_stream_partitioned, run_stream_partitioned_threads,
-    run_stream_with_obs, StreamConfig, StreamResult,
-};
+pub use streaming::{run_stream, run_stream_with_obs, StreamConfig, StreamResult};

@@ -12,8 +12,7 @@
 //!
 //! # Engine layout
 //!
-//! The seed engine ([`crate::legacy`]) kept one boxed object per peer
-//! and coin; this engine is built for 10⁵–10⁶ peers:
+//! Built for 10⁵–10⁶ peers:
 //!
 //! * **Arenas.** Peers and coins live in struct-of-arrays arenas
 //!   addressed by `u32` handles. Wallets and unissued stacks are
@@ -23,32 +22,27 @@
 //!   Deposited coins are recycled through a free list.
 //! * **Epoch guards.** Each coin carries an epoch bumped on every
 //!   renewal (re)scheduling; a popped `RenewalDue` whose epoch doesn't
-//!   match the coin's is stale and dropped. This replaces the seed
-//!   engine's time-equality guard and stays correct across slot
-//!   recycling.
+//!   match the coin's is stale and dropped, which stays correct across
+//!   slot recycling.
 //! * **Calendar queue.** Events sit in [`whopay_sim::EventQueue`], the
 //!   O(1)-amortized calendar queue (see `crates/sim/src/queue.rs`).
 //! * **Partitioned runner.** [`run_partitioned`] splits the peers into
-//!   K independent sub-simulations (payments stay within a partition)
-//!   on scoped worker threads — [`sim_threads`] of them at most —
-//!   sharing one [`BrokerLoad`] accumulator, and merges the results
-//!   deterministically.
+//!   K independent sub-simulations (payments stay within a partition,
+//!   [`split_population`] states the split) on up to `threads` scoped
+//!   workers and merges the results in partition order. The streaming
+//!   simulator runs on the same split and workers.
 //!
 //! # Determinism contract
 //!
 //! * `run(cfg)` is a pure function of `cfg` (same seed ⇒ identical
 //!   [`RunResult`]), and — with the life-cycle extension disabled —
-//!   consumes the random stream draw-for-draw identically to
-//!   [`crate::legacy::run`], so the two engines produce *equal*
-//!   results (`tests/arena_equiv.rs`).
-//! * `run_partitioned(cfg, k)` depends only on `cfg` and `k`, never on
-//!   the worker-thread count: partitions have independent RNG streams
-//!   and results merge in partition order
-//!   (`tests/partitioned.rs`).
-//! * `run_partitioned(cfg, 1)` *is* `run(cfg)`: a single partition
+//!   equals the per-peer-object engine this one replaced, kept as the
+//!   oracle of `tests/arena_equiv.rs`.
+//! * `run_partitioned(cfg, k, threads, obs)` depends only on `cfg` and
+//!   `k`, never on `threads`: partitions have independent RNG streams
+//!   and results merge in partition order (`tests/partitioned.rs`).
+//! * `run_partitioned(cfg, 1, ..)` *is* `run(cfg)`: a single partition
 //!   keeps the original seed and population.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use whopay_obs::{Event as ObsEvent, Obs, Role, TraceContext};
 use whopay_sim::dist::Exponential;
@@ -292,44 +286,6 @@ impl RunResult {
     }
 }
 
-/// The broker-load accumulator partitioned sub-simulations share: one
-/// atomic counter per §6.2 operation. Each partition flushes its counts
-/// on completion; addition is commutative, so the totals are identical
-/// for every thread schedule.
-#[derive(Debug, Default)]
-pub struct BrokerLoad {
-    ops: [AtomicU64; 10],
-}
-
-impl BrokerLoad {
-    /// An all-zero accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Flushes one partition's operation counts into the accumulator.
-    pub fn record(&self, counts: &OpCounts) {
-        for (i, (_, n)) in counts.iter().enumerate() {
-            self.ops[i].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// The accumulated operation counts.
-    pub fn snapshot(&self) -> OpCounts {
-        let mut counts = OpCounts::new();
-        for (i, op) in Op::ALL.into_iter().enumerate() {
-            counts.add(op, self.ops[i].load(Ordering::Relaxed));
-        }
-        counts
-    }
-
-    /// Accumulated broker communication load (messages on broker links),
-    /// the quantity the §6 curves track against peer count.
-    pub fn broker_comm(&self) -> f64 {
-        self.snapshot().iter().map(|(op, n)| (n * broker_messages(op)) as f64).sum()
-    }
-}
-
 /// Runs one simulation to completion.
 pub fn run(cfg: &SimConfig) -> RunResult {
     run_with_obs(cfg, &Obs::disabled())
@@ -351,39 +307,42 @@ pub fn run_with_obs(cfg: &SimConfig, obs: &Obs) -> RunResult {
 }
 
 /// The worker-thread budget for partitioned runs: the host's available
-/// parallelism.
-///
-/// Thread count never changes results — it only bounds concurrency
-/// (see [`run_partitioned_threads`]).
+/// parallelism. Thread count never changes results, only concurrency.
 pub fn sim_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Splits `cfg` into `partitions` independent sub-configurations: the
-/// population divides as evenly as possible (remainders go to the first
-/// partitions) and each partition gets its own seed derived from
-/// `cfg.seed` by a SplitMix64 mix — except a single partition, which
-/// keeps the original seed so `run_partitioned(cfg, 1)` *is* `run(cfg)`.
-pub fn partition_configs(cfg: &SimConfig, partitions: usize) -> Vec<SimConfig> {
+/// The partition rule both simulators share: `n_peers` splits into
+/// `partitions` populations as evenly as possible (remainders go to the
+/// first partitions), each with its own seed derived from `seed` by a
+/// SplitMix64 mix — except a single partition, which keeps `seed`, so
+/// one partition *is* the plain run. Returns `(n_peers, seed)` per
+/// partition.
+///
+/// # Panics
+///
+/// Panics on zero partitions, and on a split that leaves a partition of
+/// exactly one peer: that peer has no one to pay.
+pub fn split_population(n_peers: usize, seed: u64, partitions: usize) -> Vec<(usize, u64)> {
     assert!(partitions > 0, "need at least one partition");
-    let base = cfg.n_peers / partitions;
-    let rem = cfg.n_peers % partitions;
+    let (base, rem) = (n_peers / partitions, n_peers % partitions);
     (0..partitions)
         .map(|p| {
-            let mut sub = cfg.clone();
-            sub.n_peers = base + usize::from(p < rem);
-            if partitions > 1 {
-                sub.seed = splitmix64(cfg.seed ^ (p as u64 + 1).wrapping_mul(GOLDEN));
-            }
-            sub
+            let size = base + usize::from(p < rem);
+            assert!(
+                size != 1,
+                "{n_peers} peers in {partitions} partitions leave a partition of one peer"
+            );
+            let mixed = splitmix64(seed ^ (p as u64 + 1).wrapping_mul(GOLDEN));
+            (size, if partitions > 1 { mixed } else { seed })
         })
         .collect()
 }
 
-pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 finalizer: decorrelates per-partition seeds.
-pub(crate) fn splitmix64(seed: u64) -> u64 {
+fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -424,39 +383,17 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
     slots.into_iter().map(|s| s.expect("every item ran")).collect()
 }
 
-/// Runs `cfg` as `partitions` independent sub-simulations on up to
-/// [`sim_threads`] scoped worker threads and merges the results.
-///
-/// Payments stay within a partition (each sub-simulation is a closed
-/// population), partitions share one [`BrokerLoad`] accumulator, and
-/// the merge happens in partition order — so the outcome is a pure
-/// function of `cfg` and `partitions`.
-pub fn run_partitioned(cfg: &SimConfig, partitions: usize) -> RunResult {
-    run_partitioned_threads(cfg, partitions, sim_threads(), &Obs::disabled())
-}
-
-/// [`run_partitioned`] with an explicit thread budget and observability
-/// context. Results are identical for every `threads` value (the
-/// partition determinism suite pins `threads = 1` against `threads = K`
-/// bit-for-bit); obs events are tagged with their partition index.
-pub fn run_partitioned_threads(
-    cfg: &SimConfig,
-    partitions: usize,
-    threads: usize,
-    obs: &Obs,
-) -> RunResult {
-    let configs = partition_configs(cfg, partitions);
-    let load = BrokerLoad::new();
-    let results = fan_out(&configs, threads, |p, sub| run_partition(sub, p as u32, &load, obs));
-    let merged = RunResult::merged(&results);
-    debug_assert_eq!(load.snapshot(), merged.counts, "accumulator and merge must agree");
-    merged
-}
-
-fn run_partition(cfg: &SimConfig, partition: u32, load: &BrokerLoad, obs: &Obs) -> RunResult {
-    let result = LoadSim::new(cfg, obs, Some(partition)).run();
-    load.record(&result.counts);
-    result
+/// Runs `cfg` as `partitions` independent sub-simulations (see
+/// [`split_population`]) on up to `threads` scoped worker threads and
+/// merges the results in partition order, so the outcome is a pure
+/// function of `cfg` and `partitions`; obs events are tagged with their
+/// partition index.
+pub fn run_partitioned(cfg: &SimConfig, partitions: usize, threads: usize, obs: &Obs) -> RunResult {
+    let parts = split_population(cfg.n_peers, cfg.seed, partitions);
+    let results = fan_out(&parts, threads, |p, &(n_peers, seed)| {
+        LoadSim::new(&SimConfig { n_peers, seed, ..cfg.clone() }, obs, Some(p as u32)).run()
+    });
+    RunResult::merged(&results)
 }
 
 struct LoadSim<'a> {
@@ -478,6 +415,7 @@ struct LoadSim<'a> {
 
 impl<'a> LoadSim<'a> {
     fn new(cfg: &'a SimConfig, obs: &'a Obs, partition: Option<u32>) -> Self {
+        assert!(cfg.n_peers != 1, "a population of one peer has no other peer to pay");
         let lifecycle = cfg.lifecycle();
         let mut rng = sim_rng(cfg.seed);
         let mut queue = EventQueue::new();
@@ -577,12 +515,11 @@ impl<'a> LoadSim<'a> {
     /// performed for each peer join event") and catch-up renewals for
     /// coins that fell due while it was away.
     ///
-    /// The seed engine also walked every coin in the system here to
-    /// clear the owner's dirty bits — O(total coins) per join, the scan
-    /// that capped its scale. The bits it cleared are only ever *read*
-    /// under lazy sync, where proactive syncs never fire, so dropping
-    /// the scan leaves every observable unchanged (the differential
-    /// suite pins this).
+    /// The per-peer-object engine also walked every coin in the system
+    /// here to clear the owner's dirty bits — O(total coins) per join.
+    /// Those bits are only ever *read* under lazy sync, where proactive
+    /// syncs never fire, so dropping the scan leaves every observable
+    /// unchanged (`tests/arena_equiv.rs` pins this).
     fn on_join(&mut self, p: u32) {
         if self.cfg.sync == SyncStrategy::Proactive && !self.cfg.centralized {
             self.note(Op::Sync);
@@ -793,8 +730,8 @@ impl<'a> LoadSim<'a> {
         self.coins.next[ci as usize] = NONE;
     }
 
-    /// Unissued stacks are LIFO (matching the seed engine's `Vec`
-    /// push/pop), singly linked through `next`.
+    /// Unissued stacks are LIFO (matching the oracle's `Vec` push/pop),
+    /// singly linked through `next`.
     fn unissued_push(&mut self, p: u32, ci: u32) {
         self.coins.next[ci as usize] = self.peers.unissued_head[p as usize];
         self.coins.prev[ci as usize] = NONE;

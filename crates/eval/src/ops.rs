@@ -112,12 +112,6 @@ impl OpCounts {
         self.counts[op.index()] += 1;
     }
 
-    /// Adds `n` occurrences of one operation (bulk merge from a
-    /// partition accumulator).
-    pub fn add(&mut self, op: Op, n: u64) {
-        self.counts[op.index()] += n;
-    }
-
     /// Adds every count of `other` into `self`.
     pub fn merge(&mut self, other: &OpCounts) {
         for (slot, v) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -158,16 +152,16 @@ mod tests {
     }
 
     #[test]
-    fn add_and_merge() {
+    fn merge_sums_counts() {
         let mut a = OpCounts::new();
-        a.add(Op::Purchase, 5);
+        a.bump(Op::Purchase);
         let mut b = OpCounts::new();
-        b.add(Op::Purchase, 2);
+        b.bump(Op::Purchase);
         b.bump(Op::Check);
         a.merge(&b);
-        assert_eq!(a.get(Op::Purchase), 7);
+        assert_eq!(a.get(Op::Purchase), 2);
         assert_eq!(a.get(Op::Check), 1);
-        assert_eq!(a.total(), 8);
+        assert_eq!(a.total(), 3);
     }
 
     #[test]

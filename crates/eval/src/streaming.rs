@@ -9,10 +9,10 @@
 //! settles at the broker every `settle_every` unsettled units
 //! (`RedeemChain`) and immediately on session teardown.
 //!
-//! The engine reuses the PR 8 arena idioms: struct-of-arrays session
-//! and peer arenas addressed by `u32` handles, epoch-guarded tick
-//! events over the calendar [`EventQueue`], free-list slot recycling,
-//! and a partitioned parallel runner for 10⁵–10⁶-peer populations.
+//! The engine reuses the coin simulator's arena idioms: struct-of-arrays
+//! session and peer arenas addressed by `u32` handles, epoch-guarded
+//! tick events over the calendar [`EventQueue`], free-list slot
+//! recycling, and its partitioned runner for 10⁵–10⁶-peer populations.
 //!
 //! # What is modelled
 //!
@@ -38,10 +38,9 @@
 //! # Determinism contract
 //!
 //! [`run_stream`] is a pure function of its [`StreamConfig`] (same seed
-//! ⇒ identical [`StreamResult`]); [`run_stream_partitioned`] depends
-//! only on the config and the partition count, never the worker-thread
-//! count — the same contract (and the same SplitMix64 sub-seeding) as
-//! the coin simulator.
+//! ⇒ identical [`StreamResult`]); [`run_partitioned`] depends only on
+//! the config and the partition count, never the worker-thread count —
+//! the coin simulator's contract, on its [`split_population`].
 //!
 //! # Observability
 //!
@@ -59,7 +58,7 @@ use whopay_obs::{Counter, Histogram, Obs};
 use whopay_sim::dist::Exponential;
 use whopay_sim::{sim_rng, EventQueue, LifecycleConfig, LifecycleState, SimTime};
 
-use crate::loadsim::{splitmix64, GOLDEN};
+use crate::loadsim::{fan_out, split_population};
 
 /// Null handle for intrusive links and "no session".
 const NONE: u32 = u32::MAX;
@@ -318,47 +317,22 @@ pub fn run_stream_with_obs(cfg: &StreamConfig, obs: &Obs) -> StreamResult {
     StreamSim::new(cfg, obs).run()
 }
 
-/// Splits `cfg` into `partitions` independent sub-configurations, the
-/// same way [`crate::loadsim::partition_configs`] splits the coin
-/// simulator: the population divides as evenly as possible, each
-/// partition gets a SplitMix64-derived seed, and a single partition
-/// keeps the original seed so `run_stream_partitioned(cfg, 1)` *is*
-/// `run_stream(cfg)`.
-pub fn partition_stream_configs(cfg: &StreamConfig, partitions: usize) -> Vec<StreamConfig> {
-    assert!(partitions > 0, "need at least one partition");
-    let base = cfg.n_peers / partitions;
-    let rem = cfg.n_peers % partitions;
-    (0..partitions)
-        .map(|p| {
-            let mut sub = cfg.clone();
-            sub.n_peers = base + usize::from(p < rem);
-            if partitions > 1 {
-                sub.seed = splitmix64(cfg.seed ^ (p as u64 + 1).wrapping_mul(GOLDEN));
-            }
-            sub
-        })
-        .collect()
-}
-
 /// Runs `cfg` as `partitions` independent sub-simulations (sessions
-/// stay within a partition) on up to [`crate::loadsim::sim_threads`]
-/// scoped worker threads and merges the results in partition order.
-pub fn run_stream_partitioned(cfg: &StreamConfig, partitions: usize) -> StreamResult {
-    run_stream_partitioned_threads(cfg, partitions, crate::loadsim::sim_threads(), &Obs::disabled())
-}
-
-/// [`run_stream_partitioned`] with an explicit thread budget and
-/// observability context. Results are identical for every `threads`
-/// value; metric counters flush once per partition, so the aggregated
-/// `micropay.*` totals equal the merged result exactly.
-pub fn run_stream_partitioned_threads(
+/// stay within a partition; see [`split_population`]) on up to
+/// `threads` scoped worker threads and merges the results in partition
+/// order. Results are identical for every `threads` value; metric
+/// counters flush once per partition, so the aggregated `micropay.*`
+/// totals equal the merged result exactly.
+pub fn run_partitioned(
     cfg: &StreamConfig,
     partitions: usize,
     threads: usize,
     obs: &Obs,
 ) -> StreamResult {
-    let configs = partition_stream_configs(cfg, partitions);
-    let results = crate::loadsim::fan_out(&configs, threads, |_, sub| run_stream_with_obs(sub, obs));
+    let parts = split_population(cfg.n_peers, cfg.seed, partitions);
+    let results = fan_out(&parts, threads, |_, &(n_peers, seed)| {
+        run_stream_with_obs(&StreamConfig { n_peers, seed, ..cfg.clone() }, obs)
+    });
     StreamResult::merged(&results)
 }
 
@@ -386,6 +360,7 @@ struct StreamSim<'a> {
 
 impl<'a> StreamSim<'a> {
     fn new(cfg: &'a StreamConfig, obs: &Obs) -> Self {
+        assert!(cfg.n_peers != 1, "a population of one peer has no other peer to relay");
         assert!(cfg.budget > 0, "a zero-budget session could never tick");
         assert!(cfg.settle_every > 0, "settlement threshold must be positive");
         let lifecycle = cfg.lifecycle();
@@ -646,18 +621,6 @@ mod tests {
         // final partial windows allow on average.
         assert!(r.units_per_redemption() <= 32.0 + 1.0);
         assert!(r.units_per_redemption() > 4.0, "windows should batch meaningfully");
-    }
-
-    #[test]
-    fn partitioned_is_thread_count_invariant_and_merges_exactly() {
-        let cfg = StreamConfig::small_test(17);
-        let serial = run_stream_partitioned_threads(&cfg, 4, 1, &Obs::disabled());
-        let parallel = run_stream_partitioned_threads(&cfg, 4, 4, &Obs::disabled());
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.n_peers, cfg.n_peers);
-        assert_eq!(serial.ticks, serial.settled_units + serial.unsettled_units);
-        // One partition is the plain run.
-        assert_eq!(run_stream_partitioned_threads(&cfg, 1, 1, &Obs::disabled()), run_stream(&cfg));
     }
 
     #[test]

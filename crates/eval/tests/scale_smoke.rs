@@ -7,7 +7,8 @@
 
 use whopay_eval::config::SimConfig;
 use whopay_eval::policy::{Policy, SyncStrategy};
-use whopay_eval::{loadsim, RunResult};
+use whopay_eval::{loadsim, sim_threads, RunResult};
+use whopay_obs::Obs;
 use whopay_sim::SimTime;
 
 fn smoke_cfg() -> SimConfig {
@@ -22,7 +23,7 @@ fn smoke_cfg() -> SimConfig {
 #[ignore = "release-only scale smoke (run via scripts/ci.sh)"]
 fn hundred_thousand_peers_complete_within_budget() {
     let start = std::time::Instant::now();
-    let r: RunResult = loadsim::run_partitioned(&smoke_cfg(), 8);
+    let r: RunResult = loadsim::run_partitioned(&smoke_cfg(), 8, sim_threads(), &Obs::disabled());
     let elapsed = start.elapsed();
 
     assert_eq!(r.n_peers, 100_000);

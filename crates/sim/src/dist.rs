@@ -1,4 +1,4 @@
-//! Random-variate samplers used by the paper's workload model.
+//! The random-variate sampler of the paper's workload model.
 //!
 //! The setup (§6.1, Table 1): "online session lengths follow exponential
 //! distribution with mean µ, and offline session lengths follow exponential
@@ -52,47 +52,11 @@ impl Exponential {
         Exponential { mean_ms: mean.as_millis() as f64 }
     }
 
-    /// The distribution mean.
-    pub fn mean(&self) -> SimTime {
-        SimTime::from_millis(self.mean_ms as u64)
-    }
-
     /// Draws a duration (at least 1 ms, so events never collide with their
     /// own scheduling instant).
     pub fn sample_time<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
         let x = -self.mean_ms * open_unit(rng).ln();
         SimTime::from_millis((x.round() as u64).max(1))
-    }
-}
-
-/// A Poisson arrival process with a fixed mean inter-arrival time; yields
-/// successive absolute arrival instants.
-///
-/// # Examples
-///
-/// ```
-/// use whopay_sim::{dist::PoissonProcess, SimTime, sim_rng};
-///
-/// let mut arrivals = PoissonProcess::new(SimTime::from_mins(5));
-/// let mut rng = sim_rng(1);
-/// let t1 = arrivals.next_arrival(SimTime::ZERO, &mut rng);
-/// let t2 = arrivals.next_arrival(t1, &mut rng);
-/// assert!(t2 > t1);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct PoissonProcess {
-    inter_arrival: Exponential,
-}
-
-impl PoissonProcess {
-    /// A process with the given mean inter-arrival time.
-    pub fn new(mean_inter_arrival: SimTime) -> Self {
-        PoissonProcess { inter_arrival: Exponential::from_mean(mean_inter_arrival) }
-    }
-
-    /// The next arrival strictly after `now`.
-    pub fn next_arrival<R: Rng + ?Sized>(&mut self, now: SimTime, rng: &mut R) -> SimTime {
-        now + self.inter_arrival.sample_time(rng)
     }
 }
 
@@ -127,36 +91,6 @@ mod tests {
         let over = (0..n).filter(|_| exp.sample_time(&mut rng) > SimTime::from_mins(10)).count();
         let frac = over as f64 / n as f64;
         assert!((frac - 0.1353).abs() < 0.02, "tail fraction {frac}");
-    }
-
-    #[test]
-    fn poisson_arrivals_are_strictly_increasing() {
-        let mut p = PoissonProcess::new(SimTime::from_mins(5));
-        let mut rng = sim_rng(44);
-        let mut t = SimTime::ZERO;
-        for _ in 0..1000 {
-            let next = p.next_arrival(t, &mut rng);
-            assert!(next > t);
-            t = next;
-        }
-    }
-
-    #[test]
-    fn poisson_rate_matches_mean() {
-        // With 5-minute inter-arrivals, 10 simulated days hold ~2880 events.
-        let mut p = PoissonProcess::new(SimTime::from_mins(5));
-        let mut rng = sim_rng(45);
-        let horizon = SimTime::from_days(10);
-        let mut t = SimTime::ZERO;
-        let mut count = 0u64;
-        loop {
-            t = p.next_arrival(t, &mut rng);
-            if t > horizon {
-                break;
-            }
-            count += 1;
-        }
-        assert!((count as f64 - 2880.0).abs() < 200.0, "count {count}");
     }
 
     #[test]

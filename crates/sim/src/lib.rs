@@ -10,18 +10,16 @@
 //!
 //! * [`SimTime`] — integer milliseconds of simulated time (no floating
 //!   point in the clock, so runs are exactly reproducible);
-//! * [`EventQueue`] — a monotonic priority queue of timestamped events
-//!   with deterministic FIFO tie-breaking;
-//! * [`dist`] — exponential and Poisson-process samplers built on a seeded
-//!   RNG;
-//! * [`churn`] — the alternating-renewal on/off session process the paper
-//!   uses to model peer availability;
-//! * [`lifecycle`] — the full discovery → pending → connected →
-//!   churn-out peer life-cycle state machine generalizing [`churn`].
+//! * [`EventQueue`] — a calendar queue of timestamped events (O(1)
+//!   amortized operations) with deterministic FIFO tie-breaking;
+//! * [`dist`] — the exponential sampler built on a seeded RNG;
+//! * [`lifecycle`] — the discovery → pending → connected → churn-out
+//!   peer life-cycle; [`LifecycleConfig::on_off`] is the paper's
+//!   alternating on/off session process.
 //!
-//! [`EventQueue`] is a calendar queue (O(1) amortized operations);
-//! [`BinaryHeapQueue`] keeps the original heap scheduler as the
-//! differential-testing oracle.
+//! The oracles the engine is checked against live in its tests: a
+//! `BinaryHeap` scheduler in `tests/queue_equiv.rs` and a two-state
+//! on/off process in `lifecycle`'s unit tests.
 //!
 //! # Example
 //!
@@ -37,14 +35,13 @@
 //! assert!(q.pop().is_none());
 //! ```
 
-pub mod churn;
 pub mod dist;
 pub mod lifecycle;
 mod queue;
 mod time;
 
 pub use lifecycle::{LifecycleConfig, LifecycleProcess, LifecycleState};
-pub use queue::{BinaryHeapQueue, EventQueue, SchedKey};
+pub use queue::EventQueue;
 pub use time::SimTime;
 
 /// Deterministic RNG for simulations: a seeded `StdRng`.

@@ -1,13 +1,15 @@
 //! The peer life-cycle state machine: discovery → pending → connected →
 //! churn-out.
 //!
-//! The paper's availability model ([`crate::churn`]) is a two-state
-//! on/off process. Peer life-cycle simulators of real deployments show
-//! that the *path back online* matters for topology dynamics: a
-//! returning peer first rediscovers the overlay (bootstrap lookups),
-//! then sits pending (handshake/registration with the broker) before it
-//! is connected and can take part in payments. This module models that
-//! full cycle:
+//! The paper's availability model (§6.1) is a two-state on/off process:
+//! "online session lengths follow exponential distribution with mean µ,
+//! and offline session lengths follow exponential distribution with
+//! mean ν", so availability is α = µ/(µ+ν). Peer life-cycle simulators
+//! of real deployments show that the *path back online* matters for
+//! topology dynamics: a returning peer first rediscovers the overlay
+//! (bootstrap lookups), then sits pending (handshake/registration with
+//! the broker) before it is connected and can take part in payments.
+//! This module models that full cycle:
 //!
 //! ```text
 //! Discovery → Pending → Connected → ChurnOut → Discovery → …
@@ -16,10 +18,8 @@
 //! with exponentially distributed dwell times per state. Setting the
 //! discovery and/or pending means to zero *skips* those states
 //! entirely — no dwell, no RNG draw — so the degenerate configuration
-//! [`LifecycleConfig::on_off`] consumes exactly the same random-number
-//! stream as [`crate::churn::ChurnProcess`] and reproduces the paper's
-//! two-state model bit-for-bit (the loadsim regression suites rely on
-//! this).
+//! [`LifecycleConfig::on_off`] is the paper's two-state model draw for
+//! draw (the unit tests pin it against a two-state oracle).
 //!
 //! Only [`LifecycleState::Connected`] peers participate in payments;
 //! churned-out (and discovering/pending) peers neither send nor receive.
@@ -114,7 +114,6 @@ impl LifecycleConfig {
 
     /// The paper's two-state on/off model: discovery and pending
     /// skipped, online sessions of mean `mu`, offline of mean `nu`.
-    /// Draw-for-draw compatible with [`crate::churn::ChurnProcess`].
     pub fn on_off(mu: SimTime, nu: SimTime) -> Self {
         Self::new(SimTime::ZERO, SimTime::ZERO, mu, nu)
     }
@@ -166,11 +165,10 @@ impl LifecycleConfig {
         dist.sample_time(rng)
     }
 
-    /// Samples a starting state and first-transition time, mirroring
-    /// [`crate::churn::ChurnProcess::start`]: connected with probability
-    /// α, churned out otherwise, with the residual dwell sampled fresh
-    /// (exact, by memorylessness). Exactly two draws — one uniform, one
-    /// exponential — the same stream `ChurnProcess::start` consumes.
+    /// Samples a starting state and first-transition time in a random
+    /// phase of the cycle: connected with probability α, churned out
+    /// otherwise, with the residual dwell sampled fresh (exact, by
+    /// memorylessness). Exactly two draws: one uniform, one exponential.
     pub fn sample_start<R: Rng + ?Sized>(&self, rng: &mut R) -> (LifecycleState, SimTime) {
         let alpha = self.start_alpha();
         let connected =
@@ -194,8 +192,7 @@ impl LifecycleConfig {
 /// A self-contained peer life-cycle process: current state plus the
 /// absolute time of the next transition, advanced by [`step`].
 ///
-/// This is the object-per-peer API mirroring
-/// [`crate::churn::ChurnProcess`]; the arena-based load simulator
+/// This is the object-per-peer API; the arena-based load simulator
 /// stores only the state byte per peer and drives [`LifecycleConfig`]
 /// directly.
 ///
@@ -267,7 +264,8 @@ impl LifecycleProcess {
     }
 
     /// Advances to absolute time `t`, applying every transition due at
-    /// or before `t`, and returns the state at `t`.
+    /// or before `t`, and returns the state at `t` — the driver for
+    /// harnesses that sample availability at operation times.
     pub fn advance_to<R: Rng + ?Sized>(&mut self, t: SimTime, rng: &mut R) -> LifecycleState {
         while self.next_transition <= t {
             self.step(rng);
@@ -279,7 +277,6 @@ impl LifecycleProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn::ChurnProcess;
     use crate::sim_rng;
 
     fn full_config() -> LifecycleConfig {
@@ -291,6 +288,10 @@ mod tests {
         )
     }
 
+    fn on_off_hours(mu: u64, nu: u64) -> LifecycleConfig {
+        LifecycleConfig::on_off(SimTime::from_hours(mu), SimTime::from_hours(nu))
+    }
+
     #[test]
     fn transition_matrix_has_no_illegal_edges() {
         // Every observed (from, to) pair across many steps and several
@@ -298,7 +299,7 @@ mod tests {
         // configuration must follow the strict 4-cycle.
         let configs = [
             full_config(),
-            LifecycleConfig::on_off(SimTime::from_hours(1), SimTime::from_hours(4)),
+            on_off_hours(1, 4),
             LifecycleConfig::new(
                 SimTime::ZERO,
                 SimTime::from_secs(5),
@@ -355,23 +356,72 @@ mod tests {
         }
     }
 
+    /// The paper's alternating on/off process written out on its own: a
+    /// uniform phase draw against α, then one exponential session per
+    /// toggle. `LifecycleConfig::on_off` must walk its exact stream.
+    struct TwoState {
+        online: bool,
+        next_toggle: SimTime,
+        on: Exponential,
+        off: Exponential,
+    }
+
+    impl TwoState {
+        fn start(mu: SimTime, nu: SimTime, rng: &mut impl Rng) -> Self {
+            let (on, off) = (Exponential::from_mean(mu), Exponential::from_mean(nu));
+            let alpha = mu.as_millis() as f64 / (mu + nu).as_millis() as f64;
+            let u = (rand::RngExt::random::<u64>(rng) >> 11) as f64 / (1u64 << 53) as f64;
+            let online = u < alpha;
+            let next_toggle = if online { on.sample_time(rng) } else { off.sample_time(rng) };
+            TwoState { online, next_toggle, on, off }
+        }
+
+        fn toggle(&mut self, rng: &mut impl Rng) {
+            self.online = !self.online;
+            self.next_toggle +=
+                if self.online { self.on.sample_time(rng) } else { self.off.sample_time(rng) };
+        }
+    }
+
     #[test]
-    fn on_off_config_matches_churn_process_draw_for_draw() {
+    fn on_off_config_matches_the_two_state_process_draw_for_draw() {
         let (mu, nu) = (SimTime::from_hours(2), SimTime::from_mins(45));
         for seed in 0..20u64 {
             let mut rng_a = sim_rng(seed);
             let mut rng_b = sim_rng(seed);
-            let mut churn = ChurnProcess::start(mu, nu, &mut rng_a);
+            let mut oracle = TwoState::start(mu, nu, &mut rng_a);
             let mut cycle = LifecycleProcess::start(LifecycleConfig::on_off(mu, nu), &mut rng_b);
-            assert_eq!(churn.is_online(), cycle.is_connected(), "seed {seed}");
-            assert_eq!(churn.next_toggle(), cycle.next_transition(), "seed {seed}");
-            for step in 0..200 {
-                let online = churn.toggle(&mut rng_a);
-                let state = cycle.step(&mut rng_b);
-                assert_eq!(online, state.is_connected(), "seed {seed} step {step}");
-                assert_eq!(churn.next_toggle(), cycle.next_transition(), "seed {seed} step {step}");
+            for step in 0..=200 {
+                assert_eq!(oracle.online, cycle.is_connected(), "seed {seed} step {step}");
+                assert_eq!(oracle.next_toggle, cycle.next_transition(), "seed {seed} step {step}");
+                oracle.toggle(&mut rng_a);
+                cycle.step(&mut rng_b);
             }
         }
+    }
+
+    #[test]
+    fn on_off_alternates_at_strictly_increasing_times() {
+        let mut rng = sim_rng(4);
+        let mut p = LifecycleProcess::start(on_off_hours(1, 1), &mut rng);
+        let mut prev = p.is_connected();
+        let mut prev_time = SimTime::ZERO;
+        for _ in 0..100 {
+            assert!(p.next_transition() > prev_time, "transition times strictly increase");
+            prev_time = p.next_transition();
+            let now = p.step(&mut rng).is_connected();
+            assert_ne!(now, prev, "state alternates");
+            prev = now;
+        }
+    }
+
+    #[test]
+    fn steady_state_start_mixes_phases() {
+        let mut rng = sim_rng(5);
+        let connected_starts = (0..1000)
+            .filter(|_| LifecycleProcess::start(on_off_hours(2, 2), &mut rng).is_connected())
+            .count();
+        assert!((400..600).contains(&connected_starts), "connected starts {connected_starts}");
     }
 
     #[test]
@@ -380,19 +430,12 @@ mod tests {
         let expect = SimTime::from_hours(2).as_millis() as f64
             / (SimTime::from_hours(4) + SimTime::from_secs(40)).as_millis() as f64;
         assert!((cfg.availability() - expect).abs() < 1e-12);
-        let onoff = LifecycleConfig::on_off(SimTime::from_hours(2), SimTime::from_hours(2));
-        assert!((onoff.availability() - 0.5).abs() < 1e-12);
+        assert!((on_off_hours(2, 2).availability() - 0.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn measured_connected_fraction_matches_availability() {
-        let cfg = LifecycleConfig::new(
-            SimTime::from_mins(10),
-            SimTime::from_mins(5),
-            SimTime::from_hours(2),
-            SimTime::from_hours(1),
-        );
-        let mut rng = sim_rng(11);
+    /// Time-averaged connected fraction of one peer over 2000 days.
+    fn measured_availability(cfg: LifecycleConfig, seed: u64) -> f64 {
+        let mut rng = sim_rng(seed);
         let mut p = LifecycleProcess::start(cfg, &mut rng);
         let horizon = SimTime::from_days(2000);
         let mut connected_ms = 0u64;
@@ -408,24 +451,46 @@ mod tests {
         if p.is_connected() {
             connected_ms += (horizon - last).as_millis();
         }
-        let measured = connected_ms as f64 / horizon.as_millis() as f64;
-        assert!((measured - cfg.availability()).abs() < 0.03, "measured {measured}");
+        connected_ms as f64 / horizon.as_millis() as f64
+    }
+
+    #[test]
+    fn measured_connected_fraction_matches_availability() {
+        let full = LifecycleConfig::new(
+            SimTime::from_mins(10),
+            SimTime::from_mins(5),
+            SimTime::from_hours(2),
+            SimTime::from_hours(1),
+        );
+        // The full cycle, then the paper's α = 0.2 / 0.5 / 0.8.
+        for (cfg, seed) in
+            [(full, 11), (on_off_hours(1, 4), 3), (on_off_hours(2, 2), 1), (on_off_hours(8, 2), 2)]
+        {
+            let measured = measured_availability(cfg, seed);
+            assert!(
+                (measured - cfg.availability()).abs() < 0.03,
+                "measured {measured} vs {}",
+                cfg.availability()
+            );
+        }
     }
 
     #[test]
     fn advance_to_matches_manual_stepping() {
-        let mut rng_a = sim_rng(6);
-        let mut rng_b = sim_rng(6);
-        let mut a = LifecycleProcess::start(full_config(), &mut rng_a);
-        let mut b = LifecycleProcess::start(full_config(), &mut rng_b);
-        for step in 1..200u64 {
-            let t = SimTime::from_mins(step * 37);
-            let state = a.advance_to(t, &mut rng_a);
-            while b.next_transition() <= t {
-                b.step(&mut rng_b);
+        for cfg in [full_config(), on_off_hours(1, 3)] {
+            let mut rng_a = sim_rng(6);
+            let mut rng_b = sim_rng(6);
+            let mut a = LifecycleProcess::start(cfg, &mut rng_a);
+            let mut b = LifecycleProcess::start(cfg, &mut rng_b);
+            for step in 1..200u64 {
+                let t = SimTime::from_mins(step * 37);
+                let state = a.advance_to(t, &mut rng_a);
+                while b.next_transition() <= t {
+                    b.step(&mut rng_b);
+                }
+                assert_eq!(state, b.state(), "divergence at step {step}");
+                assert_eq!(a.next_transition(), b.next_transition());
             }
-            assert_eq!(state, b.state(), "divergence at step {step}");
-            assert_eq!(a.next_transition(), b.next_transition());
         }
     }
 }

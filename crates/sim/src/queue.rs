@@ -1,42 +1,35 @@
-//! The event queue: a calendar-queue scheduler with a binary-heap
-//! reference implementation.
+//! The event queue: a calendar-queue scheduler.
 //!
-//! [`EventQueue`] is the production scheduler: a *calendar queue*
-//! (R. Brown, CACM 1988) with O(1) amortized insert and pop. Events are
-//! hashed into rotating day-buckets by timestamp; events more than one
-//! "year" (bucket count × bucket width) ahead wait in an overflow heap
-//! until the clock comes within a year of them. The bucket count doubles
-//! and halves with occupancy and the bucket width is re-estimated from
-//! the live event spread on every resize, so the average bucket holds
-//! O(1) events across six orders of magnitude of queue size.
+//! [`EventQueue`] is a *calendar queue* (R. Brown, CACM 1988) with O(1)
+//! amortized insert and pop. Events are hashed into rotating day-buckets
+//! by timestamp; events more than one "year" (bucket count × bucket
+//! width) ahead wait in an overflow heap until the clock comes within a
+//! year of them. The bucket count doubles and halves with occupancy and
+//! the bucket width is re-estimated from the live event spread on every
+//! resize, so the average bucket holds O(1) events across six orders of
+//! magnitude of queue size.
 //!
-//! [`BinaryHeapQueue`] is the original `BinaryHeap`-backed scheduler,
-//! kept as the differential-testing oracle: `tests/queue_equiv.rs`
-//! proptests that both produce identical pop sequences (including
-//! simultaneous events) for random schedules.
-//!
-//! Both queues order events by the same [`SchedKey`] — strictly by
-//! `(time, seq)`, so simultaneous events pop in the order they were
-//! scheduled and runs replay deterministically.
+//! Events pop strictly by `(time, seq)`, so simultaneous events pop in
+//! the order they were scheduled and runs replay deterministically.
+//! `tests/queue_equiv.rs` proptests that order against a test-local
+//! `BinaryHeap` oracle, simultaneous events included.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// The total order both schedulers pop in: time first, then insertion
-/// sequence (FIFO among simultaneous events).
+/// The total order events pop in: time first, then insertion sequence
+/// (FIFO among simultaneous events).
 ///
 /// The sequence number is a `u64` that increments once per scheduled
 /// event and must never wrap: at 10⁹ events/sec it would take ~580 years
 /// to overflow, so wrapping is treated as a logic error (debug-asserted
 /// at the increment) rather than handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedKey {
-    /// Event timestamp.
-    pub time: SimTime,
-    /// Insertion sequence number (unique per queue).
-    pub seq: u64,
+struct SchedKey {
+    time: SimTime,
+    seq: u64,
 }
 
 impl PartialOrd for SchedKey {
@@ -51,7 +44,7 @@ impl Ord for SchedKey {
     }
 }
 
-/// An entry in either queue: a key plus its payload.
+/// A queued event: its key plus its payload.
 struct Entry<E> {
     key: SchedKey,
     event: E,
@@ -75,122 +68,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Clock, sequence counter, and diagnostics shared by both queue
-/// implementations.
-#[derive(Debug)]
-struct QueueCore {
-    now: SimTime,
-    next_seq: u64,
-    scheduled: u64,
-}
-
-impl QueueCore {
-    fn new() -> Self {
-        QueueCore { now: SimTime::ZERO, next_seq: 0, scheduled: 0 }
-    }
-
-    /// Validates `at`, then mints the next [`SchedKey`].
-    fn admit(&mut self, at: SimTime) -> SchedKey {
-        assert!(at >= self.now, "scheduling into the past: {at} < {now}", now = self.now);
-        debug_assert!(self.next_seq != u64::MAX, "event sequence counter exhausted");
-        let key = SchedKey { time: at, seq: self.next_seq };
-        self.next_seq += 1;
-        self.scheduled += 1;
-        key
-    }
-
-    fn advance(&mut self, to: SimTime) {
-        debug_assert!(to >= self.now);
-        self.now = to;
-    }
-}
-
-/// The original binary-heap scheduler, kept as the differential oracle
-/// for [`EventQueue`] (see the module docs). Same API, same
-/// deterministic `(time, seq)` pop order, O(log n) operations.
-pub struct BinaryHeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    core: QueueCore,
-}
-
-impl<E> Default for BinaryHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> std::fmt::Debug for BinaryHeapQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinaryHeapQueue")
-            .field("now", &self.core.now)
-            .field("pending", &self.heap.len())
-            .finish()
-    }
-}
-
-impl<E> BinaryHeapQueue<E> {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        BinaryHeapQueue { heap: BinaryHeap::new(), core: QueueCore::new() }
-    }
-
-    /// The current simulated time (the timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.core.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events ever scheduled (diagnostics).
-    pub fn scheduled_count(&self) -> u64 {
-        self.core.scheduled
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time — events cannot be
-    /// scheduled in the past.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let key = self.core.admit(at);
-        self.heap.push(Entry { key, event });
-    }
-
-    /// Schedules `event` at `now + delay`.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.core.now + delay, event);
-    }
-
-    /// Pops the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.core.advance(entry.key.time);
-        Some((entry.key.time, entry.event))
-    }
-
-    /// Pops the earliest event only if it is at or before `horizon`.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.heap.peek() {
-            Some(entry) if entry.key.time <= horizon => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// The timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.key.time)
-    }
-}
-
 /// Initial (and minimum) bucket count; always a power of two so the
 /// bucket index is a mask, not a modulo.
 const MIN_BUCKETS: usize = 4;
@@ -198,10 +75,9 @@ const MIN_BUCKETS: usize = 4;
 /// A calendar-queue scheduler: a priority queue of timestamped events
 /// with a monotonic clock, O(1) amortized insert and pop.
 ///
-/// `pop` returns events in nondecreasing `(time, seq)` order — exactly
-/// the order [`BinaryHeapQueue`] produces — and advances
-/// [`EventQueue::now`]; scheduling an event before `now` is a logic
-/// error and panics, which catches causality bugs at their source.
+/// `pop` returns events in nondecreasing `(time, seq)` order and
+/// advances [`EventQueue::now`]; scheduling an event before `now` is a
+/// logic error and panics, which catches causality bugs at their source.
 ///
 /// # Structure
 ///
@@ -214,7 +90,7 @@ const MIN_BUCKETS: usize = 4;
 ///   and the width is re-estimated from the live event spread, keeping
 ///   mean occupancy O(1).
 pub struct EventQueue<E> {
-    /// Each bucket sorted descending by [`SchedKey`]; min at the tail.
+    /// Each bucket sorted descending by `SchedKey`; min at the tail.
     buckets: Vec<Vec<Entry<E>>>,
     /// Bucket width in milliseconds (always ≥ 1).
     width: u64,
@@ -226,7 +102,10 @@ pub struct EventQueue<E> {
     overflow: BinaryHeap<Entry<E>>,
     /// Events currently in `buckets` (excludes `overflow`).
     in_buckets: usize,
-    core: QueueCore,
+    /// The current simulated time (the timestamp of the last pop).
+    now: SimTime,
+    /// The next event's insertion sequence number.
+    next_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -238,7 +117,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("now", &self.core.now)
+            .field("now", &self.now)
             .field("pending", &self.len())
             .field("buckets", &self.buckets.len())
             .field("width_ms", &self.width)
@@ -257,13 +136,14 @@ impl<E> EventQueue<E> {
             year: MIN_BUCKETS as u64,
             overflow: BinaryHeap::new(),
             in_buckets: 0,
-            core: QueueCore::new(),
+            now: SimTime::ZERO,
+            next_seq: 0,
         }
     }
 
     /// The current simulated time (the timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
-        self.core.now
+        self.now
     }
 
     /// Number of pending events.
@@ -278,7 +158,7 @@ impl<E> EventQueue<E> {
 
     /// Total events ever scheduled (diagnostics).
     pub fn scheduled_count(&self) -> u64 {
-        self.core.scheduled
+        self.next_seq
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -288,7 +168,10 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is before the current time — events cannot be
     /// scheduled in the past.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let key = self.core.admit(at);
+        assert!(at >= self.now, "scheduling into the past: {at} < {now}", now = self.now);
+        debug_assert!(self.next_seq != u64::MAX, "event sequence counter exhausted");
+        let key = SchedKey { time: at, seq: self.next_seq };
+        self.next_seq += 1;
         self.insert(Entry { key, event });
         let n = self.len();
         if n > 2 * self.buckets.len()
@@ -300,13 +183,13 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `now + delay`.
     pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.core.now + delay, event);
+        self.schedule(self.now + delay, event);
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.remove_min()?;
-        self.core.advance(entry.key.time);
+        self.now = entry.key.time;
         let n = self.len();
         if n > 0 && n < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
             self.resize(n);
@@ -347,7 +230,7 @@ impl<E> EventQueue<E> {
     /// starting at `now`'s bucket always covers every bucketed event.
     fn insert(&mut self, entry: Entry<E>) {
         let t = entry.key.time.as_millis();
-        if t - self.core.now.as_millis() >= self.year {
+        if t - self.now.as_millis() >= self.year {
             self.overflow.push(entry);
             return;
         }
@@ -362,7 +245,7 @@ impl<E> EventQueue<E> {
     /// Moves overflow events that are now within one year of the clock
     /// into their buckets.
     fn migrate_overflow(&mut self) {
-        let now = self.core.now.as_millis();
+        let now = self.now.as_millis();
         while let Some(head) = self.overflow.peek() {
             if head.key.time.as_millis() - now >= self.year {
                 break;
@@ -385,7 +268,7 @@ impl<E> EventQueue<E> {
     /// minimum (windows are disjoint and increasing, and the insert
     /// invariant guarantees every bucketed event lies within one lap).
     fn locate_min_bucket(&self) -> usize {
-        let start = self.core.now.as_millis() / self.width;
+        let start = self.now.as_millis() / self.width;
         for k in 0..=self.buckets.len() as u64 {
             let idx = (start + k) as usize & self.mask;
             if let Some(tail) = self.buckets[idx].last() {
@@ -507,15 +390,6 @@ mod tests {
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(5), ());
-        q.pop();
-        q.schedule(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduling into the past")]
-    fn heap_queue_scheduling_into_the_past_panics() {
-        let mut q = BinaryHeapQueue::new();
         q.schedule(SimTime::from_secs(5), ());
         q.pop();
         q.schedule(SimTime::from_secs(1), ());

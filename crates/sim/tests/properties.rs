@@ -63,16 +63,17 @@ proptest! {
     }
 
     #[test]
-    fn churn_alternates_and_advances(seed in any::<u64>(), mu_m in 1u64..600, nu_m in 1u64..600) {
-        use whopay_sim::churn::ChurnProcess;
+    fn on_off_churn_alternates_and_advances(seed in any::<u64>(), mu_m in 1u64..600, nu_m in 1u64..600) {
+        use whopay_sim::{LifecycleConfig, LifecycleProcess};
         let mut rng = sim_rng(seed);
-        let mut churn = ChurnProcess::start(SimTime::from_mins(mu_m), SimTime::from_mins(nu_m), &mut rng);
-        let mut prev_state = churn.is_online();
+        let cfg = LifecycleConfig::on_off(SimTime::from_mins(mu_m), SimTime::from_mins(nu_m));
+        let mut churn = LifecycleProcess::start(cfg, &mut rng);
+        let mut prev_state = churn.is_connected();
         let mut prev_time = SimTime::ZERO;
         for _ in 0..50 {
-            let t = churn.next_toggle();
+            let t = churn.next_transition();
             prop_assert!(t > prev_time);
-            let now = churn.toggle(&mut rng);
+            let now = churn.step(&mut rng).is_connected();
             prop_assert_ne!(now, prev_state);
             prev_state = now;
             prev_time = t;

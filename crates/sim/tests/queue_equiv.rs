@@ -1,11 +1,40 @@
 //! Differential tests: the calendar-queue [`EventQueue`] must produce
-//! exactly the pop sequence of the [`BinaryHeapQueue`] oracle — same
-//! `(time, seq)` total order, same FIFO tie-breaks — for random
-//! schedules, including interleaved schedule/pop traffic and bursts of
-//! simultaneous events.
+//! exactly the pop sequence of a binary-heap oracle — same `(time, seq)`
+//! total order, same FIFO tie-breaks — for random schedules, including
+//! interleaved schedule/pop traffic and bursts of simultaneous events.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use whopay_sim::{sim_rng, BinaryHeapQueue, EventQueue, SimTime};
+use whopay_sim::{sim_rng, EventQueue, SimTime};
+
+/// The oracle: the heap scheduler the calendar queue replaced. A
+/// min-heap of `(time, seq, payload)` pops in `(time, seq)` order by
+/// construction, since `seq` is unique.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    now: SimTime,
+    next_seq: u64,
+}
+
+impl HeapQueue {
+    fn schedule_in(&mut self, delay: SimTime, payload: u64) {
+        self.heap.push(Reverse((self.now + delay, self.next_seq, payload)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let Reverse((time, _, payload)) = self.heap.pop()?;
+        self.now = time;
+        Some((time, payload))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((time, ..))| *time)
+    }
+}
 
 /// Replays `script` against both queues in lockstep, comparing every
 /// observable: popped (time, payload), clock, lengths, peeked times.
@@ -20,7 +49,7 @@ enum Step {
 
 fn replay(steps: &[Step]) {
     let mut cal = EventQueue::new();
-    let mut heap = BinaryHeapQueue::new();
+    let mut heap = HeapQueue::default();
     let mut payload = 0u64;
     for (i, step) in steps.iter().enumerate() {
         match *step {
@@ -39,9 +68,9 @@ fn replay(steps: &[Step]) {
         // schedule may bucket a later event — the peek must still see
         // the overflow minimum (the `peek_bug` regression).
         assert_eq!(cal.peek_time(), heap.peek_time(), "peek at step {i}");
-        assert_eq!(cal.now(), heap.now(), "clock at step {i}");
-        assert_eq!(cal.len(), heap.len(), "len at step {i}");
-        assert_eq!(cal.scheduled_count(), heap.scheduled_count());
+        assert_eq!(cal.now(), heap.now, "clock at step {i}");
+        assert_eq!(cal.len(), heap.heap.len(), "len at step {i}");
+        assert_eq!(cal.scheduled_count(), heap.next_seq);
     }
     // Drain whatever is left: full order equivalence.
     loop {
@@ -120,8 +149,8 @@ fn loadsim_shaped_traffic_pops_identically() {
     replay(&steps);
 }
 
-/// The calendar queue keeps the heap's causality guard: scheduling
-/// before `now` still panics after the clock has advanced.
+/// The calendar queue's causality guard: scheduling before `now` panics
+/// after the clock has advanced.
 #[test]
 #[should_panic(expected = "scheduling into the past")]
 fn calendar_queue_still_panics_on_past_scheduling() {

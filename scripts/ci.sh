@@ -57,17 +57,17 @@ cargo test -q --release --offline --test tracing
 echo "==> cargo test -p whopay-core --release audit (invariant auditor unit suite)"
 cargo test -p whopay-core -q --release --offline --lib audit
 
-echo "==> cargo test -p whopay-sim --release --test queue_equiv (calendar queue ≡ binary heap props)"
+echo "==> cargo test -p whopay-sim --release --test queue_equiv (calendar queue ≡ the test's BinaryHeap oracle, props)"
 cargo test -p whopay-sim -q --release --offline --test queue_equiv
 
-echo "==> cargo test -p whopay-sim --release lifecycle (peer life-cycle transition matrix + churn equivalence)"
+echo "==> cargo test -p whopay-sim --release lifecycle (peer life-cycle transition matrix + on_off ≡ the unit tests' two-state oracle, draw for draw)"
 cargo test -p whopay-sim -q --release --offline --lib lifecycle
 
-echo "==> cargo test -p whopay-eval --release (arena ≡ legacy differential + partitioned determinism)"
+echo "==> cargo test -p whopay-eval --release (arena ≡ the per-peer-object oracle in tests/arena_equiv.rs + partitioned determinism of both simulators + the one-peer refusal)"
 cargo test -p whopay-eval -q --release --offline --test arena_equiv --test partitioned
 
-echo "==> cargo test -p whopay-eval --release --test scale_smoke (pinned-seed 100k-peer partitioned run, < 30 s budget)"
-cargo test -p whopay-eval -q --release --offline --test scale_smoke -- --ignored
+echo "==> cargo test -p whopay-eval --release --test scale_smoke --test arena_equiv -- --ignored (pinned-seed 100k-peer partitioned run, < 30 s budget; arena ≡ per-peer-object oracle at 100k peers / 180 min)"
+cargo test -p whopay-eval -q --release --offline --test scale_smoke --test arena_equiv -- --ignored
 
 echo "==> cargo test -p whopay-crypto --release --test payword_props --test payword_batch_props (hash-chain / skip-verification differential props; best-first receive_batch ≡ descending-sort semantics)"
 cargo test -p whopay-crypto -q --release --offline --test payword_props --test payword_batch_props
@@ -75,7 +75,7 @@ cargo test -p whopay-crypto -q --release --offline --test payword_props --test p
 echo "==> cargo test -p whopay-core --release (micropay flow incl. byte-identical tick ack / refusal frames + differential props)"
 cargo test -p whopay-core -q --release --offline --test micropay_flow --test micropay_props
 
-echo "==> cargo test -p whopay-eval --release --lib streaming (pinned-seed streaming smoke: conservation, churn, partition invariance)"
+echo "==> cargo test -p whopay-eval --release --lib streaming (pinned-seed streaming smoke: conservation, churn, settlement)"
 cargo test -p whopay-eval -q --release --offline --lib streaming
 
 echo "==> cargo test -p whopay-core --release (Merkle differential props + journal tamper/torn-tail evidence props)"
@@ -104,7 +104,7 @@ done
 
 echo "==> no retired identifier in the docs, scripts, examples or crate sources (the comment that retires wire tag 6 excepted)"
 # One bracketed letter per name, so that this file does not match itself.
-retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\('
+retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads'
 tag6='// Tag 6 is retired in both tag spaces \(it was Deposit[B]atch / Receipts\): never reused, Malformed\.$'
 if grep -rnE "$retired" README.md DESIGN.md .claude/skills/verify/SKILL.md scripts examples crates/*/src \
     | grep -vE "(wire|view)\.rs:[0-9]+: *$tag6"; then
