@@ -16,7 +16,7 @@ use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature, MemberClaims};
 use whopay_crypto::group_sig::{GroupPublicKey, GroupSignature};
 use whopay_crypto::payword::{skip_verify, Payword};
 use whopay_crypto::sha256::Digest;
-use whopay_num::{BigUint, SchnorrGroup};
+use whopay_num::BigUint;
 
 use crate::audit::Auditor;
 use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
@@ -194,47 +194,192 @@ pub struct PrepareReport {
     /// Requests that owed nothing: the state machine answers them before
     /// any signature check, or every verdict they need is already known.
     pub skipped: u64,
-    /// Calls of the lane engine ([`SchnorrGroup::pow_member_many`]).
+    /// Calls of the lane engine ([`whopay_num::SchnorrGroup::pow_member_many`]).
     pub lane_calls: u64,
     /// Chains handed to those calls, eight to a call at most.
     pub lanes_filled: u64,
     /// Calls of the lane engine's comb for the fixed-base powers the
-    /// chains left to compute ([`SchnorrGroup::pow_table_many`]).
+    /// chains left to compute ([`whopay_num::SchnorrGroup::pow_table_many`]).
     pub comb_calls: u64,
     /// Powers handed to those calls, eight to a call at most.
     pub comb_filled: u64,
 }
 
-/// A DSA signature [`Broker::prepare`] owes a verdict for.
-struct OwedSig<'a> {
+/// Where a request's checks leave it.
+enum Outcome {
+    /// Every check passed: serve it.
+    Serve,
+    /// A re-delivery of exactly the request the coin's replay memo records.
+    Replay,
+    Refuse(CoreError),
+    /// Fully verified, yet a spend of a deposited coin: the coin, what was
+    /// tried, and the requester's group signature for the judge.
+    DoubleSpend(CoinId, &'static str, GroupSignature),
+}
+
+/// The questions a request's checks ask, in its handler's order: [`Live`]
+/// answers them, [`Recorder`] owes them. `'a`: what a recorder keeps.
+trait Verifier<'a> {
+    /// A purchased coin key's subgroup membership.
+    fn member(&mut self, coin_pk: &'a BigUint) -> bool;
+    /// `sig` over `msg` under a key that came with the request, membership
+    /// included; `cached`: through the verdict cache.
+    fn member_sig(&mut self, pk: &'a BigUint, msg: &[u8], sig: &'a DsaSignature, cached: bool) -> bool;
+    /// `sig` over `msg` under a registered identity key, as it stands.
+    fn registered_sig(&mut self, key: &'a DsaPublicKey, msg: &[u8], sig: &'a DsaSignature) -> bool;
+    /// A group signature over `msg`.
+    fn group_sig(&mut self, msg: &[u8], sig: &'a GroupSignature) -> bool;
+    /// A binding, under its coin key or the broker's, through the cache.
+    fn binding(&mut self, binding: &'a Binding) -> bool;
+    /// The broker's own mint signature, through the cache.
+    fn minted(&mut self, minted: &MintedCoin) -> bool;
+}
+
+/// The verifier a handler walks with: the verdict cache's answer where a
+/// check goes through the cache, else the verdict the last
+/// [`Broker::prepare`] parked for it — taken, so it serves once — else the
+/// check itself.
+struct Live<'b> {
+    broker: &'b Broker,
+    /// The broker's parked verdicts, taken out of it for the walk.
+    prepared: &'b mut HashMap<Digest, bool>,
+}
+
+impl Live<'_> {
+    /// The verdict parked under `key()`, taken; no hashing while none is.
+    fn parked(&mut self, key: impl FnOnce() -> Digest) -> Option<bool> {
+        (!self.prepared.is_empty()).then(|| self.prepared.remove(&key())).flatten()
+    }
+
+    /// The cache's verdict for `key`; on a miss the parked one, else
+    /// `verify`'s. The parked verdict is taken whichever answers.
+    fn cached(&mut self, key: Digest, verify: impl FnOnce() -> bool) -> bool {
+        let parked = self.prepared.remove(&key);
+        self.broker.sig_cache.verify_with(key, || parked.unwrap_or_else(verify))
+    }
+}
+
+impl<'a> Verifier<'a> for Live<'_> {
+    fn member(&mut self, coin_pk: &BigUint) -> bool {
+        let group = self.broker.params.group();
+        self.parked(|| CoinId::from_pk(coin_pk).0).unwrap_or_else(|| group.is_element(coin_pk))
+    }
+
+    fn member_sig(&mut self, pk: &BigUint, msg: &[u8], sig: &DsaSignature, cached: bool) -> bool {
+        let group = self.broker.params.group();
+        let key = || sigcache::cache_key(group, &DsaPublicKey::from_element(pk.clone()), msg, sig);
+        let verify = || DsaPublicKey::verify_member(group, pk, msg, sig);
+        match cached {
+            true => self.cached(key(), verify),
+            false => self.parked(key).unwrap_or_else(verify),
+        }
+    }
+
+    fn registered_sig(&mut self, key: &DsaPublicKey, msg: &[u8], sig: &DsaSignature) -> bool {
+        let group = self.broker.params.group();
+        let parked = self.parked(|| sigcache::cache_key(group, key, msg, sig));
+        parked.unwrap_or_else(|| key.verify(group, msg, sig))
+    }
+
+    fn group_sig(&mut self, msg: &[u8], sig: &GroupSignature) -> bool {
+        let broker = self.broker;
+        let parked = self.parked(|| sigcache::group_cache_key(&broker.gpk, msg, sig));
+        parked.unwrap_or_else(|| broker.gpk.verify(broker.params.group(), msg, sig))
+    }
+
+    fn binding(&mut self, binding: &Binding) -> bool {
+        let (group, pk) = (self.broker.params.group(), self.broker.keys.public());
+        self.cached(binding.cache_key(group, pk), || binding.verify(group, pk))
+    }
+
+    fn minted(&mut self, minted: &MintedCoin) -> bool {
+        let (group, pk) = (self.broker.params.group(), self.broker.keys.public());
+        self.cached(minted.mint_cache_key(group, pk), || minted.verify(group, pk))
+    }
+}
+
+/// A DSA signature [`Broker::prepare`] owes a verdict for, parked at its
+/// cache key. `registered`: the handler verifies under the key without
+/// asking membership, so a key that is no member gets no verdict.
+struct OwedClaim<'a> {
     key: &'a BigUint,
     msg: Vec<u8>,
     sig: &'a DsaSignature,
-    /// Where the handler looks the verdict up ([`sigcache::cache_key`]).
     parked_at: Digest,
-    /// The key is a registered identity key: the handler verifies under
-    /// it without asking membership, so a key that turns out to be no
-    /// member has no verdict here and is left to the handler.
     registered: bool,
 }
 
-/// What one [`Broker::prepare`] owes: every untrusted group element of
-/// its requests that no earlier verification vouches for, each on one
-/// exact chain, eight chains to a lane call.
-#[derive(Default)]
-struct OwedChains<'a> {
+/// The verifier [`Broker::prepare`] walks with: it owes each check the
+/// verdict cache cannot answer, once, except those under the broker's own
+/// key, and answers that it holds so the walk goes on.
+struct Recorder<'a> {
+    broker: &'a Broker,
     /// Holder signatures, coin-key-signed bindings, identity signatures.
-    sigs: Vec<OwedSig<'a>>,
-    /// Purchased coin keys, whose membership the purchase handler asks
-    /// about before anything else.
+    sigs: Vec<OwedClaim<'a>>,
+    /// Purchased coin keys.
     coin_keys: Vec<&'a BigUint>,
     /// Group signatures and the messages they cover.
     group_sigs: Vec<(Vec<u8>, &'a GroupSignature)>,
+    /// Where the current request's walk starts in `sigs`.
+    start: usize,
 }
 
-impl OwedChains<'_> {
+impl<'a> Recorder<'a> {
     fn len(&self) -> usize {
         self.sigs.len() + self.coin_keys.len() + self.group_sigs.len()
+    }
+
+    /// Starts the next request's walk, and says how much is owed so far.
+    fn begin(&mut self) -> usize {
+        self.start = self.sigs.len();
+        self.len()
+    }
+
+    fn owe(&mut self, key: &'a BigUint, msg: &[u8], sig: &'a DsaSignature, registered: bool) {
+        let signer = DsaPublicKey::from_element(key.clone());
+        let parked_at = sigcache::cache_key(self.broker.params.group(), &signer, msg, sig);
+        // Deposit asks for its binding twice, once through `supersedes`.
+        let owed = self.sigs[self.start..].iter().any(|check| check.parked_at == parked_at);
+        if !owed && self.broker.sig_cache.peek(&parked_at).is_none() {
+            self.sigs.push(OwedClaim { key, msg: msg.to_vec(), sig, parked_at, registered });
+        }
+    }
+}
+
+impl<'a> Verifier<'a> for Recorder<'a> {
+    fn member(&mut self, coin_pk: &'a BigUint) -> bool {
+        self.coin_keys.push(coin_pk);
+        true
+    }
+
+    fn member_sig(&mut self, pk: &'a BigUint, msg: &[u8], sig: &'a DsaSignature, _: bool) -> bool {
+        self.owe(pk, msg, sig, false);
+        true
+    }
+
+    fn registered_sig(&mut self, key: &'a DsaPublicKey, msg: &[u8], sig: &'a DsaSignature) -> bool {
+        self.owe(key.element(), msg, sig, true);
+        true
+    }
+
+    fn group_sig(&mut self, msg: &[u8], sig: &'a GroupSignature) -> bool {
+        self.group_sigs.push((msg.to_vec(), sig));
+        true
+    }
+
+    /// Only a coin-key-signed one is owed: a stored broker-signed binding is
+    /// compared bit for bit, any other costs a pass over a comb table.
+    fn binding(&mut self, binding: &'a Binding) -> bool {
+        if binding.signer() == BindingSigner::CoinKey {
+            let (_, msg) = binding.signed_claim(self.broker.keys.public());
+            self.owe(binding.coin_pk(), &msg, binding.raw_sig(), false);
+        }
+        true
+    }
+
+    /// Cached when the broker made it.
+    fn minted(&mut self, _: &MintedCoin) -> bool {
+        true
     }
 }
 
@@ -251,12 +396,8 @@ pub struct Broker {
     stats: BrokerStats,
     /// Verdict cache; primed with own mint signatures so deposits hit.
     sig_cache: Arc<SigCache>,
-    /// Verdicts the last [`Broker::prepare`] parked: a signature's by its
-    /// cache key ([`sigcache::cache_key`], [`sigcache::group_cache_key`]),
-    /// a purchased key's subgroup membership by its coin id. A handler
-    /// *takes* the verdict it uses, and the next `prepare` discards what
-    /// is left; the table never feeds `sig_cache` except through the
-    /// lookups the handlers would make anyway.
+    /// Verdicts the last [`Broker::prepare`] parked, by cache key (a
+    /// purchased key's membership by coin id), for [`Live`] to take.
     prepared: HashMap<Digest, bool>,
     /// Crash-recovery journal; `None` until [`Broker::enable_journal`].
     journal: Option<Journal>,
@@ -416,29 +557,36 @@ impl Broker {
         }
     }
 
-    /// A replay memo's answer to a retried or duplicated delivery of
-    /// exactly the request it records, passed through: committed as a
-    /// replay, and nothing is applied again.
-    fn replayed<T>(&mut self, memo: Option<T>) -> Option<T> {
-        if memo.is_some() {
-            self.record(JournalOp::Replayed);
-        }
-        memo
-    }
-
     /// Commits a rejection, then returns the error.
     fn reject<T>(&mut self, err: CoreError) -> Result<T, CoreError> {
         self.record(JournalOp::Refused);
         Err(err)
     }
 
-    /// Refuses a fully verified request to spend the deposited `coin`
-    /// again: files the fraud case — `what` was tried, with the requester's
-    /// group signature for the judge to open — as the refusal it is.
-    fn double_spend(&mut self, coin: CoinId, what: &str, group_sig: &GroupSignature) -> CoreError {
-        let case = FraudCase { coin, description: what.into(), group_sigs: vec![group_sig.clone()] };
-        self.record(JournalOp::Fraud { case, refused: true });
-        CoreError::DoubleSpend(coin)
+    /// Walks a request's checks with the live verifier and commits where
+    /// they end short of serving: a replay, a refusal, or a double spend
+    /// with its fraud case. `Ok(true)`: serve the request; `Ok(false)`:
+    /// answer it from the coin's replay memo.
+    fn check_live(
+        &mut self,
+        walk: impl FnOnce(&Self, &mut Live<'_>) -> Outcome,
+    ) -> Result<bool, CoreError> {
+        let mut prepared = std::mem::take(&mut self.prepared);
+        let outcome = walk(self, &mut Live { broker: self, prepared: &mut prepared });
+        self.prepared = prepared;
+        match outcome {
+            Outcome::Serve => Ok(true),
+            Outcome::Replay => {
+                self.record(JournalOp::Replayed);
+                Ok(false)
+            }
+            Outcome::Refuse(err) => self.reject(err),
+            Outcome::DoubleSpend(coin, what, group_sig) => {
+                let case = FraudCase { coin, description: what.into(), group_sigs: vec![group_sig] };
+                self.record(JournalOp::Fraud { case, refused: true });
+                Err(CoreError::DoubleSpend(coin))
+            }
+        }
     }
 
     /// Whether `presented` supersedes stored downtime state of sequence
@@ -448,51 +596,10 @@ impl Broker {
     /// it. (Sync no longer clears the stored binding — the owner may
     /// re-fetch it after a crash — so this rule is what lets
     /// post-downtime protocol flow resume.)
-    fn supersedes(&mut self, group: &SchnorrGroup, stored_seq: u64, presented: &Binding) -> bool {
+    fn supersedes<'a>(stored_seq: u64, presented: &'a Binding, v: &mut impl Verifier<'a>) -> bool {
         presented.seq() > stored_seq
             && presented.signer() == BindingSigner::CoinKey
-            && self.binding_verifies(group, presented)
-    }
-
-    /// The verdict cache's answer for `key`; on a miss the verdict is the
-    /// one the last [`Broker::prepare`] parked for `key`, else `verify`'s.
-    /// The cache sees the same lookup either way, and the parked verdict
-    /// is taken whichever answers.
-    fn cached_verdict(&mut self, key: Digest, verify: impl FnOnce(&Self) -> bool) -> bool {
-        let parked = self.prepared.remove(&key);
-        self.sig_cache.verify_with(key, || parked.unwrap_or_else(|| verify(self)))
-    }
-
-    /// [`Binding::verify_cached`] against the broker's cache (see
-    /// [`Broker::cached_verdict`]).
-    fn binding_verifies(&mut self, group: &SchnorrGroup, binding: &Binding) -> bool {
-        let key = binding.cache_key(group, self.keys.public());
-        self.cached_verdict(key, |broker| binding.verify(group, broker.keys.public()))
-    }
-
-    /// Takes what the last [`Broker::prepare`] parked in `prepared` for
-    /// the check of `sig` over `msg` under `signer`, if anything. While
-    /// the table is empty — no verdict of the current drain cycle is
-    /// waiting — asking costs no hashing.
-    fn take_settled(
-        prepared: &mut HashMap<Digest, bool>,
-        group: &SchnorrGroup,
-        signer: &DsaPublicKey,
-        msg: &[u8],
-        sig: &DsaSignature,
-    ) -> Option<bool> {
-        if prepared.is_empty() {
-            return None;
-        }
-        prepared.remove(&sigcache::cache_key(group, signer, msg, sig))
-    }
-
-    /// [`GroupPublicKey::verify`], answered by the last
-    /// [`Broker::prepare`] if it settled this very check.
-    fn group_sig_verifies(&mut self, group: &SchnorrGroup, msg: &[u8], sig: &GroupSignature) -> bool {
-        let settled = (!self.prepared.is_empty())
-            .then(|| self.prepared.remove(&sigcache::group_cache_key(&self.gpk, msg, sig)));
-        settled.flatten().unwrap_or_else(|| self.gpk.verify(group, msg, sig))
+            && v.binding(presented)
     }
 
     /// The broker's signature-verdict cache.
@@ -562,53 +669,60 @@ impl Broker {
         request: &PurchaseRequest,
         rng: &mut R,
     ) -> Result<MintedCoin, CoreError> {
-        let group = self.params.group().clone();
-        let id = CoinId::from_pk(&request.coin_pk);
-        let member = self.prepared.remove(&id.0);
-        if !member.unwrap_or_else(|| group.is_element(&request.coin_pk)) {
-            return self.reject(CoreError::Malformed);
+        if !self.check_live(|broker, v| broker.check_purchase(request, v))? {
+            let memo = &self.coins[&CoinId::from_pk(&request.coin_pk)].last_served;
+            return Ok(memo.replay_purchase(request).expect("a replay: the memo records it").clone());
         }
-        if let Some(record) = self.coins.get(&id) {
-            // Exactly the request we already honoured: a retried or
-            // duplicated delivery. Return the original coin.
-            let memo = record.last_served.replay_purchase(request).cloned();
-            if let Some(minted) = self.replayed(memo) {
-                return Ok(minted);
-            }
-            // Key collision or replay; the paper assumes collisions are
-            // negligible and the broker "absorbs this risk" — we reject.
-            return self.reject(CoreError::Malformed);
-        }
-        let msg = PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
-        let refusal = match request.owner {
-            OwnerTag::Identified(peer) => match (self.registered.get(&peer), &request.identity_sig) {
-                (None, _) => Some(CoreError::UnknownPeer(peer)),
-                (Some(_), None) => Some(CoreError::BadSignature),
-                (Some(key), Some(sig)) => {
-                    let ok = Self::take_settled(&mut self.prepared, &group, key, &msg, sig)
-                        .unwrap_or_else(|| key.verify(&group, &msg, sig));
-                    (!ok).then_some(CoreError::BadSignature)
-                }
-            },
-            OwnerTag::Anonymous | OwnerTag::AnonymousWithHandle(_) => match &request.group_sig {
-                Some(sig) if self.group_sig_verifies(&group, &msg, sig) => None,
-                _ => Some(CoreError::BadGroupSignature),
-            },
-        };
-        if let Some(err) = refusal {
-            return self.reject(err);
-        }
+        let group = self.params.group();
         let mint_msg = MintedCoin::signed_bytes(&request.owner, &request.coin_pk);
-        let sig = self.keys.sign(&group, &mint_msg, rng);
+        let sig = self.keys.sign(group, &mint_msg, rng);
         let minted = MintedCoin::from_parts(request.owner, request.coin_pk.clone(), sig);
         // A signature we just produced is known-valid; priming means the
         // deposit-side re-verification of this coin is a cache hit.
-        self.sig_cache.prime(minted.mint_cache_key(&group, self.keys.public()), true);
+        self.sig_cache.prime(minted.mint_cache_key(group, self.keys.public()), true);
         self.record(JournalOp::Served(ServedOp::Purchase {
             request: request.clone(),
             minted: minted.clone(),
         }));
         Ok(minted)
+    }
+
+    /// A purchase's checks, in its handler's order.
+    fn check_purchase<'a>(
+        &'a self,
+        request: &'a PurchaseRequest,
+        v: &mut impl Verifier<'a>,
+    ) -> Outcome {
+        if !v.member(&request.coin_pk) {
+            return Outcome::Refuse(CoreError::Malformed);
+        }
+        if let Some(record) = self.coins.get(&CoinId::from_pk(&request.coin_pk)) {
+            // Any request but the one the coin was minted for is a key
+            // collision or a replay; the paper assumes collisions are
+            // negligible and the broker "absorbs this risk" — we reject.
+            return match record.last_served.replay_purchase(request) {
+                Some(_) => Outcome::Replay,
+                None => Outcome::Refuse(CoreError::Malformed),
+            };
+        }
+        let msg = PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
+        let (holds, refusal) = match request.owner {
+            OwnerTag::Identified(peer) => {
+                let Some(key) = self.registered.get(&peer) else {
+                    return Outcome::Refuse(CoreError::UnknownPeer(peer));
+                };
+                let sig = request.identity_sig.as_ref();
+                (sig.is_some_and(|sig| v.registered_sig(key, &msg, sig)), CoreError::BadSignature)
+            }
+            OwnerTag::Anonymous | OwnerTag::AnonymousWithHandle(_) => {
+                let sig = request.group_sig.as_ref();
+                (sig.is_some_and(|sig| v.group_sig(&msg, sig)), CoreError::BadGroupSignature)
+            }
+        };
+        if !holds {
+            return Outcome::Refuse(refusal);
+        }
+        Outcome::Serve
     }
 
     // --- deposit ---
@@ -630,56 +744,10 @@ impl Broker {
         request: &DepositRequest,
         now: Timestamp,
     ) -> Result<DepositReceipt, CoreError> {
-        let group = self.params.group().clone();
         let id = request.minted.id();
-        if !self.coins.contains_key(&id) {
-            return self.reject(CoreError::NotCirculating(id));
-        }
-        // Exactly the deposit we already credited: a retried or duplicated
-        // delivery. Return the original receipt instead of calling it a
-        // double spend.
-        let memo = self.coins[&id].last_served.replay_deposit(request).cloned();
-        if let Some(receipt) = self.replayed(memo) {
-            return Ok(receipt);
-        }
-        let pk = self.keys.public();
-        let minted_ok = self.sig_cache.verify_with(request.minted.mint_cache_key(&group, pk), || {
-            request.minted.verify(&group, pk)
-        });
-        if !minted_ok || request.binding.coin_pk() != request.minted.coin_pk() {
-            return self.reject(CoreError::BadSignature);
-        }
-        // The paper's bit-by-bit comparison comes first: the broker signed
-        // the stored binding itself, so one presented bit for bit needs no
-        // verification — only a binding that differs is checked, and must
-        // then supersede the stored one.
-        let stored = self.coins[&id].downtime_binding();
-        if stored != Some(&request.binding) {
-            let stored_seq = stored.map(Binding::seq);
-            if !self.binding_verifies(&group, &request.binding) {
-                return self.reject(CoreError::BadSignature);
-            }
-            if let Some(expected_seq) = stored_seq {
-                if !self.supersedes(&group, expected_seq, &request.binding) {
-                    return self.reject(CoreError::StaleBinding {
-                        expected_seq,
-                        presented_seq: request.binding.seq(),
-                    });
-                }
-            }
-        }
-        let msg = DepositRequest::signed_bytes(&request.binding);
-        let holder_ok = self.cached_verdict(request.holder_cache_key(&group), |_| {
-            DsaPublicKey::verify_member(&group, request.binding.holder_pk(), &msg, &request.holder_sig)
-        });
-        if !(holder_ok && self.group_sig_verifies(&group, &msg, &request.group_sig)) {
-            return self.reject(CoreError::BadSignature);
-        }
-        if request.binding.is_expired(now) {
-            return self.reject(CoreError::Expired { expired_at: request.binding.expires() });
-        }
-        if self.coins[&id].deposited() {
-            return Err(self.double_spend(id, "coin deposited twice", &request.group_sig));
+        if !self.check_live(|broker, v| broker.check_deposit(request, now, v))? {
+            let memo = self.coins[&id].last_served.replay_deposit(request);
+            return Ok(memo.expect("a replay: the memo records it").clone());
         }
         let receipt = DepositReceipt { coin: id, value: 1 };
         self.record(JournalOp::Served(ServedOp::Deposit {
@@ -689,38 +757,74 @@ impl Broker {
         Ok(receipt)
     }
 
+    /// A deposit's checks, in its handler's order. A double deposit is
+    /// refused last, once the requester's signatures are known to be theirs.
+    fn check_deposit<'a>(
+        &'a self,
+        request: &'a DepositRequest,
+        now: Timestamp,
+        v: &mut impl Verifier<'a>,
+    ) -> Outcome {
+        let id = request.minted.id();
+        let Some(record) = self.coins.get(&id) else {
+            return Outcome::Refuse(CoreError::NotCirculating(id));
+        };
+        if record.last_served.replay_deposit(request).is_some() {
+            return Outcome::Replay;
+        }
+        if !v.minted(&request.minted) || request.binding.coin_pk() != request.minted.coin_pk() {
+            return Outcome::Refuse(CoreError::BadSignature);
+        }
+        // The paper's bit-by-bit comparison comes first: the broker signed
+        // the stored binding itself, so one presented bit for bit needs no
+        // verification — only a binding that differs is checked, and must
+        // then supersede the stored one.
+        let stored = record.downtime_binding();
+        if stored != Some(&request.binding) {
+            if !v.binding(&request.binding) {
+                return Outcome::Refuse(CoreError::BadSignature);
+            }
+            if let Some(expected_seq) = stored.map(Binding::seq) {
+                if !Self::supersedes(expected_seq, &request.binding, v) {
+                    let presented_seq = request.binding.seq();
+                    return Outcome::Refuse(CoreError::StaleBinding { expected_seq, presented_seq });
+                }
+            }
+        }
+        let msg = DepositRequest::signed_bytes(&request.binding);
+        let holder = v.member_sig(request.binding.holder_pk(), &msg, &request.holder_sig, true);
+        if !(holder && v.group_sig(&msg, &request.group_sig)) {
+            return Outcome::Refuse(CoreError::BadSignature);
+        }
+        if request.binding.is_expired(now) {
+            return Outcome::Refuse(CoreError::Expired { expired_at: request.binding.expires() });
+        }
+        if record.deposited() {
+            return Outcome::DoubleSpend(id, "coin deposited twice", request.group_sig.clone());
+        }
+        Outcome::Serve
+    }
+
     // --- drain-cycle preparation ---
 
     /// Settles what the broker is about to verify for a group of requests
     /// and parks the verdicts in a table the handlers take them from; the
     /// next call discards what is left of it.
     ///
-    /// Every untrusted group element of the group is owed **one exact
-    /// chain**, and the chains walk eight to a lane call
-    /// ([`SchnorrGroup::pow_member_many`]): a holder signature or a
-    /// coin-key-signed binding under the key that arrived with it
-    /// ([`DsaPublicKey::verify_member`]'s verdict, membership included),
-    /// an identity signature under a registered key, a purchased coin
-    /// key's membership, and both ciphertext halves of the group
-    /// signature a request will be asked for — all on one list, settled by
-    /// one [`batch::verify_many`] call, whose fixed-base powers (`g^u1`,
-    /// `g^z_r`, `g^z_x`, `y_J^z_r`) ride the lanes too, eight to a call of
-    /// the base's comb. Nothing is combined across lanes: each verdict is
-    /// the one the handler would have computed.
-    /// Signatures under the broker's own key are not owed: a mint
-    /// signature was cached when it was made, a stored binding is
-    /// compared bit for bit, and any other costs the handler one pass
-    /// over the key's comb table. Chains too few to fill a lane call
-    /// ([`SchnorrGroup::lane_plan`]) — and every chain on a host without
-    /// the engine — stay with the handlers.
+    /// Each request's checks are walked as its handler walks them, with a
+    /// [`Recorder`] for verifier, and what it owes is settled by one
+    /// [`batch::verify_many`] call: one exact chain per untrusted group
+    /// element — a key that came with a request, a registered key, a
+    /// purchased coin key, both ciphertext halves of a group signature —
+    /// eight chains to a lane call, and the fixed-base powers (`g^u1`,
+    /// `g^z_r`, `g^z_x`, `y_J^z_r`) eight to a call of the base's comb.
+    /// Each verdict is the one the handler would have computed. Chains too
+    /// few to fill a lane call ([`whopay_num::SchnorrGroup::lane_plan`])
+    /// — and every chain on a host without the engine — stay with the
+    /// handlers, as does a group of one.
     ///
     /// Advisory: no coin state changes, nothing is journalled, the shared
-    /// verdict cache is only peeked. Whatever the state machine would
-    /// answer before any signature check (an unknown coin, a replay memo,
-    /// a stored binding presented bit for bit, a stale one) owes nothing,
-    /// and a request that arrives after all without its verdict — or a
-    /// group of one, which owes too few chains for a lane call — is
-    /// verified by its handler as ever.
+    /// verdict cache is only peeked.
     pub fn prepare(&mut self, upcoming: &[Upcoming<'_>]) -> PrepareReport {
         self.prepared.clear();
         let mut report = PrepareReport::default();
@@ -728,19 +832,19 @@ impl Broker {
             report.skipped = upcoming.len() as u64;
             return report;
         }
-        let mut owed = OwedChains::default();
+        let (sigs, coin_keys, group_sigs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut owed = Recorder { broker: self, sigs, coin_keys, group_sigs, start: 0 };
         for request in upcoming {
-            let before = owed.len();
-            match *request {
-                Upcoming::Purchase(request) => self.owed_by_purchase(request, &mut owed),
-                Upcoming::Deposit(request) => self.owed_by_deposit(request, &mut owed),
-                Upcoming::Transfer(request) => {
-                    self.owed_by_downtime(Downtime::Transfer(request), &mut owed)
-                }
-                Upcoming::Renewal(request) => {
-                    self.owed_by_downtime(Downtime::Renewal(request), &mut owed)
-                }
-            }
+            let before = owed.begin();
+            // Where a walk ends is the handler's to commit. A deposit is
+            // walked as of time zero: its expiry is checked after its last
+            // question.
+            let _ = match *request {
+                Upcoming::Purchase(r) => self.check_purchase(r, &mut owed),
+                Upcoming::Deposit(r) => self.check_deposit(r, Timestamp(0), &mut owed),
+                Upcoming::Transfer(r) => self.check_downtime(Downtime::Transfer(r), &mut owed),
+                Upcoming::Renewal(r) => self.check_downtime(Downtime::Renewal(r), &mut owed),
+            };
             if owed.len() == before {
                 report.skipped += 1;
             }
@@ -755,7 +859,7 @@ impl Broker {
     /// signatures on one list of chains, their fixed-base powers in one
     /// comb pass per base — if the lane plan has a call for its chains,
     /// and returns the verdicts to park.
-    fn settle_chains(&self, owed: &OwedChains<'_>, report: &mut PrepareReport) -> Vec<(Digest, bool)> {
+    fn settle_chains(&self, owed: &Recorder<'_>, report: &mut PrepareReport) -> Vec<(Digest, bool)> {
         let group = self.params.group();
         let chains = owed.sigs.len() + owed.coin_keys.len() + 2 * owed.group_sigs.len();
         let (calls, filled) = group.lane_plan(chains);
@@ -792,108 +896,6 @@ impl Broker {
         parked
     }
 
-    /// Owes `sig` over `msg` under `key` unless the verdict cache answers
-    /// that check already; the verdict is parked under the check's cache
-    /// key, where the handler asking about it looks.
-    fn owe_sig<'a>(
-        &self,
-        key: &'a BigUint,
-        msg: Vec<u8>,
-        sig: &'a DsaSignature,
-        registered: bool,
-        owed: &mut OwedChains<'a>,
-    ) {
-        let signer = DsaPublicKey::from_element(key.clone());
-        let parked_at = sigcache::cache_key(self.params.group(), &signer, &msg, sig);
-        if self.sig_cache.peek(&parked_at).is_none() {
-            owed.sigs.push(OwedSig { key, msg, sig, parked_at, registered });
-        }
-    }
-
-    /// Owes what a holder-role request is asked for after its mint
-    /// signature: `binding`'s own signature if it is a coin-key-signed one
-    /// that is not the one on record (`stored`), the holder signature
-    /// `sigs.0` over `msg` under `binding`'s holder key, and the group
-    /// signature `sigs.1` over the same message.
-    fn owe_holder_role<'a>(
-        &self,
-        binding: &'a Binding,
-        stored: bool,
-        msg: Vec<u8>,
-        sigs: (&'a DsaSignature, &'a GroupSignature),
-        owed: &mut OwedChains<'a>,
-    ) {
-        if !stored && binding.signer() == BindingSigner::CoinKey {
-            let (_, signed) = binding.signed_claim(self.keys.public());
-            self.owe_sig(binding.coin_pk(), signed, binding.raw_sig(), false, owed);
-        }
-        owed.group_sigs.push((msg.clone(), sigs.1));
-        self.owe_sig(binding.holder_pk(), msg, sigs.0, false, owed);
-    }
-
-    /// What [`Broker::handle_purchase`] will check for `request`: the
-    /// coin key's membership, then the identity signature (under a
-    /// registered key) or the group signature.
-    fn owed_by_purchase<'a>(&'a self, request: &'a PurchaseRequest, owed: &mut OwedChains<'a>) {
-        owed.coin_keys.push(&request.coin_pk);
-        if self.coins.contains_key(&CoinId::from_pk(&request.coin_pk)) {
-            return;
-        }
-        let msg = || PurchaseRequest::signed_bytes(&request.owner, &request.coin_pk);
-        match (&request.owner, &request.identity_sig, &request.group_sig) {
-            (OwnerTag::Identified(peer), Some(sig), _) => {
-                if let Some(key) = self.registered.get(peer) {
-                    self.owe_sig(key.element(), msg(), sig, true, owed);
-                }
-            }
-            (OwnerTag::Anonymous | OwnerTag::AnonymousWithHandle(_), _, Some(sig)) => {
-                owed.group_sigs.push((msg(), sig));
-            }
-            _ => {}
-        }
-    }
-
-    /// What [`Broker::handle_deposit`] will check for `request` once its
-    /// mint signature, which is the broker's own, has passed.
-    fn owed_by_deposit<'a>(&self, request: &'a DepositRequest, owed: &mut OwedChains<'a>) {
-        let Some(record) = self.coins.get(&request.minted.id()) else { return };
-        if record.last_served.replay_deposit(request).is_some() {
-            return;
-        }
-        if request.binding.coin_pk() != request.minted.coin_pk() {
-            return;
-        }
-        self.owe_holder_role(
-            &request.binding,
-            record.downtime_binding() == Some(&request.binding),
-            DepositRequest::signed_bytes(&request.binding),
-            (&request.holder_sig, &request.group_sig),
-            owed,
-        );
-    }
-
-    /// What [`Broker::verify_downtime_request`] will check for a downtime
-    /// transfer or renewal.
-    fn owed_by_downtime<'a>(&self, request: Downtime<'a>, owed: &mut OwedChains<'a>) {
-        let current = request.current();
-        let Some(record) = self.coins.get(&current.coin_id()) else { return };
-        if request.served_as(&record.last_served) {
-            return;
-        }
-        let stored = match record.downtime_binding() {
-            Some(stored) if stored == current => true,
-            Some(stored)
-                if current.seq() > stored.seq() && current.signer() == BindingSigner::CoinKey =>
-            {
-                false
-            }
-            Some(_) => return,
-            None => false,
-        };
-        let (msg, holder_sig, group_sig) = request.signed();
-        self.owe_holder_role(current, stored, msg, (holder_sig, group_sig), owed);
-    }
-
     // --- micropayment redemption ---
 
     /// Settles a micropayment chain redemption: credits the difference
@@ -927,8 +929,8 @@ impl Broker {
             }
             // Exactly the redemption we already credited: a retried or
             // duplicated delivery. Return the original receipt.
-            let memo = record.last_served.replay_redeem_chain(request).copied();
-            if let Some(receipt) = self.replayed(memo) {
+            if let Some(receipt) = record.last_served.replay_redeem_chain(request).copied() {
+                self.record(JournalOp::Replayed);
                 return Ok(receipt);
             }
         }
@@ -1054,15 +1056,9 @@ impl Broker {
     ) -> Result<CoinId, CoreError> {
         let current = request.current();
         let id = current.coin_id();
-        let Some(record) = self.coins.get(&id) else {
-            return self.reject(CoreError::NotCirculating(id));
-        };
-        let again = request.served_as(&record.last_served);
-        if let Some(id) = self.replayed(again.then_some(id)) {
+        if !self.check_live(|broker, v| broker.check_downtime(request, v))? {
             return Ok(id);
         }
-        let (msg, holder_sig, group_sig) = request.signed();
-        self.verify_downtime_request(&id, current, &msg, holder_sig, group_sig)?;
         // The next binding: a transfer names the new holder, a renewal
         // keeps the current one. The binding is signed first, then a
         // transfer's ownership proof.
@@ -1092,60 +1088,53 @@ impl Broker {
         Ok(id)
     }
 
-    /// Shared validation for downtime requests.
-    fn verify_downtime_request(
-        &mut self,
-        id: &CoinId,
-        presented: &Binding,
-        msg: &[u8],
-        holder_sig: &DsaSignature,
-        group_sig: &GroupSignature,
-    ) -> Result<(), CoreError> {
-        let group = self.params.group().clone();
-        let stored = self.coins.get(id).expect("caller checked existence").downtime_binding();
+    /// A downtime transfer's or renewal's checks, in its handler's order.
+    fn check_downtime<'a>(&'a self, request: Downtime<'a>, v: &mut impl Verifier<'a>) -> Outcome {
+        let current = request.current();
+        let id = current.coin_id();
+        let Some(record) = self.coins.get(&id) else {
+            return Outcome::Refuse(CoreError::NotCirculating(id));
+        };
+        if request.served_as(&record.last_served) {
+            return Outcome::Replay;
+        }
+        let stored = record.downtime_binding();
         let refusal = match stored.map(Binding::seq) {
             // Flavor two: bit-by-bit comparison against stored state —
             // unless the presented binding *supersedes* it (a newer
             // coin-key-signed binding means the owner came back and
             // kept serving; the parked state is obsolete).
-            _ if stored == Some(presented) => None,
-            Some(stored_seq) if self.supersedes(&group, stored_seq, presented) => None,
+            _ if stored == Some(current) => None,
+            Some(stored_seq) if Self::supersedes(stored_seq, current, v) => None,
             // A mismatching-but-valid binding pair is double-spend
             // evidence against whoever signed them.
             Some(expected_seq) => {
-                Some(CoreError::StaleBinding { expected_seq, presented_seq: presented.seq() })
+                Some(CoreError::StaleBinding { expected_seq, presented_seq: current.seq() })
             }
             // Flavor one: verify the owner's coin-key signature.
-            None if self.binding_verifies(&group, presented) => None,
+            None if v.binding(current) => None,
             None => Some(CoreError::BadSignature),
         };
-        if let Some(e) = refusal {
-            return self.reject(e);
+        if let Some(err) = refusal {
+            return Outcome::Refuse(err);
         }
-        let holder_key = DsaPublicKey::from_element(presented.holder_pk().clone());
-        let holder_ok = Self::take_settled(&mut self.prepared, &group, &holder_key, msg, holder_sig)
-            .unwrap_or_else(|| {
-                DsaPublicKey::verify_member(&group, presented.holder_pk(), msg, holder_sig)
-            });
-        if !holder_ok {
-            return self.reject(CoreError::BadSignature);
+        let (msg, holder_sig, group_sig) = request.signed();
+        if !v.member_sig(current.holder_pk(), &msg, holder_sig, false) {
+            return Outcome::Refuse(CoreError::BadSignature);
         }
-        if !self.group_sig_verifies(&group, msg, group_sig) {
-            return self.reject(CoreError::BadGroupSignature);
+        if !v.group_sig(&msg, group_sig) {
+            return Outcome::Refuse(CoreError::BadGroupSignature);
         }
         // A deposit clears the stored binding, so every binding the coin
         // ever had passes for flavor one again. As in a double deposit,
         // the check comes once the signatures are known to be the
         // requester's: a fraud case carries no message, so the judge
         // could not tell a transplanted group signature from a real one.
-        if self.coins[id].deposited() {
-            return Err(self.double_spend(
-                *id,
-                "deposited coin spent down the downtime path",
-                group_sig,
-            ));
+        if record.deposited() {
+            let what = "deposited coin spent down the downtime path";
+            return Outcome::DoubleSpend(id, what, group_sig.clone());
         }
-        Ok(())
+        Outcome::Serve
     }
 
     // --- synchronization ---
@@ -1159,7 +1148,7 @@ impl Broker {
     /// a crash between response and receipt loses nothing. The stored
     /// binding is released when the owner resumes the protocol — a
     /// deposit clears it, and a newer coin-key-signed binding supersedes
-    /// it (see `verify_downtime_request`).
+    /// it (see `check_downtime`).
     ///
     /// # Errors
     ///

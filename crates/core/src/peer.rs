@@ -644,9 +644,10 @@ impl Peer {
         let msg =
             TransferRequest::signed_bytes(&request.current, &request.new_holder_pk, &request.nonce);
         // The chain's final holder signs; the verified layer chain stands
-        // in for the base holder's signature.
-        let final_holder = DsaPublicKey::from_element(layered.current_holder_pk().clone());
-        if !final_holder.verify(&group, &msg, &request.holder_sig) {
+        // in for the base holder's signature. The last layer's key came
+        // with the coin and no layer's check vouches for it.
+        let final_holder = layered.current_holder_pk();
+        if !DsaPublicKey::verify_member(&group, final_holder, &msg, &request.holder_sig) {
             return Err(CoreError::BadSignature);
         }
         if !self.gpk.verify(&group, &msg, &request.group_sig) {

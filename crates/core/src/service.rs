@@ -340,8 +340,12 @@ impl Endpoint for ShardEndpoint {
             .filter_map(|bytes| {
                 let (payload, caller) = TraceContext::split(bytes);
                 first_caller = first_caller.or(caller);
+                // Only the kinds `Upcoming::of` keeps are worth an owned copy.
                 let view = RequestView::parse(payload).ok()?;
-                (self.sharded.shard_for(&view) == Some(self.shard)).then(|| view.to_owned_request())
+                let walked = matches!(view.op_kind(), OpKind::Purchase | OpKind::Deposit)
+                    || matches!(view.op_kind(), OpKind::DowntimeTransfer | OpKind::DowntimeRenewal);
+                let owned = walked && self.sharded.shard_for(&view) == Some(self.shard);
+                owned.then(|| view.to_owned_request())
             })
             .collect();
         let group: Vec<Upcoming<'_>> = owned.iter().filter_map(Upcoming::of).collect();

@@ -234,6 +234,70 @@ fn the_owner_serves_holder_requests_exactly_when_the_spelled_out_check_does() {
     assert!(plainly_valid > 0, "some twisted-key holder signatures satisfy the plain equation");
 }
 
+/// The owner collapsing a layered coin checks the final holder's signature
+/// under the key the coin's last layer names, a key that came with the coin
+/// and that no layer's check vouches for. An owner that checked the plain
+/// equation alone rebound the coin to `y`'s holder when the last layer
+/// named the twisted `p − y` and `u2` was even.
+#[test]
+fn the_owner_collapses_a_layered_coin_only_to_a_member_final_holder() {
+    let mut w = world(0xC0114E5);
+    let group = w.group.clone();
+    let params = SystemParams::new(group.clone());
+    let mut broker = Broker::new(params.clone(), w.gpk.clone(), &mut w.rng);
+    let (gpk, member) = (w.gpk.clone(), w.member.clone());
+    let mut owner =
+        Peer::new(PeerId(2), params, broker.public_key().clone(), gpk.clone(), member, &mut w.rng);
+    broker.register_peer(PeerId(2), owner.public_key().clone());
+    let payee = payee(&mut w);
+    for round in 0..8u8 {
+        for twisted in [false, true] {
+            let (purchase, pending) =
+                owner.create_purchase_request(PurchaseMode::Identified, &mut w.rng);
+            let minted = broker.handle_purchase(&purchase, &mut w.rng).expect("registered owner");
+            let coin = owner.complete_purchase(minted, pending, NOW, &mut w.rng).expect("minted");
+            let (invite, session) = payee.begin_receive(&mut w.rng);
+            let mut layered =
+                LayeredCoin::new(owner.issue_coin(coin, &invite, NOW, &mut w.rng).expect("issued"));
+            let y = w.holder.public().element().clone();
+            let last_pk = if twisted { group.elem_ring().neg(&y) } else { y };
+            layered
+                .add_layer(
+                    &group,
+                    &gpk,
+                    &session.holder_keys,
+                    &w.member,
+                    last_pk.clone(),
+                    4,
+                    &mut w.rng,
+                )
+                .expect("the session's key holds the coin");
+            // Signed with the secret of `y`, so that under `p − y` the plain
+            // equation holds and membership is all that is wrong.
+            let nonce = [round; 32];
+            let current = layered.base_binding().clone();
+            let msg = TransferRequest::signed_bytes(&current, &last_pk, &nonce);
+            let request = until_plainly_valid(&group, &last_pk, || {
+                let holder_sig = w.holder.sign(&group, &msg, &mut w.rng);
+                let group_sig = w.member.sign(&group, &gpk, &msg, &mut w.rng);
+                let (current, new_holder_pk) = (current.clone(), last_pk.clone());
+                let request = TransferRequest {
+                    current,
+                    new_holder_pk,
+                    nonce,
+                    holder_sig: holder_sig.clone(),
+                    group_sig,
+                };
+                (request, msg.clone(), holder_sig)
+            });
+            let served =
+                owner.handle_layered_collapse(&layered, request, 4, NOW, &mut w.rng).map(|_| ());
+            let want = if twisted { Err(CoreError::BadSignature) } else { Ok(()) };
+            assert_eq!(served, want, "round {round}, twisted final holder {twisted}");
+        }
+    }
+}
+
 #[test]
 fn coin_key_bindings_verify_exactly_when_the_spelled_out_check_does() {
     let mut w = world(0xB0B);
