@@ -1172,14 +1172,19 @@ impl Broker {
     /// The downtime bindings held for `peer`'s coins: what a sync answers
     /// once the identity is proven. Touches neither stats nor journal, so
     /// the sharded broker verifies and counts a sync on one shard and
-    /// collects the rest through this.
+    /// collects the rest through this. The bindings come in `CoinId`
+    /// order, so an answer is a function of the broker's state and not of
+    /// the process's hash seed.
     pub(crate) fn downtime_bindings_of(&self, peer: PeerId) -> Vec<Binding> {
         let owner = OwnerTag::Identified(peer);
-        self.coins
-            .values()
-            .filter(|record| record.minted.owner() == &owner)
-            .filter_map(|record| record.downtime_binding().cloned())
-            .collect()
+        let mut held: Vec<(&CoinId, &Binding)> = self
+            .coins
+            .iter()
+            .filter(|(_, record)| record.minted.owner() == &owner)
+            .filter_map(|(id, record)| Some((id, record.downtime_binding()?)))
+            .collect();
+        held.sort_unstable_by_key(|&(id, _)| id);
+        held.into_iter().map(|(_, binding)| binding.clone()).collect()
     }
 
     /// Sync for a single anonymous coin: the claimant proves ownership by

@@ -665,18 +665,23 @@ impl Peer {
     // --- synchronization ---
 
     /// Adopts a broker-signed binding for an owned coin (proactive sync
-    /// after downtime). Only newer bindings are applied.
+    /// after downtime). Only newer bindings are applied. The binding this
+    /// owner already holds is not verified again: a broker-signed binding
+    /// is only ever stored here, after its signature verified.
     ///
     /// # Errors
     ///
     /// [`CoreError::NotOwner`], [`CoreError::BadSignature`].
     pub fn adopt_broker_binding(&mut self, binding: Binding) -> Result<bool, CoreError> {
         let coin = binding.coin_id();
-        let group = self.params.group().clone();
         let owned = self.owned.get_mut(&coin).ok_or(CoreError::NotOwner(coin))?;
-        if binding.signer() != BindingSigner::Broker
-            || !binding.verify_cached(&group, &self.broker_pk, &self.sig_cache)
-        {
+        if binding.signer() != BindingSigner::Broker {
+            return Err(CoreError::BadSignature);
+        }
+        if binding == owned.binding {
+            return Ok(false);
+        }
+        if !binding.verify_cached(self.params.group(), &self.broker_pk, &self.sig_cache) {
             return Err(CoreError::BadSignature);
         }
         if binding.seq() <= owned.binding.seq() {

@@ -81,6 +81,9 @@ cargo test -p whopay-eval -q --release --offline --lib streaming
 echo "==> cargo test -p whopay-core --release (Merkle differential props + journal tamper/torn-tail evidence props)"
 cargo test -p whopay-core -q --release --offline --test merkle_props --test tamper_props
 
+echo "==> cargo test -p whopay-core --release (a verifier checks each broker signature once: proof_memo [after a root is accepted, a changed seq, root bit, r, s, broker key or group is still refused; a proof on an accepted root still fails BadProof on a tampered leaf, sibling, index or leaf count; a forged root refused every time; an accepted root vouches for no forged DSD record], sync_adopt [a repeated sync adopts nothing and leaves the owner's verdict cache untouched; a newer broker binding still verified; the held binding with other signature bytes, or signed by the coin key, still BadSignature; sync_answers_are_a_function_of_the_seed: a sync lists bindings in CoinId order])"
+cargo test -p whopay-core -q --release --offline --test proof_memo --test sync_adopt
+
 echo "==> cargo test --release --test byzantine_dht (proof-checked lookups vs Byzantine DHT nodes)"
 cargo test -q --release --offline --test byzantine_dht
 
@@ -97,7 +100,7 @@ echo "==> cargo build --release --bin bench_micropay_json (streaming-micropay be
 cargo build --release --offline -p whopay-bench --bin bench_micropay_json
 
 echo "==> every BENCH_*.json, bench_*_json and --bench <name> the docs and scripts mention exists"
-for f in $(grep -ohE -- 'BENCH_[a-z]+\.json|bench_[a-z]+_json|--bench [a-z0-9_]+' README.md DESIGN.md .claude/skills/verify/SKILL.md scripts/*.sh \
+for f in $(grep -ohE -- 'BENCH_[a-z]+\.jsonl?\b|bench_[a-z]+_json|--bench [a-z0-9_]+' README.md DESIGN.md .claude/skills/verify/SKILL.md scripts/*.sh \
     | sed -E 's|^bench_(.*)|crates/bench/src/bin/bench_\1.rs|; s|^--bench (.*)|crates/bench/benches/\1.rs|' | sort -u); do
     [ -f "$f" ] || { echo "ci.sh: $f is mentioned but does not exist" >&2; exit 1; }
 done
@@ -111,6 +114,9 @@ if grep -rnE "$retired" README.md DESIGN.md .claude/skills/verify/SKILL.md scrip
     echo "ci.sh: a retired identifier is mentioned (above)" >&2
     exit 1
 fi
+
+echo "==> bash -n scripts/pairs.sh (the alternating-pairs runner parses)"
+bash -n scripts/pairs.sh
 
 echo "==> benchmark/run.sh --quick (end-to-end benchmark smoke: every workload, every correctness gate)"
 benchmark/run.sh --quick
