@@ -21,12 +21,10 @@ use whopay_dht::{storage, Dht, Notification, PutError, RingId, SignedRecord, Sub
 use whopay_num::{BigUint, SchnorrGroup};
 use whopay_obs::{Event, Obs, OpKind, Role};
 
-use crate::chain::BindingChain;
 use crate::coin::{Binding, PublicBindingState};
 use crate::error::CoreError;
 use crate::messages::CoinGrant;
 use crate::peer::Peer;
-use crate::sigcache::SigCache;
 use crate::types::CoinId;
 
 /// The DHT key a coin's public binding lives under.
@@ -271,34 +269,6 @@ pub fn verify_grant_published_obs(
     result
 }
 
-/// Bulk write-proof verification for published binding records — the
-/// sweep an auditor (or a node replaying a peer's public list) runs over
-/// many [`SignedRecord`]s at once. Each record's check has the exact
-/// semantics of [`SignedRecord::verify`], but the records a subject wrote
-/// share one chain over that subject's key — its membership and every
-/// signature under it ([`BindingChain`]). Verdicts are index-aligned with
-/// `records`.
-pub fn verify_records_bulk(
-    group: &SchnorrGroup,
-    broker: &DsaPublicKey,
-    records: &[SignedRecord],
-    cache: Option<&SigCache>,
-) -> Vec<bool> {
-    let mut chain = BindingChain::new(group.clone(), broker.clone());
-    for record in records {
-        let msg =
-            SignedRecord::signed_bytes(&record.subject, &record.value, record.version, record.writer);
-        let (signer, element) = match record.writer {
-            Writer::Subject => {
-                (DsaPublicKey::from_element(record.subject.clone()), Some(record.subject.clone()))
-            }
-            Writer::Broker => (broker.clone(), None),
-        };
-        chain.push_signature(signer, msg, record.signature.clone(), element);
-    }
-    chain.verify_each(cache)
-}
-
 /// Holder-side monitor: subscribes to the public bindings of held coins
 /// and raises an alarm when a binding moves while we still hold the coin.
 #[derive(Debug)]
@@ -351,7 +321,7 @@ impl HoldingMonitor {
     }
 
     /// Drains notifications and returns alarms for coins whose public
-    /// binding moved past what we hold.
+    /// binding moved past what we hold, in [`CoinId`] order.
     pub fn poll(&mut self, dht: &mut Dht) -> Vec<DoubleSpendAlarm> {
         self.poll_obs(dht, &Obs::disabled())
     }
@@ -365,7 +335,9 @@ impl HoldingMonitor {
     /// events leading up to it are the evidence.
     pub fn poll_obs(&mut self, dht: &mut Dht, obs: &Obs) -> Vec<DoubleSpendAlarm> {
         let mut alarms = Vec::new();
-        for (coin, (sub, held_seq)) in &self.subscriptions {
+        let mut watched: Vec<_> = self.subscriptions.iter().collect();
+        watched.sort_unstable_by_key(|(coin, _)| **coin);
+        for (coin, (sub, held_seq)) in watched {
             for Notification { record, .. } in dht.drain_notifications(*sub) {
                 if record.version > *held_seq {
                     alarms.push(DoubleSpendAlarm {
@@ -414,50 +386,5 @@ fn put_record(dht: &mut Dht, entry: RingId, record: SignedRecord) -> Result<(), 
         Ok(()) => Ok(()),
         Err(PutError::StaleVersion { .. }) => Err(CoreError::PublicBindingMismatch),
         Err(_) => Err(CoreError::Malformed),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use whopay_crypto::testing::{test_rng, tiny_group};
-
-    #[test]
-    fn bulk_record_verification_matches_serial() {
-        let group = tiny_group().clone();
-        let mut rng = test_rng(77);
-        let broker = DsaKeyPair::generate(&group, &mut rng);
-        let subject_keys = DsaKeyPair::generate(&group, &mut rng);
-        let subject = subject_keys.public().element().clone();
-        let make = |version: u64, writer: Writer, rng: &mut rand::rngs::StdRng| {
-            let value = vec![version as u8; 4];
-            let msg = SignedRecord::signed_bytes(&subject, &value, version, writer);
-            let signer = match writer {
-                Writer::Subject => &subject_keys,
-                Writer::Broker => &broker,
-            };
-            SignedRecord {
-                subject: subject.clone(),
-                value,
-                version,
-                writer,
-                signature: signer.sign(&group, &msg, rng),
-            }
-        };
-        let mut records: Vec<SignedRecord> = (0..6)
-            .map(|i| make(i, if i % 2 == 0 { Writer::Subject } else { Writer::Broker }, &mut rng))
-            .collect();
-        // One record with a wrong claimed version: invalid.
-        records[4].version += 1;
-        let expect: Vec<bool> = records.iter().map(|r| r.verify(&group, broker.public())).collect();
-        assert_eq!(expect, vec![true, true, true, true, false, true]);
-        assert_eq!(verify_records_bulk(&group, broker.public(), &records, None), expect);
-        // Cached path: second sweep is all hits.
-        let cache = SigCache::new(64);
-        verify_records_bulk(&group, broker.public(), &records, Some(&cache));
-        let misses = cache.misses();
-        let got = verify_records_bulk(&group, broker.public(), &records, Some(&cache));
-        assert_eq!(got, expect);
-        assert_eq!(cache.misses(), misses, "no new misses on the second sweep");
     }
 }

@@ -20,11 +20,9 @@ use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_crypto::hashio::Transcript;
 use whopay_num::{BigUint, SchnorrGroup};
 
-use crate::chain::BindingChain;
 use crate::coin::Binding;
 use crate::error::CoreError;
 use crate::messages::CoinGrant;
-use crate::sigcache::SigCache;
 
 /// One relinquishment layer: the previous holder signs the hand-off to
 /// the next holder key with both its holder key and its group key.
@@ -151,65 +149,6 @@ impl LayeredCoin {
                 return Err(CoreError::BadGroupSignature);
             }
             prev_holder = layer.new_holder_pk.clone();
-        }
-        Ok(())
-    }
-
-    /// [`LayeredCoin::verify`] with the chain's checks made together:
-    /// every DSA check — mint, base binding, and each relinquishment —
-    /// through one [`BindingChain`], the layers' group signatures through
-    /// [`GroupPublicKey::verify_each`]. Each verdict is the serial one,
-    /// and they are replayed in the serial order, so the returned error
-    /// is exactly what [`LayeredCoin::verify`] would report.
-    pub fn verify_batch(
-        &self,
-        group: &SchnorrGroup,
-        broker: &DsaPublicKey,
-        gpk: &GroupPublicKey,
-        max_layers: usize,
-        cache: Option<&SigCache>,
-    ) -> Result<(), CoreError> {
-        if self.layers.len() > max_layers {
-            return Err(CoreError::TooManyLayers { max: max_layers });
-        }
-        let mut chain = BindingChain::new(group.clone(), broker.clone());
-        chain.push_minted(&self.base.minted);
-        chain.push_binding(&self.base.binding);
-        let mut prev_holder = self.base.binding.holder_pk().clone();
-        let mut layer_msgs = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let msg = Layer::signed_bytes(
-                self.base.minted.coin_pk(),
-                self.base.binding.seq(),
-                i as u64,
-                &layer.new_holder_pk,
-            );
-            chain.push_signature(
-                DsaPublicKey::from_element(prev_holder.clone()),
-                msg.clone(),
-                layer.relinquish_sig.clone(),
-                Some(prev_holder.clone()),
-            );
-            layer_msgs.push(msg);
-            prev_holder = layer.new_holder_pk.clone();
-        }
-        let dsa_ok = chain.verify_each(cache);
-        let group_claims: Vec<(&[u8], &GroupSignature)> = layer_msgs
-            .iter()
-            .zip(&self.layers)
-            .map(|(msg, layer)| (&msg[..], &layer.group_sig))
-            .collect();
-        let gsig_ok = gpk.verify_each(group, &group_claims);
-        if !dsa_ok[0] || !dsa_ok[1] {
-            return Err(CoreError::BadSignature);
-        }
-        for i in 0..self.layers.len() {
-            if !dsa_ok[2 + i] {
-                return Err(CoreError::BadSignature);
-            }
-            if !gsig_ok[i] {
-                return Err(CoreError::BadGroupSignature);
-            }
         }
         Ok(())
     }

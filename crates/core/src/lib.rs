@@ -83,7 +83,6 @@
 
 pub mod audit;
 pub mod broker;
-pub mod chain;
 pub mod codec;
 pub mod coin;
 pub mod dsd;
@@ -108,7 +107,6 @@ pub mod wire;
 
 pub use audit::{Auditor, Invariant, Violation};
 pub use broker::{Broker, BrokerStats, FraudCase, PrepareReport, Upcoming};
-pub use chain::BindingChain;
 pub use coin::{Binding, BindingSigner, DoubleSpendEvidence, MintedCoin, OwnerTag, PublicBindingState};
 pub use error::CoreError;
 pub use journal::{ChainSnapshot, CoinSnapshot, Journal, JournalEntry, JournalOp, StateRecord};

@@ -424,15 +424,12 @@ impl MicropayHost {
         self.chains.get_mut(chain)
     }
 
-    /// Number of open chains.
-    pub fn open_chains(&self) -> usize {
-        self.chains.len()
-    }
-
     /// Redemption requests for every chain whose outstanding balance
-    /// reached the threshold, in unspecified order.
+    /// reached the threshold, in [`ChainId`] order.
     pub fn due_redemptions(&self) -> Vec<RedeemChainRequest> {
-        self.chains.values().filter(|r| r.settlement_due()).map(|r| r.redeem_request()).collect()
+        let mut due: Vec<_> = self.chains.iter().filter(|(_, r)| r.settlement_due()).collect();
+        due.sort_unstable_by_key(|(chain, _)| **chain);
+        due.into_iter().map(|(_, r)| r.redeem_request()).collect()
     }
 }
 

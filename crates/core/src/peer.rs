@@ -19,7 +19,6 @@ use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey};
 use whopay_net::Handle;
 use whopay_num::BigUint;
 
-use crate::chain::BindingChain;
 use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag, PublicBindingState};
 use crate::error::CoreError;
 use crate::messages::{
@@ -143,14 +142,16 @@ impl Peer {
         self.owned.iter()
     }
 
-    /// Coins this peer owns and can still *issue* (self-held).
+    /// Coins this peer owns and can still *issue* (self-held), in
+    /// [`CoinId`] order.
     pub fn unissued_coins(&self) -> Vec<CoinId> {
-        self.owned.iter().filter(|(_, c)| !c.issued).map(|(id, _)| *id).collect()
+        sorted(self.owned.iter().filter(|(_, c)| !c.issued).map(|(id, _)| *id).collect())
     }
 
-    /// Coins in this peer's wallet (held, spendable by transfer/deposit).
+    /// Coins in this peer's wallet (held, spendable by transfer/deposit),
+    /// in [`CoinId`] order.
     pub fn held_coins(&self) -> Vec<CoinId> {
-        self.wallet.keys().copied().collect()
+        sorted(self.wallet.keys().copied().collect())
     }
 
     /// Immutable view of a held coin.
@@ -246,27 +247,17 @@ impl Peer {
         Ok(id)
     }
 
-    /// Batch purchase: the paper notes "it should be straightforward to
-    /// modify this procedure to purchase coins in batch" — one request
-    /// exchange, `count` coins.
-    pub fn create_batch_purchase<R: Rng + ?Sized>(
-        &self,
-        owner_mode: PurchaseMode,
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<(PurchaseRequest, PendingPurchase)> {
-        (0..count).map(|_| self.create_purchase_request(owner_mode, rng)).collect()
-    }
-
     /// Held coins whose binding expires at or before `deadline` — what a
     /// rejoining peer must renew (the catch-up step of the simulation's
-    /// renewal model).
+    /// renewal model), in [`CoinId`] order.
     pub fn coins_needing_renewal(&self, deadline: Timestamp) -> Vec<CoinId> {
-        self.wallet
-            .iter()
-            .filter(|(_, held)| !deadline.is_before(held.binding.expires()))
-            .map(|(id, _)| *id)
-            .collect()
+        sorted(
+            self.wallet
+                .iter()
+                .filter(|(_, held)| !deadline.is_before(held.binding.expires()))
+                .map(|(id, _)| *id)
+                .collect(),
+        )
     }
 
     // --- receiving payments (payee side) ---
@@ -311,30 +302,6 @@ impl Peer {
             HeldCoin { minted: grant.minted, binding: grant.binding, holder_keys: session.holder_keys },
         );
         Ok(id)
-    }
-
-    /// Accepts many granted coins at once — a payee draining a burst of
-    /// incoming payments. The mint and binding signatures of all grants
-    /// are settled together, one exact chain per coin key
-    /// ([`BindingChain`]), and primed into the verdict cache; each grant
-    /// then runs through the ordinary [`Peer::accept_grant`] state
-    /// machine, so the index-aligned results are identical to serial
-    /// acceptance.
-    pub fn accept_grants(
-        &mut self,
-        grants: Vec<(CoinGrant, ReceiveSession)>,
-        now: Timestamp,
-    ) -> Vec<Result<CoinId, CoreError>> {
-        let group = self.params.group().clone();
-        let mut chain = BindingChain::new(group, self.broker_pk.clone());
-        for (grant, _) in &grants {
-            chain.push_minted(&grant.minted);
-            if grant.binding.coin_pk() == grant.minted.coin_pk() {
-                chain.push_binding(&grant.binding);
-            }
-        }
-        chain.verify_each(Some(&self.sig_cache));
-        grants.into_iter().map(|(grant, session)| self.accept_grant(grant, session, now)).collect()
     }
 
     // --- spending (payer side) ---
@@ -629,7 +596,7 @@ impl Peer {
         rng: &mut R,
     ) -> Result<CoinGrant, CoreError> {
         let group = self.params.group().clone();
-        layered.verify_batch(&group, &self.broker_pk, &self.gpk, max_layers, Some(&self.sig_cache))?;
+        layered.verify(&group, &self.broker_pk, &self.gpk, max_layers)?;
         let coin = request.current.coin_id();
         let owned = self.owned.get_mut(&coin).ok_or(CoreError::NotOwner(coin))?;
         if request.current != owned.binding || layered.base_binding() != &owned.binding {
@@ -759,15 +726,18 @@ impl Peer {
     }
 
     /// The i3 handles of owned coins minted with
-    /// [`OwnerTag::AnonymousWithHandle`], for trigger registration.
+    /// [`OwnerTag::AnonymousWithHandle`], for trigger registration, in
+    /// [`CoinId`] order.
     pub fn coin_handles(&self) -> Vec<(CoinId, Handle)> {
-        self.owned
-            .iter()
-            .filter_map(|(id, c)| match c.minted.owner() {
-                OwnerTag::AnonymousWithHandle(h) => Some((*id, *h)),
-                _ => None,
-            })
-            .collect()
+        sorted(
+            self.owned
+                .iter()
+                .filter_map(|(id, c)| match c.minted.owner() {
+                    OwnerTag::AnonymousWithHandle(h) => Some((*id, *h)),
+                    _ => None,
+                })
+                .collect(),
+        )
     }
 
     // --- helpers ---
@@ -827,6 +797,13 @@ impl Peer {
         let sig = coin_keys.sign(params.group(), &msg, rng);
         Binding::from_parts(coin_pk, holder_pk, seq, expires, BindingSigner::CoinKey, sig)
     }
+}
+
+/// `items` in ascending order: lists read off the coin maps come back in
+/// an order that does not depend on the process's hash seed.
+fn sorted<T: Ord>(mut items: Vec<T>) -> Vec<T> {
+    items.sort_unstable();
+    items
 }
 
 /// How a peer wants its purchased coin to name it.

@@ -289,6 +289,31 @@ fn coin_shop_sells_anonymously() {
     assert!(shop.sell_coin(&w.peers[0].begin_receive(&mut w.rng).0, t0, &mut w.rng).is_err());
 }
 
+/// Which coin a shop sells next is a function of the seed alone: two
+/// worlds built from one seed stock the same coins and sell them in the
+/// same order, whatever the process's hash seed.
+#[test]
+fn shop_sales_are_a_function_of_the_seed() {
+    let run = || {
+        let mut w = world(2, 26);
+        let t0 = Timestamp(0);
+        let mut shop = CoinShop::new(w.peers.remove(0), 1);
+        shop.stock_up(&mut w.broker, 12, t0, &mut w.rng).unwrap();
+        let stock = shop.peer.unissued_coins();
+        let sold: Vec<_> = (0..12)
+            .map(|_| {
+                let (invite, _) = w.peers[0].begin_receive(&mut w.rng);
+                shop.sell_coin(&invite, t0, &mut w.rng).unwrap().0.minted.id()
+            })
+            .collect();
+        assert_eq!(shop.stock(), 0);
+        (stock, sold)
+    };
+    let ((stock_a, sold_a), (stock_b, sold_b)) = (run(), run());
+    assert_eq!(stock_a, stock_b, "stock lists");
+    assert_eq!(sold_a, sold_b, "sales");
+}
+
 #[test]
 fn i3_handles_reach_anonymous_owners() {
     let mut w = world(2, 25);

@@ -17,21 +17,21 @@
 //! it replaced refused, with the same error, the same wallet and the same
 //! verdict-cache traffic.
 //!
-//! The callers that verify many signatures together — `Peer::accept_grants`,
-//! `dsd::verify_records_bulk`, `LayeredCoin::verify_batch`, and
-//! `verify_dsa_each` underneath them — must give each item the verdict of
-//! its serial twin, in particular where the key an item is checked under
-//! is a real key multiplied by an element of order 2, 3 or 4 and the
-//! signature is made so that membership is the only thing wrong with it.
+//! The checks of keys that arrive with a coin — a grant's coin key
+//! (`Peer::accept_grant`), a published record's subject
+//! (`SignedRecord::verify`), a layered coin's relinquishing keys
+//! (`LayeredCoin::verify`) — and `verify_dsa_each` must refuse an item
+//! whose key is a real key multiplied by an element of order 2, 3 or 4,
+//! the signature made so that membership is the only thing wrong with it.
 
 use std::sync::Arc;
 
 use whopay_core::layered::{Layer, LayeredCoin};
 use whopay_core::sigcache::SigCache;
 use whopay_core::{
-    dsd, Binding, BindingSigner, Broker, CoinGrant, CoinId, CoreError, DepositRequest, Judge,
-    MintedCoin, OwnerTag, PaymentInvite, Peer, PeerId, PurchaseMode, ReceiveSession, RenewalRequest,
-    SystemParams, Timestamp, TransferRequest,
+    Binding, BindingSigner, Broker, CoinGrant, CoinId, CoreError, DepositRequest, Judge, MintedCoin,
+    OwnerTag, PaymentInvite, Peer, PeerId, PurchaseMode, ReceiveSession, RenewalRequest, SystemParams,
+    Timestamp, TransferRequest,
 };
 use whopay_crypto::batch::{verify_dsa_each, DsaBatchItem};
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
@@ -635,32 +635,6 @@ fn accept_grant_uses_cached_verdicts_exactly_as_the_separate_checks_did() {
     }
 }
 
-#[test]
-fn accept_grants_gives_the_results_of_serial_acceptance() {
-    let mut w = world(0xBA7C4);
-    let cases = grant_cases(&mut w);
-    let mut grants = Vec::new();
-    for (round, (_, plan, _)) in cases.iter().enumerate() {
-        let session = session(&mut w, round as u8);
-        let grant = grant_with(&mut w, plan, &session);
-        grants.push((grant, session));
-    }
-    // Every grant is for the same coin, so acceptance is compared one
-    // result at a time rather than through the wallet.
-    let spec_cache = SigCache::new(256);
-    let want: Vec<_> = grants
-        .iter()
-        .map(|(grant, session)| accept_grant_spec(&w, &spec_cache, grant, session, NOW))
-        .collect();
-    let mut peer = payee(&mut w);
-    let got = peer.accept_grants(grants, NOW);
-    assert_eq!(got, want);
-    assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 2);
-    assert_eq!(got.iter().map(|r| r.clone().map(|_| ())).collect::<Vec<_>>(), {
-        cases.into_iter().map(|(_, _, want)| want).collect::<Vec<_>>()
-    });
-}
-
 /// `CoinGrant::verify_proof` stands on its own: a proof under a coin key
 /// that is no group element is refused without anyone having checked the
 /// mint first.
@@ -718,7 +692,7 @@ fn until_plainly_valid<T>(
 }
 
 #[test]
-fn accept_grants_refuses_every_twisted_coin_key_as_serial_acceptance_does() {
+fn accept_grant_refuses_every_twisted_coin_key() {
     let (mut w, etas) = twisting_world(0x7A157ED);
     let broker_pk = w.broker.public().clone();
     let mut grants = Vec::new();
@@ -744,31 +718,22 @@ fn accept_grants_refuses_every_twisted_coin_key_as_serial_acceptance_does() {
         grants.push((grant, session));
     }
     assert_eq!(twisted_at.len(), TWISTED);
-    let mut one_by_one = payee(&mut w);
-    let want: Vec<_> = grants
-        .iter()
-        .map(|(grant, session)| one_by_one.accept_grant(grant.clone(), again(session), NOW))
-        .collect();
-    let mut together = payee(&mut w);
-    let got = together.accept_grants(grants, NOW);
-    assert_eq!(got, want);
-    for (i, result) in got.iter().enumerate() {
+    let mut peer = payee(&mut w);
+    let mut accepted = Vec::new();
+    for (i, (grant, session)) in grants.into_iter().enumerate() {
+        let result = peer.accept_grant(grant, session, NOW);
         match twisted_at.contains(&i) {
-            true => assert_eq!(result, &Err(CoreError::BadSignature), "grant {i}"),
-            false => assert!(result.is_ok(), "grant {i}: {result:?}"),
+            true => assert_eq!(result, Err(CoreError::BadSignature), "grant {i}"),
+            false => accepted.push(result.unwrap_or_else(|e| panic!("grant {i}: {e:?}"))),
         }
     }
-    let held = |peer: &Peer| {
-        let mut coins = peer.held_coins();
-        coins.sort_by_key(|id| id.0);
-        coins
-    };
-    assert_eq!(held(&together), held(&one_by_one));
-    assert_eq!(held(&together).len(), TWISTED);
+    accepted.sort();
+    assert_eq!(peer.held_coins(), accepted);
+    assert_eq!(accepted.len(), TWISTED);
 }
 
 #[test]
-fn verify_records_bulk_refuses_every_twisted_subject_as_record_verify_does() {
+fn record_verify_refuses_every_twisted_subject() {
     let (mut w, etas) = twisting_world(0x5B1EC7);
     let group = w.group.clone();
     let broker_pk = w.broker.public().clone();
@@ -794,20 +759,10 @@ fn verify_records_bulk_refuses_every_twisted_subject_as_record_verify_does() {
     }
     let want: Vec<bool> = records.iter().map(|r| r.verify(&group, &broker_pk)).collect();
     assert_eq!(want, [false, true, true].repeat(TWISTED));
-    assert_eq!(dsd::verify_records_bulk(&group, &broker_pk, &records, None), want);
-    // Through a cache: the verdicts primed are the same ones.
-    let cache = SigCache::new(256);
-    for pass in ["cold", "warm"] {
-        assert_eq!(
-            dsd::verify_records_bulk(&group, &broker_pk, &records, Some(&cache)),
-            want,
-            "{pass}"
-        );
-    }
 }
 
 #[test]
-fn layered_verify_batch_refuses_every_twisted_relinquishing_key_as_verify_does() {
+fn layered_verify_refuses_every_twisted_relinquishing_key() {
     let (mut w, etas) = twisting_world(0x1A7E2ED);
     let group = w.group.clone();
     let (broker_pk, gpk) = (w.broker.public().clone(), w.gpk.clone());
@@ -840,17 +795,8 @@ fn layered_verify_batch_refuses_every_twisted_relinquishing_key_as_verify_does()
             };
             (layer, msg.clone(), relinquish_sig)
         }));
-        let want = layered.verify(&group, &broker_pk, &gpk, 4);
-        assert_eq!(want, twist.map_or(Ok(()), |_| Err(CoreError::BadSignature)), "coin {i}");
-        assert_eq!(layered.verify_batch(&group, &broker_pk, &gpk, 4, None), want, "coin {i}");
-        let cache = SigCache::new(64);
-        for pass in ["cold", "warm"] {
-            assert_eq!(
-                layered.verify_batch(&group, &broker_pk, &gpk, 4, Some(&cache)),
-                want,
-                "coin {i}, {pass}"
-            );
-        }
+        let want = twist.map_or(Ok(()), |_| Err(CoreError::BadSignature));
+        assert_eq!(layered.verify(&group, &broker_pk, &gpk, 4), want, "coin {i}");
     }
 }
 

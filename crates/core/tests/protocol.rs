@@ -374,12 +374,12 @@ fn stats_track_broker_operations() {
 }
 
 #[test]
-fn batch_purchase_mints_distinct_coins() {
+fn repeated_purchases_mint_distinct_coins() {
     let mut w = World::new(1, 15);
     let t0 = Timestamp(0);
-    let batch = w.peers[0].create_batch_purchase(PurchaseMode::Identified, 5, &mut w.rng);
     let mut coins = Vec::new();
-    for (req, pending) in batch {
+    for _ in 0..5 {
+        let (req, pending) = w.peers[0].create_purchase_request(PurchaseMode::Identified, &mut w.rng);
         let minted = w.broker.handle_purchase(&req, &mut w.rng).unwrap();
         coins.push(w.peers[0].complete_purchase(minted, pending, t0, &mut w.rng).unwrap());
     }

@@ -13,8 +13,9 @@
 //! the host has the lane engine both walk eight at a time. Nothing is
 //! combined across items, so each verdict is the one
 //! [`DsaPublicKey::verify_member`] / [`GroupPublicKey::verify`] gives
-//! that item alone. [`verify_dsa_each`] groups loose items by key in
-//! front of it.
+//! that item alone. `Broker::prepare` (whopay-core) is its one driver;
+//! [`verify_dsa_each`] groups loose items by key in front of it for the
+//! benchmark probe `crypto.batch_verify_us_per_sig`.
 //!
 //! [`ElGamalPublicKey::pow_many`]: crate::elgamal::ElGamalPublicKey::pow_many
 
@@ -25,7 +26,9 @@ use whopay_num::{BigUint, Powers, SchnorrGroup};
 use crate::dsa::{DsaCheck, DsaPublicKey, DsaSignature, MemberClaims};
 use crate::group_sig::{GroupPublicKey, GroupSignature};
 
-/// One DSA verification job as plain owned data.
+/// One DSA verification job as plain owned data: an item of
+/// [`verify_dsa_each`], whose caller is the benchmark probe
+/// `crypto.batch_verify_us_per_sig` (`benchmark/src/probes.rs`).
 #[derive(Debug, Clone)]
 pub struct DsaBatchItem {
     /// Verifying key, as it arrived: its membership is part of the check.
@@ -138,7 +141,8 @@ pub fn verify_many(
 /// The [`DsaPublicKey::verify_member`] verdict of every item — the key a
 /// member of the order-`q` subgroup and the signature valid under it —
 /// index-aligned with `items`: the items grouped by key, one claim list per
-/// distinct key, through [`verify_many`].
+/// distinct key, through [`verify_many`]. Its caller is the benchmark probe
+/// `crypto.batch_verify_us_per_sig` (`benchmark/src/probes.rs`).
 pub fn verify_dsa_each(group: &SchnorrGroup, items: &[DsaBatchItem]) -> Vec<bool> {
     // Distinct keys in order of first appearance, and the claims under each.
     let mut group_of: HashMap<&BigUint, usize> = HashMap::with_capacity(items.len());

@@ -164,6 +164,8 @@ impl DsaPublicKey {
     /// powers ([`SchnorrGroup::pow_g_many`]) — [`crate::batch::verify_many`]
     /// with keys alone. Each verdict is exactly what
     /// [`DsaPublicKey::verify_member`] gives that element and claim alone.
+    /// Its caller is [`crate::batch::verify_dsa_each`], for the benchmark
+    /// probe `crypto.batch_verify_us_per_sig`.
     pub fn verify_member_many(
         group: &SchnorrGroup,
         keys: &[MemberClaims<'_>],

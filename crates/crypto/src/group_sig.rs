@@ -166,18 +166,6 @@ impl GroupPublicKey {
         self.accepts(group, message, sig, &fixed, [&c1_e, &c2_e])
     }
 
-    /// [`GroupPublicKey::verify`] for every `(message, signature)` in
-    /// `claims`, index-aligned: [`crate::batch::verify_many`] with group
-    /// signatures alone. The two chains of each signature are independent
-    /// of every other's, so all of them go to
-    /// [`SchnorrGroup::pow_member_many`] at once, and the three fixed-base
-    /// powers of each to the generator's and the judge key's combs — eight
-    /// to a lane call where the host has the engine. Nothing is combined
-    /// across signatures: each verdict is exactly `verify`'s.
-    pub fn verify_each(&self, group: &SchnorrGroup, claims: &[(&[u8], &GroupSignature)]) -> Vec<bool> {
-        crate::batch::verify_many(group, &[], Some((self, claims))).group_sigs
-    }
-
     /// Whether `sig`, in range, with `fixed = [g^{z_r}, g^{z_x},
     /// y_J^{z_r}]` and both ciphertext halves proven members and raised to
     /// `-e` (`halves_e`), answers its own challenge.

@@ -1,7 +1,8 @@
 //! Exactness sweep for verifying many group signatures at once.
 //!
-//! Nothing is ever combined: `GroupPublicKey::verify_each` walks both
-//! ciphertext halves of every signature down a chain of their own, eight
+//! Nothing is ever combined: `batch::verify_many` given group signatures
+//! alone walks both ciphertext halves of every signature down a chain of
+//! their own, eight
 //! to a lane call where the host has the engine, and must give `verify`'s
 //! verdict signature by signature — in particular on the one kind of
 //! signature a verifier that skipped a half's membership check would
@@ -10,8 +11,7 @@
 //! combs eight to a lane call, must give every claim of a mixed group its
 //! lone verifier's verdict at every mix that crosses the comb plan's
 //! boundaries. (The DSA side on its own, `verify_dsa_each` against
-//! `verify_member`, is swept in `whopay-core`'s `member_parity.rs` next to
-//! its callers.)
+//! `verify_member`, is swept in `whopay-core`'s `member_parity.rs`.)
 
 use rand::RngExt;
 use whopay_crypto::batch::verify_many;
@@ -24,7 +24,7 @@ use whopay_crypto::testing::{
 use whopay_num::{BigUint, SchnorrGroup};
 
 /// Group-signature verification with the two membership checks left
-/// out: what `verify_each` would be if it skipped them.
+/// out: what `verify_many` would be if it skipped them.
 fn equations_hold(
     group: &SchnorrGroup,
     gpk: &GroupPublicKey,
@@ -102,7 +102,7 @@ fn damaged_gsig(
 }
 
 #[test]
-fn verify_each_gives_the_verdict_of_verify_signature_by_signature() {
+fn verify_many_gives_the_verdict_of_verify_signature_by_signature() {
     for (group, rounds) in [(tiny_group(), 40), (small_group(), 6)] {
         let mut rng = test_rng(0x6E5C);
         let mut judge = GroupManager::new(group.clone(), &mut rng);
@@ -126,7 +126,8 @@ fn verify_each_gives_the_verdict_of_verify_signature_by_signature() {
                 let claims: Vec<(&[u8], &GroupSignature)> =
                     claims.iter().map(|(m, s)| (&m[..], s)).collect();
                 let want: Vec<bool> = claims.iter().map(|(m, s)| gpk.verify(group, m, s)).collect();
-                assert_eq!(gpk.verify_each(group, &claims), want, "round {round}, {n} claims");
+                let got = verify_many(group, &[], Some((gpk, &claims))).group_sigs;
+                assert_eq!(got, want, "round {round}, {n} claims");
                 for ((message, sig), ok) in claims.iter().zip(&want) {
                     membership_alone += (!ok && equations_hold(group, gpk, message, sig)) as usize;
                 }
@@ -202,8 +203,9 @@ fn gsig_open(group: &SchnorrGroup, sig: &GroupSignature) -> bool {
 /// per claim under a member key; `g^z_r`, `g^z_x` and `y_J^z_r` per
 /// signature with member halves) cross every boundary of the comb's lane
 /// plan. Every verdict is its lone verifier's, damaged and self-twisted
-/// inputs included; `verify_member_many` and `verify_each` give their
-/// half; and the comb calls reported are the plan's for those powers.
+/// inputs included; `verify_member_many` and `verify_many` given group
+/// signatures alone give their half; and the comb calls reported are the
+/// plan's for those powers.
 #[test]
 fn verify_many_gives_every_claim_of_a_mixed_group_its_lone_verdict() {
     for (group, rounds) in [(tiny_group(), 2), (small_group(), 1)] {
@@ -253,7 +255,7 @@ fn verify_many_gives_every_claim_of_a_mixed_group_its_lone_verdict() {
                 assert_eq!(got.keys, want_keys, "{at}");
                 assert_eq!(got.group_sigs, want_sigs, "{at}");
                 assert_eq!(DsaPublicKey::verify_member_many(group, &keys), want_keys, "{at}");
-                assert_eq!(gpk.verify_each(group, &sigs), want_sigs, "{at}");
+                assert_eq!(verify_many(group, &[], Some((gpk, &sigs))).group_sigs, want_sigs, "{at}");
                 // The powers owed, and the plan's calls for them.
                 let scalar = |x: &BigUint| !x.is_zero() && x < group.order();
                 let in_range = |s: &DsaSignature| scalar(s.r()) && scalar(s.s());
@@ -314,7 +316,7 @@ fn a_half_twisted_by_its_own_signer_is_refused_in_whichever_lane_it_rides() {
             let claims: Vec<(&[u8], &GroupSignature)> =
                 claims.iter().map(|(m, s)| (&m[..], s)).collect();
             let want: Vec<bool> = (0..5).map(|i| i != at / 2).collect();
-            assert_eq!(gpk.verify_each(group, &claims), want, "lane {at}");
+            assert_eq!(verify_many(group, &[], Some((gpk, &claims))).group_sigs, want, "lane {at}");
         }
     }
 }

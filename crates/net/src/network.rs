@@ -208,11 +208,6 @@ impl Network {
         self.faults.take()
     }
 
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
     /// Counters of injected faults (all zero when no injector is
     /// installed).
     pub fn fault_stats(&self) -> FaultStats {

@@ -209,7 +209,6 @@ impl Obs {
                 retry: None,
                 outcome: Outcome::Ok,
                 shard: None,
-                partition: None,
                 detail: None,
             }
         });
@@ -243,7 +242,6 @@ struct Live {
     retry: Option<RetryNote>,
     outcome: Outcome,
     shard: Option<u16>,
-    partition: Option<u32>,
     detail: Option<String>,
 }
 
@@ -310,14 +308,6 @@ impl Span<'_> {
         }
     }
 
-    /// Attributes this operation to a load-simulation partition
-    /// (partitioned sub-simulation runners).
-    pub fn set_partition(&mut self, partition: u32) {
-        if let Some(live) = &mut self.live {
-            live.partition = Some(partition);
-        }
-    }
-
     /// Ends the span and reports the event. Inert when the context is
     /// disabled.
     pub fn finish(self) {
@@ -336,7 +326,7 @@ impl Span<'_> {
             retry: live.retry,
             start_us: Some(start_us),
             shard: live.shard,
-            partition: live.partition,
+            partition: None,
             detail: live.detail,
         };
         self.obs.observe(event);

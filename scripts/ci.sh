@@ -18,10 +18,10 @@ cargo test -q --workspace --offline
 echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, the comb differential [pow_table_lanes / pow_table_many / pow_g_many ≡ FixedBaseTable::pow in both table shapes at every occupancy 1..=17, exponents 0, 1, q-1, the widest covered and one bit wider], lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo test -p whopay-crypto --release (batch_soundness: verify_each ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
+echo "==> cargo test -p whopay-crypto --release (batch_soundness: verify_many on group signatures alone ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
 cargo test -p whopay-crypto -q --release --offline
 
-echo "==> cargo test -p whopay-core --release (membership-fused verify parity, the owner-side twisted-holder case [Peer::handle_transfer / handle_renewal ≡ the spec on every holder_key_cases key], accept_grant shared-chain parity incl. cache traffic, accept_grants / verify_records_bulk / LayeredCoin::verify_batch / verify_dsa_each ≡ their serial twins on keys twisted by elements of order 2, 3, 4, the owner refusing a layered collapse to a twisted final holder [Peer::handle_layered_collapse, last layer naming p − y, signed with an even u2] + shard-lock independence of dispatch)"
+echo "==> cargo test -p whopay-core --release (membership-fused verify parity, the owner-side twisted-holder case [Peer::handle_transfer / handle_renewal ≡ the spec on every holder_key_cases key], accept_grant shared-chain parity incl. cache traffic, accept_grant / SignedRecord::verify / LayeredCoin::verify refusing every key twisted by an element of order 2, 3, 4 and verify_dsa_each ≡ verify_member on such keys, the owner refusing a layered collapse to a twisted final holder [Peer::handle_layered_collapse, last layer naming p − y, signed with an even u2] + shard-lock independence of dispatch)"
 cargo test -p whopay-core -q --release --offline --test member_parity --test concurrent
 
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: each handler and Broker::prepare share one check walk per request kind, live verifier vs recorder; prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — in lanes where the host has them; what prepare owes pinned on a fixed history [PrepareReport summed over its cycles], a stale deposit owing no signature; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path)"
@@ -107,7 +107,7 @@ done
 
 echo "==> no retired identifier in the docs, scripts, examples or crate sources (the comment that retires wire tag 6 excepted)"
 # One bracketed letter per name, so that this file does not match itself.
-retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads|owed_[b]y_|owe_[h]older_role|owe_[s]ig|Owed[S]ig|Owed[C]hains|take_[s]ettled'
+retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads|owed_[b]y_|owe_[h]older_role|owe_[s]ig|Owed[S]ig|Owed[C]hains|take_[s]ettled|Binding[C]hain|accept_[g]rants|verify_[r]ecords_bulk|verify_[b]atch|create_[b]atch_purchase|GroupPublicKey::[v]erify_each'
 tag6='// Tag 6 is retired in both tag spaces \(it was Deposit[B]atch / Receipts\): never reused, Malformed\.$'
 if grep -rnE "$retired" README.md DESIGN.md .claude/skills/verify/SKILL.md scripts examples crates/*/src \
     | grep -vE "(wire|view)\.rs:[0-9]+: *$tag6"; then
