@@ -101,8 +101,9 @@ impl Judge {
         Ok(Judge { manager })
     }
 
-    /// The member registry as `(member element, peer)` pairs — what the
-    /// quorum of judges shares alongside the key shares.
+    /// The member registry as `(member element, peer)` pairs in ascending
+    /// element order — what the quorum of judges shares alongside the key
+    /// shares.
     pub fn export_registry(&self) -> Vec<(whopay_num::BigUint, PeerId)> {
         self.manager.registry_pairs()
     }

@@ -100,7 +100,16 @@ fn coin_leaf_from_digest(
     w.fixed(minted);
     put_opt(&mut w, downtime_binding, put_binding);
     put_opt(&mut w, last_served, put_served);
-    let aux = Sha256::digest(&w.finish());
+    coin_leaf_with_aux(coin, downtime_binding, deposited, Sha256::digest(&w.finish()))
+}
+
+/// A coin leaf from its public fields and an already computed `aux`.
+fn coin_leaf_with_aux(
+    coin: CoinId,
+    downtime_binding: Option<&Binding>,
+    deposited: bool,
+    aux: Digest,
+) -> CoinLeaf {
     let binding = downtime_binding.map(|b| PublicBindingState {
         holder_pk: b.holder_pk().clone(),
         seq: b.seq(),
@@ -136,12 +145,15 @@ fn chain_leaf_bytes(chain: &ChainSnapshot) -> Vec<u8> {
     w.finish()
 }
 
-/// A committed coin's slot: its leaf index plus the cached digest of its
-/// immutable mint record.
+/// A committed coin's slot: its leaf index, the cached digest of its
+/// immutable mint record, and the `aux` its last commit hashed into the
+/// leaf — what a proof reads, since the leaf cannot change until the
+/// next commit of this coin rewrites both.
 #[derive(Debug, Clone, Copy)]
 struct CoinSlot {
     index: usize,
     minted: Digest,
+    aux: Digest,
 }
 
 /// The incremental Merkle commitment over one broker's full state.
@@ -216,7 +228,8 @@ impl StateLedger {
     /// every refresh — sound because a [`MintedCoin`] is immutable once
     /// the broker has recorded it (the deposit flood otherwise
     /// re-serializes and re-hashes the mint signature on each committed
-    /// mutation).
+    /// mutation). The slot keeps the leaf's `aux`, which every proof of
+    /// the coin reads until its next commit.
     pub fn upsert_coin(
         &mut self,
         coin: CoinId,
@@ -225,23 +238,19 @@ impl StateLedger {
         deposited: bool,
         last_served: Option<&ServedOp>,
     ) {
-        let (index, digest) = match self.coins.get(&coin) {
-            Some(slot) => (Some(slot.index), slot.minted),
-            None => {
-                let mut w = Writer::new();
-                put_minted(&mut w, minted);
-                (None, Sha256::digest(&w.finish()))
-            }
-        };
-        let leaf = coin_leaf_from_digest(coin, &digest, downtime_binding, deposited, last_served);
-        let bytes = coin_leaf_bytes(&leaf);
-        match index {
-            Some(i) => self.tree.update(i, &bytes),
-            None => {
-                let i = self.tree.push(&bytes);
-                self.coins.insert(coin, CoinSlot { index: i, minted: digest });
-            }
+        if let Some(slot) = self.coins.get_mut(&coin) {
+            let leaf =
+                coin_leaf_from_digest(coin, &slot.minted, downtime_binding, deposited, last_served);
+            self.tree.update(slot.index, &coin_leaf_bytes(&leaf));
+            slot.aux = leaf.aux;
+            return;
         }
+        let mut w = Writer::new();
+        put_minted(&mut w, minted);
+        let minted = Sha256::digest(&w.finish());
+        let leaf = coin_leaf_from_digest(coin, &minted, downtime_binding, deposited, last_served);
+        let index = self.tree.push(&coin_leaf_bytes(&leaf));
+        self.coins.insert(coin, CoinSlot { index, minted, aux: leaf.aux });
     }
 
     /// Inserts or updates a micropayment chain leaf.
@@ -278,14 +287,20 @@ impl StateLedger {
         }
     }
 
-    /// The leaf a committed coin's record makes, under the mint digest
-    /// cached when the coin was first committed — the leaf
-    /// [`StateLedger::upsert_coin`] committed for it. `None` when the coin
-    /// is not committed.
+    /// The leaf [`StateLedger::upsert_coin`] last committed for a coin:
+    /// the public fields read off its record, the `aux` read off its slot
+    /// — the memo is neither re-encoded nor re-hashed (debug builds
+    /// recompute it and check). `None` when the coin is not committed.
     pub(crate) fn leaf_of_coin(&self, coin: CoinId, record: &CoinSnapshot) -> Option<CoinLeaf> {
         let slot = self.coins.get(&coin)?;
         let (binding, deposited) = (record.downtime_binding(), record.deposited());
-        Some(coin_leaf_from_digest(coin, &slot.minted, binding, deposited, Some(&record.last_served)))
+        let leaf = coin_leaf_with_aux(coin, binding, deposited, slot.aux);
+        debug_assert_eq!(
+            leaf,
+            coin_leaf_from_digest(coin, &slot.minted, binding, deposited, Some(&record.last_served)),
+            "a coin's slot holds the aux its last commit hashed"
+        );
+        Some(leaf)
     }
 
     /// An inclusion proof for a coin's leaf against the current root.
@@ -510,6 +525,120 @@ mod tests {
         // Same stats again: root is stable, seq still advances.
         let (r2, s2) = ledger.commit_stats(&stats);
         assert_eq!((r2, s2), (r1, 2));
+    }
+
+    /// Every coin a sharded broker holds: its proof's leaf is the leaf
+    /// recomputed from its record under the slot's mint digest, and the
+    /// proof verifies against the owning shard's signed root.
+    fn assert_proofs_read_committed_leaves(
+        sharded: &crate::ShardedBroker,
+        coins: usize,
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let mut seen = 0;
+        for i in 0..sharded.shard_count() {
+            let shard = sharded.lock_shard(i);
+            let ledger = shard.ledger().expect("the ledger is on");
+            for record in shard.snapshot() {
+                let StateRecord::Coin(c) = record else { continue };
+                let id = c.minted.id();
+                let slot = ledger.coins[&id];
+                let (binding, deposited) = (c.downtime_binding(), c.deposited());
+                let recomputed =
+                    coin_leaf_from_digest(id, &slot.minted, binding, deposited, Some(&c.last_served));
+                let proof = shard.binding_proof(&id, rng).expect("a committed coin has a proof");
+                assert_eq!(proof.leaf, recomputed, "coin {id:?}: proof leaf ≡ recomputed leaf");
+                proof.verify(tiny_group(), sharded.public_key()).expect("proof verifies");
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, coins, "every coin checked");
+    }
+
+    #[test]
+    fn a_proof_reads_the_leaf_its_coins_last_commit_hashed() {
+        use crate::{Journal, Judge, Peer, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
+        const COINS: usize = 8;
+        let mut rng = test_rng(43);
+        let params = SystemParams::new(tiny_group().clone());
+        let mut judge = Judge::new(params.group().clone(), &mut rng);
+        let gpk = judge.public_key().clone();
+        let sharded = ShardedBroker::new(params.clone(), gpk.clone(), 4, &mut rng);
+        sharded.enable_journals();
+        let mut peers: Vec<Peer> = (0..3)
+            .map(|i| {
+                let id = PeerId(i);
+                let gk = judge.enroll(id, &mut rng);
+                let pk = sharded.public_key().clone();
+                let peer = Peer::new(id, params.clone(), pk, gpk.clone(), gk, &mut rng);
+                sharded.register_peer(id, peer.public_key().clone());
+                peer
+            })
+            .collect();
+        let [owner, holder, payee] = &mut peers[..] else { unreachable!() };
+        let check = |rng: &mut _| assert_proofs_read_committed_leaves(&sharded, COINS, rng);
+        let t0 = Timestamp(0);
+
+        let coins: Vec<CoinId> = (0..COINS)
+            .map(|i| {
+                let mode = if i % 2 == 0 { PurchaseMode::Identified } else { PurchaseMode::Anonymous };
+                let (request, pending) = owner.create_purchase_request(mode, &mut rng);
+                let minted = sharded.handle_purchase(&request, &mut rng).expect("purchase");
+                let coin = owner.complete_purchase(minted, pending, t0, &mut rng).expect("minted");
+                let (invite, session) = holder.begin_receive(&mut rng);
+                let grant = owner.issue_coin(coin, &invite, t0, &mut rng).expect("issue");
+                holder.accept_grant(grant, session, t0).expect("grant");
+                coin
+            })
+            .collect();
+        check(&mut rng);
+
+        // Each coin but the last moves to the payee through the broker's
+        // downtime path; coin 0 renews there too.
+        for (i, &coin) in coins[..COINS - 1].iter().enumerate() {
+            let (invite, session) = payee.begin_receive(&mut rng);
+            let transfer = holder.request_transfer(coin, &invite, &mut rng).expect("transfer request");
+            let now = Timestamp(10 + i as u64);
+            let grant = sharded.handle_downtime_transfer(&transfer, now, &mut rng).expect("transfer");
+            payee.accept_grant(grant, session, now).expect("downtime grant");
+            holder.complete_transfer(coin);
+        }
+        check(&mut rng);
+        let renewal = payee.request_renewal(coins[0], &mut rng).expect("renewal request");
+        let renewed =
+            sharded.handle_downtime_renewal(&renewal, Timestamp(20), &mut rng).expect("renewal");
+        payee.apply_renewal(coins[0], renewed).expect("renewed");
+        check(&mut rng);
+        for &coin in &coins[..2] {
+            let deposit = payee.request_deposit(coin, &mut rng).expect("deposit request");
+            sharded.handle_deposit(&deposit, Timestamp(30)).expect("deposit");
+        }
+        check(&mut rng);
+        let again = payee.request_deposit(coins[1], &mut rng).expect("second request");
+        sharded.handle_deposit(&again, Timestamp(31)).expect_err("double deposit refused");
+        check(&mut rng);
+
+        sharded.checkpoint_journals();
+        check(&mut rng);
+        // After the checkpoint, so that recovery replays an update onto a
+        // rebuilt slot.
+        let deposit = payee.request_deposit(coins[2], &mut rng).expect("deposit request");
+        sharded.handle_deposit(&deposit, Timestamp(40)).expect("deposit");
+        check(&mut rng);
+        for i in 0..sharded.shard_count() {
+            let bytes = sharded.journal_bytes(i).expect("journalling is on");
+            sharded.recover_shard(i, &Journal::from_bytes(&bytes).expect("journal parses"));
+        }
+        check(&mut rng);
+
+        for i in 0..sharded.shard_count() {
+            sharded.lock_shard(i).set_ledger_enabled(false);
+        }
+        assert!(coins.iter().all(|coin| sharded.binding_proof(coin, &mut rng).is_none()));
+        for i in 0..sharded.shard_count() {
+            sharded.lock_shard(i).set_ledger_enabled(true);
+        }
+        check(&mut rng);
     }
 
     #[test]

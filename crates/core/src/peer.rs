@@ -137,9 +137,11 @@ impl Peer {
         &self.params
     }
 
-    /// Coins this peer owns.
+    /// Coins this peer owns, in [`CoinId`] order.
     pub fn owned_coins(&self) -> impl Iterator<Item = (&CoinId, &OwnedCoin)> {
-        self.owned.iter()
+        let mut coins: Vec<_> = self.owned.iter().collect();
+        coins.sort_unstable_by_key(|(id, _)| **id);
+        coins.into_iter()
     }
 
     /// Coins this peer owns and can still *issue* (self-held), in

@@ -314,6 +314,47 @@ fn shop_sales_are_a_function_of_the_seed() {
     assert_eq!(sold_a, sold_b, "sales");
 }
 
+/// Two judges built from one seed export one registry, in ascending
+/// element order, whatever each map's hash seed.
+#[test]
+fn judge_registries_are_a_function_of_the_seed() {
+    let registry = || {
+        let w = world(12, 27);
+        w.judge.export_registry()
+    };
+    let (a, b) = (registry(), registry());
+    assert_eq!(a.len(), 12);
+    assert_eq!(a, b);
+    assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "ascending element order");
+}
+
+/// Two peers built from one seed list the coins they own in one order,
+/// ascending by [`whopay_core::CoinId`], whatever each map's hash seed —
+/// the order `dsd::resync_owner` re-signs in.
+#[test]
+fn owned_coins_are_a_function_of_the_seed() {
+    let owned = || {
+        let mut w = world(2, 28);
+        let t0 = Timestamp(0);
+        for i in 0..12 {
+            let (request, pending) =
+                w.peers[0].create_purchase_request(PurchaseMode::Identified, &mut w.rng);
+            let minted = w.broker.handle_purchase(&request, &mut w.rng).unwrap();
+            let coin = w.peers[0].complete_purchase(minted, pending, t0, &mut w.rng).unwrap();
+            if i % 2 == 0 {
+                let (invite, session) = w.peers[1].begin_receive(&mut w.rng);
+                let grant = w.peers[0].issue_coin(coin, &invite, t0, &mut w.rng).unwrap();
+                w.peers[1].accept_grant(grant, session, t0).unwrap();
+            }
+        }
+        w.peers[0].owned_coins().map(|(id, _)| *id).collect::<Vec<_>>()
+    };
+    let (a, b) = (owned(), owned());
+    assert_eq!(a.len(), 12);
+    assert_eq!(a, b);
+    assert!(a.windows(2).all(|w| w[0] < w[1]), "ascending CoinId order");
+}
+
 #[test]
 fn i3_handles_reach_anonymous_owners() {
     let mut w = world(2, 25);

@@ -279,13 +279,18 @@ impl<I> GroupManager<I> {
         self.registry.insert(y.to_be_bytes(), identity);
     }
 
-    /// The registered `(member element, identity)` pairs — the public
-    /// registry a replicated judge needs alongside the master-key shares.
+    /// The registered `(member element, identity)` pairs in ascending
+    /// element order — the public registry a replicated judge needs
+    /// alongside the master-key shares, the same list whatever the map's
+    /// hash seed.
     pub fn registry_pairs(&self) -> Vec<(BigUint, I)>
     where
         I: Clone,
     {
-        self.registry.iter().map(|(k, v)| (BigUint::from_be_bytes(k), v.clone())).collect()
+        let mut pairs: Vec<_> =
+            self.registry.iter().map(|(k, v)| (BigUint::from_be_bytes(k), v.clone())).collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        pairs
     }
 
     /// Opens a signature, recovering the signer.
@@ -415,5 +420,23 @@ mod tests {
         judge2.register_element(alice.member_element(), "alice".to_string());
         assert_eq!(judge2.public_key(), judge.public_key());
         assert_eq!(judge2.open(&sig), OpenOutcome::Member(&"alice".to_string()));
+    }
+
+    /// Two managers built from one seed list one registry, in ascending
+    /// element order, whatever each map's hash seed.
+    #[test]
+    fn registry_pairs_are_a_function_of_the_seed() {
+        let registry = || {
+            let (_, mut judge) = setup();
+            let mut rng = test_rng(38);
+            for member in 0..16 {
+                judge.enroll(format!("member {member}"), &mut rng);
+            }
+            judge.registry_pairs()
+        };
+        let (a, b) = (registry(), registry());
+        assert_eq!(a.len(), 16);
+        assert_eq!(a, b);
+        assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "ascending element order");
     }
 }

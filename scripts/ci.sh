@@ -18,7 +18,7 @@ cargo test -q --workspace --offline
 echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, the comb differential [pow_table_lanes / pow_table_many / pow_g_many ≡ FixedBaseTable::pow in both table shapes at every occupancy 1..=17, exponents 0, 1, q-1, the widest covered and one bit wider], lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo test -p whopay-crypto --release (batch_soundness: verify_many on group signatures alone ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
+echo "==> cargo test -p whopay-crypto --release (batch_soundness: verify_many on group signatures alone ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; registry_pairs_are_a_function_of_the_seed: a group manager lists its registry in ascending element order; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
 cargo test -p whopay-crypto -q --release --offline
 
 echo "==> cargo test -p whopay-core --release (membership-fused verify parity, the owner-side twisted-holder case [Peer::handle_transfer / handle_renewal ≡ the spec on every holder_key_cases key], accept_grant shared-chain parity incl. cache traffic, accept_grant / SignedRecord::verify / LayeredCoin::verify refusing every key twisted by an element of order 2, 3, 4 and verify_dsa_each ≡ verify_member on such keys, the owner refusing a layered collapse to a twisted final holder [Peer::handle_layered_collapse, last layer naming p − y, signed with an even u2] + shard-lock independence of dispatch)"
@@ -83,6 +83,10 @@ cargo test -p whopay-core -q --release --offline --test merkle_props --test tamp
 
 echo "==> cargo test -p whopay-core --release (a verifier checks each broker signature once: proof_memo [after a root is accepted, a changed seq, root bit, r, s, broker key or group is still refused; a proof on an accepted root still fails BadProof on a tampered leaf, sibling, index or leaf count; a forged root refused every time; an accepted root vouches for no forged DSD record], sync_adopt [a repeated sync adopts nothing and leaves the owner's verdict cache untouched; a newer broker binding still verified; the held binding with other signature bytes, or signed by the coin key, still BadSignature; sync_answers_are_a_function_of_the_seed: a sync lists bindings in CoinId order])"
 cargo test -p whopay-core -q --release --offline --test proof_memo --test sync_adopt
+
+echo "==> cargo test -p whopay-core --release (a proof reads the leaf its coin's last commit hashed: ledger [a_proof_reads_the_leaf_its_coins_last_commit_hashed: on a 4-shard broker, after a purchase, downtime transfer and renewal, deposit, a refused double deposit, a checkpoint, recovery from journal bytes and the ledger switched off and on, every coin's proof leaf ≡ the leaf recomputed from its record, and the proof verifies]; every output a function of the seed: extensions [judge_registries_are_a_function_of_the_seed: a judge exports its registry in ascending element order; owned_coins_are_a_function_of_the_seed: a peer lists its owned coins in CoinId order; shop_sales_are_a_function_of_the_seed])"
+cargo test -p whopay-core -q --release --offline --lib ledger
+cargo test -p whopay-core -q --release --offline --test extensions
 
 echo "==> cargo test --release --test byzantine_dht (proof-checked lookups vs Byzantine DHT nodes)"
 cargo test -q --release --offline --test byzantine_dht
