@@ -16,8 +16,7 @@ use std::sync::Arc;
 use rand::SeedableRng;
 use whopay_bench::print_setup_banner;
 use whopay_core::service::{
-    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via_retry,
-    install_wire_classifier, purchase_via_retry, request_issue_via_retry, request_transfer_via_retry,
+    self, attach_client, attach_peer, attach_shard_endpoints, clock, install_wire_classifier, retry,
     shared_clock, SharedClock,
 };
 use whopay_core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
@@ -93,13 +92,11 @@ fn run(rate: f64, policy: &RetryPolicy) -> (u64, World) {
         w.sclk.store(now.0, Ordering::SeqCst);
         let coin = {
             let mut owner = w.owner.borrow_mut();
-            match purchase_via_retry(
+            match retry(
                 &mut w.net,
                 w.owner_ep,
                 w.broker_ep,
-                &mut owner,
-                PurchaseMode::Identified,
-                now,
+                service::purchase(&mut owner, PurchaseMode::Identified, now),
                 policy,
                 &mut w.rng,
                 &obs,
@@ -109,8 +106,14 @@ fn run(rate: f64, policy: &RetryPolicy) -> (u64, World) {
             }
         };
         let (invite, session) = w.payer.begin_receive(&mut w.rng);
-        let Ok(grant) = request_issue_via_retry(
-            &mut w.net, w.payer_ep, w.owner_ep, coin, &invite, policy, &mut w.rng, &obs,
+        let Ok(grant) = retry(
+            &mut w.net,
+            w.payer_ep,
+            w.owner_ep,
+            service::issue(coin, &invite),
+            policy,
+            &mut w.rng,
+            &obs,
         ) else {
             continue;
         };
@@ -119,8 +122,14 @@ fn run(rate: f64, policy: &RetryPolicy) -> (u64, World) {
         }
         let (invite2, session2) = w.payee.begin_receive(&mut w.rng);
         let treq = w.payer.request_transfer(coin, &invite2, &mut w.rng).expect("payer holds");
-        let Ok(grant2) = request_transfer_via_retry(
-            &mut w.net, w.payer_ep, w.owner_ep, treq, false, policy, &mut w.rng, &obs,
+        let Ok(grant2) = retry(
+            &mut w.net,
+            w.payer_ep,
+            w.owner_ep,
+            service::transfer(treq, false),
+            policy,
+            &mut w.rng,
+            &obs,
         ) else {
             continue;
         };
@@ -129,7 +138,7 @@ fn run(rate: f64, policy: &RetryPolicy) -> (u64, World) {
         }
         w.payer.complete_transfer(coin);
         let dreq = w.payee.request_deposit(coin, &mut w.rng).expect("payee holds");
-        if deposit_via_retry(&mut w.net, w.payee_ep, w.broker_ep, dreq, policy, &mut w.rng, &obs)
+        if retry(&mut w.net, w.payee_ep, w.broker_ep, service::deposit(dreq), policy, &mut w.rng, &obs)
             .is_ok()
         {
             w.payee.complete_deposit(coin);

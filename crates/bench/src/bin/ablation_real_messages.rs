@@ -20,6 +20,7 @@ use whopay_crypto::testing::{test_rng, tiny_group};
 use whopay_eval::cost::{broker_messages, peer_messages};
 use whopay_eval::Op;
 use whopay_net::Network;
+use whopay_obs::Obs;
 
 fn main() {
     let mut rng = test_rng(0xAB1A);
@@ -80,14 +81,14 @@ fn main() {
 
     // Issue (invite + grant).
     let (invite, session) = payer.begin_receive(&mut rng);
-    send_invite(&mut net, payer_ep, owner_ep, &invite).unwrap();
+    send_invite(&mut net, payer_ep, owner_ep, &invite, &Obs::disabled()).unwrap();
     let grant = request_issue_via(&mut net, payer_ep, owner_ep, coin, &invite).unwrap();
     payer.accept_grant(grant, session, now).unwrap();
     report("issue", Op::Issue, &mut net);
 
     // Transfer via owner (invite + request + grant).
     let (invite2, session2) = payee.begin_receive(&mut rng);
-    send_invite(&mut net, payee_ep, payer_ep, &invite2).unwrap();
+    send_invite(&mut net, payee_ep, payer_ep, &invite2, &Obs::disabled()).unwrap();
     let treq = payer.request_transfer(coin, &invite2, &mut rng).unwrap();
     let grant2 = request_transfer_via(&mut net, payer_ep, owner_ep, treq, false).unwrap();
     payee.accept_grant(grant2, session2, now).unwrap();
@@ -103,7 +104,7 @@ fn main() {
     // Downtime transfer via broker (owner offline).
     net.set_online(owner_ep, false);
     let (invite3, session3) = payer.begin_receive(&mut rng);
-    send_invite(&mut net, payer_ep, payee_ep, &invite3).unwrap();
+    send_invite(&mut net, payer_ep, payee_ep, &invite3, &Obs::disabled()).unwrap();
     let treq2 = payee.request_transfer(coin, &invite3, &mut rng).unwrap();
     let grant3 = request_transfer_via(&mut net, payee_ep, broker_ep, treq2, true).unwrap();
     payer.accept_grant(grant3, session3, now).unwrap();

@@ -34,7 +34,8 @@ pub fn binding_key(coin_pk: &BigUint) -> RingId {
 
 /// Publishes an owner's current binding for one coin, signing the record
 /// with the coin key (the only key the DHT's access control accepts for
-/// this id, §5.1).
+/// this id, §5.1). The publish is timed as a [`OpKind::DsdPublish`] span
+/// attributed to the owner ([`Role::Peer`]).
 ///
 /// # Errors
 ///
@@ -42,19 +43,6 @@ pub fn binding_key(coin_pk: &BigUint) -> RingId {
 /// [`PutError`]s are mapped to [`CoreError::PublicBindingMismatch`] for
 /// stale writes and [`CoreError::Malformed`] otherwise.
 pub fn publish_owner_binding<R: Rng + ?Sized>(
-    peer: &Peer,
-    coin: CoinId,
-    dht: &mut Dht,
-    entry: RingId,
-    rng: &mut R,
-) -> Result<(), CoreError> {
-    publish_owner_binding_obs(peer, coin, dht, entry, rng, &Obs::disabled())
-}
-
-/// [`publish_owner_binding`] with an observability context: the publish
-/// is timed as a [`OpKind::DsdPublish`] span attributed to the owner
-/// ([`Role::Peer`]).
-pub fn publish_owner_binding_obs<R: Rng + ?Sized>(
     peer: &Peer,
     coin: CoinId,
     dht: &mut Dht,
@@ -152,28 +140,16 @@ pub fn verify_published_record(
 /// [`read_public_state`] hardened with a Merkle commitment check: the
 /// served record must pass [`verify_published_record`] against `proof`
 /// before its state is returned. This is the payee-side lookup to use
-/// when the serving DHT node is untrusted.
+/// when the serving DHT node is untrusted. The lookup is timed as a
+/// [`OpKind::DsdVerify`] span ([`Role::Peer`]), failing with the
+/// rejection detail when the served record does not check out against
+/// the commitment.
 ///
 /// # Errors
 ///
 /// [`CoreError::PublicBindingMissing`] if no record exists; otherwise
 /// as [`verify_published_record`].
 pub fn read_public_state_verified(
-    dht: &mut Dht,
-    entry: RingId,
-    coin_pk: &BigUint,
-    proof: &crate::ledger::BindingProof,
-    group: &SchnorrGroup,
-    broker_pk: &DsaPublicKey,
-) -> Result<PublicBindingState, CoreError> {
-    read_public_state_verified_obs(dht, entry, coin_pk, proof, group, broker_pk, &Obs::disabled())
-}
-
-/// [`read_public_state_verified`] with an observability context: the
-/// verified lookup is timed as a [`OpKind::DsdVerify`] span
-/// ([`Role::Peer`]), failing with the rejection detail when the served
-/// record does not check out against the commitment.
-pub fn read_public_state_verified_obs(
     dht: &mut Dht,
     entry: RingId,
     coin_pk: &BigUint,
@@ -230,25 +206,16 @@ pub fn resync_owner<R: Rng + ?Sized>(
 
 /// Payee-side real-time check: "a peer does not accept payment until
 /// verifying that the relevant public binding has been properly updated."
-/// Call between receiving a grant and [`Peer::accept_grant`].
+/// Call between receiving a grant and [`Peer::accept_grant`]. The check
+/// is timed as a [`OpKind::DsdVerify`] span ([`Role::Peer`]), so runs can
+/// report how often acceptance stalls on a missing or mismatched public
+/// binding.
 ///
 /// # Errors
 ///
 /// [`CoreError::PublicBindingMissing`] or
 /// [`CoreError::PublicBindingMismatch`].
 pub fn verify_grant_published(
-    dht: &mut Dht,
-    entry: RingId,
-    grant: &CoinGrant,
-) -> Result<(), CoreError> {
-    verify_grant_published_obs(dht, entry, grant, &Obs::disabled())
-}
-
-/// [`verify_grant_published`] with an observability context: the
-/// payee-side real-time check is timed as a [`OpKind::DsdVerify`] span
-/// ([`Role::Peer`]), so runs can report how often acceptance stalls on a
-/// missing or mismatched public binding.
-pub fn verify_grant_published_obs(
     dht: &mut Dht,
     entry: RingId,
     grant: &CoinGrant,
@@ -321,19 +288,14 @@ impl HoldingMonitor {
     }
 
     /// Drains notifications and returns alarms for coins whose public
-    /// binding moved past what we hold, in [`CoinId`] order.
-    pub fn poll(&mut self, dht: &mut Dht) -> Vec<DoubleSpendAlarm> {
-        self.poll_obs(dht, &Obs::disabled())
-    }
-
-    /// [`HoldingMonitor::poll`] with an observability context: every
-    /// raised alarm is reported as a failed [`OpKind::DsdAlarm`] event
+    /// binding moved past what we hold, in [`CoinId`] order. Every raised
+    /// alarm is reported as a failed [`OpKind::DsdAlarm`] event
     /// ([`Role::Peer`]), so double-spends in progress show up in the
     /// metrics report and event stream. When a flight recorder backs
     /// `obs`, an alarm also dumps the recorded event history to stderr —
     /// an alarm means money is being double-spent right now, and the
     /// events leading up to it are the evidence.
-    pub fn poll_obs(&mut self, dht: &mut Dht, obs: &Obs) -> Vec<DoubleSpendAlarm> {
+    pub fn poll(&mut self, dht: &mut Dht, obs: &Obs) -> Vec<DoubleSpendAlarm> {
         let mut alarms = Vec::new();
         let mut watched: Vec<_> = self.subscriptions.iter().collect();
         watched.sort_unstable_by_key(|(coin, _)| **coin);

@@ -15,8 +15,9 @@
 //! # Observability
 //!
 //! Every attach/`*_via` function has an `_obs` variant taking a
-//! [`whopay_obs::Obs`] context. Client-side spans are the operation
-//! records: they carry the request/response traffic (2 messages, payload
+//! [`whopay_obs::Obs`] context; [`send_invite`] and [`retry`] always
+//! take one (`Obs::disabled()` when untraced). Client-side spans are the
+//! operation records: they carry the request/response traffic (2 messages, payload
 //! bytes — the same units as `whopay_net::TrafficStats`), the
 //! end-to-end latency, and any failure, attributed to the role that
 //! serves the operation (broker ops to [`Role::Broker`], owner-served
@@ -43,7 +44,7 @@ use whopay_crypto::payword::Payword;
 use crate::audit::Violation;
 use crate::broker::{Broker, Upcoming};
 use crate::codec;
-use crate::coin::Binding;
+use crate::coin::{Binding, MintedCoin};
 use crate::error::CoreError;
 use crate::ledger::BindingProof;
 use crate::messages::{
@@ -622,10 +623,13 @@ fn unexpected<T>() -> Result<T, CallError> {
 }
 
 /// One client operation, stated once: the `(Role, OpKind)` its spans are
-/// recorded under, its request, and how its response is read. A plain
-/// call, a traced call (`obs` enabled) and a retried call all go through
+/// recorded under, its request, and how its response is read. Each
+/// operation's constructor ([`issue`], [`transfer`], [`renewal`],
+/// [`deposit`], [`binding_proof`], [`open_chain`], [`redeem_chain`])
+/// returns one; its `x_via` / `x_via_obs` helpers make it once, and
+/// [`retry`] makes it under a [`RetryPolicy`]. Both go through
 /// [`Call::run`] and differ in nothing else.
-struct Call<F> {
+pub struct Call<F> {
     cell: (Role, OpKind),
     request: Request,
     /// Reads the response, which is never [`Response::Error`].
@@ -687,20 +691,81 @@ impl<T, F: FnMut(Response) -> Result<T, CallError>> Call<F> {
     }
 }
 
-/// Delivers a payment invite from the payee's endpoint to the payer's
-/// (one counted message each way; the reply is empty).
-pub fn send_invite(
-    net: &mut Network,
-    payee: EndpointId,
-    payer: EndpointId,
-    invite: &PaymentInvite,
-) -> Result<(), CallError> {
-    send_invite_obs(net, payee, payer, invite, &Obs::disabled())
+/// What [`retry`] makes: an operation's [`Call`], or a [`Purchase`]. The
+/// trait cannot be named outside this module, so `retry` is the only way
+/// to run one under a policy.
+mod sealed {
+    use super::*;
+
+    pub trait Operation<T> {
+        fn retried(
+            self,
+            net: &mut Network,
+            from: EndpointId,
+            to: EndpointId,
+            policy: &RetryPolicy,
+            rng: &mut dyn rand::Rng,
+            obs: &Obs,
+        ) -> Result<T, CallError>;
+    }
+
+    impl<T, F: FnMut(Response) -> Result<T, CallError>> Operation<T> for Call<F> {
+        fn retried(
+            self,
+            net: &mut Network,
+            from: EndpointId,
+            to: EndpointId,
+            policy: &RetryPolicy,
+            rng: &mut dyn rand::Rng,
+            obs: &Obs,
+        ) -> Result<T, CallError> {
+            self.run(net, from, to, Some((policy, rng)), obs)
+        }
+    }
+
+    impl Operation<CoinId> for Purchase<'_> {
+        fn retried(
+            self,
+            net: &mut Network,
+            from: EndpointId,
+            to: EndpointId,
+            policy: &RetryPolicy,
+            rng: &mut dyn rand::Rng,
+            obs: &Obs,
+        ) -> Result<CoinId, CallError> {
+            self.bracket(rng, |call, rng| call.run(net, from, to, Some((policy, rng)), obs))
+        }
+    }
 }
 
-/// [`send_invite`] with an observability context (recorded as a
-/// [`Role::Client`] event labelled `invite`).
-pub fn send_invite_obs(
+/// Makes `op` — an operation's [`Call`], or a [`Purchase`] — from `from`
+/// to `to` under `policy`, drawing its backoff jitter from `rng`: resent
+/// byte for byte until it succeeds, fails fatally, or `policy` gives up
+/// (see [`Call::run`]). A mutating call whose reply was lost is answered
+/// from the server's replay memo, so it is applied once. Every operation
+/// reads alike at the call site: `retry(net, me, owner_ep, issue(coin,
+/// &invite), &policy, rng, &obs)`, with `purchase(peer, mode, now)` in
+/// place of `issue(…)` for a purchase.
+///
+/// # Errors
+///
+/// The terminal [`CallError`] of an abandoned call.
+pub fn retry<T, R: rand::Rng + ?Sized>(
+    net: &mut Network,
+    from: EndpointId,
+    to: EndpointId,
+    op: impl sealed::Operation<T>,
+    policy: &RetryPolicy,
+    mut rng: &mut R,
+    obs: &Obs,
+) -> Result<T, CallError> {
+    op.retried(net, from, to, policy, &mut rng, obs)
+}
+
+/// Delivers a payment invite from the payee's endpoint to the payer's
+/// (one counted message each way; the reply is empty), recorded as a
+/// [`Role::Client`] event labelled `invite`.
+pub fn send_invite(
     net: &mut Network,
     payee: EndpointId,
     payer: EndpointId,
@@ -724,36 +789,54 @@ pub fn send_invite_obs(
 }
 
 // ---------------------------------------------------------------------
-// The client operations. Each is one private function stating the
-// `Call` (or, where the peer's state brackets the exchange, running it)
-// and three public forwardings: `x_via` (observability disabled),
-// `x_via_obs`, and `x_via_retry` (resilient: see `Call::run`).
+// The client operations. Each states its `Call` once, in a public
+// constructor that [`retry`] takes, and makes it once in two public
+// forwardings: `x_via` (observability disabled) and `x_via_obs`. A
+// purchase and a sync bracket the exchange with the peer's own state.
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
-fn purchase<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    peer: &mut Peer,
+/// A purchase of a coin by `peer`: the one operation whose exchange is
+/// bracketed by the buyer's state — the request and its pending coin keys
+/// made before ([`Peer::create_purchase_request`]), the coin taken into
+/// the wallet once after ([`Peer::complete_purchase`]). Make it with
+/// [`purchase_via`], or with [`retry`].
+pub struct Purchase<'a> {
+    peer: &'a mut Peer,
     mode: PurchaseMode,
     now: Timestamp,
-    policy: Option<&RetryPolicy>,
-    mut rng: &mut R,
-    obs: &Obs,
-) -> Result<CoinId, CallError> {
-    let (req, pending) = peer.create_purchase_request(mode, rng);
-    let call = Call {
-        cell: (Role::Broker, OpKind::Purchase),
-        request: Request::Purchase(req),
-        read: |response| match response {
-            Response::Minted(minted) => Ok(minted),
-            _ => unexpected(),
-        },
-    };
-    let retry = policy.map(|policy| (policy, &mut rng as &mut dyn rand::Rng));
-    let minted = call.run(net, me, broker_ep, retry, obs)?;
-    peer.complete_purchase(minted, pending, now, rng).map_err(CallError::Protocol)
+}
+
+/// The purchase `peer` makes at `now` (see [`Purchase`]).
+pub fn purchase(peer: &mut Peer, mode: PurchaseMode, now: Timestamp) -> Purchase<'_> {
+    Purchase { peer, mode, now }
+}
+
+/// A purchase's [`Call`].
+type MintedCall = Call<fn(Response) -> Result<MintedCoin, CallError>>;
+
+/// Reads the coin a purchase is answered with.
+fn minted(response: Response) -> Result<MintedCoin, CallError> {
+    match response {
+        Response::Minted(minted) => Ok(minted),
+        _ => unexpected(),
+    }
+}
+
+impl Purchase<'_> {
+    /// Builds the request, has `exchange` make its [`Call`] (once, or
+    /// under retry), and takes the minted coin. All three draw on `rng`,
+    /// in that order.
+    fn bracket<R: rand::Rng + ?Sized>(
+        self,
+        rng: &mut R,
+        exchange: impl FnOnce(MintedCall, &mut R) -> Result<MintedCoin, CallError>,
+    ) -> Result<CoinId, CallError> {
+        let (req, pending) = self.peer.create_purchase_request(self.mode, rng);
+        let request = Request::Purchase(req);
+        let call = Call { cell: (Role::Broker, OpKind::Purchase), request, read: minted as _ };
+        let minted = exchange(call, rng)?;
+        self.peer.complete_purchase(minted, pending, self.now, rng).map_err(CallError::Protocol)
+    }
 }
 
 /// Purchases a coin over the network.
@@ -770,7 +853,7 @@ pub fn purchase_via<R: rand::Rng + ?Sized>(
     now: Timestamp,
     rng: &mut R,
 ) -> Result<CoinId, CallError> {
-    purchase(net, me, broker_ep, peer, mode, now, None, rng, &Obs::disabled())
+    purchase_via_obs(net, me, broker_ep, peer, mode, now, rng, &Obs::disabled())
 }
 
 /// [`purchase_via`] with an observability context.
@@ -785,32 +868,12 @@ pub fn purchase_via_obs<R: rand::Rng + ?Sized>(
     rng: &mut R,
     obs: &Obs,
 ) -> Result<CoinId, CallError> {
-    purchase(net, me, broker_ep, peer, mode, now, None, rng, obs)
+    purchase(peer, mode, now).bracket(rng, |call, _| call.run(net, me, broker_ep, None, obs))
 }
 
-/// [`purchase_via_obs`] with resilient retries: the purchase request is
-/// created once and resent verbatim until it succeeds, fails fatally, or
-/// `policy` gives up.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn purchase_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    peer: &mut Peer,
-    mode: PurchaseMode,
-    now: Timestamp,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    obs: &Obs,
-) -> Result<CoinId, CallError> {
-    purchase(net, me, broker_ep, peer, mode, now, Some(policy), rng, obs)
-}
-
-fn issue(
+/// The issue of `coin` to the payee who signed `invite`, asked of its
+/// (shop or owner) peer; answered with the grant for the payee to accept.
+pub fn issue(
     coin: CoinId,
     invite: &PaymentInvite,
 ) -> Call<impl FnMut(Response) -> Result<CoinGrant, CallError>> {
@@ -854,30 +917,13 @@ pub fn request_issue_via_obs(
     issue(coin, invite).run(net, me, owner_ep, None, obs)
 }
 
-/// [`request_issue_via_obs`] with resilient retries.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn request_issue_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    owner_ep: EndpointId,
-    coin: CoinId,
-    invite: &PaymentInvite,
-    policy: &RetryPolicy,
-    mut rng: &mut R,
-    obs: &Obs,
-) -> Result<CoinGrant, CallError> {
-    issue(coin, invite).run(net, me, owner_ep, Some((policy, &mut rng)), obs)
-}
-
-fn transfer(
+/// A transfer, sent to the owner — or, when `downtime`, to the broker —
+/// and answered with the grant destined for the payee. Recorded as a
+/// peer-served transfer, or a broker-served downtime transfer.
+pub fn transfer(
     request: TransferRequest,
     downtime: bool,
 ) -> Call<impl FnMut(Response) -> Result<CoinGrant, CallError>> {
-    // A peer-served transfer, or a broker-served downtime transfer.
     let cell = if downtime {
         (Role::Broker, OpKind::DowntimeTransfer)
     } else {
@@ -902,8 +948,7 @@ pub fn request_transfer_via(
     request_transfer_via_obs(net, me, target_ep, request, downtime, &Obs::disabled())
 }
 
-/// [`request_transfer_via`] with an observability context: recorded as a
-/// peer-served transfer, or a broker-served downtime transfer.
+/// [`request_transfer_via`] with an observability context.
 pub fn request_transfer_via_obs(
     net: &mut Network,
     me: EndpointId,
@@ -915,26 +960,9 @@ pub fn request_transfer_via_obs(
     transfer(request, downtime).run(net, me, target_ep, None, obs)
 }
 
-/// [`request_transfer_via_obs`] with resilient retries.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn request_transfer_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    target_ep: EndpointId,
-    request: TransferRequest,
-    downtime: bool,
-    policy: &RetryPolicy,
-    mut rng: &mut R,
-    obs: &Obs,
-) -> Result<CoinGrant, CallError> {
-    transfer(request, downtime).run(net, me, target_ep, Some((policy, &mut rng)), obs)
-}
-
-fn renewal(
+/// A renewal, sent to the owner (or, when `downtime`, the broker) and
+/// answered with the renewed binding.
+pub fn renewal(
     request: RenewalRequest,
     downtime: bool,
 ) -> Call<impl FnMut(Response) -> Result<Binding, CallError>> {
@@ -978,26 +1006,12 @@ pub fn request_renewal_via_obs(
     renewal(request, downtime).run(net, me, target_ep, None, obs)
 }
 
-/// [`request_renewal_via_obs`] with resilient retries.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn request_renewal_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    target_ep: EndpointId,
-    request: RenewalRequest,
-    downtime: bool,
-    policy: &RetryPolicy,
-    mut rng: &mut R,
-    obs: &Obs,
-) -> Result<Binding, CallError> {
-    renewal(request, downtime).run(net, me, target_ep, Some((policy, &mut rng)), obs)
-}
-
-fn deposit(request: DepositRequest) -> Call<impl FnMut(Response) -> Result<DepositReceipt, CallError>> {
+/// A deposit at the broker, answered with a receipt naming the deposited
+/// coin. Receipts carry no signature to check, so a receipt naming any
+/// other coin can only be a corrupted response.
+pub fn deposit(
+    request: DepositRequest,
+) -> Call<impl FnMut(Response) -> Result<DepositReceipt, CallError>> {
     let coin = request.minted.id();
     Call {
         cell: (Role::Broker, OpKind::Deposit),
@@ -1014,8 +1028,7 @@ fn deposit(request: DepositRequest) -> Call<impl FnMut(Response) -> Result<Depos
 /// # Errors
 ///
 /// [`CallError`] on delivery, rejection, or a receipt naming any coin
-/// other than the deposited one (receipts carry no signature to check,
-/// so that can only be a corrupted response).
+/// other than the deposited one (see [`deposit`]).
 pub fn deposit_via(
     net: &mut Network,
     me: EndpointId,
@@ -1036,27 +1049,14 @@ pub fn deposit_via_obs(
     deposit(request).run(net, me, broker_ep, None, obs)
 }
 
-/// [`deposit_via_obs`] with resilient retries: a deposit whose receipt
-/// was lost in flight is resent and answered from the broker's replay
-/// memo — credited exactly once.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn deposit_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    request: DepositRequest,
-    policy: &RetryPolicy,
-    mut rng: &mut R,
-    obs: &Obs,
-) -> Result<DepositReceipt, CallError> {
-    deposit(request).run(net, me, broker_ep, Some((policy, &mut rng)), obs)
-}
-
-fn binding_proof(coin: CoinId) -> Call<impl FnMut(Response) -> Result<BindingProof, CallError>> {
+/// A fetch of the Merkle inclusion proof for `coin`'s committed state from
+/// the broker: the coin leaf, its sibling path, and the broker's signed
+/// `(root, seq)` — enough for any party to check the coin's published
+/// state against the broker's commitment without trusting whoever relayed
+/// it (see `BindingProof::verify`). Read-only on the broker. A proof
+/// naming a different coin can only be a corrupted or misdirected
+/// response.
+pub fn binding_proof(coin: CoinId) -> Call<impl FnMut(Response) -> Result<BindingProof, CallError>> {
     Call {
         cell: (Role::Broker, OpKind::BindingProof),
         request: Request::BindingProof { coin },
@@ -1068,16 +1068,12 @@ fn binding_proof(coin: CoinId) -> Call<impl FnMut(Response) -> Result<BindingPro
 }
 
 /// Fetches a Merkle inclusion proof for a coin's committed state from
-/// the broker. The returned proof carries the coin leaf, its sibling
-/// path, and the broker's signed `(root, seq)` — enough for any party
-/// to check the coin's published state against the broker's commitment
-/// without trusting whoever relayed it (see `BindingProof::verify`).
+/// the broker (see [`binding_proof`]).
 ///
 /// # Errors
 ///
 /// [`CallError`] on delivery or rejection (including an unknown coin or
-/// a proof naming a different coin than the one requested, which can
-/// only be a corrupted or misdirected response).
+/// a proof naming a different coin than the one requested).
 pub fn binding_proof_via(
     net: &mut Network,
     me: EndpointId,
@@ -1098,37 +1094,16 @@ pub fn binding_proof_via_obs(
     binding_proof(coin).run(net, me, broker_ep, None, obs)
 }
 
-/// [`binding_proof_via_obs`] with resilient retries: proof fetches are
-/// read-only on the broker, so re-asking is always safe.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn binding_proof_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    coin: CoinId,
-    policy: &RetryPolicy,
-    mut rng: &mut R,
-    obs: &Obs,
-) -> Result<BindingProof, CallError> {
-    binding_proof(coin).run(net, me, broker_ep, Some((policy, &mut rng)), obs)
-}
-
 fn sync<R: rand::Rng + ?Sized>(
     net: &mut Network,
     me: EndpointId,
     broker_ep: EndpointId,
     peer: &mut Peer,
-    policy: Option<&RetryPolicy>,
-    mut rng: &mut R,
+    rng: &mut R,
     obs: &Obs,
 ) -> Result<usize, CallError> {
-    // The identity challenge is signed once; adoption runs on the first
-    // successful response (sync is read-only on the broker, so
-    // re-serving it is safe).
+    // The identity challenge is signed before the exchange, and every
+    // binding in the response is adopted after it.
     let mut challenge = [0u8; 32];
     rng.fill_bytes(&mut challenge);
     let response = peer.sign_identity_challenge(&challenge, rng);
@@ -1141,8 +1116,7 @@ fn sync<R: rand::Rng + ?Sized>(
         },
     };
     let mut adopted = 0;
-    let retry = policy.map(|policy| (policy, &mut rng as &mut dyn rand::Rng));
-    for binding in call.run(net, me, broker_ep, retry, obs)? {
+    for binding in call.run(net, me, broker_ep, None, obs)? {
         if peer.adopt_broker_binding(binding).map_err(CallError::Protocol)? {
             adopted += 1;
         }
@@ -1165,7 +1139,7 @@ pub fn sync_via<R: rand::Rng + ?Sized>(
     peer: &mut Peer,
     rng: &mut R,
 ) -> Result<usize, CallError> {
-    sync(net, me, broker_ep, peer, None, rng, &Obs::disabled())
+    sync(net, me, broker_ep, peer, rng, &Obs::disabled())
 }
 
 /// [`sync_via`] with an observability context.
@@ -1177,32 +1151,20 @@ pub fn sync_via_obs<R: rand::Rng + ?Sized>(
     rng: &mut R,
     obs: &Obs,
 ) -> Result<usize, CallError> {
-    sync(net, me, broker_ep, peer, None, rng, obs)
-}
-
-/// [`sync_via_obs`] with resilient retries.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-#[allow(clippy::too_many_arguments)]
-pub fn sync_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    peer: &mut Peer,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    obs: &Obs,
-) -> Result<usize, CallError> {
-    sync(net, me, broker_ep, peer, Some(policy), rng, obs)
+    sync(net, me, broker_ep, peer, rng, obs)
 }
 
 // ---------------------------------------------------------------------
 // Streaming micropayments: the client side of the PayWord path.
 // ---------------------------------------------------------------------
 
-fn open_chain(commitment: ChainCommitment) -> Call<impl FnMut(Response) -> Result<ChainId, CallError>> {
+/// The opening of a micropayment chain at a host: the group-signed
+/// commitment, answered with the accepted chain id. Idempotent on the
+/// host (re-presenting the identical commitment re-acks); a response
+/// naming a different chain is a corrupted one.
+pub fn open_chain(
+    commitment: ChainCommitment,
+) -> Call<impl FnMut(Response) -> Result<ChainId, CallError>> {
     let expected = commitment.chain_id();
     Call {
         cell: (Role::Peer, OpKind::MicropayOpen),
@@ -1214,13 +1176,12 @@ fn open_chain(commitment: ChainCommitment) -> Call<impl FnMut(Response) -> Resul
     }
 }
 
-/// Opens a micropayment chain at a host endpoint: sends the group-signed
-/// commitment and returns the accepted chain id.
+/// Opens a micropayment chain at a host endpoint (see [`open_chain`]).
 ///
 /// # Errors
 ///
 /// [`CallError`] on delivery, rejection, or a response naming a
-/// different chain than the commitment (a corrupted response).
+/// different chain than the commitment.
 pub fn open_chain_via(
     net: &mut Network,
     me: EndpointId,
@@ -1239,24 +1200,6 @@ pub fn open_chain_via_obs(
     obs: &Obs,
 ) -> Result<ChainId, CallError> {
     open_chain(commitment).run(net, me, host_ep, None, obs)
-}
-
-/// [`open_chain_via_obs`] with resilient retries: opening is idempotent
-/// on the host (re-presenting the identical commitment re-acks).
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-pub fn open_chain_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    host_ep: EndpointId,
-    commitment: ChainCommitment,
-    policy: &RetryPolicy,
-    mut rng: &mut R,
-    obs: &Obs,
-) -> Result<ChainId, CallError> {
-    open_chain(commitment).run(net, me, host_ep, Some((policy, &mut rng)), obs)
 }
 
 /// Streams one payment tick to a host endpoint. Returns
@@ -1326,7 +1269,12 @@ pub fn tick_batch_via_obs(
     result
 }
 
-fn redeem_chain(
+/// The redemption of a micropayment chain at the broker: the commitment
+/// plus the best received payword, answered with the settlement receipt.
+/// A redemption whose receipt was lost in flight is answered from the
+/// broker's replay memo, credited once; a receipt naming a different
+/// chain is a corrupted one.
+pub fn redeem_chain(
     request: RedeemChainRequest,
 ) -> Call<impl FnMut(Response) -> Result<RedemptionReceipt, CallError>> {
     let chain = request.commitment.chain_id();
@@ -1340,13 +1288,12 @@ fn redeem_chain(
     }
 }
 
-/// Redeems a micropayment chain at the broker: presents the commitment
-/// plus the best received payword and returns the settlement receipt.
+/// Redeems a micropayment chain at the broker (see [`redeem_chain`]).
 ///
 /// # Errors
 ///
 /// [`CallError`] on delivery, rejection, or a receipt naming a different
-/// chain (a corrupted response).
+/// chain.
 pub fn redeem_chain_via(
     net: &mut Network,
     me: EndpointId,
@@ -1365,23 +1312,4 @@ pub fn redeem_chain_via_obs(
     obs: &Obs,
 ) -> Result<RedemptionReceipt, CallError> {
     redeem_chain(request).run(net, me, broker_ep, None, obs)
-}
-
-/// [`redeem_chain_via_obs`] with resilient retries: a redemption whose
-/// receipt was lost in flight is resent byte-identically and answered
-/// from the broker's replay memo — credited exactly once.
-///
-/// # Errors
-///
-/// The terminal [`CallError`] of an abandoned call.
-pub fn redeem_chain_via_retry<R: rand::Rng + ?Sized>(
-    net: &mut Network,
-    me: EndpointId,
-    broker_ep: EndpointId,
-    request: RedeemChainRequest,
-    policy: &RetryPolicy,
-    mut rng: &mut R,
-    obs: &Obs,
-) -> Result<RedemptionReceipt, CallError> {
-    redeem_chain(request).run(net, me, broker_ep, Some((policy, &mut rng)), obs)
 }

@@ -10,6 +10,7 @@ use whopay_crypto::dsa::DsaKeyPair;
 use whopay_crypto::testing::{test_rng, tiny_group};
 use whopay_dht::{Dht, DhtConfig, RingId};
 use whopay_net::{Handle, IndirectionLayer, Network};
+use whopay_obs::Obs;
 
 struct World {
     params: SystemParams,
@@ -68,14 +69,15 @@ fn payee_rejects_grant_until_public_binding_updated() {
     let (invite, _session) = w.peers[1].begin_receive(&mut w.rng);
     let grant = w.peers[0].issue_coin(coin, &invite, t0, &mut w.rng).unwrap();
     assert_eq!(
-        dsd::verify_grant_published(&mut dht, entry, &grant),
+        dsd::verify_grant_published(&mut dht, entry, &grant, &Obs::disabled()),
         Err(CoreError::PublicBindingMissing),
         "no public binding yet"
     );
 
     // After publication the check passes and the payee accepts.
-    dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng).unwrap();
-    dsd::verify_grant_published(&mut dht, entry, &grant).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng, &Obs::disabled())
+        .unwrap();
+    dsd::verify_grant_published(&mut dht, entry, &grant, &Obs::disabled()).unwrap();
 }
 
 #[test]
@@ -89,13 +91,14 @@ fn stale_published_binding_fails_the_payee_check() {
     let minted = w.broker.handle_purchase(&req, &mut w.rng).unwrap();
     let coin = w.peers[0].complete_purchase(minted, pending, t0, &mut w.rng).unwrap();
     // Publish the *initial* (seq 0) binding.
-    dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng, &Obs::disabled())
+        .unwrap();
 
     // Issue (seq 1) but never publish the update: payee check fails.
     let (invite, _session) = w.peers[1].begin_receive(&mut w.rng);
     let grant = w.peers[0].issue_coin(coin, &invite, t0, &mut w.rng).unwrap();
     assert_eq!(
-        dsd::verify_grant_published(&mut dht, entry, &grant),
+        dsd::verify_grant_published(&mut dht, entry, &grant, &Obs::disabled()),
         Err(CoreError::PublicBindingMismatch)
     );
 }
@@ -110,20 +113,22 @@ fn holder_monitor_raises_double_spend_alarm_in_real_time() {
     let (req, pending) = w.peers[0].create_purchase_request(PurchaseMode::Identified, &mut w.rng);
     let minted = w.broker.handle_purchase(&req, &mut w.rng).unwrap();
     let coin = w.peers[0].complete_purchase(minted, pending, t0, &mut w.rng).unwrap();
-    dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng, &Obs::disabled())
+        .unwrap();
 
     // Issue to peer 1; owner publishes; peer 1 starts monitoring.
     let (invite, session) = w.peers[1].begin_receive(&mut w.rng);
     let grant = w.peers[0].issue_coin(coin, &invite, t0, &mut w.rng).unwrap();
-    dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng).unwrap();
-    dsd::verify_grant_published(&mut dht, entry, &grant).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng, &Obs::disabled())
+        .unwrap();
+    dsd::verify_grant_published(&mut dht, entry, &grant, &Obs::disabled()).unwrap();
     let held_seq = grant.binding.seq();
     let coin_pk = grant.minted.coin_pk().clone();
     w.peers[1].accept_grant(grant, session, t0).unwrap();
 
     let mut monitor = dsd::HoldingMonitor::new();
     monitor.watch(&mut dht, coin, &coin_pk, held_seq);
-    assert!(monitor.poll(&mut dht).is_empty(), "no alarm while honest");
+    assert!(monitor.poll(&mut dht, &Obs::disabled()).is_empty(), "no alarm while honest");
 
     // The owner double-spends: while peer 1 still holds the coin, the
     // dishonest owner signs a conflicting binding (it knows skC, so the
@@ -150,7 +155,7 @@ fn holder_monitor_raises_double_spend_alarm_in_real_time() {
 
     // Peer 1's monitor sees the coin move out from under it — real-time
     // detection, long before any deposit-time audit would fire.
-    let alarms = monitor.poll(&mut dht);
+    let alarms = monitor.poll(&mut dht, &Obs::disabled());
     assert_eq!(alarms.len(), 1);
     assert_eq!(alarms[0].coin, coin);
     assert!(alarms[0].observed_seq > alarms[0].held_seq);
@@ -225,7 +230,8 @@ fn recovered_broker_republishes_its_downtime_bindings() {
     let renew = w.peers[2].request_renewal(*coin, &mut w.rng).unwrap();
     let renewed = w.peers[0].handle_renewal(renew, Timestamp(10), &mut w.rng).unwrap();
     w.peers[2].apply_renewal(*coin, renewed).unwrap();
-    dsd::publish_owner_binding(&w.peers[0], *coin, &mut dht, entry, &mut w.rng).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], *coin, &mut dht, entry, &mut w.rng, &Obs::disabled())
+        .unwrap();
     let newer = dsd::read_public_state(&mut dht, entry, grant.minted.coin_pk()).unwrap();
     assert_eq!(newer.seq, grant.binding.seq() + 1);
 
@@ -240,13 +246,13 @@ fn recovered_broker_republishes_its_downtime_bindings() {
     let (mut empty, first) = dht_for(&w, 8, &mut rng);
     assert_eq!(recovered.republish_downtime_bindings(&mut empty, first, &mut rng), 2);
     for (_, grant) in &grants {
-        dsd::verify_grant_published(&mut empty, first, grant).unwrap();
+        dsd::verify_grant_published(&mut empty, first, grant, &Obs::disabled()).unwrap();
     }
 
     // On the list that outlived the crash the owner's newer record stays:
     // that binding is skipped, not an error, and the other one published.
     assert_eq!(recovered.republish_downtime_bindings(&mut dht, entry, &mut rng), 1);
-    dsd::verify_grant_published(&mut dht, entry, &grants[0].1).unwrap();
+    dsd::verify_grant_published(&mut dht, entry, &grants[0].1, &Obs::disabled()).unwrap();
     assert_eq!(dsd::read_public_state(&mut dht, entry, grant.minted.coin_pk()).unwrap(), newer);
 }
 

@@ -8,9 +8,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use whopay_core::service::{
-    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via, deposit_via_obs,
-    deposit_via_retry, purchase_via, request_issue_via, request_renewal_via, request_transfer_via,
-    send_invite, shared_clock, sync_via, CallError, SharedClock,
+    self, attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via, deposit_via_obs,
+    purchase_via, request_issue_via, request_renewal_via, request_transfer_via, retry, send_invite,
+    shared_clock, sync_via, CallError, SharedClock,
 };
 use whopay_core::wire::{Request, Response};
 use whopay_core::{
@@ -111,7 +111,7 @@ fn full_lifecycle_over_the_wire() {
 
     // Payer pays payee by transfer via the owner's endpoint.
     let (invite2, session2) = w.payee.begin_receive(&mut w.rng);
-    send_invite(&mut w.net, w.payee_ep, w.payer_ep, &invite2).unwrap();
+    send_invite(&mut w.net, w.payee_ep, w.payer_ep, &invite2, &Obs::disabled()).unwrap();
     let treq = w.payer.request_transfer(coin, &invite2, &mut w.rng).unwrap();
     let grant2 = request_transfer_via(&mut w.net, w.payer_ep, w.owner_ep, treq, false).unwrap();
     w.payee.accept_grant(grant2, session2, now).unwrap();
@@ -253,7 +253,8 @@ fn a_receipt_for_another_coin_is_refused_on_every_call_path() {
     assert!(is_corrupted_response(&traced), "obs call: {traced:?}");
     let policy = RetryPolicy::new(3);
     let obs = Obs::disabled();
-    let retried = deposit_via_retry(&mut w.net, w.payer_ep, liar, request, &policy, &mut w.rng, &obs);
+    let retried =
+        retry(&mut w.net, w.payer_ep, liar, service::deposit(request), &policy, &mut w.rng, &obs);
     assert!(is_corrupted_response(&retried), "retried call: {retried:?}");
     assert_eq!(policy.stats().attempts, 3, "a corrupted response is worth a resend");
 }

@@ -73,7 +73,7 @@ fn scratch_path_reconciles_stats_breakdown_events_and_pool_bytes() {
     payer.accept_grant(grant, session, now).expect("grant accepted");
 
     let (invite2, session2) = payee.begin_receive(&mut rng);
-    send_invite(&mut net, payee_ep, payer_ep, &invite2).expect("invite delivery");
+    send_invite(&mut net, payee_ep, payer_ep, &invite2, &Obs::disabled()).expect("invite delivery");
     let treq = payer.request_transfer(coin, &invite2, &mut rng).expect("transfer request");
     let grant2 = request_transfer_via(&mut net, payer_ep, owner_ep, treq, false).expect("transfer");
     payee.accept_grant(grant2, session2, now).expect("transfer accepted");

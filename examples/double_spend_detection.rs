@@ -16,6 +16,7 @@ use whopay::core::{dsd, Broker, Judge, Peer, PeerId, PurchaseMode, SystemParams,
 use whopay::crypto::dsa::DsaKeyPair;
 use whopay::crypto::testing;
 use whopay::dht::{Dht, DhtConfig, RingId, SignedRecord, Writer};
+use whopay::obs::Obs;
 
 fn main() {
     let mut rng = testing::test_rng(1337);
@@ -53,15 +54,16 @@ fn main() {
     let (req, pending) = peers[0].create_purchase_request(PurchaseMode::Identified, &mut rng);
     let minted = broker.handle_purchase(&req, &mut rng).unwrap();
     let coin = peers[0].complete_purchase(minted, pending, now, &mut rng).unwrap();
-    dsd::publish_owner_binding(&peers[0], coin, &mut dht, entry, &mut rng).unwrap();
+    dsd::publish_owner_binding(&peers[0], coin, &mut dht, entry, &mut rng, &Obs::disabled()).unwrap();
     println!("mallory owns {coin}; initial binding published");
 
     // She issues it to honest Bob (peer 1), publishing faithfully — Bob
     // verifies the public binding before accepting, then monitors it.
     let (invite, session) = peers[1].begin_receive(&mut rng);
     let grant = peers[0].issue_coin(coin, &invite, now, &mut rng).unwrap();
-    dsd::publish_owner_binding(&peers[0], coin, &mut dht, entry, &mut rng).unwrap();
-    dsd::verify_grant_published(&mut dht, entry, &grant).expect("public binding matches");
+    dsd::publish_owner_binding(&peers[0], coin, &mut dht, entry, &mut rng, &Obs::disabled()).unwrap();
+    dsd::verify_grant_published(&mut dht, entry, &grant, &Obs::disabled())
+        .expect("public binding matches");
     let held_seq = grant.binding.seq();
     let coin_pk = grant.minted.coin_pk().clone();
     peers[1].accept_grant(grant, session, now).unwrap();
@@ -92,7 +94,7 @@ fn main() {
     println!("mallory published a conflicting binding (seq {})…", held_seq + 1);
 
     // Detection 1: Bob's monitor fires immediately.
-    let alarms = monitor.poll(&mut dht);
+    let alarms = monitor.poll(&mut dht, &Obs::disabled());
     assert_eq!(alarms.len(), 1);
     println!(
         "ALARM: bob's coin {} moved from seq {} to seq {} while he holds it",

@@ -20,6 +20,7 @@ use whopay::core::service::{
 use whopay::core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay::crypto::testing;
 use whopay::net::Network;
+use whopay::obs::Obs;
 
 fn main() {
     let mut rng = testing::test_rng(31);
@@ -68,13 +69,13 @@ fn main() {
     // Payer buys it from the owner (issue), then pays payee (transfer via
     // the owner's endpoint).
     let (invite, session) = payer.begin_receive(&mut rng);
-    send_invite(&mut net, payer_ep, owner_ep, &invite).unwrap();
+    send_invite(&mut net, payer_ep, owner_ep, &invite, &Obs::disabled()).unwrap();
     let grant = request_issue_via(&mut net, payer_ep, owner_ep, coin, &invite).unwrap();
     payer.accept_grant(grant, session, now).unwrap();
     println!("payer holds the coin after a networked issue ({})", net.stats());
 
     let (invite2, session2) = payee.begin_receive(&mut rng);
-    send_invite(&mut net, payee_ep, payer_ep, &invite2).unwrap();
+    send_invite(&mut net, payee_ep, payer_ep, &invite2, &Obs::disabled()).unwrap();
     let treq = payer.request_transfer(coin, &invite2, &mut rng).unwrap();
     let grant2 = request_transfer_via(&mut net, payer_ep, owner_ep, treq, false).unwrap();
     payee.accept_grant(grant2, session2, now).unwrap();

@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use whopay::core::codec::Writer as WireWriter;
 use whopay::core::service::{
-    attach_client, attach_shard_endpoints, binding_proof_via_retry, install_wire_classifier,
-    shared_clock,
+    self, attach_client, attach_shard_endpoints, install_wire_classifier, retry, shared_clock,
 };
 use whopay::core::{
     dsd, CoreError, Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp,
@@ -94,7 +93,8 @@ fn coin_with_committed_binding(w: &mut World) -> (whopay::core::types::CoinId, B
     let (invite, session) = w.peers[1].begin_receive(&mut w.rng);
     let grant = w.peers[0].issue_coin(coin, &invite, now, &mut w.rng).unwrap();
     w.peers[1].accept_grant(grant, session, now).unwrap();
-    dsd::publish_owner_binding(&w.peers[0], coin, &mut w.dht, w.entry, &mut w.rng).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], coin, &mut w.dht, w.entry, &mut w.rng, &Obs::disabled())
+        .unwrap();
 
     // Owner goes dark; the broker serves the transfer and publishes the
     // rebinding itself, committing it to the ledger as it goes.
@@ -147,6 +147,7 @@ fn honest_lookup_verifies_against_the_committed_leaf() {
         &proof,
         w.params.group(),
         w.broker.public_key(),
+        &Obs::disabled(),
     )
     .expect("honest record passes the commitment check");
     assert_eq!(state, committed, "served state is the committed state");
@@ -175,11 +176,11 @@ fn proof_fetch_over_a_faulty_network_succeeds_with_retries() {
     net.install_faults(FaultInjector::new(plan, 0xB12A ^ 0xFA17));
 
     let policy = RetryPolicy::new(8).backoff(10, 1_000).budget(100_000);
-    let proof = binding_proof_via_retry(
+    let proof = retry(
         &mut net,
         payee_ep,
         broker_ep,
-        coin,
+        service::binding_proof(coin),
         &policy,
         &mut w.rng,
         &Obs::disabled(),
@@ -195,6 +196,7 @@ fn proof_fetch_over_a_faulty_network_succeeds_with_retries() {
         &proof,
         w.params.group(),
         w.broker.public_key(),
+        &Obs::disabled(),
     )
     .expect("verified lookup with a network-fetched proof");
     assert_eq!(Some(state), proof.leaf.binding);
@@ -214,7 +216,8 @@ fn stale_replay_is_rejected_where_plain_read_accepts_it() {
     let (invite, session) = w.peers[1].begin_receive(&mut w.rng);
     let grant = w.peers[0].issue_coin(coin, &invite, now, &mut w.rng).unwrap();
     w.peers[1].accept_grant(grant, session, now).unwrap();
-    dsd::publish_owner_binding(&w.peers[0], coin, &mut w.dht, w.entry, &mut w.rng).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], coin, &mut w.dht, w.entry, &mut w.rng, &Obs::disabled())
+        .unwrap();
     let coin_pk = w.peers[0].owned_coin(&coin).unwrap().minted.coin_pk().clone();
     let stale = w.dht.get(w.entry, dsd::binding_key(&coin_pk)).expect("owner record published");
 
@@ -251,6 +254,7 @@ fn stale_replay_is_rejected_where_plain_read_accepts_it() {
         &proof,
         w.params.group(),
         w.broker.public_key(),
+        &Obs::disabled(),
     )
     .unwrap_err();
     match err {
@@ -300,6 +304,7 @@ fn forged_owner_is_rejected_where_plain_decode_accepts_it() {
         &proof,
         w.params.group(),
         w.broker.public_key(),
+        &Obs::disabled(),
     )
     .unwrap_err();
     assert!(matches!(err, CoreError::BadSignature), "forged owner detected as {err:?}");
@@ -334,6 +339,7 @@ fn equivocation_at_the_committed_sequence_is_rejected() {
         &proof,
         w.params.group(),
         w.broker.public_key(),
+        &Obs::disabled(),
     )
     .unwrap_err();
     assert!(matches!(err, CoreError::PublicBindingMismatch), "equivocation detected as {err:?}");
@@ -385,6 +391,7 @@ fn tampered_record_bytes_never_verify() {
             &proof,
             w.params.group(),
             w.broker.public_key(),
+            &Obs::disabled(),
         );
         match result {
             Err(
@@ -408,6 +415,7 @@ fn tampered_record_bytes_never_verify() {
         &proof,
         w.params.group(),
         w.broker.public_key(),
+        &Obs::disabled(),
     )
     .expect("honest record still verifies");
 }

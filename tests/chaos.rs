@@ -29,10 +29,8 @@ use std::sync::Arc;
 
 use whopay::core::micropay::{MicropayHost, MicropaySender};
 use whopay::core::service::{
-    attach_client, attach_micropay_host, attach_peer, attach_shard_endpoints,
-    attach_shard_endpoints_obs, clock, deposit_via_retry, install_wire_classifier,
-    open_chain_via_retry, purchase_via_retry, redeem_chain_via, redeem_chain_via_retry,
-    request_issue_via_retry, request_renewal_via_retry, request_transfer_via_retry, shared_clock,
+    self, attach_client, attach_micropay_host, attach_peer, attach_shard_endpoints,
+    attach_shard_endpoints_obs, clock, install_wire_classifier, redeem_chain_via, retry, shared_clock,
     surface_recovery_violations, tick_via, SharedClock,
 };
 use whopay::core::wire::{Request, Response};
@@ -164,13 +162,11 @@ fn lifecycles_under_faults_conserve_value() {
         // Purchase: owner buys a coin from the broker.
         let coin = {
             let mut owner = w.owner.borrow_mut();
-            match purchase_via_retry(
+            match retry(
                 &mut w.net,
                 w.owner_ep,
                 w.broker_ep,
-                &mut owner,
-                PurchaseMode::Identified,
-                now,
+                service::purchase(&mut owner, PurchaseMode::Identified, now),
                 &policy,
                 &mut w.rng,
                 &obs,
@@ -184,8 +180,14 @@ fn lifecycles_under_faults_conserve_value() {
 
         // Issue: owner pays the payer.
         let (invite, session) = w.payer.begin_receive(&mut w.rng);
-        let grant = match request_issue_via_retry(
-            &mut w.net, w.payer_ep, w.owner_ep, coin, &invite, &policy, &mut w.rng, &obs,
+        let grant = match retry(
+            &mut w.net,
+            w.payer_ep,
+            w.owner_ep,
+            service::issue(coin, &invite),
+            &policy,
+            &mut w.rng,
+            &obs,
         ) {
             Ok(grant) => grant,
             Err(_) => continue,
@@ -197,8 +199,14 @@ fn lifecycles_under_faults_conserve_value() {
         // Transfer: payer pays the payee via the owner.
         let (invite2, session2) = w.payee.begin_receive(&mut w.rng);
         let treq = w.payer.request_transfer(coin, &invite2, &mut w.rng).expect("payer holds");
-        let transferred = match request_transfer_via_retry(
-            &mut w.net, w.payer_ep, w.owner_ep, treq, false, &policy, &mut w.rng, &obs,
+        let transferred = match retry(
+            &mut w.net,
+            w.payer_ep,
+            w.owner_ep,
+            service::transfer(treq, false),
+            &policy,
+            &mut w.rng,
+            &obs,
         ) {
             Ok(grant2) => w.payee.accept_grant(grant2, session2, now).is_ok(),
             Err(_) => false,
@@ -213,8 +221,14 @@ fn lifecycles_under_faults_conserve_value() {
         // Every third lifecycle the payee renews before depositing.
         if i % 3 == 2 {
             let rreq = w.payee.request_renewal(coin, &mut w.rng).expect("payee holds");
-            if let Ok(renewed) = request_renewal_via_retry(
-                &mut w.net, w.payee_ep, w.owner_ep, rreq, false, &policy, &mut w.rng, &obs,
+            if let Ok(renewed) = retry(
+                &mut w.net,
+                w.payee_ep,
+                w.owner_ep,
+                service::renewal(rreq, false),
+                &policy,
+                &mut w.rng,
+                &obs,
             ) {
                 let _ = w.payee.apply_renewal(coin, renewed);
             }
@@ -224,11 +238,11 @@ fn lifecycles_under_faults_conserve_value() {
         // the identical bytes (and answered from the replay memo if the
         // broker already applied it).
         let dreq = w.payee.request_deposit(coin, &mut w.rng).expect("payee holds");
-        match deposit_via_retry(
+        match retry(
             &mut w.net,
             w.payee_ep,
             w.broker_ep,
-            dreq.clone(),
+            service::deposit(dreq.clone()),
             &policy,
             &mut w.rng,
             &obs,
@@ -269,11 +283,11 @@ fn lifecycles_under_faults_conserve_value() {
     for s in stranded {
         match s {
             Stranded::Payee(coin, dreq) => {
-                let receipt = deposit_via_retry(
+                let receipt = retry(
                     &mut w.net,
                     w.payee_ep,
                     w.broker_ep,
-                    dreq,
+                    service::deposit(dreq),
                     &policy,
                     &mut w.rng,
                     &obs,
@@ -285,11 +299,11 @@ fn lifecycles_under_faults_conserve_value() {
             }
             Stranded::Payer(coin) => {
                 let dreq = w.payer.request_deposit(coin, &mut w.rng).expect("payer holds");
-                let receipt = deposit_via_retry(
+                let receipt = retry(
                     &mut w.net,
                     w.payer_ep,
                     w.broker_ep,
-                    dreq,
+                    service::deposit(dreq),
                     &policy,
                     &mut w.rng,
                     &obs,
@@ -467,13 +481,11 @@ fn sharded_lifecycles_survive_faults_and_shard_crash() {
         let purchase_ep = w.shard_eps[(i as usize) % SHARDS];
         let coin = {
             let mut owner = w.owner.borrow_mut();
-            match purchase_via_retry(
+            match retry(
                 &mut w.net,
                 w.owner_ep,
                 purchase_ep,
-                &mut owner,
-                PurchaseMode::Identified,
-                now,
+                service::purchase(&mut owner, PurchaseMode::Identified, now),
                 &policy,
                 &mut w.rng,
                 &obs,
@@ -484,8 +496,14 @@ fn sharded_lifecycles_survive_faults_and_shard_crash() {
         };
 
         let (invite, session) = w.payer.begin_receive(&mut w.rng);
-        let grant = match request_issue_via_retry(
-            &mut w.net, w.payer_ep, w.owner_ep, coin, &invite, &policy, &mut w.rng, &obs,
+        let grant = match retry(
+            &mut w.net,
+            w.payer_ep,
+            w.owner_ep,
+            service::issue(coin, &invite),
+            &policy,
+            &mut w.rng,
+            &obs,
         ) {
             Ok(grant) => grant,
             Err(_) => continue,
@@ -496,8 +514,14 @@ fn sharded_lifecycles_survive_faults_and_shard_crash() {
 
         let (invite2, session2) = w.payee.begin_receive(&mut w.rng);
         let treq = w.payer.request_transfer(coin, &invite2, &mut w.rng).expect("payer holds");
-        let transferred = match request_transfer_via_retry(
-            &mut w.net, w.payer_ep, w.owner_ep, treq, false, &policy, &mut w.rng, &obs,
+        let transferred = match retry(
+            &mut w.net,
+            w.payer_ep,
+            w.owner_ep,
+            service::transfer(treq, false),
+            &policy,
+            &mut w.rng,
+            &obs,
         ) {
             Ok(grant2) => w.payee.accept_grant(grant2, session2, now).is_ok(),
             Err(_) => false,
@@ -512,8 +536,15 @@ fn sharded_lifecycles_survive_faults_and_shard_crash() {
         // the request on an uncontended lock and the replay memo local.
         let dep_ep = w.shard_eps[w.sharded.shard_of_coin(&coin)];
         let dreq = w.payee.request_deposit(coin, &mut w.rng).expect("payee holds");
-        match deposit_via_retry(&mut w.net, w.payee_ep, dep_ep, dreq.clone(), &policy, &mut w.rng, &obs)
-        {
+        match retry(
+            &mut w.net,
+            w.payee_ep,
+            dep_ep,
+            service::deposit(dreq.clone()),
+            &policy,
+            &mut w.rng,
+            &obs,
+        ) {
             Ok(receipt) => {
                 assert_eq!(receipt.coin, coin);
                 w.payee.complete_deposit(coin);
@@ -543,9 +574,16 @@ fn sharded_lifecycles_survive_faults_and_shard_crash() {
         match s {
             Stranded::Payee(coin, dreq) => {
                 let dep_ep = w.shard_eps[w.sharded.shard_of_coin(&coin)];
-                let receipt =
-                    deposit_via_retry(&mut w.net, w.payee_ep, dep_ep, dreq, &policy, &mut w.rng, &obs)
-                        .expect("drained payee deposit");
+                let receipt = retry(
+                    &mut w.net,
+                    w.payee_ep,
+                    dep_ep,
+                    service::deposit(dreq),
+                    &policy,
+                    &mut w.rng,
+                    &obs,
+                )
+                .expect("drained payee deposit");
                 assert_eq!(receipt.coin, coin);
                 w.payee.complete_deposit(coin);
                 deposited.push(coin);
@@ -553,9 +591,16 @@ fn sharded_lifecycles_survive_faults_and_shard_crash() {
             Stranded::Payer(coin) => {
                 let dep_ep = w.shard_eps[w.sharded.shard_of_coin(&coin)];
                 let dreq = w.payer.request_deposit(coin, &mut w.rng).expect("payer holds");
-                let receipt =
-                    deposit_via_retry(&mut w.net, w.payer_ep, dep_ep, dreq, &policy, &mut w.rng, &obs)
-                        .expect("drained payer deposit");
+                let receipt = retry(
+                    &mut w.net,
+                    w.payer_ep,
+                    dep_ep,
+                    service::deposit(dreq),
+                    &policy,
+                    &mut w.rng,
+                    &obs,
+                )
+                .expect("drained payer deposit");
                 assert_eq!(receipt.coin, coin);
                 w.payer.complete_deposit(coin);
                 deposited.push(coin);
@@ -796,11 +841,18 @@ fn streaming_micropay_survives_faults_and_mid_stream_shard_crash() {
     let gk = judge.enroll(PeerId(9), &mut rng);
     let (mut sender, commitment) =
         MicropaySender::open(params.group(), &gpk, &gk, STREAM_CAPACITY, STREAM_EVERY, &mut rng);
-    let chain =
-        open_chain_via_retry(&mut net, sender_ep, host_ep, commitment.clone(), &policy, &mut rng, &obs)
-            .expect("chain opens under faults");
+    let chain = retry(
+        &mut net,
+        sender_ep,
+        host_ep,
+        service::open_chain(commitment.clone()),
+        &policy,
+        &mut rng,
+        &obs,
+    )
+    .expect("chain opens under faults");
     let reopened =
-        open_chain_via_retry(&mut net, sender_ep, host_ep, commitment, &policy, &mut rng, &obs)
+        retry(&mut net, sender_ep, host_ep, service::open_chain(commitment), &policy, &mut rng, &obs)
             .expect("replayed open answered");
     assert_eq!(reopened, chain, "open is idempotent");
 
@@ -845,11 +897,11 @@ fn streaming_micropay_survives_faults_and_mid_stream_shard_crash() {
             let expect_total = request.payword.index;
             let mut landed = None;
             for _ in 0..16 {
-                match redeem_chain_via_retry(
+                match retry(
                     &mut net,
                     relay_ep,
                     redeem_ep,
-                    request.clone(),
+                    service::redeem_chain(request.clone()),
                     &policy,
                     &mut rng,
                     &obs,
@@ -871,11 +923,11 @@ fn streaming_micropay_survives_faults_and_mid_stream_shard_crash() {
             let commits_before = sharded.stats().redemptions;
             let mut replayed = None;
             for _ in 0..16 {
-                match redeem_chain_via_retry(
+                match retry(
                     &mut net,
                     relay_ep,
                     redeem_ep,
-                    request.clone(),
+                    service::redeem_chain(request.clone()),
                     &policy,
                     &mut rng,
                     &obs,
@@ -962,13 +1014,11 @@ fn same_seed_same_outcome() {
             w.clk.set(now);
             w.sclk.store(now.0, Ordering::SeqCst);
             let mut owner = w.owner.borrow_mut();
-            if purchase_via_retry(
+            if retry(
                 &mut w.net,
                 w.owner_ep,
                 w.broker_ep,
-                &mut owner,
-                PurchaseMode::Identified,
-                now,
+                service::purchase(&mut owner, PurchaseMode::Identified, now),
                 &policy,
                 &mut w.rng,
                 &obs,
@@ -1228,7 +1278,7 @@ fn adversarial_record_corruption_is_always_detected_and_clean_lookups_pass() {
     let (invite, session) = payer.begin_receive(&mut rng);
     let grant = owner.issue_coin(coin, &invite, now, &mut rng).unwrap();
     payer.accept_grant(grant, session, now).unwrap();
-    dsd::publish_owner_binding(&owner, coin, &mut dht, entry, &mut rng).unwrap();
+    dsd::publish_owner_binding(&owner, coin, &mut dht, entry, &mut rng, &Obs::disabled()).unwrap();
     let (invite2, session2) = payee.begin_receive(&mut rng);
     let treq = payer.request_transfer(coin, &invite2, &mut rng).unwrap();
     let grant2 = broker.handle_downtime_transfer(&treq, Timestamp(10), &mut rng).unwrap();
@@ -1256,7 +1306,7 @@ fn adversarial_record_corruption_is_always_detected_and_clean_lookups_pass() {
         let mut served = honest.clone();
         let hit = inj.tamper(TamperTarget::Record, lookup, &mut served.value).is_some();
         dht.inject_byzantine_record(served);
-        let result = dsd::read_public_state_verified_obs(
+        let result = dsd::read_public_state_verified(
             &mut dht,
             entry,
             &coin_pk,

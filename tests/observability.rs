@@ -11,7 +11,7 @@ use whopay::core::micropay::{MicropayHost, MicropaySender};
 use whopay::core::service::{
     attach_client, attach_micropay_host_obs, attach_peer_obs, attach_shard_endpoints_obs, clock,
     deposit_via_obs, install_wire_classifier, open_chain_via_obs, purchase_via_obs,
-    request_issue_via_obs, request_renewal_via_obs, request_transfer_via_obs, send_invite_obs,
+    request_issue_via_obs, request_renewal_via_obs, request_transfer_via_obs, send_invite,
     shared_clock, sync_via_obs, tick_batch_via_obs, tick_via_obs, SharedClock,
 };
 use whopay::core::{
@@ -100,7 +100,7 @@ fn run_lifecycle(w: &mut NetWorld, obs: &Obs) {
     w.payer.accept_grant(grant, session, now).unwrap();
 
     let (invite2, session2) = w.payee.begin_receive(&mut w.rng);
-    send_invite_obs(&mut w.net, w.payee_ep, w.payer_ep, &invite2, obs).unwrap();
+    send_invite(&mut w.net, w.payee_ep, w.payer_ep, &invite2, obs).unwrap();
     let treq = w.payer.request_transfer(coin, &invite2, &mut w.rng).unwrap();
     let grant2 =
         request_transfer_via_obs(&mut w.net, w.payer_ep, w.owner_ep, treq, false, obs).unwrap();
@@ -290,9 +290,9 @@ fn dsd_checks_and_alarms_reach_the_registry() {
     let grant = owner.issue_coin(coin, &invite, t0, &mut rng).unwrap();
 
     // Verify before publication fails; after publication it passes.
-    assert!(dsd::verify_grant_published_obs(&mut dht, entry, &grant, &obs).is_err());
-    dsd::publish_owner_binding_obs(&owner, coin, &mut dht, entry, &mut rng, &obs).unwrap();
-    dsd::verify_grant_published_obs(&mut dht, entry, &grant, &obs).unwrap();
+    assert!(dsd::verify_grant_published(&mut dht, entry, &grant, &obs).is_err());
+    dsd::publish_owner_binding(&owner, coin, &mut dht, entry, &mut rng, &obs).unwrap();
+    dsd::verify_grant_published(&mut dht, entry, &grant, &obs).unwrap();
 
     let held_seq = grant.binding.seq();
     let coin_pk = grant.minted.coin_pk().clone();
@@ -300,7 +300,7 @@ fn dsd_checks_and_alarms_reach_the_registry() {
 
     let mut monitor = dsd::HoldingMonitor::new();
     monitor.watch(&mut dht, coin, &coin_pk, held_seq);
-    assert!(monitor.poll_obs(&mut dht, &obs).is_empty(), "no alarm while honest");
+    assert!(monitor.poll(&mut dht, &obs).is_empty(), "no alarm while honest");
 
     // The owner republishes a newer binding while the payee still holds
     // the coin: the monitor raises an alarm and records the event.
@@ -312,8 +312,8 @@ fn dsd_checks_and_alarms_reach_the_registry() {
     let renewed = owner.handle_renewal(rreq, t0, &mut rng).unwrap();
     let new_seq = renewed.seq();
     payee.apply_renewal(coin, renewed).unwrap();
-    dsd::publish_owner_binding_obs(&owner, coin, &mut dht, entry, &mut rng, &obs).unwrap();
-    let alarms = monitor.poll_obs(&mut dht, &obs);
+    dsd::publish_owner_binding(&owner, coin, &mut dht, entry, &mut rng, &obs).unwrap();
+    let alarms = monitor.poll(&mut dht, &obs);
     assert_eq!(alarms.len(), 1, "renewal past the held seq raises an alarm");
     assert!(new_seq > held_seq);
 

@@ -10,6 +10,7 @@ use whopay::crypto::testing;
 use whopay::dht::{Dht, DhtConfig, RingId};
 use whopay::eval::{config::SimConfig, loadsim, MicroWeights, Policy, SyncStrategy};
 use whopay::net::{Handle, IndirectionLayer, Network};
+use whopay::obs::Obs;
 
 struct System {
     params: SystemParams,
@@ -60,13 +61,15 @@ fn payment_chain_with_continuous_public_publication() {
     let (req, pending) = s.peers[0].create_purchase_request(PurchaseMode::Identified, &mut s.rng);
     let minted = s.broker.handle_purchase(&req, &mut s.rng).unwrap();
     let coin = s.peers[0].complete_purchase(minted, pending, now, &mut s.rng).unwrap();
-    dsd::publish_owner_binding(&s.peers[0], coin, &mut s.dht, s.entry, &mut s.rng).unwrap();
+    dsd::publish_owner_binding(&s.peers[0], coin, &mut s.dht, s.entry, &mut s.rng, &Obs::disabled())
+        .unwrap();
 
     // Issue to peer 1.
     let (invite, session) = s.peers[1].begin_receive(&mut s.rng);
     let grant = s.peers[0].issue_coin(coin, &invite, now, &mut s.rng).unwrap();
-    dsd::publish_owner_binding(&s.peers[0], coin, &mut s.dht, s.entry, &mut s.rng).unwrap();
-    dsd::verify_grant_published(&mut s.dht, s.entry, &grant).unwrap();
+    dsd::publish_owner_binding(&s.peers[0], coin, &mut s.dht, s.entry, &mut s.rng, &Obs::disabled())
+        .unwrap();
+    dsd::verify_grant_published(&mut s.dht, s.entry, &grant, &Obs::disabled()).unwrap();
     s.peers[1].accept_grant(grant, session, now).unwrap();
 
     // Transfer 1 → 2 → 3 → 4, publishing and checking at each hop.
@@ -75,8 +78,16 @@ fn payment_chain_with_continuous_public_publication() {
         let (invite, session) = s.peers[hop + 1].begin_receive(&mut s.rng);
         let treq = s.peers[hop].request_transfer(coin, &invite, &mut s.rng).unwrap();
         let grant = s.peers[0].handle_transfer(treq, t, &mut s.rng).unwrap();
-        dsd::publish_owner_binding(&s.peers[0], coin, &mut s.dht, s.entry, &mut s.rng).unwrap();
-        dsd::verify_grant_published(&mut s.dht, s.entry, &grant).unwrap();
+        dsd::publish_owner_binding(
+            &s.peers[0],
+            coin,
+            &mut s.dht,
+            s.entry,
+            &mut s.rng,
+            &Obs::disabled(),
+        )
+        .unwrap();
+        dsd::verify_grant_published(&mut s.dht, s.entry, &grant, &Obs::disabled()).unwrap();
         s.peers[hop + 1].accept_grant(grant, session, t).unwrap();
         s.peers[hop].complete_transfer(coin);
     }
@@ -102,14 +113,15 @@ fn downtime_path_keeps_public_list_current_via_broker_writes() {
     let (invite, session) = s.peers[1].begin_receive(&mut s.rng);
     let grant = s.peers[0].issue_coin(coin, &invite, now, &mut s.rng).unwrap();
     s.peers[1].accept_grant(grant, session, now).unwrap();
-    dsd::publish_owner_binding(&s.peers[0], coin, &mut s.dht, s.entry, &mut s.rng).unwrap();
+    dsd::publish_owner_binding(&s.peers[0], coin, &mut s.dht, s.entry, &mut s.rng, &Obs::disabled())
+        .unwrap();
 
     // Owner goes dark; holder 1 pays holder 2 via the broker.
     let (invite2, session2) = s.peers[2].begin_receive(&mut s.rng);
     let treq = s.peers[1].request_transfer(coin, &invite2, &mut s.rng).unwrap();
     let grant2 = s.broker.handle_downtime_transfer(&treq, Timestamp(10), &mut s.rng).unwrap();
     s.broker.publish_binding(&grant2.binding, &mut s.dht, s.entry, &mut s.rng).unwrap();
-    dsd::verify_grant_published(&mut s.dht, s.entry, &grant2).unwrap();
+    dsd::verify_grant_published(&mut s.dht, s.entry, &grant2, &Obs::disabled()).unwrap();
     s.peers[2].accept_grant(grant2, session2, Timestamp(10)).unwrap();
     s.peers[1].complete_transfer(coin);
 

@@ -9,9 +9,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use whopay::core::service::{
-    attach_client, attach_peer, attach_shard_endpoints, clock, deposit_via_retry,
-    install_wire_classifier, purchase_via_retry, request_issue_via_retry, request_renewal_via_retry,
-    request_transfer_via_retry, shared_clock, SharedClock,
+    self, attach_client, attach_peer, attach_shard_endpoints, clock, install_wire_classifier, retry,
+    shared_clock, SharedClock,
 };
 use whopay::core::{Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp};
 use whopay::crypto::testing::{test_rng, tiny_group};
@@ -82,13 +81,11 @@ fn run_lifecycle(w: &mut World, i: u64, policy: &RetryPolicy, obs: &Obs) {
     w.sclk.store(now.0, Ordering::SeqCst);
     let coin = {
         let mut owner = w.owner.borrow_mut();
-        match purchase_via_retry(
+        match retry(
             &mut w.net,
             w.owner_ep,
             w.broker_ep,
-            &mut owner,
-            PurchaseMode::Identified,
-            now,
+            service::purchase(&mut owner, PurchaseMode::Identified, now),
             policy,
             &mut w.rng,
             obs,
@@ -98,8 +95,14 @@ fn run_lifecycle(w: &mut World, i: u64, policy: &RetryPolicy, obs: &Obs) {
         }
     };
     let (invite, session) = w.payer.begin_receive(&mut w.rng);
-    let Ok(grant) = request_issue_via_retry(
-        &mut w.net, w.payer_ep, w.owner_ep, coin, &invite, policy, &mut w.rng, obs,
+    let Ok(grant) = retry(
+        &mut w.net,
+        w.payer_ep,
+        w.owner_ep,
+        service::issue(coin, &invite),
+        policy,
+        &mut w.rng,
+        obs,
     ) else {
         return;
     };
@@ -108,8 +111,14 @@ fn run_lifecycle(w: &mut World, i: u64, policy: &RetryPolicy, obs: &Obs) {
     }
     let (invite2, session2) = w.payee.begin_receive(&mut w.rng);
     let treq = w.payer.request_transfer(coin, &invite2, &mut w.rng).expect("payer holds");
-    let Ok(grant2) = request_transfer_via_retry(
-        &mut w.net, w.payer_ep, w.owner_ep, treq, false, policy, &mut w.rng, obs,
+    let Ok(grant2) = retry(
+        &mut w.net,
+        w.payer_ep,
+        w.owner_ep,
+        service::transfer(treq, false),
+        policy,
+        &mut w.rng,
+        obs,
     ) else {
         return;
     };
@@ -118,13 +127,21 @@ fn run_lifecycle(w: &mut World, i: u64, policy: &RetryPolicy, obs: &Obs) {
     }
     w.payer.complete_transfer(coin);
     let rreq = w.payee.request_renewal(coin, &mut w.rng).expect("payee holds");
-    if let Ok(renewed) = request_renewal_via_retry(
-        &mut w.net, w.payee_ep, w.owner_ep, rreq, false, policy, &mut w.rng, obs,
+    if let Ok(renewed) = retry(
+        &mut w.net,
+        w.payee_ep,
+        w.owner_ep,
+        service::renewal(rreq, false),
+        policy,
+        &mut w.rng,
+        obs,
     ) {
         let _ = w.payee.apply_renewal(coin, renewed);
     }
     let dreq = w.payee.request_deposit(coin, &mut w.rng).expect("payee holds");
-    if deposit_via_retry(&mut w.net, w.payee_ep, w.broker_ep, dreq, policy, &mut w.rng, obs).is_ok() {
+    if retry(&mut w.net, w.payee_ep, w.broker_ep, service::deposit(dreq), policy, &mut w.rng, obs)
+        .is_ok()
+    {
         w.payee.complete_deposit(coin);
     }
 }
