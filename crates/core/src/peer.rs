@@ -214,19 +214,7 @@ impl Peer {
         now: Timestamp,
         rng: &mut R,
     ) -> Result<CoinId, CoreError> {
-        let group = self.params.group();
-        // Compared first, `pkC` is the key this peer generated — a group
-        // element by construction — so of `MintedCoin::verify` only the
-        // broker's signature is left to check, filed under the same key.
-        if minted.coin_pk() != pending.coin_keys.public().element()
-            || minted.owner() != &pending.owner
-            || !self.sig_cache.verify_with(minted.mint_cache_key(group, &self.broker_pk), || {
-                let msg = MintedCoin::signed_bytes(minted.owner(), minted.coin_pk());
-                self.broker_pk.verify(group, &msg, minted.broker_sig())
-            })
-        {
-            return Err(CoreError::BadSignature);
-        }
+        self.check_minted(&minted, &pending)?;
         let id = minted.id();
         let binding = self.sign_binding(
             &pending.coin_keys,
@@ -247,6 +235,33 @@ impl Peer {
             },
         );
         Ok(id)
+    }
+
+    /// Checks that `minted` answers `pending`: the coin key this peer
+    /// generated, its owner tag, and the broker's signature.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadSignature`] if it does not.
+    pub(crate) fn check_minted(
+        &self,
+        minted: &MintedCoin,
+        pending: &PendingPurchase,
+    ) -> Result<(), CoreError> {
+        let group = self.params.group();
+        // Compared first, `pkC` is the key this peer generated — a group
+        // element by construction — so of `MintedCoin::verify` only the
+        // broker's signature is left to check, filed under the same key.
+        if minted.coin_pk() != pending.coin_keys.public().element()
+            || minted.owner() != &pending.owner
+            || !self.sig_cache.verify_with(minted.mint_cache_key(group, &self.broker_pk), || {
+                let msg = MintedCoin::signed_bytes(minted.owner(), minted.coin_pk());
+                self.broker_pk.verify(group, &msg, minted.broker_sig())
+            })
+        {
+            return Err(CoreError::BadSignature);
+        }
+        Ok(())
     }
 
     /// Held coins whose binding expires at or before `deadline` — what a

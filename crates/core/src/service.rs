@@ -17,18 +17,19 @@
 //! Every attach/`*_via` function has an `_obs` variant taking a
 //! [`whopay_obs::Obs`] context; [`send_invite`] and [`retry`] always
 //! take one (`Obs::disabled()` when untraced). Client-side spans are the
-//! operation records: they carry the request/response traffic (2 messages, payload
-//! bytes — the same units as `whopay_net::TrafficStats`), the
-//! end-to-end latency, and any failure, attributed to the role that
-//! serves the operation (broker ops to [`Role::Broker`], owner-served
-//! ops to [`Role::Peer`]). Server-side handler spans measure dispatch
-//! latency and rejections with *no* traffic attached; feed them a
-//! separate registry (or the same one, accepting that each operation
-//! then counts once per side). Without faults, client spans reconcile
-//! with `TrafficStats` either way because only they carry traffic.
-//! Under faults they do not: a duplicated request is 4 messages on the
-//! wire and 2 on its span, a timed-out attempt 2 and 0. What reconciles
-//! then is the fabric's own `NetRequest` events (one per handler call).
+//! operation records: they carry the request/response traffic (2
+//! messages, payload bytes — the same units as
+//! `whopay_net::TrafficStats`), the end-to-end latency, and any failure,
+//! attributed to the role that serves the operation (broker ops to
+//! [`Role::Broker`], owner-served ops to [`Role::Peer`]). Server-side
+//! handler spans measure dispatch latency and rejections with *no*
+//! traffic attached; feed them a separate registry (or the same one,
+//! accepting that each operation then counts once per side). Without
+//! faults, client spans reconcile with `TrafficStats` either way because
+//! only they carry traffic. Under faults they do not: a duplicated
+//! request is 4 messages on the wire and 2 on its span, a timed-out
+//! attempt 2 and 0. What reconciles then is the fabric's own
+//! `NetRequest` events (one per handler call).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -798,8 +799,8 @@ pub fn send_invite(
 /// A purchase of a coin by `peer`: the one operation whose exchange is
 /// bracketed by the buyer's state — the request and its pending coin keys
 /// made before ([`Peer::create_purchase_request`]), the coin taken into
-/// the wallet once after ([`Peer::complete_purchase`]). Make it with
-/// [`purchase_via`], or with [`retry`].
+/// the wallet once after ([`Peer::complete_purchase`]). [`purchase_via`]
+/// makes one once, and [`retry`] under a policy.
 pub struct Purchase<'a> {
     peer: &'a mut Peer,
     mode: PurchaseMode,
@@ -811,16 +812,8 @@ pub fn purchase(peer: &mut Peer, mode: PurchaseMode, now: Timestamp) -> Purchase
     Purchase { peer, mode, now }
 }
 
-/// A purchase's [`Call`].
-type MintedCall = Call<fn(Response) -> Result<MintedCoin, CallError>>;
-
-/// Reads the coin a purchase is answered with.
-fn minted(response: Response) -> Result<MintedCoin, CallError> {
-    match response {
-        Response::Minted(minted) => Ok(minted),
-        _ => unexpected(),
-    }
-}
+/// A purchase's [`Call`], whose reader borrows the buyer's state.
+type MintedCall<'a> = Call<&'a mut dyn FnMut(Response) -> Result<MintedCoin, CallError>>;
 
 impl Purchase<'_> {
     /// Builds the request, has `exchange` make its [`Call`] (once, or
@@ -829,11 +822,24 @@ impl Purchase<'_> {
     fn bracket<R: rand::Rng + ?Sized>(
         self,
         rng: &mut R,
-        exchange: impl FnOnce(MintedCall, &mut R) -> Result<MintedCoin, CallError>,
+        exchange: impl FnOnce(MintedCall<'_>, &mut R) -> Result<MintedCoin, CallError>,
     ) -> Result<CoinId, CallError> {
         let (req, pending) = self.peer.create_purchase_request(self.mode, rng);
         let request = Request::Purchase(req);
-        let call = Call { cell: (Role::Broker, OpKind::Purchase), request, read: minted as _ };
+        // The coin is checked inside the attempt: a reply damaged in flight
+        // is then resent and answered from the broker's replay memo, where
+        // a check after the exchange would drop the pending coin keys and
+        // leave the minted coin unspendable. `complete_purchase` checks it
+        // again, a sig-cache hit.
+        let peer = &*self.peer;
+        let mut read = |response| match response {
+            Response::Minted(minted) => {
+                peer.check_minted(&minted, &pending).map_err(CallError::Protocol)?;
+                Ok(minted)
+            }
+            _ => unexpected(),
+        };
+        let call = Call { cell: (Role::Broker, OpKind::Purchase), request, read: &mut read as _ };
         let minted = exchange(call, rng)?;
         self.peer.complete_purchase(minted, pending, self.now, rng).map_err(CallError::Protocol)
     }
