@@ -818,20 +818,18 @@ impl Broker {
     /// purchased coin key, both ciphertext halves of a group signature —
     /// eight chains to a lane call, and the fixed-base powers (`g^u1`,
     /// `g^z_r`, `g^z_x`, `y_J^z_r`) eight to a call of the base's comb.
-    /// Each verdict is the one the handler would have computed. Chains too
-    /// few to fill a lane call ([`whopay_num::SchnorrGroup::lane_plan`])
-    /// — and every chain on a host without the engine — stay with the
-    /// handlers, as does a group of one.
+    /// Each verdict is the one the handler would have computed. A group
+    /// of one is walked like any other — a lone deposit or downtime
+    /// request owes three chains or more, one lane call's worth — and
+    /// chains too few to make a lane call
+    /// ([`whopay_num::SchnorrGroup::lane_plan`]), and every chain on a
+    /// host without the engine, stay with the handlers.
     ///
     /// Advisory: no coin state changes, nothing is journalled, the shared
     /// verdict cache is only peeked.
     pub fn prepare(&mut self, upcoming: &[Upcoming<'_>]) -> PrepareReport {
         self.prepared.clear();
         let mut report = PrepareReport::default();
-        if upcoming.len() < 2 {
-            report.skipped = upcoming.len() as u64;
-            return report;
-        }
         let (sigs, coin_keys, group_sigs) = (Vec::new(), Vec::new(), Vec::new());
         let mut owed = Recorder { broker: self, sigs, coin_keys, group_sigs, start: 0 };
         for request in upcoming {
@@ -1061,7 +1059,8 @@ impl Broker {
         }
         // The next binding: a transfer names the new holder, a renewal
         // keeps the current one. The binding is signed first, then a
-        // transfer's ownership proof.
+        // transfer's ownership proof, the two sharing one inversion as an
+        // owner's do (`Peer::sign_rebinding`).
         let group = self.params.group();
         let minted = &self.coins[&id].minted;
         let holder_pk = match request {
@@ -1072,17 +1071,20 @@ impl Broker {
         let expires = now.plus(self.params.renewal_period_secs());
         let signer = BindingSigner::Broker;
         let msg = Binding::signed_bytes(minted.coin_pk(), holder_pk, seq, expires, signer);
-        let sig = self.keys.sign(group, &msg, rng);
-        let binding =
-            Binding::from_parts(minted.coin_pk().clone(), holder_pk.clone(), seq, expires, signer, sig);
+        let bind = |sig| {
+            Binding::from_parts(minted.coin_pk().clone(), holder_pk.clone(), seq, expires, signer, sig)
+        };
         let served = match request {
             Downtime::Transfer(request) => {
                 let proof_msg = CoinGrant::proof_bytes(minted.coin_pk(), holder_pk, &request.nonce);
-                let ownership_proof = self.keys.sign(group, &proof_msg, rng);
-                let grant = CoinGrant { minted: minted.clone(), binding, ownership_proof };
+                let [sig, ownership_proof] = self.keys.sign_each(group, [&msg, &proof_msg], rng);
+                let grant = CoinGrant { minted: minted.clone(), binding: bind(sig), ownership_proof };
                 ServedOp::Transfer { request: request.clone(), grant }
             }
-            Downtime::Renewal(request) => ServedOp::Renewal { request: request.clone(), binding },
+            Downtime::Renewal(request) => {
+                let binding = bind(self.keys.sign(group, &msg, rng));
+                ServedOp::Renewal { request: request.clone(), binding }
+            }
         };
         self.record(JournalOp::Served(served));
         Ok(id)

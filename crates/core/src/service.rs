@@ -41,11 +41,12 @@ use whopay_net::{Classify, Endpoint, EndpointId, ErrorClass, Network, RequestErr
 use whopay_obs::{Counter, Event, Histogram, Obs, OpKind, Role, Span, TraceContext};
 
 use whopay_crypto::payword::Payword;
+use whopay_num::SchnorrGroup;
 
 use crate::audit::Violation;
-use crate::broker::{Broker, Upcoming};
+use crate::broker::{Broker, PrepareReport, Upcoming};
 use crate::codec;
-use crate::coin::{Binding, MintedCoin};
+use crate::coin::{Binding, MintedCoin, OwnerTag};
 use crate::error::CoreError;
 use crate::ledger::BindingProof;
 use crate::messages::{
@@ -225,6 +226,24 @@ pub fn attach_shard_endpoints_obs(
     seed: u64,
     obs: Obs,
 ) -> Vec<EndpointId> {
+    let endpoints = shard_endpoints(sharded, clock, seed, obs);
+    let attach = |(i, endpoint)| {
+        let id = net.register_parallel(&format!("broker-shard-{i}"), endpoint);
+        net.set_role(id, Role::Broker);
+        id
+    };
+    endpoints.into_iter().enumerate().map(attach).collect()
+}
+
+/// The endpoints [`attach_shard_endpoints_obs`] registers, one per shard
+/// in shard order, unregistered: for a caller that wraps them before
+/// registering them itself.
+pub fn shard_endpoints(
+    sharded: Arc<ShardedBroker>,
+    clock: SharedClock,
+    seed: u64,
+    obs: Obs,
+) -> Vec<impl Endpoint + Send + 'static> {
     let audited = Arc::new(AtomicUsize::new(0));
     let probes = obs.metrics().map(|m| PrepareProbes {
         batch: m.histogram("broker.prepare_batch"),
@@ -236,19 +255,14 @@ pub fn attach_shard_endpoints_obs(
         comb_filled: m.counter("broker.prepare.comb_filled"),
     });
     (0..sharded.shard_count())
-        .map(|i| {
-            let endpoint = ShardEndpoint {
-                shard: i as u16,
-                sharded: sharded.clone(),
-                clock: clock.clone(),
-                obs: obs.clone(),
-                probes: probes.clone(),
-                audited: audited.clone(),
-                rng: rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(i as u64)),
-            };
-            let id = net.register_parallel(&format!("broker-shard-{i}"), endpoint);
-            net.set_role(id, Role::Broker);
-            id
+        .map(|i| ShardEndpoint {
+            shard: i as u16,
+            sharded: sharded.clone(),
+            clock: clock.clone(),
+            obs: obs.clone(),
+            probes: probes.clone(),
+            audited: audited.clone(),
+            rng: rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(i as u64)),
         })
         .collect()
 }
@@ -325,47 +339,59 @@ impl Endpoint for ShardEndpoint {
         surface_sharded_violations(sharded, &self.obs, &self.audited);
     }
 
-    /// Hands the requests of this drain cycle that the endpoint's own
-    /// shard owns to [`Broker::prepare`]. Requests routed here for another
-    /// shard, fan-out requests and frames that do not parse are left to
-    /// `serve`; a cycle of one is not parsed at all. The broker is called
-    /// whatever is left — an empty group too — because the call is also
-    /// what discards the verdicts the last cycle parked and nobody took.
+    /// Hands the requests of this drain cycle — or the one request of a
+    /// synchronous call, a group of one — that the endpoint's own shard
+    /// owns to [`Broker::prepare`]. Proofs, syncs and redemptions are
+    /// passed over on their wire kind, before any parse; so are frames
+    /// that do not parse and requests routed here for another shard. A
+    /// group that cannot owe a lane call's worth of chains
+    /// ([`chains_at_most`]: a lone identified purchase owes two) is
+    /// neither copied nor walked, and the broker is not called: the
+    /// verdicts the last call parked stay until the next one clears them,
+    /// each still the verdict its check gives.
     fn prepare(&mut self, upcoming: &[&[u8]]) {
         if let Some(probes) = &self.probes {
             probes.batch.record_nanos(upcoming.len() as u64);
         }
         let mut first_caller = None;
-        let parsed = if upcoming.len() < 2 { &[] } else { upcoming };
-        let owned: Vec<Request> = parsed
+        let views: Vec<RequestView<'_>> = upcoming
             .iter()
             .filter_map(|bytes| {
                 let (payload, caller) = TraceContext::split(bytes);
                 first_caller = first_caller.or(caller);
-                // Only the kinds `Upcoming::of` keeps are worth an owned copy.
-                let view = RequestView::parse(payload).ok()?;
-                let walked = matches!(view.op_kind(), OpKind::Purchase | OpKind::Deposit)
-                    || matches!(view.op_kind(), OpKind::DowntimeTransfer | OpKind::DowntimeRenewal);
-                let owned = walked && self.sharded.shard_for(&view) == Some(self.shard);
-                owned.then(|| view.to_owned_request())
+                let walked = matches!(
+                    wire_kind(payload),
+                    "purchase" | "deposit" | "downtime_transfer" | "downtime_renewal"
+                );
+                walked.then(|| RequestView::parse(payload))?.ok()
             })
             .collect();
-        let group: Vec<Upcoming<'_>> = owned.iter().filter_map(Upcoming::of).collect();
-        let unprepared = (upcoming.len() - group.len()) as u64;
-        let span = (group.len() >= 2).then(|| {
-            let mut span = match &first_caller {
-                Some(parent) => self.obs.child_span(Role::Broker, OpKind::Other, parent),
-                None => self.obs.span(Role::Broker, OpKind::Other),
-            };
-            span.set_detail("prepare");
-            span.set_shard(self.shard);
-            span.set_batch(group.len() as u64);
-            span
-        });
-        let report = self.sharded.lock_shard(self.shard as usize).prepare(&group);
-        if let Some(span) = span {
-            span.finish();
+        let mut report = PrepareReport::default();
+        let mut group_len = 0;
+        if views.iter().map(chains_at_most).sum::<usize>() >= SchnorrGroup::LANE_MIN {
+            let owned: Vec<Request> = views
+                .iter()
+                .filter(|view| self.sharded.shard_for(view) == Some(self.shard))
+                .map(RequestView::to_owned_request)
+                .collect();
+            let group: Vec<Upcoming<'_>> = owned.iter().filter_map(Upcoming::of).collect();
+            group_len = group.len();
+            let span = (!group.is_empty()).then(|| {
+                let mut span = match &first_caller {
+                    Some(parent) => self.obs.child_span(Role::Broker, OpKind::Other, parent),
+                    None => self.obs.span(Role::Broker, OpKind::Other),
+                };
+                span.set_detail("prepare");
+                span.set_shard(self.shard);
+                span.set_batch(group.len() as u64);
+                span
+            });
+            report = self.sharded.lock_shard(self.shard as usize).prepare(&group);
+            if let Some(span) = span {
+                span.finish();
+            }
         }
+        let unprepared = (upcoming.len() - group_len) as u64;
         if let Some(probes) = &self.probes {
             probes.settled.add(report.settled);
             probes.skipped.add(report.skipped + unprepared);
@@ -374,6 +400,23 @@ impl Endpoint for ShardEndpoint {
             probes.comb_calls.add(report.comb_calls);
             probes.comb_filled.add(report.comb_filled);
         }
+    }
+}
+
+/// The most chains [`Broker::prepare`] can owe for `request`, from the
+/// checks its handler walks: a purchase owes its coin key's and an
+/// identity signature's (two) or a group signature's two halves (three);
+/// a deposit or a downtime transfer or renewal a coin-key-signed
+/// binding's, a holder signature's and a group signature's (four). Zero
+/// for what the broker does not walk.
+fn chains_at_most(request: &RequestView<'_>) -> usize {
+    match request {
+        RequestView::Purchase { owner: OwnerTag::Identified(_), .. } => 2,
+        RequestView::Purchase { .. } => 3,
+        RequestView::Deposit(_)
+        | RequestView::Transfer { downtime: true, .. }
+        | RequestView::Renewal { downtime: true, .. } => 4,
+        _ => 0,
     }
 }
 

@@ -9,14 +9,17 @@
 //! * A fraud case counts a rejection only when it refused a request.
 //! * A deposited coin is spent on the downtime path too: no binding it
 //!   ever had buys a transfer or a renewal again.
+//! * A downtime grant's two broker signatures share one inversion and are
+//!   byte for byte what two `sign` calls in turn make.
 
 use whopay_core::micropay::MicropaySender;
+use whopay_core::wire::Response;
 use whopay_core::{
-    Binding, Broker, CoinId, CoreError, DepositRequest, Journal, Judge, MintedCoin, OwnerTag, Peer,
-    PeerId, PurchaseMode, PurchaseRequest, RedeemChainRequest, ShardedBroker, SystemParams, Timestamp,
-    TransferRequest,
+    Binding, BindingSigner, Broker, CoinGrant, CoinId, CoreError, DepositRequest, Journal, Judge,
+    MintedCoin, OwnerTag, Peer, PeerId, PurchaseMode, PurchaseRequest, RedeemChainRequest,
+    ShardedBroker, SystemParams, Timestamp, TransferRequest,
 };
-use whopay_crypto::dsa::DsaSignature;
+use whopay_crypto::dsa::{DsaKeyPair, DsaSignature};
 use whopay_crypto::group_sig::GroupPublicKey;
 use whopay_crypto::payword::Payword;
 use whopay_crypto::testing::{test_rng, tiny_group};
@@ -477,4 +480,62 @@ fn a_refused_double_spend_counts_once_and_reported_fraud_not_at_all() {
     assert_eq!(recovered.stats(), stats);
     assert_eq!(recovered.fraud_cases(), w.broker.fraud_cases());
     assert!(recovered.audit().ok(), "{:?}", recovered.audit().violations());
+}
+
+/// `serve_downtime` signs a transfer's next binding and its ownership
+/// proof in one `sign_each` call. For a fixed seed the grant is byte for
+/// byte the one two `sign` calls in turn make from the same seed, and the
+/// generator is left where they leave it: the same signatures, the same
+/// draws, one inversion fewer.
+#[test]
+fn a_downtime_grant_is_what_two_sequential_signs_make() {
+    let mut rng = test_rng(0x516E);
+    let params = SystemParams::new(tiny_group().clone());
+    let group = params.group().clone();
+    let mut judge = Judge::new(group.clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let keys = DsaKeyPair::generate(&group, &mut rng);
+    let mut broker = Broker::with_keys(params.clone(), gpk.clone(), keys.clone());
+    let mut peers: Vec<Peer> = (0..3u64)
+        .map(|id| {
+            let gk = judge.enroll(PeerId(id), &mut rng);
+            Peer::new(PeerId(id), params.clone(), keys.public().clone(), gpk.clone(), gk, &mut rng)
+        })
+        .collect();
+    broker.register_peer(PeerId(0), peers[0].public_key().clone());
+    let (purchase, pending) = peers[0].create_purchase_request(PurchaseMode::Identified, &mut rng);
+    let minted = broker.handle_purchase(&purchase, &mut rng).expect("registered owner");
+    let coin = peers[0].complete_purchase(minted, pending, NOW, &mut rng).expect("own coin");
+    let (invite, session) = peers[1].begin_receive(&mut rng);
+    let grant = peers[0].issue_coin(coin, &invite, NOW, &mut rng).expect("issue");
+    peers[1].accept_grant(grant, session, NOW).expect("issued grant");
+    let (invite, session) = peers[2].begin_receive(&mut rng);
+    let request = peers[1].request_transfer(coin, &invite, &mut rng).expect("holder");
+
+    let (now, seed) = (Timestamp(7), 0x6A47);
+    let mut served_rng = test_rng(seed);
+    let grant = broker.handle_downtime_transfer(&request, now, &mut served_rng).expect("served");
+
+    let mut signed_rng = test_rng(seed);
+    let (coin_pk, holder_pk) = (grant.minted.coin_pk(), &request.new_holder_pk);
+    let (seq, expires) = (request.current.seq() + 1, now.plus(params.renewal_period_secs()));
+    let msg = Binding::signed_bytes(coin_pk, holder_pk, seq, expires, BindingSigner::Broker);
+    let sig = keys.sign(&group, &msg, &mut signed_rng);
+    let proof_msg = CoinGrant::proof_bytes(coin_pk, holder_pk, &request.nonce);
+    let ownership_proof = keys.sign(&group, &proof_msg, &mut signed_rng);
+    let binding = Binding::from_parts(
+        coin_pk.clone(),
+        holder_pk.clone(),
+        seq,
+        expires,
+        BindingSigner::Broker,
+        sig,
+    );
+    let want = CoinGrant { minted: grant.minted.clone(), binding, ownership_proof };
+    assert_eq!(
+        Response::Grant(Box::new(grant.clone())).encode(),
+        Response::Grant(Box::new(want)).encode()
+    );
+    assert_eq!(rand::Rng::next_u64(&mut served_rng), rand::Rng::next_u64(&mut signed_rng));
+    peers[2].accept_grant(grant, session, now).expect("the payee takes the broker's grant");
 }

@@ -35,8 +35,11 @@ use whopay_core::{
 };
 use whopay_crypto::batch::{verify_dsa_each, DsaBatchItem};
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
-use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey};
-use whopay_crypto::testing::{element_of_order, small_group, test_rng, tiny_group};
+use whopay_crypto::elgamal::ElGamalCiphertext;
+use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
+use whopay_crypto::testing::{
+    element_of_order, small_group, small_order_element, test_rng, tiny_group, twisted_group_signature,
+};
 use whopay_dht::{SignedRecord, Writer};
 use whopay_num::{BigUint, SchnorrGroup};
 
@@ -232,6 +235,88 @@ fn the_owner_serves_holder_requests_exactly_when_the_spelled_out_check_does() {
         }
     }
     assert!(plainly_valid > 0, "some twisted-key holder signatures satisfy the plain equation");
+}
+
+/// The group signatures a holder request is rebuilt around: the honest
+/// one, then one with a ciphertext half set to 0, 1 or `p − 1`, or twisted
+/// by the element of order 2 — by its own signer, who redrew until both
+/// verification equations hold, so that membership is all that is wrong.
+fn group_sig_cases(w: &mut World, msg: &[u8]) -> Vec<(String, GroupSignature)> {
+    let honest = w.member.sign(&w.group, &w.gpk, msg, &mut w.rng);
+    let (one, minus_one) = (BigUint::one(), w.group.modulus() - &BigUint::one());
+    let mut cases = vec![("honest".to_string(), honest.clone())];
+    for (half, name) in ["c1", "c2"].into_iter().enumerate() {
+        for (label, value) in [("0", BigUint::zero()), ("1", one.clone()), ("p - 1", minus_one.clone())]
+        {
+            let mut halves = [honest.ciphertext().c1().clone(), honest.ciphertext().c2().clone()];
+            halves[half] = value;
+            let [c1, c2] = halves;
+            let damaged = GroupSignature::from_parts(
+                ElGamalCiphertext::from_parts(c1, c2),
+                honest.challenge_scalar().clone(),
+                honest.z_r().clone(),
+                honest.z_x().clone(),
+            );
+            cases.push((format!("{name} = {label}"), damaged));
+        }
+        let eta = small_order_element(&w.group, false);
+        let mut twists = [&one, &one];
+        twists[half] = &eta;
+        let twisted = twisted_group_signature(&w.group, &w.gpk, msg, twists, &mut w.rng);
+        cases.push((format!("{name} twisted by order 2"), twisted));
+    }
+    cases
+}
+
+/// The owner checks a holder request's holder and group signatures in one
+/// call, and must refuse a group signature whose half is no subgroup
+/// member, or not the half it signed, exactly as the lone check does:
+/// `BadGroupSignature`, with an honest holder signature beside it.
+#[test]
+fn the_owner_refuses_every_group_signature_with_a_bad_half() {
+    let mut w = world(0x6A1F);
+    let params = SystemParams::new(w.group.clone());
+    let mut broker = Broker::new(params.clone(), w.gpk.clone(), &mut w.rng);
+    let (gpk, member) = (w.gpk.clone(), w.member.clone());
+    let mut owner = Peer::new(PeerId(2), params, broker.public_key().clone(), gpk, member, &mut w.rng);
+    broker.register_peer(PeerId(2), owner.public_key().clone());
+    let key = w.holder.public().element().clone();
+    let mut refused = 0;
+    for round in 0..3u8 {
+        for renew in [false, true] {
+            // Honest, then four bad versions of each half: a fresh coin each.
+            for case in 0..9 {
+                let (purchase, pending) =
+                    owner.create_purchase_request(PurchaseMode::Identified, &mut w.rng);
+                let minted = broker.handle_purchase(&purchase, &mut w.rng).expect("registered owner");
+                let coin = owner.complete_purchase(minted, pending, NOW, &mut w.rng).expect("minted");
+                let nonce = [round; 32];
+                let invite_msg = PaymentInvite::signed_bytes(&key, &nonce);
+                let group_sig = w.member.sign(&w.group, &w.gpk, &invite_msg, &mut w.rng);
+                let invite = PaymentInvite { holder_pk: key.clone(), nonce, group_sig };
+                let current = owner.issue_coin(coin, &invite, NOW, &mut w.rng).expect("issued").binding;
+                let msg = match renew {
+                    true => RenewalRequest::signed_bytes(&current),
+                    false => TransferRequest::signed_bytes(&current, &key, &nonce),
+                };
+                let (label, group_sig) = group_sig_cases(&mut w, &msg).swap_remove(case);
+                let holder_sig = w.holder.sign(&w.group, &msg, &mut w.rng);
+                let served = if renew {
+                    let request = RenewalRequest { current, holder_sig, group_sig };
+                    owner.handle_renewal(request, NOW, &mut w.rng).map(|_| ())
+                } else {
+                    let new_holder_pk = key.clone();
+                    let request =
+                        TransferRequest { current, new_holder_pk, nonce, holder_sig, group_sig };
+                    owner.handle_transfer(request, NOW, &mut w.rng).map(|_| ())
+                };
+                let want = if case == 0 { Ok(()) } else { Err(CoreError::BadGroupSignature) };
+                assert_eq!(served, want, "owner, group signature {label}, renewal {renew}");
+                refused += served.is_err() as usize;
+            }
+        }
+    }
+    assert_eq!(refused, 3 * 2 * 8);
 }
 
 /// The owner collapsing a layered coin checks the final holder's signature

@@ -14,22 +14,28 @@
 //! forged responses and scalars out of range, stale and superseding
 //! bindings, double deposits, coins the broker never minted — is cut into
 //! arbitrary groups, from one request to a round of two dozen, so that a
-//! shard's share straddles the four chains a lane call takes, and run
-//! through three identically seeded sharded brokers:
+//! shard's share straddles the three chains a lane call takes, and run
+//! through four identically seeded sharded brokers:
 //!
 //! * **batched**: every group is submitted and drained, so each shard
 //!   endpoint sees its share in `prepare` and settles it — one exact
 //!   chain per untrusted element, eight to a lane call where the host has
 //!   the engine — before serving;
 //! * **per request**: every request goes through `request_into`, which
-//!   never prepares;
-//! * **mixed**: each group's first request goes through `request_into`
-//!   right after the *previous* group's `prepare` — a verdict table built
-//!   over other bytes — and the rest are drained.
+//!   shows it to `prepare` as a group of one — a lone deposit or downtime
+//!   request settles its chains in one lane call — and then serves it;
+//! * **mixed**: each group's first request goes through `request_into`,
+//!   and the rest are drained;
+//! * **never prepared**: every request goes through `request_into` to an
+//!   endpoint wrapped so that `prepare` never reaches it — service as it
+//!   is with no verdict parked, the reference the others are held to.
 //!
-//! All three agree byte for byte on every response, and at the end on
+//! All four agree byte for byte on every response, and at the end on
 //! every shard's snapshot, counters, journal, committed `(root, seq)` and
-//! verdict-cache accounting. No history is excepted.
+//! verdict-cache accounting. No history is excepted. A group that cannot
+//! owe a lane call's worth of chains (a lone identified purchase) is not
+//! walked and leaves the last call's untaken verdicts parked, so the
+//! handlers also meet verdict tables built over other bytes.
 //!
 //! The same histories have one more reader: after every round each shard
 //! of the batched world is recovered from its journal bytes, and the
@@ -42,7 +48,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use whopay_core::service::{attach_client, attach_shard_endpoints, shared_clock};
+use whopay_core::service::{
+    attach_client, attach_shard_endpoints, attach_shard_endpoints_obs, shard_endpoints, shared_clock,
+};
 use whopay_core::wire::{Request, Response};
 use whopay_core::{
     Binding, Broker, CoinId, DepositRequest, Journal, Judge, MintedCoin, OwnerTag, PaymentInvite, Peer,
@@ -53,8 +61,9 @@ use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_crypto::testing::{small_order_element, test_rng, tiny_group, twisted_group_signature};
-use whopay_net::{EndpointId, Network};
+use whopay_net::{Endpoint, EndpointId, Network};
 use whopay_num::BigUint;
+use whopay_obs::{Metrics, Obs};
 
 const NOW: Timestamp = Timestamp(0);
 const SHARDS: usize = 2;
@@ -69,6 +78,16 @@ enum Delivery {
     Batched { threads: usize },
     PerRequest,
     Mixed,
+    NeverPrepared,
+}
+
+/// A shard endpoint that `prepare` never reaches.
+struct NeverPrepares<E>(E);
+
+impl<E: Endpoint> Endpoint for NeverPrepares<E> {
+    fn serve(&mut self, request: &[u8], out: &mut Vec<u8>) {
+        self.0.serve(request, out);
+    }
 }
 
 /// One sharded broker behind its endpoints.
@@ -78,6 +97,8 @@ struct Server {
     eps: Vec<EndpointId>,
     client: EndpointId,
     delivery: Delivery,
+    /// The per-request world's registry: its `broker.prepare.*` counters.
+    metrics: Arc<Metrics>,
 }
 
 impl Server {
@@ -95,9 +116,21 @@ impl Server {
             Delivery::Batched { threads } => threads,
             _ => 1,
         });
-        let eps = attach_shard_endpoints(&mut net, sharded.clone(), shared_clock(NOW), 0x5EED);
+        let (clock, metrics) = (shared_clock(NOW), Arc::new(Metrics::new()));
+        let eps = match delivery {
+            Delivery::PerRequest => {
+                let obs = Obs::with_metrics(metrics.clone());
+                attach_shard_endpoints_obs(&mut net, sharded.clone(), clock, 0x5EED, obs)
+            }
+            Delivery::NeverPrepared => shard_endpoints(sharded.clone(), clock, 0x5EED, Obs::disabled())
+                .into_iter()
+                .enumerate()
+                .map(|(i, ep)| net.register_parallel(&format!("unprepared-{i}"), NeverPrepares(ep)))
+                .collect(),
+            _ => attach_shard_endpoints(&mut net, sharded.clone(), clock, 0x5EED),
+        };
         let client = attach_client(&mut net, "client");
-        Server { net, sharded, eps, client, delivery }
+        Server { net, sharded, eps, client, delivery, metrics }
     }
 
     /// Delivers one group, each frame to its coin's owning shard.
@@ -105,7 +138,7 @@ impl Server {
         let to = |coin: &CoinId| self.eps[self.sharded.shard_of_coin(coin)];
         let direct = match self.delivery {
             Delivery::Batched { .. } => 0,
-            Delivery::PerRequest => group.len(),
+            Delivery::PerRequest | Delivery::NeverPrepared => group.len(),
             Delivery::Mixed => 1,
         };
         let mut out = Vec::with_capacity(group.len());
@@ -640,12 +673,13 @@ fn shard_state(server: &Server, i: usize) -> String {
 }
 
 /// Runs the history `tags` encodes; returns the broker counters summed
-/// over shards (for the coverage check). With `twisted_registrations`
+/// over shards and the chains the per-request world's `prepare` handed to
+/// lane calls (for the coverage checks). With `twisted_registrations`
 /// the first two peers are on the brokers' books under their identity
 /// key times an element of small order — of order two, and of the least
 /// odd order there is: no subgroup member, and yet the key their identity
 /// signatures are verified under, as they stand.
-fn run(tags: &[u8], threads: usize, twisted_registrations: bool) -> whopay_core::BrokerStats {
+fn run(tags: &[u8], threads: usize, twisted_registrations: bool) -> (whopay_core::BrokerStats, u64) {
     let mut rng = test_rng(0x9E7A1);
     let params = SystemParams::new(tiny_group().clone());
     let group = params.group().clone();
@@ -656,6 +690,7 @@ fn run(tags: &[u8], threads: usize, twisted_registrations: bool) -> whopay_core:
         Server::new(&params, &gpk, &keys, Delivery::Batched { threads }),
         Server::new(&params, &gpk, &keys, Delivery::PerRequest),
         Server::new(&params, &gpk, &keys, Delivery::Mixed),
+        Server::new(&params, &gpk, &keys, Delivery::NeverPrepared),
     ];
     let peers: Vec<Peer> = (0..PEERS as u64)
         .map(|id| {
@@ -716,10 +751,11 @@ fn run(tags: &[u8], threads: usize, twisted_registrations: bool) -> whopay_core:
         for end in 1..=frames.len() {
             if end == frames.len() || cuts >> (end % 16) & 1 == 1 {
                 let group = &frames[start..end];
-                let [batched, single, mixed] = &mut servers;
-                let got = batched.deliver(group);
-                assert_eq!(got, single.deliver(group), "batched vs per request");
-                assert_eq!(got, mixed.deliver(group), "batched vs mixed");
+                let [batched, single, mixed, unprepared] = &mut servers;
+                let got = unprepared.deliver(group);
+                assert_eq!(got, single.deliver(group), "never prepared vs per request");
+                assert_eq!(got, batched.deliver(group), "never prepared vs batched");
+                assert_eq!(got, mixed.deliver(group), "never prepared vs mixed");
                 responses.extend(got);
                 start = end;
             }
@@ -742,12 +778,15 @@ fn run(tags: &[u8], threads: usize, twisted_registrations: bool) -> whopay_core:
         }
     }
     for i in 0..SHARDS {
-        let want = shard_state(&servers[0], i);
+        let want = shard_state(&servers[3], i);
         assert_eq!(want, shard_state(&servers[1], i), "shard {i}, per request");
+        assert_eq!(want, shard_state(&servers[0], i), "shard {i}, batched");
         assert_eq!(want, shard_state(&servers[2], i), "shard {i}, mixed");
     }
     assert!(servers.iter().all(|s| s.sharded.audit_ok()));
-    servers[0].sharded.stats()
+    let counters = servers[1].metrics.report().counters;
+    let in_lanes = counters.get("broker.prepare.lanes_filled").copied().unwrap_or(0);
+    (servers[0].sharded.stats(), in_lanes)
 }
 
 proptest! {
@@ -769,7 +808,10 @@ proptest! {
 #[test]
 fn the_generated_histories_reach_every_kind_of_outcome() {
     let tags: Vec<u8> = (0..1680u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
-    let stats = run(&tags, 1, false);
+    let (stats, in_lanes) = run(&tags, 1, false);
+    // Requests served one at a time walk their chains in lanes too, where
+    // the host has the engine.
+    assert_eq!(in_lanes > 0, tiny_group().lane_plan(8).0 > 0, "{in_lanes} chains in lanes");
     assert!(stats.purchases > 10, "{stats:?}");
     assert!(stats.deposits > 3, "{stats:?}");
     assert!(stats.downtime_transfers > 10, "{stats:?}");
@@ -823,7 +865,7 @@ fn a_null_or_twisted_holder_key_next_to_forgeries_changes_no_verdict() {
         [TRANSFER, DEPOSIT, FT, FT, FT, FT, FT, FD, FD, FD, FD, FD, 0, 0],
     ];
     for threads in [1, 2] {
-        let stats = run(&tags.concat(), threads, false);
+        let (stats, _) = run(&tags.concat(), threads, false);
         assert_eq!(
             (stats.purchases, stats.downtime_transfers, stats.downtime_renewals),
             (12, 2, 10),
@@ -844,7 +886,7 @@ fn a_registered_key_outside_the_subgroup_verifies_as_it_stands() {
     // an honest downtime transfer for a held one; no cuts.
     let tags = [0u8; 4 * (COINS + 2)];
     for threads in [1, 2] {
-        let stats = run(&tags, threads, true);
+        let (stats, _) = run(&tags, threads, true);
         // Minted: the honestly registered peer's three coins and, a round
         // or three late, all six of the other two's. Refused: the
         // unregistered peer's three purchases each round, and five

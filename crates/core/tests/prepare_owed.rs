@@ -8,8 +8,8 @@
 //! supersedes it; downtime transfers and renewals of both flavours, one of
 //! them superseding; replays, a request delivered twice in one cycle, a
 //! stale binding, a coin nobody minted, a double deposit and deposited
-//! coins spent down the downtime path; a cycle of one — and sums what each
-//! cycle's `prepare` reports. Which requests owe nothing is the same on
+//! coins spent down the downtime path; a cycle of one, as a synchronous
+//! request is prepared — and sums what each cycle's `prepare` reports. Which requests owe nothing is the same on
 //! every host; what was settled, in how many lane and comb calls, is pinned
 //! where the host has the lane engine.
 //!
@@ -293,7 +293,10 @@ fn prepare_owes_what_it_owed_on_a_pinned_history() {
     );
     w.moved(a, 2, 1, &answers[0], a_session);
 
-    // Cycle 4: a cycle of one.
+    // Cycle 4: a cycle of one — a downtime renewal under the binding the
+    // broker signed in cycle 3, presented bit for bit, so it owes its
+    // holder signature (one chain) and its group signature (two): one lane
+    // call's worth.
     let a_renewal = w.renewal(a, 1);
     let answers = w.cycle(&[Request::Renewal { request: a_renewal, downtime: true }]);
     assert!(answers[0].is_ok(), "{answers:?}");
@@ -320,19 +323,38 @@ fn prepare_owes_what_it_owed_on_a_pinned_history() {
             redemptions: 0,
         }
     );
-    // A cycle of one owes nothing; neither do a coin nobody minted, a stale
-    // binding and a deposit delivered again.
-    assert_eq!(w.report.skipped, 4, "{:?}", w.report);
+    // A coin nobody minted, a stale binding and a deposit delivered again
+    // owe nothing. The cycle of one is walked like any other group.
+    //
+    // Against a `prepare` that skipped a group of one and made a lane call
+    // from four chains up (59 settled, 4 skipped, 10 lane calls filling
+    // 74 lanes, 11 comb calls filling 78):
+    // * `skipped` 4 → 3: cycle 4's renewal owes its two signatures;
+    // * `settled` 59 → 61: their two verdicts;
+    // * `lane_calls` 10 → 12, `lanes_filled` 74 → 80: cycle 4's three
+    //   chains ride one call, and cycle 1's 19 chains — the coin key and
+    //   identity signature of six identified purchases (four served, one
+    //   forged, one with the zero key), the unregistered buyer's coin key,
+    //   and two anonymous purchases' coin key and two halves each — fill a
+    //   third call with the three past sixteen, which walked alone under
+    //   four;
+    // * `comb_calls` 11 → 12, `comb_filled` 78 → 81: cycle 4's three
+    //   fixed-base powers (`g^u1` of the holder signature, `g^z_r` and
+    //   `g^z_x` of the group signature) fill one comb call; its one judge-key
+    //   power stays alone. Every other cycle's chain and comb counts leave
+    //   a remainder past eight other than three, so their plans are as they
+    //   were.
+    assert_eq!(w.report.skipped, 3, "{:?}", w.report);
     if tiny_group().lane_plan(8).0 > 0 {
         assert_eq!(
             w.report,
             PrepareReport {
-                settled: 59,
-                skipped: 4,
-                lane_calls: 10,
-                lanes_filled: 74,
-                comb_calls: 11,
-                comb_filled: 78,
+                settled: 61,
+                skipped: 3,
+                lane_calls: 12,
+                lanes_filled: 80,
+                comb_calls: 12,
+                comb_filled: 81,
             }
         );
     }

@@ -13,7 +13,9 @@
 //! the host has the lane engine both walk eight at a time. Nothing is
 //! combined across items, so each verdict is the one
 //! [`DsaPublicKey::verify_member`] / [`GroupPublicKey::verify`] gives
-//! that item alone. `Broker::prepare` (whopay-core) is its one driver;
+//! that item alone. Its drivers (whopay-core) are `Broker::prepare`, for
+//! a drain cycle or a lone request, and the owner's `Peer::handle_*` of
+//! a holder request, whose holder and group signatures are three chains;
 //! [`verify_dsa_each`] groups loose items by key in front of it for the
 //! benchmark probe `crypto.batch_verify_us_per_sig`.
 //!

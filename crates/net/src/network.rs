@@ -83,7 +83,9 @@ pub trait Endpoint {
     /// Shows the endpoint what the current [`Network::drain`] is about to
     /// hand it: the requests, in delivery order, exactly as
     /// [`Endpoint::serve`] will receive them (a request corrupted in
-    /// flight appears corrupted; one delivered twice appears once).
+    /// flight appears corrupted; one delivered twice appears once). A
+    /// synchronous [`Network::request_into`] shows its one request the
+    /// same way, as a group of one.
     /// Purely advisory — the endpoint may precompute over the group, but
     /// `serve` must answer every request the same whether or not, and
     /// over whatever bytes, `prepare` ran.
@@ -293,10 +295,10 @@ impl Network {
     /// Registers an [`Endpoint`] that is `Send` and takes no network
     /// access: [`Network::drain`] shows it each cycle's requests up front
     /// ([`Endpoint::prepare`]) and can run its deliveries on a worker
-    /// thread, concurrently with other parallel endpoints. Synchronous
-    /// [`Network::request`] calls to the endpoint still work (delivered
-    /// inline, never prepared); the handler itself can never issue nested
-    /// requests.
+    /// thread, concurrently with other parallel endpoints. A synchronous
+    /// [`Network::request`] to the endpoint is delivered inline, shown to
+    /// `prepare` first as a group of one; the handler itself can never
+    /// issue nested requests.
     pub fn register_parallel<E>(&mut self, name: &str, handler: E) -> EndpointId
     where
         E: Endpoint + Send + 'static,
@@ -395,6 +397,11 @@ impl Network {
                     corrupted.extend_from_slice(request);
                     flip_bit(&mut corrupted, bit);
                     (request, fault, kind) = (&corrupted, None, self.classify(&corrupted));
+                }
+                // Shown the bytes that arrive as a group of one, as a
+                // one-thread drain shows a target its group, then served.
+                if let Some(Handler::Shared(endpoint)) = &mut self.endpoints[to.0 as usize].handler {
+                    endpoint.prepare(&[request]);
                 }
                 (kind, self.serve_inline(to, fault, request, response))
             }

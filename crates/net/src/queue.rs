@@ -24,7 +24,8 @@
 //!    ([`Endpoint::prepare`]) before anything in it is served. The call
 //!    is advisory: an endpoint that verifies signatures can settle the
 //!    whole group's at once, and must answer each request the same
-//!    whether or not it did.
+//!    whether or not it did. [`Network::request_into`] shows its one
+//!    request the same way, as a group of one.
 //! 3. **Serve** — at one thread every event then runs through
 //!    [`serve_under`] inline on the coordinator in strict submission
 //!    order, exactly as [`Network::request_into`] runs it. At more, the

@@ -176,9 +176,10 @@ fn each_target_is_shown_its_group_once_before_it_is_served() {
         let classic = net.register("classic", |req: &[u8]| req.to_vec());
         let client = net.register("client", |_: &[u8]| Vec::new());
 
-        // A synchronous request is served unprepared.
+        // A synchronous request is shown to its target as a group of one,
+        // as a one-thread drain shows a group, and then served.
         assert_eq!(net.request(client, targets[0], vec![9]).unwrap(), vec![9]);
-        assert_eq!(*logs[0].lock().unwrap(), vec![Seen::Serve(vec![9])]);
+        assert_eq!(*logs[0].lock().unwrap(), vec![Seen::Prepare(vec![vec![9]]), Seen::Serve(vec![9])]);
         logs[0].lock().unwrap().clear();
 
         // Two drains; the third target gets nothing in the first.

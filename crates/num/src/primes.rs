@@ -418,21 +418,21 @@ impl SchnorrGroup {
     }
 
     /// Chains a lane call must carry before it is made: a call costs the
-    /// same however many of its eight lanes are filled — what 1.6 lone
-    /// chains do on the host this was measured on, with two IFMA ports
-    /// (EXPERIMENTS.md, "PR 17") — and four leaves room for a host with
-    /// one, where a call costs twice that. Comb powers are spread by the
-    /// same rule.
+    /// same however many of its eight lanes are filled — about two lone
+    /// chains on the host this was measured on (25.8 against 12.6 µs,
+    /// p50 of 300, 512/160 group), and a lone chain run just after it
+    /// slows by 2 % at most — so three chains are the first that one call
+    /// walks for less than they cost alone (25.8 against 37.8 µs).
+    /// `cargo run --release -p whopay-num --example lane_cost` prints
+    /// these figures for the host it runs on (EXPERIMENTS.md, "PR 38").
+    /// Comb powers are spread by the same rule.
     ///
-    /// Two was tried and dropped (EXPERIMENTS.md, "Lone requests in lanes,
-    /// measured and dropped"): with a broker
-    /// preparing a lone deposit or downtime request and an owner putting
-    /// holder and group signature in one call, the lone requests took
-    /// 17–34 % less time, but a scalar chain run just after a lane call
-    /// slows by 14 % (22.3 → 25.5 µs, p50 of 300: the lower clock of
-    /// 512-bit instructions), so the peer steps around them lost most of
-    /// it back and `coin_lifecycle` moved by less than the host's spread.
-    pub const LANE_MIN: usize = 4;
+    /// Three is what lets a lone request that owes three chains — a
+    /// holder key and both halves of a group signature — walk them in one
+    /// call. Two was tried when the slowdown after a lane call was 14 %,
+    /// and dropped (EXPERIMENTS.md, "Lone requests in lanes, measured and
+    /// dropped").
+    pub const LANE_MIN: usize = 3;
 
     /// How [`SchnorrGroup::pow_member_many`] spreads `chains` chains (and
     /// [`SchnorrGroup::pow_table_many`] as many comb powers): the lane

@@ -186,16 +186,20 @@ fn a_modulus_too_wide_for_ten_limbs_takes_the_scalar_engine() {
     assert_eq!(group.pow_g_many(&exps), vec![group.pow_g(&e); 9]);
 }
 
+/// `LANE_MIN` is three: no call under three chains, one call from three
+/// to eight, and past each multiple of eight a last call only once it
+/// carries three more — 9 and 10 leave their one or two over to walk
+/// alone, 11 makes a second call, as do 19 and 20 a third.
 #[test]
-fn the_plan_fills_whole_calls_and_a_last_one_from_four_chains_up() {
+fn the_plan_fills_whole_calls_and_a_last_one_from_three_chains_up() {
     if engine().is_none() {
         return assert_eq!(group().lane_plan(64), (0, 0));
     }
     let plans: Vec<(usize, usize)> = (0..=20).map(|n| group().lane_plan(n)).collect();
-    assert_eq!(plans[..4], [(0, 0); 4]);
-    assert_eq!(plans[4..9], [(1, 4), (1, 5), (1, 6), (1, 7), (1, 8)]);
-    assert_eq!(plans[9..13], [(1, 8), (1, 8), (1, 8), (2, 12)]);
-    assert_eq!(plans[16..21], [(2, 16), (2, 16), (2, 16), (2, 16), (3, 20)]);
+    assert_eq!(plans[..3], [(0, 0); 3]);
+    assert_eq!(plans[3..9], [(1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8)]);
+    assert_eq!(plans[9..13], [(1, 8), (1, 8), (2, 11), (2, 12)]);
+    assert_eq!(plans[16..21], [(2, 16), (2, 16), (2, 16), (3, 19), (3, 20)]);
 }
 
 /// An exponent for a comb covering `max_bits` bits: 0, 1, `q − 1`, the
