@@ -398,12 +398,7 @@ impl Network {
                     flip_bit(&mut corrupted, bit);
                     (request, fault, kind) = (&corrupted, None, self.classify(&corrupted));
                 }
-                // Shown the bytes that arrive as a group of one, as a
-                // one-thread drain shows a target its group, then served.
-                if let Some(Handler::Shared(endpoint)) = &mut self.endpoints[to.0 as usize].handler {
-                    endpoint.prepare(&[request]);
-                }
-                (kind, self.serve_inline(to, fault, request, response))
+                (kind, self.serve_inline(to, fault, request, response, true))
             }
         };
         self.settle(from, to, kind, request, &served);
@@ -441,7 +436,9 @@ impl Network {
     /// Serves one delivery on the coordinator through [`serve_under`]. The
     /// handler leaves its slot for the call, so a nested request back to
     /// it is a [`RequestError::ReentrantCall`]; a local one is handed the
-    /// fabric.
+    /// fabric. With `alone`, a shared one is first shown the request as a
+    /// group of one, as a one-thread drain shows a target its group (a
+    /// drain has shown it already).
     #[inline]
     fn serve_inline(
         &mut self,
@@ -449,6 +446,7 @@ impl Network {
         fault: Option<FaultKind>,
         request: &[u8],
         response: &mut Vec<u8>,
+        alone: bool,
     ) -> Served {
         let Some(mut handler) = self.endpoints[to.0 as usize].handler.take() else {
             return Served::failed(RequestError::ReentrantCall(to));
@@ -459,6 +457,9 @@ impl Network {
                 serve(self, req, out);
             }),
             Handler::Shared(endpoint) => {
+                if alone {
+                    endpoint.prepare(&[request]);
+                }
                 serve_under(to, fault, timed, request, response, |req, out| endpoint.serve(req, out))
             }
         };
@@ -645,7 +646,7 @@ impl Network {
                 Err(err) => (Served::failed(err), Vec::new()),
                 Ok((fault, _)) => outcomes.get_mut(index).and_then(Option::take).unwrap_or_else(|| {
                     let mut response = Vec::new();
-                    (self.serve_inline(env.to, fault, &env.request, &mut response), response)
+                    (self.serve_inline(env.to, fault, &env.request, &mut response, false), response)
                 }),
             };
             self.settle(env.from, env.to, fate.ok().and_then(|(_, kind)| kind), &env.request, &served);
