@@ -404,11 +404,11 @@ impl Endpoint for ShardEndpoint {
 }
 
 /// The most chains [`Broker::prepare`] can owe for `request`, from the
-/// checks its handler walks: a purchase owes its coin key's and an
-/// identity signature's (two) or a group signature's two halves (three);
-/// a deposit or a downtime transfer or renewal a coin-key-signed
-/// binding's, a holder signature's and a group signature's (four). Zero
-/// for what the broker does not walk.
+/// checks its handler walks: for a purchase, one for its coin key and
+/// one for an identity signature (two) or two for a group signature's
+/// halves (three); for a deposit or a downtime transfer or renewal, one
+/// each for a coin-key-signed binding and a holder signature and two for
+/// the group signature (four). Zero for what the broker does not walk.
 fn chains_at_most(request: &RequestView<'_>) -> usize {
     match request {
         RequestView::Purchase { owner: OwnerTag::Identified(_), .. } => 2,
