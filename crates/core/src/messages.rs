@@ -5,6 +5,7 @@
 //! fairness (judge-openable anonymity). The canonical signed bytes for
 //! every message are defined here so signer and verifier cannot drift.
 
+use whopay_crypto::coupon::CouponPool;
 use whopay_crypto::dsa::{DsaCheck, DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_crypto::hashio::Transcript;
@@ -47,18 +48,22 @@ impl PaymentInvite {
         Transcript::new("whopay/invite/v1").int(holder_pk).bytes(nonce).finish().to_vec()
     }
 
-    /// Builds an invite (and the matching secret session).
+    /// Builds an invite (and the matching secret session): the holder
+    /// key and the group signature come from `coupons`, the nonce from
+    /// `rng`, which also refills `coupons`.
     pub fn create<R: rand::Rng + ?Sized>(
         group: &SchnorrGroup,
         gpk: &GroupPublicKey,
         gk: &GroupMemberKey,
+        coupons: &mut CouponPool,
         rng: &mut R,
     ) -> (PaymentInvite, ReceiveSession) {
-        let holder_keys = DsaKeyPair::generate(group, rng);
+        let holder_keys = coupons.generate(group, rng);
         let mut nonce = [0u8; 32];
         rng.fill_bytes(&mut nonce);
         let holder_pk = holder_keys.public().element().clone();
-        let group_sig = gk.sign(group, gpk, &Self::signed_bytes(&holder_pk, &nonce), rng);
+        let group_sig =
+            coupons.group_sign(gk, group, gpk, &Self::signed_bytes(&holder_pk, &nonce), rng);
         (PaymentInvite { holder_pk, nonce, group_sig }, ReceiveSession { holder_keys, nonce })
     }
 

@@ -11,10 +11,11 @@
 //!   never with their identity key.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rand::Rng;
 use whopay_crypto::batch;
+use whopay_crypto::coupon::CouponPool;
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_net::Handle;
@@ -84,6 +85,9 @@ pub struct Peer {
     relinquish_log: Vec<TransferRequest>,
     /// Verdict cache for the broker-signed material this peer re-checks.
     sig_cache: Arc<SigCache>,
+    /// The nonces, fresh keys and group-signature randomness every
+    /// signature and key this peer makes after [`Peer::new`] draws from.
+    coupons: Mutex<CouponPool>,
 }
 
 impl Peer {
@@ -109,6 +113,7 @@ impl Peer {
             wallet: HashMap::new(),
             relinquish_log: Vec::new(),
             sig_cache: Arc::new(SigCache::default()),
+            coupons: Mutex::default(),
         }
     }
 
@@ -183,7 +188,8 @@ impl Peer {
         rng: &mut R,
     ) -> (PurchaseRequest, PendingPurchase) {
         let group = self.params.group();
-        let coin_keys = DsaKeyPair::generate(group, rng);
+        let mut coupons = pool(&self.coupons);
+        let coin_keys = coupons.generate(group, rng);
         let coin_pk = coin_keys.public().element().clone();
         let owner = match owner_mode {
             PurchaseMode::Identified => OwnerTag::Identified(self.id),
@@ -192,8 +198,8 @@ impl Peer {
         };
         let msg = PurchaseRequest::signed_bytes(&owner, &coin_pk);
         let (identity_sig, group_sig) = match owner {
-            OwnerTag::Identified(_) => (Some(self.user_keys.sign(group, &msg, rng)), None),
-            _ => (None, Some(self.group_key.sign(group, &self.gpk, &msg, rng))),
+            OwnerTag::Identified(_) => (Some(coupons.sign(&self.user_keys, group, &msg, rng)), None),
+            _ => (None, Some(coupons.group_sign(&self.group_key, group, &self.gpk, &msg, rng))),
         };
         (
             PurchaseRequest { owner, coin_pk, identity_sig, group_sig },
@@ -217,9 +223,10 @@ impl Peer {
     ) -> Result<CoinId, CoreError> {
         self.check_minted(&minted, &pending)?;
         let id = minted.id();
-        let binding = self.sign_binding(
+        let binding = Self::sign_binding(
+            &self.params,
+            &self.coupons,
             &pending.coin_keys,
-            minted.coin_pk().clone(),
             minted.coin_pk().clone(), // self-held: bound to the coin key itself
             0,
             now,
@@ -283,7 +290,13 @@ impl Peer {
     /// Opens a receive session: fresh holder key, nonce, group-signed
     /// invite. Hand the invite to the payer; keep the session secret.
     pub fn begin_receive<R: Rng + ?Sized>(&self, rng: &mut R) -> (PaymentInvite, ReceiveSession) {
-        PaymentInvite::create(self.params.group(), &self.gpk, &self.group_key, rng)
+        PaymentInvite::create(
+            self.params.group(),
+            &self.gpk,
+            &self.group_key,
+            &mut pool(&self.coupons),
+            rng,
+        )
     }
 
     /// Accepts a granted coin into the wallet after full verification:
@@ -355,8 +368,15 @@ impl Peer {
             }
             return Err(CoreError::NotHolder(coin));
         }
-        let (binding, ownership_proof) =
-            Self::sign_rebinding(&self.params, owned, &invite.holder_pk, &invite.nonce, now, rng);
+        let (binding, ownership_proof) = Self::sign_rebinding(
+            &self.params,
+            &self.coupons,
+            owned,
+            &invite.holder_pk,
+            &invite.nonce,
+            now,
+            rng,
+        );
         owned.binding = binding.clone();
         owned.issued = true;
         let grant = CoinGrant { minted: owned.minted.clone(), binding, ownership_proof };
@@ -389,13 +409,14 @@ impl Peer {
             return Err(CoreError::BadGroupSignature);
         }
         let held = self.wallet.get(&coin).ok_or(CoreError::NotHolder(coin))?;
+        let mut coupons = pool(&self.coupons);
         let msg = TransferRequest::signed_bytes(&held.binding, &invite.holder_pk, &invite.nonce);
         Ok(TransferRequest {
             current: held.binding.clone(),
             new_holder_pk: invite.holder_pk.clone(),
             nonce: invite.nonce,
-            holder_sig: held.holder_keys.sign(group, &msg, rng),
-            group_sig: self.group_key.sign(group, &self.gpk, &msg, rng),
+            holder_sig: coupons.sign(&held.holder_keys, group, &msg, rng),
+            group_sig: coupons.group_sign(&self.group_key, group, &self.gpk, &msg, rng),
         })
     }
 
@@ -416,11 +437,12 @@ impl Peer {
     ) -> Result<RenewalRequest, CoreError> {
         let group = self.params.group();
         let held = self.wallet.get(&coin).ok_or(CoreError::NotHolder(coin))?;
+        let mut coupons = pool(&self.coupons);
         let msg = RenewalRequest::signed_bytes(&held.binding);
         Ok(RenewalRequest {
             current: held.binding.clone(),
-            holder_sig: held.holder_keys.sign(group, &msg, rng),
-            group_sig: self.group_key.sign(group, &self.gpk, &msg, rng),
+            holder_sig: coupons.sign(&held.holder_keys, group, &msg, rng),
+            group_sig: coupons.group_sign(&self.group_key, group, &self.gpk, &msg, rng),
         })
     }
 
@@ -466,12 +488,13 @@ impl Peer {
     ) -> Result<crate::messages::DepositRequest, CoreError> {
         let group = self.params.group();
         let held = self.wallet.get(&coin).ok_or(CoreError::NotHolder(coin))?;
+        let mut coupons = pool(&self.coupons);
         let msg = crate::messages::DepositRequest::signed_bytes(&held.binding);
         Ok(crate::messages::DepositRequest {
             minted: held.minted.clone(),
             binding: held.binding.clone(),
-            holder_sig: held.holder_keys.sign(group, &msg, rng),
-            group_sig: self.group_key.sign(group, &self.gpk, &msg, rng),
+            holder_sig: coupons.sign(&held.holder_keys, group, &msg, rng),
+            group_sig: coupons.group_sign(&self.group_key, group, &self.gpk, &msg, rng),
         })
     }
 
@@ -529,8 +552,15 @@ impl Peer {
             &request.holder_sig,
             &request.group_sig,
         )?;
-        let (binding, ownership_proof) =
-            Self::sign_rebinding(&self.params, owned, &request.new_holder_pk, &request.nonce, now, rng);
+        let (binding, ownership_proof) = Self::sign_rebinding(
+            &self.params,
+            &self.coupons,
+            owned,
+            &request.new_holder_pk,
+            &request.nonce,
+            now,
+            rng,
+        );
         owned.binding = binding.clone();
         owned.issued = true;
         let minted = owned.minted.clone();
@@ -579,10 +609,10 @@ impl Peer {
             &request.group_sig,
         )?;
         let seq = owned.binding.seq() + 1;
-        let binding = Self::sign_binding_static(
+        let binding = Self::sign_binding(
             &self.params,
+            &self.coupons,
             &owned.coin_keys,
-            owned.minted.coin_pk().clone(),
             owned.binding.holder_pk().clone(),
             seq,
             now,
@@ -642,8 +672,15 @@ impl Peer {
             &request.holder_sig,
             &request.group_sig,
         )?;
-        let (binding, ownership_proof) =
-            Self::sign_rebinding(&self.params, owned, &request.new_holder_pk, &request.nonce, now, rng);
+        let (binding, ownership_proof) = Self::sign_rebinding(
+            &self.params,
+            &self.coupons,
+            owned,
+            &request.new_holder_pk,
+            &request.nonce,
+            now,
+            rng,
+        );
         owned.binding = binding.clone();
         owned.issued = true;
         let minted = owned.minted.clone();
@@ -706,7 +743,7 @@ impl Peer {
             state.expires,
             BindingSigner::CoinKey,
         );
-        let sig = owned.coin_keys.sign(params.group(), &msg, rng);
+        let sig = pool(&self.coupons).sign(&owned.coin_keys, params.group(), &msg, rng);
         owned.binding = Binding::from_parts(
             owned.minted.coin_pk().clone(),
             state.holder_pk.clone(),
@@ -727,7 +764,7 @@ impl Peer {
         challenge: &[u8],
         rng: &mut R,
     ) -> DsaSignature {
-        self.user_keys.sign(self.params.group(), challenge, rng)
+        pool(&self.coupons).sign(&self.user_keys, self.params.group(), challenge, rng)
     }
 
     /// Signs a proof of coin ownership over `challenge` (used by the
@@ -744,7 +781,7 @@ impl Peer {
         rng: &mut R,
     ) -> Result<DsaSignature, CoreError> {
         let owned = self.owned.get(&coin).ok_or(CoreError::NotOwner(coin))?;
-        Ok(owned.coin_keys.sign(self.params.group(), challenge, rng))
+        Ok(pool(&self.coupons).sign(&owned.coin_keys, self.params.group(), challenge, rng))
     }
 
     /// The i3 handles of owned coins minted with
@@ -763,18 +800,6 @@ impl Peer {
     }
 
     // --- helpers ---
-
-    fn sign_binding<R: Rng + ?Sized>(
-        &self,
-        coin_keys: &DsaKeyPair,
-        coin_pk: BigUint,
-        holder_pk: BigUint,
-        seq: u64,
-        now: Timestamp,
-        rng: &mut R,
-    ) -> Binding {
-        Self::sign_binding_static(&self.params, coin_keys, coin_pk, holder_pk, seq, now, rng)
-    }
 
     /// A holder request's two signatures over `msg`: the holder's under
     /// `holder_pk`, membership included, and the group signature — three
@@ -805,6 +830,7 @@ impl Peer {
     /// ownership challenge — signed together so they share one inversion.
     fn sign_rebinding<R: Rng + ?Sized>(
         params: &SystemParams,
+        coupons: &Mutex<CouponPool>,
         owned: &OwnedCoin,
         holder_pk: &BigUint,
         nonce: &Nonce,
@@ -817,7 +843,8 @@ impl Peer {
         let binding_msg =
             Binding::signed_bytes(coin_pk, holder_pk, seq, expires, BindingSigner::CoinKey);
         let proof_msg = CoinGrant::proof_bytes(coin_pk, holder_pk, nonce);
-        let [sig, proof] = owned.coin_keys.sign_each(params.group(), [&binding_msg, &proof_msg], rng);
+        let [sig, proof] =
+            pool(coupons).sign_each(&owned.coin_keys, params.group(), [&binding_msg, &proof_msg], rng);
         let binding = Binding::from_parts(
             coin_pk.clone(),
             holder_pk.clone(),
@@ -829,20 +856,29 @@ impl Peer {
         (binding, proof)
     }
 
-    fn sign_binding_static<R: Rng + ?Sized>(
+    /// The coin key's binding of its coin to `holder_pk` at `seq`,
+    /// expiring a renewal period after `now`.
+    fn sign_binding<R: Rng + ?Sized>(
         params: &SystemParams,
+        coupons: &Mutex<CouponPool>,
         coin_keys: &DsaKeyPair,
-        coin_pk: BigUint,
         holder_pk: BigUint,
         seq: u64,
         now: Timestamp,
         rng: &mut R,
     ) -> Binding {
+        let coin_pk = coin_keys.public().element().clone();
         let expires = now.plus(params.renewal_period_secs());
         let msg = Binding::signed_bytes(&coin_pk, &holder_pk, seq, expires, BindingSigner::CoinKey);
-        let sig = coin_keys.sign(params.group(), &msg, rng);
+        let sig = pool(coupons).sign(coin_keys, params.group(), &msg, rng);
         Binding::from_parts(coin_pk, holder_pk, seq, expires, BindingSigner::CoinKey, sig)
     }
+}
+
+/// A peer's coupon pool, locked. A signer that panicked left the pool
+/// whole: every coupon in it is unspent.
+fn pool(coupons: &Mutex<CouponPool>) -> MutexGuard<'_, CouponPool> {
+    coupons.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `items` in ascending order: lists read off the coin maps come back in

@@ -518,7 +518,13 @@ mod tests {
 
         let mut judge: GroupManager<u8> = GroupManager::new(group.clone(), &mut rng);
         let member = judge.enroll(1, &mut rng);
-        let (invite, _session) = PaymentInvite::create(group, judge.public_key(), &member, &mut rng);
+        let (invite, _session) = PaymentInvite::create(
+            group,
+            judge.public_key(),
+            &member,
+            &mut whopay_crypto::CouponPool::new(),
+            &mut rng,
+        );
         let sig = holder.sign(group, b"x", &mut rng);
         let gsig = member.sign(group, judge.public_key(), b"y", &mut rng);
         (minted, binding, invite, sig, gsig)

@@ -2,6 +2,7 @@
 //! the DHT, issuer anonymity (coin shops, owner-anonymous coins, i3
 //! indirection, lazy sync), and the §7 layered-coin offline transfer.
 
+use whopay_core::wire::{Request, Response};
 use whopay_core::{
     dsd, layered::LayeredCoin, Broker, CoinShop, CoreError, Journal, Judge, Peer, PeerId, PurchaseMode,
     SystemParams, Timestamp,
@@ -359,6 +360,39 @@ fn owned_coins_are_a_function_of_the_seed() {
     assert_eq!(a.len(), 12);
     assert_eq!(a, b);
     assert!(a.windows(2).all(|w| w[0] < w[1]), "ascending CoinId order");
+}
+
+/// Two worlds built from one seed send byte-identical requests while
+/// every peer's coupon pools run dry and refill: the owner's DSA pool
+/// refills ten times and its group pool twice, the payee's pools seven
+/// times each.
+#[test]
+fn pooled_requests_are_a_function_of_the_seed() {
+    let frames = || {
+        let mut w = world(2, 29);
+        let t0 = Timestamp(0);
+        let mut frames = Vec::new();
+        for i in 0..18 {
+            let mode = if i % 3 == 0 { PurchaseMode::Identified } else { PurchaseMode::Anonymous };
+            let (request, pending) = w.peers[0].create_purchase_request(mode, &mut w.rng);
+            frames.push(Request::Purchase(request.clone()).encode());
+            let minted = w.broker.handle_purchase(&request, &mut w.rng).unwrap();
+            let coin = w.peers[0].complete_purchase(minted, pending, t0, &mut w.rng).unwrap();
+            let (invite, session) = w.peers[1].begin_receive(&mut w.rng);
+            frames.push(Request::Issue { coin, invite: invite.clone() }.encode());
+            let grant = w.peers[0].issue_coin(coin, &invite, t0, &mut w.rng).unwrap();
+            frames.push(Response::Grant(Box::new(grant.clone())).encode());
+            w.peers[1].accept_grant(grant, session, t0).unwrap();
+            let renewal = w.peers[1].request_renewal(coin, &mut w.rng).unwrap();
+            frames.push(Request::Renewal { request: renewal, downtime: false }.encode());
+            let deposit = w.peers[1].request_deposit(coin, &mut w.rng).unwrap();
+            frames.push(Request::Deposit(deposit).encode());
+        }
+        frames
+    };
+    let (a, b) = (frames(), frames());
+    assert_eq!(a.len(), 18 * 5);
+    assert!(a == b, "a pooled request differs between two runs of one seed");
 }
 
 #[test]

@@ -12,7 +12,14 @@
 //! so every root and seq are the earlier format's — the fixtures were
 //! rewritten with the recipe at the bottom of this comment, and only the
 //! torn-tail and bit-flip lines of `journal_expect.txt` moved; today's
-//! readers refuse the earlier files as `Malformed`).
+//! readers refuse the earlier files as `Malformed`). The history was
+//! written once more, in the same format, when peers began signing from
+//! coupon pools: a pool draws its nonces and fresh keys eight at a time
+//! from the history's one rng, so every peer signature, coin key, coin id
+//! and shard moved, and so did the broker's signatures drawn after them.
+//! Before the rewrite, today's readers decoded the earlier files,
+//! re-encoded them byte for byte and recovered them to every answer their
+//! writer recorded (EXPERIMENTS.md, "Peers sign from coupon pools").
 //! Next to them sit that commit's own answers: the recovered broker
 //! folded back into a one-entry checkpoint journal — seq, stats, root and
 //! the whole snapshot in the journal's canonical encoding
@@ -24,7 +31,7 @@
 //!
 //! `cargo test -p whopay-core --test journal_fixture -- --ignored`
 //! rewrites the fixtures from the current build (do that only on a commit
-//! whose journal format is meant to change).
+//! whose journal format, or the history's draws, are meant to change).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;

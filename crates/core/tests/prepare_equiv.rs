@@ -888,9 +888,9 @@ fn a_registered_key_outside_the_subgroup_verifies_as_it_stands() {
     for threads in [1, 2] {
         let (stats, _) = run(&tags, threads, true);
         // Minted: the honestly registered peer's three coins and, a round
-        // or three late, all six of the other two's. Refused: the
-        // unregistered peer's three purchases each round, and five
+        // or three late, five of the other two's six. Refused: the
+        // unregistered peer's three purchases each round, and ten
         // identity signatures the twist did not cancel out of.
-        assert_eq!((stats.purchases, stats.rejections), (3 + 6, 4 * 3 + 5), "{stats:?}");
+        assert_eq!((stats.purchases, stats.rejections), (3 + 5, 4 * 3 + 10), "{stats:?}");
     }
 }

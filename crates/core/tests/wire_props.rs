@@ -367,11 +367,11 @@ fn a_signature_and_a_real_transfer_frame_have_their_golden_sizes() {
     // Kind and downtime flag; a binding (two 512-bit keys, seq, expiry,
     // signer tag, signature); the new holder key; the nonce; the holder's
     // signature; the group signature (two 512-bit halves, three scalars).
-    // One integer of this request has a leading zero byte, which the
-    // encoding drops.
+    // No integer of this request has a leading zero byte for the encoding
+    // to drop.
     let request = Request::Transfer { request: run.transfer.clone(), downtime: true };
     let full = 2 + (2 * 66 + 2 * 8 + 1 + 44) + 66 + 32 + 44 + (2 * 66 + 3 * 22);
-    assert_eq!((request.encode().len(), full), (534, 535));
+    assert_eq!((request.encode().len(), full), (535, 535));
     // Kind; the minted coin (owner tag and peer id, key, signature); a
     // binding; the ownership proof.
     let response = Response::Grant(Box::new(run.grant.clone()));

@@ -11,6 +11,7 @@ use rand::Rng;
 use whopay_num::{BigUint, SchnorrGroup};
 
 use crate::accel::KeyAccel;
+use crate::coupon::DsaCoupon;
 use crate::hashio::Transcript;
 
 /// Domain label binding DSA digests to this scheme.
@@ -28,10 +29,17 @@ pub struct DsaPublicKey {
 }
 
 /// A DSA signing key (the secret scalar `x`, plus the public half).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Its `Debug` prints the public half only.
+#[derive(Clone, PartialEq, Eq)]
 pub struct DsaKeyPair {
     x: BigUint,
     public: DsaPublicKey,
+}
+
+impl std::fmt::Debug for DsaKeyPair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DsaKeyPair").field("public", &self.public).finish_non_exhaustive()
+    }
 }
 
 /// A DSA signature `(r, s)`: the two scalars, nothing else, so two
@@ -249,11 +257,15 @@ impl DsaCheck {
 }
 
 impl DsaKeyPair {
-    /// Generates a fresh key pair.
+    /// Generates a fresh key pair: [`DsaKeyPair::from_coupon`] of a fresh
+    /// coupon.
     pub fn generate<R: Rng + ?Sized>(group: &SchnorrGroup, rng: &mut R) -> Self {
-        let x = group.random_scalar(rng);
-        let y = group.pow_g(&x);
-        DsaKeyPair { x, public: DsaPublicKey::from_element(y) }
+        Self::from_coupon(DsaCoupon::draw(group, rng))
+    }
+
+    /// The key pair `(k, g^k)` of a coupon.
+    pub fn from_coupon(coupon: DsaCoupon) -> Self {
+        DsaKeyPair { x: coupon.k, public: DsaPublicKey::from_element(coupon.g_k) }
     }
 
     /// The verifying half.
@@ -279,7 +291,8 @@ impl DsaKeyPair {
     }
 
     /// Signs every message, in order, with one shared inversion of the
-    /// nonces `k` (Montgomery's trick). The signatures and the draws from
+    /// nonces `k` (Montgomery's trick): [`DsaKeyPair::sign_each_from`]
+    /// with each nonce a fresh coupon. The signatures and the draws from
     /// `rng` are exactly those of calling [`DsaKeyPair::sign`] on each
     /// message in turn.
     pub fn sign_each<R: Rng + ?Sized, const N: usize>(
@@ -288,19 +301,31 @@ impl DsaKeyPair {
         messages: [&[u8]; N],
         rng: &mut R,
     ) -> [DsaSignature; N] {
+        self.sign_each_from(group, messages, || DsaCoupon::draw(group, rng))
+    }
+
+    /// Signs every message, in order, each with the nonce of the next
+    /// coupon `coupons` yields, and one shared inversion of the nonces.
+    /// A coupon whose `r` or `s` would be zero is spent and the next one
+    /// taken before any later message takes its own.
+    pub fn sign_each_from<const N: usize>(
+        &self,
+        group: &SchnorrGroup,
+        messages: [&[u8]; N],
+        mut coupons: impl FnMut() -> DsaCoupon,
+    ) -> [DsaSignature; N] {
         let q = group.order();
         let scalar = group.scalar_ring();
         // (k, r, h + x·r) per message.
         let drawn = messages.map(|message| {
             let h = hash_message(group, message);
             loop {
-                let k = group.random_scalar(rng);
-                let r = group.pow_g(&k) % q;
+                let DsaCoupon { k, g_k } = coupons();
+                let r = g_k % q;
                 if r.is_zero() {
                     continue;
                 }
-                // s = k^-1 (h + x r) mod q is zero exactly when h + x r is:
-                // redraw before any later message draws its nonce.
+                // s = k^-1 (h + x r) mod q is zero exactly when h + x r is.
                 let t = scalar.add(&h, &scalar.mul(&self.x, &r));
                 if t.is_zero() {
                     continue;

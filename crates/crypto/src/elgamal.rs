@@ -23,11 +23,17 @@ pub struct ElGamalPublicKey {
     accel: Arc<KeyAccel>,
 }
 
-/// An ElGamal key pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An ElGamal key pair. Its `Debug` prints the public half only.
+#[derive(Clone, PartialEq, Eq)]
 pub struct ElGamalKeyPair {
     x: BigUint,
     public: ElGamalPublicKey,
+}
+
+impl std::fmt::Debug for ElGamalKeyPair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ElGamalKeyPair").field("public", &self.public).finish_non_exhaustive()
+    }
 }
 
 /// An ElGamal ciphertext `(c1, c2) = (g^r, m·y^r)`.

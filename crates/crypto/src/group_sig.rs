@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use rand::Rng;
 use whopay_num::{BigUint, SchnorrGroup};
 
+use crate::coupon::GroupCoupon;
 use crate::elgamal::{ElGamalCiphertext, ElGamalKeyPair, ElGamalPublicKey};
 use crate::hashio::Transcript;
 
@@ -47,11 +48,18 @@ pub struct GroupPublicKey {
     judge: ElGamalPublicKey,
 }
 
-/// A member's group private key (the paper's `gk_U`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A member's group private key (the paper's `gk_U`). Its `Debug`
+/// prints the member element only.
+#[derive(Clone, PartialEq, Eq)]
 pub struct GroupMemberKey {
     x: BigUint,
     y: BigUint,
+}
+
+impl std::fmt::Debug for GroupMemberKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupMemberKey").field("y", &self.y).finish_non_exhaustive()
+    }
 }
 
 /// A group signature.
@@ -129,13 +137,26 @@ pub enum OpenOutcome<I> {
 /// assert!(judge.public_key().verify(&group, b"transfer coin", &sig));
 /// assert_eq!(judge.open(&sig), OpenOutcome::Member(&"alice"));
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Its `Debug` prints the group, the public key and the member count:
+/// the master secret opens every signature.
+#[derive(Clone)]
 pub struct GroupManager<I> {
     group: SchnorrGroup,
     master: ElGamalKeyPair,
     public: GroupPublicKey,
     /// Registered member keys, keyed by the canonical bytes of `y_i`.
     registry: HashMap<Vec<u8>, I>,
+}
+
+impl<I> std::fmt::Debug for GroupManager<I> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupManager")
+            .field("group", &self.group)
+            .field("public", &self.public)
+            .field("members", &self.registry.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl GroupPublicKey {
@@ -202,7 +223,8 @@ impl GroupMemberKey {
         GroupMemberKey { x, y }
     }
 
-    /// Produces an anonymous group signature over `message`.
+    /// Produces an anonymous group signature over `message`:
+    /// [`GroupMemberKey::sign_with`] a fresh coupon.
     pub fn sign<R: Rng + ?Sized>(
         &self,
         group: &SchnorrGroup,
@@ -210,16 +232,27 @@ impl GroupMemberKey {
         message: &[u8],
         rng: &mut R,
     ) -> GroupSignature {
+        self.sign_with(group, gpk, message, GroupCoupon::draw(group, gpk, rng))
+    }
+
+    /// The group signature over `message` that `coupon`, made under
+    /// `gpk`'s judge key, pays for: the escrow `(g^r, y_i·y_J^r)`, the
+    /// commitments `g^ρ_r` and `g^ρ_x·y_J^ρ_r`, and the responses.
+    pub fn sign_with(
+        &self,
+        group: &SchnorrGroup,
+        gpk: &GroupPublicKey,
+        message: &[u8],
+        coupon: GroupCoupon,
+    ) -> GroupSignature {
         let elem = group.elem_ring();
         let scalar = group.scalar_ring();
-        let r = group.random_scalar(rng);
-        let ct = gpk.judge.encrypt_with(group, &self.y, &r);
+        let GroupCoupon { r, rho_r, rho_x, g_r, g_rho_r, g_rho_x, y_r, y_rho_r } = coupon;
+        let ct = ElGamalCiphertext::from_parts(g_r, elem.mul(&self.y, &y_r));
 
         // Commitments for the conjunctive representation proof.
-        let rho_r = group.random_scalar(rng);
-        let rho_x = group.random_scalar(rng);
-        let a1 = group.pow_g(&rho_r);
-        let a2 = elem.mul(&group.pow_g(&rho_x), &gpk.judge.pow(group, &rho_r));
+        let a1 = g_rho_r;
+        let a2 = elem.mul(&g_rho_x, &y_rho_r);
 
         let e = challenge(group, gpk, &ct, &a1, &a2, message);
         let z_r = scalar.add(&rho_r, &scalar.mul(&e, &r));

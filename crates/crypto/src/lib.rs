@@ -49,6 +49,7 @@
 
 pub(crate) mod accel;
 pub mod batch;
+pub mod coupon;
 pub mod dsa;
 pub mod elgamal;
 pub mod group_sig;
@@ -59,6 +60,7 @@ pub mod shamir;
 pub mod testing;
 
 pub use batch::DsaBatchItem;
+pub use coupon::{CouponPool, DsaCoupon, GroupCoupon};
 pub use dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 pub use elgamal::{ElGamalCiphertext, ElGamalKeyPair, ElGamalPublicKey};
 pub use group_sig::{GroupManager, GroupMemberKey, GroupPublicKey, GroupSignature, OpenOutcome};

@@ -21,11 +21,23 @@
 //! alone plus what it makes the next scalar chain lose; the last line
 //! says where that is for 1..=8 chains. On a host without the lane engine
 //! only the scalar figures are printed.
+//!
+//! Before them come the fixed-base figures a signer's coupon pool rests
+//! on (`whopay_crypto::coupon`: a refill raises eight exponents at a
+//! time), printed on any host:
+//!
+//! * one lone `pow_g`, and eight `pow_g` one after another;
+//! * one `pow_g_many` of eight — one lane call of the generator's comb,
+//!   or eight lone powers where there is no lane engine;
+//! * a key comb of the judge key's shape (`FixedBaseTable::for_key`, the
+//!   table a hot key builds): eight exponents walked alone, and the same
+//!   eight through `pow_table_many`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use rand::SeedableRng;
-use whopay_num::{BigUint, SchnorrGroup};
+use whopay_num::{BigUint, FixedBaseTable, SchnorrGroup};
 
 /// Timed rounds per figure.
 const ROUNDS: usize = 300;
@@ -45,6 +57,15 @@ fn p50(mut timed: impl FnMut() -> f64) -> f64 {
     samples[ROUNDS / 2] * 1e6
 }
 
+/// [`p50`] of `f` timed alone, its result kept from the optimiser.
+fn p50_of<T>(mut f: impl FnMut() -> T) -> f64 {
+    p50(|| {
+        seconds(|| {
+            black_box(f());
+        })
+    })
+}
+
 fn seconds(f: impl FnOnce()) -> f64 {
     let start = Instant::now();
     f();
@@ -56,6 +77,7 @@ fn main() {
     let group = SchnorrGroup::generate(512, 160, &mut rng);
     let keys: Vec<BigUint> = (0..3).map(|_| group.pow_g(&group.random_scalar(&mut rng))).collect();
     let exps: Vec<BigUint> = (0..3).map(|_| group.random_scalar(&mut rng)).collect();
+    comb_figures(&group, &mut rng);
     let chain = |i: usize| {
         let powers = group.pow_member_each(&keys[i], &[&exps[i]]);
         assert!(powers.is_some(), "a key is a member");
@@ -96,4 +118,31 @@ fn main() {
         return;
     }
     println!("no lane engine on this host: every chain walks alone");
+}
+
+/// The fixed-base figures: lone generator powers against one
+/// `pow_g_many` of eight, and a key comb's eight powers alone against
+/// one `pow_table_many` call.
+fn comb_figures(group: &SchnorrGroup, rng: &mut impl rand::Rng) {
+    let exps: Vec<BigUint> = (0..8).map(|_| group.random_scalar(rng)).collect();
+    let exps: Vec<&BigUint> = exps.iter().collect();
+    let lone = p50_of(|| group.pow_g(exps[0]));
+    let eight_alone = p50_of(|| exps.iter().map(|e| group.pow_g(e)).collect::<Vec<_>>());
+    let eight_many = p50_of(|| group.pow_g_many(&exps));
+    println!("lone pow_g                      p50 {lone:8.2} us");
+    println!("8 pow_g, one after another      p50 {eight_alone:8.2} us");
+    println!("pow_g_many of 8                 p50 {eight_many:8.2} us");
+
+    let mont = group.elem_ring().montgomery().expect("an odd modulus has a Montgomery form");
+    let key = group.pow_g(&group.random_scalar(rng));
+    let table = FixedBaseTable::for_key(mont, &key, group.order().bits());
+    let key_alone = p50_of(|| exps.iter().map(|e| table.pow(mont, e)).collect::<Vec<_>>());
+    let key_many = p50_of(|| group.pow_table_many(&table, &key, &exps));
+    println!("key comb: 8 powers alone        p50 {key_alone:8.2} us");
+    println!("key comb: pow_table_many of 8   p50 {key_many:8.2} us");
+    println!(
+        "a refill's eight powers cost {:.2}x (generator) and {:.2}x (key) of eight alone",
+        eight_many / eight_alone,
+        key_many / key_alone
+    );
 }

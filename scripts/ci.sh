@@ -18,10 +18,10 @@ cargo test -q --workspace --offline
 echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, the plan [no call under three chains, a last partial call from three up], the comb differential [pow_table_lanes / pow_table_many / pow_g_many ≡ FixedBaseTable::pow in both table shapes at every occupancy 1..=17, exponents 0, 1, q-1, the widest covered and one bit wider], lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo run -p whopay-num --release --example lane_cost (report, not a gate: p50 of a lone chain, a lane call carrying 1 and 3 chains, 3 chains walked alone, a lone chain right after a lane call — what LANE_MIN = 3 rests on, on this host)"
+echo "==> cargo run -p whopay-num --release --example lane_cost (report, not a gate: p50 of a lone pow_g, 8 pow_g one after another, one pow_g_many of 8, and a judge-shaped key comb's 8 powers alone and through pow_table_many — what a coupon refill rests on; then a lone chain, a lane call carrying 1 and 3 chains, 3 chains walked alone, a lone chain right after a lane call — what LANE_MIN = 3 rests on, on this host)"
 cargo run -p whopay-num -q --release --offline --example lane_cost || echo "ci.sh: lane_cost probe did not run (a report only)"
 
-echo "==> cargo test -p whopay-crypto --release (batch_soundness: verify_many on group signatures alone ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; registry_pairs_are_a_function_of_the_seed: a group manager lists its registry in ascending element order; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
+echo "==> cargo test -p whopay-crypto --release (coupon_parity: a fresh coupon pool's first eight DSA signatures, keys and group signatures ≡ eight sequential sign / generate / GroupMemberKey::sign on a clone of the rng, 17 pooled signatures across a refill verify [verify_member, GroupPublicKey::verify], open to their signer and spend distinct nonces, a coupon cannot be cloned [compile_fail doctest], a pool prints its counts and no scalar; batch_soundness: verify_many on group signatures alone ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; registry_pairs_are_a_function_of_the_seed: a group manager lists its registry in ascending element order; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
 cargo test -p whopay-crypto -q --release --offline
 
 echo "==> cargo test -p whopay-core --release (membership-fused verify parity, the owner-side twisted-holder case [Peer::handle_transfer / handle_renewal ≡ the spec on every holder_key_cases key, holder and group signatures in one verify_many call], the owner refusing BadGroupSignature for a group signature whose c1 or c2 is 0, 1, p-1 or twisted by the element of order 2, accept_grant shared-chain parity incl. cache traffic, accept_grant / SignedRecord::verify / LayeredCoin::verify refusing every key twisted by an element of order 2, 3, 4 and verify_dsa_each ≡ verify_member on such keys, the owner refusing a layered collapse to a twisted final holder [Peer::handle_layered_collapse, last layer naming p − y, signed with an even u2] + shard-lock independence of dispatch)"
@@ -30,7 +30,7 @@ cargo test -p whopay-core -q --release --offline --test member_parity --test con
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: each handler and Broker::prepare share one check walk per request kind, live verifier vs recorder; prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — batched, mixed and synchronous [each request through request_into, prepared as a group of one] against an endpoint that never prepares, in lanes where the host has them; what prepare owes pinned on a fixed history [PrepareReport summed over its cycles, a lone downtime renewal owing three chains], a stale deposit owing no signature; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path, a downtime grant's two signatures from one sign_each ≡ two sign calls)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test prepare_owed --test broker_accounting
 
-echo "==> cargo test -p whopay-core --release (the one wire decoder: props incl. the canonical property [whatever Request::decode / Response::decode / Journal::from_bytes accepts re-encodes to the input byte for byte; a padded integer refused in a request, a response and a journal entry], fuzz [views, TickBatch, prepare groups — answered byte for byte alike by an inline and a two-thread worker drain — 4 KiB damaged real frames, every unassigned kind byte in all three tag spaces], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long u32 count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, retry_calls [every operation service::retry makes — purchase, issue, transfer, renewal, deposit, binding proof, open chain, redeem — applied once when its first reply times out: the server sees two byte-identical frames and RetryStats read 1 call, 2 attempts, 1 retry; a purchase whose Minted reply is damaged in flight is resent and keeps the coin the broker minted], golden frame sizes 44 / 534 / 357 / 285, journal fixture of the last format change — an entry is its seq, root and op, a coin record its mint and memo, the counters derived from the ops: every single-bit flip of both journals refused or flagged by replay, plus the per-kind flip sweep [one real 512/160 frame of each request and response kind: every flip Malformed or a different message])"
+echo "==> cargo test -p whopay-core --release (the one wire decoder: props incl. the canonical property [whatever Request::decode / Response::decode / Journal::from_bytes accepts re-encodes to the input byte for byte; a padded integer refused in a request, a response and a journal entry], fuzz [views, TickBatch, prepare groups — answered byte for byte alike by an inline and a two-thread worker drain — 4 KiB damaged real frames, every unassigned kind byte in all three tag spaces], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long u32 count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, retry_calls [every operation service::retry makes — purchase, issue, transfer, renewal, deposit, binding proof, open chain, redeem — applied once when its first reply times out: the server sees two byte-identical frames and RetryStats read 1 call, 2 attempts, 1 retry; a purchase whose Minted reply is damaged in flight is resent and keeps the coin the broker minted], golden frame sizes 44 / 535 / 357 / 285, journal fixture of the last format change — an entry is its seq, root and op, a coin record its mint and memo, the counters derived from the ops: every single-bit flip of both journals refused or flagged by replay, plus the per-kind flip sweep [one real 512/160 frame of each request and response kind: every flip Malformed or a different message])"
 cargo test -p whopay-core -q --release --offline --test wire_props --test wire_fuzz --test alloc_regression --test wire_reconcile --test networked --test retry_calls --test journal_fixture
 
 echo "==> cargo test --release --test chaos (chaos suite, pinned seed)"
@@ -87,9 +87,9 @@ cargo test -p whopay-core -q --release --offline --test merkle_props --test tamp
 echo "==> cargo test -p whopay-core --release (a verifier checks each broker signature once: proof_memo [after a root is accepted, a changed seq, root bit, r, s, broker key or group is still refused; a proof on an accepted root still fails BadProof on a tampered leaf, sibling, index or leaf count; a forged root refused every time; an accepted root vouches for no forged DSD record], sync_adopt [a repeated sync adopts nothing and leaves the owner's verdict cache untouched; a newer broker binding still verified; the held binding with other signature bytes, or signed by the coin key, still BadSignature; sync_answers_are_a_function_of_the_seed: a sync lists bindings in CoinId order])"
 cargo test -p whopay-core -q --release --offline --test proof_memo --test sync_adopt
 
-echo "==> cargo test -p whopay-core --release (a proof reads the leaf its coin's last commit hashed: ledger [a_proof_reads_the_leaf_its_coins_last_commit_hashed: on a 4-shard broker, after a purchase, downtime transfer and renewal, deposit, a refused double deposit, a checkpoint, recovery from journal bytes and the ledger switched off and on, every coin's proof leaf ≡ the leaf recomputed from its record, and the proof verifies]; every output a function of the seed: extensions [judge_registries_are_a_function_of_the_seed: a judge exports its registry in ascending element order; owned_coins_are_a_function_of_the_seed: a peer lists its owned coins in CoinId order; shop_sales_are_a_function_of_the_seed])"
+echo "==> cargo test -p whopay-core --release (a proof reads the leaf its coin's last commit hashed: ledger [a_proof_reads_the_leaf_its_coins_last_commit_hashed: on a 4-shard broker, after a purchase, downtime transfer and renewal, deposit, a refused double deposit, a checkpoint, recovery from journal bytes and the ledger switched off and on, every coin's proof leaf ≡ the leaf recomputed from its record, and the proof verifies]; every output a function of the seed: extensions [judge_registries_are_a_function_of_the_seed: a judge exports its registry in ascending element order; owned_coins_are_a_function_of_the_seed: a peer lists its owned coins in CoinId order; shop_sales_are_a_function_of_the_seed; pooled_requests_are_a_function_of_the_seed: two peers built from one seed send byte-identical requests across several refills of both coupon pools]; debug_secrets [a peer with coupons in its pools, a judge and every key pair print no scalar their rng could have drawn])"
 cargo test -p whopay-core -q --release --offline --lib ledger
-cargo test -p whopay-core -q --release --offline --test extensions
+cargo test -p whopay-core -q --release --offline --test extensions --test debug_secrets
 
 echo "==> cargo test --release --test byzantine_dht (proof-checked lookups vs Byzantine DHT nodes)"
 cargo test -q --release --offline --test byzantine_dht
