@@ -4,14 +4,19 @@
 //! the DHT and compared bit-for-bit by the broker), and the allowed
 //! dependency set contains no serde *format* crate. Each message type
 //! writes and reads its fields in a fixed order, and every field is of one
-//! class, as wide as what it carries: a one-byte tag, a `u64`, a bare
-//! fixed-width value, a big integer behind a `u16` length, a blob behind
-//! a `u32` length, a `u32` list count (DESIGN.md §10 has the table).
+//! class, as wide as the value it carries: a one-byte tag, a bare
+//! fixed-width value, and a varint — a minimal LEB128 number, seven bits
+//! a byte, low group first — which carries every `u64`, a big integer's
+//! length (its big-endian magnitude follows), a blob's length and a list
+//! count (DESIGN.md §10 has the table). A seq of 1 is one byte; a 512-bit
+//! key is its 64 bytes behind a one-byte length.
 //!
-//! No field has a second encoding: a flag is 0 or 1, an integer has no
-//! leading zero byte, a length the bytes left cannot hold is refused. A
-//! writer asserts what its class cannot frame — it never truncates — and
-//! no decoded value can trip such an assertion.
+//! No field has a second encoding: a flag is 0 or 1, a varint has no
+//! trailing zero group, an integer has no leading zero byte, a length
+//! above its class's cap (`u16` for an integer, `u32` for a blob or a
+//! count) or the bytes left is refused. A writer asserts what its class
+//! cannot frame — it never truncates — and no decoded value can trip such
+//! an assertion.
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
@@ -51,10 +56,31 @@ impl Writer {
         self.tag(u8::from(v))
     }
 
-    /// Appends a 64-bit quantity (big-endian).
+    /// Appends a 64-bit quantity as a varint: one byte below 128, ten at
+    /// most.
+    #[inline]
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        // One and two bytes — a seq, a count, a key's length, a tick's
+        // counters — go in without the loop.
+        match v {
+            0..0x80 => self.buf.push(v as u8),
+            0x80..0x4000 => self.buf.extend_from_slice(&[v as u8 | 0x80, (v >> 7) as u8]),
+            _ => self.u64_wide(v),
+        }
         self
+    }
+
+    #[inline(never)]
+    fn u64_wide(&mut self, mut v: u64) {
+        let mut encoded = [0u8; MAX_VARINT_LEN];
+        let mut len = 0;
+        while v >= 0x80 {
+            encoded[len] = v as u8 | 0x80;
+            v >>= 7;
+            len += 1;
+        }
+        encoded[len] = v as u8;
+        self.buf.extend_from_slice(&encoded[..=len]);
     }
 
     /// Appends a fixed-width value bare — a 32-byte id, nonce or digest,
@@ -65,27 +91,26 @@ impl Writer {
         self
     }
 
-    /// Appends a list's item count, asserted to fit its `u32`.
+    /// Appends a list's item count as a varint, asserted to fit a `u32`.
     pub fn count(&mut self, n: usize) -> &mut Self {
         let n = u32::try_from(n).expect("a list or blob frames at most u32::MAX");
-        self.buf.extend_from_slice(&n.to_be_bytes());
-        self
+        self.u64(n.into())
     }
 
-    /// Appends a variable-length blob behind its `u32` length (asserted
-    /// to fit).
+    /// Appends a variable-length blob behind its varint length (asserted
+    /// to fit a `u32`).
     pub fn blob(&mut self, b: &[u8]) -> &mut Self {
         self.count(b.len());
         self.buf.extend_from_slice(b);
         self
     }
 
-    /// Appends a big integer: a `u16` length (asserted to fit), then the
-    /// minimal big-endian magnitude, streamed from the limbs — no
-    /// temporary byte-vector per field.
+    /// Appends a big integer: its varint length (asserted to fit a
+    /// `u16`), then the minimal big-endian magnitude, streamed from the
+    /// limbs — no temporary byte-vector per field.
     pub fn int(&mut self, v: &BigUint) -> &mut Self {
         let len = u16::try_from(v.be_len()).expect("an integer frames at most u16::MAX bytes");
-        self.buf.extend_from_slice(&len.to_be_bytes());
+        self.u64(len.into());
         v.extend_be_bytes(&mut self.buf);
         self
     }
@@ -95,6 +120,9 @@ impl Writer {
         self.buf
     }
 }
+
+/// The longest varint: ten groups of seven bits cover a `u64`.
+const MAX_VARINT_LEN: usize = 10;
 
 // --- pooled encode buffers ---
 
@@ -226,9 +254,59 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// [`DecodeError`] if fewer than 8 bytes remain.
+    /// [`DecodeError`] on a varint cut short or with a second encoding.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_be_bytes(*self.raw()?))
+        self.varint(u64::MAX)
+    }
+
+    /// Reads a varint no greater than `cap`: the one varint reader.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on a varint cut short, on one with a trailing zero
+    /// group — `80 00` for 0 — or bits past 64, and on a value above
+    /// `cap`.
+    #[inline]
+    fn varint(&mut self, cap: u64) -> Result<u64, DecodeError> {
+        // One and two bytes without the loop, as the writer writes them:
+        // a tick's ack is two such counters on a round trip of ~300 ns,
+        // which the loop alone made 10 % slower (EXPERIMENTS.md, PR 46).
+        // A second byte of 0 is a trailing zero group, left to the loop
+        // to refuse.
+        let v = match *self.buf {
+            [low @ 0..0x80, ref rest @ ..] => {
+                self.buf = rest;
+                u64::from(low)
+            }
+            [low, high @ 1..0x80, ref rest @ ..] => {
+                self.buf = rest;
+                u64::from(low & 0x7f) | u64::from(high) << 7
+            }
+            _ => return self.varint_wide(cap),
+        };
+        if v > cap {
+            return Err(DecodeError);
+        }
+        Ok(v)
+    }
+
+    #[inline(never)]
+    fn varint_wide(&mut self, cap: u64) -> Result<u64, DecodeError> {
+        let mut v = 0;
+        for (i, &byte) in self.buf.iter().take(MAX_VARINT_LEN).enumerate() {
+            v |= u64::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                // The last group carries bits: nonzero unless it is the
+                // only one, and at most the one bit a tenth group has.
+                let minimal = (byte != 0 || i == 0) && (i < MAX_VARINT_LEN - 1 || byte <= 1);
+                if !minimal || v > cap {
+                    return Err(DecodeError);
+                }
+                self.buf = &self.buf[i + 1..];
+                return Ok(v);
+            }
+        }
+        Err(DecodeError)
     }
 
     /// Reads the next `N` bytes as they are (the counterpart of
@@ -253,10 +331,23 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// [`DecodeError`] on truncation.
+    /// [`DecodeError`] on truncation and on a length above `u32::MAX`.
     pub fn blob(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = u32::from_be_bytes(*self.raw()?);
+        let len = self.varint(u32::MAX.into())?;
         self.take(len as usize)
+    }
+
+    /// Whether the bytes left are a strict prefix of a blob: its length
+    /// cut short by the end of the input, or whole and promising more
+    /// bytes than follow it. Reads nothing.
+    pub(crate) fn blob_is_cut(&self) -> bool {
+        let mut r = Reader { buf: self.buf };
+        match r.varint(u32::MAX.into()) {
+            Ok(len) => len > r.buf.len() as u64,
+            // At most four groups, each promising another: a `u32`
+            // length cut short.
+            Err(DecodeError) => self.buf.len() < 5 && self.buf.iter().all(|b| b & 0x80 != 0),
+        }
     }
 
     /// Reads a big integer as its big-endian magnitude, where it lies:
@@ -264,10 +355,10 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// [`DecodeError`] on truncation and on a leading zero byte — an
-    /// integer has one encoding.
+    /// [`DecodeError`] on truncation, on a length above `u16::MAX` and on
+    /// a leading zero byte — an integer has one encoding.
     pub fn int(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = u16::from_be_bytes(*self.raw()?);
+        let len = self.varint(u16::MAX.into())?;
         match self.take(len as usize)? {
             [0, ..] => Err(DecodeError),
             be => Ok(be),
@@ -280,10 +371,10 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// [`DecodeError`] on truncation, on a count above `cap`, and on a
-    /// count the bytes that are left could not hold.
+    /// [`DecodeError`] on truncation, on a count above `cap` or
+    /// `u32::MAX`, and on a count the bytes that are left could not hold.
     pub fn count(&mut self, cap: usize, min_item: usize) -> Result<usize, DecodeError> {
-        let n = u32::from_be_bytes(*self.raw()?) as usize;
+        let n = self.varint(u32::MAX.into())? as usize;
         if n > cap || n > self.buf.len() / min_item {
             return Err(DecodeError);
         }
@@ -318,7 +409,9 @@ mod tests {
         let mut w = Writer::new();
         w.tag(7).flag(true).u64(9).fixed(&[3; 32]).blob(b"hello").int(&BigUint::from(1u128 << 100));
         let enc = w.finish();
-        assert_eq!(enc.len(), 1 + 1 + 8 + 32 + (4 + 5) + (2 + 13));
+        // Tag, flag, a one-byte varint, 32 bytes bare, a blob and a
+        // 13-byte integer each behind a one-byte length.
+        assert_eq!(enc.len(), 1 + 1 + 1 + 32 + (1 + 5) + (1 + 13));
 
         let mut r = Reader::new(&enc);
         assert_eq!(r.tag().unwrap(), 7);
@@ -337,9 +430,13 @@ mod tests {
         let mut enc = w.finish();
         enc.pop();
         assert_eq!(Reader::new(&enc).blob(), Err(DecodeError));
-        assert_eq!(Reader::new(&enc[..3]).blob(), Err(DecodeError));
-        assert_eq!(Reader::new(&[0, 2, 1]).int(), Err(DecodeError));
-        assert_eq!(Reader::new(&[0; 7]).u64(), Err(DecodeError));
+        assert_eq!(Reader::new(&enc[..1]).blob(), Err(DecodeError));
+        assert_eq!(Reader::new(&[2, 1]).int(), Err(DecodeError));
+        // A varint whose last group still promises another.
+        assert_eq!(Reader::new(&[0x80]).u64(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0xff; 9]).u64(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0x80]).blob(), Err(DecodeError));
+        assert_eq!(Reader::new(&[]).u64(), Err(DecodeError));
         assert_eq!(Reader::new(&[]).tag(), Err(DecodeError));
     }
 
@@ -356,19 +453,86 @@ mod tests {
 
     #[test]
     fn absurd_length_prefix_is_rejected() {
-        assert_eq!(Reader::new(&[0xff; 4]).blob(), Err(DecodeError));
-        assert_eq!(Reader::new(&[0xff; 2]).int(), Err(DecodeError));
-        assert_eq!(Reader::new(&[0xff; 4]).count(usize::MAX, 1), Err(DecodeError));
+        // u32::MAX as a length or a count: more than the bytes left.
+        let max = [0xff, 0xff, 0xff, 0xff, 0x0f];
+        assert_eq!(Reader::new(&max).blob(), Err(DecodeError));
+        assert_eq!(Reader::new(&max).count(usize::MAX, 1), Err(DecodeError));
+        // u16::MAX as an integer's length.
+        assert_eq!(Reader::new(&[0xff, 0xff, 0x03]).int(), Err(DecodeError));
     }
 
     #[test]
     fn a_field_has_one_encoding() {
         // A padded integer and a flag that is neither 0 nor 1 are refused.
-        assert_eq!(Reader::new(&[0, 3, 0, 0, 9]).int(), Err(DecodeError));
-        assert_eq!(Reader::new(&[0, 1, 0]).int(), Err(DecodeError));
-        assert_eq!(Reader::new(&[0, 1, 9]).int(), Ok(&[9][..]));
-        assert_eq!(Reader::new(&[0, 0]).int(), Ok(&[][..]));
+        assert_eq!(Reader::new(&[3, 0, 0, 9]).int(), Err(DecodeError));
+        assert_eq!(Reader::new(&[1, 0]).int(), Err(DecodeError));
+        assert_eq!(Reader::new(&[1, 9]).int(), Ok(&[9][..]));
+        assert_eq!(Reader::new(&[0]).int(), Ok(&[][..]));
         assert_eq!(Reader::new(&[2]).flag(), Err(DecodeError));
+        // A varint with a trailing zero group — 0 and 1 as two bytes, a
+        // padded integer length, blob length and count — is refused.
+        assert_eq!(Reader::new(&[0x80, 0x00]).u64(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0x81, 0x00]).u64(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0x81, 0x00, 9]).int(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0x80, 0x00]).blob(), Err(DecodeError));
+        assert_eq!(Reader::new(&[0x80, 0x00]).count(1, 1), Err(DecodeError));
+        // Ten groups carry 70 bits: the tenth may hold only bit 63, and
+        // an eleventh group is never read.
+        let mut ten = [0xff; 10];
+        ten[9] = 0x01;
+        assert_eq!(Reader::new(&ten).u64(), Ok(u64::MAX));
+        ten[9] = 0x02;
+        assert_eq!(Reader::new(&ten).u64(), Err(DecodeError));
+        assert_eq!(Reader::new(&[[0x80; 10].as_slice(), &[0x01]].concat()).u64(), Err(DecodeError));
+        // Above its class's cap: an integer's length past u16::MAX, a
+        // blob's length or a count past u32::MAX.
+        let int_len = [0x80, 0x80, 0x04];
+        assert_eq!(Reader::new(&int_len).u64(), Ok(1 << 16));
+        assert_eq!(Reader::new(&int_len).int(), Err(DecodeError));
+        let blob_len = [0x80, 0x80, 0x80, 0x80, 0x10];
+        assert_eq!(Reader::new(&blob_len).u64(), Ok(1 << 32));
+        assert_eq!(Reader::new(&blob_len).blob(), Err(DecodeError));
+        assert_eq!(Reader::new(&blob_len).count(usize::MAX, 1), Err(DecodeError));
+    }
+
+    #[test]
+    fn a_varint_is_as_wide_as_its_value() {
+        for (v, len) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            ((1 << 14) - 1, 2),
+            (1 << 14, 3),
+            (u64::from(u32::MAX), 5),
+            (1 << 63, 10),
+            (u64::MAX, 10),
+        ] {
+            let mut w = Writer::new();
+            w.u64(v);
+            let enc = w.finish();
+            assert_eq!(enc.len(), len, "{v}");
+            let mut r = Reader::new(&enc);
+            assert_eq!(r.u64(), Ok(v));
+            r.finish().unwrap();
+        }
+        let mut w = Writer::new();
+        w.u64(300);
+        assert_eq!(w.finish(), [0xac, 0x02], "low group first");
+    }
+
+    #[test]
+    fn a_cut_blob_is_told_from_a_malformed_one() {
+        let mut w = Writer::new();
+        w.blob(&[7; 200]);
+        let enc = w.finish();
+        assert!(!Reader::new(&enc).blob_is_cut());
+        for cut in 1..enc.len() {
+            assert!(Reader::new(&enc[..cut]).blob_is_cut(), "{cut}");
+        }
+        assert!(Reader::new(&[0xff; 4]).blob_is_cut());
+        for malformed in [&[0x80, 0x00][..], &[0xff; 5], &[0x80, 0x80, 0x80, 0x80, 0x10]] {
+            assert!(!Reader::new(malformed).blob_is_cut(), "{malformed:?}");
+        }
     }
 
     #[test]
@@ -401,7 +565,9 @@ mod tests {
             let mut w = Writer::new();
             w.int(&v);
             let be = v.to_be_bytes();
-            assert_eq!(w.finish(), [&(be.len() as u16).to_be_bytes()[..], &be].concat());
+            let mut len = Writer::new();
+            len.u64(be.len() as u64);
+            assert_eq!(w.finish(), [len.finish(), be].concat());
         }
     }
 

@@ -261,7 +261,7 @@ impl Journal {
 
     /// Serialises the journal with the repo's codec.
     ///
-    /// Each entry is an independent *frame* behind a `u32` length, so a crash
+    /// Each entry is an independent *frame* behind its length, so a crash
     /// mid-append leaves an incomplete trailing frame that decode can
     /// distinguish from corruption *inside* a complete frame: the former
     /// is a torn tail (tolerable), the latter is tampering (fatal).
@@ -308,12 +308,14 @@ impl Journal {
     pub fn from_bytes_tolerant(bytes: &[u8]) -> Result<(Journal, u64), CoreError> {
         let mut entries = Vec::new();
         let mut r = Reader::new(bytes);
-        // A frame is a blob: too few bytes left for its length, or fewer
-        // payload bytes than that promises → torn tail.
+        // A frame is a blob: a length cut short, or fewer payload bytes
+        // than that promises → torn tail. A length no writer writes is not
+        // a torn write.
         while let left @ 1.. = r.remaining() {
-            let Ok(frame) = r.blob() else {
+            if r.blob_is_cut() {
                 return Ok((Journal { entries }, left as u64));
-            };
+            }
+            let frame = r.blob().map_err(|DecodeError| CoreError::Malformed)?;
             entries.push(decode_entry(frame).map_err(|DecodeError| CoreError::Malformed)?);
         }
         Ok((Journal { entries }, 0))
@@ -494,10 +496,10 @@ fn get_record(r: &mut Reader<'_>) -> Result<StateRecord, DecodeError> {
 // prefix by the bytes that are left ([`Reader::count`]) before anything is
 // reserved for it. A real checkpoint may hold any number of records, so
 // the bytes are the only cap. A record is its tag and at least a peer's id
-// and key (an integer is 2 bytes at least); a group signature is five
-// integers.
-const MIN_RECORD: usize = 1 + 8 + 2;
-const MIN_GSIG: usize = 5 * 2;
+// and key (a varint and an integer are 1 byte at least); a group signature
+// is five integers.
+const MIN_RECORD: usize = 1 + 1 + 1;
+const MIN_GSIG: usize = 5;
 
 // Tags 1, 2, 3 and 7 are retired (they were Mint / Deposit / DowntimeBinding / ChainRedeem: a
 // served op next to fields copied out of it), and so are 6 and 9 (checkpoints restating each

@@ -51,8 +51,9 @@ pub struct IntRef<'a> {
 }
 
 impl<'a> IntRef<'a> {
-    /// Least encoded size: the length prefix of an empty magnitude.
-    const MIN_WIRE_LEN: usize = 2;
+    /// Least encoded size: zero, an empty magnitude behind its one-byte
+    /// length.
+    const MIN_WIRE_LEN: usize = 1;
 
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(IntRef { be: r.int()? })
@@ -187,11 +188,19 @@ pub struct BindingRef<'a> {
 }
 
 impl<'a> BindingRef<'a> {
-    /// Two keys, `seq`, `expires`, the signer tag and the signature.
-    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN + 17 + SigRef::MIN_WIRE_LEN;
+    /// Two keys, `seq` and `expires` (one-byte varints at least), the
+    /// signer tag and the signature.
+    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN + 3 + SigRef::MIN_WIRE_LEN;
 
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         let coin_pk = IntRef::parse(r)?;
+        Self::parse_of_coin(r, coin_pk)
+    }
+
+    /// Reads the binding a grant or a deposit carries after its minted
+    /// coin: everything but the coin key, which is `coin_pk`, the minted
+    /// coin's.
+    fn parse_of_coin(r: &mut Reader<'a>, coin_pk: IntRef<'a>) -> Result<Self, DecodeError> {
         let holder_pk = IntRef::parse(r)?;
         let seq = r.u64()?;
         let expires = Timestamp(r.u64()?);
@@ -261,9 +270,10 @@ pub struct DepositRef<'a> {
 
 impl<'a> DepositRef<'a> {
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+        let minted = MintedRef::parse(r)?;
         Ok(DepositRef {
-            minted: MintedRef::parse(r)?,
-            binding: BindingRef::parse(r)?,
+            minted,
+            binding: BindingRef::parse_of_coin(r, minted.coin_pk)?,
             holder_sig: SigRef::parse(r)?,
             group_sig: GroupSigRef::parse(r)?,
         })
@@ -361,9 +371,10 @@ pub struct GrantRef<'a> {
 
 impl<'a> GrantRef<'a> {
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+        let minted = MintedRef::parse(r)?;
         Ok(GrantRef {
-            minted: MintedRef::parse(r)?,
-            binding: BindingRef::parse(r)?,
+            minted,
+            binding: BindingRef::parse_of_coin(r, minted.coin_pk)?,
             ownership_proof: SigRef::parse(r)?,
         })
     }
@@ -415,7 +426,7 @@ pub(crate) fn parse_redemption_receipt(r: &mut Reader<'_>) -> Result<RedemptionR
     Ok(RedemptionReceipt { chain: ChainId(parse_digest32(r)?), credited: r.u64()?, total: r.u64()? })
 }
 
-/// Reads `u64(index).fixed(&word)` as one fixed-width field.
+/// Reads a payword's fixed 40-byte field: the big-endian index, the word.
 pub(crate) fn parse_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
     let encoded = r.raw::<PAYWORD_WIRE_LEN>()?;
     let (index, word) = encoded.split_first_chunk::<8>().expect("40 >= 8");
@@ -901,9 +912,11 @@ mod tests {
 
     #[test]
     fn intref_refuses_padding_and_compares_by_value() {
-        assert_eq!(IntRef::parse(&mut Reader::new(&[0, 4, 0, 0, 1, 2])), Err(DecodeError));
-        assert_eq!(IntRef::parse(&mut Reader::new(&[0, 1, 0])), Err(DecodeError));
-        let i = IntRef::parse(&mut Reader::new(&[0, 2, 1, 2])).unwrap();
+        assert_eq!(IntRef::parse(&mut Reader::new(&[4, 0, 0, 1, 2])), Err(DecodeError));
+        assert_eq!(IntRef::parse(&mut Reader::new(&[1, 0])), Err(DecodeError));
+        // A padded length is refused as much as a padded magnitude.
+        assert_eq!(IntRef::parse(&mut Reader::new(&[0x82, 0, 1, 2])), Err(DecodeError));
+        let i = IntRef::parse(&mut Reader::new(&[2, 1, 2])).unwrap();
         assert_eq!(i.be_bytes(), &[1, 2]);
         assert!(i.eq_big(&BigUint::from(0x0102u64)));
         assert!(!i.eq_big(&BigUint::from(0x0103u64)));

@@ -174,7 +174,16 @@ pub(crate) fn put_minted(w: &mut Writer, m: &MintedCoin) {
 }
 
 pub(crate) fn put_binding(w: &mut Writer, b: &Binding) {
-    w.int(b.coin_pk()).int(b.holder_pk()).u64(b.seq()).u64(b.expires().0);
+    w.int(b.coin_pk());
+    put_binding_of_coin(w, b);
+}
+
+/// A binding without its coin key, for a grant or a deposit: the minted
+/// coin written just before it states the key, and the readers take it
+/// from there — a binding of another coin than the minted one has no
+/// encoding.
+fn put_binding_of_coin(w: &mut Writer, b: &Binding) {
+    w.int(b.holder_pk()).u64(b.seq()).u64(b.expires().0);
     w.tag(match b.signer() {
         BindingSigner::CoinKey => 0,
         BindingSigner::Broker => 1,
@@ -189,7 +198,7 @@ pub(crate) fn put_invite(w: &mut Writer, i: &PaymentInvite) {
 
 pub(crate) fn put_grant(w: &mut Writer, g: &CoinGrant) {
     put_minted(w, &g.minted);
-    put_binding(w, &g.binding);
+    put_binding_of_coin(w, &g.binding);
     put_sig(w, &g.ownership_proof);
 }
 
@@ -212,17 +221,18 @@ pub(crate) fn put_receipt(w: &mut Writer, rc: &DepositReceipt) {
 
 pub(crate) fn put_deposit(w: &mut Writer, d: &DepositRequest) {
     put_minted(w, &d.minted);
-    put_binding(w, &d.binding);
+    put_binding_of_coin(w, &d.binding);
     put_sig(w, &d.holder_sig);
     put_gsig(w, &d.group_sig);
 }
 
-/// Encoded size of a payword: index, 32-byte word.
+/// Encoded size of a payword: its index as 8 big-endian bytes, then the
+/// 32-byte word — one fixed-width field, not a varint, so that a batch of
+/// up to 4096 parses at a fixed stride.
 pub(crate) const PAYWORD_WIRE_LEN: usize = 40;
 
 pub(crate) fn put_payword(w: &mut Writer, p: &Payword) {
-    // `u64(index).fixed(&word)`, assembled first: a batch carries up to
-    // 4096 of these.
+    // Assembled first: one copy per payword.
     let mut encoded = [0u8; PAYWORD_WIRE_LEN];
     encoded[..8].copy_from_slice(&p.index.to_be_bytes());
     encoded[8..].copy_from_slice(&p.word);
@@ -683,7 +693,7 @@ mod tests {
     #[test]
     fn absurd_bindings_length_rejected() {
         let mut w = Writer::new();
-        w.tag(4).fixed(&[0xff; 4]);
+        w.tag(4).count(u32::MAX as usize);
         assert!(matches!(Response::decode(&w.finish()), Err(CoreError::Malformed)));
     }
 
@@ -789,24 +799,20 @@ mod tests {
     fn absurd_sibling_path_length_rejected() {
         // A proof claiming more siblings than any 2^64-leaf tree can have.
         let mut w = Writer::new();
-        w.tag(10)
-            .fixed(&[0; 32])
-            .flag(false)
-            .flag(false)
-            .fixed(&[0; 32])
-            .u64(1)
-            .u64(0)
-            .fixed(&[0xff; 4]);
+        w.tag(10).fixed(&[0; 32]).flag(false).flag(false).fixed(&[0; 32]).u64(1).u64(0).count(65);
+        for _ in 0..65 {
+            w.fixed(&[0; 32]);
+        }
         assert!(matches!(Response::decode(&w.finish()), Err(CoreError::Malformed)));
     }
 
     #[test]
     fn absurd_checkpoint_and_tick_batch_lengths_rejected() {
         let mut w = Writer::new();
-        w.tag(7).fixed(&[0; 32]).u64(8).u64(2).fixed(&[0xff; 4]);
+        w.tag(7).fixed(&[0; 32]).u64(8).u64(2).count(u32::MAX as usize);
         assert!(matches!(Request::decode(&w.finish()), Err(CoreError::Malformed)));
         let mut w = Writer::new();
-        w.tag(9).fixed(&[0; 32]).fixed(&[0xff; 4]);
+        w.tag(9).fixed(&[0; 32]).count(u32::MAX as usize);
         assert!(matches!(Request::decode(&w.finish()), Err(CoreError::Malformed)));
     }
 }

@@ -303,7 +303,10 @@ fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
     // a few dozen bytes promising the cap's worth of items must be refused
     // on the arithmetic alone — remaining bytes / least encoded item size
     // — not after reserving 4 096 bindings or 65 536 checkpoints (2 MiB)
-    // for it.
+    // for it. A count is a varint, as wide as its value: 4 096 takes two
+    // bytes, 65 536 three and `u32::MAX` five, and the least item sizes it
+    // is checked against are the varint classes' (a binding 7 bytes, a
+    // group signature 5, a state record 3).
     use whopay_core::codec::Writer;
     use whopay_core::CoreError;
 
@@ -336,7 +339,9 @@ fn a_count_prefix_the_frame_cannot_hold_is_refused_before_reserving() {
         assert_eq!(Request::decode(&frame).unwrap_err(), CoreError::Malformed, "{what}");
         assert!(alloc_bytes() - before < 4096, "{what}: {} bytes", alloc_bytes() - before);
     }
-    for (what, frame) in [("bindings", list(4, 4096)), ("proof", proof)] {
+    for (what, frame) in
+        [("bindings", list(4, 4096)), ("bindings, u32::MAX", list(4, u32::MAX)), ("proof", proof)]
+    {
         let before = alloc_bytes();
         assert_eq!(ResponseView::parse(&frame).unwrap_err(), CoreError::Malformed, "{what}");
         assert_eq!(Response::decode(&frame).unwrap_err(), CoreError::Malformed, "{what}");

@@ -249,15 +249,14 @@ fn a_checkpoint_with_a_record_reordered_duplicated_or_dropped_is_flagged_at_its_
 fn torn_tail_is_tolerated_at_every_chop_offset() {
     let f = fixture();
     let full = &f.journal_bytes;
-    // Locate the final frame by walking the length prefixes.
-    let mut pos = 0usize;
+    // Locate the final frame by walking the frames (each a blob: its
+    // varint length, then the entry).
+    let mut r = whopay_core::codec::Reader::new(full);
     let mut tail_start = 0usize;
-    while pos < full.len() {
-        let len = u32::from_be_bytes(full[pos..pos + 4].try_into().expect("framed journal")) as usize;
-        tail_start = pos;
-        pos += 4 + len;
+    while r.remaining() > 0 {
+        tail_start = full.len() - r.remaining();
+        r.blob().expect("fixture journal is well framed");
     }
-    assert_eq!(pos, full.len(), "fixture journal is well framed");
     let (intact, _) = Journal::from_bytes_tolerant(full).unwrap();
     let prev_seq = intact.entries()[intact.len() - 2].seq;
 

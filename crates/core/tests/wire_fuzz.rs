@@ -230,9 +230,9 @@ proptest! {
             2 => lie,
             _ => n,
         };
-        let mut frame = vec![9];
-        frame.extend_from_slice(&[0xC4; 32]);
-        frame.extend_from_slice(&declared.to_be_bytes());
+        let mut w = whopay_core::codec::Writer::new();
+        w.tag(9).fixed(&[0xC4; 32]).count(declared as usize);
+        let mut frame = w.finish();
         let body = frame.len();
         for i in 0..n {
             frame.extend_from_slice(&u64::from(i).to_be_bytes());
@@ -418,8 +418,12 @@ fn every_unassigned_kind_byte_is_malformed_everywhere() {
     // An entry of every op kind that needs no served request: a
     // registration, a fraud case that refused a request and one that did
     // not, the three counted ops and a checkpoint. Alone in a journal, an
-    // entry's op kind follows the frame's length, the seq and the root.
-    const OP_KIND_AT: usize = 4 + 8 + 32;
+    // entry's op kind follows the frame's length (a varint, as wide as the
+    // entry needs), the seq (1, one varint byte) and the root.
+    let op_kind_at = |journal: &[u8]| {
+        let frame = whopay_core::codec::Reader::new(journal).blob().expect("one whole frame");
+        journal.len() - frame.len() + 1 + 32
+    };
     let key = seeds.sharded.public_key().clone();
     let case = FraudCase { coin: seeds.coin, description: "seed".into(), group_sigs: Vec::new() };
     let ops = [
@@ -439,7 +443,7 @@ fn every_unassigned_kind_byte_is_malformed_everywhere() {
         journal.append(JournalEntry { seq: 1, root: [7; 32], op });
         journal.to_bytes()
     });
-    let kinds = journals.each_ref().map(|journal| journal[OP_KIND_AT]);
+    let kinds = journals.each_ref().map(|journal| journal[op_kind_at(journal)]);
     assert_eq!(kinds, [0, 10, 10, 11, 12, 13, 14]);
     assert!(journals.iter().all(|journal| Journal::from_bytes(journal).is_ok()));
 
@@ -466,7 +470,8 @@ fn every_unassigned_kind_byte_is_malformed_everywhere() {
         if !assigned_op(kind) {
             for journal in &journals {
                 let mut journal = journal.clone();
-                journal[OP_KIND_AT] = kind;
+                let at = op_kind_at(&journal);
+                journal[at] = kind;
                 assert_eq!(
                     Journal::from_bytes(&journal).unwrap_err(),
                     CoreError::Malformed,

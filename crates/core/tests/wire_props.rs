@@ -9,6 +9,7 @@
 //! encoder as much as the allocating one.
 
 use proptest::prelude::*;
+use whopay_core::codec::{Reader, Writer};
 use whopay_core::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
 use whopay_core::messages::{
     CoinGrant, DepositReceipt, DepositRequest, PaymentInvite, PurchaseRequest, RenewalRequest,
@@ -16,13 +17,14 @@ use whopay_core::messages::{
 };
 use whopay_core::view::{RequestView, ResponseView};
 use whopay_core::wire::{wire_kind, Request, Response};
-use whopay_core::{ChainId, CoinId, CoreError, Journal, PeerId, Timestamp};
+use whopay_core::{CoinId, CoreError, Journal, PeerId, Timestamp};
 use whopay_crypto::dsa::DsaSignature;
 use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::GroupSignature;
-use whopay_crypto::payword::Payword;
 use whopay_net::Handle;
 use whopay_num::BigUint;
+
+mod common;
 
 /// Pulls the next drawn magnitude; exhaustion wraps around so any draw
 /// count yields a well-formed message.
@@ -56,13 +58,21 @@ impl Ints<'_> {
     }
 
     fn binding(&mut self, seq: u64, signer: BindingSigner) -> Binding {
-        Binding::from_parts(self.int(), self.int(), seq, Timestamp(seq ^ 0x5A), signer, self.sig())
+        let coin_pk = self.int();
+        self.binding_of(coin_pk, seq, signer)
+    }
+
+    /// A binding of the coin `coin_pk`: a grant's or a deposit's binding
+    /// is of its minted coin, whose key the frame states once.
+    fn binding_of(&mut self, coin_pk: BigUint, seq: u64, signer: BindingSigner) -> Binding {
+        Binding::from_parts(coin_pk, self.int(), seq, Timestamp(seq ^ 0x5A), signer, self.sig())
     }
 
     fn deposit(&mut self, owner: OwnerTag) -> DepositRequest {
+        let minted = self.minted(owner);
         DepositRequest {
-            minted: self.minted(owner),
-            binding: self.binding(7, BindingSigner::CoinKey),
+            binding: self.binding_of(minted.coin_pk().clone(), 7, BindingSigner::CoinKey),
+            minted,
             holder_sig: self.sig(),
             group_sig: self.gsig(),
         }
@@ -124,11 +134,14 @@ fn build_request(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Request {
 fn build_response(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Response {
     match kind % 6 {
         0 => Response::Minted(ints.minted(owner_tag(flags))),
-        1 => Response::Grant(Box::new(CoinGrant {
-            minted: ints.minted(owner_tag(flags)),
-            binding: ints.binding(flags, BindingSigner::CoinKey),
-            ownership_proof: ints.sig(),
-        })),
+        1 => {
+            let minted = ints.minted(owner_tag(flags));
+            Response::Grant(Box::new(CoinGrant {
+                binding: ints.binding_of(minted.coin_pk().clone(), flags, BindingSigner::CoinKey),
+                minted,
+                ownership_proof: ints.sig(),
+            }))
+        }
         2 => Response::Binding(ints.binding(flags, BindingSigner::Broker)),
         3 => Response::Receipt(DepositReceipt { coin: CoinId([flags as u8; 32]), value: flags }),
         4 => Response::Bindings(
@@ -299,12 +312,139 @@ proptest! {
     }
 }
 
-/// One real downtime transfer over the 512/160 group — request, grant
-/// and binding proof — and the journal of the broker that served it.
+/// A list of `n` of the smallest items each list kind's encoder can
+/// write, last in its frame where the format lets it be, so that nothing
+/// but the items is left after the count: a response's bindings (zero
+/// keys, seq and expiry, zero signature: 7 bytes), a tick batch's
+/// paywords, a commitment's checkpoints, a proof's siblings, a fraud
+/// case's group signatures (five zeros: 5 bytes) and a checkpoint's
+/// records (peer 0 with key 0: 3 bytes). `n` is clamped to each list's
+/// cap.
+fn smallest_lists(n: usize) -> (Vec<Request>, Vec<Response>, Vec<Journal>) {
+    use whopay_core::ledger::{BindingProof, CoinLeaf, SignedRoot};
+    use whopay_core::micropay::ChainCommitment;
+    use whopay_core::wire::{MAX_WIRE_CHECKPOINTS, MAX_WIRE_ITEMS, MAX_WIRE_SIBLINGS};
+    use whopay_core::{BrokerStats, FraudCase, InclusionProof, JournalEntry, JournalOp, StateRecord};
+    use whopay_crypto::dsa::DsaPublicKey;
+    use whopay_crypto::payword::Payword;
+
+    let zero = BigUint::zero;
+    let sig = || DsaSignature::from_parts(zero(), zero());
+    let gsig = || {
+        GroupSignature::from_parts(
+            ElGamalCiphertext::from_parts(zero(), zero()),
+            zero(),
+            zero(),
+            zero(),
+        )
+    };
+    let binding =
+        || Binding::from_parts(zero(), zero(), 0, Timestamp(0), BindingSigner::CoinKey, sig());
+    let chain = whopay_core::ChainId([1; 32]);
+    let paywords = vec![Payword { index: 0, word: [2; 32] }; n.min(MAX_WIRE_ITEMS)];
+    let commitment = ChainCommitment {
+        root: [3; 32],
+        capacity: 0,
+        checkpoint_every: 0,
+        checkpoints: vec![[4; 32]; n.min(MAX_WIRE_CHECKPOINTS)],
+        group_sig: gsig(),
+    };
+    let proof = BindingProof {
+        leaf: CoinLeaf { coin: CoinId([5; 32]), deposited: true, binding: None, aux: [6; 32] },
+        proof: InclusionProof {
+            leaves: 0,
+            index: 0,
+            siblings: vec![[7; 32]; n.min(MAX_WIRE_SIBLINGS)],
+        },
+        root: SignedRoot { root: [8; 32], seq: 0, sig: sig() },
+    };
+    let requests = vec![Request::TickBatch { chain, paywords }, Request::OpenChain(commitment)];
+    let responses = vec![
+        Response::Bindings(vec![binding(); n.min(MAX_WIRE_ITEMS)]),
+        Response::Proof(Box::new(proof)),
+    ];
+    let case =
+        FraudCase { coin: CoinId([9; 32]), description: String::new(), group_sigs: vec![gsig(); n] };
+    let records = vec![StateRecord::Peer(PeerId(0), DsaPublicKey::from_element(zero())); n];
+    let journals = [
+        JournalOp::Fraud { case, refused: false },
+        JournalOp::Checkpoint { stats: BrokerStats::default(), records },
+    ]
+    .map(|op| {
+        let mut journal = Journal::new();
+        journal.append(JournalEntry { seq: 0, root: [0; 32], op });
+        journal
+    });
+    (requests, responses, journals.into())
+}
+
+/// What [`smallest_lists`] builds decodes to itself and re-encodes to the
+/// same bytes: no list minimum a count is checked against exceeds what
+/// the smallest item really takes.
+fn smallest_lists_round_trip(n: usize) {
+    let (requests, responses, journals) = smallest_lists(n);
+    for request in requests {
+        let frame = request.encode();
+        assert_eq!(Request::decode(&frame).as_ref(), Ok(&request), "{n}");
+        assert_eq!(RequestView::parse(&frame).unwrap().to_owned_request().encode(), frame);
+    }
+    for response in responses {
+        let frame = response.encode();
+        assert_eq!(Response::decode(&frame).as_ref(), Ok(&response), "{n}");
+        assert_eq!(ResponseView::parse(&frame).unwrap().to_owned_response().encode(), frame);
+    }
+    for journal in journals {
+        let bytes = journal.to_bytes();
+        assert_eq!(Journal::from_bytes(&bytes).as_ref(), Ok(&journal), "{n}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_list_of_the_smallest_items_decodes_at_any_count(n in 0usize..4097) {
+        smallest_lists_round_trip(n);
+    }
+}
+
+/// [`smallest_lists_round_trip`] at each capped list's cap — 4 096
+/// bindings or paywords, 65 536 checkpoints, 64 siblings — where one
+/// item more is refused.
+#[test]
+fn a_list_of_the_smallest_items_decodes_at_its_cap() {
+    use whopay_core::wire::{MAX_WIRE_CHECKPOINTS, MAX_WIRE_ITEMS, MAX_WIRE_SIBLINGS};
+    smallest_lists_round_trip(MAX_WIRE_CHECKPOINTS);
+    let (requests, responses, _) = smallest_lists(MAX_WIRE_CHECKPOINTS);
+    // One more item past the cap, spliced in after the count, whose varint
+    // widens by nothing between these counts and one more.
+    let over = |frame: Vec<u8>, cap: usize, item: usize, count_at: usize| {
+        let mut w = Writer::new();
+        w.count(cap);
+        let old = w.finish();
+        let mut w = Writer::new();
+        w.count(cap + 1);
+        let new = w.finish();
+        assert_eq!((&frame[count_at..count_at + old.len()], old.len()), (&old[..], new.len()));
+        let at = count_at + old.len();
+        [&frame[..count_at], &new, &frame[at..at + item], &frame[at..]].concat()
+    };
+    let batch = over(requests[0].encode(), MAX_WIRE_ITEMS, 40, 1 + 32);
+    assert_eq!(Request::decode(&batch).unwrap_err(), CoreError::Malformed);
+    let open = over(requests[1].encode(), MAX_WIRE_CHECKPOINTS, 32, 1 + 32 + 1 + 1);
+    assert_eq!(Request::decode(&open).unwrap_err(), CoreError::Malformed);
+    let bindings = over(responses[0].encode(), MAX_WIRE_ITEMS, 7, 1);
+    assert_eq!(Response::decode(&bindings).unwrap_err(), CoreError::Malformed);
+    // Tag, leaf (id, two flags, digest), width, index.
+    let proof = over(responses[1].encode(), MAX_WIRE_SIBLINGS, 32, 1 + 32 + 2 + 32 + 1 + 1);
+    assert_eq!(Response::decode(&proof).unwrap_err(), CoreError::Malformed);
+}
+
+/// One real downtime transfer over the 512/160 group — request and grant
+/// — and the journal of the broker that served it.
 struct RealRun {
     transfer: TransferRequest,
     grant: CoinGrant,
-    proof: whopay_core::ledger::BindingProof,
     journal: Vec<u8>,
 }
 
@@ -344,63 +484,101 @@ fn real_run() -> &'static RealRun {
         let (invite, _) = payee.begin_receive(&mut rng);
         let transfer = holder.request_transfer(coin, &invite, &mut rng).expect("transfer request");
         let grant = broker.handle_downtime_transfer(&transfer, now, &mut rng).expect("transfer");
-        let proof = broker.binding_proof(&coin, &mut rng).expect("committed coin");
         let journal = broker.journal().expect("journalling on").to_bytes();
-        RealRun { transfer, grant, proof, journal }
+        RealRun { transfer, grant, journal }
     })
 }
 
 /// Dead bytes cannot creep back into the format: by the class table
-/// (DESIGN.md §10) a tag or flag is 1 byte, a 64-bit quantity 8, a 32-byte
-/// value 32 bare, a list count 4, and an integer its magnitude behind a
-/// 2-byte length — a 160-bit scalar 22, a 512-bit key 66. A DSA signature
-/// is its two scalars, and one real downtime transfer — request, grant and
-/// proof, over the 512/160 group — frames to exactly the bytes its fields
-/// take.
+/// (DESIGN.md §10) a tag or flag is 1 byte, a 32-byte value 32 bare, a
+/// payword 40, and every other number a minimal varint — 1 byte below 128
+/// (a seq, a peer id, a count), 3 for an expiry three days out (259 200 s)
+/// — and an integer its magnitude behind a varint length: a 160-bit
+/// scalar 21, a 512-bit element 65. A DSA signature is its two scalars,
+/// 42; a group signature two elements and three scalars, 193. A binding
+/// is two keys, seq, expiry, signer tag and signature: 65 + 65 + 1 + 3 +
+/// 1 + 42 = 177; in a grant or a deposit, after its minted coin, it drops
+/// the coin key the coin states: 112. A minted coin is owner tag and peer
+/// id, key and signature: 2 + 65 + 42 = 109. One real frame of every
+/// request and response kind over the 512/160 group ([`common::frames`])
+/// takes exactly the bytes its fields take; where one of its scalars has
+/// a leading zero byte, the sum says so.
 #[test]
-fn a_signature_and_a_real_transfer_frame_have_their_golden_sizes() {
-    let run = real_run();
+fn a_real_frame_of_every_kind_has_its_golden_size() {
+    let (requests, responses) = common::frames();
+    let Request::Sync { response: sig, .. } = &requests[5] else { panic!("a sync") };
+    let sync = Request::Sync { peer: PeerId(0), challenge: Vec::new(), response: sig.clone() };
     // Kind, peer id and an empty challenge's length around the signature.
-    let sig = run.transfer.holder_sig.clone();
-    let sync = Request::Sync { peer: PeerId(0), challenge: Vec::new(), response: sig };
-    assert_eq!(sync.encode().len() - (1 + 8 + 4), 2 * 22);
-    // Kind and downtime flag; a binding (two 512-bit keys, seq, expiry,
-    // signer tag, signature); the new holder key; the nonce; the holder's
-    // signature; the group signature (two 512-bit halves, three scalars).
-    // No integer of this request has a leading zero byte for the encoding
-    // to drop.
-    let request = Request::Transfer { request: run.transfer.clone(), downtime: true };
-    let full = 2 + (2 * 66 + 2 * 8 + 1 + 44) + 66 + 32 + 44 + (2 * 66 + 3 * 22);
-    assert_eq!((request.encode().len(), full), (535, 535));
-    // Kind; the minted coin (owner tag and peer id, key, signature); a
-    // binding; the ownership proof.
-    let response = Response::Grant(Box::new(run.grant.clone()));
-    assert_eq!(response.encode().len(), 1 + (9 + 66 + 44) + (2 * 66 + 2 * 8 + 1 + 44) + 44);
-    assert_eq!(response.encode().len(), 357);
-    // Kind; the coin's public leaf (id, deposited flag, the downtime
-    // binding's flag, holder key, seq and expiry, the digest of the rest);
-    // the path (width, index, count, one 32-byte sibling per level — this
-    // ledger has one); the signed root (root, seq, signature).
-    assert_eq!(run.proof.proof.siblings.len(), 1);
-    let response = Response::Proof(Box::new(run.proof.clone()));
-    assert_eq!(
-        response.encode().len(),
-        1 + (32 + 2 + 66 + 2 * 8 + 32) + (2 * 8 + 4 + 32) + (32 + 8 + 44)
-    );
-    assert_eq!(response.encode().len(), 285);
-    // A tick is kind, chain id, index and word; its ack kind and two
-    // counters.
-    let tick = Request::Tick { chain: ChainId([1; 32]), payword: Payword { index: 1, word: [2; 32] } };
-    assert_eq!(tick.encode().len(), 1 + 32 + 8 + 32);
-    assert_eq!(Response::TickAck { gained: 1, total: 1 }.encode().len(), 1 + 8 + 8);
+    assert_eq!(sync.encode().len() - (1 + 1 + 1), 2 * 21);
+    let (int, sig, gsig, binding, keyless, minted) = (65, 42, 193, 177, 112, 109);
+    // A commitment: root, capacity 40, interval 5, count, 8 checkpoints,
+    // group signature.
+    let commitment = 32 + 1 + 1 + 1 + 8 * 32 + gsig;
+    let request_sizes = [
+        // Kind; owner tag and peer id; coin key; signature kind; identity
+        // signature.
+        ("purchase", 1 + 2 + int + 1 + sig, 111),
+        // Kind, coin id; the invite: holder key, nonce, a group signature
+        // whose `z_r` is 20 bytes.
+        ("issue", 1 + 32 + int + 32 + (gsig - 1), 322),
+        // Kind and downtime flag; binding; new holder key; nonce; holder
+        // and group signatures.
+        ("downtime_transfer", 2 + binding + int + 32 + sig + gsig, 511),
+        ("renewal", 2 + binding + sig + gsig, 414),
+        // Kind; minted coin; its binding; a holder signature whose `s` is
+        // 20 bytes; group signature.
+        ("deposit", 1 + minted + keyless + (sig - 1) + gsig, 456),
+        // Kind, peer id, a 32-byte challenge behind its length, signature.
+        ("sync", 1 + 1 + (1 + 32) + sig, 77),
+        ("micropay_open", 1 + commitment, 485),
+        // Kind, chain id, payword.
+        ("micropay_tick", 1 + 32 + 40, 73),
+        // Kind, chain id, count, seven paywords.
+        ("micropay_tick_batch", 1 + 32 + 1 + 7 * 40, 314),
+        ("micropay_redeem", 1 + commitment + 40, 525),
+        ("binding_proof", 1 + 32, 33),
+    ];
+    for (request, (kind, derived, golden)) in requests.iter().zip(request_sizes) {
+        let frame = request.encode();
+        assert_eq!(wire_kind(&frame), kind);
+        assert_eq!((frame.len(), derived), (golden, golden), "{kind}");
+    }
+    let response_sizes = [
+        1 + minted,
+        // Kind; minted coin; its binding; ownership proof.
+        1 + minted + keyless + sig,
+        1 + binding,
+        // Kind, coin id, value 1.
+        1 + 32 + 1,
+        // Kind, count, one binding.
+        1 + 1 + binding,
+        // Kind and "stale binding" behind its length.
+        1 + 1 + 13,
+        1 + 32,
+        // Kind, gained 1, total 7.
+        1 + 1 + 1,
+        // Kind, chain id, credited 7, total 7.
+        1 + 32 + 1 + 1,
+        // Kind; the coin's public leaf (id, deposited flag, the downtime
+        // binding's flag, holder key, seq and expiry, the digest of the
+        // rest); the path (width 5, index 4, count, one sibling); the
+        // signed root (root, seq 5, signature).
+        1 + (32 + 1 + 1 + int + 1 + 3 + 32) + (1 + 1 + 1 + 32) + (32 + 1 + sig),
+    ];
+    let golden = [110, 264, 178, 34, 179, 15, 33, 3, 35, 246];
+    for ((response, derived), golden) in responses.iter().zip(response_sizes).zip(golden) {
+        assert_eq!((response.encode().len(), derived), (golden, golden), "{response:?}");
+    }
 }
 
-/// `frame` ends in an integer of `len` magnitude bytes: the same frame
-/// with that magnitude behind one zero byte, its length prefix saying so.
+/// `frame` ends in an integer of `len` magnitude bytes, `len` below 127
+/// so that its length is one varint byte either way: the same frame with
+/// that magnitude behind one zero byte, its length prefix saying so.
 fn pad_last_int(frame: &[u8], len: usize) -> Vec<u8> {
-    let at = frame.len() - len - 2;
-    assert_eq!(frame[at..at + 2], (len as u16).to_be_bytes());
-    [&frame[..at], &(len as u16 + 1).to_be_bytes(), &[0], &frame[at + 2..]].concat()
+    assert!(len < 127);
+    let at = frame.len() - len - 1;
+    assert_eq!(frame[at], len as u8);
+    [&frame[..at], &[len as u8 + 1, 0], &frame[at + 1..]].concat()
 }
 
 /// An integer has one encoding — its minimal magnitude: the same value
@@ -423,19 +601,98 @@ fn a_padded_integer_is_malformed_on_the_wire_and_in_the_journal() {
     assert_eq!(Response::decode(&padded).unwrap_err(), CoreError::Malformed);
     assert_eq!(ResponseView::parse(&padded).unwrap_err(), CoreError::Malformed);
 
-    // Walk the frames (a `u32` length, then the entry) to the last one,
-    // which grows by the padding byte too.
-    let mut at = 0;
-    let frame_len = loop {
-        let len = u32::from_be_bytes(run.journal[at..at + 4].try_into().unwrap());
-        if at + 4 + len as usize == run.journal.len() {
-            break len;
-        }
-        at += 4 + len as usize;
-    };
-    let mut padded = pad_last_int(&run.journal, s_len);
-    padded[at..at + 4].copy_from_slice(&(frame_len + 1).to_be_bytes());
+    // Walk the frames (each a blob: its length, then the entry) and pad
+    // the last one, which its length then counts.
+    let mut r = Reader::new(&run.journal);
+    let mut frames = Vec::new();
+    while r.remaining() > 0 {
+        frames.push(r.blob().expect("a well-framed journal"));
+    }
+    let last = pad_last_int(frames.pop().expect("a journal of entries"), s_len);
+    let mut w = Writer::new();
+    for frame in frames.into_iter().chain([&last[..]]) {
+        w.blob(frame);
+    }
+    let padded = w.finish();
     assert!(Journal::from_bytes(&run.journal).is_ok());
     assert_eq!(Journal::from_bytes(&padded).unwrap_err(), CoreError::Malformed);
     assert_eq!(Journal::from_bytes_tolerant(&padded).unwrap_err(), CoreError::Malformed);
+}
+
+/// A varint has one encoding in every reader, and a length or count has a
+/// cap: a zero group padding a varint (`80 00`), a tenth group above 1,
+/// an eleventh group, a varint cut by the end of its frame, an integer's
+/// length above `u16::MAX`, a blob's length or a list's count above
+/// `u32::MAX` — each is `Malformed` to the request and response decoders
+/// and their views, and inside a complete journal frame to both journal
+/// readers; none panics. A varint cut by the end of the journal is its
+/// torn tail.
+#[test]
+fn a_varint_has_one_encoding_in_every_reader() {
+    let overlong: &[u8] = &[0x80, 0x00];
+    let tenth_above_one = [[0xff; 9].as_slice(), &[0x02]].concat();
+    let eleven = [[0x80; 10].as_slice(), &[0x01]].concat();
+    let bad_u64 = [overlong, &tenth_above_one, &eleven];
+    // Cut by the end of its frame: a group promising another.
+    let cut: &[u8] = &[0x80];
+    let above_u16 = [&[0x80, 0x80, 0x04][..], &[1], &[0; (1 << 16) - 1]].concat();
+    let above_u32: &[u8] = &[0x80, 0x80, 0x80, 0x80, 0x10];
+
+    // A sync request: kind, peer id, challenge, signature (r, s).
+    let sync = |peer: &[u8], challenge: &[u8], r: &[u8]| [&[5], peer, challenge, r, &[1, 5]].concat();
+    let good = sync(&[9], &[1, 0xAA], &[1, 4]);
+    assert!(Request::decode(&good).is_ok());
+    let mut requests: Vec<Vec<u8>> = bad_u64.iter().map(|v| sync(v, &[1, 0xAA], &[1, 4])).collect();
+    requests.push([&[5][..], cut].concat());
+    requests.push(sync(&[9], &[1, 0xAA], &above_u16));
+    requests.push(sync(&[9], &[overlong, &[0xAA]].concat(), &[1, 4]));
+    requests.push(sync(&[9], &[above_u32, &[0xAA]].concat(), &[1, 4]));
+    for frame in &requests {
+        assert_eq!(Request::decode(frame).unwrap_err(), CoreError::Malformed, "{:?}", &frame[..8]);
+        assert_eq!(RequestView::parse(frame).unwrap_err(), CoreError::Malformed);
+    }
+
+    // A tick ack (kind, gained, total) and a bindings list (kind, count).
+    assert!(Response::decode(&[8, 1, 7]).is_ok());
+    let mut responses: Vec<Vec<u8>> = bad_u64.iter().map(|v| [&[8], *v, &[7]].concat()).collect();
+    responses.extend(bad_u64.iter().map(|v| [&[8, 1], *v].concat()));
+    responses.push([&[8][..], cut].concat());
+    responses.push([&[8, 1][..], cut].concat());
+    responses.push([&[4][..], overlong].concat());
+    responses.push([&[4][..], above_u32].concat());
+    responses.push([&[5][..], above_u32, b"x"].concat());
+    for frame in &responses {
+        assert_eq!(Response::decode(frame).unwrap_err(), CoreError::Malformed, "{frame:?}");
+        assert_eq!(ResponseView::parse(frame).unwrap_err(), CoreError::Malformed);
+    }
+
+    // A journal entry is a frame (a blob) of seq, root and op; op 11 is a
+    // bare refusal.
+    let entry = |seq: &[u8]| {
+        let mut w = Writer::new();
+        w.blob(&[seq, &[7; 32], &[11]].concat());
+        w.finish()
+    };
+    let one = entry(&[1]);
+    assert_eq!(Journal::from_bytes(&one).map(|j| j.len()), Ok(1));
+    let mut journals: Vec<Vec<u8>> =
+        bad_u64.iter().map(|seq| [one.clone(), entry(seq)].concat()).collect();
+    let mut w = Writer::new();
+    w.blob(cut);
+    journals.push([one.clone(), w.finish()].concat());
+    // A frame length no writer writes, after a whole entry.
+    journals.push([&one[..], overlong, &[0; 40]].concat());
+    journals.push([&one[..], above_u32, &[0; 40]].concat());
+    for journal in &journals {
+        assert_eq!(Journal::from_bytes(journal).unwrap_err(), CoreError::Malformed, "{journal:?}");
+        assert_eq!(Journal::from_bytes_tolerant(journal).unwrap_err(), CoreError::Malformed);
+    }
+    // A frame length cut by the end of the journal, and a whole length
+    // promising more bytes than follow: a torn tail, its bytes dropped.
+    for torn in [&[0x80][..], &[0xff, 0xff, 0xff, 0xff], &[0x81, 0x01], &[40, 0]] {
+        let journal = [&one[..], torn].concat();
+        assert_eq!(Journal::from_bytes(&journal).unwrap_err(), CoreError::Malformed);
+        let (read, dropped) = Journal::from_bytes_tolerant(&journal).expect("a torn tail");
+        assert_eq!((read.len(), dropped as usize), (1, torn.len()));
+    }
 }

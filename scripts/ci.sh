@@ -30,7 +30,7 @@ cargo test -p whopay-core -q --release --offline --test member_parity --test con
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: each handler and Broker::prepare share one check walk per request kind, live verifier vs recorder; prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — batched, mixed and synchronous [each request through request_into, prepared as a group of one] against an endpoint that never prepares, in lanes where the host has them; what prepare owes pinned on a fixed history [PrepareReport summed over its cycles, a lone downtime renewal owing three chains], a stale deposit owing no signature; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path, a downtime grant's two signatures from one sign_each ≡ two sign calls)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test prepare_owed --test broker_accounting
 
-echo "==> cargo test -p whopay-core --release (the one wire decoder: props incl. the canonical property [whatever Request::decode / Response::decode / Journal::from_bytes accepts re-encodes to the input byte for byte; a padded integer refused in a request, a response and a journal entry], fuzz [views, TickBatch, prepare groups — answered byte for byte alike by an inline and a two-thread worker drain — 4 KiB damaged real frames, every unassigned kind byte in all three tag spaces], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long u32 count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, retry_calls [every operation service::retry makes — purchase, issue, transfer, renewal, deposit, binding proof, open chain, redeem — applied once when its first reply times out: the server sees two byte-identical frames and RetryStats read 1 call, 2 attempts, 1 retry; a purchase whose Minted reply is damaged in flight is resent and keeps the coin the broker minted], golden frame sizes 44 / 535 / 357 / 285, journal fixture of the last format change — an entry is its seq, root and op, a coin record its mint and memo, the counters derived from the ops: every single-bit flip of both journals refused or flagged by replay, plus the per-kind flip sweep [one real 512/160 frame of each request and response kind: every flip Malformed or a different message])"
+echo "==> cargo test -p whopay-core --release (the one wire decoder: props incl. the canonical property [whatever Request::decode / Response::decode / Journal::from_bytes accepts re-encodes to the input byte for byte; a padded integer refused in a request, a response and a journal entry], fuzz [views, TickBatch, prepare groups — answered byte for byte alike by an inline and a two-thread worker drain — 4 KiB damaged real frames, every unassigned kind byte in all three tag spaces], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long varint count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, retry_calls [every operation service::retry makes — purchase, issue, transfer, renewal, deposit, binding proof, open chain, redeem — applied once when its first reply times out: the server sees two byte-identical frames and RetryStats read 1 call, 2 attempts, 1 retry; a purchase whose Minted reply is damaged in flight is resent and keeps the coin the broker minted], a varint with a second encoding or above its cap refused by every reader, a list of the smallest items decoding at every count up to its cap, a golden size for one real 512/160 frame of every request and response kind, journal fixture of the last format change — varint numbers, lengths and counts, a grant or deposit stating its coin key once; an entry is its seq, root and op, a coin record its mint and memo, the counters derived from the ops: every single-bit flip of both journals refused or flagged by replay, plus the per-kind flip sweep [one real 512/160 frame of each request and response kind: every flip Malformed or a different message])"
 cargo test -p whopay-core -q --release --offline --test wire_props --test wire_fuzz --test alloc_regression --test wire_reconcile --test networked --test retry_calls --test journal_fixture
 
 echo "==> cargo test --release --test chaos (chaos suite, pinned seed)"

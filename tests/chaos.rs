@@ -1107,16 +1107,16 @@ fn durable_world(seed: u64) -> DurableWorld {
     }
 }
 
-/// Byte spans of each journal frame, in entry order.
+/// Byte spans of each journal frame (a blob: its varint length, then the
+/// entry), in entry order.
 fn frame_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("framed journal")) as usize;
-        spans.push(pos..pos + 4 + len);
-        pos += 4 + len;
+    let mut r = whopay_core::codec::Reader::new(bytes);
+    while r.remaining() > 0 {
+        let start = bytes.len() - r.remaining();
+        r.blob().expect("journal is well framed");
+        spans.push(start..bytes.len() - r.remaining());
     }
-    assert_eq!(pos, bytes.len(), "journal is well framed");
     spans
 }
 
