@@ -23,7 +23,9 @@
 //! attributed to the role that serves the operation (broker ops to
 //! [`Role::Broker`], owner-served ops to [`Role::Peer`]). Server-side
 //! handler spans measure dispatch latency and rejections with *no*
-//! traffic attached; feed them a separate registry (or the same one,
+//! traffic attached, each the root of its own trace: no trace context
+//! crosses the wire, so a server cannot join (or link) a caller's
+//! requests by their ids. Feed them a separate registry (or the same one,
 //! accepting that each operation then counts once per side). Without
 //! faults, client spans reconcile with `TrafficStats` either way because
 //! only they carry traffic. Under faults they do not: a duplicated
@@ -85,14 +87,12 @@ pub fn install_wire_classifier(net: &mut Network) {
     net.set_classifier(wire_kind);
 }
 
-/// The frame-level half of every handler, around its `answer`: splits
-/// the caller's trace trailer off `bytes`, opens the dispatch span (a
-/// child of the caller's when the request was traced), parses the frame
-/// and labels the span with its operation. `answer` writes its response
-/// frame into `out`, or returns the refusal this writes as an error
-/// frame and records on the span. The span's context is echoed after the
-/// reply only to callers that traced the request: untraced callers keep
-/// byte-identical responses.
+/// The frame-level half of every handler, around its `answer`: opens the
+/// dispatch span, parses the frame and labels the span with its
+/// operation. `answer` writes its response frame into `out`, or returns
+/// the refusal this writes as an error frame and records on the span.
+/// The span is a root: a trace ends at the endpoint, so no caller's
+/// context is read from the frame and none is written after the reply.
 // Always inlined: out of line, a tick pays for moving its parsed view into
 // `answer` (+2.6 % tick p50 on `micropay_stream`; EXPERIMENTS.md, PR 16).
 #[inline(always)]
@@ -103,29 +103,21 @@ fn serve_frame(
     out: &mut Vec<u8>,
     answer: impl FnOnce(RequestView<'_>, &mut Span<'_>, &mut Vec<u8>) -> Result<(), String>,
 ) {
-    let (payload, caller) = TraceContext::split(bytes);
-    let mut span = match &caller {
-        Some(parent) => obs.child_span(role, OpKind::Other, parent),
-        None => obs.span(role, OpKind::Other),
-    };
+    let mut span = obs.span(role, OpKind::Other);
     // Dispatch runs over a borrowed view of the wire bytes; `answer`
     // materializes only the message it handles.
-    let answered = match RequestView::parse(payload) {
+    let answered = match RequestView::parse(bytes) {
         Ok(view) => {
             span.set_op(view.op_kind());
             answer(view, &mut span, out)
         }
         Err(e) => Err(e.to_string()),
     };
-    let reply = if caller.is_some() { span.context() } else { None };
     if let Err(refusal) = answered {
         wire::frame_into(out, |w| wire::put_error(w, &refusal));
         span.fail(refusal);
     }
     span.finish();
-    if let Some(ctx) = reply {
-        ctx.append_to(out);
-    }
 }
 
 /// Encodes a handler's response into `out`, or names its refusal.
@@ -213,9 +205,8 @@ pub fn attach_shard_endpoints(
 /// accounting) and the owning shard's label (see
 /// `whopay_obs::Span::set_shard`), rejections are recorded as failed
 /// spans, and invariant violations surface as failed events with a
-/// flight-recorder dump. Each prepared group is one span labelled
-/// `prepare` (a child of the group's first traced request); a
-/// metrics-backed `obs` also gets the `broker.prepare_batch` histogram
+/// flight-recorder dump. Each prepared group is one root span labelled
+/// `prepare`; a metrics-backed `obs` also gets the `broker.prepare_batch` histogram
 /// (requests per drain cycle and shard) and the
 /// `broker.prepare.{settled,skipped,lane_calls,lanes_filled,comb_calls,comb_filled}` counters
 /// (see [`crate::broker::PrepareReport`]).
@@ -353,17 +344,14 @@ impl Endpoint for ShardEndpoint {
         if let Some(probes) = &self.probes {
             probes.batch.record_nanos(upcoming.len() as u64);
         }
-        let mut first_caller = None;
         let views: Vec<RequestView<'_>> = upcoming
             .iter()
             .filter_map(|bytes| {
-                let (payload, caller) = TraceContext::split(bytes);
-                first_caller = first_caller.or(caller);
                 let walked = matches!(
-                    wire_kind(payload),
+                    wire_kind(bytes),
                     "purchase" | "deposit" | "downtime_transfer" | "downtime_renewal"
                 );
-                walked.then(|| RequestView::parse(payload))?.ok()
+                walked.then(|| RequestView::parse(bytes))?.ok()
             })
             .collect();
         let mut report = PrepareReport::default();
@@ -377,10 +365,7 @@ impl Endpoint for ShardEndpoint {
             let group: Vec<Upcoming<'_>> = owned.iter().filter_map(Upcoming::of).collect();
             group_len = group.len();
             let span = (!group.is_empty()).then(|| {
-                let mut span = match &first_caller {
-                    Some(parent) => self.obs.child_span(Role::Broker, OpKind::Other, parent),
-                    None => self.obs.span(Role::Broker, OpKind::Other),
-                };
+                let mut span = self.obs.span(Role::Broker, OpKind::Other);
                 span.set_detail("prepare");
                 span.set_shard(self.shard);
                 span.set_batch(group.len() as u64);
@@ -602,8 +587,9 @@ impl Classify for CallError {
 /// One request/response exchange, attributing both directions' traffic
 /// to the caller's span (2 messages, request + response payload bytes —
 /// the exact units `whopay_net::TrafficStats` counts). `encode` writes
-/// the request frame; `read` gets the reply frame, trace trailer already
-/// split off, and decides what the caller receives.
+/// the request frame; `read` gets the reply frame and decides what the
+/// caller receives. Only the frames cross the wire: the span's context
+/// stays in this process.
 fn exchange<T>(
     net: &mut Network,
     from: EndpointId,
@@ -616,18 +602,12 @@ fn exchange<T>(
     // exchange allocates nothing on the wire itself.
     let mut req_buf = codec::pooled();
     encode(&mut req_buf);
-    // A traced span stamps its context after the frame so the server
-    // dispatch (and any failure the network reports) joins this trace.
-    if let Some(ctx) = span.context() {
-        ctx.append_to(&mut req_buf);
-    }
     let mut resp_buf = codec::pooled();
     net.request_into(from, to, &req_buf, &mut resp_buf).map_err(CallError::Network)?;
-    // Traffic is attributed over the bytes that crossed the wire —
-    // trailers included — so span totals reconcile with `TrafficStats`.
+    // Traffic is attributed over the bytes that crossed the wire, so span
+    // totals reconcile with `TrafficStats`.
     span.add_traffic(2, (req_buf.len() + resp_buf.len()) as u64);
-    let (reply, _server_ctx) = TraceContext::split(&resp_buf);
-    read(reply)
+    read(&resp_buf)
 }
 
 /// [`exchange`] of a tick frame for its ack, read through a borrowed
@@ -695,7 +675,8 @@ impl<T, F: FnMut(Response) -> Result<T, CallError>> Call<F> {
     /// enabled the attempts chain causally: attempt N is a child of the
     /// failed attempt N-1, tagged with the retry ordinal and the label of
     /// the error that killed its predecessor, so a trace viewer
-    /// reconstructs the whole retry story.
+    /// reconstructs the whole retry story. The chain lives in the caller's
+    /// process: no attempt's bytes name its span.
     fn run(
         mut self,
         net: &mut Network,

@@ -22,7 +22,6 @@ use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::GroupSignature;
 use whopay_net::Network;
 use whopay_num::BigUint;
-use whopay_obs::TraceContext;
 
 struct CountingAlloc;
 
@@ -159,12 +158,7 @@ fn fast_wire_path_allocates_at_least_5x_less_than_legacy() {
     fast_net.set_classifier(wire_kind);
     let fast_resp = grant_response();
     let server = fast_net.register_writer("broker", move |_net, bytes, out| {
-        // Mirror the production dispatch: strip any trace trailer first.
-        // With tracing disabled no trailer exists, and the split itself
-        // must stay allocation-free.
-        let (payload, caller) = TraceContext::split(bytes);
-        assert!(caller.is_none(), "disabled tracing must leave frames untagged");
-        let view = RequestView::parse(payload).expect("valid frame");
+        let view = RequestView::parse(bytes).expect("valid frame");
         assert!(matches!(view, RequestView::Transfer { downtime: true, .. }));
         assert_eq!(view.kind(), "downtime_transfer");
         fast_resp.encode_into(out);
@@ -213,14 +207,10 @@ fn a_disabled_obs_instruments_a_prepared_group_without_allocating() {
     use whopay_obs::{Obs, OpKind, Role};
 
     let obs = Obs::disabled();
-    let parent = TraceContext::root();
     let before = allocs();
     for shard in 0..200u16 {
         assert!(obs.metrics().is_none());
-        let mut span = match shard % 2 {
-            0 => obs.span(Role::Broker, OpKind::Other),
-            _ => obs.child_span(Role::Broker, OpKind::Other, &parent),
-        };
+        let mut span = obs.span(Role::Broker, OpKind::Other);
         span.set_detail("prepare");
         span.set_shard(shard);
         span.set_batch(16);

@@ -26,7 +26,7 @@ use whopay_crypto::testing::{test_rng, tiny_group};
 use whopay_net::{
     EndpointId, FaultInjector, FaultKind, FaultPlan, FaultRates, Network, RetryPolicy, RetryStats,
 };
-use whopay_obs::Obs;
+use whopay_obs::{MemoryRecorder, Obs, Tracer};
 
 /// The frames a relay forwarded, in order.
 type Frames = Rc<RefCell<Vec<Vec<u8>>>>;
@@ -52,6 +52,8 @@ struct World {
     rng: rand::rngs::StdRng,
     /// What the relay of the call under test forwarded to its server.
     frames: Frames,
+    /// What the call under test is observed with.
+    obs: Obs,
 }
 
 fn world(seed: u64) -> World {
@@ -98,6 +100,7 @@ fn world(seed: u64) -> World {
         policy: RetryPolicy::new(4),
         rng,
         frames: Frames::default(),
+        obs: Obs::disabled(),
     }
 }
 
@@ -200,7 +203,7 @@ fn purchase(w: &mut World) {
     let coin = {
         let mut owner = w.owner.borrow_mut();
         let purchase = service::purchase(&mut owner, PurchaseMode::Identified, Timestamp(0));
-        retry(&mut w.net, w.client, relay, purchase, &w.policy, &mut w.rng, &Obs::disabled())
+        retry(&mut w.net, w.client, relay, purchase, &w.policy, &mut w.rng, &w.obs)
             .expect("retried purchase")
     };
     assert!(w.owner.borrow().owned_coin(&coin).is_some(), "the owner holds the coin");
@@ -212,7 +215,7 @@ fn issue(w: &mut World) {
     let (invite, session) = w.payer.begin_receive(&mut w.rng);
     let relay = w.relay_losing_first_reply(w.owner_ep);
     let issue = service::issue(coin, &invite);
-    let grant = retry(&mut w.net, w.client, relay, issue, &w.policy, &mut w.rng, &Obs::disabled())
+    let grant = retry(&mut w.net, w.client, relay, issue, &w.policy, &mut w.rng, &w.obs)
         .expect("retried issue");
     w.payer.accept_grant(grant, session, Timestamp(0)).expect("payer accepts the replayed grant");
     assert_eq!(w.owner_seq(&coin), 1, "issued once");
@@ -224,7 +227,7 @@ fn transfer(w: &mut World) {
     let request = w.payer.request_transfer(coin, &invite, &mut w.rng).unwrap();
     let relay = w.relay_losing_first_reply(w.owner_ep);
     let transfer = service::transfer(request, false);
-    let grant = retry(&mut w.net, w.client, relay, transfer, &w.policy, &mut w.rng, &Obs::disabled())
+    let grant = retry(&mut w.net, w.client, relay, transfer, &w.policy, &mut w.rng, &w.obs)
         .expect("retried transfer");
     w.payee.accept_grant(grant, session, Timestamp(0)).expect("payee accepts the replayed grant");
     assert_eq!(w.owner_seq(&coin), 2, "transferred once");
@@ -236,7 +239,7 @@ fn renewal(w: &mut World) {
     let request = w.payee.request_renewal(coin, &mut w.rng).unwrap();
     let relay = w.relay_losing_first_reply(w.owner_ep);
     let renewal = service::renewal(request, false);
-    let renewed = retry(&mut w.net, w.client, relay, renewal, &w.policy, &mut w.rng, &Obs::disabled())
+    let renewed = retry(&mut w.net, w.client, relay, renewal, &w.policy, &mut w.rng, &w.obs)
         .expect("retried renewal");
     w.payee.apply_renewal(coin, renewed).expect("payee applies the replayed binding");
     assert_eq!(w.owner_seq(&coin), 3, "renewed once");
@@ -247,7 +250,7 @@ fn deposit(w: &mut World) {
     let request = w.payer.request_deposit(coin, &mut w.rng).unwrap();
     let relay = w.relay_losing_first_reply(w.broker_ep);
     let deposit = service::deposit(request);
-    let receipt = retry(&mut w.net, w.client, relay, deposit, &w.policy, &mut w.rng, &Obs::disabled())
+    let receipt = retry(&mut w.net, w.client, relay, deposit, &w.policy, &mut w.rng, &w.obs)
         .expect("retried deposit");
     assert_eq!(receipt.coin, coin);
     assert_eq!((w.broker.stats().deposits, w.broker.stats().replays), (1, 1), "credited once");
@@ -258,7 +261,7 @@ fn binding_proof(w: &mut World) {
     let before = w.broker.stats();
     let relay = w.relay_losing_first_reply(w.broker_ep);
     let proof = service::binding_proof(coin);
-    let proof = retry(&mut w.net, w.client, relay, proof, &w.policy, &mut w.rng, &Obs::disabled())
+    let proof = retry(&mut w.net, w.client, relay, proof, &w.policy, &mut w.rng, &w.obs)
         .expect("retried proof");
     assert_eq!(proof.leaf.coin, coin);
     proof.verify(w.params.group(), w.broker.public_key()).expect("proof verifies");
@@ -274,8 +277,8 @@ fn open_chain(w: &mut World) {
     let (_, commitment) = chain(w);
     let relay = w.relay_losing_first_reply(w.host_ep);
     let open = service::open_chain(commitment.clone());
-    let id = retry(&mut w.net, w.client, relay, open, &w.policy, &mut w.rng, &Obs::disabled())
-        .expect("retried open");
+    let id =
+        retry(&mut w.net, w.client, relay, open, &w.policy, &mut w.rng, &w.obs).expect("retried open");
     assert_eq!(id, commitment.chain_id());
     assert_eq!(w.host.borrow().receiver(&id).expect("open chain").total(), 0, "opened once");
 }
@@ -290,7 +293,7 @@ fn redeem_chain(w: &mut World) {
     let request = w.host.borrow().receiver(&id).expect("open chain").redeem_request();
     let relay = w.relay_losing_first_reply(w.broker_ep);
     let redeem = service::redeem_chain(request);
-    let receipt = retry(&mut w.net, w.client, relay, redeem, &w.policy, &mut w.rng, &Obs::disabled())
+    let receipt = retry(&mut w.net, w.client, relay, redeem, &w.policy, &mut w.rng, &w.obs)
         .expect("retried redemption");
     assert_eq!((receipt.chain, receipt.total), (id, 20));
     let stats = w.broker.stats();
@@ -298,6 +301,10 @@ fn redeem_chain(w: &mut World) {
     assert_eq!(w.broker.settled_micropay_value(), 20, "settled once");
 }
 
+/// Each operation is made by an untraced client and by a traced one.
+/// Traced, each attempt is a span, the resend a child of the attempt it
+/// replaces; either way the server sees the byte-identical frame twice,
+/// because no trace context rides on a request.
 #[test]
 fn every_operation_is_applied_once_when_its_first_reply_times_out() {
     type Case = (&'static str, fn(&mut World));
@@ -312,12 +319,23 @@ fn every_operation_is_applied_once_when_its_first_reply_times_out() {
         ("redeem chain", redeem_chain),
     ];
     for (i, (op, case)) in cases.into_iter().enumerate() {
-        let mut w = world(0x5E7 + i as u64);
-        case(&mut w);
-        w.assert_resent_once(op);
-        let injector = w.net.clear_faults().expect("faults installed");
-        let kinds: Vec<_> = injector.history().iter().map(|fault| fault.kind).collect();
-        assert_eq!(kinds, [FaultKind::Timeout], "{op}: only the first attempt timed out");
+        let recorder = Arc::new(MemoryRecorder::new());
+        for obs in [Obs::disabled(), Obs::with_tracer(Tracer::new(recorder.clone()))] {
+            let mut w = world(0x5E7 + i as u64);
+            w.obs = obs;
+            case(&mut w);
+            w.assert_resent_once(op);
+            let injector = w.net.clear_faults().expect("faults installed");
+            let kinds: Vec<_> = injector.history().iter().map(|fault| fault.kind).collect();
+            assert_eq!(kinds, [FaultKind::Timeout], "{op}: only the first attempt timed out");
+            let attempts = recorder.take();
+            assert_eq!(attempts.len(), if w.obs.enabled() { 2 } else { 0 }, "{op}: spans");
+            if let [first, resend] = &attempts[..] {
+                let (first_ctx, resend_ctx) = (first.trace.unwrap(), resend.trace.unwrap());
+                assert_eq!(resend_ctx.parent_span_id, first_ctx.span_id, "{op}: resend replaces first");
+                assert_eq!(resend.retry.map(|r| (r.attempt, r.after)), Some((1, "timed out")), "{op}");
+            }
+        }
     }
 }
 
@@ -333,7 +351,7 @@ fn a_purchase_whose_minted_reply_is_damaged_is_resent_and_keeps_its_coin() {
     let coin = {
         let mut owner = w.owner.borrow_mut();
         let purchase = service::purchase(&mut owner, PurchaseMode::Identified, Timestamp(0));
-        retry(&mut w.net, w.client, relay, purchase, &w.policy, &mut w.rng, &Obs::disabled())
+        retry(&mut w.net, w.client, relay, purchase, &w.policy, &mut w.rng, &w.obs)
     };
     let coin = coin.expect("the resend collects the minted coin");
     assert!(w.owner.borrow().owned_coin(&coin).is_some(), "the owner holds the coin");

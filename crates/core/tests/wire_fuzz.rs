@@ -6,13 +6,16 @@
 //! arms start from real frames of a small protocol run and grow them up
 //! to 4 KiB.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use whopay_core::micropay::MicropaySender;
+use whopay_core::micropay::{MicropayHost, MicropaySender};
 use whopay_core::service::{
-    attach_client, attach_shard_endpoints, attach_shard_endpoints_obs, shared_clock,
+    attach_client, attach_micropay_host, attach_peer, attach_shard_endpoints,
+    attach_shard_endpoints_obs, clock, shared_clock,
 };
 use whopay_core::view::{RequestView, ResponseView};
 use whopay_core::wire::{wire_kind, Request, Response};
@@ -24,12 +27,14 @@ use whopay_crypto::testing::{test_rng, tiny_group};
 use whopay_net::Network;
 use whopay_num::BigUint;
 
-/// A broker of two shards with one coin in circulation, and one real
-/// frame of every request and response kind from the run that put it
-/// there.
+/// A broker of two shards with one coin in circulation, the coin's owner,
+/// a micropayment host with no chain open, and one real frame of every
+/// request and response kind from the run that put them there.
 struct Seeds {
     sharded: Arc<ShardedBroker>,
     coin: CoinId,
+    owner: Peer,
+    host: MicropayHost,
     requests: Vec<Vec<u8>>,
     responses: Vec<Vec<u8>>,
 }
@@ -104,6 +109,8 @@ fn seeds() -> Seeds {
     Seeds {
         sharded,
         coin,
+        owner,
+        host: MicropayHost::new(group, gpk, 16),
         requests: requests.iter().map(Request::encode).collect(),
         responses: responses.iter().map(Response::encode).collect(),
     }
@@ -495,4 +502,50 @@ fn every_unassigned_kind_byte_is_malformed_everywhere() {
         .sharded
         .lock_shard(seeds.sharded.shard_of_coin(&seeds.coin))
         .is_circulating(&seeds.coin));
+}
+
+/// Endpoints accept only canonical frames. A real request of every kind
+/// with 36 bytes after it — the length of the trace trailer frames once
+/// carried, starting with its magic — is no frame: a shard, a peer and a
+/// micropayment host each refuse it as `Malformed`, served at once
+/// through `request_into` and queued through `drain`, and no handler sees
+/// a request.
+#[test]
+fn a_frame_with_a_trace_suffix_is_malformed_at_every_endpoint() {
+    const OLD_TRACE_MAGIC: [u8; 8] = [0xA5, 0x17, 0xC7, 0x7C, 0x54, 0x52, 0x43, 0x58];
+    let seeds = seeds();
+    let mut suffix = [0x5A; 36];
+    suffix[..8].copy_from_slice(&OLD_TRACE_MAGIC);
+    let suffixed: Vec<Vec<u8>> =
+        seeds.requests.iter().map(|frame| [&frame[..], &suffix[..]].concat()).collect();
+
+    let mut net = Network::new();
+    let now = Timestamp(0);
+    let shard = attach_shard_endpoints(&mut net, seeds.sharded.clone(), shared_clock(now), 5)[0];
+    let peer = attach_peer(&mut net, Rc::new(RefCell::new(seeds.owner)), clock(now), 6);
+    let host = Rc::new(RefCell::new(seeds.host));
+    let host_ep = attach_micropay_host(&mut net, host.clone());
+    let client = attach_client(&mut net, "client");
+    let malformed = Response::Error(CoreError::Malformed.to_string()).encode();
+    let before = seeds.sharded.stats();
+    for (i, frame) in suffixed.iter().enumerate() {
+        assert_eq!(RequestView::parse(frame).unwrap_err(), CoreError::Malformed, "request {i}");
+        for to in [shard, peer, host_ep] {
+            let mut reply = Vec::new();
+            net.request_into(client, to, frame, &mut reply).expect("no faults installed");
+            assert_eq!(reply, malformed, "request {i} to {:?}, served at once", net.name(to));
+            net.submit(client, to, frame.clone());
+        }
+    }
+    let drained = net.drain();
+    assert_eq!(drained.len(), 3 * suffixed.len());
+    for delivery in drained {
+        let name = net.name(delivery.to);
+        assert_eq!(delivery.result.expect("delivered"), malformed, "{name:?}, drained");
+    }
+    assert_eq!(seeds.sharded.stats(), before, "no frame reached a broker handler");
+    let Ok(Request::OpenChain(commitment)) = Request::decode(&seeds.requests[6]) else {
+        panic!("seed 6 is the chain opening")
+    };
+    assert!(host.borrow().receiver(&commitment.chain_id()).is_none(), "no chain was opened");
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use whopay_obs::{Event, Metrics, Obs, OpKind, Role, TraceContext};
+use whopay_obs::{Event, Metrics, Obs, OpKind, Role};
 
 use crate::faults::{flip_bit, FaultInjector, FaultKind, FaultStats};
 use crate::queue::{serve_group, serve_under, upcoming, Delivery, Envelope, EventId, Group, Served};
@@ -401,7 +401,7 @@ impl Network {
                 (kind, self.serve_inline(to, fault, request, response, true))
             }
         };
-        self.settle(from, to, kind, request, &served);
+        self.settle(from, to, kind, &served);
         served.result
     }
 
@@ -471,17 +471,15 @@ impl Network {
     /// Each handler call counts its request and response against the
     /// global, per-endpoint and per-kind stats and reports one
     /// `NetRequest` event (2 messages, handler time); a caller left
-    /// without a response gets a failure event with no traffic. A traced
-    /// request parents its events under the sender's span, so the wire hop
-    /// and any fault land in the right span tree. An unknown target has no
-    /// role to report under.
+    /// without a response gets a failure event with no traffic. The events
+    /// carry no trace: a context never crosses the wire. An unknown target
+    /// has no role to report under.
     #[inline]
     fn settle(
         &mut self,
         from: EndpointId,
         to: EndpointId,
         kind: Option<&'static str>,
-        request: &[u8],
         served: &Served,
     ) {
         for leg in served.legs() {
@@ -508,12 +506,8 @@ impl Network {
             .result
             .err()
             .map(|err| Event::new(slot.role, OpKind::NetRequest).failed().with_detail(err.label()));
-        let trace = TraceContext::strip(request).map(|(ctx, _)| ctx);
         for event in delivered.chain(failed) {
-            self.obs.observe(match &trace {
-                Some(ctx) => event.with_trace(ctx.child()),
-                None => event,
-            });
+            self.obs.observe(event);
         }
     }
 
@@ -649,7 +643,7 @@ impl Network {
                     (self.serve_inline(env.to, fault, &env.request, &mut response, false), response)
                 }),
             };
-            self.settle(env.from, env.to, fate.ok().and_then(|(_, kind)| kind), &env.request, &served);
+            self.settle(env.from, env.to, fate.ok().and_then(|(_, kind)| kind), &served);
             let result = served.result.map(|()| response);
             Delivery { event: env.event, from: env.from, to: env.to, result }
         });

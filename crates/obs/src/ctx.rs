@@ -1,28 +1,19 @@
-//! Causal trace context, carried across the wire as a fixed-size frame
-//! trailer.
+//! Causal trace context: the in-process identity of one span.
 //!
 //! A [`TraceContext`] names one span in one trace: `trace_id` groups
-//! every hop of a logical operation (a coin lifecycle step and all of
-//! its retries), `span_id` names this hop, `parent_span_id` links it to
-//! the span that caused it, and `hop` counts wire crossings so a
-//! reconstructed tree can be depth-sorted without timestamps.
+//! the spans of one logical operation (a client call and all of its
+//! retry attempts, or one simulated event), `span_id` names this span,
+//! and `parent_span_id` links it to the span that caused it.
 //!
-//! # Wire format
+//! # A trace ends at the endpoint
 //!
-//! The context travels as a 36-byte trailer **appended after** the
-//! request/response frame bytes:
-//!
-//! ```text
-//! magic (8) | trace_id (8 BE) | span_id (8 BE) | parent_span_id (8 BE) | hop (4 BE)
-//! ```
-//!
-//! Appending (rather than embedding) keeps the PR-4 zero-copy path
-//! intact: the leading wire tag still classifies the frame, the strict
-//! `RequestView`/`Request::decode` parity contract is untouched (the
-//! dispatch layer splits the trailer off before parsing), and when
-//! tracing is disabled nothing is appended, so the disabled wire bytes
-//! are byte-identical to an untraced build. The 8-byte magic makes an
-//! accidental suffix collision on untraced frames a 2^-64 event.
+//! A context never leaves the process that drew it: no frame carries
+//! one, and a served request opens a root span of its own. The ids are
+//! a public bijection of a per-thread counter (below), so a server that
+//! saw a caller's ids could invert them and group that caller's
+//! requests — the linkability the paper's unlinkability guarantee
+//! (§4.3) rules out. Observing a run therefore changes no byte on the
+//! wire.
 //!
 //! # Identifier generation
 //!
@@ -35,12 +26,6 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Length in bytes of the encoded trailer.
-pub const TRACE_TRAILER_LEN: usize = 36;
-
-/// Trailer magic: must be improbable as the tail of a legitimate frame.
-const TRACE_MAGIC: [u8; 8] = [0xA5, 0x17, 0xC7, 0x7C, 0x54, 0x52, 0x43, 0x58];
 
 static NEXT_RAW_BLOCK: AtomicU64 = AtomicU64::new(1);
 
@@ -110,67 +95,18 @@ pub struct TraceContext {
     pub span_id: u64,
     /// The span that caused this one (0 for a root).
     pub parent_span_id: u64,
-    /// Wire crossings from the root (0 for a root).
-    pub hop: u32,
 }
 
 impl TraceContext {
     /// A fresh root context: new trace, new span, no parent.
     pub fn root() -> Self {
         let (a, b) = fresh_raw_pair();
-        TraceContext { trace_id: splitmix64(a), span_id: splitmix64(b), parent_span_id: 0, hop: 0 }
+        TraceContext { trace_id: splitmix64(a), span_id: splitmix64(b), parent_span_id: 0 }
     }
 
-    /// A child of this context: same trace, fresh span, one hop deeper.
+    /// A child of this context: same trace, fresh span.
     pub fn child(&self) -> Self {
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id: fresh_id(),
-            parent_span_id: self.span_id,
-            hop: self.hop.saturating_add(1),
-        }
-    }
-
-    /// Appends the 36-byte trailer to a frame.
-    pub fn append_to(&self, buf: &mut Vec<u8>) {
-        // One reserve/copy for the whole trailer: this runs once per
-        // traced message on the pooled wire path, where five separate
-        // `extend_from_slice` growth checks are measurable.
-        let mut trailer = [0u8; TRACE_TRAILER_LEN];
-        trailer[..8].copy_from_slice(&TRACE_MAGIC);
-        trailer[8..16].copy_from_slice(&self.trace_id.to_be_bytes());
-        trailer[16..24].copy_from_slice(&self.span_id.to_be_bytes());
-        trailer[24..32].copy_from_slice(&self.parent_span_id.to_be_bytes());
-        trailer[32..36].copy_from_slice(&self.hop.to_be_bytes());
-        buf.extend_from_slice(&trailer);
-    }
-
-    /// Splits a frame into its payload and an optional trailing context.
-    ///
-    /// Frames without a (magic-tagged) trailer come back unchanged with
-    /// `None` — untraced traffic flows through split sites untouched.
-    pub fn split(bytes: &[u8]) -> (&[u8], Option<TraceContext>) {
-        match Self::strip(bytes) {
-            Some((ctx, payload_len)) => (&bytes[..payload_len], Some(ctx)),
-            None => (bytes, None),
-        }
-    }
-
-    /// Decodes a trailing context, returning it plus the payload length.
-    pub fn strip(bytes: &[u8]) -> Option<(TraceContext, usize)> {
-        let payload_len = bytes.len().checked_sub(TRACE_TRAILER_LEN)?;
-        let tail = &bytes[payload_len..];
-        if tail[..8] != TRACE_MAGIC {
-            return None;
-        }
-        let be64 = |r: &[u8]| u64::from_be_bytes(r.try_into().expect("8-byte slice"));
-        let ctx = TraceContext {
-            trace_id: be64(&tail[8..16]),
-            span_id: be64(&tail[16..24]),
-            parent_span_id: be64(&tail[24..32]),
-            hop: u32::from_be_bytes(tail[32..36].try_into().expect("4-byte slice")),
-        };
-        Some((ctx, payload_len))
+        TraceContext { trace_id: self.trace_id, span_id: fresh_id(), parent_span_id: self.span_id }
     }
 }
 
@@ -186,7 +122,6 @@ mod tests {
             assert!(seen.insert(ctx.trace_id), "trace_id collision");
             assert!(seen.insert(ctx.span_id), "span_id collision");
             assert_eq!(ctx.parent_span_id, 0);
-            assert_eq!(ctx.hop, 0);
         }
     }
 
@@ -197,29 +132,5 @@ mod tests {
         assert_eq!(child.trace_id, root.trace_id);
         assert_eq!(child.parent_span_id, root.span_id);
         assert_ne!(child.span_id, root.span_id);
-        assert_eq!(child.hop, 1);
-        assert_eq!(child.child().hop, 2);
-    }
-
-    #[test]
-    fn trailer_round_trips() {
-        let ctx = TraceContext::root().child();
-        let mut frame = b"payload bytes".to_vec();
-        ctx.append_to(&mut frame);
-        assert_eq!(frame.len(), 13 + TRACE_TRAILER_LEN);
-        let (payload, stripped) = TraceContext::split(&frame);
-        assert_eq!(payload, b"payload bytes");
-        assert_eq!(stripped, Some(ctx));
-    }
-
-    #[test]
-    fn untagged_frames_split_unchanged() {
-        let frame = vec![0u8; 100];
-        let (payload, ctx) = TraceContext::split(&frame);
-        assert_eq!(payload.len(), 100);
-        assert!(ctx.is_none());
-        let (short, ctx) = TraceContext::split(b"hi");
-        assert_eq!(short, b"hi");
-        assert!(ctx.is_none());
     }
 }

@@ -367,10 +367,6 @@ impl Event {
             if trace.parent_span_id != 0 {
                 out.push_str(&format!(",\"parent\":\"{:016x}\"", trace.parent_span_id));
             }
-            if trace.hop != 0 {
-                out.push_str(",\"hop\":");
-                out.push_str(&trace.hop.to_string());
-            }
         }
         if let Some(start_us) = self.start_us {
             out.push_str(",\"start_us\":");
@@ -428,14 +424,14 @@ mod tests {
 
     #[test]
     fn json_carries_trace_fields() {
-        let trace = TraceContext { trace_id: 0xABC, span_id: 0xDEF, parent_span_id: 0x123, hop: 2 };
+        let trace = TraceContext { trace_id: 0xABC, span_id: 0xDEF, parent_span_id: 0x123 };
         let ev = Event::new(Role::Broker, OpKind::Deposit).with_trace(trace).with_retry(1, "lost");
         assert_eq!(
             ev.to_json(),
             concat!(
                 r#"{"role":"broker","op":"deposit","outcome":"ok","retry":1,"after":"lost","#,
                 r#""trace":"0000000000000abc","span":"0000000000000def","#,
-                r#""parent":"0000000000000123","hop":2}"#
+                r#""parent":"0000000000000123"}"#
             )
         );
     }

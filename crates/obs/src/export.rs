@@ -117,8 +117,8 @@ pub fn chrome_trace(events: &[Event]) -> String {
         if let Some(t) = event.trace {
             write!(
                 out,
-                ",\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\"hop\":{}",
-                t.trace_id, t.span_id, t.parent_span_id, t.hop
+                ",\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\"",
+                t.trace_id, t.span_id, t.parent_span_id
             )
             .expect("string write");
         }
@@ -196,7 +196,7 @@ mod tests {
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"dur\":10"));
-        assert!(json.contains(&format!("\"parent\":\"{:016x}\"", root.span_id)));
+        assert!(json.contains(&format!("\"parent\":\"{:016x}\",\"retry\":1", root.span_id)));
         assert!(json.contains("\"retry\":1,\"after\":\"timed_out\""));
         assert!(json.contains("\"detail\":\"q \\\"x\\\"\""), "{json}");
         // Both halves of the trace share one tid row.

@@ -56,7 +56,7 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-pub use ctx::{TraceContext, TRACE_TRAILER_LEN};
+pub use ctx::TraceContext;
 pub use event::{Event, OpKind, Outcome, RetryNote, Role};
 pub use export::{chrome_trace, prometheus_text};
 pub use flight::{install_panic_hook, FlightRecorder};

@@ -184,8 +184,8 @@ impl Obs {
         self.span_with(role, op, TraceContext::root)
     }
 
-    /// Starts a timed span as a child of `parent` (same trace, one hop
-    /// deeper). Inert when the context is disabled, like [`Obs::span`].
+    /// Starts a timed span as a child of `parent` (same trace, fresh
+    /// span). Inert when the context is disabled, like [`Obs::span`].
     pub fn child_span(&self, role: Role, op: OpKind, parent: &TraceContext) -> Span<'_> {
         self.span_with(role, op, || parent.child())
     }
@@ -254,9 +254,9 @@ impl Span<'_> {
         }
     }
 
-    /// This span's trace context (`None` when the context is disabled).
-    /// Callers append it to outgoing frames so the receiving side can
-    /// parent its dispatch span under this one.
+    /// This span's trace context (`None` when the context is disabled):
+    /// what a later span in the same process — a retry attempt — names
+    /// as its parent. It never goes on the wire.
     pub fn context(&self) -> Option<TraceContext> {
         self.live.as_ref().map(|live| live.ctx)
     }
@@ -301,7 +301,7 @@ impl Span<'_> {
     }
 
     /// Attributes this operation to a broker shard (sharded dispatch
-    /// sites; the label survives the queue hop into the event stream).
+    /// sites; the label survives the drain queue into the event stream).
     pub fn set_shard(&mut self, shard: u16) {
         if let Some(live) = &mut self.live {
             live.shard = Some(shard);
@@ -410,7 +410,6 @@ mod tests {
         let pt = parent_ev.trace.expect("parent carries a context");
         assert_eq!(ct.trace_id, pt.trace_id, "same trace");
         assert_eq!(ct.parent_span_id, pt.span_id, "child links to parent");
-        assert_eq!(ct.hop, pt.hop + 1);
         assert_eq!(child_ev.retry.map(|r| (r.attempt, r.after)), Some((1, "lost")));
         assert!(child_ev.start_us.is_some() && parent_ev.start_us.is_some());
     }

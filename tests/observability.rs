@@ -1,18 +1,22 @@
 //! End-to-end observability: protocol runs over the wire with tracing
 //! and metrics attached, and the per-operation report reconciles exactly
-//! with the transport's own `TrafficStats` accounting.
+//! with the transport's own `TrafficStats` accounting. Observing a run
+//! changes no byte on the wire, and a trace ends at the endpoint: nothing
+//! a client draws reaches the served side.
 
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use whopay::core::micropay::{MicropayHost, MicropaySender};
 use whopay::core::service::{
-    attach_client, attach_micropay_host_obs, attach_peer_obs, attach_shard_endpoints_obs, clock,
-    deposit_via_obs, install_wire_classifier, open_chain_via_obs, purchase_via_obs,
-    request_issue_via_obs, request_renewal_via_obs, request_transfer_via_obs, send_invite,
-    shared_clock, sync_via_obs, tick_batch_via_obs, tick_via_obs, SharedClock,
+    attach_client, attach_micropay_host_obs, attach_peer_obs, attach_shard_endpoints_obs,
+    binding_proof_via_obs, clock, deposit_via_obs, install_wire_classifier, open_chain_via_obs,
+    purchase_via_obs, redeem_chain_via_obs, request_issue_via_obs, request_renewal_via_obs,
+    request_transfer_via_obs, send_invite, shared_clock, sync_via_obs, tick_batch_via_obs,
+    tick_via_obs, SharedClock,
 };
 use whopay::core::{
     dsd, Broker, ChainId, Judge, Peer, PeerId, PurchaseMode, ShardedBroker, SystemParams, Timestamp,
@@ -20,8 +24,11 @@ use whopay::core::{
 use whopay::crypto::payword::Payword;
 use whopay::crypto::testing::{test_rng, tiny_group};
 use whopay::dht::{Dht, DhtConfig, RingId};
-use whopay::net::Network;
-use whopay::obs::{JsonLinesRecorder, MemoryRecorder, Metrics, Obs, OpKind, Recorder, Role, Tracer};
+use whopay::net::{EndpointId, Network, TrafficBreakdown, TrafficStats};
+use whopay::obs::{
+    chrome_trace, FlightRecorder, JsonLinesRecorder, MemoryRecorder, Metrics, Obs, OpKind, Recorder,
+    Role, Tracer,
+};
 
 struct NetWorld {
     net: Network,
@@ -428,16 +435,17 @@ fn streaming_host_metrics_reconcile_with_the_receivers_hash_counter() {
     let row = host_metrics.op_snapshot(Role::Peer, OpKind::MicropayTick);
     assert_eq!((row.count, row.errors), (acked_dispatches + 3, 3));
 
-    // Every traced exchange: the host's dispatch span is a child of the
-    // caller's span, one hop deeper in the same trace.
+    // Every traced exchange: the host's dispatch span is the root of a
+    // trace of its own. A trace ends at the endpoint, so nothing the
+    // caller drew reaches the served side.
     let calls = client_events.events();
     let dispatches = host_events.events();
     assert_eq!(calls.len(), dispatches.len());
     for (call, dispatch) in calls.iter().zip(&dispatches) {
         let (caller, served) = (call.trace.unwrap(), dispatch.trace.unwrap());
-        assert_eq!(served.trace_id, caller.trace_id);
-        assert_eq!(served.parent_span_id, caller.span_id);
-        assert_eq!(served.hop, caller.hop + 1);
+        assert_eq!(served.parent_span_id, 0, "a served span is a root");
+        assert_ne!(served.trace_id, caller.trace_id);
+        assert_ne!(served.span_id, caller.span_id);
         assert_eq!(dispatch.op, call.op);
         assert_eq!(dispatch.messages, 0, "server spans carry no traffic");
         assert_eq!(call.messages, 2);
@@ -447,4 +455,199 @@ fn streaming_host_metrics_reconcile_with_the_receivers_hash_counter() {
     let refused: Vec<_> = dispatches.iter().filter_map(|e| e.detail.clone()).collect();
     assert_eq!(refused.len(), 3);
     assert_eq!(refused[0], whopay::core::CoreError::BadSignature.to_string());
+}
+
+/// Every frame the relays carried: each request with the reply it got.
+type Carried = Rc<RefCell<Vec<(Vec<u8>, Vec<u8>)>>>;
+
+/// All the wire shows of one run: the global, per-endpoint and per-kind
+/// counts, and every frame a server was sent and answered with.
+struct Wire {
+    stats: TrafficStats,
+    endpoints: Vec<TrafficStats>,
+    breakdown: TrafficBreakdown,
+    carried: Vec<(Vec<u8>, Vec<u8>)>,
+}
+
+/// What observes a run: the clients' recorder, and the flight recorder of
+/// the served side (every shard, peer and micropay-host endpoint, and the
+/// network's own delivery events).
+#[derive(Default)]
+struct Observers {
+    client: Arc<MemoryRecorder>,
+    served: Arc<FlightRecorder>,
+}
+
+/// One seeded history on a 4-shard broker over the network: purchase →
+/// issue → transfer → renewal → deposit of one coin; a downtime transfer
+/// of a second coin, its binding proof and the owner's sync; open → tick
+/// → tick batch → redeem of a PayWord chain. Each server sits behind a
+/// relay that records what it carried. With `observers`, a tracer and a
+/// metrics registry ride on every endpoint, every client call and the
+/// network; without, every context is disabled.
+fn history(observers: Option<&Observers>) -> Wire {
+    const SHARDS: usize = 4;
+    let traced =
+        |recorder: Arc<dyn Recorder>| Obs::new(Tracer::new(recorder), Arc::new(Metrics::new()));
+    let (obs, served_obs) = match observers {
+        Some(o) => (traced(o.client.clone()), traced(o.served.clone())),
+        None => (Obs::disabled(), Obs::disabled()),
+    };
+    let mut rng = test_rng(0x0B5E);
+    let params = SystemParams::new(tiny_group().clone());
+    let group = params.group().clone();
+    let mut judge = Judge::new(group.clone(), &mut rng);
+    let gpk = judge.public_key().clone();
+    let broker = Arc::new(ShardedBroker::new(params.clone(), gpk.clone(), SHARDS, &mut rng));
+    let mut peer = |id: u64, rng: &mut rand::rngs::StdRng| {
+        let gk = judge.enroll(PeerId(id), rng);
+        let p =
+            Peer::new(PeerId(id), params.clone(), broker.public_key().clone(), gpk.clone(), gk, rng);
+        broker.register_peer(PeerId(id), p.public_key().clone());
+        p
+    };
+    let (owner, mut payer, mut payee) = (peer(0, &mut rng), peer(1, &mut rng), peer(2, &mut rng));
+    let sender_key = judge.enroll(PeerId(3), &mut rng);
+
+    let mut net = Network::new();
+    install_wire_classifier(&mut net);
+    net.set_obs(served_obs.clone());
+    let (clk, sclk) = (clock(Timestamp(0)), shared_clock(Timestamp(0)));
+    let mut ids =
+        attach_shard_endpoints_obs(&mut net, broker.clone(), sclk.clone(), 7, served_obs.clone());
+    let owner = Rc::new(RefCell::new(owner));
+    ids.push(attach_peer_obs(&mut net, owner.clone(), clk.clone(), 8, served_obs.clone()));
+    let host = Rc::new(RefCell::new(MicropayHost::new(group.clone(), gpk.clone(), 16)));
+    ids.push(attach_micropay_host_obs(&mut net, host.clone(), served_obs));
+    let carried = Carried::default();
+    let relays: Vec<EndpointId> = ids
+        .clone()
+        .into_iter()
+        .map(|server| {
+            let src = attach_client(&mut net, "relay-src");
+            let carried = carried.clone();
+            ids.push(src);
+            net.register_writer("relay", move |net, request, out| {
+                net.request_into(src, server, request, out).expect("the relay reaches its server");
+                carried.borrow_mut().push((request.to_vec(), out.clone()));
+            })
+        })
+        .collect();
+    ids.extend(&relays);
+    let (shard_eps, owner_ep, host_ep) = (&relays[..SHARDS], relays[SHARDS], relays[SHARDS + 1]);
+    let [owner_me, payer_me, payee_me, sender_me, host_me] =
+        ["owner", "payer", "payee", "sender", "host"].map(|name| attach_client(&mut net, name));
+    ids.extend([owner_me, payer_me, payee_me, sender_me, host_me]);
+    let shard_of = |coin| shard_eps[broker.shard_of_coin(&coin)];
+
+    let now = Timestamp(0);
+    let buy = |net: &mut Network, rng: &mut rand::rngs::StdRng| {
+        let mut owner = owner.borrow_mut();
+        let mode = PurchaseMode::Identified;
+        purchase_via_obs(net, owner_me, shard_eps[0], &mut owner, mode, now, rng, &obs).expect("buy")
+    };
+    let coin = buy(&mut net, &mut rng);
+    let (invite, session) = payer.begin_receive(&mut rng);
+    let grant = request_issue_via_obs(&mut net, payer_me, owner_ep, coin, &invite, &obs).unwrap();
+    payer.accept_grant(grant, session, now).unwrap();
+    let (invite, session) = payee.begin_receive(&mut rng);
+    let request = payer.request_transfer(coin, &invite, &mut rng).unwrap();
+    let grant = request_transfer_via_obs(&mut net, payer_me, owner_ep, request, false, &obs).unwrap();
+    payee.accept_grant(grant, session, now).unwrap();
+    payer.complete_transfer(coin);
+    clk.set(Timestamp(100));
+    sclk.store(100, Ordering::SeqCst);
+    let request = payee.request_renewal(coin, &mut rng).unwrap();
+    let renewed = request_renewal_via_obs(&mut net, payee_me, owner_ep, request, false, &obs).unwrap();
+    payee.apply_renewal(coin, renewed).unwrap();
+    let request = payee.request_deposit(coin, &mut rng).unwrap();
+    deposit_via_obs(&mut net, payee_me, shard_of(coin), request, &obs).unwrap();
+    payee.complete_deposit(coin);
+
+    let coin = buy(&mut net, &mut rng);
+    let (invite, session) = payer.begin_receive(&mut rng);
+    let grant = request_issue_via_obs(&mut net, payer_me, owner_ep, coin, &invite, &obs).unwrap();
+    payer.accept_grant(grant, session, now).unwrap();
+    let (invite, session) = payee.begin_receive(&mut rng);
+    let request = payer.request_transfer(coin, &invite, &mut rng).unwrap();
+    let grant = request_transfer_via_obs(&mut net, payer_me, shard_of(coin), request, true, &obs)
+        .expect("downtime transfer");
+    payee.accept_grant(grant, session, now).unwrap();
+    payer.complete_transfer(coin);
+    binding_proof_via_obs(&mut net, payee_me, shard_of(coin), coin, &obs).expect("proof");
+    sync_via_obs(&mut net, owner_me, shard_eps[1], &mut owner.borrow_mut(), &mut rng, &obs)
+        .expect("sync");
+
+    let (mut sender, commitment) = MicropaySender::open(&group, &gpk, &sender_key, 64, 8, &mut rng);
+    let chain = open_chain_via_obs(&mut net, sender_me, host_ep, commitment, &obs).expect("open");
+    let word = sender.pay(1).unwrap();
+    assert_eq!(tick_via_obs(&mut net, sender_me, host_ep, chain, word, &obs).unwrap(), (1, 1));
+    let batch: Vec<Payword> = (0..4).map(|_| sender.pay(2).unwrap()).collect();
+    let acked = tick_batch_via_obs(&mut net, sender_me, host_ep, chain, batch, &obs);
+    assert_eq!(acked.unwrap(), (8, 9));
+    let request = host.borrow().receiver(&chain).expect("open chain").redeem_request();
+    let receipt = redeem_chain_via_obs(&mut net, host_me, shard_eps[2], request, &obs).unwrap();
+    assert_eq!(receipt.total, 9);
+
+    let carried = carried.take();
+    Wire {
+        stats: net.stats(),
+        endpoints: ids.iter().map(|&id| net.endpoint_stats(id)).collect(),
+        breakdown: net.breakdown().clone(),
+        carried,
+    }
+}
+
+/// Tracing and metrics on every endpoint, every client call and the
+/// network leave the wire as it is without them: the same global,
+/// per-endpoint and per-kind counts, and every request and response the
+/// same bytes.
+#[test]
+fn observing_a_run_changes_no_byte_on_the_wire() {
+    let observers = Observers::default();
+    let plain = history(None);
+    let observed = history(Some(&observers));
+    assert!(!observers.client.events().is_empty() && !observers.served.is_empty(), "observed");
+    assert_eq!(observed.stats, plain.stats, "global traffic");
+    assert_eq!(observed.endpoints, plain.endpoints, "per-endpoint traffic");
+    assert_eq!(observed.breakdown, plain.breakdown, "per-kind traffic");
+    assert_eq!(observed.carried.len(), plain.carried.len(), "exchanges carried");
+    for (i, (seen, unseen)) in observed.carried.iter().zip(&plain.carried).enumerate() {
+        assert_eq!(seen.0, unseen.0, "request {i}");
+        assert_eq!(seen.1, unseen.1, "response {i}");
+    }
+}
+
+/// A trace ends at the endpoint. No id a traced client drew — trace,
+/// span or parent — appears in a served-side event, the flight dump or
+/// the Chrome trace of a traced 4-shard broker, peer and micropay host,
+/// and every served span is a root: a broker cannot invert the ids it
+/// sees to group one client's requests.
+#[test]
+fn no_id_the_client_drew_reaches_the_served_side() {
+    let observers = Observers::default();
+    history(Some(&observers));
+    let drawn: BTreeSet<u64> = observers
+        .client
+        .events()
+        .iter()
+        .filter_map(|event| event.trace)
+        .flat_map(|t| [t.trace_id, t.span_id, t.parent_span_id])
+        .filter(|&id| id != 0)
+        .collect();
+    assert_eq!(drawn.len(), 2 * 14, "each of the 14 calls drew a trace id and a span id");
+
+    let served = observers.served.snapshot();
+    let dispatched = served.iter().filter(|event| event.trace.is_some());
+    assert!(served.iter().any(|event| event.role == Role::Broker && event.trace.is_some()));
+    for event in dispatched {
+        let t = event.trace.unwrap();
+        assert_eq!(t.parent_span_id, 0, "a served span is a root: {event:?}");
+        assert!(!drawn.contains(&t.trace_id) && !drawn.contains(&t.span_id), "{event:?}");
+    }
+    let exports = [observers.served.dump_jsonl(), chrome_trace(&served)];
+    for id in &drawn {
+        let hex = format!("{id:016x}");
+        assert!(exports.iter().all(|export| !export.contains(&hex)), "{hex} reached the served side");
+    }
 }

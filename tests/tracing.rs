@@ -231,16 +231,18 @@ fn trace_ids_never_collide_across_concurrent_lifecycles() {
             let obs = obs.clone();
             scope.spawn(move || {
                 for _ in 0..LIFECYCLES_PER_THREAD {
-                    // A miniature lifecycle: a root operation span with
-                    // two causally-linked children, as the service layer
-                    // produces for one exchange with a dispatch + retry.
+                    // A miniature lifecycle: a root operation span and
+                    // the chain of two retry attempts the service layer
+                    // produces for a call whose first two attempts fail.
                     let root = obs.span(Role::Client, OpKind::Purchase);
                     let ctx = root.context().expect("enabled spans carry contexts");
-                    let dispatch = obs.child_span(Role::Broker, OpKind::Purchase, &ctx);
-                    dispatch.finish();
-                    let mut retry = obs.child_span(Role::Client, OpKind::Purchase, &ctx);
-                    retry.mark_retry(1, "lost");
-                    retry.finish();
+                    let mut first = obs.child_span(Role::Client, OpKind::Purchase, &ctx);
+                    first.mark_retry(1, "lost");
+                    let first_ctx = first.context().expect("enabled spans carry contexts");
+                    first.finish();
+                    let mut second = obs.child_span(Role::Client, OpKind::Purchase, &first_ctx);
+                    second.mark_retry(2, "timed out");
+                    second.finish();
                     root.finish();
                 }
             });
