@@ -819,8 +819,8 @@ impl Broker {
     /// eight chains to a lane call, and the fixed-base powers (`g^u1`,
     /// `g^z_r`, `g^z_x`, `y_J^z_r`) eight to a call of the base's comb.
     /// Each verdict is the one the handler would have computed. A group
-    /// of one is walked like any other — a lone deposit or downtime
-    /// request owes three chains or more, one lane call's worth — and
+    /// of one is walked like any other — a lone request owes two chains or
+    /// more, one lane call's worth — and
     /// chains too few to make a lane call
     /// ([`whopay_num::SchnorrGroup::lane_plan`]), and every chain on a
     /// host without the engine, stay with the handlers.

@@ -43,12 +43,11 @@ use whopay_net::{Classify, Endpoint, EndpointId, ErrorClass, Network, RequestErr
 use whopay_obs::{Counter, Event, Histogram, Obs, OpKind, Role, Span, TraceContext};
 
 use whopay_crypto::payword::Payword;
-use whopay_num::SchnorrGroup;
 
 use crate::audit::Violation;
 use crate::broker::{Broker, PrepareReport, Upcoming};
 use crate::codec;
-use crate::coin::{Binding, MintedCoin, OwnerTag};
+use crate::coin::{Binding, MintedCoin};
 use crate::error::CoreError;
 use crate::ledger::BindingProof;
 use crate::messages::{
@@ -335,11 +334,10 @@ impl Endpoint for ShardEndpoint {
     /// owns to [`Broker::prepare`]. Proofs, syncs and redemptions are
     /// passed over on their wire kind, before any parse; so are frames
     /// that do not parse and requests routed here for another shard. A
-    /// group that cannot owe a lane call's worth of chains
-    /// ([`chains_at_most`]: a lone identified purchase owes two) is
-    /// neither copied nor walked, and the broker is not called: the
-    /// verdicts the last call parked stay until the next one clears them,
-    /// each still the verdict its check gives.
+    /// cycle with no request left to walk is not copied, and the broker is
+    /// not called: the verdicts the last call parked stay until the next
+    /// one clears them, each still the verdict its check gives. Every
+    /// request that is walked owes a lane call's worth of chains.
     fn prepare(&mut self, upcoming: &[&[u8]]) {
         if let Some(probes) = &self.probes {
             probes.batch.record_nanos(upcoming.len() as u64);
@@ -356,7 +354,7 @@ impl Endpoint for ShardEndpoint {
             .collect();
         let mut report = PrepareReport::default();
         let mut group_len = 0;
-        if views.iter().map(chains_at_most).sum::<usize>() >= SchnorrGroup::LANE_MIN {
+        if !views.is_empty() {
             let owned: Vec<Request> = views
                 .iter()
                 .filter(|view| self.sharded.shard_for(view) == Some(self.shard))
@@ -385,23 +383,6 @@ impl Endpoint for ShardEndpoint {
             probes.comb_calls.add(report.comb_calls);
             probes.comb_filled.add(report.comb_filled);
         }
-    }
-}
-
-/// The most chains [`Broker::prepare`] can owe for `request`, from the
-/// checks its handler walks: for a purchase, one for its coin key and
-/// one for an identity signature (two) or two for a group signature's
-/// halves (three); for a deposit or a downtime transfer or renewal, one
-/// each for a coin-key-signed binding and a holder signature and two for
-/// the group signature (four). Zero for what the broker does not walk.
-fn chains_at_most(request: &RequestView<'_>) -> usize {
-    match request {
-        RequestView::Purchase { owner: OwnerTag::Identified(_), .. } => 2,
-        RequestView::Purchase { .. } => 3,
-        RequestView::Deposit(_)
-        | RequestView::Transfer { downtime: true, .. }
-        | RequestView::Renewal { downtime: true, .. } => 4,
-        _ => 0,
     }
 }
 

@@ -14,7 +14,8 @@
 //! forged responses and scalars out of range, stale and superseding
 //! bindings, double deposits, coins the broker never minted — is cut into
 //! arbitrary groups, from one request to a round of two dozen, so that a
-//! shard's share straddles the three chains a lane call takes, and run
+//! shard's share straddles the two chains a lane call takes, and eight,
+//! and run
 //! through four identically seeded sharded brokers:
 //!
 //! * **batched**: every group is submitted and drained, so each shard
@@ -32,10 +33,9 @@
 //!
 //! All four agree byte for byte on every response, and at the end on
 //! every shard's snapshot, counters, journal, committed `(root, seq)` and
-//! verdict-cache accounting. No history is excepted. A group that cannot
-//! owe a lane call's worth of chains (a lone identified purchase) is not
-//! walked and leaves the last call's untaken verdicts parked, so the
-//! handlers also meet verdict tables built over other bytes.
+//! verdict-cache accounting. No history is excepted. Every group with a
+//! request to walk is walked, a lone identified purchase (two chains, a
+//! lane call's worth) included.
 //!
 //! The same histories have one more reader: after every round each shard
 //! of the batched world is recovered from its journal bytes, and the

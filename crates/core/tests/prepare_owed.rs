@@ -326,24 +326,30 @@ fn prepare_owes_what_it_owed_on_a_pinned_history() {
     // A coin nobody minted, a stale binding and a deposit delivered again
     // owe nothing. The cycle of one is walked like any other group.
     //
-    // Against a `prepare` that skipped a group of one and made a lane call
-    // from four chains up (59 settled, 4 skipped, 10 lane calls filling
-    // 74 lanes, 11 comb calls filling 78):
-    // * `skipped` 4 → 3: cycle 4's renewal owes its two signatures;
-    // * `settled` 59 → 61: their two verdicts;
-    // * `lane_calls` 10 → 12, `lanes_filled` 74 → 80: cycle 4's three
-    //   chains ride one call, and cycle 1's 19 chains — the coin key and
-    //   identity signature of six identified purchases (four served, one
-    //   forged, one with the zero key), the unregistered buyer's coin key,
-    //   and two anonymous purchases' coin key and two halves each — fill a
-    //   third call with the three past sixteen, which walked alone under
-    //   four;
-    // * `comb_calls` 11 → 12, `comb_filled` 78 → 81: cycle 4's three
-    //   fixed-base powers (`g^u1` of the holder signature, `g^z_r` and
-    //   `g^z_x` of the group signature) fill one comb call; its one judge-key
-    //   power stays alone. Every other cycle's chain and comb counts leave
-    //   a remainder past eight other than three, so their plans are as they
-    //   were.
+    // Cycle by cycle, with a lane call from `LANE_MIN` = 2 chains or comb
+    // powers up (lane calls / lanes filled, comb calls / powers):
+    // * cycle 1: 3 / 19 and 3 / 12 — 19 chains: the coin key and identity
+    //   signature of six identified purchases (four served, one forged,
+    //   one with the zero key), the unregistered buyer's coin key, and two
+    //   anonymous purchases' coin key and two halves each; ten generator
+    //   powers, the `g^u1` of the six identity signatures and `g^z_r`,
+    //   `g^z_x` of the two group signatures (a full call and one of two);
+    //   and the judge key's two `y_J^z_r` (one call of two);
+    // * cycle 2: 4 / 29 and 5 / 35;
+    // * cycle 3: 3 / 23 and 4 / 29;
+    // * cycle 4: 1 / 3 and 1 / 3 — the renewal's holder key and two
+    //   halves, and its `g^u1`, `g^z_r`, `g^z_x`; its one judge-key power
+    //   stays alone;
+    // * cycle 5: 1 / 6 and 2 / 8 — six generator powers (one call), and
+    //   the judge key's two (one call of two).
+    //
+    // Against `LANE_MIN` = 3 (61 settled, 3 skipped, 12 lane calls
+    // filling 80 lanes, 12 comb calls filling 81), only the comb counts
+    // move, `comb_calls` 12 → 15 and `comb_filled` 81 → 87: the last two
+    // of cycle 1's ten generator powers and the judge key's two in cycles
+    // 1 and 5 walked alone under three. No cycle's chains, and no other
+    // cycle's comb powers, leave a remainder of two past a multiple of
+    // eight, so every other plan is as it was.
     assert_eq!(w.report.skipped, 3, "{:?}", w.report);
     if tiny_group().lane_plan(8).0 > 0 {
         assert_eq!(
@@ -353,8 +359,8 @@ fn prepare_owes_what_it_owed_on_a_pinned_history() {
                 skipped: 3,
                 lane_calls: 12,
                 lanes_filled: 80,
-                comb_calls: 12,
-                comb_filled: 81,
+                comb_calls: 15,
+                comb_filled: 87,
             }
         );
     }

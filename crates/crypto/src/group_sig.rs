@@ -174,17 +174,19 @@ impl GroupPublicKey {
         if !sig.in_range(group) {
             return false;
         }
-        // Membership of c1 and c2 rides the chains that raise them to -e.
+        // Membership of c1 and c2 rides the chains that raise them to -e,
+        // and g's two powers come from its comb: each pair in one lane call
+        // where the plan makes one. y_J's power comes from its table.
         let neg_e = group.scalar_ring().neg(&sig.e);
-        let Some(c1_e) = group.pow_member(sig.ct.c1(), &neg_e) else {
+        let exps = [&neg_e];
+        let halves = group.pow_member_many(&[(sig.ct.c1(), &exps[..]), (sig.ct.c2(), &exps[..])]);
+        let Ok([Some(c1_e), Some(c2_e)]) = <[_; 2]>::try_from(halves) else {
             return false;
         };
-        let Some(c2_e) = group.pow_member(sig.ct.c2(), &neg_e) else {
-            return false;
-        };
-        // The fixed bases g and y_J come from their tables.
-        let fixed = [group.pow_g(&sig.z_r), group.pow_g(&sig.z_x), self.judge.pow(group, &sig.z_r)];
-        self.accepts(group, message, sig, &fixed, [&c1_e, &c2_e])
+        let mut g_powers = group.pow_g_many(&[&sig.z_r, &sig.z_x]).into_iter();
+        let mut g_power = || g_powers.next().expect("one power per exponent");
+        let fixed = [g_power(), g_power(), self.judge.pow(group, &sig.z_r)];
+        self.accepts(group, message, sig, &fixed, [&c1_e[0], &c2_e[0]])
     }
 
     /// Whether `sig`, in range, with `fixed = [g^{z_r}, g^{z_x},

@@ -32,12 +32,18 @@
 //! * a key comb of the judge key's shape (`FixedBaseTable::for_key`, the
 //!   table a hot key builds): eight exponents walked alone, and the same
 //!   eight through `pow_table_many`.
+//!
+//! And before those, what `SchnorrGroup::generate` spends most of its
+//! time on: the forty Miller–Rabin powers `a^d mod p` that confirm a
+//! 512-bit prime (the group's `p`), walked one by one and in five lane
+//! calls — `primes::is_probable_prime` raises its first base alone and the
+//! other 39 in lanes.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use rand::SeedableRng;
-use whopay_num::{BigUint, FixedBaseTable, SchnorrGroup};
+use whopay_num::{BigUint, FixedBaseTable, ModRing, SchnorrGroup};
 
 /// Timed rounds per figure.
 const ROUNDS: usize = 300;
@@ -77,6 +83,7 @@ fn main() {
     let group = SchnorrGroup::generate(512, 160, &mut rng);
     let keys: Vec<BigUint> = (0..3).map(|_| group.pow_g(&group.random_scalar(&mut rng))).collect();
     let exps: Vec<BigUint> = (0..3).map(|_| group.random_scalar(&mut rng)).collect();
+    miller_rabin_figures(&group, &mut rng);
     comb_figures(&group, &mut rng);
     let chain = |i: usize| {
         let powers = group.pow_member_each(&keys[i], &[&exps[i]]);
@@ -118,6 +125,24 @@ fn main() {
         return;
     }
     println!("no lane engine on this host: every chain walks alone");
+}
+
+/// Forty Miller–Rabin powers over the group's `p`: `a^d` for forty random
+/// bases, `p − 1 = d·2^s` with `d` odd, one by one and in lanes.
+fn miller_rabin_figures(group: &SchnorrGroup, rng: &mut impl rand::Rng) {
+    let p = group.modulus();
+    let p_minus_1 = p - &BigUint::one();
+    let d = &p_minus_1 >> (0..).find(|&i| p_minus_1.bit(i)).expect("p > 1");
+    let bases: Vec<BigUint> = (0..40).map(|_| BigUint::random_below(rng, p)).collect();
+    let ring = ModRing::new(p.clone());
+    let alone = p50_of(|| bases.iter().map(|a| ring.pow(a, &d)).collect::<Vec<_>>());
+    println!("40 Miller-Rabin powers alone    p50 {alone:8.2} us");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = whopay_num::lanes::LaneRing::new(p) {
+        let items: Vec<(&BigUint, &[&BigUint])> = bases.iter().map(|a| (a, &[][..])).collect();
+        let laned = p50_of(|| lanes.pow_each(&d, &items));
+        println!("40 Miller-Rabin powers in lanes p50 {laned:8.2} us ({:.2}x)", laned / alone);
+    }
 }
 
 /// The fixed-base figures: lone generator powers against one

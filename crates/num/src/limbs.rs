@@ -225,6 +225,21 @@ pub fn div_rem_limb(u: &[u64], v: u64) -> (Vec<u64>, u64) {
     (q, rem)
 }
 
+/// The remainder of `u` divided by the single limb `v`: what
+/// [`div_rem_limb`] returns second, without building the quotient.
+///
+/// # Panics
+///
+/// Panics if `v == 0`.
+pub fn rem_limb(u: &[u64], v: u64) -> u64 {
+    assert!(v != 0, "division by zero");
+    let mut rem = 0u64;
+    for &limb in u.iter().rev() {
+        rem = ((u128::from(rem) << 64 | u128::from(limb)) % u128::from(v)) as u64;
+    }
+    rem
+}
+
 /// Full multi-limb division (Knuth TAOCP vol. 2, Algorithm D).
 ///
 /// Returns `(quotient, remainder)` with both vectors normalized.
@@ -342,6 +357,26 @@ mod tests {
         add_assign(&mut back, &r);
         assert_eq!(normalized(&back), normalized(&u));
         assert_eq!(cmp(&r, &v), Ordering::Less);
+    }
+
+    /// `rem_limb` is `%` by a one-limb `BigUint` at every width from
+    /// zero to nine limbs (top limbs zero included), over divisors from 1
+    /// to `u64::MAX` and the small primes trial division screens with.
+    #[test]
+    fn rem_limb_is_the_remainder_at_random_widths() {
+        use rand::RngExt;
+        let mut rng = crate::test_rng(6);
+        let random = (0..40).map(|_| rng.random::<u64>() >> rng.random_range(0..64));
+        let divisors: Vec<u64> =
+            random.filter(|&v| v != 0).chain([1, 2, 3, 197, 199, u64::MAX]).collect();
+        for _ in 0..200 {
+            let u: Vec<u64> = (0..rng.random_range(0..10)).map(|_| rng.random()).collect();
+            let big = crate::BigUint::from_limbs(u.clone());
+            for &v in &divisors {
+                let want = (&big % &crate::BigUint::from(v)).to_u64();
+                assert_eq!(Some(rem_limb(&u, v)), want, "{u:x?} % {v}");
+            }
+        }
     }
 
     #[test]

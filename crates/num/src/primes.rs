@@ -13,7 +13,7 @@ use rand::Rng;
 #[cfg(target_arch = "x86_64")]
 use crate::lanes::LaneRing;
 use crate::montgomery::FixedBaseTable;
-use crate::{BigUint, ModRing, Powers};
+use crate::{limbs, BigUint, ModRing, Powers};
 
 /// Small primes used for fast trial-division screening of candidates.
 const SMALL_PRIMES: [u64; 46] = [
@@ -39,17 +39,12 @@ const MILLER_RABIN_ROUNDS: usize = 40;
 /// assert!(!primes::is_probable_prime(&BigUint::from(104730u64), &mut rand::rng()));
 /// ```
 pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
-    let two = BigUint::from(2u64);
-    if n < &two {
+    if n.bits() < 2 {
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let p = BigUint::from(p);
-        if *n == p {
-            return true;
-        }
-        if (n % &p).is_zero() {
-            return false;
+        if limbs::rem_limb(n.limbs(), p) == 0 {
+            return n.limbs() == [p];
         }
     }
     miller_rabin(n, MILLER_RABIN_ROUNDS, rng)
@@ -57,6 +52,14 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
 
 /// Raw Miller–Rabin with `rounds` random bases. Assumes `n` is odd and has
 /// already survived trial division.
+///
+/// Round one's base is drawn and tested alone: a composite almost always
+/// fails it, and then costs one power and one draw. The other bases are
+/// then all drawn, in order, and raised to `d` together ([`pow_all`])
+/// before any is tested. The verdict is the one a round-by-round test
+/// gives on the same draws, and so are the draws themselves, except for
+/// a composite that passes a random base: it has drawn every base by the
+/// time a later one fails.
 fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     let one = BigUint::one();
     let n_minus_1 = n - &one;
@@ -67,21 +70,38 @@ fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> boo
     let two = BigUint::from(2u64);
     let bound = n - &two; // bases in [2, n-2]
 
-    'witness: for _ in 0..rounds {
-        let a = BigUint::random_range(rng, &two, &bound);
-        let mut x = ring.pow(&a, &d);
+    // A base passes iff x = a^d is 1, or n - 1 is among x, x^2, ..., x^(2^(s-1)).
+    let passes = |mut x: BigUint| {
         if x.is_one() || x == n_minus_1 {
-            continue;
+            return true;
         }
         for _ in 0..s - 1 {
             x = ring.sqr(&x);
             if x == n_minus_1 {
-                continue 'witness;
+                return true;
             }
         }
+        false
+    };
+    let mut draw = || BigUint::random_range(rng, &two, &bound);
+    if !passes(ring.pow(&draw(), &d)) {
         return false;
     }
-    true
+    let bases: Vec<BigUint> = (1..rounds).map(|_| draw()).collect();
+    pow_all(&ring, &bases, &d).into_iter().all(passes)
+}
+
+/// `a^e` for every base `a` in `bases`, index-aligned, each below `ring`'s
+/// modulus: eight to a call of the lane engine where the host has it and
+/// the modulus fits it ([`LaneRing::new`]), else one by one. Each power is
+/// what [`ModRing::pow`] gives.
+fn pow_all(ring: &ModRing, bases: &[BigUint], e: &BigUint) -> Vec<BigUint> {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = LaneRing::new(ring.modulus()) {
+        let items: Vec<Powers<'_>> = bases.iter().map(|a| (a, &[][..])).collect();
+        return lanes.pow_each(e, &items).into_iter().map(|(a_e, _)| a_e).collect();
+    }
+    bases.iter().map(|a| ring.pow(a, e)).collect()
 }
 
 /// Number of trailing zero bits (`n` must be nonzero).
@@ -382,12 +402,6 @@ impl SchnorrGroup {
         powers.pop().is_some_and(|x_q| x_q.is_one()).then_some(powers)
     }
 
-    /// `x^e mod p` iff `x` is a subgroup member:
-    /// [`SchnorrGroup::pow_member_each`] for one exponent.
-    pub fn pow_member(&self, x: &BigUint, e: &BigUint) -> Option<BigUint> {
-        self.pow_member_each(x, &[e])?.pop()
-    }
-
     /// [`SchnorrGroup::pow_member_each`] for every `(x, exps)` in `items`
     /// (no exponents: [`SchnorrGroup::is_element`]), index-aligned. The
     /// chains are independent and the same shape, so where the host and
@@ -418,21 +432,23 @@ impl SchnorrGroup {
     }
 
     /// Chains a lane call must carry before it is made: a call costs the
-    /// same however many of its eight lanes are filled — about two lone
-    /// chains on the host this was measured on (25.8 against 12.6 µs,
-    /// p50 of 300, 512/160 group), and a lone chain run just after it
-    /// slows by 2 % at most — so three chains are the first that one call
-    /// walks for less than they cost alone (25.8 against 37.8 µs).
+    /// same however many of its eight lanes are filled — 42.0–56.5 µs
+    /// carrying 1 or 3 chains on the host this was measured on, against
+    /// 23.4–56.1 µs for a lone chain (p50 of 300, 512/160 group, nine
+    /// runs), and a lone chain run just after a call slows by 4.2 % at
+    /// most — so two chains are the first that one call walks for less
+    /// than they cost alone, in seven of the nine runs (one said one,
+    /// one said three).
     /// `cargo run --release -p whopay-num --example lane_cost` prints
-    /// these figures for the host it runs on (EXPERIMENTS.md, "PR 38").
+    /// these figures for the host it runs on (EXPERIMENTS.md, "Powers
+    /// over one modulus share a lane call").
     /// Comb powers are spread by the same rule.
     ///
-    /// Three is what lets a lone request that owes three chains — a
-    /// holder key and both halves of a group signature — walk them in one
-    /// call. Two was tried when the slowdown after a lane call was 14 %,
-    /// and dropped (EXPERIMENTS.md, "Lone requests in lanes, measured and
-    /// dropped").
-    pub const LANE_MIN: usize = 3;
+    /// Two is what lets a lone group signature — its two ciphertext halves,
+    /// and `g^z_r`, `g^z_x` on the generator's comb — take one lane call
+    /// for each pair ([`SchnorrGroup::pow_member_many`],
+    /// [`SchnorrGroup::pow_g_many`]).
+    pub const LANE_MIN: usize = 2;
 
     /// How [`SchnorrGroup::pow_member_many`] spreads `chains` chains (and
     /// [`SchnorrGroup::pow_table_many`] as many comb powers): the lane

@@ -15,10 +15,10 @@ cargo test -q --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
 
-echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, the plan [no call under three chains, a last partial call from three up], the comb differential [pow_table_lanes / pow_table_many / pow_g_many ≡ FixedBaseTable::pow in both table shapes at every occupancy 1..=17, exponents 0, 1, q-1, the widest covered and one bit wider], lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran)"
+echo "==> cargo test -p whopay-num --release (arithmetic differential suite: fixed-width kernels, fixed-base comb in both shapes, pow_each / pow_member_each, fixed-width inverse vs Euclid; lanes_diff: AVX-512 IFMA lane engine ≡ serial pow_member_each at every occupancy 1..=17, the plan [no call under LANE_MIN = 2 chains, a last partial call from LANE_MIN up], the comb differential [pow_table_lanes / pow_table_many / pow_g_many ≡ FixedBaseTable::pow in both table shapes at every occupancy 1..=17, exponents 0, 1, q-1, the widest covered and one bit wider], lane kernels vs ModRing::mul up to 2p-1 — its 'engine under test' line says which engine this host ran; primes_diff: is_probable_prime ≡ the round-by-round Miller–Rabin oracle in verdict and rng position on random odd candidates at 64–600 bits, primes, Carmichael numbers and strong pseudoprimes, gen_prime ≡ the oracle's prime on 30 seeds, and the benchmark, tiny, small and 1024/160 groups pinned by digest)"
 cargo test -p whopay-num -q --release --offline
 
-echo "==> cargo run -p whopay-num --release --example lane_cost (report, not a gate: p50 of a lone pow_g, 8 pow_g one after another, one pow_g_many of 8, and a judge-shaped key comb's 8 powers alone and through pow_table_many — what a coupon refill rests on; then a lone chain, a lane call carrying 1 and 3 chains, 3 chains walked alone, a lone chain right after a lane call — what LANE_MIN = 3 rests on, on this host)"
+echo "==> cargo run -p whopay-num --release --example lane_cost (report, not a gate: p50 of 40 Miller–Rabin powers at 512 bits alone and in lanes — what SchnorrGroup::generate spends most on; a lone pow_g, 8 pow_g one after another, one pow_g_many of 8, and a judge-shaped key comb's 8 powers alone and through pow_table_many — what a coupon refill rests on; then a lone chain, a lane call carrying 1 and 3 chains, 3 chains walked alone, a lone chain right after a lane call — what LANE_MIN = 2 rests on, on this host)"
 cargo run -p whopay-num -q --release --offline --example lane_cost || echo "ci.sh: lane_cost probe did not run (a report only)"
 
 echo "==> cargo test -p whopay-crypto --release (coupon_parity: a fresh coupon pool's first eight DSA signatures, keys and group signatures ≡ eight sequential sign / generate / GroupMemberKey::sign on a clone of the rng, 17 pooled signatures across a refill verify [verify_member, GroupPublicKey::verify], open to their signer and spend distinct nonces, a coupon cannot be cloned [compile_fail doctest], a pool prints its counts and no scalar; batch_soundness: verify_many on group signatures alone ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; registry_pairs_are_a_function_of_the_seed: a group manager lists its registry in ascending element order; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
