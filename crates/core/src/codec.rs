@@ -17,12 +17,38 @@
 //! count) or the bytes left is refused. A writer asserts what its class
 //! cannot frame — it never truncates — and no decoded value can trip such
 //! an assertion.
+//!
+//! Every record that crosses a trust boundary as bytes — a wire message's
+//! parts, a journal entry's — is declared once, in the record table at
+//! the end of this module: one line per field naming its class. From it
+//! come the record's writer, its borrowed `*Ref` view with `parse`, the
+//! materialiser that builds the owned value, and `MIN_WIRE_LEN`, the sum
+//! of its fields' least sizes. [`crate::wire`] and [`crate::view`] add
+//! only the tag dispatch between records, and the journal and the ledger
+//! call the same functions.
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 
+use whopay_crypto::dsa::{DsaPublicKey, DsaSignature};
+use whopay_crypto::elgamal::ElGamalCiphertext;
+use whopay_crypto::group_sig::GroupSignature;
+use whopay_crypto::payword::Payword;
+use whopay_net::Handle;
 use whopay_num::BigUint;
 use whopay_obs::Metrics;
+
+use crate::broker::FraudCase;
+use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag, PublicBindingState};
+use crate::ledger::{BindingProof, CoinLeaf, SignedRoot};
+use crate::merkle::InclusionProof;
+use crate::messages::{
+    CoinGrant, DepositReceipt, DepositRequest, PaymentInvite, PurchaseRequest, RenewalRequest,
+    TransferRequest,
+};
+use crate::micropay::{ChainCommitment, RedemptionReceipt};
+use crate::types::{ChainId, CoinId, PeerId, Timestamp};
+use crate::wire::{MAX_WIRE_CHECKPOINTS, MAX_WIRE_SIBLINGS};
 
 /// Encoding buffer.
 #[derive(Debug, Default)]
@@ -112,6 +138,16 @@ impl Writer {
         let len = u16::try_from(v.be_len()).expect("an integer frames at most u16::MAX bytes");
         self.u64(len.into());
         v.extend_be_bytes(&mut self.buf);
+        self
+    }
+
+    /// Appends an optional value: a presence flag, then the value if there
+    /// is one.
+    pub fn opt<T>(&mut self, v: Option<&T>, put: impl FnOnce(&mut Writer, &T)) -> &mut Self {
+        self.flag(v.is_some());
+        if let Some(v) = v {
+            put(self, v);
+        }
         self
     }
 
@@ -398,6 +434,530 @@ impl<'a> Reader<'a> {
             Err(DecodeError)
         }
     }
+}
+
+/// Reads a count-prefixed list of at most `cap` items, each at least
+/// `min_item` bytes on the wire: nothing is reserved for a count the
+/// bytes that are left could not hold.
+// Inlined with `ResponseView::parse_inner` (see there): left to the
+// compiler it stays out of line and takes the tick-ack reader with it.
+#[inline(always)]
+pub(crate) fn parse_list<'a, T>(
+    r: &mut Reader<'a>,
+    cap: usize,
+    min_item: usize,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let n = r.count(cap, min_item)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
+// --- the record table ---
+
+/// A big integer still sitting in the wire buffer: the minimal big-endian
+/// magnitude — a padded one does not parse — so equality and hashing are
+/// canonical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct IntRef<'a> {
+    be: &'a [u8],
+}
+
+impl<'a> IntRef<'a> {
+    /// Least encoded size: zero, an empty magnitude behind its one-byte
+    /// length.
+    const MIN_WIRE_LEN: usize = 1;
+
+    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+        Ok(IntRef { be: r.int()? })
+    }
+
+    /// The canonical big-endian magnitude (empty for zero).
+    pub fn be_bytes(&self) -> &'a [u8] {
+        self.be
+    }
+
+    /// Materializes the owned integer (the only allocating operation).
+    pub fn to_biguint(&self) -> BigUint {
+        BigUint::from_be_bytes(self.be)
+    }
+
+    /// Value equality against an owned integer, without materializing.
+    pub fn eq_big(&self, v: &BigUint) -> bool {
+        v.eq_be_bytes(self.be)
+    }
+}
+
+/// One field class, by aspect: the type a `*Ref` holds (`[ty]`), its
+/// reader (`[parse r]`, a `Result`), its writer (`[put w, v]`, handed a
+/// reference to the owned value), its materialiser (`[to x]`, handed the
+/// borrowed value) and its least encoded size (`[min]`).
+///
+/// - `int`: a big integer, an [`IntRef`]; owned a `BigUint`; 1 byte least.
+/// - `u64`, `u64(T)`: a varint, bare or as the newtype `T`; 1.
+/// - `flag`: a `bool`; 1.
+/// - `fixed(32)`, `fixed(T)`: 32 bytes bare, as they are or as the newtype
+///   `T`; 32.
+/// - `str`: UTF-8 text behind its length, a `&str`; owned a `String`; 1.
+/// - `rec(R)`, `sig`, `gsig`: the record `R` of this table, a
+///   [`SigRef`], a [`GroupSigRef`]; `R::MIN_WIRE_LEN`.
+/// - `opt(class)`: a presence flag, then the value; 1.
+/// - `list(cap, class)`: a count of at most `cap`, then the items; 1.
+/// - `with(T, parse, put, min)`: an owned `T` read and written by the two
+///   functions named; `min`.
+/// - `of_coin(minted)`: the binding a grant or a deposit carries, less the
+///   coin key its field `minted` states; a binding's least less a key's.
+macro_rules! class {
+    ($aspect:tt sig) => { class!($aspect rec(SigRef)) };
+    ($aspect:tt gsig) => { class!($aspect rec(GroupSigRef)) };
+    ([ty] int) => { IntRef<'a> };
+    ([parse $r:ident] int) => { IntRef::parse($r) };
+    ([put $w:ident, $v:expr] int) => { $w.int($v) };
+    ([to $x:expr] int) => { $x.to_biguint() };
+    ([min] int) => { IntRef::MIN_WIRE_LEN };
+    ([ty] u64) => { u64 };
+    ([parse $r:ident] u64) => { $r.u64() };
+    ([put $w:ident, $v:expr] u64) => { $w.u64(*$v) };
+    ([ty] u64($t:ident)) => { $t };
+    ([parse $r:ident] u64($t:ident)) => { $r.u64().map($t) };
+    ([put $w:ident, $v:expr] u64($t:ident)) => { $w.u64($v.0) };
+    ([ty] flag) => { bool };
+    ([parse $r:ident] flag) => { $r.flag() };
+    ([put $w:ident, $v:expr] flag) => { $w.flag(*$v) };
+    ([ty] fixed(32)) => { [u8; 32] };
+    ([parse $r:ident] fixed(32)) => { $r.raw().copied() };
+    ([put $w:ident, $v:expr] fixed(32)) => { $w.fixed($v) };
+    ([ty] fixed($t:ident)) => { $t };
+    ([parse $r:ident] fixed($t:ident)) => { $r.raw().map(|v| $t(*v)) };
+    ([put $w:ident, $v:expr] fixed($t:ident)) => { $w.fixed(&$v.0) };
+    ([min] fixed($($_:tt)*)) => { 32 };
+    ([ty] str) => { &'a str };
+    ([parse $r:ident] str) => {
+        $r.blob().and_then(|b| std::str::from_utf8(b).map_err(|_| DecodeError))
+    };
+    ([put $w:ident, $v:expr] str) => { $w.blob($v.as_bytes()) };
+    ([to $x:expr] str) => { $x.to_owned() };
+    ([ty] rec($t:ident)) => { $t<'a> };
+    ([parse $r:ident] rec($t:ident)) => { $t::parse($r) };
+    ([put $w:ident, $v:expr] rec($t:ident)) => { $t::put($w, $v) };
+    ([to $x:expr] rec($t:ident)) => { $x.materialize() };
+    ([min] rec($t:ident)) => { $t::MIN_WIRE_LEN };
+    ([ty] opt($($c:tt)+)) => { Option<class!([ty] $($c)+)> };
+    ([parse $r:ident] opt($($c:tt)+)) => {
+        $r.flag().and_then(|some| some.then(|| class!([parse $r] $($c)+)).transpose())
+    };
+    ([put $w:ident, $v:expr] opt($($c:tt)+)) => {
+        $w.opt($v.as_ref(), |w, v| _ = class!([put w, v] $($c)+))
+    };
+    ([to $x:expr] opt($($c:tt)+)) => { $x.map(|x| class!([to x] $($c)+)) };
+    ([ty] list($cap:expr, $($c:tt)+)) => { Vec<class!([ty] $($c)+)> };
+    ([parse $r:ident] list($cap:expr, $($c:tt)+)) => {
+        parse_list($r, $cap, class!([min] $($c)+), |r| class!([parse r] $($c)+))
+    };
+    ([put $w:ident, $v:expr] list($cap:expr, $($c:tt)+)) => {{
+        $w.count($v.len());
+        for v in $v {
+            class!([put $w, v] $($c)+);
+        }
+    }};
+    ([to $x:expr] list($cap:expr, $($c:tt)+)) => {
+        $x.into_iter().map(|x| class!([to x] $($c)+)).collect()
+    };
+    ([ty] with($t:ty, $parse:ident, $put:ident, $min:expr)) => { $t };
+    ([parse $r:ident] with($t:ty, $parse:ident, $put:ident, $min:expr)) => { $parse($r) };
+    ([put $w:ident, $v:expr] with($t:ty, $parse:ident, $put:ident, $min:expr)) => { $put($w, $v) };
+    ([min] with($t:ty, $parse:ident, $put:ident, $min:expr)) => { $min };
+    ([ty] of_coin($minted:ident)) => { BindingRef<'a> };
+    ([parse $r:ident] of_coin($minted:ident)) => { BindingRef::parse_of_coin($r, $minted.coin_pk) };
+    ([put $w:ident, $v:expr] of_coin($minted:ident)) => { put_binding_of_coin($w, $v) };
+    ([to $x:expr] of_coin($minted:ident)) => { $x.materialize() };
+    ([min] of_coin($minted:ident)) => { BindingRef::MIN_WIRE_LEN - IntRef::MIN_WIRE_LEN };
+    // The classes not named above materialize to what they borrow, and
+    // take one byte at least.
+    ([to $x:expr] $($c:tt)+) => { $x };
+    ([min] $($c:tt)+) => { 1 };
+}
+
+/// Declares the records, one row per field — `name: class, "doc";` —
+/// in one of three forms:
+///
+/// - `struct R<'a> { rows } fn to_x() -> T;` — a view of `T`, whose
+///   public fields are the rows, each written from `&value.name`
+///   (`-> T, into_x;` adds the materialiser that takes the view by value);
+/// - `struct R<'a> { rows with accessors } fn put(v: V); fn to_x() -> T {
+///   constructor }` — a view of a `T` of another shape: the writer is
+///   handed `v`, a row `name: class = accessor` is written from the
+///   accessor (a reference), and the constructor builds `T` from the
+///   fields by name;
+/// - `impl T { rows }` — an owned record, parsed as it is.
+///
+/// Each gets `parse`, `put` and `MIN_WIRE_LEN`; a view also its struct and
+/// the materialiser.
+macro_rules! records {
+    () => {};
+    (
+        @ref $(#[$m:meta])* $vis:vis $name:ident {
+            $($f:ident: $c:ident $(($($a:tt)*))? = $get:expr $(, $doc:literal)?;)*
+        }
+        ($v:ident: $vty:ty) $to:ident $($into:ident)? -> $owned:ty $make:block
+    ) => {
+        $(#[$m])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        $vis struct $name<'a> {
+            $($(#[doc = $doc])? pub $f: class!([ty] $c $(($($a)*))?),)*
+        }
+
+        impl<'a> $name<'a> {
+            // Read where a list of the record is, and by the minimum test.
+            #[allow(dead_code)]
+            pub(crate) const MIN_WIRE_LEN: usize = 0 $(+ class!([min] $c $(($($a)*))?))*;
+
+            pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
+                $(let $f = class!([parse r] $c $(($($a)*))?)?;)*
+                Ok($name { $($f),* })
+            }
+
+            pub(crate) fn put(w: &mut Writer, $v: $vty) {
+                $(class!([put w, $get] $c $(($($a)*))?);)*
+            }
+
+            fn materialize(self) -> $owned {
+                let $name { $($f),* } = self;
+                $(let $f = class!([to $f] $c $(($($a)*))?);)*
+                $make
+            }
+
+            #[doc = concat!("Materializes the owned `", stringify!($owned), "`.")]
+            pub fn $to(&self) -> $owned {
+                self.clone().materialize()
+            }
+
+            $(
+                #[doc = concat!("Materializes the owned `", stringify!($owned), "`, handing over")]
+                /// what the view owns instead of copying it.
+                pub fn $into(self) -> $owned {
+                    self.materialize()
+                }
+            )?
+        }
+    };
+    (
+        $(#[$m:meta])* $vis:vis struct $name:ident<'a> {
+            $($f:ident: $c:ident $(($($a:tt)*))? $(, $doc:literal)?;)*
+        }
+        fn $to:ident() -> $owned:ident $(, $into:ident)?; $($rest:tt)*
+    ) => {
+        records!(@ref $(#[$m])* $vis $name { $($f: $c $(($($a)*))? = &v.$f $(, $doc)?;)* }
+            (v: &$owned) $to $($into)? -> $owned { $owned { $($f),* } });
+        records!($($rest)*);
+    };
+    (
+        $(#[$m:meta])* $vis:vis struct $name:ident<'a> {
+            $($f:ident: $c:ident $(($($a:tt)*))? = $get:expr $(, $doc:literal)?;)*
+        }
+        fn put($v:ident: $vty:ty); fn $to:ident() -> $owned:ty $make:block $($rest:tt)*
+    ) => {
+        records!(@ref $(#[$m])* $vis $name { $($f: $c $(($($a)*))? = $get $(, $doc)?;)* }
+            ($v: $vty) $to -> $owned $make);
+        records!($($rest)*);
+    };
+    (impl $name:ident { $($f:ident: $c:ident $(($($a:tt)*))?;)* } $($rest:tt)*) => {
+        impl $name {
+            // Read where a list of the record is, and by the minimum test.
+            #[allow(dead_code)]
+            pub(crate) const MIN_WIRE_LEN: usize = 0 $(+ class!([min] $c $(($($a)*))?))*;
+
+            pub(crate) fn parse(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                $(let $f = class!([parse r] $c $(($($a)*))?)?;)*
+                Ok($name { $($f),* })
+            }
+
+            pub(crate) fn put(w: &mut Writer, v: &Self) {
+                $(class!([put w, &v.$f] $c $(($($a)*))?);)*
+            }
+        }
+        records!($($rest)*);
+    };
+}
+
+records! {
+    /// A DSA signature by reference.
+    #[derive(Copy)]
+    pub struct SigRef<'a> {
+        r: int = sig.r(), "`r` component.";
+        s: int = sig.s(), "`s` component.";
+    }
+    fn put(sig: &DsaSignature);
+    fn to_sig() -> DsaSignature { DsaSignature::from_parts(r, s) }
+
+    /// A group signature by reference.
+    #[derive(Copy)]
+    pub struct GroupSigRef<'a> {
+        c1: int = gsig.ciphertext().c1(), "ElGamal ciphertext component `c1`.";
+        c2: int = gsig.ciphertext().c2(), "ElGamal ciphertext component `c2`.";
+        challenge: int = gsig.challenge_scalar(), "Fiat–Shamir challenge scalar.";
+        z_r: int = gsig.z_r(), "Response scalar for the encryption randomness.";
+        z_x: int = gsig.z_x(), "Response scalar for the member secret.";
+    }
+    fn put(gsig: &GroupSignature);
+    fn to_gsig() -> GroupSignature {
+        GroupSignature::from_parts(ElGamalCiphertext::from_parts(c1, c2), challenge, z_r, z_x)
+    }
+
+    /// A minted coin by reference. The owner tag is held owned — it contains
+    /// no big integers, only a peer id or a fixed-width handle.
+    #[derive(Copy)]
+    pub struct MintedRef<'a> {
+        owner: with(OwnerTag, parse_owner_tag, put_owner_tag, 1) = m.owner(),
+            "Owner tag (cheap; no heap fields).";
+        coin_pk: int = m.coin_pk(), "The coin public key `pkC`.";
+        broker_sig: sig = m.broker_sig(), "The broker's mint signature.";
+    }
+    fn put(m: &MintedCoin);
+    fn to_minted() -> MintedCoin { MintedCoin::from_parts(owner, coin_pk, broker_sig) }
+
+    /// A binding by reference.
+    #[derive(Copy)]
+    pub struct BindingRef<'a> {
+        coin_pk: int = b.coin_pk(), "The coin this binding is about.";
+        holder_pk: int = b.holder_pk(), "The current holder key.";
+        seq: u64 = &b.seq(), "Sequence number.";
+        expires: u64(Timestamp) = &b.expires(), "Expiration date.";
+        signer: with(BindingSigner, parse_signer, put_signer, 1) = &b.signer(),
+            "Who signed it.";
+        sig: sig = b.raw_sig(), "The binding signature.";
+    }
+    fn put(b: &Binding);
+    fn to_binding() -> Binding { Binding::from_parts(coin_pk, holder_pk, seq, expires, signer, sig) }
+
+    /// A payment invite by reference.
+    #[derive(Copy)]
+    pub struct InviteRef<'a> {
+        holder_pk: int, "Fresh holder public key.";
+        nonce: fixed(32), "Challenge nonce.";
+        group_sig: gsig, "The payee's group signature.";
+    }
+    fn to_invite() -> PaymentInvite;
+
+    /// A deposit request by reference.
+    #[derive(Copy)]
+    pub struct DepositRef<'a> {
+        minted: rec(MintedRef), "The broker-signed coin.";
+        binding: of_coin(minted), "The holder's current binding.";
+        holder_sig: sig, "The holder's relinquishment signature.";
+        group_sig: gsig, "The holder's group signature.";
+    }
+    fn to_deposit() -> DepositRequest;
+
+    /// A transfer request by reference.
+    #[derive(Copy)]
+    pub struct TransferRef<'a> {
+        current: rec(BindingRef), "The holder's current binding.";
+        new_holder_pk: int, "The payee's fresh holder key.";
+        nonce: fixed(32), "The payee's challenge nonce.";
+        holder_sig: sig, "The holder's signature.";
+        group_sig: gsig, "The holder's group signature.";
+    }
+    fn to_transfer() -> TransferRequest;
+
+    /// A renewal request by reference.
+    #[derive(Copy)]
+    pub struct RenewalRef<'a> {
+        current: rec(BindingRef), "The holder's current binding.";
+        holder_sig: sig, "The holder's signature.";
+        group_sig: gsig, "The holder's group signature.";
+    }
+    fn to_renewal() -> RenewalRequest;
+
+    /// A coin grant by reference.
+    #[derive(Copy)]
+    pub struct GrantRef<'a> {
+        minted: rec(MintedRef), "The broker-signed coin.";
+        binding: of_coin(minted), "The new binding.";
+        ownership_proof: sig, "The ownership proof.";
+    }
+    fn to_grant() -> CoinGrant;
+
+    /// A chain commitment by reference. Every field is fixed-width (digests
+    /// and counters) except the group signature, which stays borrowed; the
+    /// checkpoint digests are collected into a length-capped vector like the
+    /// other item lists.
+    pub struct CommitmentRef<'a> {
+        root: fixed(32), "PayWord chain root `w_0`.";
+        capacity: u64, "Units the chain can carry.";
+        checkpoint_every: u64, "Checkpoint interval `k`.";
+        checkpoints: list(MAX_WIRE_CHECKPOINTS, fixed(32)), "Digests of every k-th link.";
+        group_sig: gsig, "The payer's group signature.";
+    }
+    fn to_commitment() -> ChainCommitment, into_commitment;
+
+    /// The public state of a downtime binding by reference: its holder key
+    /// stays borrowed.
+    #[derive(Copy)]
+    pub struct PublicStateRef<'a> {
+        holder_pk: int, "Current holder key.";
+        seq: u64, "Current sequence number.";
+        expires: u64(Timestamp), "Current expiration date.";
+    }
+    fn to_state() -> PublicBindingState;
+
+    /// A committed coin leaf by reference: only the downtime binding's
+    /// holder key is a big integer, and it stays borrowed.
+    #[derive(Copy)]
+    pub struct CoinLeafRef<'a> {
+        coin: fixed(CoinId), "The committed coin.";
+        deposited: flag, "Whether the coin has been redeemed.";
+        binding: opt(rec(PublicStateRef)), "Public downtime-binding state.";
+        aux: fixed(32), "Digest of the leaf's non-public fields.";
+    }
+    fn to_leaf() -> CoinLeaf;
+
+    /// A binding proof by reference: the leaf's holder key and the root
+    /// signature stay borrowed; the sibling path is a length-capped digest
+    /// vector like the other item lists.
+    pub struct ProofRef<'a> {
+        leaf: rec(CoinLeafRef) = &p.leaf, "The committed coin leaf.";
+        leaves: u64 = &p.proof.leaves, "Total leaves in the committed tree.";
+        index: u64 = &p.proof.index, "The proven leaf's index.";
+        siblings: list(MAX_WIRE_SIBLINGS, fixed(32)) = &p.proof.siblings,
+            "Sibling hashes, leaf level first.";
+        root: fixed(32) = &p.root.root, "The committed root.";
+        root_seq: u64 = &p.root.seq, "The root's mutation sequence number.";
+        root_sig: sig = &p.root.sig, "Broker signature over `(root, seq)`.";
+    }
+    fn put(p: &BindingProof);
+    fn to_proof() -> BindingProof {
+        let proof = InclusionProof { leaves, index, siblings };
+        BindingProof { leaf, proof, root: SignedRoot { root, seq: root_seq, sig: root_sig } }
+    }
+
+    impl DepositReceipt {
+        coin: fixed(CoinId);
+        value: u64;
+    }
+
+    impl RedemptionReceipt {
+        chain: fixed(ChainId);
+        credited: u64;
+        total: u64;
+    }
+
+    /// A purchase as the journal keeps it: each proof behind a presence
+    /// flag (a purchase frame states its one proof behind a tag instead).
+    pub(crate) struct PurchaseRef<'a> {
+        owner: with(OwnerTag, parse_owner_tag, put_owner_tag, 1);
+        coin_pk: int;
+        identity_sig: opt(sig);
+        group_sig: opt(gsig);
+    }
+    fn to_purchase() -> PurchaseRequest;
+
+    /// A fraud case by reference.
+    pub(crate) struct FraudRef<'a> {
+        coin: fixed(CoinId);
+        description: str;
+        group_sigs: list(usize::MAX, gsig);
+    }
+    fn to_fraud() -> FraudCase;
+
+    /// A registered peer and its identity key: a journal's registration and
+    /// a checkpoint's peer record.
+    pub(crate) struct PeerRef<'a> {
+        peer: u64(PeerId) = &p.0;
+        key: int = p.1.element();
+    }
+    fn put(p: (PeerId, &DsaPublicKey));
+    fn to_peer() -> (PeerId, DsaPublicKey) { (peer, DsaPublicKey::from_element(key)) }
+}
+
+// --- the classes and parts the table does not state as a field list ---
+
+impl<'a> BindingRef<'a> {
+    /// Reads the binding a grant or a deposit carries after its minted
+    /// coin: everything but the coin key, which is `coin_pk`, the minted
+    /// coin's.
+    fn parse_of_coin(r: &mut Reader<'a>, coin_pk: IntRef<'a>) -> Result<Self, DecodeError> {
+        Ok(BindingRef {
+            coin_pk,
+            holder_pk: IntRef::parse(r)?,
+            seq: r.u64()?,
+            expires: Timestamp(r.u64()?),
+            signer: parse_signer(r)?,
+            sig: SigRef::parse(r)?,
+        })
+    }
+}
+
+/// A binding without its coin key, for a grant or a deposit: the minted
+/// coin written just before it states the key, and the reader takes it
+/// from there — a binding of another coin than the minted one has no
+/// encoding.
+fn put_binding_of_coin(w: &mut Writer, b: &Binding) {
+    w.int(b.holder_pk()).u64(b.seq()).u64(b.expires().0);
+    put_signer(w, &b.signer());
+    SigRef::put(w, b.raw_sig());
+}
+
+impl CommitmentRef<'_> {
+    /// The chain's id (and shard routing key): its root digest.
+    pub fn chain_id(&self) -> ChainId {
+        ChainId(self.root)
+    }
+}
+
+pub(crate) fn parse_owner_tag(r: &mut Reader<'_>) -> Result<OwnerTag, DecodeError> {
+    match r.tag()? {
+        0 => Ok(OwnerTag::Identified(PeerId(r.u64()?))),
+        1 => Ok(OwnerTag::Anonymous),
+        2 => Ok(OwnerTag::AnonymousWithHandle(Handle(r.blob()?.try_into().map_err(|_| DecodeError)?))),
+        _ => Err(DecodeError),
+    }
+}
+
+pub(crate) fn put_owner_tag(w: &mut Writer, tag: &OwnerTag) {
+    match tag {
+        OwnerTag::Identified(p) => _ = w.tag(0).u64(p.0),
+        OwnerTag::Anonymous => _ = w.tag(1),
+        OwnerTag::AnonymousWithHandle(h) => _ = w.tag(2).blob(&h.0),
+    }
+}
+
+fn parse_signer(r: &mut Reader<'_>) -> Result<BindingSigner, DecodeError> {
+    match r.tag()? {
+        0 => Ok(BindingSigner::CoinKey),
+        1 => Ok(BindingSigner::Broker),
+        _ => Err(DecodeError),
+    }
+}
+
+fn put_signer(w: &mut Writer, signer: &BindingSigner) {
+    w.tag(match signer {
+        BindingSigner::CoinKey => 0,
+        BindingSigner::Broker => 1,
+    });
+}
+
+/// Encoded size of a payword: its index as 8 big-endian bytes, then the
+/// 32-byte word — one fixed-width field, not a varint, so that a batch of
+/// up to 4096 parses at a fixed stride.
+pub(crate) const PAYWORD_WIRE_LEN: usize = 40;
+
+/// Reads a payword's fixed 40-byte field: the big-endian index, the word.
+pub(crate) fn parse_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
+    let encoded = r.raw::<PAYWORD_WIRE_LEN>()?;
+    let (index, word) = encoded.split_first_chunk::<8>().expect("40 >= 8");
+    Ok(Payword { index: u64::from_be_bytes(*index), word: word.try_into().expect("32 bytes remain") })
+}
+
+pub(crate) fn put_payword(w: &mut Writer, p: &Payword) {
+    // Assembled first: one copy per payword.
+    let mut encoded = [0u8; PAYWORD_WIRE_LEN];
+    encoded[..8].copy_from_slice(&p.index.to_be_bytes());
+    encoded[8..].copy_from_slice(&p.word);
+    w.fixed(&encoded);
 }
 
 #[cfg(test)]

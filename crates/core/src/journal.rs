@@ -37,25 +37,20 @@ use std::sync::Arc;
 use whopay_crypto::dsa::DsaPublicKey;
 
 use crate::broker::{BrokerStats, FraudCase};
-use crate::codec::{DecodeError, Reader, Writer};
+use crate::codec::{
+    parse_list, parse_payword, put_payword, BindingRef, CommitmentRef, DecodeError, DepositRef,
+    FraudRef, GrantRef, IntRef, MintedRef, PeerRef, PurchaseRef, Reader, RenewalRef, TransferRef,
+    Writer,
+};
 use crate::coin::{Binding, MintedCoin};
 use crate::error::CoreError;
 use whopay_crypto::sha256::Digest;
 
 use crate::ledger::{LEAF_CHAIN, LEAF_COIN, LEAF_FRAUD, LEAF_PEER};
-use crate::messages::PurchaseRequest;
-use crate::micropay::ChainCommitment;
+use crate::messages::DepositReceipt;
+use crate::micropay::{ChainCommitment, RedemptionReceipt};
 use crate::replay::ServedOp;
 use crate::types::{CoinId, PeerId};
-use crate::view::{
-    parse_digest32, parse_list, parse_owner_tag, parse_payword, parse_receipt,
-    parse_redemption_receipt, BindingRef, CommitmentRef, DepositRef, GrantRef, GroupSigRef, IntRef,
-    MintedRef, RenewalRef, SigRef, TransferRef,
-};
-use crate::wire::{
-    put_binding, put_commitment, put_deposit, put_grant, put_gsig, put_minted, put_owner_tag,
-    put_payword, put_receipt, put_redemption_receipt, put_renewal, put_sig, put_transfer,
-};
 
 /// One coin's complete broker-side state: the broker's own record of the
 /// coin, and what a checkpoint freezes of it (its id is the minted coin's;
@@ -325,7 +320,7 @@ impl Journal {
 fn decode_entry(frame: &[u8]) -> Result<JournalEntry, DecodeError> {
     let mut r = Reader::new(frame);
     let seq = r.u64()?;
-    let root = parse_digest32(&mut r)?;
+    let root = *r.raw()?;
     let op = get_op(&mut r)?;
     r.finish()?;
     Ok(JournalEntry { seq, root, op })
@@ -347,60 +342,31 @@ fn get_stats(r: &mut Reader<'_>) -> Result<BrokerStats, DecodeError> {
     Ok(stats)
 }
 
-/// An optional field: a presence flag, then the value if there is one.
-pub(crate) fn put_opt<T>(w: &mut Writer, value: Option<&T>, put: impl FnOnce(&mut Writer, &T)) {
-    w.flag(value.is_some());
-    if let Some(value) = value {
-        put(w, value);
-    }
-}
-
-fn put_purchase(w: &mut Writer, p: &PurchaseRequest) {
-    put_owner_tag(w, &p.owner);
-    w.int(&p.coin_pk);
-    put_opt(w, p.identity_sig.as_ref(), put_sig);
-    put_opt(w, p.group_sig.as_ref(), put_gsig);
-}
-
-fn get_purchase(r: &mut Reader<'_>) -> Result<PurchaseRequest, DecodeError> {
-    let owner = parse_owner_tag(r)?;
-    let coin_pk = IntRef::parse(r)?.to_biguint();
-    let identity_sig = r.flag()?.then(|| SigRef::parse(r)).transpose()?.map(|s| s.to_sig());
-    let group_sig = r.flag()?.then(|| GroupSigRef::parse(r)).transpose()?.map(|s| s.to_gsig());
-    Ok(PurchaseRequest { owner, coin_pk, identity_sig, group_sig })
-}
-
 pub(crate) fn put_served(w: &mut Writer, op: &ServedOp) {
     match op {
         ServedOp::Purchase { request, minted } => {
-            w.tag(0);
-            put_purchase(w, request);
-            put_minted(w, minted);
+            PurchaseRef::put(w.tag(0), request);
+            MintedRef::put(w, minted);
         }
         ServedOp::Issue { holder_pk, nonce, grant } => {
-            w.tag(1).int(holder_pk).fixed(nonce);
-            put_grant(w, grant);
+            GrantRef::put(w.tag(1).int(holder_pk).fixed(nonce), grant)
         }
         ServedOp::Transfer { request, grant } => {
-            w.tag(2);
-            put_transfer(w, request);
-            put_grant(w, grant);
+            TransferRef::put(w.tag(2), request);
+            GrantRef::put(w, grant);
         }
         ServedOp::Renewal { request, binding } => {
-            w.tag(3);
-            put_renewal(w, request);
-            put_binding(w, binding);
+            RenewalRef::put(w.tag(3), request);
+            BindingRef::put(w, binding);
         }
         ServedOp::Deposit { request, receipt } => {
-            w.tag(4);
-            put_deposit(w, request);
-            put_receipt(w, receipt);
+            DepositRef::put(w.tag(4), request);
+            DepositReceipt::put(w, receipt);
         }
         ServedOp::RedeemChain { commitment, payword, receipt } => {
-            w.tag(5);
-            put_commitment(w, commitment);
+            CommitmentRef::put(w.tag(5), commitment);
             put_payword(w, payword);
-            put_redemption_receipt(w, receipt);
+            RedemptionReceipt::put(w, receipt);
         }
     }
 }
@@ -408,12 +374,12 @@ pub(crate) fn put_served(w: &mut Writer, op: &ServedOp) {
 fn get_served(r: &mut Reader<'_>) -> Result<ServedOp, DecodeError> {
     match r.tag()? {
         0 => Ok(ServedOp::Purchase {
-            request: get_purchase(r)?,
+            request: PurchaseRef::parse(r)?.to_purchase(),
             minted: MintedRef::parse(r)?.to_minted(),
         }),
         1 => Ok(ServedOp::Issue {
             holder_pk: IntRef::parse(r)?.to_biguint(),
-            nonce: parse_digest32(r)?,
+            nonce: *r.raw()?,
             grant: GrantRef::parse(r)?.to_grant(),
         }),
         2 => Ok(ServedOp::Transfer {
@@ -426,33 +392,15 @@ fn get_served(r: &mut Reader<'_>) -> Result<ServedOp, DecodeError> {
         }),
         4 => Ok(ServedOp::Deposit {
             request: DepositRef::parse(r)?.to_deposit(),
-            receipt: parse_receipt(r)?,
+            receipt: DepositReceipt::parse(r)?,
         }),
         5 => Ok(ServedOp::RedeemChain {
             commitment: Arc::new(CommitmentRef::parse(r)?.into_commitment()),
             payword: parse_payword(r)?,
-            receipt: parse_redemption_receipt(r)?,
+            receipt: RedemptionReceipt::parse(r)?,
         }),
         _ => Err(DecodeError),
     }
-}
-
-fn get_peer(r: &mut Reader<'_>) -> Result<(PeerId, DsaPublicKey), DecodeError> {
-    Ok((PeerId(r.u64()?), DsaPublicKey::from_element(IntRef::parse(r)?.to_biguint())))
-}
-
-pub(crate) fn put_fraud(w: &mut Writer, case: &FraudCase) {
-    w.fixed(&case.coin.0).blob(case.description.as_bytes()).count(case.group_sigs.len());
-    for sig in &case.group_sigs {
-        put_gsig(w, sig);
-    }
-}
-
-fn get_fraud(r: &mut Reader<'_>) -> Result<FraudCase, DecodeError> {
-    let coin = CoinId(parse_digest32(r)?);
-    let description = String::from_utf8(r.blob()?.to_vec()).map_err(|_| DecodeError)?;
-    let group_sigs = parse_list(r, usize::MAX, MIN_GSIG, |r| Ok(GroupSigRef::parse(r)?.to_gsig()))?;
-    Ok(FraudCase { coin, description, group_sigs })
 }
 
 /// A state record behind its leaf's kind tag: a peer or a fraud case as
@@ -460,46 +408,33 @@ fn get_fraud(r: &mut Reader<'_>) -> Result<FraudCase, DecodeError> {
 /// its last redemption memo alone — nothing another field already states.
 pub(crate) fn put_record(w: &mut Writer, record: &StateRecord) {
     match record {
-        StateRecord::Peer(peer, key) => _ = w.tag(LEAF_PEER).u64(peer.0).int(key.element()),
+        StateRecord::Peer(peer, key) => PeerRef::put(w.tag(LEAF_PEER), (*peer, key)),
         StateRecord::Coin(coin) => {
-            w.tag(LEAF_COIN);
-            put_minted(w, &coin.minted);
+            MintedRef::put(w.tag(LEAF_COIN), &coin.minted);
             put_served(w, &coin.last_served);
         }
-        StateRecord::Fraud(case) => {
-            w.tag(LEAF_FRAUD);
-            put_fraud(w, case);
-        }
-        StateRecord::Chain(chain) => {
-            w.tag(LEAF_CHAIN);
-            put_served(w, &chain.last_served);
-        }
+        StateRecord::Fraud(case) => FraudRef::put(w.tag(LEAF_FRAUD), case),
+        StateRecord::Chain(chain) => put_served(w.tag(LEAF_CHAIN), &chain.last_served),
     }
 }
 
 fn get_record(r: &mut Reader<'_>) -> Result<StateRecord, DecodeError> {
     match r.tag()? {
-        LEAF_PEER => get_peer(r).map(|(peer, key)| StateRecord::Peer(peer, key)),
+        LEAF_PEER => {
+            let (peer, key) = PeerRef::parse(r)?.to_peer();
+            Ok(StateRecord::Peer(peer, key))
+        }
         LEAF_COIN => {
             let minted = MintedRef::parse(r)?.to_minted();
             CoinSnapshot::served(minted, get_served(r)?).map(StateRecord::Coin).ok_or(DecodeError)
         }
-        LEAF_FRAUD => Ok(StateRecord::Fraud(get_fraud(r)?)),
+        LEAF_FRAUD => Ok(StateRecord::Fraud(FraudRef::parse(r)?.to_fraud())),
         LEAF_CHAIN => {
             ChainSnapshot::redeemed(&get_served(r)?).map(StateRecord::Chain).ok_or(DecodeError)
         }
         _ => Err(DecodeError),
     }
 }
-
-// The least one item of a journal list can encode to: what bounds a count
-// prefix by the bytes that are left ([`Reader::count`]) before anything is
-// reserved for it. A real checkpoint may hold any number of records, so
-// the bytes are the only cap. A record is its tag and at least a peer's id
-// and key (a varint and an integer are 1 byte at least); a group signature
-// is five integers.
-const MIN_RECORD: usize = 1 + 1 + 1;
-const MIN_GSIG: usize = 5;
 
 // Tags 1, 2, 3 and 7 are retired (they were Mint / Deposit / DowntimeBinding / ChainRedeem: a
 // served op next to fields copied out of it), and so are 6 and 9 (checkpoints restating each
@@ -508,15 +443,12 @@ const MIN_GSIG: usize = 5;
 // Malformed.
 fn put_op(w: &mut Writer, op: &JournalOp) {
     match op {
-        JournalOp::Register { peer, key } => _ = w.tag(0).u64(peer.0).int(key.element()),
+        JournalOp::Register { peer, key } => PeerRef::put(w.tag(0), (*peer, key)),
         JournalOp::Served(served) => {
             w.tag(8);
             put_served(w, served);
         }
-        JournalOp::Fraud { case, refused } => {
-            w.tag(10).flag(*refused);
-            put_fraud(w, case);
-        }
+        JournalOp::Fraud { case, refused } => FraudRef::put(w.tag(10).flag(*refused), case),
         JournalOp::Refused => _ = w.tag(11),
         JournalOp::Replayed => _ = w.tag(12),
         JournalOp::Synced => _ = w.tag(13),
@@ -533,18 +465,24 @@ fn put_op(w: &mut Writer, op: &JournalOp) {
 
 fn get_op(r: &mut Reader<'_>) -> Result<JournalOp, DecodeError> {
     match r.tag()? {
-        0 => get_peer(r).map(|(peer, key)| JournalOp::Register { peer, key }),
+        0 => {
+            let (peer, key) = PeerRef::parse(r)?.to_peer();
+            Ok(JournalOp::Register { peer, key })
+        }
         8 => match get_served(r)? {
             ServedOp::Issue { .. } => Err(DecodeError),
             served => Ok(JournalOp::Served(served)),
         },
-        10 => Ok(JournalOp::Fraud { refused: r.flag()?, case: get_fraud(r)? }),
+        10 => Ok(JournalOp::Fraud { refused: r.flag()?, case: FraudRef::parse(r)?.to_fraud() }),
         11 => Ok(JournalOp::Refused),
         12 => Ok(JournalOp::Replayed),
         13 => Ok(JournalOp::Synced),
         14 => Ok(JournalOp::Checkpoint {
             stats: get_stats(r)?,
-            records: parse_list(r, usize::MAX, MIN_RECORD, get_record)?,
+            // A real checkpoint may hold any number of records, so the
+            // bytes are the only cap; the least record is a peer's, behind
+            // its tag.
+            records: parse_list(r, usize::MAX, 1 + PeerRef::MIN_WIRE_LEN, get_record)?,
         }),
         _ => Err(DecodeError),
     }

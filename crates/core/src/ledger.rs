@@ -37,16 +37,13 @@ use whopay_crypto::sha256::{Digest, Sha256};
 use whopay_num::{BigUint, SchnorrGroup};
 
 use crate::broker::{BrokerStats, FraudCase};
-use crate::codec::Writer;
+use crate::codec::{BindingRef, CoinLeafRef, CommitmentRef, MintedRef, Writer};
 use crate::coin::{Binding, MintedCoin, PublicBindingState};
 use crate::error::CoreError;
-use crate::journal::{
-    put_opt, put_record, put_served, put_stats, ChainSnapshot, CoinSnapshot, StateRecord,
-};
+use crate::journal::{put_record, put_served, put_stats, ChainSnapshot, CoinSnapshot, StateRecord};
 use crate::merkle::{InclusionProof, MerkleTree};
 use crate::replay::ServedOp;
 use crate::types::{ChainId, CoinId, PeerId};
-use crate::wire::{put_binding, put_coin_leaf, put_commitment, put_minted};
 
 // Leaf kind tags (first field of every leaf payload, so no leaf of one
 // kind can collide with another; a checkpoint's state records lead with
@@ -80,8 +77,7 @@ pub struct CoinLeaf {
 /// commitment format.
 pub fn coin_leaf_bytes(leaf: &CoinLeaf) -> Vec<u8> {
     let mut w = Writer::new();
-    w.tag(LEAF_COIN);
-    put_coin_leaf(&mut w, leaf);
+    CoinLeafRef::put(w.tag(LEAF_COIN), leaf);
     w.finish()
 }
 
@@ -97,9 +93,7 @@ fn coin_leaf_from_digest(
     last_served: Option<&ServedOp>,
 ) -> CoinLeaf {
     let mut w = Writer::new();
-    w.fixed(minted);
-    put_opt(&mut w, downtime_binding, put_binding);
-    put_opt(&mut w, last_served, put_served);
+    w.fixed(minted).opt(downtime_binding, BindingRef::put).opt(last_served, put_served);
     coin_leaf_with_aux(coin, downtime_binding, deposited, Sha256::digest(&w.finish()))
 }
 
@@ -135,9 +129,9 @@ fn record_bytes(record: &StateRecord) -> Vec<u8> {
 
 fn chain_leaf_bytes(chain: &ChainSnapshot) -> Vec<u8> {
     let mut aux = Writer::new();
-    put_commitment(&mut aux, &chain.commitment);
+    CommitmentRef::put(&mut aux, &chain.commitment);
     // The memo behind a presence flag, as the leaf has always hashed it.
-    put_opt(&mut aux, Some(&chain.last_served), put_served);
+    aux.opt(Some(&chain.last_served), put_served);
     let aux = Sha256::digest(&aux.finish());
     let mut w = Writer::new();
     let id = chain.commitment.chain_id();
@@ -246,7 +240,7 @@ impl StateLedger {
             return;
         }
         let mut w = Writer::new();
-        put_minted(&mut w, minted);
+        MintedRef::put(&mut w, minted);
         let minted = Sha256::digest(&w.finish());
         let leaf = coin_leaf_from_digest(coin, &minted, downtime_binding, deposited, last_served);
         let index = self.tree.push(&coin_leaf_bytes(&leaf));

@@ -19,419 +19,20 @@
 
 use std::cell::Cell;
 
-use whopay_crypto::dsa::DsaSignature;
-use whopay_crypto::elgamal::ElGamalCiphertext;
-use whopay_crypto::group_sig::GroupSignature;
-use whopay_net::Handle;
-use whopay_num::BigUint;
+use whopay_crypto::payword::Payword;
 use whopay_obs::OpKind;
 
-use crate::codec::{DecodeError, Reader};
-use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag, PublicBindingState};
+use crate::codec::{parse_list, parse_owner_tag, parse_payword, DecodeError, Reader, PAYWORD_WIRE_LEN};
+pub use crate::codec::{
+    BindingRef, CoinLeafRef, CommitmentRef, DepositRef, GrantRef, GroupSigRef, IntRef, InviteRef,
+    MintedRef, ProofRef, PublicStateRef, RenewalRef, SigRef, TransferRef,
+};
+use crate::coin::OwnerTag;
 use crate::error::CoreError;
-use crate::ledger::{BindingProof, CoinLeaf, SignedRoot};
-use crate::merkle::InclusionProof;
-use crate::messages::{
-    CoinGrant, DepositReceipt, DepositRequest, Nonce, PaymentInvite, PurchaseRequest, RenewalRequest,
-    TransferRequest,
-};
-use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
-use crate::types::{ChainId, CoinId, PeerId, Timestamp};
-use crate::wire::{
-    Request, Response, MAX_WIRE_CHECKPOINTS, MAX_WIRE_ITEMS, MAX_WIRE_SIBLINGS, PAYWORD_WIRE_LEN,
-};
-use whopay_crypto::payword::Payword;
-
-/// A big integer still sitting in the wire buffer: the minimal big-endian
-/// magnitude — a padded one does not parse — so equality and hashing are
-/// canonical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct IntRef<'a> {
-    be: &'a [u8],
-}
-
-impl<'a> IntRef<'a> {
-    /// Least encoded size: zero, an empty magnitude behind its one-byte
-    /// length.
-    const MIN_WIRE_LEN: usize = 1;
-
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(IntRef { be: r.int()? })
-    }
-
-    /// The canonical big-endian magnitude (empty for zero).
-    pub fn be_bytes(&self) -> &'a [u8] {
-        self.be
-    }
-
-    /// Materializes the owned integer (the only allocating operation).
-    pub fn to_biguint(&self) -> BigUint {
-        BigUint::from_be_bytes(self.be)
-    }
-
-    /// Value equality against an owned integer, without materializing.
-    pub fn eq_big(&self, v: &BigUint) -> bool {
-        v.eq_be_bytes(self.be)
-    }
-}
-
-/// A DSA signature by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SigRef<'a> {
-    /// `r` component.
-    pub r: IntRef<'a>,
-    /// `s` component.
-    pub s: IntRef<'a>,
-}
-
-impl<'a> SigRef<'a> {
-    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN;
-
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(SigRef { r: IntRef::parse(r)?, s: IntRef::parse(r)? })
-    }
-
-    /// Materializes the owned signature.
-    pub fn to_sig(&self) -> DsaSignature {
-        DsaSignature::from_parts(self.r.to_biguint(), self.s.to_biguint())
-    }
-}
-
-/// A group signature by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupSigRef<'a> {
-    /// ElGamal ciphertext component `c1`.
-    pub c1: IntRef<'a>,
-    /// ElGamal ciphertext component `c2`.
-    pub c2: IntRef<'a>,
-    /// Fiat–Shamir challenge scalar.
-    pub challenge: IntRef<'a>,
-    /// Response scalar for the encryption randomness.
-    pub z_r: IntRef<'a>,
-    /// Response scalar for the member secret.
-    pub z_x: IntRef<'a>,
-}
-
-impl<'a> GroupSigRef<'a> {
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(GroupSigRef {
-            c1: IntRef::parse(r)?,
-            c2: IntRef::parse(r)?,
-            challenge: IntRef::parse(r)?,
-            z_r: IntRef::parse(r)?,
-            z_x: IntRef::parse(r)?,
-        })
-    }
-
-    /// Materializes the owned group signature.
-    pub fn to_gsig(&self) -> GroupSignature {
-        GroupSignature::from_parts(
-            ElGamalCiphertext::from_parts(self.c1.to_biguint(), self.c2.to_biguint()),
-            self.challenge.to_biguint(),
-            self.z_r.to_biguint(),
-            self.z_x.to_biguint(),
-        )
-    }
-}
-
-pub(crate) fn parse_owner_tag(r: &mut Reader<'_>) -> Result<OwnerTag, DecodeError> {
-    match r.tag()? {
-        0 => Ok(OwnerTag::Identified(PeerId(r.u64()?))),
-        1 => Ok(OwnerTag::Anonymous),
-        2 => Ok(OwnerTag::AnonymousWithHandle(Handle(r.blob()?.try_into().map_err(|_| DecodeError)?))),
-        _ => Err(DecodeError),
-    }
-}
-
-/// A minted coin by reference. The owner tag is held owned — it contains
-/// no big integers, only a peer id or a fixed-width handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MintedRef<'a> {
-    /// Owner tag (cheap; no heap fields).
-    pub owner: OwnerTag,
-    /// The coin public key `pkC`.
-    pub coin_pk: IntRef<'a>,
-    /// The broker's mint signature.
-    pub broker_sig: SigRef<'a>,
-}
-
-impl<'a> MintedRef<'a> {
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(MintedRef {
-            owner: parse_owner_tag(r)?,
-            coin_pk: IntRef::parse(r)?,
-            broker_sig: SigRef::parse(r)?,
-        })
-    }
-
-    /// Materializes the owned coin.
-    pub fn to_minted(&self) -> MintedCoin {
-        MintedCoin::from_parts(self.owner, self.coin_pk.to_biguint(), self.broker_sig.to_sig())
-    }
-}
-
-/// A binding by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BindingRef<'a> {
-    /// The coin this binding is about.
-    pub coin_pk: IntRef<'a>,
-    /// The current holder key.
-    pub holder_pk: IntRef<'a>,
-    /// Sequence number.
-    pub seq: u64,
-    /// Expiration date.
-    pub expires: Timestamp,
-    /// Who signed it.
-    pub signer: BindingSigner,
-    /// The binding signature.
-    pub sig: SigRef<'a>,
-}
-
-impl<'a> BindingRef<'a> {
-    /// Two keys, `seq` and `expires` (one-byte varints at least), the
-    /// signer tag and the signature.
-    const MIN_WIRE_LEN: usize = 2 * IntRef::MIN_WIRE_LEN + 3 + SigRef::MIN_WIRE_LEN;
-
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let coin_pk = IntRef::parse(r)?;
-        Self::parse_of_coin(r, coin_pk)
-    }
-
-    /// Reads the binding a grant or a deposit carries after its minted
-    /// coin: everything but the coin key, which is `coin_pk`, the minted
-    /// coin's.
-    fn parse_of_coin(r: &mut Reader<'a>, coin_pk: IntRef<'a>) -> Result<Self, DecodeError> {
-        let holder_pk = IntRef::parse(r)?;
-        let seq = r.u64()?;
-        let expires = Timestamp(r.u64()?);
-        let signer = match r.tag()? {
-            0 => BindingSigner::CoinKey,
-            1 => BindingSigner::Broker,
-            _ => return Err(DecodeError),
-        };
-        Ok(BindingRef { coin_pk, holder_pk, seq, expires, signer, sig: SigRef::parse(r)? })
-    }
-
-    /// Materializes the owned binding.
-    pub fn to_binding(&self) -> Binding {
-        Binding::from_parts(
-            self.coin_pk.to_biguint(),
-            self.holder_pk.to_biguint(),
-            self.seq,
-            self.expires,
-            self.signer,
-            self.sig.to_sig(),
-        )
-    }
-}
-
-/// A payment invite by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InviteRef<'a> {
-    /// Fresh holder public key.
-    pub holder_pk: IntRef<'a>,
-    /// Challenge nonce.
-    pub nonce: Nonce,
-    /// The payee's group signature.
-    pub group_sig: GroupSigRef<'a>,
-}
-
-impl<'a> InviteRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(InviteRef {
-            holder_pk: IntRef::parse(r)?,
-            nonce: parse_digest32(r)?,
-            group_sig: GroupSigRef::parse(r)?,
-        })
-    }
-
-    /// Materializes the owned invite.
-    pub fn to_invite(&self) -> PaymentInvite {
-        PaymentInvite {
-            holder_pk: self.holder_pk.to_biguint(),
-            nonce: self.nonce,
-            group_sig: self.group_sig.to_gsig(),
-        }
-    }
-}
-
-/// A deposit request by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DepositRef<'a> {
-    /// The broker-signed coin.
-    pub minted: MintedRef<'a>,
-    /// The holder's current binding.
-    pub binding: BindingRef<'a>,
-    /// The holder's relinquishment signature.
-    pub holder_sig: SigRef<'a>,
-    /// The holder's group signature.
-    pub group_sig: GroupSigRef<'a>,
-}
-
-impl<'a> DepositRef<'a> {
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let minted = MintedRef::parse(r)?;
-        Ok(DepositRef {
-            minted,
-            binding: BindingRef::parse_of_coin(r, minted.coin_pk)?,
-            holder_sig: SigRef::parse(r)?,
-            group_sig: GroupSigRef::parse(r)?,
-        })
-    }
-
-    /// Materializes the owned deposit request.
-    pub fn to_deposit(&self) -> DepositRequest {
-        DepositRequest {
-            minted: self.minted.to_minted(),
-            binding: self.binding.to_binding(),
-            holder_sig: self.holder_sig.to_sig(),
-            group_sig: self.group_sig.to_gsig(),
-        }
-    }
-}
-
-/// A transfer request by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferRef<'a> {
-    /// The holder's current binding.
-    pub current: BindingRef<'a>,
-    /// The payee's fresh holder key.
-    pub new_holder_pk: IntRef<'a>,
-    /// The payee's challenge nonce.
-    pub nonce: Nonce,
-    /// The holder's signature.
-    pub holder_sig: SigRef<'a>,
-    /// The holder's group signature.
-    pub group_sig: GroupSigRef<'a>,
-}
-
-impl<'a> TransferRef<'a> {
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(TransferRef {
-            current: BindingRef::parse(r)?,
-            new_holder_pk: IntRef::parse(r)?,
-            nonce: parse_digest32(r)?,
-            holder_sig: SigRef::parse(r)?,
-            group_sig: GroupSigRef::parse(r)?,
-        })
-    }
-
-    /// Materializes the owned transfer request.
-    pub fn to_transfer(&self) -> TransferRequest {
-        TransferRequest {
-            current: self.current.to_binding(),
-            new_holder_pk: self.new_holder_pk.to_biguint(),
-            nonce: self.nonce,
-            holder_sig: self.holder_sig.to_sig(),
-            group_sig: self.group_sig.to_gsig(),
-        }
-    }
-}
-
-/// A renewal request by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RenewalRef<'a> {
-    /// The holder's current binding.
-    pub current: BindingRef<'a>,
-    /// The holder's signature.
-    pub holder_sig: SigRef<'a>,
-    /// The holder's group signature.
-    pub group_sig: GroupSigRef<'a>,
-}
-
-impl<'a> RenewalRef<'a> {
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(RenewalRef {
-            current: BindingRef::parse(r)?,
-            holder_sig: SigRef::parse(r)?,
-            group_sig: GroupSigRef::parse(r)?,
-        })
-    }
-
-    /// Materializes the owned renewal request.
-    pub fn to_renewal(&self) -> RenewalRequest {
-        RenewalRequest {
-            current: self.current.to_binding(),
-            holder_sig: self.holder_sig.to_sig(),
-            group_sig: self.group_sig.to_gsig(),
-        }
-    }
-}
-
-/// A coin grant by reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrantRef<'a> {
-    /// The broker-signed coin.
-    pub minted: MintedRef<'a>,
-    /// The new binding.
-    pub binding: BindingRef<'a>,
-    /// The ownership proof.
-    pub ownership_proof: SigRef<'a>,
-}
-
-impl<'a> GrantRef<'a> {
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let minted = MintedRef::parse(r)?;
-        Ok(GrantRef {
-            minted,
-            binding: BindingRef::parse_of_coin(r, minted.coin_pk)?,
-            ownership_proof: SigRef::parse(r)?,
-        })
-    }
-
-    /// Materializes the owned grant.
-    pub fn to_grant(&self) -> CoinGrant {
-        CoinGrant {
-            minted: self.minted.to_minted(),
-            binding: self.binding.to_binding(),
-            ownership_proof: self.ownership_proof.to_sig(),
-        }
-    }
-}
-
-pub(crate) fn parse_digest32(r: &mut Reader<'_>) -> Result<[u8; 32], DecodeError> {
-    r.raw().copied()
-}
-
-/// Reads a count-prefixed list of at most `cap` items, each at least
-/// `min_item` bytes on the wire: nothing is reserved for a count the
-/// bytes that are left could not hold.
-// Inlined with `ResponseView::parse_inner` (see there): left to the
-// compiler it stays out of line and takes the tick-ack reader with it.
-#[inline(always)]
-pub(crate) fn parse_list<'a, T>(
-    r: &mut Reader<'a>,
-    cap: usize,
-    min_item: usize,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, DecodeError>,
-) -> Result<Vec<T>, DecodeError> {
-    let n = r.count(cap, min_item)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(item(r)?);
-    }
-    Ok(items)
-}
-
-/// A count-prefixed list of digests (checkpoints, siblings).
-fn parse_digests(r: &mut Reader<'_>, cap: usize) -> Result<Vec<[u8; 32]>, DecodeError> {
-    parse_list(r, cap, 32, parse_digest32)
-}
-
-pub(crate) fn parse_receipt(r: &mut Reader<'_>) -> Result<DepositReceipt, DecodeError> {
-    Ok(DepositReceipt { coin: CoinId(parse_digest32(r)?), value: r.u64()? })
-}
-
-pub(crate) fn parse_redemption_receipt(r: &mut Reader<'_>) -> Result<RedemptionReceipt, DecodeError> {
-    Ok(RedemptionReceipt { chain: ChainId(parse_digest32(r)?), credited: r.u64()?, total: r.u64()? })
-}
-
-/// Reads a payword's fixed 40-byte field: the big-endian index, the word.
-pub(crate) fn parse_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
-    let encoded = r.raw::<PAYWORD_WIRE_LEN>()?;
-    let (index, word) = encoded.split_first_chunk::<8>().expect("40 >= 8");
-    Ok(Payword { index: u64::from_be_bytes(*index), word: word.try_into().expect("32 bytes remain") })
-}
+use crate::messages::{DepositReceipt, PurchaseRequest};
+use crate::micropay::{RedeemChainRequest, RedemptionReceipt};
+use crate::types::{ChainId, CoinId, PeerId};
+use crate::wire::{Request, Response, MAX_WIRE_ITEMS};
 
 thread_local! {
     /// The vector the last [`recycle_paywords`] handed back, for the next
@@ -446,146 +47,6 @@ thread_local! {
 /// but that allocation.
 pub fn recycle_paywords(paywords: Vec<Payword>) {
     PAYWORD_SCRATCH.set(paywords);
-}
-
-/// A chain commitment by reference. Every field is fixed-width (digests
-/// and counters) except the group signature, which stays borrowed; the
-/// checkpoint digests are collected into a length-capped vector like the
-/// other item lists.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitmentRef<'a> {
-    /// PayWord chain root `w_0`.
-    pub root: [u8; 32],
-    /// Units the chain can carry.
-    pub capacity: u64,
-    /// Checkpoint interval `k`.
-    pub checkpoint_every: u64,
-    /// Digests of every k-th link.
-    pub checkpoints: Vec<[u8; 32]>,
-    /// The payer's group signature.
-    pub group_sig: GroupSigRef<'a>,
-}
-
-impl<'a> CommitmentRef<'a> {
-    pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(CommitmentRef {
-            root: parse_digest32(r)?,
-            capacity: r.u64()?,
-            checkpoint_every: r.u64()?,
-            checkpoints: parse_digests(r, MAX_WIRE_CHECKPOINTS)?,
-            group_sig: GroupSigRef::parse(r)?,
-        })
-    }
-
-    /// The chain's id (and shard routing key): its root digest.
-    pub fn chain_id(&self) -> ChainId {
-        ChainId(self.root)
-    }
-
-    /// Materializes the owned commitment.
-    pub fn to_commitment(&self) -> ChainCommitment {
-        self.clone().into_commitment()
-    }
-
-    /// Materializes the owned commitment, handing over the checkpoint
-    /// vector instead of copying it.
-    pub fn into_commitment(self) -> ChainCommitment {
-        ChainCommitment {
-            root: self.root,
-            capacity: self.capacity,
-            checkpoint_every: self.checkpoint_every,
-            checkpoints: self.checkpoints,
-            group_sig: self.group_sig.to_gsig(),
-        }
-    }
-}
-
-/// A committed coin leaf by reference: only the downtime binding's
-/// holder key is a big integer, and it stays borrowed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoinLeafRef<'a> {
-    /// The committed coin.
-    pub coin: CoinId,
-    /// Whether the coin has been redeemed.
-    pub deposited: bool,
-    /// Public downtime-binding state: `(holder key, seq, expires)`.
-    pub binding: Option<(IntRef<'a>, u64, Timestamp)>,
-    /// Digest of the leaf's non-public fields.
-    pub aux: [u8; 32],
-}
-
-impl<'a> CoinLeafRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        let coin = CoinId(parse_digest32(r)?);
-        let deposited = r.flag()?;
-        let binding = match r.flag()? {
-            false => None,
-            true => Some((IntRef::parse(r)?, r.u64()?, Timestamp(r.u64()?))),
-        };
-        Ok(CoinLeafRef { coin, deposited, binding, aux: parse_digest32(r)? })
-    }
-
-    /// Materializes the owned leaf.
-    pub fn to_leaf(&self) -> CoinLeaf {
-        CoinLeaf {
-            coin: self.coin,
-            deposited: self.deposited,
-            binding: self.binding.as_ref().map(|(pk, seq, expires)| PublicBindingState {
-                holder_pk: pk.to_biguint(),
-                seq: *seq,
-                expires: *expires,
-            }),
-            aux: self.aux,
-        }
-    }
-}
-
-/// A binding proof by reference: the leaf's holder key and the root
-/// signature stay borrowed; the sibling path is a length-capped digest
-/// vector like the other item lists.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProofRef<'a> {
-    /// The committed coin leaf.
-    pub leaf: CoinLeafRef<'a>,
-    /// Total leaves in the committed tree.
-    pub leaves: u64,
-    /// The proven leaf's index.
-    pub index: u64,
-    /// Sibling hashes, leaf level first.
-    pub siblings: Vec<[u8; 32]>,
-    /// The committed root.
-    pub root: [u8; 32],
-    /// The root's mutation sequence number.
-    pub root_seq: u64,
-    /// Broker signature over `(root, seq)`.
-    pub root_sig: SigRef<'a>,
-}
-
-impl<'a> ProofRef<'a> {
-    fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
-        Ok(ProofRef {
-            leaf: CoinLeafRef::parse(r)?,
-            leaves: r.u64()?,
-            index: r.u64()?,
-            siblings: parse_digests(r, MAX_WIRE_SIBLINGS)?,
-            root: parse_digest32(r)?,
-            root_seq: r.u64()?,
-            root_sig: SigRef::parse(r)?,
-        })
-    }
-
-    /// Materializes the owned proof.
-    pub fn to_proof(&self) -> BindingProof {
-        BindingProof {
-            leaf: self.leaf.to_leaf(),
-            proof: InclusionProof {
-                leaves: self.leaves,
-                index: self.index,
-                siblings: self.siblings.clone(),
-            },
-            root: SignedRoot { root: self.root, seq: self.root_seq, sig: self.root_sig.to_sig() },
-        }
-    }
 }
 
 /// A [`Request`] parsed but not materialized: every big integer is still
@@ -697,7 +158,7 @@ impl<'a> RequestView<'a> {
                 };
                 RequestView::Purchase { owner, coin_pk, identity_sig, group_sig }
             }
-            1 => RequestView::Issue { coin: CoinId(parse_digest32(r)?), invite: InviteRef::parse(r)? },
+            1 => RequestView::Issue { coin: CoinId(*r.raw()?), invite: InviteRef::parse(r)? },
             2 => RequestView::Transfer { downtime: r.flag()?, request: TransferRef::parse(r)? },
             3 => RequestView::Renewal { downtime: r.flag()?, request: RenewalRef::parse(r)? },
             4 => RequestView::Deposit(DepositRef::parse(r)?),
@@ -708,9 +169,9 @@ impl<'a> RequestView<'a> {
             },
             // Tag 6 is retired in both tag spaces (it was DepositBatch / Receipts): never reused, Malformed.
             7 => RequestView::OpenChain(CommitmentRef::parse(r)?),
-            8 => RequestView::Tick { chain: ChainId(parse_digest32(r)?), payword: parse_payword(r)? },
+            8 => RequestView::Tick { chain: ChainId(*r.raw()?), payword: parse_payword(r)? },
             9 => {
-                let chain = ChainId(parse_digest32(r)?);
+                let chain = ChainId(*r.raw()?);
                 let n = r.count(MAX_WIRE_ITEMS, PAYWORD_WIRE_LEN)?;
                 let mut paywords = PAYWORD_SCRATCH.take();
                 paywords.clear();
@@ -726,7 +187,7 @@ impl<'a> RequestView<'a> {
                 commitment: CommitmentRef::parse(r)?,
                 payword: parse_payword(r)?,
             },
-            11 => RequestView::BindingProof { coin: CoinId(parse_digest32(r)?) },
+            11 => RequestView::BindingProof { coin: CoinId(*r.raw()?) },
             _ => return Err(DecodeError),
         })
     }
@@ -867,7 +328,7 @@ impl<'a> ResponseView<'a> {
             0 => ResponseView::Minted(MintedRef::parse(r)?),
             1 => ResponseView::Grant(GrantRef::parse(r)?),
             2 => ResponseView::Binding(BindingRef::parse(r)?),
-            3 => ResponseView::Receipt(parse_receipt(r)?),
+            3 => ResponseView::Receipt(DepositReceipt::parse(r)?),
             4 => ResponseView::Bindings(parse_list(
                 r,
                 MAX_WIRE_ITEMS,
@@ -876,9 +337,9 @@ impl<'a> ResponseView<'a> {
             )?),
             5 => ResponseView::Error(std::str::from_utf8(r.blob()?).map_err(|_| DecodeError)?),
             // Tag 6 is retired in both tag spaces (it was DepositBatch / Receipts): never reused, Malformed.
-            7 => ResponseView::ChainAccepted(ChainId(parse_digest32(r)?)),
+            7 => ResponseView::ChainAccepted(ChainId(*r.raw()?)),
             8 => ResponseView::TickAck { gained: r.u64()?, total: r.u64()? },
-            9 => ResponseView::Redeemed(parse_redemption_receipt(r)?),
+            9 => ResponseView::Redeemed(RedemptionReceipt::parse(r)?),
             10 => ResponseView::Proof(ProofRef::parse(r)?),
             _ => return Err(DecodeError),
         })
@@ -908,7 +369,13 @@ impl<'a> ResponseView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coin::PublicBindingState;
+    use crate::ledger::{BindingProof, CoinLeaf, SignedRoot};
+    use crate::merkle::InclusionProof;
+    use crate::types::Timestamp;
     use crate::wire::wire_kind;
+    use whopay_crypto::dsa::DsaSignature;
+    use whopay_num::BigUint;
 
     #[test]
     fn intref_refuses_padding_and_compares_by_value() {

@@ -10,21 +10,22 @@
 //! never a panic — wire input is attacker-controlled by definition.
 
 use whopay_crypto::dsa::DsaSignature;
-use whopay_crypto::group_sig::GroupSignature;
+use whopay_crypto::payword::Payword;
 
-use crate::codec::{Reader, Writer};
-use crate::coin::{Binding, BindingSigner, MintedCoin, OwnerTag};
+use crate::codec::{
+    put_owner_tag, put_payword, BindingRef, CommitmentRef, DepositRef, GroupSigRef, InviteRef,
+    MintedRef, ProofRef, Reader, RenewalRef, SigRef, TransferRef, Writer,
+};
+use crate::coin::{Binding, MintedCoin};
 use crate::error::CoreError;
-use crate::ledger::{BindingProof, CoinLeaf, SignedRoot};
-use crate::merkle::InclusionProof;
+use crate::ledger::BindingProof;
 use crate::messages::{
     CoinGrant, DepositReceipt, DepositRequest, PaymentInvite, PurchaseRequest, RenewalRequest,
     TransferRequest,
 };
 use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
 use crate::types::{ChainId, CoinId, PeerId};
-use crate::view::{RequestView, ResponseView};
-use whopay_crypto::payword::Payword;
+use crate::view::{GrantRef, RequestView, ResponseView};
 
 /// Decode-time cap on the items of a list frame (`TickBatch`, `Bindings`).
 pub const MAX_WIRE_ITEMS: usize = 4096;
@@ -139,144 +140,6 @@ pub enum Response {
     Proof(Box<BindingProof>),
 }
 
-// --- primitive helpers ---
-
-pub(crate) fn put_sig(w: &mut Writer, sig: &DsaSignature) {
-    w.int(sig.r()).int(sig.s());
-}
-
-pub(crate) fn put_gsig(w: &mut Writer, sig: &GroupSignature) {
-    w.int(sig.ciphertext().c1())
-        .int(sig.ciphertext().c2())
-        .int(sig.challenge_scalar())
-        .int(sig.z_r())
-        .int(sig.z_x());
-}
-
-pub(crate) fn put_owner_tag(w: &mut Writer, tag: &OwnerTag) {
-    match tag {
-        OwnerTag::Identified(p) => {
-            w.tag(0).u64(p.0);
-        }
-        OwnerTag::Anonymous => {
-            w.tag(1);
-        }
-        OwnerTag::AnonymousWithHandle(h) => {
-            w.tag(2).blob(&h.0);
-        }
-    }
-}
-
-pub(crate) fn put_minted(w: &mut Writer, m: &MintedCoin) {
-    put_owner_tag(w, m.owner());
-    w.int(m.coin_pk());
-    put_sig(w, m.broker_sig());
-}
-
-pub(crate) fn put_binding(w: &mut Writer, b: &Binding) {
-    w.int(b.coin_pk());
-    put_binding_of_coin(w, b);
-}
-
-/// A binding without its coin key, for a grant or a deposit: the minted
-/// coin written just before it states the key, and the readers take it
-/// from there — a binding of another coin than the minted one has no
-/// encoding.
-fn put_binding_of_coin(w: &mut Writer, b: &Binding) {
-    w.int(b.holder_pk()).u64(b.seq()).u64(b.expires().0);
-    w.tag(match b.signer() {
-        BindingSigner::CoinKey => 0,
-        BindingSigner::Broker => 1,
-    });
-    put_sig(w, b.raw_sig());
-}
-
-pub(crate) fn put_invite(w: &mut Writer, i: &PaymentInvite) {
-    w.int(&i.holder_pk).fixed(&i.nonce);
-    put_gsig(w, &i.group_sig);
-}
-
-pub(crate) fn put_grant(w: &mut Writer, g: &CoinGrant) {
-    put_minted(w, &g.minted);
-    put_binding_of_coin(w, &g.binding);
-    put_sig(w, &g.ownership_proof);
-}
-
-pub(crate) fn put_transfer(w: &mut Writer, t: &TransferRequest) {
-    put_binding(w, &t.current);
-    w.int(&t.new_holder_pk).fixed(&t.nonce);
-    put_sig(w, &t.holder_sig);
-    put_gsig(w, &t.group_sig);
-}
-
-pub(crate) fn put_renewal(w: &mut Writer, t: &RenewalRequest) {
-    put_binding(w, &t.current);
-    put_sig(w, &t.holder_sig);
-    put_gsig(w, &t.group_sig);
-}
-
-pub(crate) fn put_receipt(w: &mut Writer, rc: &DepositReceipt) {
-    w.fixed(&rc.coin.0).u64(rc.value);
-}
-
-pub(crate) fn put_deposit(w: &mut Writer, d: &DepositRequest) {
-    put_minted(w, &d.minted);
-    put_binding_of_coin(w, &d.binding);
-    put_sig(w, &d.holder_sig);
-    put_gsig(w, &d.group_sig);
-}
-
-/// Encoded size of a payword: its index as 8 big-endian bytes, then the
-/// 32-byte word — one fixed-width field, not a varint, so that a batch of
-/// up to 4096 parses at a fixed stride.
-pub(crate) const PAYWORD_WIRE_LEN: usize = 40;
-
-pub(crate) fn put_payword(w: &mut Writer, p: &Payword) {
-    // Assembled first: one copy per payword.
-    let mut encoded = [0u8; PAYWORD_WIRE_LEN];
-    encoded[..8].copy_from_slice(&p.index.to_be_bytes());
-    encoded[8..].copy_from_slice(&p.word);
-    w.fixed(&encoded);
-}
-
-pub(crate) fn put_commitment(w: &mut Writer, c: &ChainCommitment) {
-    w.fixed(&c.root).u64(c.capacity).u64(c.checkpoint_every).count(c.checkpoints.len());
-    for ck in &c.checkpoints {
-        w.fixed(ck);
-    }
-    put_gsig(w, &c.group_sig);
-}
-
-pub(crate) fn put_coin_leaf(w: &mut Writer, leaf: &CoinLeaf) {
-    w.fixed(&leaf.coin.0).flag(leaf.deposited).flag(leaf.binding.is_some());
-    if let Some(state) = &leaf.binding {
-        w.int(&state.holder_pk).u64(state.seq).u64(state.expires.0);
-    }
-    w.fixed(&leaf.aux);
-}
-
-pub(crate) fn put_inclusion_proof(w: &mut Writer, p: &InclusionProof) {
-    w.u64(p.leaves).u64(p.index).count(p.siblings.len());
-    for sib in &p.siblings {
-        w.fixed(sib);
-    }
-}
-
-pub(crate) fn put_signed_root(w: &mut Writer, s: &SignedRoot) {
-    w.fixed(&s.root).u64(s.seq);
-    put_sig(w, &s.sig);
-}
-
-pub(crate) fn put_binding_proof(w: &mut Writer, p: &BindingProof) {
-    put_coin_leaf(w, &p.leaf);
-    put_inclusion_proof(w, &p.proof);
-    put_signed_root(w, &p.root);
-}
-
-pub(crate) fn put_redemption_receipt(w: &mut Writer, rc: &RedemptionReceipt) {
-    w.fixed(&rc.chain.0).u64(rc.credited).u64(rc.total);
-}
-
 // --- request/response encoding ---
 
 /// Encodes one frame into `out`: cleared first, capacity kept, so a
@@ -366,53 +229,30 @@ impl Request {
                 put_owner_tag(&mut w, &p.owner);
                 w.int(&p.coin_pk);
                 match (&p.identity_sig, &p.group_sig) {
-                    (Some(sig), _) => {
-                        w.tag(0);
-                        put_sig(&mut w, sig);
-                    }
-                    (None, Some(gsig)) => {
-                        w.tag(1);
-                        put_gsig(&mut w, gsig);
-                    }
-                    (None, None) => {
-                        w.tag(2);
-                    }
+                    (Some(sig), _) => SigRef::put(w.tag(0), sig),
+                    (None, Some(gsig)) => GroupSigRef::put(w.tag(1), gsig),
+                    (None, None) => _ = w.tag(2),
                 }
             }
-            Request::Issue { coin, invite } => {
-                w.tag(1).fixed(&coin.0);
-                put_invite(&mut w, invite);
-            }
+            Request::Issue { coin, invite } => InviteRef::put(w.tag(1).fixed(&coin.0), invite),
             Request::Transfer { request, downtime } => {
-                w.tag(2).flag(*downtime);
-                put_transfer(&mut w, request);
+                TransferRef::put(w.tag(2).flag(*downtime), request)
             }
             Request::Renewal { request, downtime } => {
-                w.tag(3).flag(*downtime);
-                put_renewal(&mut w, request);
+                RenewalRef::put(w.tag(3).flag(*downtime), request)
             }
-            Request::Deposit(d) => {
-                w.tag(4);
-                put_deposit(&mut w, d);
-            }
+            Request::Deposit(d) => DepositRef::put(w.tag(4), d),
             Request::Sync { peer, challenge, response } => {
-                w.tag(5).u64(peer.0).blob(challenge);
-                put_sig(&mut w, response);
+                SigRef::put(w.tag(5).u64(peer.0).blob(challenge), response)
             }
-            Request::OpenChain(c) => {
-                w.tag(7);
-                put_commitment(&mut w, c);
-            }
+            Request::OpenChain(c) => CommitmentRef::put(w.tag(7), c),
             Request::Tick { chain, payword } => put_tick(&mut w, chain, payword),
             Request::TickBatch { chain, paywords } => put_tick_batch(&mut w, chain, paywords),
             Request::RedeemChain(req) => {
-                w.tag(10);
-                put_commitment(&mut w, &req.commitment);
+                CommitmentRef::put(w.tag(10), &req.commitment);
                 put_payword(&mut w, &req.payword);
             }
-            Request::BindingProof { coin } => {
-                w.tag(11).fixed(&coin.0);
-            }
+            Request::BindingProof { coin } => _ = w.tag(11).fixed(&coin.0),
         }
         *out = w.finish();
     }
@@ -441,41 +281,21 @@ impl Response {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = Writer::with_buf(std::mem::take(out));
         match self {
-            Response::Minted(m) => {
-                w.tag(0);
-                put_minted(&mut w, m);
-            }
-            Response::Grant(g) => {
-                w.tag(1);
-                put_grant(&mut w, g);
-            }
-            Response::Binding(b) => {
-                w.tag(2);
-                put_binding(&mut w, b);
-            }
-            Response::Receipt(rc) => {
-                w.tag(3);
-                put_receipt(&mut w, rc);
-            }
+            Response::Minted(m) => MintedRef::put(w.tag(0), m),
+            Response::Grant(g) => GrantRef::put(w.tag(1), g),
+            Response::Binding(b) => BindingRef::put(w.tag(2), b),
+            Response::Receipt(rc) => DepositReceipt::put(w.tag(3), rc),
             Response::Bindings(bs) => {
                 w.tag(4).count(bs.len());
                 for b in bs {
-                    put_binding(&mut w, b);
+                    BindingRef::put(&mut w, b);
                 }
             }
             Response::Error(e) => put_error(&mut w, e),
-            Response::ChainAccepted(chain) => {
-                w.tag(7).fixed(&chain.0);
-            }
+            Response::ChainAccepted(chain) => _ = w.tag(7).fixed(&chain.0),
             Response::TickAck { gained, total } => put_tick_ack(&mut w, *gained, *total),
-            Response::Redeemed(rc) => {
-                w.tag(9);
-                put_redemption_receipt(&mut w, rc);
-            }
-            Response::Proof(p) => {
-                w.tag(10);
-                put_binding_proof(&mut w, p);
-            }
+            Response::Redeemed(rc) => RedemptionReceipt::put(w.tag(9), rc),
+            Response::Proof(p) => ProofRef::put(w.tag(10), p),
         }
         *out = w.finish();
     }
@@ -493,9 +313,13 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coin::{BindingSigner, OwnerTag};
+    use crate::ledger::{CoinLeaf, SignedRoot};
+    use crate::merkle::InclusionProof;
     use crate::types::Timestamp;
     use whopay_crypto::dsa::DsaKeyPair;
     use whopay_crypto::group_sig::GroupManager;
+    use whopay_crypto::group_sig::GroupSignature;
     use whopay_crypto::testing::{test_rng, tiny_group};
 
     fn sample_parts() -> (MintedCoin, Binding, PaymentInvite, DsaSignature, GroupSignature) {
