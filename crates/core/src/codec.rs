@@ -143,7 +143,7 @@ impl Writer {
 
     /// Appends an optional value: a presence flag, then the value if there
     /// is one.
-    pub fn opt<T>(&mut self, v: Option<&T>, put: impl FnOnce(&mut Writer, &T)) -> &mut Self {
+    pub(crate) fn opt<T>(&mut self, v: Option<&T>, put: impl FnOnce(&mut Writer, &T)) -> &mut Self {
         self.flag(v.is_some());
         if let Some(v) = v {
             put(self, v);
@@ -467,10 +467,6 @@ pub struct IntRef<'a> {
 }
 
 impl<'a> IntRef<'a> {
-    /// Least encoded size: zero, an empty magnitude behind its one-byte
-    /// length.
-    const MIN_WIRE_LEN: usize = 1;
-
     pub(crate) fn parse(r: &mut Reader<'a>) -> Result<Self, DecodeError> {
         Ok(IntRef { be: r.int()? })
     }
@@ -484,11 +480,6 @@ impl<'a> IntRef<'a> {
     pub fn to_biguint(&self) -> BigUint {
         BigUint::from_be_bytes(self.be)
     }
-
-    /// Value equality against an owned integer, without materializing.
-    pub fn eq_big(&self, v: &BigUint) -> bool {
-        v.eq_be_bytes(self.be)
-    }
 }
 
 /// One field class, by aspect: the type a `*Ref` holds (`[ty]`), its
@@ -496,7 +487,8 @@ impl<'a> IntRef<'a> {
 /// reference to the owned value), its materialiser (`[to x]`, handed the
 /// borrowed value) and its least encoded size (`[min]`).
 ///
-/// - `int`: a big integer, an [`IntRef`]; owned a `BigUint`; 1 byte least.
+/// - `int`: a big integer, an [`IntRef`]; owned a `BigUint`; 1 byte least
+///   (zero: an empty magnitude behind its one-byte length).
 /// - `u64`, `u64(T)`: a varint, bare or as the newtype `T`; 1.
 /// - `flag`: a `bool`; 1.
 /// - `fixed(32)`, `fixed(T)`: 32 bytes bare, as they are or as the newtype
@@ -517,7 +509,6 @@ macro_rules! class {
     ([parse $r:ident] int) => { IntRef::parse($r) };
     ([put $w:ident, $v:expr] int) => { $w.int($v) };
     ([to $x:expr] int) => { $x.to_biguint() };
-    ([min] int) => { IntRef::MIN_WIRE_LEN };
     ([ty] u64) => { u64 };
     ([parse $r:ident] u64) => { $r.u64() };
     ([put $w:ident, $v:expr] u64) => { $w.u64(*$v) };
@@ -574,7 +565,7 @@ macro_rules! class {
     ([parse $r:ident] of_coin($minted:ident)) => { BindingRef::parse_of_coin($r, $minted.coin_pk) };
     ([put $w:ident, $v:expr] of_coin($minted:ident)) => { put_binding_of_coin($w, $v) };
     ([to $x:expr] of_coin($minted:ident)) => { $x.materialize() };
-    ([min] of_coin($minted:ident)) => { BindingRef::MIN_WIRE_LEN - IntRef::MIN_WIRE_LEN };
+    ([min] of_coin($minted:ident)) => { BindingRef::MIN_WIRE_LEN - class!([min] int) };
     // The classes not named above materialize to what they borrow, and
     // take one byte at least.
     ([to $x:expr] $($c:tt)+) => { $x };
@@ -1175,5 +1166,93 @@ mod tests {
         let mut r = Reader::new(&enc);
         assert!(r.int().unwrap().is_empty());
         r.finish().unwrap();
+    }
+
+    /// Every record's least value — zero integers and varints, the
+    /// smallest tag, empty lists — encodes to its `MIN_WIRE_LEN`, reads
+    /// back whole, and less its last byte is refused.
+    #[test]
+    fn every_records_least_value_encodes_to_its_minimum() {
+        fn least(
+            name: &str,
+            min: usize,
+            put: impl FnOnce(&mut Writer),
+            parse: impl Fn(&mut Reader<'_>) -> Result<(), DecodeError>,
+        ) {
+            let mut w = Writer::new();
+            put(&mut w);
+            let enc = w.finish();
+            assert_eq!(enc.len(), min, "{name}");
+            let mut r = Reader::new(&enc);
+            parse(&mut r).unwrap_or_else(|_| panic!("{name} reads back"));
+            r.finish().unwrap();
+            assert_eq!(parse(&mut Reader::new(&enc[..min - 1])), Err(DecodeError), "{name}");
+        }
+        macro_rules! least {
+            ($($record:ident: $value:expr;)*) => {$(
+                least(stringify!($record), $record::MIN_WIRE_LEN, |w| $record::put(w, $value), |r| {
+                    $record::parse(r).map(drop)
+                });
+            )*};
+        }
+
+        let zero = BigUint::zero;
+        let sig = DsaSignature::from_parts(zero(), zero());
+        let gsig = GroupSignature::from_parts(
+            ElGamalCiphertext::from_parts(zero(), zero()),
+            zero(),
+            zero(),
+            zero(),
+        );
+        let minted = MintedCoin::from_parts(OwnerTag::Anonymous, zero(), sig.clone());
+        let binding =
+            Binding::from_parts(zero(), zero(), 0, Timestamp(0), BindingSigner::CoinKey, sig.clone());
+        let leaf = CoinLeaf { coin: CoinId([0; 32]), deposited: false, binding: None, aux: [0; 32] };
+        let root = SignedRoot { root: [0; 32], seq: 0, sig: sig.clone() };
+        let proof = InclusionProof { leaves: 0, index: 0, siblings: Vec::new() };
+        let commitment = ChainCommitment {
+            root: [0; 32],
+            capacity: 0,
+            checkpoint_every: 0,
+            checkpoints: Vec::new(),
+            group_sig: gsig.clone(),
+        };
+        let (holder_sig, group_sig) = (sig.clone(), gsig.clone());
+        least! {
+            SigRef: &sig;
+            GroupSigRef: &gsig;
+            MintedRef: &minted;
+            BindingRef: &binding;
+            InviteRef: &PaymentInvite { holder_pk: zero(), nonce: [0; 32], group_sig: gsig.clone() };
+            DepositRef: &DepositRequest {
+                minted: minted.clone(),
+                binding: binding.clone(),
+                holder_sig: holder_sig.clone(),
+                group_sig: group_sig.clone(),
+            };
+            TransferRef: &TransferRequest {
+                current: binding.clone(),
+                new_holder_pk: zero(),
+                nonce: [0; 32],
+                holder_sig: holder_sig.clone(),
+                group_sig: group_sig.clone(),
+            };
+            RenewalRef: &RenewalRequest { current: binding.clone(), holder_sig, group_sig };
+            GrantRef: &CoinGrant { minted, binding, ownership_proof: sig.clone() };
+            CommitmentRef: &commitment;
+            PublicStateRef: &PublicBindingState { holder_pk: zero(), seq: 0, expires: Timestamp(0) };
+            CoinLeafRef: &leaf;
+            ProofRef: &BindingProof { leaf, proof, root };
+            DepositReceipt: &DepositReceipt { coin: CoinId([0; 32]), value: 0 };
+            RedemptionReceipt: &RedemptionReceipt { chain: ChainId([0; 32]), credited: 0, total: 0 };
+            PurchaseRef: &PurchaseRequest {
+                owner: OwnerTag::Anonymous,
+                coin_pk: zero(),
+                identity_sig: None,
+                group_sig: None,
+            };
+            FraudRef: &FraudCase { coin: CoinId([0; 32]), description: String::new(), group_sigs: Vec::new() };
+            PeerRef: (PeerId(0), &DsaPublicKey::from_element(zero()));
+        }
     }
 }

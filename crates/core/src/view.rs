@@ -3,13 +3,17 @@
 //! This is the one place frames are read. [`RequestView::parse`] and
 //! [`ResponseView::parse`] validate the full wire structure but keep
 //! every variable-length field as a borrowed slice of the input
-//! ([`IntRef`]), so dispatch, classification ([`RequestView::kind`]
-//! matches [`crate::wire::wire_kind`] exactly) and routing run directly
+//! ([`IntRef`]), so dispatch, classification and routing run directly
 //! over the wire bytes; an owned `BigUint` — a heap allocation per field
 //! — is materialized (`to_*`) only where a handler actually computes
 //! with it. [`crate::wire::Request::decode`] is `parse` followed by
-//! [`RequestView::to_owned_request`], and the journal reads its entries
-//! through the same `*Ref::parse` functions.
+//! [`RequestView::to_owned_request`].
+//!
+//! The views of the records a frame carries — [`SigRef`], [`BindingRef`],
+//! [`CommitmentRef`] and the rest — are declared once, in the
+//! [`crate::codec`] record table, with their `parse`, `to_*` and least
+//! size; this module adds the tag dispatch over them, and the journal
+//! reads its entries through the same records.
 //!
 //! Parsing never panics on arbitrary bytes and never allocates
 //! proportionally to field sizes. The item lists (`TickBatch`,
@@ -192,26 +196,6 @@ impl<'a> RequestView<'a> {
         })
     }
 
-    /// The message-kind label; identical to [`crate::wire::wire_kind`] on
-    /// the same bytes.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RequestView::Purchase { .. } => "purchase",
-            RequestView::Issue { .. } => "issue",
-            RequestView::Transfer { downtime: false, .. } => "transfer",
-            RequestView::Transfer { downtime: true, .. } => "downtime_transfer",
-            RequestView::Renewal { downtime: false, .. } => "renewal",
-            RequestView::Renewal { downtime: true, .. } => "downtime_renewal",
-            RequestView::Deposit(_) => "deposit",
-            RequestView::Sync { .. } => "sync",
-            RequestView::OpenChain(_) => "micropay_open",
-            RequestView::Tick { .. } => "micropay_tick",
-            RequestView::TickBatch { .. } => "micropay_tick_batch",
-            RequestView::RedeemChain { .. } => "micropay_redeem",
-            RequestView::BindingProof { .. } => "binding_proof",
-        }
-    }
-
     /// The operation kind this request dispatches to (the same mapping
     /// service dispatch uses for span attribution).
     pub fn op_kind(&self) -> OpKind {
@@ -385,9 +369,8 @@ mod tests {
         assert_eq!(IntRef::parse(&mut Reader::new(&[0x82, 0, 1, 2])), Err(DecodeError));
         let i = IntRef::parse(&mut Reader::new(&[2, 1, 2])).unwrap();
         assert_eq!(i.be_bytes(), &[1, 2]);
-        assert!(i.eq_big(&BigUint::from(0x0102u64)));
-        assert!(!i.eq_big(&BigUint::from(0x0103u64)));
         assert_eq!(i.to_biguint(), BigUint::from(0x0102u64));
+        assert_ne!(i.to_biguint(), BigUint::from(0x0103u64));
     }
 
     #[test]
@@ -399,13 +382,13 @@ mod tests {
         };
         let bytes = req.encode();
         let view = RequestView::parse(&bytes).unwrap();
-        assert_eq!(view.kind(), wire_kind(&bytes));
+        assert_eq!(wire_kind(&bytes), "sync");
         assert_eq!(view.op_kind(), OpKind::Sync);
         match &view {
             RequestView::Sync { peer, challenge, response } => {
                 assert_eq!(*peer, PeerId(9));
                 assert_eq!(*challenge, &[1, 2, 3]);
-                assert!(response.r.eq_big(&BigUint::from(4u64)));
+                assert_eq!(response.r.to_biguint(), BigUint::from(4u64));
             }
             other => panic!("wrong view {other:?}"),
         }
@@ -443,11 +426,11 @@ mod tests {
             Request::TickBatch { chain, paywords: vec![pw, pw] },
             Request::RedeemChain(RedeemChainRequest { commitment: commitment.clone(), payword: pw }),
         ];
-        for req in &reqs {
+        let kinds = ["micropay_open", "micropay_tick", "micropay_tick_batch", "micropay_redeem"];
+        for (req, kind) in reqs.iter().zip(kinds) {
             let bytes = req.encode();
-            let view = RequestView::parse(&bytes).unwrap();
-            assert_eq!(view.kind(), wire_kind(&bytes));
-            assert_eq!(view.to_owned_request(), *req);
+            assert_eq!(wire_kind(&bytes), kind);
+            assert_eq!(RequestView::parse(&bytes).unwrap().to_owned_request(), *req);
         }
         assert_eq!(RequestView::parse(&reqs[0].encode()).unwrap().op_kind(), OpKind::MicropayOpen);
         assert_eq!(RequestView::parse(&reqs[1].encode()).unwrap().op_kind(), OpKind::MicropayTick);
@@ -483,7 +466,7 @@ mod tests {
         let req = Request::BindingProof { coin };
         let bytes = req.encode();
         let view = RequestView::parse(&bytes).unwrap();
-        assert_eq!(view.kind(), wire_kind(&bytes));
+        assert_eq!(wire_kind(&bytes), "binding_proof");
         assert_eq!(view.op_kind(), OpKind::BindingProof);
         assert_eq!(view.to_owned_request(), req);
 

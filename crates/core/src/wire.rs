@@ -4,10 +4,13 @@
 //! the field-class [`crate::codec`], so the protocol can run over
 //! `whopay-net`'s byte transport (see [`crate::service`]) with real
 //! message and byte accounting. This module defines the owned messages
-//! and writes them; [`crate::view`] reads them, and decoding here is its
-//! parser followed by materialization. Decoding is strict: trailing
-//! bytes, truncation, or unknown tags yield [`CoreError::Malformed`],
-//! never a panic — wire input is attacker-controlled by definition.
+//! and writes them: a frame is its kind tag, then the records the
+//! [`crate::codec`] record table lays out, each written by the table's
+//! `put` — only the tag dispatch and the streaming tick frames are stated
+//! here. [`crate::view`] reads them, and decoding here is its parser
+//! followed by materialization. Decoding is strict: trailing bytes,
+//! truncation, or unknown tags yield [`CoreError::Malformed`], never a
+//! panic — wire input is attacker-controlled by definition.
 
 use whopay_crypto::dsa::DsaSignature;
 use whopay_crypto::payword::Payword;

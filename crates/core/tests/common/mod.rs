@@ -1,6 +1,10 @@
 //! What more than one test file builds.
 
+// Each test file that declares this module uses only part of it.
+#![allow(dead_code)]
+
 use whopay_core::micropay::MicropaySender;
+use whopay_core::view::RequestView;
 use whopay_core::wire::{Request, Response};
 use whopay_core::{
     Broker, Judge, Peer, PeerId, PurchaseMode, RedeemChainRequest, SystemParams, Timestamp,
@@ -79,4 +83,24 @@ pub fn frames() -> (Vec<Request>, Vec<Response>) {
         Response::Proof(Box::new(proof)),
     ];
     (requests, responses)
+}
+
+/// The message-kind label of a parsed request, as `wire_kind` labels its
+/// bytes.
+pub fn view_kind(view: &RequestView<'_>) -> &'static str {
+    match view {
+        RequestView::Purchase { .. } => "purchase",
+        RequestView::Issue { .. } => "issue",
+        RequestView::Transfer { downtime: false, .. } => "transfer",
+        RequestView::Transfer { downtime: true, .. } => "downtime_transfer",
+        RequestView::Renewal { downtime: false, .. } => "renewal",
+        RequestView::Renewal { downtime: true, .. } => "downtime_renewal",
+        RequestView::Deposit(_) => "deposit",
+        RequestView::Sync { .. } => "sync",
+        RequestView::OpenChain(_) => "micropay_open",
+        RequestView::Tick { .. } => "micropay_tick",
+        RequestView::TickBatch { .. } => "micropay_tick_batch",
+        RequestView::RedeemChain { .. } => "micropay_redeem",
+        RequestView::BindingProof { .. } => "binding_proof",
+    }
 }

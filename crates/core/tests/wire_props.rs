@@ -158,7 +158,7 @@ fn build_response(kind: u64, flags: u64, ints: &mut Ints<'_>) -> Response {
 fn check_request_bytes(bytes: &[u8]) {
     match RequestView::parse(bytes) {
         Ok(view) => {
-            assert_eq!(view.kind(), wire_kind(bytes));
+            assert_eq!(common::view_kind(&view), wire_kind(bytes));
             let owned = view.to_owned_request();
             assert_eq!(&Request::decode(bytes).unwrap(), &owned);
             assert_eq!(owned.encode(), bytes, "an accepted frame has one encoding");
@@ -246,7 +246,7 @@ proptest! {
         // encode → parse → to_owned is the identity, and so encodes back
         // to the same bytes.
         let view = RequestView::parse(&fresh).unwrap();
-        prop_assert_eq!(view.kind(), wire_kind(&fresh));
+        prop_assert_eq!(common::view_kind(&view), wire_kind(&fresh));
         let owned = view.to_owned_request();
         prop_assert_eq!(&owned, &req);
         owned.encode_into(&mut reused);

@@ -158,38 +158,6 @@ impl BigUint {
         }
     }
 
-    /// Compares against a big-endian byte slice (leading zeros allowed)
-    /// without materializing a `BigUint` — the borrowed-slice counterpart
-    /// of `self.cmp(&BigUint::from_be_bytes(be))`.
-    pub fn cmp_be_bytes(&self, be: &[u8]) -> Ordering {
-        let be = &be[be.iter().take_while(|&&b| b == 0).count()..];
-        match self.be_len().cmp(&be.len()) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-        // Equal minimal lengths: walk limbs from the most significant end.
-        // Chunking from the least-significant side keeps 8-byte groups
-        // aligned with limbs (only the top chunk may be partial).
-        for (limb, chunk) in self.limbs.iter().rev().zip(be.rchunks(8).rev().map(|c| {
-            let mut v = 0u64;
-            for &b in c {
-                v = v << 8 | b as u64;
-            }
-            v
-        })) {
-            match limb.cmp(&chunk) {
-                Ordering::Equal => {}
-                other => return other,
-            }
-        }
-        Ordering::Equal
-    }
-
-    /// Equality against a big-endian byte slice without allocating.
-    pub fn eq_be_bytes(&self, be: &[u8]) -> bool {
-        self.cmp_be_bytes(be) == Ordering::Equal
-    }
-
     /// Returns a big-endian byte encoding zero-padded to `len` bytes.
     ///
     /// # Panics
@@ -615,27 +583,6 @@ mod tests {
             expect.extend_from_slice(&v.to_be_bytes());
             assert_eq!(streamed, expect, "bits={bits}");
             assert_eq!(v.be_len(), v.to_be_bytes().len(), "bits={bits}");
-        }
-    }
-
-    #[test]
-    fn cmp_be_bytes_agrees_with_materialized_cmp() {
-        let mut rng = crate::test_rng(0xCB);
-        let mut cases: Vec<Vec<u8>> = vec![vec![], vec![0], vec![0, 0, 0], vec![1], vec![0, 1]];
-        for len in [1usize, 7, 8, 9, 16, 17, 33] {
-            for _ in 0..8 {
-                let mut b = vec![0u8; len];
-                rand::Rng::fill_bytes(&mut rng, &mut b);
-                cases.push(b);
-            }
-        }
-        let values: Vec<BigUint> =
-            cases.iter().map(|b| BigUint::from_be_bytes(b)).chain([BigUint::zero()]).collect();
-        for v in &values {
-            for b in &cases {
-                assert_eq!(v.cmp_be_bytes(b), v.cmp(&BigUint::from_be_bytes(b)), "{v} vs {b:?}");
-                assert_eq!(v.eq_be_bytes(b), *v == BigUint::from_be_bytes(b));
-            }
         }
     }
 

@@ -30,7 +30,7 @@ cargo test -p whopay-core -q --release --offline --test member_parity --test con
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: each handler and Broker::prepare share one check walk per request kind, live verifier vs recorder; prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — batched, mixed and synchronous [each request through request_into, prepared as a group of one] against an endpoint that never prepares, in lanes where the host has them; what prepare owes pinned on a fixed history [PrepareReport summed over its cycles, a lone downtime renewal owing three chains], a stale deposit owing no signature; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path, a downtime grant's two signatures from one sign_each ≡ two sign calls)"
 cargo test -p whopay-core -q --release --offline --test prepare_equiv --test prepare_owed --test broker_accounting
 
-echo "==> cargo test -p whopay-core --release (the one wire decoder: props incl. the canonical property [whatever Request::decode / Response::decode / Journal::from_bytes accepts re-encodes to the input byte for byte; a padded integer refused in a request, a response and a journal entry], fuzz [views, TickBatch, prepare groups — answered byte for byte alike by an inline and a two-thread worker drain — 4 KiB damaged real frames, every unassigned kind byte in all three tag spaces, endpoints accept only canonical frames: a real frame of every request kind with a 36-byte suffix starting with the old trace-trailer magic is Malformed at a shard, a peer and a micropay host, served at once and drained], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long varint count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, retry_calls [every operation service::retry makes — purchase, issue, transfer, renewal, deposit, binding proof, open chain, redeem — applied once when its first reply times out: the server sees two byte-identical frames, with the client traced or not, and RetryStats read 1 call, 2 attempts, 1 retry; a purchase whose Minted reply is damaged in flight is resent and keeps the coin the broker minted], a varint with a second encoding or above its cap refused by every reader, a list of the smallest items decoding at every count up to its cap, a golden size for one real 512/160 frame of every request and response kind, journal fixture of the last format change — varint numbers, lengths and counts, a grant or deposit stating its coin key once; an entry is its seq, root and op, a coin record its mint and memo, the counters derived from the ops: every single-bit flip of both journals refused or flagged by replay, plus the per-kind flip sweep [one real 512/160 frame of each request and response kind: every flip Malformed or a different message])"
+echo "==> cargo test -p whopay-core --release (the one wire decoder: props incl. the canonical property [whatever Request::decode / Response::decode / Journal::from_bytes accepts re-encodes to the input byte for byte; a padded integer refused in a request, a response and a journal entry], fuzz [views, TickBatch, prepare groups — answered byte for byte alike by an inline and a two-thread worker drain — 4 KiB damaged real frames, every unassigned kind byte in all three tag spaces, endpoints accept only canonical frames: a real frame of every request kind with a 36-byte suffix starting with the old trace-trailer magic is Malformed at a shard, a peer and a micropay host, served at once and drained], alloc guard [<2 allocs/request, tracing disabled; steady-state tick_via / tick_batch_via: 0 allocs on either side; over-long varint count prefixes refused before reserving], reconciliation, networked calls incl. the receipt-coin check on every call path, retry_calls [every operation service::retry makes — purchase, issue, transfer, renewal, deposit, binding proof, open chain, redeem — applied once when its first reply times out: the server sees two byte-identical frames, with the client traced or not, and RetryStats read 1 call, 2 attempts, 1 retry; a purchase whose Minted reply is damaged in flight is resent and keeps the coin the broker minted], a varint with a second encoding or above its cap refused by every reader, a list of the smallest items decoding at every count up to its cap, each record's MIN_WIRE_LEN from the record table the length of its least value [codec::tests::every_records_least_value_encodes_to_its_minimum, run by the workspace step: zero integers and varints, the smallest tag, empty lists; less its last byte refused], a golden size for one real 512/160 frame of every request and response kind, journal fixture of the last format change — varint numbers, lengths and counts, a grant or deposit stating its coin key once; an entry is its seq, root and op, a coin record its mint and memo, the counters derived from the ops: every single-bit flip of both journals refused or flagged by replay, plus the per-kind flip sweep [one real 512/160 frame of each request and response kind: every flip Malformed or a different message])"
 cargo test -p whopay-core -q --release --offline --test wire_props --test wire_fuzz --test alloc_regression --test wire_reconcile --test networked --test retry_calls --test journal_fixture
 
 echo "==> cargo test --release --test chaos (chaos suite, pinned seed)"
@@ -114,11 +114,18 @@ done
 
 echo "==> no retired identifier in the docs, scripts, examples or crate sources (the comment that retires wire tag 6 excepted)"
 # One bracketed letter per name, so that this file does not match itself.
-retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads|owed_[b]y_|owe_[h]older_role|owe_[s]ig|Owed[S]ig|Owed[C]hains|take_[s]ettled|Binding[C]hain|accept_[g]rants|verify_[r]ecords_bulk|verify_[b]atch|create_[b]atch_purchase|GroupPublicKey::[v]erify_each|purchase_[v]ia_retry|request_issue_[v]ia_retry|request_transfer_[v]ia_retry|request_renewal_[v]ia_retry|deposit_[v]ia_retry|binding_proof_[v]ia_retry|sync_[v]ia_retry|open_chain_[v]ia_retry|redeem_chain_[v]ia_retry|send_invite_[o]bs|publish_owner_binding_[o]bs|read_public_state_verified_[o]bs|verify_grant_published_[o]bs|poll_[o]bs|TRACE_[T]RAILER_LEN|TRACE_[M]AGIC|TraceContext::[s]plit|TraceContext::[s]trip|TraceContext::[a]ppend_to'
+retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads|owed_[b]y_|owe_[h]older_role|owe_[s]ig|Owed[S]ig|Owed[C]hains|take_[s]ettled|Binding[C]hain|accept_[g]rants|verify_[r]ecords_bulk|verify_[b]atch|create_[b]atch_purchase|GroupPublicKey::[v]erify_each|purchase_[v]ia_retry|request_issue_[v]ia_retry|request_transfer_[v]ia_retry|request_renewal_[v]ia_retry|deposit_[v]ia_retry|binding_proof_[v]ia_retry|sync_[v]ia_retry|open_chain_[v]ia_retry|redeem_chain_[v]ia_retry|send_invite_[o]bs|publish_owner_binding_[o]bs|read_public_state_verified_[o]bs|verify_grant_published_[o]bs|poll_[o]bs|TRACE_[T]RAILER_LEN|TRACE_[M]AGIC|TraceContext::[s]plit|TraceContext::[s]trip|TraceContext::[a]ppend_to|MIN_[R]ECORD|MIN_[G]SIG|eq_[b]ig|eq_be_[b]ytes|cmp_be_[b]ytes'
 tag6='// Tag 6 is retired in both tag spaces \(it was Deposit[B]atch / Receipts\): never reused, Malformed\.$'
 if grep -rnE "$retired" README.md DESIGN.md .claude/skills/verify/SKILL.md scripts examples crates/*/src \
     | grep -vE "(wire|view)\.rs:[0-9]+: *$tag6"; then
     echo "ci.sh: a retired identifier is mentioned (above)" >&2
+    exit 1
+fi
+
+echo "==> no MIN_WIRE_LEN assigned by hand in crates/core/src (the record table's macro sums each one from its fields' classes)"
+if grep -rnE 'MIN_WIRE_LEN[[:space:]]*:[[:space:]]*usize[[:space:]]*=' crates/core/src \
+    | grep -vE '^crates/core/src/codec\.rs:[0-9]+: +pub\(crate\) const MIN_WIRE_LEN: usize = 0 \$\(\+ class!\(\[min\] '; then
+    echo "ci.sh: a MIN_WIRE_LEN is assigned by hand (above)" >&2
     exit 1
 fi
 
