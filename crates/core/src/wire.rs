@@ -16,8 +16,8 @@ use whopay_crypto::dsa::DsaSignature;
 use whopay_crypto::payword::Payword;
 
 use crate::codec::{
-    put_owner_tag, put_payword, BindingRef, CommitmentRef, DepositRef, GroupSigRef, InviteRef,
-    MintedRef, ProofRef, Reader, RenewalRef, SigRef, TransferRef, Writer,
+    put_owner_tag, put_payword, BindingRef, CommitmentRef, DepositRef, GrantRef, GroupSigRef,
+    InviteRef, MintedRef, ProofRef, Reader, RenewalRef, SigRef, TransferRef, Writer,
 };
 use crate::coin::{Binding, MintedCoin};
 use crate::error::CoreError;
@@ -28,7 +28,7 @@ use crate::messages::{
 };
 use crate::micropay::{ChainCommitment, RedeemChainRequest, RedemptionReceipt};
 use crate::types::{ChainId, CoinId, PeerId};
-use crate::view::{GrantRef, RequestView, ResponseView};
+use crate::view::{RequestView, ResponseView};
 
 /// Decode-time cap on the items of a list frame (`TickBatch`, `Bindings`).
 pub const MAX_WIRE_ITEMS: usize = 4096;
