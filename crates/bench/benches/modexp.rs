@@ -29,7 +29,9 @@ fn bench_modexp(c: &mut Criterion) {
     g.bench_function("pow_160bit_exp", |bch| bch.iter(|| black_box(ring.pow(&a, &x))));
     g.bench_function("pow_naive_160bit_exp", |bch| bch.iter(|| black_box(ring.pow_naive(&a, &x))));
     g.bench_function("pow2_160bit_exps", |bch| bch.iter(|| black_box(ring.pow2(&a, &x, &b, &y))));
-    g.bench_function("pow_dual_160bit_exps", |bch| bch.iter(|| black_box(ring.pow_dual(&a, &x, &y))));
+    g.bench_function("pow_each_2x160bit_exps", |bch| {
+        bch.iter(|| black_box(ring.pow_each(&a, &[&x, &y])))
+    });
     g.bench_function("pow_each_3x160bit_exps", |bch| {
         bch.iter(|| black_box(ring.pow_each(&a, &[&x, &y, group.order()])))
     });

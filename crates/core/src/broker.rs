@@ -267,7 +267,7 @@ impl<'a> Verifier<'a> for Live<'_> {
 
     fn member_sig(&mut self, pk: &BigUint, msg: &[u8], sig: &DsaSignature, cached: bool) -> bool {
         let group = self.broker.params.group();
-        let key = || sigcache::cache_key(group, &DsaPublicKey::from_element(pk.clone()), msg, sig);
+        let key = || sigcache::cache_key(group, pk, msg, sig);
         let verify = || DsaPublicKey::verify_member(group, pk, msg, sig);
         match cached {
             true => self.cached(key(), verify),
@@ -277,7 +277,7 @@ impl<'a> Verifier<'a> for Live<'_> {
 
     fn registered_sig(&mut self, key: &DsaPublicKey, msg: &[u8], sig: &DsaSignature) -> bool {
         let group = self.broker.params.group();
-        let parked = self.parked(|| sigcache::cache_key(group, key, msg, sig));
+        let parked = self.parked(|| sigcache::cache_key(group, key.element(), msg, sig));
         parked.unwrap_or_else(|| key.verify(group, msg, sig))
     }
 
@@ -336,8 +336,7 @@ impl<'a> Recorder<'a> {
     }
 
     fn owe(&mut self, key: &'a BigUint, msg: &[u8], sig: &'a DsaSignature, registered: bool) {
-        let signer = DsaPublicKey::from_element(key.clone());
-        let parked_at = sigcache::cache_key(self.broker.params.group(), &signer, msg, sig);
+        let parked_at = sigcache::cache_key(self.broker.params.group(), key, msg, sig);
         // Deposit asks for its binding twice, once through `supersedes`.
         let owed = self.sigs[self.start..].iter().any(|check| check.parked_at == parked_at);
         if !owed && self.broker.sig_cache.peek(&parked_at).is_none() {
@@ -1206,6 +1205,8 @@ impl Broker {
         if !self.coins.contains_key(&id) {
             return self.reject(CoreError::NotCirculating(id));
         }
+        // member: the coin was minted here, and a purchase asks `is_element`
+        // of its key.
         let key = DsaPublicKey::from_element(coin_pk.clone());
         if !key.verify(self.params.group(), challenge, response) {
             return self.reject(CoreError::BadSignature);

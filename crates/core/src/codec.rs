@@ -861,7 +861,11 @@ records! {
         key: int = p.1.element();
     }
     fn put(p: (PeerId, &DsaPublicKey));
-    fn to_peer() -> (PeerId, DsaPublicKey) { (peer, DsaPublicKey::from_element(key)) }
+    fn to_peer() -> (PeerId, DsaPublicKey) {
+        // member: a registered identity key, replayed from the broker's own
+        // journal; it was handed to `register_peer`, not read off a request.
+        (peer, DsaPublicKey::from_element(key))
+    }
 }
 
 // --- the classes and parts the table does not state as a field list ---

@@ -15,7 +15,7 @@ use whopay_crypto::hashio::Transcript;
 use whopay_net::Handle;
 use whopay_num::{BigUint, SchnorrGroup};
 
-use crate::codec::{DecodeError, Reader, Writer};
+use crate::codec::{DecodeError, PublicStateRef, Reader, Writer};
 use crate::sigcache::{self, SigCache};
 use crate::types::{CoinId, PeerId, Timestamp};
 
@@ -88,8 +88,7 @@ impl MintedCoin {
     /// transfer chain and every deposit re-checks the same mint signature,
     /// so repeats become hash lookups.
     pub fn verify_cached(&self, group: &SchnorrGroup, broker: &DsaPublicKey, cache: &SigCache) -> bool {
-        let key = sigcache::cache_key(group, broker, &self.mint_key_material(), &self.broker_sig);
-        cache.verify_with(key, || self.verify(group, broker))
+        cache.verify_with(self.mint_cache_key(group, broker), || self.verify(group, broker))
     }
 
     /// The cache key for this coin's mint signature — exposed so the
@@ -99,11 +98,8 @@ impl MintedCoin {
         group: &SchnorrGroup,
         broker: &DsaPublicKey,
     ) -> whopay_crypto::sha256::Digest {
-        sigcache::cache_key(group, broker, &self.mint_key_material(), &self.broker_sig)
-    }
-
-    fn mint_key_material(&self) -> Vec<u8> {
-        Self::signed_bytes(&self.owner, &self.coin_pk)
+        let msg = Self::signed_bytes(&self.owner, &self.coin_pk);
+        sigcache::cache_key(group, broker.element(), &msg, &self.broker_sig)
     }
 }
 
@@ -222,15 +218,15 @@ impl Binding {
         cache.verify_with(self.cache_key(group, broker), || self.verify(group, broker))
     }
 
-    /// The key this binding's signature is checked under — the coin key or
-    /// the broker key, matching [`Binding::verify`] — and the bytes it
-    /// covers.
-    pub fn signed_claim(&self, broker: &DsaPublicKey) -> (DsaPublicKey, Vec<u8>) {
+    /// The element this binding's signature is checked under — the coin
+    /// key or the broker key, matching [`Binding::verify`] — and the bytes
+    /// it covers.
+    pub fn signed_claim<'a>(&'a self, broker: &'a DsaPublicKey) -> (&'a BigUint, Vec<u8>) {
         let msg =
             Self::signed_bytes(&self.coin_pk, &self.holder_pk, self.seq, self.expires, self.signer);
         let signer = match self.signer {
-            BindingSigner::CoinKey => DsaPublicKey::from_element(self.coin_pk.clone()),
-            BindingSigner::Broker => broker.clone(),
+            BindingSigner::CoinKey => &self.coin_pk,
+            BindingSigner::Broker => broker.element(),
         };
         (signer, msg)
     }
@@ -242,15 +238,21 @@ impl Binding {
         broker: &DsaPublicKey,
     ) -> whopay_crypto::sha256::Digest {
         let (signer, msg) = self.signed_claim(broker);
-        sigcache::cache_key(group, &signer, &msg, &self.sig)
+        sigcache::cache_key(group, signer, &msg, &self.sig)
     }
 
-    /// Encodes the *public state* of the binding — `(holder_pk, seq,
-    /// expires)` — as the DHT record value (the record's own signature
-    /// provides integrity, so the binding signature is not duplicated).
+    /// The *public state* of the binding: `(holder_pk, seq, expires)`.
+    pub fn public_state(&self) -> PublicBindingState {
+        PublicBindingState { holder_pk: self.holder_pk.clone(), seq: self.seq, expires: self.expires }
+    }
+
+    /// Encodes the binding's [`Binding::public_state`] as the DHT record
+    /// value — the record table's `PublicStateRef` (the record's own
+    /// signature provides integrity, so the binding signature is not
+    /// duplicated).
     pub fn public_state_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.int(&self.holder_pk).u64(self.seq).u64(self.expires.0);
+        PublicStateRef::put(&mut w, &self.public_state());
         w.finish()
     }
 
@@ -261,11 +263,9 @@ impl Binding {
     /// [`DecodeError`] on truncated or trailing bytes.
     pub fn decode_public_state(bytes: &[u8]) -> Result<PublicBindingState, DecodeError> {
         let mut r = Reader::new(bytes);
-        let holder_pk = BigUint::from_be_bytes(r.int()?);
-        let seq = r.u64()?;
-        let expires = Timestamp(r.u64()?);
+        let state = PublicStateRef::parse(&mut r)?;
         r.finish()?;
-        Ok(PublicBindingState { holder_pk, seq, expires })
+        Ok(state.to_state())
     }
 }
 
@@ -439,10 +439,18 @@ mod tests {
             BindingSigner::CoinKey,
             sig,
         );
-        let state = Binding::decode_public_state(&binding.public_state_bytes()).unwrap();
+        let bytes = binding.public_state_bytes();
+        let state = Binding::decode_public_state(&bytes).unwrap();
         assert_eq!(state.holder_pk, *binding.holder_pk());
         assert_eq!(state.seq, 7);
         assert_eq!(state.expires, Timestamp(555));
+        // The record table's `PublicStateRef`: the holder key behind its
+        // length (24 bytes), seq 7 and expiry 555 as varints.
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "18184dd1e19623d7777250004fd434e4ec2e5c289361938a2d07ab04");
+        let trailing = [&bytes[..], &[0]].concat();
+        assert_eq!(Binding::decode_public_state(&trailing), Err(DecodeError));
+        assert_eq!(Binding::decode_public_state(&bytes[..bytes.len() - 1]), Err(DecodeError));
     }
 
     #[test]

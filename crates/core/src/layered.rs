@@ -15,7 +15,8 @@
 //! transfer-via-broker when coin owners are offline".
 
 use rand::Rng;
-use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
+use whopay_crypto::batch;
+use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature, MemberClaims};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_crypto::hashio::Transcript;
 use whopay_num::{BigUint, SchnorrGroup};
@@ -120,7 +121,10 @@ impl LayeredCoin {
     }
 
     /// Verifies the whole chain: mint signature, base binding, and every
-    /// layer's two signatures in order.
+    /// layer's two signatures — each layer's relinquishing key, the holder
+    /// key the layer before it named, a member — in one
+    /// [`batch::verify_many`] call. The error is the first failing
+    /// layer's, its relinquishment before its group signature.
     pub fn verify(
         &self,
         group: &SchnorrGroup,
@@ -134,21 +138,30 @@ impl LayeredCoin {
         if !self.base.minted.verify(group, broker) || !self.base.binding.verify(group, broker) {
             return Err(CoreError::BadSignature);
         }
-        let mut prev_holder = self.base.binding.holder_pk().clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let msg = Layer::signed_bytes(
-                self.base.minted.coin_pk(),
-                self.base.binding.seq(),
-                i as u64,
-                &layer.new_holder_pk,
-            );
-            if !DsaPublicKey::verify_member(group, &prev_holder, &msg, &layer.relinquish_sig) {
+        let coin_pk = self.base.minted.coin_pk();
+        let seq = self.base.binding.seq();
+        let msgs: Vec<Vec<u8>> = (0..)
+            .zip(&self.layers)
+            .map(|(i, layer)| Layer::signed_bytes(coin_pk, seq, i, &layer.new_holder_pk))
+            .collect();
+        let claims: Vec<[(&[u8], &DsaSignature); 1]> = msgs
+            .iter()
+            .zip(&self.layers)
+            .map(|(msg, layer)| [(&msg[..], &layer.relinquish_sig)])
+            .collect();
+        let holders = std::iter::once(self.base.binding.holder_pk())
+            .chain(self.layers.iter().map(|layer| &layer.new_holder_pk));
+        let keys: Vec<MemberClaims<'_>> = holders.zip(&claims).map(|(y, c)| (y, &c[..])).collect();
+        let group_claims: Vec<(&[u8], &GroupSignature)> =
+            msgs.iter().zip(&self.layers).map(|(msg, layer)| (&msg[..], &layer.group_sig)).collect();
+        let verdicts = batch::verify_many(group, &keys, Some((gpk, &group_claims)));
+        for (relinquished, grouped) in verdicts.keys.iter().zip(verdicts.group_sigs) {
+            if relinquished.as_deref() != Some(&[true]) {
                 return Err(CoreError::BadSignature);
             }
-            if !gpk.verify(group, &msg, &layer.group_sig) {
+            if !grouped {
                 return Err(CoreError::BadGroupSignature);
             }
-            prev_holder = layer.new_holder_pk.clone();
         }
         Ok(())
     }

@@ -104,11 +104,7 @@ fn coin_leaf_with_aux(
     deposited: bool,
     aux: Digest,
 ) -> CoinLeaf {
-    let binding = downtime_binding.map(|b| PublicBindingState {
-        holder_pk: b.holder_pk().clone(),
-        seq: b.seq(),
-        expires: b.expires(),
-    });
+    let binding = downtime_binding.map(Binding::public_state);
     CoinLeaf { coin, deposited, binding, aux }
 }
 

@@ -5,8 +5,9 @@
 //! fairness (judge-openable anonymity). The canonical signed bytes for
 //! every message are defined here so signer and verifier cannot drift.
 
+use whopay_crypto::batch;
 use whopay_crypto::coupon::CouponPool;
-use whopay_crypto::dsa::{DsaCheck, DsaKeyPair, DsaPublicKey, DsaSignature};
+use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::group_sig::{GroupMemberKey, GroupPublicKey, GroupSignature};
 use whopay_crypto::hashio::Transcript;
 use whopay_num::{BigUint, SchnorrGroup};
@@ -121,9 +122,10 @@ impl CoinGrant {
     /// A coin-key-signed binding about the minted coin is the normal case,
     /// and there the fresh coin key is what all three lean on: the mint
     /// needs its membership, the binding and the proof are signed under
-    /// it. They share one squaring chain over `pkC`
-    /// ([`DsaPublicKey::member_passes_each`]: `pkC^q` computed in full,
-    /// `pkC^u2` for each signature) and one inversion for the three `s⁻¹`.
+    /// it. The broker's half of the mint is checked first, on its hot
+    /// tables; then one [`batch::verify_many`] call over `pkC` gives its
+    /// membership and the binding's (unless cached) and the proof's
+    /// verdicts: `pkC^q` computed in full, `pkC^u2` for each signature.
     pub fn verify_cached(
         &self,
         group: &SchnorrGroup,
@@ -152,40 +154,29 @@ impl CoinGrant {
         let binding_key = self.binding.cache_key(group, broker);
         let binding_cached = cache.peek(&binding_key);
 
+        // A coin the broker never signed is refused before any chain over
+        // `pkC`.
         let mint_msg = MintedCoin::signed_bytes(self.minted.owner(), coin_pk);
-        let binding_msg = Binding::signed_bytes(
-            coin_pk,
-            self.binding.holder_pk(),
-            self.binding.seq(),
-            self.binding.expires(),
-            BindingSigner::CoinKey,
-        );
-        let proof_msg = Self::proof_bytes(coin_pk, self.binding.holder_pk(), nonce);
-        let [mint_check, binding_check, proof_check]: [Option<DsaCheck>; 3] = DsaCheck::each(
-            group,
-            &[
-                (&mint_msg, self.minted.broker_sig()),
-                (&binding_msg, self.binding.raw_sig()),
-                (&proof_msg, &self.ownership_proof),
-            ],
-        )
-        .try_into()
-        .expect("one check per claim");
-        // The broker's half of the mint first: both its tables are hot, and
-        // a coin it never signed is refused before any chain over `pkC`.
-        if minted_cached.is_none() && !mint_check.is_some_and(|check| broker.passes(group, &check)) {
+        if minted_cached.is_none() && !broker.verify(group, &mint_msg, self.minted.broker_sig()) {
             cache.prime(mint_key, false);
             return REFUSED;
         }
-        let under_coin_key = [binding_check.filter(|_| binding_cached.is_none()), proof_check];
-        let passes = DsaPublicKey::member_passes_each(group, coin_pk, &under_coin_key);
+        let binding_msg = self.binding.signed_claim(broker).1;
+        let proof_msg = Self::proof_bytes(coin_pk, self.binding.holder_pk(), nonce);
+        let binding_claim = (&binding_msg[..], self.binding.raw_sig());
+        let proof_claim = (&proof_msg[..], &self.ownership_proof);
+        let claims = match binding_cached {
+            None => &[binding_claim, proof_claim][..],
+            Some(_) => &[proof_claim][..],
+        };
+        let passes = batch::verify_many(group, &[(coin_pk, claims)], None).keys.pop().flatten();
         if minted_cached.is_none() {
             cache.prime(mint_key, passes.is_some());
             if passes.is_none() {
                 return REFUSED;
             }
         }
-        let passes = passes.unwrap_or_else(|| vec![false; 2]);
+        let passes = passes.unwrap_or_else(|| vec![false; claims.len()]);
         let binding = cache.lookup(&binding_key).unwrap_or_else(|| {
             // A verdict that was there to peek at and is gone now was
             // rotated out by the mint's insertion: verify it after all.
@@ -196,7 +187,7 @@ impl CoinGrant {
             cache.prime(binding_key, valid);
             valid
         });
-        GrantVerdicts { custody: binding, proof: binding && passes[1] }
+        GrantVerdicts { custody: binding, proof: binding && passes[claims.len() - 1] }
     }
 }
 
@@ -243,13 +234,6 @@ impl TransferRequest {
             .finish()
             .to_vec()
     }
-
-    /// Verifies both the holdership signature and the group signature.
-    pub fn verify(&self, group: &SchnorrGroup, gpk: &GroupPublicKey) -> bool {
-        let msg = Self::signed_bytes(&self.current, &self.new_holder_pk, &self.nonce);
-        DsaPublicKey::verify_member(group, self.current.holder_pk(), &msg, &self.holder_sig)
-            && gpk.verify(group, &msg, &self.group_sig)
-    }
 }
 
 /// A holder's request to extend a coin's expiration date.
@@ -273,13 +257,6 @@ impl RenewalRequest {
             .u64(current.expires().0)
             .finish()
             .to_vec()
-    }
-
-    /// Verifies both signatures.
-    pub fn verify(&self, group: &SchnorrGroup, gpk: &GroupPublicKey) -> bool {
-        let msg = Self::signed_bytes(&self.current);
-        DsaPublicKey::verify_member(group, self.current.holder_pk(), &msg, &self.holder_sig)
-            && gpk.verify(group, &msg, &self.group_sig)
     }
 }
 
@@ -306,41 +283,6 @@ impl DepositRequest {
             .u64(binding.seq())
             .finish()
             .to_vec()
-    }
-
-    /// Verifies both signatures.
-    pub fn verify(&self, group: &SchnorrGroup, gpk: &GroupPublicKey) -> bool {
-        let msg = Self::signed_bytes(&self.binding);
-        DsaPublicKey::verify_member(group, self.binding.holder_pk(), &msg, &self.holder_sig)
-            && gpk.verify(group, &msg, &self.group_sig)
-    }
-
-    /// The verdict-cache key of the holder signature.
-    pub fn holder_cache_key(&self, group: &SchnorrGroup) -> whopay_crypto::sha256::Digest {
-        let holder_key = DsaPublicKey::from_element(self.binding.holder_pk().clone());
-        crate::sigcache::cache_key(
-            group,
-            &holder_key,
-            &Self::signed_bytes(&self.binding),
-            &self.holder_sig,
-        )
-    }
-
-    /// [`DepositRequest::verify`] with the holder-key half answered
-    /// through a verdict cache (group signatures use a different scheme
-    /// and always verify directly), under
-    /// [`DepositRequest::holder_cache_key`] — the entry the broker's
-    /// deposit path looks up too.
-    pub fn verify_cached(
-        &self,
-        group: &SchnorrGroup,
-        gpk: &GroupPublicKey,
-        cache: &crate::sigcache::SigCache,
-    ) -> bool {
-        let msg = Self::signed_bytes(&self.binding);
-        cache.verify_with(self.holder_cache_key(group), || {
-            DsaPublicKey::verify_member(group, self.binding.holder_pk(), &msg, &self.holder_sig)
-        }) && gpk.verify(group, &msg, &self.group_sig)
     }
 }
 

@@ -35,11 +35,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use whopay_crypto::dsa::{DsaPublicKey, DsaSignature};
+use whopay_crypto::dsa::DsaSignature;
 use whopay_crypto::group_sig::{GroupPublicKey, GroupSignature};
 use whopay_crypto::hashio::Transcript;
 use whopay_crypto::sha256::Digest;
-use whopay_num::SchnorrGroup;
+use whopay_num::{BigUint, SchnorrGroup};
 use whopay_obs::{Counter, Metrics};
 
 /// Default capacity: generous for a simulated deployment (a few thousand
@@ -80,10 +80,10 @@ impl CacheKeyer {
         &self.group
     }
 
-    /// The key for a verification question; bit-identical to
-    /// [`cache_key`] on the same inputs.
-    pub fn key(&self, signer: &DsaPublicKey, message: &[u8], sig: &DsaSignature) -> Digest {
-        self.prefix.clone().int(signer.element()).bytes(message).int(sig.r()).int(sig.s()).finish()
+    /// The key for a verification question under the signer's element
+    /// `signer`; bit-identical to [`cache_key`] on the same inputs.
+    pub fn key(&self, signer: &BigUint, message: &[u8], sig: &DsaSignature) -> Digest {
+        self.prefix.clone().int(signer).bytes(message).int(sig.r()).int(sig.s()).finish()
     }
 }
 
@@ -94,19 +94,15 @@ thread_local! {
     static KEYER_MEMO: std::cell::RefCell<Option<CacheKeyer>> = const { std::cell::RefCell::new(None) };
 }
 
-/// The cache key: a digest binding group parameters, signer, message, and
-/// signature. Distinct verification questions collide only if SHA-256
-/// does.
+/// The cache key: a digest binding group parameters, the signer's element,
+/// message, and signature. Distinct verification questions collide only if
+/// SHA-256 does. The element is hashed as it came: a key that arrived in a
+/// message is looked up without being made a verifying key.
 ///
 /// Internally memoizes a per-thread [`CacheKeyer`] for the last group
 /// seen, so repeated lookups under one group skip re-hashing its
 /// parameters.
-pub fn cache_key(
-    group: &SchnorrGroup,
-    signer: &DsaPublicKey,
-    message: &[u8],
-    sig: &DsaSignature,
-) -> Digest {
+pub fn cache_key(group: &SchnorrGroup, signer: &BigUint, message: &[u8], sig: &DsaSignature) -> Digest {
     KEYER_MEMO.with(|memo| {
         let mut memo = memo.borrow_mut();
         if !memo.as_ref().is_some_and(|k| k.group() == group) {
@@ -416,10 +412,10 @@ mod tests {
         let signer = DsaKeyPair::generate(group, &mut rng);
         let sig = signer.sign(group, b"msg", &mut rng);
 
-        let direct = cache_key(group, signer.public(), b"msg", &sig);
-        assert_eq!(CacheKeyer::new(group).key(signer.public(), b"msg", &sig), direct);
+        let direct = cache_key(group, signer.public().element(), b"msg", &sig);
+        assert_eq!(CacheKeyer::new(group).key(signer.public().element(), b"msg", &sig), direct);
         // Different messages still produce different keys.
-        assert_ne!(cache_key(group, signer.public(), b"other", &sig), direct);
+        assert_ne!(cache_key(group, signer.public().element(), b"other", &sig), direct);
     }
 
     #[test]

@@ -162,6 +162,89 @@ fn holder_monitor_raises_double_spend_alarm_in_real_time() {
     assert!(alarms[0].observed_seq > alarms[0].held_seq);
 }
 
+/// A holder's own renewal or spend moves the coin's public binding too —
+/// a renewal by one seq, a transfer to the payee's key — so a monitor that
+/// did not follow them raises a false alarm on each. One that follows the
+/// renewal (`update_expected_seq`) and stops watching the spent coin
+/// (`unwatch`) stays quiet, and still alarms on a real double spend of the
+/// coin it watches.
+#[test]
+fn holding_monitor_follows_the_holders_own_renewal_and_spend() {
+    let mut w = world(3, 26);
+    let mut rng = test_rng(260);
+    let (mut dht, entry) = dht_for(&w, 12, &mut rng);
+    let (t0, obs) = (Timestamp(0), Obs::disabled());
+
+    // Two coins of peer 0, issued to peer 1 and published.
+    let mut watched = Vec::new();
+    for _ in 0..2 {
+        let (req, pending) = w.peers[0].create_purchase_request(PurchaseMode::Identified, &mut w.rng);
+        let minted = w.broker.handle_purchase(&req, &mut w.rng).unwrap();
+        let coin = w.peers[0].complete_purchase(minted, pending, t0, &mut w.rng).unwrap();
+        w_issue(&mut w, 0, 1, coin, t0);
+        dsd::publish_owner_binding(&w.peers[0], coin, &mut dht, entry, &mut w.rng, &obs).unwrap();
+        let owned = w.peers[0].owned_coin(&coin).unwrap();
+        watched.push((coin, owned.minted.coin_pk().clone(), owned.binding.seq()));
+    }
+    let (mut followed, mut stale) = (dsd::HoldingMonitor::new(), dsd::HoldingMonitor::new());
+    for monitor in [&mut followed, &mut stale] {
+        for (coin, coin_pk, seq) in &watched {
+            monitor.watch(&mut dht, *coin, coin_pk, *seq);
+        }
+        assert!(monitor.poll(&mut dht, &obs).is_empty(), "no alarm while honest");
+    }
+    let [(renewed_coin, coin_pk, held_seq), (spent_coin, ..)] = watched.try_into().unwrap();
+
+    // Peer 1 renews the first coin through its owner.
+    let request = w.peers[1].request_renewal(renewed_coin, &mut w.rng).unwrap();
+    let renewed = w.peers[0].handle_renewal(request, Timestamp(5), &mut w.rng).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], renewed_coin, &mut dht, entry, &mut w.rng, &obs).unwrap();
+    let renewed_seq = renewed.seq();
+    assert_eq!(renewed_seq, held_seq + 1, "a renewal moves seq by one");
+    w.peers[1].apply_renewal(renewed_coin, renewed).unwrap();
+    followed.update_expected_seq(renewed_coin, renewed_seq);
+
+    // Peer 1 spends the second coin to peer 2 through its owner.
+    let (invite, session) = w.peers[2].begin_receive(&mut w.rng);
+    let request = w.peers[1].request_transfer(spent_coin, &invite, &mut w.rng).unwrap();
+    let grant = w.peers[0].handle_transfer(request, Timestamp(5), &mut w.rng).unwrap();
+    dsd::publish_owner_binding(&w.peers[0], spent_coin, &mut dht, entry, &mut w.rng, &obs).unwrap();
+    w.peers[2].accept_grant(grant, session, Timestamp(5)).unwrap();
+    w.peers[1].complete_transfer(spent_coin);
+    followed.unwatch(&mut dht, spent_coin);
+
+    assert!(followed.poll(&mut dht, &obs).is_empty(), "no alarm for the holder's own moves");
+    let false_alarms = stale.poll(&mut dht, &obs);
+    let coins: Vec<_> = false_alarms.iter().map(|alarm| alarm.coin).collect();
+    let mut want = vec![renewed_coin, spent_coin];
+    want.sort_unstable();
+    assert_eq!(coins, want, "a monitor that did not follow alarms on both");
+
+    // The owner double-spends the renewed coin: a conflicting binding one
+    // seq past the renewal, signed with its coin key.
+    let conflicting = {
+        use whopay_dht::{SignedRecord, Writer};
+        let fresh_holder = DsaKeyPair::generate(w.params.group(), &mut w.rng);
+        let owned = w.peers[0].owned_coin(&renewed_coin).unwrap();
+        let mut value = whopay_core::codec::Writer::new();
+        value.int(fresh_holder.public().element()).u64(renewed_seq + 1).u64(1000);
+        let value = value.finish();
+        let msg = SignedRecord::signed_bytes(&coin_pk, &value, renewed_seq + 1, Writer::Subject);
+        SignedRecord {
+            subject: coin_pk.clone(),
+            value,
+            version: renewed_seq + 1,
+            writer: Writer::Subject,
+            signature: owned.coin_keys.sign(w.params.group(), &msg, &mut w.rng),
+        }
+    };
+    dht.put(entry, conflicting).unwrap();
+    let alarms = followed.poll(&mut dht, &obs);
+    assert_eq!(alarms.len(), 1, "a real double spend still alarms");
+    assert_eq!(alarms[0].coin, renewed_coin);
+    assert_eq!((alarms[0].held_seq, alarms[0].observed_seq), (renewed_seq, renewed_seq + 1));
+}
+
 #[test]
 fn lazy_sync_adopts_newer_public_state() {
     let mut w = world(3, 23);

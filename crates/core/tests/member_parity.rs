@@ -1,16 +1,16 @@
 //! Verdict parity for the protocol messages that check a key they carry.
 //!
-//! Transfer, renewal and deposit requests verify a holdership signature
+//! Transfer, renewal and deposit requests carry a holdership signature
 //! under the holder key named in the binding they present, and a binding
-//! verifies under its own coin key; both keys arrive off the wire. Each
-//! `verify` must return exactly what the spelled-out check
+//! verifies under its own coin key; both keys arrive off the wire. The
+//! broker taking a deposit (`Broker::handle_deposit`) and the owner
+//! serving a transfer or a renewal (`Peer::handle_transfer` /
+//! `handle_renewal`) must refuse exactly what the spelled-out check
 //! `is_element(key) && from_element(key).verify(..) && gpk.verify(..)`
-//! returns — on honest messages, on ordinary forgeries, and on the crafted
+//! refuses — on honest messages, on ordinary forgeries, and on the crafted
 //! case where the signer publishes the non-member `−y` and signs so the
 //! plain DSA equation holds under it, which only the membership check
-//! rejects. The owner serving those transfers and renewals
-//! (`Peer::handle_transfer` / `handle_renewal`) must refuse exactly the
-//! same ones.
+//! rejects.
 //!
 //! `Peer::accept_grant` checks a grant's three signatures over one chain
 //! on the coin key; it must refuse exactly what the three separate checks
@@ -94,85 +94,70 @@ fn spec(w: &World, key: &BigUint, msg: &[u8], holder_sig: &DsaSignature) -> bool
     w.group.is_element(key) && DsaPublicKey::from_element(key.clone()).verify(&w.group, msg, holder_sig)
 }
 
-/// A binding naming `holder_pk`; its own signature is not what the
-/// request-level checks look at.
-fn binding_to(w: &mut World, holder_pk: &BigUint, signer: BindingSigner) -> Binding {
-    let coin_pk = w.coin.public().element().clone();
-    let msg = Binding::signed_bytes(&coin_pk, holder_pk, 3, Timestamp(500), signer);
-    let sig = w.coin.sign(&w.group, &msg, &mut w.rng);
-    Binding::from_parts(coin_pk, holder_pk.clone(), 3, Timestamp(500), signer, sig)
-}
-
+/// The broker takes a deposit under the holder key of the binding it
+/// presents, a key that came in a payee's invite. It must refuse exactly
+/// what the spelled-out check refuses, and a deposit whose group signature
+/// covers other bytes. Transfers and renewals, served by the owner, are
+/// the next test's.
 #[test]
 fn requests_verify_exactly_when_the_spelled_out_check_does() {
     let mut w = world(0xA11CE);
+    let params = SystemParams::new(w.group.clone());
+    let mut broker = Broker::new(params.clone(), w.gpk.clone(), &mut w.rng);
+    let (gpk, member) = (w.gpk.clone(), w.member.clone());
+    let mut owner = Peer::new(PeerId(2), params, broker.public_key().clone(), gpk, member, &mut w.rng);
+    broker.register_peer(PeerId(2), owner.public_key().clone());
     let mut accepted = 0;
     let mut only_membership_rejected = 0;
-    for round in 0..24 {
+    for round in 0..24u8 {
         for (label, key) in holder_key_cases(&mut w) {
-            let current = binding_to(&mut w, &key, BindingSigner::CoinKey);
-            let new_holder = w.group.pow_g(&w.group.random_scalar(&mut w.rng));
-            let nonce = [round as u8; 32];
+            // A fresh coin, issued to an invite naming `key`.
+            let (purchase, pending) =
+                owner.create_purchase_request(PurchaseMode::Identified, &mut w.rng);
+            let minted = broker.handle_purchase(&purchase, &mut w.rng).expect("registered owner");
+            let coin =
+                owner.complete_purchase(minted.clone(), pending, NOW, &mut w.rng).expect("minted");
+            let nonce = [round; 32];
+            let invite_msg = PaymentInvite::signed_bytes(&key, &nonce);
+            let group_sig = w.member.sign(&w.group, &w.gpk, &invite_msg, &mut w.rng);
+            let invite = PaymentInvite { holder_pk: key.clone(), nonce, group_sig };
+            let current = owner.issue_coin(coin, &invite, NOW, &mut w.rng).expect("issued").binding;
 
-            // Every message is signed by the real holder secret over the
-            // bytes that name `key`, so under the twisted key the plain
-            // equation holds whenever u2 is even.
-            let msg = TransferRequest::signed_bytes(&current, &new_holder, &nonce);
-            let holder_sig = w.holder.sign(&w.group, &msg, &mut w.rng);
-            let group_sig = w.member.sign(&w.group, &w.gpk, &msg, &mut w.rng);
-            let want = spec(&w, &key, &msg, &holder_sig);
-            let transfer = TransferRequest {
-                current: current.clone(),
-                new_holder_pk: new_holder.clone(),
-                nonce,
-                holder_sig: holder_sig.clone(),
-                group_sig: group_sig.clone(),
-            };
-            assert_eq!(transfer.verify(&w.group, &w.gpk), want, "transfer, {label} key");
-            assert_eq!(want, label == "honest", "spec verdict, {label} key");
-            accepted += want as usize;
-            if label == "twisted" {
-                let plain = DsaPublicKey::from_element(key.clone());
-                only_membership_rejected += plain.verify(&w.group, &msg, &holder_sig) as usize;
-            }
-            // Ordinary forgeries on top: another nonce, a foreign group signature.
-            let replayed = TransferRequest { nonce: [0xEE; 32], ..transfer.clone() };
-            assert!(!replayed.verify(&w.group, &w.gpk), "replayed transfer, {label} key");
-
-            let msg = RenewalRequest::signed_bytes(&current);
-            let holder_sig = w.holder.sign(&w.group, &msg, &mut w.rng);
-            let group_sig = w.member.sign(&w.group, &w.gpk, &msg, &mut w.rng);
-            let want = spec(&w, &key, &msg, &holder_sig);
-            let renewal = RenewalRequest { current: current.clone(), holder_sig, group_sig };
-            assert_eq!(renewal.verify(&w.group, &w.gpk), want, "renewal, {label} key");
-            let foreign = RenewalRequest { group_sig: transfer.group_sig.clone(), ..renewal.clone() };
-            assert!(!foreign.verify(&w.group, &w.gpk), "renewal with a transfer's group signature");
-
-            let owner = OwnerTag::Anonymous;
-            let mint_msg = MintedCoin::signed_bytes(&owner, current.coin_pk());
-            let minted = MintedCoin::from_parts(
-                owner,
-                current.coin_pk().clone(),
-                w.broker.sign(&w.group, &mint_msg, &mut w.rng),
-            );
+            // Signed by the real holder secret over the bytes that name
+            // `key`, so under the twisted key the plain equation holds
+            // whenever u2 is even.
             let msg = DepositRequest::signed_bytes(&current);
             let holder_sig = w.holder.sign(&w.group, &msg, &mut w.rng);
             let group_sig = w.member.sign(&w.group, &w.gpk, &msg, &mut w.rng);
             let want = spec(&w, &key, &msg, &holder_sig);
-            let deposit = DepositRequest { minted, binding: current, holder_sig, group_sig };
-            assert_eq!(deposit.verify(&w.group, &w.gpk), want, "deposit, {label} key");
-            // Through the verdict cache: a miss computes it, a hit repeats it.
-            let cache = SigCache::new(16);
-            for pass in ["miss", "hit"] {
-                assert_eq!(
-                    deposit.verify_cached(&w.group, &w.gpk, &cache),
-                    want,
-                    "cached deposit ({pass}), {label} key"
-                );
+            assert_eq!(want, label == "honest", "spec verdict, {label} key");
+            if label == "twisted" {
+                let plain = DsaPublicKey::from_element(key.clone());
+                only_membership_rejected += plain.verify(&w.group, &msg, &holder_sig) as usize;
             }
+            let deposit = DepositRequest { minted, binding: current, holder_sig, group_sig };
+            // An ordinary forgery on top: a group signature over other bytes.
+            let foreign_msg = RenewalRequest::signed_bytes(&deposit.binding);
+            let foreign = DepositRequest {
+                group_sig: w.member.sign(&w.group, &w.gpk, &foreign_msg, &mut w.rng),
+                ..deposit.clone()
+            };
+            let refused = Err(CoreError::BadSignature);
+            assert_eq!(
+                broker.handle_deposit(&foreign, NOW).map(|_| ()),
+                refused,
+                "foreign, {label} key"
+            );
+            let verdict = if want { Ok(()) } else { refused };
+            assert_eq!(
+                broker.handle_deposit(&deposit, NOW).map(|_| ()),
+                verdict,
+                "deposit, {label} key"
+            );
+            accepted += want as usize;
         }
     }
-    assert_eq!(accepted, 24, "exactly the honest transfers verify");
+    assert_eq!(accepted, 24, "exactly the honest deposits are taken");
     assert!(only_membership_rejected > 0, "some twisted-key signatures satisfy the plain equation");
 }
 
@@ -216,13 +201,11 @@ fn the_owner_serves_holder_requests_exactly_when_the_spelled_out_check_does() {
                 assert_eq!(want, label == "honest", "spec verdict, {label} key");
                 let served = if renew {
                     let request = RenewalRequest { current, holder_sig: holder_sig.clone(), group_sig };
-                    assert_eq!(request.verify(&w.group, &w.gpk), want, "renewal, {label} key");
                     owner.handle_renewal(request, NOW, &mut w.rng).map(|_| ())
                 } else {
                     let (new_holder_pk, holder_sig) = (key.clone(), holder_sig.clone());
                     let request =
                         TransferRequest { current, new_holder_pk, nonce, holder_sig, group_sig };
-                    assert_eq!(request.verify(&w.group, &w.gpk), want, "transfer, {label} key");
                     owner.handle_transfer(request, NOW, &mut w.rng).map(|_| ())
                 };
                 let verdict = if want { Ok(()) } else { Err(CoreError::BadSignature) };

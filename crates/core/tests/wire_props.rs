@@ -21,6 +21,7 @@ use whopay_core::{CoinId, CoreError, Journal, PeerId, Timestamp};
 use whopay_crypto::dsa::DsaSignature;
 use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::GroupSignature;
+use whopay_crypto::sha256::Sha256;
 use whopay_net::Handle;
 use whopay_num::BigUint;
 
@@ -502,7 +503,9 @@ fn real_run() -> &'static RealRun {
 /// id, key and signature: 2 + 65 + 42 = 109. One real frame of every
 /// request and response kind over the 512/160 group ([`common::frames`])
 /// takes exactly the bytes its fields take; where one of its scalars has
-/// a leading zero byte, the sum says so.
+/// a leading zero byte, the sum says so. Its SHA-256 is pinned beside the
+/// size: two rows of one class swapped in a record keep every size and
+/// every round trip, and change the bytes.
 #[test]
 fn a_real_frame_of_every_kind_has_its_golden_size() {
     let (requests, responses) = common::frames();
@@ -538,10 +541,26 @@ fn a_real_frame_of_every_kind_has_its_golden_size() {
         ("micropay_redeem", 1 + commitment + 40, 525),
         ("binding_proof", 1 + 32, 33),
     ];
-    for (request, (kind, derived, golden)) in requests.iter().zip(request_sizes) {
+    let request_digests = [
+        "cb86961b5fd23667208dfa92bc054e26266ef0f9a8e3d802077d0bb94fc60363",
+        "49e379306c2f47917dd6741454038ac4c7e0a8db6ec892ae7ad7c53abeb51a89",
+        "011a65a1c692abb38013fbac516e1561a46070ac54c4ff12337607ebb287006b",
+        "d2ae1baceb0755ac9d2dbee40198ee4e81cfdabb36b5d9108f759040b0ce09f7",
+        "89c7a80e3166e03599e1056c3fc2c2f89dafef0a06b6cb29a23f56972d61c446",
+        "6df6bd08a63989e51912d8ed985f313bdeb722dc45a249488f7b2c12215bd6c6",
+        "30b35435c8133e57cc93e5054ed47b4f5975b6a59d7700f0c4d04f00facf982c",
+        "aae7547b14771ab8f2521c0d057fcc751ea8c44d49610e85cf0407d6d166b127",
+        "9f041a88548feb7052be17ee7fa3bedac2ee70932a412477d50335530bc08021",
+        "f5cd89b76c6c30e4afa02cb40fbf3f4ae984976841f249f442a9681d8f1b8363",
+        "6f90e41b76e610a6a241d5a14e3345ed8b3049bd510055479b2793cd1cc2ff25",
+    ];
+    for ((request, (kind, derived, golden)), digest) in
+        requests.iter().zip(request_sizes).zip(request_digests)
+    {
         let frame = request.encode();
         assert_eq!(wire_kind(&frame), kind);
         assert_eq!((frame.len(), derived), (golden, golden), "{kind}");
+        assert_eq!(hex_digest(&frame), digest, "{kind}");
     }
     let response_sizes = [
         1 + minted,
@@ -566,9 +585,30 @@ fn a_real_frame_of_every_kind_has_its_golden_size() {
         1 + (32 + 1 + 1 + int + 1 + 3 + 32) + (1 + 1 + 1 + 32) + (32 + 1 + sig),
     ];
     let golden = [110, 264, 178, 34, 179, 15, 33, 3, 35, 246];
-    for ((response, derived), golden) in responses.iter().zip(response_sizes).zip(golden) {
-        assert_eq!((response.encode().len(), derived), (golden, golden), "{response:?}");
+    let digests = [
+        "b2a649ba18c4c274d5ff3c1cb147b918e6341e68e4a05ef3bce0280e8ba4203a",
+        "7a1b9dbc20b359319a285d6cb46dcc867829c7c4ae395cc09955c40f49676217",
+        "0fc2925f0d552971e8b5909a7d46a9d1159afd61dff1f028a497a0c602e33d9f",
+        "fda9264553f5cf5c4bfb9109b94ac0284a7deb0ba9c07a469fc8b48177bdf3d6",
+        "ac399afec8f4a1fa24553cf0ca42b41263bc08c0ddd606d1a0aeb57a44459b6c",
+        "18aee354ce7d1bc87a316dc4eb8271c477270b16a3161ee93e4f4d64a5320bdc",
+        "c10e179d7cf0d21966f98cd964f035d099902296fa0d9a975c69ac844a35aa21",
+        "0042c54b8d0243143642bfe8e0594faa325833b66925ef0b6fd811666865233a",
+        "5ba983b587c68f12844d5b3563b46bb8e77db454b4745f99f27ccf6ff3f7f192",
+        "dcc01c48a0042ab76d69d168d82cfdebaa659046a50f6c6dd5848e470045fdf2",
+    ];
+    for (((response, derived), golden), digest) in
+        responses.iter().zip(response_sizes).zip(golden).zip(digests)
+    {
+        let frame = response.encode();
+        assert_eq!((frame.len(), derived), (golden, golden), "{response:?}");
+        assert_eq!(hex_digest(&frame), digest, "{response:?}");
     }
+}
+
+/// The SHA-256 of `frame`, in lowercase hex.
+fn hex_digest(frame: &[u8]) -> String {
+    Sha256::digest(frame).iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// `frame` ends in an integer of `len` magnitude bytes, `len` below 127

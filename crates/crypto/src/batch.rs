@@ -1,8 +1,10 @@
 //! Many signatures under keys that arrived with them, verified together
 //! and exactly.
 //!
-//! [`verify_many`] is the one many-signature verifier: DSA claims under
-//! untrusted keys and group signatures, in one call. Every untrusted
+//! [`verify_many`] is the one verifier of an element not yet proven a
+//! subgroup member: DSA claims under untrusted keys and group signatures,
+//! in one call. [`DsaPublicKey::verify_member`] and
+//! [`GroupPublicKey::verify`] are its one-claim calls. Every untrusted
 //! element — a key, a ciphertext half — is owed one squaring chain that
 //! carries its subgroup-membership power and the powers its signatures
 //! need, and the chains walk together
@@ -11,11 +13,11 @@
 //! goes through that base's comb together
 //! ([`SchnorrGroup::pow_g_many`], [`ElGamalPublicKey::pow_many`]). Where
 //! the host has the lane engine both walk eight at a time. Nothing is
-//! combined across items, so each verdict is the one
-//! [`DsaPublicKey::verify_member`] / [`GroupPublicKey::verify`] gives
-//! that item alone. Its drivers (whopay-core) are `Broker::prepare`, for
-//! a drain cycle or a lone request, and the owner's `Peer::handle_*` of
-//! a holder request, whose holder and group signatures are three chains;
+//! combined across items, so each verdict is the one that item gets in a
+//! call of its own. Its drivers (whopay-core) are `Broker::prepare`, for
+//! a drain cycle or a lone request, the owner's `Peer::handle_*` of a
+//! holder request, whose holder and group signatures are three chains,
+//! a payee's `CoinGrant::verify_cached` and `LayeredCoin::verify`;
 //! [`verify_dsa_each`] groups loose items by key in front of it for the
 //! benchmark probe `crypto.batch_verify_us_per_sig`.
 //!
@@ -60,9 +62,10 @@ pub struct ManyVerdicts {
     pub comb_filled: usize,
 }
 
-/// The verdict of every claim in `keys` — [`DsaPublicKey::verify_member`]'s
-/// for the key it is made under — and of every group signature in
-/// `group_claims` — [`GroupPublicKey::verify`]'s.
+/// The verdict of every claim in `keys` — `group.is_element(y) &&
+/// DsaPublicKey::from_element(y).verify(..)` for the key `y` it is made
+/// under — and of every group signature in `group_claims` under its
+/// master key, the membership of both ciphertext halves included.
 ///
 /// The variable bases go first, all in one
 /// [`SchnorrGroup::pow_member_many`] call: each key with the `u2` of its
@@ -165,6 +168,6 @@ pub fn verify_dsa_each(group: &SchnorrGroup, items: &[DsaBatchItem]) -> Vec<bool
         })
         .collect();
     let keys: Vec<MemberClaims<'_>> = keys.into_iter().zip(&claims).map(|(y, c)| (y, &c[..])).collect();
-    let verdicts = DsaPublicKey::verify_member_many(group, &keys);
+    let verdicts = verify_many(group, &keys, None).keys;
     placed.iter().map(|&(at, i)| verdicts[at].as_ref().is_some_and(|passed| passed[i])).collect()
 }

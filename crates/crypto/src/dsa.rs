@@ -66,6 +66,12 @@ impl DsaSignature {
     pub fn from_parts(r: BigUint, s: BigUint) -> Self {
         DsaSignature { r, s }
     }
+
+    /// Whether `r` and `s` both lie in `[1, q)`.
+    pub(crate) fn in_range(&self, group: &SchnorrGroup) -> bool {
+        let q = group.order();
+        !self.r.is_zero() && &self.r < q && !self.s.is_zero() && &self.s < q
+    }
 }
 
 impl DsaPublicKey {
@@ -77,7 +83,9 @@ impl DsaPublicKey {
     /// Constructs a key from a raw group element.
     ///
     /// The caller is responsible for having validated membership (e.g. via
-    /// [`SchnorrGroup::is_element`]) when the element came from the network.
+    /// [`SchnorrGroup::is_element`]) when the element came from the network;
+    /// a signature under such an element is checked with
+    /// [`DsaPublicKey::verify_member`] instead.
     pub fn from_element(y: BigUint) -> Self {
         DsaPublicKey { y, accel: Arc::default() }
     }
@@ -101,9 +109,8 @@ impl DsaPublicKey {
     }
 
     /// Whether this key satisfies `check`: [`DsaPublicKey::verify`] with
-    /// the inversion already paid, so a caller holding signatures under
-    /// several keys can share one ([`DsaCheck::each`]).
-    pub fn passes(&self, group: &SchnorrGroup, check: &DsaCheck) -> bool {
+    /// the inversion already paid.
+    pub(crate) fn passes(&self, group: &SchnorrGroup, check: &DsaCheck) -> bool {
         // Hot keys compute y^u2 from the per-key table and g^u1 from the
         // group's generator table; cold keys share one pow2 squaring chain.
         match self.accel.pow(group, &self.y, &check.u2) {
@@ -116,80 +123,33 @@ impl DsaPublicKey {
     }
 
     /// Verifies `sig` over `message` under the untrusted element `y`:
-    /// exactly `group.is_element(y) && from_element(y).verify(..)`, with
-    /// the membership chain `y^q` shared with the `y^u2` the verification
-    /// needs ([`SchnorrGroup::pow_member`]) and `g^u1` taken from the
-    /// generator table. This is how a key that arrived in a message (a
-    /// holder key, a coin key) is checked.
+    /// exactly `group.is_element(y) && from_element(y).verify(..)`. This is
+    /// how a key that arrived in a message (a holder key, a coin key) is
+    /// checked: a one-claim call of [`crate::batch::verify_many`], whose
+    /// chain over `y` carries the membership power `y^q` and the `y^u2`
+    /// the verification needs. An out-of-range `(r, s)` is refused
+    /// without a chain.
     pub fn verify_member(
         group: &SchnorrGroup,
         y: &BigUint,
         message: &[u8],
         sig: &DsaSignature,
     ) -> bool {
-        Self::verify_member_each(group, y, &[(message, sig)])[0]
-    }
-
-    /// [`DsaPublicKey::verify_member`] for every `(message, signature)` in
-    /// `claims` under the one untrusted element `y`: one squaring chain
-    /// over `y` yields the membership power `y^q` and every `y^u2`, and
-    /// one inversion every `s⁻¹`. The verdicts are exactly those of
-    /// verifying each claim on its own.
-    pub fn verify_member_each(
-        group: &SchnorrGroup,
-        y: &BigUint,
-        claims: &[(&[u8], &DsaSignature)],
-    ) -> Vec<bool> {
-        let checks = DsaCheck::each(group, claims);
-        if checks.iter().all(Option::is_none) {
-            // Out-of-range signatures are rejected without touching `y`.
-            return vec![false; claims.len()];
-        }
-        Self::member_passes_each(group, y, &checks).unwrap_or_else(|| vec![false; claims.len()])
-    }
-
-    /// Whether the untrusted element `y` is a subgroup member, and if so
-    /// which of `checks` it satisfies (`None` entries — out-of-range
-    /// signatures — never pass): `None` iff `group.is_element(y)` is
-    /// false. One squaring chain over `y` carries `q` and every `u2`
-    /// ([`SchnorrGroup::pow_member_each`]), so the membership verdict is
-    /// exact and comes with the signature verdicts instead of before them.
-    pub fn member_passes_each(
-        group: &SchnorrGroup,
-        y: &BigUint,
-        checks: &[Option<DsaCheck>],
-    ) -> Option<Vec<bool>> {
-        let powers = group.pow_member_each(y, &DsaCheck::key_exponents(checks))?;
-        let g_powers = checks.iter().flatten().map(|check| group.pow_g(&check.u1));
-        Some(DsaCheck::verdicts(group, checks, powers, g_powers))
-    }
-
-    /// [`DsaPublicKey::member_passes_each`] for every untrusted element
-    /// and the claims made under it, index-aligned; an element with no
-    /// claims is only asked whether it is a member. One inversion serves
-    /// every signature, the chains walk together
-    /// ([`SchnorrGroup::pow_member_many`]) and so do the generator's
-    /// powers ([`SchnorrGroup::pow_g_many`]) — [`crate::batch::verify_many`]
-    /// with keys alone. Each verdict is exactly what
-    /// [`DsaPublicKey::verify_member`] gives that element and claim alone.
-    /// Its caller is [`crate::batch::verify_dsa_each`], for the benchmark
-    /// probe `crypto.batch_verify_us_per_sig`.
-    pub fn verify_member_many(
-        group: &SchnorrGroup,
-        keys: &[MemberClaims<'_>],
-    ) -> Vec<Option<Vec<bool>>> {
-        crate::batch::verify_many(group, keys, None).keys
+        let claims = [(message, sig)];
+        sig.in_range(group)
+            && crate::batch::verify_many(group, &[(y, &claims)], None).keys[0].as_deref()
+                == Some(&[true])
     }
 }
 
 /// One untrusted key element and the `(message, signature)` claims made
-/// under it: an item of [`DsaPublicKey::verify_member_many`].
+/// under it: an item of [`crate::batch::verify_many`].
 pub type MemberClaims<'a> = (&'a BigUint, &'a [(&'a [u8], &'a DsaSignature)]);
 
 /// What one signature asks of its key: `(g^u1 · y^u2 mod p) mod q = r`,
 /// with `(u1, u2) = (h·s⁻¹, r·s⁻¹)` already computed.
 #[derive(Debug, Clone)]
-pub struct DsaCheck {
+pub(crate) struct DsaCheck {
     /// The generator's exponent.
     pub(crate) u1: BigUint,
     u2: BigUint,
@@ -201,13 +161,13 @@ impl DsaCheck {
     /// where `(r, s)` is out of range. All the `s` are inverted by one
     /// ring inversion (Montgomery's trick), whichever keys the claims are
     /// made under.
-    pub fn each(group: &SchnorrGroup, claims: &[(&[u8], &DsaSignature)]) -> Vec<Option<DsaCheck>> {
-        let q = group.order();
+    pub(crate) fn each(
+        group: &SchnorrGroup,
+        claims: &[(&[u8], &DsaSignature)],
+    ) -> Vec<Option<DsaCheck>> {
         let scalar = group.scalar_ring();
-        let in_range =
-            |sig: &DsaSignature| !sig.r.is_zero() && &sig.r < q && !sig.s.is_zero() && &sig.s < q;
         let s_values: Vec<&BigUint> =
-            claims.iter().filter(|(_, sig)| in_range(sig)).map(|(_, sig)| &sig.s).collect();
+            claims.iter().filter(|(_, sig)| sig.in_range(group)).map(|(_, sig)| &sig.s).collect();
         let mut inverses = scalar
             .inv_each(&s_values)
             .expect("nonzero residues of a prime modulus are invertible")
@@ -215,7 +175,9 @@ impl DsaCheck {
         claims
             .iter()
             .map(|(message, sig)| {
-                let w = in_range(sig).then(|| inverses.next().expect("one inverse per in-range s"))?;
+                let w = sig
+                    .in_range(group)
+                    .then(|| inverses.next().expect("one inverse per in-range s"))?;
                 Some(DsaCheck {
                     u1: scalar.mul(&hash_message(group, message), &w),
                     u2: scalar.mul(&sig.r, &w),

@@ -170,23 +170,13 @@ impl GroupPublicKey {
     /// A `true` result means: *some* holder of a discrete-log key produced
     /// this signature and encrypted that key to the judge; it says nothing
     /// about who. Combine with [`GroupManager::open`] for attribution.
+    ///
+    /// A one-signature call of [`crate::batch::verify_many`]: an
+    /// out-of-range signature costs no chain, the membership of `c1` and
+    /// `c2` rides the chains that raise them to `-e`, `g`'s two powers come
+    /// from its comb and `y_J`'s from its table.
     pub fn verify(&self, group: &SchnorrGroup, message: &[u8], sig: &GroupSignature) -> bool {
-        if !sig.in_range(group) {
-            return false;
-        }
-        // Membership of c1 and c2 rides the chains that raise them to -e,
-        // and g's two powers come from its comb: each pair in one lane call
-        // where the plan makes one. y_J's power comes from its table.
-        let neg_e = group.scalar_ring().neg(&sig.e);
-        let exps = [&neg_e];
-        let halves = group.pow_member_many(&[(sig.ct.c1(), &exps[..]), (sig.ct.c2(), &exps[..])]);
-        let Ok([Some(c1_e), Some(c2_e)]) = <[_; 2]>::try_from(halves) else {
-            return false;
-        };
-        let mut g_powers = group.pow_g_many(&[&sig.z_r, &sig.z_x]).into_iter();
-        let mut g_power = || g_powers.next().expect("one power per exponent");
-        let fixed = [g_power(), g_power(), self.judge.pow(group, &sig.z_r)];
-        self.accepts(group, message, sig, &fixed, [&c1_e[0], &c2_e[0]])
+        crate::batch::verify_many(group, &[], Some((self, &[(message, sig)]))).group_sigs[0]
     }
 
     /// Whether `sig`, in range, with `fixed = [g^{z_r}, g^{z_x},

@@ -203,9 +203,9 @@ fn gsig_open(group: &SchnorrGroup, sig: &GroupSignature) -> bool {
 /// per claim under a member key; `g^z_r`, `g^z_x` and `y_J^z_r` per
 /// signature with member halves) cross every boundary of the comb's lane
 /// plan. Every verdict is its lone verifier's, damaged and self-twisted
-/// inputs included; `verify_member_many` and `verify_many` given group
-/// signatures alone give their half; and the comb calls reported are the
-/// plan's for those powers.
+/// inputs included; `verify_many` given keys alone or group signatures
+/// alone gives their half; and the comb calls reported are the plan's for
+/// those powers.
 #[test]
 fn verify_many_gives_every_claim_of_a_mixed_group_its_lone_verdict() {
     for (group, rounds) in [(tiny_group(), 2), (small_group(), 1)] {
@@ -254,7 +254,7 @@ fn verify_many_gives_every_claim_of_a_mixed_group_its_lone_verdict() {
                 let got = verify_many(group, &keys, Some((gpk, &sigs)));
                 assert_eq!(got.keys, want_keys, "{at}");
                 assert_eq!(got.group_sigs, want_sigs, "{at}");
-                assert_eq!(DsaPublicKey::verify_member_many(group, &keys), want_keys, "{at}");
+                assert_eq!(verify_many(group, &keys, None).keys, want_keys, "{at}");
                 assert_eq!(verify_many(group, &[], Some((gpk, &sigs))).group_sigs, want_sigs, "{at}");
                 // The powers owed, and the plan's calls for them.
                 let scalar = |x: &BigUint| !x.is_zero() && x < group.order();

@@ -8,14 +8,13 @@
 //! — kept here as a test-local reference. The inputs are the ones where a
 //! dropped or weakened membership check would show: keys and ciphertext
 //! halves multiplied by the order-2 element `p − 1`, `0`, `p`, and random
-//! non-members. `DsaPublicKey::verify_member_each` (every claim under one
-//! key over one chain and one inversion) must give the verdict of
-//! `verify_member` on each claim, `DsaPublicKey::verify_member_many` (many
-//! keys, their chains walked together) the same for every key and claim,
-//! and `DsaKeyPair::sign_each` the signatures and the draws of `sign` on
-//! each message.
+//! non-members. `batch::verify_many` given keys alone (many keys, zero to
+//! two claims each, their chains walked together) must give the verdict
+//! of `verify_member` for every key and claim, and `DsaKeyPair::sign_each`
+//! the signatures and the draws of `sign` on each message.
 
 use rand::RngExt;
+use whopay_crypto::batch::verify_many;
 use whopay_crypto::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use whopay_crypto::elgamal::ElGamalCiphertext;
 use whopay_crypto::group_sig::{GroupManager, GroupPublicKey, GroupSignature};
@@ -97,60 +96,11 @@ fn verify_member_rejects_a_signature_plain_verify_accepts_under_a_twisted_key() 
     assert!(accepted_by_plain > 0, "about half the signatures have an even u2");
 }
 
-#[test]
-fn verify_member_each_matches_verify_member_on_every_claim() {
-    let group = tiny_group();
-    let (p, q) = (group.modulus(), group.order());
-    let mut rng = test_rng(0xEAC4);
-    let (mut accepted, mut refused) = (0, 0);
-    for round in 0..60 {
-        let kp = DsaKeyPair::generate(group, &mut rng);
-        let other = DsaKeyPair::generate(group, &mut rng);
-        let y = kp.public().element().clone();
-        // Zero to four claims, each valid, over other bytes, by another
-        // key, or out of range in r or in s.
-        let claims: Vec<(Vec<u8>, DsaSignature)> = (0..rng.random_range(0..5usize))
-            .map(|i| {
-                let msg = format!("claim {round}/{i}").into_bytes();
-                let sig = kp.sign(group, &msg, &mut rng);
-                match rng.random_range(0..8usize) {
-                    0..=2 => (msg, sig),
-                    3 => (b"other bytes".to_vec(), sig),
-                    4 => (msg.clone(), other.sign(group, &msg, &mut rng)),
-                    5 => (msg, DsaSignature::from_parts(sig.r() + q, sig.s().clone())),
-                    6 => (msg, DsaSignature::from_parts(sig.r().clone(), BigUint::zero())),
-                    _ => (msg, DsaSignature::from_parts(BigUint::zero(), q.clone())),
-                }
-            })
-            .collect();
-        let claims: Vec<(&[u8], &DsaSignature)> = claims.iter().map(|(m, s)| (&m[..], s)).collect();
-        let keys = [
-            y.clone(),
-            group.elem_ring().neg(&y),
-            BigUint::zero(),
-            p.clone(),
-            p + &y,
-            p - &BigUint::one(),
-            BigUint::random_below(&mut rng, p),
-        ];
-        for key in &keys {
-            let want: Vec<bool> =
-                claims.iter().map(|(m, s)| DsaPublicKey::verify_member(group, key, m, s)).collect();
-            let spec: Vec<bool> = claims.iter().map(|(m, s)| dsa_spec(group, key, m, s)).collect();
-            assert_eq!(want, spec, "key {key}");
-            assert_eq!(DsaPublicKey::verify_member_each(group, key, &claims), want, "key {key}");
-            accepted += want.iter().filter(|&&ok| ok).count();
-            refused += want.iter().filter(|&&ok| !ok).count();
-        }
-    }
-    assert!(accepted > 20 && refused > 200, "both verdicts must occur ({accepted} / {refused})");
-}
-
 /// A message and a signature over it (or not).
 type OwnedClaim = (Vec<u8>, DsaSignature);
 
 #[test]
-fn verify_member_many_matches_verify_member_on_every_key_and_claim() {
+fn verify_many_matches_verify_member_on_every_key_and_claim() {
     let mut rng = test_rng(0x3A27);
     for (group, rounds) in [(tiny_group(), 12), (small_group(), 2)] {
         let (p, q) = (group.modulus(), group.order());
@@ -189,13 +139,16 @@ fn verify_member_many_matches_verify_member_on_every_key_and_claim() {
                     .map(|(_, claims)| claims.iter().map(|(m, s)| (&m[..], s)).collect())
                     .collect();
                 let items: Vec<_> = keys.iter().zip(&claims).map(|((y, _), c)| (y, &c[..])).collect();
-                let got = DsaPublicKey::verify_member_many(group, &items);
+                let got = verify_many(group, &items, None).keys;
                 for ((y, claims), got) in items.iter().zip(&got) {
                     assert_eq!(got.is_some(), group.is_element(y), "key {y}");
                     let want: Vec<bool> = claims
                         .iter()
                         .map(|(m, s)| DsaPublicKey::verify_member(group, y, m, s))
                         .collect();
+                    let spec: Vec<bool> =
+                        claims.iter().map(|(m, s)| dsa_spec(group, y, m, s)).collect();
+                    assert_eq!(want, spec, "key {y}");
                     assert_eq!(got.clone().unwrap_or(vec![false; claims.len()]), want, "key {y}");
                     members += got.is_some() as usize;
                     strangers += got.is_none() as usize;

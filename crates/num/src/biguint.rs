@@ -103,16 +103,6 @@ impl BigUint {
         }
     }
 
-    /// Converts to `u128`, returning `None` if the value does not fit.
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u128),
-            2 => Some(self.limbs[0] as u128 | (self.limbs[1] as u128) << 64),
-            _ => None,
-        }
-    }
-
     /// Parses a big-endian byte string (leading zero bytes allowed).
     ///
     /// ```

@@ -139,25 +139,6 @@ pub fn mul(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Multiplies `a` by a single limb.
-pub fn mul_limb(a: &[u64], m: u64) -> Vec<u64> {
-    if m == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(a.len() + 1);
-    let mut carry = 0u128;
-    for &ai in a {
-        let t = ai as u128 * m as u128 + carry;
-        out.push(t as u64);
-        carry = t >> 64;
-    }
-    if carry != 0 {
-        out.push(carry as u64);
-    }
-    normalize(&mut out);
-    out
-}
-
 /// Shifts left by `bits` (multiplies by 2^bits), returning a fresh vector.
 pub fn shl(a: &[u64], bits: usize) -> Vec<u64> {
     let a = normalized(a);

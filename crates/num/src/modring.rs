@@ -192,13 +192,6 @@ impl ModRing {
         }
     }
 
-    /// `(base^e1, base^e2) mod m`: [`ModRing::pow_each`] for two exponents.
-    pub fn pow_dual(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
-        let [p1, p2]: [BigUint; 2] =
-            self.pow_each(base, &[e1, e2]).try_into().expect("one power per exponent");
-        (p1, p2)
-    }
-
     /// Modular inverse: returns `x` with `a * x ≡ 1 (mod m)`, or `None` if
     /// `gcd(a, m) != 1`.
     ///
@@ -294,19 +287,6 @@ impl ModRing {
     /// Uniformly random ring element in `[0, m)`.
     pub fn random<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         BigUint::random_below(rng, &self.modulus)
-    }
-
-    /// Uniformly random *invertible-looking* element in `[1, m)`.
-    ///
-    /// For prime moduli every nonzero element is invertible; for composite
-    /// moduli the caller should check [`ModRing::inv`].
-    pub fn random_nonzero<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        loop {
-            let x = self.random(rng);
-            if !x.is_zero() {
-                return x;
-            }
-        }
     }
 }
 

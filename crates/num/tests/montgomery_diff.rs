@@ -114,10 +114,6 @@ proptest! {
             prop_assert_eq!(&mont.pow_each(&base, &exps), &want, "n={}", n);
             prop_assert_eq!(&ring.pow_each(&a, &exps), &want, "n={}", n);
         }
-        prop_assert_eq!(
-            ring.pow_dual(&a, &exps[0], &exps[1]),
-            (ring.pow_naive(&a, &exps[0]), ring.pow_naive(&a, &exps[1]))
-        );
         prop_assert_eq!(mont.pow_each(&base, &[]), Vec::<BigUint>::new());
     }
 

@@ -262,14 +262,4 @@ impl User {
             }
         }
     }
-
-    /// Signs arbitrary bytes (challenge–response helper for broker
-    /// registration).
-    pub fn sign_bytes<R: Rng + ?Sized>(
-        &self,
-        bytes: &[u8],
-        rng: &mut R,
-    ) -> whopay_crypto::dsa::DsaSignature {
-        self.keys.sign(&self.group, bytes, rng)
-    }
 }

@@ -21,10 +21,10 @@ cargo test -p whopay-num -q --release --offline
 echo "==> cargo run -p whopay-num --release --example lane_cost (report, not a gate: p50 of 40 Miller–Rabin powers at 512 bits alone and in lanes — what SchnorrGroup::generate spends most on; a lone pow_g, 8 pow_g one after another, one pow_g_many of 8, and a judge-shaped key comb's 8 powers alone and through pow_table_many — what a coupon refill rests on; then a lone chain, a lane call carrying 1 and 3 chains, 3 chains walked alone, a lone chain right after a lane call — what LANE_MIN = 2 rests on, on this host)"
 cargo run -p whopay-num -q --release --offline --example lane_cost || echo "ci.sh: lane_cost probe did not run (a report only)"
 
-echo "==> cargo test -p whopay-crypto --release (coupon_parity: a fresh coupon pool's first eight DSA signatures, keys and group signatures ≡ eight sequential sign / generate / GroupMemberKey::sign on a clone of the rng, 17 pooled signatures across a refill verify [verify_member, GroupPublicKey::verify], open to their signer and spend distinct nonces, a coupon cannot be cloned [compile_fail doctest], a pool prints its counts and no scalar; batch_soundness: verify_many on group signatures alone ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member[_each|_many] / sign_each / group-verify parity, differential suite; registry_pairs_are_a_function_of_the_seed: a group manager lists its registry in ascending element order; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
+echo "==> cargo test -p whopay-crypto --release (coupon_parity: a fresh coupon pool's first eight DSA signatures, keys and group signatures ≡ eight sequential sign / generate / GroupMemberKey::sign on a clone of the rng, 17 pooled signatures across a refill verify [verify_member, GroupPublicKey::verify], open to their signer and spend distinct nonces, a coupon cannot be cloned [compile_fail doctest], a pool prints its counts and no scalar; batch_soundness: verify_many on group signatures alone ≡ verify on damaged and self-twisted group signatures at every occupancy 1..=17 and in every lane, and the mixed-claim parity [verify_many on 0..=9 keys × 0..=9 group signatures, damaged and self-twisted, ≡ the lone verdicts, comb calls ≡ the plan]; member_parity: verify_member ≡ is_element && from_element(..).verify, verify_many on keys alone ≡ verify_member and that spelled-out check, sign_each / group-verify parity, differential suite; registry_pairs_are_a_function_of_the_seed: a group manager lists its registry in ascending element order; SHA-256 kernel differential suite: one-shot ≡ streaming ≡ portable compression at every length 0..=200 and on 10k 32-byte inputs, fixed-shape and multi-block SHA-NI kernels called directly; wrapping PaywordChain::spend regression)"
 cargo test -p whopay-crypto -q --release --offline
 
-echo "==> cargo test -p whopay-core --release (membership-fused verify parity, the owner-side twisted-holder case [Peer::handle_transfer / handle_renewal ≡ the spec on every holder_key_cases key, holder and group signatures in one verify_many call], the owner refusing BadGroupSignature for a group signature whose c1 or c2 is 0, 1, p-1 or twisted by the element of order 2, accept_grant shared-chain parity incl. cache traffic, accept_grant / SignedRecord::verify / LayeredCoin::verify refusing every key twisted by an element of order 2, 3, 4 and verify_dsa_each ≡ verify_member on such keys, the owner refusing a layered collapse to a twisted final holder [Peer::handle_layered_collapse, last layer naming p − y, signed with an even u2] + shard-lock independence of dispatch)"
+echo "==> cargo test -p whopay-core --release (membership parity: Broker::handle_deposit takes a deposit exactly when the spelled-out is_element && from_element(..).verify check passes on every holder_key_cases key, the owner-side twisted-holder case [Peer::handle_transfer / handle_renewal ≡ the spec on every holder_key_cases key, holder and group signatures in one verify_many call], the owner refusing BadGroupSignature for a group signature whose c1 or c2 is 0, 1, p-1 or twisted by the element of order 2, accept_grant shared-chain parity incl. cache traffic, accept_grant / SignedRecord::verify / LayeredCoin::verify refusing every key twisted by an element of order 2, 3, 4 and verify_dsa_each ≡ verify_member on such keys, the owner refusing a layered collapse to a twisted final holder [Peer::handle_layered_collapse, last layer naming p − y, signed with an even u2] + shard-lock independence of dispatch)"
 cargo test -p whopay-core -q --release --offline --test member_parity --test concurrent
 
 echo "==> cargo test -p whopay-core --release (drain-cycle verification: each handler and Broker::prepare share one check walk per request kind, live verifier vs recorder; prepare+serve ≡ serve on generated histories, no input excepted — twisted coin / holder / registered keys, group signatures with a half outside the subgroup, refused requests delivered twice — batched, mixed and synchronous [each request through request_into, prepared as a group of one] against an endpoint that never prepares, in lanes where the host has them; what prepare owes pinned on a fixed history [PrepareReport summed over its cycles, a lone downtime renewal owing three chains], a stale deposit owing no signature; sign-once roots, compare-first deposits, every refusal counted, a deposited coin dead on the downtime path, a downtime grant's two signatures from one sign_each ≡ two sign calls)"
@@ -114,7 +114,7 @@ done
 
 echo "==> no retired identifier in the docs, scripts, examples or crate sources (the comment that retires wire tag 6 excepted)"
 # One bracketed letter per name, so that this file does not match itself.
-retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads|owed_[b]y_|owe_[h]older_role|owe_[s]ig|Owed[S]ig|Owed[C]hains|take_[s]ettled|Binding[C]hain|accept_[g]rants|verify_[r]ecords_bulk|verify_[b]atch|create_[b]atch_purchase|GroupPublicKey::[v]erify_each|purchase_[v]ia_retry|request_issue_[v]ia_retry|request_transfer_[v]ia_retry|request_renewal_[v]ia_retry|deposit_[v]ia_retry|binding_proof_[v]ia_retry|sync_[v]ia_retry|open_chain_[v]ia_retry|redeem_chain_[v]ia_retry|send_invite_[o]bs|publish_owner_binding_[o]bs|read_public_state_verified_[o]bs|verify_grant_published_[o]bs|poll_[o]bs|TRACE_[T]RAILER_LEN|TRACE_[M]AGIC|TraceContext::[s]plit|TraceContext::[s]trip|TraceContext::[a]ppend_to|MIN_[R]ECORD|MIN_[G]SIG|eq_[b]ig|eq_be_[b]ytes|cmp_be_[b]ytes'
+retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads|owed_[b]y_|owe_[h]older_role|owe_[s]ig|Owed[S]ig|Owed[C]hains|take_[s]ettled|Binding[C]hain|accept_[g]rants|verify_[r]ecords_bulk|verify_[b]atch|create_[b]atch_purchase|GroupPublicKey::[v]erify_each|purchase_[v]ia_retry|request_issue_[v]ia_retry|request_transfer_[v]ia_retry|request_renewal_[v]ia_retry|deposit_[v]ia_retry|binding_proof_[v]ia_retry|sync_[v]ia_retry|open_chain_[v]ia_retry|redeem_chain_[v]ia_retry|send_invite_[o]bs|publish_owner_binding_[o]bs|read_public_state_verified_[o]bs|verify_grant_published_[o]bs|poll_[o]bs|TRACE_[T]RAILER_LEN|TRACE_[M]AGIC|TraceContext::[s]plit|TraceContext::[s]trip|TraceContext::[a]ppend_to|MIN_[R]ECORD|MIN_[G]SIG|eq_[b]ig|eq_be_[b]ytes|cmp_be_[b]ytes|verify_member_[e]ach|member_passes_[e]ach|verify_member_[m]any|holder_cache_[k]ey|mul_[l]imb|random_[n]onzero|to_[u]128'
 tag6='// Tag 6 is retired in both tag spaces \(it was Deposit[B]atch / Receipts\): never reused, Malformed\.$'
 if grep -rnE "$retired" README.md DESIGN.md .claude/skills/verify/SKILL.md scripts examples crates/*/src \
     | grep -vE "(wire|view)\.rs:[0-9]+: *$tag6"; then
@@ -128,6 +128,31 @@ if grep -rnE 'MIN_WIRE_LEN[[:space:]]*:[[:space:]]*usize[[:space:]]*=' crates/co
     echo "ci.sh: a MIN_WIRE_LEN is assigned by hand (above)" >&2
     exit 1
 fi
+
+echo "==> from_element( in non-test crates/core/src and crates/dht/src only under a // member: comment (an element that came in a message is checked by verify_many, not made a key)"
+# A site passes with the comment on its own line or on one of the two
+# lines above it; everything from a file's first #[cfg(test)] on is test.
+if awk 'FNR == 1 { test = 0; above1 = ""; above2 = "" }
+        /#\[cfg\(test\)\]/ { test = 1 }
+        !test && /from_element\(/ && ($0 above1 above2) !~ /\/\/ member:/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        { above2 = above1; above1 = $0 }
+        END { exit !bad }' crates/core/src/*.rs crates/dht/src/*.rs; then
+    echo "ci.sh: from_element( without a // member: comment (above)" >&2
+    exit 1
+fi
+
+echo "==> pub fns with no caller outside their own file (report, not a gate)"
+# Each Rust file's identifiers, once per file; a pub fn in a crate's src
+# is listed when no other file names it.
+awk 'FNR == NR { named[$2] = named[$2] " " $1; next }
+     { n = split(named[$2], files, " "); outside = 0
+       for (i = 1; i <= n; i++) if (files[i] != $1) outside = 1
+       if (!outside) print "  " $1 ": " $2 }' \
+    <(find crates src tests examples benchmark -name '*.rs' -not -path '*/target/*' | sort \
+        | while read -r f; do grep -oE '[A-Za-z_][A-Za-z0-9_]*' "$f" | sort -u | sed "s|^|$f |"; done) \
+    <(grep -rE '^[[:space:]]*pub fn [A-Za-z_]' crates/*/src src \
+        | sed -E 's/^([^:]+):[[:space:]]*pub fn ([A-Za-z0-9_]+).*/\1 \2/') \
+    | sort || echo "ci.sh: the pub fn report did not run (a report only)"
 
 echo "==> bash -n scripts/pairs.sh (the alternating-pairs runner parses)"
 bash -n scripts/pairs.sh
