@@ -3,8 +3,7 @@
 //! Peers play two distinct roles (§4.2):
 //!
 //! * as **coin owners** they mint-purchase coins, *issue* them, and manage
-//!   transfers and renewals of the coins they issued, keeping the
-//!   relinquishment audit trail;
+//!   transfers and renewals of the coins they issued;
 //! * as **coin holders** they receive coins under fresh pseudonymous
 //!   holder keys and spend them by transfer or deposit, signing with the
 //!   holder key (to prove holdership) and their group key (for fairness),
@@ -81,8 +80,6 @@ pub struct Peer {
     group_key: GroupMemberKey,
     owned: HashMap<CoinId, OwnedCoin>,
     wallet: HashMap<CoinId, HeldCoin>,
-    /// Relinquishment proofs for transfers this peer handled as owner.
-    relinquish_log: Vec<TransferRequest>,
     /// Verdict cache for the broker-signed material this peer re-checks.
     sig_cache: Arc<SigCache>,
     /// The nonces, fresh keys and group-signature randomness every
@@ -111,7 +108,6 @@ impl Peer {
             group_key,
             owned: HashMap::new(),
             wallet: HashMap::new(),
-            relinquish_log: Vec::new(),
             sig_cache: Arc::new(SigCache::default()),
             coupons: Mutex::default(),
         }
@@ -170,11 +166,6 @@ impl Peer {
     /// Immutable view of an owned coin.
     pub fn owned_coin(&self, id: &CoinId) -> Option<&OwnedCoin> {
         self.owned.get(id)
-    }
-
-    /// Relinquishment proofs retained as transfer evidence.
-    pub fn relinquish_log(&self) -> &[TransferRequest] {
-        &self.relinquish_log
     }
 
     // --- purchase ---
@@ -527,8 +518,7 @@ impl Peer {
         let coin = request.current.coin_id();
         let owned = self.owned.get_mut(&coin).ok_or(CoreError::NotOwner(coin))?;
         // Exactly the transfer we already served: a retried or duplicated
-        // delivery. Return the original grant without re-rebinding (and
-        // without re-logging the relinquishment).
+        // delivery. Return the original grant without re-rebinding.
         if let Some(grant) = owned.last_served.as_ref().and_then(|s| s.replay_transfer(&request)) {
             return Ok(grant.clone());
         }
@@ -565,9 +555,7 @@ impl Peer {
         owned.issued = true;
         let minted = owned.minted.clone();
         let grant = CoinGrant { minted, binding, ownership_proof };
-        owned.last_served =
-            Some(crate::replay::ServedOp::Transfer { request: request.clone(), grant: grant.clone() });
-        self.relinquish_log.push(request);
+        owned.last_served = Some(crate::replay::ServedOp::Transfer { request, grant: grant.clone() });
         Ok(grant)
     }
 
@@ -684,7 +672,6 @@ impl Peer {
         owned.binding = binding.clone();
         owned.issued = true;
         let minted = owned.minted.clone();
-        self.relinquish_log.push(request);
         Ok(CoinGrant { minted, binding, ownership_proof })
     }
 
