@@ -28,7 +28,7 @@ pub fn bench_group() -> &'static SchnorrGroup {
 }
 
 /// Mean wall-clock time of `f` over `iters` runs.
-pub fn time_it(iters: u32, mut f: impl FnMut()) -> Duration {
+fn time_it(iters: u32, mut f: impl FnMut()) -> Duration {
     let start = Instant::now();
     for _ in 0..iters {
         f();

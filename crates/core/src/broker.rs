@@ -490,6 +490,7 @@ impl Broker {
                 if self.chains.get(&id).is_some_and(|record| record.commitment != *commitment) {
                     Some(format!("chain {id} redeemed under a commitment other than the one on record"))
                 } else {
+                    // infallible: the arm matched a redemption memo
                     let record = ChainSnapshot::redeemed(served).expect("matched a redemption");
                     self.audit.on_chain_redeem(id, receipt.total, commitment.capacity);
                     if let Some(ledger) = &mut ledger {
@@ -502,6 +503,7 @@ impl Broker {
             JournalOp::Served(served) => {
                 // The memo names its coin: a purchase starts the coin's
                 // record, any other memo replaces the one it holds.
+                // infallible: the arms above match every memo that names no coin
                 let id = served_coin(served).expect("every other memo is matched above");
                 let record = match (self.coins.entry(id), served) {
                     (Entry::Vacant(slot), ServedOp::Purchase { minted, .. }) => {
@@ -670,6 +672,7 @@ impl Broker {
     ) -> Result<MintedCoin, CoreError> {
         if !self.check_live(|broker, v| broker.check_purchase(request, v))? {
             let memo = &self.coins[&CoinId::from_pk(&request.coin_pk)].last_served;
+            // infallible: a replay is reported only when the memo records it
             return Ok(memo.replay_purchase(request).expect("a replay: the memo records it").clone());
         }
         let group = self.params.group();
@@ -746,6 +749,7 @@ impl Broker {
         let id = request.minted.id();
         if !self.check_live(|broker, v| broker.check_deposit(request, now, v))? {
             let memo = self.coins[&id].last_served.replay_deposit(request);
+            // infallible: a replay is reported only when the memo records it
             return Ok(memo.expect("a replay: the memo records it").clone());
         }
         let receipt = DepositReceipt { coin: id, value: 1 };
@@ -1021,6 +1025,7 @@ impl Broker {
     ) -> Result<CoinGrant, CoreError> {
         let id = self.serve_downtime(Downtime::Transfer(request), now, rng)?;
         let memo = self.coins[&id].last_served.replay_transfer(request);
+        // infallible: serve_downtime returns after recording this request's memo
         Ok(memo.expect("served: the memo holds the grant").clone())
     }
 
@@ -1038,6 +1043,7 @@ impl Broker {
     ) -> Result<Binding, CoreError> {
         let id = self.serve_downtime(Downtime::Renewal(request), now, rng)?;
         let memo = self.coins[&id].last_served.replay_renewal(request);
+        // infallible: serve_downtime returns after recording this request's memo
         Ok(memo.expect("served: the memo holds the binding").clone())
     }
 
@@ -1382,6 +1388,7 @@ impl Broker {
     pub fn signed_root<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<SignedRoot> {
         let ledger = self.ledger.as_ref()?;
         let (root, seq) = (ledger.root(), ledger.seq());
+        // infallible: no code under this lock panics, so it is never poisoned
         let mut held = self.root_sig.lock().expect("root signature lock poisoned");
         if !held.as_ref().is_some_and(|signed| signed.root == root && signed.seq == seq) {
             *held = Some(SignedRoot::sign(self.params.group(), &self.keys, root, seq, rng));

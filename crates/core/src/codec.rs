@@ -119,6 +119,7 @@ impl Writer {
 
     /// Appends a list's item count as a varint, asserted to fit a `u32`.
     pub fn count(&mut self, n: usize) -> &mut Self {
+        // infallible: a frame in memory holding 2^32 items or bytes would exceed 4 GiB
         let n = u32::try_from(n).expect("a list or blob frames at most u32::MAX");
         self.u64(n.into())
     }
@@ -135,6 +136,7 @@ impl Writer {
     /// `u16`), then the minimal big-endian magnitude, streamed from the
     /// limbs — no temporary byte-vector per field.
     pub fn int(&mut self, v: &BigUint) -> &mut Self {
+        // infallible: every integer written is a residue mod p or q, far below 65 535 bytes
         let len = u16::try_from(v.be_len()).expect("an integer frames at most u16::MAX bytes");
         self.u64(len.into());
         v.extend_be_bytes(&mut self.buf);
@@ -223,7 +225,7 @@ impl Drop for PooledBuf {
 }
 
 /// Fresh buffer allocations on this thread's wire path (pool misses).
-pub fn wire_alloc_count() -> u64 {
+fn wire_alloc_count() -> u64 {
     WIRE_ALLOC.with(Cell::get)
 }
 
@@ -943,7 +945,9 @@ pub(crate) const PAYWORD_WIRE_LEN: usize = 40;
 /// Reads a payword's fixed 40-byte field: the big-endian index, the word.
 pub(crate) fn parse_payword(r: &mut Reader<'_>) -> Result<Payword, DecodeError> {
     let encoded = r.raw::<PAYWORD_WIRE_LEN>()?;
+    // infallible: a 40-byte array has 8 bytes to split off
     let (index, word) = encoded.split_first_chunk::<8>().expect("40 >= 8");
+    // infallible: 32 bytes remain after the 8-byte index
     Ok(Payword { index: u64::from_be_bytes(*index), word: word.try_into().expect("32 bytes remain") })
 }
 

@@ -26,8 +26,8 @@ use crate::types::PeerId;
 pub enum RevealedIdentity {
     /// A registered peer.
     Peer(PeerId),
-    /// The signing key was never enrolled — attributable fraud by an
-    /// outsider (the decrypted key is the evidence, held by the judge).
+    /// The signing key was never enrolled — detected fraud that names no
+    /// one (the decrypted key is the evidence, held by the judge).
     Unregistered,
 }
 

@@ -75,7 +75,7 @@ pub struct CoinLeaf {
 /// Serializes a [`CoinLeaf`] to the canonical leaf payload. Verifiers
 /// recompute this from proof fields, so the encoding is part of the
 /// commitment format.
-pub fn coin_leaf_bytes(leaf: &CoinLeaf) -> Vec<u8> {
+fn coin_leaf_bytes(leaf: &CoinLeaf) -> Vec<u8> {
     let mut w = Writer::new();
     CoinLeafRef::put(w.tag(LEAF_COIN), leaf);
     w.finish()

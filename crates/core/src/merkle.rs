@@ -27,7 +27,7 @@ thread_local! {
 /// the payload is staged contiguously in a reused scratch buffer and
 /// digested one-shot — measurably cheaper for the small leaves the
 /// ledger commits on every mutation.
-pub fn leaf_hash(data: &[u8]) -> Digest {
+fn leaf_hash(data: &[u8]) -> Digest {
     LEAF_BUF.with(|cell| {
         let mut buf = cell.borrow_mut();
         buf.clear();
@@ -38,7 +38,7 @@ pub fn leaf_hash(data: &[u8]) -> Digest {
 }
 
 /// Hashes two children with the `0x01` domain prefix.
-pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
+fn node_hash(left: &Digest, right: &Digest) -> Digest {
     let mut buf = [0u8; 65];
     buf[0] = 0x01;
     buf[1..33].copy_from_slice(left);
@@ -48,7 +48,7 @@ pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
 
 /// The root of the empty tree: `SHA-256("")`, distinct from any leaf or
 /// node hash because both of those always hash at least one prefix byte.
-pub fn empty_root() -> Digest {
+fn empty_root() -> Digest {
     Sha256::digest(&[])
 }
 
@@ -79,7 +79,7 @@ impl MerkleTree {
         self.len() == 0
     }
 
-    /// The current root ([`empty_root`] for the empty tree).
+    /// The current root (`SHA-256("")` for the empty tree).
     pub fn root(&self) -> Digest {
         match self.levels.last() {
             Some(top) => top[0],

@@ -423,14 +423,6 @@ impl MicropayHost {
     pub fn receiver_mut(&mut self, chain: &ChainId) -> Option<&mut MicropayReceiver> {
         self.chains.get_mut(chain)
     }
-
-    /// Redemption requests for every chain whose outstanding balance
-    /// reached the threshold, in [`ChainId`] order.
-    pub fn due_redemptions(&self) -> Vec<RedeemChainRequest> {
-        let mut due: Vec<_> = self.chains.iter().filter(|(_, r)| r.settlement_due()).collect();
-        due.sort_unstable_by_key(|(chain, _)| **chain);
-        due.into_iter().map(|(_, r)| r.redeem_request()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -569,11 +561,11 @@ mod tests {
         assert_eq!(host.tick_batch(id, &batch), Ok((0, 5)));
         assert_eq!(host.tick(ChainId([9; 32]), p1), Err(CoreError::UnknownChain(ChainId([9; 32]))));
 
-        assert!(host.due_redemptions().len() == 1);
-        let req = host.due_redemptions().pop().unwrap();
+        assert!(host.receiver(&id).unwrap().settlement_due());
+        let req = host.receiver(&id).unwrap().redeem_request();
         assert_eq!(req.payword.index, 5);
         host.receiver_mut(&id).unwrap().mark_settled_upto(5);
-        assert!(host.due_redemptions().is_empty());
+        assert!(!host.receiver(&id).unwrap().settlement_due());
     }
 
     #[test]

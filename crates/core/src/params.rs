@@ -5,30 +5,16 @@ use whopay_num::SchnorrGroup;
 /// Deployment parameters: the cryptographic group and the coin-lifetime
 /// policy.
 ///
-/// The paper's simulation uses a 3-day renewal period (§6.1); protocol
-/// tests shrink it to exercise expiry paths quickly.
+/// A binding stays valid for the paper's 3-day renewal period (§6.1).
 #[derive(Debug, Clone)]
 pub struct SystemParams {
     group: SchnorrGroup,
-    /// How long a freshly signed binding remains valid, in seconds.
-    renewal_period_secs: u64,
 }
 
 impl SystemParams {
-    /// Parameters with the paper's 3-day renewal period.
+    /// Parameters over `group`.
     pub fn new(group: SchnorrGroup) -> Self {
-        SystemParams { group, renewal_period_secs: 3 * 24 * 3600 }
-    }
-
-    /// Overrides the renewal period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is zero.
-    pub fn with_renewal_period(mut self, secs: u64) -> Self {
-        assert!(secs > 0, "renewal period must be positive");
-        self.renewal_period_secs = secs;
-        self
+        SystemParams { group }
     }
 
     /// The Schnorr group all keys and signatures live in.
@@ -38,7 +24,7 @@ impl SystemParams {
 
     /// Binding validity window in seconds.
     pub fn renewal_period_secs(&self) -> u64 {
-        self.renewal_period_secs
+        3 * 24 * 3600
     }
 }
 
@@ -51,17 +37,5 @@ mod tests {
     fn default_renewal_period_is_three_days() {
         let p = SystemParams::new(tiny_group().clone());
         assert_eq!(p.renewal_period_secs(), 259_200);
-    }
-
-    #[test]
-    fn renewal_period_override() {
-        let p = SystemParams::new(tiny_group().clone()).with_renewal_period(60);
-        assert_eq!(p.renewal_period_secs(), 60);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_renewal_period_rejected() {
-        let _ = SystemParams::new(tiny_group().clone()).with_renewal_period(0);
     }
 }

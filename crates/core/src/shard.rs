@@ -130,6 +130,7 @@ impl ShardedBroker {
 
     /// Locks shard `i` for direct inspection.
     pub fn lock_shard(&self, i: usize) -> MutexGuard<'_, Broker> {
+        // infallible: poisoned only by a panic under the lock, which failed the run first
         self.shards[i].lock().expect("shard lock poisoned")
     }
 
@@ -176,6 +177,7 @@ impl ShardedBroker {
     /// Registers a peer on every shard (a peer's coins hash anywhere).
     pub fn register_peer(&self, id: PeerId, key: DsaPublicKey) {
         for shard in &self.shards {
+            // infallible: poisoned only by a panic under the lock, which failed the run first
             shard.lock().expect("shard lock poisoned").register_peer(id, key.clone());
         }
     }
@@ -251,6 +253,7 @@ impl ShardedBroker {
     pub fn settled_micropay_value(&self) -> u64 {
         self.shards
             .iter()
+            // infallible: poisoned only by a panic under the lock, which failed the run first
             .map(|s| s.lock().expect("shard lock poisoned").settled_micropay_value())
             .sum()
     }
@@ -268,6 +271,7 @@ impl ShardedBroker {
     ) -> Result<Vec<Binding>, CoreError> {
         let mut all = self.lock_shard(0).sync_for_owner(peer, challenge, response)?;
         for shard in &self.shards[1..] {
+            // infallible: poisoned only by a panic under the lock, which failed the run first
             all.extend(shard.lock().expect("shard lock poisoned").downtime_bindings_of(peer));
         }
         Ok(all)
@@ -279,6 +283,7 @@ impl ShardedBroker {
     pub fn stats(&self) -> BrokerStats {
         let mut total = BrokerStats::default();
         for shard in &self.shards {
+            // infallible: poisoned only by a panic under the lock, which failed the run first
             let s = shard.lock().expect("shard lock poisoned").stats();
             for ((_, total), (_, value)) in total.counters_mut().into_iter().zip(s.counters()) {
                 *total += value;
@@ -309,6 +314,7 @@ impl ShardedBroker {
     pub(crate) fn violations_numbered(&self, serials: Range<usize>) -> Vec<Violation> {
         let mut found = Vec::new();
         for shard in &self.shards {
+            // infallible: poisoned only by a panic under the lock, which failed the run first
             let shard = shard.lock().expect("shard lock poisoned");
             let numbered = shard.audit().numbered().filter(|(n, _)| serials.contains(n));
             found.extend(numbered.map(|(n, v)| (n, v.clone())));
@@ -324,17 +330,20 @@ impl ShardedBroker {
 
     /// Coins minted across all shards (auditor's count).
     pub fn total_minted(&self) -> u64 {
+        // infallible: poisoned only by a panic under the lock, which failed the run first
         self.shards.iter().map(|s| s.lock().expect("shard lock poisoned").audit().minted()).sum()
     }
 
     /// Coins deposited across all shards (auditor's count).
     pub fn total_deposited(&self) -> u64 {
+        // infallible: poisoned only by a panic under the lock, which failed the run first
         self.shards.iter().map(|s| s.lock().expect("shard lock poisoned").audit().deposited()).sum()
     }
 
     /// Exports per-shard operation counters under `broker.shard<N>.<op>`.
     pub fn export_metrics(&self, metrics: &Metrics) {
         for (i, shard) in self.shards.iter().enumerate() {
+            // infallible: poisoned only by a panic under the lock, which failed the run first
             let s = shard.lock().expect("shard lock poisoned").stats();
             for (op, value) in s.counters() {
                 metrics.counter(&format!("broker.shard{i}.{op}")).add(value);
@@ -348,6 +357,7 @@ impl ShardedBroker {
     /// own recovery unit).
     pub fn enable_journals(&self) {
         for shard in &self.shards {
+            // infallible: poisoned only by a panic under the lock, which failed the run first
             shard.lock().expect("shard lock poisoned").enable_journal();
         }
     }
@@ -355,6 +365,7 @@ impl ShardedBroker {
     /// Folds every shard's journal down to a checkpoint.
     pub fn checkpoint_journals(&self) {
         for shard in &self.shards {
+            // infallible: poisoned only by a panic under the lock, which failed the run first
             shard.lock().expect("shard lock poisoned").checkpoint_journal();
         }
     }

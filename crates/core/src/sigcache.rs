@@ -108,6 +108,7 @@ pub fn cache_key(group: &SchnorrGroup, signer: &BigUint, message: &[u8], sig: &D
         if !memo.as_ref().is_some_and(|k| k.group() == group) {
             *memo = Some(CacheKeyer::new(group));
         }
+        // infallible: the memo was filled just above
         memo.as_ref().expect("memo just filled").key(signer, message, sig)
     })
 }
@@ -188,6 +189,7 @@ impl SigCache {
     /// its result.
     pub fn verify_with<F: FnOnce() -> bool>(&self, key: Digest, verify: F) -> bool {
         {
+            // infallible: no code under this lock panics, so it is never poisoned
             let mut inner = self.shard(&key).lock().expect("sigcache poisoned");
             if let Some(&valid) = inner.current.get(&key) {
                 self.hits.inc();
@@ -204,6 +206,7 @@ impl SigCache {
         // of microseconds and must not serialize concurrent verifiers.
         self.misses.inc();
         let valid = verify();
+        // infallible: no code under this lock panics, so it is never poisoned
         let mut inner = self.shard(&key).lock().expect("sigcache poisoned");
         Self::insert_locked(&mut inner, self.half_cap, &self.evictions, key, valid);
         valid
@@ -215,6 +218,7 @@ impl SigCache {
     /// verify out of band (typically inside a batch) and
     /// [`SigCache::prime`] the verdict back.
     pub fn lookup(&self, key: &Digest) -> Option<bool> {
+        // infallible: no code under this lock panics, so it is never poisoned
         let mut inner = self.shard(key).lock().expect("sigcache poisoned");
         if let Some(&valid) = inner.current.get(key) {
             self.hits.inc();
@@ -234,6 +238,7 @@ impl SigCache {
     /// only want to know whether work can be skipped — the lookup that
     /// counts happens when the verdict is actually used.
     pub fn peek(&self, key: &Digest) -> Option<bool> {
+        // infallible: no code under this lock panics, so it is never poisoned
         let inner = self.shard(key).lock().expect("sigcache poisoned");
         inner.current.get(key).or_else(|| inner.previous.get(key)).copied()
     }
@@ -242,6 +247,7 @@ impl SigCache {
     /// broker priming its own mint signature at signing time, so the first
     /// deposit already hits. Does not count as a hit or miss.
     pub fn prime(&self, key: Digest, valid: bool) {
+        // infallible: no code under this lock panics, so it is never poisoned
         let mut inner = self.shard(&key).lock().expect("sigcache poisoned");
         Self::insert_locked(&mut inner, self.half_cap, &self.evictions, key, valid);
     }
@@ -265,6 +271,7 @@ impl SigCache {
         self.shards
             .iter()
             .map(|shard| {
+                // infallible: no code under this lock panics, so it is never poisoned
                 let inner = shard.lock().expect("sigcache poisoned");
                 // Promotion copies entries into the current generation
                 // without removing them from the previous one, so count
@@ -278,6 +285,7 @@ impl SigCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|shard| {
+            // infallible: no code under this lock panics, so it is never poisoned
             let inner = shard.lock().expect("sigcache poisoned");
             inner.current.is_empty() && inner.previous.is_empty()
         })

@@ -5,6 +5,7 @@
 use whopay_core::{
     Broker, CoreError, Judge, Peer, PeerId, PurchaseMode, RevealedIdentity, SystemParams, Timestamp,
 };
+use whopay_crypto::group_sig::GroupMemberKey;
 use whopay_crypto::testing::{test_rng, tiny_group};
 
 pub struct World {
@@ -167,6 +168,48 @@ fn double_deposit_detected_and_judge_reveals_depositor() {
     assert_eq!(cases.len(), 1);
     let revealed = w.judge.reveal_parties(&cases[0]);
     assert_eq!(revealed, vec![RevealedIdentity::Peer(PeerId(1))]);
+}
+
+/// A defect, pinned as it stands: a group signature proves knowledge of
+/// some key, not membership, so an enrolled peer that signs with a group
+/// key it made itself passes the owner's and the broker's checks, double
+/// deposits, and the judge, opening the filed case, names no one. Once
+/// membership is checked at verify time, the deposits are refused as
+/// `BadGroupSignature` instead.
+#[test]
+fn an_unregistered_group_key_double_spends_and_the_judge_names_no_one() {
+    let mut w = World::new(1, 16);
+    let id = PeerId(1);
+    let registered = w.judge.enroll(id, &mut w.rng);
+    let rogue = GroupMemberKey::generate_unregistered(w.params.group(), &mut w.rng);
+    assert!(w
+        .judge
+        .export_registry()
+        .iter()
+        .any(|(y, who)| y == registered.member_element() && *who == id));
+    assert!(w.judge.export_registry().iter().all(|(y, _)| y != rogue.member_element()));
+    let peer = Peer::new(
+        id,
+        w.params.clone(),
+        w.broker.public_key().clone(),
+        w.judge.public_key().clone(),
+        rogue,
+        &mut w.rng,
+    );
+    w.broker.register_peer(id, peer.public_key().clone());
+    w.peers.push(peer);
+
+    let t0 = Timestamp(0);
+    let coin = w.buy(0, PurchaseMode::Identified, t0);
+    w.issue(0, 1, coin, t0);
+    let dep = w.peers[1].request_deposit(coin, &mut w.rng).unwrap();
+    w.broker.handle_deposit(&dep, t0).unwrap();
+    let dep2 = w.peers[1].request_deposit(coin, &mut w.rng).unwrap();
+    assert_eq!(w.broker.handle_deposit(&dep2, t0).unwrap_err(), CoreError::DoubleSpend(coin));
+
+    let cases = w.broker.fraud_cases();
+    assert_eq!(cases.len(), 1);
+    assert_eq!(w.judge.reveal_parties(&cases[0]), vec![RevealedIdentity::Unregistered]);
 }
 
 #[test]

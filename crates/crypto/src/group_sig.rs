@@ -26,9 +26,9 @@
 //!
 //! Membership of the encrypted key is enforced at *open* time: a signature
 //! produced under an unregistered key verifies, but opening it yields
-//! [`OpenOutcome::Unregistered`] — detectable, attributable fraud, which is
-//! exactly the paper's detect-and-punish security model (§4.3). DESIGN.md
-//! discusses this substitution.
+//! [`OpenOutcome::Unregistered`]: the fraud is detected, but it names no
+//! one, short of the paper's detect-and-punish security model (§4.3).
+//! DESIGN.md discusses this substitution.
 
 use std::collections::HashMap;
 
@@ -115,7 +115,7 @@ pub enum OpenOutcome<I> {
     /// The signer is the registered member with this identity.
     Member(I),
     /// The signature verifies but the signing key was never registered:
-    /// attributable fraud (the key itself is the evidence).
+    /// detected fraud that names no one (the key itself is the evidence).
     Unregistered(BigUint),
 }
 

@@ -260,7 +260,7 @@ mod ni {
     /// Whether the host supports every instruction this path issues
     /// (`is_x86_feature_detected!` caches, so this is a load + test).
     #[inline]
-    pub fn available() -> bool {
+    pub(super) fn available() -> bool {
         is_x86_feature_detected!("sha")
             && is_x86_feature_detected!("sse4.1")
             && is_x86_feature_detected!("ssse3")
@@ -384,7 +384,7 @@ mod ni {
     /// Runs one compression round on `state` (the streaming hasher's
     /// path: its state lives in memory between calls).
     #[target_feature(enable = "sha,sse4.1,ssse3,sse2")]
-    pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let [a, b, c, d, e, f, g, h] = *state;
         let (dcba, hgfe) =
             unpack(rounds(pack(lanes([a, b, c, d]), lanes([e, f, g, h])), load_block(block)));
@@ -399,7 +399,7 @@ mod ni {
     /// One-shot digest of any input: the state stays packed in registers
     /// from `H0` through every block, padding included.
     #[target_feature(enable = "sha,sse4.1,ssse3,sse2")]
-    pub fn digest(data: &[u8]) -> Digest {
+    pub(super) fn digest(data: &[u8]) -> Digest {
         let mut state = packed_h0();
         let (blocks, rem) = data.as_chunks::<64>();
         for block in blocks {
@@ -417,7 +417,7 @@ mod ni {
     /// half (the `0x80` marker, zeros, and the bit length 256) is two
     /// constant vectors, and so is the initial state.
     #[target_feature(enable = "sha,sse4.1,ssse3,sse2")]
-    pub fn digest32(word: &[u8; 32]) -> Digest {
+    pub(super) fn digest32(word: &[u8; 32]) -> Digest {
         let (halves, []) = word.as_chunks::<16>() else { unreachable!("32 = 2 × 16") };
         let marker = lanes([0x8000_0000, 0, 0, 0]);
         let bit_len = lanes([0, 0, 0, 256]);

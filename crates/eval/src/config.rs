@@ -113,7 +113,7 @@ impl SimConfig {
 }
 
 /// The µ sweep of Setup A: 15 min to 32 h, doubling.
-pub fn setup_a_mu_sweep() -> Vec<SimTime> {
+fn setup_a_mu_sweep() -> Vec<SimTime> {
     vec![
         SimTime::from_mins(15),
         SimTime::from_mins(30),

@@ -212,7 +212,7 @@ impl RunResult {
     }
 
     /// Total peer CPU load under the given weights.
-    pub fn peers_cpu_total(&self, w: MicroWeights) -> f64 {
+    fn peers_cpu_total(&self, w: MicroWeights) -> f64 {
         self.counts.iter().map(|(op, n)| n as f64 * w.cost(peer_micro(op))).sum()
     }
 
@@ -232,7 +232,7 @@ impl RunResult {
     }
 
     /// Average per-peer communication load.
-    pub fn peer_comm_avg(&self) -> f64 {
+    fn peer_comm_avg(&self) -> f64 {
         self.peers_comm_total() / self.n_peers as f64
     }
 

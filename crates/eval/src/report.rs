@@ -82,11 +82,6 @@ pub fn sweep_setup_a_nu(policy: Policy, sync: SyncStrategy, nu: SimTime) -> Vec<
         .collect()
 }
 
-/// Setup B sweep (100–1000 peers) for one configuration.
-pub fn sweep_setup_b(policy: Policy, sync: SyncStrategy) -> Vec<RunResult> {
-    run_batch(&setup_b(policy, sync))
-}
-
 /// Figures 2 and 3: broker operation counts vs µ under policy I.
 /// Series: purchases, downtime transfers, downtime renewals, and (under
 /// proactive sync) syncs.
@@ -179,7 +174,7 @@ fn four_config_scaling(metric: impl Fn(&RunResult) -> f64 + Copy) -> Vec<Series>
     FOUR_CONFIGS
         .iter()
         .map(|&(policy, sync)| {
-            let results = sweep_setup_b(policy, sync);
+            let results = run_batch(&setup_b(policy, sync));
             Series {
                 label: format!("{} + {}", policy.label(), sync.label()),
                 points: results.iter().map(|r| (r.n_peers as f64, metric(r))).collect(),

@@ -76,16 +76,6 @@ impl IndirectionLayer {
         self.triggers.insert(handle, target);
     }
 
-    /// Removes a trigger, returning its previous target.
-    pub fn remove_trigger(&mut self, handle: Handle) -> Option<EndpointId> {
-        self.triggers.remove(&handle)
-    }
-
-    /// Number of live triggers.
-    pub fn trigger_count(&self) -> usize {
-        self.triggers.len()
-    }
-
     /// Sends a request to whatever endpoint the handle's trigger points at,
     /// without revealing that endpoint to the caller.
     ///
@@ -104,32 +94,12 @@ impl IndirectionLayer {
         handle: Handle,
         request: Vec<u8>,
     ) -> Result<Vec<u8>, IndirectionError> {
-        let mut response = Vec::new();
-        self.request_via_into(net, from, handle, &request, &mut response)?;
-        Ok(response)
-    }
-
-    /// The allocation-lean form of [`IndirectionLayer::request_via`]: the
-    /// forwarded payload is borrowed rather than owned per hop, and the
-    /// response lands in a caller-reused buffer. Relay accounting is
-    /// identical.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IndirectionLayer::request_via`].
-    pub fn request_via_into(
-        &self,
-        net: &mut Network,
-        from: EndpointId,
-        handle: Handle,
-        request: &[u8],
-        response: &mut Vec<u8>,
-    ) -> Result<(), IndirectionError> {
         let target = *self.triggers.get(&handle).ok_or(IndirectionError::DanglingHandle(handle))?;
         net.account_relay(request.len());
-        net.request_into(from, target, request, response).map_err(IndirectionError::Delivery)?;
+        let mut response = Vec::new();
+        net.request_into(from, target, &request, &mut response).map_err(IndirectionError::Delivery)?;
         net.account_relay(response.len());
-        Ok(())
+        Ok(response)
     }
 
     /// Whether a trigger resolves to an *online* endpoint — the anonymous
@@ -192,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn triggers_can_be_retargeted_and_removed() {
+    fn triggers_can_be_retargeted() {
         let mut net = Network::new();
         let a = net.register("a", |_: &[u8]| b"a".to_vec());
         let b = net.register("b", |_: &[u8]| b"b".to_vec());
@@ -203,8 +173,6 @@ mod tests {
         assert_eq!(i3.request_via(&mut net, client, handle, vec![]).unwrap(), b"a");
         i3.register_trigger(handle, b);
         assert_eq!(i3.request_via(&mut net, client, handle, vec![]).unwrap(), b"b");
-        assert_eq!(i3.remove_trigger(handle), Some(b));
-        assert_eq!(i3.trigger_count(), 0);
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //!     out
 //! });
 //! let client = net.register("client", |_req: &[u8]| Vec::new());
+//! // infallible: the example's echo endpoint is registered and online
 //! let reply = net.request(client, echo, b"hi".to_vec()).unwrap();
 //! assert_eq!(reply, b"echo: hi");
 //! assert_eq!(net.stats().messages, 2); // request + response

@@ -148,19 +148,6 @@ impl BigUint {
         }
     }
 
-    /// Returns a big-endian byte encoding zero-padded to `len` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not fit in `len` bytes.
-    pub fn to_be_bytes_padded(&self, len: usize) -> Vec<u8> {
-        let raw = self.to_be_bytes();
-        assert!(raw.len() <= len, "value does not fit in {len} bytes");
-        let mut out = vec![0u8; len - raw.len()];
-        out.extend_from_slice(&raw);
-        out
-    }
-
     /// Parses a hexadecimal string (no prefix, case-insensitive).
     ///
     /// Returns `None` on empty input or non-hex characters.
@@ -548,12 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn padded_bytes() {
-        let v = BigUint::from(0xffu64);
-        assert_eq!(v.to_be_bytes_padded(4), vec![0, 0, 0, 0xff]);
-    }
-
-    #[test]
     fn extend_be_bytes_matches_to_be_bytes() {
         let mut rng = crate::test_rng(0xBE);
         for bits in [0usize, 1, 7, 8, 63, 64, 65, 127, 128, 129, 512, 1023] {
@@ -574,12 +555,6 @@ mod tests {
             assert_eq!(streamed, expect, "bits={bits}");
             assert_eq!(v.be_len(), v.to_be_bytes().len(), "bits={bits}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn padded_bytes_too_small_panics() {
-        BigUint::from(0x1_0000u64).to_be_bytes_padded(2);
     }
 
     #[test]

@@ -262,13 +262,6 @@ impl Event {
         }
     }
 
-    /// Attaches a batch size (number of items settled together).
-    #[must_use]
-    pub fn with_batch(mut self, batch: u64) -> Self {
-        self.batch = Some(batch);
-        self
-    }
-
     /// Attaches message/byte traffic.
     #[must_use]
     pub fn with_traffic(mut self, messages: u64, bytes: u64) -> Self {
@@ -309,13 +302,6 @@ impl Event {
     #[must_use]
     pub fn with_retry(mut self, attempt: u32, after: &'static str) -> Self {
         self.retry = Some(RetryNote { attempt, after });
-        self
-    }
-
-    /// Attributes the event to a broker shard.
-    #[must_use]
-    pub fn with_shard(mut self, shard: u16) -> Self {
-        self.shard = Some(shard);
         self
     }
 
@@ -438,7 +424,8 @@ mod tests {
 
     #[test]
     fn json_carries_shard_and_partition() {
-        let ev = Event::new(Role::Sim, OpKind::Transfer).with_shard(3).with_partition(7);
+        let mut ev = Event::new(Role::Sim, OpKind::Transfer).with_partition(7);
+        ev.shard = Some(3);
         assert_eq!(
             ev.to_json(),
             r#"{"role":"sim","op":"transfer","outcome":"ok","shard":3,"partition":7}"#
@@ -447,12 +434,12 @@ mod tests {
 
     #[test]
     fn json_carries_all_fields() {
-        let ev = Event::new(Role::Peer, OpKind::Transfer)
+        let mut ev = Event::new(Role::Peer, OpKind::Transfer)
             .with_traffic(2, 512)
             .with_duration(Duration::from_nanos(1500))
-            .with_batch(16)
             .failed()
             .with_detail("owner \"offline\"");
+        ev.batch = Some(16);
         assert_eq!(
             ev.to_json(),
             r#"{"role":"peer","op":"transfer","outcome":"error","nanos":1500,"messages":2,"bytes":512,"batch":16,"detail":"owner \"offline\""}"#

@@ -441,11 +441,6 @@ impl MetricsReport {
         self.rows.iter().filter(|r| r.role == role).fold(0, |a, r| a.saturating_add(r.messages))
     }
 
-    /// Operation count attributed to one role.
-    pub fn role_count(&self, role: Role) -> u64 {
-        self.rows.iter().filter(|r| r.role == role).fold(0, |a, r| a.saturating_add(r.count))
-    }
-
     /// Renders the per-operation table (one row per `(role, op)`),
     /// with latency percentiles in human units.
     pub fn render_table(&self) -> String {
@@ -626,7 +621,6 @@ mod tests {
         assert_eq!(report.total_messages(), 8);
         assert_eq!(report.total_bytes(), 1249);
         assert_eq!(report.role_messages(Role::Broker), 4);
-        assert_eq!(report.role_count(Role::Peer), 1);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl SimTime {
         SimTime(d * 86_400_000)
     }
 
-    /// From fractional hours (rounded to the nearest millisecond).
-    pub fn from_hours_f64(h: f64) -> Self {
-        SimTime((h * 3_600_000.0).round() as u64)
-    }
-
     /// Milliseconds since the epoch.
     pub const fn as_millis(self) -> u64 {
         self.0
@@ -118,9 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn fractional_hours_round_trip() {
-        let t = SimTime::from_hours_f64(1.5);
-        assert_eq!(t, SimTime::from_mins(90));
+    fn fractional_hours() {
+        let t = SimTime::from_mins(90);
         assert!((t.as_hours_f64() - 1.5).abs() < 1e-9);
     }
 

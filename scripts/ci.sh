@@ -114,7 +114,7 @@ done
 
 echo "==> no retired identifier in the docs, scripts, examples or crate sources (the comment that retires wire tag 6 excepted)"
 # One bracketed letter per name, so that this file does not match itself.
-retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads|owed_[b]y_|owe_[h]older_role|owe_[s]ig|Owed[S]ig|Owed[C]hains|take_[s]ettled|Binding[C]hain|accept_[g]rants|verify_[r]ecords_bulk|verify_[b]atch|create_[b]atch_purchase|GroupPublicKey::[v]erify_each|purchase_[v]ia_retry|request_issue_[v]ia_retry|request_transfer_[v]ia_retry|request_renewal_[v]ia_retry|deposit_[v]ia_retry|binding_proof_[v]ia_retry|sync_[v]ia_retry|open_chain_[v]ia_retry|redeem_chain_[v]ia_retry|send_invite_[o]bs|publish_owner_binding_[o]bs|read_public_state_verified_[o]bs|verify_grant_published_[o]bs|poll_[o]bs|TRACE_[T]RAILER_LEN|TRACE_[M]AGIC|TraceContext::[s]plit|TraceContext::[s]trip|TraceContext::[a]ppend_to|MIN_[R]ECORD|MIN_[G]SIG|eq_[b]ig|eq_be_[b]ytes|cmp_be_[b]ytes|verify_member_[e]ach|member_passes_[e]ach|verify_member_[m]any|holder_cache_[k]ey|mul_[l]imb|random_[n]onzero|to_[u]128'
+retired='Deposit[B]atch|Response::[R]eceipts|Cross[L]edger|Cross[S]tats|inject_[l]ost_commit|deposit_[b]atch_via|prepare_[d]eposit_batch|Schnorr[K]eyPair|request_via_[t]raced|JournalOp::[M]int|JournalOp::[D]owntimeBinding|JournalOp::[C]hainRedeem|Coin[R]ecord|Chain[R]ecord|register_[w]ith_net|deliver_[w]ith_fault|replay_[r]ecord|run_[i]tem|Parallel[H]andler|Checkpoint[S]tate|put_[c]heckpoint|get_[c]heckpoint|rebuild_[c]hains|\bc[o]in_leaf\b|JournalOp::[C]ounters|Journal::[c]heckpoint\b|journal\.[c]heckpoint\(|legacy::[r]un|eval::[l]egacy|Binary[H]eapQueue|Churn[P]rocess|Poisson[P]rocess|Broker[L]oad|partition_[s]tream_configs|run_stream_[p]artitioned|run_partitioned_[t]hreads|owed_[b]y_|owe_[h]older_role|owe_[s]ig|Owed[S]ig|Owed[C]hains|take_[s]ettled|Binding[C]hain|accept_[g]rants|verify_[r]ecords_bulk|verify_[b]atch|create_[b]atch_purchase|GroupPublicKey::[v]erify_each|purchase_[v]ia_retry|request_issue_[v]ia_retry|request_transfer_[v]ia_retry|request_renewal_[v]ia_retry|deposit_[v]ia_retry|binding_proof_[v]ia_retry|sync_[v]ia_retry|open_chain_[v]ia_retry|redeem_chain_[v]ia_retry|send_invite_[o]bs|publish_owner_binding_[o]bs|read_public_state_verified_[o]bs|verify_grant_published_[o]bs|poll_[o]bs|TRACE_[T]RAILER_LEN|TRACE_[M]AGIC|TraceContext::[s]plit|TraceContext::[s]trip|TraceContext::[a]ppend_to|MIN_[R]ECORD|MIN_[G]SIG|eq_[b]ig|eq_be_[b]ytes|cmp_be_[b]ytes|verify_member_[e]ach|member_passes_[e]ach|verify_member_[m]any|holder_cache_[k]ey|mul_[l]imb|random_[n]onzero|to_[u]128|relinquish_[l]og|due_[r]edemptions|remove_[t]rigger|trigger_[c]ount|to_be_bytes_[p]added|with_renewal_[p]eriod|\bwith_[b]atch\b|\bwith_[s]hard\b|\brole_[c]ount\b|from_hours_[f]64|request_via_[i]nto|sweep_setup_[b]\b'
 tag6='// Tag 6 is retired in both tag spaces \(it was Deposit[B]atch / Receipts\): never reused, Malformed\.$'
 if grep -rnE "$retired" README.md DESIGN.md .claude/skills/verify/SKILL.md scripts examples crates/*/src \
     | grep -vE "(wire|view)\.rs:[0-9]+: *$tag6"; then
@@ -141,10 +141,21 @@ if awk 'FNR == 1 { test = 0; above1 = ""; above2 = "" }
     exit 1
 fi
 
-echo "==> pub fns with no caller outside their own file (report, not a gate)"
+echo "==> no unmarked unwrap / expect outside tests in crates/core/src and crates/net/src (a site that stays says why, on its line or the one above: // infallible: <reason>)"
+# Everything from a file's first unindented #[cfg(test)] on is test.
+if awk 'FNR == 1 { test = 0; above = "" }
+        /^#\[cfg\(test\)\]/ { test = 1 }
+        !test && /\.unwrap\(\)|\.expect\(/ && ($0 above) !~ /\/\/ infallible: / { print FILENAME ":" FNR ": " $0; bad = 1 }
+        { above = $0 }
+        END { exit !bad }' crates/core/src/*.rs crates/net/src/*.rs; then
+    echo "ci.sh: an unwrap / expect without an // infallible: comment (above)" >&2
+    exit 1
+fi
+
+echo "==> every pub fn in crates/*/src and src is named by another file (the public surface is what the system runs)"
 # Each Rust file's identifiers, once per file; a pub fn in a crate's src
 # is listed when no other file names it.
-awk 'FNR == NR { named[$2] = named[$2] " " $1; next }
+orphans=$(awk 'FNR == NR { named[$2] = named[$2] " " $1; next }
      { n = split(named[$2], files, " "); outside = 0
        for (i = 1; i <= n; i++) if (files[i] != $1) outside = 1
        if (!outside) print "  " $1 ": " $2 }' \
@@ -152,7 +163,12 @@ awk 'FNR == NR { named[$2] = named[$2] " " $1; next }
         | while read -r f; do grep -oE '[A-Za-z_][A-Za-z0-9_]*' "$f" | sort -u | sed "s|^|$f |"; done) \
     <(grep -rE '^[[:space:]]*pub fn [A-Za-z_]' crates/*/src src \
         | sed -E 's/^([^:]+):[[:space:]]*pub fn ([A-Za-z0-9_]+).*/\1 \2/') \
-    | sort || echo "ci.sh: the pub fn report did not run (a report only)"
+    | sort)
+if [ -n "$orphans" ]; then
+    echo "$orphans"
+    echo "ci.sh: a pub fn is named by no other file (above): delete it or narrow its visibility" >&2
+    exit 1
+fi
 
 echo "==> bash -n scripts/pairs.sh (the alternating-pairs runner parses)"
 bash -n scripts/pairs.sh
