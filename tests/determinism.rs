@@ -254,7 +254,7 @@ fn sharded_history(out: &mut Artefacts) {
     let policy = RetryPolicy::new(8).backoff(10, 1_000).budget(100_000);
     let obs = Obs::disabled();
     let mut outcomes = Vec::new();
-    for i in 0..8u64 {
+    for i in 0..64u64 {
         let now = Timestamp(200 + 10 * i);
         clk.set(now);
         sclk.store(now.0, Ordering::SeqCst);
@@ -299,6 +299,7 @@ fn sharded_history(out: &mut Artefacts) {
         }
     }
     let injector = net.clear_faults().expect("faults installed");
+    assert!(injector.stats().total() > 0 && policy.stats().retries > 0, "the faults bit nowhere");
     put_debug(out, "faults.outcomes", &outcomes);
     put_debug(out, "faults.stats", &injector.stats());
     put_debug(out, "faults.retries", &policy.stats());
@@ -311,7 +312,8 @@ fn sharded_history(out: &mut Artefacts) {
     for s in 0..SHARDS {
         put(out, format!("journal.{s}"), broker.journal_bytes(s).expect("journals on"));
         let shard = broker.lock_shard(s);
-        put_debug(out, format!("ledger.{s}"), &shard.ledger().map(|l| (l.root(), l.seq())));
+        let ledger = shard.ledger().expect("ledgers are on");
+        put_debug(out, format!("ledger.{s}"), &(ledger.root(), ledger.seq()));
         put_debug(out, format!("snapshot.{s}"), &shard.snapshot());
         cases.extend(shard.fraud_cases().iter().cloned());
     }
